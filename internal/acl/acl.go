@@ -5,6 +5,7 @@
 package acl
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -222,11 +223,28 @@ type Entry struct {
 	User  wire.UserID
 	Right wire.Right
 	Limit time.Time
+	// Granters is how many distinct managers vouch for Limit: the evidence
+	// a cache-hit audit record cites, read in the same probe as the entry.
+	Granters int
 }
 
 // Expired reports whether the entry is past its limit at local time now.
-func (e Entry) Expired(now time.Time) bool {
-	return !e.Limit.IsZero() && !now.Before(e.Limit)
+func (e Entry) Expired(now time.Time) bool { return expired(e.Limit, now) }
+
+func expired(limit, now time.Time) bool {
+	return !limit.IsZero() && !now.Before(limit)
+}
+
+// cached is what the cache stores per key: the limit and the managers that
+// confirmed it. The set is a slice because it holds at most M (a handful
+// of) managers and only its length is ever read back.
+type cached struct {
+	limit    time.Time
+	granters []wire.NodeID
+}
+
+func (k cacheKey) entry(v cached) Entry {
+	return Entry{App: k.app, User: k.user, Right: k.right, Limit: v.limit, Granters: len(v.granters)}
 }
 
 // Cache is an application host's ACL_cache: the subset of access rights the
@@ -234,10 +252,7 @@ func (e Entry) Expired(now time.Time) bool {
 // safe for concurrent use.
 type Cache struct {
 	mu      sync.Mutex
-	entries map[cacheKey]Entry
-	// granters remembers which managers vouched for an entry; used by the
-	// check-quorum protocol to count distinct confirmations and by tests.
-	granters map[cacheKey]map[wire.NodeID]struct{}
+	entries map[cacheKey]cached
 	// maxEntries bounds memory (§3.2 motivates eviction "to save memory and
 	// processing overhead"); 0 means unbounded. When full, the entry with
 	// the earliest expiration is evicted — it is the least valuable, since
@@ -247,10 +262,7 @@ type Cache struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{
-		entries:  make(map[cacheKey]Entry),
-		granters: make(map[cacheKey]map[wire.NodeID]struct{}),
-	}
+	return &Cache{entries: make(map[cacheKey]cached)}
 }
 
 // SetMaxEntries bounds the number of cached entries (0 = unbounded). If
@@ -263,19 +275,25 @@ func (c *Cache) SetMaxEntries(n int) {
 	c.evictLocked()
 }
 
-// Put stores a grant with the given expiration limit (zero = no expiry),
-// recording the granting manager. Re-putting extends/overwrites the limit.
-func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.Time, granter wire.NodeID) {
+// Put stores a grant with the given expiration limit (zero = no expiry)
+// confirmed by granters, in one step: a concurrent lookup sees the entry
+// with none or all of them. The managers vouching for an entry are those
+// that confirmed its current limit, so a Put with a different limit (a
+// refresh) starts a new set instead of adding to the superseded one.
+func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.Time, granters ...wire.NodeID) {
 	k := cacheKey{app, user, r}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries[k] = Entry{App: app, User: user, Right: r, Limit: limit}
-	g := c.granters[k]
-	if g == nil {
-		g = make(map[wire.NodeID]struct{}, 1)
-		c.granters[k] = g
+	v, ok := c.entries[k]
+	if !ok || !v.limit.Equal(limit) {
+		v = cached{limit: limit, granters: make([]wire.NodeID, 0, len(granters))}
 	}
-	g[granter] = struct{}{}
+	for _, g := range granters {
+		if !slices.Contains(v.granters, g) {
+			v.granters = append(v.granters, g)
+		}
+	}
+	c.entries[k] = v
 	c.evictLocked()
 }
 
@@ -289,30 +307,29 @@ func (c *Cache) evictLocked() {
 	}
 	for len(c.entries) > c.maxEntries {
 		var victim cacheKey
-		var victimEntry Entry
+		var victimLimit time.Time
 		first := true
-		for k, e := range c.entries {
-			if first || evictBefore(e, k, victimEntry, victim) {
-				victim, victimEntry, first = k, e, false
+		for k, v := range c.entries {
+			if first || evictBefore(v.limit, k, victimLimit, victim) {
+				victim, victimLimit, first = k, v.limit, false
 			}
 		}
 		delete(c.entries, victim)
-		delete(c.granters, victim)
 	}
 }
 
 // evictBefore orders eviction candidates: earlier limit first (zero limit
 // last), then lexical key order for determinism.
-func evictBefore(a Entry, ak cacheKey, b Entry, bk cacheKey) bool {
+func evictBefore(a time.Time, ak cacheKey, b time.Time, bk cacheKey) bool {
 	switch {
-	case a.Limit.IsZero() && b.Limit.IsZero():
+	case a.IsZero() && b.IsZero():
 		// fall through to key comparison
-	case a.Limit.IsZero():
+	case a.IsZero():
 		return false
-	case b.Limit.IsZero():
+	case b.IsZero():
 		return true
-	case !a.Limit.Equal(b.Limit):
-		return a.Limit.Before(b.Limit)
+	case !a.Equal(b):
+		return a.Before(b)
 	}
 	if ak.app != bk.app {
 		return ak.app < bk.app
@@ -352,24 +369,22 @@ func (c *Cache) LookupStatus(app wire.AppID, user wire.UserID, r wire.Right, now
 	k := cacheKey{app, user, r}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[k]
+	v, ok := c.entries[k]
 	if !ok {
 		return Entry{}, Miss
 	}
-	if e.Expired(now) {
+	if expired(v.limit, now) {
 		delete(c.entries, k)
-		delete(c.granters, k)
 		return Entry{}, Expired
 	}
-	return e, Hit
+	return k.entry(v), Hit
 }
 
 // Granters returns how many distinct managers currently vouch for the entry.
 func (c *Cache) Granters(app wire.AppID, user wire.UserID, r wire.Right) int {
-	k := cacheKey{app, user, r}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.granters[k])
+	return len(c.entries[cacheKey{app, user, r}].granters)
 }
 
 // Remove deletes the entry for (app,user,r); removing an absent entry is a
@@ -380,7 +395,6 @@ func (c *Cache) Remove(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	defer c.mu.Unlock()
 	_, ok := c.entries[k]
 	delete(c.entries, k)
-	delete(c.granters, k)
 	return ok
 }
 
@@ -393,7 +407,6 @@ func (c *Cache) RemoveUser(app wire.AppID, user wire.UserID) int {
 	for k := range c.entries {
 		if k.app == app && k.user == user {
 			delete(c.entries, k)
-			delete(c.granters, k)
 			n++
 		}
 	}
@@ -408,10 +421,9 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for k, e := range c.entries {
-		if e.Expired(now) {
+	for k, v := range c.entries {
+		if expired(v.limit, now) {
 			delete(c.entries, k)
-			delete(c.granters, k)
 			n++
 		}
 	}
@@ -423,8 +435,7 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]Entry)
-	c.granters = make(map[cacheKey]map[wire.NodeID]struct{})
+	c.entries = make(map[cacheKey]cached)
 }
 
 // Len returns the number of cached entries (including ones that have
@@ -440,8 +451,8 @@ func (c *Cache) Snapshot() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, len(c.entries))
-	for _, e := range c.entries {
-		out = append(out, e)
+	for k, v := range c.entries {
+		out = append(out, k.entry(v))
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].App != out[j].App {

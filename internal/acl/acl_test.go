@@ -304,6 +304,28 @@ func TestCacheGranters(t *testing.T) {
 	}
 }
 
+// TestCachePutNewLimitStartsNewGranterSet: the managers vouching for an
+// entry are those that confirmed its current limit. A refresh confirmed by
+// a different pair must not be credited with the superseded pair too.
+func TestCachePutNewLimitStartsNewGranterSet(t *testing.T) {
+	c := NewCache()
+	first, second := now().Add(time.Minute), now().Add(2*time.Minute)
+	c.Put("app", "alice", wire.RightUse, first, "m0", "m1")
+	c.Put("app", "alice", wire.RightUse, second, "m2", "m0", "m2")
+	e, st := c.LookupStatus("app", "alice", wire.RightUse, now())
+	if st != Hit || !e.Limit.Equal(second) || e.Granters != 2 {
+		t.Errorf("after refresh: %+v (status %d), want limit %v vouched for by 2", e, st, second)
+	}
+	// The same limit confirmed again by a third manager adds to the set.
+	c.Put("app", "alice", wire.RightUse, second, "m1")
+	if got := c.Granters("app", "alice", wire.RightUse); got != 3 {
+		t.Errorf("Granters = %d, want 3", got)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Granters != 3 {
+		t.Errorf("Snapshot = %+v", snap)
+	}
+}
+
 func TestCacheClearAndSnapshot(t *testing.T) {
 	c := NewCache()
 	c.Put("b", "u", wire.RightUse, time.Time{}, "m")

@@ -242,8 +242,8 @@ type Sink interface {
 }
 
 // Recorder is a bounded per-node audit ring with the internal/flight
-// discipline: fixed pre-allocated slots, records copied in by value, no
-// per-record heap allocation, and exact drop accounting (Total minus
+// discipline: fixed pre-allocated slots written in place, no per-record
+// heap allocation, and exact drop accounting (Total minus
 // retained). Safe for concurrent use.
 type Recorder struct {
 	node string
@@ -285,23 +285,52 @@ func (r *Recorder) Node() string { return r.node }
 // is overwritten in place, so steady-state recording allocates nothing.
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
-	if rec.T.IsZero() {
-		rec.T = r.now()
+	s := r.slot()
+	*s = rec
+	r.commit(s)
+	r.mu.Unlock()
+}
+
+// RecordCacheHit appends the decision record of a cache hit — the one
+// record on the per-check hot path — built in its ring slot rather than
+// constructed by the caller and copied in: t is the decision time, granters
+// and expiry the cached entry's evidence.
+func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right string, granters int, expiry time.Time) {
+	r.mu.Lock()
+	s := r.slot()
+	*s = Record{}
+	s.T = t
+	s.Kind = KindDecision
+	s.Trace = trace
+	s.App, s.User, s.Right = app, user, right
+	s.Reason, s.Allowed = ReasonCacheHit, true
+	s.Granters = granters
+	s.Expiry = expiry
+	r.commit(s)
+	r.mu.Unlock()
+}
+
+// slot returns the ring slot the next record goes in, still holding the
+// record it overwrites. Must be called with r.mu held.
+func (r *Recorder) slot() *Record { return &r.ring[r.next%uint64(len(r.ring))] }
+
+// commit stamps the record built in s, accepts it, and feeds the sink.
+func (r *Recorder) commit(s *Record) {
+	if s.T.IsZero() {
+		s.T = r.now()
 	}
-	rec.Node = r.node
-	rec.Seq = r.next
-	r.ring[rec.Seq%uint64(len(r.ring))] = rec
+	s.Node = r.node
+	s.Seq = r.next
 	r.next++
-	switch rec.Kind {
+	switch s.Kind {
 	case KindDecision:
 		r.decisions++
 	case KindResponse:
 		r.responses++
 	}
 	if r.sink != nil {
-		r.sink.RecordAudit(rec)
+		r.sink.RecordAudit(*s)
 	}
-	r.mu.Unlock()
 }
 
 // Total returns how many records were ever accepted (retained or not).

@@ -128,6 +128,43 @@ func TestRecorderRingAndDropAccounting(t *testing.T) {
 	}
 }
 
+// TestRecordCacheHitMatchesRecord: the in-slot cache-hit record is, field
+// for field, what Record would have stored — over a slot that held a
+// record with every evidence field set — and reaches the counters and the
+// sink the same way.
+func TestRecordCacheHitMatchesRecord(t *testing.T) {
+	dirty := Record{Kind: KindResponse, Trace: 1, App: "old", User: "old", Right: "manage",
+		Reason: ReasonQueryGranted, Attempts: 9, Queried: 9, Quorum: 9, Confirmations: 9, Denials: 9,
+		Granters: 9, Managers: "old", Expire: time.Hour, Expiry: t0, Backoffs: 9, Frozen: true,
+		Peer: "old", Origin: "old", Counter: 9}
+	expiry := t0.Add(time.Minute)
+	var sunk []Record
+	fill := func(rec *Recorder) {
+		rec.SetSink(sinkFunc(func(r Record) { sunk = append(sunk, r) }))
+		rec.Record(dirty) // ring of one: the next record overwrites it
+	}
+	viaRecord, inSlot := NewRecorder("h0", 1, fakeClock()), NewRecorder("h0", 1, fakeClock())
+	fill(viaRecord)
+	fill(inSlot)
+	viaRecord.Record(Record{Kind: KindDecision, T: t0, Trace: 7, App: "app", User: "u0", Right: "use",
+		Reason: ReasonCacheHit, Allowed: true, Granters: 2, Expiry: expiry})
+	inSlot.RecordCacheHit(t0, 7, "app", "u0", "use", 2, expiry)
+	want, got := viaRecord.Snapshot()[0], inSlot.Snapshot()[0]
+	if got != want {
+		t.Errorf("in-slot record = %+v\nwant            %+v", got, want)
+	}
+	if len(sunk) != 4 || sunk[3] != want {
+		t.Errorf("sink saw %d records, last %+v; want the cache-hit record", len(sunk), sunk[len(sunk)-1])
+	}
+	if inSlot.Decisions() != 1 || inSlot.Total() != 2 {
+		t.Errorf("decisions %d, total %d; want 1, 2", inSlot.Decisions(), inSlot.Total())
+	}
+}
+
+type sinkFunc func(Record)
+
+func (f sinkFunc) RecordAudit(r Record) { f(r) }
+
 func TestRecordSteadyStateAllocations(t *testing.T) {
 	rec := NewRecorder("h0", 64, fakeClock())
 	r := Record{Kind: KindDecision, App: "app", User: "u0", Right: "use",

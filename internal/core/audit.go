@@ -18,9 +18,7 @@ import (
 // Install before traffic flows: records are emitted for decisions made
 // while the recorder is set.
 func (h *Host) SetAudit(rec *audit.Recorder) {
-	h.mu.Lock()
-	h.aud = rec
-	h.mu.Unlock()
+	h.publish(func(v *hostView) { v.aud = rec })
 }
 
 // SetAudit installs (or, with nil, removes) the manager's audit recorder;
@@ -36,7 +34,7 @@ func (m *Manager) SetAudit(rec *audit.Recorder) {
 // recorder is installed. The quorum-allow path allocates (sorting the
 // granting set into a string) — that path already allocates for the wire
 // exchange; the budget-pinned cache-hit path never reaches here.
-func (h *Host) auditFinish(c *check, d Decision, reason audit.Reason) {
+func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reason) {
 	rec := audit.Record{
 		Kind:     audit.KindDecision,
 		Trace:    c.trace,
@@ -51,7 +49,7 @@ func (h *Host) auditFinish(c *check, d Decision, reason audit.Reason) {
 		Backoffs: c.backoffs,
 		Frozen:   c.frozen,
 	}
-	if a, ok := h.apps[c.key.app]; ok {
+	if a, ok := v.apps[c.key.app]; ok {
 		rec.Quorum = a.policy.CheckQuorum
 	}
 	if reason == audit.ReasonQuorumAllow {
@@ -62,7 +60,7 @@ func (h *Host) auditFinish(c *check, d Decision, reason audit.Reason) {
 			rec.Expiry = c.sentAt.Add(c.minExpire)
 		}
 	}
-	h.aud.Record(rec)
+	v.aud.Record(rec)
 }
 
 // auditResponse records a manager's query verdict, citing the seq of the

@@ -146,7 +146,8 @@ func TestHostCacheLimitEvictionOrder(t *testing.T) {
 }
 
 // TestHostCacheGrantersConcurrentChecks hammers a warm cache from many
-// goroutines — checks, granter counts, purges — while nothing expires.
+// goroutines — checks, granter counts, purges, re-grants — while nothing
+// expires.
 // Every decision must be an allowed cache hit and every granter count must
 // see the full quorum; run under -race (scripts/ci.sh) this also proves the
 // host's locking. The paper's host serves concurrent application requests
@@ -170,6 +171,21 @@ func TestHostCacheGrantersConcurrentChecks(t *testing.T) {
 	const rounds = 100
 	errs := make(chan string, workers*rounds)
 	var wg sync.WaitGroup
+	// Meanwhile every entry keeps being re-granted with a later limit, as
+	// refresh-ahead does: a new limit starts a new vouching set, and grant
+	// installs the whole quorum in one Put, so a reader that now shares no
+	// lock with the writer but the cache's own never sees a partial set.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		limit := lenv.Now().Add(10 * time.Minute)
+		for i := 0; i < rounds; i++ {
+			limit = limit.Add(time.Second)
+			for u := 0; u < users; u++ {
+				h.cache.Put("a", wire.UserID(fmt.Sprintf("u%d", u)), wire.RightUse, limit, managers...)
+			}
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		worker := w
 		wg.Add(1)

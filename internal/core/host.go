@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wanac/internal/acl"
@@ -22,32 +24,52 @@ import (
 // high-availability (Figure 4), and check-quorum (§3.3) variants according
 // to each application's Policy.
 //
-// All exported methods are safe for concurrent use; message and timer
-// callbacks are serialized internally. Decision callbacks run outside the
-// host lock, so they may call back into the host.
+// All exported methods are safe for concurrent use. Everything that takes a
+// query round — message and timer callbacks, checks that miss the cache — is
+// serialized under mu; a check that hits the cache decides without it (see
+// cacheHit). Decision callbacks run outside the host lock, so they may call
+// back into the host.
 type Host struct {
 	id      wire.NodeID
 	env     Env
 	tracer  trace.Tracer
-	tracing bool          // false when tracer is trace.Nop: skip building detail strings
+	tracing bool          // false when tracer is trace.Nop: skip building events
 	keyring *auth.Keyring // nil: trust claimed identities (simulation)
 
-	mu    sync.Mutex
-	apps  map[wire.AppID]*hostApp
+	// What a cache hit reads, none of it guarded by mu: the published
+	// configuration, the cache (its own mutex is the hit's linearization
+	// point), the nonce sequence and the hit count.
+	view  atomic.Pointer[hostView]
 	cache *acl.Cache
-	nonce uint64
+	nonce atomic.Uint64
+	hits  atomic.Uint64 // cache-hit decisions; folded into Stats
+
+	mu sync.Mutex
 	// pending indexes in-flight checks by the nonce of their current query
 	// round; byKey coalesces concurrent checks for the same right.
 	pending map[uint64]*check
 	byKey   map[checkKey]*check
-	// fires collects callbacks to invoke after the lock is released. Entries
-	// are (callback, decision) pairs rather than closures so the cache-hit
-	// path allocates nothing beyond the slice itself.
+	// fires collects the callbacks of checks finished under the lock, to
+	// invoke after it is released.
 	fires []firing
 	// freeChecks recycles finished check structs (and their grantedBy maps
 	// and callback slices) so steady-state query rounds allocate nothing.
 	freeChecks []*check
-	stats      HostStats
+	// granters is grant's scratch for handing a check's confirming set to
+	// the cache in one Put.
+	granters []wire.NodeID
+	stats    HostStats // every counter but the cache hits
+}
+
+// hostView is the host's configuration: the app table and the two optional
+// observers. It lives only here, as one immutable value behind Host.view —
+// RegisterApp, SetTelemetry and SetAudit publish a modified copy under mu —
+// so a check reads a consistent set of the three with one atomic load and
+// no lock. The hostApps the table points to are shared with the locked
+// paths: policy, nameService and app never change after registration,
+// everything else in a hostApp is protocol state guarded by Host.mu.
+type hostView struct {
+	apps map[wire.AppID]*hostApp
 	// tel, when set, receives per-outcome counters/latency histograms and
 	// check-lifecycle spans (see telemetry.go). Nil outside instrumented
 	// runs; every hook is nil-guarded so the unused cost is one branch.
@@ -58,12 +80,22 @@ type Host struct {
 	aud *audit.Recorder
 }
 
-// firing is one deferred callback invocation. raw takes precedence over
-// (cb, d); it exists for the rare paths that defer arbitrary work.
+// publish installs a modified copy of the view; edit must replace, never
+// mutate, anything the old view points to.
+func (h *Host) publish(edit func(*hostView)) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	v := *h.view.Load()
+	edit(&v)
+	h.view.Store(&v)
+}
+
+func (h *Host) tel() *HostTelemetry { return h.view.Load().tel }
+
+// firing is one deferred callback invocation.
 type firing struct {
-	cb  func(Decision)
-	d   Decision
-	raw func()
+	cb func(Decision)
+	d  Decision
 }
 
 type hostApp struct {
@@ -112,8 +144,8 @@ type check struct {
 	denials   int
 	// backoffs counts busy/backoff deferrals over the check's lifetime
 	// (audit evidence; deferrals do not consume R attempts).
-	backoffs int
-	frozen   bool
+	backoffs  int
+	frozen    bool
 	sentAt    time.Time
 	minExpire time.Duration
 	timer     TimerHandle
@@ -128,17 +160,18 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 		tracer = trace.Nop{}
 	}
 	_, nop := tracer.(trace.Nop)
-	return &Host{
+	h := &Host{
 		id:      id,
 		env:     env,
 		tracer:  tracer,
 		tracing: !nop,
 		keyring: keyring,
-		apps:    make(map[wire.AppID]*hostApp),
 		cache:   acl.NewCache(),
 		pending: make(map[uint64]*check),
 		byKey:   make(map[checkKey]*check),
 	}
+	h.view.Store(&hostView{})
+	return h
 }
 
 // ID returns the host's node id.
@@ -162,19 +195,26 @@ func (h *Host) RegisterApp(app wire.AppID, cfg HostAppConfig) error {
 	managers := make([]wire.NodeID, m)
 	copy(managers, cfg.Managers)
 
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if _, ok := h.apps[app]; ok {
-		return fmt.Errorf("%w: app %s already registered", ErrConfig, app)
-	}
 	a := &hostApp{
 		policy:      cfg.Policy,
 		nameService: cfg.NameService,
 		app:         cfg.App,
 	}
 	a.setManagers(managers)
-	h.apps[app] = a
-	return nil
+	var err error
+	h.publish(func(v *hostView) {
+		if _, ok := v.apps[app]; ok {
+			err = fmt.Errorf("%w: app %s already registered", ErrConfig, app)
+			return
+		}
+		apps := maps.Clone(v.apps)
+		if apps == nil {
+			apps = make(map[wire.AppID]*hostApp, 1)
+		}
+		apps[app] = a
+		v.apps = apps
+	})
+	return err
 }
 
 // setManagers installs the manager list and rebuilds the membership set.
@@ -195,7 +235,84 @@ func (a *hostApp) isManager(id wire.NodeID) bool { return a.managerSet[id] }
 // exactly once with the outcome. Concurrent checks for the same
 // (app, user, right) are coalesced into one protocol exchange.
 func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func(Decision)) {
-	h.withLock(func() { h.checkLocked(app, user, right, cb) })
+	now := h.env.Now()
+	st := h.cacheHit(app, user, right, now, cb)
+	if st == acl.Hit {
+		return
+	}
+	h.withLock(func() { h.checkLocked(app, user, right, now, st, cb) })
+}
+
+// cacheHit is the whole of a check that ACL_cache can decide — the common
+// case the paper's O(C/Te) overhead argument rests on — and the only place
+// a cache hit is emitted. It runs without Host.mu: it reads the clock once
+// (now, shared by every emission), loads the published view once, probes the
+// cache once, tells each attached observer, and invokes cb directly. The
+// probe under the cache's own mutex is the hit's linearization point, so a
+// revocation, reset or explicit denial that has removed the entry and
+// returned is seen by every check that starts afterwards.
+//
+// Anything else is left to checkLocked, which takes the returned status
+// instead of probing again: Miss or Expired (the expired entry is already
+// gone), or zero when the app is not registered or the right invalid.
+func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now time.Time, cb func(Decision)) acl.LookupStatus {
+	v := h.view.Load()
+	a := v.apps[app]
+	if a == nil || !right.Valid() {
+		return 0
+	}
+	entry, st := h.cache.LookupStatus(app, user, right, now)
+	if st != acl.Hit {
+		return st
+	}
+	// Cache hits never touch the wire; when spans or audit records need a
+	// correlation ID, mint a local one from the nonce sequence (never
+	// reused by query rounds). Zero otherwise, matching the untraced event
+	// shape.
+	var tid uint64
+	if v.aud != nil || v.tel.spanning() {
+		tid = h.nonce.Add(1)
+	}
+	if h.tracing {
+		e := trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid}
+		h.tracer.Emit(e)
+		e.Type, e.Note = trace.EventAccessAllowed, "cached"
+		h.tracer.Emit(e)
+	}
+	h.hits.Add(1)
+	if t := v.tel; t != nil {
+		t.checks[outcomeCacheHit].Inc()
+		t.reasons[audit.ReasonCacheHit].Inc()
+		observeSince(t.latency[outcomeCacheHit], now, now) // a hit takes no time on the host's clock
+		if t.spanning() {
+			t.span(telemetry.Span{
+				Trace: tid, Node: string(h.id), Kind: "decision",
+				Time: now, App: string(app), User: string(user),
+				Right: right.String(), Note: outcomeNames[outcomeCacheHit],
+			})
+		}
+	}
+	if v.aud != nil {
+		v.aud.RecordCacheHit(now, tid, string(app), string(user), right.String(), entry.Granters, entry.Limit)
+	}
+	// Refresh-ahead: if the entry is close to expiring, re-verify in the
+	// background so the next post-expiry access does not pay a manager
+	// round trip. The refresh is an ordinary check (coalesced via byKey)
+	// whose grant, if any, replaces the entry with a fresh limit; a
+	// revoked right simply fails to refresh, so the Te bound holds.
+	if ra := a.policy.RefreshAhead; ra > 0 && !entry.Limit.IsZero() && entry.Limit.Sub(now) <= ra {
+		h.withLock(func() {
+			key := checkKey{app, user, right}
+			if _, inflight := h.byKey[key]; !inflight && h.managersUsable(a, now) {
+				c := h.newCheck(key)
+				c.born = now
+				h.byKey[key] = c
+				h.startRound(a, c)
+			}
+		})
+	}
+	cb(Decision{Allowed: true, CacheHit: true})
+	return acl.Hit
 }
 
 // withLock runs fn under the host lock, then fires any callbacks queued by
@@ -207,11 +324,7 @@ func (h *Host) withLock(fn func()) {
 	h.fires = nil
 	h.mu.Unlock()
 	for _, f := range fires {
-		if f.raw != nil {
-			f.raw()
-		} else {
-			f.cb(f.d)
-		}
+		f.cb(f.d)
 	}
 }
 
@@ -219,14 +332,17 @@ func (h *Host) fire(cb func(Decision), d Decision) {
 	h.fires = append(h.fires, firing{cb: cb, d: d})
 }
 
-func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, cb func(Decision)) {
-	now := h.env.Now()
-	a, ok := h.apps[app]
+// checkLocked is a check the cache did not decide: st is what cacheHit's
+// probe found. It coalesces onto an in-flight check for the same right or
+// starts a query round.
+func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, now time.Time, st acl.LookupStatus, cb func(Decision)) {
+	v := h.view.Load()
+	a, ok := v.apps[app]
 	if !ok || !right.Valid() {
-		h.recordDecision(Decision{}, now, audit.ReasonUnregisteredDeny)
+		h.recordDecision(Decision{}, now, now, audit.ReasonUnregisteredDeny)
 		h.emit(trace.EventAccessDenied, app, user, "unregistered")
-		if h.aud != nil {
-			h.aud.Record(audit.Record{
+		if v.aud != nil {
+			v.aud.Record(audit.Record{
 				Kind: audit.KindDecision, T: now,
 				App: string(app), User: string(user), Right: right.String(),
 				Reason: audit.ReasonUnregisteredDeny,
@@ -235,53 +351,7 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, c
 		h.fire(cb, Decision{})
 		return
 	}
-	if entry, st := h.cache.LookupStatus(app, user, right, now); st == acl.Hit {
-		// Cache hits never touch the wire; when spans or audit records
-		// need a correlation ID, mint a local one from the nonce sequence
-		// (never reused by query rounds). Zero otherwise, matching the
-		// untraced event shape.
-		var tid uint64
-		if h.aud != nil || h.tel.spanning() {
-			h.nonce++
-			tid = h.nonce
-		}
-		h.emitT(trace.EventCacheHit, app, user, tid, "")
-		h.emitT(trace.EventAccessAllowed, app, user, tid, "cached")
-		h.recordDecision(Decision{Allowed: true, CacheHit: true}, now, audit.ReasonCacheHit)
-		if h.tel.spanning() {
-			h.tel.span(telemetry.Span{
-				Trace: tid, Node: string(h.id), Kind: "decision",
-				Time: now, App: string(app), User: string(user),
-				Right: right.String(), Note: outcomeNames[outcomeCacheHit],
-			})
-		}
-		if h.aud != nil {
-			h.aud.Record(audit.Record{
-				Kind: audit.KindDecision, T: now, Trace: tid,
-				App: string(app), User: string(user), Right: right.String(),
-				Reason: audit.ReasonCacheHit, Allowed: true,
-				Granters: h.cache.Granters(app, user, right),
-				Expiry:   entry.Limit,
-			})
-		}
-		h.fire(cb, Decision{Allowed: true, CacheHit: true})
-		// Refresh-ahead: if the entry is close to expiring, re-verify in the
-		// background so the next post-expiry access does not pay a manager
-		// round trip. The refresh is an ordinary check (coalesced via byKey)
-		// whose grant, if any, replaces the entry with a fresh limit; a
-		// revoked right simply fails to refresh, so the Te bound holds.
-		if ra := a.policy.RefreshAhead; ra > 0 && !entry.Limit.IsZero() &&
-			entry.Limit.Sub(now) <= ra {
-			key := checkKey{app, user, right}
-			if _, inflight := h.byKey[key]; !inflight && h.managersUsable(a, now) {
-				c := h.newCheck(key)
-				c.born = now
-				h.byKey[key] = c
-				h.startRound(a, c)
-			}
-		}
-		return
-	} else if st == acl.Expired {
+	if st == acl.Expired {
 		h.emit(trace.EventCacheExpired, app, user, "")
 	}
 
@@ -319,8 +389,8 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, c
 func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 	h.stats.Backoffs++
 	c.backoffs++
-	if h.tel != nil {
-		h.tel.backoffs.Inc()
+	if t := h.tel(); t != nil {
+		t.backoffs.Inc()
 	}
 	if h.tracing {
 		h.emitT(trace.EventCheckBackoff, c.key.app, c.key.user, c.trace,
@@ -333,7 +403,7 @@ func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 			if !ok || cur != c || c.nonce != nonce {
 				return
 			}
-			a, ok := h.apps[key.app]
+			a, ok := h.view.Load().apps[key.app]
 			if !ok {
 				h.emitT(trace.EventAccessDenied, key.app, key.user, c.trace, "unregistered")
 				h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
@@ -367,13 +437,13 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 	if !ok || c.key.app != m.App {
 		return
 	}
-	a, ok := h.apps[c.key.app]
+	a, ok := h.view.Load().apps[c.key.app]
 	if !ok || !a.isManager(from) {
 		return
 	}
 	h.stats.BusyReplies++
-	if h.tel != nil {
-		h.tel.busyReplies.Inc()
+	if t := h.tel(); t != nil {
+		t.busyReplies.Inc()
 	}
 	retry := m.RetryAfter
 	if retry <= 0 {
@@ -455,8 +525,7 @@ func (h *Host) managersUsable(a *hostApp, now time.Time) bool {
 // full manager set. The round succeeds once C distinct grants arrive before
 // the timeout.
 func (h *Host) startRound(a *hostApp, c *check) {
-	h.nonce++
-	c.nonce = h.nonce
+	c.nonce = h.nonce.Add(1)
 	if c.trace == 0 {
 		c.trace = c.nonce
 	}
@@ -486,10 +555,10 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		h.env.Send(a.managers[(start+i)%m], q)
 	}
 	h.stats.QueryRounds++
-	if h.tel != nil {
-		h.tel.rounds.Inc()
-		if h.tel.spanning() {
-			h.tel.span(telemetry.Span{
+	if t := h.tel(); t != nil {
+		t.rounds.Inc()
+		if t.spanning() {
+			t.span(telemetry.Span{
 				Trace: c.trace, Node: string(h.id), Kind: "round",
 				Time: c.sentAt, App: string(c.key.app), User: string(c.key.user),
 				Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
@@ -514,17 +583,18 @@ func (h *Host) onQueryTimeout(nonce uint64) {
 		return
 	}
 	delete(h.pending, nonce)
-	a, ok := h.apps[c.key.app]
+	v := h.view.Load()
+	a, ok := v.apps[c.key.app]
 	if !ok {
 		h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "unregistered")
 		h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
 		return
 	}
 	h.stats.QueryTimeouts++
-	if h.tel != nil {
-		h.tel.timeouts.Inc()
-		if h.tel.spanning() {
-			h.tel.span(telemetry.Span{
+	if t := v.tel; t != nil {
+		t.timeouts.Inc()
+		if t.spanning() {
+			t.span(telemetry.Span{
 				Trace: c.trace, Node: string(h.id), Kind: "timeout",
 				Time: h.env.Now(), App: string(c.key.app), User: string(c.key.user),
 				Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
@@ -563,13 +633,14 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 // reason is the audit provenance of the decision; the matching record is
 // emitted before the check's evidence is recycled away.
 func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
-	h.recordDecision(d, c.born, reason)
-	if h.aud != nil {
-		h.auditFinish(c, d, reason)
+	v := h.view.Load()
+	now := h.env.Now()
+	h.recordDecision(d, c.born, now, reason)
+	if v.aud != nil {
+		h.auditFinish(v, c, d, reason)
 	}
-	if h.tel.spanning() {
-		now := h.env.Now()
-		h.tel.span(telemetry.Span{
+	if v.tel.spanning() {
+		v.tel.span(telemetry.Span{
 			Trace: c.trace, Node: string(h.id), Kind: "decision",
 			Time: now, App: string(c.key.app), User: string(c.key.user),
 			Right: c.key.right.String(), Round: c.attempts,
@@ -590,6 +661,21 @@ func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
 // HandleMessage implements the network handler: the "when ... from network"
 // clauses of Figures 2 and 3 plus name-service and sealed-traffic handling.
 func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
+	// Application traffic is a Check with a reply attached: like Check it
+	// enters unlocked, so an Invoke the cache can decide never takes h.mu.
+	switch m := msg.(type) {
+	case wire.Invoke:
+		if h.keyring != nil {
+			// Authenticated deployments accept only sealed traffic.
+			h.env.Send(from, wire.InvokeReply{App: m.App, ReqID: m.ReqID})
+			return
+		}
+		h.onInvoke(from, m)
+		return
+	case wire.Sealed:
+		h.onSealed(from, m)
+		return
+	}
 	h.withLock(func() {
 		switch m := msg.(type) {
 		case wire.Response:
@@ -598,15 +684,6 @@ func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
 			h.onBusy(from, m)
 		case wire.RevokeNotice:
 			h.onRevokeNotice(from, m)
-		case wire.Invoke:
-			if h.keyring != nil {
-				// Authenticated deployments accept only sealed traffic.
-				h.replyInvoke(from, m, Decision{})
-				return
-			}
-			h.onInvoke(from, m)
-		case wire.Sealed:
-			h.onSealed(from, m)
 		case wire.ResolveResponse:
 			h.onResolveResponse(from, m)
 		}
@@ -624,7 +701,8 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	if c.key.app != m.App || c.key.user != m.User || c.key.right != m.Right {
 		return
 	}
-	a, ok := h.apps[c.key.app]
+	v := h.view.Load()
+	a, ok := v.apps[c.key.app]
 	if !ok {
 		return
 	}
@@ -635,7 +713,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	if !a.isManager(from) {
 		return
 	}
-	if h.tel.spanning() {
+	if v.tel.spanning() {
 		note := outcomeNames[outcomeDenied]
 		switch {
 		case m.Frozen:
@@ -643,7 +721,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 		case m.Granted:
 			note = "granted"
 		}
-		h.tel.span(telemetry.Span{
+		v.tel.span(telemetry.Span{
 			Trace: c.trace, Node: string(h.id), Kind: "reply",
 			Time: h.env.Now(), App: string(c.key.app), User: string(c.key.user),
 			Right: c.key.right.String(), Peer: string(from),
@@ -698,9 +776,11 @@ func (h *Host) grant(c *check) {
 	if c.minExpire > 0 {
 		limit = c.sentAt.Add(c.minExpire)
 	}
+	h.granters = h.granters[:0]
 	for m := range c.grantedBy {
-		h.cache.Put(c.key.app, c.key.user, c.key.right, limit, m)
+		h.granters = append(h.granters, m)
 	}
+	h.cache.Put(c.key.app, c.key.user, c.key.right, limit, h.granters...)
 	if h.tracing {
 		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace,
 			"confirmations="+strconv.Itoa(len(c.grantedBy)))
@@ -717,15 +797,16 @@ func (h *Host) grant(c *check) {
 func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 	// Only managers of the application may flush cache entries; otherwise
 	// any node could deny service by spraying RevokeNotices.
-	a, ok := h.apps[m.App]
+	v := h.view.Load()
+	a, ok := v.apps[m.App]
 	if !ok || !a.isManager(from) {
 		return
 	}
 	removed := h.cache.Remove(m.App, m.User, m.Right)
 	if removed {
 		h.stats.RevokeNotices++
-		if h.tel != nil {
-			h.tel.revokes.Inc()
+		if v.tel != nil {
+			v.tel.revokes.Inc()
 		}
 		h.emit(trace.EventRevokeApplied, m.App, m.User, "")
 	}
@@ -736,7 +817,7 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 }
 
 func (h *Host) onInvoke(from wire.NodeID, m wire.Invoke) {
-	h.checkLocked(m.App, m.User, wire.RightUse, func(d Decision) {
+	h.Check(m.App, m.User, wire.RightUse, func(d Decision) {
 		h.serveInvoke(from, m, d)
 	})
 }
@@ -762,23 +843,10 @@ func (h *Host) serveInvoke(from wire.NodeID, m wire.Invoke, d Decision) {
 		return
 	}
 	var out []byte
-	h.mu.Lock()
-	a := h.apps[m.App]
-	var app Application
-	if a != nil {
-		app = a.app
-	}
-	h.mu.Unlock()
-	if app != nil {
-		out = app.Serve(m.User, m.Payload)
+	if a := h.view.Load().apps[m.App]; a != nil && a.app != nil {
+		out = a.app.Serve(m.User, m.Payload)
 	}
 	h.env.Send(from, wire.InvokeReply{App: m.App, ReqID: m.ReqID, Allowed: true, Output: out})
-}
-
-func (h *Host) replyInvoke(from wire.NodeID, m wire.Invoke, d Decision) {
-	h.fires = append(h.fires, firing{raw: func() {
-		h.env.Send(from, wire.InvokeReply{App: m.App, ReqID: m.ReqID, Allowed: d.Allowed})
-	}})
 }
 
 // resolveManagers queries the trusted name service for Managers(A) (§3.2).
@@ -797,8 +865,7 @@ func (h *Host) resolveManagers(a *hostApp, app wire.AppID) {
 		return
 	}
 	a.resolving = true
-	h.nonce++
-	a.resolveNonce = h.nonce
+	a.resolveNonce = h.nonce.Add(1)
 	h.env.Send(a.nameService, wire.ResolveRequest{App: app, Nonce: a.resolveNonce})
 	a.resolveTimer = h.env.SetTimer(a.policy.QueryTimeout, func() {
 		h.withLock(func() { h.onResolveTimeout(a, app) })
@@ -834,7 +901,7 @@ func (h *Host) onResolveTimeout(a *hostApp, app wire.AppID) {
 }
 
 func (h *Host) onResolveResponse(from wire.NodeID, m wire.ResolveResponse) {
-	a, ok := h.apps[m.App]
+	a, ok := h.view.Load().apps[m.App]
 	if !ok || !a.resolving || m.Nonce != a.resolveNonce {
 		return
 	}
@@ -875,7 +942,7 @@ func (h *Host) onResolveResponse(from wire.NodeID, m wire.ResolveResponse) {
 func (h *Host) SetManagers(app wire.AppID, managers []wire.NodeID) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	a, ok := h.apps[app]
+	a, ok := h.view.Load().apps[app]
 	if !ok {
 		return fmt.Errorf("%w: unknown app %s", ErrConfig, app)
 	}
@@ -934,7 +1001,7 @@ func (h *Host) Reset() {
 	}
 	h.pending = make(map[uint64]*check)
 	h.byKey = make(map[checkKey]*check)
-	for _, a := range h.apps {
+	for _, a := range h.view.Load().apps {
 		a.waiting = nil
 		a.resolving = false
 		a.rr = 0

@@ -50,6 +50,10 @@ func (h *Host) Stats() HostStats {
 	st := h.stats
 	st.CacheLen = h.cache.Len()
 	h.mu.Unlock()
+	// Cache hits are decided without h.mu and counted atomically.
+	hits := h.hits.Load()
+	st.Checks += hits
+	st.CacheHits = hits
 	return st
 }
 
@@ -113,18 +117,17 @@ func (m *Manager) Stats() ManagerStats {
 	return st
 }
 
-// recordDecision tallies a finished check; must be called with h.mu held.
-// born is when the check began (for the latency histograms); the zero
-// time records a zero latency. reason refines the outcome with the
-// decision's provenance (wanac_host_check_reasons_total): summed over the
-// reasons of one outcome it equals that outcome's counter, an equality
-// audit_test.go pins.
-func (h *Host) recordDecision(d Decision, born time.Time, reason audit.Reason) {
+// recordDecision tallies a check that finished under h.mu — every outcome
+// but a cache hit, which cacheHit counts itself. born is when the check
+// began and now when it finished (for the latency histograms); a zero born
+// records no latency. reason refines the outcome with the decision's
+// provenance (wanac_host_check_reasons_total): summed over the reasons of
+// one outcome it equals that outcome's counter, an equality audit_test.go
+// pins.
+func (h *Host) recordDecision(d Decision, born, now time.Time, reason audit.Reason) {
 	h.stats.Checks++
 	idx := outcomeIndex(d)
 	switch idx {
-	case outcomeCacheHit:
-		h.stats.CacheHits++
 	case outcomeDefault:
 		h.stats.DefaultAllowed++
 	case outcomeAllowed:
@@ -132,11 +135,11 @@ func (h *Host) recordDecision(d Decision, born time.Time, reason audit.Reason) {
 	default:
 		h.stats.Denied++
 	}
-	if h.tel != nil {
-		h.tel.checks[idx].Inc()
-		if rc := h.tel.reasons[reason]; rc != nil {
+	if t := h.tel(); t != nil {
+		t.checks[idx].Inc()
+		if rc := t.reasons[reason]; rc != nil {
 			rc.Inc()
 		}
-		observeSince(h.tel.latency[idx], born, h.env.Now())
+		observeSince(t.latency[idx], born, now)
 	}
 }

@@ -134,9 +134,7 @@ func (t *HostTelemetry) CheckLatency(outcome string) *telemetry.Histogram {
 // sink. Safe to call at any time; checks in flight keep the trace IDs
 // they were assigned.
 func (h *Host) SetTelemetry(t *HostTelemetry) {
-	h.mu.Lock()
-	h.tel = t
-	h.mu.Unlock()
+	h.publish(func(v *hostView) { v.tel = t })
 }
 
 // InstrumentHost wires h into reg: outcome-labeled check counters and

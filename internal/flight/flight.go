@@ -9,10 +9,10 @@
 // a causal timeline.
 //
 // The recorder is designed to ride hot paths for free: recording a value is
-// one mutex acquisition and one struct copy into a pre-allocated slot, no
-// heap allocation (all string fields are header copies of strings that
-// already exist). The end-to-end cached-check allocation budget (1 alloc/op,
-// see alloc_test.go at the repo root) holds with a recorder attached.
+// one mutex acquisition and one write of a pre-allocated slot, no heap
+// allocation (all string fields are header copies of strings that already
+// exist). The end-to-end cached-check allocation budget (0 allocs/op, see
+// alloc_test.go at the repo root) holds with a recorder attached.
 package flight
 
 import (
@@ -148,41 +148,57 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 // Node returns the recorder's node name.
 func (r *Recorder) Node() string { return r.node }
 
+// slot returns the ring slot the next record goes in, still holding the
+// record it overwrites; the caller builds the new one in place and hands it
+// to commit. Must be called with r.mu held.
+func (r *Recorder) slot() *Record { return &r.ring[r.next%uint64(len(r.ring))] }
+
+// commit stamps the record built in s — Seq, Node, and the local clock if
+// T is still zero — and accepts it. Stamping under the lock keeps Seq order
+// and timestamp order in agreement for records the recorder stamps itself.
+func (r *Recorder) commit(s *Record) {
+	if s.T.IsZero() {
+		s.T = r.now()
+	}
+	s.Node = r.node
+	s.Seq = r.next
+	r.next++
+}
+
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
 // local clock if rec.T is zero. The oldest record is overwritten once the
 // ring is full.
 func (r *Recorder) Record(rec Record) {
-	rec.Node = r.node
 	r.mu.Lock()
-	if rec.T.IsZero() {
-		// Stamp under the lock so Seq order and timestamp order agree for
-		// records stamped by the recorder itself.
-		rec.T = r.now()
-	}
-	rec.Seq = r.next
-	r.ring[rec.Seq%uint64(len(r.ring))] = rec
-	r.next++
+	s := r.slot()
+	*s = rec
+	r.commit(s)
 	r.mu.Unlock()
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
-// (manager update-quorum, host quorum grants) under KindQuorum.
+// (manager update-quorum, host quorum grants) under KindQuorum. The record
+// is built in its ring slot: this runs twice per cached check, and a
+// Record is large enough that constructing one and copying it in shows.
 func (r *Recorder) RecordEvent(e trace.Event) {
 	kind := KindProtocol
 	if e.Type == trace.EventUpdateQuorum || (e.Type == trace.EventAccessAllowed && e.Note == "quorum") {
 		kind = KindQuorum
 	}
-	r.Record(Record{
-		T:       e.Time,
-		Kind:    kind,
-		Type:    e.Type.String(),
-		Trace:   e.Trace,
-		App:     string(e.App),
-		User:    string(e.User),
-		Origin:  string(e.Seq.Origin),
-		Counter: e.Seq.Counter,
-		Note:    e.Note,
-	})
+	r.mu.Lock()
+	s := r.slot()
+	*s = Record{}
+	s.T = e.Time
+	s.Kind = kind
+	s.Type = e.Type.String()
+	s.Trace = e.Trace
+	s.App = string(e.App)
+	s.User = string(e.User)
+	s.Origin = string(e.Seq.Origin)
+	s.Counter = e.Seq.Counter
+	s.Note = e.Note
+	r.commit(s)
+	r.mu.Unlock()
 }
 
 // Total returns how many records were ever accepted (≥ retained).
@@ -208,7 +224,8 @@ func (r *Recorder) Snapshot() []Record {
 	return out
 }
 
-// teeTracer feeds every trace event to a recorder before forwarding it.
+// teeTracer feeds every trace event to a recorder before forwarding it; a
+// nil next ends the chain (no call, no event copy).
 type teeTracer struct {
 	rec  *Recorder
 	next trace.Tracer
@@ -218,8 +235,8 @@ type teeTracer struct {
 // forwards it to next (which may be nil to stop the chain). This is how
 // nodes get flight recording without the core packages importing flight.
 func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
-	if next == nil {
-		next = trace.Nop{}
+	if _, nop := next.(trace.Nop); nop {
+		next = nil
 	}
 	return teeTracer{rec: rec, next: next}
 }
@@ -227,5 +244,7 @@ func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
 // Emit implements trace.Tracer.
 func (t teeTracer) Emit(e trace.Event) {
 	t.rec.RecordEvent(e)
-	t.next.Emit(e)
+	if t.next != nil {
+		t.next.Emit(e)
+	}
 }

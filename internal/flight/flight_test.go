@@ -73,6 +73,31 @@ func TestRecordEventClassifiesQuorum(t *testing.T) {
 	}
 }
 
+// TestRecordEventOverwritesTheWholeSlot: RecordEvent builds its record in
+// the ring slot, so nothing of the record it overwrites may survive — in
+// particular the fields a protocol event never sets.
+func TestRecordEventOverwritesTheWholeSlot(t *testing.T) {
+	base := time.Unix(1000, 0).UTC()
+	r := NewRecorder("h0", 16, fixedClock(base))
+	for i := 0; i < 16; i++ {
+		r.Record(Record{T: base, Kind: KindTransport, Type: "up", Trace: 9, App: "old", User: "old",
+			Origin: "old", Counter: 9, Peer: "old", Note: "old"})
+	}
+	at := base.Add(time.Second)
+	r.RecordEvent(trace.Event{Time: at, Node: "ignored", Type: trace.EventCacheHit, App: "app", User: "alice", Trace: 7})
+	r.RecordEvent(trace.Event{Type: trace.EventUpdateIssued, Seq: wire.UpdateSeq{Origin: "m0", Counter: 3}, Note: "n"})
+	snap := r.Snapshot()
+	want := []Record{
+		{Seq: 16, T: at, Node: "h0", Kind: KindProtocol, Type: "cache-hit", Trace: 7, App: "app", User: "alice"},
+		{Seq: 17, T: base, Node: "h0", Kind: KindProtocol, Type: "update-issued", Origin: "m0", Counter: 3, Note: "n"},
+	}
+	for i, w := range want {
+		if got := snap[len(snap)-2+i]; got != w {
+			t.Errorf("record %d = %+v, want %+v", i, got, w)
+		}
+	}
+}
+
 func TestTeeRecordsAndForwards(t *testing.T) {
 	r := NewRecorder("h0", 16, nil)
 	col := trace.NewCollector(16)

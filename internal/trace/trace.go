@@ -62,9 +62,13 @@ const (
 	// EventTeAdapted: a manager's adaptive-Te controller changed the
 	// effective revocation bound; the note carries the new value.
 	EventTeAdapted
+	numEventTypes // one past the last defined type; keep last
 )
 
-var eventNames = map[EventType]string{
+// eventNames is indexed by EventType: String runs once per recorded event
+// (flight ring, telemetry bridge), so it is an array load, not a map probe.
+// trace_test.go fails on a defined type left without a name.
+var eventNames = [numEventTypes]string{
 	EventAccessAllowed: "access-allowed",
 	EventAccessDenied:  "access-denied",
 	EventAccessDefault: "access-default",
@@ -88,8 +92,8 @@ var eventNames = map[EventType]string{
 
 // String returns the event's stable name.
 func (t EventType) String() string {
-	if s, ok := eventNames[t]; ok {
-		return s
+	if t < numEventTypes && eventNames[t] != "" {
+		return eventNames[t]
 	}
 	return fmt.Sprintf("event-%d", uint8(t))
 }

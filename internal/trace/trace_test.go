@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,17 +10,48 @@ import (
 	"wanac/internal/wire"
 )
 
+// TestEventTypeString pins every defined type's stable name (they are dump
+// field values and metric label values). The length check makes a new
+// constant fail here until it has both a table row and a name.
 func TestEventTypeString(t *testing.T) {
-	if EventAccessAllowed.String() != "access-allowed" {
-		t.Errorf("got %q", EventAccessAllowed.String())
+	names := []struct {
+		et   EventType
+		want string
+	}{
+		{EventAccessAllowed, "access-allowed"},
+		{EventAccessDenied, "access-denied"},
+		{EventAccessDefault, "access-default"},
+		{EventCacheHit, "cache-hit"},
+		{EventCacheExpired, "cache-expired"},
+		{EventQuerySent, "query-sent"},
+		{EventQueryTimeout, "query-timeout"},
+		{EventGrantCached, "grant-cached"},
+		{EventRevokeApplied, "revoke-applied"},
+		{EventUpdateIssued, "update-issued"},
+		{EventUpdateApplied, "update-applied"},
+		{EventUpdateQuorum, "update-quorum"},
+		{EventFrozen, "frozen"},
+		{EventUnfrozen, "unfrozen"},
+		{EventSynced, "synced"},
+		{EventQueryServed, "query-served"},
+		{EventQueryShed, "query-shed"},
+		{EventCheckBackoff, "check-backoff"},
+		{EventTeAdapted, "te-adapted"},
 	}
-	if got := EventType(200).String(); got != "event-200" {
-		t.Errorf("unknown type string = %q", got)
+	if len(names) != int(numEventTypes)-1 {
+		t.Fatalf("table has %d rows for %d defined event types", len(names), int(numEventTypes)-1)
 	}
-	// Every defined type has a name.
-	for et := EventAccessAllowed; et <= EventSynced; et++ {
-		if strings.HasPrefix(et.String(), "event-") {
-			t.Errorf("type %d missing name", et)
+	for i, row := range names {
+		if row.et != EventType(i+1) {
+			t.Errorf("row %d is type %d: the numeric values are part of the dump format", i, row.et)
+		}
+		if got := row.et.String(); got != row.want {
+			t.Errorf("EventType(%d).String() = %q, want %q", row.et, got, row.want)
+		}
+	}
+	for _, unknown := range []EventType{0, numEventTypes, 200} {
+		if got, want := unknown.String(), fmt.Sprintf("event-%d", uint8(unknown)); got != want {
+			t.Errorf("unknown type string = %q, want %q", got, want)
 		}
 	}
 }

@@ -55,11 +55,20 @@ echo "== decision provenance / audit (race, repeated)"
 # record), the audit-completeness oracle, the acaudit evidence-chain
 # goldens, acctl's check/explain surface, the live /debug/audit endpoint
 # with -audit.jsonl streaming, and the cached-check allocation budget
-# with auditing attached (still 1 alloc/op).
+# with auditing attached (0 allocs/op).
 go test -race -count=2 ./internal/audit ./cmd/acaudit ./cmd/acctl
 go test -race -count=2 -run 'Audit' ./internal/core ./internal/harness ./internal/scenario
 go test -race -run TestDebugAuditEndpoint -count=1 ./cmd/acnode
 go test -race -run TestCacheHitCheckAllocationBudgetWithAudit -count=1 .
+
+echo "== check hot path off the host lock (race, repeated)"
+# A cache hit decides without Host.mu: callers hammer a warm key while a
+# RevokeNotice, a Reset and a full-set quorum deny remove the entry — no
+# check started after the removal returned may hit, and HostStats, the
+# audit ring and both counter families must agree exactly afterwards —
+# and while SetAudit/SetTelemetry/RegisterApp republish the view checks
+# read. Interleavings differ run to run, hence the count.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestHostCacheGrantersConcurrentChecks' ./internal/core
 
 echo "== metrics endpoint smoke"
 # Boots a live two-manager/one-host deployment over TCP, drives a check,
@@ -119,6 +128,13 @@ echo "== overload experiment (race, repeated)"
 # the overload-100x catalog scenario end to end with all five oracles.
 go test -race -count=2 -run 'TestOverloadProtectionBoundsRevocationLag' ./internal/scenario
 go test -race -count=1 -run 'TestFullCatalogRuns/overload-100x' ./internal/scenario
+
+echo "== bench module (vet + self-check)"
+# bench/ is a nested module (wanac/bench, replace wanac => ../), so the
+# ./... patterns above never see it: build, vet and self-check it here, or
+# an internal API change that breaks it surfaces only at the next
+# benchmark run.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== benchmark smoke (one iteration each)"
 # One iteration per benchmark: catches benchmarks that fatal or hang without
