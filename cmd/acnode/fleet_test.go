@@ -244,12 +244,19 @@ func TestAcmonEndToEnd(t *testing.T) {
 		}
 		return snap.Count
 	}
+	// With C = 2 both managers granted to h0, so both forward a notice and
+	// each observes its own propagation when h0's ack reaches it — m1 a
+	// little after m0, which applied the revocation first. Quiescence is
+	// both having exported; waiting for m0 alone lets m1's observation land
+	// between the monitor's scrape and the re-scrape below.
 	deadline := time.Now().Add(10 * time.Second)
-	for propagated(c.debug[0]) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("m0 never observed the revocation propagation")
+	for i, addr := range c.debug[:2] {
+		for propagated(addr) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("m%d never observed the revocation propagation", i)
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 
 	// The monitor scrapes all three nodes once.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wanac/internal/flight"
@@ -61,17 +62,23 @@ func TestListGolden(t *testing.T) {
 	checkGolden(t, "list.golden", out)
 }
 
-// TestRunGolden pins one full `acsim run` transcript. The scenario engine is
-// deterministic from the seed, so the entire transcript — check counts,
-// revocation lags, network counters, oracle verdicts — is golden-stable.
+// TestRunGolden pins full `acsim run` transcripts of the four scenarios the
+// sim-catalog benchmark runs. The scenario engine is deterministic from the
+// seed, so the entire transcript — check counts, revocation lags, network
+// counters, oracle verdicts — is golden-stable: a reordered tie between two
+// events or a shifted rng draw in the simulator fails here.
 func TestRunGolden(t *testing.T) {
-	out, err := capture(t, func() error {
-		return cmdRun([]string{"steady-baseline"})
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"steady-baseline", "zipf-flood", "overload-100x", "revoke-under-partition"} {
+		t.Run(name, func(t *testing.T) {
+			out, err := capture(t, func() error {
+				return cmdRun([]string{name})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "run_"+strings.ReplaceAll(name, "-", "_")+".golden", out)
+		})
 	}
-	checkGolden(t, "run_steady_baseline.golden", out)
 }
 
 // TestRunBrokenWritesFlightDump drives the deliberately broken catalog

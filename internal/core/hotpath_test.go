@@ -253,6 +253,12 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 			}
 		}()
 	}
+	// The flips below take microseconds: on a busy box they used to finish
+	// before any caller had been scheduled, and the test then failed on
+	// "no hits" without having tested anything. Start once callers hit.
+	for hits.Load() == 0 {
+		runtime.Gosched()
+	}
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
 			h.SetAudit(nil)

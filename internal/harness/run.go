@@ -232,8 +232,9 @@ func RunScenario(sc Scenario, opt Options) (*Result, error) {
 
 	w.RunFor(p.Horizon + Settle)
 
-	r.oracles.AnalyzeTrace(w.Tracer.Events(), w.UpdateQuorumTimes())
-	r.oracles.AnalyzeAudit(w.Tracer.Events(), w.AuditDumps())
+	events := w.Tracer.Events()
+	r.oracles.AnalyzeTrace(events, w.UpdateQuorumTimes())
+	r.oracles.AnalyzeAudit(events, w.AuditDumps())
 
 	res := &Result{
 		Scenario:   sc,

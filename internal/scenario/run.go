@@ -266,15 +266,19 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 
 	w.RunFor(sc.Duration + harness.Settle)
 
-	r.oracles.AnalyzeTrace(w.Tracer.Events(), w.UpdateQuorumTimes())
-	r.oracles.AnalyzeAudit(w.Tracer.Events(), w.AuditDumps())
+	events, audits, quorums := w.Tracer.Events(), w.AuditDumps(), w.UpdateQuorumTimes()
+	// The world has run its last event: release the collector's chunks so
+	// one copy of the log, not two, is live while the oracles walk it.
+	w.Tracer.Reset()
+	r.oracles.AnalyzeTrace(events, quorums)
+	r.oracles.AnalyzeAudit(events, audits)
 	res := r.res
 	res.Oracles = r.oracles.Reports()
 	res.Violations = r.oracles.Violations()
 	res.RevocationLagP99 = p99(res.RevocationLags)
 	res.SubmitLagP99 = p99(res.SubmitLags)
 	r.gatherOverload()
-	r.gatherAudit(reg)
+	r.gatherAudit(reg, audits)
 	r.gatherSLO(engine)
 	res.Net = w.Net.Stats()
 	if res.Failed() {
@@ -502,8 +506,8 @@ func (r *runtime) gatherOverload() {
 
 // gatherAudit folds the run's decision provenance into the result: exact
 // per-reason counts from the telemetry counters plus record/drop totals
-// from the per-node audit rings (called once, after the run).
-func (r *runtime) gatherAudit(reg *telemetry.Registry) {
+// from the per-node audit ring dumps (called once, after the run).
+func (r *runtime) gatherAudit(reg *telemetry.Registry, audits []*audit.Dump) {
 	a := &r.res.Audit
 	a.Reasons = make(map[string]uint64)
 	for reason, n := range core.ReasonCounts(reg) {
@@ -511,7 +515,7 @@ func (r *runtime) gatherAudit(reg *telemetry.Registry) {
 			a.Reasons[reason.String()] = n
 		}
 	}
-	for _, d := range r.w.AuditDumps() {
+	for _, d := range audits {
 		a.Records += d.Header.Total
 		a.Dropped += d.Header.Dropped
 	}

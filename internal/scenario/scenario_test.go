@@ -368,3 +368,28 @@ func TestTopologyPlacement(t *testing.T) {
 		t.Error("directions priced identically")
 	}
 }
+
+// TestMatrixSendAllocationBudget is simnet's TestSendAllocationBudget with
+// a catalog topology's RTT matrix pricing the links, the configuration
+// every scenario runs under: resolving the two ends' regions and sampling
+// the link's model must cost no allocation per message. Budget: 0.
+func TestMatrixSendAllocationBudget(t *testing.T) {
+	topo := Global9()
+	sched := simnet.NewScheduler()
+	n := simnet.New(sched, simnet.Config{LinkLatency: topo.Matrix()})
+	nodes := topo.AllNodes()
+	for _, id := range nodes {
+		n.Attach(id, simnet.HandlerFunc(func(wire.NodeID, wire.Message) {}))
+	}
+	var msg wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 7}
+	round := func() {
+		for i, from := range nodes {
+			n.Send(from, nodes[(i+5)%len(nodes)], msg)
+		}
+		sched.Run(0)
+	}
+	round() // warm the event pool and the heap's backing array
+	if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
+		t.Errorf("%d sends + deliveries across global9 allocate %.1f objects, budget is 0", len(nodes), allocs)
+	}
+}

@@ -9,7 +9,6 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -64,26 +63,27 @@ func (t Topology) RegionNames() []string {
 	return names
 }
 
-// RegionOf maps a node to its region name ("" for unknown nodes, e.g. the
-// harness agent, which the matrix prices at its default).
-func (t Topology) RegionOf(id wire.NodeID) string {
+// regionByNode is the placement as a table: every node's region. Matrix
+// resolves latency classes from it once per run, not once per message.
+func (t Topology) regionByNode() map[wire.NodeID]string {
+	out := make(map[wire.NodeID]string, t.Managers()+t.Hosts())
 	mi, hi := 0, 0
 	for _, r := range t.Regions {
 		for i := 0; i < r.Managers; i++ {
-			if sim.ManagerID(mi+i) == id {
-				return r.Name
-			}
+			out[sim.ManagerID(mi)] = r.Name
+			mi++
 		}
 		for i := 0; i < r.Hosts; i++ {
-			if sim.HostID(hi+i) == id {
-				return r.Name
-			}
+			out[sim.HostID(hi)] = r.Name
+			hi++
 		}
-		mi += r.Managers
-		hi += r.Hosts
 	}
-	return ""
+	return out
 }
+
+// RegionOf maps a node to its region name ("" for unknown nodes, e.g. the
+// harness agent, which the matrix prices at its default).
+func (t Topology) RegionOf(id wire.NodeID) string { return t.regionByNode()[id] }
 
 // ManagersIn returns the manager node ids placed in the named region.
 func (t Topology) ManagersIn(region string) []wire.NodeID {
@@ -251,24 +251,16 @@ const linkSigma = 0.15
 
 // Matrix builds the per-directed-link latency model for this topology:
 // every ordered region pair gets a log-normal distribution around its
-// skewed directional median, capped at 5× so stragglers stay bounded.
+// skewed directional median, capped at 5× so stragglers stay bounded; links
+// to nodes outside the topology get the same shape around 10ms.
 func (t Topology) Matrix() *simnet.Matrix {
-	names := t.RegionNames()
-	sort.Strings(names)
-	models := make(map[simnet.ClassPair]simnet.LatencyModel)
-	for _, a := range names {
-		for _, b := range names {
-			med := DirectionalDelay(a, b)
-			models[simnet.ClassPair{From: a, To: b}] = simnet.LogNormal{
-				Scale: med, Sigma: linkSigma, Cap: 5 * med,
-			}
+	return simnet.NewMatrix(t.regionByNode(), func(a, b string) simnet.LatencyModel {
+		med := 10 * time.Millisecond
+		if a != "" && b != "" {
+			med = DirectionalDelay(a, b)
 		}
-	}
-	return &simnet.Matrix{
-		Class:   t.RegionOf,
-		Models:  models,
-		Default: simnet.LogNormal{Scale: 10 * time.Millisecond, Sigma: linkSigma, Cap: 50 * time.Millisecond},
-	}
+		return simnet.LogNormal{Scale: med, Sigma: linkSigma, Cap: 5 * med}
+	})
 }
 
 // Named topologies used by the catalog.

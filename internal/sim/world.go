@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"wanac/internal/acl"
@@ -108,10 +109,10 @@ type World struct {
 }
 
 // ManagerID returns the node id of manager i.
-func ManagerID(i int) wire.NodeID { return wire.NodeID(fmt.Sprintf("m%d", i)) }
+func ManagerID(i int) wire.NodeID { return wire.NodeID("m" + strconv.Itoa(i)) }
 
 // HostID returns the node id of host i.
-func HostID(i int) wire.NodeID { return wire.NodeID(fmt.Sprintf("h%d", i)) }
+func HostID(i int) wire.NodeID { return wire.NodeID("h" + strconv.Itoa(i)) }
 
 // NameID is the name service node id.
 const NameID wire.NodeID = "ns"

@@ -3,6 +3,7 @@ package simnet
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"wanac/internal/wire"
@@ -111,44 +112,50 @@ type LinkLatencyModel interface {
 	SampleLink(from, to wire.NodeID, rng *rand.Rand) time.Duration
 }
 
-// ClassPair is one ordered (source class, destination class) key of a
-// Matrix — typically a (from-region, to-region) pair.
-type ClassPair struct {
-	From, To string
-}
-
-// Matrix is a per-directed-link latency model: every node maps to a class
-// (e.g. its geographic region) via Class, and each ordered class pair
-// selects its own delay model. Because keys are ordered, the matrix is
-// asymmetric by construction: Models[{eu,us}] and Models[{us,eu}] are
-// independent entries. Nodes or pairs without an entry fall back to
-// Default.
+// Matrix is a per-directed-link latency model: every node belongs to a
+// class (e.g. its geographic region), and each ordered class pair selects
+// its own delay model, so the matrix is asymmetric by construction: eu→us
+// and us→eu are independent entries. A node's class is resolved once, when
+// the matrix is built: pricing a message — it happens on every simulated
+// send — is two small-map reads and an index.
 type Matrix struct {
-	// Class maps a node to its class name. Nil maps every node to "".
-	Class func(wire.NodeID) string
-	// Models holds the per-ordered-pair delay models.
-	Models map[ClassPair]LatencyModel
-	// Default is used for pairs absent from Models. Nil means Fixed(10ms),
-	// matching the network's own default.
-	Default LatencyModel
+	class map[wire.NodeID]int // node → row/column in links; absent nodes share 0
+	links []LatencyModel      // width×width, row = source class; no nil entries
+	width int
 }
 
 var _ LinkLatencyModel = (*Matrix)(nil)
 
-// Link returns the model the matrix would use for messages from → to. It
-// never returns nil.
+// NewMatrix builds a matrix from each node's class name and a function
+// giving the (non-nil) model of each ordered class pair, called once per
+// pair. Nodes absent from class are in class "".
+func NewMatrix(class map[wire.NodeID]string, model func(from, to string) LatencyModel) *Matrix {
+	names := []string{""}
+	m := &Matrix{class: make(map[wire.NodeID]int, len(class))}
+	for id, name := range class {
+		i := slices.Index(names, name)
+		if i < 0 {
+			i = len(names)
+			names = append(names, name)
+		}
+		m.class[id] = i
+	}
+	m.width = len(names)
+	for _, from := range names {
+		for _, to := range names {
+			m.links = append(m.links, model(from, to))
+		}
+	}
+	return m
+}
+
+// Link returns the model the matrix uses for messages from → to. The zero
+// Matrix prices every link at Fixed(10ms), the network's own default.
 func (m *Matrix) Link(from, to wire.NodeID) LatencyModel {
-	var cf, ct string
-	if m.Class != nil {
-		cf, ct = m.Class(from), m.Class(to)
+	if m.width == 0 {
+		return Fixed{D: 10 * time.Millisecond}
 	}
-	if mod, ok := m.Models[ClassPair{From: cf, To: ct}]; ok {
-		return mod
-	}
-	if m.Default != nil {
-		return m.Default
-	}
-	return Fixed{D: 10 * time.Millisecond}
+	return m.links[m.class[from]*m.width+m.class[to]]
 }
 
 // SampleLink implements LinkLatencyModel.

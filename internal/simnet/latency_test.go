@@ -15,15 +15,17 @@ func regionMatrix() *Matrix {
 		"h-us": "us", "m-us": "us",
 		"h-eu": "eu", "m-eu": "eu",
 	}
-	return &Matrix{
-		Class: func(id wire.NodeID) string { return region[id] },
-		Models: map[ClassPair]LatencyModel{
-			{From: "us", To: "eu"}: Fixed{D: 44 * time.Millisecond},
-			{From: "eu", To: "us"}: Fixed{D: 36 * time.Millisecond},
-			{From: "us", To: "us"}: Fixed{D: 2 * time.Millisecond},
-		},
-		Default: Fixed{D: 9 * time.Millisecond},
+	models := map[[2]string]LatencyModel{
+		{"us", "eu"}: Fixed{D: 44 * time.Millisecond},
+		{"eu", "us"}: Fixed{D: 36 * time.Millisecond},
+		{"us", "us"}: Fixed{D: 2 * time.Millisecond},
 	}
+	return NewMatrix(region, func(from, to string) LatencyModel {
+		if m, ok := models[[2]string{from, to}]; ok {
+			return m
+		}
+		return Fixed{D: 9 * time.Millisecond}
+	})
 }
 
 // TestLatencyModelDeterminism: every model must produce the identical

@@ -370,18 +370,11 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
 		n.counters.Dropped++
 		return
 	}
-	n.deliverAfter(n.sampleLatency(from, to), from, to, msg)
+	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
 	if n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate {
 		n.counters.Duplicated++
-		n.deliverAfter(n.sampleLatency(from, to), from, to, msg)
+		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
 	}
-}
-
-// deliverAfter schedules delivery through the scheduler's pooled delivery
-// events: no per-message closure or timer handle, so a send allocates
-// nothing in steady state.
-func (n *Network) deliverAfter(d time.Duration, from, to wire.NodeID, msg wire.Message) {
-	n.sched.scheduleDelivery(d, n, from, to, msg)
 }
 
 // deliver hands a due message to its destination (called by the scheduler).

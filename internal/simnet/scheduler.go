@@ -11,7 +11,6 @@
 package simnet
 
 import (
-	"container/heap"
 	"time"
 
 	"wanac/internal/vclock"
@@ -25,7 +24,10 @@ import (
 // volume in a simulation is deliveries, and pooling them makes Network.Send
 // allocation-free in steady state.
 type event struct {
-	at  time.Time
+	// at is when the event is due, in nanoseconds since vclock.Epoch. Every
+	// simulated instant is Epoch plus whole nanoseconds, no monotonic
+	// reading, so these integers order as the time.Time values would.
+	at  int64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 	fn  func()
 
@@ -41,26 +43,56 @@ type event struct {
 	fired       bool
 }
 
+// before is the scheduler's total order: due instant, then scheduling order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
+
+// eventHeap is a binary min-heap of events under before. seq is unique, so
+// the order events pop in is fully determined by what was pushed.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (h *eventHeap) push(e *event) {
+	q := append(*h, e)
+	*h = q
+	i := len(q) - 1
+	for p := (i - 1) / 2; i > 0 && e.before(q[p]); i, p = p, (p-1)/2 {
+		q[i] = q[p]
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+func (h *eventHeap) pop() *event {
+	q := *h
+	n := len(q) - 1
+	top := q[0]
+	q[0], q[n] = q[n], nil
+	*h = q[:n]
+	if n > 1 {
+		q[:n].down(0)
+	}
+	return top
+}
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// down sifts the event at i towards the leaves until neither child precedes
+// it.
+func (h eventHeap) down(i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
 }
 
 // Timer is a handle for a scheduled callback that can be cancelled before it
@@ -128,32 +160,30 @@ func (s *Scheduler) Pending() int { return len(s.queue) }
 // Steps returns the number of events executed so far.
 func (s *Scheduler) Steps() uint64 { return s.steps }
 
+// nanos converts an instant to the event key: nanoseconds since the epoch.
+func nanos(t time.Time) int64 { return int64(t.Sub(vclock.Epoch)) }
+
 // At schedules fn at absolute time t (clamped to now if in the past) and
 // returns a cancellable handle.
 func (s *Scheduler) At(t time.Time, fn func()) *Timer {
-	if t.Before(s.Now()) {
-		t = s.Now()
-	}
-	s.seq++
-	e := &event{at: t, seq: s.seq, fn: fn, sched: s, cancellable: true}
-	heap.Push(&s.queue, e)
-	return (*Timer)(e)
+	return s.at(max(nanos(t), nanos(s.Now())), fn)
 }
 
 // After schedules fn to run d from now.
 func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.Now().Add(d), fn)
+	return s.at(nanos(s.Now())+int64(max(d, 0)), fn)
+}
+
+func (s *Scheduler) at(ns int64, fn func()) *Timer {
+	s.seq++
+	e := &event{at: ns, seq: s.seq, fn: fn, sched: s, cancellable: true}
+	s.queue.push(e)
+	return (*Timer)(e)
 }
 
 // scheduleDelivery enqueues a pooled, non-cancellable message delivery d
 // from now (the Network fast path: no closure, no Timer, reused event).
 func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.NodeID, msg wire.Message) {
-	if d < 0 {
-		d = 0
-	}
 	var e *event
 	if k := len(s.free); k > 0 {
 		e = s.free[k-1]
@@ -163,8 +193,8 @@ func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.
 		e = &event{}
 	}
 	s.seq++
-	*e = event{at: s.Now().Add(d), seq: s.seq, net: n, from: from, to: to, msg: msg}
-	heap.Push(&s.queue, e)
+	*e = event{at: nanos(s.Now()) + int64(max(d, 0)), seq: s.seq, net: n, from: from, to: to, msg: msg}
+	s.queue.push(e)
 }
 
 // recycle returns a drained delivery event to the free list, dropping its
@@ -201,7 +231,9 @@ func (s *Scheduler) compact() {
 	}
 	s.queue = live
 	s.stopped = 0
-	heap.Init(&s.queue)
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i)
+	}
 }
 
 // DiscardPending drops every queued event without running it. The experiment
@@ -226,12 +258,12 @@ func (s *Scheduler) DiscardPending() {
 // It returns false when the queue is empty. Stopped timers are skipped.
 func (s *Scheduler) Step() bool {
 	for len(s.queue) > 0 {
-		e := heap.Pop(&s.queue).(*event)
+		e := s.queue.pop()
 		if e.cancellable && e.stopped {
 			s.stopped--
 			continue
 		}
-		s.clock.Set(e.at)
+		s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
 		if e.cancellable {
 			e.fired = true
 		}
@@ -265,11 +297,8 @@ func (s *Scheduler) Run(maxSteps uint64) bool {
 // RunUntil executes all events with timestamps <= t, then advances the
 // clock to t.
 func (s *Scheduler) RunUntil(t time.Time) {
-	for len(s.queue) > 0 {
-		// Peek: queue[0] is the earliest event.
-		if s.queue[0].at.After(t) {
-			break
-		}
+	// Peek: queue[0] is the earliest event.
+	for ns := nanos(t); len(s.queue) > 0 && s.queue[0].at <= ns; {
 		s.Step()
 	}
 	s.clock.Set(t)

@@ -1,10 +1,12 @@
 package simnet
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
 	"wanac/internal/vclock"
+	"wanac/internal/wire"
 )
 
 func TestSchedulerOrdering(t *testing.T) {
@@ -269,5 +271,145 @@ func TestDiscardPending(t *testing.T) {
 	s.Run(0)
 	if !ran {
 		t.Error("scheduler unusable after DiscardPending")
+	}
+}
+
+// TestSchedulerOrderProperty drives the scheduler with a seeded mix of At,
+// After, pooled deliveries, Stop (in bursts large enough to trigger
+// compact), DiscardPending, RunUntil, and callbacks that schedule further
+// events, and checks every firing against a reference that knows nothing
+// about heaps: the pending set kept as a flat list, whose next event is the
+// one with the smallest (at, scheduling order). The order of firings is what
+// every golden and oracle downstream depends on.
+func TestSchedulerOrderProperty(t *testing.T) {
+	type pending struct {
+		at time.Time
+		id uint64
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewScheduler()
+		n := New(s, Config{})
+		var (
+			model  []pending // scheduled, not yet fired, stopped or discarded; ids ascend
+			timers = map[uint64]*Timer{}
+			nextID uint64
+			fired  int
+		)
+		remove := func(id uint64) bool {
+			for i, p := range model {
+				if p.id == id {
+					model = append(model[:i], model[i+1:]...)
+					return true
+				}
+			}
+			return false
+		}
+		// Delays come from a handful of values so equal instants, the FIFO
+		// case, are common.
+		delay := func() time.Duration { return time.Duration(rng.Intn(6)) * time.Millisecond }
+		var schedule func(depth int)
+		// fire is what every event runs: whoever stepped the scheduler, the
+		// event must be the reference's next one, at its own instant.
+		fire := func(id uint64, depth int) {
+			if len(model) == 0 {
+				t.Fatalf("seed %d: event %d fired with nothing pending", seed, id)
+			}
+			want := model[0]
+			for _, p := range model[1:] {
+				if p.at.Before(want.at) { // ties keep the earlier id
+					want = p
+				}
+			}
+			if id != want.id {
+				t.Fatalf("seed %d: event %d fired, want event %d", seed, id, want.id)
+			}
+			if !s.Now().Equal(want.at) {
+				t.Fatalf("seed %d: event %d ran at %v, want %v", seed, id, s.Now(), want.at)
+			}
+			remove(id)
+			fired++
+			if depth < 3 && rng.Intn(3) == 0 {
+				schedule(depth + 1)
+			}
+		}
+		n.Attach("dst", HandlerFunc(func(_ wire.NodeID, msg wire.Message) {
+			fire(msg.(wire.Heartbeat).Nonce, 0)
+		}))
+		schedule = func(depth int) {
+			nextID++
+			id := nextID
+			d := delay()
+			at := s.Now().Add(d)
+			switch rng.Intn(3) {
+			case 0:
+				timers[id] = s.After(d, func() { fire(id, depth) })
+			case 1:
+				// At clamps instants in the past to now.
+				when := at
+				if rng.Intn(4) == 0 {
+					when, at = s.Now().Add(-time.Second), s.Now()
+				}
+				timers[id] = s.At(when, func() { fire(id, depth) })
+			default:
+				s.scheduleDelivery(d, n, "src", "dst", wire.Heartbeat{Nonce: id})
+			}
+			model = append(model, pending{at, id})
+		}
+		step := func() {
+			before, want := fired, len(model) > 0
+			if got := s.Step(); got != want || fired-before > 1 {
+				t.Fatalf("seed %d: Step = %v after %d events, %d were pending", seed, got, fired-before, len(model))
+			}
+		}
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 45:
+				schedule(0)
+			case r < 80:
+				step()
+			case r < 90:
+				// A burst of cancellations: once more than half the queue is
+				// dead the scheduler compacts.
+				for id, tm := range timers {
+					if rng.Intn(4) != 0 {
+						if tm.Stop() != remove(id) {
+							t.Fatalf("seed %d: Stop(%d) disagrees with the model", seed, id)
+						}
+						delete(timers, id)
+					}
+				}
+			case r < 92:
+				s.DiscardPending()
+				model = model[:0]
+				for id, tm := range timers {
+					if tm.Stop() {
+						t.Fatalf("seed %d: Stop(%d) succeeded after DiscardPending", seed, id)
+					}
+					delete(timers, id)
+				}
+			default:
+				// RunUntil leaves nothing due by the bound. (It may run one
+				// live event past it when a stopped timer heads the queue:
+				// Step skips the dead entry and runs on. Inherited, and
+				// goldens depend on it; fire still checks that event's order.)
+				bound := s.Now().Add(delay())
+				s.RunUntil(bound)
+				for _, p := range model {
+					if !p.at.After(bound) {
+						t.Fatalf("seed %d: RunUntil(%v) left event %d at %v", seed, bound, p.id, p.at)
+					}
+				}
+				if s.Now().Before(bound) {
+					t.Fatalf("seed %d: RunUntil left the clock at %v, before %v", seed, s.Now(), bound)
+				}
+			}
+		}
+		for len(model) > 0 {
+			step()
+		}
+		if s.Step() || s.Pending() != 0 {
+			t.Fatalf("seed %d: %d events left after the model drained", seed, s.Pending())
+		}
 	}
 }

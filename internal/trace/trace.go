@@ -155,12 +155,24 @@ var _ Tracer = Nop{}
 // Emit implements Tracer.
 func (Nop) Emit(Event) {}
 
+// chunkEvents is how many events one storage chunk of a Collector holds
+// (64 KiB of 128-byte events).
+const chunkEvents = 512
+
 // Collector retains events in memory and counts them by type. It is safe
 // for concurrent use (the live runtime emits from several goroutines).
+//
+// Events are stored in fixed-size chunks, so recording one never copies or
+// re-zeroes the ones already held: a simulator run appends millions. With a
+// Cap the same chunks form a ring — the oldest event is dropped by moving
+// head, and a chunk emptied at the front is refilled at the back.
 type Collector struct {
 	mu     sync.Mutex
-	events []Event
-	counts map[EventType]int
+	chunks [][]Event   // retained events, oldest first; only the last may have room
+	head   int         // events at the front of chunks[0] already dropped
+	n      int         // retained events
+	spare  []Event     // an emptied chunk awaiting reuse (bounded case)
+	counts [1 << 8]int // emitted per EventType, retained or not
 	// Cap bounds memory; once exceeded, older events are discarded but
 	// counts keep accumulating. Zero means unbounded.
 	Cap int
@@ -171,7 +183,7 @@ var _ Tracer = (*Collector)(nil)
 // NewCollector returns an empty collector with the given retention cap
 // (0 = unbounded).
 func NewCollector(cap int) *Collector {
-	return &Collector{counts: make(map[EventType]int), Cap: cap}
+	return &Collector{Cap: cap}
 }
 
 // Emit implements Tracer.
@@ -179,10 +191,29 @@ func (c *Collector) Emit(e Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.counts[e.Type]++
-	c.events = append(c.events, e)
-	if c.Cap > 0 && len(c.events) > c.Cap {
-		drop := len(c.events) - c.Cap
-		c.events = append(c.events[:0], c.events[drop:]...)
+	last := len(c.chunks) - 1
+	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
+		chunk := c.spare
+		c.spare = nil
+		if chunk == nil {
+			chunk = make([]Event, 0, chunkEvents)
+		}
+		c.chunks = append(c.chunks, chunk)
+		last++
+	}
+	c.chunks[last] = append(c.chunks[last], e)
+	c.n++
+	for c.Cap > 0 && c.n > c.Cap {
+		c.head++
+		c.n--
+		if c.head == len(c.chunks[0]) {
+			// Every event of the oldest chunk is dropped: release their
+			// strings and keep the storage for the next chunk needed.
+			c.spare = c.chunks[0][:0]
+			clear(c.chunks[0])
+			c.chunks = append(c.chunks[:0], c.chunks[1:]...)
+			c.head = 0
+		}
 	}
 }
 
@@ -194,34 +225,48 @@ func (c *Collector) Count(t EventType) int {
 	return c.counts[t]
 }
 
-// Events returns a copy of the retained events.
+// each calls f on consecutive runs of the retained events, oldest first.
+// The caller holds c.mu.
+func (c *Collector) each(f func([]Event)) {
+	for i, chunk := range c.chunks {
+		if i == 0 {
+			chunk = chunk[c.head:]
+		}
+		f(chunk)
+	}
+}
+
+// Events returns a copy of the retained events, oldest first: one flat
+// slice, so callers that need the log more than once should keep it.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
+	out := make([]Event, 0, c.n)
+	c.each(func(run []Event) { out = append(out, run...) })
 	return out
 }
 
-// Filter returns retained events matching type t.
+// Filter returns retained events matching type t, oldest first.
 func (c *Collector) Filter(t EventType) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Event
-	for _, e := range c.events {
-		if e.Type == t {
-			out = append(out, e)
+	c.each(func(run []Event) {
+		for _, e := range run {
+			if e.Type == t {
+				out = append(out, e)
+			}
 		}
-	}
+	})
 	return out
 }
 
-// Reset clears events and counts.
+// Reset clears events and counts and releases the storage.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.events = nil
-	c.counts = make(map[EventType]int)
+	c.chunks, c.head, c.n, c.spare = nil, 0, 0, nil
+	c.counts = [len(c.counts)]int{}
 }
 
 // Writer is a Tracer that streams each event as one line to an io.Writer

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +114,71 @@ func TestCollectorCap(t *testing.T) {
 	evs := c.Events()
 	if evs[len(evs)-1].User != "j" {
 		t.Errorf("last retained = %q", evs[len(evs)-1].User)
+	}
+}
+
+// TestCollectorCapWraps runs bounded collectors — a cap below, at and above
+// the chunk size — far enough that the ring wraps its storage more than
+// twice, checking after every event that exactly the most recent Cap events
+// are retained, oldest first, by Events and Filter alike, while Count keeps
+// the dropped ones.
+func TestCollectorCapWraps(t *testing.T) {
+	for _, limit := range []int{3, 100, chunkEvents, chunkEvents + 188} {
+		c := NewCollector(limit)
+		total := 2*(limit+chunkEvents) + 5
+		for i := 1; i <= total; i++ {
+			typ := EventQuerySent
+			if i%3 == 0 {
+				typ = EventCacheHit
+			}
+			c.Emit(Event{Type: typ, Trace: uint64(i)})
+			if i%7 != 0 && i != total { // the full check is O(cap); sample it
+				continue
+			}
+			evs := c.Events()
+			if want := min(i, limit); len(evs) != want {
+				t.Fatalf("cap %d after %d events: retained %d, want %d", limit, i, len(evs), want)
+			}
+			var hits []Event
+			for j, e := range evs {
+				if want := uint64(i - len(evs) + 1 + j); e.Trace != want {
+					t.Fatalf("cap %d after %d events: Events()[%d] is event %d, want %d", limit, i, j, e.Trace, want)
+				}
+				if e.Type == EventCacheHit {
+					hits = append(hits, e)
+				}
+			}
+			if got := c.Filter(EventCacheHit); !slices.Equal(got, hits) {
+				t.Fatalf("cap %d after %d events: Filter returned %d events, want the %d retained hits in order", limit, i, len(got), len(hits))
+			}
+		}
+		if got := c.Count(EventCacheHit) + c.Count(EventQuerySent); got != total {
+			t.Errorf("cap %d: counted %d events, want %d", limit, got, total)
+		}
+		c.Reset()
+		c.Emit(Event{Type: EventFrozen, Trace: 1})
+		if evs := c.Events(); len(evs) != 1 || evs[0].Trace != 1 || c.Count(EventCacheHit) != 0 {
+			t.Errorf("cap %d: after Reset and one event: %v", limit, evs)
+		}
+	}
+}
+
+// TestCollectorUnboundedChunks crosses several chunk boundaries without a
+// cap: nothing is dropped and order holds across the seams.
+func TestCollectorUnboundedChunks(t *testing.T) {
+	c := NewCollector(0)
+	total := 3*chunkEvents + 17
+	for i := 0; i < total; i++ {
+		c.Emit(Event{Type: EventQuerySent, Trace: uint64(i)})
+	}
+	evs := c.Events()
+	if len(evs) != total {
+		t.Fatalf("retained %d, want %d", len(evs), total)
+	}
+	for i, e := range evs {
+		if e.Trace != uint64(i) {
+			t.Fatalf("Events()[%d] is event %d", i, e.Trace)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@
 package vclock
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -56,11 +56,11 @@ func (d *Drifting) Now() time.Time {
 func (d *Drifting) Rate() float64 { return d.rate }
 
 // Virtual is a manually advanced clock for deterministic discrete-event
-// simulation. It is safe for concurrent use, though the event-driven
-// simulator typically drives it from a single goroutine.
+// simulation. It is safe for concurrent use without a lock — the simulator
+// reads it several times per event from the one goroutine that drives it —
+// and readings never decrease.
 type Virtual struct {
-	mu  sync.RWMutex
-	now time.Time
+	ns atomic.Int64 // nanoseconds since Epoch
 }
 
 var _ Clock = (*Virtual)(nil)
@@ -70,36 +70,28 @@ var _ Clock = (*Virtual)(nil)
 var Epoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // NewVirtual returns a virtual clock starting at Epoch.
-func NewVirtual() *Virtual { return NewVirtualAt(Epoch) }
-
-// NewVirtualAt returns a virtual clock starting at the given instant.
-func NewVirtualAt(start time.Time) *Virtual { return &Virtual{now: start} }
+func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Time {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.now
-}
+func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.ns.Load())) }
 
 // Advance moves the clock forward by d. Negative d is ignored: virtual time
 // never goes backwards.
 func (v *Virtual) Advance(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		v.ns.Add(int64(d))
 	}
-	v.mu.Lock()
-	v.now = v.now.Add(d)
-	v.mu.Unlock()
 }
 
 // Set jumps the clock to t if t is not before the current time.
 func (v *Virtual) Set(t time.Time) {
-	v.mu.Lock()
-	if t.After(v.now) {
-		v.now = t
+	ns := int64(t.Sub(Epoch))
+	for {
+		cur := v.ns.Load()
+		if ns <= cur || v.ns.CompareAndSwap(cur, ns) {
+			return
+		}
 	}
-	v.mu.Unlock()
 }
 
 // ExpirationPeriod converts a desired global revocation bound Te into the

@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -179,5 +180,57 @@ func TestVirtualConcurrentAccess(t *testing.T) {
 	<-done
 	if got, want := v.Now(), Epoch.Add(time.Second); !got.Equal(want) {
 		t.Errorf("Now() = %v, want %v", got, want)
+	}
+}
+
+// TestVirtualConcurrentMonotone hammers one clock with Set and Advance from
+// several goroutines while readers watch it: every reader must see a
+// non-decreasing sequence, and no Advance may be lost. Run under -race.
+func TestVirtualConcurrentMonotone(t *testing.T) {
+	const writers, readers, steps = 4, 4, 2000
+	v := NewVirtual()
+	var writing, reading sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < readers; r++ {
+		reading.Add(1)
+		go func() {
+			defer reading.Done()
+			prev := v.Now()
+			for {
+				now := v.Now()
+				if now.Before(prev) {
+					t.Errorf("clock went backwards: %v after %v", now, prev)
+					return
+				}
+				prev = now
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i := 0; i < steps; i++ {
+				if (i+w)%2 == 0 {
+					v.Advance(time.Microsecond)
+				} else {
+					// Often behind the clock by now: must be ignored, never
+					// pull it back.
+					v.Set(Epoch.Add(time.Duration(i) * time.Microsecond))
+				}
+			}
+		}(w)
+	}
+	writing.Wait()
+	close(stop)
+	reading.Wait()
+	// Each writer advanced steps/2 times, and a Set only ever adds.
+	if min := Epoch.Add(writers * steps / 2 * time.Microsecond); v.Now().Before(min) {
+		t.Errorf("Now() = %v, want at least %v: an Advance was lost", v.Now(), min)
 	}
 }

@@ -96,6 +96,21 @@ echo "== acmon e2e smoke"
 # /health is green, and the revocation-propagation rollup matches the
 # per-node histograms bucket for bucket (exactness, not estimation).
 go test -race -run 'TestAcmonEndToEnd|TestHealthEndpoint' -count=1 ./cmd/acnode
+# Stress lane for the one tier-1 test known to have raced (it asserted
+# quiescence after only one of two managers had exported its observation):
+# twenty runs, without the race detector so the interleaving is the
+# tier-1 one.
+go test -count=20 -run TestAcmonEndToEnd ./cmd/acnode
+
+echo "== simulator inner loop (race, repeated)"
+# Everything the goldens and oracles see comes out of the scheduler's
+# firing order and the virtual clock: the seeded order property test
+# (typed heap against a flat sorted reference, with stops, compaction,
+# discards and nested scheduling) and the concurrent Set/Advance/Now
+# monotonicity test for the lock-free clock. The matrix send alloc budget
+# (0 objects/op) runs in the plain `go test ./...` tier-1 pass.
+go test -race -count=3 -run 'TestSchedulerOrderProperty' ./internal/simnet
+go test -race -count=3 -run 'TestVirtualConcurrentMonotone' ./internal/vclock
 
 echo "== scenario SLO regressions (race)"
 # The catalog doubles as an SLO suite: overload-100x must fire the
