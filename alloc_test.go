@@ -6,8 +6,9 @@ package wanac
 // object started escaping again. The per-package tests pin wire.Size and
 // Network.Send at zero; this file pins the end-to-end cached check — which
 // invokes its callback directly and builds its ring records in place, so it
-// allocates nothing with any combination of observers — and the two ring
-// writes it is made of.
+// allocates nothing with any combination of observers — the two ring writes
+// it is made of, and the two halves of a cold check: a manager serving a
+// query and a host taking a round to quorum.
 
 import (
 	"testing"
@@ -161,5 +162,93 @@ func TestRingRecordAllocationBudget(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, c.fn); allocs > 0 {
 			t.Errorf("%s allocates %.1f objects/op, budget is 0", c.name, allocs)
 		}
+	}
+}
+
+// stubEnv is the smallest core.Env: a settable clock, a Send that keeps the
+// last query, timers that never fire.
+type stubEnv struct {
+	now   time.Time
+	query wire.Query
+}
+
+type stubTimer struct{}
+
+func (stubTimer) Stop() bool { return true }
+
+func (e *stubEnv) Now() time.Time { return e.now }
+func (e *stubEnv) Send(_ wire.NodeID, msg wire.Message) {
+	if q, ok := msg.(wire.Query); ok {
+		e.query = q
+	}
+}
+func (e *stubEnv) SetTimer(time.Duration, func()) core.TimerHandle { return stubTimer{} }
+
+// TestManagerQueryAllocationBudget pins a served query — trace events into
+// a flight ring and a response audit record attached, the host already in
+// the user's record — at the one object it cannot avoid: the Response boxed
+// for Send. The verdict, the grant bookkeeping, the served note and the
+// audit record allocate nothing.
+func TestManagerQueryAllocationBudget(t *testing.T) {
+	env := &stubEnv{now: time.Unix(1000, 0)}
+	m := core.NewManager("m0", env, flight.Tee(flight.NewRecorder("m0", 64, nil), nil), nil)
+	if err := m.AddApp("app", core.ManagerAppConfig{
+		Peers: []wire.NodeID{"m0", "m1", "m2"}, CheckQuorum: 2, Te: time.Minute,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Seed("app", "u", wire.RightUse)
+	m.SetAudit(audit.NewRecorder("m0", 64, nil))
+	var q wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
+	m.HandleMessage("h0", q)
+	allocs := testing.AllocsPerRun(500, func() { m.HandleMessage("h0", q) })
+	if allocs > 1 {
+		t.Errorf("served query allocates %.1f objects/op, budget is 1 (the boxed Response)", allocs)
+	}
+	if st := m.Stats(); st.QueriesServed < 500 {
+		t.Errorf("QueriesServed = %d, want >= 500", st.QueriesServed)
+	}
+}
+
+// TestColdCheckAllocationBudget pins one full cold round at C = 2 on the
+// host, observers attached as above: a check whose entry has expired, two
+// queries out, two grants in, the right cached, the callback fired. The
+// three objects are the Query boxed once for both sends, the timeout's
+// closure, and the new cache entry's granter set; notes, audit evidence and
+// the callback queue are reused. (A transport adds what it decodes: the
+// boxed Responses and their strings.)
+func TestColdCheckAllocationBudget(t *testing.T) {
+	env := &stubEnv{now: time.Unix(1000, 0)}
+	h := core.NewHost("h0", env, flight.Tee(flight.NewRecorder("h0", 64, nil), nil), nil)
+	if err := h.RegisterApp("app", core.HostAppConfig{
+		Managers: []wire.NodeID{"m0", "m1", "m2"},
+		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Second, MaxAttempts: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h.SetAudit(audit.NewRecorder("h0", 64, nil))
+	allowed := 0
+	cb := func(d core.Decision) {
+		if d.Allowed && !d.CacheHit {
+			allowed++
+		}
+	}
+	round := func() {
+		env.now = env.now.Add(time.Hour) // past the previous grant's limit
+		h.Check("app", "u", wire.RightUse, cb)
+		q := env.query
+		resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Granted: true, Expire: time.Minute, Trace: q.Trace}
+		h.HandleMessage("m0", resp)
+		h.HandleMessage("m1", resp)
+	}
+	round()
+	round()
+	allowed = 0
+	allocs := testing.AllocsPerRun(500, round)
+	if allocs > 3 {
+		t.Errorf("cold round allocates %.1f objects/op, budget is 3", allocs)
+	}
+	if allowed < 500 {
+		t.Errorf("%d quorum allows, want >= 500 (rounds not cold)", allowed)
 	}
 }

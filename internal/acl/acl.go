@@ -54,16 +54,40 @@ func (s RightSet) Rights() []wire.Right {
 
 // Store is the authoritative access control list maintained by a manager:
 // for each application, the users allowed to access it and the users allowed
-// to manage it (§2.2). Store is safe for concurrent use because the live
-// runtime serves queries from multiple goroutines.
+// to manage it (§2.2), and beside each user's rights the hosts the manager
+// has vouched them to (§3.1), so answering a query is one probe of the user
+// table. Store is safe for concurrent use; its one user, a Manager, already
+// serialises every call under its own lock, so the mutex is a plain one — a
+// query writes the record it reads, and no two readers ever meet.
 type Store struct {
-	mu   sync.RWMutex
-	apps map[wire.AppID]map[wire.UserID]RightSet
+	mu   sync.Mutex
+	apps map[wire.AppID]map[wire.UserID]userRec
+	// slab holds the users' vouch lists; free lists the slots of deleted
+	// users. Keeping the lists out of the map value keeps seeding a large
+	// user table as cheap as a map of bare RightSets.
+	slab [][]Vouch
+	free []int32
+}
+
+// userRec is the user table's value: the rights held, and the 1-based slab
+// slot of the user's vouch list (0: nothing vouched yet).
+type userRec struct {
+	rights RightSet
+	slot   int32
+}
+
+// Vouch records that a manager told Host the user holds Right, in an answer
+// the host may cache until Deadline on the manager's clock (zero: forever).
+// A revocation of the right must be forwarded to every such host (§3.1).
+type Vouch struct {
+	Host     wire.NodeID
+	Deadline time.Time
+	Right    wire.Right
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{apps: make(map[wire.AppID]map[wire.UserID]RightSet)}
+	return &Store{apps: make(map[wire.AppID]map[wire.UserID]userRec)}
 }
 
 // Grant adds right r on app for user. It reports whether the store changed.
@@ -73,70 +97,135 @@ func (s *Store) Grant(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.grantLocked(app, user, r)
+}
+
+func (s *Store) grantLocked(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	users := s.apps[app]
 	if users == nil {
-		users = make(map[wire.UserID]RightSet)
+		users = make(map[wire.UserID]userRec)
 		s.apps[app] = users
 	}
-	old := users[user]
-	updated := old.With(r)
-	if updated == old {
+	rec := users[user]
+	if rec.rights.Has(r) {
 		return false
 	}
-	users[user] = updated
+	rec.rights = rec.rights.With(r)
+	users[user] = rec
 	return true
 }
 
-// Revoke removes right r on app for user. Removing a non-existent right is
-// a no-op (§3.1: "an attempt to remove a non-existent access right ... is
-// equivalent to a no-op"). It reports whether the store changed.
+// Revoke removes right r on app for user, and with it the record of the
+// hosts r was vouched to. Removing a non-existent right is a no-op (§3.1:
+// "an attempt to remove a non-existent access right ... is equivalent to a
+// no-op"). It reports whether the store changed.
 func (s *Store) Revoke(app wire.AppID, user wire.UserID, r wire.Right) bool {
-	if !r.Valid() {
-		return false
-	}
+	_, changed := s.Withdraw(app, user, r)
+	return changed
+}
+
+// Withdraw is Revoke returning the vouches that went with the right, sorted
+// by host id: the hosts the revocation is to be forwarded to.
+func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouched []Vouch, changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	users := s.apps[app]
-	old, ok := users[user]
-	if !ok {
-		return false
+	rec, ok := users[user]
+	if !ok || !rec.rights.Has(r) {
+		return nil, false
 	}
-	updated := old.Without(r)
-	if updated == old {
-		return false
-	}
-	if updated.Empty() {
-		delete(users, user)
-		if len(users) == 0 {
-			delete(s.apps, app)
+	rec.rights = rec.rights.Without(r)
+	if rec.slot != 0 {
+		list := s.slab[rec.slot-1]
+		kept := list[:0]
+		for _, v := range list {
+			if v.Right == r {
+				vouched = append(vouched, v)
+			} else {
+				kept = append(kept, v)
+			}
 		}
+		clear(list[len(kept):])
+		s.slab[rec.slot-1] = kept
+		sort.Slice(vouched, func(i, j int) bool { return vouched[i].Host < vouched[j].Host })
+	}
+	if !rec.rights.Empty() {
+		users[user] = rec
+		return vouched, true
+	}
+	if rec.slot != 0 {
+		s.free = append(s.free, rec.slot)
+	}
+	delete(users, user)
+	if len(users) == 0 {
+		delete(s.apps, app)
+	}
+	return vouched, true
+}
+
+// Vouch answers a host's query in one probe: it reports whether user holds
+// r on app and, if so, records that host may cache the answer until
+// deadline. A host already listed for r has its deadline replaced; a new
+// host takes over the first record of r whose deadline has passed at now,
+// so a user's list is bounded by the hosts that can still hold the right.
+func (s *Store) Vouch(app wire.AppID, user wire.UserID, r wire.Right, host wire.NodeID, deadline, now time.Time) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	users := s.apps[app]
+	rec := users[user]
+	if !rec.rights.Has(r) {
+		return false
+	}
+	if rec.slot == 0 {
+		if n := len(s.free); n > 0 {
+			rec.slot, s.free = s.free[n-1], s.free[:n-1]
+		} else {
+			s.slab = append(s.slab, nil)
+			rec.slot = int32(len(s.slab))
+		}
+		users[user] = rec
+	}
+	list := s.slab[rec.slot-1]
+	stale := -1
+	for i := range list {
+		switch v := &list[i]; {
+		case v.Right != r:
+		case v.Host == host:
+			v.Deadline = deadline
+			return true
+		case stale < 0 && expired(v.Deadline, now):
+			stale = i
+		}
+	}
+	if v := (Vouch{Host: host, Deadline: deadline, Right: r}); stale >= 0 {
+		list[stale] = v
 	} else {
-		users[user] = updated
+		s.slab[rec.slot-1] = append(list, v)
 	}
 	return true
 }
 
 // Has reports whether user holds right r on app.
 func (s *Store) Has(app wire.AppID, user wire.UserID, r wire.Right) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.apps[app][user].Has(r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.apps[app][user].rights.Has(r)
 }
 
 // Rights returns the rights user holds on app.
 func (s *Store) Rights(app wire.AppID, user wire.UserID) RightSet {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.apps[app][user]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.apps[app][user].rights
 }
 
 // Users returns the users holding right r on app, sorted for determinism.
 func (s *Store) Users(app wire.AppID, r wire.Right) []wire.UserID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []wire.UserID
-	for u, rs := range s.apps[app] {
-		if rs.Has(r) {
+	for u, rec := range s.apps[app] {
+		if rec.rights.Has(r) {
 			out = append(out, u)
 		}
 	}
@@ -148,12 +237,12 @@ func (s *Store) Users(app wire.AppID, r wire.Right) []wire.UserID {
 // snapshots. If app is non-empty only that application's entries are
 // returned.
 func (s *Store) Entries(app wire.AppID) []wire.ACLEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out []wire.ACLEntry
-	appendApp := func(a wire.AppID, users map[wire.UserID]RightSet) {
-		for u, rs := range users {
-			for _, r := range rs.Rights() {
+	appendApp := func(a wire.AppID, users map[wire.UserID]userRec) {
+		for u, rec := range users {
+			for _, r := range rec.rights.Rights() {
 				out = append(out, wire.ACLEntry{App: a, User: u, Right: r})
 			}
 		}
@@ -178,28 +267,23 @@ func (s *Store) Entries(app wire.AppID) []wire.ACLEntry {
 }
 
 // Replace overwrites the store contents with the given entries (manager
-// recovery sync, §3.4).
+// recovery sync, §3.4); nothing is vouched afterwards.
 func (s *Store) Replace(entries []wire.ACLEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.apps = make(map[wire.AppID]map[wire.UserID]RightSet, len(entries))
+	s.apps = make(map[wire.AppID]map[wire.UserID]userRec, len(entries))
+	s.slab, s.free = nil, nil
 	for _, e := range entries {
-		if !e.Right.Valid() {
-			continue
+		if e.Right.Valid() {
+			s.grantLocked(e.App, e.User, e.Right)
 		}
-		users := s.apps[e.App]
-		if users == nil {
-			users = make(map[wire.UserID]RightSet)
-			s.apps[e.App] = users
-		}
-		users[e.User] = users[e.User].With(e.Right)
 	}
 }
 
 // Len returns the total number of (app,user) pairs with at least one right.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
 	for _, users := range s.apps {
 		n += len(users)
@@ -286,7 +370,12 @@ func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.T
 	defer c.mu.Unlock()
 	v, ok := c.entries[k]
 	if !ok || !v.limit.Equal(limit) {
-		v = cached{limit: limit, granters: make([]wire.NodeID, 0, len(granters))}
+		// The superseded set is never read again (lookups copy out its
+		// length only), so a refresh reuses its slice when it fits.
+		v = cached{limit: limit, granters: v.granters[:0]}
+		if cap(v.granters) < len(granters) {
+			v.granters = make([]wire.NodeID, 0, len(granters))
+		}
 	}
 	for _, g := range granters {
 		if !slices.Contains(v.granters, g) {

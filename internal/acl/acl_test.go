@@ -493,3 +493,63 @@ func BenchmarkCachePut(b *testing.B) {
 		c.Put("app", "u", wire.RightUse, limit, "m")
 	}
 }
+
+// TestStoreVouchForgetsExpiredHosts: host ids come off unauthenticated
+// frames, so a user's vouch list must not grow with every id ever seen. A
+// new host takes over a record whose deadline has passed: 1 000 distinct
+// hosts spread over five hold periods leave no more records than hosts that
+// can still hold the right, and Withdraw returns every unexpired one.
+func TestStoreVouchForgetsExpiredHosts(t *testing.T) {
+	const (
+		hold = 10 * time.Second
+		step = 50 * time.Millisecond
+		live = int(hold / step) // hosts whose deadline is still ahead at any instant
+	)
+	s := NewStore()
+	s.Grant("app", "u", wire.RightUse)
+	s.Grant("app", "u", wire.RightManage)
+	now := time.Unix(1000, 0)
+	s.Vouch("app", "u", wire.RightManage, "admin-host", time.Time{}, now) // never expires, never reused
+	for i := 0; i < 1000; i++ {
+		now = now.Add(step)
+		if !s.Vouch("app", "u", wire.RightUse, wire.NodeID(fmt.Sprintf("h%04d", i)), now.Add(hold), now) {
+			t.Fatal("Vouch denied a held right")
+		}
+		if s.Vouch("app", "u", wire.Right(7), "hx", now.Add(hold), now) || s.Vouch("app", "nobody", wire.RightUse, "hx", now.Add(hold), now) {
+			t.Fatal("Vouch granted a right not held")
+		}
+	}
+	if n := len(s.slab[s.apps["app"]["u"].slot-1]); n > live+1 {
+		t.Errorf("record holds %d vouches after 1000 hosts, want <= %d (the live set) + 1", n, live)
+	}
+	vouched, _ := s.Withdraw("app", "u", wire.RightUse)
+	var unexpired []wire.NodeID
+	for _, v := range vouched {
+		if v.Right != wire.RightUse {
+			t.Errorf("Withdraw(use) returned a %v vouch", v.Right)
+		}
+		if !expired(v.Deadline, now) {
+			unexpired = append(unexpired, v.Host)
+		}
+	}
+	if len(unexpired) != live {
+		t.Fatalf("%d unexpired vouches, want %d", len(unexpired), live)
+	}
+	for i, h := range unexpired {
+		if want := wire.NodeID(fmt.Sprintf("h%04d", 1000-live+i)); h != want {
+			t.Fatalf("unexpired[%d] = %s, want %s (sorted by host id)", i, h, want)
+		}
+	}
+	if again, changed := s.Withdraw("app", "u", wire.RightUse); s.Has("app", "u", wire.RightUse) || changed || len(again) != 0 {
+		t.Error("right or vouches survive Withdraw")
+	}
+	if got, _ := s.Withdraw("app", "u", wire.RightManage); len(got) != 1 || got[0].Host != "admin-host" {
+		t.Errorf("Withdraw(manage) = %v, want the admin-host vouch", got)
+	}
+	// The user is gone; its slot serves the next user vouched for.
+	s.Grant("app", "w", wire.RightUse)
+	s.Vouch("app", "w", wire.RightUse, "h0", time.Time{}, now)
+	if len(s.slab) != 1 {
+		t.Errorf("slab has %d slots, want the freed one reused", len(s.slab))
+	}
+}

@@ -37,6 +37,7 @@ func (m *Manager) SetAudit(rec *audit.Recorder) {
 func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reason) {
 	rec := audit.Record{
 		Kind:     audit.KindDecision,
+		T:        h.now,
 		Trace:    c.trace,
 		App:      string(c.key.app),
 		User:     string(c.key.user),
@@ -49,12 +50,13 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 		Backoffs: c.backoffs,
 		Frozen:   c.frozen,
 	}
-	if a, ok := v.apps[c.key.app]; ok {
+	a := v.apps[c.key.app]
+	if a != nil {
 		rec.Quorum = a.policy.CheckQuorum
 	}
-	if reason == audit.ReasonQuorumAllow {
+	if reason == audit.ReasonQuorumAllow { // only from onResponse, which found the app
 		rec.Confirmations = len(c.grantedBy)
-		rec.Managers = joinNodeSet(c.grantedBy)
+		rec.Managers = a.setName(c.grantedBy)
 		rec.Expire = c.minExpire
 		if c.minExpire > 0 {
 			rec.Expiry = c.sentAt.Add(c.minExpire)
@@ -70,6 +72,7 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reason audit.Reason) {
 	rec := audit.Record{
 		Kind:   audit.KindResponse,
+		T:      m.now,
 		Trace:  q.Trace,
 		App:    string(q.App),
 		User:   string(q.User),
@@ -79,7 +82,7 @@ func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reas
 	}
 	if ma != nil {
 		if reason == audit.ReasonQueryGranted {
-			rec.Expire = ma.te()
+			rec.Expire = ma.expire
 		}
 		if op, ok := ma.lastOp[grantKey{user: q.User, right: q.Right}]; ok {
 			rec.Origin = string(op.Seq.Origin)

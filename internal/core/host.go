@@ -45,6 +45,10 @@ type Host struct {
 	hits  atomic.Uint64 // cache-hit decisions; folded into Stats
 
 	mu sync.Mutex
+	// now is the clock reading of the current entry into the locked half of
+	// the node, shared by everything the entry stamps: trace events, spans,
+	// audit records, a round's sentAt, a decision's latency.
+	now time.Time
 	// pending indexes in-flight checks by the nonce of their current query
 	// round; byKey coalesces concurrent checks for the same right.
 	pending map[uint64]*check
@@ -58,7 +62,9 @@ type Host struct {
 	// granters is grant's scratch for handing a check's confirming set to
 	// the cache in one Put.
 	granters []wire.NodeID
-	stats    HostStats // every counter but the cache hits
+	// notes memoises the round's trace notes, so a round formats nothing.
+	notes map[noteKey]string
+	stats HostStats // every counter but the cache hits
 }
 
 // hostView is the host's configuration: the app table and the two optional
@@ -92,6 +98,24 @@ func (h *Host) publish(edit func(*hostView)) {
 
 func (h *Host) tel() *HostTelemetry { return h.view.Load().tel }
 
+// noteKey is a trace note that is a word and one or two small numbers:
+// "round=a managers=b", or "confirmations=a" with b = -1.
+type noteKey struct{ a, b int }
+
+// memo returns m[k], formatting it on a miss and keeping it while m is
+// small: the keys are a handful in practice, but round numbers are
+// unbounded when MaxAttempts is 0 and host ids come off the wire.
+func memo[K comparable](m map[K]string, k K, format func() string) string {
+	s, ok := m[k]
+	if !ok {
+		s = format()
+		if len(m) < 256 {
+			m[k] = s
+		}
+	}
+	return s
+}
+
 // firing is one deferred callback invocation.
 type firing struct {
 	cb func(Decision)
@@ -115,6 +139,9 @@ type hostApp struct {
 	resolveNonce uint64
 	resolveTimer TimerHandle
 	waiting      []*check
+	// setNames memoises joinNodeSet over subsets of managers, keyed by the
+	// subset's bitmask of positions (reset whenever the manager set changes).
+	setNames map[uint64]string
 	// busyUntil is the end of the app's admission backoff window: after a
 	// manager sheds a query with Busy, new rounds for the app are deferred
 	// until this instant so the host stops feeding an overloaded manager
@@ -169,6 +196,7 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 		cache:   acl.NewCache(),
 		pending: make(map[uint64]*check),
 		byKey:   make(map[checkKey]*check),
+		notes:   make(map[noteKey]string),
 	}
 	h.view.Store(&hostView{})
 	return h
@@ -224,6 +252,24 @@ func (a *hostApp) setManagers(managers []wire.NodeID) {
 	for _, m := range managers {
 		a.managerSet[m] = true
 	}
+	a.setNames = make(map[uint64]string)
+}
+
+// setName is joinNodeSet(set) for a set of current managers, formatted once
+// per distinct subset.
+func (a *hostApp) setName(set map[wire.NodeID]struct{}) string {
+	var mask uint64
+	found := 0
+	for i, m := range a.managers {
+		if _, ok := set[m]; ok && i < 64 {
+			mask |= 1 << i
+			found++
+		}
+	}
+	if found != len(set) {
+		return joinNodeSet(set)
+	}
+	return memo(a.setNames, mask, func() string { return joinNodeSet(set) })
 }
 
 // isManager reports whether id is a current member of Managers(A): a
@@ -240,7 +286,10 @@ func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func
 	if st == acl.Hit {
 		return
 	}
-	h.withLock(func() { h.checkLocked(app, user, right, now, st, cb) })
+	// The miss keeps the reading the probe used: one clock read per check,
+	// and a sentAt no later than the first Send (§3.2's conservative side).
+	h.mu.Lock()
+	h.locked(now, func() { h.checkLocked(app, user, right, st, cb) })
 }
 
 // cacheHit is the whole of a check that ACL_cache can decide — the common
@@ -315,13 +364,25 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	return acl.Hit
 }
 
-// withLock runs fn under the host lock, then fires any callbacks queued by
-// fn after releasing it.
+// withLock is an entry into the locked half of the node from the network
+// or a timer: it reads the clock once, after the lock is acquired, and runs
+// fn under the lock with that reading as h.now.
 func (h *Host) withLock(fn func()) {
 	h.mu.Lock()
+	h.locked(h.env.Now(), fn)
+}
+
+// locked runs fn with h.mu held and now as the entry's clock reading, then
+// releases the lock and fires the callbacks fn queued. They are copied out
+// (to the stack, for the usual few) so the queue keeps its buffer from one
+// entry to the next.
+func (h *Host) locked(now time.Time, fn func()) {
+	h.now = now
 	fn()
-	fires := h.fires
-	h.fires = nil
+	var buf [4]firing
+	fires := append(buf[:0], h.fires...)
+	clear(h.fires)
+	h.fires = h.fires[:0]
 	h.mu.Unlock()
 	for _, f := range fires {
 		f.cb(f.d)
@@ -335,7 +396,8 @@ func (h *Host) fire(cb func(Decision), d Decision) {
 // checkLocked is a check the cache did not decide: st is what cacheHit's
 // probe found. It coalesces onto an in-flight check for the same right or
 // starts a query round.
-func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, now time.Time, st acl.LookupStatus, cb func(Decision)) {
+func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, st acl.LookupStatus, cb func(Decision)) {
+	now := h.now
 	v := h.view.Load()
 	a, ok := v.apps[app]
 	if !ok || !right.Valid() {
@@ -454,8 +516,7 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 		retry = maxHostBackoff
 	}
 	delay := backoffJitter(m.Nonce, retry)
-	now := h.env.Now()
-	if until := now.Add(delay); until.After(a.busyUntil) {
+	if until := h.now.Add(delay); until.After(a.busyUntil) {
 		a.busyUntil = until
 	}
 	// Cancel the in-flight round: stop its timeout, forget its nonce. The
@@ -536,7 +597,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		clear(c.grantedBy)
 	}
 	c.denials = 0
-	c.sentAt = h.env.Now()
+	c.sentAt = h.now
 	c.minExpire = 0
 	h.pending[c.nonce] = c
 
@@ -550,7 +611,8 @@ func (h *Host) startRound(a *hostApp, c *check) {
 	}
 	c.queried = count
 
-	q := wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
+	// Boxed once for the round's C sends.
+	var q wire.Message = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
 	for i := 0; i < count; i++ {
 		h.env.Send(a.managers[(start+i)%m], q)
 	}
@@ -567,8 +629,9 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		}
 	}
 	if h.tracing {
-		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace,
-			"round="+strconv.Itoa(c.attempts)+" managers="+strconv.Itoa(count))
+		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, count}, func() string {
+			return "round=" + strconv.Itoa(c.attempts) + " managers=" + strconv.Itoa(count)
+		}))
 	}
 
 	nonce := c.nonce
@@ -596,7 +659,7 @@ func (h *Host) onQueryTimeout(nonce uint64) {
 		if t.spanning() {
 			t.span(telemetry.Span{
 				Trace: c.trace, Node: string(h.id), Kind: "timeout",
-				Time: h.env.Now(), App: string(c.key.app), User: string(c.key.user),
+				Time: h.now, App: string(c.key.app), User: string(c.key.user),
 				Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
 			})
 		}
@@ -634,7 +697,7 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 // emitted before the check's evidence is recycled away.
 func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
 	v := h.view.Load()
-	now := h.env.Now()
+	now := h.now
 	h.recordDecision(d, c.born, now, reason)
 	if v.aud != nil {
 		h.auditFinish(v, c, d, reason)
@@ -723,7 +786,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 		}
 		v.tel.span(telemetry.Span{
 			Trace: c.trace, Node: string(h.id), Kind: "reply",
-			Time: h.env.Now(), App: string(c.key.app), User: string(c.key.user),
+			Time: h.now, App: string(c.key.app), User: string(c.key.user),
 			Right: c.key.right.String(), Peer: string(from),
 			Round: c.attempts, Nonce: m.Nonce, Note: note,
 		})
@@ -782,8 +845,9 @@ func (h *Host) grant(c *check) {
 	}
 	h.cache.Put(c.key.app, c.key.user, c.key.right, limit, h.granters...)
 	if h.tracing {
-		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace,
-			"confirmations="+strconv.Itoa(len(c.grantedBy)))
+		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{len(c.grantedBy), -1}, func() string {
+			return "confirmations=" + strconv.Itoa(len(c.grantedBy))
+		}))
 	}
 	h.emitT(trace.EventAccessAllowed, c.key.app, c.key.user, c.trace, "quorum")
 	h.finish(c, Decision{
@@ -920,7 +984,7 @@ func (h *Host) onResolveResponse(from wire.NodeID, m wire.ResolveResponse) {
 	}
 	a.setManagers(append([]wire.NodeID(nil), m.Managers...))
 	if m.TTL > 0 {
-		a.managersExpire = h.env.Now().Add(m.TTL)
+		a.managersExpire = h.now.Add(m.TTL)
 	} else {
 		a.managersExpire = time.Time{}
 	}
@@ -1014,7 +1078,7 @@ func (h *Host) Reset() {
 
 func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, note string) {
 	h.tracer.Emit(trace.Event{
-		Time: h.env.Now(), Node: h.id, Type: t, App: app, User: user, Note: note,
+		Time: h.now, Node: h.id, Type: t, App: app, User: user, Note: note,
 	})
 }
 
@@ -1023,6 +1087,6 @@ func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, note st
 // same key.
 func (h *Host) emitT(t trace.EventType, app wire.AppID, user wire.UserID, traceID uint64, note string) {
 	h.tracer.Emit(trace.Event{
-		Time: h.env.Now(), Node: h.id, Type: t, App: app, User: user, Trace: traceID, Note: note,
+		Time: h.now, Node: h.id, Type: t, App: app, User: user, Trace: traceID, Note: note,
 	})
 }

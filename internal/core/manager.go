@@ -28,12 +28,21 @@ type Manager struct {
 	tracing bool          // false when tracer is trace.Nop: skip per-query events
 	keyring *auth.Keyring // nil: trust AdminOp issuers (simulation)
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// now is the clock reading of the current entry into the node: taken
+	// once, after mu is acquired, and shared by everything the entry stamps
+	// (trace events, spans, audit records, grant deadlines, Issued times).
+	now         time.Time
 	store       *acl.Store
 	apps        map[wire.AppID]*mgrApp
 	outstanding map[wire.UpdateSeq]*outUpdate
 	notices     map[noticeKey]*outNotice
 	fires       []func()
+	// freezing is set once any app's heartbeat loop is armed (FreezeTi):
+	// only that loop reads lastSeen, so only then does notePeer maintain it.
+	freezing bool
+	// servedNotes memoises the query-served trace note per (host, verdict).
+	servedNotes map[servedKey]string
 	stats       ManagerStats
 	// tel, when set, mirrors the stats counters into a telemetry registry
 	// and records per-query spans (see telemetry.go). Nil-guarded hooks.
@@ -56,16 +65,16 @@ type mgrApp struct {
 	// forced records updates applied out of band via ForceApply (§3.3's
 	// human-operator escape hatch) so in-order delivery skips re-applying.
 	forced map[wire.UpdateSeq]bool
-	// grants[user/right] maps each host this manager granted to the local
-	// deadline after which the host's cached copy must have expired.
-	grants map[grantKey]map[wire.NodeID]time.Time
 	// lastOp records the most recent operation applied per (user, right)
 	// key. Updates from different origins carry no causal order, so
 	// managers resolve conflicts by last-writer-wins on the Issued
 	// timestamp (origin id breaking ties): without this, a delayed
 	// retransmission of an older add could silently overwrite a newer
 	// revoke at some managers and leave the group permanently diverged,
-	// voiding the quorum-intersection argument behind the Te bound.
+	// voiding the quorum-intersection argument behind the Te bound. It is a
+	// table of its own, not a field of the store's per-user record, because
+	// a revoke's tombstone must outlive the rights (and the record) it
+	// removed.
 	lastOp map[grantKey]wire.Update
 	// Freeze strategy state.
 	lastSeen map[wire.NodeID]time.Time
@@ -80,14 +89,22 @@ type mgrApp struct {
 	// effTe is the adaptive controller's current effective Te; it tracks
 	// cfg.Te when the controller is off or idle and widens (never past
 	// Overload.AdaptiveTe.Max) while queries are being shed.
-	effTe      time.Duration
-	shedWindow uint64 // sheds in the current controller interval
-	adaptTimer TimerHandle
+	effTe time.Duration
+	// expire is the te handed to hosts at the current effTe, and hold = te/b
+	// how long a grant is then tracked: te on the slowest legal host clock.
+	expire, hold time.Duration
+	shedWindow   uint64 // sheds in the current controller interval
+	adaptTimer   TimerHandle
 }
 
 type grantKey struct {
 	user  wire.UserID
 	right wire.Right
+}
+
+type servedKey struct {
+	host    wire.NodeID
+	verdict string
 }
 
 type noticeKey struct {
@@ -143,6 +160,7 @@ func NewManager(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyr
 		apps:        make(map[wire.AppID]*mgrApp),
 		outstanding: make(map[wire.UpdateSeq]*outUpdate),
 		notices:     make(map[noticeKey]*outNotice),
+		servedNotes: make(map[servedKey]string),
 	}
 }
 
@@ -174,10 +192,8 @@ func (m *Manager) AddApp(app wire.AppID, cfg ManagerAppConfig) error {
 		applied:  make(map[wire.NodeID]uint64),
 		buffer:   make(map[wire.NodeID]map[uint64]wire.Update),
 		forced:   make(map[wire.UpdateSeq]bool),
-		grants:   make(map[grantKey]map[wire.NodeID]time.Time),
 		lastOp:   make(map[grantKey]wire.Update),
 		lastSeen: make(map[wire.NodeID]time.Time),
-		effTe:    cfg.Te,
 	}
 	ma.resetOverload()
 	now := m.env.Now()
@@ -205,7 +221,7 @@ func (ma *mgrApp) resetOverload() {
 	if rl.HostRPS > 0 {
 		ma.hostBuckets = ratelimit.NewKeyed(rl.HostRPS, rl.HostBurst, 0)
 	}
-	ma.effTe = ma.cfg.Te
+	ma.setEffTe(ma.cfg.Te)
 	ma.shedWindow = 0
 }
 
@@ -239,23 +255,21 @@ func (m *Manager) Frozen(app wire.AppID) bool {
 // acknowledgment guarantees the update: M - C + 1 (§3.3).
 func (ma *mgrApp) updateQuorum() int { return ma.m - ma.cfg.CheckQuorum + 1 }
 
-// te returns the expiration period handed to hosts: Te scaled by the clock
-// bound b (§3.2). Under the freeze strategy the budget Te is split between
-// the inaccessibility period Ti and the host-side expiration, so te is
-// derived from Te-Ti ("Ti and te must be chosen so that their sum is at
-// most Te", §3.3). Zero means grants do not expire (basic protocol). The
-// adaptive controller substitutes its widened effective Te (bounded by
+// setEffTe installs the controller's effective Te and derives the
+// expiration period handed to hosts from it: Te scaled by the clock bound b
+// (§3.2). Under the freeze strategy the budget Te is split between the
+// inaccessibility period Ti and the host-side expiration, so te is derived
+// from Te-Ti ("Ti and te must be chosen so that their sum is at most Te",
+// §3.3). Zero means grants do not expire (basic protocol). The adaptive
+// controller substitutes its widened effective Te (bounded by
 // AdaptiveTe.Max) for the configured base under sustained overload.
-func (ma *mgrApp) te() time.Duration {
-	eff := ma.cfg.Te
-	if ma.effTe > eff {
-		eff = ma.effTe
+func (ma *mgrApp) setEffTe(effTe time.Duration) {
+	ma.effTe = effTe
+	ma.expire, ma.hold = 0, 0
+	if eff := ma.effectiveTe(); eff != 0 {
+		ma.expire = time.Duration(float64(eff-ma.cfg.FreezeTi) * ma.cfg.ClockBound)
+		ma.hold = time.Duration(float64(ma.expire) / ma.cfg.ClockBound)
 	}
-	if eff == 0 {
-		return 0
-	}
-	budget := eff - ma.cfg.FreezeTi
-	return time.Duration(float64(budget) * ma.cfg.ClockBound)
 }
 
 // effectiveTe is the controller's current revocation bound (cfg.Te when the
@@ -276,11 +290,18 @@ func (m *Manager) Submit(op wire.AdminOp, cb func(wire.AdminReply)) {
 	m.withLock(func() { m.submitLocked(op, cb, "", 0) })
 }
 
+// withLock is an entry into the node: it runs fn under the manager lock
+// with m.now freshly read, then runs the replies fn queued after releasing
+// it. The replies are copied out (to the stack, for the usual few) so the
+// queue keeps its buffer from one entry to the next.
 func (m *Manager) withLock(fn func()) {
 	m.mu.Lock()
+	m.now = m.env.Now()
 	fn()
-	fires := m.fires
-	m.fires = nil
+	var buf [4]func()
+	fires := append(buf[:0], m.fires...)
+	clear(m.fires)
+	m.fires = m.fires[:0]
 	m.mu.Unlock()
 	for _, f := range fires {
 		f()
@@ -333,7 +354,7 @@ func (m *Manager) submitLocked(op wire.AdminOp, cb func(wire.AdminReply), replyT
 // sequence number, apply locally, and start persistent dissemination.
 func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminReply), replyTo wire.NodeID, reqID uint64) {
 	ma.counter++
-	issued := m.env.Now()
+	issued := m.now
 	// Guarantee the issuer's own operation supersedes what it has applied
 	// for the key, even if a peer's clock ran ahead of ours.
 	if cur, ok := ma.lastOp[grantKey{user: op.User, right: op.Right}]; ok && !issued.After(cur.Issued) {
@@ -362,7 +383,7 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 		replyCb:      cb,
 		replyTo:      replyTo,
 		reqID:        reqID,
-		issuedAt:     m.env.Now(),
+		issuedAt:     m.now,
 	}
 	for _, p := range ma.peers {
 		out.pendingPeers[p] = struct{}{}
@@ -451,7 +472,7 @@ func (m *Manager) checkUpdateQuorum(ma *mgrApp, out *outUpdate) {
 	m.stats.QuorumsReached++
 	if m.tel != nil {
 		m.tel.quorums.Inc()
-		observeSince(m.tel.quorumLatency, out.issuedAt, m.env.Now())
+		observeSince(m.tel.quorumLatency, out.issuedAt, m.now)
 	}
 	m.emitUpd(trace.EventUpdateQuorum, out.app, out.upd.User, out.upd.Seq,
 		out.upd.Op.String())
@@ -489,30 +510,24 @@ func (m *Manager) applyLocked(app wire.AppID, ma *mgrApp, upd wire.Update) bool 
 	case wire.OpAdd:
 		m.store.Grant(app, upd.User, upd.Right)
 	case wire.OpRevoke:
-		m.store.Revoke(app, upd.User, upd.Right)
-		m.forwardRevocation(app, ma, upd)
+		vouched, _ := m.store.Withdraw(app, upd.User, upd.Right)
+		m.forwardRevocation(app, ma, upd, vouched)
 	}
 	return true
 }
 
-func (m *Manager) forwardRevocation(app wire.AppID, ma *mgrApp, upd wire.Update) {
-	gk := grantKey{user: upd.User, right: upd.Right}
-	hosts := ma.grants[gk]
-	if len(hosts) == 0 {
-		return
-	}
-	delete(ma.grants, gk)
-	now := m.env.Now()
-	for _, host := range sortedHosts(hosts) {
-		deadline := hosts[host]
-		if !deadline.IsZero() && !now.Before(deadline) {
+// forwardRevocation notifies the hosts the revoked right was vouched to, in
+// host-id order.
+func (m *Manager) forwardRevocation(app wire.AppID, ma *mgrApp, upd wire.Update, vouched []acl.Vouch) {
+	for _, v := range vouched {
+		if !v.Deadline.IsZero() && !m.now.Before(v.Deadline) {
 			continue // cached copy already expired; no notice needed
 		}
 		n := &outNotice{
 			app: app, user: upd.User, right: upd.Right,
-			host: host, deadline: deadline, created: now,
+			host: v.Host, deadline: v.Deadline, created: m.now,
 		}
-		key := noticeKey{seq: upd.Seq, host: host}
+		key := noticeKey{seq: upd.Seq, host: v.Host}
 		m.notices[key] = n
 		m.transmitNotice(ma, key, n, upd.Seq)
 	}
@@ -536,7 +551,7 @@ func (m *Manager) onNoticeRetry(key noticeKey, seq wire.UpdateSeq) {
 	}
 	n.retries++
 	// §3.4: stop resending once the grant would have expired on its own.
-	if !n.deadline.IsZero() && !m.env.Now().Before(n.deadline) {
+	if !n.deadline.IsZero() && !m.now.Before(n.deadline) {
 		delete(m.notices, key)
 		return
 	}
@@ -596,10 +611,12 @@ func (m *Manager) onSealed(from wire.NodeID, sealed wire.Sealed) {
 }
 
 func (m *Manager) notePeer(from wire.NodeID) {
-	now := m.env.Now()
+	if !m.freezing {
+		return
+	}
 	for _, ma := range m.apps {
 		if _, ok := ma.lastSeen[from]; ok {
-			ma.lastSeen[from] = now
+			ma.lastSeen[from] = m.now
 		}
 	}
 }
@@ -609,13 +626,7 @@ func (m *Manager) notePeer(from wire.NodeID) {
 func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	ma, ok := m.apps[q.App]
 	if !ok {
-		if m.tel.spanning() {
-			m.querySpan(from, q, "unknown-app")
-		}
-		m.emitServed(from, q, "unknown-app")
-		if m.aud != nil {
-			m.auditResponse(nil, from, q, audit.ReasonQueryUnknownApp)
-		}
+		m.served(nil, from, q, "unknown-app", audit.ReasonQueryUnknownApp)
 		m.env.Send(from, wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace})
 		return
 	}
@@ -623,14 +634,8 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 		m.stats.QueriesFrozen++
 		if m.tel != nil {
 			m.tel.queriesFrozen.Inc()
-			if m.tel.spanning() {
-				m.querySpan(from, q, "frozen")
-			}
 		}
-		m.emitServed(from, q, "frozen")
-		if m.aud != nil {
-			m.auditResponse(ma, from, q, audit.ReasonQueryFrozen)
-		}
+		m.served(ma, from, q, "frozen", audit.ReasonQueryFrozen)
 		m.env.Send(from, wire.Response{
 			App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Frozen: true, Trace: q.Trace,
 		})
@@ -641,51 +646,39 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 		return
 	}
 	m.stats.QueriesServed++
-	granted := m.store.Has(q.App, q.User, q.Right)
 	if m.tel != nil {
 		m.tel.queriesServed.Inc()
-		if m.tel.spanning() {
-			if granted {
-				m.querySpan(from, q, "granted")
-			} else {
-				m.querySpan(from, q, "denied")
-			}
-		}
 	}
-	if granted {
-		m.emitServed(from, q, "granted")
+	resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace}
+	// The verdict and the grant's bookkeeping are one probe of the store:
+	// a granted query is tracked so a future revocation can be forwarded
+	// (§3.1). The deadline is when the host's cached copy must have expired
+	// in real time: te/b covers the slowest legal host clock, counted from
+	// m.now — read after the query arrived, so after the host stamped it.
+	var deadline time.Time
+	if ma.hold > 0 {
+		deadline = m.now.Add(ma.hold)
+	}
+	if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
+		resp.Granted, resp.Expire = true, ma.expire
+		m.served(ma, from, q, "granted", audit.ReasonQueryGranted)
 	} else {
-		m.emitServed(from, q, "denied")
-	}
-	if m.aud != nil {
-		if granted {
-			m.auditResponse(ma, from, q, audit.ReasonQueryGranted)
-		} else {
-			m.auditResponse(ma, from, q, audit.ReasonQueryDenied)
-		}
-	}
-	resp := wire.Response{
-		App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Granted: granted, Trace: q.Trace,
-	}
-	if granted {
-		te := ma.te()
-		resp.Expire = te
-		// Track the grant so a future revocation can be forwarded (§3.1).
-		// The deadline is when the host's cached copy must have expired in
-		// real time: te/b covers the slowest legal host clock.
-		gk := grantKey{user: q.User, right: q.Right}
-		hosts := ma.grants[gk]
-		if hosts == nil {
-			hosts = make(map[wire.NodeID]time.Time, 1)
-			ma.grants[gk] = hosts
-		}
-		var deadline time.Time
-		if te > 0 {
-			deadline = m.env.Now().Add(time.Duration(float64(te) / ma.cfg.ClockBound))
-		}
-		hosts[from] = deadline
+		m.served(ma, from, q, "denied", audit.ReasonQueryDenied)
 	}
 	m.env.Send(from, resp)
+}
+
+// served tells the attached observers a query's verdict: the span, the
+// query-served trace event and the response audit record, in that order. ma
+// is nil for unknown-app verdicts.
+func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict string, reason audit.Reason) {
+	if m.tel.spanning() {
+		m.querySpan(from, q, verdict)
+	}
+	m.emitServed(from, q, verdict)
+	if m.aud != nil {
+		m.auditResponse(ma, from, q, reason)
+	}
 }
 
 // admitQuery runs the token buckets: the per-host bucket first (fairness —
@@ -695,11 +688,10 @@ func (m *Manager) admitQuery(ma *mgrApp, from wire.NodeID) bool {
 	if ma.appBucket == nil && ma.hostBuckets == nil {
 		return true
 	}
-	now := m.env.Now()
-	if ma.hostBuckets != nil && !ma.hostBuckets.Allow(string(from), now) {
+	if ma.hostBuckets != nil && !ma.hostBuckets.Allow(string(from), m.now) {
 		return false
 	}
-	if ma.appBucket != nil && !ma.appBucket.Allow(now) {
+	if ma.appBucket != nil && !ma.appBucket.Allow(m.now) {
 		return false
 	}
 	return true
@@ -716,7 +708,7 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
 			m.querySpan(from, q, "shed")
 		}
 	}
-	now := m.env.Now()
+	now := m.now
 	var retry time.Duration
 	if ma.hostBuckets != nil {
 		retry = ma.hostBuckets.RetryAfter(string(from), now)
@@ -782,13 +774,13 @@ func (m *Manager) onAdaptTick(app wire.AppID) {
 		if next > cfg.Max {
 			next = cfg.Max
 		}
-		ma.effTe = next
+		ma.setEffTe(next)
 	} else if ma.effTe > ma.cfg.Te {
 		next := time.Duration(float64(ma.effTe) / step)
 		if next < ma.cfg.Te {
 			next = ma.cfg.Te
 		}
-		ma.effTe = next
+		ma.setEffTe(next)
 	}
 	if ma.effTe != prev {
 		if ma.effTe > prev {
@@ -921,7 +913,7 @@ func (m *Manager) onRevokeAck(ack wire.RevokeAck) {
 				n.timer.Stop()
 			}
 			if m.tel != nil {
-				observeSince(m.tel.revocationLag, n.created, m.env.Now())
+				observeSince(m.tel.revocationLag, n.created, m.now)
 			}
 			delete(m.notices, k)
 		}
@@ -933,24 +925,26 @@ func (m *Manager) onRevokeAck(ack wire.RevokeAck) {
 // reach (§3.3). The update takes effect immediately; when the original
 // eventually arrives through the network it is acknowledged without being
 // applied twice.
-func (m *Manager) ForceApply(upd wire.Update) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ma, ok := m.apps[upd.App]
-	if !ok {
-		return fmt.Errorf("%w: unknown app %s", ErrConfig, upd.App)
-	}
-	if upd.Seq.Counter <= ma.applied[upd.Seq.Origin] || ma.forced[upd.Seq] {
-		return nil // already known
-	}
-	m.applyLocked(upd.App, ma, upd)
-	ma.forced[upd.Seq] = true
-	m.emitUpd(trace.EventUpdateApplied, upd.App, upd.User, upd.Seq, "forced")
-	return nil
+func (m *Manager) ForceApply(upd wire.Update) (err error) {
+	m.withLock(func() {
+		ma, ok := m.apps[upd.App]
+		if !ok {
+			err = fmt.Errorf("%w: unknown app %s", ErrConfig, upd.App)
+			return
+		}
+		if upd.Seq.Counter <= ma.applied[upd.Seq.Origin] || ma.forced[upd.Seq] {
+			return // already known
+		}
+		m.applyLocked(upd.App, ma, upd)
+		ma.forced[upd.Seq] = true
+		m.emitUpd(trace.EventUpdateApplied, upd.App, upd.User, upd.Seq, "forced")
+	})
+	return err
 }
 
 // scheduleHeartbeat arms the freeze-strategy probe loop for one app.
 func (m *Manager) scheduleHeartbeat(app wire.AppID, ma *mgrApp) {
+	m.freezing = true
 	ma.hbTimer = m.env.SetTimer(ma.cfg.HeartbeatEvery, func() {
 		m.withLock(func() { m.onHeartbeatTick(app) })
 	})
@@ -964,10 +958,9 @@ func (m *Manager) onHeartbeatTick(app wire.AppID) {
 	for _, p := range ma.peers {
 		m.env.Send(p, wire.Heartbeat{})
 	}
-	now := m.env.Now()
 	stale := false
 	for _, p := range ma.peers {
-		if now.Sub(ma.lastSeen[p]) > ma.cfg.FreezeTi {
+		if m.now.Sub(ma.lastSeen[p]) > ma.cfg.FreezeTi {
 			stale = true
 			break
 		}
@@ -997,17 +990,15 @@ func (m *Manager) Recover() {
 			}
 		}
 		m.notices = make(map[noticeKey]*outNotice)
-		now := m.env.Now()
 		for app, ma := range m.apps {
 			ma.counter = 0
 			ma.applied = make(map[wire.NodeID]uint64)
 			ma.buffer = make(map[wire.NodeID]map[uint64]wire.Update)
 			ma.forced = make(map[wire.UpdateSeq]bool)
-			ma.grants = make(map[grantKey]map[wire.NodeID]time.Time)
 			ma.lastOp = make(map[grantKey]wire.Update)
 			ma.resetOverload()
 			for _, p := range ma.peers {
-				ma.lastSeen[p] = now
+				ma.lastSeen[p] = m.now
 			}
 			if len(ma.peers) == 0 {
 				continue
@@ -1021,7 +1012,8 @@ func (m *Manager) Recover() {
 // ResetVolatile returns the manager to its post-AddApp state: the ACL store
 // is emptied (callers re-Seed bootstrap rights), outstanding update
 // dissemination and revocation notices are cancelled, and per-app
-// sequencing, buffers, grant tracking, and freeze/sync state are cleared.
+// sequencing, buffers, grant tracking (it lives in the store), and
+// freeze/sync state are cleared.
 // Unlike Recover it does not model a crash — no peer resynchronization is
 // started — it is the experiment engine's between-trials reset for reused
 // worlds, where rebuilding every node per trial would dominate the run.
@@ -1048,7 +1040,6 @@ func (m *Manager) ResetVolatile() {
 		ma.applied = make(map[wire.NodeID]uint64)
 		ma.buffer = make(map[wire.NodeID]map[uint64]wire.Update)
 		ma.forced = make(map[wire.UpdateSeq]bool)
-		ma.grants = make(map[grantKey]map[wire.NodeID]time.Time)
 		ma.lastOp = make(map[grantKey]wire.Update)
 		for _, p := range ma.peers {
 			ma.lastSeen[p] = now
@@ -1185,15 +1176,6 @@ func sortedPeers(set map[wire.NodeID]struct{}) []wire.NodeID {
 	return out
 }
 
-func sortedHosts(set map[wire.NodeID]time.Time) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SetPeers replaces Managers(A) for app, supporting the infrequent,
 // out-of-band manager-set changes of §3.2 (coordinated through the trusted
 // name service on the host side). The check quorum C is unchanged and must
@@ -1242,15 +1224,17 @@ func (m *Manager) emitServed(from wire.NodeID, q wire.Query, verdict string) {
 		return
 	}
 	m.tracer.Emit(trace.Event{
-		Time: m.env.Now(), Node: m.id, Type: trace.EventQueryServed,
+		Time: m.now, Node: m.id, Type: trace.EventQueryServed,
 		App: q.App, User: q.User, Trace: q.Trace,
-		Note: "host=" + string(from) + " " + verdict,
+		Note: memo(m.servedNotes, servedKey{from, verdict}, func() string {
+			return "host=" + string(from) + " " + verdict
+		}),
 	})
 }
 
 func (m *Manager) emit(t trace.EventType, app wire.AppID, user wire.UserID, note string) {
 	m.tracer.Emit(trace.Event{
-		Time: m.env.Now(), Node: m.id, Type: t, App: app, User: user, Note: note,
+		Time: m.now, Node: m.id, Type: t, App: app, User: user, Note: note,
 	})
 }
 
@@ -1259,6 +1243,6 @@ func (m *Manager) emit(t trace.EventType, app wire.AppID, user wire.UserID, note
 // and quorum times.
 func (m *Manager) emitUpd(t trace.EventType, app wire.AppID, user wire.UserID, seq wire.UpdateSeq, note string) {
 	m.tracer.Emit(trace.Event{
-		Time: m.env.Now(), Node: m.id, Type: t, App: app, User: user, Seq: seq, Note: note,
+		Time: m.now, Node: m.id, Type: t, App: app, User: user, Seq: seq, Note: note,
 	})
 }

@@ -263,7 +263,7 @@ func (m *Manager) querySpan(from wire.NodeID, q wire.Query, note string) {
 		Trace: q.Trace,
 		Node:  string(m.id),
 		Kind:  "query",
-		Time:  m.env.Now(),
+		Time:  m.now,
 		App:   string(q.App),
 		User:  string(q.User),
 		Right: q.Right.String(),

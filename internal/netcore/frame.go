@@ -42,16 +42,34 @@ func EncodeFrame(from wire.NodeID, msg wire.Message, maxFrame int) ([]byte, erro
 
 // DecodeFrame parses a datagram payload.
 func DecodeFrame(data []byte) (wire.NodeID, wire.Message, error) {
+	return new(FrameDecoder).Decode(data)
+}
+
+// FrameDecoder parses the payloads arriving on one connection or socket. It
+// remembers what a steady stream repeats — the sender id of the last
+// payload, the application ids the messages name — and returns those
+// strings again instead of allocating them per payload. Decoded messages
+// never alias data, so callers may reuse the buffer at once. The zero value
+// is ready; not safe for concurrent use.
+type FrameDecoder struct {
+	from wire.NodeID
+	msgs wire.Decoder
+}
+
+// Decode parses one payload.
+func (d *FrameDecoder) Decode(data []byte) (wire.NodeID, wire.Message, error) {
 	idLen, n := binary.Uvarint(data)
 	if n <= 0 || idLen > uint64(len(data)-n) {
 		return "", nil, errors.New("netcore: bad sender id")
 	}
-	from := wire.NodeID(data[n : n+int(idLen)])
-	msg, err := wire.Unmarshal(data[n+int(idLen):])
+	if id := data[n : n+int(idLen)]; string(id) != string(d.from) {
+		d.from = wire.NodeID(id)
+	}
+	msg, err := d.msgs.Unmarshal(data[n+int(idLen):])
 	if err != nil {
 		return "", nil, err
 	}
-	return from, msg, nil
+	return d.from, msg, nil
 }
 
 // EncodeStreamFrame builds a length-prefixed stream frame. It fails if the
@@ -136,17 +154,40 @@ func Deliver(h Handler, from wire.NodeID, msg wire.Message) {
 // ReadStreamFrame reads one length-prefixed frame, rejecting sizes outside
 // (0, maxFrame].
 func ReadStreamFrame(r io.Reader, maxFrame int) (wire.NodeID, wire.Message, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+	return NewFrameReader(r, maxFrame).Next()
+}
+
+// FrameReader reads the length-prefixed frames of one stream into one
+// grow-only buffer: a connection pays for its largest frame once, not for
+// every frame, and a header alone buys at most one growth.
+type FrameReader struct {
+	r   io.Reader
+	max int
+	buf []byte
+	dec FrameDecoder
+}
+
+// NewFrameReader reads frames of at most maxFrame bytes from r. Hand it a
+// buffered reader to spend one read per burst instead of two per frame.
+func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
+	return &FrameReader{r: r, max: maxFrame, buf: make([]byte, 64)}
+}
+
+// Next reads and decodes the next frame, rejecting sizes outside
+// (0, maxFrame].
+func (f *FrameReader) Next() (wire.NodeID, wire.Message, error) {
+	if _, err := io.ReadFull(f.r, f.buf[:4]); err != nil {
 		return "", nil, err
 	}
-	size := binary.BigEndian.Uint32(lenBuf[:])
-	if size == 0 || size > uint32(maxFrame) {
+	size := binary.BigEndian.Uint32(f.buf[:4])
+	if size == 0 || size > uint32(f.max) {
 		return "", nil, fmt.Errorf("netcore: bad frame size %d", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if int(size) > len(f.buf) {
+		f.buf = make([]byte, max(int(size), 2*len(f.buf)))
+	}
+	if _, err := io.ReadFull(f.r, f.buf[:size]); err != nil {
 		return "", nil, err
 	}
-	return DecodeFrame(buf)
+	return f.dec.Decode(f.buf[:size])
 }

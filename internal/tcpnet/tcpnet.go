@@ -12,6 +12,7 @@
 package tcpnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -29,6 +30,10 @@ import (
 // from wedging a connection.
 const maxFrame = netcore.DefaultMaxFrame
 
+// readBufSize is each connection's read buffer: room for a coalesced flush
+// of small frames in one read; larger frames bypass it.
+const readBufSize = 16 << 10
+
 // Handler receives messages from the network (same shape as the
 // simulator's handler).
 type Handler = netcore.Handler
@@ -40,11 +45,13 @@ type Node struct {
 	cfg      netcore.Config
 	group    *netcore.Group
 
-	mu      sync.Mutex
-	addrs   map[wire.NodeID]string // address book
-	conns   map[net.Conn]struct{}  // every live conn, for shutdown
-	handler Handler
-	closed  bool
+	// handler is read once per inbound frame, so it is not under mu.
+	handler atomic.Pointer[Handler]
+
+	mu     sync.Mutex
+	addrs  map[wire.NodeID]string // address book
+	conns  map[net.Conn]struct{}  // every live conn, for shutdown
+	closed bool
 
 	wg sync.WaitGroup
 }
@@ -96,11 +103,7 @@ func (n *Node) Stats() netcore.TransportStats { return n.group.Stats() }
 
 // SetHandler installs the protocol node that receives inbound messages.
 // Must be called before peers start sending.
-func (n *Node) SetHandler(h Handler) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.handler = h
-}
+func (n *Node) SetHandler(h Handler) { n.handler.Store(&h) }
 
 // AddPeer registers the address for a node id. Re-pointing an existing peer
 // at a new address drops any connection to the old address, so no frame is
@@ -274,12 +277,15 @@ func (n *Node) readLoop(c net.Conn, sender netcore.Sender, expect wire.NodeID) {
 			}
 		}
 	}()
-	r := &countingReader{conn: c, bytes: &n.group.Counters().BytesIn}
+	// One buffered reader per connection: a burst of frames costs one read
+	// syscall, and the frame reader behind it reuses one buffer for all.
+	r := netcore.NewFrameReader(bufio.NewReaderSize(
+		&countingReader{conn: c, bytes: &n.group.Counters().BytesIn}, readBufSize), n.cfg.MaxFrame)
 	for {
 		if n.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(n.cfg.ReadIdleTimeout))
 		}
-		from, msg, err := netcore.ReadStreamFrame(r, n.cfg.MaxFrame)
+		from, msg, err := r.Next()
 		if err != nil {
 			return
 		}
@@ -294,13 +300,10 @@ func (n *Node) readLoop(c net.Conn, sender netcore.Sender, expect wire.NodeID) {
 				adopted, adoptedBy = s, from
 			}
 		}
-		n.mu.Lock()
-		h := n.handler
-		n.mu.Unlock()
-		if h != nil {
+		if h := n.handler.Load(); h != nil && *h != nil {
 			// Deliver unwraps coalesced wire.Batch frames so the handler
 			// only ever sees protocol messages, in send order.
-			netcore.Deliver(h, from, msg)
+			netcore.Deliver(*h, from, msg)
 		}
 	}
 }

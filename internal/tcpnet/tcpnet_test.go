@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -343,5 +344,130 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dialRaw opens a bare TCP connection to n: the tests below write frames a
+// well-behaved peer never would.
+func dialRaw(t *testing.T, n *Node) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", n.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// closedByPeer reports whether the node has closed c: a read returns an
+// error other than the deadline passing.
+func closedByPeer(c net.Conn, wait time.Duration) bool {
+	c.SetReadDeadline(time.Now().Add(wait))
+	_, err := c.Read(make([]byte, 1))
+	var ne net.Error
+	return err != nil && !(errors.As(err, &ne) && ne.Timeout())
+}
+
+// TestMaxSizeFramesReuseReadBuffer: a connection pays for its largest frame
+// once. N frames of exactly MaxFrame bytes cost their N decoded payloads
+// (decode copies; it never aliases the read buffer) plus one read buffer —
+// not a second MaxFrame allocation per frame.
+func TestMaxSizeFramesReuseReadBuffer(t *testing.T) {
+	const frames = 16
+	n := listen(t, "m0")
+	var got collector
+	n.SetHandler(&got)
+	msg := wire.Invoke{App: "a", User: "u", ReqID: 1}
+	small, err := netcore.EncodeStreamFrame("hx", msg, maxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Growing the payload from 0 to k bytes adds k plus two more length-prefix bytes.
+	msg.Payload = make([]byte, maxFrame-(len(small)-4)-2)
+	frame, err := netcore.EncodeStreamFrame("hx", msg, maxFrame)
+	if err != nil || len(frame)-4 != maxFrame {
+		t.Fatalf("frame payload is %d bytes (err %v), want exactly %d", len(frame)-4, err, maxFrame)
+	}
+	c := dialRaw(t, n)
+	before := totalAlloc()
+	for i := 0; i < frames; i++ {
+		if _, err := c.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return got.count() == frames })
+	spent := totalAlloc() - before
+	if limit := uint64(frames*maxFrame) * 3 / 2; spent > limit {
+		t.Errorf("%d max-size frames allocated %d MiB, want < %d MiB (payload copies + one buffer)",
+			frames, spent>>20, limit>>20)
+	}
+}
+
+// TestStalledMaxFrameHeaderCostsOneConnection: four bytes claiming a
+// MaxFrame body that never arrives cost that connection one buffer growth
+// and, at ReadIdleTimeout, the connection — while the node keeps serving its
+// other peers. Sizes outside (0, MaxFrame] kill the connection at once.
+func TestStalledMaxFrameHeaderCostsOneConnection(t *testing.T) {
+	cfg := fastConfig()
+	cfg.ReadIdleTimeout = 300 * time.Millisecond
+	n, err := ListenConfig("m0", "127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	var got collector
+	n.SetHandler(&got)
+
+	stalled, healthy := dialRaw(t, n), dialRaw(t, n)
+	ping, err := netcore.EncodeStreamFrame("h1", wire.Heartbeat{Nonce: 1}, maxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The healthy peer keeps talking (so its own idle timer never runs out)
+	// for as long as the stalled one is being waited on.
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			if _, err := healthy.Write(ping); err != nil {
+				t.Errorf("healthy connection: %v", err)
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+	before := totalAlloc()
+	if _, err := stalled.Write([]byte{0x00, 0x10, 0x00, 0x00}); err != nil { // size = 1 MiB = MaxFrame
+		t.Fatal(err)
+	}
+	if !closedByPeer(stalled, 5*time.Second) {
+		t.Error("stalled connection still open after ReadIdleTimeout")
+	}
+	if spent := totalAlloc() - before; spent > 2*maxFrame {
+		t.Errorf("a stalled MaxFrame header cost %d KiB, want one growth (< %d KiB)", spent>>10, 2*maxFrame>>10)
+	}
+	served := got.count()
+	waitFor(t, func() bool { return got.count() > served })
+	close(stop)
+	<-done
+
+	for _, hdr := range [][]byte{{0, 0, 0, 0}, {0x00, 0x10, 0x00, 0x01}, {0xFF, 0xFF, 0xFF, 0xFF}} {
+		c := dialRaw(t, n)
+		if _, err := c.Write(hdr); err != nil {
+			t.Fatal(err)
+		}
+		if !closedByPeer(c, 250*time.Millisecond) { // well inside ReadIdleTimeout
+			t.Errorf("header % x: connection survived a size outside (0, MaxFrame]", hdr)
+		}
 	}
 }

@@ -261,6 +261,7 @@ func (n *Node) readLoop() {
 	defer close(n.done)
 	buf := make([]byte, 64<<10)
 	var parts [][]byte
+	var dec netcore.FrameDecoder
 	ctr := n.group.Counters()
 	for {
 		size, src, err := n.conn.ReadFromUDP(buf)
@@ -275,7 +276,7 @@ func (n *Node) readLoop() {
 			continue // malformed datagram: drop
 		}
 		for _, part := range parts {
-			from, msg, err := netcore.DecodeFrame(part)
+			from, msg, err := dec.Decode(part)
 			if err != nil {
 				continue // malformed frame: drop
 			}

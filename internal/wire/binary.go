@@ -81,8 +81,38 @@ func boolByte(v bool) byte {
 }
 
 type decoder struct {
-	buf []byte
-	err error
+	buf  []byte
+	err  error
+	apps *Decoder
+}
+
+// Decoder decodes the frames of one connection. A node talks about a
+// handful of applications, so the Decoder keeps the last few application
+// ids it decoded and hands the same string back when a frame names one
+// again, instead of allocating it per message. The zero value is ready;
+// not safe for concurrent use.
+type Decoder struct {
+	apps [4]AppID
+	next uint8
+}
+
+// app decodes a length-prefixed application id, through the intern table
+// when the frame is being decoded by a Decoder.
+func (d *decoder) app() AppID {
+	b := d.raw()
+	t := d.apps
+	if t == nil {
+		return AppID(b)
+	}
+	for _, id := range t.apps {
+		if string(b) == string(id) {
+			return id
+		}
+	}
+	id := AppID(b)
+	t.apps[t.next%uint8(len(t.apps))] = id
+	t.next++
+	return id
 }
 
 func (d *decoder) fail() {
@@ -129,30 +159,27 @@ func (d *decoder) int() int64 {
 
 func (d *decoder) bool() bool { return d.byte() == 1 }
 
-func (d *decoder) string() string {
-	n := d.uint()
-	if d.err != nil || uint64(len(d.buf)) < n {
-		d.fail()
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
-}
-
-func (d *decoder) bytes() []byte {
+// raw consumes a length-prefixed field and returns its bytes, which still
+// alias the frame: callers copy them out.
+func (d *decoder) raw() []byte {
 	n := d.uint()
 	if d.err != nil || uint64(len(d.buf)) < n {
 		d.fail()
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	b := make([]byte, n)
-	copy(b, d.buf[:n])
+	b := d.buf[:n]
 	d.buf = d.buf[n:]
 	return b
+}
+
+func (d *decoder) string() string { return string(d.raw()) }
+
+func (d *decoder) bytes() []byte {
+	b := d.raw()
+	if len(b) == 0 {
+		return nil
+	}
+	return append([]byte(nil), b...)
 }
 
 func (d *decoder) duration() time.Duration { return time.Duration(d.int()) }
@@ -347,9 +374,16 @@ func AppendBatch(buf []byte, msgs []Message) ([]byte, error) {
 	return e.buf, nil
 }
 
-// Unmarshal decodes a frame produced by Marshal.
+// Unmarshal decodes a frame produced by Marshal. The message never aliases
+// data: every string and byte slice in it is a copy.
 func Unmarshal(data []byte) (Message, error) {
-	d := &decoder{buf: data}
+	return (*Decoder)(nil).Unmarshal(data)
+}
+
+// Unmarshal is the package-level Unmarshal through dc's intern table (none
+// when dc is nil).
+func (dc *Decoder) Unmarshal(data []byte) (Message, error) {
+	d := &decoder{buf: data, apps: dc}
 	tag := d.byte()
 	if d.err != nil {
 		return nil, d.err
@@ -376,7 +410,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 	switch tag {
 	case tagQuery:
 		msg = Query{
-			App:   AppID(d.string()),
+			App:   d.app(),
 			User:  UserID(d.string()),
 			Right: Right(d.byte()),
 			Nonce: d.uint(),
@@ -384,7 +418,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		}
 	case tagResponse:
 		msg = Response{
-			App:     AppID(d.string()),
+			App:     d.app(),
 			User:    UserID(d.string()),
 			Right:   Right(d.byte()),
 			Nonce:   d.uint(),
@@ -395,14 +429,14 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		}
 	case tagRevokeNotice:
 		msg = RevokeNotice{
-			App:   AppID(d.string()),
+			App:   d.app(),
 			User:  UserID(d.string()),
 			Right: Right(d.byte()),
 			Seq:   d.seq(),
 		}
 	case tagRevokeAck:
 		msg = RevokeAck{
-			App:  AppID(d.string()),
+			App:  d.app(),
 			User: UserID(d.string()),
 			Seq:  d.seq(),
 		}
@@ -410,7 +444,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		msg = Update{
 			Seq:    d.seq(),
 			Op:     Op(d.byte()),
-			App:    AppID(d.string()),
+			App:    d.app(),
 			User:   UserID(d.string()),
 			Right:  Right(d.byte()),
 			Issued: d.time(),
@@ -418,9 +452,9 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 	case tagUpdateAck:
 		msg = UpdateAck{Seq: d.seq()}
 	case tagSyncRequest:
-		msg = SyncRequest{App: AppID(d.string())}
+		msg = SyncRequest{App: d.app()}
 	case tagSyncResponse:
-		app := AppID(d.string())
+		app := d.app()
 		n := d.uint()
 		if n > uint64(len(d.buf)) { // each entry is at least 3 bytes; cheap bound
 			return nil, ErrTruncated
@@ -431,12 +465,15 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		}
 		for i := uint64(0); i < n && d.err == nil; i++ {
 			resp.Entries = append(resp.Entries, ACLEntry{
-				App:   AppID(d.string()),
+				App:   d.app(),
 				User:  UserID(d.string()),
 				Right: Right(d.byte()),
 			})
 		}
 		an := d.uint()
+		if an > uint64(len(d.buf)) { // each pair is at least 2 bytes; bounds the map below
+			return nil, ErrTruncated
+		}
 		if an > 0 && d.err == nil {
 			resp.Applied = make(map[NodeID]uint64, an)
 			for i := uint64(0); i < an && d.err == nil; i++ {
@@ -452,7 +489,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 			resp.Ops = append(resp.Ops, Update{
 				Seq:    d.seq(),
 				Op:     Op(d.byte()),
-				App:    AppID(d.string()),
+				App:    d.app(),
 				User:   UserID(d.string()),
 				Right:  Right(d.byte()),
 				Issued: d.time(),
@@ -465,14 +502,14 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		msg = HeartbeatAck{Nonce: d.uint()}
 	case tagInvoke:
 		msg = Invoke{
-			App:     AppID(d.string()),
+			App:     d.app(),
 			User:    UserID(d.string()),
 			ReqID:   d.uint(),
 			Payload: d.bytes(),
 		}
 	case tagInvokeReply:
 		msg = InvokeReply{
-			App:     AppID(d.string()),
+			App:     d.app(),
 			ReqID:   d.uint(),
 			Allowed: d.bool(),
 			Output:  d.bytes(),
@@ -480,7 +517,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 	case tagAdminOp:
 		msg = AdminOp{
 			Op:       Op(d.byte()),
-			App:      AppID(d.string()),
+			App:      d.app(),
 			User:     UserID(d.string()),
 			Right:    Right(d.byte()),
 			Issuer:   UserID(d.string()),
@@ -495,9 +532,9 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 			Err:           d.string(),
 		}
 	case tagResolveRequest:
-		msg = ResolveRequest{App: AppID(d.string()), Nonce: d.uint()}
+		msg = ResolveRequest{App: d.app(), Nonce: d.uint()}
 	case tagResolveResponse:
-		resp := ResolveResponse{App: AppID(d.string()), Nonce: d.uint()}
+		resp := ResolveResponse{App: d.app(), Nonce: d.uint()}
 		n := d.uint()
 		if n > uint64(len(d.buf))+1 {
 			return nil, ErrTruncated
@@ -517,7 +554,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 			g.Ops = append(g.Ops, Update{
 				Seq:    d.seq(),
 				Op:     Op(d.byte()),
-				App:    AppID(d.string()),
+				App:    d.app(),
 				User:   UserID(d.string()),
 				Right:  Right(d.byte()),
 				Issued: d.time(),
@@ -532,7 +569,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 		}
 	case tagBusy:
 		msg = Busy{
-			App:        AppID(d.string()),
+			App:        d.app(),
 			Nonce:      d.uint(),
 			RetryAfter: d.duration(),
 			Trace:      d.uint(),

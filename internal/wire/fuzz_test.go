@@ -8,8 +8,11 @@ import (
 
 // FuzzUnmarshal drives the binary decoder with arbitrary inputs. The seed
 // corpus covers every message type; run `go test -fuzz FuzzUnmarshal` for an
-// extended session. Invariants: never panic, and any frame that decodes
-// must re-encode to an equivalent message (decode∘encode∘decode fixpoint).
+// extended session. Invariants: never panic; any frame that decodes must
+// re-encode to an equivalent message (decode∘encode∘decode fixpoint); a
+// Decoder's intern table changes nothing about what is decoded; and a
+// decoded message never aliases the buffer it was decoded from — transports
+// read every frame of a connection into the same buffer.
 func FuzzUnmarshal(f *testing.F) {
 	for _, msg := range sampleMessages() {
 		data, err := Marshal(msg)
@@ -21,8 +24,14 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
 
+	var dc Decoder // one table across inputs, as across the frames of a connection
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Unmarshal(data)
+		buf := bytes.Clone(data)
+		msg, err := Unmarshal(buf)
+		interned, ierr := dc.Unmarshal(buf)
+		if (err == nil) != (ierr == nil) || !reflect.DeepEqual(msg, interned) {
+			t.Fatalf("Decoder disagrees with Unmarshal:\n  %#v (%v)\n  %#v (%v)", msg, err, interned, ierr)
+		}
 		if err != nil {
 			return
 		}
@@ -36,6 +45,14 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if !reflect.DeepEqual(msg, msg2) {
 			t.Fatalf("decode/encode not a fixpoint:\n  %#v\n  %#v", msg, msg2)
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+		for _, m := range []Message{msg, interned} {
+			if again, err := Marshal(m); err != nil || !bytes.Equal(again, re) {
+				t.Fatalf("message changed when its input buffer was overwritten (err %v):\n  %x\n  %x", err, re, again)
+			}
 		}
 	})
 }

@@ -25,13 +25,10 @@ echo "== transport churn (race, repeated)"
 go test -race -count=2 ./internal/netcore ./internal/tcpnet ./internal/udpnet
 
 echo "== batched wire protocol (race, repeated)"
-# The coalescing writer is the hot path every live deployment shares. Rerun
-# the batching suite under race: flush coalescing into wire.Batch frames,
-# frame-limit splits, queue-prefix compaction, drain-deadline accounting,
-# the partial-write fault-injection tests (mid-batch failure must retry once
-# on a fresh connection or count each message dropped exactly once), the
-# zero-alloc steady-state budget, and the wire.Batch codec round trips.
-go test -race -count=2 -run 'Batch|Partial|Coalesce|Split|Deliver|Compacts|DrainDeadline|Presized' ./internal/netcore ./internal/wire
+# The wire.Batch codec round trips every coalesced flush rests on. (The
+# netcore batching suite — coalescing, splits, compaction, partial writes —
+# already runs whole, at this -race -count=2, in the transport churn lane.)
+go test -race -count=2 -run 'Batch' ./internal/wire
 
 echo "== telemetry (race, repeated)"
 # The metrics registry is hammered by every node's hot path while scrapers
@@ -67,8 +64,11 @@ echo "== check hot path off the host lock (race, repeated)"
 # check started after the removal returned may hit, and HostStats, the
 # audit ring and both counter families must agree exactly afterwards —
 # and while SetAudit/SetTelemetry/RegisterApp republish the view checks
-# read. Interleavings differ run to run, hence the count.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestHostCacheGrantersConcurrentChecks' ./internal/core
+# read. Interleavings differ run to run, hence the count. The same lane
+# reruns the two tests that pin the cold path's bookkeeping: the manager's
+# one-record-per-user table against the model of the table it replaced, and
+# the one clock reading per entry into a node.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestHostCacheGrantersConcurrentChecks|TestManagerTableAgainstModel|TestOneClockReadingPerEntry' ./internal/core
 
 echo "== metrics endpoint smoke"
 # Boots a live two-manager/one-host deployment over TCP, drives a check,
