@@ -40,7 +40,8 @@
 // with -audit.jsonl set, every audit record is additionally streamed to
 // the given file as it is accepted, surviving the bounded ring.
 // Logging is structured (log/slog) and tunable with -log.level and
-// -log.format.
+// -log.format; protocol state changes log at info, the events of
+// individual checks at debug.
 //
 // With -telemetry.jsonl set, the node streams check-round spans (one JSON
 // object per line) to the given file; spans from a host and its managers
@@ -98,7 +99,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity (records kept per node)")
+	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records; a cached check writes two, so 4096 is ~1ms of history at 2M checks/s")
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
 	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity (decision-provenance records kept per node)")
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
@@ -115,12 +116,13 @@ func main() {
 	}
 }
 
-// defaultFlightRing holds roughly the last few minutes of protocol activity
-// on a busy node at a cost of a few MB.
+// defaultFlightRing holds the last 4096 protocol events at under a MB. A
+// cached check is two of them: on a host serving hits that is milliseconds
+// of history, on a manager applying a few updates a minute it is hours.
 const defaultFlightRing = 4096
 
-// defaultAuditRing holds the provenance of the last few minutes of access
-// decisions at a comparable cost.
+// defaultAuditRing holds the provenance of the last 4096 access decisions
+// (one record per check) at a comparable cost.
 const defaultAuditRing = 4096
 
 type nodeConfig struct {
@@ -590,10 +592,24 @@ func splitUsers(s string) []wire.UserID {
 
 // logTracer prints protocol events to the process log as structured
 // records, so a node's event stream is filterable and machine-joinable
-// with the transport's stats lines.
+// with the transport's stats lines. State changes log at Info; the events
+// of a single check — a cached one emits two — log at Debug, and an event
+// whose level is disabled costs one Enabled call and no allocation.
 type logTracer struct{}
 
 func (logTracer) Emit(e trace.Event) {
+	level := slog.LevelDebug
+	switch e.Type {
+	case trace.EventUpdateIssued, trace.EventUpdateApplied, trace.EventUpdateQuorum,
+		trace.EventRevokeApplied, trace.EventFrozen, trace.EventUnfrozen,
+		trace.EventSynced, trace.EventTeAdapted:
+		level = slog.LevelInfo
+	}
+	ctx := context.Background()
+	logger := slog.Default()
+	if !logger.Enabled(ctx, level) {
+		return
+	}
 	attrs := make([]any, 0, 12)
 	attrs = append(attrs, "node", string(e.Node), "type", e.Type.String())
 	if e.App != "" {
@@ -608,5 +624,5 @@ func (logTracer) Emit(e trace.Event) {
 	if e.Note != "" {
 		attrs = append(attrs, "note", e.Note)
 	}
-	slog.Info("event", attrs...)
+	logger.Log(ctx, level, "event", attrs...)
 }

@@ -32,7 +32,7 @@ import (
 type Host struct {
 	id      wire.NodeID
 	env     Env
-	tracer  trace.Tracer
+	tracer  trace.PairTracer
 	tracing bool          // false when tracer is trace.Nop: skip building events
 	keyring *auth.Keyring // nil: trust claimed identities (simulation)
 
@@ -190,7 +190,7 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 	h := &Host{
 		id:      id,
 		env:     env,
-		tracer:  tracer,
+		tracer:  trace.Pairs(tracer),
 		tracing: !nop,
 		keyring: keyring,
 		cache:   acl.NewCache(),
@@ -296,8 +296,9 @@ func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func
 // case the paper's O(C/Te) overhead argument rests on — and the only place
 // a cache hit is emitted. It runs without Host.mu: it reads the clock once
 // (now, shared by every emission), loads the published view once, probes the
-// cache once, tells each attached observer, and invokes cb directly. The
-// probe under the cache's own mutex is the hit's linearization point, so a
+// cache once, tells each attached observer once — its two trace events as
+// one pair, its telemetry as one count the hit's metrics are derived from —
+// and invokes cb directly. The probe under the cache's own mutex is the hit's linearization point, so a
 // revocation, reset or explicit denial that has removed the entry and
 // returned is seen by every check that starts afterwards.
 //
@@ -323,16 +324,13 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 		tid = h.nonce.Add(1)
 	}
 	if h.tracing {
-		e := trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid}
-		h.tracer.Emit(e)
-		e.Type, e.Note = trace.EventAccessAllowed, "cached"
-		h.tracer.Emit(e)
+		h.tracer.EmitPair(
+			trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid},
+			trace.EventAccessAllowed, "cached")
 	}
 	h.hits.Add(1)
 	if t := v.tel; t != nil {
-		t.checks[outcomeCacheHit].Inc()
-		t.reasons[audit.ReasonCacheHit].Inc()
-		observeSince(t.latency[outcomeCacheHit], now, now) // a hit takes no time on the host's clock
+		t.hits.Add(1)
 		if t.spanning() {
 			t.span(telemetry.Span{
 				Trace: tid, Node: string(h.id), Kind: "decision",

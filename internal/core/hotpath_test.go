@@ -7,14 +7,19 @@ package core
 // scripts/ci.sh runs them at -race -count=5.
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -114,11 +119,17 @@ type hotHost struct {
 
 func newHotHost(t *testing.T, policy Policy) *hotHost {
 	t.Helper()
+	return newHotHostOn(t, "h0", telemetry.NewRegistry(), policy)
+}
+
+// newHotHostOn is newHotHost for a host that shares reg with others.
+func newHotHostOn(t *testing.T, id wire.NodeID, reg *telemetry.Registry, policy Policy) *hotHost {
+	t.Helper()
 	lenv := newLockedEnv()
-	hh := &hotHost{lenv: lenv, reg: telemetry.NewRegistry()}
-	hh.h = NewHost("h0", lenv, trace.NewCollector(64), nil)
+	hh := &hotHost{lenv: lenv, reg: reg}
+	hh.h = NewHost(id, lenv, trace.NewCollector(64), nil)
 	hh.tel = InstrumentHost(hh.reg, nil, hh.h)
-	hh.aud = audit.NewRecorder("h0", 64, lenv.Now)
+	hh.aud = audit.NewRecorder(string(id), 64, lenv.Now)
 	hh.h.SetAudit(hh.aud)
 	managers := []wire.NodeID{"m0", "m1", "m2"}
 	if err := hh.h.RegisterApp("a", HostAppConfig{Managers: managers, Policy: policy}); err != nil {
@@ -285,7 +296,261 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 	if err := h.RegisterApp("a", HostAppConfig{Managers: []wire.NodeID{"m0"}}); err == nil {
 		t.Error("re-registering an app succeeded")
 	}
-	if st := h.Stats(); st.CacheHits != hits.Load() || st.CacheHits == 0 {
+	st := h.Stats()
+	if st.CacheHits != hits.Load() || st.CacheHits == 0 {
 		t.Errorf("Stats().CacheHits = %d, callers saw %d", st.CacheHits, hits.Load())
+	}
+	// Telemetry was attached for part of the load: whatever share of the
+	// hits it counted, every metric derived from that count reports it.
+	counted := hostCounter(hh.reg, "wanac_host_checks_total", "cache_hit")
+	lat := hh.tel.CheckLatency("cache_hit").Snapshot()
+	if reasons := ReasonCounts(hh.reg)[audit.ReasonCacheHit]; counted == 0 || counted > st.CacheHits ||
+		reasons != counted || lat.Count != counted || lat.Counts[0] != counted || lat.Sum != 0 {
+		t.Errorf("of %d hits: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
+			st.CacheHits, counted, reasons, lat.Count, lat.Counts[0], lat.Sum)
+	}
+}
+
+// TestCacheHitCountersDerived: a hit bumps one atomic in the attached
+// HostTelemetry, and wanac_host_checks_total{cache_hit}, its reason twin and
+// the cache_hit latency histogram are derived from it when read. Two hosts
+// share a registry, callers mix hits with cold checks while a scraper reads,
+// and one host's telemetry is removed and later re-instrumented: after each
+// phase every view of the hits counted so far is the same number — hits
+// while detached counted by HostStats and the audit ring only.
+func TestCacheHitCountersDerived(t *testing.T) {
+	policy := Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute}
+	reg := telemetry.NewRegistry()
+	hosts := []*hotHost{newHotHostOn(t, "h0", reg, policy), newHotHostOn(t, "h1", reg, policy)}
+	outcomes := reg.CounterVec("wanac_host_checks_total", "", "outcome")
+	hitCounter := outcomes.With("cache_hit")
+	latency := func(outcome string) telemetry.HistogramSnapshot {
+		return hosts[1].tel.CheckLatency(outcome).Snapshot() // one family: any host's handle reads it
+	}
+
+	// load runs callers on both hosts — each makes hitsEach hits and, after
+	// every fourth, a cold check (an unregistered app: denied at once under
+	// Host.mu) — while a scraper reads every view of the hit count.
+	const callers, hitsEach = 3, 400
+	const hitsPerHost, coldPerHost = callers * hitsEach, callers * hitsEach / 4
+	load := func() {
+		var wg sync.WaitGroup
+		for _, hh := range hosts {
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 1; i <= hitsEach; i++ {
+						hh.h.Check("a", "u", wire.RightUse, func(d Decision) {
+							if !d.CacheHit {
+								t.Errorf("decision %+v, want a cache hit", d)
+							}
+						})
+						if i%4 == 0 {
+							hh.h.Check("ghost", "u", wire.RightUse, func(d Decision) {
+								if d.Allowed {
+									t.Errorf("decision %+v for an unregistered app", d)
+								}
+							})
+						}
+					}
+				}()
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			wg.Wait()
+		}()
+		var last uint64
+		for scraping := true; scraping; {
+			select {
+			case <-done:
+				scraping = false
+			default:
+			}
+			n := hitCounter.Value()
+			if n < last {
+				t.Errorf("checks{cache_hit} went from %d to %d", last, n)
+			}
+			last = n
+			latency("cache_hit")
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+
+	// The warm-up of each host was one allowed check, counted while attached.
+	var wantHits, wantDenied, allHits uint64
+	verify := func(phase string) {
+		t.Helper()
+		var stHits, stChecks, audited uint64
+		for _, hh := range hosts {
+			st := hh.h.Stats()
+			stHits += st.CacheHits
+			stChecks += st.Checks
+			audited += hh.aud.Decisions()
+		}
+		if stHits != allHits || stChecks != audited {
+			t.Errorf("%s: Stats() report %d hits of %d made, %d checks against %d audit decisions", phase, stHits, allHits, stChecks, audited)
+		}
+		reasons := ReasonCounts(reg)
+		lat := latency("cache_hit")
+		if hitCounter.Value() != wantHits || reasons[audit.ReasonCacheHit] != wantHits ||
+			lat.Count != wantHits || lat.Counts[0] != wantHits || lat.Sum != 0 {
+			t.Errorf("%s: want %d hits counted: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
+				phase, wantHits, hitCounter.Value(), reasons[audit.ReasonCacheHit], lat.Count, lat.Counts[0], lat.Sum)
+		}
+		if got := outcomes.With("denied").Value(); got != wantDenied || reasons[audit.ReasonUnregisteredDeny] != wantDenied {
+			t.Errorf("%s: checks{denied} %d, reasons{unregistered_deny} %d, want %d", phase, got, reasons[audit.ReasonUnregisteredDeny], wantDenied)
+		}
+		// The merged views: every outcome's histogram folded into one (the
+		// scenario SLOs), and the family rebuilt from the exposition (the
+		// fleet rollup).
+		wantAll := wantHits + wantDenied + uint64(len(hosts))
+		merged := lat
+		for _, o := range outcomeNames[1:] {
+			var err error
+			if merged, err = telemetry.MergeHistograms(merged, latency(o)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var text bytes.Buffer
+		if err := reg.WritePrometheus(&text); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range []string{
+			fmt.Sprintf(`wanac_host_checks_total{outcome="cache_hit"} %d`, wantHits),
+			fmt.Sprintf(`wanac_host_check_reasons_total{reason="cache_hit"} %d`, wantHits),
+			fmt.Sprintf(`wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0001"} %d`, wantHits),
+			fmt.Sprintf(`wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="+Inf"} %d`, wantHits),
+			`wanac_host_check_latency_seconds_sum{outcome="cache_hit"} 0`,
+			fmt.Sprintf(`wanac_host_check_latency_seconds_count{outcome="cache_hit"} %d`, wantHits),
+		} {
+			if !strings.Contains(text.String(), line+"\n") {
+				t.Errorf("%s: exposition lacks %q", phase, line)
+			}
+		}
+		parsed, err := telemetry.ParseMetrics(&text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scraped, err := parsed.HistogramFrom("wanac_host_check_latency_seconds")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if merged.Count != wantAll || scraped.Count != wantAll || scraped.Counts[0] != merged.Counts[0] || merged.Counts[0] < wantHits {
+			t.Errorf("%s: want %d observations: merged outcomes %d (first bucket %d), scraped family %d (first bucket %d)",
+				phase, wantAll, merged.Count, merged.Counts[0], scraped.Count, scraped.Counts[0])
+		}
+	}
+
+	load()
+	allHits += 2 * hitsPerHost
+	wantHits += 2 * hitsPerHost
+	wantDenied += 2 * coldPerHost
+	verify("both attached")
+
+	hosts[0].h.SetTelemetry(nil)
+	load()
+	allHits += 2 * hitsPerHost
+	wantHits += hitsPerHost
+	wantDenied += coldPerHost
+	verify("h0 detached")
+
+	hosts[0].tel = InstrumentHost(reg, nil, hosts[0].h)
+	load()
+	allHits += 2 * hitsPerHost
+	wantHits += 2 * hitsPerHost
+	wantDenied += 2 * coldPerHost
+	verify("h0 re-instrumented")
+}
+
+// emitOnly is a tracer with nothing but Emit, whatever the tracer inside it
+// can do: trace.Pairs delivers a pair to it as two events.
+type emitOnly struct{ trace.Tracer }
+
+// TestCacheHitPairMatchesTwoEmits: a hit's cache-hit and
+// access-allowed/"cached" go down the tracer chain as one pair. For each
+// chain a node is wired with, that must leave the flight ring (Seq
+// included, across the ring's wrap), the collector, the line log and
+// wanac_trace_events_total exactly as two Emit calls do.
+func TestCacheHitPairMatchesTwoEmits(t *testing.T) {
+	type sinks struct {
+		rec *flight.Recorder
+		reg *telemetry.Registry
+		col *trace.Collector
+		log bytes.Buffer
+	}
+	for _, tc := range []struct {
+		name  string
+		chain func(*sinks) trace.Tracer
+	}{
+		{"bench", func(s *sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }},
+		{"acnode", func(s *sinks) trace.Tracer {
+			return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, trace.NewWriter(&s.log)))
+		}},
+		{"sim", func(s *sinks) trace.Tracer { return flight.Tee(s.rec, telemetry.InstrumentTracer(s.reg, s.col)) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(wrap func(trace.Tracer) trace.Tracer) *sinks {
+				env := newFakeEnv()
+				// An odd ring, so that a pair straddles its wrap.
+				s := &sinks{rec: flight.NewRecorder("h0", 17, env.Now), reg: telemetry.NewRegistry(), col: trace.NewCollector(0)}
+				h := NewHost("h0", env, wrap(tc.chain(s)), nil)
+				h.SetAudit(audit.NewRecorder("h0", 16, env.Now)) // hits carry a trace id
+				if err := h.RegisterApp("a", HostAppConfig{
+					Managers: []wire.NodeID{"m0", "m1", "m2"},
+					Policy:   Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				hits := 0
+				count := func(d Decision) {
+					if d.CacheHit {
+						hits++
+					}
+				}
+				h.Check("a", "u", wire.RightUse, count)
+				answerRound(h, lastRound(t, env), true)
+				for i := 0; i < 30; i++ {
+					env.advance(time.Millisecond)
+					h.Check("a", "u", wire.RightUse, count)
+				}
+				if hits != 30 {
+					t.Fatalf("%d cache hits, want 30", hits)
+				}
+				return s
+			}
+			pair := run(func(tr trace.Tracer) trace.Tracer { return tr })
+			single := run(func(tr trace.Tracer) trace.Tracer { return emitOnly{tr} })
+
+			got, want := pair.rec.Snapshot(), single.rec.Snapshot()
+			if pair.rec.Total() != single.rec.Total() || !reflect.DeepEqual(got, want) {
+				t.Errorf("flight ring after pairs (%d records):\n%+v\nafter two Emits each (%d records):\n%+v",
+					pair.rec.Total(), got, single.rec.Total(), want)
+			}
+			if last := got[len(got)-1]; last.Type != "access-allowed" || last.Note != "cached" || last.Seq != got[len(got)-2].Seq+1 ||
+				got[len(got)-2].Type != "cache-hit" || !last.T.Equal(got[len(got)-2].T) || last.Trace == 0 {
+				t.Errorf("last two flight records are not one hit's pair: %+v", got[len(got)-2:])
+			}
+			if !reflect.DeepEqual(pair.col.Events(), single.col.Events()) {
+				t.Errorf("collector after pairs:\n%v\nafter two Emits each:\n%v", pair.col.Events(), single.col.Events())
+			}
+			if pair.log.String() != single.log.String() {
+				t.Errorf("line log after pairs:\n%s\nafter two Emits each:\n%s", pair.log.String(), single.log.String())
+			}
+			var gotText, wantText bytes.Buffer
+			if err := pair.reg.WritePrometheus(&gotText); err != nil {
+				t.Fatal(err)
+			}
+			if err := single.reg.WritePrometheus(&wantText); err != nil {
+				t.Fatal(err)
+			}
+			if gotText.String() != wantText.String() || !strings.Contains(gotText.String(), `wanac_trace_events_total{type="cache-hit"} 30`) {
+				t.Errorf("registry after pairs:\n%s\nafter two Emits each:\n%s", gotText.String(), wantText.String())
+			}
+		})
 	}
 }

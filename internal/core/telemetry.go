@@ -3,17 +3,19 @@ package core
 // Telemetry instrumentation for the protocol nodes. The counters here
 // are incremented at the same call sites as the HostStats/ManagerStats
 // fields they mirror, so the two views can never drift (telemetry_test.go
-// asserts exactness against scripted scenarios). Counter families are
-// shared across nodes registered on one registry — they aggregate, like
-// process-wide Prometheus counters — while point-in-time state (cache
-// size, freeze/sync state, outstanding work) is exported as per-node
-// labeled gauges.
+// asserts exactness against scripted scenarios); the ones a cache hit moves
+// are not incremented at all but derived from HostTelemetry.hits, the one
+// atomic a hit bumps. Counter families are shared across nodes registered
+// on one registry — they aggregate, like process-wide Prometheus counters —
+// while point-in-time state (cache size, freeze/sync state, outstanding
+// work) is exported as per-node labeled gauges.
 //
 // All handles are resolved once at instrument time; the per-operation
 // hot path touches only atomics and adds no allocations (alloc_test.go
 // pins the cached-check budget with telemetry enabled).
 
 import (
+	"sync/atomic"
 	"time"
 
 	"wanac/internal/audit"
@@ -49,6 +51,11 @@ func outcomeIndex(d Decision) int {
 // HostTelemetry holds a host's pre-resolved metric handles and optional
 // span recorder. Install with Host.SetTelemetry or InstrumentHost.
 type HostTelemetry struct {
+	// hits counts the cache hits decided while this value was the host's
+	// telemetry. It is all a hit bumps: checks[cache_hit], reasons[cache_hit]
+	// and the count and zero bucket of latency[cache_hit] — a hit takes no
+	// time on the host's clock — are derived from it whenever they are read.
+	hits   atomic.Uint64
 	checks [outcomeCount]*telemetry.Counter
 	// reasons refines checks by audit provenance, indexed by
 	// audit.Reason (decision reasons only; other slots stay nil).
@@ -77,6 +84,9 @@ func NewHostTelemetry(reg *telemetry.Registry, spans telemetry.SpanRecorder) *Ho
 	for r, c := range reasonCounters(reg) {
 		t.reasons[r] = c
 	}
+	t.checks[outcomeCacheHit].Derive(&t.hits)
+	t.reasons[audit.ReasonCacheHit].Derive(&t.hits)
+	t.latency[outcomeCacheHit].DeriveZeros(&t.hits)
 	t.rounds = reg.Counter("wanac_host_query_rounds_total",
 		"Query rounds started (each fans out to C or all managers).")
 	t.timeouts = reg.Counter("wanac_host_query_timeouts_total",

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/audit"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
@@ -119,6 +120,30 @@ func TestHostTelemetryExactness(t *testing.T) {
 		}
 	}
 
+	// The cache hit's metrics are not bumped but derived from the
+	// telemetry's hit count, and read like any other: per reason, per
+	// bucket, and in the exposition.
+	if got := ReasonCounts(reg)[audit.ReasonCacheHit]; got != st.CacheHits {
+		t.Errorf("wanac_host_check_reasons_total{cache_hit} = %d, want %d", got, st.CacheHits)
+	}
+	if s := tel.CheckLatency("cache_hit").Snapshot(); s.Counts[0] != 1 {
+		t.Errorf("latency[cache_hit] buckets = %v, want the hit in the first", s.Counts)
+	}
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`wanac_host_checks_total{outcome="cache_hit"} 1`,
+		`wanac_host_check_reasons_total{reason="cache_hit"} 1`,
+		`wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0001"} 1`,
+		`wanac_host_check_latency_seconds_sum{outcome="cache_hit"} 0`,
+		`wanac_host_check_latency_seconds_count{outcome="cache_hit"} 1`,
+	} {
+		if !strings.Contains(text.String(), line+"\n") {
+			t.Errorf("exposition lacks %q", line)
+		}
+	}
 }
 
 func TestHostSpansReconstructCheckRound(t *testing.T) {

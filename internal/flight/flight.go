@@ -149,21 +149,12 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 func (r *Recorder) Node() string { return r.node }
 
 // slot returns the ring slot the next record goes in, still holding the
-// record it overwrites; the caller builds the new one in place and hands it
-// to commit. Must be called with r.mu held.
+// record it overwrites; the caller builds the new one in place, stamps it —
+// Seq, Node, and the local clock if T is zero — and accepts it by advancing
+// next. Stamping under the lock keeps Seq order and timestamp order in
+// agreement for records the recorder stamps itself. Must be called with
+// r.mu held.
 func (r *Recorder) slot() *Record { return &r.ring[r.next%uint64(len(r.ring))] }
-
-// commit stamps the record built in s — Seq, Node, and the local clock if
-// T is still zero — and accepts it. Stamping under the lock keeps Seq order
-// and timestamp order in agreement for records the recorder stamps itself.
-func (r *Recorder) commit(s *Record) {
-	if s.T.IsZero() {
-		s.T = r.now()
-	}
-	s.Node = r.node
-	s.Seq = r.next
-	r.next++
-}
 
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
 // local clock if rec.T is zero. The oldest record is overwritten once the
@@ -172,33 +163,50 @@ func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
 	s := r.slot()
 	*s = rec
-	r.commit(s)
+	if s.T.IsZero() {
+		s.T = r.now()
+	}
+	s.Node = r.node
+	s.Seq = r.next
+	r.next++
 	r.mu.Unlock()
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
-// (manager update-quorum, host quorum grants) under KindQuorum. The record
-// is built in its ring slot: this runs twice per cached check, and a
-// Record is large enough that constructing one and copying it in shows.
+// (manager update-quorum, host quorum grants) under KindQuorum.
 func (r *Recorder) RecordEvent(e trace.Event) {
+	r.mu.Lock()
+	r.put(&e, e.Type, e.Note)
+	r.mu.Unlock()
+}
+
+// put records e as an event of type typ with note note — its own, or those
+// of the second event of a pair. The record is built and stamped in its ring
+// slot, in one function: this runs twice per cached check, and a Record is
+// large enough that constructing one and copying it in, or a call per stamp,
+// shows. Must be called with r.mu held.
+func (r *Recorder) put(e *trace.Event, typ trace.EventType, note string) {
 	kind := KindProtocol
-	if e.Type == trace.EventUpdateQuorum || (e.Type == trace.EventAccessAllowed && e.Note == "quorum") {
+	if typ == trace.EventUpdateQuorum || (typ == trace.EventAccessAllowed && note == "quorum") {
 		kind = KindQuorum
 	}
-	r.mu.Lock()
 	s := r.slot()
 	*s = Record{}
 	s.T = e.Time
+	if s.T.IsZero() {
+		s.T = r.now()
+	}
+	s.Node = r.node
+	s.Seq = r.next
 	s.Kind = kind
-	s.Type = e.Type.String()
+	s.Type = typ.String()
 	s.Trace = e.Trace
 	s.App = string(e.App)
 	s.User = string(e.User)
 	s.Origin = string(e.Seq.Origin)
 	s.Counter = e.Seq.Counter
-	s.Note = e.Note
-	r.commit(s)
-	r.mu.Unlock()
+	s.Note = note
+	r.next++
 }
 
 // Total returns how many records were ever accepted (≥ retained).
@@ -228,17 +236,18 @@ func (r *Recorder) Snapshot() []Record {
 // nil next ends the chain (no call, no event copy).
 type teeTracer struct {
 	rec  *Recorder
-	next trace.Tracer
+	next trace.PairTracer
 }
 
 // Tee returns a trace.Tracer that records every event into rec and then
 // forwards it to next (which may be nil to stop the chain). This is how
 // nodes get flight recording without the core packages importing flight.
 func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
-	if _, nop := next.(trace.Nop); nop {
-		next = nil
+	t := teeTracer{rec: rec}
+	if _, nop := next.(trace.Nop); !nop && next != nil {
+		t.next = trace.Pairs(next)
 	}
-	return teeTracer{rec: rec, next: next}
+	return t
 }
 
 // Emit implements trace.Tracer.
@@ -246,5 +255,18 @@ func (t teeTracer) Emit(e trace.Event) {
 	t.rec.RecordEvent(e)
 	if t.next != nil {
 		t.next.Emit(e)
+	}
+}
+
+// EmitPair implements trace.PairTracer: the two records are written, with
+// consecutive Seq, under one acquisition of the ring's lock.
+func (t teeTracer) EmitPair(e trace.Event, typ trace.EventType, note string) {
+	r := t.rec
+	r.mu.Lock()
+	r.put(&e, e.Type, e.Note)
+	r.put(&e, typ, note)
+	r.mu.Unlock()
+	if t.next != nil {
+		t.next.EmitPair(e, typ, note)
 	}
 }

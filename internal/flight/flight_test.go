@@ -109,8 +109,22 @@ func TestTeeRecordsAndForwards(t *testing.T) {
 	if got := len(col.Events()); got != 1 {
 		t.Fatalf("next tracer saw %d events, want 1", got)
 	}
+	// A pair is two records and, to a next that only has Emit, two events.
+	tr.(trace.PairTracer).EmitPair(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice"}, trace.EventAccessAllowed, "cached")
+	snap, evs := r.Snapshot(), col.Events()
+	if len(snap) != 3 || snap[1].Type != "cache-hit" || snap[2].Type != "access-allowed" || snap[2].Note != "cached" || snap[2].Seq != 2 {
+		t.Fatalf("recorder after a pair: %+v", snap)
+	}
+	if len(evs) != 3 || evs[1].Type != trace.EventCacheHit || evs[2].Type != trace.EventAccessAllowed || evs[2].Note != "cached" {
+		t.Fatalf("next tracer after a pair: %v", evs)
+	}
 	// nil next must not panic.
-	Tee(r, nil).Emit(trace.Event{Type: trace.EventCacheHit})
+	last := Tee(r, nil)
+	last.Emit(trace.Event{Type: trace.EventCacheHit})
+	last.(trace.PairTracer).EmitPair(trace.Event{Type: trace.EventCacheHit}, trace.EventAccessAllowed, "cached")
+	if got := r.Total(); got != 6 {
+		t.Fatalf("recorder saw %d events, want 6", got)
+	}
 }
 
 func TestRecordDoesNotAllocate(t *testing.T) {

@@ -3,6 +3,7 @@ package slo
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,6 +190,16 @@ func TestEngineLatencyIndicator(t *testing.T) {
 	}
 	if st.SLI != 0.5 {
 		t.Fatalf("SLI = %v, want 0.5", st.SLI)
+	}
+
+	// Observations the histogram derives from an external count (a host's
+	// cache hits: latency 0) are good events like any other.
+	var hits atomic.Uint64
+	h.DeriveZeros(&hits)
+	hits.Add(4)
+	clk.Advance(time.Second)
+	if st := e.Sample()[0]; st.Good != 6 || st.Total != 8 {
+		t.Fatalf("with 4 derived zeros the indicator read good=%v total=%v, want 6/8", st.Good, st.Total)
 	}
 }
 

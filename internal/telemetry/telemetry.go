@@ -191,7 +191,8 @@ func (f *family) child(values []string) *child {
 // A Counter is a monotonically increasing value. All methods are safe
 // for concurrent use and allocation-free.
 type Counter struct {
-	v atomic.Uint64
+	v       atomic.Uint64
+	derived tallies
 }
 
 // Inc adds one.
@@ -201,7 +202,49 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
+func (c *Counter) Value() uint64 { return c.v.Load() + c.derived.sum() }
+
+// Derive makes src part of the counter: from now on Value — and so the
+// exposition and everything else that reads the counter — reports src's
+// count on top of what Inc and Add put in. It is for an event that moves
+// several metrics in lockstep on a hot path: the owner bumps the one atomic
+// per event and derives each of the metrics from it, so they cannot
+// disagree and the event costs one read-modify-write. src must never
+// decrease, and stays part of the counter for good — a source its owner
+// stops bumping keeps contributing what it had counted.
+func (c *Counter) Derive(src *atomic.Uint64) { c.derived.add(src) }
+
+// tallies is the set of external counts a metric folds in when it is read.
+// Reads are one atomic load per source; adding one replaces the set.
+type tallies struct {
+	srcs atomic.Pointer[[]*atomic.Uint64]
+}
+
+func (t *tallies) add(src *atomic.Uint64) {
+	for {
+		old := t.srcs.Load()
+		var next []*atomic.Uint64
+		if old != nil {
+			next = append(next, *old...)
+		}
+		next = append(next, src)
+		if t.srcs.CompareAndSwap(old, &next) {
+			return
+		}
+	}
+}
+
+func (t *tallies) sum() uint64 {
+	srcs := t.srcs.Load()
+	if srcs == nil {
+		return 0
+	}
+	var n uint64
+	for _, src := range *srcs {
+		n += src.Load()
+	}
+	return n
+}
 
 // CounterVec is a counter family with labels. Resolve children with
 // With at setup time and hold the handles; With locks and may allocate.
@@ -324,8 +367,8 @@ func (r *Registry) GaugeSet(name, help string, labels []string, collect func(emi
 type Histogram struct {
 	upper  []float64 // ascending upper bounds; an implicit +Inf bucket follows
 	counts []atomic.Uint64
-	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
+	zeros  tallies       // external counts of observations of 0 (DeriveZeros)
 }
 
 func normalizeBuckets(buckets []float64) []float64 {
@@ -354,14 +397,18 @@ func newHistogram(upper []float64) *Histogram {
 	}
 }
 
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+// bucket returns the index of the bucket v falls in.
+func (h *Histogram) bucket(v float64) int {
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
 		i++
 	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	return i
+}
+
+// Observe records one sample.
+func (h *Histogram) Observe(v float64) {
+	h.counts[h.bucket(v)].Add(1)
 	for {
 		old := h.sum.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + v)
@@ -370,6 +417,13 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
+
+// DeriveZeros is Counter.Derive for a histogram: every unit of src is one
+// observation of 0 — in the count and in 0's bucket of every Snapshot, and
+// nothing in the sum — without an Observe having run for it. It is for a
+// latency that is zero by definition, such as a cache hit on the host's own
+// clock.
+func (h *Histogram) DeriveZeros(src *atomic.Uint64) { h.zeros.add(src) }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's buckets.
 // Counts has one entry per upper bound plus a final overflow (+Inf)
@@ -391,7 +445,10 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
-		s.Count += s.Counts[i]
+	}
+	s.Counts[h.bucket(0)] += h.zeros.sum()
+	for _, n := range s.Counts {
+		s.Count += n
 	}
 	s.Sum = math.Float64frombits(h.sum.Load())
 	return s

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,6 +105,83 @@ func TestHistogram(t *testing.T) {
 
 	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v, want 0", q)
+	}
+}
+
+// TestDerivedCounts: a counter and a histogram that derive part of their
+// value from external atomics read — through Value, Snapshot, Summary,
+// MergeHistograms and the exposition — exactly as twins that were bumped
+// once per event do.
+func TestDerivedCounts(t *testing.T) {
+	buckets := []float64{-1, 0.1, 1} // 0 falls in the second bucket, not the first
+	derivedReg, bumpedReg := NewRegistry(), NewRegistry()
+	family := func(reg *Registry) (*Counter, *Counter, *Histogram) {
+		vec := reg.CounterVec("wanac_test_total", "help", "outcome")
+		return vec.With("hit"), vec.With("miss"), reg.Histogram("wanac_test_seconds", "help", buckets)
+	}
+	hit, miss, lat := family(derivedReg)
+	var a, b atomic.Uint64 // two owners on one registry
+	for _, src := range []*atomic.Uint64{&a, &b} {
+		hit.Derive(src)
+		lat.DeriveZeros(src)
+	}
+	wantHit, wantMiss, wantLat := family(bumpedReg)
+
+	event := func(src *atomic.Uint64) {
+		src.Add(1)
+		wantHit.Inc()
+		wantLat.Observe(0)
+	}
+	for i := 0; i < 7; i++ {
+		event(&a)
+	}
+	for i := 0; i < 5; i++ {
+		event(&b)
+	}
+	// What is bumped directly adds to what is derived.
+	hit.Add(2)
+	wantHit.Add(2)
+	miss.Inc()
+	wantMiss.Inc()
+	for _, v := range []float64{-3, 0, 0.5, 7} {
+		lat.Observe(v)
+		wantLat.Observe(v)
+	}
+
+	if got := hit.Value(); got != 14 {
+		t.Errorf("derived counter = %d, want 7+5+2", got)
+	}
+	if got := miss.Value(); got != 1 {
+		t.Errorf("sibling counter = %d, want 1", got)
+	}
+	s, want := lat.Snapshot(), wantLat.Snapshot()
+	if s.Count != 16 || s.Sum != want.Sum || len(s.Counts) != len(want.Counts) {
+		t.Fatalf("derived snapshot %+v, want %+v", s, want)
+	}
+	for i := range want.Counts {
+		if s.Counts[i] != want.Counts[i] {
+			t.Errorf("bucket[%d] = %d, want %d", i, s.Counts[i], want.Counts[i])
+		}
+	}
+	if lat.Summary() != wantLat.Summary() {
+		t.Errorf("summary %+v, want %+v", lat.Summary(), wantLat.Summary())
+	}
+	m, err := MergeHistograms(s, s)
+	if err != nil || m.Count != 32 || m.Counts[1] != 2*want.Counts[1] {
+		t.Errorf("merge of derived snapshots = %+v, %v", m, err)
+	}
+	var got, wantText bytes.Buffer
+	if err := derivedReg.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := bumpedReg.WritePrometheus(&wantText); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != wantText.String() {
+		t.Errorf("exposition of derived metrics:\n%s\nwant:\n%s", got.String(), wantText.String())
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = hit.Value() }); n != 0 {
+		t.Errorf("Value allocates %v/op, want 0", n)
 	}
 }
 
@@ -282,6 +360,16 @@ func TestEventBridge(t *testing.T) {
 	}
 	if got := v.With(trace.EventAccessAllowed.String()).Value(); got != 1 {
 		t.Fatalf("bridge counted %d allowed, want 1", got)
+	}
+	// A pair is counted as its two events and reaches a tracer that only
+	// has Emit as those two events.
+	tr.(trace.PairTracer).EmitPair(trace.Event{Node: "h0", Type: trace.EventCacheHit}, trace.EventAccessAllowed, "cached")
+	if hit, ok := v.With(trace.EventCacheHit.String()).Value(), v.With(trace.EventAccessAllowed.String()).Value(); hit != 4 || ok != 2 {
+		t.Fatalf("after a pair the bridge counted %d cache hits and %d allowed, want 4 and 2", hit, ok)
+	}
+	if evs := col.Events(); len(evs) != 6 || evs[4].Type != trace.EventCacheHit || evs[4].Note != "" ||
+		evs[5].Type != trace.EventAccessAllowed || evs[5].Note != "cached" || evs[5].Node != "h0" {
+		t.Fatalf("inner tracer saw %v after a pair", evs)
 	}
 	// Steady-state Emit (counter already cached) must not allocate
 	// beyond what the inner tracer does; use a Nop inner to isolate.

@@ -11,7 +11,7 @@ import (
 // the collector tracer used for experiments and the log tracer used by
 // acnode both feed wanac_trace_events_total{type=...}.
 type eventBridge struct {
-	inner trace.Tracer
+	inner trace.PairTracer
 	vec   CounterVec
 	// cache holds pre-resolved per-type counters so the Emit hot path
 	// never calls With (which locks and allocates). EventType is a small
@@ -23,23 +23,35 @@ type eventBridge struct {
 // after counting it in reg as wanac_trace_events_total{type=...}.
 func InstrumentTracer(reg *Registry, inner trace.Tracer) trace.Tracer {
 	return &eventBridge{
-		inner: inner,
+		inner: trace.Pairs(inner),
 		vec:   reg.CounterVec("wanac_trace_events_total", "Protocol trace events by type (see internal/trace).", "type"),
 	}
 }
 
 // Emit implements trace.Tracer.
 func (b *eventBridge) Emit(e trace.Event) {
-	i := int(e.Type)
-	if i < len(b.cache) {
-		c := b.cache[i].Load()
-		if c == nil {
-			c = b.vec.With(e.Type.String())
-			b.cache[i].Store(c)
-		}
-		c.Inc()
-	} else {
-		b.vec.With(e.Type.String()).Inc()
-	}
+	b.count(e.Type)
 	b.inner.Emit(e)
+}
+
+// EmitPair implements trace.PairTracer: both events are counted and the
+// pair is forwarded whole.
+func (b *eventBridge) EmitPair(e trace.Event, typ trace.EventType, note string) {
+	b.count(e.Type)
+	b.count(typ)
+	b.inner.EmitPair(e, typ, note)
+}
+
+func (b *eventBridge) count(t trace.EventType) {
+	i := int(t)
+	if i >= len(b.cache) {
+		b.vec.With(t.String()).Inc()
+		return
+	}
+	c := b.cache[i].Load()
+	if c == nil {
+		c = b.vec.With(t.String())
+		b.cache[i].Store(c)
+	}
+	c.Inc()
 }

@@ -147,6 +147,35 @@ type Tracer interface {
 	Emit(e Event)
 }
 
+// PairTracer is a Tracer that can take an observation and the decision it
+// led to — a host's cache-hit and its access-allowed/"cached" — in one call:
+// two events alike in everything but type and note, so the second travels as
+// just those. EmitPair(e, typ, note) must leave what Emit(e) followed by
+// Emit of e retyped typ and renoted note leaves; a wrapper implements it to
+// do its per-call work (a lock, a forward down the chain) once for both.
+type PairTracer interface {
+	Tracer
+	EmitPair(e Event, typ EventType, note string)
+}
+
+// Pairs returns t as a PairTracer: t itself when it takes pairs whole,
+// otherwise t with each pair delivered as two Emits. Emitters and wrappers
+// resolve their tracer through it once, at construction.
+func Pairs(t Tracer) PairTracer {
+	if p, ok := t.(PairTracer); ok {
+		return p
+	}
+	return twoEmits{t}
+}
+
+type twoEmits struct{ Tracer }
+
+func (t twoEmits) EmitPair(e Event, typ EventType, note string) {
+	t.Emit(e)
+	e.Type, e.Note = typ, note
+	t.Emit(e)
+}
+
 // Nop discards all events.
 type Nop struct{}
 

@@ -11,9 +11,7 @@ import (
 // Compact binary codec. Frames are self-describing: a one-byte type tag
 // followed by the message fields in declaration order. Integers use uvarint,
 // strings and byte slices are length-prefixed, durations are encoded as
-// varint nanoseconds, and times as Unix nanoseconds. The format is roughly
-// 5-10x smaller and faster than gob for the hot-path Query/Response pair;
-// BenchmarkCodec in codec_test.go quantifies the difference.
+// varint nanoseconds, and times as Unix nanoseconds.
 
 // Message type tags. These are part of the wire format: never reorder.
 const (

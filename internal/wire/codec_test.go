@@ -78,25 +78,6 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	for _, msg := range sampleMessages() {
-		env := Envelope{From: "h1", To: "m1", Msg: msg}
-		data, err := EncodeEnvelope(env)
-		if err != nil {
-			t.Fatalf("EncodeEnvelope(%s): %v", msg.Kind(), err)
-		}
-		got, err := DecodeEnvelope(data)
-		if err != nil {
-			t.Fatalf("DecodeEnvelope(%s): %v", msg.Kind(), err)
-		}
-		// Gob decodes empty maps/slices as nil and vice versa consistently
-		// for our types, so DeepEqual is safe.
-		if !reflect.DeepEqual(got, env) {
-			t.Errorf("gob roundtrip %s:\n got  %#v\n want %#v", msg.Kind(), got, env)
-		}
-	}
-}
-
 func TestUnmarshalTruncated(t *testing.T) {
 	for _, msg := range sampleMessages() {
 		data, err := Marshal(msg)
@@ -314,16 +295,6 @@ func BenchmarkBinaryUnmarshalQuery(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Unmarshal(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGobEncodeQuery(b *testing.B) {
-	env := Envelope{From: "h1", To: "m1", Msg: Query{App: "stocks", User: "alice", Right: RightUse, Nonce: 42}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeEnvelope(env); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -116,26 +116,3 @@ func FuzzAdminReplyRoundTrip(f *testing.F) {
 		}
 	})
 }
-
-// FuzzGobEnvelope does the same for the gob codec used by tools.
-func FuzzGobEnvelope(f *testing.F) {
-	for _, msg := range sampleMessages()[:4] {
-		data, err := EncodeEnvelope(Envelope{From: "a", To: "b", Msg: msg})
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		env, err := DecodeEnvelope(data)
-		if err != nil {
-			return
-		}
-		if env.Msg == nil {
-			return
-		}
-		if _, err := EncodeEnvelope(env); err != nil {
-			t.Fatalf("decoded envelope failed to re-encode: %v", err)
-		}
-	})
-}

@@ -30,33 +30,22 @@ echo "== batched wire protocol (race, repeated)"
 # already runs whole, at this -race -count=2, in the transport churn lane.)
 go test -race -count=2 -run 'Batch' ./internal/wire
 
-echo "== telemetry (race, repeated)"
-# The metrics registry is hammered by every node's hot path while scrapers
-# read it; rerun its suite to shake out ordering-dependent races.
-go test -race -count=2 ./internal/telemetry
-
-echo "== flight recorder (race, repeated)"
-# The flight ring records on every node's protocol path while dump readers
-# snapshot it concurrently; rerun its suite plus the acflight golden
-# timeline test (testdata/timeline.golden) and the /debug/flight endpoint
-# smoke. Harness failures print their merged flight dump path in the
-# failure report (see README, "Debugging a failure").
-go test -race -count=2 ./internal/flight ./cmd/acflight
-go test -race -run TestDebugFlightEndpoint -count=1 ./cmd/acnode
-
-echo "== decision provenance / audit (race, repeated)"
-# Every completed allow/deny must leave exactly one audit record whose
-# evidence withstands adversarial checking: the reason taxonomy and the
-# zero-alloc ring, the host/manager emission-exactness tests (records,
-# HostStats, and the reason-labeled counters must agree record for
-# record), the audit-completeness oracle, the acaudit evidence-chain
-# goldens, acctl's check/explain surface, the live /debug/audit endpoint
-# with -audit.jsonl streaming, and the cached-check allocation budget
-# with auditing attached (0 allocs/op).
-go test -race -count=2 ./internal/audit ./cmd/acaudit ./cmd/acctl
+echo "== observers: endpoint smokes, goldens, exactness (race)"
+# internal/telemetry, internal/flight, internal/audit, cmd/acflight,
+# cmd/acaudit and cmd/acctl ran whole under -race in the pass above; what is
+# rerun here by name is what a single pass can miss or what guards a
+# contract. The live /debug/flight and /debug/audit endpoints (the latter
+# with -audit.jsonl streaming), and acnode's process log staying silent and
+# allocation-free on a warm check; the acflight timeline and acaudit
+# evidence-chain goldens (testdata/*.golden — the bytes operators diff);
+# the host/manager emission-exactness tests, where records, HostStats and
+# the reason-labeled counters must agree record for record, with the
+# audit-completeness oracle; and the cached-check allocation budgets with
+# each observer attached (0 allocs/op).
+go test -race -count=1 -run 'TestDebugFlightEndpoint|TestDebugAuditEndpoint|TestWarmCheckLogsNothingAtInfo|TestTimelineGolden|TestExplainGolden' \
+	./cmd/acnode ./cmd/acflight ./cmd/acaudit
 go test -race -count=2 -run 'Audit' ./internal/core ./internal/harness ./internal/scenario
-go test -race -run TestDebugAuditEndpoint -count=1 ./cmd/acnode
-go test -race -run TestCacheHitCheckAllocationBudgetWithAudit -count=1 .
+go test -race -count=1 -run 'TestCacheHitCheckAllocationBudget' .
 
 echo "== check hot path off the host lock (race, repeated)"
 # A cache hit decides without Host.mu: callers hammer a warm key while a
@@ -64,11 +53,17 @@ echo "== check hot path off the host lock (race, repeated)"
 # check started after the removal returned may hit, and HostStats, the
 # audit ring and both counter families must agree exactly afterwards —
 # and while SetAudit/SetTelemetry/RegisterApp republish the view checks
-# read. Interleavings differ run to run, hence the count. The same lane
-# reruns the two tests that pin the cold path's bookkeeping: the manager's
-# one-record-per-user table against the model of the table it replaced, and
-# the one clock reading per entry into a node.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestHostCacheGrantersConcurrentChecks|TestManagerTableAgainstModel|TestOneClockReadingPerEntry' ./internal/core
+# read. Interleavings differ run to run, hence the count. A hit is one
+# observation — its two trace events go down the tracer chain as a pair and
+# its counters are derived from one atomic — so the lane also holds the pair
+# against two Emits on every chain a node is wired with, and the derived
+# counters against HostStats, the audit ring and the exposition with two
+# hosts on one registry, telemetry detached and re-attached mid-stream, and
+# a scraper reading throughout. The same lane reruns the two tests that pin
+# the cold path's bookkeeping: the manager's one-record-per-user table
+# against the model of the table it replaced, and the one clock reading per
+# entry into a node.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestCacheHitPairMatchesTwoEmits|TestHostCacheGrantersConcurrentChecks|TestManagerTableAgainstModel|TestOneClockReadingPerEntry' ./internal/core
 
 echo "== metrics endpoint smoke"
 # Boots a live two-manager/one-host deployment over TCP, drives a check,
