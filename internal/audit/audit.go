@@ -198,10 +198,10 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 // Record is one audit entry. Evidence fields are populated per reason:
 // cache hits carry Granters and the entry's Expiry; quorum allows carry
 // Confirmations, the granting Managers set, and the granted Expire;
-// quorum denies carry Denials against Queried; default-rule fallbacks
-// carry the Attempts that exhausted R. Manager responses carry the
-// querying Peer and the seq (Origin/Counter) of the last ACL operation the
-// verdict rests on.
+// quorum denies carry Denials against Set (and how many were Queried);
+// default-rule fallbacks carry the Attempts that exhausted R. Manager
+// responses carry the querying Peer and the seq (Origin/Counter) of the
+// last ACL operation the verdict rests on.
 type Record struct {
 	Seq   uint64    `json:"seq"`             // ring sequence, monotonic per node
 	T     time.Time `json:"t"`               // node-local decision time
@@ -216,12 +216,14 @@ type Record struct {
 	Reason  Reason `json:"reason"`
 	Allowed bool   `json:"allowed,omitempty"`
 
-	// Decision evidence.
+	// Decision evidence. Set comes first, and is a byte (a host takes at most
+	// 64 managers), to sit in Allowed's padding: the ring's slots do not grow.
+	Set           uint8         `json:"set,omitempty"`           // M, the size of Managers(A) at the decision
 	Attempts      int           `json:"attempts,omitempty"`      // query rounds consumed (R budget)
 	Queried       int           `json:"queried,omitempty"`       // managers queried in the final round
 	Quorum        int           `json:"quorum,omitempty"`        // the policy's check quorum C
 	Confirmations int           `json:"confirmations,omitempty"` // distinct granting managers
-	Denials       int           `json:"denials,omitempty"`       // explicit denials in the final round
+	Denials       int           `json:"denials,omitempty"`       // distinct managers denying in the final round
 	Granters      int           `json:"granters,omitempty"`      // cache hit: managers vouching for the entry
 	Managers      string        `json:"managers,omitempty"`      // quorum allow: sorted granting set, comma-joined
 	Expire        time.Duration `json:"expire_ns,omitempty"`     // granted te (quorum allow / manager grant)

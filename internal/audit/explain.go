@@ -117,8 +117,8 @@ func (r *Record) Evidence() string {
 				r.Expiry.Format(clockFmt), r.Expire)
 		}
 	case ReasonQuorumDeny:
-		fmt.Fprintf(&b, "explicit denial: %d of %d queried managers denied, so %d grants are impossible (quorum %d); cached grant flushed",
-			r.Denials, r.Queried, r.Quorum, r.Quorum)
+		fmt.Fprintf(&b, "explicit denial: %d of %d managers denied (%d asked), so %d grants are impossible (quorum %d); cached grant flushed",
+			r.Denials, r.Set, r.Queried, r.Quorum, r.Quorum)
 	case ReasonDefaultAllow:
 		fmt.Fprintf(&b, "verification unreachable: all %d attempt(s) timed out; high-availability rule (Figure 4) allows by default", r.Attempts)
 	case ReasonResolveAllow:

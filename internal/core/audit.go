@@ -7,6 +7,7 @@ package core
 // hook is nil-guarded: an uninstrumented node pays one branch.
 
 import (
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -45,7 +46,7 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 		Reason:   reason,
 		Allowed:  d.Allowed,
 		Attempts: c.attempts,
-		Queried:  c.queried,
+		Queried:  bits.OnesCount64(c.asked),
 		Denials:  c.denials,
 		Backoffs: c.backoffs,
 		Frozen:   c.frozen,
@@ -53,6 +54,7 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 	a := v.apps[c.key.app]
 	if a != nil {
 		rec.Quorum = a.policy.CheckQuorum
+		rec.Set = uint8(len(a.managers)) // at most maxManagers
 	}
 	if reason == audit.ReasonQuorumAllow { // only from onResponse, which found the app
 		rec.Confirmations = len(c.grantedBy)

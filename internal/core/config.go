@@ -97,10 +97,16 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
+// maxManagers bounds |Managers(A)| on a host: a round tracks which managers
+// it has asked and heard from as one bit each of a uint64.
+const maxManagers = 64
+
 func (p Policy) validate(m int) error {
 	switch {
 	case m < 1:
 		return fmt.Errorf("%w: no managers configured", ErrConfig)
+	case m > maxManagers:
+		return fmt.Errorf("%w: %d managers, at most %d", ErrConfig, m, maxManagers)
 	case p.CheckQuorum < 1 || p.CheckQuorum > m:
 		return fmt.Errorf("%w: check quorum %d outside [1,%d]", ErrConfig, p.CheckQuorum, m)
 	case p.Te < 0:

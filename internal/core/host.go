@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
+	"math/bits"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -128,9 +129,10 @@ type hostApp struct {
 	app         Application
 
 	managers []wire.NodeID
-	// managerSet mirrors managers for O(1) membership checks on the
-	// response hot path (rebuilt whenever the manager set changes).
-	managerSet     map[wire.NodeID]bool
+	// index is each manager's position in managers (rebuilt whenever the
+	// set changes): membership on the response path, the bit a manager's
+	// answer sets in its round, and the mask setName memoises by.
+	index          map[wire.NodeID]int
 	managersExpire time.Time // zero: static set, never expires
 	// rr rotates the starting manager of first-round queries so load
 	// spreads across Managers(A).
@@ -164,11 +166,14 @@ type check struct {
 	// by managers, joining host and manager spans (internal/telemetry).
 	trace uint64
 	// born is when the check was created, for decision-latency histograms.
-	born      time.Time
-	attempts  int
-	queried   int // managers queried in the current round
-	grantedBy map[wire.NodeID]struct{}
-	denials   int
+	born     time.Time
+	attempts int
+	// asked and answered are the current round's managers, by position in
+	// hostApp.managers: each is sent the round's nonce once and counts once,
+	// whatever it answers and however often the network delivers it.
+	asked, answered uint64
+	grantedBy       map[wire.NodeID]struct{}
+	denials         int // distinct managers that denied in the current round
 	// backoffs counts busy/backoff deferrals over the check's lifetime
 	// (audit evidence; deferrals do not consume R attempts).
 	backoffs  int
@@ -245,12 +250,13 @@ func (h *Host) RegisterApp(app wire.AppID, cfg HostAppConfig) error {
 	return err
 }
 
-// setManagers installs the manager list and rebuilds the membership set.
+// setManagers installs the manager list (at most maxManagers, which callers
+// check) and rebuilds the position index.
 func (a *hostApp) setManagers(managers []wire.NodeID) {
 	a.managers = managers
-	a.managerSet = make(map[wire.NodeID]bool, len(managers))
-	for _, m := range managers {
-		a.managerSet[m] = true
+	a.index = make(map[wire.NodeID]int, len(managers))
+	for i, m := range managers {
+		a.index[m] = i
 	}
 	a.setNames = make(map[uint64]string)
 }
@@ -259,23 +265,21 @@ func (a *hostApp) setManagers(managers []wire.NodeID) {
 // per distinct subset.
 func (a *hostApp) setName(set map[wire.NodeID]struct{}) string {
 	var mask uint64
-	found := 0
-	for i, m := range a.managers {
-		if _, ok := set[m]; ok && i < 64 {
-			mask |= 1 << i
-			found++
+	for m := range set {
+		i, ok := a.index[m]
+		if !ok {
+			return joinNodeSet(set)
 		}
-	}
-	if found != len(set) {
-		return joinNodeSet(set)
+		mask |= 1 << i
 	}
 	return memo(a.setNames, mask, func() string { return joinNodeSet(set) })
 }
 
-// isManager reports whether id is a current member of Managers(A): a
-// precomputed set lookup, replacing the linear scan that ran once per
-// response on the hot path.
-func (a *hostApp) isManager(id wire.NodeID) bool { return a.managerSet[id] }
+// isManager reports whether id is a current member of Managers(A).
+func (a *hostApp) isManager(id wire.NodeID) bool {
+	_, ok := a.index[id]
+	return ok
+}
 
 // Check asynchronously decides whether user holds right on app, invoking cb
 // exactly once with the outcome. Concurrent checks for the same
@@ -578,11 +582,11 @@ func (h *Host) managersUsable(a *hostApp, now time.Time) bool {
 }
 
 // startRound begins one query round (Figure 2's loop body, generalized to
-// quorum C). The first round queries a rotating window of C managers —
-// checking "involves communication with at least C managers", giving the
-// O(C/Te) overhead and O(C) delay of §4.1 — and later rounds widen to the
-// full manager set. The round succeeds once C distinct grants arrive before
-// the timeout.
+// quorum C) under a fresh nonce. The first round asks a rotating window of C
+// managers — checking "involves communication with at least C managers",
+// giving the O(C/Te) overhead and O(C) delay of §4.1 — and a round that
+// follows a timeout asks the full manager set. onResponse decides the round,
+// and widens a first round in place when its window cannot.
 func (h *Host) startRound(a *hostApp, c *check) {
 	c.nonce = h.nonce.Add(1)
 	if c.trace == 0 {
@@ -594,7 +598,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 	} else {
 		clear(c.grantedBy)
 	}
-	c.denials = 0
+	c.asked, c.answered, c.denials = 0, 0, 0
 	c.sentAt = h.now
 	c.minExpire = 0
 	h.pending[c.nonce] = c
@@ -607,35 +611,47 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		start = a.rr % m
 		a.rr += count
 	}
-	c.queried = count
-
-	// Boxed once for the round's C sends.
-	var q wire.Message = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
-	for i := 0; i < count; i++ {
-		h.env.Send(a.managers[(start+i)%m], q)
-	}
 	h.stats.QueryRounds++
 	if t := h.tel(); t != nil {
 		t.rounds.Inc()
-		if t.spanning() {
-			t.span(telemetry.Span{
-				Trace: c.trace, Node: string(h.id), Kind: "round",
-				Time: c.sentAt, App: string(c.key.app), User: string(c.key.user),
-				Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
-				Note: "managers=" + strconv.Itoa(count),
-			})
-		}
 	}
-	if h.tracing {
-		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, count}, func() string {
-			return "round=" + strconv.Itoa(c.attempts) + " managers=" + strconv.Itoa(count)
-		}))
-	}
+	h.ask(a, c, start, count)
 
 	nonce := c.nonce
 	c.timer = h.env.SetTimer(a.policy.QueryTimeout, func() {
 		h.withLock(func() { h.onQueryTimeout(nonce) })
 	})
+}
+
+// ask sends the round's query to the first count managers, in rotation order
+// from position start, that the round has not asked yet; its span and trace
+// event cite how many the round has then asked in all.
+func (h *Host) ask(a *hostApp, c *check, start, count int) {
+	// Boxed once for the sends.
+	var q wire.Message = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
+	m := len(a.managers)
+	for i := 0; i < m && count > 0; i++ {
+		p := (start + i) % m
+		if c.asked&(1<<p) == 0 {
+			c.asked |= 1 << p
+			h.env.Send(a.managers[p], q)
+			count--
+		}
+	}
+	asked := bits.OnesCount64(c.asked)
+	if t := h.tel(); t.spanning() {
+		t.span(telemetry.Span{
+			Trace: c.trace, Node: string(h.id), Kind: "round",
+			Time: h.now, App: string(c.key.app), User: string(c.key.user),
+			Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
+			Note: "managers=" + strconv.Itoa(asked),
+		})
+	}
+	if h.tracing {
+		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, asked}, func() string {
+			return "round=" + strconv.Itoa(c.attempts) + " managers=" + strconv.Itoa(asked)
+		}))
+	}
 }
 
 func (h *Host) onQueryTimeout(nonce uint64) {
@@ -771,7 +787,8 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	// response from anyone else (a confused host, a spoofed node id) is
 	// discarded. With authentication enabled the transport already binds
 	// sender identities, making this check authoritative.
-	if !a.isManager(from) {
+	i, ok := a.index[from]
+	if !ok {
 		return
 	}
 	if v.tel.spanning() {
@@ -789,43 +806,47 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 			Round: c.attempts, Nonce: m.Nonce, Note: note,
 		})
 	}
+	// A manager counts once per round: a datagram the network duplicated is
+	// one manager's word, not two.
+	if c.answered&(1<<i) != 0 {
+		return
+	}
+	c.answered |= 1 << i
+	total, quorum := len(a.managers), a.policy.CheckQuorum
 	switch {
 	case m.Frozen:
 		c.frozen = true
 	case m.Granted:
-		if _, dup := c.grantedBy[from]; dup {
-			return
-		}
 		c.grantedBy[from] = struct{}{}
 		if c.minExpire == 0 || (m.Expire > 0 && m.Expire < c.minExpire) {
 			c.minExpire = m.Expire
 		}
-		if len(c.grantedBy) >= a.policy.CheckQuorum {
+		if len(c.grantedBy) >= quorum {
 			h.grant(c)
+			return
 		}
 	default:
 		c.denials++
-		// Once C grants are arithmetically impossible in this round, either
-		// widen to the full manager set (a denial from one manager does not
-		// mean the right is revoked everywhere — quorum intersection only
-		// bites when no C managers grant) or, if the full set already
-		// denied, finish.
-		if c.denials > c.queried-a.policy.CheckQuorum {
-			if c.queried < len(a.managers) {
-				if c.timer != nil {
-					c.timer.Stop()
-				}
-				delete(h.pending, c.nonce)
-				h.startRound(a, c)
-				return
-			}
-			// Explicit denial by the managers: drop any cached grant now
-			// rather than waiting out its expiry (matters for refresh-ahead
-			// checks, where a valid entry is still cached).
+		// More than M−C managers deny, so no C of the M can grant, however
+		// many were asked — the arithmetic of §3.3's update quorum. Drop any
+		// cached grant now rather than waiting out its expiry (matters for
+		// refresh-ahead checks, where a valid entry is still cached).
+		if c.denials > total-quorum {
 			h.cache.Remove(c.key.app, c.key.user, c.key.right)
 			h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "revoked")
 			h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonQuorumDeny)
+			return
 		}
+	}
+	// The managers asked so far can no longer decide the round, whatever the
+	// ones still to answer say (a denial from one manager does not mean the
+	// right is revoked everywhere): widen it in place to the managers not yet
+	// asked. Same nonce, same timer, no attempt consumed; sentAt stays the
+	// first send, so sentAt + te is only more conservative for the later
+	// answers (§3.2). With all M asked, the round waits for its timeout.
+	waiting := bits.OnesCount64(c.asked &^ c.answered)
+	if bits.OnesCount64(c.asked) < total && len(c.grantedBy)+waiting < quorum && c.denials+waiting <= total-quorum {
+		h.ask(a, c, 0, total)
 	}
 }
 
@@ -971,15 +992,16 @@ func (h *Host) onResolveResponse(from wire.NodeID, m wire.ResolveResponse) {
 	if from != a.nameService {
 		return
 	}
-	a.resolving = false
 	if a.resolveTimer != nil {
 		a.resolveTimer.Stop()
 	}
-	if len(m.Managers) == 0 {
-		// Name service knows no managers: treat like a resolve timeout.
+	if len(m.Managers) == 0 || len(m.Managers) > maxManagers {
+		// Name service knows no managers (or more than a round can track):
+		// treat like a resolve timeout.
 		h.onResolveTimeout(a, m.App)
 		return
 	}
+	a.resolving = false
 	a.setManagers(append([]wire.NodeID(nil), m.Managers...))
 	if m.TTL > 0 {
 		a.managersExpire = h.now.Add(m.TTL)
@@ -1008,8 +1030,8 @@ func (h *Host) SetManagers(app wire.AppID, managers []wire.NodeID) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown app %s", ErrConfig, app)
 	}
-	if len(managers) < a.policy.CheckQuorum {
-		return fmt.Errorf("%w: %d managers < check quorum %d", ErrConfig, len(managers), a.policy.CheckQuorum)
+	if err := a.policy.validate(len(managers)); err != nil {
+		return fmt.Errorf("app %s: %w", app, err)
 	}
 	a.setManagers(append([]wire.NodeID(nil), managers...))
 	a.managersExpire = time.Time{}

@@ -153,8 +153,8 @@ func (hh *hotHost) answer(t *testing.T, granted bool) {
 }
 
 // TestNoCacheHitAfterFlushReturns: callers hammer a warm key while the test
-// removes the entry — by a manager's RevokeNotice, by Reset, by the full
-// manager set denying a refresh. A hit's linearization point is its cache
+// removes the entry — by a manager's RevokeNotice, by Reset, by M-C+1
+// managers denying a refresh. A hit's linearization point is its cache
 // probe, so once the removing call has returned no check that starts
 // afterwards may report a cache hit; and with every caller done, the four
 // views of "how many decisions" — HostStats, the audit ring, the outcome
@@ -177,8 +177,9 @@ func TestNoCacheHitAfterFlushReturns(t *testing.T) {
 		}},
 		{"reset", policy, func(t *testing.T, hh *hotHost) { hh.h.Reset() }},
 		{"quorum-deny", refreshing, func(t *testing.T, hh *hotHost) {
-			hh.answer(t, false) // C asked, both deny: the round widens to the full set
-			hh.answer(t, false) // the full set denies: entry removed, refresh finishes denied
+			// C=2 of M=3 asked, both deny: no two can grant, so the entry is
+			// removed and the refresh finishes denied in its one round.
+			hh.answer(t, false)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -60,7 +60,7 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 		audit.Record{T: auditT0.Add(time.Second), User: "u0", Reason: audit.ReasonCacheHit,
 			Allowed: true, Granters: 2, Expiry: auditT0.Add(21 * time.Second)},
 		audit.Record{T: auditT0.Add(2 * time.Second), User: "u1", Reason: audit.ReasonQuorumDeny,
-			Queried: 2, Denials: 1},
+			Set: 2, Queried: 2, Denials: 1},
 	)}
 	if v := runAuditOracle(t, events, dumps); len(v) != 0 {
 		t.Fatalf("clean trace flagged: %+v", v)
@@ -165,8 +165,25 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 		{"quorum deny with quorum still reachable",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
-				Queried: 3, Denials: 1},
+				Set: 3, Queried: 3, Denials: 1},
 			"still reachable"},
+		// Every manager asked denied — but 1 of 1 asked, with two of M=3
+		// never heard from that could both grant: judged against M.
+		{"quorum deny judged against M, not against the managers asked",
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+				Set: 3, Queried: 1, Denials: 1},
+			"cites 1 denials of 3 managers (1 queried)"},
+		{"quorum deny citing more denials than managers asked",
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+				Set: 3, Queried: 1, Denials: 2},
+			"cites 2 denials of 3 managers (1 queried)"},
+		{"quorum deny without the manager set's size",
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+				Queried: 2, Denials: 2},
+			"queried 2 of 0 managers"},
 		{"default allow before exhausting R",
 			decisionEvent("h0", 0, trace.EventAccessDefault, "u0", ""),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonDefaultAllow, Allowed: true,

@@ -410,11 +410,13 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e trace.Event) {
 			o.fail(e.Time, "node %s: quorum allow with no query attempts", r.Node)
 		}
 	case audit.ReasonQuorumDeny:
-		if r.Queried < 1 {
-			o.fail(e.Time, "node %s: quorum deny for %s/%s queried no managers", r.Node, r.App, r.User)
-		} else if r.Denials <= r.Queried-o.quorum {
-			o.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d queried — quorum %d was still reachable",
-				r.Node, r.App, r.User, r.Denials, r.Queried, o.quorum)
+		// Judged against M, not against how many were asked: one denial
+		// of one asked proves nothing while C of the rest could grant.
+		if r.Queried < 1 || int(r.Set) < r.Queried {
+			o.fail(e.Time, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
+		} else if r.Denials > r.Queried || r.Denials <= int(r.Set)-o.quorum {
+			o.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
+				r.Node, r.App, r.User, r.Denials, r.Set, r.Queried, o.quorum)
 		}
 	case audit.ReasonDefaultAllow, audit.ReasonUnreachableDeny, audit.ReasonResolveAllow:
 		if o.maxAttempts > 0 && r.Attempts < o.maxAttempts {

@@ -29,7 +29,10 @@ func overloadFlood(name string, protected bool) *Scenario {
 	sc := New(name, "overload experiment").
 		WithTopology(Atlantic3()).
 		WithTe(30 * time.Second).
-		WithLoad(Steady{RPS: 200}). // 100× the catalog's steady baseline of 2
+		// 150× the catalog's steady baseline of 2. It was 100× while a denied
+		// check cost C+M queries over two rounds; at most M in one round
+		// takes a larger flood to drown the unprotected managers as deeply.
+		WithLoad(Steady{RPS: 300}).
 		WithPopulation(Population{Users: 50_000, ZipfS: 1.05, Authorized: 32}).
 		WithAdminChurn(15 * time.Second).
 		WithManagerCapacity(cap).
@@ -44,7 +47,7 @@ func overloadFlood(name string, protected bool) *Scenario {
 }
 
 // TestOverloadProtectionBoundsRevocationLag is the tentpole proof: under a
-// 100× check flood, the protected deployment keeps end-to-end revocation
+// 150× check flood, the protected deployment keeps end-to-end revocation
 // lag (submit → quorum → no host confirming) within the configured bound,
 // while the identical unprotected deployment leaks — its update traffic
 // drowns in the query flood, so revocations converge late or not at all.

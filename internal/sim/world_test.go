@@ -71,11 +71,14 @@ func TestDenyUnknownUser(t *testing.T) {
 	if d.Allowed {
 		t.Fatalf("unknown user allowed: %+v", d)
 	}
-	// Denial must be quick (round 1 denials escalate immediately to the
-	// full set, whose denials finish the check), not after the full
-	// timeout ladder.
-	if d.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (escalate then early deny)", d.Attempts)
+	// Denial must be quick: the first round's C=2 denials are the M-C+1
+	// that make C grants impossible, so the check ends in that round, with
+	// the third manager never asked.
+	if d.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1 (denied by the first round)", d.Attempts)
+	}
+	if q := w.Net.Stats().ByKind["query"]; q != 2 {
+		t.Errorf("queries sent = %d, want 2", q)
 	}
 }
 

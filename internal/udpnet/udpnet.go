@@ -161,10 +161,13 @@ func (n *Node) Send(to wire.NodeID, msg wire.Message) {
 		ctr.Drops.Add(1)
 		return
 	}
-	p := n.group.Ensure(to, n.dialFunc(to))
+	p := n.group.Get(to)
 	if p == nil {
-		ctr.Drops.Add(1) // node closed
-		return
+		// First message to this peer: only now is a DialFunc worth building.
+		if p = n.group.Ensure(to, n.dialFunc(to)); p == nil {
+			ctr.Drops.Add(1) // node closed
+			return
+		}
 	}
 	p.EnqueueMessage(msg)
 }

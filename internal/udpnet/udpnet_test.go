@@ -232,3 +232,30 @@ func TestStaticPeerNotRelearned(t *testing.T) {
 	a.Send("m0", wire.Heartbeat{Nonce: 1})
 	waitFor(t, func() bool { return recReal.count() == 1 })
 }
+
+// TestSendToKnownPeerDoesNotAllocate: a message to a peer the node has
+// already sent to is looked up and queued — no DialFunc is built for a peer
+// that will never dial again. The writer goroutine runs during the
+// measurement too; its steady state is pinned at zero by netcore's
+// TestBatchedSendZeroAllocs. The peer is a socket nobody reads, so
+// no read loop or handler contributes.
+func TestSendToKnownPeerDoesNotAllocate(t *testing.T) {
+	a := listen(t, "a")
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	if err := a.AddPeer("b", sink.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	// Boxed once, as core.Host boxes a round's query.
+	var msg wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
+	for i := 0; i < 2000; i++ { // the peer, its queue and the writer's buffers reach steady capacity
+		a.Send("b", msg)
+	}
+	waitFor(t, func() bool { return a.Stats().QueueDepth == 0 })
+	if allocs := testing.AllocsPerRun(1000, func() { a.Send("b", msg) }); allocs > 0 {
+		t.Errorf("Send to a known peer allocates %.2f objects per message, budget is 0", allocs)
+	}
+}

@@ -62,8 +62,11 @@ echo "== check hot path off the host lock (race, repeated)"
 # a scraper reading throughout. The same lane reruns the two tests that pin
 # the cold path's bookkeeping: the manager's one-record-per-user table
 # against the model of the table it replaced, and the one clock reading per
-# entry into a node.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestCacheHitPairMatchesTwoEmits|TestHostCacheGrantersConcurrentChecks|TestManagerTableAgainstModel|TestOneClockReadingPerEntry' ./internal/core
+# entry into a node. And the check round's rule — every manager counts once,
+# C grants allow, M-C+1 denials deny, an undecided round widens in place —
+# as a table over (M, C) and as a seeded property under reordering, drops
+# and duplicates.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestCacheHitPairMatchesTwoEmits|TestHostCacheGrantersConcurrentChecks|TestManagerTableAgainstModel|TestOneClockReadingPerEntry|TestCheckRoundRule|TestCheckRoundProperty|TestDuplicatedDenialCountsOnce' ./internal/core
 
 echo "== metrics endpoint smoke"
 # Boots a live two-manager/one-host deployment over TCP, drives a check,
