@@ -9,36 +9,35 @@
 //	                                  gallery table (EXPERIMENTS.md "Scenario
 //	                                  gallery")
 //
-// Legacy ad-hoc mode (flag-driven flap/churn workload):
-//
-//	acsim -managers 10 -hosts 20 -c 5 -te 60s -d 1h -flap 0.05
-//	acsim -preset availability        (Figure 4 policy)
-//	acsim -preset security            (deny when managers unreachable)
-//	acsim -preset freeze -ti 30s      (§3.3 freeze strategy)
+// Exit status: 0 clean, 1 when a scenario violated its oracles (or could not
+// run), 2 on a usage error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
-	"strings"
-	"time"
 
-	"wanac/internal/core"
-	"wanac/internal/partition"
 	"wanac/internal/scenario"
-	"wanac/internal/sim"
-	"wanac/internal/simnet"
-	"wanac/internal/stats"
-	"wanac/internal/trace"
-	"wanac/internal/wire"
 )
 
-func main() {
-	args := os.Args[1:]
-	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
-		var err error
+const usage = `usage: acsim list
+       acsim run <name> [-seed N] [-flight]
+       acsim table
+`
+
+// usageError is a command line that names nothing acsim can do.
+type usageError struct{ error }
+
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run executes one command line and returns the exit status, so a test can
+// assert the status and the stderr text without os.Exit.
+func run(args []string, stderr io.Writer) int {
+	var err error = usageError{errors.New("no command")}
+	if len(args) > 0 {
 		switch args[0] {
 		case "list":
 			err = cmdList()
@@ -47,15 +46,18 @@ func main() {
 		case "table":
 			err = cmdTable()
 		default:
-			err = fmt.Errorf("unknown command %q (want list, run, or table)", args[0])
+			err = usageError{fmt.Errorf("unknown command %q", args[0])}
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "acsim:", err)
-			os.Exit(1)
-		}
-		return
 	}
-	legacyMain()
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "acsim:", err)
+	if errors.As(err, &usageError{}) {
+		fmt.Fprint(stderr, usage)
+		return 2
+	}
+	return 1
 }
 
 // cmdList prints the scenario gallery.
@@ -84,22 +86,23 @@ func cmdRun(args []string) error {
 	// flag.Parse stops at the first non-flag argument, so parse, take the
 	// scenario name, then parse the remainder — this accepts flags on
 	// either side of the name, matching the documented usage line.
+	fs.SetOutput(io.Discard) // run reports the error, once
 	if err := fs.Parse(args); err != nil {
-		return err
+		return usageError{err}
 	}
 	name := fs.Arg(0)
 	if name == "" {
-		return fmt.Errorf("usage: acsim run <name> [-seed N] [-flight]")
+		return usageError{errors.New("run: no scenario name")}
 	}
 	if err := fs.Parse(fs.Args()[1:]); err != nil {
-		return err
+		return usageError{err}
 	}
 	if fs.NArg() != 0 {
-		return fmt.Errorf("usage: acsim run <name> [-seed N] [-flight]")
+		return usageError{fmt.Errorf("run: unexpected argument %q", fs.Arg(0))}
 	}
 	sc, err := scenario.Lookup(name)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 	res, err := scenario.Run(sc, *seed)
 	if err != nil {
@@ -132,243 +135,4 @@ func cmdTable() error {
 	}
 	fmt.Print(scenario.Table(cat, results))
 	return nil
-}
-
-func legacyMain() {
-	var (
-		managers    = flag.Int("managers", 5, "number of managers (M)")
-		hosts       = flag.Int("hosts", 10, "number of application hosts")
-		users       = flag.Int("users", 20, "number of authorized users")
-		c           = flag.Int("c", 0, "check quorum C (default M/2)")
-		te          = flag.Duration("te", time.Minute, "revocation bound Te")
-		ti          = flag.Duration("ti", 0, "freeze inaccessibility period Ti (preset freeze)")
-		duration    = flag.Duration("d", time.Hour, "simulated duration")
-		accessEvery = flag.Duration("access", 2*time.Second, "mean time between user accesses")
-		adminEvery  = flag.Duration("admin", 5*time.Minute, "mean time between grant/revoke operations")
-		flap        = flag.Float64("flap", 0.02, "per-tick probability a link goes down")
-		flapFor     = flag.Duration("flapfor", 20*time.Second, "mean link outage duration")
-		preset      = flag.String("preset", "balanced", "policy preset: balanced|security|availability|freeze")
-		seed        = flag.Int64("seed", 1, "random seed")
-		verbose     = flag.Bool("v", false, "print revocation latency histogram")
-	)
-	flag.Parse()
-	if err := run(params{
-		managers: *managers, hosts: *hosts, users: *users, c: *c,
-		te: *te, ti: *ti, duration: *duration,
-		accessEvery: *accessEvery, adminEvery: *adminEvery,
-		flap: *flap, flapFor: *flapFor, preset: *preset, seed: *seed,
-		verbose: *verbose,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "acsim:", err)
-		os.Exit(1)
-	}
-}
-
-type params struct {
-	managers, hosts, users, c int
-	te, ti                    time.Duration
-	duration                  time.Duration
-	accessEvery, adminEvery   time.Duration
-	flap                      float64
-	flapFor                   time.Duration
-	preset                    string
-	seed                      int64
-	verbose                   bool
-}
-
-func run(p params) error {
-	if p.c == 0 {
-		p.c = p.managers / 2
-		if p.c < 1 {
-			p.c = 1
-		}
-	}
-	var policy core.Policy
-	freezeTi := time.Duration(0)
-	switch p.preset {
-	case "balanced":
-		policy = core.Balanced(p.managers, p.te)
-		policy.CheckQuorum = p.c
-	case "security":
-		policy = core.SecurityFirst(p.c, p.te)
-	case "availability":
-		policy = core.AvailabilityFirst(3, p.te)
-	case "freeze":
-		policy = core.SecurityFirst(p.c, p.te)
-		freezeTi = p.ti
-		if freezeTi == 0 {
-			freezeTi = p.te / 4
-		}
-	default:
-		return fmt.Errorf("unknown preset %q", p.preset)
-	}
-	policy.QueryTimeout = 2 * time.Second
-
-	userIDs := make([]wire.UserID, p.users)
-	for i := range userIDs {
-		userIDs[i] = wire.UserID(fmt.Sprintf("user%d", i))
-	}
-
-	w, err := sim.Build(sim.Config{
-		App:      "app",
-		Managers: p.managers,
-		Hosts:    p.hosts,
-		Policy:   policy,
-		Te:       p.te,
-		FreezeTi: freezeTi,
-		Users:    userIDs,
-		Net: simnet.Config{
-			Latency:    simnet.Exponential{Base: 20 * time.Millisecond, Mean: 30 * time.Millisecond, Cap: time.Second},
-			Loss:       0.01,
-			Seed:       p.seed,
-			CountBytes: true,
-		},
-	})
-	if err != nil {
-		return err
-	}
-	rng := rand.New(rand.NewSource(p.seed + 17))
-
-	var (
-		allowed, denied, defaulted int
-		revokeLatencies            []time.Duration
-		checkLatencies             []time.Duration
-	)
-
-	// Steady user access load: each tick a random user hits a random host.
-	var accessTick func()
-	accessTick = func() {
-		host := rng.Intn(p.hosts)
-		user := userIDs[rng.Intn(len(userIDs))]
-		start := w.Sched.Now()
-		w.Hosts[host].Check("app", user, wire.RightUse, func(d core.Decision) {
-			checkLatencies = append(checkLatencies, w.Sched.Now().Sub(start))
-			switch {
-			case d.DefaultAllowed:
-				defaulted++
-			case d.Allowed:
-				allowed++
-			default:
-				denied++
-			}
-		})
-		w.Sched.After(jitter(rng, p.accessEvery), accessTick)
-	}
-	w.Sched.After(jitter(rng, p.accessEvery), accessTick)
-
-	// Periodic admin churn: revoke a user, measure how long any host keeps
-	// granting, then re-grant.
-	var adminTick func()
-	adminTick = func() {
-		user := userIDs[rng.Intn(len(userIDs))]
-		mgr := rng.Intn(p.managers)
-		issuedAt := w.Sched.Now()
-		w.Managers[mgr].Submit(wire.AdminOp{
-			Op: wire.OpRevoke, App: "app", User: user, Right: wire.RightUse, Issuer: "admin",
-		}, func(r wire.AdminReply) {
-			if !r.QuorumReached {
-				return
-			}
-			// Probe: how long until every host denies this user?
-			var probe func()
-			probe = func() {
-				anyAllowed := false
-				pendingProbes := p.hosts
-				for i := 0; i < p.hosts; i++ {
-					w.Hosts[i].Check("app", user, wire.RightUse, func(d core.Decision) {
-						if d.Allowed {
-							anyAllowed = true
-						}
-						pendingProbes--
-						if pendingProbes == 0 {
-							if anyAllowed {
-								w.Sched.After(time.Second, probe)
-								return
-							}
-							revokeLatencies = append(revokeLatencies, w.Sched.Now().Sub(issuedAt))
-							// Re-grant so the workload keeps its user pool.
-							w.Managers[mgr].Submit(wire.AdminOp{
-								Op: wire.OpAdd, App: "app", User: user, Right: wire.RightUse, Issuer: "admin",
-							}, nil)
-						}
-					})
-				}
-			}
-			probe()
-		})
-		w.Sched.After(jitter(rng, p.adminEvery), adminTick)
-	}
-	w.Sched.After(jitter(rng, p.adminEvery), adminTick)
-
-	// Congestion model (§2.1): every 5s each host-manager link flaps down
-	// with probability flap for an exponentially distributed outage;
-	// manager-manager links flap at a tenth of the rate.
-	hostIDs := make([]wire.NodeID, p.hosts)
-	for i := range hostIDs {
-		hostIDs[i] = sim.HostID(i)
-	}
-	mgrIDs := make([]wire.NodeID, p.managers)
-	for i := range mgrIDs {
-		mgrIDs[i] = sim.ManagerID(i)
-	}
-	(&partition.FlapModel{
-		Links:      partition.Links(hostIDs, mgrIDs),
-		Tick:       5 * time.Second,
-		DownProb:   p.flap,
-		MeanOutage: p.flapFor,
-		Seed:       p.seed + 31,
-	}).Start(w.Net)
-	(&partition.FlapModel{
-		Links:      partition.Mesh(mgrIDs),
-		Tick:       5 * time.Second,
-		DownProb:   p.flap / 10,
-		MeanOutage: p.flapFor,
-		Seed:       p.seed + 37,
-	}).Start(w.Net)
-
-	w.RunFor(p.duration)
-
-	total := allowed + denied + defaulted
-	if total == 0 {
-		return fmt.Errorf("no accesses completed; increase -d")
-	}
-	st := w.Net.Stats()
-	fmt.Printf("scenario: M=%d C=%d hosts=%d users=%d Te=%v preset=%s simulated=%v\n",
-		p.managers, p.c, p.hosts, p.users, p.te, p.preset, p.duration)
-	fmt.Printf("accesses: %d allowed (%.2f%%), %d default-allowed, %d denied\n",
-		allowed, 100*float64(allowed)/float64(total), defaulted, denied)
-	fmt.Printf("messages: %s\n", st)
-	fmt.Printf("          per kind: query=%d response=%d update=%d revoke-notice=%d heartbeat=%d\n",
-		st.ByKind["query"], st.ByKind["response"], st.ByKind["update"],
-		st.ByKind["revoke-notice"], st.ByKind["heartbeat"])
-	fmt.Printf("          bytes sent: %d total (query=%d response=%d update=%d)\n",
-		st.BytesSent, st.BytesByKind["query"], st.BytesByKind["response"], st.BytesByKind["update"])
-	fmt.Printf("cache:    hits=%d misses(expired)=%d\n",
-		w.Tracer.Count(trace.EventCacheHit), w.Tracer.Count(trace.EventCacheExpired))
-	if len(checkLatencies) > 0 {
-		cl := stats.SummarizeDurations(checkLatencies)
-		fmt.Printf("check latency: p50=%.0fms p95=%.0fms p99=%.0fms max=%.0fms\n",
-			cl.P50*1000, cl.P95*1000, cl.P99*1000, cl.Max*1000)
-	}
-	if len(revokeLatencies) > 0 {
-		sum := stats.SummarizeDurations(revokeLatencies)
-		fmt.Printf("revocation latency (n=%d): mean=%.1fs p95=%.1fs max=%.1fs (bound Te=%v)\n",
-			sum.N, sum.Mean, sum.P95, sum.Max, p.te)
-		if p.verbose {
-			h := stats.NewHistogram(0, p.te.Seconds()*1.5, 15)
-			for _, d := range revokeLatencies {
-				h.Add(d.Seconds())
-			}
-			fmt.Println(h)
-		}
-	}
-	if frozen := w.Tracer.Count(trace.EventFrozen); frozen > 0 {
-		fmt.Printf("freeze:   %d freeze events, %d unfreeze events\n",
-			frozen, w.Tracer.Count(trace.EventUnfrozen))
-	}
-	return nil
-}
-
-func jitter(rng *rand.Rand, mean time.Duration) time.Duration {
-	return time.Duration((0.5 + rng.Float64()) * float64(mean))
 }

@@ -1,65 +1,25 @@
 package main
 
 import (
+	"bytes"
 	"errors"
-	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"wanac/internal/clitest"
 	"wanac/internal/flight"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// capture runs fn with os.Stdout redirected and returns what it wrote plus
-// fn's error (golden transcripts of failing scenarios need both).
-func capture(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	fnErr := fn()
-	w.Close()
-	os.Stdout = old
-	return <-done, fnErr
-}
-
-func checkGolden(t *testing.T, name, out string) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with go test ./cmd/acsim -update)", err)
-	}
-	if out != string(want) {
-		t.Errorf("output diverged from %s.\n--- got ---\n%s--- want ---\n%s", name, out, want)
-	}
-}
 
 // TestListGolden pins the full `acsim list` gallery: scenario names,
 // summaries, and shapes are part of the operator contract.
 func TestListGolden(t *testing.T) {
-	out, err := capture(t, cmdList)
+	out, err := clitest.Capture(t, cmdList)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, "list.golden", out)
+	clitest.CheckGolden(t, "list.golden", out)
 }
 
 // TestRunGolden pins full `acsim run` transcripts of the four scenarios the
@@ -70,13 +30,13 @@ func TestListGolden(t *testing.T) {
 func TestRunGolden(t *testing.T) {
 	for _, name := range []string{"steady-baseline", "zipf-flood", "overload-100x", "revoke-under-partition"} {
 		t.Run(name, func(t *testing.T) {
-			out, err := capture(t, func() error {
+			out, err := clitest.Capture(t, func() error {
 				return cmdRun([]string{name})
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkGolden(t, "run_"+strings.ReplaceAll(name, "-", "_")+".golden", out)
+			clitest.CheckGolden(t, "run_"+strings.ReplaceAll(name, "-", "_")+".golden", out)
 		})
 	}
 }
@@ -88,7 +48,7 @@ func TestRunGolden(t *testing.T) {
 func TestRunBrokenWritesFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("WANAC_ARTIFACTS", dir)
-	out, err := capture(t, func() error {
+	out, err := clitest.Capture(t, func() error {
 		return cmdRun([]string{"-flight", "stale-allow-demo"})
 	})
 	if !errors.Is(err, errViolations) {
@@ -117,9 +77,54 @@ func TestRunBrokenWritesFlightDump(t *testing.T) {
 
 // TestRunUnknownScenario pins the CLI error path.
 func TestRunUnknownScenario(t *testing.T) {
-	if _, err := capture(t, func() error {
+	if _, err := clitest.Capture(t, func() error {
 		return cmdRun([]string{"no-such-scenario"})
 	}); err == nil {
 		t.Fatal("unknown scenario should error")
+	}
+}
+
+// TestExitStatus pins what a CI job branches on: a command line acsim cannot
+// act on exits 2 with the usage on stderr, a scenario that violated its
+// oracles exits 1 without it, and nothing but a subcommand simulates.
+func TestExitStatus(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		args   []string
+		status int
+		stderr string // fragment the error line must carry
+	}{
+		{"no arguments", nil, 2, "no command"},
+		{"leading flag", []string{"-managers", "10", "-d", "1h"}, 2, `unknown command "-managers"`},
+		{"unknown command", []string{"simulate"}, 2, `unknown command "simulate"`},
+		{"run without a name", []string{"run", "-seed", "3"}, 2, "no scenario name"},
+		{"run unknown scenario", []string{"run", "no-such-scenario"}, 2, `unknown scenario "no-such-scenario"`},
+		{"run unknown flag", []string{"run", "steady-baseline", "-preset", "freeze"}, 2, "-preset"},
+		{"oracle violations", []string{"run", "stale-allow-demo"}, 1, errViolations.Error()},
+		{"clean", []string{"list"}, 0, ""},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var stderr bytes.Buffer
+			status := 0
+			stdout, _ := clitest.Capture(t, func() error {
+				status = run(c.args, &stderr)
+				return nil
+			})
+			if status != c.status {
+				t.Errorf("exit status %d, want %d\nstderr: %s", status, c.status, &stderr)
+			}
+			if c.stderr == "" && stderr.Len() != 0 {
+				t.Errorf("clean run wrote to stderr: %q", &stderr)
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr %q, want it to carry %q", &stderr, c.stderr)
+			}
+			if got, want := strings.HasSuffix(stderr.String(), usage), c.status == 2; got != want {
+				t.Errorf("usage text printed = %v at exit status %d, want %v", got, c.status, want)
+			}
+			if c.status == 2 && stdout != "" {
+				t.Errorf("usage error wrote to stdout: %q", stdout)
+			}
+		})
 	}
 }

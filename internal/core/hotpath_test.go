@@ -304,7 +304,7 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 	// Telemetry was attached for part of the load: whatever share of the
 	// hits it counted, every metric derived from that count reports it.
 	counted := hostCounter(hh.reg, "wanac_host_checks_total", "cache_hit")
-	lat := hh.tel.CheckLatency("cache_hit").Snapshot()
+	lat := hh.tel.latency[outcomeCacheHit].Snapshot()
 	if reasons := ReasonCounts(hh.reg)[audit.ReasonCacheHit]; counted == 0 || counted > st.CacheHits ||
 		reasons != counted || lat.Count != counted || lat.Counts[0] != counted || lat.Sum != 0 {
 		t.Errorf("of %d hits: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
@@ -325,8 +325,8 @@ func TestCacheHitCountersDerived(t *testing.T) {
 	hosts := []*hotHost{newHotHostOn(t, "h0", reg, policy), newHotHostOn(t, "h1", reg, policy)}
 	outcomes := reg.CounterVec("wanac_host_checks_total", "", "outcome")
 	hitCounter := outcomes.With("cache_hit")
-	latency := func(outcome string) telemetry.HistogramSnapshot {
-		return hosts[1].tel.CheckLatency(outcome).Snapshot() // one family: any host's handle reads it
+	latency := func(outcome int) telemetry.HistogramSnapshot {
+		return hosts[1].tel.latency[outcome].Snapshot() // one family: any host's handle reads it
 	}
 
 	// load runs callers on both hosts — each makes hitsEach hits and, after
@@ -375,7 +375,7 @@ func TestCacheHitCountersDerived(t *testing.T) {
 				t.Errorf("checks{cache_hit} went from %d to %d", last, n)
 			}
 			last = n
-			latency("cache_hit")
+			latency(outcomeCacheHit)
 			if err := reg.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 			}
@@ -397,7 +397,7 @@ func TestCacheHitCountersDerived(t *testing.T) {
 			t.Errorf("%s: Stats() report %d hits of %d made, %d checks against %d audit decisions", phase, stHits, allHits, stChecks, audited)
 		}
 		reasons := ReasonCounts(reg)
-		lat := latency("cache_hit")
+		lat := latency(outcomeCacheHit)
 		if hitCounter.Value() != wantHits || reasons[audit.ReasonCacheHit] != wantHits ||
 			lat.Count != wantHits || lat.Counts[0] != wantHits || lat.Sum != 0 {
 			t.Errorf("%s: want %d hits counted: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
@@ -411,7 +411,7 @@ func TestCacheHitCountersDerived(t *testing.T) {
 		// fleet rollup).
 		wantAll := wantHits + wantDenied + uint64(len(hosts))
 		merged := lat
-		for _, o := range outcomeNames[1:] {
+		for o := outcomeCacheHit + 1; o < outcomeCount; o++ {
 			var err error
 			if merged, err = telemetry.MergeHistograms(merged, latency(o)); err != nil {
 				t.Fatal(err)

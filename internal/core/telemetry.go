@@ -128,18 +128,6 @@ func ReasonCounts(reg *telemetry.Registry) map[audit.Reason]uint64 {
 	return out
 }
 
-// CheckLatency returns the check-latency histogram for an outcome
-// ("cache_hit", "allowed", "default_allowed", "denied"); nil for an
-// unknown outcome. Benchmarks use it to fold summaries into BENCH.json.
-func (t *HostTelemetry) CheckLatency(outcome string) *telemetry.Histogram {
-	for i, name := range outcomeNames {
-		if name == outcome {
-			return t.latency[i]
-		}
-	}
-	return nil
-}
-
 // SetTelemetry installs (or, with nil, removes) the host's telemetry
 // sink. Safe to call at any time; checks in flight keep the trace IDs
 // they were assigned.
@@ -223,9 +211,6 @@ func NewManagerTelemetry(reg *telemetry.Registry, spans telemetry.SpanRecorder) 
 		"Adaptive-Te controller intervals that widened the effective revocation bound.")
 	return t
 }
-
-// QuorumLatency returns the update-quorum latency histogram.
-func (t *ManagerTelemetry) QuorumLatency() *telemetry.Histogram { return t.quorumLatency }
 
 // SetTelemetry installs (or, with nil, removes) the manager's telemetry
 // sink.

@@ -102,21 +102,21 @@ func TestHostTelemetryExactness(t *testing.T) {
 	// Latency histograms: one observation per completed check, and the
 	// default allow took exactly two query timeouts of virtual time.
 	for _, c := range []struct {
-		outcome string
+		outcome int
 		count   uint64
 		sum     float64
 	}{
-		{"allowed", 1, 0},   // granted within the same instant (no advance)
-		{"cache_hit", 1, 0}, //
-		{"default_allowed", 1, 2.0},
-		{"denied", 1, 0},
+		{outcomeAllowed, 1, 0},  // granted within the same instant (no advance)
+		{outcomeCacheHit, 1, 0}, //
+		{outcomeDefault, 1, 2.0},
+		{outcomeDenied, 1, 0},
 	} {
-		s := tel.CheckLatency(c.outcome).Snapshot()
+		s := tel.latency[c.outcome].Snapshot()
 		if s.Count != c.count {
-			t.Errorf("latency[%s].Count = %d, want %d", c.outcome, s.Count, c.count)
+			t.Errorf("latency[%s].Count = %d, want %d", outcomeNames[c.outcome], s.Count, c.count)
 		}
 		if s.Sum != c.sum {
-			t.Errorf("latency[%s].Sum = %v, want %v", c.outcome, s.Sum, c.sum)
+			t.Errorf("latency[%s].Sum = %v, want %v", outcomeNames[c.outcome], s.Sum, c.sum)
 		}
 	}
 
@@ -126,7 +126,7 @@ func TestHostTelemetryExactness(t *testing.T) {
 	if got := ReasonCounts(reg)[audit.ReasonCacheHit]; got != st.CacheHits {
 		t.Errorf("wanac_host_check_reasons_total{cache_hit} = %d, want %d", got, st.CacheHits)
 	}
-	if s := tel.CheckLatency("cache_hit").Snapshot(); s.Counts[0] != 1 {
+	if s := tel.latency[outcomeCacheHit].Snapshot(); s.Counts[0] != 1 {
 		t.Errorf("latency[cache_hit] buckets = %v, want the hit in the first", s.Counts)
 	}
 	var text bytes.Buffer
@@ -296,7 +296,7 @@ func TestManagerTelemetryExactness(t *testing.T) {
 	}
 
 	// Quorum latency: exactly one observation of 0.5s virtual time.
-	if s := tel.QuorumLatency().Snapshot(); s.Count != 1 || s.Sum != 0.5 {
+	if s := tel.quorumLatency.Snapshot(); s.Count != 1 || s.Sum != 0.5 {
 		t.Errorf("quorum latency count=%d sum=%v, want 1, 0.5", s.Count, s.Sum)
 	}
 	// Revocation propagation: the notice is created when the revoke is

@@ -33,7 +33,7 @@ const (
 	KindTransport
 	// KindNet: a network injection — link cut/restore, partition, heal,
 	// crash, recover, clock-rate — observed on the simulated network, or a
-	// scripted annotation from internal/partition.
+	// scenario's fault-window annotation (internal/scenario).
 	KindNet
 	// KindQuorum: a quorum decision (update-quorum on a manager, quorum
 	// grant on a host).

@@ -1,100 +1,17 @@
-// Package partition injects the failure environment of §2.1 into a
-// simulated network: frequent short network partitions caused by
-// congestion, rarer long partitions, and rare host crashes with recoveries
-// (MTTF "on the order of several weeks"). Scenarios can be scripted
-// (deterministic event lists) or stochastic (flap and crash models driven
-// by a seeded RNG), and both compose.
+// Package partition injects the congestion of §2.1 into a simulated
+// network: frequent short partitions, link by link, from a seeded RNG.
+// (Scripted fault windows are internal/scenario's.)
 package partition
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strings"
 	"time"
 
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
 )
 
-// Event is one scripted change to the network at a given offset from the
-// scenario start.
-type Event struct {
-	At time.Duration
-	Do func(net *simnet.Network)
-	// Desc names the scripted intent ("split {m0} | {m1 m2}"); Apply
-	// forwards it to the network observer so flight-recorder timelines show
-	// what the script meant, not just the per-link effects.
-	Desc string
-}
-
-// Script is a deterministic scenario: a list of timed events.
-type Script []Event
-
-// Cut returns an event severing the link between two nodes.
-func Cut(at time.Duration, a, b wire.NodeID) Event {
-	return Event{At: at, Do: func(n *simnet.Network) { n.SetLink(a, b, false) },
-		Desc: fmt.Sprintf("cut %s-%s", a, b)}
-}
-
-// Restore returns an event restoring the link between two nodes.
-func Restore(at time.Duration, a, b wire.NodeID) Event {
-	return Event{At: at, Do: func(n *simnet.Network) { n.SetLink(a, b, true) },
-		Desc: fmt.Sprintf("restore %s-%s", a, b)}
-}
-
-// Split returns an event partitioning the node set into groups.
-func Split(at time.Duration, groups ...[]wire.NodeID) Event {
-	parts := make([]string, len(groups))
-	for i, g := range groups {
-		ids := make([]string, len(g))
-		for j, id := range g {
-			ids[j] = string(id)
-		}
-		parts[i] = "{" + strings.Join(ids, " ") + "}"
-	}
-	return Event{At: at, Do: func(n *simnet.Network) { n.Partition(groups...) },
-		Desc: "split " + strings.Join(parts, " | ")}
-}
-
-// Heal returns an event restoring every link.
-func Heal(at time.Duration) Event {
-	return Event{At: at, Do: func(n *simnet.Network) { n.Heal() }, Desc: "heal"}
-}
-
-// Crash returns an event crashing a node.
-func Crash(at time.Duration, id wire.NodeID) Event {
-	return Event{At: at, Do: func(n *simnet.Network) { n.Crash(id) },
-		Desc: fmt.Sprintf("crash %s", id)}
-}
-
-// Recover returns an event recovering a crashed node. Protocol-level
-// recovery (cache reset, manager sync) is the node's own job; hook it with
-// an extra custom Event.
-func Recover(at time.Duration, id wire.NodeID) Event {
-	return Event{At: at, Do: func(n *simnet.Network) { n.Recover(id) },
-		Desc: fmt.Sprintf("recover %s", id)}
-}
-
-// Apply schedules the script's events on the network's scheduler, relative
-// to the current virtual time. Events fire in At order regardless of their
-// order in the slice.
-func (s Script) Apply(net *simnet.Network) {
-	sorted := make(Script, len(s))
-	copy(sorted, s)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	for _, e := range sorted {
-		e := e
-		net.Scheduler().After(e.At, func() {
-			if e.Desc != "" {
-				net.Annotate(e.Desc)
-			}
-			e.Do(net)
-		})
-	}
-}
-
-// Link names one undirected pair for the stochastic models.
+// Link names one undirected pair for the flap model.
 type Link struct {
 	A, B wire.NodeID
 }
@@ -182,72 +99,5 @@ func (f *FlapModel) schedule() {
 			f.net.Scheduler().After(outage, func() { f.net.SetLink(l.A, l.B, true) })
 		}
 		f.schedule()
-	})
-}
-
-// CrashModel injects rare host failures: each node crashes after an
-// exponentially distributed lifetime with the given MTTF and recovers after
-// an exponentially distributed repair time (§2.1: individual host failures
-// are "relatively rare ... MTTF ... on the order of several weeks").
-type CrashModel struct {
-	Nodes []wire.NodeID
-	MTTF  time.Duration
-	MTTR  time.Duration
-	Seed  int64
-	// OnCrash/OnRecover let the harness reset protocol state (empty the
-	// host's ACL cache, trigger manager sync) alongside the network-level
-	// crash flag.
-	OnCrash   func(id wire.NodeID)
-	OnRecover func(id wire.NodeID)
-
-	rng     *rand.Rand
-	net     *simnet.Network
-	stopped bool
-}
-
-// Start begins the crash/recovery process for every node.
-func (c *CrashModel) Start(net *simnet.Network) *CrashModel {
-	if c.MTTF <= 0 {
-		c.MTTF = 14 * 24 * time.Hour
-	}
-	if c.MTTR <= 0 {
-		c.MTTR = time.Hour
-	}
-	seed := c.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	c.rng = rand.New(rand.NewSource(seed))
-	c.net = net
-	for _, id := range c.Nodes {
-		c.scheduleCrash(id)
-	}
-	return c
-}
-
-// Stop halts future crash/recovery events.
-func (c *CrashModel) Stop() { c.stopped = true }
-
-func (c *CrashModel) scheduleCrash(id wire.NodeID) {
-	wait := time.Duration(c.rng.ExpFloat64() * float64(c.MTTF))
-	c.net.Scheduler().After(wait, func() {
-		if c.stopped {
-			return
-		}
-		c.net.Crash(id)
-		if c.OnCrash != nil {
-			c.OnCrash(id)
-		}
-		repair := time.Duration(c.rng.ExpFloat64() * float64(c.MTTR))
-		c.net.Scheduler().After(repair, func() {
-			if c.stopped {
-				return
-			}
-			c.net.Recover(id)
-			if c.OnRecover != nil {
-				c.OnRecover(id)
-			}
-			c.scheduleCrash(id)
-		})
 	})
 }

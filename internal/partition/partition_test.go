@@ -17,63 +17,6 @@ func newNet() (*simnet.Network, *simnet.Scheduler) {
 	return n, s
 }
 
-func TestScriptOrdering(t *testing.T) {
-	net, sched := newNet()
-	// Events deliberately out of order in the slice.
-	Script{
-		Heal(30 * time.Second),
-		Cut(10*time.Second, "a", "b"),
-		Restore(20*time.Second, "a", "b"),
-	}.Apply(net)
-
-	if !net.Linked("a", "b") {
-		t.Fatal("link down before scenario start")
-	}
-	sched.RunFor(15 * time.Second)
-	if net.Linked("a", "b") {
-		t.Fatal("cut did not apply at t=10s")
-	}
-	sched.RunFor(10 * time.Second)
-	if !net.Linked("a", "b") {
-		t.Fatal("restore did not apply at t=20s")
-	}
-}
-
-func TestScriptSplitAndHeal(t *testing.T) {
-	net, sched := newNet()
-	Script{
-		Split(time.Second, []wire.NodeID{"a", "b"}, []wire.NodeID{"c", "d"}),
-		Heal(10 * time.Second),
-	}.Apply(net)
-	sched.RunFor(2 * time.Second)
-	if net.Linked("a", "c") || net.Linked("b", "d") {
-		t.Fatal("split incomplete")
-	}
-	if !net.Linked("a", "b") || !net.Linked("c", "d") {
-		t.Fatal("intra-group links cut")
-	}
-	sched.RunFor(10 * time.Second)
-	if !net.Linked("a", "c") {
-		t.Fatal("heal did not apply")
-	}
-}
-
-func TestScriptCrashRecover(t *testing.T) {
-	net, sched := newNet()
-	Script{
-		Crash(time.Second, "a"),
-		Recover(5*time.Second, "a"),
-	}.Apply(net)
-	sched.RunFor(2 * time.Second)
-	if !net.Crashed("a") {
-		t.Fatal("crash did not apply")
-	}
-	sched.RunFor(5 * time.Second)
-	if net.Crashed("a") {
-		t.Fatal("recover did not apply")
-	}
-}
-
 func TestLinksAndMesh(t *testing.T) {
 	ls := Links([]wire.NodeID{"a", "b"}, []wire.NodeID{"x", "y", "z"})
 	if len(ls) != 6 {
@@ -147,52 +90,10 @@ func TestFlapModelUntil(t *testing.T) {
 	}
 }
 
-func TestCrashModelCycles(t *testing.T) {
-	net, sched := newNet()
-	crashes, recoveries := 0, 0
-	(&CrashModel{
-		Nodes:     []wire.NodeID{"a", "b"},
-		MTTF:      time.Minute,
-		MTTR:      10 * time.Second,
-		Seed:      7,
-		OnCrash:   func(wire.NodeID) { crashes++ },
-		OnRecover: func(wire.NodeID) { recoveries++ },
-	}).Start(net)
-
-	sched.RunFor(30 * time.Minute)
-	if crashes < 5 {
-		t.Errorf("crashes = %d in 30min at MTTF=1m, want several", crashes)
-	}
-	if recoveries < crashes-2 {
-		t.Errorf("recoveries = %d lagging crashes = %d", recoveries, crashes)
-	}
-}
-
-func TestCrashModelStop(t *testing.T) {
-	net, sched := newNet()
-	c := (&CrashModel{
-		Nodes: []wire.NodeID{"a"},
-		MTTF:  time.Second,
-		MTTR:  time.Second,
-		Seed:  9,
-	}).Start(net)
-	sched.RunFor(10 * time.Second)
-	c.Stop()
-	sched.RunFor(time.Minute)
-	// Drain: after stop the schedule quiesces.
-	if pending := sched.Pending(); pending > 1 {
-		t.Errorf("pending events after stop = %d", pending)
-	}
-}
-
 func TestModelDefaults(t *testing.T) {
 	net, _ := newNet()
 	f := (&FlapModel{Links: Links([]wire.NodeID{"a"}, []wire.NodeID{"b"})}).Start(net)
 	if f.Tick != 5*time.Second || f.MeanOutage != 20*time.Second {
 		t.Errorf("flap defaults = %v/%v", f.Tick, f.MeanOutage)
-	}
-	c := (&CrashModel{Nodes: []wire.NodeID{"a"}}).Start(net)
-	if c.MTTF != 14*24*time.Hour || c.MTTR != time.Hour {
-		t.Errorf("crash defaults = %v/%v", c.MTTF, c.MTTR)
 	}
 }

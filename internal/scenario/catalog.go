@@ -9,7 +9,7 @@ import (
 )
 
 // Catalog returns the named scenario gallery, in listing order. Every entry
-// is deterministic from its seed and attaches all four harness oracles;
+// is deterministic from its seed and attaches all five harness oracles;
 // only stale-allow-demo is expected to fail (it ships deliberate protocol
 // bugs to reproduce partition → stale-allow on demand).
 func Catalog() []*Scenario {

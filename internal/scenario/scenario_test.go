@@ -82,8 +82,8 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 }
 
-// TestCIFastScenarios is the CI scenario gate (scripts/ci.sh `scenario`
-// suite): three fast catalog runs that must keep all four oracles clean.
+// TestCIFastScenarios is the CI scenario gate: three fast catalog runs that
+// must keep all five oracles clean under scripts/ci.sh's race pass.
 func TestCIFastScenarios(t *testing.T) {
 	for _, name := range []string{"steady-baseline", "oneway-blackout", "revoke-under-partition"} {
 		name := name
@@ -116,16 +116,19 @@ func TestCIFastScenarios(t *testing.T) {
 }
 
 // TestFullCatalogRuns executes every catalog scenario at its default seed:
-// all four oracles attach and observe traffic, and every scenario runs
-// clean except the deliberately broken one, which must fail.
+// all five oracles attach and observe traffic, and every scenario runs
+// clean except the deliberately broken one, which must fail. The results,
+// rendered by Table, are the table EXPERIMENTS.md publishes.
 func TestFullCatalogRuns(t *testing.T) {
-	for _, sc := range Catalog() {
-		sc := sc
+	cat := Catalog()
+	results := make([]*Result, len(cat))
+	for i, sc := range cat {
 		t.Run(sc.Name, func(t *testing.T) {
 			res, err := Run(sc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
+			results[i] = res
 			if len(res.Oracles) != 5 {
 				t.Fatalf("attached %d oracles, want 5", len(res.Oracles))
 			}
@@ -145,6 +148,22 @@ func TestFullCatalogRuns(t *testing.T) {
 				t.Fatalf("scenario %s violated its oracles", sc.Name)
 			}
 		})
+	}
+	for _, res := range results {
+		if res == nil {
+			return // a -run filter or a failed run left no full table to compare
+		}
+	}
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The published table is the first block of | lines under the heading.
+	_, gallery, _ := strings.Cut(string(doc), "\n## Scenario gallery\n")
+	_, gallery, _ = strings.Cut(gallery, "\n\n|")
+	published, _, _ := strings.Cut("|"+gallery, "\n\n")
+	if got := Table(cat, results); got != published+"\n" {
+		t.Errorf("EXPERIMENTS.md \"Scenario gallery\" is not `acsim table`.\n--- acsim table ---\n%s--- published ---\n%s\n", got, published)
 	}
 }
 
@@ -259,7 +278,7 @@ func TestOneWayFailover(t *testing.T) {
 
 // TestOneWayScenarioOracleRun is the oracle-backed end of the failover
 // satellite: the catalog's oneway-blackout scenario (manager replies
-// severed toward a host region mid-run) must keep all four oracles clean
+// severed toward a host region mid-run) must keep all five oracles clean
 // while still confirming accesses during the blackout.
 func TestOneWayScenarioOracleRun(t *testing.T) {
 	sc, err := Lookup("oneway-blackout")

@@ -1,95 +1,11 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness: summary statistics, binomial-proportion confidence
-// intervals for the Monte Carlo availability/security estimates, and
-// fixed-bucket histograms for latency distributions.
+// Package stats provides the binomial-proportion confidence intervals of
+// the Monte Carlo availability/security estimates.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"time"
 )
-
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	StdDev float64
-	Min    float64
-	Max    float64
-	P50    float64
-	P95    float64
-	P99    float64
-}
-
-// Summarize computes descriptive statistics. An empty sample yields a zero
-// Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	mean := sum / float64(len(sorted))
-	var ss float64
-	for _, x := range sorted {
-		d := x - mean
-		ss += d * d
-	}
-	sd := 0.0
-	if len(sorted) > 1 {
-		sd = math.Sqrt(ss / float64(len(sorted)-1))
-	}
-	return Summary{
-		N:      len(sorted),
-		Mean:   mean,
-		StdDev: sd,
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		P50:    Quantile(sorted, 0.50),
-		P95:    Quantile(sorted, 0.95),
-		P99:    Quantile(sorted, 0.99),
-	}
-}
-
-// Quantile returns the q-quantile (0<=q<=1) of a sorted sample using linear
-// interpolation. It returns 0 for an empty sample.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// SummarizeDurations converts to seconds and summarizes.
-func SummarizeDurations(ds []time.Duration) Summary {
-	xs := make([]float64, len(ds))
-	for i, d := range ds {
-		xs[i] = d.Seconds()
-	}
-	return Summarize(xs)
-}
 
 // Proportion is an estimated probability with its sampling uncertainty.
 type Proportion struct {
@@ -148,68 +64,4 @@ func (p Proportion) Contains(v float64) bool { return v >= p.Lo && v <= p.Hi }
 // String renders "0.9917 [0.9903, 0.9929]".
 func (p Proportion) String() string {
 	return fmt.Sprintf("%.4f [%.4f, %.4f]", p.P, p.Lo, p.Hi)
-}
-
-// Histogram is a fixed-bucket histogram over [Min, Max) with overflow and
-// underflow buckets.
-type Histogram struct {
-	Min, Max  float64
-	Buckets   []int
-	Underflow int
-	Overflow  int
-	count     int
-}
-
-// NewHistogram creates a histogram with n equal buckets spanning [min,max).
-func NewHistogram(min, max float64, n int) *Histogram {
-	if n < 1 {
-		n = 1
-	}
-	if max <= min {
-		max = min + 1
-	}
-	return &Histogram{Min: min, Max: max, Buckets: make([]int, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.count++
-	switch {
-	case x < h.Min:
-		h.Underflow++
-	case x >= h.Max:
-		h.Overflow++
-	default:
-		i := int((x - h.Min) / (h.Max - h.Min) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // guard against FP edge at x just below Max
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int { return h.count }
-
-// String renders an ASCII bar chart, one bucket per line.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	maxCount := 1
-	for _, c := range h.Buckets {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	width := (h.Max - h.Min) / float64(len(h.Buckets))
-	for i, c := range h.Buckets {
-		bar := strings.Repeat("#", c*50/maxCount)
-		fmt.Fprintf(&b, "[%8.3f, %8.3f) %6d %s\n", h.Min+float64(i)*width, h.Min+float64(i+1)*width, c, bar)
-	}
-	if h.Underflow > 0 {
-		fmt.Fprintf(&b, "underflow %d\n", h.Underflow)
-	}
-	if h.Overflow > 0 {
-		fmt.Fprintf(&b, "overflow %d\n", h.Overflow)
-	}
-	return b.String()
 }

@@ -1,68 +1,10 @@
 package stats
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-func TestSummarizeBasics(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.P50 != 3 {
-		t.Errorf("summary = %+v", s)
-	}
-	want := math.Sqrt(2.5) // sample variance of 1..5 is 2.5
-	if math.Abs(s.StdDev-want) > 1e-12 {
-		t.Errorf("StdDev = %v, want %v", s.StdDev, want)
-	}
-}
-
-func TestSummarizeEmptyAndSingle(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 || s.Mean != 0 {
-		t.Errorf("empty summary = %+v", s)
-	}
-	s := Summarize([]float64{7})
-	if s.N != 1 || s.Mean != 7 || s.StdDev != 0 || s.P99 != 7 {
-		t.Errorf("single summary = %+v", s)
-	}
-}
-
-func TestSummarizeDoesNotMutateInput(t *testing.T) {
-	in := []float64{3, 1, 2}
-	Summarize(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Errorf("input mutated: %v", in)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := []float64{10, 20, 30, 40}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0, 10}, {1, 40}, {-0.5, 10}, {1.5, 40},
-		{0.5, 25}, // interpolated
-		{1.0 / 3, 20},
-	}
-	for _, c := range cases {
-		if got := Quantile(sorted, c.q); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile nonzero")
-	}
-}
-
-func TestSummarizeDurations(t *testing.T) {
-	s := SummarizeDurations([]time.Duration{time.Second, 3 * time.Second})
-	if s.Mean != 2 {
-		t.Errorf("Mean = %v, want 2 seconds", s.Mean)
-	}
-}
 
 func TestProportion(t *testing.T) {
 	p := NewProportion(90, 100)
@@ -124,39 +66,6 @@ func TestProportionShrinksWithN(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.999, 10, 42} {
-		h.Add(x)
-	}
-	if h.Count() != 8 {
-		t.Errorf("Count = %d", h.Count())
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under=%d over=%d", h.Underflow, h.Overflow)
-	}
-	if h.Buckets[0] != 2 { // 0 and 1.9
-		t.Errorf("bucket0 = %d", h.Buckets[0])
-	}
-	if h.Buckets[1] != 1 || h.Buckets[2] != 1 || h.Buckets[4] != 1 {
-		t.Errorf("buckets = %v", h.Buckets)
-	}
-	out := h.String()
-	if !strings.Contains(out, "#") || !strings.Contains(out, "overflow 2") {
-		t.Errorf("String() = %q", out)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid: coerced to 1 bucket over [5,6)
-	h.Add(5)
-	if h.Buckets[0] != 1 {
-		t.Errorf("degenerate histogram = %+v", h)
-	}
-}
-
-// TestProportionMerge: pooling shard counts must equal computing the
-// estimate over the full trial set directly, independent of merge order.
 func TestProportionMerge(t *testing.T) {
 	direct := NewProportion(37, 100)
 	a, b, c := NewProportion(20, 60), NewProportion(10, 25), NewProportion(7, 15)

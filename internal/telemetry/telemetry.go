@@ -492,28 +492,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Upper[len(s.Upper)-1]
 }
 
-// HistogramSummary is the JSON-friendly digest recorded into BENCH.json
-// and available to tests.
-type HistogramSummary struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Summary snapshots the histogram and digests it to count/sum/p50/p95/p99.
-func (h *Histogram) Summary() HistogramSummary {
-	s := h.Snapshot()
-	return HistogramSummary{
-		Count: s.Count,
-		Sum:   s.Sum,
-		P50:   s.Quantile(0.50),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-	}
-}
-
 // HistogramVec is a histogram family with labels. All children share the
 // family's bucket layout.
 type HistogramVec struct {

@@ -98,9 +98,9 @@ func TestHistogram(t *testing.T) {
 	if q := s.Quantile(0.99); q != 10 {
 		t.Fatalf("p99 = %v, want clamp to 10", q)
 	}
-	sum := h.Summary()
-	if sum.Count != 5 || sum.P50 != s.Quantile(0.5) || sum.P99 != 10 {
-		t.Fatalf("summary mismatch: %+v", sum)
+	sum := h.Snapshot()
+	if sum.Count != 5 || sum.Quantile(0.5) != s.Quantile(0.5) || sum.Quantile(0.99) != 10 {
+		t.Fatalf("second snapshot mismatch: %+v", sum)
 	}
 
 	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
@@ -109,7 +109,7 @@ func TestHistogram(t *testing.T) {
 }
 
 // TestDerivedCounts: a counter and a histogram that derive part of their
-// value from external atomics read — through Value, Snapshot, Summary,
+// value from external atomics read — through Value, Snapshot, Quantile,
 // MergeHistograms and the exposition — exactly as twins that were bumped
 // once per event do.
 func TestDerivedCounts(t *testing.T) {
@@ -163,8 +163,10 @@ func TestDerivedCounts(t *testing.T) {
 			t.Errorf("bucket[%d] = %d, want %d", i, s.Counts[i], want.Counts[i])
 		}
 	}
-	if lat.Summary() != wantLat.Summary() {
-		t.Errorf("summary %+v, want %+v", lat.Summary(), wantLat.Summary())
+	for _, q := range []float64{0.50, 0.95, 0.99} {
+		if s.Quantile(q) != want.Quantile(q) {
+			t.Errorf("p%v = %v, want %v", 100*q, s.Quantile(q), want.Quantile(q))
+		}
 	}
 	m, err := MergeHistograms(s, s)
 	if err != nil || m.Count != 32 || m.Counts[1] != 2*want.Counts[1] {
