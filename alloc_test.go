@@ -7,10 +7,17 @@ package wanac
 // Network.Send at zero; this file pins the end-to-end cached check — which
 // invokes its callback directly and builds its ring records in place, so it
 // allocates nothing with any combination of observers — the two ring writes
-// it is made of, and the two halves of a cold check: a manager serving a
-// query and a host taking a round to quorum.
+// it is made of, the two halves of a cold check: a manager serving a query
+// and a host taking a round to quorum, and what a world costs to build
+// before it has recorded anything.
+//
+// A ring allocates its slots as records arrive, a dozen allocations on the
+// way to its capacity and none after. AllocsPerRun reports whole objects per
+// run, so those few over hundreds of runs read 0: the budgets below are the
+// steady state's.
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -81,8 +88,8 @@ func TestCacheHitCheckAllocationBudgetInstrumented(t *testing.T) {
 
 // TestCacheHitCheckAllocationBudgetWithFlight re-runs the cached-check
 // budget with the flight recorder attached (the always-on production
-// configuration). Recording is one mutex hold and one write of a
-// pre-allocated ring slot — no heap allocation — so the budget stays 0.
+// configuration). Recording is one mutex hold and one write of a ring
+// slot — no heap allocation — so the budget stays 0.
 func TestCacheHitCheckAllocationBudgetWithFlight(t *testing.T) {
 	w, err := sim.Build(sim.Config{
 		Managers: 3, Hosts: 1,
@@ -111,7 +118,7 @@ func TestCacheHitCheckAllocationBudgetWithFlight(t *testing.T) {
 
 // TestCacheHitCheckAllocationBudgetWithAudit re-runs the cached-check
 // budget with the audit recorder attached. The decision record is built in
-// a pre-allocated ring slot from evidence already in hand, so provenance —
+// its ring slot from evidence already in hand, so provenance —
 // like flight recording — rides the hot path for free and the budget stays
 // 0.
 func TestCacheHitCheckAllocationBudgetWithAudit(t *testing.T) {
@@ -162,6 +169,33 @@ func TestRingRecordAllocationBudget(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, c.fn); allocs > 0 {
 			t.Errorf("%s allocates %.1f objects/op, budget is 0", c.name, allocs)
 		}
+	}
+}
+
+// TestWorldBuildByteBudget pins what a world costs before it has recorded
+// anything: the live workloads' shape (3 managers, 2 hosts) with every node's
+// flight and audit ring on at 8192 records. Rings allocated up front made
+// this 19 MB, which every one of a sweep's worlds paid whether its nodes
+// recorded a hundred records or ten thousand.
+func TestWorldBuildByteBudget(t *testing.T) {
+	const builds, budget = 10, 256 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < builds; i++ {
+		_, err := sim.Build(sim.Config{
+			Managers: 3, Hosts: 2,
+			Policy:     core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2},
+			Users:      []wire.UserID{"u"},
+			FlightRing: 8192,
+			AuditRing:  8192,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / builds; per > budget {
+		t.Errorf("sim.Build allocates %d bytes, budget is %d", per, budget)
 	}
 }
 

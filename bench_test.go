@@ -18,6 +18,9 @@ package wanac
 // E9  BenchmarkHeterogeneous     §4.1 heterogeneous model
 // E10 BenchmarkFreezeVsQuorum    §3.3 freeze vs quorum ablation
 // E11 BenchmarkBaselines         §4.2 eventual consistency & §3 options
+//
+// BenchmarkHarnessSeeds and BenchmarkCatalogPass price a judged world: their
+// B/op is the home of EXPERIMENTS.md's "What a world costs".
 
 import (
 	"fmt"
@@ -27,7 +30,9 @@ import (
 
 	"wanac/internal/baseline"
 	"wanac/internal/core"
+	"wanac/internal/harness"
 	"wanac/internal/quorum"
+	"wanac/internal/scenario"
 	"wanac/internal/sim"
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
@@ -593,4 +598,43 @@ func BenchmarkPlanner(b *testing.B) {
 		fmt.Printf("  minimal plan: M=%d, C=%d (PA=%.5f PS=%.5f)\n", p.M, p.C, p.PA, p.PS)
 		fmt.Println("  (the paper's remedy — grow the manager set until the targets fit)")
 	})
+}
+
+// --- What a world costs -------------------------------------------------
+
+// BenchmarkHarnessSeeds is one sweep of fifty seeded scenarios with all five
+// oracles: what `acchk -seeds 50` runs, and two thirds of TestHarnessQuick.
+func BenchmarkHarnessSeeds(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if rep := harness.RunSeeds(1, 50, harness.Options{}, 0, nil); !rep.Passed() {
+			b.Fatalf("sweep failed: %d failures, errors %v", len(rep.Failures), rep.Errors)
+		}
+	}
+}
+
+// BenchmarkCatalogPass is one pass of the benchmark's sim-catalog workload:
+// its four catalog scenarios, at one seed, under all five oracles.
+func BenchmarkCatalogPass(b *testing.B) {
+	var scs []*scenario.Scenario
+	for _, name := range []string{"steady-baseline", "zipf-flood", "overload-100x", "revoke-under-partition"} {
+		sc, err := scenario.Lookup(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sc := range scs {
+			res, err := scenario.Run(sc, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Failed() {
+				b.Fatalf("%s: %v", sc.Name, res.Violations)
+			}
+		}
+	}
 }

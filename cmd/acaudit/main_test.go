@@ -85,9 +85,8 @@ func buildArtifacts(t *testing.T, dir string) []string {
 		}
 		paths = append(paths, path)
 	}
-	for _, d := range w.AuditDumps() {
-		d := d
-		writeTo(d.Header.Nodes[0]+"-audit.jsonl", d.WriteDump)
+	for _, rec := range w.AuditRings() {
+		writeTo(rec.Node()+"-audit.jsonl", rec.WriteDump)
 	}
 	writeTo("flight.jsonl", w.FlightDump().Write)
 	writeTo("spans.jsonl", func(w io.Writer) error {

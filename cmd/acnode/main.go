@@ -99,9 +99,9 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records; a cached check writes two, so 4096 is ~1ms of history at 2M checks/s")
+	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records (168 B each, allocated as records arrive, not up front); a cached check writes two, so 4096 is ~1ms of history at 2M checks/s")
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
-	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity (decision-provenance records kept per node)")
+	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity: decision-provenance records kept per node (272 B each, allocated as records arrive, not up front)")
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
 	flag.StringVar(&cfg.logLevel, "log.level", "info", "log level: debug | info | warn | error")
 	flag.StringVar(&cfg.logFormat, "log.format", "text", "log format: text | json")

@@ -7,9 +7,10 @@
 // Records are emitted at the same call sites as HostStats and the telemetry
 // counters, so the three views cannot drift (pinned by exactness tests in
 // internal/core). They flow into a bounded ring per node with the same
-// zero-allocation discipline as internal/flight — fixed slots, struct
-// copies, drop accounting — and optionally into a JSONL sink for live
-// deployments (`acnode -audit.jsonl`). cmd/acaudit joins dumped records
+// discipline as internal/flight — slots allocated as records arrive and
+// written in place once the ring is full, struct copies, drop accounting —
+// and optionally into a JSONL sink for live deployments
+// (`acnode -audit.jsonl`). cmd/acaudit joins dumped records
 // with flight timelines and spans to answer "why was user U allowed on
 // app A at time T".
 package audit
@@ -18,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"sync"
 	"time"
 )
@@ -244,20 +246,26 @@ type Sink interface {
 }
 
 // Recorder is a bounded per-node audit ring with the internal/flight
-// discipline: fixed pre-allocated slots written in place, no per-record
-// heap allocation, and exact drop accounting (Total minus
-// retained). Safe for concurrent use.
+// discipline: a ring that starts empty, doubles in place as records arrive
+// and wraps from size slots on; records built in their slots, no heap
+// allocation per record once the ring is full, and exact drop accounting
+// (Total minus retained). Safe for concurrent use.
 type Recorder struct {
 	node string
 	now  func() time.Time
 	sink Sink
+	size int // capacity: the ring grows to this many slots, then wraps
 
 	mu        sync.Mutex
-	ring      []Record
-	next      uint64 // total records accepted; next % len(ring) is the slot
-	decisions uint64 // accepted records with Kind == KindDecision
-	responses uint64 // accepted records with Kind == KindResponse
+	ring      []Record // len(ring) slots allocated so far, at most size
+	next      uint64   // total records accepted; next % len(ring) is the slot
+	decisions uint64   // accepted records with Kind == KindDecision
+	responses uint64   // accepted records with Kind == KindResponse
 }
+
+// minRing is how many slots a ring's first record allocates (fewer if the
+// capacity is smaller): growth by doubling starts from here.
+const minRing = 64
 
 // NewRecorder creates a ring holding the last size records for node. now
 // stamps records missing a time; nil falls back to time.Now.
@@ -268,7 +276,7 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, ring: make([]Record, size)}
+	return &Recorder{node: node, now: now, size: size}
 }
 
 // SetSink installs a sink receiving every accepted record (nil disables).
@@ -283,8 +291,8 @@ func (r *Recorder) SetSink(s Sink) {
 // Node returns the recorder's node name.
 func (r *Recorder) Node() string { return r.node }
 
-// Record appends rec, stamping Node, Seq, and (if zero) T. The ring slot
-// is overwritten in place, so steady-state recording allocates nothing.
+// Record appends rec, stamping Node, Seq, and (if zero) T. A full ring's
+// slot is overwritten in place, so steady-state recording allocates nothing.
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
 	s := r.slot()
@@ -313,8 +321,30 @@ func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right st
 }
 
 // slot returns the ring slot the next record goes in, still holding the
-// record it overwrites. Must be called with r.mu held.
-func (r *Recorder) slot() *Record { return &r.ring[r.next%uint64(len(r.ring))] }
+// record it overwrites (if any). Must be called with r.mu held. The ring
+// grows as flight.Recorder's does: next == len(ring) is the only time a
+// growing ring lacks a slot, and a full ring meets it once, on its first wrap.
+func (r *Recorder) slot() *Record {
+	if r.next == uint64(len(r.ring)) {
+		r.grow()
+	}
+	return &r.ring[r.next%uint64(len(r.ring))]
+}
+
+// grow doubles the ring in place, up to its capacity; at capacity it does
+// nothing. Below capacity the ring has not wrapped, so slot i keeps Seq i.
+// Not inlined, to stay out of every record's write.
+//
+//go:noinline
+func (r *Recorder) grow() {
+	n := min(max(2*len(r.ring), minRing), r.size)
+	if n == len(r.ring) {
+		return
+	}
+	ring := make([]Record, n)
+	copy(ring, r.ring)
+	r.ring = ring
+}
 
 // commit stamps the record built in s, accepts it, and feeds the sink.
 func (r *Recorder) commit(s *Record) {
@@ -349,19 +379,53 @@ func (r *Recorder) Decisions() uint64 {
 	return r.decisions
 }
 
-// Snapshot returns the retained records, oldest first.
+// Dropped returns how many accepted records the ring has since overwritten.
+func (r *Recorder) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.next - r.retained()
+}
+
+// retained is how many records the ring holds. Must be called with r.mu held.
+func (r *Recorder) retained() uint64 { return min(r.next, uint64(len(r.ring))) }
+
+// all yields the retained records, oldest first, in their slots. Must be
+// called with r.mu held.
+func (r *Recorder) all(yield func(*Record) bool) {
+	size := uint64(len(r.ring))
+	for i := r.next - r.retained(); i < r.next; i++ {
+		if !yield(&r.ring[i%size]) {
+			return
+		}
+	}
+}
+
+// All iterates over the retained records, oldest first, where they lie: no
+// copy of the ring is made, so a pass over a finished run costs no memory.
+// The records are the ring's own slots — read them, do not write them — and
+// a pointer stays good until the next record is accepted. All holds the
+// recorder's lock while the loop runs: the body must not call back into the
+// recorder.
+func (r *Recorder) All() iter.Seq[*Record] {
+	return func(yield func(*Record) bool) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.all(yield)
+	}
+}
+
+// Snapshot returns a copy of the retained records, oldest first.
 func (r *Recorder) Snapshot() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	size := uint64(len(r.ring))
-	count := n
-	if count > size {
-		count = size
-	}
-	out := make([]Record, 0, count)
-	for i := n - count; i < n; i++ {
-		out = append(out, r.ring[i%size])
+	return r.snapshot()
+}
+
+// snapshot is Snapshot with r.mu held.
+func (r *Recorder) snapshot() []Record {
+	out := make([]Record, 0, r.retained())
+	for rec := range r.all {
+		out = append(out, *rec)
 	}
 	return out
 }

@@ -3,7 +3,11 @@ package audit
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -333,5 +337,130 @@ func TestOutcomeAndEvidenceWording(t *testing.T) {
 	ev := backoff.Evidence()
 	if !strings.Contains(ev, "deferred 2 time(s)") || !strings.Contains(ev, "freeze state") {
 		t.Errorf("backoff/frozen notes missing: %q", ev)
+	}
+}
+
+// TestRecorderAgainstModel drives a recorder of each capacity with a random
+// mix of Record (decisions and responses) and RecordCacheHit, several wraps
+// long, beside a flat slice of everything ever recorded: Snapshot and All
+// must be the slice's tail, Total its length, Dropped the rest, Seq the
+// index, Decisions the decisions in all of it. On the way the ring may never
+// hold more than max(64, 2k) slots after k records nor more than its
+// capacity, and once it is full no write allocates.
+func TestRecorderAgainstModel(t *testing.T) {
+	for _, size := range []int{1, 16, 63, 64, 65, 4096} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		now := t0
+		r := NewRecorder("h0", size, func() time.Time { return now })
+		var model []Record
+		var decisions uint64
+		accept := func(rec Record) {
+			if rec.T.IsZero() {
+				rec.T = now
+			}
+			if rec.Kind == KindDecision {
+				decisions++
+			}
+			rec.Node, rec.Seq = "h0", uint64(len(model))
+			model = append(model, rec)
+		}
+		check := func() {
+			t.Helper()
+			want := model[max(0, len(model)-size):]
+			var inPlace []Record
+			for rec := range r.All() {
+				inPlace = append(inPlace, *rec)
+			}
+			if !slices.Equal(r.Snapshot(), want) || !slices.Equal(inPlace, want) {
+				t.Fatalf("size %d after %d records: Snapshot or All is not the last %d recorded", size, len(model), len(want))
+			}
+			d, total, dropped := r.Dump(), uint64(len(model)), uint64(len(model)-len(want))
+			if !slices.Equal(d.Records, want) || d.Header.Total != total || d.Header.Dropped != dropped ||
+				d.Header.Decisions != decisions || d.Header.Responses != total-decisions {
+				t.Fatalf("size %d after %d records (%d decisions): dump lists %d under header %+v", size, total, decisions, len(d.Records), d.Header)
+			}
+			if r.Total() != total || r.Dropped() != dropped || r.Decisions() != decisions {
+				t.Fatalf("size %d after %d records: Total %d, Dropped %d, Decisions %d", size, total, r.Total(), r.Dropped(), r.Decisions())
+			}
+		}
+		check()
+		total := 3*size + rng.Intn(2*size) + 5
+		for len(model) < total {
+			now = now.Add(time.Millisecond)
+			at := time.Time{}
+			if rng.Intn(2) == 0 {
+				at = t0.Add(time.Duration(rng.Intn(1000)) * time.Second)
+			}
+			user := "u" + strconv.Itoa(rng.Intn(9))
+			switch rng.Intn(3) {
+			case 0:
+				rec := Record{T: at, Kind: KindDecision, Trace: rng.Uint64(), App: "app", User: user, Right: "use",
+					Reason: ReasonQuorumDeny, Set: 3, Queried: 3, Denials: 2, Attempts: 1 + rng.Intn(3)}
+				r.Record(rec)
+				accept(rec)
+			case 1:
+				rec := Record{T: at, Kind: KindResponse, App: "app", User: user, Reason: ReasonQueryGranted,
+					Peer: "h1", Origin: "m0", Counter: uint64(rng.Intn(9)), Expire: time.Minute}
+				r.Record(rec)
+				accept(rec)
+			case 2:
+				if at.IsZero() {
+					at = now // RecordCacheHit is handed the decision time
+				}
+				trace, granters, expiry := rng.Uint64(), 1+rng.Intn(3), at.Add(time.Minute)
+				r.RecordCacheHit(at, trace, "app", user, "use", granters, expiry)
+				accept(Record{T: at, Kind: KindDecision, Trace: trace, App: "app", User: user, Right: "use",
+					Reason: ReasonCacheHit, Allowed: true, Granters: granters, Expiry: expiry})
+			}
+			if k := len(model); len(r.ring) > max(64, 2*k) || len(r.ring) > size || len(r.ring) < min(k, size) {
+				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.ring))
+			}
+			if rng.Intn(1+total/16) == 0 {
+				check()
+			}
+		}
+		check()
+		if a := testing.AllocsPerRun(100, func() {
+			r.Record(Record{Kind: KindResponse, Reason: ReasonQueryDenied})
+			r.RecordCacheHit(t0, 1, "app", "u", "use", 2, t0)
+		}); a != 0 {
+			t.Errorf("size %d: a full ring's writes allocate %.1f times per round, want 0", size, a)
+		}
+	}
+}
+
+// TestDumpIsOneObservation: a dump taken while writers run must account for
+// itself — Total minus Dropped is the number of records listed, the last of
+// them is record Total-1, and with only decisions written Decisions is Total.
+// Read under two holds of the lock, a record accepted in between showed up
+// as a drop that never happened.
+func TestDumpIsOneObservation(t *testing.T) {
+	r := NewRecorder("h0", 256, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					r.RecordCacheHit(t0, 1, "app", "u", "use", 2, t0)
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		d := r.Dump()
+		h, n := d.Header, uint64(len(d.Records))
+		if h.Total-h.Dropped != n || h.Decisions != h.Total || n > 0 && d.Records[n-1].Seq != h.Total-1 {
+			t.Fatalf("dump %d: %d records listed under header %+v", i, n, h)
+		}
 	}
 }

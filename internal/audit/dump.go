@@ -30,10 +30,12 @@ type Dump struct {
 	Records []Record
 }
 
-// Dump snapshots the recorder as a one-node dump with drop accounting.
+// Dump snapshots the recorder as a one-node dump with drop accounting. The
+// records and the header's counts are read under one hold of the lock, so on
+// a live node Total minus Dropped is exactly the number of records listed.
 func (r *Recorder) Dump() *Dump {
-	recs := r.Snapshot()
 	r.mu.Lock()
+	recs := r.snapshot()
 	total, decisions, responses := r.next, r.decisions, r.responses
 	r.mu.Unlock()
 	return &Dump{

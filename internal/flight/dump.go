@@ -35,15 +35,15 @@ type Dump struct {
 	Records []Record
 }
 
-// Dump snapshots the recorder as a single-node Dump.
+// Dump snapshots the recorder as a single-node Dump. The records and the
+// drop count are read under one hold of the lock, so on a live node Dropped
+// counts exactly the accepted records the dump does not list.
 func (r *Recorder) Dump() *Dump {
-	recs := r.Snapshot()
-	var dropped uint64
-	if total := r.Total(); uint64(len(recs)) < total {
-		dropped = total - uint64(len(recs))
-	}
+	r.mu.Lock()
+	recs, total := r.snapshot(), r.next
+	r.mu.Unlock()
 	return &Dump{
-		Header:  Header{Flight: DumpVersion, Nodes: []string{r.node}, Dropped: dropped},
+		Header:  Header{Flight: DumpVersion, Nodes: []string{r.node}, Dropped: total - uint64(len(recs))},
 		Records: recs,
 	}
 }

@@ -9,10 +9,11 @@
 // a causal timeline.
 //
 // The recorder is designed to ride hot paths for free: recording a value is
-// one mutex acquisition and one write of a pre-allocated slot, no heap
-// allocation (all string fields are header copies of strings that already
-// exist). The end-to-end cached-check allocation budget (0 allocs/op, see
-// alloc_test.go at the repo root) holds with a recorder attached.
+// one mutex acquisition and one write of a ring slot, no heap allocation
+// (all string fields are header copies of strings that already exist) beyond
+// the few that grow a young ring to its capacity. The end-to-end cached-check
+// allocation budget (0 allocs/op, see alloc_test.go at the repo root) holds
+// with a recorder attached.
 package flight
 
 import (
@@ -120,17 +121,27 @@ type Record struct {
 }
 
 // Recorder is a fixed-capacity ring of Records. All methods are safe for
-// concurrent use; Record never allocates and never blocks beyond a short
-// mutex hold, so it is cheap enough to leave on in production — that is the
-// point of a flight recorder.
+// concurrent use; Record never blocks beyond a short mutex hold and, once the
+// ring has grown to its capacity, never allocates, so it is cheap enough to
+// leave on in production — that is the point of a flight recorder.
+//
+// The ring's memory follows its use: it starts empty, doubles in place as
+// records arrive, and from size slots on wraps. A node that records little
+// holds little, which is what lets a simulation afford thousands of worlds
+// with every node's recorder on.
 type Recorder struct {
 	node string
 	now  func() time.Time
+	size int // capacity: the ring grows to this many slots, then wraps
 
 	mu   sync.Mutex
-	ring []Record
-	next uint64 // total records ever accepted; the next Seq
+	ring []Record // len(ring) slots allocated so far, at most size
+	next uint64   // total records ever accepted; the next Seq
 }
+
+// minRing is how many slots a ring's first record allocates (fewer if the
+// capacity is smaller): growth by doubling starts from here.
+const minRing = 64
 
 // NewRecorder returns a recorder for the named node holding the last size
 // records (minimum 16). now supplies the node's local clock — in simulation
@@ -142,19 +153,45 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, ring: make([]Record, size)}
+	return &Recorder{node: node, now: now, size: size}
 }
 
 // Node returns the recorder's node name.
 func (r *Recorder) Node() string { return r.node }
 
 // slot returns the ring slot the next record goes in, still holding the
-// record it overwrites; the caller builds the new one in place, stamps it —
-// Seq, Node, and the local clock if T is zero — and accepts it by advancing
-// next. Stamping under the lock keeps Seq order and timestamp order in
-// agreement for records the recorder stamps itself. Must be called with
+// record it overwrites (if any); the caller builds the new one in place,
+// stamps it — Seq, Node, and the local clock if T is zero — and accepts it by
+// advancing next. Stamping under the lock keeps Seq order and timestamp order
+// in agreement for records the recorder stamps itself. Must be called with
 // r.mu held.
-func (r *Recorder) slot() *Record { return &r.ring[r.next%uint64(len(r.ring))] }
+//
+// Every allocated slot is in use exactly when next == len(ring), and while
+// the ring is still growing that is the only time there is no slot for the
+// next record; a full ring passes through it once, on its first wrap, so its
+// write costs one compare that is false ever after.
+func (r *Recorder) slot() *Record {
+	if r.next == uint64(len(r.ring)) {
+		r.grow()
+	}
+	return &r.ring[r.next%uint64(len(r.ring))]
+}
+
+// grow doubles the ring in place, up to its capacity; at capacity it does
+// nothing. The records keep their indices: below capacity the ring has not
+// wrapped, so slot i holds Seq i. Not inlined: it runs a dozen times in a
+// ring's life and its body would sit in the middle of every record's write.
+//
+//go:noinline
+func (r *Recorder) grow() {
+	n := min(max(2*len(r.ring), minRing), r.size)
+	if n == len(r.ring) {
+		return
+	}
+	ring := make([]Record, n)
+	copy(ring, r.ring)
+	r.ring = ring
+}
 
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
 // local clock if rec.T is zero. The oldest record is overwritten once the
@@ -220,6 +257,11 @@ func (r *Recorder) Total() uint64 {
 func (r *Recorder) Snapshot() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.snapshot()
+}
+
+// snapshot is Snapshot with r.mu held.
+func (r *Recorder) snapshot() []Record {
 	n := uint64(len(r.ring))
 	if r.next < n {
 		n = r.next

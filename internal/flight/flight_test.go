@@ -2,6 +2,9 @@ package flight
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -227,5 +230,132 @@ func TestMergeSortsNodesAndRecords(t *testing.T) {
 	}
 	if m.Records[0].Seq != 0 || m.Records[1].Seq != 1 {
 		t.Fatalf("per-node seq order lost: %d then %d", m.Records[0].Seq, m.Records[1].Seq)
+	}
+}
+
+// modelRecord is what the ring must hold for event e recorded as type typ
+// with note note: the specification RecordEvent and EmitPair are checked
+// against, written without looking at put.
+func modelRecord(e trace.Event, typ trace.EventType, note string) Record {
+	kind := KindProtocol
+	if typ == trace.EventUpdateQuorum || typ == trace.EventAccessAllowed && note == "quorum" {
+		kind = KindQuorum
+	}
+	return Record{T: e.Time, Kind: kind, Type: typ.String(), Trace: e.Trace, App: string(e.App), User: string(e.User),
+		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: note}
+}
+
+// TestRecorderAgainstModel drives a recorder of each capacity with a random
+// mix of Record, RecordEvent and EmitPair, several wraps long, beside a flat
+// slice of everything ever recorded: Snapshot must be the slice's tail, Total
+// its length, Dropped the rest, Seq the index. On the way the ring may never
+// hold more than max(64, 2k) slots after k records nor more than its
+// capacity, and once it is full no write allocates.
+func TestRecorderAgainstModel(t *testing.T) {
+	base := time.Unix(1000, 0).UTC()
+	for _, size := range []int{16, 63, 64, 65, 4096} {
+		rng := rand.New(rand.NewSource(int64(size)))
+		r := NewRecorder("n0", size, fixedClock(base))
+		tee := Tee(r, nil).(trace.PairTracer)
+		var model []Record
+		accept := func(rec Record) {
+			if rec.T.IsZero() {
+				rec.T = base
+			}
+			rec.Node, rec.Seq = "n0", uint64(len(model))
+			model = append(model, rec)
+		}
+		check := func() {
+			t.Helper()
+			want := model[max(0, len(model)-size):]
+			if got := r.Snapshot(); !slices.Equal(got, want) {
+				t.Fatalf("size %d after %d records: Snapshot is not the last %d recorded", size, len(model), len(want))
+			}
+			d := r.Dump()
+			if !slices.Equal(d.Records, want) || d.Header.Dropped != uint64(len(model)-len(want)) || r.Total() != uint64(len(model)) {
+				t.Fatalf("size %d after %d records: dump lists %d, Dropped %d, Total %d", size, len(model), len(d.Records), d.Header.Dropped, r.Total())
+			}
+		}
+		check()
+		total := 3*size + rng.Intn(2*size)
+		for len(model) < total {
+			var ev trace.Event
+			if rng.Intn(2) == 0 {
+				ev.Time = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
+			}
+			ev.Type = trace.EventType(1 + rng.Intn(int(trace.EventTeAdapted)))
+			ev.App, ev.User, ev.Trace = "app", wire.UserID("u"+strconv.Itoa(rng.Intn(9))), rng.Uint64()
+			ev.Seq = wire.UpdateSeq{Origin: "m0", Counter: uint64(rng.Intn(5))}
+			ev.Note = []string{"", "quorum", "cached"}[rng.Intn(3)]
+			switch rng.Intn(3) {
+			case 0:
+				rec := Record{T: ev.Time, Kind: KindTransport, Type: "up", Peer: "m1", Note: ev.Note}
+				r.Record(rec)
+				accept(rec)
+			case 1:
+				r.RecordEvent(ev)
+				accept(modelRecord(ev, ev.Type, ev.Note))
+			case 2:
+				tee.EmitPair(ev, trace.EventAccessAllowed, "cached")
+				accept(modelRecord(ev, ev.Type, ev.Note))
+				accept(modelRecord(ev, trace.EventAccessAllowed, "cached"))
+			}
+			if k := len(model); len(r.ring) > max(64, 2*k) || len(r.ring) > size || len(r.ring) < min(k, size) {
+				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.ring))
+			}
+			if rng.Intn(1+total/16) == 0 {
+				check()
+			}
+		}
+		check()
+		ev := trace.Event{Time: base, Type: trace.EventCacheHit, App: "app", User: "u"}
+		if a := testing.AllocsPerRun(100, func() {
+			r.Record(Record{Kind: KindTransport, Type: "up"})
+			r.RecordEvent(ev)
+			tee.EmitPair(ev, trace.EventAccessAllowed, "cached")
+		}); a != 0 {
+			t.Errorf("size %d: a full ring's writes allocate %.1f times per round, want 0", size, a)
+		}
+	}
+}
+
+// TestDumpIsOneObservation: a dump taken while writers run must account for
+// itself — Dropped is exactly the sequence number of the first record listed,
+// and the records are consecutive. Read under two holds of the lock, a record
+// accepted in between showed up as a drop that never happened.
+func TestDumpIsOneObservation(t *testing.T) {
+	r := NewRecorder("h0", 256, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					r.Record(Record{Kind: KindTransport, Type: "up", Peer: "m0"})
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		d := r.Dump()
+		if len(d.Records) == 0 {
+			if d.Header.Dropped != 0 {
+				t.Fatalf("dump %d: empty, yet Dropped = %d", i, d.Header.Dropped)
+			}
+			continue
+		}
+		first, last := d.Records[0].Seq, d.Records[len(d.Records)-1].Seq
+		if d.Header.Dropped != first || last-first+1 != uint64(len(d.Records)) {
+			t.Fatalf("dump %d: Dropped = %d with records %d..%d (%d listed)", i, d.Header.Dropped, first, last, len(d.Records))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"iter"
 	"time"
 
 	"wanac/internal/audit"
@@ -75,22 +76,23 @@ func (s *OracleSet) JudgeProbe(pr *Probe, at time.Time, window time.Duration) {
 }
 
 // AnalyzeTrace runs the monotonic-sequencing oracle's post-hoc pass over the
-// recorded event trace and quorum times. Call once, after the run. The pass
-// is only valid if the scenario never crash-recovered a manager (recovery
-// resyncs state and may legitimately replay counters).
-func (s *OracleSet) AnalyzeTrace(events []trace.Event, quorumAt map[wire.UpdateSeq]time.Time) {
+// recorded event trace and quorum times. Call once, after the run: events
+// is the log read where it lies (trace.Collector.All), not a copy of it. The
+// pass is only valid if the scenario never crash-recovered a manager
+// (recovery resyncs state and may legitimately replay counters).
+func (s *OracleSet) AnalyzeTrace(events iter.Seq[*trace.Event], quorumAt map[wire.UpdateSeq]time.Time) {
 	s.seq.analyze(events, quorumAt)
 }
 
 // AnalyzeAudit runs the audit-completeness oracle's post-hoc pass: every
 // decision event in the trace must have a matching audit record (modulo
-// bounded ring drops, which the dump headers account for exactly), and each
-// record's evidence must be internally consistent with its reason. dumps are
-// per-node, unmerged (drop accounting and ring order are per node). With no
-// dumps the oracle simply reports zero observations, so drivers that leave
-// audit rings off stay green.
-func (s *OracleSet) AnalyzeAudit(events []trace.Event, dumps []*audit.Dump) {
-	s.aud.analyze(events, dumps)
+// bounded ring drops, which each recorder accounts for exactly), and each
+// record's evidence must be internally consistent with its reason. rings are
+// the nodes' audit recorders (sim.World.AuditRings), read in place like the
+// trace. With no rings the oracle simply reports zero observations, so
+// drivers that leave audit rings off stay green.
+func (s *OracleSet) AnalyzeAudit(events iter.Seq[*trace.Event], rings []*audit.Recorder) {
+	s.aud.analyze(events, rings)
 }
 
 // All returns the oracles in canonical report order: revocation-safety,

@@ -5,6 +5,7 @@ package harness
 // harness and scenario tests, which attach it to every execution).
 
 import (
+	"iter"
 	"strings"
 	"testing"
 	"time"
@@ -23,28 +24,36 @@ func decisionEvent(node string, at time.Duration, typ trace.EventType, user, not
 	}
 }
 
-// auditDump builds a one-node dump whose header claims `decisions`
-// accepted decision records while retaining recs (the newest suffix).
-func auditDump(node string, decisions int, recs ...audit.Record) *audit.Dump {
-	for i := range recs {
-		recs[i].Node = node
-		recs[i].Kind = audit.KindDecision
-		recs[i].App = "app"
+// ringOf builds node's audit recorder as a run that accepted `decisions`
+// decision records leaves it: a ring of len(recs) slots retaining recs (the
+// newest suffix), the older ones overwritten.
+func ringOf(node string, decisions int, recs ...audit.Record) *audit.Recorder {
+	ring := audit.NewRecorder(node, len(recs), nil)
+	for i := len(recs); i < decisions; i++ {
+		ring.Record(audit.Record{Kind: audit.KindDecision, T: auditT0})
 	}
-	return &audit.Dump{
-		Header: audit.Header{
-			Audit: audit.DumpVersion, Nodes: []string{node},
-			Total: uint64(decisions), Decisions: uint64(decisions),
-			Dropped: uint64(decisions - len(recs)),
-		},
-		Records: recs,
+	for _, rec := range recs {
+		rec.Kind = audit.KindDecision
+		rec.App = "app"
+		ring.Record(rec)
 	}
+	return ring
 }
 
-func runAuditOracle(t *testing.T, events []trace.Event, dumps []*audit.Dump) []Violation {
+// collected is the trace a run that emitted events leaves behind, as the
+// oracles read it.
+func collected(events []trace.Event) iter.Seq[*trace.Event] {
+	c := trace.NewCollector(0)
+	for _, e := range events {
+		c.Emit(e)
+	}
+	return c.All()
+}
+
+func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder) []Violation {
 	t.Helper()
 	s := NewOracleSet(30*time.Second, time.Second, 0, 2, 3)
-	s.AnalyzeAudit(events, dumps)
+	s.AnalyzeAudit(collected(events), rings)
 	return s.Violations()
 }
 
@@ -54,15 +63,15 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u0", "cached"),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", "revoked"),
 	}
-	dumps := []*audit.Dump{auditDump("h0", 3,
+	ring := ringOf("h0", 3,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1", Expire: 20 * time.Second},
 		audit.Record{T: auditT0.Add(time.Second), User: "u0", Reason: audit.ReasonCacheHit,
 			Allowed: true, Granters: 2, Expiry: auditT0.Add(21 * time.Second)},
 		audit.Record{T: auditT0.Add(2 * time.Second), User: "u1", Reason: audit.ReasonQuorumDeny,
 			Set: 2, Queried: 2, Denials: 1},
-	)}
-	if v := runAuditOracle(t, events, dumps); len(v) != 0 {
+	)
+	if v := runAuditOracle(t, events, ring); len(v) != 0 {
 		t.Fatalf("clean trace flagged: %+v", v)
 	}
 }
@@ -70,7 +79,7 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached")}
 	s := NewOracleSet(30*time.Second, time.Second, 0, 2, 3)
-	s.AnalyzeAudit(events, nil)
+	s.AnalyzeAudit(collected(events), nil)
 	if v := s.Violations(); len(v) != 0 {
 		t.Fatalf("no dumps should mean no jurisdiction, got %+v", v)
 	}
@@ -84,10 +93,10 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached"),
 		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u0", "cached"),
 	}
-	dumps := []*audit.Dump{auditDump("h0", 1,
+	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true, Granters: 1},
-	)}
-	v := runAuditOracle(t, events, dumps)
+	)
+	v := runAuditOracle(t, events, ring)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "2 decision events in trace but 1 audit records accepted") {
 		t.Fatalf("violations = %+v", v)
 	}
@@ -95,7 +104,7 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 
 func TestAuditOracleNoRingForDecidingNode(t *testing.T) {
 	events := []trace.Event{decisionEvent("h7", 0, trace.EventAccessAllowed, "u0", "cached")}
-	v := runAuditOracle(t, events, []*audit.Dump{auditDump("h0", 0)})
+	v := runAuditOracle(t, events, ringOf("h0", 0))
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "h7 made 1 decisions but has no audit ring") {
 		t.Fatalf("violations = %+v", v)
 	}
@@ -109,23 +118,23 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u1", "cached"),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", "unregistered"),
 	}
-	dumps := []*audit.Dump{auditDump("h0", 3,
+	ring := ringOf("h0", 3,
 		audit.Record{T: auditT0.Add(time.Second), User: "u1", Reason: audit.ReasonCacheHit,
 			Allowed: true, Granters: 1, Expiry: auditT0.Add(10 * time.Second)},
 		audit.Record{T: auditT0.Add(2 * time.Second), User: "u2", Reason: audit.ReasonUnregisteredDeny},
-	)}
-	if v := runAuditOracle(t, events, dumps); len(v) != 0 {
+	)
+	if v := runAuditOracle(t, events, ring); len(v) != 0 {
 		t.Fatalf("suffix match failed: %+v", v)
 	}
 }
 
 func TestAuditOracleReasonMismatch(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached")}
-	dumps := []*audit.Dump{auditDump("h0", 1,
+	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1"},
-	)}
-	v := runAuditOracle(t, events, dumps)
+	)
+	v := runAuditOracle(t, events, ring)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "implies cache_hit") {
 		t.Fatalf("violations = %+v", v)
 	}
@@ -197,7 +206,7 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v := runAuditOracle(t, []trace.Event{c.ev}, []*audit.Dump{auditDump("h0", 1, c.rec)})
+			v := runAuditOracle(t, []trace.Event{c.ev}, ringOf("h0", 1, c.rec))
 			if len(v) == 0 {
 				t.Fatalf("inconsistent evidence not flagged")
 			}

@@ -57,7 +57,7 @@ func TestHarnessQuick(t *testing.T) {
 		}
 		return
 	}
-	const scenarios = 25
+	const scenarios = 75
 	report := runSweep(t, 1, scenarios, opt, 60)
 	if report.Scenarios != scenarios {
 		t.Fatalf("ran %d scenarios, want %d", report.Scenarios, scenarios)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"iter"
 	"strings"
 	"time"
 
@@ -141,7 +142,7 @@ func newSequencingOracle() *sequencingOracle {
 }
 
 // analyze runs the post-hoc pass over the full event trace.
-func (o *sequencingOracle) analyze(events []trace.Event, quorumAt map[wire.UpdateSeq]time.Time) {
+func (o *sequencingOracle) analyze(events iter.Seq[*trace.Event], quorumAt map[wire.UpdateSeq]time.Time) {
 	type applyKey struct {
 		node   wire.NodeID
 		origin wire.NodeID
@@ -150,7 +151,7 @@ func (o *sequencingOracle) analyze(events []trace.Event, quorumAt map[wire.Updat
 	lastIssued := make(map[wire.NodeID]uint64)
 	issuedAt := make(map[wire.UpdateSeq]time.Time)
 
-	for _, e := range events {
+	for e := range events {
 		switch e.Type {
 		case trace.EventUpdateIssued:
 			o.obs++
@@ -261,7 +262,7 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 
 // reasonForEvent maps a decision event to the audit reason its note
 // implies. ok is false for non-decision events.
-func reasonForEvent(e trace.Event) (r audit.Reason, ok bool) {
+func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	switch e.Type {
 	case trace.EventAccessAllowed:
 		if e.Note == "cached" {
@@ -291,55 +292,48 @@ func reasonForEvent(e trace.Event) (r audit.Reason, ok bool) {
 	return 0, false
 }
 
-// analyze runs the post-hoc pass: events is the full recorded trace,
-// dumps one audit dump per node (unmerged — per-node drop accounting and
-// ring order are load-bearing). A nil dumps slice means audit recording
+// analyze runs the post-hoc pass over the logs where they lie, so nothing
+// may be recording while it runs: events is the full recorded trace
+// (trace.Collector.All), rings one audit recorder per node (per-node drop
+// accounting and ring order are load-bearing). With no rings audit recording
 // was off and the pass is skipped.
-func (o *auditOracle) analyze(events []trace.Event, dumps []*audit.Dump) {
-	if len(dumps) == 0 {
+func (o *auditOracle) analyze(events iter.Seq[*trace.Event], rings []*audit.Recorder) {
+	if len(rings) == 0 {
 		return
 	}
 	// Group the trace's decision events per node, preserving order.
-	byNode := make(map[string][]trace.Event)
-	for _, e := range events {
+	byNode := make(map[string][]*trace.Event)
+	for e := range events {
 		if _, ok := reasonForEvent(e); ok {
 			node := string(e.Node)
 			byNode[node] = append(byNode[node], e)
 		}
 	}
-	for _, d := range dumps {
-		if len(d.Header.Nodes) != 1 {
-			o.fail(time.Time{}, "audit dump covers nodes %v, want exactly one", d.Header.Nodes)
-			continue
-		}
-		node := d.Header.Nodes[0]
+	var recs []*audit.Record // one node's retained decision records
+	for _, ring := range rings {
+		node := ring.Node()
 		evs := byNode[node]
 		delete(byNode, node)
-		var recs []audit.Record
-		for _, r := range d.Records {
+		decisions := ring.Decisions()
+		if len(evs) == 0 && decisions == 0 {
+			continue
+		}
+		// Exact count: the ring's accepted total survives drops.
+		if decisions != uint64(len(evs)) {
+			o.obs++
+			o.fail(lastTime(evs), "node %s: %d decision events in trace but %d audit records accepted",
+				node, len(evs), decisions)
+			continue
+		}
+		recs = recs[:0]
+		for r := range ring.All() {
 			if r.Kind == audit.KindDecision {
 				recs = append(recs, r)
 			}
 		}
-		if len(evs) == 0 && d.Header.Decisions == 0 {
-			continue
-		}
-		// Exact count: the ring's accepted total survives drops.
-		if d.Header.Decisions != uint64(len(evs)) {
-			o.obs++
-			o.fail(lastTime(evs), "node %s: %d decision events in trace but %d audit records accepted",
-				node, len(evs), d.Header.Decisions)
-			continue
-		}
 		// Retained records are the newest suffix of the decision history.
-		start := len(evs) - len(recs)
-		if start < 0 {
-			o.obs++
-			o.fail(lastTime(evs), "node %s retained %d audit records for %d decisions", node, len(recs), len(evs))
-			continue
-		}
-		for i := range recs {
-			o.judgeRecord(&recs[i], evs[start+i])
+		for i, e := range evs[len(evs)-len(recs):] {
+			o.judgeRecord(recs[i], e)
 		}
 	}
 	for node, evs := range byNode {
@@ -350,7 +344,7 @@ func (o *auditOracle) analyze(events []trace.Event, dumps []*audit.Dump) {
 	}
 }
 
-func lastTime(evs []trace.Event) time.Time {
+func lastTime(evs []*trace.Event) time.Time {
 	if len(evs) == 0 {
 		return time.Time{}
 	}
@@ -359,7 +353,7 @@ func lastTime(evs []trace.Event) time.Time {
 
 // judgeRecord checks one record against its paired trace event
 // (completeness) and against its own evidence (consistency).
-func (o *auditOracle) judgeRecord(r *audit.Record, e trace.Event) {
+func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 	o.obs++
 	want, _ := reasonForEvent(e)
 	if r.App != string(e.App) || r.User != string(e.User) || !r.T.Equal(e.Time) {

@@ -232,9 +232,8 @@ func RunScenario(sc Scenario, opt Options) (*Result, error) {
 
 	w.RunFor(p.Horizon + Settle)
 
-	events := w.Tracer.Events()
-	r.oracles.AnalyzeTrace(events, w.UpdateQuorumTimes())
-	r.oracles.AnalyzeAudit(events, w.AuditDumps())
+	r.oracles.AnalyzeTrace(w.Tracer.All(), w.UpdateQuorumTimes())
+	r.oracles.AnalyzeAudit(w.Tracer.All(), w.AuditRings())
 
 	res := &Result{
 		Scenario:   sc,

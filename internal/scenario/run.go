@@ -266,12 +266,9 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 
 	w.RunFor(sc.Duration + harness.Settle)
 
-	events, audits, quorums := w.Tracer.Events(), w.AuditDumps(), w.UpdateQuorumTimes()
-	// The world has run its last event: release the collector's chunks so
-	// one copy of the log, not two, is live while the oracles walk it.
-	w.Tracer.Reset()
-	r.oracles.AnalyzeTrace(events, quorums)
-	r.oracles.AnalyzeAudit(events, audits)
+	audits := w.AuditRings()
+	r.oracles.AnalyzeTrace(w.Tracer.All(), w.UpdateQuorumTimes())
+	r.oracles.AnalyzeAudit(w.Tracer.All(), audits)
 	res := r.res
 	res.Oracles = r.oracles.Reports()
 	res.Violations = r.oracles.Violations()
@@ -506,8 +503,8 @@ func (r *runtime) gatherOverload() {
 
 // gatherAudit folds the run's decision provenance into the result: exact
 // per-reason counts from the telemetry counters plus record/drop totals
-// from the per-node audit ring dumps (called once, after the run).
-func (r *runtime) gatherAudit(reg *telemetry.Registry, audits []*audit.Dump) {
+// from the per-node audit rings (called once, after the run).
+func (r *runtime) gatherAudit(reg *telemetry.Registry, audits []*audit.Recorder) {
 	a := &r.res.Audit
 	a.Reasons = make(map[string]uint64)
 	for reason, n := range core.ReasonCounts(reg) {
@@ -515,9 +512,9 @@ func (r *runtime) gatherAudit(reg *telemetry.Registry, audits []*audit.Dump) {
 			a.Reasons[reason.String()] = n
 		}
 	}
-	for _, d := range audits {
-		a.Records += d.Header.Total
-		a.Dropped += d.Header.Dropped
+	for _, rec := range audits {
+		a.Records += rec.Total()
+		a.Dropped += rec.Dropped()
 	}
 }
 

@@ -84,7 +84,7 @@ type Config struct {
 	// record one entry per decision, managers one per query verdict,
 	// each stamped by the node's own clock. Independent of NoTrace —
 	// audit records are emitted directly, not derived from trace events.
-	// See World.Audits and World.AuditDumps.
+	// See World.Audits and World.AuditRings.
 	AuditRing int
 }
 
@@ -500,32 +500,18 @@ func (w *World) FlightDump() *flight.Dump {
 	return flight.Merge(dumps...)
 }
 
-// AuditDumps snapshots every node's audit ring as one dump per node,
-// ordered by node id — the shape the harness audit oracle consumes
-// (per-node drop accounting must survive, so they are not merged here).
-// Nil when audit recording is off.
-func (w *World) AuditDumps() []*audit.Dump {
+// AuditRings returns every node's audit recorder, ordered by node id — the
+// shape the harness audit oracle consumes: it reads each ring where it lies
+// (audit.Recorder.All), and drop accounting and ring order are per node. Nil
+// when audit recording is off.
+func (w *World) AuditRings() []*audit.Recorder {
 	if w.Audits == nil {
 		return nil
 	}
-	ids := make([]string, 0, len(w.Audits))
-	for id := range w.Audits {
-		ids = append(ids, string(id))
+	rings := make([]*audit.Recorder, 0, len(w.Audits))
+	for _, rec := range w.Audits {
+		rings = append(rings, rec)
 	}
-	sort.Strings(ids)
-	dumps := make([]*audit.Dump, 0, len(ids))
-	for _, id := range ids {
-		dumps = append(dumps, w.Audits[wire.NodeID(id)].Dump())
-	}
-	return dumps
-}
-
-// AuditDump merges a snapshot of every node's audit ring into one dump,
-// ready for cmd/acaudit. Nil when audit recording is off.
-func (w *World) AuditDump() *audit.Dump {
-	dumps := w.AuditDumps()
-	if dumps == nil {
-		return nil
-	}
-	return audit.Merge(dumps...)
+	sort.Slice(rings, func(i, j int) bool { return rings[i].Node() < rings[j].Node() })
+	return rings
 }

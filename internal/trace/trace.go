@@ -7,6 +7,7 @@ package trace
 import (
 	"fmt"
 	"io"
+	"iter"
 	"strings"
 	"sync"
 	"time"
@@ -254,24 +255,44 @@ func (c *Collector) Count(t EventType) int {
 	return c.counts[t]
 }
 
-// each calls f on consecutive runs of the retained events, oldest first.
+// all yields the retained events, oldest first, in the chunks that hold them.
 // The caller holds c.mu.
-func (c *Collector) each(f func([]Event)) {
+func (c *Collector) all(yield func(*Event) bool) {
 	for i, chunk := range c.chunks {
 		if i == 0 {
 			chunk = chunk[c.head:]
 		}
-		f(chunk)
+		for j := range chunk {
+			if !yield(&chunk[j]) {
+				return
+			}
+		}
+	}
+}
+
+// All iterates over the retained events, oldest first, where they lie: no
+// copy of the log is made, so a pass over a finished run costs no memory. The
+// events are the collector's own storage — read them, do not write them — and
+// a pointer stays good until the next Emit or Reset. All holds the
+// collector's lock while the loop runs: the body must not call back into the
+// collector.
+func (c *Collector) All() iter.Seq[*Event] {
+	return func(yield func(*Event) bool) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.all(yield)
 	}
 }
 
 // Events returns a copy of the retained events, oldest first: one flat
-// slice, so callers that need the log more than once should keep it.
+// slice the caller owns. A pass that only reads the log ranges over All.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Event, 0, c.n)
-	c.each(func(run []Event) { out = append(out, run...) })
+	for e := range c.all {
+		out = append(out, *e)
+	}
 	return out
 }
 
@@ -280,13 +301,11 @@ func (c *Collector) Filter(t EventType) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Event
-	c.each(func(run []Event) {
-		for _, e := range run {
-			if e.Type == t {
-				out = append(out, e)
-			}
+	for e := range c.all {
+		if e.Type == t {
+			out = append(out, *e)
 		}
-	})
+	}
 	return out
 }
 
