@@ -603,7 +603,7 @@ func BenchmarkPlanner(b *testing.B) {
 // --- What a world costs -------------------------------------------------
 
 // BenchmarkHarnessSeeds is one sweep of fifty seeded scenarios with all five
-// oracles: what `acchk -seeds 50` runs, and two thirds of TestHarnessQuick.
+// oracles: what `acsim check -seeds 50` runs, and two thirds of TestHarnessQuick.
 func BenchmarkHarnessSeeds(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -1,6 +1,7 @@
-// Command acsim runs wide-area scenarios through the simulator.
+// Command acsim runs wide-area scenarios through the simulator, every run
+// judged by the five harness oracles.
 //
-// Named geo-realistic scenarios (internal/scenario) with oracle checking:
+// Named geo-realistic scenarios (internal/scenario):
 //
 //	acsim list                        show the scenario gallery
 //	acsim run <name> [-seed N]        run one scenario, report oracle verdicts
@@ -9,23 +10,35 @@
 //	                                  gallery table (EXPERIMENTS.md "Scenario
 //	                                  gallery")
 //
+// Seeded random scenarios (internal/harness), reported as JSON: scenario
+// counts, per-oracle totals and, for each failing seed, its violations, a
+// delta-debugged minimal schedule, a replay command and the path of the
+// merged flight recording:
+//
+//	acsim check -seeds 100
+//	acsim check -seeds 20 -start 1000 -v
+//	acsim check -seeds 5 -inject-te -inject-drop-notices   # prove the oracles bite
+//
 // Exit status: 0 clean, 1 when a scenario violated its oracles (or could not
 // run), 2 on a usage error.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
+	"wanac/internal/harness"
 	"wanac/internal/scenario"
 )
 
 const usage = `usage: acsim list
        acsim run <name> [-seed N] [-flight]
        acsim table
+       acsim check [-seeds N] [-start S] [-minimize B] [-v] [-inject-te] [-inject-drop-notices]
 `
 
 // usageError is a command line that names nothing acsim can do.
@@ -45,6 +58,8 @@ func run(args []string, stderr io.Writer) int {
 			err = cmdRun(args[1:])
 		case "table":
 			err = cmdTable()
+		case "check":
+			err = cmdCheck(args[1:], stderr)
 		default:
 			err = usageError{fmt.Errorf("unknown command %q", args[0])}
 		}
@@ -109,7 +124,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	if *writeFlight {
-		if _, err := scenario.WriteFlightArtifact(res); err != nil {
+		if _, err := res.WriteFlightArtifact(); err != nil {
 			return fmt.Errorf("write flight artifact: %w", err)
 		}
 	}
@@ -124,15 +139,69 @@ func cmdRun(args []string) error {
 // cmdTable runs the full catalog at default seeds and prints the markdown
 // gallery table (the generator behind EXPERIMENTS.md's "Scenario gallery").
 func cmdTable() error {
-	cat := scenario.Catalog()
-	results := make([]*scenario.Result, len(cat))
-	for i, sc := range cat {
+	fmt.Print(scenario.TableHeader)
+	for _, sc := range scenario.Catalog() {
 		res, err := scenario.Run(sc, 0)
 		if err != nil {
 			return err
 		}
-		results[i] = res
+		fmt.Print(scenario.TableRow(sc, res))
 	}
-	fmt.Print(scenario.Table(cat, results))
 	return nil
+}
+
+// cmdCheck runs the seeded protocol checker over a range of seeds and prints
+// its JSON report. With -v it prints one line per seed to stderr; a failing
+// seed's flight recording is named there too. It returns errViolations when
+// any seed failed.
+func cmdCheck(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("check", flag.ContinueOnError)
+	seeds := fs.Int64("seeds", 100, "number of scenario seeds to run")
+	start := fs.Int64("start", 1, "first seed")
+	minBudget := fs.Int("minimize", 80, "re-run budget for minimizing each failure (0 disables)")
+	verbose := fs.Bool("v", false, "print one line per seed to stderr")
+	injectTe := fs.Bool("inject-te", false, "inject bug: managers hand out 10×Te grants")
+	injectRN := fs.Bool("inject-drop-notices", false, "inject bug: drop RevokeNotice messages")
+	fs.SetOutput(io.Discard) // run reports the error, once
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
+	if fs.NArg() != 0 {
+		return usageError{fmt.Errorf("check: unexpected argument %q", fs.Arg(0))}
+	}
+	if *seeds < 1 {
+		return usageError{errors.New("check: -seeds must be at least 1")}
+	}
+	var progress func(int64, *harness.Result)
+	if *verbose {
+		progress = func(seed int64, res *harness.Result) {
+			if res == nil {
+				fmt.Fprintf(stderr, "seed %d: build error\n", seed)
+				return
+			}
+			verdict := "ok"
+			if res.Failed() {
+				verdict = fmt.Sprintf("%d violations", len(res.Violations))
+			}
+			fmt.Fprintf(stderr, "seed %d: %s, %d decisions, %d invokes, %d events\n",
+				seed, verdict, res.Decisions, res.Invokes, len(res.Scenario.Events))
+		}
+	}
+	opt := harness.Options{InflateTe: *injectTe, DropRevokeNotices: *injectRN}
+	report := harness.RunSeeds(*start, *seeds, opt, *minBudget, progress)
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report); err != nil {
+		return fmt.Errorf("encode report: %w", err)
+	}
+	if report.Passed() {
+		return nil
+	}
+	for _, f := range report.Failures {
+		if f.FlightDump != "" {
+			fmt.Fprintf(stderr, "seed %d: flight recording %s (render with: go run ./cmd/acflight %s)\n",
+				f.Seed, f.FlightDump, f.FlightDump)
+		}
+	}
+	return fmt.Errorf("%d of %d seeds failed: %w", len(report.Failures)+len(report.Errors), *seeds, errViolations)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 
 	"wanac/internal/clitest"
 	"wanac/internal/flight"
+	"wanac/internal/harness"
 )
 
 // TestListGolden pins the full `acsim list` gallery: scenario names,
@@ -101,6 +103,8 @@ func TestExitStatus(t *testing.T) {
 		{"run unknown scenario", []string{"run", "no-such-scenario"}, 2, `unknown scenario "no-such-scenario"`},
 		{"run unknown flag", []string{"run", "steady-baseline", "-preset", "freeze"}, 2, "-preset"},
 		{"oracle violations", []string{"run", "stale-allow-demo"}, 1, errViolations.Error()},
+		{"check no seeds", []string{"check", "-seeds", "0"}, 2, "-seeds must be at least 1"},
+		{"check unknown flag", []string{"check", "-log.level", "debug"}, 2, "-log.level"},
 		{"clean", []string{"list"}, 0, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -127,4 +131,58 @@ func TestExitStatus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCheckCLI drives `acsim check` both clean — exit 0 and the full JSON
+// report of seeds 1-40 pinned byte for byte, so drift on the seeded side
+// fails here as the catalog's does in TestRunGolden — and with injected
+// bugs: exit 1, every failure carrying a replay line and a flight dump
+// written under $WANAC_ARTIFACTS, and -v's one line per seed on stderr.
+func TestCheckCLI(t *testing.T) {
+	check := func(t *testing.T, args ...string) (status int, stdout, stderr string) {
+		t.Helper()
+		var errBuf bytes.Buffer
+		stdout, _ = clitest.Capture(t, func() error {
+			status = run(append([]string{"check"}, args...), &errBuf)
+			return nil
+		})
+		return status, stdout, errBuf.String()
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		status, out, stderr := check(t, "-seeds", "40", "-minimize", "0")
+		if status != 0 || stderr != "" {
+			t.Fatalf("exit status %d, stderr %q; want 0 and nothing", status, stderr)
+		}
+		clitest.CheckGolden(t, "check_seeds40.golden", out)
+	})
+
+	t.Run("injected-bug", func(t *testing.T) {
+		dir := t.TempDir()
+		t.Setenv("WANAC_ARTIFACTS", dir)
+		status, out, stderr := check(t, "-seeds", "3", "-minimize", "20", "-v", "-inject-te", "-inject-drop-notices")
+		if status != 1 {
+			t.Fatalf("exit status %d on injected bugs, want 1\nstderr: %s", status, stderr)
+		}
+		var report harness.SuiteReport
+		if err := json.Unmarshal([]byte(out), &report); err != nil {
+			t.Fatalf("report is not valid JSON: %v\n%s", err, out)
+		}
+		if len(report.Failures) == 0 {
+			t.Fatal("injected bugs produced no failures in the report")
+		}
+		for _, f := range report.Failures {
+			if f.Replay == "" || len(f.Violations) == 0 {
+				t.Errorf("seed %d failure lacks its replay artifact: %+v", f.Seed, f)
+			}
+			if filepath.Dir(f.FlightDump) != dir {
+				t.Errorf("seed %d flight dump %q not under $WANAC_ARTIFACTS %s", f.Seed, f.FlightDump, dir)
+			}
+		}
+		for _, seed := range []string{"seed 1: ", "seed 2: ", "seed 3: "} {
+			if !strings.Contains(stderr, seed) {
+				t.Errorf("-v printed no %q line:\n%s", seed, stderr)
+			}
+		}
+	})
 }

@@ -1,8 +1,8 @@
 // Package flight implements the per-node black-box flight recorder: an
 // always-on, bounded, lock-cheap ring buffer of recent structured events —
 // protocol events (internal/trace), transport state changes
-// (internal/netcore), partition and clock injections (internal/simnet,
-// internal/partition), and quorum decisions. When something goes wrong (an
+// (internal/netcore), partition and clock injections (internal/simnet),
+// and quorum decisions. When something goes wrong (an
 // oracle violation in the harness, a panic or an operator request on a live
 // node) the ring is dumped as versioned JSONL; cmd/acflight merges dumps
 // from several nodes, aligns their — possibly drifting — clocks and renders

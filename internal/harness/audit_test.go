@@ -52,9 +52,9 @@ func collected(events []trace.Event) iter.Seq[*trace.Event] {
 
 func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder) []Violation {
 	t.Helper()
-	s := NewOracleSet(30*time.Second, time.Second, 0, 2, 3)
-	s.AnalyzeAudit(collected(events), rings)
-	return s.Violations()
+	o := newAuditOracle(30*time.Second, 2, 3)
+	o.analyze(collected(events), rings)
+	return o.viol
 }
 
 func TestAuditOracleCleanMatch(t *testing.T) {
@@ -78,13 +78,13 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached")}
-	s := NewOracleSet(30*time.Second, time.Second, 0, 2, 3)
-	s.AnalyzeAudit(collected(events), nil)
-	if v := s.Violations(); len(v) != 0 {
-		t.Fatalf("no dumps should mean no jurisdiction, got %+v", v)
+	o := newAuditOracle(30*time.Second, 2, 3)
+	o.analyze(collected(events), nil)
+	if len(o.viol) != 0 {
+		t.Fatalf("no dumps should mean no jurisdiction, got %+v", o.viol)
 	}
-	if s.aud.Observations() != 0 {
-		t.Fatalf("observed %d with recording off", s.aud.Observations())
+	if o.obs != 0 {
+		t.Fatalf("observed %d with recording off", o.obs)
 	}
 }
 
@@ -218,8 +218,7 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 }
 
 func TestOracleSetIncludesAudit(t *testing.T) {
-	s := NewOracleSet(time.Minute, time.Second, 0, 2, 3)
-	reports := s.Reports()
+	reports := newOracles(time.Minute, time.Second, 0, 2, 3).reports()
 	if len(reports) != 5 || reports[4].Name != OracleAudit {
 		t.Fatalf("reports = %+v", reports)
 	}

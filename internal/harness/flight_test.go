@@ -69,7 +69,7 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 	// The dump travels as an artifact file; read it back the way acflight
 	// would, so the whole pipeline (write, parse, align, order) is on trial.
 	t.Setenv("WANAC_ARTIFACTS", t.TempDir())
-	path, err := WriteFlightArtifact(res)
+	path, err := res.WriteFlightArtifact()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,8 @@
 // revocations, checks, invokes, partitions, heals, host resets, name-service
 // churn), a runner replays the schedule against a full sim.World, and a set
 // of invariant oracles machine-check the paper's guarantees on the resulting
-// execution:
+// execution. The same Runner runs internal/scenario's named catalog. The
+// oracles:
 //
 //   - revocation safety: no host grants access more than the Te bound after
 //     a revocation reached an update quorum (§3.2-3.3);

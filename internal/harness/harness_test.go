@@ -24,10 +24,10 @@ func runSweep(t *testing.T, first, n int64, opt Options, minimizeBudget int) *Su
 			rerun, err := RunScenario(minimized, opt)
 			if err == nil && rerun.Failed() {
 				rerun.Scenario = minimized
-				WriteFlightArtifact(rerun)
+				rerun.WriteFlightArtifact()
 				t.Errorf("%s", FormatFailure(rerun))
 			} else {
-				WriteFlightArtifact(res)
+				res.WriteFlightArtifact()
 				t.Errorf("%s", FormatFailure(res))
 			}
 		}
@@ -41,7 +41,7 @@ func runSweep(t *testing.T, first, n int64, opt Options, minimizeBudget int) *Su
 // TestHarnessQuick is the tier-1 wiring: a sweep of seeded random scenarios
 // across the configuration lattice, every oracle silent. With
 // -harness.seed=N it instead replays exactly seed N, which is how failures
-// reported by the sweep (or by cmd/acchk) are reproduced.
+// reported by the sweep (or by `acsim check`) are reproduced.
 func TestHarnessQuick(t *testing.T) {
 	opt := Options{DropRevokeNotices: *dropNotices, InflateTe: *inflateTe}
 	if *replaySeed >= 0 {
@@ -52,7 +52,7 @@ func TestHarnessQuick(t *testing.T) {
 			t.Fatalf("replay seed %d: %v", *replaySeed, err)
 		}
 		if res.Failed() {
-			WriteFlightArtifact(res)
+			res.WriteFlightArtifact()
 			t.Errorf("%s", FormatFailure(res))
 		}
 		return
@@ -197,7 +197,7 @@ func TestMinimizeNonFailing(t *testing.T) {
 }
 
 // TestSuiteReportShape exercises RunSeeds aggregation over a couple of
-// clean seeds, the code path cmd/acchk renders as JSON.
+// clean seeds, the code path `acsim check` renders as JSON.
 func TestSuiteReportShape(t *testing.T) {
 	var progressed int
 	report := RunSeeds(11, 2, Options{}, 0, func(int64, *Result) { progressed++ })

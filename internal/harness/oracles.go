@@ -35,33 +35,67 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] t=%s %s", v.Oracle, v.At.Format("15:04:05.000"), v.Detail)
 }
 
-// Oracle is an invariant checker over one scenario execution. Oracles
-// accumulate observations while the runner drives the schedule (or, for
-// trace-derived oracles, in a single post-run pass) and report any
-// violations afterwards.
-type Oracle interface {
-	// Name returns the oracle's stable identifier.
-	Name() string
-	// Observations counts how many protocol facts the oracle judged; a
-	// passing run with zero observations exercised nothing.
-	Observations() int
-	// Violations returns the invariant breaches found, in detection order.
-	Violations() []Violation
-}
-
-// oracleState is the shared bookkeeping embedded in each concrete oracle.
+// oracleState is the shared bookkeeping embedded in each concrete oracle:
+// how many protocol facts it judged (a passing run with zero observations
+// exercised nothing) and the breaches it found, in detection order.
 type oracleState struct {
 	name string
 	obs  int
 	viol []Violation
 }
 
-func (o *oracleState) Name() string            { return o.name }
-func (o *oracleState) Observations() int       { return o.obs }
-func (o *oracleState) Violations() []Violation { return o.viol }
-
 func (o *oracleState) fail(at time.Time, format string, args ...any) {
 	o.viol = append(o.viol, Violation{Oracle: o.name, At: at, Detail: fmt.Sprintf(format, args...)})
+}
+
+// oracles are the five invariant checkers one run is judged by. te and
+// queryTimeout parameterize the revocation-safety bound (Te + QueryTimeout);
+// cacheLimit bounds host caches for the hygiene oracle (0 means unbounded);
+// checkQuorum and maxAttempts parameterize the audit-completeness oracle's
+// evidence checks (a quorum allow must cite >= checkQuorum confirmations, a
+// default outcome must cite maxAttempts exhausted rounds).
+type oracles struct {
+	rev   *revocationOracle
+	seq   *sequencingOracle
+	cache *cacheOracle
+	avail *availabilityOracle
+	aud   *auditOracle
+}
+
+func newOracles(te, queryTimeout time.Duration, cacheLimit, checkQuorum, maxAttempts int) oracles {
+	return oracles{
+		rev:   newRevocationOracle(te, queryTimeout),
+		seq:   newSequencingOracle(),
+		cache: newCacheOracle(cacheLimit),
+		avail: &availabilityOracle{oracleState: oracleState{name: OracleAvailability}},
+		aud:   newAuditOracle(te, checkQuorum, maxAttempts),
+	}
+}
+
+// all returns the oracles in report order: revocation-safety,
+// monotonic-sequencing, cache-hygiene, eventual-availability,
+// audit-completeness.
+func (s oracles) all() []*oracleState {
+	return []*oracleState{&s.rev.oracleState, &s.seq.oracleState, &s.cache.oracleState, &s.avail.oracleState, &s.aud.oracleState}
+}
+
+// reports summarizes every oracle's observation and violation counts.
+func (s oracles) reports() []OracleReport {
+	var out []OracleReport
+	for _, o := range s.all() {
+		out = append(out, OracleReport{Name: o.name, Observations: o.obs, Violations: len(o.viol)})
+	}
+	return out
+}
+
+// violations returns every breach found, grouped by oracle in report
+// order, detection order within each.
+func (s oracles) violations() []Violation {
+	var out []Violation
+	for _, o := range s.all() {
+		out = append(out, o.viol...)
+	}
+	return out
 }
 
 // revocationOracle checks the paper's central guarantee (§3.2-3.3): once a
@@ -188,10 +222,10 @@ func (o *sequencingOracle) analyze(events iter.Seq[*trace.Event], quorumAt map[w
 
 // availabilityOracle checks liveness (§2.3): after the network heals, a host
 // can again confirm access for a user whose grant was stable before the
-// heal. Each armed probe retries every probeEvery until the settle window
-// closes; a probe that never sees an allow — absent interference (a new
-// disruption, a reset of the probed host, or a revocation of the probed
-// user, any of which silently aborts the probe) — is a violation.
+// heal. Each armed probe retries every 2 s until the settle window closes;
+// a probe that never sees an allow — absent interference (a new disruption,
+// a reset of the probed host, or a revocation of the probed user, any of
+// which silently aborts the probe) — is a violation.
 //
 // The window is a fixed settle period rather than the strict "R query
 // rounds" reading: with message loss up to 15% and C up to M confirmations
@@ -202,32 +236,25 @@ type availabilityOracle struct {
 	oracleState
 }
 
-func newAvailabilityOracle() *availabilityOracle {
-	return &availabilityOracle{oracleState: oracleState{name: OracleAvailability}}
+// probe tracks one armed post-heal availability obligation (one
+// observation each). The runner marks it done when a probe round sees an
+// allow, or aborted when interference (a new disruption, a host reset, a
+// revocation of the probed user) voids the obligation.
+type probe struct {
+	host          int
+	user          wire.UserID
+	healAt        time.Time
+	done, aborted bool
 }
 
-// Probe tracks one armed post-heal availability obligation. The driver that
-// armed it marks Done when a probe round sees an allow, or Aborted when
-// interference (a new disruption, a host reset, a revocation of the probed
-// user) voids the obligation.
-type Probe struct {
-	Host    int
-	User    wire.UserID
-	HealAt  time.Time
-	Done    bool
-	Aborted bool
-}
-
-// armed records that a probe was created (one observation each).
-func (o *availabilityOracle) armed() { o.obs++ }
-
-// judge closes a probe at its deadline.
-func (o *availabilityOracle) judge(pr *Probe, at time.Time, window time.Duration) {
-	if pr.Done || pr.Aborted {
+// judge closes a probe at its deadline: one neither done nor aborted is a
+// liveness violation.
+func (o *availabilityOracle) judge(pr *probe, at time.Time) {
+	if pr.done || pr.aborted {
 		return
 	}
 	o.fail(at, "host h%d never confirmed access for stable user %s within %s of heal",
-		pr.Host, pr.User, window)
+		pr.host, pr.user, availWindow)
 }
 
 // auditOracle checks decision provenance (internal/audit), two ways at

@@ -20,7 +20,7 @@ type SeedFailure struct {
 }
 
 // SuiteReport aggregates a multi-seed harness run; it is the JSON document
-// emitted by cmd/acchk.
+// `acsim check` emits.
 type SuiteReport struct {
 	Seeds     int64          `json:"seeds"`
 	FirstSeed int64          `json:"first_seed"`
@@ -95,7 +95,7 @@ func RunSeeds(firstSeed, n int64, opt Options, minimizeBudget int, progress func
 					dumpRes = minRes
 				}
 			}
-			if path, err := WriteFlightArtifact(dumpRes); err == nil {
+			if path, err := dumpRes.WriteFlightArtifact(); err == nil {
 				fail.FlightDump = path
 			}
 			report.Failures = append(report.Failures, fail)

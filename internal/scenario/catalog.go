@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wanac/internal/core"
+	"wanac/internal/harness"
 	"wanac/internal/simnet"
 )
 
@@ -123,7 +124,7 @@ func Catalog() []*Scenario {
 			WithPopulation(Population{Users: 10000, ZipfS: 1.3, Authorized: 32}).
 			WithAdminChurn(25 * time.Second).
 			WithFaults(RegionPartition{Region: EUWest, At: 40 * time.Second, For: 60 * time.Second}).
-			WithBreak(Break{InflateTe: true, DropRevokeNotices: true}).
+			WithBreak(harness.Options{InflateTe: true, DropRevokeNotices: true}).
 			For(150 * time.Second),
 	}
 }

@@ -85,15 +85,15 @@ func (f RegionPartition) Window() (time.Duration, time.Duration) { return f.At, 
 func (f RegionPartition) schedule(r *runtime) {
 	inside := r.sc.Topology.NodesIn(f.Region)
 	outside := excluding(r.sc.Topology.AllNodes(), inside)
-	r.w.Sched.After(f.At, func() {
+	r.W.Sched.After(f.At, func() {
 		r.beginFault(f.Describe())
-		r.w.Net.Partition(inside, outside)
+		r.W.Net.Partition(inside, outside)
 	})
-	r.w.Sched.After(f.At+f.For, func() {
+	r.W.Sched.After(f.At+f.For, func() {
 		// Restore pairwise (not Heal) so overlapping faults stay cut.
 		for _, a := range inside {
 			for _, b := range outside {
-				r.w.Net.SetLink(a, b, true)
+				r.W.Net.SetLink(a, b, true)
 			}
 		}
 		r.endFault()
@@ -121,12 +121,12 @@ func (f OneWayPartition) Window() (time.Duration, time.Duration) { return f.At, 
 func (f OneWayPartition) schedule(r *runtime) {
 	from := f.From.ids(r.sc.Topology)
 	to := f.To.ids(r.sc.Topology)
-	r.w.Sched.After(f.At, func() {
+	r.W.Sched.After(f.At, func() {
 		r.beginFault(f.Describe())
-		r.w.Net.PartitionOneWay(from, to)
+		r.W.Net.PartitionOneWay(from, to)
 	})
-	r.w.Sched.After(f.At+f.For, func() {
-		r.w.Net.RestoreOneWay(from, to)
+	r.W.Sched.After(f.At+f.For, func() {
+		r.W.Net.RestoreOneWay(from, to)
 		r.endFault()
 	})
 }
@@ -153,17 +153,17 @@ func (f SlowLinks) schedule(r *runtime) {
 	as := r.sc.Topology.NodesIn(f.A)
 	bs := r.sc.Topology.NodesIn(f.B)
 	matrix := r.matrix
-	r.w.Sched.After(f.At, func() {
+	r.W.Sched.After(f.At, func() {
 		r.beginFault(f.Describe())
 		forEachPair(as, bs, func(x, y wire.NodeID) {
 			// Stretch the link's own geographic model so the degraded
 			// distribution keeps its shape.
-			r.w.Net.SetLinkLatency(x, y, simnet.Scaled{Model: matrix.Link(x, y), Factor: f.Factor})
+			r.W.Net.SetLinkLatency(x, y, simnet.Scaled{Model: matrix.Link(x, y), Factor: f.Factor})
 		})
 	})
-	r.w.Sched.After(f.At+f.For, func() {
+	r.W.Sched.After(f.At+f.For, func() {
 		forEachPair(as, bs, func(x, y wire.NodeID) {
-			r.w.Net.SetLinkLatency(x, y, nil)
+			r.W.Net.SetLinkLatency(x, y, nil)
 		})
 		r.endFault()
 	})
@@ -212,17 +212,17 @@ func (f CongestionBurst) schedule(r *runtime) {
 	}
 	for i := 0; i < f.repeats(); i++ {
 		start := f.At + time.Duration(i)*f.Every
-		r.w.Sched.After(start, func() {
+		r.W.Sched.After(start, func() {
 			r.beginFault(f.Describe())
 			forEachPair(as, bs, func(x, y wire.NodeID) {
-				r.w.Net.SetLinkLoss(x, y, f.Loss)
-				r.w.Net.SetLinkLatency(x, y, simnet.Scaled{Model: matrix.Link(x, y), Factor: factor})
+				r.W.Net.SetLinkLoss(x, y, f.Loss)
+				r.W.Net.SetLinkLatency(x, y, simnet.Scaled{Model: matrix.Link(x, y), Factor: factor})
 			})
 		})
-		r.w.Sched.After(start+f.For, func() {
+		r.W.Sched.After(start+f.For, func() {
 			forEachPair(as, bs, func(x, y wire.NodeID) {
-				r.w.Net.SetLinkLoss(x, y, -1)
-				r.w.Net.SetLinkLatency(x, y, nil)
+				r.W.Net.SetLinkLoss(x, y, -1)
+				r.W.Net.SetLinkLatency(x, y, nil)
 			})
 			r.endFault()
 		})
@@ -250,15 +250,15 @@ func (f RegionOutage) Window() (time.Duration, time.Duration) { return f.At, f.F
 
 func (f RegionOutage) schedule(r *runtime) {
 	mgrs := r.sc.Topology.ManagersIn(f.Region)
-	r.w.Sched.After(f.At, func() {
+	r.W.Sched.After(f.At, func() {
 		r.beginFault(f.Describe())
 		for _, m := range mgrs {
-			r.w.Net.Crash(m)
+			r.W.Net.Crash(m)
 		}
 	})
-	r.w.Sched.After(f.At+f.For, func() {
+	r.W.Sched.After(f.At+f.For, func() {
 		for _, m := range mgrs {
-			r.w.Net.Recover(m)
+			r.W.Net.Recover(m)
 		}
 		r.endFault()
 	})

@@ -9,7 +9,6 @@ import (
 
 	"wanac/internal/core"
 	"wanac/internal/simnet"
-	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
 
@@ -52,8 +51,7 @@ func overloadFlood(name string, protected bool) *Scenario {
 // while the identical unprotected deployment leaks — its update traffic
 // drowns in the query flood, so revocations converge late or not at all.
 func TestOverloadProtectionBoundsRevocationLag(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	prot := overloadFlood("overload-protected", true).WithTelemetry(reg)
+	prot := overloadFlood("overload-protected", true)
 	resP, err := Run(prot, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +77,8 @@ func TestOverloadProtectionBoundsRevocationLag(t *testing.T) {
 	if o.TeWidenings == 0 {
 		t.Error("adaptive Te never widened under sustained shedding")
 	}
-	if o.EffectiveTePeak <= prot.te() || o.EffectiveTePeak > prot.Overload.AdaptiveTe.Max {
-		t.Errorf("effective Te peak = %v, want in (%v, %v]", o.EffectiveTePeak, prot.te(), prot.Overload.AdaptiveTe.Max)
+	if peak := resP.EffectiveTePeak; peak <= prot.te() || peak > prot.Overload.AdaptiveTe.Max {
+		t.Errorf("effective Te peak = %v, want in (%v, %v]", peak, prot.te(), prot.Overload.AdaptiveTe.Max)
 	}
 	if o.CapacityDrops[wire.LaneHigh] != 0 {
 		t.Errorf("high-lane capacity drops = %d: control traffic must never be squeezed out", o.CapacityDrops[wire.LaneHigh])
@@ -103,7 +101,7 @@ func TestOverloadProtectionBoundsRevocationLag(t *testing.T) {
 	// The exported telemetry must agree exactly with the result totals —
 	// same counters a live deployment would alert on.
 	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
+	if err := resP.Telemetry.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	exposition := buf.String()
@@ -143,7 +141,7 @@ func TestOverloadProtectionBoundsRevocationLag(t *testing.T) {
 	}
 	t.Logf("protected: p99=%v lags=%v shed=%d busy=%d backoffs=%d widenings=%d tePeak=%v drops=%v",
 		resP.SubmitLagP99, resP.SubmitLags, o.QueriesShed, o.BusyReplies, o.Backoffs,
-		o.TeWidenings, o.EffectiveTePeak, o.CapacityDrops)
+		o.TeWidenings, resP.EffectiveTePeak, o.CapacityDrops)
 	t.Logf("baseline:  p99=%v lags=%v revocations=%d drops=%v",
 		resB.SubmitLagP99, resB.SubmitLags, resB.Revocations, resB.Overload.CapacityDrops)
 }

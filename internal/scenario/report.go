@@ -23,7 +23,7 @@ func FormatResult(sc *Scenario, res *Result) string {
 	if o := res.Overload; protected {
 		fmt.Fprintf(&b, "  overload:   shed=%d busy=%d backoffs=%d te-widenings=%d effective-te-peak=%s queue-drops=%d bulk/%d high\n",
 			o.QueriesShed, o.BusyReplies, o.Backoffs, o.TeWidenings,
-			o.EffectiveTePeak, o.CapacityDrops[0], o.CapacityDrops[1])
+			res.EffectiveTePeak, o.CapacityDrops[0], o.CapacityDrops[1])
 		fmt.Fprintf(&b, "  submit-lag: p99 %s over %d measured (revocation submit → converged)\n",
 			fmtLag(res.SubmitLagP99), len(res.SubmitLags))
 	}
@@ -106,25 +106,23 @@ func fmtLag(d time.Duration) string {
 	return d.Round(100 * time.Millisecond).String()
 }
 
-// Table renders the scenario gallery as a markdown table, one row per
-// (scenario, result) pair — the generator behind EXPERIMENTS.md's
-// "Scenario gallery" section (`acsim table`).
-func Table(scs []*Scenario, results []*Result) string {
-	var b strings.Builder
-	b.WriteString("| scenario | regions | M/C | load | faults | oracles | revocation lag p99 |\n")
-	b.WriteString("|---|---|---|---|---|---|---|\n")
-	for i, sc := range scs {
-		res := results[i]
-		p := sc.policy()
-		fmt.Fprintf(&b, "| %s | %d (%s) | %d/%d | %s | %s | %s | %s |\n",
-			sc.Name,
-			len(sc.Topology.Regions), sc.Topology.Name,
-			sc.Topology.Managers(), p.CheckQuorum,
-			sc.Load.Describe(),
-			sc.FaultSummary(),
-			Verdict(res),
-			fmtLag(res.RevocationLagP99),
-		)
-	}
-	return b.String()
+// TableHeader heads the scenario gallery, the markdown table `acsim table`
+// prints and EXPERIMENTS.md's "Scenario gallery" publishes.
+const TableHeader = "| scenario | regions | M/C | load | faults | oracles | revocation lag p99 |\n" +
+	"|---|---|---|---|---|---|---|\n"
+
+// TableRow renders one run's row of the gallery. Render it when the run
+// ends rather than holding its Result: Result.Telemetry keeps the run's
+// whole world reachable.
+func TableRow(sc *Scenario, res *Result) string {
+	p := sc.policy()
+	return fmt.Sprintf("| %s | %d (%s) | %d/%d | %s | %s | %s | %s |\n",
+		sc.Name,
+		len(sc.Topology.Regions), sc.Topology.Name,
+		sc.Topology.Managers(), p.CheckQuorum,
+		sc.Load.Describe(),
+		sc.FaultSummary(),
+		Verdict(res),
+		fmtLag(res.RevocationLagP99),
+	)
 }

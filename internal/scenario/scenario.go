@@ -6,26 +6,12 @@ import (
 	"time"
 
 	"wanac/internal/core"
+	"wanac/internal/harness"
 	"wanac/internal/simnet"
-	"wanac/internal/telemetry"
 )
 
 // DefaultTe is the revocation bound used when a scenario doesn't set one.
 const DefaultTe = 60 * time.Second
-
-// Break selects deliberate protocol misconfigurations (mirroring
-// harness.Options) so a scenario can demonstrate a known failure shape —
-// the catalog's stale-allow-demo uses both to reproduce partition →
-// stale-allow with a flight-dump artifact.
-type Break struct {
-	// InflateTe makes managers hand out grants valid for 10×Te while hosts
-	// and oracles still assume Te.
-	InflateTe bool
-	// DropRevokeNotices silently discards every RevokeNotice on the wire.
-	DropRevokeNotices bool
-}
-
-func (b Break) broken() bool { return b.InflateTe || b.DropRevokeNotices }
 
 // Scenario is one named, fully specified simulation: a topology, a load
 // shape, a population, fault injections, and the policy under test. Build
@@ -56,8 +42,10 @@ type Scenario struct {
 	Loss float64
 	// Seed is the default seed used by `acsim run` and the catalog tests.
 	Seed int64
-	// Break injects deliberate bugs; see Break.
-	Break Break
+	// Break injects deliberate protocol bugs so a scenario can demonstrate a
+	// known failure shape — the catalog's stale-allow-demo uses both to
+	// reproduce partition → stale-allow with a flight-dump artifact.
+	Break harness.Options
 
 	// Overload is the manager-side admission-control configuration (token
 	// buckets, adaptive Te, Retry-After clamp). The zero value runs
@@ -68,10 +56,6 @@ type Scenario struct {
 	// (simnet.Capacity), so a check flood creates genuine manager overload
 	// instead of being absorbed instantaneously.
 	Capacity simnet.Capacity
-	// Telemetry, when non-nil, instruments every node against this
-	// registry, exactly as a live deployment would; the overload tests
-	// assert the exported counters match the Result's totals.
-	Telemetry *telemetry.Registry
 }
 
 // New starts a scenario definition.
@@ -121,16 +105,13 @@ func (s *Scenario) WithLoss(p float64) *Scenario { s.Loss = p; return s }
 func (s *Scenario) WithSeed(seed int64) *Scenario { s.Seed = seed; return s }
 
 // WithBreak injects deliberate protocol bugs.
-func (s *Scenario) WithBreak(b Break) *Scenario { s.Break = b; return s }
+func (s *Scenario) WithBreak(b harness.Options) *Scenario { s.Break = b; return s }
 
 // WithOverload sets the manager-side admission-control configuration.
 func (s *Scenario) WithOverload(o core.OverloadConfig) *Scenario { s.Overload = o; return s }
 
 // WithManagerCapacity installs a finite-capacity server on every manager.
 func (s *Scenario) WithManagerCapacity(c simnet.Capacity) *Scenario { s.Capacity = c; return s }
-
-// WithTelemetry instruments every node against reg.
-func (s *Scenario) WithTelemetry(reg *telemetry.Registry) *Scenario { s.Telemetry = reg; return s }
 
 // te returns the effective revocation bound.
 func (s *Scenario) te() time.Duration {
@@ -140,7 +121,7 @@ func (s *Scenario) te() time.Duration {
 	return DefaultTe
 }
 
-// oracleTe returns the revocation bound the oracles must hold the run to:
+// oracleTe returns the revocation bound the oracles hold the run to:
 // with the adaptive-Te controller enabled, managers may legally widen grant
 // expiry up to AdaptiveTe.Max, so that cap — not the base Te — is the
 // promise the deployment makes.
@@ -228,7 +209,7 @@ func (s *Scenario) String() string {
 	if at := s.Overload.AdaptiveTe; at.Max > 0 {
 		fmt.Fprintf(&b, "\n  adaptive-te: max=%s interval=%s", at.Max, at.Interval)
 	}
-	if s.Break.broken() {
+	if s.Break != (harness.Options{}) {
 		fmt.Fprintf(&b, "\n  BROKEN:     inflate-te=%v drop-revoke-notices=%v",
 			s.Break.InflateTe, s.Break.DropRevokeNotices)
 	}

@@ -48,12 +48,14 @@ func TestCatalogShape(t *testing.T) {
 func resultKey(r *Result) Result {
 	return Result{
 		Name: r.Name, Seed: r.Seed,
-		Checks: r.Checks, Decisions: r.Decisions,
-		Allowed: r.Allowed, Denied: r.Denied, DefaultAllowed: r.DefaultAllowed,
+		Outcome: harness.Outcome{
+			Checks: r.Checks, Decisions: r.Decisions,
+			Allowed: r.Allowed, Denied: r.Denied, DefaultAllowed: r.DefaultAllowed,
+			Oracles: r.Oracles, Violations: r.Violations,
+			Net: r.Net,
+		},
 		Revocations: r.Revocations, RevocationLags: r.RevocationLags,
 		RevocationLagP99: r.RevocationLagP99,
-		Oracles:          r.Oracles, Violations: r.Violations,
-		Net: r.Net,
 	}
 }
 
@@ -117,25 +119,25 @@ func TestCIFastScenarios(t *testing.T) {
 
 // TestFullCatalogRuns executes every catalog scenario at its default seed:
 // all five oracles attach and observe traffic, and every scenario runs
-// clean except the deliberately broken one, which must fail. The results,
-// rendered by Table, are the table EXPERIMENTS.md publishes.
+// clean except the deliberately broken one, which must fail. Their
+// TableRows are the table EXPERIMENTS.md publishes.
 func TestFullCatalogRuns(t *testing.T) {
 	cat := Catalog()
-	results := make([]*Result, len(cat))
+	rows := make([]string, len(cat))
 	for i, sc := range cat {
 		t.Run(sc.Name, func(t *testing.T) {
 			res, err := Run(sc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			results[i] = res
+			rows[i] = TableRow(sc, res)
 			if len(res.Oracles) != 5 {
 				t.Fatalf("attached %d oracles, want 5", len(res.Oracles))
 			}
 			if res.Decisions == 0 {
 				t.Fatal("scenario decided nothing")
 			}
-			if sc.Break.broken() {
+			if sc.Break != (harness.Options{}) {
 				if !res.Failed() {
 					t.Fatal("broken scenario ran clean")
 				}
@@ -149,10 +151,12 @@ func TestFullCatalogRuns(t *testing.T) {
 			}
 		})
 	}
-	for _, res := range results {
-		if res == nil {
+	table := TableHeader
+	for _, row := range rows {
+		if row == "" {
 			return // a -run filter or a failed run left no full table to compare
 		}
+		table += row
 	}
 	doc, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -162,8 +166,8 @@ func TestFullCatalogRuns(t *testing.T) {
 	_, gallery, _ := strings.Cut(string(doc), "\n## Scenario gallery\n")
 	_, gallery, _ = strings.Cut(gallery, "\n\n|")
 	published, _, _ := strings.Cut("|"+gallery, "\n\n")
-	if got := Table(cat, results); got != published+"\n" {
-		t.Errorf("EXPERIMENTS.md \"Scenario gallery\" is not `acsim table`.\n--- acsim table ---\n%s--- published ---\n%s\n", got, published)
+	if table != published+"\n" {
+		t.Errorf("EXPERIMENTS.md \"Scenario gallery\" is not `acsim table`.\n--- acsim table ---\n%s--- published ---\n%s\n", table, published)
 	}
 }
 
@@ -210,7 +214,7 @@ func TestStaleAllowDemo(t *testing.T) {
 	if res.Flight == nil {
 		t.Fatal("failed run produced no flight dump")
 	}
-	path, err := WriteFlightArtifact(res)
+	path, err := res.WriteFlightArtifact()
 	if err != nil {
 		t.Fatal(err)
 	}

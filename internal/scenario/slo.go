@@ -11,11 +11,11 @@ import (
 	"wanac/internal/wire"
 )
 
-// Scenario SLO evaluation: every run carries a telemetry registry (the
-// caller's via WithTelemetry, else a private one) and an slo.Engine
-// sampled on the sim clock, so the catalog doubles as an SLO regression
-// suite — the same specs acmon evaluates against a live fleet, with
-// windows scaled from operations time (5m/1h) to scenario time.
+// Scenario SLO evaluation: every run carries a telemetry registry
+// (Result.Telemetry) and an slo.Engine sampled on the sim clock, so the
+// catalog doubles as an SLO regression suite — the same specs acmon
+// evaluates against a live fleet, with windows scaled from operations time
+// (5m/1h) to scenario time.
 const (
 	// sloSampleEvery is the engine sampling cadence on the sim clock.
 	sloSampleEvery = 5 * time.Second
@@ -143,7 +143,7 @@ func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
 			sp.Indicator = slo.Ratio(func() (float64, float64) {
 				var admitted, dropped uint64
 				for i := 0; i < r.sc.Topology.Managers(); i++ {
-					if st, ok := r.w.Net.CapacityStats(sim.ManagerID(i)); ok {
+					if st, ok := r.W.Net.CapacityStats(sim.ManagerID(i)); ok {
 						admitted += st.Enqueued[lane]
 						dropped += st.Dropped[lane]
 					}
@@ -161,11 +161,11 @@ func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
 // reads counters — it consumes no randomness and sends no messages, so
 // it cannot perturb the run's determinism.
 func (r *runtime) setupSLO(reg *telemetry.Registry) *slo.Engine {
-	engine := slo.NewEngine(r.w.Sched.Now, r.sloSpecs(reg)...)
+	engine := slo.NewEngine(r.W.Sched.Now, r.sloSpecs(reg)...)
 	engine.Register(reg)
 	engine.Sample()
 	for at := sloSampleEvery; at <= r.sc.Duration+harness.Settle; at += sloSampleEvery {
-		r.w.Sched.After(at, func() { engine.Sample() })
+		r.W.Sched.After(at, func() { engine.Sample() })
 	}
 	return engine
 }

@@ -79,9 +79,9 @@ func TestOverload100xRevocationLagBurnAlert(t *testing.T) {
 	// time a manager's effective Te hits the AdaptiveTe.Max cap (no
 	// headroom left to protect revocations), some burn-rate alert is
 	// already firing.
-	if res.Overload.TeMaxedAt == 0 {
+	if res.TeMaxedAt == 0 {
 		t.Fatalf("adaptive Te never reached its cap; overload-100x should exhaust headroom (peak %s)",
-			res.Overload.EffectiveTePeak)
+			res.EffectiveTePeak)
 	}
 	earliest := time.Duration(-1)
 	for _, s := range res.SLO {
@@ -91,8 +91,8 @@ func TestOverload100xRevocationLagBurnAlert(t *testing.T) {
 			}
 		}
 	}
-	if earliest < 0 || earliest > res.Overload.TeMaxedAt {
-		t.Fatalf("first burn-rate alert at +%s, after adaptive Te maxed at +%s", earliest, res.Overload.TeMaxedAt)
+	if earliest < 0 || earliest > res.TeMaxedAt {
+		t.Fatalf("first burn-rate alert at +%s, after adaptive Te maxed at +%s", earliest, res.TeMaxedAt)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"wanac/internal/stats"
 	"wanac/internal/wire"
 )
 
@@ -24,7 +23,7 @@ func TestEstimatesWorkerCountInvariant(t *testing.T) {
 	}
 	workerCounts := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, cell := range cells {
-		var wantPA, wantPS stats.Proportion
+		var wantPA, wantPS Proportion
 		for i, wk := range workerCounts {
 			p := cell
 			p.Workers = wk
@@ -79,7 +78,7 @@ func TestResetTrialMatchesFreshBuild(t *testing.T) {
 			successes++
 		}
 	}
-	if want := stats.NewProportion(successes, p.Trials); got != want {
+	if want := NewProportion(successes, p.Trials); got != want {
 		t.Errorf("reused-world estimate %+v, fresh-build reference %+v", got, want)
 	}
 }

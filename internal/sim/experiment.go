@@ -2,13 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
 	"wanac/internal/core"
-	"wanac/internal/stats"
 	"wanac/internal/wire"
 )
 
@@ -94,11 +94,11 @@ func trialSeed(seed int64, trial int) int64 {
 // trialSeed(p.Seed, t), making each trial's outcome a pure function of
 // (p, fn, t): the merged estimate is bit-identical for any worker count,
 // so parallel runs are directly comparable with serial ones and with each
-// other. Per-worker shard counts are pooled with stats.Proportion.Merge,
+// other. Per-worker shard counts are pooled with Proportion.Merge,
 // which recomputes the Wilson interval from the combined counts.
-func RunTrials(p TrialParams, hosts int, fn TrialFunc) (stats.Proportion, error) {
+func RunTrials(p TrialParams, hosts int, fn TrialFunc) (Proportion, error) {
 	if err := validateTrial(p); err != nil {
-		return stats.Proportion{}, err
+		return Proportion{}, err
 	}
 	workers := p.Workers
 	if workers <= 0 {
@@ -107,7 +107,7 @@ func RunTrials(p TrialParams, hosts int, fn TrialFunc) (stats.Proportion, error)
 	if workers > p.Trials {
 		workers = p.Trials
 	}
-	shards := make([]stats.Proportion, workers)
+	shards := make([]Proportion, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for k := 0; k < workers; k++ {
@@ -136,13 +136,13 @@ func RunTrials(p TrialParams, hosts int, fn TrialFunc) (stats.Proportion, error)
 					successes++
 				}
 			}
-			shards[k] = stats.NewProportion(successes, trials)
+			shards[k] = NewProportion(successes, trials)
 		}(k)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return stats.Proportion{}, err
+			return Proportion{}, err
 		}
 	}
 	agg := shards[0]
@@ -152,10 +152,68 @@ func RunTrials(p TrialParams, hosts int, fn TrialFunc) (stats.Proportion, error)
 	return agg, nil
 }
 
+// Proportion is an estimated probability with its sampling uncertainty.
+type Proportion struct {
+	Successes int
+	Trials    int
+	// P is the point estimate Successes/Trials.
+	P float64
+	// Lo and Hi bound the 95% Wilson score interval.
+	Lo, Hi float64
+}
+
+// NewProportion estimates a probability from Bernoulli trials with a 95%
+// Wilson score interval (better behaved than the normal approximation when
+// p is near 0 or 1, which is exactly where PA and PS live).
+func NewProportion(successes, trials int) Proportion {
+	if trials <= 0 {
+		return Proportion{}
+	}
+	p := float64(successes) / float64(trials)
+	const z = 1.959964 // 97.5th percentile of the standard normal
+	n := float64(trials)
+	denom := 1 + z*z/n
+	center := (p + z*z/(2*n)) / denom
+	half := z * math.Sqrt(p*(1-p)/n+z*z/(4*n*n)) / denom
+	lo, hi := center-half, center+half
+	// Clamp to [0,1] and guard the floating-point edge at p∈{0,1} where the
+	// rounded bound can land on the wrong side of the point estimate.
+	if lo < 0 {
+		lo = 0
+	}
+	if hi > 1 {
+		hi = 1
+	}
+	if lo > p {
+		lo = p
+	}
+	if hi < p {
+		hi = p
+	}
+	return Proportion{Successes: successes, Trials: trials, P: p, Lo: lo, Hi: hi}
+}
+
+// Merge pools this estimate with another over a disjoint set of trials,
+// recomputing the point estimate and Wilson interval from the combined
+// counts (confidence intervals do not add, so the merged interval must be
+// derived from the pooled counts, not the shard intervals). RunTrials merges
+// per-worker shards with it; merging in any order yields the same result.
+func (p Proportion) Merge(q Proportion) Proportion {
+	return NewProportion(p.Successes+q.Successes, p.Trials+q.Trials)
+}
+
+// Contains reports whether the interval covers v.
+func (p Proportion) Contains(v float64) bool { return v >= p.Lo && v <= p.Hi }
+
+// String renders "0.9917 [0.9903, 0.9929]".
+func (p Proportion) String() string {
+	return fmt.Sprintf("%.4f [%.4f, %.4f]", p.P, p.Lo, p.Hi)
+}
+
 // EstimatePA estimates the availability PA(C) empirically: the probability
 // that a host with a cold cache can assemble a check quorum when each
 // host-manager pair is inaccessible with probability Pi.
-func EstimatePA(p TrialParams) (stats.Proportion, error) {
+func EstimatePA(p TrialParams) (Proportion, error) {
 	return RunTrials(p, 1, func(w *World, rng *rand.Rand) (bool, error) {
 		for m := 0; m < p.M; m++ {
 			if rng.Float64() < p.Pi {
@@ -171,7 +229,7 @@ func EstimatePA(p TrialParams) (stats.Proportion, error) {
 // a revocation issued at manager 0 assembles its update quorum of M-C+1
 // managers when each manager pair involving the origin is inaccessible with
 // probability Pi.
-func EstimatePS(p TrialParams) (stats.Proportion, error) {
+func EstimatePS(p TrialParams) (Proportion, error) {
 	return RunTrials(p, 0, func(w *World, rng *rand.Rand) (bool, error) {
 		for m := 1; m < p.M; m++ {
 			if rng.Float64() < p.Pi {

@@ -8,7 +8,6 @@ import (
 
 	"wanac/internal/auth"
 	"wanac/internal/core"
-	"wanac/internal/partition"
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
 )
@@ -273,22 +272,7 @@ func TestSoakRevocationInvariant(t *testing.T) {
 			// quorum (zero: currently authorized or revocation unconfirmed).
 			revokedAt := map[wire.UserID]time.Time{}
 
-			var mgrIDs []wire.NodeID
-			for i := 0; i < numManagers; i++ {
-				mgrIDs = append(mgrIDs, ManagerID(i))
-			}
-			var hostIDs []wire.NodeID
-			for i := 0; i < numHosts; i++ {
-				hostIDs = append(hostIDs, HostID(i))
-			}
-			flaps := (&partition.FlapModel{
-				Links:      append(partition.Links(hostIDs, mgrIDs), partition.Mesh(mgrIDs)...),
-				Tick:       5 * time.Second,
-				DownProb:   0.08,
-				MeanOutage: 15 * time.Second,
-				Seed:       seed,
-			}).Start(w.Net)
-			defer flaps.Stop()
+			startFlaps(w, 5*time.Second, 0.08, 15*time.Second, seed)
 
 			// Random churn: occasionally revoke or re-grant a user via a
 			// random manager. Operations for one user are serialized
@@ -365,6 +349,39 @@ func TestSoakRevocationInvariant(t *testing.T) {
 			}
 		})
 	}
+}
+
+// startFlaps injects the congestion of §2.1 ("temporary network partitions
+// caused mostly by network congestion can be frequent") into w for the rest
+// of its run: every tick, each host-manager and manager-manager link
+// independently goes down with probability p for an exponentially
+// distributed outage of the given mean, drawn from a private RNG.
+func startFlaps(w *World, tick time.Duration, p float64, meanOutage time.Duration, seed int64) {
+	var links [][2]wire.NodeID
+	for h := 0; h < w.Cfg.Hosts; h++ {
+		for m := 0; m < w.Cfg.Managers; m++ {
+			links = append(links, [2]wire.NodeID{HostID(h), ManagerID(m)})
+		}
+	}
+	for a := 0; a < w.Cfg.Managers; a++ {
+		for b := a + 1; b < w.Cfg.Managers; b++ {
+			links = append(links, [2]wire.NodeID{ManagerID(a), ManagerID(b)})
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var flap func()
+	flap = func() {
+		for _, l := range links {
+			if rng.Float64() >= p {
+				continue
+			}
+			w.Net.SetLink(l[0], l[1], false)
+			outage := time.Duration(rng.ExpFloat64() * float64(meanOutage))
+			w.Sched.After(outage, func() { w.Net.SetLink(l[0], l[1], true) })
+		}
+		w.Sched.After(tick, flap)
+	}
+	w.Sched.After(tick, flap)
 }
 
 // TestCrossOriginUpdateOrdering is the deterministic regression test for

@@ -7,7 +7,6 @@ import (
 
 	"wanac/internal/core"
 	"wanac/internal/nameservice"
-	"wanac/internal/partition"
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
 )
@@ -177,17 +176,7 @@ func TestDeterministicScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var mgrIDs, hostIDs []wire.NodeID
-		for i := 0; i < 4; i++ {
-			mgrIDs = append(mgrIDs, ManagerID(i))
-		}
-		for i := 0; i < 3; i++ {
-			hostIDs = append(hostIDs, HostID(i))
-		}
-		(&partition.FlapModel{
-			Links: append(partition.Links(hostIDs, mgrIDs), partition.Mesh(mgrIDs)...),
-			Tick:  5 * time.Second, DownProb: 0.1, MeanOutage: 10 * time.Second, Seed: 9,
-		}).Start(w.Net)
+		startFlaps(w, 5*time.Second, 0.1, 10*time.Second, 9)
 
 		allowed := 0
 		var tick func(i int)
