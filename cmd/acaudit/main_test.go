@@ -8,7 +8,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -17,13 +16,12 @@ import (
 	"time"
 
 	"wanac/internal/audit"
+	"wanac/internal/clitest"
 	"wanac/internal/core"
 	"wanac/internal/sim"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
-
-var update = flag.Bool("update", false, "rewrite golden files")
 
 // buildArtifacts runs the deterministic scenario and dumps every node's
 // audit ring, the merged flight dump, and the span stream to dir,
@@ -101,26 +99,6 @@ func buildArtifacts(t *testing.T, dir string) []string {
 	return paths
 }
 
-func checkGolden(t *testing.T, name, out string) {
-	t.Helper()
-	golden := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with go test ./cmd/acaudit -update)", err)
-	}
-	if out != string(want) {
-		t.Errorf("output diverged from %s.\n--- got ---\n%s--- want ---\n%s", name, out, want)
-	}
-}
-
 // TestExplainGolden pins the full causal explanations for the three
 // acceptance decisions, reconstructed purely from dump files.
 func TestExplainGolden(t *testing.T) {
@@ -137,7 +115,7 @@ func TestExplainGolden(t *testing.T) {
 		if err := run(&b, c.filter, paths); err != nil {
 			t.Fatalf("%s: %v", c.golden, err)
 		}
-		checkGolden(t, c.golden, b.String())
+		clitest.CheckGolden(t, c.golden, b.String())
 	}
 }
 

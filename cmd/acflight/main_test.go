@@ -2,74 +2,36 @@ package main
 
 import (
 	"bytes"
-	"flag"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"wanac/internal/clitest"
 	"wanac/internal/flight"
 )
 
-var update = flag.Bool("update", false, "rewrite golden files")
-
-// capture runs fn with os.Stdout redirected and returns what it wrote.
-func capture(t *testing.T, fn func() error) string {
+// render runs acflight over the two testdata dumps and returns its stdout.
+func render(t *testing.T, htmlOut, mergedOut string, noText bool) string {
 	t.Helper()
-	r, w, err := os.Pipe()
+	out, err := clitest.Capture(t, func() error {
+		return run(htmlOut, mergedOut, noText, []string{filepath.Join("testdata", "h0.jsonl"), filepath.Join("testdata", "m0.jsonl")})
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	fnErr := fn()
-	w.Close()
-	os.Stdout = old
-	out := <-done
-	if fnErr != nil {
-		t.Fatal(fnErr)
 	}
 	return out
 }
 
 func TestTimelineGolden(t *testing.T) {
-	out := capture(t, func() error {
-		return run("", "", false, []string{
-			filepath.Join("testdata", "h0.jsonl"),
-			filepath.Join("testdata", "m0.jsonl"),
-		})
-	})
-	golden := filepath.Join("testdata", "timeline.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with go test ./cmd/acflight -run TestTimelineGolden -update)", err)
-	}
-	if out != string(want) {
-		t.Errorf("timeline diverged from golden.\n--- got ---\n%s--- want ---\n%s", out, want)
-	}
+	clitest.CheckGolden(t, "timeline.golden", render(t, "", "", false))
 }
 
 func TestHTMLAndMergedOutputs(t *testing.T) {
 	dir := t.TempDir()
 	htmlOut := filepath.Join(dir, "tl.html")
 	mergedOut := filepath.Join(dir, "merged.jsonl")
-	capture(t, func() error {
-		return run(htmlOut, mergedOut, true, []string{
-			filepath.Join("testdata", "h0.jsonl"),
-			filepath.Join("testdata", "m0.jsonl"),
-		})
-	})
+	render(t, htmlOut, mergedOut, true)
 	htmlBody, err := os.ReadFile(htmlOut)
 	if err != nil {
 		t.Fatal(err)

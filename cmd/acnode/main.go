@@ -99,7 +99,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records (168 B each, allocated as records arrive, not up front); a cached check writes two, so 4096 is ~1ms of history at 2M checks/s")
+	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records (168 B each, allocated as records arrive, not up front); protocol history only: a cached check writes none (its record is the audit record), a cold one a few")
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
 	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity: decision-provenance records kept per node (272 B each, allocated as records arrive, not up front)")
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
@@ -117,8 +117,9 @@ func main() {
 }
 
 // defaultFlightRing holds the last 4096 protocol events at under a MB. A
-// cached check is two of them: on a host serving hits that is milliseconds
-// of history, on a manager applying a few updates a minute it is hours.
+// cached check adds none, so however many hits a host serves the ring keeps
+// its last ~1000 cold checks, revocations and transport changes; on a
+// manager applying a few updates a minute it is hours.
 const defaultFlightRing = 4096
 
 // defaultAuditRing holds the provenance of the last 4096 access decisions
@@ -593,7 +594,7 @@ func splitUsers(s string) []wire.UserID {
 // logTracer prints protocol events to the process log as structured
 // records, so a node's event stream is filterable and machine-joinable
 // with the transport's stats lines. State changes log at Info; the events
-// of a single check — a cached one emits two — log at Debug, and an event
+// of a single check — a cached one emits one — log at Debug, and an event
 // whose level is disabled costs one Enabled call and no allocation.
 type logTracer struct{}
 

@@ -33,7 +33,7 @@ import (
 type Host struct {
 	id      wire.NodeID
 	env     Env
-	tracer  trace.PairTracer
+	tracer  trace.Tracer
 	tracing bool          // false when tracer is trace.Nop: skip building events
 	keyring *auth.Keyring // nil: trust claimed identities (simulation)
 
@@ -195,7 +195,7 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 	h := &Host{
 		id:      id,
 		env:     env,
-		tracer:  trace.Pairs(tracer),
+		tracer:  tracer,
 		tracing: !nop,
 		keyring: keyring,
 		cache:   acl.NewCache(),
@@ -300,11 +300,12 @@ func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func
 // case the paper's O(C/Te) overhead argument rests on — and the only place
 // a cache hit is emitted. It runs without Host.mu: it reads the clock once
 // (now, shared by every emission), loads the published view once, probes the
-// cache once, tells each attached observer once — its two trace events as
-// one pair, its telemetry as one count the hit's metrics are derived from —
-// and invokes cb directly. The probe under the cache's own mutex is the hit's linearization point, so a
-// revocation, reset or explicit denial that has removed the entry and
-// returned is seen by every check that starts afterwards.
+// cache once, tells each attached observer once — one cache-hit trace event,
+// which is the hit's decision event, one audit record, one count the hit's
+// metrics are derived from — and invokes cb directly. The probe under the
+// cache's own mutex is the hit's linearization point, so a revocation,
+// reset or explicit denial that has removed the entry and returned is seen
+// by every check that starts afterwards.
 //
 // Anything else is left to checkLocked, which takes the returned status
 // instead of probing again: Miss or Expired (the expired entry is already
@@ -328,9 +329,7 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 		tid = h.nonce.Add(1)
 	}
 	if h.tracing {
-		h.tracer.EmitPair(
-			trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid},
-			trace.EventAccessAllowed, "cached")
+		h.tracer.Emit(trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid})
 	}
 	h.hits.Add(1)
 	if t := v.tel; t != nil {

@@ -10,7 +10,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -468,89 +467,114 @@ func TestCacheHitCountersDerived(t *testing.T) {
 	verify("h0 re-instrumented")
 }
 
-// emitOnly is a tracer with nothing but Emit, whatever the tracer inside it
-// can do: trace.Pairs delivers a pair to it as two events.
-type emitOnly struct{ trace.Tracer }
-
-// TestCacheHitPairMatchesTwoEmits: a hit's cache-hit and
-// access-allowed/"cached" go down the tracer chain as one pair. For each
-// chain a node is wired with, that must leave the flight ring (Seq
-// included, across the ring's wrap), the collector, the line log and
-// wanac_trace_events_total exactly as two Emit calls do.
-func TestCacheHitPairMatchesTwoEmits(t *testing.T) {
+// TestCacheHitObservationContract: a cache hit is one trace event and one
+// ring record. A host is wired as each deployment wires it — acnode's
+// bridge over a flight tee over its log tracer (a collector here), bench's
+// bridge over a tee that ends the chain, the simulator's tee over a bridge
+// over a collector — with an audit ring and, once a quorum allow has warmed
+// the cache, metrics attached, and makes N hits. They must leave exactly N
+// audit decision records, the flight ring untouched, N cache-hit events and no
+// access-allowed at the end of the chain, and the hit's metric families
+// reading exactly what they read when a hit was two trace events.
+func TestCacheHitObservationContract(t *testing.T) {
+	const hits = 30
+	// The non-zero samples of the hit's families after 30 hits, as they read
+	// when a hit also emitted access-allowed/"cached": every other sample of
+	// wanac_host_checks_total, wanac_host_check_reasons_total and
+	// wanac_host_check_latency_seconds reads 0.
+	const want = `wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0001"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0002"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0004"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0008"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0016"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0032"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0064"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0128"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0256"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0512"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.1024"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.2048"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.4096"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.8192"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="1.6384"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="3.2768"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="6.5536"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="13.1072"} 30
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="+Inf"} 30
+wanac_host_check_latency_seconds_count{outcome="cache_hit"} 30
+wanac_host_check_reasons_total{reason="cache_hit"} 30
+wanac_host_checks_total{outcome="cache_hit"} 30
+wanac_trace_events_total{type="cache-hit"} 30
+`
 	type sinks struct {
 		rec *flight.Recorder
 		reg *telemetry.Registry
 		col *trace.Collector
-		log bytes.Buffer
 	}
 	for _, tc := range []struct {
 		name  string
-		chain func(*sinks) trace.Tracer
+		chain func(sinks) trace.Tracer
+		tail  bool // the chain ends in the collector
 	}{
-		{"bench", func(s *sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }},
-		{"acnode", func(s *sinks) trace.Tracer {
-			return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, trace.NewWriter(&s.log)))
-		}},
-		{"sim", func(s *sinks) trace.Tracer { return flight.Tee(s.rec, telemetry.InstrumentTracer(s.reg, s.col)) }},
+		{"acnode", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, s.col)) }, true},
+		{"bench", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }, false},
+		{"sim", func(s sinks) trace.Tracer { return flight.Tee(s.rec, telemetry.InstrumentTracer(s.reg, s.col)) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(wrap func(trace.Tracer) trace.Tracer) *sinks {
-				env := newFakeEnv()
-				// An odd ring, so that a pair straddles its wrap.
-				s := &sinks{rec: flight.NewRecorder("h0", 17, env.Now), reg: telemetry.NewRegistry(), col: trace.NewCollector(0)}
-				h := NewHost("h0", env, wrap(tc.chain(s)), nil)
-				h.SetAudit(audit.NewRecorder("h0", 16, env.Now)) // hits carry a trace id
-				if err := h.RegisterApp("a", HostAppConfig{
-					Managers: []wire.NodeID{"m0", "m1", "m2"},
-					Policy:   Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute},
-				}); err != nil {
-					t.Fatal(err)
-				}
-				hits := 0
-				count := func(d Decision) {
+			env := newFakeEnv()
+			rec, reg, col := flight.NewRecorder("h0", 64, env.Now), telemetry.NewRegistry(), trace.NewCollector(0)
+			h := NewHost("h0", env, tc.chain(sinks{rec, reg, col}), nil)
+			if err := h.RegisterApp("a", HostAppConfig{
+				Managers: []wire.NodeID{"m0", "m1", "m2"},
+				Policy:   Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			aud := audit.NewRecorder("h0", 64, env.Now)
+			h.SetAudit(aud)
+			h.Check("a", "u", wire.RightUse, func(Decision) {})
+			answerRound(h, lastRound(t, env), true)
+			InstrumentHost(reg, nil, h)
+
+			flightBefore, audBefore := rec.Total(), aud.Decisions()
+			col.Reset()
+			made := 0
+			for i := 0; i < hits; i++ {
+				env.advance(time.Millisecond)
+				h.Check("a", "u", wire.RightUse, func(d Decision) {
 					if d.CacheHit {
-						hits++
+						made++
+					}
+				})
+			}
+			if made != hits {
+				t.Fatalf("%d cache hits, want %d", made, hits)
+			}
+			if n := aud.Decisions() - audBefore; n != hits {
+				t.Errorf("%d hits left %d audit decision records", hits, n)
+			}
+			if rec.Total() != flightBefore {
+				t.Errorf("%d hits wrote %d flight records, want none", hits, rec.Total()-flightBefore)
+			}
+			if tc.tail && (col.Count(trace.EventCacheHit) != hits || col.Count(trace.EventAccessAllowed) != 0 || len(col.Events()) != hits) {
+				t.Errorf("%d hits reached the collector as %d cache-hit and %d access-allowed of %d events",
+					hits, col.Count(trace.EventCacheHit), col.Count(trace.EventAccessAllowed), len(col.Events()))
+			}
+			var text bytes.Buffer
+			if err := reg.WritePrometheus(&text); err != nil {
+				t.Fatal(err)
+			}
+			var got strings.Builder
+			for _, line := range strings.SplitAfter(text.String(), "\n") {
+				for _, family := range []string{"wanac_host_checks_total{", "wanac_host_check_reasons_total{",
+					"wanac_host_check_latency_seconds_", `wanac_trace_events_total{type="cache-hit"}`} {
+					if strings.HasPrefix(line, family) && !strings.HasSuffix(line, " 0\n") {
+						got.WriteString(line)
 					}
 				}
-				h.Check("a", "u", wire.RightUse, count)
-				answerRound(h, lastRound(t, env), true)
-				for i := 0; i < 30; i++ {
-					env.advance(time.Millisecond)
-					h.Check("a", "u", wire.RightUse, count)
-				}
-				if hits != 30 {
-					t.Fatalf("%d cache hits, want 30", hits)
-				}
-				return s
 			}
-			pair := run(func(tr trace.Tracer) trace.Tracer { return tr })
-			single := run(func(tr trace.Tracer) trace.Tracer { return emitOnly{tr} })
-
-			got, want := pair.rec.Snapshot(), single.rec.Snapshot()
-			if pair.rec.Total() != single.rec.Total() || !reflect.DeepEqual(got, want) {
-				t.Errorf("flight ring after pairs (%d records):\n%+v\nafter two Emits each (%d records):\n%+v",
-					pair.rec.Total(), got, single.rec.Total(), want)
-			}
-			if last := got[len(got)-1]; last.Type != "access-allowed" || last.Note != "cached" || last.Seq != got[len(got)-2].Seq+1 ||
-				got[len(got)-2].Type != "cache-hit" || !last.T.Equal(got[len(got)-2].T) || last.Trace == 0 {
-				t.Errorf("last two flight records are not one hit's pair: %+v", got[len(got)-2:])
-			}
-			if !reflect.DeepEqual(pair.col.Events(), single.col.Events()) {
-				t.Errorf("collector after pairs:\n%v\nafter two Emits each:\n%v", pair.col.Events(), single.col.Events())
-			}
-			if pair.log.String() != single.log.String() {
-				t.Errorf("line log after pairs:\n%s\nafter two Emits each:\n%s", pair.log.String(), single.log.String())
-			}
-			var gotText, wantText bytes.Buffer
-			if err := pair.reg.WritePrometheus(&gotText); err != nil {
-				t.Fatal(err)
-			}
-			if err := single.reg.WritePrometheus(&wantText); err != nil {
-				t.Fatal(err)
-			}
-			if gotText.String() != wantText.String() || !strings.Contains(gotText.String(), `wanac_trace_events_total{type="cache-hit"} 30`) {
-				t.Errorf("registry after pairs:\n%s\nafter two Emits each:\n%s", gotText.String(), wantText.String())
+			if got.String() != want {
+				t.Errorf("the hit's families read\n%s\nwant\n%s", got.String(), want)
 			}
 		})
 	}

@@ -210,23 +210,15 @@ func (r *Recorder) Record(rec Record) {
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
-// (manager update-quorum, host quorum grants) under KindQuorum.
+// (manager update-quorum, host quorum allow) under KindQuorum. The record
+// is built and stamped in its ring slot: a Record is large enough that
+// constructing one and copying it in shows.
 func (r *Recorder) RecordEvent(e trace.Event) {
-	r.mu.Lock()
-	r.put(&e, e.Type, e.Note)
-	r.mu.Unlock()
-}
-
-// put records e as an event of type typ with note note — its own, or those
-// of the second event of a pair. The record is built and stamped in its ring
-// slot, in one function: this runs twice per cached check, and a Record is
-// large enough that constructing one and copying it in, or a call per stamp,
-// shows. Must be called with r.mu held.
-func (r *Recorder) put(e *trace.Event, typ trace.EventType, note string) {
 	kind := KindProtocol
-	if typ == trace.EventUpdateQuorum || (typ == trace.EventAccessAllowed && note == "quorum") {
+	if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
 		kind = KindQuorum
 	}
+	r.mu.Lock()
 	s := r.slot()
 	*s = Record{}
 	s.T = e.Time
@@ -236,14 +228,15 @@ func (r *Recorder) put(e *trace.Event, typ trace.EventType, note string) {
 	s.Node = r.node
 	s.Seq = r.next
 	s.Kind = kind
-	s.Type = typ.String()
+	s.Type = e.Type.String()
 	s.Trace = e.Trace
 	s.App = string(e.App)
 	s.User = string(e.User)
 	s.Origin = string(e.Seq.Origin)
 	s.Counter = e.Seq.Counter
-	s.Note = note
+	s.Note = e.Note
 	r.next++
+	r.mu.Unlock()
 }
 
 // Total returns how many records were ever accepted (≥ retained).
@@ -274,41 +267,38 @@ func (r *Recorder) snapshot() []Record {
 	return out
 }
 
-// teeTracer feeds every trace event to a recorder before forwarding it; a
-// nil next ends the chain (no call, no event copy).
+// teeTracer is Tee's tracer; a nil next ends the chain (no call, no event
+// copy).
 type teeTracer struct {
 	rec  *Recorder
-	next trace.PairTracer
+	next trace.Tracer
 }
 
-// Tee returns a trace.Tracer that records every event into rec and then
-// forwards it to next (which may be nil to stop the chain). This is how
-// nodes get flight recording without the core packages importing flight.
+// Tee returns a trace.Tracer that records every event but a cache hit into
+// rec and then forwards it to next (which may be nil to stop the chain).
+// This is how nodes get flight recording without the core packages
+// importing flight.
+//
+// A cache hit is forwarded but not recorded: the ring keeps protocol
+// history — queries, grants, revocations, quorums — which a host serving
+// millions of hits a second would otherwise turn over in milliseconds. The
+// hit's record is its audit record (internal/audit), joined to spans by
+// trace ID; sim.World.FlightDump folds those back into a simulated run's
+// timeline.
 func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
 	t := teeTracer{rec: rec}
-	if _, nop := next.(trace.Nop); !nop && next != nil {
-		t.next = trace.Pairs(next)
+	if _, nop := next.(trace.Nop); !nop {
+		t.next = next
 	}
 	return t
 }
 
 // Emit implements trace.Tracer.
 func (t teeTracer) Emit(e trace.Event) {
-	t.rec.RecordEvent(e)
+	if e.Type != trace.EventCacheHit {
+		t.rec.RecordEvent(e)
+	}
 	if t.next != nil {
 		t.next.Emit(e)
-	}
-}
-
-// EmitPair implements trace.PairTracer: the two records are written, with
-// consecutive Seq, under one acquisition of the ring's lock.
-func (t teeTracer) EmitPair(e trace.Event, typ trace.EventType, note string) {
-	r := t.rec
-	r.mu.Lock()
-	r.put(&e, e.Type, e.Note)
-	r.put(&e, typ, note)
-	r.mu.Unlock()
-	if t.next != nil {
-		t.next.EmitPair(e, typ, note)
 	}
 }

@@ -59,10 +59,11 @@ func TestRecordEventClassifiesQuorum(t *testing.T) {
 	r := NewRecorder("m0", 16, nil)
 	r.RecordEvent(trace.Event{Type: trace.EventUpdateQuorum, Seq: wire.UpdateSeq{Origin: "m0", Counter: 3}})
 	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Note: "quorum", Trace: 7})
-	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Note: "cached"})
+	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed}) // by type alone
 	r.RecordEvent(trace.Event{Type: trace.EventQuerySent, Trace: 7})
+	r.RecordEvent(trace.Event{Type: trace.EventCacheHit})
 	snap := r.Snapshot()
-	wantKinds := []Kind{KindQuorum, KindQuorum, KindProtocol, KindProtocol}
+	wantKinds := []Kind{KindQuorum, KindQuorum, KindQuorum, KindProtocol, KindProtocol}
 	for i, k := range wantKinds {
 		if snap[i].Kind != k {
 			t.Fatalf("record %d (%s) kind = %v, want %v", i, snap[i].Type, snap[i].Kind, k)
@@ -101,32 +102,28 @@ func TestRecordEventOverwritesTheWholeSlot(t *testing.T) {
 	}
 }
 
+// TestTeeRecordsAndForwards: the tee records every event but a cache hit
+// and forwards every event, a cache hit included.
 func TestTeeRecordsAndForwards(t *testing.T) {
 	r := NewRecorder("h0", 16, nil)
 	col := trace.NewCollector(16)
 	tr := Tee(r, col)
-	tr.Emit(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice"})
-	if got := r.Total(); got != 1 {
-		t.Fatalf("recorder saw %d events, want 1", got)
-	}
-	if got := len(col.Events()); got != 1 {
-		t.Fatalf("next tracer saw %d events, want 1", got)
-	}
-	// A pair is two records and, to a next that only has Emit, two events.
-	tr.(trace.PairTracer).EmitPair(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice"}, trace.EventAccessAllowed, "cached")
+	tr.Emit(trace.Event{Type: trace.EventQuerySent, App: "app", User: "alice", Trace: 7})
+	tr.Emit(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice", Trace: 8})
+	tr.Emit(trace.Event{Type: trace.EventAccessAllowed, App: "app", User: "alice", Trace: 7, Note: "quorum"})
 	snap, evs := r.Snapshot(), col.Events()
-	if len(snap) != 3 || snap[1].Type != "cache-hit" || snap[2].Type != "access-allowed" || snap[2].Note != "cached" || snap[2].Seq != 2 {
-		t.Fatalf("recorder after a pair: %+v", snap)
+	if len(snap) != 2 || snap[0].Type != "query-sent" || snap[1].Type != "access-allowed" || snap[1].Seq != 1 {
+		t.Fatalf("recorder holds %+v, want query-sent and access-allowed", snap)
 	}
-	if len(evs) != 3 || evs[1].Type != trace.EventCacheHit || evs[2].Type != trace.EventAccessAllowed || evs[2].Note != "cached" {
-		t.Fatalf("next tracer after a pair: %v", evs)
+	if len(evs) != 3 || evs[1].Type != trace.EventCacheHit || evs[1].Trace != 8 {
+		t.Fatalf("next tracer saw %v, want all three events", evs)
 	}
 	// nil next must not panic.
 	last := Tee(r, nil)
 	last.Emit(trace.Event{Type: trace.EventCacheHit})
-	last.(trace.PairTracer).EmitPair(trace.Event{Type: trace.EventCacheHit}, trace.EventAccessAllowed, "cached")
-	if got := r.Total(); got != 6 {
-		t.Fatalf("recorder saw %d events, want 6", got)
+	last.Emit(trace.Event{Type: trace.EventQueryTimeout})
+	if got := r.Total(); got != 3 {
+		t.Fatalf("recorder accepted %d records, want 3", got)
 	}
 }
 
@@ -233,20 +230,20 @@ func TestMergeSortsNodesAndRecords(t *testing.T) {
 	}
 }
 
-// modelRecord is what the ring must hold for event e recorded as type typ
-// with note note: the specification RecordEvent and EmitPair are checked
-// against, written without looking at put.
-func modelRecord(e trace.Event, typ trace.EventType, note string) Record {
+// modelRecord is what the ring must hold for event e: the specification
+// RecordEvent and the tee are checked against, written without looking at
+// RecordEvent.
+func modelRecord(e trace.Event) Record {
 	kind := KindProtocol
-	if typ == trace.EventUpdateQuorum || typ == trace.EventAccessAllowed && note == "quorum" {
+	if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
 		kind = KindQuorum
 	}
-	return Record{T: e.Time, Kind: kind, Type: typ.String(), Trace: e.Trace, App: string(e.App), User: string(e.User),
-		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: note}
+	return Record{T: e.Time, Kind: kind, Type: e.Type.String(), Trace: e.Trace, App: string(e.App), User: string(e.User),
+		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note}
 }
 
 // TestRecorderAgainstModel drives a recorder of each capacity with a random
-// mix of Record, RecordEvent and EmitPair, several wraps long, beside a flat
+// mix of Record, RecordEvent and the tee, several wraps long, beside a flat
 // slice of everything ever recorded: Snapshot must be the slice's tail, Total
 // its length, Dropped the rest, Seq the index. On the way the ring may never
 // hold more than max(64, 2k) slots after k records nor more than its
@@ -256,7 +253,7 @@ func TestRecorderAgainstModel(t *testing.T) {
 	for _, size := range []int{16, 63, 64, 65, 4096} {
 		rng := rand.New(rand.NewSource(int64(size)))
 		r := NewRecorder("n0", size, fixedClock(base))
-		tee := Tee(r, nil).(trace.PairTracer)
+		tee := Tee(r, nil)
 		var model []Record
 		accept := func(rec Record) {
 			if rec.T.IsZero() {
@@ -286,7 +283,7 @@ func TestRecorderAgainstModel(t *testing.T) {
 			ev.Type = trace.EventType(1 + rng.Intn(int(trace.EventTeAdapted)))
 			ev.App, ev.User, ev.Trace = "app", wire.UserID("u"+strconv.Itoa(rng.Intn(9))), rng.Uint64()
 			ev.Seq = wire.UpdateSeq{Origin: "m0", Counter: uint64(rng.Intn(5))}
-			ev.Note = []string{"", "quorum", "cached"}[rng.Intn(3)]
+			ev.Note = []string{"", "quorum", "n"}[rng.Intn(3)]
 			switch rng.Intn(3) {
 			case 0:
 				rec := Record{T: ev.Time, Kind: KindTransport, Type: "up", Peer: "m1", Note: ev.Note}
@@ -294,11 +291,12 @@ func TestRecorderAgainstModel(t *testing.T) {
 				accept(rec)
 			case 1:
 				r.RecordEvent(ev)
-				accept(modelRecord(ev, ev.Type, ev.Note))
+				accept(modelRecord(ev))
 			case 2:
-				tee.EmitPair(ev, trace.EventAccessAllowed, "cached")
-				accept(modelRecord(ev, ev.Type, ev.Note))
-				accept(modelRecord(ev, trace.EventAccessAllowed, "cached"))
+				tee.Emit(ev)
+				if ev.Type != trace.EventCacheHit {
+					accept(modelRecord(ev))
+				}
 			}
 			if k := len(model); len(r.ring) > max(64, 2*k) || len(r.ring) > size || len(r.ring) < min(k, size) {
 				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.ring))
@@ -308,11 +306,11 @@ func TestRecorderAgainstModel(t *testing.T) {
 			}
 		}
 		check()
-		ev := trace.Event{Time: base, Type: trace.EventCacheHit, App: "app", User: "u"}
+		ev := trace.Event{Time: base, Type: trace.EventQuerySent, App: "app", User: "u"}
 		if a := testing.AllocsPerRun(100, func() {
 			r.Record(Record{Kind: KindTransport, Type: "up"})
 			r.RecordEvent(ev)
-			tee.EmitPair(ev, trace.EventAccessAllowed, "cached")
+			tee.Emit(ev)
 		}); a != 0 {
 			t.Errorf("size %d: a full ring's writes allocate %.1f times per round, want 0", size, a)
 		}

@@ -60,7 +60,7 @@ func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder
 func TestAuditOracleCleanMatch(t *testing.T) {
 	events := []trace.Event{
 		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
-		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u0", "cached"),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", ""),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", "revoked"),
 	}
 	ring := ringOf("h0", 3,
@@ -77,7 +77,7 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 }
 
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
-	events := []trace.Event{decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached")}
+	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", "")}
 	o := newAuditOracle(30*time.Second, 2, 3)
 	o.analyze(collected(events), nil)
 	if len(o.viol) != 0 {
@@ -90,8 +90,8 @@ func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
 
 func TestAuditOracleMissingRecords(t *testing.T) {
 	events := []trace.Event{
-		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached"),
-		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u0", "cached"),
+		decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", ""),
 	}
 	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true, Granters: 1},
@@ -103,7 +103,7 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 }
 
 func TestAuditOracleNoRingForDecidingNode(t *testing.T) {
-	events := []trace.Event{decisionEvent("h7", 0, trace.EventAccessAllowed, "u0", "cached")}
+	events := []trace.Event{decisionEvent("h7", 0, trace.EventCacheHit, "u0", "")}
 	v := runAuditOracle(t, events, ringOf("h0", 0))
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "h7 made 1 decisions but has no audit ring") {
 		t.Fatalf("violations = %+v", v)
@@ -115,7 +115,7 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 	// must line up against the LAST two events, not the first.
 	events := []trace.Event{
 		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
-		decisionEvent("h0", time.Second, trace.EventAccessAllowed, "u1", "cached"),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u1", ""),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", "unregistered"),
 	}
 	ring := ringOf("h0", 3,
@@ -129,7 +129,7 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 }
 
 func TestAuditOracleReasonMismatch(t *testing.T) {
-	events := []trace.Event{decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached")}
+	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", "")}
 	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1"},
@@ -148,17 +148,17 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 		frag string
 	}{
 		{"stale cache hit beyond te",
-			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached"),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(5 * time.Minute)},
 			"beyond the revocation bound"},
 		{"cache hit citing expired entry",
-			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached"),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(-time.Second)},
 			"already expired"},
 		{"cache hit with no granters",
-			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "cached"),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true},
 			"cites no granting manager"},
 		{"quorum allow below quorum",

@@ -51,7 +51,9 @@ func badScenario() Scenario {
 // scripted failure must produce a merged multi-node flight dump whose
 // reconstructed timeline shows the partition, the revocation quorum, the
 // default-allow leak, and the stale allow in causal order across at least
-// three nodes, despite the host clock running 20% slow.
+// three nodes, despite the host clock running 20% slow. The stale allow is a
+// cache hit, which the host's ring does not hold: it is the cache-hit record
+// the dump folds in from the host's audit ring.
 func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 	sc := badScenario()
 	opt := Options{InflateTe: true, DropRevokeNotices: true}
@@ -104,7 +106,7 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 			revokeAt, haveRevoke = e.At, true
 		case r.Node == "h0" && r.Type == "access-default" && r.User == "u1" && !haveDefault:
 			defaultAt, haveDefault = e.At, true
-		case r.Node == "h0" && r.Type == "access-allowed" && r.User == "u0" && haveRevoke:
+		case r.Node == "h0" && r.Type == "cache-hit" && r.User == "u0" && haveRevoke:
 			staleAt, haveStale = e.At, true
 		case r.Node == "oracle" && r.Type == "oracle-violation":
 			haveMark = true
@@ -141,7 +143,7 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 		if r.Type == "update-quorum" && r.User == "u2" && lateQuorumRaw.IsZero() {
 			lateQuorumRaw, lateQuorumAl = r.T, e.At
 		}
-		if r.Node == "h0" && r.Type == "access-allowed" && r.User == "u0" && e.At.Equal(staleAt) {
+		if r.Node == "h0" && r.Type == "cache-hit" && r.User == "u0" && e.At.Equal(staleAt) {
 			staleRaw, staleAl = r.T, e.At
 		}
 	}

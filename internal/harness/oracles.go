@@ -287,14 +287,13 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 	}
 }
 
-// reasonForEvent maps a decision event to the audit reason its note
-// implies. ok is false for non-decision events.
+// reasonForEvent maps a decision event to the audit reason its type and
+// note imply. ok is false for non-decision events.
 func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	switch e.Type {
+	case trace.EventCacheHit:
+		return audit.ReasonCacheHit, true
 	case trace.EventAccessAllowed:
-		if e.Note == "cached" {
-			return audit.ReasonCacheHit, true
-		}
 		return audit.ReasonQuorumAllow, true
 	case trace.EventAccessDefault:
 		if e.Note == "resolve-failed" {

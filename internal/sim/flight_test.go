@@ -11,10 +11,11 @@ import (
 )
 
 // TestFlightRingMatchesTraceExactly scripts a scenario (grants, checks, a
-// revocation, a partition) and proves the flight rings are an exact record:
-// every protocol/quorum record in a node's ring corresponds 1:1, in order
-// and field for field, to the trace events that node emitted. The recorder
-// is a tee off the tracer, so any divergence means the tee dropped,
+// revocation, a partition) and proves the flight rings are an exact record
+// of protocol history: every protocol/quorum record in a node's ring
+// corresponds 1:1, in order and field for field, to the trace events that
+// node emitted other than cache hits, and no ring holds a cache hit. The
+// recorder is a tee off the tracer, so any divergence means the tee dropped,
 // reordered, or mistranslated an event.
 func TestFlightRingMatchesTraceExactly(t *testing.T) {
 	w, err := Build(Config{
@@ -55,9 +56,14 @@ func TestFlightRingMatchesTraceExactly(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no trace events collected")
 	}
+	if w.Tracer.Count(trace.EventCacheHit) == 0 {
+		t.Fatal("the script made no cache hit")
+	}
 	byNode := make(map[wire.NodeID][]trace.Event)
 	for _, e := range events {
-		byNode[e.Node] = append(byNode[e.Node], e)
+		if e.Type != trace.EventCacheHit {
+			byNode[e.Node] = append(byNode[e.Node], e)
+		}
 	}
 
 	for node, want := range byNode {
@@ -88,12 +94,16 @@ func TestFlightRingMatchesTraceExactly(t *testing.T) {
 		}
 	}
 
-	// The quorum decisions must be classified KindQuorum in the rings.
+	// The quorum decisions must be classified KindQuorum in the rings; a
+	// cache hit is in none.
 	quorums := 0
-	for _, rec := range w.Flights {
+	for node, rec := range w.Flights {
 		for _, r := range rec.Snapshot() {
 			if r.Kind == flight.KindQuorum {
 				quorums++
+			}
+			if r.Type == trace.EventCacheHit.String() {
+				t.Fatalf("node %s ring holds a cache hit: %+v", node, r)
 			}
 		}
 	}

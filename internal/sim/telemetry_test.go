@@ -81,9 +81,9 @@ func TestSimTelemetryCounters(t *testing.T) {
 	for _, want := range []string{
 		"wanac_simnet_sent_total " + itoa(net.Sent),
 		"wanac_simnet_delivered_total " + itoa(net.Delivered),
-		// The cached check emits both cache-hit and access-allowed, so
-		// allowed counts 2 across the first two checks.
-		`wanac_trace_events_total{type="access-allowed"} 2`,
+		// The cached check emits cache-hit alone: access-allowed counts the
+		// quorum allow only.
+		`wanac_trace_events_total{type="access-allowed"} 1`,
 		`wanac_trace_events_total{type="cache-hit"} 1`,
 		`wanac_trace_events_total{type="access-denied"} 1`,
 	} {

@@ -489,13 +489,33 @@ func (w *World) Heal() { w.Net.Heal() }
 // FlightDump merges a snapshot of every node's flight ring (hosts,
 // managers, and the "net" pseudo-node) into one dump, ready for
 // flight.BuildTimeline or cmd/acflight. Nil when flight recording is off.
+//
+// A cache hit leaves no flight record (flight.Tee): its record is the audit
+// record. So that a failing run's timeline still shows every allow — a
+// stale one above all — each host's retained cache_hit audit records are
+// folded in as one cache-hit record each, on the host's clock, numbered on
+// from the ring's last Seq.
 func (w *World) FlightDump() *flight.Dump {
 	if w.Flights == nil {
 		return nil
 	}
 	dumps := make([]*flight.Dump, 0, len(w.Flights))
-	for _, rec := range w.Flights {
-		dumps = append(dumps, rec.Dump())
+	for id, rec := range w.Flights {
+		d := rec.Dump()
+		if aud := w.Audits[id]; aud != nil {
+			seq := d.Header.Dropped + uint64(len(d.Records))
+			for a := range aud.All() {
+				if a.Reason != audit.ReasonCacheHit {
+					continue
+				}
+				d.Records = append(d.Records, flight.Record{
+					Seq: seq, T: a.T, Node: a.Node, Kind: flight.KindProtocol,
+					Type: trace.EventCacheHit.String(), Trace: a.Trace, App: a.App, User: a.User,
+				})
+				seq++
+			}
+		}
+		dumps = append(dumps, d)
 	}
 	return flight.Merge(dumps...)
 }

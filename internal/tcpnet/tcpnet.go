@@ -48,6 +48,8 @@ type Node struct {
 	// handler is read once per inbound frame, so it is not under mu.
 	handler atomic.Pointer[Handler]
 
+	netcore.Clock // Now: core.Env's system clock, one read per call
+
 	mu     sync.Mutex
 	addrs  map[wire.NodeID]string // address book
 	conns  map[net.Conn]struct{}  // every live conn, for shutdown
@@ -74,6 +76,7 @@ func ListenConfig(id wire.NodeID, addr string, cfg netcore.Config) (*Node, error
 	n := &Node{
 		id:       id,
 		listener: l,
+		Clock:    netcore.NewClock(),
 		addrs:    make(map[wire.NodeID]string),
 		conns:    make(map[net.Conn]struct{}),
 	}
@@ -122,17 +125,10 @@ func (n *Node) AddPeer(id wire.NodeID, addr string) error {
 	return nil
 }
 
-// Now implements core.Env with the system clock.
-func (n *Node) Now() time.Time { return time.Now() }
-
 // SetTimer implements core.Env with time.AfterFunc.
 func (n *Node) SetTimer(d time.Duration, fn func()) core.TimerHandle {
-	return timerHandle{t: time.AfterFunc(d, fn)}
+	return time.AfterFunc(d, fn)
 }
-
-type timerHandle struct{ t *time.Timer }
-
-func (h timerHandle) Stop() bool { return h.t.Stop() }
 
 // Send implements core.Env: best-effort delivery to the named peer. The
 // message is queued un-encoded on the peer's writer goroutine — which

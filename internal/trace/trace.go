@@ -20,14 +20,16 @@ type EventType uint8
 
 // Event types emitted by the protocol nodes.
 const (
-	// EventAccessAllowed: a host allowed an Invoke.
+	// EventAccessAllowed: a host allowed an Invoke on a quorum round's
+	// confirmations (a cache hit is EventCacheHit alone).
 	EventAccessAllowed EventType = iota + 1
 	// EventAccessDenied: a host rejected an Invoke.
 	EventAccessDenied
 	// EventAccessDefault: a host allowed via the high-availability rule
 	// after R failed verification attempts (Figure 4).
 	EventAccessDefault
-	// EventCacheHit: access decided from a fresh cached entry.
+	// EventCacheHit: a host allowed an Invoke from a fresh cached entry. It
+	// is the hit's decision event; no access-allowed accompanies it.
 	EventCacheHit
 	// EventCacheExpired: a cached entry was discarded on lookup.
 	EventCacheExpired
@@ -146,35 +148,6 @@ func (e Event) String() string {
 // Tracer receives protocol events.
 type Tracer interface {
 	Emit(e Event)
-}
-
-// PairTracer is a Tracer that can take an observation and the decision it
-// led to — a host's cache-hit and its access-allowed/"cached" — in one call:
-// two events alike in everything but type and note, so the second travels as
-// just those. EmitPair(e, typ, note) must leave what Emit(e) followed by
-// Emit of e retyped typ and renoted note leaves; a wrapper implements it to
-// do its per-call work (a lock, a forward down the chain) once for both.
-type PairTracer interface {
-	Tracer
-	EmitPair(e Event, typ EventType, note string)
-}
-
-// Pairs returns t as a PairTracer: t itself when it takes pairs whole,
-// otherwise t with each pair delivered as two Emits. Emitters and wrappers
-// resolve their tracer through it once, at construction.
-func Pairs(t Tracer) PairTracer {
-	if p, ok := t.(PairTracer); ok {
-		return p
-	}
-	return twoEmits{t}
-}
-
-type twoEmits struct{ Tracer }
-
-func (t twoEmits) EmitPair(e Event, typ EventType, note string) {
-	t.Emit(e)
-	e.Type, e.Note = typ, note
-	t.Emit(e)
 }
 
 // Nop discards all events.

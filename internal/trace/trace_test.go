@@ -78,32 +78,6 @@ func TestNopTracer(t *testing.T) {
 	Nop{}.Emit(Event{Type: EventFrozen}) // must not panic
 }
 
-// wholePairs is a PairTracer that records how each event reached it.
-type wholePairs struct{ singles, pairs int }
-
-func (w *wholePairs) Emit(Event)                        { w.singles++ }
-func (w *wholePairs) EmitPair(Event, EventType, string) { w.pairs++ }
-
-func TestPairs(t *testing.T) {
-	// A tracer that only has Emit gets a pair as its two events.
-	c := NewCollector(0)
-	e := Event{Node: "h0", Type: EventCacheHit, App: "a", User: "u", Trace: 9}
-	Pairs(c).EmitPair(e, EventAccessAllowed, "cached")
-	second := e
-	second.Type, second.Note = EventAccessAllowed, "cached"
-	if evs := c.Events(); len(evs) != 2 || evs[0] != e || evs[1] != second {
-		t.Errorf("collector got %v, want %v then %v", evs, e, second)
-	}
-	// One that takes pairs is used as it is.
-	w := &wholePairs{}
-	p := Pairs(w)
-	p.EmitPair(e, EventAccessAllowed, "cached")
-	p.Emit(e)
-	if p != PairTracer(w) || w.pairs != 1 || w.singles != 1 {
-		t.Errorf("pair tracer got %d pairs and %d singles through %T, want 1 and 1 through itself", w.pairs, w.singles, p)
-	}
-}
-
 func TestCollector(t *testing.T) {
 	c := NewCollector(0)
 	c.Emit(Event{Node: "a", Type: EventCacheHit})

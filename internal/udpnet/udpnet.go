@@ -41,6 +41,8 @@ type Node struct {
 	mtu   int
 	group *netcore.Group
 
+	netcore.Clock // Now: core.Env's system clock, one read per call
+
 	mu      sync.Mutex
 	peers   map[wire.NodeID]*net.UDPAddr
 	static  map[wire.NodeID]bool // explicitly configured; never auto-relearned
@@ -80,6 +82,7 @@ func ListenConfig(id wire.NodeID, addr string, cfg netcore.Config) (*Node, error
 		id:     id,
 		conn:   conn,
 		mtu:    DefaultMTU,
+		Clock:  netcore.NewClock(),
 		peers:  make(map[wire.NodeID]*net.UDPAddr),
 		static: make(map[wire.NodeID]bool),
 		done:   make(chan struct{}),
@@ -134,17 +137,10 @@ func (n *Node) AddPeer(id wire.NodeID, addr string) error {
 	return nil
 }
 
-// Now implements core.Env.
-func (n *Node) Now() time.Time { return time.Now() }
-
 // SetTimer implements core.Env.
 func (n *Node) SetTimer(d time.Duration, fn func()) core.TimerHandle {
-	return timerHandle{t: time.AfterFunc(d, fn)}
+	return time.AfterFunc(d, fn)
 }
-
-type timerHandle struct{ t *time.Timer }
-
-func (h timerHandle) Stop() bool { return h.t.Stop() }
 
 // Send implements core.Env: fire-and-forget datagram, queued on the peer's
 // writer goroutine. Unknown peers, oversized frames, queue overflow, and

@@ -14,6 +14,9 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
+echo "== gofmt"
+test -z "$(gofmt -l . bench)" || { gofmt -l . bench; exit 1; }
+
 echo "== full suite (race)"
 go test -race "$@" ./...
 
@@ -22,10 +25,11 @@ echo "== live transports (race, repeated)"
 # can miss a timing-dependent race.
 go test -race -count=2 ./internal/netcore ./internal/tcpnet ./internal/udpnet
 
-echo "== lock-free paths (race, repeated)"
+echo "== cache-hit path and lock-free paths (race, repeated)"
 # Callers hammer a warm key off Host.mu while entries are flushed, views are
-# republished and a scraper reads; the virtual clock under Set/Advance/Now.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks' ./internal/core
+# republished and a scraper reads; a hit's one event and one record through
+# each deployment's observer chain; the virtual clock under Set/Advance/Now.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract' ./internal/core
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
