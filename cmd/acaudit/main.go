@@ -1,42 +1,51 @@
-// Command acaudit answers "why was this check allowed (or denied)?" from
-// recorded evidence. Feed it audit dumps — and, optionally, flight dumps
-// and span streams — from any mix of nodes, and it reconstructs each
-// selected decision causally: the decision record with its evidence (the
-// cache entry and vouching managers, the quorum round and granting set, or
-// the fallback rule and exhausted attempts), the manager response records
-// sharing the check's trace ID, and the flight-recorder timeline and spans
-// of the same check.
-//
-// Collect inputs from a live deployment (/debug/audit, /debug/flight, the
-// -audit.jsonl and -telemetry.jsonl streams) or from a harness/scenario
-// artifact, then:
+// Command acaudit is the forensic command. It answers "why was this check
+// allowed (or denied)?" from recorded evidence: for each selected decision,
+// the decision record with its evidence (the cache entry and vouching
+// managers, the quorum round and granting set, or the fallback rule and
+// exhausted attempts), the manager responses sharing the check's trace ID,
+// and the flight records and spans of the same check. With -timeline it
+// answers "what happened, in order?" instead: the flight dumps merged, their
+// drifting clocks aligned (internal/flight's Align), as one causal timeline.
 //
 //	acaudit h0-audit.jsonl m0-audit.jsonl m1-audit.jsonl
-//	acaudit -user alice -last 1 h0-audit.jsonl m0-audit.jsonl
+//	acaudit -user alice -last 1 127.0.0.1:7180 127.0.0.1:7280
 //	acaudit -trace 00000000000000a3 h0-audit.jsonl h0-flight.jsonl spans.jsonl
 //	acaudit -at 12:04:05 -window 2s h0-audit.jsonl
+//	acaudit -timeline -html tl.html -merged all.jsonl 127.0.0.1:7180 m0-flight.jsonl
 //
-// Input kinds are sniffed from each file's first line (audit dumps lead
-// with an {"audit":1,...} header, flight dumps with {"flight":...}; any
-// other JSONL input is read as a span stream), so the argument order does
-// not matter.
+// An argument naming an existing file is a file, its kind sniffed from its
+// first line: an {"audit":1,...} or {"flight":1,...} dump header, a record
+// with a "reason" key (a headerless -audit.jsonl stream), or else a span
+// stream (-telemetry.jsonl). Any other argument is a node's -debug.addr
+// (host:port or a URL): it contributes the node's /debug/audit dump and,
+// unless the node answers 404, its /debug/flight dump.
 package main
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"wanac/internal/audit"
 	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 )
+
+// options are acaudit's flags beyond the decision filter.
+type options struct {
+	timeline bool   // render the flight timeline instead of explanations
+	html     string // also write the flight timeline as HTML here
+	merged   string // also write the merged flight dump here
+}
 
 func main() {
 	var (
@@ -47,9 +56,13 @@ func main() {
 		atS    = flag.String("at", "", "only decisions near this time (15:04:05[.000] or RFC3339)")
 		window = flag.Duration("window", time.Second, "half-width of the -at match window")
 		last   = flag.Int("last", 0, "only the most recent N matching decisions (0 = all)")
+		o      options
 	)
+	flag.BoolVar(&o.timeline, "timeline", false, "render the aligned, merged flight timeline instead of explanations")
+	flag.StringVar(&o.html, "html", "", "also write the flight timeline as a self-contained HTML page to this file")
+	flag.StringVar(&o.merged, "merged", "", "also write the merged flight dump (versioned JSONL) to this file")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: acaudit [filters] audit.jsonl [flight.jsonl] [spans.jsonl] ...")
+		fmt.Fprintln(os.Stderr, "usage: acaudit [-timeline] [-html out.html] [-merged out.jsonl] [filters] (dump.jsonl | debug-addr)...")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -69,7 +82,7 @@ func main() {
 		}
 		f.At = at
 	}
-	if err := run(os.Stdout, f, flag.Args()); err != nil {
+	if err := run(os.Stdout, f, o, flag.Args()); err != nil {
 		fatal(err)
 	}
 }
@@ -97,44 +110,122 @@ func parseAt(s string) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("bad -at %q (want 15:04:05[.000] or RFC3339)", s)
 }
 
-func run(w io.Writer, f audit.Filter, paths []string) error {
-	if len(paths) == 0 {
-		return fmt.Errorf("no input files given (scrape /debug/audit, or use a harness artifact)")
+func run(w io.Writer, f audit.Filter, o options, args []string) error {
+	if len(args) == 0 {
+		return errors.New("no inputs given (dump files or node debug addresses)")
 	}
-	var audits []*audit.Dump
-	var flights []*flight.Dump
-	var spans []telemetry.Span
-	for _, path := range paths {
-		file, err := os.Open(path)
-		if err != nil {
+	var in inputs
+	for _, arg := range args {
+		if err := in.add(arg); err != nil {
 			return err
 		}
-		err = sniffRead(file, &audits, &flights, &spans)
-		file.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	}
-	if len(audits) == 0 {
-		return fmt.Errorf("no audit dumps among the inputs")
 	}
 	var fl *flight.Dump
-	if len(flights) > 0 {
-		fl = flight.Merge(flights...)
+	if len(in.flights) > 0 {
+		fl = flight.Merge(in.flights...)
+	} else if o.timeline || o.html != "" || o.merged != "" {
+		return errors.New("no flight dumps among the inputs")
 	}
-	n := audit.Explain(w, audit.Merge(audits...), fl, spans, f)
-	if n == 0 {
-		return fmt.Errorf("no decisions match the filter")
+	if o.merged != "" {
+		if err := writeFile(o.merged, fl.Write); err != nil {
+			return err
+		}
+	}
+	if o.html != "" {
+		if err := writeFile(o.html, flight.BuildTimeline(fl).WriteHTML); err != nil {
+			return err
+		}
+	}
+	if o.timeline {
+		return flight.BuildTimeline(fl).WriteText(w)
+	}
+	if len(in.audits) == 0 {
+		if o.html != "" || o.merged != "" {
+			return nil // the flight outputs asked for are written
+		}
+		return errors.New("no audit dumps among the inputs")
+	}
+	if audit.Explain(w, audit.Merge(in.audits...), fl, in.spans, f) == 0 {
+		return errors.New("no decisions match the filter")
 	}
 	return nil
 }
 
-// sniffRead classifies one JSONL input by its first line and parses it.
-// Audit and flight dumps are self-describing (their headers carry an
-// "audit" or "flight" version key). A line with a "reason" key is an
-// -audit.jsonl record stream — plain records with no header, wrapped here
-// into a headerless dump. Anything else is treated as a span stream.
-func sniffRead(r io.Reader, audits *[]*audit.Dump, flights *[]*flight.Dump, spans *[]telemetry.Span) error {
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// inputs collects what the arguments hold, by kind.
+type inputs struct {
+	audits  []*audit.Dump
+	flights []*flight.Dump
+	spans   []telemetry.Span
+}
+
+// add reads one argument: a file, or else a node's debug address.
+func (in *inputs) add(arg string) error {
+	if fi, err := os.Stat(arg); err == nil && !fi.IsDir() {
+		f, err := os.Open(arg)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := in.read(f); err != nil {
+			return fmt.Errorf("%s: %w", arg, err)
+		}
+		return nil
+	}
+	base := strings.TrimSuffix(arg, "/")
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	if err := in.fetch(base + "/debug/audit"); err != nil {
+		return fmt.Errorf("%s (not a file): %w", arg, err)
+	}
+	// Flight is optional context: a node that serves no flight ring still
+	// explains from audit evidence alone. Any other failure is reported, as
+	// the flight dump may be the whole point (-timeline).
+	if err := in.fetch(base + "/debug/flight"); err != nil && !errors.Is(err, errNotFound) {
+		return fmt.Errorf("%s: %w", arg, err)
+	}
+	return nil
+}
+
+// client fetches debug endpoints; the timeout bounds each request whole.
+var client = &http.Client{Timeout: 10 * time.Second}
+
+// errNotFound is fetch's error for an endpoint the node does not serve.
+var errNotFound = errors.New("404 Not Found")
+
+// fetch reads the dump a debug endpoint serves.
+func (in *inputs) fetch(url string) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	switch {
+	case resp.StatusCode == http.StatusNotFound:
+		return fmt.Errorf("%s: %w", url, errNotFound)
+	case resp.StatusCode != http.StatusOK:
+		return fmt.Errorf("%s: %s", url, resp.Status)
+	}
+	if err := in.read(resp.Body); err != nil {
+		return fmt.Errorf("%s: %w", url, err)
+	}
+	return nil
+}
+
+// read classifies one JSONL input by its first line and parses it.
+func (in *inputs) read(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 64*1024)
 	first, err := br.Peek(64 * 1024)
 	if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
@@ -153,49 +244,24 @@ func sniffRead(r io.Reader, audits *[]*audit.Dump, flights *[]*flight.Dump, span
 	}
 	switch {
 	case head.Audit != nil:
-		d, err := audit.ReadDump(br)
-		if err != nil {
-			return err
-		}
-		*audits = append(*audits, d)
+		return appendRead(&in.audits, audit.ReadDump, br)
 	case head.Flight != nil:
-		d, err := flight.ReadDump(br)
-		if err != nil {
-			return err
-		}
-		*flights = append(*flights, d)
+		return appendRead(&in.flights, flight.ReadDump, br)
 	case head.Reason != nil:
-		// A headerless audit record stream (-audit.jsonl).
-		d := &audit.Dump{Header: audit.Header{Audit: audit.DumpVersion}}
-		sc := bufio.NewScanner(br)
-		sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-		for sc.Scan() {
-			if len(sc.Bytes()) == 0 {
-				continue
-			}
-			var rec audit.Record
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				return fmt.Errorf("audit record stream: %w", err)
-			}
-			d.Records = append(d.Records, rec)
-			if rec.Kind == audit.KindDecision {
-				d.Header.Decisions++
-			}
-			d.Header.Total++
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		if len(d.Records) > 0 {
-			d.Header.Nodes = []string{d.Records[0].Node}
-		}
-		*audits = append(*audits, d)
-	default:
-		ss, err := telemetry.ReadSpans(br)
-		if err != nil {
-			return err
-		}
-		*spans = append(*spans, ss...)
+		return appendRead(&in.audits, audit.ReadStream, br)
 	}
-	return nil
+	ss, err := telemetry.ReadSpans(br)
+	if err == nil {
+		in.spans = append(in.spans, ss...)
+	}
+	return err
+}
+
+// appendRead reads one dump with read and, if it parses, appends it to list.
+func appendRead[D any](list *[]D, read func(io.Reader) (D, error), r io.Reader) error {
+	d, err := read(r)
+	if err == nil {
+		*list = append(*list, d)
+	}
+	return err
 }

@@ -9,6 +9,8 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +20,7 @@ import (
 	"wanac/internal/audit"
 	"wanac/internal/clitest"
 	"wanac/internal/core"
+	"wanac/internal/flight"
 	"wanac/internal/sim"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
@@ -112,7 +115,7 @@ func TestExplainGolden(t *testing.T) {
 		{"explain_default_allow.golden", audit.Filter{User: "carol"}},
 	} {
 		var b strings.Builder
-		if err := run(&b, c.filter, paths); err != nil {
+		if err := run(&b, c.filter, options{}, paths); err != nil {
 			t.Fatalf("%s: %v", c.golden, err)
 		}
 		clitest.CheckGolden(t, c.golden, b.String())
@@ -133,16 +136,20 @@ func TestRunErrors(t *testing.T) {
 		}
 	}
 	var b strings.Builder
-	if err := run(&b, audit.Filter{}, nil); err == nil {
+	if err := run(&b, audit.Filter{}, options{}, nil); err == nil {
 		t.Error("no inputs should error")
 	}
-	if err := run(&b, audit.Filter{}, spanOnly); err == nil ||
+	if err := run(&b, audit.Filter{}, options{}, spanOnly); err == nil ||
 		!strings.Contains(err.Error(), "no audit dumps") {
 		t.Errorf("span-only input error = %v", err)
 	}
-	if err := run(&b, audit.Filter{User: "nobody"}, auditOnly); err == nil ||
+	if err := run(&b, audit.Filter{User: "nobody"}, options{}, auditOnly); err == nil ||
 		!strings.Contains(err.Error(), "no decisions match") {
 		t.Errorf("unmatched filter error = %v", err)
+	}
+	if err := run(&b, audit.Filter{}, options{timeline: true}, auditOnly); err == nil ||
+		!strings.Contains(err.Error(), "no flight dumps") {
+		t.Errorf("timeline without flight dumps error = %v", err)
 	}
 }
 
@@ -168,10 +175,142 @@ func TestSniffRecordStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := run(&b, audit.Filter{User: "carol"}, []string{stream}); err != nil {
+	if err := run(&b, audit.Filter{User: "carol"}, options{}, []string{stream}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "reason=default_allow") {
 		t.Errorf("record-stream explanation missing default_allow:\n%s", b.String())
+	}
+}
+
+// renderTimeline runs acaudit -timeline over two single-node flight dumps — a
+// host whose clock runs 3s behind its manager's, and the manager, whose ring
+// has wrapped — and returns its stdout.
+func renderTimeline(t *testing.T, o options) string {
+	t.Helper()
+	o.timeline = true
+	var b strings.Builder
+	if err := run(&b, audit.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl"), filepath.Join("testdata", "m0-flight.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func TestTimelineGolden(t *testing.T) {
+	clitest.CheckGolden(t, "timeline.golden", renderTimeline(t, options{}))
+}
+
+// TestTimelineHTMLAndMergedOutputs writes the HTML page and the merged dump
+// beside the text timeline.
+func TestTimelineHTMLAndMergedOutputs(t *testing.T) {
+	dir := t.TempDir()
+	o := options{html: filepath.Join(dir, "tl.html"), merged: filepath.Join(dir, "merged.jsonl")}
+	renderTimeline(t, o)
+	page, err := os.ReadFile(o.html)
+	for _, want := range []string{"<!DOCTYPE html>", "query-served", "update-quorum"} {
+		if err != nil || !strings.Contains(string(page), want) {
+			t.Errorf("HTML page missing %q (%v)", want, err)
+		}
+	}
+	f, err := os.Open(o.merged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if d, err := flight.ReadDump(f); err != nil || strings.Join(d.Header.Nodes, ",") != "h0,m0" || len(d.Records) != 5 || d.Header.Dropped != 2 {
+		t.Fatalf("merged dump %+v (%v); want nodes h0,m0, 5 records, 2 dropped", d, err)
+	}
+}
+
+// TestHTMLWithoutTimeline: -html alone over flight dumps writes the page,
+// prints nothing and succeeds, though no audit dump is among the inputs.
+func TestHTMLWithoutTimeline(t *testing.T) {
+	o := options{html: filepath.Join(t.TempDir(), "tl.html")}
+	var b strings.Builder
+	if err := run(&b, audit.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl")}); err != nil {
+		t.Fatal(err)
+	}
+	if page, err := os.ReadFile(o.html); err != nil || !strings.Contains(string(page), "<!DOCTYPE html>") || b.Len() != 0 {
+		t.Errorf("page %d bytes (%v), stdout %q; want the page and no text", len(page), err, b.String())
+	}
+}
+
+func TestTimelineRejectsNoInputs(t *testing.T) {
+	if err := run(io.Discard, audit.Filter{}, options{timeline: true}, nil); err == nil {
+		t.Fatal("want error when no inputs are given")
+	}
+}
+
+// TestExplainLiveAddress points acaudit at a debug-style HTTP endpoint
+// serving /debug/audit and /debug/flight: the decision is explained with the
+// flight history of its check, and the filter still selects.
+func TestExplainLiveAddress(t *testing.T) {
+	rec := audit.NewRecorder("h0", 16, nil)
+	rec.Record(audit.Record{
+		Kind: audit.KindDecision, Trace: 0xa1, App: "stocks", User: "alice", Right: "use",
+		Reason: audit.ReasonCacheHit, Allowed: true, Granters: 2,
+	})
+	rec.Record(audit.Record{
+		Kind: audit.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
+		Reason: audit.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2,
+	})
+	fl := flight.NewRecorder("h0", 16, nil)
+	fl.Record(flight.Record{Kind: flight.KindProtocol, Type: "query-sent", Trace: 0xa2, App: "stocks", User: "bob", Peer: "m0"})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/debug/audit":
+			rec.WriteDump(w)
+		case "/debug/flight":
+			fl.WriteDump(w)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	defer srv.Close()
+	addr := strings.TrimPrefix(srv.URL, "http://")
+	var b strings.Builder
+	if err := run(&b, audit.Filter{User: "bob"}, options{}, []string{addr}); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); strings.Contains(out, "alice") || !strings.Contains(out, "reason=quorum_deny") ||
+		!strings.Contains(out, "h0 query-sent peer=m0") {
+		t.Errorf("filtered explanation wrong:\n%s", out)
+	}
+	if err := run(io.Discard, audit.Filter{User: "nobody"}, options{}, []string{srv.URL + "/"}); err == nil ||
+		!strings.Contains(err.Error(), "no decisions match") {
+		t.Errorf("unmatched filter error = %v", err)
+	}
+}
+
+// TestLiveFlightFetchErrors: a node answering 404 for /debug/flight explains
+// from its audit dump alone; any other flight failure names the address
+// instead of dropping the node's flight history silently.
+func TestLiveFlightFetchErrors(t *testing.T) {
+	rec := audit.NewRecorder("h0", 16, nil)
+	rec.Record(audit.Record{Kind: audit.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
+		Reason: audit.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2})
+	for _, c := range []struct {
+		name   string
+		flight http.HandlerFunc
+		errHas string // "" for success
+	}{
+		{"404", http.NotFound, ""},
+		{"500", func(w http.ResponseWriter, r *http.Request) { http.Error(w, "boom", http.StatusInternalServerError) }, "500"},
+		{"garbage", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "not json\n") }, "not JSON"},
+	} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/debug/audit", func(w http.ResponseWriter, r *http.Request) { rec.WriteDump(w) })
+		mux.Handle("/debug/flight", c.flight)
+		srv := httptest.NewServer(mux)
+		addr := strings.TrimPrefix(srv.URL, "http://")
+		err := run(io.Discard, audit.Filter{}, options{}, []string{addr})
+		srv.Close()
+		if c.errHas == "" {
+			if err != nil {
+				t.Errorf("%s: %v, want the audit-only explanation", c.name, err)
+			}
+		} else if err == nil || !strings.Contains(err.Error(), c.errHas) || !strings.Contains(err.Error(), addr) {
+			t.Errorf("%s: error %v, want one naming %s and %q", c.name, err, addr, c.errHas)
+		}
 	}
 }

@@ -14,28 +14,15 @@
 // check runs the host-side check protocol (Figure 2) against every manager
 // in -to, reports the quorum decision, and — via an ephemeral audit
 // recorder on the same decision path acnode audits — prints the decision's
-// reason and evidence.
-//
-// Two more verbs work against -debug.addr endpoints (no -to needed):
-//
-//	acctl flight 127.0.0.1:7180              # JSONL dump to stdout
-//	acctl flight 127.0.0.1:7180 h0.jsonl     # ... or to a file
-//	acctl explain -user alice 127.0.0.1:7180 127.0.0.1:7280
-//
-// explain pulls /debug/audit (and /debug/flight, when enabled) from every
-// listed node, merges the dumps, and renders causal explanations for the
-// matching decisions — the same join acaudit performs over dump files.
-// Collect flight dumps per node, then merge and render them with acflight.
+// reason and evidence. To explain past decisions or render a node's flight
+// timeline, point acaudit at the nodes' -debug.addr endpoints.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,7 +30,6 @@ import (
 	"wanac/internal/audit"
 	"wanac/internal/auth"
 	"wanac/internal/core"
-	"wanac/internal/flight"
 	"wanac/internal/wire"
 )
 
@@ -65,18 +51,12 @@ func main() {
 }
 
 func run(to, issuer string, timeout time.Duration, trans, keyFile, asUser string, quorum int, args []string) error {
-	if len(args) > 0 && args[0] == "flight" {
-		return runFlight(timeout, args)
-	}
-	if len(args) > 0 && args[0] == "explain" {
-		return runExplain(timeout, args[1:])
-	}
 	targets, err := parseTargets(to)
 	if err != nil {
 		return err
 	}
 	if len(args) < 3 {
-		return fmt.Errorf("usage: acctl -to id=addr[,id=addr...] grant|revoke|invoke|check <app> <user> [right|payload]\n       acctl flight <debug-addr> [out.jsonl]\n       acctl explain [-app A] [-user U] [-trace HEX] [-last N] <debug-addr> ...")
+		return fmt.Errorf("usage: acctl -to id=addr[,id=addr...] grant|revoke|invoke|check <app> <user> [right|payload]")
 	}
 	verb, app, user := args[0], wire.AppID(args[1]), wire.UserID(args[2])
 
@@ -239,130 +219,6 @@ func runCheck(node wanac.Transport, targets []target, app wire.AppID, user wire.
 	}
 	fmt.Printf("allowed: %s has %s on %s (%d confirmations in %d attempt(s))\n",
 		user, right, app, d.Confirmations, d.Attempts)
-	return nil
-}
-
-// runExplain pulls /debug/audit (and, best-effort, /debug/flight) from the
-// listed debug endpoints, merges the per-node dumps, and explains the
-// decisions selected by its flags — acaudit's join, but live.
-func runExplain(timeout time.Duration, args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	var (
-		app    = fs.String("app", "", "only decisions for this application")
-		user   = fs.String("user", "", "only decisions for this user")
-		nodeID = fs.String("node", "", "only decisions made by this host")
-		traceS = fs.String("trace", "", "only the decision with this trace ID (hex)")
-		last   = fs.Int("last", 0, "only the most recent N matching decisions")
-	)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	addrs := fs.Args()
-	if len(addrs) == 0 {
-		return fmt.Errorf("usage: acctl explain [-app A] [-user U] [-node N] [-trace HEX] [-last N] <debug-addr> ...")
-	}
-	f := audit.Filter{App: *app, User: *user, Node: *nodeID, Last: *last}
-	if *traceS != "" {
-		tr, err := strconv.ParseUint(*traceS, 16, 64)
-		if err != nil {
-			return fmt.Errorf("bad -trace %q: %w", *traceS, err)
-		}
-		f.Trace = tr
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	fetch := func(addr, path string) (io.ReadCloser, error) {
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, fmt.Errorf("%s%s: %s", addr, path, resp.Status)
-		}
-		return resp.Body, nil
-	}
-
-	var audits []*audit.Dump
-	var flights []*flight.Dump
-	for _, addr := range addrs {
-		body, err := fetch(addr, "/debug/audit")
-		if err != nil {
-			return err
-		}
-		d, err := audit.ReadDump(body)
-		body.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", addr, err)
-		}
-		audits = append(audits, d)
-		// Flight is optional context: a node without a flight ring still
-		// explains from audit evidence alone.
-		if body, err := fetch(addr, "/debug/flight"); err == nil {
-			if fd, err := flight.ReadDump(body); err == nil {
-				flights = append(flights, fd)
-			}
-			body.Close()
-		}
-	}
-	var fl *flight.Dump
-	if len(flights) > 0 {
-		fl = flight.Merge(flights...)
-	}
-	if n := audit.Explain(os.Stdout, audit.Merge(audits...), fl, nil, f); n == 0 {
-		return fmt.Errorf("no decisions match the filter")
-	}
-	return nil
-}
-
-// runFlight fetches /debug/flight from a node's debug endpoint and writes
-// the JSONL dump to stdout or the named file.
-func runFlight(timeout time.Duration, args []string) error {
-	if len(args) < 2 {
-		return fmt.Errorf("usage: acctl flight <debug-addr> [out.jsonl]")
-	}
-	addr := args[1]
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/debug/flight", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", addr, resp.Status)
-	}
-	out := io.Writer(os.Stdout)
-	if len(args) >= 3 {
-		f, err := os.Create(args[2])
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	n, err := io.Copy(out, resp.Body)
-	if err != nil {
-		return err
-	}
-	if len(args) >= 3 {
-		fmt.Printf("wrote %d bytes to %s\n", n, args[2])
-	}
 	return nil
 }
 

@@ -1,36 +1,12 @@
 package main
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/clitest"
 )
-
-// capture runs fn with os.Stdout redirected and returns what it printed.
-func capture(t *testing.T, fn func() error) (string, error) {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	fnErr := fn()
-	w.Close()
-	os.Stdout = old
-	return <-done, fnErr
-}
 
 // TestCheckPrintsEvidence drives the check verb with no reachable manager:
 // the ephemeral host exhausts its attempts, the fail-safe default denies,
@@ -39,7 +15,7 @@ func TestCheckPrintsEvidence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	out, err := capture(t, func() error {
+	out, err := clitest.Capture(t, func() error {
 		// 127.0.0.1:1 is reserved-unreachable: queries go nowhere.
 		return run("m0=127.0.0.1:1", "root", 2*time.Second, "tcp", "", "", 1,
 			[]string{"check", "stocks", "alice"})
@@ -51,49 +27,5 @@ func TestCheckPrintsEvidence(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("check output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestExplainVerb serves a canned audit dump over a debug-style HTTP
-// endpoint and expects the explain verb to fetch, filter, and render it.
-func TestExplainVerb(t *testing.T) {
-	rec := audit.NewRecorder("h0", 16, nil)
-	rec.Record(audit.Record{
-		Kind: audit.KindDecision, Trace: 0xa1, App: "stocks", User: "alice", Right: "use",
-		Reason: audit.ReasonCacheHit, Allowed: true, Granters: 2,
-	})
-	rec.Record(audit.Record{
-		Kind: audit.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
-		Reason: audit.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2,
-	})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/debug/audit" {
-			http.NotFound(w, r)
-			return
-		}
-		rec.WriteDump(w)
-	}))
-	defer srv.Close()
-
-	out, err := capture(t, func() error {
-		return runExplain(2*time.Second, []string{"-user", "bob", srv.URL})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "alice") || !strings.Contains(out, "reason=quorum_deny") {
-		t.Errorf("filtered explanation wrong:\n%s", out)
-	}
-
-	if _, err := capture(t, func() error {
-		return runExplain(2*time.Second, []string{"-user", "nobody", srv.URL})
-	}); err == nil || !strings.Contains(err.Error(), "no decisions match") {
-		t.Errorf("unmatched filter error = %v", err)
-	}
-	if err := runExplain(2*time.Second, []string{"-trace", "zzz", srv.URL}); err == nil {
-		t.Error("bad -trace should error")
-	}
-	if err := runExplain(2*time.Second, nil); err == nil {
-		t.Error("no addresses should error")
 	}
 }

@@ -3,7 +3,7 @@ package main
 // Live test for the audit surface: a real two-manager deployment over TCP,
 // the three canonical decisions driven end to end — quorum allow, cache
 // hit, revoke then quorum deny — then /debug/audit pulled and parsed the
-// way acaudit and acctl explain would, and the -audit.jsonl stream
+// way acaudit would, and the -audit.jsonl stream
 // re-read after shutdown.
 
 import (

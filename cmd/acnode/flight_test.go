@@ -2,7 +2,7 @@ package main
 
 // Live test for the always-on flight recorder surface: a real
 // deployment over TCP, one check driven end to end, then /debug/flight
-// pulled from both sides and parsed the way acctl and acflight would.
+// pulled from both sides and parsed the way acaudit would.
 
 import (
 	"context"
@@ -108,7 +108,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	}
 
 	// The manager that served the round must hold a query-served record
-	// with the same trace ID — the anchor acflight aligns clocks on.
+	// with the same trace ID — the anchor acaudit -timeline aligns clocks on.
 	md := pullFlight(t, debugAddrs["m0"])
 	served := false
 	for _, r := range md.Records {

@@ -20,22 +20,23 @@
 //	              wanac.manager counter snapshots
 //	/debug/pprof  the standard pprof profiles
 //	/debug/check  (hosts) run an access check: ?app=stocks&user=alice&right=use
-//	/debug/flight the node's flight recording as versioned JSONL (feed the
-//	              dumps from several nodes to acflight for a merged timeline)
+//	/debug/flight the node's flight recording as versioned JSONL
 //	/debug/audit  the node's audit ring as versioned JSONL: one structured
 //	              record per access decision (hosts) or query verdict
-//	              (managers), carrying the evidence behind the outcome —
-//	              feed dumps to acaudit (or acctl explain) for causal
-//	              "why was this allowed" explanations
+//	              (managers), carrying the evidence behind the outcome
 //	/metrics      Prometheus text exposition: check latency histograms by
 //	              outcome, quorum/freeze gauges, transport health
 //	/health       readiness probe: 200 when the transport reaches a peer
 //	              and (managers) no app is syncing and admission control
 //	              is not shedding most queries, else 503 with reasons
 //
+// Point acaudit at one or more nodes' -debug.addr to explain their decisions
+// ("why was this allowed?") from both dumps, or with -timeline to render
+// their flight recordings as one clock-aligned timeline.
+//
 // Every node keeps an always-on flight recorder: a bounded in-memory ring
 // of protocol events and transport health transitions, dumped on demand
-// (/debug/flight, acctl flight) or automatically when the node panics.
+// (/debug/flight) or automatically when the node panics.
 // An always-on audit ring rides alongside it (sized with -audit.ring);
 // with -audit.jsonl set, every audit record is additionally streamed to
 // the given file as it is accepted, surviving the bounded ring.
@@ -99,7 +100,7 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight recorder ring capacity in records (168 B each, allocated as records arrive, not up front); protocol history only: a cached check writes none (its record is the audit record), a cold one a few")
+	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight ring capacity: protocol-history records kept per node (168 B each, allocated as records arrive, not up front); a cached check writes none (its record is the audit record), a cold one a few; render with acaudit -timeline")
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
 	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity: decision-provenance records kept per node (272 B each, allocated as records arrive, not up front)")
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
@@ -286,14 +287,14 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 
 	// The flight recorder runs unconditionally: a bounded ring of protocol
 	// and transport history whose cost does not depend on uptime, dumped
-	// via /debug/flight, acctl flight, or on panic.
+	// via /debug/flight or on panic.
 	if cfg.flightRing <= 0 {
 		cfg.flightRing = defaultFlightRing
 	}
 	rec := flight.NewRecorder(cfg.id, cfg.flightRing, nil)
 	// The audit ring is equally always-on: every access decision (hosts)
 	// and query verdict (managers) leaves a provenance record, served via
-	// /debug/audit and joined by acaudit/acctl explain.
+	// /debug/audit and joined by acaudit.
 	if cfg.auditRing <= 0 {
 		cfg.auditRing = defaultAuditRing
 	}

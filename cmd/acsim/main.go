@@ -199,7 +199,7 @@ func cmdCheck(args []string, stderr io.Writer) error {
 	}
 	for _, f := range report.Failures {
 		if f.FlightDump != "" {
-			fmt.Fprintf(stderr, "seed %d: flight recording %s (render with: go run ./cmd/acflight %s)\n",
+			fmt.Fprintf(stderr, "seed %d: flight recording %s (render with: go run ./cmd/acaudit -timeline %s)\n",
 				f.Seed, f.FlightDump, f.FlightDump)
 		}
 	}

@@ -6,10 +6,9 @@
 //
 // Records are emitted at the same call sites as HostStats and the telemetry
 // counters, so the three views cannot drift (pinned by exactness tests in
-// internal/core). They flow into a bounded ring per node with the same
-// discipline as internal/flight — slots allocated as records arrive and
-// written in place once the ring is full, struct copies, drop accounting —
-// and optionally into a JSONL sink for live deployments
+// internal/core). They flow into a bounded ring per node — the same
+// internal/ring as internal/flight's, with the same dump codec — and
+// optionally into a JSONL sink for live deployments
 // (`acnode -audit.jsonl`). cmd/acaudit joins dumped records
 // with flight timelines and spans to answer "why was user U allowed on
 // app A at time T".
@@ -22,6 +21,8 @@ import (
 	"iter"
 	"sync"
 	"time"
+
+	"wanac/internal/ring"
 )
 
 // Reason explains a record: why the decision came out the way it did, or —
@@ -167,11 +168,6 @@ var kindNames = map[Kind]string{
 	KindResponse: "response",
 }
 
-var kindValues = map[string]Kind{
-	"decision": KindDecision,
-	"response": KindResponse,
-}
-
 // String returns the kind's stable name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
@@ -189,12 +185,13 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &s); err != nil {
 		return err
 	}
-	v, ok := kindValues[s]
-	if !ok {
-		return fmt.Errorf("unknown audit kind %q", s)
+	for v, name := range kindNames {
+		if name == s {
+			*k = v
+			return nil
+		}
 	}
-	*k = v
-	return nil
+	return fmt.Errorf("unknown audit kind %q", s)
 }
 
 // Record is one audit entry. Evidence fields are populated per reason:
@@ -245,38 +242,28 @@ type Sink interface {
 	RecordAudit(Record)
 }
 
-// Recorder is a bounded per-node audit ring with the internal/flight
-// discipline: a ring that starts empty, doubles in place as records arrive
-// and wraps from size slots on; records built in their slots, no heap
-// allocation per record once the ring is full, and exact drop accounting
-// (Total minus retained). Safe for concurrent use.
+// Recorder is a node's audit ring (ring.Ring: it starts empty, doubles in
+// place as records arrive and wraps at its capacity), with records built in
+// their slots, no heap allocation per record once the ring is full, and exact
+// drop accounting (Total minus retained). Safe for concurrent use.
 type Recorder struct {
 	node string
 	now  func() time.Time
 	sink Sink
-	size int // capacity: the ring grows to this many slots, then wraps
 
 	mu        sync.Mutex
-	ring      []Record // len(ring) slots allocated so far, at most size
-	next      uint64   // total records accepted; next % len(ring) is the slot
-	decisions uint64   // accepted records with Kind == KindDecision
-	responses uint64   // accepted records with Kind == KindResponse
+	ring      ring.Ring[Record]
+	decisions uint64 // accepted records with Kind == KindDecision
+	responses uint64 // accepted records with Kind == KindResponse
 }
 
-// minRing is how many slots a ring's first record allocates (fewer if the
-// capacity is smaller): growth by doubling starts from here.
-const minRing = 64
-
-// NewRecorder creates a ring holding the last size records for node. now
-// stamps records missing a time; nil falls back to time.Now.
+// NewRecorder creates a ring holding the last size records for node (at
+// least one). now stamps records missing a time; nil falls back to time.Now.
 func NewRecorder(node string, size int, now func() time.Time) *Recorder {
-	if size <= 0 {
-		size = 1
-	}
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, size: size}
+	return &Recorder{node: node, now: now, ring: ring.New[Record](size)}
 }
 
 // SetSink installs a sink receiving every accepted record (nil disables).
@@ -295,7 +282,7 @@ func (r *Recorder) Node() string { return r.node }
 // slot is overwritten in place, so steady-state recording allocates nothing.
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
-	s := r.slot()
+	s := r.ring.Slot()
 	*s = rec
 	r.commit(s)
 	r.mu.Unlock()
@@ -307,7 +294,7 @@ func (r *Recorder) Record(rec Record) {
 // and expiry the cached entry's evidence.
 func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right string, granters int, expiry time.Time) {
 	r.mu.Lock()
-	s := r.slot()
+	s := r.ring.Slot()
 	*s = Record{}
 	s.T = t
 	s.Kind = KindDecision
@@ -320,40 +307,15 @@ func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right st
 	r.mu.Unlock()
 }
 
-// slot returns the ring slot the next record goes in, still holding the
-// record it overwrites (if any). Must be called with r.mu held. The ring
-// grows as flight.Recorder's does: next == len(ring) is the only time a
-// growing ring lacks a slot, and a full ring meets it once, on its first wrap.
-func (r *Recorder) slot() *Record {
-	if r.next == uint64(len(r.ring)) {
-		r.grow()
-	}
-	return &r.ring[r.next%uint64(len(r.ring))]
-}
-
-// grow doubles the ring in place, up to its capacity; at capacity it does
-// nothing. Below capacity the ring has not wrapped, so slot i keeps Seq i.
-// Not inlined, to stay out of every record's write.
-//
-//go:noinline
-func (r *Recorder) grow() {
-	n := min(max(2*len(r.ring), minRing), r.size)
-	if n == len(r.ring) {
-		return
-	}
-	ring := make([]Record, n)
-	copy(ring, r.ring)
-	r.ring = ring
-}
-
-// commit stamps the record built in s, accepts it, and feeds the sink.
+// commit stamps the record built in s, accepts it, counts its kind, and
+// feeds the sink. Must be called with r.mu held.
 func (r *Recorder) commit(s *Record) {
 	if s.T.IsZero() {
 		s.T = r.now()
 	}
 	s.Node = r.node
-	s.Seq = r.next
-	r.next++
+	s.Seq = r.ring.Next()
+	r.ring.Commit()
 	switch s.Kind {
 	case KindDecision:
 		r.decisions++
@@ -369,7 +331,7 @@ func (r *Recorder) commit(s *Record) {
 func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next
+	return r.ring.Next()
 }
 
 // Decisions returns how many decision-kind records were ever accepted.
@@ -383,21 +345,7 @@ func (r *Recorder) Decisions() uint64 {
 func (r *Recorder) Dropped() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next - r.retained()
-}
-
-// retained is how many records the ring holds. Must be called with r.mu held.
-func (r *Recorder) retained() uint64 { return min(r.next, uint64(len(r.ring))) }
-
-// all yields the retained records, oldest first, in their slots. Must be
-// called with r.mu held.
-func (r *Recorder) all(yield func(*Record) bool) {
-	size := uint64(len(r.ring))
-	for i := r.next - r.retained(); i < r.next; i++ {
-		if !yield(&r.ring[i%size]) {
-			return
-		}
-	}
+	return r.ring.Next() - r.ring.Retained()
 }
 
 // All iterates over the retained records, oldest first, where they lie: no
@@ -410,7 +358,7 @@ func (r *Recorder) All() iter.Seq[*Record] {
 	return func(yield func(*Record) bool) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		r.all(yield)
+		r.ring.All(yield)
 	}
 }
 
@@ -418,16 +366,7 @@ func (r *Recorder) All() iter.Seq[*Record] {
 func (r *Recorder) Snapshot() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshot()
-}
-
-// snapshot is Snapshot with r.mu held.
-func (r *Recorder) snapshot() []Record {
-	out := make([]Record, 0, r.retained())
-	for rec := range r.all {
-		out = append(out, *rec)
-	}
-	return out
+	return r.ring.Snapshot()
 }
 
 // Writer is a Sink streaming each record as one JSON line (the

@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wanac/internal/clitest"
+	"wanac/internal/ring"
 )
 
 var t0 = time.Date(2000, 1, 1, 12, 0, 0, 0, time.UTC)
@@ -126,7 +129,7 @@ func TestRecorderRingAndDropAccounting(t *testing.T) {
 		}
 	}
 	d := rec.Dump()
-	if d.Header.Audit != DumpVersion || d.Header.Total != 10 ||
+	if d.Header.Audit != ring.DumpVersion || d.Header.Total != 10 ||
 		d.Header.Decisions != 6 || d.Header.Responses != 4 || d.Header.Dropped != 6 {
 		t.Fatalf("dump header %+v", d.Header)
 	}
@@ -229,21 +232,63 @@ func TestDumpRoundTripAndMerge(t *testing.T) {
 	}
 }
 
+// TestDumpGolden pins the bytes /debug/audit and harness artifacts serve: a
+// ring that has wrapped (so the header carries dropped), both kinds, and each
+// omitempty field both set and unset, through Record and RecordCacheHit alike.
+func TestDumpGolden(t *testing.T) {
+	r := NewRecorder("h0", 8, fakeClock())
+	for i := 0; i < 3; i++ { // overwritten: dropped = 3
+		r.Record(Record{Kind: KindDecision, Reason: ReasonUnregisteredDeny})
+	}
+	r.Record(Record{Kind: KindDecision, Trace: 0xabc, App: "stocks", User: "alice", Right: "use",
+		Reason: ReasonQuorumAllow, Allowed: true, Set: 3, Attempts: 2, Queried: 3, Quorum: 2, Confirmations: 2,
+		Managers: "m0,m1", Expire: 30 * time.Second, Expiry: t0.Add(30 * time.Second), Backoffs: 1, Frozen: true})
+	r.RecordCacheHit(t0.Add(time.Second), 0xabd, "stocks", "alice", "use", 2, t0.Add(30*time.Second))
+	r.Record(Record{Kind: KindDecision, Trace: 0xabe, App: "stocks", User: "bob", Right: "use",
+		Reason: ReasonQuorumDeny, Set: 3, Queried: 2, Quorum: 2, Denials: 2})
+	r.Record(Record{Kind: KindDecision, Trace: 0xabf, App: "stocks", User: "carol", Right: "manage",
+		Reason: ReasonDefaultAllow, Allowed: true, Set: 3, Attempts: 3, Queried: 3, Quorum: 2})
+	r.Record(Record{Kind: KindResponse, Trace: 0xabc, App: "stocks", User: "alice", Right: "use",
+		Reason: ReasonQueryGranted, Expire: 30 * time.Second, Peer: "h1", Origin: "m0", Counter: 4})
+	r.Record(Record{Kind: KindResponse, Reason: ReasonQueryShed, Peer: "h1"})
+	r.Record(Record{T: t0.Add(time.Minute), Kind: KindResponse, App: "stocks", User: "bob",
+		Reason: ReasonQueryDenied, Peer: "h2", Origin: "m1"})
+	r.Record(Record{Kind: KindDecision, Reason: ReasonResolveDeny, Attempts: 1})
+	var buf bytes.Buffer
+	for _, rec := range []*Recorder{r, NewRecorder("m0", 8, nil)} { // one that never wrapped: no responses, no dropped
+		if err := rec.WriteDump(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clitest.CheckGolden(t, "dump.golden", buf.String())
+}
+
+// TestWriterSink streams a manager's records as acnode -audit.jsonl does:
+// the sink sees every record, the ones the ring dropped included, and
+// ReadStream turns the headerless stream into a dump whose header counts each
+// kind. A line without a node is rejected, in a stream as in a dump.
 func TestWriterSink(t *testing.T) {
 	var buf bytes.Buffer
-	rec := NewRecorder("h0", 2, fakeClock())
+	rec := NewRecorder("m0", 2, fakeClock())
 	rec.SetSink(NewWriter(&buf))
 	for i := 0; i < 5; i++ {
-		rec.Record(Record{Kind: KindDecision, Reason: ReasonCacheHit, Allowed: true})
+		rec.Record(Record{Kind: KindResponse, Reason: ReasonQueryGranted, Peer: "h0"})
 	}
-	// The sink sees every record, including the three the ring dropped.
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("sink got %d lines, want 5", len(lines))
+	rec.Record(Record{Kind: KindDecision, Reason: ReasonCacheHit, Allowed: true})
+	d, err := ReadStream(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var r Record
-	if err := json.Unmarshal([]byte(lines[4]), &r); err != nil || r.Seq != 4 {
-		t.Fatalf("last sink line: %+v (%v)", r, err)
+	if h := d.Header; len(d.Records) != 6 || d.Records[5].Seq != 5 || h.Total != 6 || h.Responses != 5 || h.Decisions != 1 ||
+		!slices.Equal(h.Nodes, []string{"m0"}) {
+		t.Fatalf("stream of 6 records read as %d under header %+v", len(d.Records), h)
+	}
+	nodeless := `{"seq":0,"t":"2000-01-01T12:00:00Z","kind":"response","reason":"query_granted"}` + "\n"
+	if _, err := ReadStream(strings.NewReader(nodeless)); err == nil {
+		t.Error("stream record without node accepted")
+	}
+	if _, err := ReadDump(strings.NewReader(`{"audit":1,"nodes":["h0"],"total":1,"decisions":1}` + "\n" + nodeless)); err == nil {
+		t.Error("dump record without node accepted")
 	}
 }
 
@@ -276,7 +321,7 @@ func TestMatchDecisionsFilter(t *testing.T) {
 
 func TestExplainJoinsResponsesByTrace(t *testing.T) {
 	d := &Dump{
-		Header: Header{Audit: DumpVersion},
+		Header: Header{Audit: ring.DumpVersion},
 		Records: []Record{
 			{Kind: KindDecision, Node: "h0", App: "app", User: "u0", Right: "use",
 				T: t0, Trace: 0xabc, Reason: ReasonQuorumAllow, Allowed: true,
@@ -340,92 +385,60 @@ func TestOutcomeAndEvidenceWording(t *testing.T) {
 	}
 }
 
-// TestRecorderAgainstModel drives a recorder of each capacity with a random
-// mix of Record (decisions and responses) and RecordCacheHit, several wraps
-// long, beside a flat slice of everything ever recorded: Snapshot and All
-// must be the slice's tail, Total its length, Dropped the rest, Seq the
-// index, Decisions the decisions in all of it. On the way the ring may never
-// hold more than max(64, 2k) slots after k records nor more than its
-// capacity, and once it is full no write allocates.
+// TestRecorderAgainstModel drives a recorder with a random mix of Record
+// (decisions and responses, with and without a time) and RecordCacheHit, a
+// few wraps long, beside a flat slice of what each call should have recorded:
+// Snapshot, All and the dump must be the slice's tail, stamped with Node, Seq
+// and, where the caller gave no time, the recorder's clock, and the counts
+// must cover every record ever accepted, by kind. The ring itself is
+// internal/ring's to test.
 func TestRecorderAgainstModel(t *testing.T) {
-	for _, size := range []int{1, 16, 63, 64, 65, 4096} {
-		rng := rand.New(rand.NewSource(int64(size)))
-		now := t0
-		r := NewRecorder("h0", size, func() time.Time { return now })
-		var model []Record
-		var decisions uint64
-		accept := func(rec Record) {
-			if rec.T.IsZero() {
-				rec.T = now
-			}
-			if rec.Kind == KindDecision {
-				decisions++
-			}
-			rec.Node, rec.Seq = "h0", uint64(len(model))
-			model = append(model, rec)
+	const size = 16
+	rng := rand.New(rand.NewSource(1))
+	now := t0
+	r := NewRecorder("h0", size, func() time.Time { return now })
+	var model []Record
+	var decisions uint64
+	for len(model) < 3*size+5 {
+		now = now.Add(time.Millisecond)
+		user := "u" + strconv.Itoa(rng.Intn(9))
+		var rec Record
+		switch rng.Intn(3) {
+		case 0:
+			rec = Record{T: t0.Add(time.Duration(rng.Intn(1000)) * time.Second), Kind: KindDecision, Trace: rng.Uint64(),
+				App: "app", User: user, Right: "use", Reason: ReasonQuorumDeny, Set: 3, Queried: 3, Denials: 2}
+			r.Record(rec)
+		case 1:
+			rec = Record{Kind: KindResponse, App: "app", User: user, Reason: ReasonQueryGranted, Peer: "h1", Origin: "m0"}
+			r.Record(rec)
+			rec.T = now
+		case 2:
+			rec = Record{T: now, Kind: KindDecision, Trace: rng.Uint64(), App: "app", User: user, Right: "use",
+				Reason: ReasonCacheHit, Allowed: true, Granters: 1 + rng.Intn(3), Expiry: now.Add(time.Minute)}
+			r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, rec.Right, rec.Granters, rec.Expiry)
 		}
-		check := func() {
-			t.Helper()
-			want := model[max(0, len(model)-size):]
-			var inPlace []Record
-			for rec := range r.All() {
-				inPlace = append(inPlace, *rec)
-			}
-			if !slices.Equal(r.Snapshot(), want) || !slices.Equal(inPlace, want) {
-				t.Fatalf("size %d after %d records: Snapshot or All is not the last %d recorded", size, len(model), len(want))
-			}
-			d, total, dropped := r.Dump(), uint64(len(model)), uint64(len(model)-len(want))
-			if !slices.Equal(d.Records, want) || d.Header.Total != total || d.Header.Dropped != dropped ||
-				d.Header.Decisions != decisions || d.Header.Responses != total-decisions {
-				t.Fatalf("size %d after %d records (%d decisions): dump lists %d under header %+v", size, total, decisions, len(d.Records), d.Header)
-			}
-			if r.Total() != total || r.Dropped() != dropped || r.Decisions() != decisions {
-				t.Fatalf("size %d after %d records: Total %d, Dropped %d, Decisions %d", size, total, r.Total(), r.Dropped(), r.Decisions())
-			}
+		if rec.Kind == KindDecision {
+			decisions++
 		}
-		check()
-		total := 3*size + rng.Intn(2*size) + 5
-		for len(model) < total {
-			now = now.Add(time.Millisecond)
-			at := time.Time{}
-			if rng.Intn(2) == 0 {
-				at = t0.Add(time.Duration(rng.Intn(1000)) * time.Second)
-			}
-			user := "u" + strconv.Itoa(rng.Intn(9))
-			switch rng.Intn(3) {
-			case 0:
-				rec := Record{T: at, Kind: KindDecision, Trace: rng.Uint64(), App: "app", User: user, Right: "use",
-					Reason: ReasonQuorumDeny, Set: 3, Queried: 3, Denials: 2, Attempts: 1 + rng.Intn(3)}
-				r.Record(rec)
-				accept(rec)
-			case 1:
-				rec := Record{T: at, Kind: KindResponse, App: "app", User: user, Reason: ReasonQueryGranted,
-					Peer: "h1", Origin: "m0", Counter: uint64(rng.Intn(9)), Expire: time.Minute}
-				r.Record(rec)
-				accept(rec)
-			case 2:
-				if at.IsZero() {
-					at = now // RecordCacheHit is handed the decision time
-				}
-				trace, granters, expiry := rng.Uint64(), 1+rng.Intn(3), at.Add(time.Minute)
-				r.RecordCacheHit(at, trace, "app", user, "use", granters, expiry)
-				accept(Record{T: at, Kind: KindDecision, Trace: trace, App: "app", User: user, Right: "use",
-					Reason: ReasonCacheHit, Allowed: true, Granters: granters, Expiry: expiry})
-			}
-			if k := len(model); len(r.ring) > max(64, 2*k) || len(r.ring) > size || len(r.ring) < min(k, size) {
-				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.ring))
-			}
-			if rng.Intn(1+total/16) == 0 {
-				check()
-			}
-		}
-		check()
-		if a := testing.AllocsPerRun(100, func() {
-			r.Record(Record{Kind: KindResponse, Reason: ReasonQueryDenied})
-			r.RecordCacheHit(t0, 1, "app", "u", "use", 2, t0)
-		}); a != 0 {
-			t.Errorf("size %d: a full ring's writes allocate %.1f times per round, want 0", size, a)
-		}
+		rec.Node, rec.Seq = "h0", uint64(len(model))
+		model = append(model, rec)
+	}
+	want, total := model[len(model)-size:], uint64(len(model))
+	var inPlace []Record
+	for rec := range r.All() {
+		inPlace = append(inPlace, *rec)
+	}
+	d := r.Dump()
+	if !slices.Equal(r.Snapshot(), want) || !slices.Equal(inPlace, want) || !slices.Equal(d.Records, want) {
+		t.Fatalf("after %d records: Snapshot, All or the dump is not the last %d recorded", total, size)
+	}
+	if h := d.Header; h.Total != total || h.Dropped != total-size || h.Decisions != decisions || h.Responses != total-decisions ||
+		r.Total() != total || r.Dropped() != total-size || r.Decisions() != decisions {
+		t.Fatalf("after %d records (%d decisions): Total %d, Dropped %d, Decisions %d, dump header %+v",
+			total, decisions, r.Total(), r.Dropped(), r.Decisions(), h)
+	}
+	if a := testing.AllocsPerRun(100, func() { r.RecordCacheHit(t0, 1, "app", "u", "use", 2, t0) }); a != 0 {
+		t.Errorf("RecordCacheHit allocates %.1f times per op, want 0", a)
 	}
 }
 

@@ -1,21 +1,16 @@
 package audit
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+
+	"wanac/internal/ring"
 )
 
-// DumpVersion gates the JSONL dump format.
-const DumpVersion = 1
-
-// Header is the first line of an audit dump.
+// Header is the first line of an audit dump (see internal/ring for the
+// format).
 type Header struct {
-	// Audit is the format version; readers reject other values. The key
-	// also distinguishes audit dumps from flight dumps ("flight") when
-	// tools sniff mixed inputs.
+	// Audit is the format version. The key also distinguishes audit dumps
+	// from flight dumps ("flight") when tools sniff mixed inputs.
 	Audit     int      `json:"audit"`
 	Nodes     []string `json:"nodes"`
 	Total     uint64   `json:"total"`               // records ever accepted across nodes
@@ -25,9 +20,13 @@ type Header struct {
 }
 
 // Dump is a self-describing set of audit records from one or more nodes.
-type Dump struct {
-	Header  Header
-	Records []Record
+// Write emits it as JSONL.
+type Dump = ring.Dump[Header, Record]
+
+var format = ring.Format[Header, Record]{
+	Name:    "audit",
+	Version: func(h *Header) int { return h.Audit },
+	Key:     func(r *Record) (string, uint64) { return r.Node, r.Seq },
 }
 
 // Dump snapshots the recorder as a one-node dump with drop accounting. The
@@ -35,12 +34,12 @@ type Dump struct {
 // a live node Total minus Dropped is exactly the number of records listed.
 func (r *Recorder) Dump() *Dump {
 	r.mu.Lock()
-	recs := r.snapshot()
-	total, decisions, responses := r.next, r.decisions, r.responses
+	recs := r.ring.Snapshot()
+	total, decisions, responses := r.ring.Next(), r.decisions, r.responses
 	r.mu.Unlock()
 	return &Dump{
 		Header: Header{
-			Audit:     DumpVersion,
+			Audit:     ring.DumpVersion,
 			Nodes:     []string{r.node},
 			Total:     total,
 			Decisions: decisions,
@@ -51,81 +50,44 @@ func (r *Recorder) Dump() *Dump {
 	}
 }
 
-// WriteDump writes the dump as JSONL: the header line, then one record per
-// line.
-func (d *Dump) WriteDump(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(d.Header); err != nil {
-		return err
-	}
-	for i := range d.Records {
-		if err := enc.Encode(&d.Records[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteDump snapshots the recorder and writes it (the /debug/audit
 // endpoint body).
-func (r *Recorder) WriteDump(w io.Writer) error { return r.Dump().WriteDump(w) }
+func (r *Recorder) WriteDump(w io.Writer) error { return r.Dump().Write(w) }
 
-// ReadDump parses a JSONL dump produced by WriteDump.
-func ReadDump(r io.Reader) (*Dump, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("audit dump: empty input")
-	}
-	var d Dump
-	if err := json.Unmarshal(sc.Bytes(), &d.Header); err != nil {
-		return nil, fmt.Errorf("audit dump header: %w", err)
-	}
-	if d.Header.Audit != DumpVersion {
-		return nil, fmt.Errorf("audit dump version %d, want %d", d.Header.Audit, DumpVersion)
-	}
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return nil, fmt.Errorf("audit dump record %d: %w", len(d.Records)+1, err)
-		}
-		d.Records = append(d.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
+// ReadDump parses a JSONL dump written by Dump.Write.
+func ReadDump(r io.Reader) (*Dump, error) { return format.Read(r) }
+
+// ReadStream parses a headerless record stream (a Writer sink's output, the
+// `acnode -audit.jsonl` file) into a dump whose header counts every record
+// it holds, by kind.
+func ReadStream(r io.Reader) (*Dump, error) {
+	recs, err := format.ReadRecords(r)
+	if err != nil {
 		return nil, err
 	}
-	return &d, nil
+	d := &Dump{Header: Header{Audit: ring.DumpVersion, Total: uint64(len(recs))}, Records: recs}
+	nodes := make([]string, len(recs))
+	for i := range recs {
+		nodes[i] = recs[i].Node
+		switch recs[i].Kind {
+		case KindDecision:
+			d.Header.Decisions++
+		case KindResponse:
+			d.Header.Responses++
+		}
+	}
+	d.Header.Nodes = ring.Nodes(nodes)
+	return d, nil
 }
 
-// Merge combines per-node dumps into one, records ordered by node then
-// ring sequence (each node's Seq is monotonic in its own emission order).
+// Merge combines dumps into one: the sorted union of their nodes, their
+// counts summed, their records ordered by node, then ring sequence.
 func Merge(dumps ...*Dump) *Dump {
-	out := &Dump{Header: Header{Audit: DumpVersion}}
-	for _, d := range dumps {
-		if d == nil {
-			continue
-		}
-		out.Header.Nodes = append(out.Header.Nodes, d.Header.Nodes...)
-		out.Header.Total += d.Header.Total
-		out.Header.Decisions += d.Header.Decisions
-		out.Header.Responses += d.Header.Responses
-		out.Header.Dropped += d.Header.Dropped
-		out.Records = append(out.Records, d.Records...)
-	}
-	sort.Strings(out.Header.Nodes)
-	sort.SliceStable(out.Records, func(i, j int) bool {
-		a, b := &out.Records[i], &out.Records[j]
-		if a.Node != b.Node {
-			return a.Node < b.Node
-		}
-		return a.Seq < b.Seq
-	})
-	return out
+	return format.Merge(Header{Audit: ring.DumpVersion}, func(into, from *Header) {
+		into.Nodes = ring.Nodes(into.Nodes, from.Nodes)
+		into.Total += from.Total
+		into.Decisions += from.Decisions
+		into.Responses += from.Responses
+		into.Dropped += from.Dropped
+	}, dumps)
 }

@@ -1,4 +1,4 @@
-// Package clitest holds what the cmd/ golden tests share: stdout capture
+// Package clitest holds what the golden tests share: stdout capture
 // and comparison against testdata/ files, rewritten under -update.
 package clitest
 

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/trace"
 	"wanac/internal/vclock"
 	"wanac/internal/wire"
 )
@@ -66,14 +65,14 @@ func TestOneClockReadingPerEntry(t *testing.T) {
 	mgrs := map[wire.NodeID]*Manager{}
 	for _, id := range mgrIDs {
 		mgrEnvs[id] = newEnv()
-		mgrs[id] = NewManager(id, mgrEnvs[id], trace.NewCollector(0), nil)
+		mgrs[id] = NewManager(id, mgrEnvs[id], nil, nil)
 		if err := mgrs[id].AddApp(app, ManagerAppConfig{Peers: mgrIDs, CheckQuorum: 2, Te: te, ClockBound: b}); err != nil {
 			t.Fatal(err)
 		}
 		mgrs[id].Seed(app, "u", wire.RightUse)
 	}
 	hostEnv := newEnv()
-	h := NewHost("h0", hostEnv, trace.NewCollector(0), nil)
+	h := NewHost("h0", hostEnv, nil, nil)
 	if err := h.RegisterApp(app, HostAppConfig{
 		Managers: mgrIDs,
 		Policy:   Policy{CheckQuorum: 2, Te: te, ClockBound: b, QueryTimeout: time.Second, MaxAttempts: 3},

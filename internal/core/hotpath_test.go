@@ -126,7 +126,7 @@ func newHotHostOn(t *testing.T, id wire.NodeID, reg *telemetry.Registry, policy 
 	t.Helper()
 	lenv := newLockedEnv()
 	hh := &hotHost{lenv: lenv, reg: reg}
-	hh.h = NewHost(id, lenv, trace.NewCollector(64), nil)
+	hh.h = NewHost(id, lenv, nil, nil)
 	hh.tel = InstrumentHost(hh.reg, nil, hh.h)
 	hh.aud = audit.NewRecorder(string(id), 64, lenv.Now)
 	hh.h.SetAudit(hh.aud)
@@ -522,7 +522,7 @@ wanac_trace_events_total{type="cache-hit"} 30
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv()
-			rec, reg, col := flight.NewRecorder("h0", 64, env.Now), telemetry.NewRegistry(), trace.NewCollector(0)
+			rec, reg, col := flight.NewRecorder("h0", 64, env.Now), telemetry.NewRegistry(), trace.NewCollector()
 			h := NewHost("h0", env, tc.chain(sinks{rec, reg, col}), nil)
 			if err := h.RegisterApp("a", HostAppConfig{
 				Managers: []wire.NodeID{"m0", "m1", "m2"},

@@ -94,7 +94,7 @@ func TestAlignSkewOnlyUsesMedianOffset(t *testing.T) {
 }
 
 func TestAlignEmptyDump(t *testing.T) {
-	al := Align(&Dump{Header: Header{Flight: DumpVersion}})
+	al := Align(&Dump{})
 	if len(al.Nodes) != 0 {
 		t.Fatalf("empty dump produced node alignments: %+v", al.Nodes)
 	}

@@ -4,7 +4,7 @@
 // (internal/netcore), partition and clock injections (internal/simnet),
 // and quorum decisions. When something goes wrong (an
 // oracle violation in the harness, a panic or an operator request on a live
-// node) the ring is dumped as versioned JSONL; cmd/acflight merges dumps
+// node) the ring is dumped as versioned JSONL; acaudit -timeline merges dumps
 // from several nodes, aligns their — possibly drifting — clocks and renders
 // a causal timeline.
 //
@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"wanac/internal/ring"
 	"wanac/internal/trace"
 )
 
@@ -52,14 +53,6 @@ var kindNames = map[Kind]string{
 	KindMark:      "mark",
 }
 
-var kindValues = map[string]Kind{
-	"protocol":  KindProtocol,
-	"transport": KindTransport,
-	"net":       KindNet,
-	"quorum":    KindQuorum,
-	"mark":      KindMark,
-}
-
 // String returns the kind's stable dump name.
 func (k Kind) String() string {
 	if s, ok := kindNames[k]; ok {
@@ -79,12 +72,13 @@ func (k *Kind) UnmarshalJSON(b []byte) error {
 	if len(b) < 2 || b[0] != '"' || b[len(b)-1] != '"' {
 		return fmt.Errorf("flight: kind %s is not a string", b)
 	}
-	v, ok := kindValues[string(b[1:len(b)-1])]
-	if !ok {
-		return fmt.Errorf("flight: unknown kind %s", b)
+	for v, name := range kindNames {
+		if name == string(b[1:len(b)-1]) {
+			*k = v
+			return nil
+		}
 	}
-	*k = v
-	return nil
+	return fmt.Errorf("flight: unknown kind %s", b)
 }
 
 // Record is one flight-recorder entry. Field types are deliberately plain
@@ -120,77 +114,42 @@ type Record struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Recorder is a fixed-capacity ring of Records. All methods are safe for
-// concurrent use; Record never blocks beyond a short mutex hold and, once the
-// ring has grown to its capacity, never allocates, so it is cheap enough to
-// leave on in production — that is the point of a flight recorder.
-//
-// The ring's memory follows its use: it starts empty, doubles in place as
-// records arrive, and from size slots on wraps. A node that records little
-// holds little, which is what lets a simulation afford thousands of worlds
-// with every node's recorder on.
+// Recorder is a node's flight ring. All methods are safe for concurrent use;
+// Record never blocks beyond a short mutex hold and, once the ring has grown
+// to its capacity, never allocates, so it is cheap enough to leave on in
+// production — that is the point of a flight recorder. Its memory follows its
+// use (ring.Ring), which is what lets a simulation afford thousands of
+// worlds with every node's recorder on.
 type Recorder struct {
 	node string
 	now  func() time.Time
-	size int // capacity: the ring grows to this many slots, then wraps
 
 	mu   sync.Mutex
-	ring []Record // len(ring) slots allocated so far, at most size
-	next uint64   // total records ever accepted; the next Seq
+	ring ring.Ring[Record]
 }
 
-// minRing is how many slots a ring's first record allocates (fewer if the
-// capacity is smaller): growth by doubling starts from here.
-const minRing = 64
-
 // NewRecorder returns a recorder for the named node holding the last size
-// records (minimum 16). now supplies the node's local clock — in simulation
-// this is the node's Env.Now (which may drift); nil means time.Now.
+// records (at least one). now supplies the node's local clock — in
+// simulation this is the node's Env.Now (which may drift); nil means
+// time.Now.
 func NewRecorder(node string, size int, now func() time.Time) *Recorder {
-	if size < 16 {
-		size = 16
-	}
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, size: size}
+	return &Recorder{node: node, now: now, ring: ring.New[Record](size)}
 }
 
-// Node returns the recorder's node name.
-func (r *Recorder) Node() string { return r.node }
-
-// slot returns the ring slot the next record goes in, still holding the
-// record it overwrites (if any); the caller builds the new one in place,
-// stamps it — Seq, Node, and the local clock if T is zero — and accepts it by
-// advancing next. Stamping under the lock keeps Seq order and timestamp order
-// in agreement for records the recorder stamps itself. Must be called with
-// r.mu held.
-//
-// Every allocated slot is in use exactly when next == len(ring), and while
-// the ring is still growing that is the only time there is no slot for the
-// next record; a full ring passes through it once, on its first wrap, so its
-// write costs one compare that is false ever after.
-func (r *Recorder) slot() *Record {
-	if r.next == uint64(len(r.ring)) {
-		r.grow()
+// commit stamps the record built in s — Seq, Node, and the local clock if T
+// is zero — and accepts it. Stamping under the lock keeps Seq order and
+// timestamp order in agreement for records the recorder stamps itself. Must
+// be called with r.mu held.
+func (r *Recorder) commit(s *Record) {
+	if s.T.IsZero() {
+		s.T = r.now()
 	}
-	return &r.ring[r.next%uint64(len(r.ring))]
-}
-
-// grow doubles the ring in place, up to its capacity; at capacity it does
-// nothing. The records keep their indices: below capacity the ring has not
-// wrapped, so slot i holds Seq i. Not inlined: it runs a dozen times in a
-// ring's life and its body would sit in the middle of every record's write.
-//
-//go:noinline
-func (r *Recorder) grow() {
-	n := min(max(2*len(r.ring), minRing), r.size)
-	if n == len(r.ring) {
-		return
-	}
-	ring := make([]Record, n)
-	copy(ring, r.ring)
-	r.ring = ring
+	s.Node = r.node
+	s.Seq = r.ring.Next()
+	r.ring.Commit()
 }
 
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
@@ -198,35 +157,25 @@ func (r *Recorder) grow() {
 // ring is full.
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
-	s := r.slot()
+	s := r.ring.Slot()
 	*s = rec
-	if s.T.IsZero() {
-		s.T = r.now()
-	}
-	s.Node = r.node
-	s.Seq = r.next
-	r.next++
+	r.commit(s)
 	r.mu.Unlock()
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
 // (manager update-quorum, host quorum allow) under KindQuorum. The record
-// is built and stamped in its ring slot: a Record is large enough that
-// constructing one and copying it in shows.
+// is built in its ring slot: a Record is large enough that constructing one
+// and copying it in shows.
 func (r *Recorder) RecordEvent(e trace.Event) {
 	kind := KindProtocol
 	if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
 		kind = KindQuorum
 	}
 	r.mu.Lock()
-	s := r.slot()
+	s := r.ring.Slot()
 	*s = Record{}
 	s.T = e.Time
-	if s.T.IsZero() {
-		s.T = r.now()
-	}
-	s.Node = r.node
-	s.Seq = r.next
 	s.Kind = kind
 	s.Type = e.Type.String()
 	s.Trace = e.Trace
@@ -235,7 +184,7 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 	s.Origin = string(e.Seq.Origin)
 	s.Counter = e.Seq.Counter
 	s.Note = e.Note
-	r.next++
+	r.commit(s)
 	r.mu.Unlock()
 }
 
@@ -243,28 +192,14 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 func (r *Recorder) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next
+	return r.ring.Next()
 }
 
 // Snapshot returns the retained records, oldest first.
 func (r *Recorder) Snapshot() []Record {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshot()
-}
-
-// snapshot is Snapshot with r.mu held.
-func (r *Recorder) snapshot() []Record {
-	n := uint64(len(r.ring))
-	if r.next < n {
-		n = r.next
-	}
-	out := make([]Record, 0, n)
-	start := r.next - n
-	for s := start; s < r.next; s++ {
-		out = append(out, r.ring[s%uint64(len(r.ring))])
-	}
-	return out
+	return r.ring.Snapshot()
 }
 
 // teeTracer is Tee's tracer; a nil next ends the chain (no call, no event

@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/clitest"
+	"wanac/internal/ring"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -106,7 +108,7 @@ func TestRecordEventOverwritesTheWholeSlot(t *testing.T) {
 // and forwards every event, a cache hit included.
 func TestTeeRecordsAndForwards(t *testing.T) {
 	r := NewRecorder("h0", 16, nil)
-	col := trace.NewCollector(16)
+	col := trace.NewCollector()
 	tr := Tee(r, col)
 	tr.Emit(trace.Event{Type: trace.EventQuerySent, App: "app", User: "alice", Trace: 7})
 	tr.Emit(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice", Trace: 8})
@@ -152,10 +154,16 @@ func TestRecorderConcurrentUse(t *testing.T) {
 	if got := r.Total(); got != 1600 {
 		t.Fatalf("Total = %d, want 1600", got)
 	}
-	snap := r.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i].Seq != snap[i-1].Seq+1 {
-			t.Fatalf("snapshot seqs not contiguous at %d: %d then %d", i, snap[i-1].Seq, snap[i].Seq)
+	d := r.Dump()
+	if len(d.Records) != 64 || d.Header.Dropped != 1600-64 {
+		t.Fatalf("dump of %d records under %+v, want 64 with 1536 dropped", len(d.Records), d.Header)
+	}
+	if d.Records[0].Seq != 1600-64 || d.Records[63].Seq != 1599 {
+		t.Fatalf("dump spans seqs %d..%d, want 1536..1599", d.Records[0].Seq, d.Records[63].Seq)
+	}
+	for i := 1; i < len(d.Records); i++ {
+		if d.Records[i].Seq != d.Records[i-1].Seq+1 {
+			t.Fatalf("dump seqs not contiguous at %d: %d then %d", i, d.Records[i-1].Seq, d.Records[i].Seq)
 		}
 	}
 }
@@ -174,8 +182,8 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Header.Flight != DumpVersion {
-		t.Fatalf("version = %d, want %d", d.Header.Flight, DumpVersion)
+	if d.Header.Flight != ring.DumpVersion {
+		t.Fatalf("version = %d, want %d", d.Header.Flight, ring.DumpVersion)
 	}
 	if len(d.Header.Nodes) != 1 || d.Header.Nodes[0] != "h0" {
 		t.Fatalf("nodes = %v, want [h0]", d.Header.Nodes)
@@ -192,6 +200,42 @@ func TestDumpRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: got %+v, want %+v", i, d.Records[i], want[i])
 		}
 	}
+}
+
+// TestDumpGolden pins the bytes /debug/flight and harness artifacts serve: a
+// fixed-clock ring that has wrapped (so the header carries dropped), every
+// Kind, and each omitempty field both set and unset, through Record and
+// RecordEvent alike.
+func TestDumpGolden(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0).UTC()
+	r := NewRecorder("h0", 16, fixedClock(base))
+	for i := 0; i < 4; i++ { // overwritten: dropped = 4
+		r.Record(Record{Kind: KindProtocol, Type: "query-sent", Trace: uint64(i + 1)})
+	}
+	at := base.Add(1500 * time.Millisecond)
+	r.Record(Record{Kind: KindProtocol, Type: "query-sent", Trace: 0xabc, App: "stocks", User: "alice"})
+	r.Record(Record{T: at, Kind: KindQuorum, Type: "access-allowed", Trace: 0xabc, App: "stocks", User: "alice", Note: "quorum"})
+	r.Record(Record{Kind: KindTransport, Type: "backoff", Peer: "m1"})
+	r.Record(Record{Kind: KindTransport, Type: "up"})
+	r.Record(Record{T: at, Kind: KindNet, Type: "link-cut", Peer: "m0", Note: "h0-m0"})
+	r.Record(Record{Kind: KindNet, Type: "heal"})
+	r.Record(Record{Kind: KindMark, Type: "oracle-violation", Note: "revocation-safety: stale allow"})
+	r.Record(Record{Kind: KindQuorum, Type: "update-quorum", Origin: "m0", Counter: 3, App: "stocks", User: "bob"})
+	r.Record(Record{Kind: KindProtocol, Type: "update-applied", Origin: "m0"})
+	r.RecordEvent(trace.Event{Time: at, Type: trace.EventUpdateQuorum, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Origin: "m1", Counter: 7}})
+	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Trace: 0xdef, App: "stocks", User: "carol", Note: "quorum"})
+	r.RecordEvent(trace.Event{Type: trace.EventQueryTimeout, Trace: 0xdef})
+	r.RecordEvent(trace.Event{Type: trace.EventFrozen})
+	r.RecordEvent(trace.Event{Type: trace.EventTeAdapted, Note: "te=2s"})
+	r.RecordEvent(trace.Event{Type: trace.EventRevokeApplied, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Counter: 2}})
+	r.RecordEvent(trace.Event{Type: trace.EventQuerySent, Trace: 0x1, User: "dave"})
+	var buf bytes.Buffer
+	for _, rec := range []*Recorder{r, NewRecorder("m0", 16, nil)} { // one that never wrapped: no dropped
+		if err := rec.WriteDump(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clitest.CheckGolden(t, "dump.golden", buf.String())
 }
 
 func TestReadDumpRejectsFutureVersion(t *testing.T) {
@@ -242,78 +286,47 @@ func modelRecord(e trace.Event) Record {
 		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note}
 }
 
-// TestRecorderAgainstModel drives a recorder of each capacity with a random
-// mix of Record, RecordEvent and the tee, several wraps long, beside a flat
-// slice of everything ever recorded: Snapshot must be the slice's tail, Total
-// its length, Dropped the rest, Seq the index. On the way the ring may never
-// hold more than max(64, 2k) slots after k records nor more than its
-// capacity, and once it is full no write allocates.
+// TestRecorderAgainstModel drives a recorder with random events through
+// RecordEvent and the tee, a few wraps long, beside a flat slice of what each
+// should have recorded: the dump must be the slice's tail, every record
+// classified as modelRecord does and stamped with Node, Seq and, where the
+// event had no time, the recorder's clock. The ring itself is internal/ring's
+// to test.
 func TestRecorderAgainstModel(t *testing.T) {
+	const size = 16
 	base := time.Unix(1000, 0).UTC()
-	for _, size := range []int{16, 63, 64, 65, 4096} {
-		rng := rand.New(rand.NewSource(int64(size)))
-		r := NewRecorder("n0", size, fixedClock(base))
-		tee := Tee(r, nil)
-		var model []Record
-		accept := func(rec Record) {
-			if rec.T.IsZero() {
-				rec.T = base
-			}
-			rec.Node, rec.Seq = "n0", uint64(len(model))
-			model = append(model, rec)
+	rng := rand.New(rand.NewSource(1))
+	r := NewRecorder("n0", size, fixedClock(base))
+	tee := Tee(r, nil)
+	var model []Record
+	for len(model) < 3*size+5 {
+		ev := trace.Event{Type: trace.EventType(1 + rng.Intn(int(trace.EventTeAdapted))), Trace: rng.Uint64(),
+			App: "app", User: wire.UserID("u" + strconv.Itoa(rng.Intn(9))), Note: []string{"", "quorum"}[rng.Intn(2)],
+			Seq: wire.UpdateSeq{Origin: "m0", Counter: uint64(rng.Intn(5))}}
+		if rng.Intn(2) == 0 {
+			ev.Time = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
 		}
-		check := func() {
-			t.Helper()
-			want := model[max(0, len(model)-size):]
-			if got := r.Snapshot(); !slices.Equal(got, want) {
-				t.Fatalf("size %d after %d records: Snapshot is not the last %d recorded", size, len(model), len(want))
-			}
-			d := r.Dump()
-			if !slices.Equal(d.Records, want) || d.Header.Dropped != uint64(len(model)-len(want)) || r.Total() != uint64(len(model)) {
-				t.Fatalf("size %d after %d records: dump lists %d, Dropped %d, Total %d", size, len(model), len(d.Records), d.Header.Dropped, r.Total())
-			}
-		}
-		check()
-		total := 3*size + rng.Intn(2*size)
-		for len(model) < total {
-			var ev trace.Event
-			if rng.Intn(2) == 0 {
-				ev.Time = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
-			}
-			ev.Type = trace.EventType(1 + rng.Intn(int(trace.EventTeAdapted)))
-			ev.App, ev.User, ev.Trace = "app", wire.UserID("u"+strconv.Itoa(rng.Intn(9))), rng.Uint64()
-			ev.Seq = wire.UpdateSeq{Origin: "m0", Counter: uint64(rng.Intn(5))}
-			ev.Note = []string{"", "quorum", "n"}[rng.Intn(3)]
-			switch rng.Intn(3) {
-			case 0:
-				rec := Record{T: ev.Time, Kind: KindTransport, Type: "up", Peer: "m1", Note: ev.Note}
-				r.Record(rec)
-				accept(rec)
-			case 1:
-				r.RecordEvent(ev)
-				accept(modelRecord(ev))
-			case 2:
-				tee.Emit(ev)
-				if ev.Type != trace.EventCacheHit {
-					accept(modelRecord(ev))
-				}
-			}
-			if k := len(model); len(r.ring) > max(64, 2*k) || len(r.ring) > size || len(r.ring) < min(k, size) {
-				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.ring))
-			}
-			if rng.Intn(1+total/16) == 0 {
-				check()
-			}
-		}
-		check()
-		ev := trace.Event{Time: base, Type: trace.EventQuerySent, App: "app", User: "u"}
-		if a := testing.AllocsPerRun(100, func() {
-			r.Record(Record{Kind: KindTransport, Type: "up"})
+		if rng.Intn(2) == 0 {
 			r.RecordEvent(ev)
-			tee.Emit(ev)
-		}); a != 0 {
-			t.Errorf("size %d: a full ring's writes allocate %.1f times per round, want 0", size, a)
+		} else if tee.Emit(ev); ev.Type == trace.EventCacheHit {
+			continue // the tee keeps no hits
 		}
+		rec := modelRecord(ev)
+		if rec.T.IsZero() {
+			rec.T = base
+		}
+		rec.Node, rec.Seq = "n0", uint64(len(model))
+		model = append(model, rec)
+	}
+	if d := r.Dump(); !slices.Equal(d.Records, model[len(model)-size:]) || d.Header.Dropped != uint64(len(model)-size) {
+		t.Fatalf("after %d records: dump lists %d under header %+v, not the last %d recorded", len(model), len(d.Records), d.Header, size)
+	}
+	ev := trace.Event{Time: base, Type: trace.EventQuerySent, App: "app", User: "u"}
+	if a := testing.AllocsPerRun(100, func() {
+		r.RecordEvent(ev)
+		tee.Emit(ev)
+	}); a != 0 {
+		t.Errorf("RecordEvent and the tee allocate %.1f times per round, want 0", a)
 	}
 }
 

@@ -2,15 +2,12 @@ package flight
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-)
 
-var update = flag.Bool("update", false, "rewrite golden files")
+	"wanac/internal/clitest"
+)
 
 // goldenDump is a small deterministic merged dump exercising every record
 // kind, a drifting clock, and a ring-overwrite drop count.
@@ -43,19 +40,7 @@ func TestTimelineGolden(t *testing.T) {
 	if err := tl.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	golden := filepath.Join("testdata", "timeline.golden")
-	if *update {
-		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (regenerate with go test ./internal/flight -run TestTimelineGolden -update)", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("timeline text diverged from golden.\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
-	}
+	clitest.CheckGolden(t, "timeline.golden", buf.String())
 }
 
 func TestTimelineOrdersByAlignedTime(t *testing.T) {

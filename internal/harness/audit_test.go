@@ -43,7 +43,7 @@ func ringOf(node string, decisions int, recs ...audit.Record) *audit.Recorder {
 // collected is the trace a run that emitted events leaves behind, as the
 // oracles read it.
 func collected(events []trace.Event) iter.Seq[*trace.Event] {
-	c := trace.NewCollector(0)
+	c := trace.NewCollector()
 	for _, e := range events {
 		c.Emit(e)
 	}

@@ -68,7 +68,7 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 		t.Fatal("failed run did not capture a flight dump")
 	}
 
-	// The dump travels as an artifact file; read it back the way acflight
+	// The dump travels as an artifact file; read it back the way acaudit
 	// would, so the whole pipeline (write, parse, align, order) is on trial.
 	t.Setenv("WANAC_ARTIFACTS", t.TempDir())
 	path, err := res.WriteFlightArtifact()

@@ -167,7 +167,7 @@ func FormatFailure(res *Result) string {
 	s += "replay: go test ./internal/harness -run TestHarness -harness.seed=" +
 		fmt.Sprint(res.Scenario.Seed) + "\n"
 	if res.FlightPath != "" {
-		s += "flight dump: " + res.FlightPath + " (render with: go run ./cmd/acflight " + res.FlightPath + ")\n"
+		s += "flight dump: " + res.FlightPath + " (render with: go run ./cmd/acaudit -timeline " + res.FlightPath + ")\n"
 	}
 	s += res.Scenario.String()
 	return s

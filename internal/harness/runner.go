@@ -69,7 +69,7 @@ type Outcome struct {
 	// Flight is the merged multi-node flight dump captured when an oracle
 	// fired (nil on clean runs): every node's recent protocol, quorum, and
 	// injection history, with one mark record per violation. Write it out
-	// with WriteFlightArtifact and feed it to cmd/acflight.
+	// with WriteFlightArtifact and render it with acaudit -timeline.
 	Flight *flight.Dump
 	// FlightPath is where WriteFlightArtifact stored the dump ("" until
 	// written).

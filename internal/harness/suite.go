@@ -13,7 +13,7 @@ type SeedFailure struct {
 	// FlightDump is the path to the merged multi-node flight recording for
 	// this failure — from the minimized replay when minimization ran (so the
 	// recording matches the minimized schedule), else from the original run.
-	// Render it with cmd/acflight. Empty if the dump could not be written.
+	// Render it with acaudit -timeline. Empty if the dump could not be written.
 	FlightDump string `json:"flight_dump,omitempty"`
 	// Replay is the command line reproducing the failure.
 	Replay string `json:"replay"`

@@ -49,7 +49,7 @@ func FormatResult(sc *Scenario, res *Result) string {
 		fmt.Fprintf(&b, "  violation: %s\n", v)
 	}
 	if res.FlightPath != "" {
-		fmt.Fprintf(&b, "  flight dump: %s (render with: go run ./cmd/acflight %s)\n",
+		fmt.Fprintf(&b, "  flight dump: %s (render with: go run ./cmd/acaudit -timeline %s)\n",
 			res.FlightPath, res.FlightPath)
 	}
 	return b.String()

@@ -141,7 +141,7 @@ func Build(cfg Config) (*World, error) {
 		tracer    trace.Tracer = trace.Nop{}
 	)
 	if !cfg.NoTrace {
-		collector = trace.NewCollector(0)
+		collector = trace.NewCollector()
 		tracer = collector
 	}
 	if cfg.Telemetry != nil {
@@ -488,7 +488,7 @@ func (w *World) Heal() { w.Net.Heal() }
 
 // FlightDump merges a snapshot of every node's flight ring (hosts,
 // managers, and the "net" pseudo-node) into one dump, ready for
-// flight.BuildTimeline or cmd/acflight. Nil when flight recording is off.
+// flight.BuildTimeline or acaudit -timeline. Nil when flight recording is off.
 //
 // A cache hit leaves no flight record (flight.Tee): its record is the audit
 // record. So that a failing run's timeline still shows every allow — a

@@ -347,7 +347,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 
 func TestEventBridge(t *testing.T) {
 	reg := NewRegistry()
-	col := trace.NewCollector(0)
+	col := trace.NewCollector()
 	tr := InstrumentTracer(reg, col)
 	for i := 0; i < 3; i++ {
 		tr.Emit(trace.Event{Node: "h0", Type: trace.EventCacheHit})

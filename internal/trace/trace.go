@@ -162,32 +162,22 @@ func (Nop) Emit(Event) {}
 // (64 KiB of 128-byte events).
 const chunkEvents = 512
 
-// Collector retains events in memory and counts them by type. It is safe
-// for concurrent use (the live runtime emits from several goroutines).
+// Collector retains every event in memory and counts them by type. It is
+// safe for concurrent use (the live runtime emits from several goroutines).
 //
 // Events are stored in fixed-size chunks, so recording one never copies or
-// re-zeroes the ones already held: a simulator run appends millions. With a
-// Cap the same chunks form a ring — the oldest event is dropped by moving
-// head, and a chunk emptied at the front is refilled at the back.
+// re-zeroes the ones already held: a simulator run appends millions.
 type Collector struct {
 	mu     sync.Mutex
-	chunks [][]Event   // retained events, oldest first; only the last may have room
-	head   int         // events at the front of chunks[0] already dropped
-	n      int         // retained events
-	spare  []Event     // an emptied chunk awaiting reuse (bounded case)
-	counts [1 << 8]int // emitted per EventType, retained or not
-	// Cap bounds memory; once exceeded, older events are discarded but
-	// counts keep accumulating. Zero means unbounded.
-	Cap int
+	chunks [][]Event   // events, oldest first; only the last may have room
+	n      int         // events held
+	counts [1 << 8]int // emitted per EventType
 }
 
 var _ Tracer = (*Collector)(nil)
 
-// NewCollector returns an empty collector with the given retention cap
-// (0 = unbounded).
-func NewCollector(cap int) *Collector {
-	return &Collector{Cap: cap}
-}
+// NewCollector returns an empty collector.
+func NewCollector() *Collector { return &Collector{} }
 
 // Emit implements Tracer.
 func (c *Collector) Emit(e Event) {
@@ -196,45 +186,24 @@ func (c *Collector) Emit(e Event) {
 	c.counts[e.Type]++
 	last := len(c.chunks) - 1
 	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
-		chunk := c.spare
-		c.spare = nil
-		if chunk == nil {
-			chunk = make([]Event, 0, chunkEvents)
-		}
-		c.chunks = append(c.chunks, chunk)
+		c.chunks = append(c.chunks, make([]Event, 0, chunkEvents))
 		last++
 	}
 	c.chunks[last] = append(c.chunks[last], e)
 	c.n++
-	for c.Cap > 0 && c.n > c.Cap {
-		c.head++
-		c.n--
-		if c.head == len(c.chunks[0]) {
-			// Every event of the oldest chunk is dropped: release their
-			// strings and keep the storage for the next chunk needed.
-			c.spare = c.chunks[0][:0]
-			clear(c.chunks[0])
-			c.chunks = append(c.chunks[:0], c.chunks[1:]...)
-			c.head = 0
-		}
-	}
 }
 
-// Count returns how many events of type t were emitted (including ones no
-// longer retained).
+// Count returns how many events of type t were emitted.
 func (c *Collector) Count(t EventType) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counts[t]
 }
 
-// all yields the retained events, oldest first, in the chunks that hold them.
-// The caller holds c.mu.
+// all yields the events, oldest first, in the chunks that hold them. The
+// caller holds c.mu.
 func (c *Collector) all(yield func(*Event) bool) {
-	for i, chunk := range c.chunks {
-		if i == 0 {
-			chunk = chunk[c.head:]
-		}
+	for _, chunk := range c.chunks {
 		for j := range chunk {
 			if !yield(&chunk[j]) {
 				return
@@ -243,7 +212,7 @@ func (c *Collector) all(yield func(*Event) bool) {
 	}
 }
 
-// All iterates over the retained events, oldest first, where they lie: no
+// All iterates over the events, oldest first, where they lie: no
 // copy of the log is made, so a pass over a finished run costs no memory. The
 // events are the collector's own storage — read them, do not write them — and
 // a pointer stays good until the next Emit or Reset. All holds the
@@ -257,7 +226,7 @@ func (c *Collector) All() iter.Seq[*Event] {
 	}
 }
 
-// Events returns a copy of the retained events, oldest first: one flat
+// Events returns a copy of the events, oldest first: one flat
 // slice the caller owns. A pass that only reads the log ranges over All.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
@@ -269,7 +238,7 @@ func (c *Collector) Events() []Event {
 	return out
 }
 
-// Filter returns retained events matching type t, oldest first.
+// Filter returns the events matching type t, oldest first.
 func (c *Collector) Filter(t EventType) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -286,7 +255,7 @@ func (c *Collector) Filter(t EventType) []Event {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chunks, c.head, c.n, c.spare = nil, 0, 0, nil
+	c.chunks, c.n = nil, 0
 	c.counts = [len(c.counts)]int{}
 }
 

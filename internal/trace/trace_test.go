@@ -2,13 +2,10 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"wanac/internal/wire"
 )
 
 // TestEventTypeString pins every defined type's stable name (they are dump
@@ -79,7 +76,7 @@ func TestNopTracer(t *testing.T) {
 }
 
 func TestCollector(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	c.Emit(Event{Node: "a", Type: EventCacheHit})
 	c.Emit(Event{Node: "a", Type: EventCacheHit})
 	c.Emit(Event{Node: "b", Type: EventQuerySent})
@@ -99,74 +96,10 @@ func TestCollector(t *testing.T) {
 	}
 }
 
-func TestCollectorCap(t *testing.T) {
-	c := NewCollector(3)
-	for i := 0; i < 10; i++ {
-		c.Emit(Event{Type: EventQuerySent, User: wire.UserID(rune('a' + i))})
-	}
-	if got := len(c.Events()); got != 3 {
-		t.Errorf("retained %d, want cap 3", got)
-	}
-	if c.Count(EventQuerySent) != 10 {
-		t.Errorf("Count = %d, want 10 despite cap", c.Count(EventQuerySent))
-	}
-	// Retained events are the most recent ones.
-	evs := c.Events()
-	if evs[len(evs)-1].User != "j" {
-		t.Errorf("last retained = %q", evs[len(evs)-1].User)
-	}
-}
-
-// TestCollectorCapWraps runs bounded collectors — a cap below, at and above
-// the chunk size — far enough that the ring wraps its storage more than
-// twice, checking after every event that exactly the most recent Cap events
-// are retained, oldest first, by Events and Filter alike, while Count keeps
-// the dropped ones.
-func TestCollectorCapWraps(t *testing.T) {
-	for _, limit := range []int{3, 100, chunkEvents, chunkEvents + 188} {
-		c := NewCollector(limit)
-		total := 2*(limit+chunkEvents) + 5
-		for i := 1; i <= total; i++ {
-			typ := EventQuerySent
-			if i%3 == 0 {
-				typ = EventCacheHit
-			}
-			c.Emit(Event{Type: typ, Trace: uint64(i)})
-			if i%7 != 0 && i != total { // the full check is O(cap); sample it
-				continue
-			}
-			evs := c.Events()
-			if want := min(i, limit); len(evs) != want {
-				t.Fatalf("cap %d after %d events: retained %d, want %d", limit, i, len(evs), want)
-			}
-			var hits []Event
-			for j, e := range evs {
-				if want := uint64(i - len(evs) + 1 + j); e.Trace != want {
-					t.Fatalf("cap %d after %d events: Events()[%d] is event %d, want %d", limit, i, j, e.Trace, want)
-				}
-				if e.Type == EventCacheHit {
-					hits = append(hits, e)
-				}
-			}
-			if got := c.Filter(EventCacheHit); !slices.Equal(got, hits) {
-				t.Fatalf("cap %d after %d events: Filter returned %d events, want the %d retained hits in order", limit, i, len(got), len(hits))
-			}
-		}
-		if got := c.Count(EventCacheHit) + c.Count(EventQuerySent); got != total {
-			t.Errorf("cap %d: counted %d events, want %d", limit, got, total)
-		}
-		c.Reset()
-		c.Emit(Event{Type: EventFrozen, Trace: 1})
-		if evs := c.Events(); len(evs) != 1 || evs[0].Trace != 1 || c.Count(EventCacheHit) != 0 {
-			t.Errorf("cap %d: after Reset and one event: %v", limit, evs)
-		}
-	}
-}
-
-// TestCollectorUnboundedChunks crosses several chunk boundaries without a
-// cap: nothing is dropped and order holds across the seams.
+// TestCollectorUnboundedChunks crosses several chunk boundaries: nothing is
+// dropped and order holds across the seams.
 func TestCollectorUnboundedChunks(t *testing.T) {
-	c := NewCollector(0)
+	c := NewCollector()
 	total := 3*chunkEvents + 17
 	for i := 0; i < total; i++ {
 		c.Emit(Event{Type: EventQuerySent, Trace: uint64(i)})
@@ -183,7 +116,7 @@ func TestCollectorUnboundedChunks(t *testing.T) {
 }
 
 func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector(100)
+	c := NewCollector()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

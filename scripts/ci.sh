@@ -17,6 +17,19 @@ go vet ./...
 echo "== gofmt"
 test -z "$(gofmt -l . bench)" || { gofmt -l . bench; exit 1; }
 
+echo "== stale command references"
+# Every ./cmd/<name> that Go source or the tree's documentation names must be
+# a command that exists, so a deleted command's "render with: go run
+# ./cmd/..." hint cannot outlive it. bench/ is its own module; CHANGES.md and
+# ROADMAP.md record history and plans, and PAPERS.md and SNIPPETS.md quote
+# other repositories, so only the documents below are scanned.
+stale=0
+for ref in $( { grep -rhoE --include='*.go' --exclude-dir=bench '\./cmd/[A-Za-z0-9_-]+' .
+	grep -hoE '\./cmd/[A-Za-z0-9_-]+' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md; } | sort -u); do
+	[ -d "$ref" ] || { echo "stale command reference: $ref"; stale=1; }
+done
+[ "$stale" = 0 ]
+
 echo "== full suite (race)"
 go test -race "$@" ./...
 
