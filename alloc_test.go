@@ -206,10 +206,12 @@ func TestWorldBuildByteBudget(t *testing.T) {
 }
 
 // stubEnv is the smallest core.Env: a settable clock, a Send that keeps the
-// last query, timers that never fire.
+// last query, timers that never fire — or, with afterFunc, real
+// time.AfterFunc timers that tests make too long to fire.
 type stubEnv struct {
-	now   time.Time
-	query wire.Query
+	now       time.Time
+	query     wire.Query
+	afterFunc bool
 }
 
 type stubTimer struct{}
@@ -222,7 +224,12 @@ func (e *stubEnv) Send(_ wire.NodeID, msg wire.Message) {
 		e.query = q
 	}
 }
-func (e *stubEnv) SetTimer(time.Duration, func()) core.TimerHandle { return stubTimer{} }
+func (e *stubEnv) SetTimer(d time.Duration, fn func()) core.TimerHandle {
+	if e.afterFunc {
+		return time.AfterFunc(d, fn)
+	}
+	return stubTimer{}
+}
 
 // TestManagerQueryAllocationBudget pins a served query — trace events into
 // a flight ring and a response audit record attached, the host already in
@@ -252,17 +259,31 @@ func TestManagerQueryAllocationBudget(t *testing.T) {
 
 // TestColdCheckAllocationBudget pins one full cold round at C = 2 on the
 // host, observers attached as above: a check whose entry has expired, two
-// queries out, two grants in, the right cached, the callback fired. The
-// three objects are the Query boxed once for both sends, the timeout's
-// closure, and the new cache entry's granter set; notes, audit evidence and
-// the callback queue are reused. (A transport adds what it decodes: the
-// boxed Responses and their strings.)
+// queries out, two grants in, the right cached, the callback fired. The one
+// object is the Query, boxed once for both sends; the check struct and its
+// timer callback are recycled, the confirming set is a bitmask, the cache
+// entry stores a bitmask over its application's granters, and notes, audit
+// evidence and the callback queue are reused. (A transport adds what it
+// decodes: the boxed Responses and their strings.) On this Env, whose
+// handles cannot be re-armed, each round takes a fresh SetTimer handle that
+// costs nothing.
 func TestColdCheckAllocationBudget(t *testing.T) {
-	env := &stubEnv{now: time.Unix(1000, 0)}
+	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0)})
+}
+
+// TestColdCheckAllocationBudgetResetTimer is the same budget on the live
+// transports' timers: a check re-arms its one *time.Timer with Reset, so a
+// round sets no new timer. The timers are an hour long and never fire.
+func TestColdCheckAllocationBudgetResetTimer(t *testing.T) {
+	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0), afterFunc: true})
+}
+
+func coldRoundBudget(t *testing.T, env *stubEnv) {
+	t.Helper()
 	h := core.NewHost("h0", env, flight.Tee(flight.NewRecorder("h0", 64, nil), nil), nil)
 	if err := h.RegisterApp("app", core.HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1", "m2"},
-		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Second, MaxAttempts: 2},
+		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +306,8 @@ func TestColdCheckAllocationBudget(t *testing.T) {
 	round()
 	allowed = 0
 	allocs := testing.AllocsPerRun(500, round)
-	if allocs > 3 {
-		t.Errorf("cold round allocates %.1f objects/op, budget is 3", allocs)
+	if allocs > 1 {
+		t.Errorf("cold round allocates %.1f objects/op, budget is 1 (the boxed Query)", allocs)
 	}
 	if allowed < 500 {
 		t.Errorf("%d quorum allows, want >= 500 (rounds not cold)", allowed)

@@ -5,6 +5,7 @@
 package acl
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -319,24 +320,61 @@ func expired(limit, now time.Time) bool {
 	return !limit.IsZero() && !now.Before(limit)
 }
 
-// cached is what the cache stores per key: the limit and the managers that
-// confirmed it. The set is a slice because it holds at most M (a handful
-// of) managers and only its length is ever read back.
+// cached is what the cache stores per user: the limit and the managers that
+// confirmed it, as bits of the application's granter table.
 type cached struct {
 	limit    time.Time
-	granters []wire.NodeID
+	granters uint64
 }
 
 func (k cacheKey) entry(v cached) Entry {
-	return Entry{App: k.app, User: k.user, Right: k.right, Limit: v.limit, Granters: len(v.granters)}
+	return Entry{App: k.app, User: k.user, Right: k.right, Limit: v.limit, Granters: bits.OnesCount64(v.granters)}
+}
+
+// maxGranters is how many distinct managers an application's entries can
+// name: one bit each in cached.granters.
+const maxGranters = 64
+
+// appCache is one application's ACL_cache: a user table per right, and the
+// managers whose positions in granters the entries' bits stand for. The
+// tables and the granter table are kept for the life of the cache once an
+// application has an entry (a host caches for the few applications it
+// registered), so refilling an emptied table allocates nothing.
+type appCache struct {
+	users    [2]map[wire.UserID]cached // indexed by right: RightUse, RightManage
+	granters []wire.NodeID
+}
+
+// table returns the user table for a valid right r.
+func (a *appCache) table(r wire.Right) map[wire.UserID]cached { return a.users[r-1] }
+
+// bits maps granters to their bits, adding new managers to the granter
+// table. It reports false, leaving mask incomplete, when the table is full.
+func (a *appCache) bits(granters []wire.NodeID) (mask uint64, ok bool) {
+	for _, g := range granters {
+		i := slices.Index(a.granters, g)
+		if i < 0 {
+			if len(a.granters) == maxGranters {
+				return mask, false
+			}
+			i = len(a.granters)
+			a.granters = append(a.granters, g)
+		}
+		mask |= 1 << i
+	}
+	return mask, true
 }
 
 // Cache is an application host's ACL_cache: the subset of access rights the
-// host has learned from managers, each with an expiration timestamp. It is
-// safe for concurrent use.
+// host has learned from managers, each with an expiration timestamp and the
+// managers that confirmed it. Per application it keeps one user table per
+// right, whose values are the limit and a bitmask over the application's
+// table of granters, so a grant stores no per-entry set. It is safe for
+// concurrent use.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[cacheKey]cached
+	mu   sync.Mutex
+	apps map[wire.AppID]*appCache
+	n    int // entries across every table
 	// maxEntries bounds memory (§3.2 motivates eviction "to save memory and
 	// processing overhead"); 0 means unbounded. When full, the entry with
 	// the earliest expiration is evicted — it is the least valuable, since
@@ -346,7 +384,19 @@ type Cache struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[cacheKey]cached)}
+	return &Cache{apps: make(map[wire.AppID]*appCache)}
+}
+
+// each calls fn for every entry; fn may delete the entry it is given.
+func (c *Cache) each(fn func(k cacheKey, v cached, users map[wire.UserID]cached)) {
+	for app, a := range c.apps {
+		for i, users := range a.users {
+			r := wire.Right(i + 1)
+			for u, v := range users {
+				fn(cacheKey{app, u, r}, v, users)
+			}
+		}
+	}
 }
 
 // SetMaxEntries bounds the number of cached entries (0 = unbounded). If
@@ -363,26 +413,47 @@ func (c *Cache) SetMaxEntries(n int) {
 // confirmed by granters, in one step: a concurrent lookup sees the entry
 // with none or all of them. The managers vouching for an entry are those
 // that confirmed its current limit, so a Put with a different limit (a
-// refresh) starts a new set instead of adding to the superseded one.
+// refresh) starts a new set instead of adding to the superseded one. A Put
+// of an invalid right stores nothing, as Store.Grant does.
+//
+// An application's entries can name 64 distinct managers between them. A
+// Put that would name a 65th empties the application's tables and granter
+// table first: the cache is soft state (§3.4), and an emptied entry is
+// refilled by the normal algorithm.
 func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.Time, granters ...wire.NodeID) {
-	k := cacheKey{app, user, r}
+	if !r.Valid() {
+		return
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.entries[k]
+	a := c.apps[app]
+	if a == nil {
+		a = &appCache{}
+		c.apps[app] = a
+	}
+	mask, ok := a.bits(granters)
+	if !ok {
+		for _, users := range a.users {
+			c.n -= len(users)
+			clear(users)
+		}
+		a.granters = a.granters[:0]
+		mask, _ = a.bits(granters)
+	}
+	users := a.table(r)
+	if users == nil {
+		users = make(map[wire.UserID]cached)
+		a.users[r-1] = users
+	}
+	v, ok := users[user]
+	if !ok {
+		c.n++
+	}
 	if !ok || !v.limit.Equal(limit) {
-		// The superseded set is never read again (lookups copy out its
-		// length only), so a refresh reuses its slice when it fits.
-		v = cached{limit: limit, granters: v.granters[:0]}
-		if cap(v.granters) < len(granters) {
-			v.granters = make([]wire.NodeID, 0, len(granters))
-		}
+		v = cached{limit: limit}
 	}
-	for _, g := range granters {
-		if !slices.Contains(v.granters, g) {
-			v.granters = append(v.granters, g)
-		}
-	}
-	c.entries[k] = v
+	v.granters |= mask
+	users[user] = v
 	c.evictLocked()
 }
 
@@ -394,16 +465,17 @@ func (c *Cache) evictLocked() {
 	if c.maxEntries <= 0 {
 		return
 	}
-	for len(c.entries) > c.maxEntries {
+	for c.n > c.maxEntries {
 		var victim cacheKey
 		var victimLimit time.Time
-		first := true
-		for k, v := range c.entries {
-			if first || evictBefore(v.limit, k, victimLimit, victim) {
-				victim, victimLimit, first = k, v.limit, false
+		var victimTable map[wire.UserID]cached
+		c.each(func(k cacheKey, v cached, users map[wire.UserID]cached) {
+			if victimTable == nil || evictBefore(v.limit, k, victimLimit, victim) {
+				victim, victimLimit, victimTable = k, v.limit, users
 			}
-		}
-		delete(c.entries, victim)
+		})
+		delete(victimTable, victim.user)
+		c.n--
 	}
 }
 
@@ -455,36 +527,61 @@ func (c *Cache) Lookup(app wire.AppID, user wire.UserID, r wire.Right, now time.
 // distinguish a cold miss from an expiration (the protocol traces these
 // differently).
 func (c *Cache) LookupStatus(app wire.AppID, user wire.UserID, r wire.Right, now time.Time) (Entry, LookupStatus) {
-	k := cacheKey{app, user, r}
+	if !r.Valid() {
+		return Entry{}, Miss
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.entries[k]
+	a := c.apps[app]
+	if a == nil {
+		return Entry{}, Miss
+	}
+	users := a.table(r)
+	v, ok := users[user]
 	if !ok {
 		return Entry{}, Miss
 	}
 	if expired(v.limit, now) {
-		delete(c.entries, k)
+		delete(users, user)
+		c.n--
 		return Entry{}, Expired
 	}
-	return k.entry(v), Hit
+	return cacheKey{app, user, r}.entry(v), Hit
 }
 
 // Granters returns how many distinct managers currently vouch for the entry.
 func (c *Cache) Granters(app wire.AppID, user wire.UserID, r wire.Right) int {
+	if !r.Valid() {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries[cacheKey{app, user, r}].granters)
+	a := c.apps[app]
+	if a == nil {
+		return 0
+	}
+	return bits.OnesCount64(a.table(r)[user].granters)
 }
 
 // Remove deletes the entry for (app,user,r); removing an absent entry is a
 // no-op (§3.1). It reports whether an entry was present.
 func (c *Cache) Remove(app wire.AppID, user wire.UserID, r wire.Right) bool {
-	k := cacheKey{app, user, r}
+	if !r.Valid() {
+		return false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[k]
-	delete(c.entries, k)
-	return ok
+	a := c.apps[app]
+	if a == nil {
+		return false
+	}
+	users := a.table(r)
+	if _, ok := users[user]; !ok {
+		return false
+	}
+	delete(users, user)
+	c.n--
+	return true
 }
 
 // RemoveUser flushes every cached right of user on app (Figure 2's
@@ -492,13 +589,18 @@ func (c *Cache) Remove(app wire.AppID, user wire.UserID, r wire.Right) bool {
 func (c *Cache) RemoveUser(app wire.AppID, user wire.UserID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	a := c.apps[app]
+	if a == nil {
+		return 0
+	}
 	n := 0
-	for k := range c.entries {
-		if k.app == app && k.user == user {
-			delete(c.entries, k)
+	for _, users := range a.users {
+		if _, ok := users[user]; ok {
+			delete(users, user)
 			n++
 		}
 	}
+	c.n -= n
 	return n
 }
 
@@ -510,12 +612,13 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
-	for k, v := range c.entries {
+	c.each(func(k cacheKey, v cached, users map[wire.UserID]cached) {
 		if expired(v.limit, now) {
-			delete(c.entries, k)
+			delete(users, k.user)
 			n++
 		}
-	}
+	})
+	c.n -= n
 	return n
 }
 
@@ -524,7 +627,8 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.entries = make(map[cacheKey]cached)
+	c.apps = make(map[wire.AppID]*appCache)
+	c.n = 0
 }
 
 // Len returns the number of cached entries (including ones that have
@@ -532,17 +636,17 @@ func (c *Cache) Clear() {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.n
 }
 
 // Snapshot returns all entries sorted, for debugging and tests.
 func (c *Cache) Snapshot() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Entry, 0, len(c.entries))
-	for k, v := range c.entries {
+	out := make([]Entry, 0, c.n)
+	c.each(func(k cacheKey, v cached, _ map[wire.UserID]cached) {
 		out = append(out, k.entry(v))
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].App != out[j].App {
 			return out[i].App < out[j].App

@@ -57,8 +57,8 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 		rec.Set = uint8(len(a.managers)) // at most maxManagers
 	}
 	if reason == audit.ReasonQuorumAllow { // only from onResponse, which found the app
-		rec.Confirmations = len(c.grantedBy)
-		rec.Managers = a.setName(c.grantedBy)
+		rec.Confirmations = bits.OnesCount64(c.granted)
+		rec.Managers = a.setName(c.granted)
 		rec.Expire = c.minExpire
 		if c.minExpire > 0 {
 			rec.Expiry = c.sentAt.Add(c.minExpire)
@@ -94,11 +94,14 @@ func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reas
 	m.aud.Record(rec)
 }
 
-// joinNodeSet renders a node set sorted and comma-joined ("m0,m2").
-func joinNodeSet(set map[wire.NodeID]struct{}) string {
-	names := make([]string, 0, len(set))
-	for id := range set {
-		names = append(names, string(id))
+// joinNodeSet renders the nodes at the positions set in set, sorted and
+// comma-joined ("m0,m2").
+func joinNodeSet(nodes []wire.NodeID, set uint64) string {
+	names := make([]string, 0, bits.OnesCount64(set))
+	for i, id := range nodes {
+		if set&(1<<i) != 0 {
+			names = append(names, string(id))
+		}
 	}
 	sort.Strings(names)
 	return strings.Join(names, ",")

@@ -18,7 +18,10 @@ import (
 )
 
 // TimerHandle cancels a pending timer. Implementations must make Stop
-// idempotent and safe after firing.
+// idempotent and safe after firing. A handle that also has
+// Reset(time.Duration) bool, as *time.Timer does, must reschedule the same
+// callback; a host then re-arms a check's timer in place instead of setting
+// a new one.
 type TimerHandle interface {
 	// Stop cancels the timer, reporting whether the callback was prevented
 	// from running.

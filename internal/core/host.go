@@ -57,8 +57,10 @@ type Host struct {
 	// fires collects the callbacks of checks finished under the lock, to
 	// invoke after it is released.
 	fires []firing
-	// freeChecks recycles finished check structs (and their grantedBy maps
-	// and callback slices) so steady-state query rounds allocate nothing.
+	// freeChecks recycles finished check structs (with their callback
+	// slices, timer handles and timer callbacks) so steady-state query rounds
+	// allocate nothing. A struct is allocated only when the list is empty, so
+	// the list never holds more than the most checks ever in flight at once.
 	freeChecks []*check
 	// granters is grant's scratch for handing a check's confirming set to
 	// the cache in one Put.
@@ -168,20 +170,29 @@ type check struct {
 	// born is when the check was created, for decision-latency histograms.
 	born     time.Time
 	attempts int
-	// asked and answered are the current round's managers, by position in
-	// hostApp.managers: each is sent the round's nonce once and counts once,
-	// whatever it answers and however often the network delivers it.
-	asked, answered uint64
-	grantedBy       map[wire.NodeID]struct{}
-	denials         int // distinct managers that denied in the current round
+	// asked, answered and granted are the current round's managers, by
+	// position in hostApp.managers: each is sent the round's nonce once and
+	// counts once, whatever it answers and however often the network
+	// delivers it.
+	asked, answered, granted uint64
+	denials                  int // distinct managers that denied in the current round
 	// backoffs counts busy/backoff deferrals over the check's lifetime
 	// (audit evidence; deferrals do not consume R attempts).
 	backoffs  int
 	frozen    bool
 	sentAt    time.Time
 	minExpire time.Duration
-	timer     TimerHandle
 	callbacks []func(Decision)
+
+	// The check's one timer, armed for a round's timeout or a busy backoff
+	// (see arm). timer and onTimer, the callback it runs, outlive a recycled
+	// struct; armed says whether a firing is awaited, and stale counts
+	// firings that Stop came too late to prevent, which onCheckTimer
+	// discards so none can reach the struct's next round.
+	timer   TimerHandle
+	onTimer func()
+	armed   bool
+	stale   int
 }
 
 // NewHost creates a host node. keyring may be nil, in which case claimed
@@ -261,18 +272,10 @@ func (a *hostApp) setManagers(managers []wire.NodeID) {
 	a.setNames = make(map[uint64]string)
 }
 
-// setName is joinNodeSet(set) for a set of current managers, formatted once
-// per distinct subset.
-func (a *hostApp) setName(set map[wire.NodeID]struct{}) string {
-	var mask uint64
-	for m := range set {
-		i, ok := a.index[m]
-		if !ok {
-			return joinNodeSet(set)
-		}
-		mask |= 1 << i
-	}
-	return memo(a.setNames, mask, func() string { return joinNodeSet(set) })
+// setName is joinNodeSet for a set of current managers, given by position,
+// formatted once per distinct subset.
+func (a *hostApp) setName(set uint64) string {
+	return memo(a.setNames, set, func() string { return joinNodeSet(a.managers, set) })
 }
 
 // isManager reports whether id is a current member of Managers(A).
@@ -443,12 +446,9 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 }
 
 // deferCheck parks a round-less check for delay, then resumes it with a
-// fresh query round if it is still the live check for its key. The check
-// stays in byKey (so concurrent Checks keep coalescing onto it) but not in
-// pending (no round is in flight). The timer guard is the pair
-// (byKey identity, nonce): finished checks leave byKey, and a recycled
-// struct reused for the same key carries a later nonce — nonces are never
-// reused — so a stale timer can never restart a foreign check.
+// fresh query round (onCheckTimer). The check stays in byKey (so concurrent
+// Checks keep coalescing onto it) but not in pending (no round is in
+// flight).
 func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 	h.stats.Backoffs++
 	c.backoffs++
@@ -459,22 +459,7 @@ func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 		h.emitT(trace.EventCheckBackoff, c.key.app, c.key.user, c.trace,
 			"delay="+delay.String())
 	}
-	key, nonce := c.key, c.nonce
-	c.timer = h.env.SetTimer(delay, func() {
-		h.withLock(func() {
-			cur, ok := h.byKey[key]
-			if !ok || cur != c || c.nonce != nonce {
-				return
-			}
-			a, ok := h.view.Load().apps[key.app]
-			if !ok {
-				h.emitT(trace.EventAccessDenied, key.app, key.user, c.trace, "unregistered")
-				h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
-				return
-			}
-			h.startRound(a, c)
-		})
-	})
+	h.arm(c, delay)
 }
 
 // backoffJitter maps seed to a deterministic delay in [d/2, d): hosts that
@@ -524,9 +509,7 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 	// backoff retry does not consume one of the policy's R attempts — the
 	// manager explicitly asked to be tried later, which is not a failure of
 	// reachability (Figure 4's R counts unanswered rounds).
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	h.disarm(c)
 	delete(h.pending, c.nonce)
 	if c.attempts > 0 {
 		c.attempts--
@@ -534,9 +517,10 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 	h.deferCheck(a, c, delay)
 }
 
-// newCheck takes a check struct from the free list (retaining its cleared
-// grantedBy map and callback slice) or allocates a fresh one. startRound
-// and finish are the paired producers/consumers of the list.
+// newCheck takes a check struct from the free list (retaining its callback
+// slice and its timer) or allocates a fresh one, building the timer callback
+// it keeps for life. checkLocked and finish are the paired
+// producers/consumers of the list.
 func (h *Host) newCheck(key checkKey) *check {
 	if n := len(h.freeChecks); n > 0 {
 		c := h.freeChecks[n-1]
@@ -545,29 +529,72 @@ func (h *Host) newCheck(key checkKey) *check {
 		c.key = key
 		return c
 	}
-	return &check{key: key}
+	c := &check{key: key}
+	fired := func() { h.onCheckTimer(c) }
+	c.onTimer = func() { h.withLock(fired) }
+	return c
 }
-
-// maxFreeChecks bounds the free list; beyond it, finished checks are left
-// for the GC (a burst of coalesced checks should not pin memory forever).
-const maxFreeChecks = 64
 
 // recycleCheck resets a finished check and returns it to the free list.
 // Callers must ensure no references escape: finish clears the callbacks and
-// pending/byKey entries, and stale timers look checks up by nonce (which is
-// never reused), so a recycled struct can never be reached by old state.
+// pending/byKey entries and disarms the timer, and a firing it was too late
+// to stop is counted in stale, which the reset keeps, so a recycled struct
+// can never be reached by old state.
 func (h *Host) recycleCheck(c *check) {
-	if len(h.freeChecks) >= maxFreeChecks {
+	clear(c.callbacks)
+	*c = check{callbacks: c.callbacks[:0], timer: c.timer, onTimer: c.onTimer, stale: c.stale}
+	h.freeChecks = append(h.freeChecks, c)
+}
+
+// resetter is a TimerHandle that can be re-armed in place, as the
+// *time.Timer of the live transports can.
+type resetter interface {
+	Reset(d time.Duration) bool
+}
+
+// arm schedules the check's one callback after d: by Reset when its handle
+// has it, otherwise by SetTimer, which the simulator's handles need.
+func (h *Host) arm(c *check, d time.Duration) {
+	h.disarm(c)
+	if r, ok := c.timer.(resetter); ok {
+		r.Reset(d)
+	} else {
+		c.timer = h.env.SetTimer(d, c.onTimer)
+	}
+	c.armed = true
+}
+
+// disarm cancels the check's awaited firing. When Stop reports the timer
+// already fired, its callback is under way (on a live node, waiting for
+// Host.mu), so the firing is counted for onCheckTimer to discard.
+func (h *Host) disarm(c *check) {
+	if c.armed && !c.timer.Stop() {
+		c.stale++
+	}
+	c.armed = false
+}
+
+// onCheckTimer is every firing of a check's timer: a round's timeout while
+// the check's round is pending, else the end of its busy backoff while it is
+// still the live check for its key.
+func (h *Host) onCheckTimer(c *check) {
+	if c.stale > 0 {
+		c.stale--
 		return
 	}
-	for i := range c.callbacks {
-		c.callbacks[i] = nil
+	c.armed = false
+	switch {
+	case h.pending[c.nonce] == c:
+		h.onQueryTimeout(c)
+	case h.byKey[c.key] == c:
+		a, ok := h.view.Load().apps[c.key.app]
+		if !ok {
+			h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "unregistered")
+			h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
+			return
+		}
+		h.startRound(a, c)
 	}
-	callbacks := c.callbacks[:0]
-	grantedBy := c.grantedBy
-	clear(grantedBy)
-	*c = check{grantedBy: grantedBy, callbacks: callbacks}
-	h.freeChecks = append(h.freeChecks, c)
 }
 
 func (h *Host) managersUsable(a *hostApp, now time.Time) bool {
@@ -592,12 +619,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		c.trace = c.nonce
 	}
 	c.attempts++
-	if c.grantedBy == nil {
-		c.grantedBy = make(map[wire.NodeID]struct{}, a.policy.CheckQuorum)
-	} else {
-		clear(c.grantedBy)
-	}
-	c.asked, c.answered, c.denials = 0, 0, 0
+	c.asked, c.answered, c.granted, c.denials = 0, 0, 0, 0
 	c.sentAt = h.now
 	c.minExpire = 0
 	h.pending[c.nonce] = c
@@ -615,11 +637,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		t.rounds.Inc()
 	}
 	h.ask(a, c, start, count)
-
-	nonce := c.nonce
-	c.timer = h.env.SetTimer(a.policy.QueryTimeout, func() {
-		h.withLock(func() { h.onQueryTimeout(nonce) })
-	})
+	h.arm(c, a.policy.QueryTimeout)
 }
 
 // ask sends the round's query to the first count managers, in rotation order
@@ -653,12 +671,9 @@ func (h *Host) ask(a *hostApp, c *check, start, count int) {
 	}
 }
 
-func (h *Host) onQueryTimeout(nonce uint64) {
-	c, ok := h.pending[nonce]
-	if !ok || c.nonce != nonce {
-		return
-	}
-	delete(h.pending, nonce)
+// onQueryTimeout ends c's pending round unanswered.
+func (h *Host) onQueryTimeout(c *check) {
+	delete(h.pending, c.nonce)
 	v := h.view.Load()
 	a, ok := v.apps[c.key.app]
 	if !ok {
@@ -723,9 +738,7 @@ func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
 			DurNs: durationSince(c.born, now), Note: outcomeNames[outcomeIndex(d)],
 		})
 	}
-	if c.timer != nil {
-		c.timer.Stop()
-	}
+	h.disarm(c)
 	delete(h.pending, c.nonce)
 	delete(h.byKey, c.key)
 	for _, cb := range c.callbacks {
@@ -816,12 +829,12 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	case m.Frozen:
 		c.frozen = true
 	case m.Granted:
-		c.grantedBy[from] = struct{}{}
+		c.granted |= 1 << i
 		if c.minExpire == 0 || (m.Expire > 0 && m.Expire < c.minExpire) {
 			c.minExpire = m.Expire
 		}
-		if len(c.grantedBy) >= quorum {
-			h.grant(c)
+		if bits.OnesCount64(c.granted) >= quorum {
+			h.grant(a, c)
 			return
 		}
 	default:
@@ -844,7 +857,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	// first send, so sentAt + te is only more conservative for the later
 	// answers (§3.2). With all M asked, the round waits for its timeout.
 	waiting := bits.OnesCount64(c.asked &^ c.answered)
-	if bits.OnesCount64(c.asked) < total && len(c.grantedBy)+waiting < quorum && c.denials+waiting <= total-quorum {
+	if bits.OnesCount64(c.asked) < total && bits.OnesCount64(c.granted)+waiting < quorum && c.denials+waiting <= total-quorum {
 		h.ask(a, c, 0, total)
 	}
 }
@@ -852,25 +865,28 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 // grant caches the confirmed right and resolves the check. The expiration
 // limit is sentAt + te, which equals now + te - δ for δ = now - sentAt, the
 // conservative transmission-delay adjustment of §3.2.
-func (h *Host) grant(c *check) {
+func (h *Host) grant(a *hostApp, c *check) {
 	var limit time.Time
 	if c.minExpire > 0 {
 		limit = c.sentAt.Add(c.minExpire)
 	}
 	h.granters = h.granters[:0]
-	for m := range c.grantedBy {
-		h.granters = append(h.granters, m)
+	for set := c.granted; set != 0; set &= set - 1 {
+		if i := bits.TrailingZeros64(set); i < len(a.managers) {
+			h.granters = append(h.granters, a.managers[i])
+		}
 	}
 	h.cache.Put(c.key.app, c.key.user, c.key.right, limit, h.granters...)
+	confirmations := bits.OnesCount64(c.granted)
 	if h.tracing {
-		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{len(c.grantedBy), -1}, func() string {
-			return "confirmations=" + strconv.Itoa(len(c.grantedBy))
+		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{confirmations, -1}, func() string {
+			return "confirmations=" + strconv.Itoa(confirmations)
 		}))
 	}
 	h.emitT(trace.EventAccessAllowed, c.key.app, c.key.user, c.trace, "quorum")
 	h.finish(c, Decision{
 		Allowed:       true,
-		Confirmations: len(c.grantedBy),
+		Confirmations: confirmations,
 		Attempts:      c.attempts,
 		Frozen:        c.frozen,
 	}, audit.ReasonQuorumAllow)
@@ -1078,9 +1094,7 @@ func (h *Host) Reset() {
 	// and so are busy-deferred checks whose round was cancelled (they hold
 	// a backoff timer but no pending entry).
 	for _, c := range h.byKey {
-		if c.timer != nil {
-			c.timer.Stop()
-		}
+		h.disarm(c)
 	}
 	h.pending = make(map[uint64]*check)
 	h.byKey = make(map[checkKey]*check)

@@ -41,8 +41,12 @@ go test -race -count=2 ./internal/netcore ./internal/tcpnet ./internal/udpnet
 echo "== cache-hit path and lock-free paths (race, repeated)"
 # Callers hammer a warm key off Host.mu while entries are flushed, views are
 # republished and a scraper reads; a hit's one event and one record through
-# each deployment's observer chain; the virtual clock under Set/Advance/Now.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract' ./internal/core
+# each deployment's observer chain; real timeouts racing the grants that
+# finish their checks, whose structs and timers the next checks reuse;
+# ACL_cache against its one-map model; the virtual clock under
+# Set/Advance/Now.
+go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
+go test -race -count=5 -run 'TestCacheAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
