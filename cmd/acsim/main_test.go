@@ -134,7 +134,7 @@ func TestExitStatus(t *testing.T) {
 }
 
 // TestCheckCLI drives `acsim check` both clean — exit 0 and the full JSON
-// report of seeds 1-40 pinned byte for byte, so drift on the seeded side
+// report of seeds 1-200 pinned byte for byte, so drift on the seeded side
 // fails here as the catalog's does in TestRunGolden — and with injected
 // bugs: exit 1, every failure carrying a replay line and a flight dump
 // written under $WANAC_ARTIFACTS, and -v's one line per seed on stderr.
@@ -150,11 +150,11 @@ func TestCheckCLI(t *testing.T) {
 	}
 
 	t.Run("clean", func(t *testing.T) {
-		status, out, stderr := check(t, "-seeds", "40", "-minimize", "0")
+		status, out, stderr := check(t, "-seeds", "200", "-minimize", "0")
 		if status != 0 || stderr != "" {
 			t.Fatalf("exit status %d, stderr %q; want 0 and nothing", status, stderr)
 		}
-		clitest.CheckGolden(t, "check_seeds40.golden", out)
+		clitest.CheckGolden(t, "check_seeds200.golden", out)
 	})
 
 	t.Run("injected-bug", func(t *testing.T) {
