@@ -7,11 +7,11 @@ package core
 // hook is nil-guarded: an uninstrumented node pays one branch.
 
 import (
-	"math/bits"
 	"sort"
 	"strings"
 
 	"wanac/internal/audit"
+	"wanac/internal/quorum"
 	"wanac/internal/wire"
 )
 
@@ -46,19 +46,19 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 		Reason:   reason,
 		Allowed:  d.Allowed,
 		Attempts: c.attempts,
-		Queried:  bits.OnesCount64(c.asked),
-		Denials:  c.denials,
+		Queried:  c.round.Asked.Len(),
+		Denials:  c.round.Denied.Len(),
 		Backoffs: c.backoffs,
 		Frozen:   c.frozen,
 	}
 	a := v.apps[c.key.app]
 	if a != nil {
 		rec.Quorum = a.policy.CheckQuorum
-		rec.Set = uint8(len(a.managers)) // at most maxManagers
+		rec.Set = uint8(len(a.managers)) // at most quorum.MaxManagers
 	}
 	if reason == audit.ReasonQuorumAllow { // only from onResponse, which found the app
-		rec.Confirmations = bits.OnesCount64(c.granted)
-		rec.Managers = a.setName(c.granted)
+		rec.Confirmations = c.round.Granted.Len()
+		rec.Managers = a.setName(c.round.Granted)
 		rec.Expire = c.minExpire
 		if c.minExpire > 0 {
 			rec.Expiry = c.sentAt.Add(c.minExpire)
@@ -96,10 +96,10 @@ func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reas
 
 // joinNodeSet renders the nodes at the positions set in set, sorted and
 // comma-joined ("m0,m2").
-func joinNodeSet(nodes []wire.NodeID, set uint64) string {
-	names := make([]string, 0, bits.OnesCount64(set))
+func joinNodeSet(nodes []wire.NodeID, set quorum.Set) string {
+	names := make([]string, 0, set.Len())
 	for i, id := range nodes {
-		if set&(1<<i) != 0 {
+		if set.Has(i) {
 			names = append(names, string(id))
 		}
 	}

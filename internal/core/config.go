@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
+	"wanac/internal/quorum"
 	"wanac/internal/wire"
 )
 
@@ -97,32 +99,26 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// maxManagers bounds |Managers(A)| on a host: a round tracks which managers
-// it has asked and heard from as one bit each of a uint64.
-const maxManagers = 64
-
-func (p Policy) validate(m int) error {
+// validate checks p against m managers and returns their quorum system.
+func (p Policy) validate(m int) (quorum.System, error) {
+	sys, err := quorum.New(m, p.CheckQuorum)
 	switch {
-	case m < 1:
-		return fmt.Errorf("%w: no managers configured", ErrConfig)
-	case m > maxManagers:
-		return fmt.Errorf("%w: %d managers, at most %d", ErrConfig, m, maxManagers)
-	case p.CheckQuorum < 1 || p.CheckQuorum > m:
-		return fmt.Errorf("%w: check quorum %d outside [1,%d]", ErrConfig, p.CheckQuorum, m)
+	case err != nil:
+		err = fmt.Errorf("%w: %w", ErrConfig, err)
 	case p.Te < 0:
-		return fmt.Errorf("%w: negative Te", ErrConfig)
+		err = fmt.Errorf("%w: negative Te", ErrConfig)
 	case p.ClockBound < 0 || p.ClockBound > 1:
-		return fmt.Errorf("%w: clock bound %v outside (0,1]", ErrConfig, p.ClockBound)
+		err = fmt.Errorf("%w: clock bound %v outside (0,1]", ErrConfig, p.ClockBound)
 	case p.MaxAttempts < 0:
-		return fmt.Errorf("%w: negative MaxAttempts", ErrConfig)
+		err = fmt.Errorf("%w: negative MaxAttempts", ErrConfig)
 	case p.DefaultAllow && p.MaxAttempts == 0:
-		return fmt.Errorf("%w: DefaultAllow requires finite MaxAttempts", ErrConfig)
+		err = fmt.Errorf("%w: DefaultAllow requires finite MaxAttempts", ErrConfig)
 	case p.RefreshAhead < 0:
-		return fmt.Errorf("%w: negative RefreshAhead", ErrConfig)
+		err = fmt.Errorf("%w: negative RefreshAhead", ErrConfig)
 	case p.RefreshAhead > 0 && p.Te > 0 && p.RefreshAhead >= p.Te:
-		return fmt.Errorf("%w: RefreshAhead (%v) must be below Te (%v)", ErrConfig, p.RefreshAhead, p.Te)
+		err = fmt.Errorf("%w: RefreshAhead (%v) must be below Te (%v)", ErrConfig, p.RefreshAhead, p.Te)
 	}
-	return nil
+	return sys, err
 }
 
 // HostAppConfig wires one application into a host node.
@@ -185,8 +181,6 @@ type RateLimitConfig struct {
 	HostRPS   float64
 	HostBurst float64
 }
-
-func (r RateLimitConfig) enabled() bool { return r.AppRPS > 0 || r.HostRPS > 0 }
 
 // AdaptiveTeConfig widens the effective revocation bound Te under sustained
 // query overload: longer grants mean longer cache residency on hosts, which
@@ -265,47 +259,31 @@ func (c ManagerAppConfig) withDefaults() ManagerAppConfig {
 	return c
 }
 
-func (c ManagerAppConfig) validate(self wire.NodeID) error {
-	m := len(c.Peers)
-	if m < 1 {
-		return fmt.Errorf("%w: empty peer set", ErrConfig)
-	}
-	found := false
-	for _, p := range c.Peers {
-		if p == self {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("%w: peer set must include the manager itself (%s)", ErrConfig, self)
-	}
-	if c.CheckQuorum < 1 || c.CheckQuorum > m {
-		return fmt.Errorf("%w: check quorum %d outside [1,%d]", ErrConfig, c.CheckQuorum, m)
-	}
-	if c.Te < 0 || c.FreezeTi < 0 {
-		return fmt.Errorf("%w: negative time bound", ErrConfig)
-	}
-	if c.ClockBound < 0 || c.ClockBound > 1 {
-		return fmt.Errorf("%w: clock bound %v outside (0,1]", ErrConfig, c.ClockBound)
-	}
-	if c.FreezeTi > 0 && c.Te > 0 && c.FreezeTi >= c.Te {
+// validate checks c for manager self and returns its quorum system.
+func (c ManagerAppConfig) validate(self wire.NodeID) (quorum.System, error) {
+	sys, err := quorum.New(len(c.Peers), c.CheckQuorum)
+	overload, max := c.Overload.validate(), c.Overload.AdaptiveTe.Max
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %w", ErrConfig, err)
+	case !slices.Contains(c.Peers, self):
+		err = fmt.Errorf("%w: peer set must include the manager itself (%s)", ErrConfig, self)
+	case c.Te < 0 || c.FreezeTi < 0:
+		err = fmt.Errorf("%w: negative time bound", ErrConfig)
+	case c.ClockBound < 0 || c.ClockBound > 1:
+		err = fmt.Errorf("%w: clock bound %v outside (0,1]", ErrConfig, c.ClockBound)
+	case c.FreezeTi > 0 && c.Te > 0 && c.FreezeTi >= c.Te:
 		// te is derived as (Te-Ti)*b, so Ti must leave room for a positive
 		// expiration period (§3.3 requires Ti + te <= Te).
-		return fmt.Errorf("%w: Ti(%v) must be smaller than Te(%v)", ErrConfig, c.FreezeTi, c.Te)
+		err = fmt.Errorf("%w: Ti(%v) must be smaller than Te(%v)", ErrConfig, c.FreezeTi, c.Te)
+	case overload != nil:
+		err = overload
+	case max > 0 && c.Te == 0:
+		err = fmt.Errorf("%w: adaptive Te requires a base Te", ErrConfig)
+	case max > 0 && max < c.Te:
+		err = fmt.Errorf("%w: adaptive-Te Max (%v) below base Te (%v)", ErrConfig, max, c.Te)
 	}
-	if err := c.Overload.validate(); err != nil {
-		return err
-	}
-	if max := c.Overload.AdaptiveTe.Max; max > 0 {
-		if c.Te == 0 {
-			return fmt.Errorf("%w: adaptive Te requires a base Te", ErrConfig)
-		}
-		if max < c.Te {
-			return fmt.Errorf("%w: adaptive-Te Max (%v) below base Te (%v)", ErrConfig, max, c.Te)
-		}
-	}
-	return nil
+	return sys, err
 }
 
 // Decision is the outcome of an access check.

@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"wanac/internal/quorum"
 	"wanac/internal/vclock"
 	"wanac/internal/wire"
 )
@@ -110,7 +112,7 @@ func TestPolicyValidate(t *testing.T) {
 		{"default allow bounded", Policy{CheckQuorum: 1, DefaultAllow: true, MaxAttempts: 2}, 3, true},
 	}
 	for _, c := range cases {
-		err := c.p.withDefaults().validate(c.m)
+		_, err := c.p.withDefaults().validate(c.m)
 		if (err == nil) != c.wantOK {
 			t.Errorf("%s: err = %v, wantOK=%v", c.name, err, c.wantOK)
 		}
@@ -140,6 +142,10 @@ func TestPolicyPresets(t *testing.T) {
 
 func TestManagerAppConfigValidate(t *testing.T) {
 	peers := []wire.NodeID{"m0", "m1", "m2"}
+	var sixtyFive []wire.NodeID
+	for i := 0; i <= quorum.MaxManagers; i++ {
+		sixtyFive = append(sixtyFive, wire.NodeID(fmt.Sprintf("m%d", i)))
+	}
 	cases := []struct {
 		name   string
 		cfg    ManagerAppConfig
@@ -149,14 +155,18 @@ func TestManagerAppConfigValidate(t *testing.T) {
 		{"missing self", ManagerAppConfig{Peers: []wire.NodeID{"m1", "m2"}, CheckQuorum: 1}, false},
 		{"empty peers", ManagerAppConfig{CheckQuorum: 1}, false},
 		{"bad quorum", ManagerAppConfig{Peers: peers, CheckQuorum: 4}, false},
+		{"more peers than a set holds", ManagerAppConfig{Peers: sixtyFive, CheckQuorum: 1}, false},
 		{"negative te", ManagerAppConfig{Peers: peers, CheckQuorum: 1, Te: -time.Second}, false},
 		{"ti >= te", ManagerAppConfig{Peers: peers, CheckQuorum: 1, Te: time.Minute, FreezeTi: time.Minute}, false},
 		{"ti < te", ManagerAppConfig{Peers: peers, CheckQuorum: 1, Te: time.Minute, FreezeTi: 10 * time.Second}, true},
 	}
 	for _, c := range cases {
-		err := c.cfg.withDefaults().validate("m0")
+		_, err := c.cfg.withDefaults().validate("m0")
 		if (err == nil) != c.wantOK {
 			t.Errorf("%s: err = %v, wantOK=%v", c.name, err, c.wantOK)
+		}
+		if err != nil && !errors.Is(err, ErrConfig) {
+			t.Errorf("%s: error not wrapping ErrConfig: %v", c.name, err)
 		}
 	}
 }

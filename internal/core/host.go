@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"maps"
-	"math/bits"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,6 +12,7 @@ import (
 	"wanac/internal/acl"
 	"wanac/internal/audit"
 	"wanac/internal/auth"
+	"wanac/internal/quorum"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -130,11 +131,9 @@ type hostApp struct {
 	nameService wire.NodeID
 	app         Application
 
-	managers []wire.NodeID
-	// index is each manager's position in managers (rebuilt whenever the
-	// set changes): membership on the response path, the bit a manager's
-	// answer sets in its round, and the mask setName memoises by.
-	index          map[wire.NodeID]int
+	// managers is Managers(A); a manager's index in it is its position in
+	// the app's rounds and in the sets setName memoises by.
+	managers       []wire.NodeID
 	managersExpire time.Time // zero: static set, never expires
 	// rr rotates the starting manager of first-round queries so load
 	// spreads across Managers(A).
@@ -143,9 +142,11 @@ type hostApp struct {
 	resolveNonce uint64
 	resolveTimer TimerHandle
 	waiting      []*check
+	// sys is the quorum system of C over the current managers.
+	sys quorum.System
 	// setNames memoises joinNodeSet over subsets of managers, keyed by the
-	// subset's bitmask of positions (reset whenever the manager set changes).
-	setNames map[uint64]string
+	// subset's set of positions (reset whenever the manager set changes).
+	setNames map[quorum.Set]string
 	// busyUntil is the end of the app's admission backoff window: after a
 	// manager sheds a query with Busy, new rounds for the app are deferred
 	// until this instant so the host stops feeding an overloaded manager
@@ -170,12 +171,9 @@ type check struct {
 	// born is when the check was created, for decision-latency histograms.
 	born     time.Time
 	attempts int
-	// asked, answered and granted are the current round's managers, by
-	// position in hostApp.managers: each is sent the round's nonce once and
-	// counts once, whatever it answers and however often the network
-	// delivers it.
-	asked, answered, granted uint64
-	denials                  int // distinct managers that denied in the current round
+	// round is the current round's managers, by position in
+	// hostApp.managers: each is sent the round's nonce once and counts once.
+	round quorum.Round
 	// backoffs counts busy/backoff deferrals over the check's lifetime
 	// (audit evidence; deferrals do not consume R attempts).
 	backoffs  int
@@ -226,29 +224,26 @@ func (h *Host) ID() wire.NodeID { return h.id }
 func (h *Host) RegisterApp(app wire.AppID, cfg HostAppConfig) error {
 	cfg.Policy = cfg.Policy.withDefaults()
 	m := len(cfg.Managers)
-	if m == 0 && cfg.NameService == "" {
+	sys, err := cfg.Policy.validate(m)
+	switch {
+	case m == 0 && cfg.NameService == "":
 		return fmt.Errorf("%w: app %s has neither managers nor a name service", ErrConfig, app)
-	}
-	if m > 0 {
-		if err := cfg.Policy.validate(m); err != nil {
-			return fmt.Errorf("app %s: %w", app, err)
-		}
-	} else if cfg.Policy.CheckQuorum < 1 {
+	case m > 0 && err != nil:
+		return fmt.Errorf("app %s: %w", app, err)
+	case m == 0 && cfg.Policy.CheckQuorum < 1:
 		return fmt.Errorf("%w: app %s: check quorum %d", ErrConfig, app, cfg.Policy.CheckQuorum)
 	}
-	managers := make([]wire.NodeID, m)
-	copy(managers, cfg.Managers)
 
 	a := &hostApp{
 		policy:      cfg.Policy,
 		nameService: cfg.NameService,
 		app:         cfg.App,
 	}
-	a.setManagers(managers)
-	var err error
+	a.setManagers(cfg.Managers, sys)
+	var dup error
 	h.publish(func(v *hostView) {
 		if _, ok := v.apps[app]; ok {
-			err = fmt.Errorf("%w: app %s already registered", ErrConfig, app)
+			dup = fmt.Errorf("%w: app %s already registered", ErrConfig, app)
 			return
 		}
 		apps := maps.Clone(v.apps)
@@ -258,30 +253,20 @@ func (h *Host) RegisterApp(app wire.AppID, cfg HostAppConfig) error {
 		apps[app] = a
 		v.apps = apps
 	})
-	return err
+	return dup
 }
 
-// setManagers installs the manager list (at most maxManagers, which callers
-// check) and rebuilds the position index.
-func (a *hostApp) setManagers(managers []wire.NodeID) {
-	a.managers = managers
-	a.index = make(map[wire.NodeID]int, len(managers))
-	for i, m := range managers {
-		a.index[m] = i
-	}
-	a.setNames = make(map[uint64]string)
+// setManagers installs a copy of the manager list with its quorum system,
+// which callers validate.
+func (a *hostApp) setManagers(managers []wire.NodeID, sys quorum.System) {
+	a.managers, a.sys = slices.Clone(managers), sys
+	a.setNames = make(map[quorum.Set]string)
 }
 
 // setName is joinNodeSet for a set of current managers, given by position,
 // formatted once per distinct subset.
-func (a *hostApp) setName(set uint64) string {
+func (a *hostApp) setName(set quorum.Set) string {
 	return memo(a.setNames, set, func() string { return joinNodeSet(a.managers, set) })
-}
-
-// isManager reports whether id is a current member of Managers(A).
-func (a *hostApp) isManager(id wire.NodeID) bool {
-	_, ok := a.index[id]
-	return ok
 }
 
 // Check asynchronously decides whether user holds right on app, invoking cb
@@ -486,7 +471,7 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 		return
 	}
 	a, ok := h.view.Load().apps[c.key.app]
-	if !ok || !a.isManager(from) {
+	if !ok || !slices.Contains(a.managers, from) {
 		return
 	}
 	h.stats.BusyReplies++
@@ -619,7 +604,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		c.trace = c.nonce
 	}
 	c.attempts++
-	c.asked, c.answered, c.granted, c.denials = 0, 0, 0, 0
+	c.round = quorum.Round{}
 	c.sentAt = h.now
 	c.minExpire = 0
 	h.pending[c.nonce] = c
@@ -627,8 +612,8 @@ func (h *Host) startRound(a *hostApp, c *check) {
 	m := len(a.managers)
 	count := m
 	start := 0
-	if c.attempts == 1 && a.policy.CheckQuorum < m {
-		count = a.policy.CheckQuorum
+	if c.attempts == 1 && a.sys.C < m {
+		count = a.sys.C
 		start = a.rr % m
 		a.rr += count
 	}
@@ -649,13 +634,13 @@ func (h *Host) ask(a *hostApp, c *check, start, count int) {
 	m := len(a.managers)
 	for i := 0; i < m && count > 0; i++ {
 		p := (start + i) % m
-		if c.asked&(1<<p) == 0 {
-			c.asked |= 1 << p
+		if !c.round.Asked.Has(p) {
+			c.round.Asked = c.round.Asked.With(p)
 			h.env.Send(a.managers[p], q)
 			count--
 		}
 	}
-	asked := bits.OnesCount64(c.asked)
+	asked := c.round.Asked.Len()
 	if t := h.tel(); t.spanning() {
 		t.span(telemetry.Span{
 			Trace: c.trace, Node: string(h.id), Kind: "round",
@@ -799,8 +784,8 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	// response from anyone else (a confused host, a spoofed node id) is
 	// discarded. With authentication enabled the transport already binds
 	// sender identities, making this check authoritative.
-	i, ok := a.index[from]
-	if !ok {
+	i := slices.Index(a.managers, from)
+	if i < 0 {
 		return
 	}
 	if v.tel.spanning() {
@@ -818,47 +803,33 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 			Round: c.attempts, Nonce: m.Nonce, Note: note,
 		})
 	}
-	// A manager counts once per round: a datagram the network duplicated is
-	// one manager's word, not two.
-	if c.answered&(1<<i) != 0 {
-		return
-	}
-	c.answered |= 1 << i
-	total, quorum := len(a.managers), a.policy.CheckQuorum
+	vote := quorum.VoteDeny
 	switch {
+	case c.round.Answered.Has(i):
+		return // a datagram the network duplicated is one manager's word, not two
 	case m.Frozen:
-		c.frozen = true
+		vote, c.frozen = quorum.VoteAbstain, true
 	case m.Granted:
-		c.granted |= 1 << i
+		vote = quorum.VoteGrant
 		if c.minExpire == 0 || (m.Expire > 0 && m.Expire < c.minExpire) {
 			c.minExpire = m.Expire
 		}
-		if bits.OnesCount64(c.granted) >= quorum {
-			h.grant(a, c)
-			return
-		}
-	default:
-		c.denials++
-		// More than M−C managers deny, so no C of the M can grant, however
-		// many were asked — the arithmetic of §3.3's update quorum. Drop any
-		// cached grant now rather than waiting out its expiry (matters for
-		// refresh-ahead checks, where a valid entry is still cached).
-		if c.denials > total-quorum {
-			h.cache.Remove(c.key.app, c.key.user, c.key.right)
-			h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "revoked")
-			h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonQuorumDeny)
-			return
-		}
 	}
-	// The managers asked so far can no longer decide the round, whatever the
-	// ones still to answer say (a denial from one manager does not mean the
-	// right is revoked everywhere): widen it in place to the managers not yet
-	// asked. Same nonce, same timer, no attempt consumed; sentAt stays the
-	// first send, so sentAt + te is only more conservative for the later
-	// answers (§3.2). With all M asked, the round waits for its timeout.
-	waiting := bits.OnesCount64(c.asked &^ c.answered)
-	if bits.OnesCount64(c.asked) < total && bits.OnesCount64(c.granted)+waiting < quorum && c.denials+waiting <= total-quorum {
-		h.ask(a, c, 0, total)
+	switch c.round.Answer(a.sys, i, vote) {
+	case quorum.Allow:
+		h.grant(a, c)
+	case quorum.Deny:
+		// Drop any cached grant now rather than waiting out its expiry
+		// (matters for refresh-ahead checks, where a valid entry is still
+		// cached).
+		h.cache.Remove(c.key.app, c.key.user, c.key.right)
+		h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "revoked")
+		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonQuorumDeny)
+	case quorum.Widen:
+		// Same nonce, same timer, no attempt consumed; sentAt stays the
+		// first send, so sentAt + te is only more conservative for the later
+		// answers (§3.2).
+		h.ask(a, c, 0, len(a.managers))
 	}
 }
 
@@ -871,13 +842,13 @@ func (h *Host) grant(a *hostApp, c *check) {
 		limit = c.sentAt.Add(c.minExpire)
 	}
 	h.granters = h.granters[:0]
-	for set := c.granted; set != 0; set &= set - 1 {
-		if i := bits.TrailingZeros64(set); i < len(a.managers) {
-			h.granters = append(h.granters, a.managers[i])
+	for i, id := range a.managers {
+		if c.round.Granted.Has(i) {
+			h.granters = append(h.granters, id)
 		}
 	}
 	h.cache.Put(c.key.app, c.key.user, c.key.right, limit, h.granters...)
-	confirmations := bits.OnesCount64(c.granted)
+	confirmations := c.round.Granted.Len()
 	if h.tracing {
 		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{confirmations, -1}, func() string {
 			return "confirmations=" + strconv.Itoa(confirmations)
@@ -897,7 +868,7 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 	// any node could deny service by spraying RevokeNotices.
 	v := h.view.Load()
 	a, ok := v.apps[m.App]
-	if !ok || !a.isManager(from) {
+	if !ok || !slices.Contains(a.managers, from) {
 		return
 	}
 	removed := h.cache.Remove(m.App, m.User, m.Right)
@@ -1010,14 +981,15 @@ func (h *Host) onResolveResponse(from wire.NodeID, m wire.ResolveResponse) {
 	if a.resolveTimer != nil {
 		a.resolveTimer.Stop()
 	}
-	if len(m.Managers) == 0 || len(m.Managers) > maxManagers {
-		// Name service knows no managers (or more than a round can track):
-		// treat like a resolve timeout.
+	sys, err := quorum.New(len(m.Managers), a.policy.CheckQuorum)
+	if err != nil {
+		// Name service knows no managers, fewer than C, or more than a round
+		// can track: treat like a resolve timeout.
 		h.onResolveTimeout(a, m.App)
 		return
 	}
 	a.resolving = false
-	a.setManagers(append([]wire.NodeID(nil), m.Managers...))
+	a.setManagers(m.Managers, sys)
 	if m.TTL > 0 {
 		a.managersExpire = h.now.Add(m.TTL)
 	} else {
@@ -1045,10 +1017,11 @@ func (h *Host) SetManagers(app wire.AppID, managers []wire.NodeID) error {
 	if !ok {
 		return fmt.Errorf("%w: unknown app %s", ErrConfig, app)
 	}
-	if err := a.policy.validate(len(managers)); err != nil {
+	sys, err := a.policy.validate(len(managers))
+	if err != nil {
 		return fmt.Errorf("app %s: %w", app, err)
 	}
-	a.setManagers(append([]wire.NodeID(nil), managers...))
+	a.setManagers(managers, sys)
 	a.managersExpire = time.Time{}
 	return nil
 }

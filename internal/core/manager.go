@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -10,6 +10,7 @@ import (
 	"wanac/internal/acl"
 	"wanac/internal/audit"
 	"wanac/internal/auth"
+	"wanac/internal/quorum"
 	"wanac/internal/ratelimit"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -54,9 +55,12 @@ type Manager struct {
 
 // mgrApp is the per-application dissemination and grant-tracking state.
 type mgrApp struct {
-	cfg     ManagerAppConfig
-	peers   []wire.NodeID // excluding self
-	m       int           // |Managers(A)| including self
+	cfg   ManagerAppConfig
+	peers []wire.NodeID // excluding self
+	// sys is C over Managers(A); members is Managers(A), self included, in
+	// lexical order: the positions of an update's acks and its send order.
+	sys     quorum.System
+	members []wire.NodeID
 	counter uint64
 	// applied[origin] is the highest contiguously applied counter per
 	// origin; buffer holds out-of-order updates awaiting their predecessors.
@@ -114,13 +118,15 @@ type noticeKey struct {
 
 // outUpdate tracks persistent dissemination of one update.
 type outUpdate struct {
-	app          wire.AppID
-	upd          wire.Update
-	pendingPeers map[wire.NodeID]struct{}
-	acked        int
-	quorumDone   bool
-	retries      int
-	timer        TimerHandle
+	upd wire.Update
+	// sys and members are the app's at issue, so SetPeers cannot move the
+	// quorum; acked holds the members that applied it, the origin included.
+	sys        quorum.System
+	members    []wire.NodeID
+	acked      quorum.Set
+	quorumDone bool
+	retries    int
+	timer      TimerHandle
 	// issuedAt feeds the update-quorum latency histogram.
 	issuedAt time.Time
 	// Exactly one of replyCb / replyTo is used for quorum notification.
@@ -170,14 +176,9 @@ func (m *Manager) ID() wire.NodeID { return m.id }
 // AddApp registers an application this manager manages.
 func (m *Manager) AddApp(app wire.AppID, cfg ManagerAppConfig) error {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(m.id); err != nil {
+	sys, err := cfg.validate(m.id)
+	if err != nil {
 		return fmt.Errorf("app %s: %w", app, err)
-	}
-	peers := make([]wire.NodeID, 0, len(cfg.Peers)-1)
-	for _, p := range cfg.Peers {
-		if p != m.id {
-			peers = append(peers, p)
-		}
 	}
 
 	m.mu.Lock()
@@ -185,23 +186,12 @@ func (m *Manager) AddApp(app wire.AppID, cfg ManagerAppConfig) error {
 	if _, ok := m.apps[app]; ok {
 		return fmt.Errorf("%w: app %s already registered", ErrConfig, app)
 	}
-	ma := &mgrApp{
-		cfg:      cfg,
-		peers:    peers,
-		m:        len(cfg.Peers),
-		applied:  make(map[wire.NodeID]uint64),
-		buffer:   make(map[wire.NodeID]map[uint64]wire.Update),
-		forced:   make(map[wire.UpdateSeq]bool),
-		lastOp:   make(map[grantKey]wire.Update),
-		lastSeen: make(map[wire.NodeID]time.Time),
-	}
-	ma.resetOverload()
+	ma := &mgrApp{}
 	now := m.env.Now()
-	for _, p := range peers {
-		ma.lastSeen[p] = now // optimistic: everyone reachable at start
-	}
+	ma.setPeers(m.id, cfg, sys, now)
+	ma.reset(now)
 	m.apps[app] = ma
-	if cfg.FreezeTi > 0 && len(peers) > 0 {
+	if cfg.FreezeTi > 0 && len(ma.peers) > 0 {
 		m.scheduleHeartbeat(app, ma)
 	}
 	if cfg.Overload.AdaptiveTe.Max > 0 {
@@ -210,9 +200,18 @@ func (m *Manager) AddApp(app wire.AppID, cfg ManagerAppConfig) error {
 	return nil
 }
 
-// resetOverload (re)builds the app's admission buckets and returns the
-// effective Te to its base, for AddApp and the between-trials resets.
-func (ma *mgrApp) resetOverload() {
+// reset empties the app's sequencing, buffers and last-writer-wins frontier,
+// counts every peer as seen at now, rebuilds the admission buckets and
+// returns the effective Te to its base (AddApp, Recover, ResetVolatile).
+func (ma *mgrApp) reset(now time.Time) {
+	ma.counter = 0
+	ma.applied = make(map[wire.NodeID]uint64)
+	ma.buffer = make(map[wire.NodeID]map[uint64]wire.Update)
+	ma.forced = make(map[wire.UpdateSeq]bool)
+	ma.lastOp = make(map[grantKey]wire.Update)
+	for _, p := range ma.peers {
+		ma.lastSeen[p] = now
+	}
 	rl := ma.cfg.Overload.RateLimit
 	ma.appBucket, ma.hostBuckets = nil, nil
 	if rl.AppRPS > 0 {
@@ -250,10 +249,6 @@ func (m *Manager) Frozen(app wire.AppID) bool {
 	ma, ok := m.apps[app]
 	return ok && ma.frozen
 }
-
-// updateQuorum returns the number of managers (including the origin) whose
-// acknowledgment guarantees the update: M - C + 1 (§3.3).
-func (ma *mgrApp) updateQuorum() int { return ma.m - ma.cfg.CheckQuorum + 1 }
 
 // setEffTe installs the controller's effective Te and derives the
 // expiration period handed to hosts from it: Te scaled by the clock bound b
@@ -308,21 +303,19 @@ func (m *Manager) withLock(fn func()) {
 	}
 }
 
-func (m *Manager) reply(cb func(wire.AdminReply), r wire.AdminReply) {
-	if cb == nil {
-		return
+// reply answers an admin op: to the node that sent it, if any, and to its
+// callback, if any, once the lock is released.
+func (m *Manager) reply(cb func(wire.AdminReply), to wire.NodeID, r wire.AdminReply) {
+	if to != "" {
+		m.env.Send(to, r)
 	}
-	m.fires = append(m.fires, func() { cb(r) })
+	if cb != nil {
+		m.fires = append(m.fires, func() { cb(r) })
+	}
 }
 
 func (m *Manager) submitLocked(op wire.AdminOp, cb func(wire.AdminReply), replyTo wire.NodeID, reqID uint64) {
-	fail := func(msg string) {
-		r := wire.AdminReply{ReqID: reqID, Err: msg}
-		m.reply(cb, r)
-		if replyTo != "" {
-			m.env.Send(replyTo, r)
-		}
-	}
+	fail := func(msg string) { m.reply(cb, replyTo, wire.AdminReply{ReqID: reqID, Err: msg}) }
 	ma, ok := m.apps[op.App]
 	if !ok {
 		fail("unknown application")
@@ -376,25 +369,22 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 	}
 	m.emitUpd(trace.EventUpdateIssued, op.App, op.User, upd.Seq, op.Op.String())
 
+	self, _ := slices.BinarySearch(ma.members, m.id)
 	out := &outUpdate{
-		app:          op.App,
-		upd:          upd,
-		pendingPeers: make(map[wire.NodeID]struct{}, len(ma.peers)),
-		replyCb:      cb,
-		replyTo:      replyTo,
-		reqID:        reqID,
-		issuedAt:     m.now,
-	}
-	for _, p := range ma.peers {
-		out.pendingPeers[p] = struct{}{}
+		upd:      upd,
+		sys:      ma.sys,
+		members:  ma.members,
+		acked:    quorum.Set(0).With(self),
+		replyCb:  cb,
+		replyTo:  replyTo,
+		reqID:    reqID,
+		issuedAt: m.now,
 	}
 	m.outstanding[upd.Seq] = out
 
-	if replyTo != "" {
-		m.env.Send(replyTo, wire.AdminReply{ReqID: reqID, Accepted: true})
-	}
+	m.reply(nil, replyTo, wire.AdminReply{ReqID: reqID, Accepted: true})
 	m.transmitUpdate(ma, out)
-	m.checkUpdateQuorum(ma, out)
+	m.checkUpdateQuorum(out)
 
 	// Temporal authorization (§4.2): an Add with a validity period turns
 	// into a scheduled Revoke issued by this manager when the period ends.
@@ -423,11 +413,13 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 // transmitUpdate sends the update to all unacked peers and arms the
 // retransmission timer (persistent dissemination, §3.3).
 func (m *Manager) transmitUpdate(ma *mgrApp, out *outUpdate) {
-	for _, p := range sortedPeers(out.pendingPeers) {
-		m.env.Send(p, out.upd)
-	}
-	if len(out.pendingPeers) == 0 {
+	if out.done() {
 		return
+	}
+	for i, p := range out.members {
+		if !out.acked.Has(i) {
+			m.env.Send(p, out.upd)
+		}
 	}
 	seq := out.upd.Seq
 	out.timer = m.env.SetTimer(ma.cfg.UpdateRetry, func() {
@@ -440,7 +432,7 @@ func (m *Manager) onUpdateRetry(seq wire.UpdateSeq) {
 	if !ok {
 		return
 	}
-	ma, ok := m.apps[out.app]
+	ma, ok := m.apps[out.upd.App]
 	if !ok {
 		return
 	}
@@ -449,11 +441,7 @@ func (m *Manager) onUpdateRetry(seq wire.UpdateSeq) {
 		// Gave up: the paper would keep trying (or escalate to a human,
 		// §3.3); bounded deployments report failure instead.
 		if !out.quorumDone {
-			r := wire.AdminReply{ReqID: out.reqID, Accepted: true, Err: "update quorum not reached"}
-			m.reply(out.replyCb, r)
-			if out.replyTo != "" {
-				m.env.Send(out.replyTo, r)
-			}
+			m.reply(out.replyCb, out.replyTo, wire.AdminReply{ReqID: out.reqID, Accepted: true, Err: "update quorum not reached"})
 		}
 		delete(m.outstanding, seq)
 		return
@@ -461,11 +449,11 @@ func (m *Manager) onUpdateRetry(seq wire.UpdateSeq) {
 	m.transmitUpdate(ma, out)
 }
 
-func (m *Manager) checkUpdateQuorum(ma *mgrApp, out *outUpdate) {
-	if out.quorumDone {
-		return
-	}
-	if 1+out.acked < ma.updateQuorum() {
+// done reports whether every member has acked out.
+func (out *outUpdate) done() bool { return out.acked == quorum.First(len(out.members)) }
+
+func (m *Manager) checkUpdateQuorum(out *outUpdate) {
+	if out.quorumDone || !out.sys.IsUpdateQuorum(out.acked) {
 		return
 	}
 	out.quorumDone = true
@@ -474,13 +462,9 @@ func (m *Manager) checkUpdateQuorum(ma *mgrApp, out *outUpdate) {
 		m.tel.quorums.Inc()
 		observeSince(m.tel.quorumLatency, out.issuedAt, m.now)
 	}
-	m.emitUpd(trace.EventUpdateQuorum, out.app, out.upd.User, out.upd.Seq,
+	m.emitUpd(trace.EventUpdateQuorum, out.upd.App, out.upd.User, out.upd.Seq,
 		out.upd.Op.String())
-	r := wire.AdminReply{ReqID: out.reqID, Accepted: true, QuorumReached: true}
-	m.reply(out.replyCb, r)
-	if out.replyTo != "" {
-		m.env.Send(out.replyTo, r)
-	}
+	m.reply(out.replyCb, out.replyTo, wire.AdminReply{ReqID: out.reqID, Accepted: true, QuorumReached: true})
 }
 
 // newerOp reports whether a supersedes b under the last-writer-wins order:
@@ -800,7 +784,7 @@ func (m *Manager) onAdaptTick(app wire.AppID) {
 // reflects managers that actually know the operation.
 func (m *Manager) onUpdate(_ wire.NodeID, upd wire.Update) {
 	ma, ok := m.apps[upd.App]
-	if !ok || !m.isPeer(ma, upd.Seq.Origin) {
+	if !ok || !slices.Contains(ma.peers, upd.Seq.Origin) {
 		return
 	}
 	if ma.syncing {
@@ -869,34 +853,18 @@ func (m *Manager) drainBuffer(ma *mgrApp, origin wire.NodeID) {
 	}
 }
 
-func (m *Manager) isPeer(ma *mgrApp, id wire.NodeID) bool {
-	if id == m.id {
-		return false
-	}
-	for _, p := range ma.peers {
-		if p == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (m *Manager) onUpdateAck(from wire.NodeID, ack wire.UpdateAck) {
 	out, ok := m.outstanding[ack.Seq]
 	if !ok {
 		return
 	}
-	if _, pending := out.pendingPeers[from]; !pending {
+	i, ok := slices.BinarySearch(out.members, from)
+	if !ok || out.acked.Has(i) {
 		return
 	}
-	delete(out.pendingPeers, from)
-	out.acked++
-	ma, ok := m.apps[out.app]
-	if !ok {
-		return
-	}
-	m.checkUpdateQuorum(ma, out)
-	if len(out.pendingPeers) == 0 {
+	out.acked = out.acked.With(i)
+	m.checkUpdateQuorum(out)
+	if out.done() {
 		if out.timer != nil {
 			out.timer.Stop()
 		}
@@ -984,22 +952,9 @@ func (m *Manager) Recover() {
 	m.withLock(func() {
 		m.store = acl.NewStore()
 		m.outstanding = make(map[wire.UpdateSeq]*outUpdate)
-		for _, n := range m.notices {
-			if n.timer != nil {
-				n.timer.Stop()
-			}
-		}
-		m.notices = make(map[noticeKey]*outNotice)
+		m.dropNotices()
 		for app, ma := range m.apps {
-			ma.counter = 0
-			ma.applied = make(map[wire.NodeID]uint64)
-			ma.buffer = make(map[wire.NodeID]map[uint64]wire.Update)
-			ma.forced = make(map[wire.UpdateSeq]bool)
-			ma.lastOp = make(map[grantKey]wire.Update)
-			ma.resetOverload()
-			for _, p := range ma.peers {
-				ma.lastSeen[p] = m.now
-			}
+			ma.reset(m.now)
 			if len(ma.peers) == 0 {
 				continue
 			}
@@ -1027,23 +982,11 @@ func (m *Manager) ResetVolatile() {
 		}
 	}
 	m.outstanding = make(map[wire.UpdateSeq]*outUpdate)
-	for _, n := range m.notices {
-		if n.timer != nil {
-			n.timer.Stop()
-		}
-	}
-	m.notices = make(map[noticeKey]*outNotice)
+	m.dropNotices()
 	m.fires = nil
 	now := m.env.Now()
 	for app, ma := range m.apps {
-		ma.counter = 0
-		ma.applied = make(map[wire.NodeID]uint64)
-		ma.buffer = make(map[wire.NodeID]map[uint64]wire.Update)
-		ma.forced = make(map[wire.UpdateSeq]bool)
-		ma.lastOp = make(map[grantKey]wire.Update)
-		for _, p := range ma.peers {
-			ma.lastSeen[p] = now
-		}
+		ma.reset(now)
 		ma.frozen = false
 		ma.syncing = false
 		if ma.syncTimer != nil {
@@ -1058,7 +1001,6 @@ func (m *Manager) ResetVolatile() {
 			ma.adaptTimer.Stop()
 			ma.adaptTimer = nil
 		}
-		ma.resetOverload()
 		if ma.cfg.FreezeTi > 0 && len(ma.peers) > 0 {
 			m.scheduleHeartbeat(app, ma)
 		}
@@ -1066,6 +1008,16 @@ func (m *Manager) ResetVolatile() {
 			m.scheduleAdapt(app, ma)
 		}
 	}
+}
+
+// dropNotices cancels the retransmission of every revocation notice.
+func (m *Manager) dropNotices() {
+	for _, n := range m.notices {
+		if n.timer != nil {
+			n.timer.Stop()
+		}
+	}
+	m.notices = make(map[noticeKey]*outNotice)
 }
 
 func (m *Manager) startSync(app wire.AppID, ma *mgrApp) {
@@ -1165,17 +1117,6 @@ func (m *Manager) Syncing(app wire.AppID) bool {
 	return ok && ma.syncing
 }
 
-// sortedPeers returns map keys in lexical order so retransmission rounds
-// are deterministic (simulation reproducibility depends on send order).
-func sortedPeers(set map[wire.NodeID]struct{}) []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // SetPeers replaces Managers(A) for app, supporting the infrequent,
 // out-of-band manager-set changes of §3.2 (coordinated through the trusted
 // name service on the host side). The check quorum C is unchanged and must
@@ -1190,29 +1131,28 @@ func (m *Manager) SetPeers(app wire.AppID, peers []wire.NodeID) error {
 	}
 	cfg := ma.cfg
 	cfg.Peers = peers
-	if err := cfg.validate(m.id); err != nil {
+	sys, err := cfg.validate(m.id)
+	if err != nil {
 		return err
 	}
-	newPeers := make([]wire.NodeID, 0, len(peers)-1)
-	for _, p := range peers {
-		if p != m.id {
-			newPeers = append(newPeers, p)
-		}
-	}
-	ma.cfg = cfg
-	ma.peers = newPeers
-	ma.m = len(peers)
-	now := m.env.Now()
-	seen := make(map[wire.NodeID]time.Time, len(newPeers))
-	for _, p := range newPeers {
+	ma.setPeers(m.id, cfg, sys, m.env.Now())
+	return nil
+}
+
+// setPeers installs cfg's manager set with its quorum system. A peer not
+// seen before counts as seen at now (optimistic: everyone reachable).
+func (ma *mgrApp) setPeers(self wire.NodeID, cfg ManagerAppConfig, sys quorum.System, now time.Time) {
+	ma.cfg, ma.sys = cfg, sys
+	ma.members = slices.Compact(slices.Sorted(slices.Values(cfg.Peers)))
+	ma.peers = slices.DeleteFunc(slices.Clone(cfg.Peers), func(p wire.NodeID) bool { return p == self })
+	seen := make(map[wire.NodeID]time.Time, len(ma.peers))
+	for _, p := range ma.peers {
+		seen[p] = now
 		if t, ok := ma.lastSeen[p]; ok {
 			seen[p] = t
-		} else {
-			seen[p] = now
 		}
 	}
 	ma.lastSeen = seen
-	return nil
 }
 
 // emitServed records that a Query was answered, carrying the query's trace

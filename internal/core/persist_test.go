@@ -138,7 +138,7 @@ func TestSaveStateSkipsVolatileState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := buf.String()
-	for _, banned := range []string{"grants", "frozen", "pendingPeers", "outstanding"} {
+	for _, banned := range []string{"grants", "frozen", "acked", "outstanding"} {
 		if strings.Contains(s, banned) {
 			t.Errorf("snapshot leaks volatile field %q", banned)
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/quorum"
 	"wanac/internal/wire"
 )
 
@@ -379,10 +380,11 @@ func TestCheckRoundProperty(t *testing.T) {
 // TestHostRejectsMoreManagersThanARoundTracks: a round tracks its managers
 // as bits of a uint64, so a 65th manager is refused wherever a set is
 // installed — as ErrConfig from the two configuration calls, and as a failed
-// resolution when a name service returns one.
+// resolution when a name service returns one. A resolved set smaller than C
+// fails the same quorum.New check and counts as a failed resolution too.
 func TestHostRejectsMoreManagersThanARoundTracks(t *testing.T) {
 	var many []wire.NodeID
-	for i := 0; i <= maxManagers; i++ {
+	for i := 0; i <= quorum.MaxManagers; i++ {
 		many = append(many, wire.NodeID(fmt.Sprintf("m%d", i)))
 	}
 	policy := Policy{CheckQuorum: 1, QueryTimeout: time.Second, MaxAttempts: 1}
@@ -391,26 +393,35 @@ func TestHostRejectsMoreManagersThanARoundTracks(t *testing.T) {
 	if err := h.RegisterApp("a", HostAppConfig{Managers: many, Policy: policy}); !errors.Is(err, ErrConfig) {
 		t.Errorf("RegisterApp with %d managers: %v, want ErrConfig", len(many), err)
 	}
-	if err := h.RegisterApp("a", HostAppConfig{Managers: many[:maxManagers], NameService: "ns", Policy: policy}); err != nil {
-		t.Fatalf("RegisterApp with %d managers: %v", maxManagers, err)
+	if err := h.RegisterApp("a", HostAppConfig{Managers: many[:quorum.MaxManagers], NameService: "ns", Policy: policy}); err != nil {
+		t.Fatalf("RegisterApp with %d managers: %v", quorum.MaxManagers, err)
 	}
 	if err := h.SetManagers("a", many); !errors.Is(err, ErrConfig) {
 		t.Errorf("SetManagers with %d managers: %v, want ErrConfig", len(many), err)
 	}
 
-	if err := h.RegisterApp("b", HostAppConfig{NameService: "ns", Policy: policy}); err != nil {
-		t.Fatal(err)
-	}
-	var decisions []Decision
-	h.Check("b", "u", wire.RightUse, func(d Decision) { decisions = append(decisions, d) })
-	req := env.sent[len(env.sent)-1].Msg.(wire.ResolveRequest)
-	h.HandleMessage("ns", wire.ResolveResponse{App: "b", Nonce: req.Nonce, Managers: many})
-	if len(decisions) != 1 || decisions[0].Allowed || decisions[0].Attempts != 1 {
-		t.Fatalf("decisions = %+v, want the oversized set to count as the one failed resolution", decisions)
+	for _, tc := range []struct {
+		app      wire.AppID
+		c        int
+		managers []wire.NodeID
+	}{{"b", 1, many}, {"c", 2, many[:1]}} {
+		p := policy
+		p.CheckQuorum = tc.c
+		if err := h.RegisterApp(tc.app, HostAppConfig{NameService: "ns", Policy: p}); err != nil {
+			t.Fatal(err)
+		}
+		var decisions []Decision
+		h.Check(tc.app, "u", wire.RightUse, func(d Decision) { decisions = append(decisions, d) })
+		req := env.sent[len(env.sent)-1].Msg.(wire.ResolveRequest)
+		h.HandleMessage("ns", wire.ResolveResponse{App: tc.app, Nonce: req.Nonce, Managers: tc.managers})
+		if len(decisions) != 1 || decisions[0].Allowed || decisions[0].Attempts != 1 {
+			t.Fatalf("app %s: decisions = %+v, want a set of %d at C=%d to count as the one failed resolution",
+				tc.app, decisions, len(tc.managers), tc.c)
+		}
 	}
 	for _, e := range env.sent {
 		if _, ok := e.Msg.(wire.Query); ok {
-			t.Fatalf("queried %s from a set of %d", e.To, len(many))
+			t.Fatalf("queried %s from a resolved set a round cannot use", e.To)
 		}
 	}
 }

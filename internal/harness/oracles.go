@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wanac/internal/audit"
+	"wanac/internal/quorum"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -398,6 +399,8 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 			r.Node, r.Reason, r.Reason.Allowed(), r.Allowed)
 		return
 	}
+	// From the record, not quorum.New: malformed evidence is judged, not refused.
+	sys := quorum.System{M: int(r.Set), C: o.quorum}
 	switch r.Reason {
 	case audit.ReasonCacheHit:
 		if r.Granters < 1 {
@@ -414,7 +417,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 			}
 		}
 	case audit.ReasonQuorumAllow:
-		if o.quorum > 0 && r.Confirmations < o.quorum {
+		if o.quorum > 0 && !sys.Allows(quorum.First(r.Confirmations)) {
 			o.fail(e.Time, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
 				r.Node, r.App, r.User, r.Confirmations, o.quorum)
 		}
@@ -434,7 +437,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 		// of one asked proves nothing while C of the rest could grant.
 		if r.Queried < 1 || int(r.Set) < r.Queried {
 			o.fail(e.Time, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
-		} else if r.Denials > r.Queried || r.Denials <= int(r.Set)-o.quorum {
+		} else if r.Denials > r.Queried || !sys.Denies(quorum.First(r.Denials)) {
 			o.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
 				r.Node, r.App, r.User, r.Denials, r.Set, r.Queried, o.quorum)
 		}

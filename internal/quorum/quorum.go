@@ -1,5 +1,5 @@
-// Package quorum implements the check/update quorum arithmetic and the
-// availability/security analysis of §4.1.
+// Package quorum implements the check/update quorum arithmetic, the check
+// round decided by it, and the availability/security analysis of §4.1.
 //
 // The model: a system has M managers and per-pair site inaccessibility
 // probability Pi (i.i.d. in the paper's simplified analysis). A host must

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wanac/internal/core"
+	"wanac/internal/quorum"
 	"wanac/internal/wire"
 )
 
@@ -242,11 +243,10 @@ func EstimatePS(p TrialParams) (Proportion, error) {
 }
 
 func validateTrial(p TrialParams) error {
+	_, err := quorum.New(p.M, p.C)
 	switch {
-	case p.M < 1:
-		return fmt.Errorf("sim: M=%d", p.M)
-	case p.C < 1 || p.C > p.M:
-		return fmt.Errorf("sim: C=%d outside [1,%d]", p.C, p.M)
+	case err != nil:
+		return fmt.Errorf("sim: %w", err)
 	case p.Pi < 0 || p.Pi > 1:
 		return fmt.Errorf("sim: Pi=%v", p.Pi)
 	case p.Trials < 1:

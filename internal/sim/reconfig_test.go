@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"wanac/internal/core"
 	"wanac/internal/nameservice"
+	"wanac/internal/quorum"
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
 )
@@ -130,8 +132,57 @@ func TestSetPeersValidation(t *testing.T) {
 	if err := mgr.SetPeers("a", []wire.NodeID{"m0"}); err == nil {
 		t.Error("peer set smaller than C accepted")
 	}
+	var sixtyFive []wire.NodeID
+	for i := 0; i <= quorum.MaxManagers; i++ {
+		sixtyFive = append(sixtyFive, wire.NodeID(fmt.Sprintf("m%d", i)))
+	}
+	if err := mgr.SetPeers("a", sixtyFive); !errors.Is(err, core.ErrConfig) {
+		t.Errorf("SetPeers with %d managers: %v, want ErrConfig (no host could track them)", len(sixtyFive), err)
+	}
 	if err := mgr.SetPeers("a", []wire.NodeID{"m0", "m3"}); err != nil {
 		t.Errorf("valid reconfig rejected: %v", err)
+	}
+}
+
+// TestSetPeersKeepsOutstandingQuorum: an update counts its acks against the
+// manager set it was issued under. A revoke issued at M=3, C=2 (update
+// quorum 2) reaches its quorum when m1 acks, even though SetPeers has grown
+// the set to five managers before any ack arrived; its callback fires
+// exactly once, as Submit promises.
+func TestSetPeersKeepsOutstandingQuorum(t *testing.T) {
+	const app wire.AppID = "app"
+	sched := simnet.NewScheduler()
+	net := simnet.New(sched, simnet.Config{})
+	peers := []wire.NodeID{"m0", "m1", "m2"}
+	var mgrs []*core.Manager
+	for _, id := range peers {
+		mgr := core.NewManager(id, NewEnv(id, net), nil, nil)
+		if err := mgr.AddApp(app, core.ManagerAppConfig{
+			Peers: peers, CheckQuorum: 2, Te: time.Minute, UpdateRetry: time.Second,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		mgr.Seed(app, "admin", wire.RightManage)
+		mgr.Seed(app, "alice", wire.RightUse)
+		net.Attach(id, mgr)
+		mgrs = append(mgrs, mgr)
+	}
+
+	var replies []wire.AdminReply
+	mgrs[0].Submit(wire.AdminOp{Op: wire.OpRevoke, App: app, User: "alice", Right: wire.RightUse, Issuer: "admin"},
+		func(r wire.AdminReply) { replies = append(replies, r) })
+	if err := mgrs[0].SetPeers(app, []wire.NodeID{"m0", "m1", "m2", "m3", "m4"}); err != nil {
+		t.Fatal(err)
+	}
+	sched.RunFor(time.Minute)
+
+	for _, mgr := range mgrs[1:] {
+		if mgr.Has(app, "alice", wire.RightUse) {
+			t.Fatalf("%s did not apply the revoke", mgr.ID())
+		}
+	}
+	if len(replies) != 1 || !replies[0].QuorumReached {
+		t.Fatalf("Submit callback fired %d times (%+v), want once with QuorumReached", len(replies), replies)
 	}
 }
 
