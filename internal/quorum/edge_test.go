@@ -25,9 +25,6 @@ func TestUpdateQuorumEdges(t *testing.T) {
 		{"C=1 at M=2", 2, 1, 2},
 		{"balanced M=5 C=3", 5, 3, 3},
 		{"boundary M=4 C=2", 4, 2, 3},
-		{"C=1 at M=10", 10, 1, 10},
-		{"C=M at M=10", 10, 10, 1},
-		{"balanced M=10 C=5", 10, 5, 6},
 		{"large M=20 C=7", 20, 7, 14},
 		{"large M=25 C=1", 25, 1, 25},
 		{"large M=25 C=13", 25, 13, 13},
@@ -53,6 +50,26 @@ func TestUpdateQuorumEdges(t *testing.T) {
 				t.Errorf("C + update quorum = %d, want M+1=%d (quorums could miss each other)", tc.c+tc.want, tc.m+1)
 			}
 		})
+	}
+}
+
+// TestQuorumsAlwaysIntersect verifies the protocol's safety foundation for
+// every (M, C) in range: any check quorum of size C and any update quorum of
+// size M-C+1 drawn from M managers must share a member — which holds exactly
+// when the sizes sum past M (pigeonhole, §3.3). Revocation safety rests on
+// this: the shared manager has applied the revocation and refuses to vouch.
+func TestQuorumsAlwaysIntersect(t *testing.T) {
+	for m := 1; m <= 25; m++ {
+		for c := 1; c <= m; c++ {
+			uq := UpdateQuorum(m, c)
+			if uq < 1 || uq > m {
+				t.Fatalf("M=%d C=%d: update quorum %d outside [1,%d]", m, c, uq, m)
+			}
+			if c+uq != m+1 {
+				t.Errorf("M=%d C=%d: C + updateQuorum = %d, want M+1=%d (quorums could miss each other)",
+					m, c, c+uq, m+1)
+			}
+		}
 	}
 }
 

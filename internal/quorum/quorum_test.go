@@ -192,6 +192,29 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
+func TestUpdateQuorum(t *testing.T) {
+	cases := []struct{ m, c, want int }{
+		{10, 1, 10}, {10, 10, 1}, {10, 5, 6}, {4, 2, 3},
+	}
+	for _, c := range cases {
+		if got := UpdateQuorum(c.m, c.c); got != c.want {
+			t.Errorf("UpdateQuorum(%d,%d) = %d, want %d", c.m, c.c, got, c.want)
+		}
+	}
+}
+
+// TestQuorumIntersection verifies the defining property: any check quorum
+// and any update quorum intersect (C + (M-C+1) > M).
+func TestQuorumIntersection(t *testing.T) {
+	for m := 1; m <= 20; m++ {
+		for c := 1; c <= m; c++ {
+			if c+UpdateQuorum(m, c) <= m {
+				t.Errorf("M=%d C=%d: quorums do not intersect", m, c)
+			}
+		}
+	}
+}
+
 func TestMinCForSecurity(t *testing.T) {
 	c, err := MinCForSecurity(10, 0.1, 0.99)
 	if err != nil {
