@@ -254,30 +254,39 @@ func (s *Scheduler) DiscardPending() {
 	s.stopped = 0
 }
 
+// head returns the earliest live event, first dropping the stopped timers
+// queued ahead of it, or nil when nothing live is queued.
+func (s *Scheduler) head() *event {
+	for len(s.queue) > 0 {
+		if e := s.queue[0]; !e.cancellable || !e.stopped {
+			return e
+		}
+		s.queue.pop()
+		s.stopped--
+	}
+	return nil
+}
+
 // Step executes the next due event, advancing the clock to its timestamp.
 // It returns false when the queue is empty. Stopped timers are skipped.
 func (s *Scheduler) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.queue.pop()
-		if e.cancellable && e.stopped {
-			s.stopped--
-			continue
-		}
-		s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
-		if e.cancellable {
-			e.fired = true
-		}
-		s.steps++
-		if e.net != nil {
-			n, from, to, msg := e.net, e.from, e.to, e.msg
-			s.recycle(e)
-			n.deliver(from, to, msg)
-		} else {
-			e.fn()
-		}
-		return true
+	if s.head() == nil {
+		return false
 	}
-	return false
+	e := s.queue.pop()
+	s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
+	if e.cancellable {
+		e.fired = true
+	}
+	s.steps++
+	if e.net != nil {
+		n, from, to, msg := e.net, e.from, e.to, e.msg
+		s.recycle(e)
+		n.deliver(from, to, msg)
+	} else {
+		e.fn()
+	}
+	return true
 }
 
 // Run executes events until the queue is empty. maxSteps (if > 0) bounds the
@@ -297,8 +306,10 @@ func (s *Scheduler) Run(maxSteps uint64) bool {
 // RunUntil executes all events with timestamps <= t, then advances the
 // clock to t.
 func (s *Scheduler) RunUntil(t time.Time) {
-	// Peek: queue[0] is the earliest event.
-	for ns := nanos(t); len(s.queue) > 0 && s.queue[0].at <= ns; {
+	for ns := nanos(t); ; {
+		if e := s.head(); e == nil || e.at > ns {
+			break
+		}
 		s.Step()
 	}
 	s.clock.Set(t)

@@ -134,6 +134,26 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestRunUntilStoppedHead is the regression test for a stopped timer at the
+// head of the queue: RunUntil used to see it due, let Step skip it and run
+// the next live event even though that one was due after the bound, leaving
+// the clock past the bound.
+func TestRunUntilStoppedHead(t *testing.T) {
+	s := NewScheduler()
+	stopped := s.After(10*time.Millisecond, func() {})
+	ran := false
+	s.After(30*time.Millisecond, func() { ran = true })
+	stopped.Stop() // 1 dead of 2: not compacted, so it heads the queue
+	bound := vclock.Epoch.Add(20 * time.Millisecond)
+	s.RunUntil(bound)
+	if ran {
+		t.Error("RunUntil ran an event due after its bound")
+	}
+	if !s.Now().Equal(bound) {
+		t.Errorf("Now() = %v, want %v", s.Now(), bound)
+	}
+}
+
 func TestRunMaxSteps(t *testing.T) {
 	s := NewScheduler()
 	// Self-perpetuating event chain: Run must bail at maxSteps.
@@ -389,10 +409,9 @@ func TestSchedulerOrderProperty(t *testing.T) {
 					delete(timers, id)
 				}
 			default:
-				// RunUntil leaves nothing due by the bound. (It may run one
-				// live event past it when a stopped timer heads the queue:
-				// Step skips the dead entry and runs on. Inherited, and
-				// goldens depend on it; fire still checks that event's order.)
+				// RunUntil leaves nothing due by the bound and runs nothing
+				// past it: an event past the bound would have moved the
+				// clock beyond it, and the clock never moves back.
 				bound := s.Now().Add(delay())
 				s.RunUntil(bound)
 				for _, p := range model {
@@ -400,8 +419,8 @@ func TestSchedulerOrderProperty(t *testing.T) {
 						t.Fatalf("seed %d: RunUntil(%v) left event %d at %v", seed, bound, p.id, p.at)
 					}
 				}
-				if s.Now().Before(bound) {
-					t.Fatalf("seed %d: RunUntil left the clock at %v, before %v", seed, s.Now(), bound)
+				if !s.Now().Equal(bound) {
+					t.Fatalf("seed %d: RunUntil left the clock at %v, want %v", seed, s.Now(), bound)
 				}
 			}
 		}
