@@ -25,6 +25,7 @@ import (
 	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/sim"
+	"wanac/internal/simnet"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -276,6 +277,46 @@ func TestColdCheckAllocationBudget(t *testing.T) {
 // round sets no new timer. The timers are an hour long and never fire.
 func TestColdCheckAllocationBudgetResetTimer(t *testing.T) {
 	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0), afterFunc: true})
+}
+
+// TestSimColdCheckAllocationBudget pins a cold check in the simulator, where
+// the catalog and every oracle verdict run: a 3-manager, 1-host world whose
+// managers serve through the capacity model, one check at C = 2 per run,
+// each finding its grant expired. The three objects are the messages boxed
+// for sending — the Query and two Responses. The round's timer is re-armed,
+// and deliveries and service completions are pooled events.
+func TestSimColdCheckAllocationBudget(t *testing.T) {
+	w, err := sim.Build(sim.Config{
+		Managers: 3, Hosts: 1,
+		Policy:          core.Policy{CheckQuorum: 2, Te: time.Second, QueryTimeout: time.Second, MaxAttempts: 2},
+		Te:              time.Second,
+		Users:           []wire.UserID{"u"},
+		NoTrace:         true,
+		ManagerCapacity: simnet.Capacity{ServiceTime: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := 0
+	cb := func(d core.Decision) {
+		if d.Allowed && !d.CacheHit {
+			cold++
+		}
+	}
+	host, app := w.Hosts[0], w.Cfg.App
+	check := func() {
+		host.Check(app, "u", wire.RightUse, cb)
+		w.RunFor(2 * time.Second) // the round, then past the grant's expiry
+	}
+	check()
+	check()
+	cold = 0
+	if allocs := testing.AllocsPerRun(500, check); allocs > 3 {
+		t.Errorf("simulated cold check allocates %.1f objects/op, budget is 3 (the boxed Query and Responses)", allocs)
+	}
+	if cold < 500 {
+		t.Errorf("%d quorum allows, want >= 500 (checks not cold)", cold)
+	}
 }
 
 func coldRoundBudget(t *testing.T, env *stubEnv) {

@@ -56,11 +56,30 @@ func (e *Env) Send(to wire.NodeID, msg wire.Message) { e.net.Send(e.id, to, msg)
 
 // SetTimer implements core.Env. The duration is interpreted on the node's
 // local clock: a slow clock measures durations slowly, so the timer fires
-// after d/rate of simulated real time.
+// after d/rate of simulated real time. The handle can be re-armed with
+// Reset, which measures on the same clock.
 func (e *Env) SetTimer(d time.Duration, fn func()) core.TimerHandle {
-	real := d
-	if e.rate != 1 {
-		real = time.Duration(float64(d) / e.rate)
+	t := e.net.Scheduler().After(e.realTime(d), fn)
+	if e.rate == 1 {
+		return t
 	}
-	return e.net.Scheduler().After(real, fn)
+	return driftTimer{t, e}
 }
+
+// realTime converts a duration on the node's local clock to simulated real
+// time.
+func (e *Env) realTime(d time.Duration) time.Duration {
+	if e.rate == 1 {
+		return d
+	}
+	return time.Duration(float64(d) / e.rate)
+}
+
+// driftTimer is a drifting node's timer handle: Reset converts its duration
+// to real time as SetTimer does.
+type driftTimer struct {
+	*simnet.Timer
+	env *Env
+}
+
+func (t driftTimer) Reset(d time.Duration) bool { return t.Timer.Reset(t.env.realTime(d)) }

@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/core"
 	"wanac/internal/simnet"
 	"wanac/internal/vclock"
+	"wanac/internal/wire"
 )
 
 func TestEnvBasics(t *testing.T) {
@@ -46,6 +48,38 @@ func TestDriftingEnvTimerScaling(t *testing.T) {
 	local := e.Now().Sub(vclock.Epoch)
 	if local < 10*time.Second || local > 11*time.Second {
 		t.Errorf("local elapsed = %v, want ~10.5s", local)
+	}
+}
+
+// TestDriftingEnvTimerReset: a host re-arms its round timer with Reset, which
+// must measure the timeout on the host's clock as SetTimer does. At clock
+// rate 0.5, with managers that never answer, each 1 s round times out after
+// 2 s of simulated real time, so the third round's timeout denies at 6 s. A
+// Reset that skipped the rate would deny at 4 s.
+func TestDriftingEnvTimerReset(t *testing.T) {
+	w, err := Build(Config{
+		Managers: 3, Hosts: 1,
+		Policy:         core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 3},
+		HostClockRates: []float64{0.5},
+		NoTrace:        true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range w.Managers {
+		w.Net.Crash(ManagerID(i))
+	}
+	start := w.Sched.Now()
+	var (
+		d       core.Decision
+		decided time.Duration
+	)
+	w.Hosts[0].Check(w.Cfg.App, "u", wire.RightUse, func(got core.Decision) {
+		d, decided = got, w.Sched.Now().Sub(start)
+	})
+	w.RunFor(time.Minute)
+	if decided != 6*time.Second || d.Allowed || d.Attempts != 3 {
+		t.Errorf("decided %+v at %v, want a denial after 3 rounds at 6s", d, decided)
 	}
 }
 

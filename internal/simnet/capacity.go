@@ -59,11 +59,15 @@ type capMsg struct {
 // capacity is the per-node server state. Lanes are simple slices with a
 // head index, compacted when the drained prefix dominates.
 type capacity struct {
-	cfg   Capacity
-	lanes [2][]capMsg
-	heads [2]int
-	busy  bool
-	stats CapacityStats
+	cfg Capacity
+	// id and nd are the node the server was installed on.
+	id      wire.NodeID
+	nd      *node
+	lanes   [2][]capMsg
+	heads   [2]int
+	busy    bool
+	serving capMsg // the message in service while busy
+	stats   CapacityStats
 }
 
 func (c *capacity) depth(lane wire.Lane) int { return len(c.lanes[lane]) - c.heads[lane] }
@@ -112,7 +116,7 @@ func (n *Network) SetCapacity(id wire.NodeID, c Capacity) {
 		nd.cap = nil
 		return
 	}
-	nd.cap = &capacity{cfg: c}
+	nd.cap = &capacity{cfg: c, id: id, nd: nd}
 }
 
 // CapacityStats returns a snapshot of a node's capacity counters; ok is
@@ -135,9 +139,9 @@ func (n *Network) CapacityStats(id wire.NodeID) (CapacityStats, bool) {
 // silently cancels in-flight service completions — without this reset a
 // reused world's servers would stay busy forever).
 func (n *Network) ResetCapacities() {
-	for _, nd := range n.nodes {
+	for id, nd := range n.nodes {
 		if nd.cap != nil {
-			nd.cap = &capacity{cfg: nd.cap.cfg}
+			nd.cap = &capacity{cfg: nd.cap.cfg, id: id, nd: nd}
 		}
 	}
 }
@@ -145,8 +149,7 @@ func (n *Network) ResetCapacities() {
 // capEnqueue admits a delivered message into the node's inbound queue and
 // kicks the server if idle. Called from deliver, so network latency, loss,
 // and link state have already been applied.
-func (n *Network) capEnqueue(nd *node, to, from wire.NodeID, msg wire.Message) {
-	cs := nd.cap
+func (n *Network) capEnqueue(cs *capacity, from wire.NodeID, msg wire.Message) {
 	lane := wire.LaneOf(msg)
 	if cs.cfg.FIFO {
 		lane = wire.LaneBulk
@@ -159,46 +162,53 @@ func (n *Network) capEnqueue(nd *node, to, from wire.NodeID, msg wire.Message) {
 	cs.lanes[lane] = append(cs.lanes[lane], capMsg{from: from, msg: msg})
 	cs.stats.Enqueued[lane]++
 	if !cs.busy {
-		n.capServe(nd, to)
+		n.capServe(cs)
 	}
 }
 
 // capServe takes the next waiting message (high lane first) into service
-// and schedules its completion. At completion the message is handled and
-// the next one starts, so the server processes one message per ServiceTime
-// for as long as the queue is non-empty.
-func (n *Network) capServe(nd *node, to wire.NodeID) {
-	cs := nd.cap
+// and schedules its completion, a pooled event the scheduler hands to
+// served. At completion the message is handled and the next one starts, so
+// the server processes one message per ServiceTime for as long as the queue
+// is non-empty.
+func (n *Network) capServe(cs *capacity) {
 	m, ok := cs.pop()
 	if !ok {
 		return
 	}
 	cs.busy = true
-	n.sched.After(cs.cfg.ServiceTime, func() {
-		cs.busy = false
-		// The world may have moved on mid-service: the node crashed, was
-		// replaced, or its capacity model was reinstalled. The serving
-		// message is lost; a crashed node's backlog is flushed too.
-		cur, ok := n.nodes[to]
-		if !ok || cur != nd || nd.cap != cs || nd.crashed {
-			n.counters.Dropped++
-			if nd.cap == cs {
-				for _, lane := range [2]wire.Lane{wire.LaneBulk, wire.LaneHigh} {
-					for d := cs.depth(lane); d > 0; d-- {
-						cs.stats.Dropped[lane]++
-						n.counters.Dropped++
-					}
-					cs.lanes[lane] = cs.lanes[lane][:0]
-					cs.heads[lane] = 0
+	cs.serving = m
+	e := n.sched.pooled(cs.cfg.ServiceTime)
+	e.net, e.cs = n, cs
+}
+
+// served completes cs's service of the message it holds.
+func (n *Network) served(cs *capacity) {
+	m, nd := cs.serving, cs.nd
+	cs.serving = capMsg{}
+	cs.busy = false
+	// The world may have moved on mid-service: the node crashed, was
+	// replaced, or its capacity model was reinstalled. The serving message
+	// is lost; a crashed node's backlog is flushed too.
+	cur, ok := n.nodes[cs.id]
+	if !ok || cur != nd || nd.cap != cs || nd.crashed {
+		n.counters.Dropped++
+		if nd.cap == cs {
+			for _, lane := range [2]wire.Lane{wire.LaneBulk, wire.LaneHigh} {
+				for d := cs.depth(lane); d > 0; d-- {
+					cs.stats.Dropped[lane]++
+					n.counters.Dropped++
 				}
+				cs.lanes[lane] = cs.lanes[lane][:0]
+				cs.heads[lane] = 0
 			}
-			return
 		}
-		cs.stats.Served++
-		n.counters.Delivered++
-		nd.handler.HandleMessage(m.from, m.msg)
-		if cs.depth(wire.LaneBulk)+cs.depth(wire.LaneHigh) > 0 && !cs.busy {
-			n.capServe(nd, to)
-		}
-	})
+		return
+	}
+	cs.stats.Served++
+	n.counters.Delivered++
+	nd.handler.HandleMessage(m.from, m.msg)
+	if cs.depth(wire.LaneBulk)+cs.depth(wire.LaneHigh) > 0 && !cs.busy {
+		n.capServe(cs)
+	}
 }

@@ -113,6 +113,36 @@ func TestCapacityLaneBoundsAndConservation(t *testing.T) {
 	}
 }
 
+// TestCapacityServeAllocationBudget: a delivery to a capacity-modelled node
+// waits in its lane, is served by a pooled completion event and reaches the
+// handler without allocating. Budget: 0.
+func TestCapacityServeAllocationBudget(t *testing.T) {
+	sched := NewScheduler()
+	n := New(sched, Config{})
+	served := 0
+	n.Attach("a", HandlerFunc(func(wire.NodeID, wire.Message) {}))
+	n.Attach("b", HandlerFunc(func(wire.NodeID, wire.Message) { served++ }))
+	n.SetCapacity("b", Capacity{ServiceTime: time.Millisecond})
+	var msg wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 7}
+	// Two at a time, so the second waits for the first's service. Warm the
+	// event pool, the lanes and the heap's backing array first.
+	burst := func() {
+		n.Send("a", "b", msg)
+		n.Send("a", "b", msg)
+		sched.Run(0)
+	}
+	for i := 0; i < 32; i++ {
+		burst()
+	}
+	served = 0
+	if allocs := testing.AllocsPerRun(200, burst); allocs > 0 {
+		t.Errorf("capacity-served delivery allocates %.1f objects/op, budget is 0", allocs)
+	}
+	if served < 400 {
+		t.Errorf("served %d messages, want >= 400", served)
+	}
+}
+
 func TestCapacityCrashFlushesBacklog(t *testing.T) {
 	sched := NewScheduler()
 	net := New(sched, Config{Latency: Fixed{D: 0}})

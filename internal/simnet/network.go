@@ -387,7 +387,7 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 	if nd.cap != nil {
 		// Finite-capacity node: the message queues behind the server and
 		// counts as delivered only when its service completes.
-		n.capEnqueue(nd, to, from, msg)
+		n.capEnqueue(nd.cap, from, msg)
 		return
 	}
 	n.counters.Delivered++

@@ -17,30 +17,35 @@ import (
 	"wanac/internal/wire"
 )
 
-// event is a scheduled callback or message delivery. Cancellable events
-// double as their own Timer handle (one allocation instead of two); message
-// deliveries carry their payload in typed fields instead of a closure so
-// the scheduler can recycle them through a free list — the dominant event
-// volume in a simulation is deliveries, and pooling them makes Network.Send
-// allocation-free in steady state.
+// event is a scheduled callback, message delivery or service completion.
+// Callback events double as their own Timer handle (one allocation instead
+// of two) and can be re-armed, so a handle is allocated once for as many
+// firings as its owner wants. Deliveries and service completions carry their
+// payload in typed fields instead of a closure so the scheduler can recycle
+// them through a free list — they are the dominant event volume in a
+// simulation, and pooling them makes Network.Send and a capacity-modelled
+// node's service allocation-free in steady state.
 type event struct {
 	// at is when the event is due, in nanoseconds since vclock.Epoch. Every
 	// simulated instant is Epoch plus whole nanoseconds, no monotonic
 	// reading, so these integers order as the time.Time values would.
 	at  int64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
+	// pos is the event's heap index plus one, 0 while it is not queued.
+	pos int
 	fn  func()
 
-	// Delivery payload; set (net non-nil) for pooled network deliveries.
+	// Pooled payload, set (net non-nil) for a message delivery, or with cs
+	// set for the completion of cs's service of the message it holds.
 	net      *Network
 	from, to wire.NodeID
 	msg      wire.Message
+	cs       *capacity
 
-	// Timer state, used only by cancellable events returned from At/After.
-	sched       *Scheduler
-	cancellable bool
-	stopped     bool
-	fired       bool
+	// Timer state, used only by callback events returned from At/After.
+	sched   *Scheduler
+	stopped bool
+	fired   bool
 }
 
 // before is the scheduler's total order: due instant, then scheduling order.
@@ -48,18 +53,14 @@ func (e *event) before(o *event) bool {
 	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
-// eventHeap is a binary min-heap of events under before. seq is unique, so
-// the order events pop in is fully determined by what was pushed.
+// eventHeap is a binary min-heap of events under before, each event knowing
+// its own index. seq is unique, so the order events pop in is fully
+// determined by what was pushed.
 type eventHeap []*event
 
 func (h *eventHeap) push(e *event) {
-	q := append(*h, e)
-	*h = q
-	i := len(q) - 1
-	for p := (i - 1) / 2; i > 0 && e.before(q[p]); i, p = p, (p-1)/2 {
-		q[i] = q[p]
-	}
-	q[i] = e
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
 func (h *eventHeap) pop() *event {
@@ -68,10 +69,30 @@ func (h *eventHeap) pop() *event {
 	top := q[0]
 	q[0], q[n] = q[n], nil
 	*h = q[:n]
-	if n > 1 {
+	if n > 0 {
 		q[:n].down(0)
 	}
+	top.pos = 0
 	return top
+}
+
+func (h eventHeap) set(i int, e *event) {
+	h[i] = e
+	e.pos = i + 1
+}
+
+// up sifts the event at i towards the root while it precedes its parent.
+func (h eventHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
+			break
+		}
+		h.set(i, h[p])
+		i = p
+	}
+	h.set(i, e)
 }
 
 // down sifts the event at i towards the leaves until neither child precedes
@@ -89,15 +110,16 @@ func (h eventHeap) down(i int) {
 		if !h[c].before(e) {
 			break
 		}
-		h[i] = h[c]
+		h.set(i, h[c])
 		i = c
 	}
-	h[i] = e
+	h.set(i, e)
 }
 
 // Timer is a handle for a scheduled callback that can be cancelled before it
-// fires. Stop after firing is a no-op. A Timer is a view of its scheduler
-// event, so obtaining one costs no extra allocation.
+// fires and re-armed at any time. Stop after firing is a no-op. A Timer is a
+// view of its scheduler event, so obtaining one costs no extra allocation,
+// and re-arming costs none either.
 type Timer event
 
 // Stop cancels the timer. It reports whether the callback was prevented from
@@ -116,13 +138,38 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// Reset re-arms the timer to run its callback d from now, whatever its state
+// — pending, stopped, fired or discarded — and reports whether it was
+// pending, as (*time.Timer).Reset does. The firing takes its place in the
+// scheduling order at the call, exactly as After at the same point would, so
+// re-arming a handle fires in the order replacing it with a new one would.
+// A queued entry, live or dead, moves in place; anything else is queued
+// again.
+func (t *Timer) Reset(d time.Duration) bool {
+	e, s := (*event)(t), t.sched
+	pending := e.pos > 0 && !e.stopped
+	if e.pos > 0 && e.stopped {
+		s.stopped--
+	}
+	e.stopped, e.fired = false, false
+	s.seq++
+	e.at, e.seq = nanos(s.Now())+int64(max(d, 0)), s.seq
+	if e.pos > 0 {
+		s.queue.up(e.pos - 1)
+		s.queue.down(e.pos - 1)
+	} else {
+		s.queue.push(e)
+	}
+	return pending
+}
+
 // Stopped reports whether Stop was called before the timer fired.
 func (t *Timer) Stopped() bool { return t != nil && t.stopped }
 
 // Fired reports whether the callback has run.
 func (t *Timer) Fired() bool { return t != nil && t.fired }
 
-// maxFreeEvents bounds the delivery-event free list so a burst does not pin
+// maxFreeEvents bounds the pooled-event free list so a burst does not pin
 // memory forever.
 const maxFreeEvents = 1024
 
@@ -137,7 +184,7 @@ type Scheduler struct {
 	seq     uint64
 	steps   uint64
 	stopped int      // dead (cancelled, undrained) entries in queue
-	free    []*event // recycled non-cancellable delivery events
+	free    []*event // recycled delivery and service-completion events
 }
 
 // NewScheduler returns an empty scheduler starting at vclock.Epoch.
@@ -176,14 +223,14 @@ func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
 
 func (s *Scheduler) at(ns int64, fn func()) *Timer {
 	s.seq++
-	e := &event{at: ns, seq: s.seq, fn: fn, sched: s, cancellable: true}
+	e := &event{at: ns, seq: s.seq, fn: fn, sched: s}
 	s.queue.push(e)
 	return (*Timer)(e)
 }
 
-// scheduleDelivery enqueues a pooled, non-cancellable message delivery d
-// from now (the Network fast path: no closure, no Timer, reused event).
-func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.NodeID, msg wire.Message) {
+// pooled enqueues a recycled event d from now and returns it for the caller
+// to fill in its payload.
+func (s *Scheduler) pooled(d time.Duration) *event {
 	var e *event
 	if k := len(s.free); k > 0 {
 		e = s.free[k-1]
@@ -193,11 +240,19 @@ func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.
 		e = &event{}
 	}
 	s.seq++
-	*e = event{at: nanos(s.Now()) + int64(max(d, 0)), seq: s.seq, net: n, from: from, to: to, msg: msg}
+	e.at, e.seq = nanos(s.Now())+int64(max(d, 0)), s.seq
 	s.queue.push(e)
+	return e
 }
 
-// recycle returns a drained delivery event to the free list, dropping its
+// scheduleDelivery enqueues a pooled message delivery d from now (the
+// Network fast path: no closure, no Timer, reused event).
+func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.NodeID, msg wire.Message) {
+	e := s.pooled(d)
+	e.net, e.from, e.to, e.msg = n, from, to, msg
+}
+
+// recycle returns a drained pooled event to the free list, dropping its
 // payload references so messages do not outlive their delivery.
 func (s *Scheduler) recycle(e *event) {
 	*e = event{}
@@ -221,10 +276,12 @@ func (s *Scheduler) noteStopped() {
 func (s *Scheduler) compact() {
 	live := s.queue[:0]
 	for _, e := range s.queue {
-		if e.cancellable && e.stopped {
+		if e.stopped {
+			e.pos = 0
 			continue
 		}
 		live = append(live, e)
+		e.pos = len(live)
 	}
 	for i := len(live); i < len(s.queue); i++ {
 		s.queue[i] = nil
@@ -246,8 +303,9 @@ func (s *Scheduler) DiscardPending() {
 		s.queue[i] = nil
 		if e.net != nil {
 			s.recycle(e)
-		} else if e.cancellable {
+		} else {
 			e.stopped = true
+			e.pos = 0
 		}
 	}
 	s.queue = s.queue[:0]
@@ -258,7 +316,7 @@ func (s *Scheduler) DiscardPending() {
 // queued ahead of it, or nil when nothing live is queued.
 func (s *Scheduler) head() *event {
 	for len(s.queue) > 0 {
-		if e := s.queue[0]; !e.cancellable || !e.stopped {
+		if e := s.queue[0]; !e.stopped {
 			return e
 		}
 		s.queue.pop()
@@ -275,15 +333,17 @@ func (s *Scheduler) Step() bool {
 	}
 	e := s.queue.pop()
 	s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
-	if e.cancellable {
-		e.fired = true
-	}
 	s.steps++
 	if e.net != nil {
-		n, from, to, msg := e.net, e.from, e.to, e.msg
+		n, from, to, msg, cs := e.net, e.from, e.to, e.msg, e.cs
 		s.recycle(e)
-		n.deliver(from, to, msg)
+		if cs != nil {
+			n.served(cs)
+		} else {
+			n.deliver(from, to, msg)
+		}
 	} else {
+		e.fired = true
 		e.fn()
 	}
 	return true

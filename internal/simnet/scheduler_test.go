@@ -91,6 +91,54 @@ func TestTimerStopAfterFire(t *testing.T) {
 	}
 }
 
+// TestTimerReset re-arms one handle through each of its states, as
+// (*time.Timer).Reset would: it reports whether the timer was pending, and
+// the callback runs once per arming at the new instant.
+func TestTimerReset(t *testing.T) {
+	s := NewScheduler()
+	var at []time.Duration
+	tm := s.After(time.Second, func() { at = append(at, s.Now().Sub(vclock.Epoch)) })
+	if !tm.Reset(2 * time.Second) { // pending: moved in place
+		t.Error("Reset of a pending timer reported it idle")
+	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending() = %d after an in-place Reset, want 1", s.Pending())
+	}
+	s.Run(0)
+	if tm.Reset(time.Second) { // fired: queued again
+		t.Error("Reset of a fired timer reported it pending")
+	}
+	s.Run(0)
+	s.After(time.Hour, func() {}) // one live entry, so one dead one stays queued
+	tm.Reset(time.Second)
+	tm.Stop()
+	if tm.Reset(time.Second) { // stopped in the heap: revived in place
+		t.Error("Reset of a stopped timer reported it pending")
+	}
+	if s.Pending() != 2 || s.stopped != 0 {
+		t.Errorf("Pending() = %d, %d dead after reviving, want 2 and 0", s.Pending(), s.stopped)
+	}
+	s.RunFor(time.Second)
+	tm.Reset(time.Second)
+	s.DiscardPending()
+	if tm.Reset(time.Second) { // discarded: queued again
+		t.Error("Reset of a discarded timer reported it pending")
+	}
+	s.Run(0)
+	want := []time.Duration{2 * time.Second, 3 * time.Second, 4 * time.Second, 5 * time.Second}
+	if len(at) != len(want) {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("fired at %v, want %v", at, want)
+		}
+	}
+	if !tm.Fired() || tm.Stopped() {
+		t.Error("timer state inconsistent after its last firing")
+	}
+}
+
 func TestNilTimerStop(t *testing.T) {
 	var tm *Timer
 	if tm.Stop() || tm.Stopped() || tm.Fired() {
@@ -296,23 +344,35 @@ func TestDiscardPending(t *testing.T) {
 
 // TestSchedulerOrderProperty drives the scheduler with a seeded mix of At,
 // After, pooled deliveries, Stop (in bursts large enough to trigger
-// compact), DiscardPending, RunUntil, and callbacks that schedule further
-// events, and checks every firing against a reference that knows nothing
-// about heaps: the pending set kept as a flat list, whose next event is the
-// one with the smallest (at, scheduling order). The order of firings is what
-// every golden and oracle downstream depends on.
+// compact), Reset of timers in every state (pending, stopped in the heap,
+// compacted out, discarded, fired), DiscardPending, RunUntil, and callbacks
+// that schedule further events, and checks every firing against a reference
+// that knows nothing about heaps: the pending set kept as a flat list, whose
+// next event is the one with the smallest (at, scheduling order). The order
+// of firings is what every golden and oracle downstream depends on. After
+// every operation the heap's positions and its dead-entry count must match a
+// recount.
 func TestSchedulerOrderProperty(t *testing.T) {
 	type pending struct {
 		at time.Time
 		id uint64
 	}
+	// handle is a timer and the id its current arming fires as; Reset gives
+	// it a new one.
+	type handle struct {
+		t  *Timer
+		id uint64
+	}
+	// resets counts the re-armed timers by state: pending, stopped in the
+	// heap, stopped out of it (compacted or discarded), fired.
+	var resets [4]int
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewScheduler()
 		n := New(s, Config{})
 		var (
 			model  []pending // scheduled, not yet fired, stopped or discarded; ids ascend
-			timers = map[uint64]*Timer{}
+			timers []*handle // every timer made, in creation order
 			nextID uint64
 			fired  int
 		)
@@ -361,18 +421,22 @@ func TestSchedulerOrderProperty(t *testing.T) {
 			id := nextID
 			d := delay()
 			at := s.Now().Add(d)
+			h := &handle{id: id}
 			switch rng.Intn(3) {
 			case 0:
-				timers[id] = s.After(d, func() { fire(id, depth) })
+				h.t = s.After(d, func() { fire(h.id, depth) })
 			case 1:
 				// At clamps instants in the past to now.
 				when := at
 				if rng.Intn(4) == 0 {
 					when, at = s.Now().Add(-time.Second), s.Now()
 				}
-				timers[id] = s.At(when, func() { fire(id, depth) })
+				h.t = s.At(when, func() { fire(h.id, depth) })
 			default:
 				s.scheduleDelivery(d, n, "src", "dst", wire.Heartbeat{Nonce: id})
+			}
+			if h.t != nil {
+				timers = append(timers, h)
 			}
 			model = append(model, pending{at, id})
 		}
@@ -382,31 +446,67 @@ func TestSchedulerOrderProperty(t *testing.T) {
 				t.Fatalf("seed %d: Step = %v after %d events, %d were pending", seed, got, fired-before, len(model))
 			}
 		}
+		recount := func(op int) {
+			dead := 0
+			for i, e := range s.queue {
+				if e.pos != i+1 {
+					t.Fatalf("seed %d op %d: queue[%d] records position %d", seed, op, i, e.pos-1)
+				}
+				if e.stopped {
+					dead++
+				}
+			}
+			if dead != s.stopped {
+				t.Fatalf("seed %d op %d: %d dead entries queued, the scheduler counts %d", seed, op, dead, s.stopped)
+			}
+		}
 		for op := 0; op < 4000; op++ {
 			switch r := rng.Intn(100); {
-			case r < 45:
+			case r < 40:
 				schedule(0)
-			case r < 80:
+			case r < 72:
 				step()
+			case r < 82:
+				// Re-arm a timer in whatever state it is in: it reports
+				// whether it was pending and fires as a new event scheduled
+				// now.
+				if len(timers) == 0 {
+					break
+				}
+				h := timers[rng.Intn(len(timers))]
+				switch e := (*event)(h.t); {
+				case e.pos > 0 && !e.stopped:
+					resets[0]++
+				case e.pos > 0:
+					resets[1]++
+				case e.stopped:
+					resets[2]++
+				default:
+					resets[3]++
+				}
+				d := delay()
+				was := remove(h.id)
+				nextID++
+				h.id = nextID
+				if got := h.t.Reset(d); got != was {
+					t.Fatalf("seed %d: Reset = %v, the model had it pending = %v", seed, got, was)
+				}
+				model = append(model, pending{s.Now().Add(d), h.id})
 			case r < 90:
 				// A burst of cancellations: once more than half the queue is
 				// dead the scheduler compacts.
-				for id, tm := range timers {
-					if rng.Intn(4) != 0 {
-						if tm.Stop() != remove(id) {
-							t.Fatalf("seed %d: Stop(%d) disagrees with the model", seed, id)
-						}
-						delete(timers, id)
+				for _, h := range timers {
+					if rng.Intn(4) != 0 && h.t.Stop() != remove(h.id) {
+						t.Fatalf("seed %d: Stop(%d) disagrees with the model", seed, h.id)
 					}
 				}
 			case r < 92:
 				s.DiscardPending()
 				model = model[:0]
-				for id, tm := range timers {
-					if tm.Stop() {
-						t.Fatalf("seed %d: Stop(%d) succeeded after DiscardPending", seed, id)
+				for _, h := range timers {
+					if h.t.Stop() {
+						t.Fatalf("seed %d: Stop(%d) succeeded after DiscardPending", seed, h.id)
 					}
-					delete(timers, id)
 				}
 			default:
 				// RunUntil leaves nothing due by the bound and runs nothing
@@ -423,12 +523,18 @@ func TestSchedulerOrderProperty(t *testing.T) {
 					t.Fatalf("seed %d: RunUntil left the clock at %v, want %v", seed, s.Now(), bound)
 				}
 			}
+			recount(op)
 		}
 		for len(model) > 0 {
 			step()
 		}
 		if s.Step() || s.Pending() != 0 {
 			t.Fatalf("seed %d: %d events left after the model drained", seed, s.Pending())
+		}
+	}
+	for state, n := range resets {
+		if n == 0 {
+			t.Errorf("no timer in state %d was re-armed (counts %v)", state, resets)
 		}
 	}
 }
