@@ -145,6 +145,9 @@ type Runner struct {
 	// rounds, so managers can reconverge first.
 	probeDelay time.Duration
 
+	// free holds judged-check records whose decisions have landed.
+	free []*judged
+
 	start   time.Time
 	oracles oracles
 	out     Outcome
@@ -249,31 +252,59 @@ func markedFlightDump(w *sim.World, violations []Violation) *flight.Dump {
 
 func (r *Runner) now() time.Time { return r.W.Sched.Now() }
 
+// judged is one judged check awaiting its decision. Records are pooled, and
+// each binds its decided method once, so issuing a check allocates nothing.
+type judged struct {
+	r         *Runner
+	host      int
+	user      wire.UserID
+	start, at time.Time
+	then      func(core.Decision)
+	decided   func(core.Decision)
+}
+
 // Check issues one access check of user's use right at host and judges the
 // decision against the revocation bound. then, if not nil, runs after the
 // judgement with the decision.
 func (r *Runner) Check(host int, user wire.UserID, then func(core.Decision)) {
 	r.out.Checks++
-	start := r.now()
-	at := r.revokedAt[user] // zero if not revoked
-	r.W.Hosts[host].Check(r.W.Cfg.App, user, wire.RightUse, func(d core.Decision) {
-		r.out.Decisions++
-		switch {
-		case d.Allowed && d.DefaultAllowed:
-			r.out.DefaultAllowed++
-		case d.Allowed:
-			r.out.Allowed++
-		default:
-			r.out.Denied++
-		}
-		// Re-read at decision time: jurisdiction lapses if a re-grant (which
-		// deletes the entry) or a newer revocation landed meanwhile.
-		cur, still := r.revokedAt[user]
-		r.oracles.rev.judge(user, host, start, at, still && cur.Equal(at), d.Allowed, d.DefaultAllowed)
-		if then != nil {
-			then(d)
-		}
-	})
+	var j *judged
+	if n := len(r.free); n > 0 {
+		j = r.free[n-1]
+		r.free[n-1] = nil
+		r.free = r.free[:n-1]
+	} else {
+		j = &judged{r: r}
+		j.decided = j.decide
+	}
+	j.host, j.user, j.then = host, user, then
+	j.start = r.now()
+	j.at = r.revokedAt[user] // zero if not revoked
+	r.W.Hosts[host].Check(r.W.Cfg.App, user, wire.RightUse, j.decided)
+}
+
+// decide judges the decision. The record goes back to the free list before
+// then runs, so then may issue checks of its own.
+func (j *judged) decide(d core.Decision) {
+	r, host, user, start, at, then := j.r, j.host, j.user, j.start, j.at, j.then
+	j.user, j.then = "", nil
+	r.free = append(r.free, j)
+	r.out.Decisions++
+	switch {
+	case d.Allowed && d.DefaultAllowed:
+		r.out.DefaultAllowed++
+	case d.Allowed:
+		r.out.Allowed++
+	default:
+		r.out.Denied++
+	}
+	// Re-read at decision time: jurisdiction lapses if a re-grant (which
+	// deletes the entry) or a newer revocation landed meanwhile.
+	cur, still := r.revokedAt[user]
+	r.oracles.rev.judge(user, host, start, at, still && cur.Equal(at), d.Allowed, d.DefaultAllowed)
+	if then != nil {
+		then(d)
+	}
 }
 
 // Submit issues op on user's use right through manager mgr, keeping the

@@ -133,6 +133,11 @@ type runtime struct {
 
 	activeFaults int
 
+	// arrival is the load's one timer; redraw says its armed firing ends a
+	// maxGap wait rather than delivering an arrival.
+	arrival *simnet.Timer
+	redraw  bool
+
 	start time.Time
 	res   *Result
 	churn int
@@ -214,7 +219,8 @@ func (r *runtime) now() time.Time { return r.W.Sched.Now() }
 
 // nextArrival schedules the next load arrival at the curve's instantaneous
 // rate. Gaps longer than maxGap are split: wait maxGap, then redraw at the
-// then-current rate (exact for exponential gaps, and it tracks ramps).
+// then-current rate (exact for exponential gaps, and it tracks ramps). The
+// run has one arrival timer, re-armed for every draw.
 func (r *runtime) nextArrival() {
 	elapsed := r.now().Sub(r.start)
 	if elapsed >= r.sc.Duration {
@@ -225,16 +231,24 @@ func (r *runtime) nextArrival() {
 		rate = minRate
 	}
 	gap := time.Duration(r.rng.ExpFloat64() / rate * float64(time.Second))
-	if gap > maxGap {
-		r.W.Sched.After(maxGap, func() { r.nextArrival() })
-		return
+	r.redraw = gap > maxGap
+	if r.redraw {
+		gap = maxGap
 	}
-	r.W.Sched.After(gap, func() {
-		if r.now().Sub(r.start) < r.sc.Duration {
-			r.Check(r.rng.Intn(len(r.W.Hosts)), r.smp.draw(), nil)
-		}
-		r.nextArrival()
-	})
+	if r.arrival == nil {
+		r.arrival = r.W.Sched.After(gap, r.arrive)
+	} else {
+		r.arrival.Reset(gap)
+	}
+}
+
+// arrive is every firing of the arrival timer: a check, unless the firing
+// only ends a maxGap wait, then the next draw.
+func (r *runtime) arrive() {
+	if !r.redraw && r.now().Sub(r.start) < r.sc.Duration {
+		r.Check(r.rng.Intn(len(r.W.Hosts)), r.smp.draw(), nil)
+	}
+	r.nextArrival()
 }
 
 // churnOnce revokes the next authorized user in rotation, measures how long
