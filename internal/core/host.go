@@ -103,7 +103,8 @@ func (h *Host) publish(edit func(*hostView)) {
 func (h *Host) tel() *HostTelemetry { return h.view.Load().tel }
 
 // noteKey is a trace note that is a word and one or two small numbers:
-// "round=a managers=b", or "confirmations=a" with b = -1.
+// "round=a managers=b", "confirmations=a" with b = -1, or "round=a" with
+// b = -2.
 type noteKey struct{ a, b int }
 
 // memo returns m[k], formatting it on a miss and keeping it while m is
@@ -538,7 +539,7 @@ type resetter interface {
 }
 
 // arm schedules the check's one callback after d: by Reset when its handle
-// has it, otherwise by SetTimer, which the simulator's handles need.
+// has it, otherwise by SetTimer.
 func (h *Host) arm(c *check, d time.Duration) {
 	h.disarm(c)
 	if r, ok := c.timer.(resetter); ok {
@@ -678,7 +679,9 @@ func (h *Host) onQueryTimeout(c *check) {
 		}
 	}
 	if h.tracing {
-		h.emitT(trace.EventQueryTimeout, c.key.app, c.key.user, c.trace, "round="+strconv.Itoa(c.attempts))
+		h.emitT(trace.EventQueryTimeout, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, -2}, func() string {
+			return "round=" + strconv.Itoa(c.attempts)
+		}))
 	}
 	h.retryOrGiveUp(a, c)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"wanac/internal/wire"
@@ -150,7 +151,7 @@ func (s *sampler) draw() wire.UserID {
 
 // userID names the user at a popularity rank; the top Population.Authorized
 // ranks are the seeded (granted) users.
-func userID(rank int) wire.UserID { return wire.UserID(fmt.Sprintf("u%d", rank)) }
+func userID(rank int) wire.UserID { return wire.UserID("u" + strconv.Itoa(rank)) }
 
 // AuthorizedUsers materializes the seeded user list.
 func (p Population) AuthorizedUsers() []wire.UserID {
