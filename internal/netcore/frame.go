@@ -46,13 +46,14 @@ func DecodeFrame(data []byte) (wire.NodeID, wire.Message, error) {
 }
 
 // FrameDecoder parses the payloads arriving on one connection or socket. It
-// remembers what a steady stream repeats — the sender id of the last
-// payload, the application ids the messages name — and returns those
-// strings again instead of allocating them per payload. Decoded messages
-// never alias data, so callers may reuse the buffer at once. The zero value
-// is ready; not safe for concurrent use.
+// remembers what a steady stream repeats — the last few sender ids (one UDP
+// socket hears every peer), the application ids the messages name — and
+// returns those strings again instead of allocating them per payload.
+// Decoded messages never alias data, so callers may reuse the buffer at
+// once. The zero value is ready; not safe for concurrent use.
 type FrameDecoder struct {
-	from wire.NodeID
+	from [4]wire.NodeID
+	next uint8
 	msgs wire.Decoder
 }
 
@@ -62,14 +63,26 @@ func (d *FrameDecoder) Decode(data []byte) (wire.NodeID, wire.Message, error) {
 	if n <= 0 || idLen > uint64(len(data)-n) {
 		return "", nil, errors.New("netcore: bad sender id")
 	}
-	if id := data[n : n+int(idLen)]; string(id) != string(d.from) {
-		d.from = wire.NodeID(id)
-	}
+	from := d.sender(data[n : n+int(idLen)])
 	msg, err := d.msgs.Unmarshal(data[n+int(idLen):])
 	if err != nil {
 		return "", nil, err
 	}
-	return d.from, msg, nil
+	return from, msg, nil
+}
+
+// sender returns the sender id b spells, from the remembered ids when one
+// matches; a new id replaces the oldest.
+func (d *FrameDecoder) sender(b []byte) wire.NodeID {
+	for _, id := range d.from {
+		if string(b) == string(id) {
+			return id
+		}
+	}
+	id := wire.NodeID(b)
+	d.from[d.next%uint8(len(d.from))] = id
+	d.next++
+	return id
 }
 
 // EncodeStreamFrame builds a length-prefixed stream frame. It fails if the

@@ -119,6 +119,36 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameDecoderAlternatingSenders: one UDP socket hears every peer, so the
+// decoder's sender memo must survive senders taking turns. Frames from three
+// alternating senders allocate no more than frames from one.
+func TestFrameDecoderAlternatingSenders(t *testing.T) {
+	msg := wire.Response{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Granted: true}
+	ids := []wire.NodeID{"m0", "m1", "m2"}
+	var frames [][]byte
+	for _, id := range ids {
+		f, err := EncodeFrame(id, msg, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, f)
+	}
+	decode := func(n int) float64 {
+		var d FrameDecoder
+		i := 0
+		return testing.AllocsPerRun(300, func() {
+			from, _, err := d.Decode(frames[i%n])
+			if err != nil || from != ids[i%n] {
+				t.Fatalf("frame %d: from %q, err %v", i, from, err)
+			}
+			i++
+		})
+	}
+	if one, three := decode(1), decode(3); three > one {
+		t.Errorf("three alternating senders allocate %.1f objects/frame, one sender %.1f", three, one)
+	}
+}
+
 func TestFrameRejectsBadSizes(t *testing.T) {
 	if _, _, err := ReadStreamFrame(bytes.NewReader([]byte{0, 0, 0, 0}), DefaultMaxFrame); err == nil {
 		t.Error("zero-size frame accepted")
