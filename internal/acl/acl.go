@@ -5,9 +5,10 @@
 package acl
 
 import (
+	"cmp"
+	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -63,18 +64,58 @@ func (s RightSet) Rights() []wire.Right {
 type Store struct {
 	mu   sync.Mutex
 	apps map[wire.AppID]map[wire.UserID]userRec
-	// slab holds the users' vouch lists; free lists the slots of deleted
-	// users. Keeping the lists out of the map value keeps seeding a large
-	// user table as cheap as a map of bare RightSets.
-	slab [][]Vouch
-	free []int32
+	// pool holds every user's vouch list as linked nodes; pool[0] is the nil
+	// link, and free heads the list of released nodes. Keeping the lists out
+	// of the map value keeps seeding a large user table as cheap as a map of
+	// bare RightSets.
+	pool  []vnode
+	free  int32
+	epoch epoch
 }
 
-// userRec is the user table's value: the rights held, and the 1-based slab
-// slot of the user's vouch list (0: nothing vouched yet).
+// userRec is the user table's value: the rights held, and the pool index of
+// the first node of the user's vouch list (0: nothing vouched).
 type userRec struct {
 	rights RightSet
-	slot   int32
+	head   int32
+}
+
+// vnode is one Vouch in the pool: its deadline as an offset from the store's
+// epoch, and the pool index of the user's next vouch (0: the last).
+type vnode struct {
+	host  wire.NodeID
+	until int64
+	next  int32
+	right wire.Right
+}
+
+// epoch turns deadlines into offsets from the first non-zero one it sees,
+// so a table stores 8 bytes where a time.Time takes 24. never stands for
+// the zero ("no expiry") deadline and orders after every other offset.
+type epoch struct{ t time.Time }
+
+const never = math.MaxInt64
+
+func (e *epoch) offset(t time.Time) int64 {
+	if t.IsZero() {
+		return never
+	}
+	if e.t.IsZero() {
+		e.t = t
+	}
+	return min(int64(t.Sub(e.t)), never-1)
+}
+
+// since returns now as an offset: a deadline at offset d has passed at now
+// exactly when d <= e.since(now), and never has not.
+func (e *epoch) since(now time.Time) int64 { return min(int64(now.Sub(e.t)), never-1) }
+
+// time rebuilds the deadline an offset stands for.
+func (e *epoch) time(d int64) time.Time {
+	if d == never {
+		return time.Time{}
+	}
+	return e.t.Add(time.Duration(d))
 }
 
 // Vouch records that a manager told Host the user holds Right, in an answer
@@ -88,7 +129,7 @@ type Vouch struct {
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{apps: make(map[wire.AppID]map[wire.UserID]userRec)}
+	return &Store{apps: make(map[wire.AppID]map[wire.UserID]userRec), pool: make([]vnode, 1)}
 }
 
 // Grant adds right r on app for user. It reports whether the store changed.
@@ -136,26 +177,24 @@ func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouche
 		return nil, false
 	}
 	rec.rights = rec.rights.Without(r)
-	if rec.slot != 0 {
-		list := s.slab[rec.slot-1]
-		kept := list[:0]
-		for _, v := range list {
-			if v.Right == r {
-				vouched = append(vouched, v)
-			} else {
-				kept = append(kept, v)
-			}
+	// Unlink and free r's nodes. Only held rights have nodes, so a user
+	// left with no rights is left with no nodes.
+	for link := &rec.head; *link != 0; {
+		i := *link
+		n := &s.pool[i]
+		if n.right != r {
+			link = &n.next
+			continue
 		}
-		clear(list[len(kept):])
-		s.slab[rec.slot-1] = kept
-		sort.Slice(vouched, func(i, j int) bool { return vouched[i].Host < vouched[j].Host })
+		vouched = append(vouched, Vouch{Host: n.host, Deadline: s.epoch.time(n.until), Right: r})
+		*link = n.next
+		*n = vnode{next: s.free}
+		s.free = i
 	}
+	slices.SortFunc(vouched, func(a, b Vouch) int { return cmp.Compare(a.Host, b.Host) })
 	if !rec.rights.Empty() {
 		users[user] = rec
 		return vouched, true
-	}
-	if rec.slot != 0 {
-		s.free = append(s.free, rec.slot)
 	}
 	delete(users, user)
 	if len(users) == 0 {
@@ -177,31 +216,37 @@ func (s *Store) Vouch(app wire.AppID, user wire.UserID, r wire.Right, host wire.
 	if !rec.rights.Has(r) {
 		return false
 	}
-	if rec.slot == 0 {
-		if n := len(s.free); n > 0 {
-			rec.slot, s.free = s.free[n-1], s.free[:n-1]
-		} else {
-			s.slab = append(s.slab, nil)
-			rec.slot = int32(len(s.slab))
-		}
-		users[user] = rec
-	}
-	list := s.slab[rec.slot-1]
-	stale := -1
-	for i := range list {
-		switch v := &list[i]; {
-		case v.Right != r:
-		case v.Host == host:
-			v.Deadline = deadline
+	until := s.epoch.offset(deadline)
+	var stale, tail int32
+	for i := rec.head; i != 0; i = s.pool[i].next {
+		switch n := &s.pool[i]; {
+		case n.right != r:
+		case n.host == host:
+			n.until = until
 			return true
-		case stale < 0 && expired(v.Deadline, now):
+		case stale == 0 && n.until <= s.epoch.since(now):
 			stale = i
 		}
+		tail = i
 	}
-	if v := (Vouch{Host: host, Deadline: deadline, Right: r}); stale >= 0 {
-		list[stale] = v
+	if stale != 0 {
+		s.pool[stale].host, s.pool[stale].until = host, until
+		return true
+	}
+	// Append at the tail, so the list stays in vouching order.
+	i := s.free
+	if i != 0 {
+		s.free = s.pool[i].next
+		s.pool[i] = vnode{host: host, until: until, right: r}
 	} else {
-		s.slab[rec.slot-1] = append(list, v)
+		i = int32(len(s.pool))
+		s.pool = append(s.pool, vnode{host: host, until: until, right: r})
+	}
+	if tail != 0 {
+		s.pool[tail].next = i
+	} else {
+		rec.head = i
+		users[user] = rec
 	}
 	return true
 }
@@ -230,7 +275,7 @@ func (s *Store) Users(app wire.AppID, r wire.Right) []wire.UserID {
 			out = append(out, u)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -255,14 +300,8 @@ func (s *Store) Entries(app wire.AppID) []wire.ACLEntry {
 			appendApp(a, users)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
-		}
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		return out[i].Right < out[j].Right
+	slices.SortFunc(out, func(a, b wire.ACLEntry) int {
+		return cmp.Or(cmp.Compare(a.App, b.App), cmp.Compare(a.User, b.User), cmp.Compare(a.Right, b.Right))
 	})
 	return out
 }
@@ -273,7 +312,7 @@ func (s *Store) Replace(entries []wire.ACLEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.apps = make(map[wire.AppID]map[wire.UserID]userRec, len(entries))
-	s.slab, s.free = nil, nil
+	s.pool, s.free = make([]vnode, 1), 0
 	for _, e := range entries {
 		if e.Right.Valid() {
 			s.grantLocked(e.App, e.User, e.Right)
@@ -320,15 +359,12 @@ func expired(limit, now time.Time) bool {
 	return !limit.IsZero() && !now.Before(limit)
 }
 
-// cached is what the cache stores per user: the limit and the managers that
-// confirmed it, as bits of the application's granter table.
+// cached is what the cache stores per user: the limit as an offset from the
+// cache's epoch, and the managers that confirmed it, as bits of the
+// application's granter table.
 type cached struct {
-	limit    time.Time
+	limit    int64
 	granters uint64
-}
-
-func (k cacheKey) entry(v cached) Entry {
-	return Entry{App: k.app, User: k.user, Right: k.right, Limit: v.limit, Granters: bits.OnesCount64(v.granters)}
 }
 
 // maxGranters is how many distinct managers an application's entries can
@@ -380,6 +416,7 @@ type Cache struct {
 	// the earliest expiration is evicted — it is the least valuable, since
 	// it must be re-verified soonest anyway.
 	maxEntries int
+	epoch      epoch
 }
 
 // NewCache returns an empty cache.
@@ -449,8 +486,8 @@ func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.T
 	if !ok {
 		c.n++
 	}
-	if !ok || !v.limit.Equal(limit) {
-		v = cached{limit: limit}
+	if off := c.epoch.offset(limit); !ok || v.limit != off {
+		v = cached{limit: off}
 	}
 	v.granters |= mask
 	users[user] = v
@@ -467,7 +504,7 @@ func (c *Cache) evictLocked() {
 	}
 	for c.n > c.maxEntries {
 		var victim cacheKey
-		var victimLimit time.Time
+		var victimLimit int64
 		var victimTable map[wire.UserID]cached
 		c.each(func(k cacheKey, v cached, users map[wire.UserID]cached) {
 			if victimTable == nil || evictBefore(v.limit, k, victimLimit, victim) {
@@ -479,18 +516,11 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// evictBefore orders eviction candidates: earlier limit first (zero limit
-// last), then lexical key order for determinism.
-func evictBefore(a time.Time, ak cacheKey, b time.Time, bk cacheKey) bool {
-	switch {
-	case a.IsZero() && b.IsZero():
-		// fall through to key comparison
-	case a.IsZero():
-		return false
-	case b.IsZero():
-		return true
-	case !a.Equal(b):
-		return a.Before(b)
+// evictBefore orders eviction candidates: earlier limit first (never last),
+// then lexical key order for determinism.
+func evictBefore(a int64, ak cacheKey, b int64, bk cacheKey) bool {
+	if a != b {
+		return a < b
 	}
 	if ak.app != bk.app {
 		return ak.app < bk.app
@@ -541,12 +571,12 @@ func (c *Cache) LookupStatus(app wire.AppID, user wire.UserID, r wire.Right, now
 	if !ok {
 		return Entry{}, Miss
 	}
-	if expired(v.limit, now) {
+	if v.limit <= c.epoch.since(now) {
 		delete(users, user)
 		c.n--
 		return Entry{}, Expired
 	}
-	return cacheKey{app, user, r}.entry(v), Hit
+	return Entry{App: app, User: user, Right: r, Limit: c.epoch.time(v.limit), Granters: bits.OnesCount64(v.granters)}, Hit
 }
 
 // Granters returns how many distinct managers currently vouch for the entry.
@@ -611,9 +641,9 @@ func (c *Cache) RemoveUser(app wire.AppID, user wire.UserID) int {
 func (c *Cache) PurgeExpired(now time.Time) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
+	n, at := 0, c.epoch.since(now)
 	c.each(func(k cacheKey, v cached, users map[wire.UserID]cached) {
-		if expired(v.limit, now) {
+		if v.limit <= at {
 			delete(users, k.user)
 			n++
 		}
@@ -645,16 +675,10 @@ func (c *Cache) Snapshot() []Entry {
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, c.n)
 	c.each(func(k cacheKey, v cached, _ map[wire.UserID]cached) {
-		out = append(out, k.entry(v))
+		out = append(out, Entry{App: k.app, User: k.user, Right: k.right, Limit: c.epoch.time(v.limit), Granters: bits.OnesCount64(v.granters)})
 	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].App != out[j].App {
-			return out[i].App < out[j].App
-		}
-		if out[i].User != out[j].User {
-			return out[i].User < out[j].User
-		}
-		return out[i].Right < out[j].Right
+	slices.SortFunc(out, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.App, b.App), cmp.Compare(a.User, b.User), cmp.Compare(a.Right, b.Right))
 	})
 	return out
 }

@@ -519,7 +519,7 @@ func TestStoreVouchForgetsExpiredHosts(t *testing.T) {
 			t.Fatal("Vouch granted a right not held")
 		}
 	}
-	if n := len(s.slab[s.apps["app"]["u"].slot-1]); n > live+1 {
+	if n := s.vouches("app", "u"); n > live+1 {
 		t.Errorf("record holds %d vouches after 1000 hosts, want <= %d (the live set) + 1", n, live)
 	}
 	vouched, _ := s.Withdraw("app", "u", wire.RightUse)
@@ -546,10 +546,23 @@ func TestStoreVouchForgetsExpiredHosts(t *testing.T) {
 	if got, _ := s.Withdraw("app", "u", wire.RightManage); len(got) != 1 || got[0].Host != "admin-host" {
 		t.Errorf("Withdraw(manage) = %v, want the admin-host vouch", got)
 	}
-	// The user is gone; its slot serves the next user vouched for.
+	// The user is gone; its records serve the next user vouched for.
+	pooled := len(s.pool)
 	s.Grant("app", "w", wire.RightUse)
 	s.Vouch("app", "w", wire.RightUse, "h0", time.Time{}, now)
-	if len(s.slab) != 1 {
-		t.Errorf("slab has %d slots, want the freed one reused", len(s.slab))
+	if s.vouches("app", "u") != 0 || s.vouches("app", "w") != 1 || len(s.pool) != pooled {
+		t.Errorf("after reuse: %d and %d vouches, pool %d records (was %d); want 0, 1 and a freed record reused",
+			s.vouches("app", "u"), s.vouches("app", "w"), len(s.pool), pooled)
 	}
+}
+
+// vouches counts the records on user's vouch list, every right included.
+func (s *Store) vouches(app wire.AppID, user wire.UserID) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for i := s.apps[app][user].head; i != 0; i = s.pool[i].next {
+		n++
+	}
+	return n
 }

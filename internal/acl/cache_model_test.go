@@ -88,17 +88,23 @@ func (mc *modelCache) snapshot() []Entry {
 // granter sets, lookups as time advances, removals, purges, bound changes —
 // and requires the same answer from every operation and the same snapshot,
 // eviction victims and granter counts included, after every step. Each app
-// draws on six managers, so the 65-granter rule never fires here.
+// draws on six managers, so the 65-granter rule never fires here. The
+// clock is, by seed, the simulator's (UTC wall time), local wall time, or
+// time.Now() with its monotonic reading; a returned limit must be Equal to
+// the one Put, in the same Location, including limits before the first
+// non-zero one the cache saw.
 func TestCacheAgainstModel(t *testing.T) {
 	apps := []wire.AppID{"a", "b"}
 	users := []wire.UserID{"u0", "u1", "u2", "u3", "u4"}
 	rights := []wire.Right{wire.RightUse, wire.RightManage}
 	managers := []wire.NodeID{"m0", "m1", "m2", "m3", "m4", "m5"}
-	base := time.Unix(1000, 0)
+	beforeFirst := 0 // Puts of a limit earlier than the first non-zero one
 	for seed := int64(1); seed <= 100; seed++ {
+		base := []time.Time{time.Unix(1000, 0).UTC(), time.Unix(1000, 0), time.Now()}[seed%3]
 		rng := rand.New(rand.NewSource(seed))
 		c, mc := NewCache(), &modelCache{m: make(map[cacheKey]modelEntry)}
 		now := base
+		var first time.Time
 		pick := func() cacheKey {
 			return cacheKey{apps[rng.Intn(len(apps))], users[rng.Intn(len(users))], rights[rng.Intn(len(rights))]}
 		}
@@ -118,6 +124,13 @@ func TestCacheAgainstModel(t *testing.T) {
 					granters[i] = managers[rng.Intn(len(managers))]
 				}
 				op = fmt.Sprintf("Put(%v, %v, %v)", k, limit.Sub(base), granters)
+				switch {
+				case limit.IsZero():
+				case first.IsZero():
+					first = limit
+				case limit.Before(first):
+					beforeFirst++
+				}
 				c.Put(k.app, k.user, k.right, limit, granters...)
 				mc.put(k, limit, granters)
 			case n < 70:
@@ -132,7 +145,7 @@ func TestCacheAgainstModel(t *testing.T) {
 				} else if ok {
 					want, wst = Entry{App: k.app, User: k.user, Right: k.right, Limit: e.limit, Granters: len(e.granters)}, Hit
 				}
-				if got != want || st != wst {
+				if !sameEntry(got, want) || st != wst {
 					t.Fatalf("seed %d step %d: %s = %+v, %d; model %+v, %d", seed, step, op, got, st, want, wst)
 				}
 			case n < 80:
@@ -176,7 +189,7 @@ func TestCacheAgainstModel(t *testing.T) {
 				mc.evict()
 			}
 			want := mc.snapshot()
-			if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+			if got := c.Snapshot(); !slices.EqualFunc(got, want, sameEntry) {
 				t.Fatalf("seed %d step %d: after %s\n snapshot %+v\n    model %+v", seed, step, op, got, want)
 			}
 			if c.Len() != len(want) {
@@ -189,6 +202,17 @@ func TestCacheAgainstModel(t *testing.T) {
 			}
 		}
 	}
+	if beforeFirst == 0 {
+		t.Error("no Put had a limit before the first non-zero one")
+	}
+}
+
+// sameEntry compares entries field by field and limits with Equal and by
+// Location: a limit the cache hands back need not share the encoding of the
+// one Put, only its instant and its Location.
+func sameEntry(a, b Entry) bool {
+	return a.App == b.App && a.User == b.User && a.Right == b.Right && a.Granters == b.Granters &&
+		a.Limit.Equal(b.Limit) && a.Limit.Location() == b.Limit.Location()
 }
 
 // TestCacheSixtyFifthGranterEmptiesApp: an application's entries name at
