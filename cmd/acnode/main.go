@@ -100,9 +100,9 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, "flight ring capacity: protocol-history records kept per node (168 B each, allocated as records arrive, not up front); a cached check writes none (its record is the audit record), a cold one a few; render with acaudit -timeline")
+	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, fmt.Sprintf("flight ring capacity: protocol-history records kept per node (%d B each, allocated as records arrive, not up front); a cached check writes none (its record is the audit record), a cold one a few; render with acaudit -timeline", flight.SlotBytes))
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
-	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, "audit ring capacity: decision-provenance records kept per node (272 B each, allocated as records arrive, not up front)")
+	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, fmt.Sprintf("audit ring capacity: decision-provenance records kept per node (%d B each, allocated as records arrive, not up front)", audit.SlotBytes))
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
 	flag.StringVar(&cfg.logLevel, "log.level", "info", "log level: debug | info | warn | error")
 	flag.StringVar(&cfg.logFormat, "log.format", "text", "log format: text | json")
@@ -117,10 +117,11 @@ func main() {
 	}
 }
 
-// defaultFlightRing holds the last 4096 protocol events at under a MB. A
-// cached check adds none, so however many hits a host serves the ring keeps
-// its last ~1000 cold checks, revocations and transport changes; on a
-// manager applying a few updates a minute it is hours.
+// defaultFlightRing holds the last 4096 protocol events, flight.SlotBytes
+// each beside the strings they share with the node. A cached check adds
+// none, so however many hits a host serves the ring keeps its last ~1000
+// cold checks, revocations and transport changes; on a manager applying a
+// few updates a minute it is hours.
 const defaultFlightRing = 4096
 
 // defaultAuditRing holds the provenance of the last 4096 access decisions

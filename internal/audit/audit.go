@@ -19,8 +19,10 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"sync"
 	"time"
+	"unsafe"
 
 	"wanac/internal/ring"
 )
@@ -252,10 +254,33 @@ type Recorder struct {
 	sink Sink
 
 	mu        sync.Mutex
-	ring      ring.Ring[Record]
-	decisions uint64 // accepted records with Kind == KindDecision
-	responses uint64 // accepted records with Kind == KindResponse
+	ring      ring.Ring[slot]
+	epoch     ring.Epoch // T and Expiry offsets count from the first stamped T
+	decisions uint64     // accepted records with Kind == KindDecision
+	responses uint64     // accepted records with Kind == KindResponse
 }
+
+// slot is a Record as the ring keeps it. Node is the recorder's and Seq the
+// ring position's; the times are epoch offsets (ring.Never: a zero Expiry),
+// and the counts are narrowed, saturating rather than wrapping, so a count
+// out of its domain stays out of it.
+type slot struct {
+	t, expiry                                              int64
+	trace, counter                                         uint64
+	expire                                                 time.Duration
+	app, user, right, managers, peer, origin               string
+	attempts, backoffs                                     int32
+	kind                                                   Kind
+	reason                                                 Reason
+	allowed, frozen                                        bool
+	set, queried, quorum, confirmations, denials, granters uint8
+}
+
+// SlotBytes is what one retained record costs the ring, its strings aside.
+const SlotBytes = int(unsafe.Sizeof(slot{}))
+
+func sat8(n int) uint8  { return uint8(min(max(n, 0), math.MaxUint8)) }
+func sat32(n int) int32 { return int32(min(max(n, math.MinInt32), math.MaxInt32)) }
 
 // NewRecorder creates a ring holding the last size records for node (at
 // least one). now stamps records missing a time; nil falls back to time.Now.
@@ -263,7 +288,7 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, ring: ring.New[Record](size)}
+	return &Recorder{node: node, now: now, ring: ring.New[slot](size)}
 }
 
 // SetSink installs a sink receiving every accepted record (nil disables).
@@ -283,8 +308,14 @@ func (r *Recorder) Node() string { return r.node }
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
 	s := r.ring.Slot()
-	*s = rec
-	r.commit(s)
+	s.kind, s.trace = rec.Kind, rec.Trace
+	s.app, s.user, s.right = rec.App, rec.User, rec.Right
+	s.reason, s.allowed, s.set = rec.Reason, rec.Allowed, rec.Set
+	s.attempts, s.queried, s.quorum = sat32(rec.Attempts), sat8(rec.Queried), sat8(rec.Quorum)
+	s.confirmations, s.denials, s.granters = sat8(rec.Confirmations), sat8(rec.Denials), sat8(rec.Granters)
+	s.managers, s.expire, s.backoffs, s.frozen = rec.Managers, rec.Expire, sat32(rec.Backoffs), rec.Frozen
+	s.peer, s.origin, s.counter = rec.Peer, rec.Origin, rec.Counter
+	r.commit(s, rec.T, rec.Expiry)
 	r.mu.Unlock()
 }
 
@@ -295,36 +326,42 @@ func (r *Recorder) Record(rec Record) {
 func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right string, granters int, expiry time.Time) {
 	r.mu.Lock()
 	s := r.ring.Slot()
-	*s = Record{}
-	s.T = t
-	s.Kind = KindDecision
-	s.Trace = trace
-	s.App, s.User, s.Right = app, user, right
-	s.Reason, s.Allowed = ReasonCacheHit, true
-	s.Granters = granters
-	s.Expiry = expiry
-	r.commit(s)
+	*s = slot{}
+	s.kind, s.trace = KindDecision, trace
+	s.app, s.user, s.right = app, user, right
+	s.reason, s.allowed, s.granters = ReasonCacheHit, true, sat8(granters)
+	r.commit(s, t, expiry)
 	r.mu.Unlock()
 }
 
-// commit stamps the record built in s, accepts it, counts its kind, and
-// feeds the sink. Must be called with r.mu held.
-func (r *Recorder) commit(s *Record) {
-	if s.T.IsZero() {
-		s.T = r.now()
+// commit stamps the record built in s with its times — t, or the clock if t
+// is zero, then expiry — accepts it, counts its kind, and feeds the sink.
+// Must be called with r.mu held.
+func (r *Recorder) commit(s *slot, t, expiry time.Time) {
+	if t.IsZero() {
+		t = r.now()
 	}
-	s.Node = r.node
-	s.Seq = r.ring.Next()
+	s.t, s.expiry = r.epoch.Offset(t), r.epoch.Offset(expiry)
+	seq := r.ring.Next()
 	r.ring.Commit()
-	switch s.Kind {
+	switch s.kind {
 	case KindDecision:
 		r.decisions++
 	case KindResponse:
 		r.responses++
 	}
 	if r.sink != nil {
-		r.sink.RecordAudit(*s)
+		r.sink.RecordAudit(r.unpack(seq, s))
 	}
+}
+
+// unpack rebuilds record seq from its slot s. Must be called with r.mu held.
+func (r *Recorder) unpack(seq uint64, s *slot) Record {
+	return Record{Seq: seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Trace: s.trace, App: s.app, User: s.user,
+		Right: s.right, Reason: s.reason, Allowed: s.allowed, Set: s.set, Attempts: int(s.attempts), Queried: int(s.queried),
+		Quorum: int(s.quorum), Confirmations: int(s.confirmations), Denials: int(s.denials), Granters: int(s.granters),
+		Managers: s.managers, Expire: s.expire, Expiry: r.epoch.Time(s.expiry), Backoffs: int(s.backoffs), Frozen: s.frozen,
+		Peer: s.peer, Origin: s.origin, Counter: s.counter}
 }
 
 // Total returns how many records were ever accepted (retained or not).
@@ -348,26 +385,22 @@ func (r *Recorder) Dropped() uint64 {
 	return r.ring.Next() - r.ring.Retained()
 }
 
-// All iterates over the retained records, oldest first, where they lie: no
-// copy of the ring is made, so a pass over a finished run costs no memory.
-// The records are the ring's own slots — read them, do not write them — and
-// a pointer stays good until the next record is accepted. All holds the
-// recorder's lock while the loop runs: the body must not call back into the
-// recorder.
+// All iterates over the retained records, oldest first, unpacking each
+// from its slot into one Record: no copy of the ring is made, so a pass over
+// a finished run costs no memory, and a yielded pointer is good only until
+// the next iteration. All holds the recorder's lock while the loop runs: the
+// body must not call back into the recorder.
 func (r *Recorder) All() iter.Seq[*Record] {
 	return func(yield func(*Record) bool) {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		r.ring.All(yield)
+		var rec Record
+		r.ring.All(func(seq uint64, s *slot) bool { rec = r.unpack(seq, s); return yield(&rec) })
 	}
 }
 
 // Snapshot returns a copy of the retained records, oldest first.
-func (r *Recorder) Snapshot() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Snapshot()
-}
+func (r *Recorder) Snapshot() []Record { return r.Dump().Records }
 
 // Writer is a Sink streaming each record as one JSON line (the
 // `acnode -audit.jsonl` stream). Encode errors are counted, not raised:

@@ -34,7 +34,7 @@ var format = ring.Format[Header, Record]{
 // a live node Total minus Dropped is exactly the number of records listed.
 func (r *Recorder) Dump() *Dump {
 	r.mu.Lock()
-	recs := r.ring.Snapshot()
+	recs := ring.Collect(&r.ring, r.unpack)
 	total, decisions, responses := r.ring.Next(), r.decisions, r.responses
 	r.mu.Unlock()
 	return &Dump{

@@ -33,7 +33,7 @@ var format = ring.Format[Header, Record]{
 // counts exactly the accepted records the dump does not list.
 func (r *Recorder) Dump() *Dump {
 	r.mu.Lock()
-	recs, total := r.ring.Snapshot(), r.ring.Next()
+	recs, total := ring.Collect(&r.ring, r.unpack), r.ring.Next()
 	r.mu.Unlock()
 	return &Dump{
 		Header:  Header{Flight: ring.DumpVersion, Nodes: []string{r.node}, Dropped: total - uint64(len(recs))},

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync"
 	"time"
+	"unsafe"
 
 	"wanac/internal/ring"
 	"wanac/internal/trace"
@@ -124,9 +125,22 @@ type Recorder struct {
 	node string
 	now  func() time.Time
 
-	mu   sync.Mutex
-	ring ring.Ring[Record]
+	mu    sync.Mutex
+	ring  ring.Ring[slot]
+	epoch ring.Epoch // T offsets count from the first stamped T
 }
+
+// slot is a Record as the ring keeps it: Node is the recorder's, Seq the
+// ring position's, and T an epoch offset.
+type slot struct {
+	t                                  int64
+	trace, counter                     uint64
+	typ, app, user, origin, peer, note string
+	kind                               Kind
+}
+
+// SlotBytes is what one retained record costs the ring, its strings aside.
+const SlotBytes = int(unsafe.Sizeof(slot{}))
 
 // NewRecorder returns a recorder for the named node holding the last size
 // records (at least one). now supplies the node's local clock — in
@@ -136,20 +150,25 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, ring: ring.New[Record](size)}
+	return &Recorder{node: node, now: now, ring: ring.New[slot](size)}
 }
 
-// commit stamps the record built in s — Seq, Node, and the local clock if T
-// is zero — and accepts it. Stamping under the lock keeps Seq order and
+// commit stamps the record built in s with t, or the local clock if t is
+// zero, and accepts it. Stamping under the lock keeps Seq order and
 // timestamp order in agreement for records the recorder stamps itself. Must
 // be called with r.mu held.
-func (r *Recorder) commit(s *Record) {
-	if s.T.IsZero() {
-		s.T = r.now()
+func (r *Recorder) commit(s *slot, t time.Time) {
+	if t.IsZero() {
+		t = r.now()
 	}
-	s.Node = r.node
-	s.Seq = r.ring.Next()
+	s.t = r.epoch.Offset(t)
 	r.ring.Commit()
+}
+
+// unpack rebuilds record seq from its slot s. Must be called with r.mu held.
+func (r *Recorder) unpack(seq uint64, s *slot) Record {
+	return Record{Seq: seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: s.typ, Trace: s.trace,
+		App: s.app, User: s.user, Origin: s.origin, Counter: s.counter, Peer: s.peer, Note: s.note}
 }
 
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
@@ -158,15 +177,16 @@ func (r *Recorder) commit(s *Record) {
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
 	s := r.ring.Slot()
-	*s = rec
-	r.commit(s)
+	s.kind, s.typ, s.trace = rec.Kind, rec.Type, rec.Trace
+	s.app, s.user, s.origin, s.counter = rec.App, rec.User, rec.Origin, rec.Counter
+	s.peer, s.note = rec.Peer, rec.Note
+	r.commit(s, rec.T)
 	r.mu.Unlock()
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
 // (manager update-quorum, host quorum allow) under KindQuorum. The record
-// is built in its ring slot: a Record is large enough that constructing one
-// and copying it in shows.
+// is built in its ring slot.
 func (r *Recorder) RecordEvent(e trace.Event) {
 	kind := KindProtocol
 	if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
@@ -174,17 +194,10 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 	}
 	r.mu.Lock()
 	s := r.ring.Slot()
-	*s = Record{}
-	s.T = e.Time
-	s.Kind = kind
-	s.Type = e.Type.String()
-	s.Trace = e.Trace
-	s.App = string(e.App)
-	s.User = string(e.User)
-	s.Origin = string(e.Seq.Origin)
-	s.Counter = e.Seq.Counter
-	s.Note = e.Note
-	r.commit(s)
+	s.kind, s.typ, s.trace = kind, e.Type.String(), e.Trace
+	s.app, s.user, s.origin, s.counter = string(e.App), string(e.User), string(e.Seq.Origin), e.Seq.Counter
+	s.peer, s.note = "", e.Note
+	r.commit(s, e.Time)
 	r.mu.Unlock()
 }
 
@@ -196,11 +209,7 @@ func (r *Recorder) Total() uint64 {
 }
 
 // Snapshot returns the retained records, oldest first.
-func (r *Recorder) Snapshot() []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.ring.Snapshot()
-}
+func (r *Recorder) Snapshot() []Record { return r.Dump().Records }
 
 // teeTracer is Tee's tracer; a nil next ends the chain (no call, no event
 // copy).

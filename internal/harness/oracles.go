@@ -336,7 +336,6 @@ func (o *auditOracle) analyze(events iter.Seq[*trace.Event], rings []*audit.Reco
 			byNode[node] = append(byNode[node], e)
 		}
 	}
-	var recs []*audit.Record // one node's retained decision records
 	for _, ring := range rings {
 		node := ring.Node()
 		evs := byNode[node]
@@ -352,15 +351,20 @@ func (o *auditOracle) analyze(events iter.Seq[*trace.Event], rings []*audit.Reco
 				node, len(evs), decisions)
 			continue
 		}
-		recs = recs[:0]
+		// Retained records are the newest suffix of the decision history:
+		// count them, then judge each against its event.
+		kept := 0
 		for r := range ring.All() {
 			if r.Kind == audit.KindDecision {
-				recs = append(recs, r)
+				kept++
 			}
 		}
-		// Retained records are the newest suffix of the decision history.
-		for i, e := range evs[len(evs)-len(recs):] {
-			o.judgeRecord(recs[i], e)
+		evs = evs[len(evs)-kept:]
+		for r := range ring.All() {
+			if r.Kind == audit.KindDecision {
+				o.judgeRecord(r, evs[0])
+				evs = evs[1:]
+			}
 		}
 	}
 	for node, evs := range byNode {

@@ -1,8 +1,10 @@
 package netcore
 
 import (
+	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -56,21 +58,17 @@ func TestFlushCoalescesIntoBatchFrame(t *testing.T) {
 	fs.mu.Lock()
 	raw := fs.frames[0]
 	fs.mu.Unlock()
-	from, msg, err := DecodeFrame(raw)
+	from, msgs, err := new(FrameDecoder).Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != "src" {
 		t.Errorf("frame sender = %q, want src", from)
 	}
-	b, ok := msg.(wire.Batch)
-	if !ok {
-		t.Fatalf("coalesced frame decoded to %T, want wire.Batch", msg)
+	if len(msgs) != 3 {
+		t.Fatalf("coalesced frame carries %d messages, want 3", len(msgs))
 	}
-	if len(b.Msgs) != 3 {
-		t.Fatalf("batch carries %d messages, want 3", len(b.Msgs))
-	}
-	for i, m := range b.Msgs {
+	for i, m := range msgs {
 		if q, ok := m.(wire.Query); !ok || q.Nonce != uint64(i+1) {
 			t.Errorf("batch[%d] = %#v, want Query nonce %d (order preserved)", i, m, i+1)
 		}
@@ -117,13 +115,13 @@ func TestFlushSplitsAtFrameLimit(t *testing.T) {
 	fs.mu.Lock()
 	frames := fs.frames
 	fs.mu.Unlock()
+	plain, err := EncodeFrame("src", msg, cfg.Framing.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, raw := range frames {
-		_, got, err := DecodeFrame(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := got.(wire.Invoke); !ok {
-			t.Errorf("frame %d decoded to %T, want plain Invoke (no batch wrapper)", i, got)
+		if !bytes.Equal(raw, plain) {
+			t.Errorf("frame %d = %x, want the plain Invoke frame %x (no batch wrapper)", i, raw, plain)
 		}
 	}
 	if got := ctr.BatchesOut.Load(); got != 1 {
@@ -487,37 +485,61 @@ func TestSplitDatagram(t *testing.T) {
 	}
 }
 
-// recordingHandler captures Deliver dispatches.
-type recordingHandler struct {
-	from []wire.NodeID
-	msgs []wire.Message
+// TestDecodeUnwrapsBatch: transports hand handlers only protocol messages,
+// in send order, whether or not the sender coalesced them: a frame decodes
+// to the messages it carries, one for a plain frame.
+func TestDecodeUnwrapsBatch(t *testing.T) {
+	var d FrameDecoder
+	for _, c := range []struct {
+		from wire.NodeID
+		msg  wire.Message
+		want []wire.Message
+	}{
+		{"a", wire.Heartbeat{Nonce: 1}, []wire.Message{wire.Heartbeat{Nonce: 1}}},
+		{"b", wire.Batch{Msgs: []wire.Message{wire.Query{Nonce: 2}, wire.Heartbeat{Nonce: 3}}},
+			[]wire.Message{wire.Query{Nonce: 2}, wire.Heartbeat{Nonce: 3}}},
+		{"c", wire.Batch{}, nil},
+	} {
+		raw, err := EncodeFrame(c.from, c.msg, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, msgs, err := d.Decode(raw)
+		if err != nil || from != c.from || len(msgs) != len(c.want) || len(msgs) > 0 && !reflect.DeepEqual(msgs, c.want) {
+			t.Errorf("%v from %s decoded to %v from %s (%v)", c.msg, c.from, msgs, from, err)
+		}
+	}
 }
 
-func (h *recordingHandler) HandleMessage(from wire.NodeID, msg wire.Message) {
-	h.from = append(h.from, from)
-	h.msgs = append(h.msgs, msg)
-}
-
-// TestDeliverUnwrapsBatch: handlers only ever see protocol messages, in send
-// order, whether or not the transport coalesced them.
-func TestDeliverUnwrapsBatch(t *testing.T) {
-	h := &recordingHandler{}
-	Deliver(h, "a", wire.Heartbeat{Nonce: 1})
-	Deliver(h, "b", wire.Batch{Msgs: []wire.Message{
-		wire.Query{Nonce: 2},
-		wire.Heartbeat{Nonce: 3},
-	}})
-	if len(h.msgs) != 3 {
-		t.Fatalf("dispatched %d messages, want 3", len(h.msgs))
+// TestDecodedMessagesOutliveTheirSlice: the decoder reuses its slice for the
+// next frame, but a message already handed out is the handler's: decoding
+// frame 2 into the same slice leaves frame 1's messages as they were.
+func TestDecodedMessagesOutliveTheirSlice(t *testing.T) {
+	first := []wire.Message{
+		wire.Query{App: "app", User: "alice", Right: wire.RightUse, Nonce: 1},
+		wire.Invoke{App: "app", User: "alice", ReqID: 1, Payload: []byte("first")},
 	}
-	if hb, ok := h.msgs[0].(wire.Heartbeat); !ok || hb.Nonce != 1 || h.from[0] != "a" {
-		t.Errorf("dispatch 0 = %v from %s", h.msgs[0], h.from[0])
+	second := []wire.Message{
+		wire.Query{App: "other", User: "bob", Right: wire.RightManage, Nonce: 2},
+		wire.Invoke{App: "other", User: "bob", ReqID: 2, Payload: []byte("frame 2")},
 	}
-	if q, ok := h.msgs[1].(wire.Query); !ok || q.Nonce != 2 || h.from[1] != "b" {
-		t.Errorf("dispatch 1 = %v from %s", h.msgs[1], h.from[1])
+	var d FrameDecoder
+	var delivered []wire.Message
+	for i, msgs := range [][]wire.Message{first, second} {
+		raw, err := EncodeFrame("m0", wire.Batch{Msgs: msgs}, DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := d.Decode(raw)
+		if err != nil || !reflect.DeepEqual(got, msgs) {
+			t.Fatalf("frame %d decoded to %v (%v), want %v", i+1, got, err, msgs)
+		}
+		if i == 0 {
+			delivered = append(delivered, got...)
+		}
 	}
-	if hb, ok := h.msgs[2].(wire.Heartbeat); !ok || hb.Nonce != 3 {
-		t.Errorf("dispatch 2 = %v", h.msgs[2])
+	if !reflect.DeepEqual(delivered, first) {
+		t.Fatalf("frame 1's messages after frame 2 was decoded: %v, want %v", delivered, first)
 	}
 }
 

@@ -40,35 +40,32 @@ func EncodeFrame(from wire.NodeID, msg wire.Message, maxFrame int) ([]byte, erro
 	return buf, nil
 }
 
-// DecodeFrame parses a datagram payload.
-func DecodeFrame(data []byte) (wire.NodeID, wire.Message, error) {
-	return new(FrameDecoder).Decode(data)
-}
-
 // FrameDecoder parses the payloads arriving on one connection or socket. It
 // remembers what a steady stream repeats — the last few sender ids (one UDP
 // socket hears every peer), the application ids the messages name — and
 // returns those strings again instead of allocating them per payload.
 // Decoded messages never alias data, so callers may reuse the buffer at
-// once. The zero value is ready; not safe for concurrent use.
+// once; the slice holding them is the decoder's, reused by its next call.
+// The zero value is ready; not safe for concurrent use.
 type FrameDecoder struct {
 	from [4]wire.NodeID
 	next uint8
 	msgs wire.Decoder
 }
 
-// Decode parses one payload.
-func (d *FrameDecoder) Decode(data []byte) (wire.NodeID, wire.Message, error) {
+// Decode parses one payload into its sender and the protocol messages it
+// carries, in send order: a coalesced wire.Batch's, or a plain frame's one.
+func (d *FrameDecoder) Decode(data []byte) (wire.NodeID, []wire.Message, error) {
 	idLen, n := binary.Uvarint(data)
 	if n <= 0 || idLen > uint64(len(data)-n) {
 		return "", nil, errors.New("netcore: bad sender id")
 	}
 	from := d.sender(data[n : n+int(idLen)])
-	msg, err := d.msgs.Unmarshal(data[n+int(idLen):])
+	msgs, err := d.msgs.Messages(data[n+int(idLen):])
 	if err != nil {
 		return "", nil, err
 	}
-	return from, msg, nil
+	return from, msgs, nil
 }
 
 // sender returns the sender id b spells, from the remembered ids when one
@@ -148,25 +145,9 @@ func SplitDatagram(data []byte, dst [][]byte) ([][]byte, error) {
 	return dst, nil
 }
 
-// Deliver dispatches msg to h, unwrapping transport-level wire.Batch frames
-// so handlers only ever see protocol messages. Both live transports route
-// inbound traffic through it.
-func Deliver(h Handler, from wire.NodeID, msg wire.Message) {
-	if b, ok := msg.(wire.Batch); ok {
-		for _, m := range b.Msgs {
-			if _, nested := m.(wire.Batch); nested {
-				continue // the decoder rejects nesting; belt and braces
-			}
-			h.HandleMessage(from, m)
-		}
-		return
-	}
-	h.HandleMessage(from, msg)
-}
-
 // ReadStreamFrame reads one length-prefixed frame, rejecting sizes outside
 // (0, maxFrame].
-func ReadStreamFrame(r io.Reader, maxFrame int) (wire.NodeID, wire.Message, error) {
+func ReadStreamFrame(r io.Reader, maxFrame int) (wire.NodeID, []wire.Message, error) {
 	return NewFrameReader(r, maxFrame).Next()
 }
 
@@ -186,9 +167,9 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 	return &FrameReader{r: r, max: maxFrame, buf: make([]byte, 64)}
 }
 
-// Next reads and decodes the next frame, rejecting sizes outside
-// (0, maxFrame].
-func (f *FrameReader) Next() (wire.NodeID, wire.Message, error) {
+// Next reads and decodes the next frame (FrameDecoder.Decode), rejecting
+// sizes outside (0, maxFrame].
+func (f *FrameReader) Next() (wire.NodeID, []wire.Message, error) {
 	if _, err := io.ReadFull(f.r, f.buf[:4]); err != nil {
 		return "", nil, err
 	}

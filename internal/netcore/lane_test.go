@@ -37,25 +37,21 @@ func TestHighLaneDrainsFirst(t *testing.T) {
 	fs.mu.Lock()
 	raw := fs.frames[0]
 	fs.mu.Unlock()
-	_, msg, err := DecodeFrame(raw)
+	_, msgs, err := new(FrameDecoder).Decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, ok := msg.(wire.Batch)
-	if !ok {
-		t.Fatalf("coalesced frame decoded to %T, want wire.Batch", msg)
-	}
-	if len(b.Msgs) != 5 {
-		t.Fatalf("batch carries %d messages, want 5", len(b.Msgs))
+	if len(msgs) != 5 {
+		t.Fatalf("coalesced frame carries %d messages, want 5", len(msgs))
 	}
 	for i := 0; i < 2; i++ {
-		if _, ok := b.Msgs[i].(wire.RevokeNotice); !ok {
-			t.Errorf("batch[%d] = %T, want RevokeNotice ahead of queries", i, b.Msgs[i])
+		if _, ok := msgs[i].(wire.RevokeNotice); !ok {
+			t.Errorf("batch[%d] = %T, want RevokeNotice ahead of queries", i, msgs[i])
 		}
 	}
 	for i := 2; i < 5; i++ {
-		if q, ok := b.Msgs[i].(wire.Query); !ok || q.Nonce != uint64(i-1) {
-			t.Errorf("batch[%d] = %#v, want Query nonce %d (bulk order preserved)", i, b.Msgs[i], i-1)
+		if q, ok := msgs[i].(wire.Query); !ok || q.Nonce != uint64(i-1) {
+			t.Errorf("batch[%d] = %#v, want Query nonce %d (bulk order preserved)", i, msgs[i], i-1)
 		}
 	}
 	// Per-lane delivery accounting: 2 high delivered, 3 bulk delivered; the

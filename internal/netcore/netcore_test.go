@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -99,23 +100,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	if from != "node-a" {
 		t.Errorf("stream from = %q", from)
 	}
-	if q, ok := got.(wire.Query); !ok || q.Nonce != 3 {
-		t.Errorf("stream msg = %#v", got)
+	if want := []wire.Message{msg}; !reflect.DeepEqual(got, want) {
+		t.Errorf("stream msgs = %#v, want %#v", got, want)
 	}
 
 	df, err := EncodeFrame("node-b", msg, DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	from, got, err = DecodeFrame(df)
+	from, got, err = new(FrameDecoder).Decode(df)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != "node-b" {
 		t.Errorf("datagram from = %q", from)
 	}
-	if q, ok := got.(wire.Query); !ok || q.Nonce != 3 {
-		t.Errorf("datagram msg = %#v", got)
+	if want := []wire.Message{msg}; !reflect.DeepEqual(got, want) {
+		t.Errorf("datagram msgs = %#v, want %#v", got, want)
 	}
 }
 

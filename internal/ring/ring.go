@@ -1,6 +1,7 @@
 // Package ring holds what the flight and audit recorders share: the bounded
-// ring their records live in, and the versioned-JSONL dump codec that serves
-// those records to operators (dump.go).
+// ring their records live in, the Epoch that packs a slot's times into
+// offsets (epoch.go), and the versioned-JSONL dump codec that serves those
+// records to operators (dump.go).
 package ring
 
 // Ring holds the last records written to it, up to its capacity. Its memory
@@ -71,22 +72,24 @@ func (r *Ring[T]) Next() uint64 { return r.next }
 // overwritten.
 func (r *Ring[T]) Retained() uint64 { return min(r.next, uint64(len(r.buf))) }
 
-// All yields the retained records, oldest first, in their slots: read them,
-// do not write them. Use it as a range-over-func iterator.
-func (r *Ring[T]) All(yield func(*T) bool) {
+// All yields the retained records, oldest first, each with its sequence
+// number, in their slots: read them, do not write them. Use it as a
+// range-over-func iterator.
+func (r *Ring[T]) All(yield func(uint64, *T) bool) {
 	size := uint64(len(r.buf))
 	for i := r.next - r.Retained(); i < r.next; i++ {
-		if !yield(&r.buf[i%size]) {
+		if !yield(i, &r.buf[i%size]) {
 			return
 		}
 	}
 }
 
-// Snapshot returns a copy of the retained records, oldest first.
-func (r *Ring[T]) Snapshot() []T {
-	out := make([]T, 0, r.Retained())
-	for rec := range r.All {
-		out = append(out, *rec)
+// Collect returns the retained records, oldest first, each converted from
+// its slot and sequence number by conv.
+func Collect[T, R any](r *Ring[T], conv func(seq uint64, slot *T) R) []R {
+	out := make([]R, 0, r.Retained())
+	for seq, s := range r.All {
+		out = append(out, conv(seq, s))
 	}
 	return out
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // rec stands in for a recorder's record: a value holding a pointer.
@@ -27,8 +28,9 @@ var format = Format[header, rec]{
 }
 
 // TestRingAgainstModel writes rings of each capacity several wraps long
-// beside a flat slice of everything ever written: All and Snapshot must be
-// the slice's tail, Next its length and Retained the tail's. On the way a
+// beside a flat slice of everything ever written: All and Collect must be
+// the slice's tail, each record with its own sequence number, Next the
+// slice's length and Retained the tail's. On the way a
 // ring may never hold more than max(64, 2k) slots after k records nor more
 // than its capacity (nor fewer than it retains), and once it is full no
 // write allocates. A capacity below one is one.
@@ -43,11 +45,15 @@ func TestRingAgainstModel(t *testing.T) {
 			t.Helper()
 			want := model[max(0, len(model)-size):]
 			var inPlace []rec
-			for p := range r.All {
+			for seq, p := range r.All {
+				if seq != p.Seq {
+					t.Fatalf("size %d after %d records: All yields record %d as %d", size, len(model), p.Seq, seq)
+				}
 				inPlace = append(inPlace, *p)
 			}
-			if !slices.Equal(r.Snapshot(), want) || !slices.Equal(inPlace, want) {
-				t.Fatalf("size %d after %d records: Snapshot or All is not the last %d written", size, len(model), len(want))
+			collected := Collect(&r, func(seq uint64, p *rec) rec { return rec{Node: p.Node, Seq: seq, Note: p.Note} })
+			if !slices.Equal(collected, want) || !slices.Equal(inPlace, want) {
+				t.Fatalf("size %d after %d records: Collect or All is not the last %d written", size, len(model), len(want))
 			}
 			if r.Next() != uint64(len(model)) || r.Retained() != uint64(len(want)) {
 				t.Fatalf("size %d after %d records: Next %d, Retained %d", size, len(model), r.Next(), r.Retained())
@@ -121,5 +127,23 @@ func TestMergeAndNodes(t *testing.T) {
 	}
 	if got := Nodes([]string{"m1", "h0"}, nil, []string{"h0", "m0"}); !slices.Equal(got, []string{"h0", "m0", "m1"}) {
 		t.Fatalf("Nodes = %v", got)
+	}
+}
+
+// TestEpochEdges: the zero time is Never and back; a time with a monotonic
+// reading comes back as its wall reading; and times past ±292 years of the
+// epoch clamp, in order, short of Never, instead of wrapping.
+func TestEpochEdges(t *testing.T) {
+	var e Epoch
+	if e.Offset(time.Time{}) != Never || !e.Time(Never).IsZero() {
+		t.Fatal("the zero time does not round-trip through Never")
+	}
+	now := time.Now()
+	if got := e.Time(e.Offset(now)); got != now.Round(0) {
+		t.Fatalf("%v came back as %v, want its wall reading", now, got)
+	}
+	past, future := e.Offset(now.AddDate(-500, 0, 0)), e.Offset(now.AddDate(500, 0, 0))
+	if !(past < 0 && 0 < future && future < Never) || e.Time(future).IsZero() {
+		t.Fatalf("500 years either side read %d and %d", past, future)
 	}
 }

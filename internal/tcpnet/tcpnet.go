@@ -281,7 +281,7 @@ func (n *Node) readLoop(c net.Conn, sender netcore.Sender, expect wire.NodeID) {
 		if n.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(n.cfg.ReadIdleTimeout))
 		}
-		from, msg, err := r.Next()
+		from, msgs, err := r.Next()
 		if err != nil {
 			return
 		}
@@ -297,9 +297,9 @@ func (n *Node) readLoop(c net.Conn, sender netcore.Sender, expect wire.NodeID) {
 			}
 		}
 		if h := n.handler.Load(); h != nil && *h != nil {
-			// Deliver unwraps coalesced wire.Batch frames so the handler
-			// only ever sees protocol messages, in send order.
-			netcore.Deliver(*h, from, msg)
+			for _, m := range msgs {
+				(*h).HandleMessage(from, m)
+			}
 		}
 	}
 }

@@ -263,7 +263,7 @@ func (n *Node) readLoop() {
 	var dec netcore.FrameDecoder
 	ctr := n.group.Counters()
 	for {
-		size, src, err := n.conn.ReadFromUDP(buf)
+		size, src, err := n.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -275,7 +275,7 @@ func (n *Node) readLoop() {
 			continue // malformed datagram: drop
 		}
 		for _, part := range parts {
-			from, msg, err := dec.Decode(part)
+			from, msgs, err := dec.Decode(part)
 			if err != nil {
 				continue // malformed frame: drop
 			}
@@ -290,9 +290,8 @@ func (n *Node) readLoop() {
 				// manager traffic. Address learning is otherwise
 				// unauthenticated, like UDP itself; deployments needing sender
 				// authenticity must layer auth.Seal.
-				if old := n.peers[from]; old == nil || !old.IP.Equal(src.IP) || old.Port != src.Port {
-					cp := *src
-					n.peers[from] = &cp
+				if old := n.peers[from]; old == nil || old.AddrPort() != src {
+					n.peers[from] = net.UDPAddrFromAddrPort(src)
 					learned = true
 				}
 			}
@@ -305,9 +304,9 @@ func (n *Node) readLoop() {
 				}
 			}
 			if h != nil {
-				// Deliver unwraps coalesced wire.Batch frames so the handler
-				// only ever sees protocol messages, in send order.
-				netcore.Deliver(h, from, msg)
+				for _, m := range msgs {
+					h.HandleMessage(from, m)
+				}
 			}
 		}
 	}

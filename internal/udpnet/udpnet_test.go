@@ -84,6 +84,28 @@ func TestReplyLearnsSourceAddress(t *testing.T) {
 	waitFor(t, func() bool { return recA.count() == 1 })
 }
 
+// TestLearnedAddressKeptAcrossDatagrams: a learned peer's address is built
+// once, when it is learned; further datagrams from the same source compare
+// equal and leave it in place.
+func TestLearnedAddressKeptAcrossDatagrams(t *testing.T) {
+	a, b := listen(t, "a"), listen(t, "b")
+	rec := &collector{}
+	b.SetHandler(rec)
+	if err := a.AddPeer("b", b.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	a.Send("b", wire.Heartbeat{Nonce: 1})
+	waitFor(t, func() bool { return rec.count() == 1 })
+	first := b.lookupAddr("a")
+	for i := 2; i <= 5; i++ {
+		a.Send("b", wire.Heartbeat{Nonce: uint64(i)})
+		waitFor(t, func() bool { return rec.count() == i })
+	}
+	if got := b.lookupAddr("a"); got != first || got.AddrPort() != a.conn.LocalAddr().(*net.UDPAddr).AddrPort() {
+		t.Fatalf("learned address %v (%p), first learned %v (%p), want it kept", got, got, first, first)
+	}
+}
+
 func TestSendUnknownAndOversized(t *testing.T) {
 	a := listen(t, "a")
 	a.Send("ghost", wire.Heartbeat{}) // unknown peer: dropped by the writer

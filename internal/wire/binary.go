@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -92,6 +93,8 @@ type decoder struct {
 type Decoder struct {
 	apps [4]AppID
 	next uint8
+	msgs []Message  // Messages' result, reused by its next call
+	one  [1]Message // msgs' first backing array: a plain frame allocates none
 }
 
 // app decodes a length-prefixed application id, through the intern table
@@ -381,26 +384,86 @@ func Unmarshal(data []byte) (Message, error) {
 // Unmarshal is the package-level Unmarshal through dc's intern table (none
 // when dc is nil).
 func (dc *Decoder) Unmarshal(data []byte) (Message, error) {
+	msg, msgs, err := dc.frame(data, nil)
+	if err == nil && msg == nil {
+		return Batch{Msgs: msgs}, nil
+	}
+	return msg, err
+}
+
+// Messages decodes a frame into the messages it carries, in order: a
+// Batch's, or a plain frame's one. The slice is dc's until its next call;
+// the messages in it are the caller's.
+func (dc *Decoder) Messages(data []byte) ([]Message, error) {
+	if dc.msgs == nil {
+		dc.msgs = dc.one[:0]
+	}
+	msg, msgs, err := dc.frame(data, dc.msgs[:0])
+	if msg != nil {
+		msgs = append(msgs, msg)
+	}
+	dc.msgs = msgs // nil after an error: the next call starts again from one
+	return msgs, err
+}
+
+// frame decodes one frame: a plain message, or a Batch's messages appended
+// to msgs (and a nil message).
+func (dc *Decoder) frame(data []byte, msgs []Message) (Message, []Message, error) {
 	d := &decoder{buf: data, apps: dc}
 	tag := d.byte()
 	if d.err != nil {
-		return nil, d.err
+		return nil, nil, d.err
 	}
-	msg, err := decodeMessage(d, tag)
+	var msg Message
+	var err error
+	if tag == tagBatch {
+		msgs, err = d.batch(msgs)
+	} else {
+		msg, err = decodeMessage(d, tag)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if d.err != nil {
-		return nil, d.err
+		return nil, nil, d.err
 	}
 	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s", len(d.buf), msg.Kind())
+		kind := Batch{}.Kind()
+		if msg != nil {
+			kind = msg.Kind()
+		}
+		return nil, nil, fmt.Errorf("wire: %d trailing bytes after %s", len(d.buf), kind)
 	}
-	return msg, nil
+	return msg, msgs, nil
 }
 
-// decodeMessage decodes the body of one message whose tag byte has already
-// been consumed. Sub-messages of a Batch decode through the same switch;
+// batch appends to msgs the sub-messages of a Batch whose tag byte has been
+// consumed.
+func (d *decoder) batch(msgs []Message) ([]Message, error) {
+	n := d.uint()
+	if n > uint64(len(d.buf)) { // each sub-message is at least one tag byte
+		return nil, ErrTruncated
+	}
+	msgs = slices.Grow(msgs, int(n))
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		sub := d.byte()
+		if d.err != nil {
+			break
+		}
+		if sub == tagBatch {
+			return nil, ErrNestedBatch
+		}
+		m, err := decodeMessage(d, sub)
+		if err != nil {
+			return nil, err
+		}
+		msgs = append(msgs, m)
+	}
+	return msgs, nil
+}
+
+// decodeMessage decodes the body of one message, not a Batch, whose tag
+// byte has already been consumed. Sub-messages of a Batch decode through the same switch;
 // they are self-delimiting, so the decoder stops exactly at the next
 // sub-message's tag.
 func decodeMessage(d *decoder, tag byte) (Message, error) {
@@ -572,30 +635,6 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 			RetryAfter: d.duration(),
 			Trace:      d.uint(),
 		}
-	case tagBatch:
-		n := d.uint()
-		if n > uint64(len(d.buf)) { // each sub-message is at least one tag byte
-			return nil, ErrTruncated
-		}
-		b := Batch{}
-		if n > 0 {
-			b.Msgs = make([]Message, 0, n)
-		}
-		for i := uint64(0); i < n && d.err == nil; i++ {
-			sub := d.byte()
-			if d.err != nil {
-				break
-			}
-			if sub == tagBatch {
-				return nil, ErrNestedBatch
-			}
-			m, err := decodeMessage(d, sub)
-			if err != nil {
-				return nil, err
-			}
-			b.Msgs = append(b.Msgs, m)
-		}
-		msg = b
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownTag, tag)
 	}
