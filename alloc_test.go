@@ -88,32 +88,36 @@ func TestCacheHitCheckAllocationBudgetInstrumented(t *testing.T) {
 }
 
 // TestCacheHitCheckAllocationBudgetWithFlight re-runs the cached-check
-// budget with the flight recorder attached (the always-on production
-// configuration). The ring keeps protocol history: the warm-up's query
-// round is recorded, the hits pass the tee without touching the ring, and
-// the budget stays 0.
+// budget on a host wired as acnode wires one: the telemetry bridge over a
+// flight tee (the always-on production configuration). The ring keeps
+// protocol history: the warm-up's query round is recorded, the hits pass the
+// tee without touching the ring, and the budget stays 0.
 func TestCacheHitCheckAllocationBudgetWithFlight(t *testing.T) {
-	w, err := sim.Build(sim.Config{
-		Managers: 3, Hosts: 1,
-		Policy:     core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2},
-		Users:      []wire.UserID{"u"},
-		FlightRing: 1024,
-	})
-	if err != nil {
+	env := &stubEnv{now: time.Unix(1000, 0)}
+	rec := flight.NewRecorder("h0", 1024, env.Now)
+	h := core.NewHost("h0", env, telemetry.InstrumentTracer(telemetry.NewRegistry(), flight.Tee(rec, nil)), nil)
+	if err := h.RegisterApp("app", core.HostAppConfig{
+		Managers: []wire.NodeID{"m0", "m1", "m2"},
+		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if d, ok := w.CheckSync(0, "u", wire.RightUse, time.Minute); !ok || !d.Allowed {
+	warm := false
+	h.Check("app", "u", wire.RightUse, func(d core.Decision) { warm = d.Allowed })
+	q := env.query
+	resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Granted: true, Expire: time.Minute, Trace: q.Trace}
+	h.HandleMessage("m0", resp)
+	h.HandleMessage("m1", resp)
+	if !warm {
 		t.Fatal("warm-up check failed")
 	}
-	rec := w.Flights[sim.HostID(0)]
-	if rec == nil || rec.Total() == 0 {
-		t.Fatal("flight recorder not attached or not recording the warm-up round")
+	if rec.Total() == 0 {
+		t.Fatal("flight recorder not recording the warm-up round")
 	}
 	before := rec.Total()
 	nop := func(core.Decision) {}
-	host, app := w.Hosts[0], w.Cfg.App
 	allocs := testing.AllocsPerRun(500, func() {
-		host.Check(app, "u", wire.RightUse, nop)
+		h.Check("app", "u", wire.RightUse, nop)
 	})
 	if allocs > 0 {
 		t.Errorf("flight-recorded cached check allocates %.1f objects/op, budget is 0", allocs)

@@ -470,8 +470,8 @@ func TestCacheHitCountersDerived(t *testing.T) {
 // TestCacheHitObservationContract: a cache hit is one trace event and one
 // ring record. A host is wired as each deployment wires it — acnode's
 // bridge over a flight tee over its log tracer (a collector here), bench's
-// bridge over a tee that ends the chain, the simulator's tee over a bridge
-// over a collector — with an audit ring and, once a quorum allow has warmed
+// bridge over a tee that ends the chain, the simulator's bridge over the
+// collector its flight dump is read from — with an audit ring and, once a quorum allow has warmed
 // the cache, metrics attached, and makes N hits. They must leave exactly N
 // audit decision records, the flight ring untouched, N cache-hit events and no
 // access-allowed at the end of the chain, and the hit's metric families
@@ -518,7 +518,7 @@ wanac_trace_events_total{type="cache-hit"} 30
 	}{
 		{"acnode", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, s.col)) }, true},
 		{"bench", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }, false},
-		{"sim", func(s sinks) trace.Tracer { return flight.Tee(s.rec, telemetry.InstrumentTracer(s.reg, s.col)) }, true},
+		{"sim", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, s.col) }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv()

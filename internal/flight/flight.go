@@ -119,8 +119,7 @@ type Record struct {
 // Record never blocks beyond a short mutex hold and, once the ring has grown
 // to its capacity, never allocates, so it is cheap enough to leave on in
 // production — that is the point of a flight recorder. Its memory follows its
-// use (ring.Ring), which is what lets a simulation afford thousands of
-// worlds with every node's recorder on.
+// use (ring.Ring).
 type Recorder struct {
 	node string
 	now  func() time.Time
@@ -143,8 +142,7 @@ type slot struct {
 const SlotBytes = int(unsafe.Sizeof(slot{}))
 
 // NewRecorder returns a recorder for the named node holding the last size
-// records (at least one). now supplies the node's local clock — in
-// simulation this is the node's Env.Now (which may drift); nil means
+// records (at least one). now supplies the node's local clock; nil means
 // time.Now.
 func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
@@ -220,7 +218,7 @@ type teeTracer struct {
 
 // Tee returns a trace.Tracer that records every event but a cache hit into
 // rec and then forwards it to next (which may be nil to stop the chain).
-// This is how nodes get flight recording without the core packages
+// This is how a live node gets flight recording without the core packages
 // importing flight.
 //
 // A cache hit is forwarded but not recorded: the ring keeps protocol

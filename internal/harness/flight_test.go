@@ -2,9 +2,11 @@ package harness
 
 import (
 	"os"
+	"strings"
 	"testing"
 	"time"
 
+	"wanac/internal/clitest"
 	"wanac/internal/flight"
 )
 
@@ -158,6 +160,25 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 		t.Errorf("alignment failed to undo the drift inversion: quorum aligned %v, stale allow aligned %v",
 			lateQuorumAl, staleAl)
 	}
+}
+
+// TestKnownBadFlightDumpGolden pins the known-bad run's merged dump byte for
+// byte: the drifting host's clock-rate record, the partition on the net
+// pseudo-node, protocol and quorum records read from the trace log, the cache
+// hits folded in from the host's audit ring and the oracle marks.
+func TestKnownBadFlightDumpGolden(t *testing.T) {
+	res, err := RunScenario(badScenario(), Options{InflateTe: true, DropRevokeNotices: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Flight == nil {
+		t.Fatal("known-bad run captured no flight dump")
+	}
+	var b strings.Builder
+	if err := res.Flight.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	clitest.CheckGolden(t, "known_bad_flight.golden", b.String())
 }
 
 // TestSuiteEmbedsFlightDump checks RunSeeds attaches a dump path to every

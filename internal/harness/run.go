@@ -66,9 +66,9 @@ func worldConfig(sc Scenario) sim.Config {
 			Duplicate: p.Duplicate,
 			Seed:      sc.Seed,
 		},
-		// Every harness world flies with the recorder on, so a failing seed
-		// explains itself: the ring is sized to hold a full scenario's
-		// events per node at harness scale. The audit ring rides along at
+		// Every harness world flies with flight recording on, so a failing
+		// seed explains itself: the dump's window keeps a full scenario's
+		// records per node at harness scale. The audit ring rides along at
 		// the same scale so the audit-completeness oracle sees every
 		// decision's provenance.
 		FlightRing: flightRing,
@@ -76,7 +76,7 @@ func worldConfig(sc Scenario) sim.Config {
 	}
 }
 
-// flightRing is the per-node flight ring size for harness runs.
+// flightRing is the flight dump's per-node window for harness runs.
 const flightRing = 8192
 
 // auditRing is the per-node audit ring size for harness runs.

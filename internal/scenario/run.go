@@ -17,10 +17,10 @@ import (
 )
 
 const (
-	// flightRing sizes each node's flight recorder for scenario runs.
+	// flightRing is the flight dump's window: the records it keeps per node.
 	flightRing = 4096
-	// auditRing sizes each node's audit recorder; dimensioned like the
-	// flight ring so the audit-completeness oracle rarely sees drops.
+	// auditRing sizes each node's audit recorder so the audit-completeness
+	// oracle rarely sees drops.
 	auditRing = 8192
 	// minRate floors the arrival rate so the sampler never divides by zero.
 	minRate = 0.05

@@ -72,12 +72,11 @@ type Config struct {
 	// Spans, when non-nil alongside Telemetry, receives check-round spans
 	// from every host and manager (see telemetry.SpanBuffer / SpanWriter).
 	Spans telemetry.SpanRecorder
-	// FlightRing, when > 0, attaches a flight recorder holding that many
-	// records to every node — stamped by each node's own (possibly
-	// drifting) clock — plus a "net" pseudo-node recorder capturing
-	// topology injections on the scheduler's clock. See World.Flights and
-	// World.FlightDump. Ignored under NoTrace (flight records are built
-	// from trace events).
+	// FlightRing, when > 0, turns on World.FlightDump and is its window:
+	// the dump keeps each node's last FlightRing records, read from the
+	// trace log, and a "net" pseudo-node recorder of that size captures
+	// topology injections on the scheduler's clock. Ignored under NoTrace
+	// (flight records are built from trace events).
 	FlightRing int
 	// AuditRing, when > 0, attaches a decision-provenance audit ring
 	// holding that many records to every node (internal/audit): hosts
@@ -100,12 +99,16 @@ type World struct {
 	// AppCalls counts invocations that reached the wrapped application, per
 	// host index (used by the component-wrapper experiment).
 	AppCalls []int
-	// Flights holds each node's flight recorder (plus the "net"
-	// pseudo-node) when Config.FlightRing is set; nil otherwise.
-	Flights map[wire.NodeID]*flight.Recorder
 	// Audits holds each node's audit recorder when Config.AuditRing is
 	// set; nil otherwise.
 	Audits map[wire.NodeID]*audit.Recorder
+
+	// netFlight records the network's injections when Config.FlightRing is
+	// set (nil otherwise): they are not trace events.
+	netFlight *flight.Recorder
+	// clockRates holds each drifting host's build-time clock-rate record,
+	// the host's Seq 0 in FlightDump.
+	clockRates map[wire.NodeID]flight.Record
 }
 
 // ManagerID returns the node id of manager i.
@@ -156,23 +159,12 @@ func Build(cfg Config) (*World, error) {
 		AppCalls: make([]int, cfg.Hosts),
 	}
 
-	// Flight recording: each node's tracer is teed into a per-node ring
-	// stamped by that node's clock; the network's injection observer feeds
-	// a "net" pseudo-node ring on the scheduler clock. nodeTracer picks the
-	// per-node chain (the shared tracer when flight is off).
-	flightOn := cfg.FlightRing > 0 && !cfg.NoTrace
-	nodeTracer := func(id wire.NodeID, now func() time.Time) trace.Tracer {
-		if !flightOn {
-			return tracer
-		}
-		rec := flight.NewRecorder(string(id), cfg.FlightRing, now)
-		w.Flights[id] = rec
-		return flight.Tee(rec, tracer)
-	}
-	if flightOn {
-		w.Flights = make(map[wire.NodeID]*flight.Recorder)
-		netRec := flight.NewRecorder("net", cfg.FlightRing, sched.Now)
-		w.Flights["net"] = netRec
+	// Flight recording: FlightDump reads the nodes' records from the trace
+	// log; the network's injection observer feeds a "net" pseudo-node ring
+	// on the scheduler clock.
+	if cfg.FlightRing > 0 && !cfg.NoTrace {
+		w.netFlight = flight.NewRecorder("net", cfg.FlightRing, sched.Now)
+		w.clockRates = make(map[wire.NodeID]flight.Record)
 		net.Observer = func(ev simnet.NetEvent) {
 			note := ev.Note
 			switch {
@@ -184,7 +176,7 @@ func Build(cfg Config) (*World, error) {
 			case ev.A != "":
 				note = string(ev.A)
 			}
-			netRec.Record(flight.Record{Kind: flight.KindNet, Type: ev.Type, Note: note})
+			w.netFlight.Record(flight.Record{Kind: flight.KindNet, Type: ev.Type, Note: note})
 		}
 	}
 
@@ -221,7 +213,7 @@ func Build(cfg Config) (*World, error) {
 	}
 	for i := 0; i < cfg.Managers; i++ {
 		env := NewEnv(managerIDs[i], net)
-		mgr := core.NewManager(managerIDs[i], env, nodeTracer(managerIDs[i], env.Now), nil)
+		mgr := core.NewManager(managerIDs[i], env, tracer, nil)
 		if err := mgr.AddApp(cfg.App, mCfg); err != nil {
 			return nil, fmt.Errorf("manager %d: %w", i, err)
 		}
@@ -257,15 +249,12 @@ func Build(cfg Config) (*World, error) {
 		} else {
 			env = NewEnv(id, net)
 		}
-		host := core.NewHost(id, env, nodeTracer(id, env.Now), nil)
-		if flightOn && cfg.HostClockRates != nil && i < len(cfg.HostClockRates) &&
-			cfg.HostClockRates[i] > 0 && cfg.HostClockRates[i] != 1 {
+		host := core.NewHost(id, env, tracer, nil)
+		if w.clockRates != nil && env.rate != 1 {
 			// A drifting clock is itself an injection worth seeing on the
 			// timeline; record it once at build.
-			w.Flights[id].Record(flight.Record{
-				Kind: flight.KindNet, Type: "clock-rate",
-				Note: fmt.Sprintf("rate=%g", cfg.HostClockRates[i]),
-			})
+			w.clockRates[id] = flight.Record{T: env.Now(), Node: string(id), Kind: flight.KindNet,
+				Type: "clock-rate", Note: fmt.Sprintf("rate=%g", env.rate)}
 		}
 		hCfg := core.HostAppConfig{Policy: cfg.Policy}
 		if cfg.UseNameService {
@@ -445,8 +434,8 @@ func (w *World) UpdateQuorumTimes() map[wire.UpdateSeq]time.Time {
 	if w.Tracer == nil { // NoTrace world: no events to reconstruct from
 		return out
 	}
-	for _, e := range w.Tracer.Filter(trace.EventUpdateQuorum) {
-		if _, seen := out[e.Seq]; !seen {
+	for e := range w.Tracer.All() {
+		if _, seen := out[e.Seq]; !seen && e.Type == trace.EventUpdateQuorum {
 			out[e.Seq] = e.Time
 		}
 	}
@@ -486,33 +475,56 @@ func (w *World) PartitionManagerPair(a, b int) {
 // Heal restores all links.
 func (w *World) Heal() { w.Net.Heal() }
 
-// FlightDump merges a snapshot of every node's flight ring (hosts,
-// managers, and the "net" pseudo-node) into one dump, ready for
-// flight.BuildTimeline or acaudit -timeline. Nil when flight recording is off.
+// FlightDump merges every node's flight records (hosts, managers, and the
+// "net" pseudo-node) into one dump, ready for flight.BuildTimeline or acaudit
+// -timeline. Nil when flight recording is off.
 //
-// A cache hit leaves no flight record (flight.Tee): its record is the audit
-// record. So that a failing run's timeline still shows every allow — a
-// stale one above all — each host's retained cache_hit audit records are
-// folded in as one cache-hit record each, on the host's clock, numbered on
-// from the ring's last Seq.
+// A node's records are read from the trace log: its events but cache hits,
+// after a drifting host's clock-rate record, numbered from Seq 0. The dump
+// keeps the last Config.FlightRing and counts the rest as dropped. A cache
+// hit's record is its audit record: so that a failing run's timeline still
+// shows every allow — a stale one above all — each host's retained cache_hit
+// audit records are folded in as one cache-hit record each, on the host's
+// clock, numbered on from the node's last Seq.
 func (w *World) FlightDump() *flight.Dump {
-	if w.Flights == nil {
+	if w.netFlight == nil {
 		return nil
 	}
-	dumps := make([]*flight.Dump, 0, len(w.Flights))
-	for id, rec := range w.Flights {
-		d := rec.Dump()
+	logs := make(map[wire.NodeID]*flight.Dump, w.Cfg.Managers+w.Cfg.Hosts)
+	for i := range w.Cfg.Managers {
+		logs[ManagerID(i)] = &flight.Dump{}
+	}
+	for i := range w.Cfg.Hosts {
+		logs[HostID(i)] = &flight.Dump{}
+	}
+	add := func(d *flight.Dump, r flight.Record) {
+		r.Seq = d.Header.Dropped + uint64(len(d.Records))
+		d.Records = append(d.Records, r)
+	}
+	for id, r := range w.clockRates {
+		add(logs[id], r)
+	}
+	for e := range w.Tracer.All() {
+		if d := logs[e.Node]; d != nil && e.Type != trace.EventCacheHit {
+			kind := flight.KindProtocol
+			if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
+				kind = flight.KindQuorum
+			}
+			add(d, flight.Record{T: e.Time, Node: string(e.Node), Kind: kind, Type: e.Type.String(), Trace: e.Trace,
+				App: string(e.App), User: string(e.User), Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note})
+		}
+	}
+	dumps := []*flight.Dump{w.netFlight.Dump()}
+	for id, d := range logs {
+		drop := max(len(d.Records)-w.Cfg.FlightRing, 0)
+		d.Header = flight.Header{Nodes: []string{string(id)}, Dropped: uint64(drop)}
+		d.Records = d.Records[drop:]
 		if aud := w.Audits[id]; aud != nil {
-			seq := d.Header.Dropped + uint64(len(d.Records))
 			for a := range aud.All() {
-				if a.Reason != audit.ReasonCacheHit {
-					continue
+				if a.Reason == audit.ReasonCacheHit {
+					add(d, flight.Record{T: a.T, Node: a.Node, Kind: flight.KindProtocol,
+						Type: trace.EventCacheHit.String(), Trace: a.Trace, App: a.App, User: a.User})
 				}
-				d.Records = append(d.Records, flight.Record{
-					Seq: seq, T: a.T, Node: a.Node, Kind: flight.KindProtocol,
-					Type: trace.EventCacheHit.String(), Trace: a.Trace, App: a.App, User: a.User,
-				})
-				seq++
 			}
 		}
 		dumps = append(dumps, d)

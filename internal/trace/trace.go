@@ -238,19 +238,6 @@ func (c *Collector) Events() []Event {
 	return out
 }
 
-// Filter returns the events matching type t, oldest first.
-func (c *Collector) Filter(t EventType) []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Event
-	for e := range c.all {
-		if e.Type == t {
-			out = append(out, *e)
-		}
-	}
-	return out
-}
-
 // Reset clears events and counts and releases the storage.
 func (c *Collector) Reset() {
 	c.mu.Lock()

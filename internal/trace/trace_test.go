@@ -87,8 +87,12 @@ func TestCollector(t *testing.T) {
 	if got := len(c.Events()); got != 3 {
 		t.Errorf("Events() len = %d", got)
 	}
-	if got := len(c.Filter(EventCacheHit)); got != 2 {
-		t.Errorf("Filter len = %d", got)
+	var nodes string
+	for e := range c.All() {
+		nodes += string(e.Node)
+	}
+	if nodes != "aab" {
+		t.Errorf("All yields nodes %q, want aab", nodes)
 	}
 	c.Reset()
 	if c.Count(EventCacheHit) != 0 || len(c.Events()) != 0 {
