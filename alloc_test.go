@@ -8,8 +8,8 @@ package wanac
 // invokes its callback directly and builds its one ring record in place, so
 // it allocates nothing with any combination of observers — the ring writes
 // checks are made of, the two halves of a cold check: a manager serving a query
-// and a host taking a round to quorum, and what a world costs to build
-// before it has recorded anything.
+// and a host taking a round to quorum, a simulated revocation and re-grant,
+// and what a world costs to build before it has recorded anything.
 //
 // A ring allocates its slots as records arrive, a dozen allocations on the
 // way to its capacity and none after. AllocsPerRun reports whole objects per
@@ -320,6 +320,108 @@ func TestSimColdCheckAllocationBudget(t *testing.T) {
 	}
 	if cold < 500 {
 		t.Errorf("%d quorum allows, want >= 500 (checks not cold)", cold)
+	}
+}
+
+// TestSimRevocationAllocationBudget pins what one revoke plus one re-grant
+// allocates in a 3-manager, 2-host world with both hosts holding the user's
+// grant: the Update fan-out, the acks, the quorum, a RevokeNotice per vouch
+// and the hosts' flushes. The protocol's share is the budget; the share of
+// World.Revoke/Grant (the SubmitSync driver's callbacks) is reported apart.
+// Both hosts' cold checks, which give the managers someone to notify, are
+// measured alone and taken off.
+//
+// It also holds the revocation's message count to its formula: an Update
+// and an UpdateAck per peer manager (every peer, not only the M-C+1 of the
+// update quorum) and a RevokeNotice and a RevokeAck per vouch.
+func TestSimRevocationAllocationBudget(t *testing.T) {
+	const managers, hosts, quorum = 3, 2, 2
+	w, err := sim.Build(sim.Config{
+		Managers: managers, Hosts: hosts,
+		Policy:          core.Policy{CheckQuorum: quorum, Te: time.Second, QueryTimeout: time.Second, MaxAttempts: 2},
+		Te:              time.Second,
+		Users:           []wire.UserID{"u"},
+		NoTrace:         true,
+		ManagerCapacity: simnet.Capacity{ServiceTime: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := w.Cfg.App
+	allowed, reached := 0, 0
+	onCheck := func(d core.Decision) {
+		if d.Allowed {
+			allowed++
+		}
+	}
+	onReply := func(r wire.AdminReply) {
+		if r.QuorumReached {
+			reached++
+		}
+	}
+	revoke := wire.AdminOp{Op: wire.OpRevoke, App: app, User: "u", Right: wire.RightUse, Issuer: w.Cfg.Admin}
+	grant := revoke
+	grant.Op = wire.OpAdd
+	checks := func() {
+		for _, h := range w.Hosts {
+			h.Check(app, "u", wire.RightUse, onCheck)
+		}
+		w.RunFor(100 * time.Millisecond)
+	}
+	settle := func() { w.RunFor(time.Second) } // every ack, notice and retry timer
+
+	// The message formula, on one revocation.
+	checks()
+	vouches := 0
+	for _, h := range w.Hosts {
+		vouches += h.CacheGranters(app, "u", wire.RightUse)
+	}
+	before := w.Net.Stats()
+	w.Managers[0].Submit(revoke, onReply)
+	settle()
+	after := w.Net.Stats()
+	if vouches != hosts*quorum {
+		t.Fatalf("%d vouches before the revoke, want %d (a grant from C managers on each host)", vouches, hosts*quorum)
+	}
+	want := map[string]int{
+		wire.Update{}.Kind(): managers - 1, wire.UpdateAck{}.Kind(): managers - 1,
+		wire.RevokeNotice{}.Kind(): vouches, wire.RevokeAck{}.Kind(): vouches,
+	}
+	if sent := after.Sent - before.Sent; sent != uint64(2*(managers-1)+2*vouches) {
+		t.Errorf("msgs_per_revoke = %d, want 2(M-1) + 2·vouches = %d", sent, 2*(managers-1)+2*vouches)
+	}
+	for kind, n := range want {
+		if got := after.ByKind[kind] - before.ByKind[kind]; got != uint64(n) {
+			t.Errorf("revocation sent %d %s, want %d", got, kind, n)
+		}
+	}
+	w.Managers[0].Submit(grant, onReply)
+	settle()
+
+	// The allocations: cold checks alone (their grants expire), then the
+	// cycle through the async API, then through World's driver.
+	cold := testing.AllocsPerRun(300, func() { checks(); w.RunFor(2 * time.Second) })
+	allowed, reached = 0, 0
+	protocol := testing.AllocsPerRun(300, func() {
+		checks()
+		w.Managers[0].Submit(revoke, onReply)
+		settle()
+		w.Managers[0].Submit(grant, onReply)
+		settle()
+	}) - cold
+	if allowed < 2*300 || reached < 2*300 {
+		t.Fatalf("%d allows and %d update quorums over 300 cycles, want >= 600 each", allowed, reached)
+	}
+	driver := testing.AllocsPerRun(300, func() {
+		checks()
+		w.Revoke(0, "u", time.Minute)
+		settle()
+		w.Grant(0, "u", time.Minute)
+		settle()
+	}) - cold - protocol
+	t.Logf("revoke + re-grant: protocol %.0f objects, World.Revoke/Grant driver %.0f more", protocol, driver)
+	if protocol > 44 {
+		t.Errorf("a revoke plus a re-grant allocates %.0f objects beside the driver's %.0f; budget is 44", protocol, driver)
 	}
 }
 

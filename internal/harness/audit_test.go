@@ -52,9 +52,9 @@ func collected(events []trace.Event) iter.Seq[*trace.Event] {
 
 func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder) []Violation {
 	t.Helper()
-	o := newAuditOracle(30*time.Second, 2, 3)
-	o.analyze(collected(events), rings)
-	return o.viol
+	o := newOracles(30*time.Second, 0, 0, 2, 3)
+	o.judgeLog(collected(events), rings)
+	return o.aud.viol
 }
 
 func TestAuditOracleCleanMatch(t *testing.T) {
@@ -78,8 +78,9 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", "")}
-	o := newAuditOracle(30*time.Second, 2, 3)
-	o.analyze(collected(events), nil)
+	oracles := newOracles(30*time.Second, 0, 0, 2, 3)
+	oracles.judgeLog(collected(events), nil)
+	o := oracles.aud
 	if len(o.viol) != 0 {
 		t.Fatalf("no dumps should mean no jurisdiction, got %+v", o.viol)
 	}

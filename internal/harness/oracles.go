@@ -99,6 +99,20 @@ func (s oracles) violations() []Violation {
 	return out
 }
 
+// judgeLog runs the post-hoc oracles in one pass over the logs where they
+// lie, so nothing may be recording while it runs: events is the full
+// recorded trace (trace.Collector.All), rings one audit recorder per node.
+func (s oracles) judgeLog(events iter.Seq[*trace.Event], rings []*audit.Recorder) {
+	seq, seqDone := s.seq.pass()
+	aud, audDone := s.aud.pass(rings)
+	for e := range events {
+		seq(e)
+		aud(e)
+	}
+	seqDone()
+	audDone()
+}
+
 // revocationOracle checks the paper's central guarantee (§3.2-3.3): once a
 // revocation has reached an update quorum at time t, no host grants that
 // user confirmed (non-default) access to a check issued after t + bound.
@@ -176,17 +190,18 @@ func newSequencingOracle() *sequencingOracle {
 	return &sequencingOracle{oracleState: oracleState{name: OracleSequencing}}
 }
 
-// analyze runs the post-hoc pass over the full event trace.
-func (o *sequencingOracle) analyze(events iter.Seq[*trace.Event], quorumAt map[wire.UpdateSeq]time.Time) {
+// pass returns the oracle's pass over the trace: observe takes each event,
+// oldest first, and done judges what they showed.
+func (o *sequencingOracle) pass() (observe func(*trace.Event), done func()) {
 	type applyKey struct {
 		node   wire.NodeID
 		origin wire.NodeID
 	}
 	lastApplied := make(map[applyKey]uint64)
 	lastIssued := make(map[wire.NodeID]uint64)
-	issuedAt := make(map[wire.UpdateSeq]time.Time)
+	issuedAt, quorumAt := make(map[wire.UpdateSeq]time.Time), make(map[wire.UpdateSeq]time.Time)
 
-	for e := range events {
+	observe = func(e *trace.Event) {
 		switch e.Type {
 		case trace.EventUpdateIssued:
 			o.obs++
@@ -205,18 +220,24 @@ func (o *sequencingOracle) analyze(events iter.Seq[*trace.Event], quorumAt map[w
 					e.Node, e.Seq.Origin, e.Seq.Counter, e.Seq.Origin, prev)
 			}
 			lastApplied[k] = e.Seq.Counter
+		case trace.EventUpdateQuorum:
+			if _, ok := quorumAt[e.Seq]; !ok {
+				quorumAt[e.Seq] = e.Time
+			}
 		}
 	}
-	for seq, qt := range quorumAt {
-		o.obs++
-		it, ok := issuedAt[seq]
-		if !ok {
-			o.fail(qt, "update %s/%d reached quorum but was never issued", seq.Origin, seq.Counter)
-			continue
-		}
-		if qt.Before(it) {
-			o.fail(qt, "update %s/%d reached quorum at %s before issue at %s",
-				seq.Origin, seq.Counter, qt.Format("15:04:05.000"), it.Format("15:04:05.000"))
+	return observe, func() {
+		for seq, qt := range quorumAt {
+			o.obs++
+			it, ok := issuedAt[seq]
+			if !ok {
+				o.fail(qt, "update %s/%d reached quorum but was never issued", seq.Origin, seq.Counter)
+				continue
+			}
+			if qt.Before(it) {
+				o.fail(qt, "update %s/%d reached quorum at %s before issue at %s",
+					seq.Origin, seq.Counter, qt.Format("15:04:05.000"), it.Format("15:04:05.000"))
+			}
 		}
 	}
 }
@@ -319,67 +340,71 @@ func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	return 0, false
 }
 
-// analyze runs the post-hoc pass over the logs where they lie, so nothing
-// may be recording while it runs: events is the full recorded trace
-// (trace.Collector.All), rings one audit recorder per node (per-node drop
-// accounting and ring order are load-bearing). With no rings audit recording
-// was off and the pass is skipped.
-func (o *auditOracle) analyze(events iter.Seq[*trace.Event], rings []*audit.Recorder) {
+// pass is sequencingOracle.pass for rings, one audit recorder per node
+// (per-node drop accounting and ring order are load-bearing). With no rings
+// audit recording was off and the pass judges nothing.
+func (o *auditOracle) pass(rings []*audit.Recorder) (observe func(*trace.Event), done func()) {
 	if len(rings) == 0 {
-		return
+		return func(*trace.Event) {}, func() {}
 	}
-	// Group the trace's decision events per node, preserving order.
-	byNode := make(map[string][]*trace.Event)
-	for e := range events {
-		if _, ok := reasonForEvent(e); ok {
-			node := string(e.Node)
-			byNode[node] = append(byNode[node], e)
-		}
+	// A ring retains the newest suffix of its node's decisions: count it
+	// first, so the pass keeps, by value, only the events it pairs with.
+	type node struct {
+		skip, seen uint64        // decision events before the suffix; seen
+		last       time.Time     // the last one's time
+		evs        []trace.Event // the suffix's events
 	}
+	byNode := make(map[wire.NodeID]*node, len(rings))
 	for _, ring := range rings {
-		node := ring.Node()
-		evs := byNode[node]
-		delete(byNode, node)
-		decisions := ring.Decisions()
-		if len(evs) == 0 && decisions == 0 {
-			continue
-		}
-		// Exact count: the ring's accepted total survives drops.
-		if decisions != uint64(len(evs)) {
-			o.obs++
-			o.fail(lastTime(evs), "node %s: %d decision events in trace but %d audit records accepted",
-				node, len(evs), decisions)
-			continue
-		}
-		// Retained records are the newest suffix of the decision history:
-		// count them, then judge each against its event.
-		kept := 0
+		kept := uint64(0)
 		for r := range ring.All() {
 			if r.Kind == audit.KindDecision {
 				kept++
 			}
 		}
-		evs = evs[len(evs)-kept:]
-		for r := range ring.All() {
-			if r.Kind == audit.KindDecision {
-				o.judgeRecord(r, evs[0])
-				evs = evs[1:]
+		byNode[wire.NodeID(ring.Node())] = &node{skip: ring.Decisions() - kept, evs: make([]trace.Event, 0, kept)}
+	}
+	var orphans []wire.NodeID // nodes with decisions but no ring, first seen first
+	observe = func(e *trace.Event) {
+		if _, ok := reasonForEvent(e); !ok {
+			return
+		}
+		n := byNode[e.Node]
+		if n == nil {
+			n = &node{}
+			byNode[e.Node] = n
+			orphans = append(orphans, e.Node)
+		}
+		n.last = e.Time
+		if n.seen++; n.seen > n.skip {
+			n.evs = append(n.evs, *e)
+		}
+	}
+	return observe, func() {
+		for _, ring := range rings {
+			n, decisions := byNode[wire.NodeID(ring.Node())], ring.Decisions()
+			if n.seen == 0 && decisions == 0 {
+				continue
+			}
+			// Exact count: the ring's accepted total survives drops.
+			if decisions != n.seen {
+				o.obs++
+				o.fail(n.last, "node %s: %d decision events in trace but %d audit records accepted",
+					ring.Node(), n.seen, decisions)
+				continue
+			}
+			for r := range ring.All() {
+				if r.Kind == audit.KindDecision {
+					o.judgeRecord(r, &n.evs[0])
+					n.evs = n.evs[1:]
+				}
 			}
 		}
-	}
-	for node, evs := range byNode {
-		if len(evs) > 0 {
+		for _, id := range orphans {
 			o.obs++
-			o.fail(evs[0].Time, "node %s made %d decisions but has no audit ring", node, len(evs))
+			o.fail(byNode[id].evs[0].Time, "node %s made %d decisions but has no audit ring", id, byNode[id].seen)
 		}
 	}
-}
-
-func lastTime(evs []*trace.Event) time.Time {
-	if len(evs) == 0 {
-		return time.Time{}
-	}
-	return evs[len(evs)-1].Time
 }
 
 // judgeRecord checks one record against its paired trace event

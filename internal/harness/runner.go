@@ -216,8 +216,7 @@ func (r *Runner) Run(horizon time.Duration, start func()) Outcome {
 	w := r.W
 	w.RunFor(horizon + Settle)
 
-	r.oracles.seq.analyze(w.Tracer.All(), w.UpdateQuorumTimes())
-	r.oracles.aud.analyze(w.Tracer.All(), w.AuditRings())
+	r.oracles.judgeLog(w.Tracer.All(), w.AuditRings())
 	for _, m := range w.Managers {
 		r.sampleTe(m)
 	}

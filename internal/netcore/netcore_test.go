@@ -425,7 +425,9 @@ func TestGroupStats(t *testing.T) {
 	g.Ensure("connecting", nil)
 	down := g.Ensure("down", func() (Sender, error) { return nil, errors.New("refused") })
 	down.Enqueue(frame(1)) // forces a dial failure -> backoff
-	waitFor(t, func() bool { return g.Stats().PeersBackoff == 1 })
+	// The state turns backoff before the failed frame is counted dropped:
+	// wait for both, or the counters can be read in between.
+	waitFor(t, func() bool { st := g.Stats(); return st.PeersBackoff == 1 && st.Drops == 1 })
 
 	st := g.Stats()
 	if st.PeersUp != 1 || st.PeersConnecting != 1 || st.PeersBackoff != 1 {

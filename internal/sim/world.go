@@ -425,23 +425,6 @@ func (w *World) stepUntil(done *bool, deadline time.Duration) {
 	}
 }
 
-// UpdateQuorumTimes returns, per update sequence, the virtual time at which
-// the issuing manager observed update-quorum acknowledgments — the instant
-// the paper's Te guarantee starts (§3.3). Derived from the trace, so it is
-// an export hook for invariant oracles rather than part of the protocol.
-func (w *World) UpdateQuorumTimes() map[wire.UpdateSeq]time.Time {
-	out := make(map[wire.UpdateSeq]time.Time)
-	if w.Tracer == nil { // NoTrace world: no events to reconstruct from
-		return out
-	}
-	for e := range w.Tracer.All() {
-		if _, seen := out[e.Seq]; !seen && e.Type == trace.EventUpdateQuorum {
-			out[e.Seq] = e.Time
-		}
-	}
-	return out
-}
-
 // CacheObservation purges host i's expired cache entries and reports what
 // remains: the number purged, the entries retained, and any retained entry
 // already past its limit on the host's local clock (which must be none —

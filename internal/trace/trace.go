@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"math"
 	"strings"
 	"sync"
 	"time"
 
+	"wanac/internal/ring"
 	"wanac/internal/wire"
 )
 
@@ -159,19 +161,38 @@ var _ Tracer = Nop{}
 func (Nop) Emit(Event) {}
 
 // chunkEvents is how many events one storage chunk of a Collector holds
-// (64 KiB of 128-byte events).
-const chunkEvents = 512
+// (64 KiB of 64-byte records).
+const chunkEvents = 1024
+
+// record is how a Collector keeps an Event, in 64 bytes of its 128: the time
+// as an epoch offset; Node, App and Seq.Origin as name indices, 0 for "".
+type record struct {
+	t                 int64
+	user              wire.UserID
+	note              string
+	trace, counter    uint64
+	node, app, origin uint16
+	typ               EventType
+}
 
 // Collector retains every event in memory and counts them by type. It is
 // safe for concurrent use (the live runtime emits from several goroutines).
 //
-// Events are stored in fixed-size chunks, so recording one never copies or
-// re-zeroes the ones already held: a simulator run appends millions.
+// Events are kept as packed records in fixed-size chunks, so recording one
+// never copies or re-zeroes the ones already held: a simulator run appends
+// millions. Times come back in the first one's Location (ring.Epoch), a zero
+// time as time.Time{}. Node, App and Seq.Origin share a table of 65,535
+// names; an event naming a string a full table lacks is kept whole aside.
 type Collector struct {
 	mu     sync.Mutex
-	chunks [][]Event   // events, oldest first; only the last may have room
+	chunks [][]record  // oldest first; only the last may have room
 	n      int         // events held
 	counts [1 << 8]int // emitted per EventType
+	epoch  ring.Epoch  // what record.t counts from
+	names  []string    // name table: names[0] is ""
+	index  map[string]uint16
+	hint   [3]uint16     // last index Node, App and Origin named
+	spill  map[int]Event // events, by position, with a name the table lacks
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -186,11 +207,40 @@ func (c *Collector) Emit(e Event) {
 	c.counts[e.Type]++
 	last := len(c.chunks) - 1
 	if last < 0 || len(c.chunks[last]) == cap(c.chunks[last]) {
-		c.chunks = append(c.chunks, make([]Event, 0, chunkEvents))
+		c.chunks = append(c.chunks, make([]record, 0, chunkEvents))
 		last++
 	}
-	c.chunks[last] = append(c.chunks[last], e)
+	if c.names == nil {
+		c.names, c.index, c.spill = []string{""}, make(map[string]uint16), make(map[int]Event)
+	}
+	r := record{t: c.epoch.Offset(e.Time), user: e.User, note: e.Note, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type,
+		node: c.name(string(e.Node), &c.hint[0]), app: c.name(string(e.App), &c.hint[1]),
+		origin: c.name(string(e.Seq.Origin), &c.hint[2])}
+	if r.node == 0 && e.Node != "" || r.app == 0 && e.App != "" || r.origin == 0 && e.Seq.Origin != "" {
+		c.spill[c.n] = e
+	}
+	c.chunks[last] = append(c.chunks[last], r)
 	c.n++
+}
+
+// name returns s's index in the name table, adding it if new; 0 when s is ""
+// or new to a full table. last is the index this field named the previous
+// time, tried before the map: a run's events repeat their names.
+func (c *Collector) name(s string, last *uint16) uint16 {
+	if s == "" {
+		return 0
+	}
+	if c.names[*last] == s {
+		return *last
+	}
+	i, ok := c.index[s]
+	if !ok && len(c.names) <= math.MaxUint16 {
+		i = uint16(len(c.names))
+		c.names = append(c.names, s)
+		c.index[s] = i
+	}
+	*last = i
+	return i
 }
 
 // Count returns how many events of type t were emitted.
@@ -200,24 +250,30 @@ func (c *Collector) Count(t EventType) int {
 	return c.counts[t]
 }
 
-// all yields the events, oldest first, in the chunks that hold them. The
-// caller holds c.mu.
+// all yields the events, oldest first, each unpacked into one reused Event.
+// The caller holds c.mu.
 func (c *Collector) all(yield func(*Event) bool) {
-	for _, chunk := range c.chunks {
-		for j := range chunk {
-			if !yield(&chunk[j]) {
+	var e Event
+	for k, chunk := range c.chunks {
+		for j, r := range chunk {
+			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names[r.node]), Type: r.typ,
+				App: wire.AppID(c.names[r.app]), User: r.user, Note: r.note, Trace: r.trace,
+				Seq: wire.UpdateSeq{Origin: wire.NodeID(c.names[r.origin]), Counter: r.counter}}
+			if spilled, ok := c.spill[k*chunkEvents+j]; ok {
+				e = spilled
+			}
+			if !yield(&e) {
 				return
 			}
 		}
 	}
 }
 
-// All iterates over the events, oldest first, where they lie: no
-// copy of the log is made, so a pass over a finished run costs no memory. The
-// events are the collector's own storage — read them, do not write them — and
-// a pointer stays good until the next Emit or Reset. All holds the
-// collector's lock while the loop runs: the body must not call back into the
-// collector.
+// All iterates over the events, oldest first, without copying the log: a
+// pass over a finished run costs no memory. Each event is unpacked into one
+// Event that All reuses, so the pointer is good only until the loop body
+// returns; a pass that keeps an event copies it. All holds the collector's
+// lock while the loop runs: the body must not call back into the collector.
 func (c *Collector) All() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
 		c.mu.Lock()
@@ -238,11 +294,11 @@ func (c *Collector) Events() []Event {
 	return out
 }
 
-// Reset clears events and counts and releases the storage.
+// Reset clears events, counts and names and releases the storage.
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chunks, c.n = nil, 0
+	c.chunks, c.n, c.epoch, c.names, c.index, c.hint, c.spill = nil, 0, ring.Epoch{}, nil, nil, [3]uint16{}, nil
 	c.counts = [len(c.counts)]int{}
 }
 

@@ -2,10 +2,16 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"wanac/internal/wire"
 )
 
 // TestEventTypeString pins every defined type's stable name (they are dump
@@ -116,6 +122,163 @@ func TestCollectorUnboundedChunks(t *testing.T) {
 		if e.Trace != uint64(i) {
 			t.Fatalf("Events()[%d] is event %d", i, e.Trace)
 		}
+	}
+}
+
+// roundTrip checks that the collector gives back exactly the events in:
+// each time is Equal to the one emitted and, when in shares loc, is the
+// same value once a monotonic reading is stripped; every other field is
+// unchanged.
+func roundTrip(t *testing.T, c *Collector, in []Event, loc *time.Location) {
+	t.Helper()
+	var all []Event
+	for e := range c.All() {
+		all = append(all, *e)
+	}
+	for name, out := range map[string][]Event{"All": all, "Events": c.Events()} {
+		if len(out) != len(in) {
+			t.Fatalf("%s: %d events, want %d", name, len(out), len(in))
+		}
+		for i, want := range in {
+			got := out[i]
+			if !got.Time.Equal(want.Time) || (loc != nil && !want.Time.IsZero() && got.Time != want.Time.Round(0).In(loc)) {
+				t.Errorf("%s[%d].Time = %v, want %v", name, i, got.Time, want.Time)
+			}
+			if got.Time = want.Time; got != want {
+				t.Errorf("%s[%d] = %+v, want %+v", name, i, got, want)
+			}
+		}
+	}
+}
+
+// TestCollectorRoundTrip: every Event field survives Emit -> All/Events,
+// for the zero time, a non-UTC Location, times centuries apart on both
+// sides of the epoch, a monotonic reading, empty ids and Seq.
+func TestCollectorRoundTrip(t *testing.T) {
+	loc := time.FixedZone("IST", 5*3600+1800)
+	at := time.Date(2026, 10, 17, 4, 21, 0, 123456789, loc)
+	in := []Event{
+		{Type: EventFrozen}, // zero time, empty ids, zero Seq
+		{Time: at, Node: "h0", Type: EventAccessAllowed, App: "stocks", User: "alice", Note: "quorum", Trace: 1<<64 - 1},
+		{Time: at.AddDate(124, 0, 0), Node: "m1", Type: EventUpdateIssued, User: "bob",
+			Seq: wire.UpdateSeq{Origin: "m1", Counter: 1<<64 - 1}},
+		{Time: at.AddDate(-125, 0, 0).Add(-1), Node: "m2", Type: EventUpdateApplied, App: "stocks",
+			Seq: wire.UpdateSeq{Origin: "m1", Counter: 7}},
+		{Time: at.Add(-time.Nanosecond), Node: "h0", Type: EventCacheHit, App: "news", User: "alice", Trace: 42},
+		{Time: time.Now().In(loc), Node: "h1", Type: EventType(255), Note: "monotonic"},
+		{Time: time.Time{}.In(loc), Node: "h1", Type: EventQuerySent, Seq: wire.UpdateSeq{Counter: 3}},
+	}
+	c := NewCollector()
+	for _, e := range in {
+		c.Emit(e)
+	}
+	roundTrip(t, c, in, loc)
+
+	// Times in other Locations come back in the first one's, as instants.
+	mixed := []Event{
+		{Time: at.UTC(), Node: "h0", Type: EventCacheHit},
+		{Time: at.Add(time.Hour), Node: "h0", Type: EventCacheHit},
+		{Time: time.Now(), Node: "h0", Type: EventCacheHit},
+	}
+	c.Reset()
+	for _, e := range mixed {
+		c.Emit(e)
+	}
+	roundTrip(t, c, mixed, time.UTC)
+}
+
+// TestCollectorBytesPerEvent: the log keeps an event in at most 64 bytes
+// (its strings are the caller's).
+func TestCollectorBytesPerEvent(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got > 64 {
+		t.Fatalf("record is %d bytes, budget 64", got)
+	}
+}
+
+// TestCollectorNameTableFull: once Node, App and Seq.Origin have used all
+// 65,535 indices, an event naming a new string is kept whole, never under
+// another name's index; known names still pack, and Reset empties the table.
+func TestCollectorNameTableFull(t *testing.T) {
+	c := NewCollector()
+	var in []Event
+	emit := func(e Event) {
+		in = append(in, e)
+		c.Emit(e)
+	}
+	for i := range math.MaxUint16 {
+		emit(Event{Node: wire.NodeID("n" + strconv.Itoa(i)), Type: EventQuerySent, Trace: uint64(i)})
+	}
+	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 0 {
+		t.Fatalf("after 65,535 names: table %d, spilled %d", len(c.names), len(c.spill))
+	}
+	emit(Event{Node: "n1", Type: EventCacheHit, App: "n0"})
+	emit(Event{Node: "n2", Type: EventCacheHit, App: "n3", User: "u"})
+	emit(Event{Node: "n4", Type: EventUpdateIssued, Seq: wire.UpdateSeq{Origin: "origin", Counter: 1}})
+	emit(Event{Node: "late", Type: EventCacheHit, App: "n5"})
+	emit(Event{Node: "n6", Type: EventCacheHit, App: "app"})
+	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 3 {
+		t.Fatalf("full table: %d names, %d events spilled, want 65,536 and 3", len(c.names), len(c.spill))
+	}
+	roundTrip(t, c, in, nil)
+	c.Reset()
+	c.Emit(Event{Node: "late", Type: EventCacheHit})
+	if len(c.spill) != 0 || len(c.names) != 2 || c.Events()[0].Node != "late" {
+		t.Fatalf("after Reset: %d names, %d spilled", len(c.names), len(c.spill))
+	}
+}
+
+// TestCollectorRoundTripConcurrent: emitters race a reader; every event the
+// reader sees is whole (its fields agree with its Trace), and the log ends
+// with all of them.
+func TestCollectorRoundTripConcurrent(t *testing.T) {
+	const writers, each = 4, 500
+	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
+	event := func(w, i int) Event {
+		n := uint64(w*each + i)
+		return Event{Time: t0.Add(time.Duration(n) * time.Millisecond), Node: wire.NodeID("n" + strconv.Itoa(w)),
+			Type: EventType(n%uint64(numEventTypes) + 1), App: wire.AppID("a" + strconv.Itoa(i%7)),
+			User: wire.UserID("u" + strconv.Itoa(i%13)), Note: strconv.Itoa(i),
+			Seq: wire.UpdateSeq{Origin: wire.NodeID("m" + strconv.Itoa(i%3)), Counter: n}, Trace: n}
+	}
+	check := func(e *Event) {
+		w, i := int(e.Trace)/each, int(e.Trace)%each
+		if want := event(w, i); *e != want {
+			t.Fatalf("read %+v, emitted %+v", *e, want)
+		}
+	}
+	c := NewCollector()
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				c.Emit(event(w, i))
+				runtime.Gosched()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for e := range c.All() {
+			check(e)
+		}
+	}
+	evs := c.Events()
+	if len(evs) != writers*each {
+		t.Fatalf("log holds %d events, want %d", len(evs), writers*each)
+	}
+	for i := range evs {
+		check(&evs[i])
 	}
 }
 

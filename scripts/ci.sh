@@ -43,12 +43,12 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # republished and a scraper reads; a hit's one event and one record through
 # each deployment's observer chain; real timeouts racing the grants that
 # finish their checks, whose structs and timers the next checks reuse;
-# ACL_cache and the manager's store against their map models; audit and
-# flight records read back exactly while writers race the readers; the
+# ACL_cache and the manager's store against their map models; audit, flight
+# and trace records read back exactly while writers race the readers; the
 # virtual clock under Set/Advance/Now.
 go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
 go test -race -count=5 -run 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent' ./internal/audit ./internal/flight
+go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
