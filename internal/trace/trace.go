@@ -179,10 +179,8 @@ type record struct {
 // safe for concurrent use (the live runtime emits from several goroutines).
 //
 // Events are kept as packed records in fixed-size chunks, so recording one
-// never copies or re-zeroes the ones already held: a simulator run appends
-// millions. Times come back in the first one's Location (ring.Epoch), a zero
-// time as time.Time{}. Node, App and Seq.Origin share a table of 65,535
-// names; an event naming a string a full table lacks is kept whole aside.
+// never copies the millions a run holds. Node, App and Seq.Origin share a
+// table of 65,535 names; an event naming one a full table lacks is kept aside.
 type Collector struct {
 	mu     sync.Mutex
 	chunks [][]record  // oldest first; only the last may have room
@@ -191,8 +189,7 @@ type Collector struct {
 	epoch  ring.Epoch  // what record.t counts from
 	names  []string    // name table: names[0] is ""
 	index  map[string]uint16
-	hint   [3]uint16     // last index Node, App and Origin named
-	spill  map[int]Event // events, by position, with a name the table lacks
+	spill  map[int]Event // events, by position, with a name the table lacks; nil until one is
 }
 
 var _ Tracer = (*Collector)(nil)
@@ -211,12 +208,14 @@ func (c *Collector) Emit(e Event) {
 		last++
 	}
 	if c.names == nil {
-		c.names, c.index, c.spill = []string{""}, make(map[string]uint16), make(map[int]Event)
+		c.names, c.index = []string{""}, make(map[string]uint16)
 	}
 	r := record{t: c.epoch.Offset(e.Time), user: e.User, note: e.Note, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type,
-		node: c.name(string(e.Node), &c.hint[0]), app: c.name(string(e.App), &c.hint[1]),
-		origin: c.name(string(e.Seq.Origin), &c.hint[2])}
+		node: c.name(string(e.Node)), app: c.name(string(e.App)), origin: c.name(string(e.Seq.Origin))}
 	if r.node == 0 && e.Node != "" || r.app == 0 && e.App != "" || r.origin == 0 && e.Seq.Origin != "" {
+		if c.spill == nil {
+			c.spill = make(map[int]Event)
+		}
 		c.spill[c.n] = e
 	}
 	c.chunks[last] = append(c.chunks[last], r)
@@ -224,14 +223,10 @@ func (c *Collector) Emit(e Event) {
 }
 
 // name returns s's index in the name table, adding it if new; 0 when s is ""
-// or new to a full table. last is the index this field named the previous
-// time, tried before the map: a run's events repeat their names.
-func (c *Collector) name(s string, last *uint16) uint16 {
+// or new to a full table.
+func (c *Collector) name(s string) uint16 {
 	if s == "" {
 		return 0
-	}
-	if c.names[*last] == s {
-		return *last
 	}
 	i, ok := c.index[s]
 	if !ok && len(c.names) <= math.MaxUint16 {
@@ -239,7 +234,6 @@ func (c *Collector) name(s string, last *uint16) uint16 {
 		c.names = append(c.names, s)
 		c.index[s] = i
 	}
-	*last = i
 	return i
 }
 
@@ -259,8 +253,10 @@ func (c *Collector) all(yield func(*Event) bool) {
 			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names[r.node]), Type: r.typ,
 				App: wire.AppID(c.names[r.app]), User: r.user, Note: r.note, Trace: r.trace,
 				Seq: wire.UpdateSeq{Origin: wire.NodeID(c.names[r.origin]), Counter: r.counter}}
-			if spilled, ok := c.spill[k*chunkEvents+j]; ok {
-				e = spilled
+			if c.spill != nil {
+				if spilled, ok := c.spill[k*chunkEvents+j]; ok {
+					e = spilled
+				}
 			}
 			if !yield(&e) {
 				return
@@ -272,8 +268,11 @@ func (c *Collector) all(yield func(*Event) bool) {
 // All iterates over the events, oldest first, without copying the log: a
 // pass over a finished run costs no memory. Each event is unpacked into one
 // Event that All reuses, so the pointer is good only until the loop body
-// returns; a pass that keeps an event copies it. All holds the collector's
-// lock while the loop runs: the body must not call back into the collector.
+// returns; a pass that keeps an event copies it. Times come back as instants
+// (ring.Epoch): in the Location of the first non-zero time emitted, without a
+// monotonic reading, and clamped beyond ±292 years of it; a zero time comes
+// back as time.Time{}. All holds the collector's lock while the loop runs:
+// the body must not call back into the collector.
 func (c *Collector) All() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
 		c.mu.Lock()
@@ -282,8 +281,9 @@ func (c *Collector) All() iter.Seq[*Event] {
 	}
 }
 
-// Events returns a copy of the events, oldest first: one flat
-// slice the caller owns. A pass that only reads the log ranges over All.
+// Events returns a copy of the events, oldest first, times as All gives them
+// (compare with Equal): one flat slice the caller owns. A pass that only
+// reads the log ranges over All.
 func (c *Collector) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -298,7 +298,7 @@ func (c *Collector) Events() []Event {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chunks, c.n, c.epoch, c.names, c.index, c.hint, c.spill = nil, 0, ring.Epoch{}, nil, nil, [3]uint16{}, nil
+	c.chunks, c.n, c.epoch, c.names, c.index, c.spill = nil, 0, ring.Epoch{}, nil, nil, nil
 	c.counts = [len(c.counts)]int{}
 }
 

@@ -197,7 +197,8 @@ func TestCollectorBytesPerEvent(t *testing.T) {
 
 // TestCollectorNameTableFull: once Node, App and Seq.Origin have used all
 // 65,535 indices, an event naming a new string is kept whole, never under
-// another name's index; known names still pack, and Reset empties the table.
+// another name's index; known names still pack, no side map exists until one
+// is needed, and Reset empties the table.
 func TestCollectorNameTableFull(t *testing.T) {
 	c := NewCollector()
 	var in []Event
@@ -208,8 +209,8 @@ func TestCollectorNameTableFull(t *testing.T) {
 	for i := range math.MaxUint16 {
 		emit(Event{Node: wire.NodeID("n" + strconv.Itoa(i)), Type: EventQuerySent, Trace: uint64(i)})
 	}
-	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 0 {
-		t.Fatalf("after 65,535 names: table %d, spilled %d", len(c.names), len(c.spill))
+	if len(c.names) != math.MaxUint16+1 || c.spill != nil {
+		t.Fatalf("after 65,535 names: table %d, spill map %v (want none yet)", len(c.names), c.spill)
 	}
 	emit(Event{Node: "n1", Type: EventCacheHit, App: "n0"})
 	emit(Event{Node: "n2", Type: EventCacheHit, App: "n3", User: "u"})
@@ -222,7 +223,7 @@ func TestCollectorNameTableFull(t *testing.T) {
 	roundTrip(t, c, in, nil)
 	c.Reset()
 	c.Emit(Event{Node: "late", Type: EventCacheHit})
-	if len(c.spill) != 0 || len(c.names) != 2 || c.Events()[0].Node != "late" {
+	if c.spill != nil || len(c.names) != 2 || c.Events()[0].Node != "late" {
 		t.Fatalf("after Reset: %d names, %d spilled", len(c.names), len(c.spill))
 	}
 }
