@@ -56,10 +56,9 @@ func TestCacheHitCheckAllocationBudget(t *testing.T) {
 
 // TestCacheHitCheckAllocationBudgetInstrumented re-runs the cached-check
 // budget with full metrics telemetry attached (counters, latency
-// histograms, per-node gauges — the acnode wiring, minus span streaming,
-// which allocates by design when enabled). Instrumentation must ride the
-// hot path for free: handles are resolved once at setup and updates are
-// plain atomics, so the budget stays 0.
+// histograms, per-node gauges — the acnode wiring). Instrumentation must
+// ride the hot path for free: handles are resolved once at setup and
+// updates are plain atomics, so the budget stays 0.
 func TestCacheHitCheckAllocationBudgetInstrumented(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	w, err := sim.Build(sim.Config{

@@ -3,20 +3,20 @@
 // the decision record with its evidence (the cache entry and vouching
 // managers, the quorum round and granting set, or the fallback rule and
 // exhausted attempts), the manager responses sharing the check's trace ID,
-// and the flight records and spans of the same check. With -timeline it
+// and the flight records of the same check. With -timeline it
 // answers "what happened, in order?" instead: the flight dumps merged, their
 // drifting clocks aligned (internal/flight's Align), as one causal timeline.
 //
 //	acaudit h0-audit.jsonl m0-audit.jsonl m1-audit.jsonl
 //	acaudit -user alice -last 1 127.0.0.1:7180 127.0.0.1:7280
-//	acaudit -trace 00000000000000a3 h0-audit.jsonl h0-flight.jsonl spans.jsonl
+//	acaudit -trace 00000000000000a3 h0-audit.jsonl h0-flight.jsonl m0-flight.jsonl
 //	acaudit -at 12:04:05 -window 2s h0-audit.jsonl
 //	acaudit -timeline -html tl.html -merged all.jsonl 127.0.0.1:7180 m0-flight.jsonl
 //
 // An argument naming an existing file is a file, its kind sniffed from its
-// first line: an {"audit":1,...} or {"flight":1,...} dump header, a record
-// with a "reason" key (a headerless -audit.jsonl stream), or else a span
-// stream (-telemetry.jsonl). Any other argument is a node's -debug.addr
+// first line: an {"audit":1,...} or {"flight":1,...} dump header, or a
+// record with a "reason" key (a headerless -audit.jsonl stream); any other
+// file is an error. Any other argument is a node's -debug.addr
 // (host:port or a URL): it contributes the node's /debug/audit dump and,
 // unless the node answers 404, its /debug/flight dump.
 package main
@@ -37,7 +37,6 @@ import (
 
 	"wanac/internal/audit"
 	"wanac/internal/flight"
-	"wanac/internal/telemetry"
 )
 
 // options are acaudit's flags beyond the decision filter.
@@ -145,7 +144,7 @@ func run(w io.Writer, f audit.Filter, o options, args []string) error {
 		}
 		return errors.New("no audit dumps among the inputs")
 	}
-	if audit.Explain(w, audit.Merge(in.audits...), fl, in.spans, f) == 0 {
+	if audit.Explain(w, audit.Merge(in.audits...), fl, f) == 0 {
 		return errors.New("no decisions match the filter")
 	}
 	return nil
@@ -167,7 +166,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 type inputs struct {
 	audits  []*audit.Dump
 	flights []*flight.Dump
-	spans   []telemetry.Span
 }
 
 // add reads one argument: a file, or else a node's debug address.
@@ -250,11 +248,7 @@ func (in *inputs) read(r io.Reader) error {
 	case head.Reason != nil:
 		return appendRead(&in.audits, audit.ReadStream, br)
 	}
-	ss, err := telemetry.ReadSpans(br)
-	if err == nil {
-		in.spans = append(in.spans, ss...)
-	}
-	return err
+	return errors.New("not an audit dump, flight dump or audit stream")
 }
 
 // appendRead reads one dump with read and, if it parses, appends it to list.

@@ -2,12 +2,11 @@ package main
 
 // Golden tests: a deterministic simulated deployment produces the three
 // canonical decisions the ISSUE's acceptance demands — a cache-hit allow,
-// a quorum deny, and a partition-era default allow — its audit/flight/span
+// a quorum deny, and a partition-era default allow — its audit and flight
 // artifacts are written to disk, and acaudit must reconstruct each
 // decision's evidence chain from the files alone.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -22,16 +21,14 @@ import (
 	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/sim"
-	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
 
 // buildArtifacts runs the deterministic scenario and dumps every node's
-// audit ring, the merged flight dump, and the span stream to dir,
-// returning the file paths in sniffable (mixed) order.
+// audit ring and the merged flight dump to dir, returning the file paths in
+// sniffable (mixed) order.
 func buildArtifacts(t *testing.T, dir string) []string {
 	t.Helper()
-	spans := &telemetry.SpanBuffer{}
 	w, err := sim.Build(sim.Config{
 		App:      "app",
 		Managers: 2,
@@ -42,8 +39,6 @@ func buildArtifacts(t *testing.T, dir string) []string {
 		},
 		Te: 30 * time.Second, UpdateRetry: time.Second,
 		Users:      []wire.UserID{"alice"},
-		Telemetry:  telemetry.NewRegistry(),
-		Spans:      spans,
 		FlightRing: 256,
 		AuditRing:  256,
 	})
@@ -90,15 +85,6 @@ func buildArtifacts(t *testing.T, dir string) []string {
 		writeTo(rec.Node()+"-audit.jsonl", rec.WriteDump)
 	}
 	writeTo("flight.jsonl", w.FlightDump().Write)
-	writeTo("spans.jsonl", func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		for _, s := range spans.Spans() {
-			if err := enc.Encode(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 	return paths
 }
 
@@ -123,14 +109,16 @@ func TestExplainGolden(t *testing.T) {
 }
 
 // TestRunErrors pins the CLI failure modes: no inputs, inputs without an
-// audit dump, and a filter nothing matches.
+// audit dump, a JSON file of no kind acaudit reads, and a filter nothing
+// matches.
 func TestRunErrors(t *testing.T) {
-	paths := buildArtifacts(t, t.TempDir())
-	var spanOnly, auditOnly []string
+	dir := t.TempDir()
+	paths := buildArtifacts(t, dir)
+	var flightOnly, auditOnly []string
 	for _, p := range paths {
 		switch {
-		case strings.Contains(p, "spans"):
-			spanOnly = append(spanOnly, p)
+		case strings.Contains(p, "flight"):
+			flightOnly = append(flightOnly, p)
 		case strings.Contains(p, "audit"):
 			auditOnly = append(auditOnly, p)
 		}
@@ -139,9 +127,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(&b, audit.Filter{}, options{}, nil); err == nil {
 		t.Error("no inputs should error")
 	}
-	if err := run(&b, audit.Filter{}, options{}, spanOnly); err == nil ||
+	if err := run(&b, audit.Filter{}, options{}, flightOnly); err == nil ||
 		!strings.Contains(err.Error(), "no audit dumps") {
-		t.Errorf("span-only input error = %v", err)
+		t.Errorf("flight-only input error = %v", err)
+	}
+	// A saved /debug/vars page is JSON, but none of the three kinds.
+	vars := filepath.Join(dir, "vars.json")
+	if err := os.WriteFile(vars, []byte(`{"cmdline":["acnode"],"memstats":{"Alloc":1}}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(&b, audit.Filter{}, options{}, append(auditOnly, vars)); err == nil ||
+		!strings.Contains(err.Error(), vars) || !strings.Contains(err.Error(), "not an audit dump, flight dump or audit stream") {
+		t.Errorf("expvar input error = %v, want one naming %s and the kinds read", err, vars)
 	}
 	if err := run(&b, audit.Filter{User: "nobody"}, options{}, auditOnly); err == nil ||
 		!strings.Contains(err.Error(), "no decisions match") {

@@ -9,7 +9,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -42,45 +41,14 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	m0, m1, h0 := freeAddr(t), freeAddr(t), freeAddr(t)
-	peers := fmt.Sprintf("m0=%s,m1=%s", m0, m1)
 	auditPath := filepath.Join(t.TempDir(), "h0-audit.jsonl")
-
-	var runtimes []*runtime
-	closed := false
-	closeAll := func() {
-		if closed {
-			return
+	c := startCluster(t, func(cfg *nodeConfig) {
+		cfg.auditRing = 256
+		if cfg.id == "h0" {
+			cfg.auditPath = auditPath
 		}
-		closed = true
-		for _, rt := range runtimes {
-			rt.Close()
-		}
-	}
-	defer closeAll()
-	debugAddrs := map[string]string{}
-	for _, n := range []struct {
-		id, listen, role, jsonl string
-	}{
-		{"m0", m0, "manager", ""},
-		{"m1", m1, "manager", ""},
-		{"h0", h0, "host", auditPath},
-	} {
-		debug := freeAddr(t)
-		rt, err := startNode(nodeConfig{
-			id: n.id, listen: n.listen, role: n.role, app: "stocks",
-			peers: peers, c: 2, r: 3, te: time.Minute, timeout: 2 * time.Second,
-			trans: "tcp", use: "alice", manage: "root",
-			debugAddr: debug,
-			auditRing: 256, auditPath: n.jsonl,
-		})
-		if err != nil {
-			t.Fatalf("start %s: %v", n.id, err)
-		}
-		runtimes = append(runtimes, rt)
-		debugAddrs[n.id] = debug
-	}
-	host := runtimes[2].host
+	})
+	host := c.host().host
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -98,7 +66,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	// (c) Revoke at m0, wait for the update quorum, then poll until the
 	// revocation notice has flushed the host cache and the check denies.
 	replyc := make(chan wire.AdminReply, 1)
-	runtimes[0].mgr.Submit(wire.AdminOp{
+	c.runtimes[0].mgr.Submit(wire.AdminOp{
 		Op: wire.OpRevoke, App: "stocks", User: "alice", Right: wire.RightUse, Issuer: "root",
 	}, func(r wire.AdminReply) { replyc <- r })
 	select {
@@ -126,7 +94,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 
 	// The host ring must explain all decisions with the right reasons and
 	// evidence.
-	hd := pullAudit(t, debugAddrs["h0"])
+	hd := pullAudit(t, c.debugAddr("h0"))
 	if len(hd.Header.Nodes) != 1 || hd.Header.Nodes[0] != "h0" {
 		t.Fatalf("h0 dump nodes = %v, want [h0]", hd.Header.Nodes)
 	}
@@ -159,7 +127,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 
 	// m0 must hold matching response records: a grant echoing the check's
 	// trace ID, and a deny citing the revoke operation it rests on.
-	md := pullAudit(t, debugAddrs["m0"])
+	md := pullAudit(t, c.debugAddr("m0"))
 	grantSeen, denyCites := false, false
 	for _, r := range md.Records {
 		if r.Kind != audit.KindResponse || r.Peer != "h0" {
@@ -181,9 +149,9 @@ func TestDebugAuditEndpoint(t *testing.T) {
 
 	// Explain must reconstruct the quorum allow causally from the merged
 	// live dumps, naming both managers.
-	merged := audit.Merge(hd, md, pullAudit(t, debugAddrs["m1"]))
+	merged := audit.Merge(hd, md, pullAudit(t, c.debugAddr("m1")))
 	var out strings.Builder
-	n := audit.Explain(&out, merged, nil, nil, audit.Filter{Trace: qa[0].Trace})
+	n := audit.Explain(&out, merged, nil, audit.Filter{Trace: qa[0].Trace})
 	if n != 1 {
 		t.Fatalf("explained %d decisions for the quorum trace, want 1", n)
 	}
@@ -194,7 +162,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	}
 
 	// The -audit.jsonl stream survives shutdown and replays every record.
-	closeAll()
+	c.close()
 	data, err := os.ReadFile(auditPath)
 	if err != nil {
 		t.Fatal(err)

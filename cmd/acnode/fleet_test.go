@@ -23,44 +23,6 @@ import (
 	"wanac/internal/wire"
 )
 
-// cluster is a live two-manager/one-host deployment over TCP with debug
-// endpoints, the shared fixture for the fleet tests.
-type cluster struct {
-	runtimes []*runtime // m0, m1, h0
-	debug    []string   // debug addresses, same order
-}
-
-func (c *cluster) host() *runtime { return c.runtimes[2] }
-
-func startCluster(t *testing.T) *cluster {
-	t.Helper()
-	m0, m1, h0 := freeAddr(t), freeAddr(t), freeAddr(t)
-	peers := fmt.Sprintf("m0=%s,m1=%s", m0, m1)
-	c := &cluster{}
-	for _, n := range []struct {
-		id, listen, role string
-	}{
-		{"m0", m0, "manager"},
-		{"m1", m1, "manager"},
-		{"h0", h0, "host"},
-	} {
-		debug := freeAddr(t)
-		rt, err := startNode(nodeConfig{
-			id: n.id, listen: n.listen, role: n.role, app: "stocks",
-			peers: peers, c: 2, r: 3, te: time.Minute, timeout: 2 * time.Second,
-			trans: "tcp", manage: "root", use: "alice",
-			debugAddr: debug,
-		})
-		if err != nil {
-			t.Fatalf("start %s: %v", n.id, err)
-		}
-		t.Cleanup(rt.Close)
-		c.runtimes = append(c.runtimes, rt)
-		c.debug = append(c.debug, debug)
-	}
-	return c
-}
-
 // getJSON fetches a URL and decodes the body, returning the status code.
 func getJSON(t *testing.T, url string, into any) int {
 	t.Helper()
@@ -100,28 +62,27 @@ func TestHealthEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	c := startCluster(t)
-	for i, addr := range c.debug {
+	c := startCluster(t, nil)
+	for _, addr := range c.debug {
 		waitReady(t, addr)
-		_ = i
 	}
 
 	// A node whose peers are all unreachable must report not-ready with
 	// the transport named, even though its own process is fine.
 	dead1, dead2 := freeAddr(t), freeAddr(t)
 	rt, err := startNode(nodeConfig{
-		id: "h9", listen: freeAddr(t), role: "host", app: "stocks",
+		id: "h9", listen: "127.0.0.1:0", role: "host", app: "stocks",
 		peers: fmt.Sprintf("m0=%s,m1=%s", dead1, dead2),
 		c:     2, r: 3, te: time.Minute, timeout: time.Second,
-		trans: "tcp", debugAddr: freeAddr(t),
+		trans: "tcp",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 	// The transport dials lazily; one failing check forces it to contact
-	// its (dead) managers, after which readiness must go red. Probe the
-	// handler directly instead of re-deriving the debug port.
+	// its (dead) managers, after which readiness must go red. The handler
+	// is probed directly, so h9 needs no debug server.
 	cctx, ccancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	rt.host.CheckContext(cctx, "stocks", "alice", wire.RightUse)
 	ccancel()
@@ -150,7 +111,7 @@ func TestConcurrentScrapeRace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	c := startCluster(t)
+	c := startCluster(t, nil)
 	for _, addr := range c.debug {
 		waitReady(t, addr)
 	}
@@ -219,7 +180,7 @@ func TestAcmonEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	c := startCluster(t)
+	c := startCluster(t, nil)
 	for _, addr := range c.debug {
 		waitReady(t, addr)
 	}

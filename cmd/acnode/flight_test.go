@@ -6,7 +6,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -36,41 +35,10 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	m0, m1, h0 := freeAddr(t), freeAddr(t), freeAddr(t)
-	peers := fmt.Sprintf("m0=%s,m1=%s", m0, m1)
-
-	var runtimes []*runtime
-	debugAddrs := map[string]string{}
-	for _, n := range []struct {
-		id, listen, role string
-	}{
-		{"m0", m0, "manager"},
-		{"m1", m1, "manager"},
-		{"h0", h0, "host"},
-	} {
-		debug := freeAddr(t)
-		rt, err := startNode(nodeConfig{
-			id: n.id, listen: n.listen, role: n.role, app: "stocks",
-			peers: peers, c: 2, r: 3, te: time.Minute, timeout: 2 * time.Second,
-			trans: "tcp", use: "alice",
-			debugAddr:  debug,
-			flightRing: 512,
-		})
-		if err != nil {
-			t.Fatalf("start %s: %v", n.id, err)
-		}
-		runtimes = append(runtimes, rt)
-		debugAddrs[n.id] = debug
-	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.Close()
-		}
-	}()
-
+	c := startCluster(t, func(cfg *nodeConfig) { cfg.flightRing = 512 })
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	d, err := runtimes[2].host.CheckContext(ctx, "stocks", "alice", wire.RightUse)
+	d, err := c.host().host.CheckContext(ctx, "stocks", "alice", wire.RightUse)
 	if err != nil {
 		t.Fatalf("check: %v", err)
 	}
@@ -80,7 +48,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 	// The host ring must hold the check's protocol story under the node's
 	// own name, including transport peer-up records from connecting out.
-	hd := pullFlight(t, debugAddrs["h0"])
+	hd := pullFlight(t, c.debugAddr("h0"))
 	if len(hd.Header.Nodes) != 1 || hd.Header.Nodes[0] != "h0" {
 		t.Fatalf("h0 dump nodes = %v, want [h0]", hd.Header.Nodes)
 	}
@@ -109,7 +77,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 	// The manager that served the round must hold a query-served record
 	// with the same trace ID — the anchor acaudit -timeline aligns clocks on.
-	md := pullFlight(t, debugAddrs["m0"])
+	md := pullFlight(t, c.debugAddr("m0"))
 	served := false
 	for _, r := range md.Records {
 		if r.Type == "query-served" && r.Trace == trace {
@@ -122,7 +90,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 	// A second pull must see at least as many records (ring is append-only
 	// until overwrite) and still parse — the endpoint is re-entrant.
-	hd2 := pullFlight(t, debugAddrs["h0"])
+	hd2 := pullFlight(t, c.debugAddr("h0"))
 	if len(hd2.Records) < len(hd.Records) {
 		t.Errorf("second pull shrank: %d -> %d records", len(hd.Records), len(hd2.Records))
 	}

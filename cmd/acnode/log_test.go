@@ -54,11 +54,11 @@ func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
 		t.Skip("live sockets")
 	}
 	buf := captureLog(t, slog.LevelInfo)
-	m0, h0 := freeAddr(t), freeAddr(t)
+	m0 := freeAddr(t)
 	var runtimes []*runtime
 	for _, n := range []struct{ id, listen, role string }{
 		{"m0", m0, "manager"},
-		{"h0", h0, "host"},
+		{"h0", "127.0.0.1:0", "host"},
 	} {
 		rt, err := startNode(nodeConfig{
 			id: n.id, listen: n.listen, role: n.role, app: "stocks",

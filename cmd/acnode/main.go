@@ -44,10 +44,9 @@
 // -log.format; protocol state changes log at info, the events of
 // individual checks at debug.
 //
-// With -telemetry.jsonl set, the node streams check-round spans (one JSON
-// object per line) to the given file; spans from a host and its managers
-// share a trace ID, so merging the files reconstructs each check's full
-// lifecycle (see internal/telemetry).
+// A check's flight events and audit records carry its trace ID on the host
+// and on every manager it queried, so acaudit joins them across nodes into
+// the check's full lifecycle.
 package main
 
 import (
@@ -99,7 +98,6 @@ func main() {
 	flag.StringVar(&cfg.keyringPath, "keyring", "", "keyring.json from ackeygen: require sealed, signed user traffic")
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
-	flag.StringVar(&cfg.spanPath, "telemetry.jsonl", "", "stream check-round spans to this JSONL file")
 	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, fmt.Sprintf("flight ring capacity: protocol-history records kept per node (%d B each, allocated as records arrive, not up front); a cached check writes none (its record is the audit record), a cold one a few; render with acaudit -timeline", flight.SlotBytes))
 	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
 	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, fmt.Sprintf("audit ring capacity: decision-provenance records kept per node (%d B each, allocated as records arrive, not up front)", audit.SlotBytes))
@@ -136,7 +134,6 @@ type nodeConfig struct {
 	defaultAllow                  bool
 	stateFile, trans, keyringPath string
 	debugAddr                     string
-	spanPath                      string
 	flightRing                    int
 	flightDump                    string
 	auditRing                     int
@@ -165,7 +162,7 @@ func setupLogging(level, format string) error {
 }
 
 // runtime is a started node: the transport, the protocol role on top of
-// it, and the operational surface (registry, debug server, span stream).
+// it, and the operational surface (registry, debug server, audit stream).
 // Tests boot nodes through startNode and drive them directly; main wires
 // the same thing to the signal handler.
 type runtime struct {
@@ -178,30 +175,18 @@ type runtime struct {
 
 	saveState func()
 	stopDebug func()
-	spanFile  *os.File
-	spanBuf   *bufio.Writer
-	spanW     *telemetry.SpanWriter
+	debugAddr string // the address the debug server bound, when it runs
 	auditFile *os.File
 	auditBuf  *bufio.Writer
 	auditW    *audit.Writer
 }
 
-// Close releases everything startNode acquired: debug server, span
+// Close releases everything startNode acquired: debug server, audit
 // stream (flushed), transport. State saving is the caller's decision
 // (main saves on clean shutdown only).
 func (rt *runtime) Close() {
 	if rt.stopDebug != nil {
 		rt.stopDebug()
-	}
-	if rt.spanFile != nil {
-		rt.spanW.Close() // quiesce emitters before the buffer flush below
-		if rt.spanW.Errors() > 0 {
-			slog.Error("telemetry: spans failed to encode or were dropped", "count", rt.spanW.Errors())
-		}
-		if err := rt.spanBuf.Flush(); err != nil {
-			slog.Error("telemetry: flush spans failed", "err", err)
-		}
-		rt.spanFile.Close()
 	}
 	if rt.auditFile != nil {
 		// Detach the sink before flushing so late decisions can't race the
@@ -330,23 +315,10 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		"role", cfg.role, "app", cfg.app, "transport", cfg.trans)
 
 	// Telemetry: the transport's counters and peer health re-exported on
-	// the registry, protocol events counted by type and teed into the
-	// flight ring, and — when requested — check-round spans streamed as
-	// JSONL.
+	// the registry, and protocol events counted by type and teed into the
+	// flight ring.
 	netcore.RegisterTransport(rt.reg, node.Stats)
 	tracer := telemetry.InstrumentTracer(rt.reg, flight.Tee(rec, logTracer{}))
-	var spans telemetry.SpanRecorder
-	if cfg.spanPath != "" {
-		f, err := os.Create(cfg.spanPath)
-		if err != nil {
-			return fail(fmt.Errorf("telemetry.jsonl: %w", err))
-		}
-		rt.spanFile = f
-		rt.spanBuf = bufio.NewWriter(f)
-		rt.spanW = telemetry.NewSpanWriter(rt.spanBuf)
-		spans = rt.spanW
-		slog.Info("streaming check spans", "node", cfg.id, "path", cfg.spanPath)
-	}
 	if cfg.auditPath != "" {
 		f, err := os.Create(cfg.auditPath)
 		if err != nil {
@@ -377,8 +349,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		for _, u := range splitUsers(cfg.use) {
 			mgr.Seed(wire.AppID(cfg.app), u, wire.RightUse)
 		}
-		core.InstrumentManager(rt.reg, spans, mgr)
-		mgr.SetAudit(auditRec)
+		core.InstrumentManager(rt.reg, auditRec, mgr)
 		if cfg.stateFile != "" {
 			if f, err := os.Open(cfg.stateFile); err == nil {
 				loadErr := mgr.LoadState(f)
@@ -430,8 +401,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		}); err != nil {
 			return fail(err)
 		}
-		core.InstrumentHost(rt.reg, spans, rt.host)
-		rt.host.SetAudit(auditRec)
+		core.InstrumentHost(rt.reg, auditRec, rt.host)
 		node.SetHandler(rt.host)
 	default:
 		return fail(fmt.Errorf("unknown role %q", cfg.role))
@@ -453,12 +423,14 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 // The /metrics families and the /debug/vars snapshots read the same
 // underlying counters (the transport stats function is shared, and the
 // protocol registry counters are incremented at the same call sites as
-// the stats fields), so the two views agree by construction.
+// the stats fields), so the two views agree by construction. The address
+// it bound (addr may name port 0) is left in rt.debugAddr.
 func startDebugServer(addr string, rt *runtime, app wire.AppID) (func(), error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("debug listen: %w", err)
 	}
+	rt.debugAddr = l.Addr().String()
 	publishOnce("wanac.transport", expvar.Func(func() any { return rt.node.Stats() }))
 	if rt.host != nil {
 		host := rt.host

@@ -2,39 +2,22 @@ package main
 
 // Live smoke test for the telemetry surface: a two-manager/one-host
 // deployment over real TCP sockets, one access check driven end to end,
-// then the /metrics expositions scraped and the three span streams
-// merged to reconstruct the check round by trace ID. scripts/ci.sh runs
+// then the /metrics expositions scraped and the three nodes' flight dumps
+// joined to reconstruct the check round by trace ID. scripts/ci.sh runs
 // this as its metrics gate.
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
-
-// freeAddr reserves an ephemeral port and releases it, returning the
-// address for a node to bind. The tiny reuse window is acceptable for a
-// smoke test.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
 
 func scrape(t *testing.T, addr string) (string, map[string]string) {
 	t.Helper()
@@ -58,46 +41,11 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	dir := t.TempDir()
-	m0, m1, h0 := freeAddr(t), freeAddr(t), freeAddr(t)
-	peers := fmt.Sprintf("m0=%s,m1=%s", m0, m1)
-	spanPath := func(id string) string { return filepath.Join(dir, id+".jsonl") }
-
-	var (
-		runtimes   []*runtime
-		debugAddrs []string
-	)
-	for _, n := range []struct {
-		id, listen, role string
-	}{
-		{"m0", m0, "manager"},
-		{"m1", m1, "manager"},
-		{"h0", h0, "host"},
-	} {
-		debug := freeAddr(t)
-		rt, err := startNode(nodeConfig{
-			id: n.id, listen: n.listen, role: n.role, app: "stocks",
-			peers: peers, c: 2, r: 3, te: time.Minute, timeout: 2 * time.Second,
-			trans: "tcp", use: "alice",
-			debugAddr: debug,
-			spanPath:  spanPath(n.id),
-		})
-		if err != nil {
-			t.Fatalf("start %s: %v", n.id, err)
-		}
-		runtimes = append(runtimes, rt)
-		debugAddrs = append(debugAddrs, debug)
-	}
-	defer func() {
-		for _, rt := range runtimes {
-			rt.Close()
-		}
-	}()
-	debugAddrOf := func(i int) string { return debugAddrs[i] }
+	c := startCluster(t, nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	host := runtimes[2].host
+	host := c.host().host
 	d, err := host.CheckContext(ctx, "stocks", "alice", wire.RightUse)
 	if err != nil {
 		t.Fatalf("check: %v", err)
@@ -108,7 +56,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 
 	// Host exposition: check-latency histogram by outcome, cache gauges,
 	// transport counters.
-	hostOut, hostFams := scrape(t, debugAddrOf(2))
+	hostOut, hostFams := scrape(t, c.debugAddr("h0"))
 	for fam, typ := range map[string]string{
 		"wanac_host_checks_total":          "counter",
 		"wanac_host_check_latency_seconds": "histogram",
@@ -142,7 +90,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 	}
 
 	// Manager exposition: query counters, quorum/freeze gauges.
-	mgrOut, mgrFams := scrape(t, debugAddrOf(0))
+	mgrOut, mgrFams := scrape(t, c.debugAddr("m0"))
 	for fam, typ := range map[string]string{
 		"wanac_manager_queries_total":                 "counter",
 		"wanac_manager_update_quorum_latency_seconds": "histogram",
@@ -159,7 +107,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 
 	// /debug/vars must be served alongside /metrics (same counters, two
 	// views).
-	if resp, err := http.Get("http://" + debugAddrOf(2) + "/debug/vars"); err != nil {
+	if resp, err := http.Get("http://" + c.debugAddr("h0") + "/debug/vars"); err != nil {
 		t.Errorf("/debug/vars: %v", err)
 	} else {
 		resp.Body.Close()
@@ -168,60 +116,34 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		}
 	}
 
-	// Shut down (flushing span streams), then reconstruct the check from
-	// the merged spans: the host's decision span names a trace, and that
-	// trace must also appear in the host's round span and in a query span
-	// on every manager that served the round.
-	for _, rt := range runtimes {
-		rt.Close()
-	}
-	runtimes = nil
-	byNode := map[string][]telemetry.Span{}
-	for _, id := range []string{"m0", "m1", "h0"} {
-		f, err := os.Open(spanPath(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		spans, err := telemetry.ReadSpans(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("read %s spans: %v", id, err)
-		}
-		byNode[id] = spans
-	}
+	// Reconstruct the check from the three nodes' flight dumps: the host's
+	// access-allowed record names a trace, and that trace must also appear
+	// in the host's query-sent record and in a query-served record on every
+	// manager that served the round.
 	var trace uint64
-	for _, s := range byNode["h0"] {
-		if s.Kind == "decision" && s.Note == "allowed" {
-			trace = s.Trace
+	hd := pullFlight(t, c.debugAddr("h0"))
+	for _, r := range hd.Records {
+		if r.Type == "access-allowed" {
+			trace = r.Trace
 		}
 	}
 	if trace == 0 {
-		t.Fatalf("no allowed decision span on h0: %+v", byNode["h0"])
+		t.Fatalf("no access-allowed flight record on h0: %+v", hd.Records)
 	}
-	var rounds, replies int
-	for _, s := range byNode["h0"] {
-		if s.Trace != trace {
-			continue
-		}
-		switch s.Kind {
-		case "round":
-			rounds++
-		case "reply":
-			replies++
-		}
-	}
-	if rounds < 1 || replies < 2 {
-		t.Errorf("host trace %d: rounds=%d replies=%d, want >=1 and >=2", trace, rounds, replies)
-	}
-	for _, id := range []string{"m0", "m1"} {
-		found := false
-		for _, s := range byNode[id] {
-			if s.Trace == trace && s.Kind == "query" && s.Peer == "h0" {
-				found = true
+	has := func(d *flight.Dump, typ string) bool {
+		for _, r := range d.Records {
+			if r.Type == typ && r.Trace == trace {
+				return true
 			}
 		}
-		if !found {
-			t.Errorf("%s spans missing query with trace %d: %+v", id, trace, byNode[id])
+		return false
+	}
+	if !has(hd, "query-sent") {
+		t.Errorf("h0 flight has no query-sent with trace %016x: %+v", trace, hd.Records)
+	}
+	for _, id := range []string{"m0", "m1"} {
+		if d := pullFlight(t, c.debugAddr(id)); !has(d, "query-served") {
+			t.Errorf("%s flight has no query-served with trace %016x: %+v", id, trace, d.Records)
 		}
 	}
 }

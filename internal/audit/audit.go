@@ -10,7 +10,7 @@
 // internal/ring as internal/flight's, with the same dump codec — and
 // optionally into a JSONL sink for live deployments
 // (`acnode -audit.jsonl`). cmd/acaudit joins dumped records
-// with flight timelines and spans to answer "why was user U allowed on
+// with flight timelines by trace ID to answer "why was user U allowed on
 // app A at time T".
 package audit
 

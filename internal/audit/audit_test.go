@@ -335,7 +335,7 @@ func TestExplainJoinsResponsesByTrace(t *testing.T) {
 		},
 	}
 	var out strings.Builder
-	n := Explain(&out, d, nil, nil, Filter{User: "u0"})
+	n := Explain(&out, d, nil, Filter{User: "u0"})
 	if n != 1 {
 		t.Fatalf("explained %d decisions, want 1", n)
 	}

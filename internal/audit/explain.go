@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wanac/internal/flight"
-	"wanac/internal/telemetry"
 )
 
 // Filter selects the decisions Explain reconstructs. Zero fields match
@@ -159,10 +158,9 @@ func (r *Record) Evidence() string {
 
 // Explain writes a causal explanation for every decision in d selected by
 // f: the decision headline and evidence, the manager responses sharing its
-// trace ID, and — when a flight dump or span stream is supplied — the
-// flight-recorder timeline and spans of the same check. Returns how many
-// decisions were explained.
-func Explain(w io.Writer, d *Dump, fl *flight.Dump, spans []telemetry.Span, f Filter) int {
+// trace ID, and — when a flight dump is supplied — the flight-recorder
+// timeline of the same check. Returns how many decisions were explained.
+func Explain(w io.Writer, d *Dump, fl *flight.Dump, f Filter) int {
 	if d == nil {
 		return 0
 	}
@@ -171,12 +169,12 @@ func Explain(w io.Writer, d *Dump, fl *flight.Dump, spans []telemetry.Span, f Fi
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		explainOne(w, &decisions[i], d.Records, fl, spans)
+		explainOne(w, &decisions[i], d.Records, fl)
 	}
 	return len(decisions)
 }
 
-func explainOne(w io.Writer, dec *Record, all []Record, fl *flight.Dump, spans []telemetry.Span) {
+func explainOne(w io.Writer, dec *Record, all []Record, fl *flight.Dump) {
 	fmt.Fprintln(w, dec.Headline())
 	fmt.Fprintf(w, "  evidence: %s\n", dec.Evidence())
 	if dec.Trace != 0 {
@@ -210,22 +208,6 @@ func explainOne(w io.Writer, dec *Record, all []Record, fl *flight.Dump, spans [
 				}
 				fmt.Fprintln(w, line)
 			}
-		}
-		for _, s := range spans {
-			if s.Trace != dec.Trace {
-				continue
-			}
-			line := fmt.Sprintf("  span: %s %s %s", s.Time.Format(clockFmt), s.Node, s.Kind)
-			if s.Peer != "" {
-				line += " peer=" + s.Peer
-			}
-			if s.Round != 0 {
-				line += fmt.Sprintf(" round=%d", s.Round)
-			}
-			if s.Note != "" {
-				line += " " + s.Note
-			}
-			fmt.Fprintln(w, line)
 		}
 	}
 }

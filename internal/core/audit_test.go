@@ -22,9 +22,8 @@ func TestHostAuditExactness(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	InstrumentHost(reg, &telemetry.SpanBuffer{}, h)
 	rec := audit.NewRecorder("h0", 64, env.Now)
-	h.SetAudit(rec)
+	InstrumentHost(reg, rec, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
 		Policy: Policy{

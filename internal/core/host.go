@@ -13,7 +13,6 @@ import (
 	"wanac/internal/audit"
 	"wanac/internal/auth"
 	"wanac/internal/quorum"
-	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -48,8 +47,8 @@ type Host struct {
 
 	mu sync.Mutex
 	// now is the clock reading of the current entry into the locked half of
-	// the node, shared by everything the entry stamps: trace events, spans,
-	// audit records, a round's sentAt, a decision's latency.
+	// the node, shared by everything the entry stamps: trace events, audit
+	// records, a round's sentAt, a decision's latency.
 	now time.Time
 	// pending indexes in-flight checks by the nonce of their current query
 	// round; byKey coalesces concurrent checks for the same right.
@@ -80,9 +79,9 @@ type Host struct {
 // everything else in a hostApp is protocol state guarded by Host.mu.
 type hostView struct {
 	apps map[wire.AppID]*hostApp
-	// tel, when set, receives per-outcome counters/latency histograms and
-	// check-lifecycle spans (see telemetry.go). Nil outside instrumented
-	// runs; every hook is nil-guarded so the unused cost is one branch.
+	// tel, when set, receives per-outcome counters and latency histograms
+	// (see telemetry.go). Nil outside instrumented runs; every hook is
+	// nil-guarded so the unused cost is one branch.
 	tel *HostTelemetry
 	// aud, when set, receives one provenance record per decision at the
 	// same call sites as the stats/counters (see audit.go). Nil-guarded
@@ -165,9 +164,9 @@ type checkKey struct {
 type check struct {
 	key   checkKey
 	nonce uint64
-	// trace is the check-wide telemetry correlation ID: the nonce of the
-	// first query round, carried in every Query of the check and echoed
-	// by managers, joining host and manager spans (internal/telemetry).
+	// trace is the check-wide correlation ID: the nonce of the first query
+	// round, carried in every Query of the check and echoed by managers,
+	// joining host and manager flight events and audit records.
 	trace uint64
 	// born is when the check was created, for decision-latency histograms.
 	born     time.Time
@@ -309,12 +308,12 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	if st != acl.Hit {
 		return st
 	}
-	// Cache hits never touch the wire; when spans or audit records need a
+	// Cache hits never touch the wire; when audit records need a
 	// correlation ID, mint a local one from the nonce sequence (never
 	// reused by query rounds). Zero otherwise, matching the untraced event
 	// shape.
 	var tid uint64
-	if v.aud != nil || v.tel.spanning() {
+	if v.aud != nil {
 		tid = h.nonce.Add(1)
 	}
 	if h.tracing {
@@ -323,13 +322,6 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	h.hits.Add(1)
 	if t := v.tel; t != nil {
 		t.hits.Add(1)
-		if t.spanning() {
-			t.span(telemetry.Span{
-				Trace: tid, Node: string(h.id), Kind: "decision",
-				Time: now, App: string(app), User: string(user),
-				Right: right.String(), Note: outcomeNames[outcomeCacheHit],
-			})
-		}
 	}
 	if v.aud != nil {
 		v.aud.RecordCacheHit(now, tid, string(app), string(user), right.String(), entry.Granters, entry.Limit)
@@ -627,8 +619,8 @@ func (h *Host) startRound(a *hostApp, c *check) {
 }
 
 // ask sends the round's query to the first count managers, in rotation order
-// from position start, that the round has not asked yet; its span and trace
-// event cite how many the round has then asked in all.
+// from position start, that the round has not asked yet; its trace event cites
+// how many the round has then asked in all.
 func (h *Host) ask(a *hostApp, c *check, start, count int) {
 	// Boxed once for the sends.
 	var q wire.Message = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
@@ -641,16 +633,8 @@ func (h *Host) ask(a *hostApp, c *check, start, count int) {
 			count--
 		}
 	}
-	asked := c.round.Asked.Len()
-	if t := h.tel(); t.spanning() {
-		t.span(telemetry.Span{
-			Trace: c.trace, Node: string(h.id), Kind: "round",
-			Time: h.now, App: string(c.key.app), User: string(c.key.user),
-			Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
-			Note: "managers=" + strconv.Itoa(asked),
-		})
-	}
 	if h.tracing {
+		asked := c.round.Asked.Len()
 		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, asked}, func() string {
 			return "round=" + strconv.Itoa(c.attempts) + " managers=" + strconv.Itoa(asked)
 		}))
@@ -670,13 +654,6 @@ func (h *Host) onQueryTimeout(c *check) {
 	h.stats.QueryTimeouts++
 	if t := v.tel; t != nil {
 		t.timeouts.Inc()
-		if t.spanning() {
-			t.span(telemetry.Span{
-				Trace: c.trace, Node: string(h.id), Kind: "timeout",
-				Time: h.now, App: string(c.key.app), User: string(c.key.user),
-				Right: c.key.right.String(), Round: c.attempts, Nonce: c.nonce,
-			})
-		}
 	}
 	if h.tracing {
 		h.emitT(trace.EventQueryTimeout, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, -2}, func() string {
@@ -717,14 +694,6 @@ func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
 	h.recordDecision(d, c.born, now, reason)
 	if v.aud != nil {
 		h.auditFinish(v, c, d, reason)
-	}
-	if v.tel.spanning() {
-		v.tel.span(telemetry.Span{
-			Trace: c.trace, Node: string(h.id), Kind: "decision",
-			Time: now, App: string(c.key.app), User: string(c.key.user),
-			Right: c.key.right.String(), Round: c.attempts,
-			DurNs: durationSince(c.born, now), Note: outcomeNames[outcomeIndex(d)],
-		})
 	}
 	h.disarm(c)
 	delete(h.pending, c.nonce)
@@ -790,21 +759,6 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 	i := slices.Index(a.managers, from)
 	if i < 0 {
 		return
-	}
-	if v.tel.spanning() {
-		note := outcomeNames[outcomeDenied]
-		switch {
-		case m.Frozen:
-			note = "frozen"
-		case m.Granted:
-			note = "granted"
-		}
-		v.tel.span(telemetry.Span{
-			Trace: c.trace, Node: string(h.id), Kind: "reply",
-			Time: h.now, App: string(c.key.app), User: string(c.key.user),
-			Right: c.key.right.String(), Peer: string(from),
-			Round: c.attempts, Nonce: m.Nonce, Note: note,
-		})
 	}
 	vote := quorum.VoteDeny
 	switch {
@@ -1092,8 +1046,8 @@ func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, note st
 }
 
 // emitT is emit for events inside a check's lifecycle: it carries the
-// check's causal trace ID so flight recordings and span streams join on the
-// same key.
+// check's causal trace ID so flight recordings and audit records join on
+// the same key.
 func (h *Host) emitT(t trace.EventType, app wire.AppID, user wire.UserID, traceID uint64, note string) {
 	h.tracer.Emit(trace.Event{
 		Time: h.now, Node: h.id, Type: t, App: app, User: user, Trace: traceID, Note: note,

@@ -32,7 +32,7 @@ type Manager struct {
 	mu sync.Mutex
 	// now is the clock reading of the current entry into the node: taken
 	// once, after mu is acquired, and shared by everything the entry stamps
-	// (trace events, spans, audit records, grant deadlines, Issued times).
+	// (trace events, audit records, grant deadlines, Issued times).
 	now         time.Time
 	store       *acl.Store
 	apps        map[wire.AppID]*mgrApp
@@ -46,7 +46,7 @@ type Manager struct {
 	servedNotes map[servedKey]string
 	stats       ManagerStats
 	// tel, when set, mirrors the stats counters into a telemetry registry
-	// and records per-query spans (see telemetry.go). Nil-guarded hooks.
+	// (see telemetry.go). Nil-guarded hooks.
 	tel *ManagerTelemetry
 	// aud, when set, records one response-kind audit entry per query
 	// verdict (see audit.go). Nil-guarded like tel.
@@ -652,13 +652,10 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	m.env.Send(from, resp)
 }
 
-// served tells the attached observers a query's verdict: the span, the
-// query-served trace event and the response audit record, in that order. ma
-// is nil for unknown-app verdicts.
+// served tells the attached observers a query's verdict: the query-served
+// trace event and the response audit record, in that order. ma is nil for
+// unknown-app verdicts.
 func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict string, reason audit.Reason) {
-	if m.tel.spanning() {
-		m.querySpan(from, q, verdict)
-	}
 	m.emitServed(from, q, verdict)
 	if m.aud != nil {
 		m.auditResponse(ma, from, q, reason)
@@ -688,9 +685,6 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
 	ma.shedWindow++
 	if m.tel != nil {
 		m.tel.queriesShed.Inc()
-		if m.tel.spanning() {
-			m.querySpan(from, q, "shed")
-		}
 	}
 	now := m.now
 	var retry time.Duration

@@ -20,7 +20,6 @@ import (
 
 	"wanac/internal/audit"
 	"wanac/internal/telemetry"
-	"wanac/internal/wire"
 )
 
 // Check outcomes, in a fixed order so hot paths index arrays instead of
@@ -48,8 +47,8 @@ func outcomeIndex(d Decision) int {
 	}
 }
 
-// HostTelemetry holds a host's pre-resolved metric handles and optional
-// span recorder. Install with Host.SetTelemetry or InstrumentHost.
+// HostTelemetry holds a host's pre-resolved metric handles. Install with
+// Host.SetTelemetry or InstrumentHost.
 type HostTelemetry struct {
 	// hits counts the cache hits decided while this value was the host's
 	// telemetry. It is all a hit bumps: checks[cache_hit], reasons[cache_hit]
@@ -66,17 +65,15 @@ type HostTelemetry struct {
 	revokes     *telemetry.Counter
 	busyReplies *telemetry.Counter
 	backoffs    *telemetry.Counter
-	spans       telemetry.SpanRecorder
 }
 
-// NewHostTelemetry resolves the host metric families in reg. spans may
-// be nil to disable span recording (metrics only).
-func NewHostTelemetry(reg *telemetry.Registry, spans telemetry.SpanRecorder) *HostTelemetry {
+// NewHostTelemetry resolves the host metric families in reg.
+func NewHostTelemetry(reg *telemetry.Registry) *HostTelemetry {
 	checks := reg.CounterVec("wanac_host_checks_total",
 		"Completed access decisions by outcome.", "outcome")
 	latency := reg.HistogramVec("wanac_host_check_latency_seconds",
 		"Latency from Check to decision, by outcome.", telemetry.DefBuckets, "outcome")
-	t := &HostTelemetry{spans: spans}
+	t := &HostTelemetry{}
 	for i, name := range outcomeNames {
 		t.checks[i] = checks.With(name)
 		t.latency[i] = latency.With(name)
@@ -137,11 +134,15 @@ func (h *Host) SetTelemetry(t *HostTelemetry) {
 
 // InstrumentHost wires h into reg: outcome-labeled check counters and
 // latency histograms (shared families, aggregated across hosts) plus
-// per-node cache gauges, and installs spans as the span sink. Returns
-// the installed handles.
-func InstrumentHost(reg *telemetry.Registry, spans telemetry.SpanRecorder, h *Host) *HostTelemetry {
-	t := NewHostTelemetry(reg, spans)
+// per-node cache gauges, and installs aud as the audit recorder when it is
+// non-nil (nil leaves the current one in place). Returns the installed
+// handles.
+func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) *HostTelemetry {
+	t := NewHostTelemetry(reg)
 	h.SetTelemetry(t)
+	if aud != nil {
+		h.SetAudit(aud)
+	}
 	node := string(h.ID())
 	reg.GaugeVec("wanac_host_cache_entries",
 		"Current ACL cache entries.", "node").
@@ -158,20 +159,7 @@ func InstrumentHost(reg *telemetry.Registry, spans telemetry.SpanRecorder, h *Ho
 	return t
 }
 
-// span records s if a recorder is installed. The nil receiver check lets
-// call sites stay a single line.
-func (t *HostTelemetry) span(s telemetry.Span) {
-	if t != nil && t.spans != nil {
-		t.spans.RecordSpan(s)
-	}
-}
-
-// spanning reports whether span recording is active (callers use it to
-// skip building note strings).
-func (t *HostTelemetry) spanning() bool { return t != nil && t.spans != nil }
-
-// ManagerTelemetry holds a manager's pre-resolved metric handles and
-// optional span recorder.
+// ManagerTelemetry holds a manager's pre-resolved metric handles.
 type ManagerTelemetry struct {
 	queriesServed  *telemetry.Counter
 	queriesFrozen  *telemetry.Counter
@@ -183,11 +171,10 @@ type ManagerTelemetry struct {
 	quorums        *telemetry.Counter
 	quorumLatency  *telemetry.Histogram
 	revocationLag  *telemetry.Histogram
-	spans          telemetry.SpanRecorder
 }
 
 // NewManagerTelemetry resolves the manager metric families in reg.
-func NewManagerTelemetry(reg *telemetry.Registry, spans telemetry.SpanRecorder) *ManagerTelemetry {
+func NewManagerTelemetry(reg *telemetry.Registry) *ManagerTelemetry {
 	queries := reg.CounterVec("wanac_manager_queries_total",
 		"Access-right queries by result: served (grant/deny), frozen (declined), or shed (rejected by admission control).", "result")
 	updates := reg.CounterVec("wanac_manager_updates_total",
@@ -199,7 +186,6 @@ func NewManagerTelemetry(reg *telemetry.Registry, spans telemetry.SpanRecorder) 
 		updatesIssued:  updates.With("issued"),
 		updatesApplied: updates.With("applied"),
 		updatesStale:   updates.With("stale"),
-		spans:          spans,
 	}
 	t.quorums = reg.Counter("wanac_manager_update_quorums_total",
 		"Locally issued updates whose update quorum (M-C+1 acks) completed.")
@@ -222,10 +208,15 @@ func (m *Manager) SetTelemetry(t *ManagerTelemetry) {
 
 // InstrumentManager wires m into reg: query/update counters and quorum
 // and revocation-propagation histograms (shared families) plus per-node
-// gauges for outstanding work and freeze/sync state.
-func InstrumentManager(reg *telemetry.Registry, spans telemetry.SpanRecorder, m *Manager) *ManagerTelemetry {
-	t := NewManagerTelemetry(reg, spans)
+// gauges for outstanding work and freeze/sync state, and installs aud as
+// the audit recorder when it is non-nil (nil leaves the current one in
+// place).
+func InstrumentManager(reg *telemetry.Registry, aud *audit.Recorder, m *Manager) *ManagerTelemetry {
+	t := NewManagerTelemetry(reg)
 	m.SetTelemetry(t)
+	if aud != nil {
+		m.SetAudit(aud)
+	}
 	node := string(m.ID())
 	gauge := func(name, help string, get func(ManagerStats) float64) {
 		reg.GaugeVec(name, help, "node").
@@ -249,25 +240,6 @@ func InstrumentManager(reg *telemetry.Registry, spans telemetry.SpanRecorder, m 
 	return t
 }
 
-func (t *ManagerTelemetry) spanning() bool { return t != nil && t.spans != nil }
-
-// querySpan records the manager-side span for one served query, joined
-// to the host's spans by the echoed trace ID.
-func (m *Manager) querySpan(from wire.NodeID, q wire.Query, note string) {
-	m.tel.spans.RecordSpan(telemetry.Span{
-		Trace: q.Trace,
-		Node:  string(m.id),
-		Kind:  "query",
-		Time:  m.now,
-		App:   string(q.App),
-		User:  string(q.User),
-		Right: q.Right.String(),
-		Peer:  string(from),
-		Nonce: q.Nonce,
-		Note:  note,
-	})
-}
-
 // observeSince records now-start into h when telemetry is active and the
 // start time is known. Clock skew can make the difference negative on a
 // live node; clamp to zero rather than corrupting the histogram.
@@ -280,17 +252,4 @@ func observeSince(h *telemetry.Histogram, start, now time.Time) {
 		d = 0
 	}
 	h.Observe(d.Seconds())
-}
-
-// durationSince returns now-start in nanoseconds, clamped to zero (clock
-// skew must not produce negative span durations); zero start returns 0.
-func durationSince(start, now time.Time) int64 {
-	if start.IsZero() {
-		return 0
-	}
-	d := now.Sub(start)
-	if d < 0 {
-		d = 0
-	}
-	return d.Nanoseconds()
 }

@@ -14,6 +14,7 @@ import (
 
 	"wanac/internal/audit"
 	"wanac/internal/telemetry"
+	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
 
@@ -30,8 +31,7 @@ func TestHostTelemetryExactness(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	spans := &telemetry.SpanBuffer{}
-	tel := InstrumentHost(reg, spans, h)
+	tel := InstrumentHost(reg, nil, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
 		Policy: Policy{
@@ -146,12 +146,15 @@ func TestHostTelemetryExactness(t *testing.T) {
 	}
 }
 
-func TestHostSpansReconstructCheckRound(t *testing.T) {
+// TestHostTraceReconstructsCheckRound follows one two-round check through
+// the records it leaves under its trace ID: the trace events (what the
+// flight ring keeps) and the audit decision record.
+func TestHostTraceReconstructsCheckRound(t *testing.T) {
 	env := newFakeEnv()
-	h := NewHost("h0", env, nil, nil)
-	reg := telemetry.NewRegistry()
-	spans := &telemetry.SpanBuffer{}
-	InstrumentHost(reg, spans, h)
+	col := trace.NewCollector()
+	h := NewHost("h0", env, col, nil)
+	rec := audit.NewRecorder("h0", 16, env.Now)
+	InstrumentHost(telemetry.NewRegistry(), rec, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
 		Policy:   Policy{CheckQuorum: 1, QueryTimeout: time.Second, MaxAttempts: 3},
@@ -177,37 +180,50 @@ func TestHostSpansReconstructCheckRound(t *testing.T) {
 		App: "a", User: "u", Right: wire.RightUse, Nonce: q2.Nonce, Granted: true, Trace: q2.Trace,
 	})
 
-	got := spans.ByTrace(q1.Trace)
-	kinds := make([]string, len(got))
-	for i, s := range got {
-		kinds[i] = s.Kind
-	}
-	wantKinds := []string{"round", "timeout", "round", "reply", "decision"}
-	if len(got) != len(wantKinds) {
-		t.Fatalf("spans = %v, want kinds %v", kinds, wantKinds)
-	}
-	for i, k := range wantKinds {
-		if kinds[i] != k {
-			t.Fatalf("span[%d].Kind = %s, want %s (all: %v)", i, kinds[i], k, kinds)
+	var got []string
+	var born, decided time.Time
+	for e := range col.All() {
+		if e.Trace != q1.Trace {
+			continue
 		}
+		got = append(got, e.Type.String()+" "+e.Note)
+		if born.IsZero() {
+			born = e.Time
+		}
+		decided = e.Time
 	}
-	if got[3].Peer != "m1" || got[3].Note != "granted" {
-		t.Errorf("reply span = %+v", got[3])
+	want := []string{
+		"query-sent round=1 managers=1",
+		"query-timeout round=1",
+		"query-sent round=2 managers=2",
+		"grant-cached confirmations=1",
+		"access-allowed quorum",
 	}
-	dec := got[4]
-	if dec.Note != "allowed" || dec.Round != 2 || dec.DurNs != (1100*time.Millisecond).Nanoseconds() {
-		t.Errorf("decision span = %+v", dec)
+	if strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("events of trace %d:\n%s\nwant:\n%s", q1.Trace, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	// The decision span's duration covers birth to decision in the host's
-	// clock; the cache-hit fast path gets its own trace ID.
+	if d := decided.Sub(born); d != 1100*time.Millisecond {
+		t.Errorf("first query to decision = %v, want 1.1s", d)
+	}
+	recs := rec.Snapshot()
+	if len(recs) != 1 {
+		t.Fatalf("audit records = %+v, want one decision", recs)
+	}
+	if dec := recs[0]; dec.Trace != q1.Trace || dec.Reason != audit.ReasonQuorumAllow ||
+		dec.Attempts != 2 || dec.Managers != "m1" || !dec.T.Equal(decided) {
+		t.Errorf("decision record = %+v", dec)
+	}
+
+	// The cache-hit fast path gets its own trace ID, on its event and its
+	// audit record alike.
 	h.Check("a", "u", wire.RightUse, func(Decision) {})
-	all := spans.Spans()
-	hit := all[len(all)-1]
-	if hit.Kind != "decision" || hit.Note != "cache_hit" {
-		t.Fatalf("cache-hit span = %+v", hit)
+	hit := rec.Snapshot()[1]
+	if hit.Reason != audit.ReasonCacheHit || hit.Trace == 0 || hit.Trace == q1.Trace {
+		t.Fatalf("cache-hit record = %+v, want a fresh non-zero trace", hit)
 	}
-	if hit.Trace == 0 || hit.Trace == q1.Trace {
-		t.Fatalf("cache-hit trace = %d, want fresh non-zero id", hit.Trace)
+	evs := col.Events()
+	if last := evs[len(evs)-1]; last.Type != trace.EventCacheHit || last.Trace != hit.Trace {
+		t.Fatalf("cache-hit event = %+v, want trace %d", last, hit.Trace)
 	}
 }
 
@@ -226,8 +242,7 @@ func TestManagerTelemetryExactness(t *testing.T) {
 	env := newFakeEnv()
 	m := NewManager("m0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	spans := &telemetry.SpanBuffer{}
-	tel := InstrumentManager(reg, spans, m)
+	tel := InstrumentManager(reg, nil, m)
 	if err := m.AddApp("a", ManagerAppConfig{
 		Peers: []wire.NodeID{"m0", "m1"}, CheckQuorum: 1, Te: time.Minute,
 		ClockBound: 0.5, UpdateRetry: time.Second,
@@ -305,15 +320,6 @@ func TestManagerTelemetryExactness(t *testing.T) {
 	lag := reg.Histogram("wanac_manager_revocation_propagation_seconds", "", nil)
 	if s := lag.Snapshot(); s.Count != 1 || s.Sum != 0.75 {
 		t.Errorf("revocation lag count=%d sum=%v, want 1, 0.75", s.Count, s.Sum)
-	}
-
-	// Manager-side query spans echo the host's trace IDs.
-	if got := spans.ByTrace(7); len(got) != 1 || got[0].Kind != "query" ||
-		got[0].Note != "granted" || got[0].Peer != "h9" || got[0].Node != "m0" {
-		t.Errorf("trace 7 spans = %+v", got)
-	}
-	if got := spans.ByTrace(8); len(got) != 1 || got[0].Note != "denied" {
-		t.Errorf("trace 8 spans = %+v", got)
 	}
 }
 

@@ -224,8 +224,8 @@ type teeTracer struct {
 // A cache hit is forwarded but not recorded: the ring keeps protocol
 // history — queries, grants, revocations, quorums — which a host serving
 // millions of hits a second would otherwise turn over in milliseconds. The
-// hit's record is its audit record (internal/audit), joined to spans by
-// trace ID; sim.World.FlightDump folds those back into a simulated run's
+// hit's record is its audit record (internal/audit), which carries the
+// hit's trace ID; sim.World.FlightDump folds those back into a simulated run's
 // timeline.
 func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
 	t := teeTracer{rec: rec}

@@ -3,8 +3,8 @@ package sim
 // End-to-end telemetry through the simulated stack: the same instrument
 // hooks acnode uses, driven by a scripted scenario with known event counts,
 // asserting registry counters against node stats and reconstructing a
-// check round across host and manager span streams via the shared trace
-// ID.
+// check round across host and manager flight and audit records via the
+// shared trace ID.
 
 import (
 	"bytes"
@@ -12,19 +12,18 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/audit"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
 
 func TestSimTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	spans := &telemetry.SpanBuffer{}
 	w := build(t, Config{
 		Managers: 2, Hosts: 1,
 		Policy: basePolicy(1), Te: time.Minute,
 		Users:     []wire.UserID{"alice"},
 		Telemetry: reg,
-		Spans:     spans,
 	})
 
 	// Script: quorum-confirmed allow, cache hit, denial for an unknown
@@ -106,26 +105,23 @@ func itoa(v uint64) string {
 	}
 }
 
-// TestSimSpansJoinAcrossNodes drives one multi-round check through the
-// simulated network and reconstructs its lifecycle from the merged span
-// stream: the host's round/reply/decision spans and both managers' query
-// spans share one trace ID, even though round 1 and round 2 used distinct
-// nonces.
-func TestSimSpansJoinAcrossNodes(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	spans := &telemetry.SpanBuffer{}
+// TestSimTraceJoinsAcrossNodes drives one multi-round check through the
+// simulated network and reconstructs its lifecycle from the merged flight
+// dump and the audit rings: the host's query rounds and decision and both
+// managers' verdicts share one trace ID, even though round 1 and round 2
+// used distinct nonces.
+func TestSimTraceJoinsAcrossNodes(t *testing.T) {
 	w := build(t, Config{
 		Managers: 2, Hosts: 1,
 		Policy: basePolicy(2), Te: time.Minute,
-		Users:     []wire.UserID{"alice"},
-		Telemetry: reg,
-		Spans:     spans,
-		// Drop ~everything on the first attempt so the check needs a
-		// retry round; seed chosen so round 1 is lost and round 2 lands.
+		Users:      []wire.UserID{"alice"},
+		Telemetry:  telemetry.NewRegistry(),
+		FlightRing: 256,
+		AuditRing:  256,
 	})
+	// Round 1 is lost on the cut links; heal before the retry fires.
 	w.Net.SetLink(HostID(0), ManagerID(0), false)
 	w.Net.SetLink(HostID(0), ManagerID(1), false)
-	// Heal after the first round is lost, before the retry fires.
 	w.Sched.After(qt/2, w.Net.Heal)
 
 	d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout)
@@ -133,60 +129,66 @@ func TestSimSpansJoinAcrossNodes(t *testing.T) {
 		t.Fatalf("decision = %+v ok=%v (want allowed after a retry)", d, ok)
 	}
 
-	// Find the decision span and pull every span with its trace.
+	// Find the host's decision and pull every flight record with its trace.
+	fl := w.FlightDump()
 	var trace uint64
-	for _, s := range spans.Spans() {
-		if s.Kind == "decision" && s.Note == "allowed" {
-			trace = s.Trace
+	var decided time.Time
+	for _, r := range fl.Records {
+		if r.Node == "h0" && r.Type == "access-allowed" {
+			trace, decided = r.Trace, r.T
 		}
 	}
 	if trace == 0 {
-		t.Fatalf("no allowed decision span in %+v", spans.Spans())
+		t.Fatalf("no access-allowed flight record in %+v", fl.Records)
 	}
-	byNode := map[string][]telemetry.Span{}
-	nonces := map[uint64]bool{}
-	rounds, queries := 0, 0
-	for _, s := range spans.ByTrace(trace) {
-		byNode[s.Node] = append(byNode[s.Node], s)
-		switch s.Kind {
-		case "round":
-			rounds++
-			nonces[s.Nonce] = true
-		case "query":
-			queries++
+	var sent int
+	var born time.Time
+	served := map[string]int{}
+	for _, r := range fl.Records {
+		if r.Trace != trace {
+			continue
+		}
+		switch {
+		case r.Node == "h0" && r.Type == "query-sent":
+			sent++
+			if born.IsZero() {
+				born = r.T
+			}
+		case r.Type == "query-served":
+			served[r.Node]++
 		}
 	}
-	if rounds < 2 || len(nonces) < 2 {
-		t.Errorf("trace %d has %d rounds over %d nonces, want >=2 each", trace, rounds, len(nonces))
+	if sent < 2 {
+		t.Errorf("trace %d has %d query rounds on h0, want >=2", trace, sent)
 	}
-	if queries < 2 {
-		t.Errorf("trace %d has %d manager query spans, want >=2 (C=2)", trace, queries)
+	if served["m0"] == 0 || served["m1"] == 0 {
+		t.Errorf("trace %d served by %v, want m0 and m1 (C=2)", trace, served)
 	}
-	if len(byNode["h0"]) == 0 || len(byNode["m0"]) == 0 || len(byNode["m1"]) == 0 {
-		t.Errorf("trace %d spans by node = %v, want all of h0/m0/m1", trace, keys(byNode))
+	if !decided.After(born) {
+		t.Errorf("decision at %v, first query at %v: want the check to take time", decided, born)
 	}
-	// The host's reply and decision spans close out the trace.
-	var sawReply, sawDecision bool
-	for _, s := range byNode["h0"] {
-		switch s.Kind {
-		case "reply":
-			sawReply = true
-		case "decision":
-			sawDecision = true
-			if s.DurNs <= 0 {
-				t.Errorf("decision span duration = %d, want > 0", s.DurNs)
+
+	// The audit rings join on the same trace: the host's decision cites
+	// the rounds it took, and each manager's verdict names the host.
+	var decisions int
+	verdicts := map[string]bool{}
+	for _, rec := range w.AuditRings() {
+		for _, r := range rec.Snapshot() {
+			if r.Trace != trace {
+				continue
+			}
+			switch r.Kind {
+			case audit.KindDecision:
+				decisions++
+				if r.Node != "h0" || r.Attempts != d.Attempts {
+					t.Errorf("decision record = %+v, want h0 after %d attempts", r, d.Attempts)
+				}
+			case audit.KindResponse:
+				verdicts[r.Node] = r.Peer == "h0"
 			}
 		}
 	}
-	if !sawReply || !sawDecision {
-		t.Errorf("host spans missing reply/decision: %+v", byNode["h0"])
+	if decisions != 1 || !verdicts["m0"] || !verdicts["m1"] {
+		t.Errorf("trace %d: %d decision records, manager verdicts %v; want one decision and m0, m1 answering h0", trace, decisions, verdicts)
 	}
-}
-
-func keys(m map[string][]telemetry.Span) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

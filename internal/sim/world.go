@@ -69,9 +69,6 @@ type Config struct {
 	// only consistent while the scheduler is idle — the same constraint as
 	// Net.Stats.
 	Telemetry *telemetry.Registry
-	// Spans, when non-nil alongside Telemetry, receives check-round spans
-	// from every host and manager (see telemetry.SpanBuffer / SpanWriter).
-	Spans telemetry.SpanRecorder
 	// FlightRing, when > 0, turns on World.FlightDump and is its window:
 	// the dump keeps each node's last FlightRing records, read from the
 	// trace log, and a "net" pseudo-node recorder of that size captures
@@ -221,10 +218,9 @@ func Build(cfg Config) (*World, error) {
 		for _, u := range cfg.Users {
 			mgr.Seed(cfg.App, u, wire.RightUse)
 		}
-		if cfg.Telemetry != nil {
-			core.InstrumentManager(cfg.Telemetry, cfg.Spans, mgr)
-		}
-		if rec := newAudit(managerIDs[i], env.Now); rec != nil {
+		if rec := newAudit(managerIDs[i], env.Now); cfg.Telemetry != nil {
+			core.InstrumentManager(cfg.Telemetry, rec, mgr)
+		} else if rec != nil {
 			mgr.SetAudit(rec)
 		}
 		net.Attach(managerIDs[i], mgr)
@@ -274,10 +270,9 @@ func Build(cfg Config) (*World, error) {
 		if err := host.RegisterApp(cfg.App, hCfg); err != nil {
 			return nil, fmt.Errorf("host %d: %w", i, err)
 		}
-		if cfg.Telemetry != nil {
-			core.InstrumentHost(cfg.Telemetry, cfg.Spans, host)
-		}
-		if rec := newAudit(id, env.Now); rec != nil {
+		if rec := newAudit(id, env.Now); cfg.Telemetry != nil {
+			core.InstrumentHost(cfg.Telemetry, rec, host)
+		} else if rec != nil {
 			host.SetAudit(rec)
 		}
 		net.Attach(id, host)

@@ -1,8 +1,7 @@
 // Package telemetry is a dependency-free metrics layer shared by the
 // simulator and the live daemons: a registry of named metric families
-// (counters, gauges, fixed-bucket histograms, optionally labeled), a
-// Prometheus text-format exposition writer (prometheus.go), and causal
-// check-round spans exported as JSONL (span.go).
+// (counters, gauges, fixed-bucket histograms, optionally labeled) and a
+// Prometheus text-format exposition writer (prometheus.go).
 //
 // Design constraints, in order:
 //

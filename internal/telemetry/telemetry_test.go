@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -373,38 +372,5 @@ func TestEventBridge(t *testing.T) {
 	nop.Emit(ev)
 	if n := testing.AllocsPerRun(100, func() { nop.Emit(ev) }); n != 0 {
 		t.Fatalf("bridge Emit allocates %v/op, want 0", n)
-	}
-}
-
-func TestSpanWriterRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewSpanWriter(&buf)
-	base := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	w.RecordSpan(Span{Trace: 42, Node: "h0", Kind: "round", Round: 1, Nonce: 42, Time: base})
-	w.RecordSpan(Span{Trace: 42, Node: "m0", Kind: "query", Peer: "h0", Note: "granted", Time: base})
-	w.RecordSpan(Span{Trace: 7, Node: "h0", Kind: "decision", Note: "allowed", DurNs: 1500, Time: base})
-	if w.Errors() != 0 {
-		t.Fatalf("span writer errors = %d", w.Errors())
-	}
-	spans, err := ReadSpans(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) != 3 {
-		t.Fatalf("read %d spans, want 3", len(spans))
-	}
-	if spans[0].Trace != 42 || spans[0].Kind != "round" || spans[1].Peer != "h0" || spans[2].DurNs != 1500 {
-		t.Fatalf("round trip mismatch: %+v", spans)
-	}
-
-	var b SpanBuffer
-	for _, s := range spans {
-		b.RecordSpan(s)
-	}
-	if got := b.ByTrace(42); len(got) != 2 {
-		t.Fatalf("ByTrace(42) = %d spans, want 2", len(got))
-	}
-	if got := b.Spans(); len(got) != 3 {
-		t.Fatalf("Spans() = %d, want 3", len(got))
 	}
 }

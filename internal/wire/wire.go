@@ -77,11 +77,11 @@ type Message interface {
 // Query asks a manager whether User holds Right on App (§3.1, Figure 2).
 // Nonce correlates the eventual Response with the query round that sent it;
 // responses arriving after the round's timer fired are discarded (§3.2).
-// Trace is the check-wide telemetry correlation ID: every query round of
-// one access check carries the same Trace (the first round's nonce), and
-// managers echo it, so spans recorded on either side reconstruct the full
-// check lifecycle (internal/telemetry). Zero when tracing is off; carries
-// no protocol meaning.
+// Trace is the check-wide correlation ID: every query round of one access
+// check carries the same Trace (the first round's nonce), and managers echo
+// it, so the flight events and audit records either side leaves under it
+// reconstruct the full check lifecycle (cmd/acaudit). Every check sets it,
+// whatever the node records; it carries no protocol meaning.
 type Query struct {
 	App   AppID
 	User  UserID

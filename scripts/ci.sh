@@ -30,6 +30,18 @@ for ref in $( { grep -rhoE --include='*.go' --exclude-dir=bench '\./cmd/[A-Za-z0
 done
 [ "$stale" = 0 ]
 
+echo "== stale flag references"
+# Likewise every dotted flag (-debug.addr, -audit.jsonl, -harness.seed) the
+# documents name must be defined by a flag.*("name.name", ...) call in the Go
+# tree outside bench/, so a deleted flag cannot outlive it in a recipe.
+defined=$(grep -rhoE --include='*.go' --exclude-dir=bench 'flag\.[A-Za-z0-9]+\([^"]*"[a-z]+\.[a-z-]+"' . |
+	grep -oE '"[a-z]+\.[a-z-]+"$' | tr -d '"' | sort -u)
+for ref in $(grep -hoE '(^|[ `(])-[a-z]+\.[a-z-]+' README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md |
+	sed -E 's/^[ `(]?-//' | sort -u); do
+	grep -qxF "$ref" <<<"$defined" || { echo "stale flag reference: -$ref"; stale=1; }
+done
+[ "$stale" = 0 ]
+
 echo "== full suite (race)"
 go test -race "$@" ./...
 
