@@ -422,8 +422,8 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 // Prometheus /metrics exposition, and — on hosts — a live /debug/check.
 // The /metrics families and the /debug/vars snapshots read the same
 // underlying counters (the transport stats function is shared, and the
-// protocol registry counters are incremented at the same call sites as
-// the stats fields), so the two views agree by construction. The address
+// protocol registry counters are derived from the node's counts that its
+// Stats reads), so the two views agree by construction. The address
 // it bound (addr may name port 0) is left in rt.debugAddr.
 func startDebugServer(addr string, rt *runtime, app wire.AppID) (func(), error) {
 	l, err := net.Listen("tcp", addr)

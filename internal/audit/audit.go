@@ -4,9 +4,9 @@
 // granting managers, the quorum round and responding manager set, or the
 // fallback rule and the attempts that exhausted R (Figure 4).
 //
-// Records are emitted at the same call sites as HostStats and the telemetry
-// counters, so the three views cannot drift (pinned by exactness tests in
-// internal/core). They flow into a bounded ring per node — the same
+// Records are emitted at the same call sites as the node counts that
+// HostStats and the telemetry counters read, so the views cannot drift
+// (pinned by exactness tests in internal/core). They flow into a bounded ring per node — the same
 // internal/ring as internal/flight's, with the same dump codec — and
 // optionally into a JSONL sink for live deployments
 // (`acnode -audit.jsonl`). cmd/acaudit joins dumped records

@@ -1,8 +1,8 @@
 package core
 
 // Decision-provenance emission. Audit records are produced at the same
-// call sites (and under the same lock) as the HostStats fields and
-// telemetry counters they explain, so the three views cannot drift;
+// call sites (and under the same lock) as the counts they explain, which
+// HostStats and the telemetry counters read, so the views cannot drift;
 // audit_test.go pins the equalities against scripted scenarios. Every
 // hook is nil-guarded: an uninstrumented node pays one branch.
 

@@ -13,6 +13,7 @@ import (
 	"wanac/internal/audit"
 	"wanac/internal/auth"
 	"wanac/internal/quorum"
+	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -39,11 +40,11 @@ type Host struct {
 
 	// What a cache hit reads, none of it guarded by mu: the published
 	// configuration, the cache (its own mutex is the hit's linearization
-	// point), the nonce sequence and the hit count.
-	view  atomic.Pointer[hostView]
-	cache *acl.Cache
-	nonce atomic.Uint64
-	hits  atomic.Uint64 // cache-hit decisions; folded into Stats
+	// point), the nonce sequence and the counts.
+	view   atomic.Pointer[hostView]
+	cache  *acl.Cache
+	nonce  atomic.Uint64
+	counts hostCounts
 
 	mu sync.Mutex
 	// now is the clock reading of the current entry into the locked half of
@@ -67,25 +68,24 @@ type Host struct {
 	granters []wire.NodeID
 	// notes memoises the round's trace notes, so a round formats nothing.
 	notes map[noteKey]string
-	stats HostStats // every counter but the cache hits
+	// latency holds the decision latency histograms by outcome, nil until
+	// InstrumentHost (the cache hit's is derived from its count).
+	latency [outcomeCount]*telemetry.Histogram
 }
 
-// hostView is the host's configuration: the app table and the two optional
-// observers. It lives only here, as one immutable value behind Host.view —
-// RegisterApp, SetTelemetry and SetAudit publish a modified copy under mu —
-// so a check reads a consistent set of the three with one atomic load and
-// no lock. The hostApps the table points to are shared with the locked
-// paths: policy, nameService and app never change after registration,
-// everything else in a hostApp is protocol state guarded by Host.mu.
+// hostView is the host's configuration: the app table and the optional
+// audit recorder. It lives only here, as one immutable value behind
+// Host.view — RegisterApp and SetAudit publish a modified copy under mu —
+// so a check reads a consistent pair with one atomic load and no lock. The
+// hostApps the table points to are shared with the locked paths: policy,
+// nameService and app never change after registration, everything else in
+// a hostApp is protocol state guarded by Host.mu.
 type hostView struct {
 	apps map[wire.AppID]*hostApp
-	// tel, when set, receives per-outcome counters and latency histograms
-	// (see telemetry.go). Nil outside instrumented runs; every hook is
-	// nil-guarded so the unused cost is one branch.
-	tel *HostTelemetry
 	// aud, when set, receives one provenance record per decision at the
-	// same call sites as the stats/counters (see audit.go). Nil-guarded
-	// like tel.
+	// same call sites as the counts (see audit.go). Nil outside
+	// instrumented runs; every hook is nil-guarded so the unused cost is
+	// one branch.
 	aud *audit.Recorder
 }
 
@@ -98,8 +98,6 @@ func (h *Host) publish(edit func(*hostView)) {
 	edit(&v)
 	h.view.Store(&v)
 }
-
-func (h *Host) tel() *HostTelemetry { return h.view.Load().tel }
 
 // noteKey is a trace note that is a word and one or two small numbers:
 // "round=a managers=b", "confirmations=a" with b = -1, or "round=a" with
@@ -319,10 +317,7 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	if h.tracing {
 		h.tracer.Emit(trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid})
 	}
-	h.hits.Add(1)
-	if t := v.tel; t != nil {
-		t.hits.Add(1)
-	}
+	h.counts.decided[audit.ReasonCacheHit].Add(1)
 	if v.aud != nil {
 		v.aud.RecordCacheHit(now, tid, string(app), string(user), right.String(), entry.Granters, entry.Limit)
 	}
@@ -383,7 +378,7 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 	v := h.view.Load()
 	a, ok := v.apps[app]
 	if !ok || !right.Valid() {
-		h.recordDecision(Decision{}, now, now, audit.ReasonUnregisteredDeny)
+		h.recordDecision(now, now, audit.ReasonUnregisteredDeny)
 		h.emit(trace.EventAccessDenied, app, user, "unregistered")
 		if v.aud != nil {
 			v.aud.Record(audit.Record{
@@ -428,11 +423,8 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 // Checks keep coalescing onto it) but not in pending (no round is in
 // flight).
 func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
-	h.stats.Backoffs++
+	h.counts.backoffs.Add(1)
 	c.backoffs++
-	if t := h.tel(); t != nil {
-		t.backoffs.Inc()
-	}
 	if h.tracing {
 		h.emitT(trace.EventCheckBackoff, c.key.app, c.key.user, c.trace,
 			"delay="+delay.String())
@@ -467,10 +459,7 @@ func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
 	if !ok || !slices.Contains(a.managers, from) {
 		return
 	}
-	h.stats.BusyReplies++
-	if t := h.tel(); t != nil {
-		t.busyReplies.Inc()
-	}
+	h.counts.busyReplies.Add(1)
 	retry := m.RetryAfter
 	if retry <= 0 {
 		retry = a.policy.QueryTimeout
@@ -610,10 +599,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 		start = a.rr % m
 		a.rr += count
 	}
-	h.stats.QueryRounds++
-	if t := h.tel(); t != nil {
-		t.rounds.Inc()
-	}
+	h.counts.queryRounds.Add(1)
 	h.ask(a, c, start, count)
 	h.arm(c, a.policy.QueryTimeout)
 }
@@ -651,10 +637,7 @@ func (h *Host) onQueryTimeout(c *check) {
 		h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
 		return
 	}
-	h.stats.QueryTimeouts++
-	if t := v.tel; t != nil {
-		t.timeouts.Inc()
-	}
+	h.counts.queryTimeouts.Add(1)
 	if h.tracing {
 		h.emitT(trace.EventQueryTimeout, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, -2}, func() string {
 			return "round=" + strconv.Itoa(c.attempts)
@@ -691,7 +674,7 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
 	v := h.view.Load()
 	now := h.now
-	h.recordDecision(d, c.born, now, reason)
+	h.recordDecision(c.born, now, reason)
 	if v.aud != nil {
 		h.auditFinish(v, c, d, reason)
 	}
@@ -830,10 +813,7 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 	}
 	removed := h.cache.Remove(m.App, m.User, m.Right)
 	if removed {
-		h.stats.RevokeNotices++
-		if v.tel != nil {
-			v.tel.revokes.Inc()
-		}
+		h.counts.revokeNotices.Add(1)
 		h.emit(trace.EventRevokeApplied, m.App, m.User, "")
 	}
 	// Ack regardless: the manager needs to stop retransmitting even if the

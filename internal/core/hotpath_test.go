@@ -112,7 +112,6 @@ type hotHost struct {
 	h    *Host
 	lenv *lockedEnv
 	reg  *telemetry.Registry
-	tel  *HostTelemetry
 	aud  *audit.Recorder
 }
 
@@ -127,9 +126,8 @@ func newHotHostOn(t *testing.T, id wire.NodeID, reg *telemetry.Registry, policy 
 	lenv := newLockedEnv()
 	hh := &hotHost{lenv: lenv, reg: reg}
 	hh.h = NewHost(id, lenv, nil, nil)
-	hh.tel = InstrumentHost(hh.reg, nil, hh.h)
 	hh.aud = audit.NewRecorder(string(id), 64, lenv.Now)
-	hh.h.SetAudit(hh.aud)
+	InstrumentHost(hh.reg, hh.aud, hh.h)
 	managers := []wire.NodeID{"m0", "m1", "m2"}
 	if err := hh.h.RegisterApp("a", HostAppConfig{Managers: managers, Policy: policy}); err != nil {
 		t.Fatal(err)
@@ -240,10 +238,10 @@ func TestNoCacheHitAfterFlushReturns(t *testing.T) {
 	}
 }
 
-// TestViewPublicationUnderLoad: SetAudit, SetTelemetry and RegisterApp
-// republish the view a check reads without a lock. Flipping all three while
-// callers hit the cache must be race-clean, must never disturb a decision,
-// and a published app must be usable by the very next check.
+// TestViewPublicationUnderLoad: SetAudit and RegisterApp republish the view
+// a check reads without a lock. Flipping both while callers hit the cache
+// must be race-clean, must never disturb a decision, and a published app
+// must be usable by the very next check.
 func TestViewPublicationUnderLoad(t *testing.T) {
 	hh := newHotHost(t, Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute})
 	h := hh.h
@@ -273,10 +271,8 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		if i%2 == 0 {
 			h.SetAudit(nil)
-			h.SetTelemetry(nil)
 		} else {
 			h.SetAudit(hh.aud)
-			h.SetTelemetry(hh.tel)
 		}
 		app := wire.AppID(fmt.Sprintf("extra%d", i))
 		if err := h.RegisterApp(app, HostAppConfig{
@@ -300,33 +296,28 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 	if st.CacheHits != hits.Load() || st.CacheHits == 0 {
 		t.Errorf("Stats().CacheHits = %d, callers saw %d", st.CacheHits, hits.Load())
 	}
-	// Telemetry was attached for part of the load: whatever share of the
-	// hits it counted, every metric derived from that count reports it.
+	// Every metric derived from the hit count reports every hit.
 	counted := hostCounter(hh.reg, "wanac_host_checks_total", "cache_hit")
-	lat := hh.tel.latency[outcomeCacheHit].Snapshot()
-	if reasons := ReasonCounts(hh.reg)[audit.ReasonCacheHit]; counted == 0 || counted > st.CacheHits ||
+	lat := hostLatency(hh.reg, outcomeCacheHit)
+	if reasons := ReasonCounts(hh.reg)[audit.ReasonCacheHit]; counted != st.CacheHits ||
 		reasons != counted || lat.Count != counted || lat.Counts[0] != counted || lat.Sum != 0 {
 		t.Errorf("of %d hits: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
 			st.CacheHits, counted, reasons, lat.Count, lat.Counts[0], lat.Sum)
 	}
 }
 
-// TestCacheHitCountersDerived: a hit bumps one atomic in the attached
-// HostTelemetry, and wanac_host_checks_total{cache_hit}, its reason twin and
-// the cache_hit latency histogram are derived from it when read. Two hosts
-// share a registry, callers mix hits with cold checks while a scraper reads,
-// and one host's telemetry is removed and later re-instrumented: after each
-// phase every view of the hits counted so far is the same number — hits
-// while detached counted by HostStats and the audit ring only.
+// TestCacheHitCountersDerived: a hit bumps one atomic of the host's counts,
+// and Stats, wanac_host_checks_total{cache_hit}, its reason twin and the
+// cache_hit latency histogram are derived from it when read. Two hosts
+// share a registry and callers mix hits with cold checks while a scraper
+// reads: after each load phase every view of the hits counted so far is
+// the same number.
 func TestCacheHitCountersDerived(t *testing.T) {
 	policy := Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute}
 	reg := telemetry.NewRegistry()
 	hosts := []*hotHost{newHotHostOn(t, "h0", reg, policy), newHotHostOn(t, "h1", reg, policy)}
 	outcomes := reg.CounterVec("wanac_host_checks_total", "", "outcome")
 	hitCounter := outcomes.With("cache_hit")
-	latency := func(outcome int) telemetry.HistogramSnapshot {
-		return hosts[1].tel.latency[outcome].Snapshot() // one family: any host's handle reads it
-	}
 
 	// load runs callers on both hosts — each makes hitsEach hits and, after
 	// every fourth, a cold check (an unregistered app: denied at once under
@@ -374,15 +365,15 @@ func TestCacheHitCountersDerived(t *testing.T) {
 				t.Errorf("checks{cache_hit} went from %d to %d", last, n)
 			}
 			last = n
-			latency(outcomeCacheHit)
+			hostLatency(reg, outcomeCacheHit)
 			if err := reg.WritePrometheus(io.Discard); err != nil {
 				t.Error(err)
 			}
 		}
 	}
 
-	// The warm-up of each host was one allowed check, counted while attached.
-	var wantHits, wantDenied, allHits uint64
+	// The warm-up of each host was one allowed check.
+	var wantHits, wantDenied uint64
 	verify := func(phase string) {
 		t.Helper()
 		var stHits, stChecks, audited uint64
@@ -392,11 +383,11 @@ func TestCacheHitCountersDerived(t *testing.T) {
 			stChecks += st.Checks
 			audited += hh.aud.Decisions()
 		}
-		if stHits != allHits || stChecks != audited {
-			t.Errorf("%s: Stats() report %d hits of %d made, %d checks against %d audit decisions", phase, stHits, allHits, stChecks, audited)
+		if stHits != wantHits || stChecks != audited {
+			t.Errorf("%s: Stats() report %d hits of %d made, %d checks against %d audit decisions", phase, stHits, wantHits, stChecks, audited)
 		}
 		reasons := ReasonCounts(reg)
-		lat := latency(outcomeCacheHit)
+		lat := hostLatency(reg, outcomeCacheHit)
 		if hitCounter.Value() != wantHits || reasons[audit.ReasonCacheHit] != wantHits ||
 			lat.Count != wantHits || lat.Counts[0] != wantHits || lat.Sum != 0 {
 			t.Errorf("%s: want %d hits counted: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
@@ -412,7 +403,7 @@ func TestCacheHitCountersDerived(t *testing.T) {
 		merged := lat
 		for o := outcomeCacheHit + 1; o < outcomeCount; o++ {
 			var err error
-			if merged, err = telemetry.MergeHistograms(merged, latency(o)); err != nil {
+			if merged, err = telemetry.MergeHistograms(merged, hostLatency(reg, o)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -446,43 +437,52 @@ func TestCacheHitCountersDerived(t *testing.T) {
 		}
 	}
 
-	load()
-	allHits += 2 * hitsPerHost
-	wantHits += 2 * hitsPerHost
-	wantDenied += 2 * coldPerHost
-	verify("both attached")
-
-	hosts[0].h.SetTelemetry(nil)
-	load()
-	allHits += 2 * hitsPerHost
-	wantHits += hitsPerHost
-	wantDenied += coldPerHost
-	verify("h0 detached")
-
-	hosts[0].tel = InstrumentHost(reg, nil, hosts[0].h)
-	load()
-	allHits += 2 * hitsPerHost
-	wantHits += 2 * hitsPerHost
-	wantDenied += 2 * coldPerHost
-	verify("h0 re-instrumented")
+	for _, phase := range []string{"first load", "second load"} {
+		load()
+		wantHits += 2 * hitsPerHost
+		wantDenied += 2 * coldPerHost
+		verify(phase)
+	}
 }
 
 // TestCacheHitObservationContract: a cache hit is one trace event and one
 // ring record. A host is wired as each deployment wires it — acnode's
 // bridge over a flight tee over its log tracer (a collector here), bench's
 // bridge over a tee that ends the chain, the simulator's bridge over the
-// collector its flight dump is read from — with an audit ring and, once a quorum allow has warmed
-// the cache, metrics attached, and makes N hits. They must leave exactly N
-// audit decision records, the flight ring untouched, N cache-hit events and no
-// access-allowed at the end of the chain, and the hit's metric families
-// reading exactly what they read when a hit was two trace events.
+// collector its flight dump is read from — with an audit ring and metrics
+// attached; a quorum allow warms the cache, then it makes N hits. They must
+// leave exactly N audit decision records, the flight ring untouched, N
+// cache-hit events and no access-allowed at the end of the chain, and the
+// hit's metric families reading exactly what they read when a hit was two
+// trace events.
 func TestCacheHitObservationContract(t *testing.T) {
 	const hits = 30
-	// The non-zero samples of the hit's families after 30 hits, as they read
-	// when a hit also emitted access-allowed/"cached": every other sample of
+	// The non-zero samples of the hit's families after the warm-up's quorum
+	// allow and 30 hits, as they read when a hit also emitted
+	// access-allowed/"cached": every other sample of
 	// wanac_host_checks_total, wanac_host_check_reasons_total and
 	// wanac_host_check_latency_seconds reads 0.
-	const want = `wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0001"} 30
+	const want = `wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0001"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0002"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0004"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0008"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0016"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0032"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0064"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0128"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0256"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.0512"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.1024"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.2048"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.4096"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="0.8192"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="1.6384"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="3.2768"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="6.5536"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="13.1072"} 1
+wanac_host_check_latency_seconds_bucket{outcome="allowed",le="+Inf"} 1
+wanac_host_check_latency_seconds_count{outcome="allowed"} 1
+wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0001"} 30
 wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0002"} 30
 wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0004"} 30
 wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="0.0008"} 30
@@ -503,6 +503,8 @@ wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="13.1072"} 30
 wanac_host_check_latency_seconds_bucket{outcome="cache_hit",le="+Inf"} 30
 wanac_host_check_latency_seconds_count{outcome="cache_hit"} 30
 wanac_host_check_reasons_total{reason="cache_hit"} 30
+wanac_host_check_reasons_total{reason="quorum_allow"} 1
+wanac_host_checks_total{outcome="allowed"} 1
 wanac_host_checks_total{outcome="cache_hit"} 30
 wanac_trace_events_total{type="cache-hit"} 30
 `
@@ -531,10 +533,9 @@ wanac_trace_events_total{type="cache-hit"} 30
 				t.Fatal(err)
 			}
 			aud := audit.NewRecorder("h0", 64, env.Now)
-			h.SetAudit(aud)
+			InstrumentHost(reg, aud, h)
 			h.Check("a", "u", wire.RightUse, func(Decision) {})
 			answerRound(h, lastRound(t, env), true)
-			InstrumentHost(reg, nil, h)
 
 			flightBefore, audBefore := rec.Total(), aud.Decisions()
 			col.Reset()

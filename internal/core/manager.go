@@ -12,6 +12,7 @@ import (
 	"wanac/internal/auth"
 	"wanac/internal/quorum"
 	"wanac/internal/ratelimit"
+	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -44,12 +45,12 @@ type Manager struct {
 	freezing bool
 	// servedNotes memoises the query-served trace note per (host, verdict).
 	servedNotes map[servedKey]string
-	stats       ManagerStats
-	// tel, when set, mirrors the stats counters into a telemetry registry
-	// (see telemetry.go). Nil-guarded hooks.
-	tel *ManagerTelemetry
+	counts      managerCounts
+	// quorumLatency and revocationLag are nil until InstrumentManager.
+	quorumLatency *telemetry.Histogram
+	revocationLag *telemetry.Histogram
 	// aud, when set, records one response-kind audit entry per query
-	// verdict (see audit.go). Nil-guarded like tel.
+	// verdict (see audit.go). Nil-guarded.
 	aud *audit.Recorder
 }
 
@@ -363,10 +364,7 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 	}
 	m.applyLocked(op.App, ma, upd)
 	ma.applied[m.id] = ma.counter
-	m.stats.UpdatesIssued++
-	if m.tel != nil {
-		m.tel.updatesIssued.Inc()
-	}
+	m.counts.updatesIssued.Add(1)
 	m.emitUpd(trace.EventUpdateIssued, op.App, op.User, upd.Seq, op.Op.String())
 
 	self, _ := slices.BinarySearch(ma.members, m.id)
@@ -457,11 +455,8 @@ func (m *Manager) checkUpdateQuorum(out *outUpdate) {
 		return
 	}
 	out.quorumDone = true
-	m.stats.QuorumsReached++
-	if m.tel != nil {
-		m.tel.quorums.Inc()
-		observeSince(m.tel.quorumLatency, out.issuedAt, m.now)
-	}
+	m.counts.quorumsReached.Add(1)
+	observeSince(m.quorumLatency, out.issuedAt, m.now)
 	m.emitUpd(trace.EventUpdateQuorum, out.upd.App, out.upd.User, out.upd.Seq,
 		out.upd.Op.String())
 	m.reply(out.replyCb, out.replyTo, wire.AdminReply{ReqID: out.reqID, Accepted: true, QuorumReached: true})
@@ -615,10 +610,6 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 		return
 	}
 	if ma.syncing || ma.frozen {
-		m.stats.QueriesFrozen++
-		if m.tel != nil {
-			m.tel.queriesFrozen.Inc()
-		}
 		m.served(ma, from, q, "frozen", audit.ReasonQueryFrozen)
 		m.env.Send(from, wire.Response{
 			App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Frozen: true, Trace: q.Trace,
@@ -628,10 +619,6 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	if !m.admitQuery(ma, from) {
 		m.shedQuery(ma, from, q)
 		return
-	}
-	m.stats.QueriesServed++
-	if m.tel != nil {
-		m.tel.queriesServed.Inc()
 	}
 	resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace}
 	// The verdict and the grant's bookkeeping are one probe of the store:
@@ -652,10 +639,11 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	m.env.Send(from, resp)
 }
 
-// served tells the attached observers a query's verdict: the query-served
-// trace event and the response audit record, in that order. ma is nil for
-// unknown-app verdicts.
+// served counts a query's verdict and tells the attached observers: the
+// query-served trace event and the response audit record, in that order. ma
+// is nil for unknown-app verdicts.
 func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict string, reason audit.Reason) {
+	m.counts.verdicts[reason].Add(1)
 	m.emitServed(from, q, verdict)
 	if m.aud != nil {
 		m.auditResponse(ma, from, q, reason)
@@ -681,11 +669,8 @@ func (m *Manager) admitQuery(ma *mgrApp, from wire.NodeID) bool {
 // shedQuery answers an over-budget query with a Busy reply carrying a
 // clamped Retry-After, instead of serving it.
 func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
-	m.stats.QueriesShed++
+	m.counts.verdicts[audit.ReasonQueryShed].Add(1)
 	ma.shedWindow++
-	if m.tel != nil {
-		m.tel.queriesShed.Inc()
-	}
 	now := m.now
 	var retry time.Duration
 	if ma.hostBuckets != nil {
@@ -762,10 +747,7 @@ func (m *Manager) onAdaptTick(app wire.AppID) {
 	}
 	if ma.effTe != prev {
 		if ma.effTe > prev {
-			m.stats.TeWidenings++
-			if m.tel != nil {
-				m.tel.teWidenings.Inc()
-			}
+			m.counts.teWidenings.Add(1)
 		}
 		m.emit(trace.EventTeAdapted, app, "", "te="+ma.effTe.String())
 	}
@@ -812,17 +794,11 @@ func (m *Manager) applyInOrder(ma *mgrApp, upd wire.Update) {
 	origin := upd.Seq.Origin
 	if !ma.forced[upd.Seq] {
 		if m.applyLocked(upd.App, ma, upd) {
-			m.stats.UpdatesApplied++
-			if m.tel != nil {
-				m.tel.updatesApplied.Inc()
-			}
+			m.counts.updatesApplied.Add(1)
 			m.emitUpd(trace.EventUpdateApplied, upd.App, upd.User, upd.Seq,
 				upd.Op.String()+" from "+string(origin))
 		} else {
-			m.stats.UpdatesStale++
-			if m.tel != nil {
-				m.tel.updatesStale.Inc()
-			}
+			m.counts.updatesStale.Add(1)
 		}
 	} else {
 		delete(ma.forced, upd.Seq)
@@ -874,9 +850,7 @@ func (m *Manager) onRevokeAck(ack wire.RevokeAck) {
 			if n.timer != nil {
 				n.timer.Stop()
 			}
-			if m.tel != nil {
-				observeSince(m.tel.revocationLag, n.created, m.now)
-			}
+			observeSince(m.revocationLag, n.created, m.now)
 			delete(m.notices, k)
 		}
 	}

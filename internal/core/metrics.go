@@ -1,15 +1,29 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"wanac/internal/audit"
 )
 
-// Operational metrics. These are cheap monotonic counters maintained inline
-// by the nodes (unlike the trace.Collector, which retains full events);
-// production deployments export them through internal/telemetry (see
-// telemetry.go), which mirrors every counter here at the same call sites.
+// Operational metrics. A node keeps one atomic per count (hostCounts,
+// managerCounts); Stats builds its snapshot from them, and the exported
+// counter families are derived from the same atomics (see telemetry.go), so
+// the two views read one number and cannot disagree.
+
+// hostCounts is a host's counters. decided counts completed checks by
+// decision reason; a check's outcome is a function of its reason
+// (outcomeOf), so the outcome counts are sums over it. A cache hit bumps
+// decided[ReasonCacheHit] without Host.mu; the rest move under it.
+type hostCounts struct {
+	decided       [audit.NumReasons]atomic.Uint64
+	revokeNotices atomic.Uint64
+	queryRounds   atomic.Uint64
+	queryTimeouts atomic.Uint64
+	busyReplies   atomic.Uint64
+	backoffs      atomic.Uint64
+}
 
 // HostStats is a snapshot of a host's access-control activity.
 type HostStats struct {
@@ -47,14 +61,25 @@ type HostStats struct {
 // caching grant is not yet counted).
 func (h *Host) Stats() HostStats {
 	h.mu.Lock()
-	st := h.stats
-	st.CacheLen = h.cache.Len()
-	h.mu.Unlock()
-	// Cache hits are decided without h.mu and counted atomically.
-	hits := h.hits.Load()
-	st.Checks += hits
-	st.CacheHits = hits
-	return st
+	defer h.mu.Unlock()
+	c := &h.counts
+	var by [outcomeCount]uint64
+	for _, r := range audit.DecisionReasons {
+		by[outcomeOf(r)] += c.decided[r].Load()
+	}
+	return HostStats{
+		Checks:         by[outcomeCacheHit] + by[outcomeAllowed] + by[outcomeDefault] + by[outcomeDenied],
+		CacheHits:      by[outcomeCacheHit],
+		Allowed:        by[outcomeAllowed],
+		DefaultAllowed: by[outcomeDefault],
+		Denied:         by[outcomeDenied],
+		RevokeNotices:  c.revokeNotices.Load(),
+		QueryRounds:    c.queryRounds.Load(),
+		QueryTimeouts:  c.queryTimeouts.Load(),
+		BusyReplies:    c.busyReplies.Load(),
+		Backoffs:       c.backoffs.Load(),
+		CacheLen:       h.cache.Len(),
+	}
 }
 
 // ManagerStats is a snapshot of a manager's activity.
@@ -96,11 +121,33 @@ type ManagerStats struct {
 	EffectiveTe time.Duration
 }
 
+// managerCounts is a manager's counters. verdicts counts answered queries
+// by response reason; the rest count one ManagerStats field each. All move
+// under Manager.mu.
+type managerCounts struct {
+	verdicts       [audit.NumReasons]atomic.Uint64
+	teWidenings    atomic.Uint64
+	updatesIssued  atomic.Uint64
+	updatesApplied atomic.Uint64
+	updatesStale   atomic.Uint64
+	quorumsReached atomic.Uint64
+}
+
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := m.stats
+	c := &m.counts
+	st := ManagerStats{
+		QueriesServed:  c.verdicts[audit.ReasonQueryGranted].Load() + c.verdicts[audit.ReasonQueryDenied].Load(),
+		QueriesFrozen:  c.verdicts[audit.ReasonQueryFrozen].Load(),
+		QueriesShed:    c.verdicts[audit.ReasonQueryShed].Load(),
+		TeWidenings:    c.teWidenings.Load(),
+		UpdatesIssued:  c.updatesIssued.Load(),
+		UpdatesApplied: c.updatesApplied.Load(),
+		UpdatesStale:   c.updatesStale.Load(),
+		QuorumsReached: c.quorumsReached.Load(),
+	}
 	st.OutstandingUpdates = len(m.outstanding)
 	st.PendingNotices = len(m.notices)
 	for _, ma := range m.apps {
@@ -120,26 +167,8 @@ func (m *Manager) Stats() ManagerStats {
 // recordDecision tallies a check that finished under h.mu — every outcome
 // but a cache hit, which cacheHit counts itself. born is when the check
 // began and now when it finished (for the latency histograms); a zero born
-// records no latency. reason refines the outcome with the decision's
-// provenance (wanac_host_check_reasons_total): summed over the reasons of
-// one outcome it equals that outcome's counter, an equality audit_test.go
-// pins.
-func (h *Host) recordDecision(d Decision, born, now time.Time, reason audit.Reason) {
-	h.stats.Checks++
-	idx := outcomeIndex(d)
-	switch idx {
-	case outcomeDefault:
-		h.stats.DefaultAllowed++
-	case outcomeAllowed:
-		h.stats.Allowed++
-	default:
-		h.stats.Denied++
-	}
-	if t := h.tel(); t != nil {
-		t.checks[idx].Inc()
-		if rc := t.reasons[reason]; rc != nil {
-			rc.Inc()
-		}
-		observeSince(t.latency[idx], born, now)
-	}
+// records no latency.
+func (h *Host) recordDecision(born, now time.Time, reason audit.Reason) {
+	h.counts.decided[reason].Add(1)
+	observeSince(h.latency[outcomeOf(reason)], born, now)
 }

@@ -1,21 +1,21 @@
 package core
 
-// Telemetry instrumentation for the protocol nodes. The counters here
-// are incremented at the same call sites as the HostStats/ManagerStats
-// fields they mirror, so the two views can never drift (telemetry_test.go
-// asserts exactness against scripted scenarios); the ones a cache hit moves
-// are not incremented at all but derived from HostTelemetry.hits, the one
-// atomic a hit bumps. Counter families are shared across nodes registered
-// on one registry — they aggregate, like process-wide Prometheus counters —
-// while point-in-time state (cache size, freeze/sync state, outstanding
-// work) is exported as per-node labeled gauges.
+// Telemetry instrumentation for the protocol nodes. Every counter family
+// is derived from the node's own counts (hostCounts, managerCounts in
+// metrics.go) — the atomics Stats reads — so a scrape and a Stats snapshot
+// cannot disagree, and an event costs one read-modify-write however many
+// families it moves. Counter families are shared across nodes registered
+// on one registry — each node is one more source of the same counter, so
+// they aggregate like process-wide Prometheus counters — while
+// point-in-time state (cache size, freeze/sync state, outstanding work) is
+// exported as per-node labeled gauges. Only the latency histograms are
+// attached to the node.
 //
 // All handles are resolved once at instrument time; the per-operation
 // hot path touches only atomics and adds no allocations (alloc_test.go
 // pins the cached-check budget with telemetry enabled).
 
 import (
-	"sync/atomic"
 	"time"
 
 	"wanac/internal/audit"
@@ -34,72 +34,23 @@ const (
 
 var outcomeNames = [outcomeCount]string{"cache_hit", "allowed", "default_allowed", "denied"}
 
-func outcomeIndex(d Decision) int {
+// outcomeOf is the outcome a decision reason implies.
+func outcomeOf(r audit.Reason) int {
 	switch {
-	case d.CacheHit:
+	case r == audit.ReasonCacheHit:
 		return outcomeCacheHit
-	case d.DefaultAllowed:
+	case r.Default():
 		return outcomeDefault
-	case d.Allowed:
+	case r.Allowed():
 		return outcomeAllowed
 	default:
 		return outcomeDenied
 	}
 }
 
-// HostTelemetry holds a host's pre-resolved metric handles. Install with
-// Host.SetTelemetry or InstrumentHost.
-type HostTelemetry struct {
-	// hits counts the cache hits decided while this value was the host's
-	// telemetry. It is all a hit bumps: checks[cache_hit], reasons[cache_hit]
-	// and the count and zero bucket of latency[cache_hit] — a hit takes no
-	// time on the host's clock — are derived from it whenever they are read.
-	hits   atomic.Uint64
-	checks [outcomeCount]*telemetry.Counter
-	// reasons refines checks by audit provenance, indexed by
-	// audit.Reason (decision reasons only; other slots stay nil).
-	reasons     [audit.NumReasons]*telemetry.Counter
-	latency     [outcomeCount]*telemetry.Histogram
-	rounds      *telemetry.Counter
-	timeouts    *telemetry.Counter
-	revokes     *telemetry.Counter
-	busyReplies *telemetry.Counter
-	backoffs    *telemetry.Counter
-}
-
-// NewHostTelemetry resolves the host metric families in reg.
-func NewHostTelemetry(reg *telemetry.Registry) *HostTelemetry {
-	checks := reg.CounterVec("wanac_host_checks_total",
-		"Completed access decisions by outcome.", "outcome")
-	latency := reg.HistogramVec("wanac_host_check_latency_seconds",
-		"Latency from Check to decision, by outcome.", telemetry.DefBuckets, "outcome")
-	t := &HostTelemetry{}
-	for i, name := range outcomeNames {
-		t.checks[i] = checks.With(name)
-		t.latency[i] = latency.With(name)
-	}
-	for r, c := range reasonCounters(reg) {
-		t.reasons[r] = c
-	}
-	t.checks[outcomeCacheHit].Derive(&t.hits)
-	t.reasons[audit.ReasonCacheHit].Derive(&t.hits)
-	t.latency[outcomeCacheHit].DeriveZeros(&t.hits)
-	t.rounds = reg.Counter("wanac_host_query_rounds_total",
-		"Query rounds started (each fans out to C or all managers).")
-	t.timeouts = reg.Counter("wanac_host_query_timeouts_total",
-		"Query rounds that timed out without reaching a decision.")
-	t.revokes = reg.Counter("wanac_host_revoke_flushes_total",
-		"Revocation notices that flushed a cached entry.")
-	t.busyReplies = reg.Counter("wanac_host_busy_replies_total",
-		"Manager load-shed (Busy) replies received for in-flight rounds.")
-	t.backoffs = reg.Counter("wanac_host_backoffs_total",
-		"Check rounds deferred by admission backoff.")
-	return t
-}
-
 // reasonCounters resolves the per-reason decision counter family in reg,
-// one handle per decision reason (non-decision slots stay nil). Both the
-// hot-path telemetry and post-run readers resolve through here, so they
+// one handle per decision reason (non-decision slots stay nil). Both
+// InstrumentHost and post-run readers resolve through here, so they
 // always see the same handles.
 func reasonCounters(reg *telemetry.Registry) [audit.NumReasons]*telemetry.Counter {
 	vec := reg.CounterVec("wanac_host_check_reasons_total",
@@ -112,9 +63,10 @@ func reasonCounters(reg *telemetry.Registry) [audit.NumReasons]*telemetry.Counte
 }
 
 // ReasonCounts reads the per-reason decision counters accumulated in reg,
-// summed across every host instrumented there. The counters are bumped at
-// decision time, so — unlike the bounded audit rings — the counts are exact
-// even when rings dropped records. All-zero when no host was instrumented.
+// summed across every host instrumented there. The counters read the
+// hosts' decision counts, so — unlike the bounded audit rings — they are
+// exact even when rings dropped records. All-zero when no host was
+// instrumented.
 func ReasonCounts(reg *telemetry.Registry) map[audit.Reason]uint64 {
 	out := make(map[audit.Reason]uint64, len(audit.DecisionReasons))
 	for r, c := range reasonCounters(reg) {
@@ -125,21 +77,47 @@ func ReasonCounts(reg *telemetry.Registry) map[audit.Reason]uint64 {
 	return out
 }
 
-// SetTelemetry installs (or, with nil, removes) the host's telemetry
-// sink. Safe to call at any time; checks in flight keep the trace IDs
-// they were assigned.
-func (h *Host) SetTelemetry(t *HostTelemetry) {
-	h.publish(func(v *hostView) { v.tel = t })
-}
-
-// InstrumentHost wires h into reg: outcome-labeled check counters and
-// latency histograms (shared families, aggregated across hosts) plus
-// per-node cache gauges, and installs aud as the audit recorder when it is
-// non-nil (nil leaves the current one in place). Returns the installed
-// handles.
-func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) *HostTelemetry {
-	t := NewHostTelemetry(reg)
-	h.SetTelemetry(t)
+// InstrumentHost wires h into reg: check counters by outcome and by reason
+// and the round, timeout, revocation, busy and backoff counters, all
+// derived from h's counts; latency histograms by outcome (shared families,
+// aggregated across hosts); and per-node cache gauges. It installs aud as
+// the audit recorder when it is non-nil (nil leaves the current one in
+// place).
+//
+// Instrument a host once, before it serves: the counters read its lifetime
+// counts, so a second call would count every check twice, while a latency
+// is observed only for checks decided after the call.
+func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) {
+	c := &h.counts
+	checks := reg.CounterVec("wanac_host_checks_total",
+		"Completed access decisions by outcome.", "outcome")
+	reasons := reasonCounters(reg)
+	for _, r := range audit.DecisionReasons {
+		checks.With(outcomeNames[outcomeOf(r)]).Derive(&c.decided[r])
+		reasons[r].Derive(&c.decided[r])
+	}
+	reg.Counter("wanac_host_query_rounds_total",
+		"Query rounds started (each fans out to C or all managers).").Derive(&c.queryRounds)
+	reg.Counter("wanac_host_query_timeouts_total",
+		"Query rounds that timed out without reaching a decision.").Derive(&c.queryTimeouts)
+	reg.Counter("wanac_host_revoke_flushes_total",
+		"Revocation notices that flushed a cached entry.").Derive(&c.revokeNotices)
+	reg.Counter("wanac_host_busy_replies_total",
+		"Manager load-shed (Busy) replies received for in-flight rounds.").Derive(&c.busyReplies)
+	reg.Counter("wanac_host_backoffs_total",
+		"Check rounds deferred by admission backoff.").Derive(&c.backoffs)
+	latency := reg.HistogramVec("wanac_host_check_latency_seconds",
+		"Latency from Check to decision, by outcome.", telemetry.DefBuckets, "outcome")
+	var lat [outcomeCount]*telemetry.Histogram
+	for i, name := range outcomeNames {
+		lat[i] = latency.With(name)
+	}
+	// A hit takes no time on the host's clock: each one is an observation
+	// of 0, derived from its count rather than observed.
+	lat[outcomeCacheHit].DeriveZeros(&c.decided[audit.ReasonCacheHit])
+	h.mu.Lock()
+	h.latency = lat
+	h.mu.Unlock()
 	if aud != nil {
 		h.SetAudit(aud)
 	}
@@ -156,64 +134,38 @@ func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) *Host
 			}
 			return float64(st.CacheHits) / float64(st.Checks)
 		}, node)
-	return t
 }
 
-// ManagerTelemetry holds a manager's pre-resolved metric handles.
-type ManagerTelemetry struct {
-	queriesServed  *telemetry.Counter
-	queriesFrozen  *telemetry.Counter
-	queriesShed    *telemetry.Counter
-	teWidenings    *telemetry.Counter
-	updatesIssued  *telemetry.Counter
-	updatesApplied *telemetry.Counter
-	updatesStale   *telemetry.Counter
-	quorums        *telemetry.Counter
-	quorumLatency  *telemetry.Histogram
-	revocationLag  *telemetry.Histogram
-}
-
-// NewManagerTelemetry resolves the manager metric families in reg.
-func NewManagerTelemetry(reg *telemetry.Registry) *ManagerTelemetry {
+// InstrumentManager wires m into reg: query and update counters derived
+// from m's counts, quorum and revocation-propagation histograms (shared
+// families), and per-node gauges for outstanding work and freeze/sync
+// state. It installs aud as the audit recorder when it is non-nil (nil
+// leaves the current one in place). Like InstrumentHost, call it once,
+// before the manager serves.
+func InstrumentManager(reg *telemetry.Registry, aud *audit.Recorder, m *Manager) {
+	c := &m.counts
 	queries := reg.CounterVec("wanac_manager_queries_total",
 		"Access-right queries by result: served (grant/deny), frozen (declined), or shed (rejected by admission control).", "result")
+	queries.With("served").Derive(&c.verdicts[audit.ReasonQueryGranted])
+	queries.With("served").Derive(&c.verdicts[audit.ReasonQueryDenied])
+	queries.With("frozen").Derive(&c.verdicts[audit.ReasonQueryFrozen])
+	queries.With("shed").Derive(&c.verdicts[audit.ReasonQueryShed])
 	updates := reg.CounterVec("wanac_manager_updates_total",
 		"ACL update operations by disposition: issued locally, applied from peers, or stale (discarded by last-writer-wins).", "disposition")
-	t := &ManagerTelemetry{
-		queriesServed:  queries.With("served"),
-		queriesFrozen:  queries.With("frozen"),
-		queriesShed:    queries.With("shed"),
-		updatesIssued:  updates.With("issued"),
-		updatesApplied: updates.With("applied"),
-		updatesStale:   updates.With("stale"),
-	}
-	t.quorums = reg.Counter("wanac_manager_update_quorums_total",
-		"Locally issued updates whose update quorum (M-C+1 acks) completed.")
-	t.quorumLatency = reg.Histogram("wanac_manager_update_quorum_latency_seconds",
+	updates.With("issued").Derive(&c.updatesIssued)
+	updates.With("applied").Derive(&c.updatesApplied)
+	updates.With("stale").Derive(&c.updatesStale)
+	reg.Counter("wanac_manager_update_quorums_total",
+		"Locally issued updates whose update quorum (M-C+1 acks) completed.").Derive(&c.quorumsReached)
+	reg.Counter("wanac_manager_te_widenings_total",
+		"Adaptive-Te controller intervals that widened the effective revocation bound.").Derive(&c.teWidenings)
+	quorumLatency := reg.Histogram("wanac_manager_update_quorum_latency_seconds",
 		"Latency from issuing an update to observing its update quorum.", telemetry.DefBuckets)
-	t.revocationLag = reg.Histogram("wanac_manager_revocation_propagation_seconds",
+	revocationLag := reg.Histogram("wanac_manager_revocation_propagation_seconds",
 		"Delay from forwarding a revocation notice to the host's acknowledgment.", telemetry.DefBuckets)
-	t.teWidenings = reg.Counter("wanac_manager_te_widenings_total",
-		"Adaptive-Te controller intervals that widened the effective revocation bound.")
-	return t
-}
-
-// SetTelemetry installs (or, with nil, removes) the manager's telemetry
-// sink.
-func (m *Manager) SetTelemetry(t *ManagerTelemetry) {
 	m.mu.Lock()
-	m.tel = t
+	m.quorumLatency, m.revocationLag = quorumLatency, revocationLag
 	m.mu.Unlock()
-}
-
-// InstrumentManager wires m into reg: query/update counters and quorum
-// and revocation-propagation histograms (shared families) plus per-node
-// gauges for outstanding work and freeze/sync state, and installs aud as
-// the audit recorder when it is non-nil (nil leaves the current one in
-// place).
-func InstrumentManager(reg *telemetry.Registry, aud *audit.Recorder, m *Manager) *ManagerTelemetry {
-	t := NewManagerTelemetry(reg)
-	m.SetTelemetry(t)
 	if aud != nil {
 		m.SetAudit(aud)
 	}
@@ -237,14 +189,14 @@ func InstrumentManager(reg *telemetry.Registry, aud *audit.Recorder, m *Manager)
 	gauge("wanac_manager_effective_te_seconds",
 		"Current effective revocation bound Te (widens under overload, capped at AdaptiveTe.Max).",
 		func(st ManagerStats) float64 { return st.EffectiveTe.Seconds() })
-	return t
 }
 
-// observeSince records now-start into h when telemetry is active and the
-// start time is known. Clock skew can make the difference negative on a
-// live node; clamp to zero rather than corrupting the histogram.
+// observeSince records now-start into h when the node is instrumented (h
+// is non-nil) and the start time is known. Clock skew can make the
+// difference negative on a live node; clamp to zero rather than corrupting
+// the histogram.
 func observeSince(h *telemetry.Histogram, start, now time.Time) {
-	if start.IsZero() {
+	if h == nil || start.IsZero() {
 		return
 	}
 	d := now.Sub(start)

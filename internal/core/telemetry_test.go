@@ -2,12 +2,13 @@ package core
 
 // Counter-exactness tests: scripted scenarios with known event counts,
 // asserting that HostStats/ManagerStats and the telemetry registry agree
-// with each other and with the script. These pin the invariant documented
-// in telemetry.go: registry counters are incremented at the same call
-// sites as the stats fields, so the two views cannot drift.
+// with the script. The registry counters are derived from the counts Stats
+// reads (telemetry.go), so the tests check that every Stats counter has a
+// family and that each family reads the right count.
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -27,11 +28,39 @@ func hostCounter(reg *telemetry.Registry, name string, labels ...string) uint64 
 	return reg.CounterVec(name, "", "outcome").With(labels...).Value()
 }
 
+// hostLatency reads the host latency histogram of one outcome in reg.
+func hostLatency(reg *telemetry.Registry, outcome int) telemetry.HistogramSnapshot {
+	return reg.HistogramVec("wanac_host_check_latency_seconds", "", nil, "outcome").With(outcomeNames[outcome]).Snapshot()
+}
+
+// checkFamilies maps every uint64 counter of the stats snapshot st to the
+// exported family that reads it, and requires both to read the same
+// non-zero count: a counter added to the stats struct without a family
+// fails here, and so does one the script never moves.
+func checkFamilies(t *testing.T, st any, families map[string]func() uint64) {
+	t.Helper()
+	v := reflect.ValueOf(st)
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Type().Field(i)
+		if f.Type.Kind() != reflect.Uint64 {
+			continue
+		}
+		read, ok := families[f.Name]
+		if !ok {
+			t.Errorf("%s.%s has no exported family", v.Type().Name(), f.Name)
+			continue
+		}
+		if want, got := v.Field(i).Uint(), read(); want == 0 || got != want {
+			t.Errorf("%s.%s = %d, its family reads %d (want equal and non-zero)", v.Type().Name(), f.Name, want, got)
+		}
+	}
+}
+
 func TestHostTelemetryExactness(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	tel := InstrumentHost(reg, nil, h)
+	InstrumentHost(reg, nil, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
 		Policy: Policy{
@@ -61,6 +90,9 @@ func TestHostTelemetryExactness(t *testing.T) {
 	h.Check("ghost", "u3", wire.RightUse, record)
 	// 5. Revocation notice flushes the cached entry.
 	h.HandleMessage("m0", wire.RevokeNotice{App: "a", User: "u1", Right: wire.RightUse})
+	// 6. A Busy reply defers a check's round; the check stays in flight.
+	h.Check("a", "u4", wire.RightUse, record)
+	h.HandleMessage("m0", wire.Busy{App: "a", Nonce: env.lastQueryNonce(t), RetryAfter: time.Second})
 
 	if len(decisions) != 4 {
 		t.Fatalf("decisions = %d, want 4", len(decisions))
@@ -68,36 +100,33 @@ func TestHostTelemetryExactness(t *testing.T) {
 	st := h.Stats()
 	want := HostStats{
 		Checks: 4, CacheHits: 1, Allowed: 1, DefaultAllowed: 1, Denied: 1,
-		RevokeNotices: 1, QueryRounds: 3, QueryTimeouts: 2, CacheLen: 0,
+		RevokeNotices: 1, QueryRounds: 4, QueryTimeouts: 2, BusyReplies: 1, Backoffs: 1, CacheLen: 0,
 	}
 	if st != want {
 		t.Fatalf("HostStats = %+v, want %+v", st, want)
 	}
 
 	// Registry counters must equal the stats snapshot exactly.
-	for _, c := range []struct {
-		name  string
-		label string
-		want  uint64
-	}{
-		{"wanac_host_checks_total", "allowed", st.Allowed},
-		{"wanac_host_checks_total", "cache_hit", st.CacheHits},
-		{"wanac_host_checks_total", "default_allowed", st.DefaultAllowed},
-		{"wanac_host_checks_total", "denied", st.Denied},
-		{"wanac_host_query_rounds_total", "", st.QueryRounds},
-		{"wanac_host_query_timeouts_total", "", st.QueryTimeouts},
-		{"wanac_host_revoke_flushes_total", "", st.RevokeNotices},
-	} {
-		var got uint64
-		if c.label == "" {
-			got = hostCounter(reg, c.name)
-		} else {
-			got = hostCounter(reg, c.name, c.label)
-		}
-		if got != c.want {
-			t.Errorf("%s{%s} = %d, want %d", c.name, c.label, got, c.want)
-		}
-	}
+	outcomes := reg.CounterVec("wanac_host_checks_total", "", "outcome")
+	counter := func(name string) func() uint64 { return reg.Counter(name, "").Value }
+	checkFamilies(t, st, map[string]func() uint64{
+		"Checks": func() uint64 {
+			var n uint64
+			for _, name := range outcomeNames {
+				n += outcomes.With(name).Value()
+			}
+			return n
+		},
+		"CacheHits":      outcomes.With("cache_hit").Value,
+		"Allowed":        outcomes.With("allowed").Value,
+		"DefaultAllowed": outcomes.With("default_allowed").Value,
+		"Denied":         outcomes.With("denied").Value,
+		"RevokeNotices":  counter("wanac_host_revoke_flushes_total"),
+		"QueryRounds":    counter("wanac_host_query_rounds_total"),
+		"QueryTimeouts":  counter("wanac_host_query_timeouts_total"),
+		"BusyReplies":    counter("wanac_host_busy_replies_total"),
+		"Backoffs":       counter("wanac_host_backoffs_total"),
+	})
 
 	// Latency histograms: one observation per completed check, and the
 	// default allow took exactly two query timeouts of virtual time.
@@ -111,7 +140,7 @@ func TestHostTelemetryExactness(t *testing.T) {
 		{outcomeDefault, 1, 2.0},
 		{outcomeDenied, 1, 0},
 	} {
-		s := tel.latency[c.outcome].Snapshot()
+		s := hostLatency(reg, c.outcome)
 		if s.Count != c.count {
 			t.Errorf("latency[%s].Count = %d, want %d", outcomeNames[c.outcome], s.Count, c.count)
 		}
@@ -120,13 +149,12 @@ func TestHostTelemetryExactness(t *testing.T) {
 		}
 	}
 
-	// The cache hit's metrics are not bumped but derived from the
-	// telemetry's hit count, and read like any other: per reason, per
-	// bucket, and in the exposition.
+	// The cache hit's metrics are derived from its one count and read like
+	// any other: per reason, per bucket, and in the exposition.
 	if got := ReasonCounts(reg)[audit.ReasonCacheHit]; got != st.CacheHits {
 		t.Errorf("wanac_host_check_reasons_total{cache_hit} = %d, want %d", got, st.CacheHits)
 	}
-	if s := tel.latency[outcomeCacheHit].Snapshot(); s.Counts[0] != 1 {
+	if s := hostLatency(reg, outcomeCacheHit); s.Counts[0] != 1 {
 		t.Errorf("latency[cache_hit] buckets = %v, want the hit in the first", s.Counts)
 	}
 	var text bytes.Buffer
@@ -242,10 +270,21 @@ func TestManagerTelemetryExactness(t *testing.T) {
 	env := newFakeEnv()
 	m := NewManager("m0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	tel := InstrumentManager(reg, nil, m)
+	InstrumentManager(reg, nil, m)
 	if err := m.AddApp("a", ManagerAppConfig{
 		Peers: []wire.NodeID{"m0", "m1"}, CheckQuorum: 1, Te: time.Minute,
 		ClockBound: 0.5, UpdateRetry: time.Second,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// App b sheds its second query in an interval, and the adaptive-Te
+	// controller widens Te at the end of an interval that shed.
+	if err := m.AddApp("b", ManagerAppConfig{
+		Peers: []wire.NodeID{"m0"}, CheckQuorum: 1, Te: time.Second, ClockBound: 0.5,
+		Overload: OverloadConfig{
+			RateLimit:  RateLimitConfig{AppRPS: 1, AppBurst: 1},
+			AdaptiveTe: AdaptiveTeConfig{Max: 3 * time.Second, Interval: time.Minute},
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,33 +324,34 @@ func TestManagerTelemetryExactness(t *testing.T) {
 	}
 	m.HandleMessage("m1", stale)
 
+	// App b: one query served, one shed, and the controller tick widens Te.
+	m.HandleMessage("h9", wire.Query{App: "b", User: "alice", Right: wire.RightUse, Nonce: 9})
+	m.HandleMessage("h9", wire.Query{App: "b", User: "alice", Right: wire.RightUse, Nonce: 10})
+	env.advance(time.Minute)
+	// A recovering manager declines queries as frozen until it has synced.
+	m.Recover()
+	m.HandleMessage("h9", wire.Query{App: "a", User: "alice", Right: wire.RightUse, Nonce: 11})
+
 	st := m.Stats()
-	if st.QueriesServed != 2 || st.QueriesFrozen != 0 || st.UpdatesIssued != 1 ||
-		st.UpdatesApplied != 1 || st.UpdatesStale != 1 || st.QuorumsReached != 1 {
+	if st.QueriesServed != 3 || st.QueriesFrozen != 1 || st.QueriesShed != 1 || st.TeWidenings != 1 ||
+		st.UpdatesIssued != 1 || st.UpdatesApplied != 1 || st.UpdatesStale != 1 || st.QuorumsReached != 1 {
 		t.Fatalf("ManagerStats = %+v", st)
 	}
 	queries := reg.CounterVec("wanac_manager_queries_total", "", "result")
 	updates := reg.CounterVec("wanac_manager_updates_total", "", "disposition")
-	checks := []struct {
-		name string
-		got  uint64
-		want uint64
-	}{
-		{"queries served", queries.With("served").Value(), st.QueriesServed},
-		{"queries frozen", queries.With("frozen").Value(), st.QueriesFrozen},
-		{"updates issued", updates.With("issued").Value(), st.UpdatesIssued},
-		{"updates applied", updates.With("applied").Value(), st.UpdatesApplied},
-		{"updates stale", updates.With("stale").Value(), st.UpdatesStale},
-		{"quorums", reg.Counter("wanac_manager_update_quorums_total", "").Value(), st.QuorumsReached},
-	}
-	for _, c := range checks {
-		if c.got != c.want {
-			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
-		}
-	}
+	checkFamilies(t, st, map[string]func() uint64{
+		"QueriesServed":  queries.With("served").Value,
+		"QueriesFrozen":  queries.With("frozen").Value,
+		"QueriesShed":    queries.With("shed").Value,
+		"TeWidenings":    reg.Counter("wanac_manager_te_widenings_total", "").Value,
+		"UpdatesIssued":  updates.With("issued").Value,
+		"UpdatesApplied": updates.With("applied").Value,
+		"UpdatesStale":   updates.With("stale").Value,
+		"QuorumsReached": reg.Counter("wanac_manager_update_quorums_total", "").Value,
+	})
 
 	// Quorum latency: exactly one observation of 0.5s virtual time.
-	if s := tel.quorumLatency.Snapshot(); s.Count != 1 || s.Sum != 0.5 {
+	if s := reg.Histogram("wanac_manager_update_quorum_latency_seconds", "", nil).Snapshot(); s.Count != 1 || s.Sum != 0.5 {
 		t.Errorf("quorum latency count=%d sum=%v, want 1, 0.5", s.Count, s.Sum)
 	}
 	// Revocation propagation: the notice is created when the revoke is

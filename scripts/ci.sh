@@ -17,6 +17,12 @@ go vet ./...
 echo "== gofmt"
 test -z "$(gofmt -l . bench)" || { gofmt -l . bench; exit 1; }
 
+echo "== core counters are derived"
+# A node's exported counters read its own counts (internal/core/telemetry.go);
+# a counter bumped beside a count is a second copy that can drift from it.
+mirrors=$(grep -n '\.Inc()' internal/core/*.go | grep -v _test.go || true)
+[ -z "$mirrors" ] || { echo "counter bumped beside a count:"; echo "$mirrors"; exit 1; }
+
 echo "== stale command references"
 # Every ./cmd/<name> that Go source or the tree's documentation names must be
 # a command that exists, so a deleted command's "render with: go run
