@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,7 +108,11 @@ func TestLogTracerLevels(t *testing.T) {
 			name == "frozen", name == "unfrozen", name == "synced", name == "te-adapted":
 			wantInfo = true
 		}
-		e := trace.Event{Node: "n", Type: typ, App: "a", User: "u", Trace: 7, Note: "x"}
+		e := trace.Event{Node: "n", Type: typ, App: "a", User: "u", Trace: 7, Word: trace.WordForced, Peer: "p", Num: 1}
+		note := "note=" + e.Note()
+		if strings.ContainsAny(e.Note(), " =") {
+			note = "note=" + strconv.Quote(e.Note())
+		}
 
 		buf := captureLog(t, slog.LevelInfo)
 		logTracer{}.Emit(e)
@@ -118,7 +123,7 @@ func TestLogTracerLevels(t *testing.T) {
 		buf = captureLog(t, slog.LevelDebug)
 		logTracer{}.Emit(e)
 		out := buf.take()
-		for _, want := range []string{"type=" + typ.String(), "node=n", "app=a", "user=u", "trace=0000000000000007", "note=x"} {
+		for _, want := range []string{"type=" + typ.String(), "node=n", "app=a", "user=u", "trace=0000000000000007", note} {
 			if !strings.Contains(out, want) {
 				t.Errorf("%s at debug: line %q lacks %q", typ, out, want)
 			}

@@ -596,8 +596,8 @@ func (logTracer) Emit(e trace.Event) {
 	if e.Trace != 0 {
 		attrs = append(attrs, "trace", fmt.Sprintf("%016x", e.Trace))
 	}
-	if e.Note != "" {
-		attrs = append(attrs, "note", e.Note)
+	if note := e.Note(); note != "" {
+		attrs = append(attrs, "note", note)
 	}
 	logger.Log(ctx, level, "event", attrs...)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,8 +65,6 @@ type Host struct {
 	// granters is grant's scratch for handing a check's confirming set to
 	// the cache in one Put.
 	granters []wire.NodeID
-	// notes memoises the round's trace notes, so a round formats nothing.
-	notes map[noteKey]string
 	// latency holds the decision latency histograms by outcome, nil until
 	// InstrumentHost (the cache hit's is derived from its count).
 	latency [outcomeCount]*telemetry.Histogram
@@ -97,25 +94,6 @@ func (h *Host) publish(edit func(*hostView)) {
 	v := *h.view.Load()
 	edit(&v)
 	h.view.Store(&v)
-}
-
-// noteKey is a trace note that is a word and one or two small numbers:
-// "round=a managers=b", "confirmations=a" with b = -1, or "round=a" with
-// b = -2.
-type noteKey struct{ a, b int }
-
-// memo returns m[k], formatting it on a miss and keeping it while m is
-// small: the keys are a handful in practice, but round numbers are
-// unbounded when MaxAttempts is 0 and host ids come off the wire.
-func memo[K comparable](m map[K]string, k K, format func() string) string {
-	s, ok := m[k]
-	if !ok {
-		s = format()
-		if len(m) < 256 {
-			m[k] = s
-		}
-	}
-	return s
 }
 
 // firing is one deferred callback invocation.
@@ -208,7 +186,6 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 		cache:   acl.NewCache(),
 		pending: make(map[uint64]*check),
 		byKey:   make(map[checkKey]*check),
-		notes:   make(map[noteKey]string),
 	}
 	h.view.Store(&hostView{})
 	return h
@@ -262,9 +239,16 @@ func (a *hostApp) setManagers(managers []wire.NodeID, sys quorum.System) {
 }
 
 // setName is joinNodeSet for a set of current managers, given by position,
-// formatted once per distinct subset.
+// formatted once per distinct subset while there are a few hundred.
 func (a *hostApp) setName(set quorum.Set) string {
-	return memo(a.setNames, set, func() string { return joinNodeSet(a.managers, set) })
+	s, ok := a.setNames[set]
+	if !ok {
+		s = joinNodeSet(a.managers, set)
+		if len(a.setNames) < 256 {
+			a.setNames[set] = s
+		}
+	}
+	return s
 }
 
 // Check asynchronously decides whether user holds right on app, invoking cb
@@ -379,7 +363,7 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 	a, ok := v.apps[app]
 	if !ok || !right.Valid() {
 		h.recordDecision(now, now, audit.ReasonUnregisteredDeny)
-		h.emit(trace.EventAccessDenied, app, user, "unregistered")
+		h.emit(trace.EventAccessDenied, app, user, trace.WordUnregistered)
 		if v.aud != nil {
 			v.aud.Record(audit.Record{
 				Kind: audit.KindDecision, T: now,
@@ -391,7 +375,7 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 		return
 	}
 	if st == acl.Expired {
-		h.emit(trace.EventCacheExpired, app, user, "")
+		h.emit(trace.EventCacheExpired, app, user, 0)
 	}
 
 	key := checkKey{app, user, right}
@@ -426,8 +410,7 @@ func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 	h.counts.backoffs.Add(1)
 	c.backoffs++
 	if h.tracing {
-		h.emitT(trace.EventCheckBackoff, c.key.app, c.key.user, c.trace,
-			"delay="+delay.String())
+		h.emitC(trace.EventCheckBackoff, c, 0, int64(delay))
 	}
 	h.arm(c, delay)
 }
@@ -556,7 +539,7 @@ func (h *Host) onCheckTimer(c *check) {
 	case h.byKey[c.key] == c:
 		a, ok := h.view.Load().apps[c.key.app]
 		if !ok {
-			h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "unregistered")
+			h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
 			h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
 			return
 		}
@@ -620,10 +603,7 @@ func (h *Host) ask(a *hostApp, c *check, start, count int) {
 		}
 	}
 	if h.tracing {
-		asked := c.round.Asked.Len()
-		h.emitT(trace.EventQuerySent, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, asked}, func() string {
-			return "round=" + strconv.Itoa(c.attempts) + " managers=" + strconv.Itoa(asked)
-		}))
+		h.emitC(trace.EventQuerySent, c, 0, trace.Pair(c.attempts, c.round.Asked.Len()))
 	}
 }
 
@@ -633,15 +613,13 @@ func (h *Host) onQueryTimeout(c *check) {
 	v := h.view.Load()
 	a, ok := v.apps[c.key.app]
 	if !ok {
-		h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "unregistered")
+		h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
 		h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
 		return
 	}
 	h.counts.queryTimeouts.Add(1)
 	if h.tracing {
-		h.emitT(trace.EventQueryTimeout, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{c.attempts, -2}, func() string {
-			return "round=" + strconv.Itoa(c.attempts)
-		}))
+		h.emitC(trace.EventQueryTimeout, c, 0, int64(c.attempts))
 	}
 	h.retryOrGiveUp(a, c)
 }
@@ -652,8 +630,7 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 	if a.policy.MaxAttempts > 0 && c.attempts >= a.policy.MaxAttempts {
 		if a.policy.DefaultAllow {
 			if h.tracing {
-				h.emitT(trace.EventAccessDefault, c.key.app, c.key.user, c.trace,
-					"attempts="+strconv.Itoa(c.attempts))
+				h.emitC(trace.EventAccessDefault, c, 0, int64(c.attempts))
 			}
 			h.finish(c, Decision{
 				Allowed: true, DefaultAllowed: true,
@@ -661,7 +638,7 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 			}, audit.ReasonDefaultAllow)
 			return
 		}
-		h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "unreachable")
+		h.emitC(trace.EventAccessDenied, c, trace.WordUnreachable, 0)
 		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonUnreachableDeny)
 		return
 	}
@@ -763,7 +740,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 		// (matters for refresh-ahead checks, where a valid entry is still
 		// cached).
 		h.cache.Remove(c.key.app, c.key.user, c.key.right)
-		h.emitT(trace.EventAccessDenied, c.key.app, c.key.user, c.trace, "revoked")
+		h.emitC(trace.EventAccessDenied, c, trace.WordRevoked, 0)
 		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonQuorumDeny)
 	case quorum.Widen:
 		// Same nonce, same timer, no attempt consumed; sentAt stays the
@@ -790,11 +767,9 @@ func (h *Host) grant(a *hostApp, c *check) {
 	h.cache.Put(c.key.app, c.key.user, c.key.right, limit, h.granters...)
 	confirmations := c.round.Granted.Len()
 	if h.tracing {
-		h.emitT(trace.EventGrantCached, c.key.app, c.key.user, c.trace, memo(h.notes, noteKey{confirmations, -1}, func() string {
-			return "confirmations=" + strconv.Itoa(confirmations)
-		}))
+		h.emitC(trace.EventGrantCached, c, 0, int64(confirmations))
 	}
-	h.emitT(trace.EventAccessAllowed, c.key.app, c.key.user, c.trace, "quorum")
+	h.emitC(trace.EventAccessAllowed, c, trace.WordQuorum, 0)
 	h.finish(c, Decision{
 		Allowed:       true,
 		Confirmations: confirmations,
@@ -814,7 +789,7 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 	removed := h.cache.Remove(m.App, m.User, m.Right)
 	if removed {
 		h.counts.revokeNotices.Add(1)
-		h.emit(trace.EventRevokeApplied, m.App, m.User, "")
+		h.emit(trace.EventRevokeApplied, m.App, m.User, 0)
 	}
 	// Ack regardless: the manager needs to stop retransmitting even if the
 	// entry was already gone (§3.1: removal of a non-existent right is a
@@ -863,7 +838,7 @@ func (h *Host) resolveManagers(a *hostApp, app wire.AppID) {
 		if a.nameService == "" {
 			// No managers and no name service: deny all waiting checks.
 			for _, c := range a.waiting {
-				h.emitT(trace.EventAccessDenied, app, c.key.user, c.trace, "resolve-failed")
+				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{}, audit.ReasonResolveDeny)
 			}
 			a.waiting = nil
@@ -889,11 +864,11 @@ func (h *Host) onResolveTimeout(a *hostApp, app wire.AppID) {
 		c.attempts++
 		if a.policy.MaxAttempts > 0 && c.attempts >= a.policy.MaxAttempts {
 			if a.policy.DefaultAllow {
-				h.emitT(trace.EventAccessDefault, app, c.key.user, c.trace, "resolve-failed")
+				h.emitC(trace.EventAccessDefault, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{Allowed: true, DefaultAllowed: true, Attempts: c.attempts},
 					audit.ReasonResolveAllow)
 			} else {
-				h.emitT(trace.EventAccessDenied, app, c.key.user, c.trace, "resolve-failed")
+				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{Attempts: c.attempts}, audit.ReasonResolveDeny)
 			}
 			continue
@@ -1019,17 +994,17 @@ func (h *Host) Reset() {
 	}
 }
 
-func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, note string) {
-	h.tracer.Emit(trace.Event{
-		Time: h.now, Node: h.id, Type: t, App: app, User: user, Note: note,
-	})
+// emit emits an event outside a check's lifecycle: a denial before one
+// starts, an expiry, a flush.
+func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, w trace.Word) {
+	h.tracer.Emit(trace.Event{Time: h.now, Node: h.id, Type: t, App: app, User: user, Word: w})
 }
 
-// emitT is emit for events inside a check's lifecycle: it carries the
-// check's causal trace ID so flight recordings and audit records join on
+// emitC emits an event of check c's lifecycle with its detail: it carries
+// the check's causal trace ID so flight recordings and audit records join on
 // the same key.
-func (h *Host) emitT(t trace.EventType, app wire.AppID, user wire.UserID, traceID uint64, note string) {
+func (h *Host) emitC(t trace.EventType, c *check, w trace.Word, num int64) {
 	h.tracer.Emit(trace.Event{
-		Time: h.now, Node: h.id, Type: t, App: app, User: user, Trace: traceID, Note: note,
+		Time: h.now, Node: h.id, Type: t, App: c.key.app, User: c.key.user, Trace: c.trace, Word: w, Num: num,
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"time"
 
@@ -43,9 +42,7 @@ type Manager struct {
 	// freezing is set once any app's heartbeat loop is armed (FreezeTi):
 	// only that loop reads lastSeen, so only then does notePeer maintain it.
 	freezing bool
-	// servedNotes memoises the query-served trace note per (host, verdict).
-	servedNotes map[servedKey]string
-	counts      managerCounts
+	counts   managerCounts
 	// quorumLatency and revocationLag are nil until InstrumentManager.
 	quorumLatency *telemetry.Histogram
 	revocationLag *telemetry.Histogram
@@ -107,11 +104,6 @@ type grantKey struct {
 	right wire.Right
 }
 
-type servedKey struct {
-	host    wire.NodeID
-	verdict string
-}
-
 type noticeKey struct {
 	seq  wire.UpdateSeq
 	host wire.NodeID
@@ -167,7 +159,6 @@ func NewManager(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyr
 		apps:        make(map[wire.AppID]*mgrApp),
 		outstanding: make(map[wire.UpdateSeq]*outUpdate),
 		notices:     make(map[noticeKey]*outNotice),
-		servedNotes: make(map[servedKey]string),
 	}
 }
 
@@ -365,7 +356,7 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 	m.applyLocked(op.App, ma, upd)
 	ma.applied[m.id] = ma.counter
 	m.counts.updatesIssued.Add(1)
-	m.emitUpd(trace.EventUpdateIssued, op.App, op.User, upd.Seq, op.Op.String())
+	m.emitUpd(trace.EventUpdateIssued, &upd, trace.OpWord(upd.Op), "")
 
 	self, _ := slices.BinarySearch(ma.members, m.id)
 	out := &outUpdate{
@@ -457,8 +448,7 @@ func (m *Manager) checkUpdateQuorum(out *outUpdate) {
 	out.quorumDone = true
 	m.counts.quorumsReached.Add(1)
 	observeSince(m.quorumLatency, out.issuedAt, m.now)
-	m.emitUpd(trace.EventUpdateQuorum, out.upd.App, out.upd.User, out.upd.Seq,
-		out.upd.Op.String())
+	m.emitUpd(trace.EventUpdateQuorum, &out.upd, trace.OpWord(out.upd.Op), "")
 	m.reply(out.replyCb, out.replyTo, wire.AdminReply{ReqID: out.reqID, Accepted: true, QuorumReached: true})
 }
 
@@ -605,12 +595,12 @@ func (m *Manager) notePeer(from wire.NodeID) {
 func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	ma, ok := m.apps[q.App]
 	if !ok {
-		m.served(nil, from, q, "unknown-app", audit.ReasonQueryUnknownApp)
+		m.served(nil, from, q, trace.WordUnknownApp, audit.ReasonQueryUnknownApp)
 		m.env.Send(from, wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace})
 		return
 	}
 	if ma.syncing || ma.frozen {
-		m.served(ma, from, q, "frozen", audit.ReasonQueryFrozen)
+		m.served(ma, from, q, trace.WordFrozen, audit.ReasonQueryFrozen)
 		m.env.Send(from, wire.Response{
 			App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Frozen: true, Trace: q.Trace,
 		})
@@ -632,9 +622,9 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	}
 	if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
 		resp.Granted, resp.Expire = true, ma.expire
-		m.served(ma, from, q, "granted", audit.ReasonQueryGranted)
+		m.served(ma, from, q, trace.WordGranted, audit.ReasonQueryGranted)
 	} else {
-		m.served(ma, from, q, "denied", audit.ReasonQueryDenied)
+		m.served(ma, from, q, trace.WordDenied, audit.ReasonQueryDenied)
 	}
 	m.env.Send(from, resp)
 }
@@ -642,7 +632,7 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 // served counts a query's verdict and tells the attached observers: the
 // query-served trace event and the response audit record, in that order. ma
 // is nil for unknown-app verdicts.
-func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict string, reason audit.Reason) {
+func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict trace.Word, reason audit.Reason) {
 	m.counts.verdicts[reason].Add(1)
 	m.emitServed(from, q, verdict)
 	if m.aud != nil {
@@ -692,7 +682,7 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
 		m.tracer.Emit(trace.Event{
 			Time: now, Node: m.id, Type: trace.EventQueryShed,
 			App: q.App, User: q.User, Trace: q.Trace,
-			Note: "host=" + string(from) + " retry=" + retry.String(),
+			Peer: from, Num: int64(retry),
 		})
 	}
 	if m.aud != nil {
@@ -749,7 +739,7 @@ func (m *Manager) onAdaptTick(app wire.AppID) {
 		if ma.effTe > prev {
 			m.counts.teWidenings.Add(1)
 		}
-		m.emit(trace.EventTeAdapted, app, "", "te="+ma.effTe.String())
+		m.emit(trace.EventTeAdapted, app, int64(ma.effTe))
 	}
 	ma.shedWindow = 0
 	m.scheduleAdapt(app, ma)
@@ -795,8 +785,7 @@ func (m *Manager) applyInOrder(ma *mgrApp, upd wire.Update) {
 	if !ma.forced[upd.Seq] {
 		if m.applyLocked(upd.App, ma, upd) {
 			m.counts.updatesApplied.Add(1)
-			m.emitUpd(trace.EventUpdateApplied, upd.App, upd.User, upd.Seq,
-				upd.Op.String()+" from "+string(origin))
+			m.emitUpd(trace.EventUpdateApplied, &upd, trace.OpWord(upd.Op), origin)
 		} else {
 			m.counts.updatesStale.Add(1)
 		}
@@ -873,7 +862,7 @@ func (m *Manager) ForceApply(upd wire.Update) (err error) {
 		}
 		m.applyLocked(upd.App, ma, upd)
 		ma.forced[upd.Seq] = true
-		m.emitUpd(trace.EventUpdateApplied, upd.App, upd.User, upd.Seq, "forced")
+		m.emitUpd(trace.EventUpdateApplied, &upd, trace.WordForced, "")
 	})
 	return err
 }
@@ -903,10 +892,10 @@ func (m *Manager) onHeartbeatTick(app wire.AppID) {
 	}
 	if stale && !ma.frozen {
 		ma.frozen = true
-		m.emit(trace.EventFrozen, app, "", "")
+		m.emit(trace.EventFrozen, app, 0)
 	} else if !stale && ma.frozen {
 		ma.frozen = false
-		m.emit(trace.EventUnfrozen, app, "", "")
+		m.emit(trace.EventUnfrozen, app, 0)
 	}
 	m.scheduleHeartbeat(app, ma)
 }
@@ -1063,7 +1052,7 @@ func (m *Manager) onSyncResponse(resp wire.SyncResponse) {
 	if own := ma.applied[m.id]; own > ma.counter {
 		ma.counter = own
 	}
-	m.emit(trace.EventSynced, resp.App, "", "entries="+strconv.Itoa(len(resp.Entries)))
+	m.emit(trace.EventSynced, resp.App, int64(len(resp.Entries)))
 	// Apply any updates buffered while syncing that the snapshot predates.
 	for origin := range ma.buffer {
 		m.drainBuffer(ma, origin)
@@ -1127,30 +1116,27 @@ func (ma *mgrApp) setPeers(self wire.NodeID, cfg ManagerAppConfig, sys quorum.Sy
 // ID: the manager-side half of the query-sent/query-served anchor pairs the
 // flight analyzer uses to align drifting host clocks. Guarded by tracing so
 // untraced Monte Carlo worlds pay nothing on the query hot path.
-func (m *Manager) emitServed(from wire.NodeID, q wire.Query, verdict string) {
+func (m *Manager) emitServed(from wire.NodeID, q wire.Query, verdict trace.Word) {
 	if !m.tracing {
 		return
 	}
 	m.tracer.Emit(trace.Event{
 		Time: m.now, Node: m.id, Type: trace.EventQueryServed,
-		App: q.App, User: q.User, Trace: q.Trace,
-		Note: memo(m.servedNotes, servedKey{from, verdict}, func() string {
-			return "host=" + string(from) + " " + verdict
-		}),
+		App: q.App, User: q.User, Trace: q.Trace, Word: verdict, Peer: from,
 	})
 }
 
-func (m *Manager) emit(t trace.EventType, app wire.AppID, user wire.UserID, note string) {
-	m.tracer.Emit(trace.Event{
-		Time: m.now, Node: m.id, Type: t, App: app, User: user, Note: note,
-	})
+// emit emits an app-wide event (freeze, sync, Te change) with its number.
+func (m *Manager) emit(t trace.EventType, app wire.AppID, num int64) {
+	m.tracer.Emit(trace.Event{Time: m.now, Node: m.id, Type: t, App: app, Num: num})
 }
 
-// emitUpd emits an event carrying the update sequence it refers to, so
+// emitUpd emits an event about update upd, carrying its sequence so
 // offline invariant checkers can reconstruct per-origin application order
-// and quorum times.
-func (m *Manager) emitUpd(t trace.EventType, app wire.AppID, user wire.UserID, seq wire.UpdateSeq, note string) {
+// and quorum times. w is the op, or forced; from is the origin an applied
+// update came from, "" otherwise.
+func (m *Manager) emitUpd(t trace.EventType, upd *wire.Update, w trace.Word, from wire.NodeID) {
 	m.tracer.Emit(trace.Event{
-		Time: m.now, Node: m.id, Type: t, App: app, User: user, Seq: seq, Note: note,
+		Time: m.now, Node: m.id, Type: t, App: upd.App, User: upd.User, Seq: upd.Seq, Word: w, Peer: from,
 	})
 }

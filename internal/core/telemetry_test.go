@@ -214,7 +214,7 @@ func TestHostTraceReconstructsCheckRound(t *testing.T) {
 		if e.Trace != q1.Trace {
 			continue
 		}
-		got = append(got, e.Type.String()+" "+e.Note)
+		got = append(got, e.Type.String()+" "+e.Note())
 		if born.IsZero() {
 			born = e.Time
 		}

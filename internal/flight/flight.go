@@ -24,6 +24,7 @@ import (
 
 	"wanac/internal/ring"
 	"wanac/internal/trace"
+	"wanac/internal/wire"
 )
 
 // Kind groups records into the four event categories the recorder captures.
@@ -130,12 +131,17 @@ type Recorder struct {
 }
 
 // slot is a Record as the ring keeps it: Node is the recorder's, Seq the
-// ring position's, and T an epoch offset.
+// ring position's, and T an epoch offset. A protocol event's slot keeps its
+// detail (event is its type): Peer in peer, Word in word and, when num is
+// set, Num in counter's bytes; its Note is rendered from them on the way out.
 type slot struct {
 	t                                  int64
 	trace, counter                     uint64
 	typ, app, user, origin, peer, note string
 	kind                               Kind
+	event                              trace.EventType
+	word                               trace.Word
+	num                                bool
 }
 
 // SlotBytes is what one retained record costs the ring, its strings aside.
@@ -165,8 +171,16 @@ func (r *Recorder) commit(s *slot, t time.Time) {
 
 // unpack rebuilds record seq from its slot s. Must be called with r.mu held.
 func (r *Recorder) unpack(seq uint64, s *slot) Record {
-	return Record{Seq: seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: s.typ, Trace: s.trace,
+	rec := Record{Seq: seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: s.typ, Trace: s.trace,
 		App: s.app, User: s.user, Origin: s.origin, Counter: s.counter, Peer: s.peer, Note: s.note}
+	if s.event != 0 {
+		var num int64
+		if s.num {
+			num, rec.Counter = int64(s.counter), 0
+		}
+		rec.Peer, rec.Note = "", trace.Note(s.event, s.word, wire.NodeID(s.peer), num)
+	}
+	return rec
 }
 
 // Record appends rec to the ring, assigning Seq and Node, and stamping the
@@ -177,26 +191,44 @@ func (r *Recorder) Record(rec Record) {
 	s := r.ring.Slot()
 	s.kind, s.typ, s.trace = rec.Kind, rec.Type, rec.Trace
 	s.app, s.user, s.origin, s.counter = rec.App, rec.User, rec.Origin, rec.Counter
-	s.peer, s.note = rec.Peer, rec.Note
+	s.peer, s.note, s.event = rec.Peer, rec.Note, 0
 	r.commit(s, rec.T)
 	r.mu.Unlock()
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
 // (manager update-quorum, host quorum allow) under KindQuorum. The record
-// is built in its ring slot.
+// is built in its ring slot; its note is rendered only when the ring is read.
 func (r *Recorder) RecordEvent(e trace.Event) {
-	kind := KindProtocol
-	if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
-		kind = KindQuorum
-	}
 	r.mu.Lock()
 	s := r.ring.Slot()
-	s.kind, s.typ, s.trace = kind, e.Type.String(), e.Trace
+	s.kind, s.typ, s.trace = eventKind(e.Type), e.Type.String(), e.Trace
 	s.app, s.user, s.origin, s.counter = string(e.App), string(e.User), string(e.Seq.Origin), e.Seq.Counter
-	s.peer, s.note = "", e.Note
+	s.event, s.word, s.peer, s.note, s.num = e.Type, e.Word, string(e.Peer), "", e.Num != 0
+	if s.num {
+		s.counter = uint64(e.Num)
+		if e.Seq.Counter != 0 { // no room for both: keep the counter and the note as text
+			s.counter, s.note, s.event, s.peer = e.Seq.Counter, e.Note(), 0, ""
+		}
+	}
 	r.commit(s, e.Time)
 	r.mu.Unlock()
+}
+
+// EventRecord is the record RecordEvent keeps for e, but with e's Node and no
+// Seq yet: how a reader of a trace log builds a node's dump.
+func EventRecord(e *trace.Event) Record {
+	return Record{T: e.Time, Node: string(e.Node), Kind: eventKind(e.Type), Type: e.Type.String(), Trace: e.Trace,
+		App: string(e.App), User: string(e.User), Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note()}
+}
+
+// eventKind classifies an event's record: quorum decisions (manager
+// update-quorum, host quorum allow) under KindQuorum, the rest KindProtocol.
+func eventKind(t trace.EventType) Kind {
+	if t == trace.EventUpdateQuorum || t == trace.EventAccessAllowed {
+		return KindQuorum
+	}
+	return KindProtocol
 }
 
 // Total returns how many records were ever accepted (≥ retained).

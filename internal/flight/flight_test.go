@@ -60,7 +60,7 @@ func TestRecorderKeepsCallerTimestamp(t *testing.T) {
 func TestRecordEventClassifiesQuorum(t *testing.T) {
 	r := NewRecorder("m0", 16, nil)
 	r.RecordEvent(trace.Event{Type: trace.EventUpdateQuorum, Seq: wire.UpdateSeq{Origin: "m0", Counter: 3}})
-	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Note: "quorum", Trace: 7})
+	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Word: trace.WordQuorum, Trace: 7})
 	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed}) // by type alone
 	r.RecordEvent(trace.Event{Type: trace.EventQuerySent, Trace: 7})
 	r.RecordEvent(trace.Event{Type: trace.EventCacheHit})
@@ -91,14 +91,16 @@ func TestRecordEventOverwritesTheWholeSlot(t *testing.T) {
 	}
 	at := base.Add(time.Second)
 	r.RecordEvent(trace.Event{Time: at, Node: "ignored", Type: trace.EventCacheHit, App: "app", User: "alice", Trace: 7})
-	r.RecordEvent(trace.Event{Type: trace.EventUpdateIssued, Seq: wire.UpdateSeq{Origin: "m0", Counter: 3}, Note: "n"})
+	r.RecordEvent(trace.Event{Type: trace.EventUpdateIssued, Seq: wire.UpdateSeq{Origin: "m0", Counter: 3}, Word: trace.WordAdd})
+	r.RecordEvent(trace.Event{Type: trace.EventQueryShed, Peer: "h1", Num: int64(time.Second)})
 	snap := r.Snapshot()
 	want := []Record{
 		{Seq: 16, T: at, Node: "h0", Kind: KindProtocol, Type: "cache-hit", Trace: 7, App: "app", User: "alice"},
-		{Seq: 17, T: base, Node: "h0", Kind: KindProtocol, Type: "update-issued", Origin: "m0", Counter: 3, Note: "n"},
+		{Seq: 17, T: base, Node: "h0", Kind: KindProtocol, Type: "update-issued", Origin: "m0", Counter: 3, Note: "add"},
+		{Seq: 18, T: base, Node: "h0", Kind: KindProtocol, Type: "query-shed", Note: "host=h1 retry=1s"},
 	}
 	for i, w := range want {
-		if got := snap[len(snap)-2+i]; got != w {
+		if got := snap[len(snap)-len(want)+i]; got != w {
 			t.Errorf("record %d = %+v, want %+v", i, got, w)
 		}
 	}
@@ -112,7 +114,7 @@ func TestTeeRecordsAndForwards(t *testing.T) {
 	tr := Tee(r, col)
 	tr.Emit(trace.Event{Type: trace.EventQuerySent, App: "app", User: "alice", Trace: 7})
 	tr.Emit(trace.Event{Type: trace.EventCacheHit, App: "app", User: "alice", Trace: 8})
-	tr.Emit(trace.Event{Type: trace.EventAccessAllowed, App: "app", User: "alice", Trace: 7, Note: "quorum"})
+	tr.Emit(trace.Event{Type: trace.EventAccessAllowed, App: "app", User: "alice", Trace: 7, Word: trace.WordQuorum})
 	snap, evs := r.Snapshot(), col.Events()
 	if len(snap) != 2 || snap[0].Type != "query-sent" || snap[1].Type != "access-allowed" || snap[1].Seq != 1 {
 		t.Fatalf("recorder holds %+v, want query-sent and access-allowed", snap)
@@ -223,12 +225,12 @@ func TestDumpGolden(t *testing.T) {
 	r.Record(Record{Kind: KindQuorum, Type: "update-quorum", Origin: "m0", Counter: 3, App: "stocks", User: "bob"})
 	r.Record(Record{Kind: KindProtocol, Type: "update-applied", Origin: "m0"})
 	r.RecordEvent(trace.Event{Time: at, Type: trace.EventUpdateQuorum, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Origin: "m1", Counter: 7}})
-	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Trace: 0xdef, App: "stocks", User: "carol", Note: "quorum"})
-	r.RecordEvent(trace.Event{Type: trace.EventQueryTimeout, Trace: 0xdef})
+	r.RecordEvent(trace.Event{Type: trace.EventAccessAllowed, Trace: 0xdef, App: "stocks", User: "carol", Word: trace.WordQuorum})
+	r.Record(Record{Kind: KindProtocol, Type: "query-timeout", Trace: 0xdef})
 	r.RecordEvent(trace.Event{Type: trace.EventFrozen})
-	r.RecordEvent(trace.Event{Type: trace.EventTeAdapted, Note: "te=2s"})
+	r.RecordEvent(trace.Event{Type: trace.EventTeAdapted, Num: int64(2 * time.Second)})
 	r.RecordEvent(trace.Event{Type: trace.EventRevokeApplied, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Counter: 2}})
-	r.RecordEvent(trace.Event{Type: trace.EventQuerySent, Trace: 0x1, User: "dave"})
+	r.Record(Record{Kind: KindProtocol, Type: "query-sent", Trace: 0x1, User: "dave"})
 	var buf bytes.Buffer
 	for _, rec := range []*Recorder{r, NewRecorder("m0", 16, nil)} { // one that never wrapped: no dropped
 		if err := rec.WriteDump(&buf); err != nil {
@@ -283,7 +285,7 @@ func modelRecord(e trace.Event) Record {
 		kind = KindQuorum
 	}
 	return Record{T: e.Time, Kind: kind, Type: e.Type.String(), Trace: e.Trace, App: string(e.App), User: string(e.User),
-		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note}
+		Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note()}
 }
 
 // TestRecorderAgainstModel drives a recorder with random events through
@@ -301,7 +303,8 @@ func TestRecorderAgainstModel(t *testing.T) {
 	var model []Record
 	for len(model) < 3*size+5 {
 		ev := trace.Event{Type: trace.EventType(1 + rng.Intn(int(trace.EventTeAdapted))), Trace: rng.Uint64(),
-			App: "app", User: wire.UserID("u" + strconv.Itoa(rng.Intn(9))), Note: []string{"", "quorum"}[rng.Intn(2)],
+			App: "app", User: wire.UserID("u" + strconv.Itoa(rng.Intn(9))), Word: []trace.Word{0, trace.WordQuorum}[rng.Intn(2)],
+			Peer: []wire.NodeID{"", "h1"}[rng.Intn(2)], Num: int64(rng.Intn(3)) * int64(time.Second),
 			Seq: wire.UpdateSeq{Origin: "m0", Counter: uint64(rng.Intn(5))}}
 		if rng.Intn(2) == 0 {
 			ev.Time = base.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)

@@ -45,11 +45,20 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) Record {
 }
 
 // event is the trace event rec stands for when it is a protocol record one
-// can carry.
+// can carry, with detail drawn from rec: Note names the peer, Trace picks the
+// word and whether the event carries a number, alone or beside a Seq.Counter.
 func event(rec Record) (trace.Event, bool) {
-	return trace.Event{Time: rec.T, Type: trace.EventType(1 + rec.Counter%uint64(trace.EventTeAdapted)), Trace: rec.Trace,
-		App: wire.AppID(rec.App), User: wire.UserID(rec.User), Note: rec.Note,
-		Seq: wire.UpdateSeq{Origin: wire.NodeID(rec.Origin), Counter: rec.Counter}}, rec.Kind == KindProtocol && rec.Peer == ""
+	e := trace.Event{Time: rec.T, Type: trace.EventType(1 + rec.Counter%uint64(trace.EventTeAdapted)), Trace: rec.Trace,
+		App: wire.AppID(rec.App), User: wire.UserID(rec.User), Peer: wire.NodeID(rec.Note),
+		Word: trace.Word(rec.Trace % uint64(trace.WordInvalidOp+1)),
+		Seq:  wire.UpdateSeq{Origin: wire.NodeID(rec.Origin), Counter: rec.Counter}}
+	switch rec.Trace % 3 {
+	case 1:
+		e.Num, e.Seq.Counter = int64(rec.Trace>>2)-1<<60, 0
+	case 2:
+		e.Num = int64(rec.Trace >> 3)
+	}
+	return e, rec.Kind == KindProtocol && rec.Peer == ""
 }
 
 // write hands rec to r: through RecordEvent when a trace event can carry
@@ -196,6 +205,9 @@ func TestFlightBytesPerRecord(t *testing.T) {
 	r := NewRecorder("h0", size, nil)
 	for _, u := range users {
 		r.Record(Record{T: t0, Kind: KindProtocol, Type: "query-sent", Trace: 1, App: "app", User: u})
+	}
+	if SlotBytes > 128 {
+		t.Errorf("slot is %d B, budget 128", SlotBytes)
 	}
 	if per := float64(liveHeap()-prev) / size; per > budget {
 		t.Errorf("%.1f B of live heap per retained record, want <= %d", per, budget)

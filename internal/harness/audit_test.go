@@ -17,10 +17,10 @@ import (
 
 var auditT0 = time.Date(2000, 1, 1, 12, 0, 0, 0, time.UTC)
 
-func decisionEvent(node string, at time.Duration, typ trace.EventType, user, note string) trace.Event {
+func decisionEvent(node string, at time.Duration, typ trace.EventType, user string, w trace.Word) trace.Event {
 	return trace.Event{
 		Time: auditT0.Add(at), Node: wire.NodeID(node), Type: typ,
-		App: "app", User: wire.UserID(user), Note: note,
+		App: "app", User: wire.UserID(user), Word: w,
 	}
 }
 
@@ -59,9 +59,9 @@ func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder
 
 func TestAuditOracleCleanMatch(t *testing.T) {
 	events := []trace.Event{
-		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
-		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", ""),
-		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", "revoked"),
+		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", trace.WordNone),
+		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", trace.WordRevoked),
 	}
 	ring := ringOf("h0", 3,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
@@ -77,7 +77,7 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 }
 
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
-	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", "")}
+	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone)}
 	oracles := newOracles(30*time.Second, 0, 0, 2, 3)
 	oracles.judgeLog(collected(events), nil)
 	o := oracles.aud
@@ -91,8 +91,8 @@ func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
 
 func TestAuditOracleMissingRecords(t *testing.T) {
 	events := []trace.Event{
-		decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
-		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", ""),
+		decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", trace.WordNone),
 	}
 	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true, Granters: 1},
@@ -104,7 +104,7 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 }
 
 func TestAuditOracleNoRingForDecidingNode(t *testing.T) {
-	events := []trace.Event{decisionEvent("h7", 0, trace.EventCacheHit, "u0", "")}
+	events := []trace.Event{decisionEvent("h7", 0, trace.EventCacheHit, "u0", trace.WordNone)}
 	v := runAuditOracle(t, events, ringOf("h0", 0))
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "h7 made 1 decisions but has no audit ring") {
 		t.Fatalf("violations = %+v", v)
@@ -115,9 +115,9 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 	// Three decisions, ring kept only the newest two: the retained suffix
 	// must line up against the LAST two events, not the first.
 	events := []trace.Event{
-		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
-		decisionEvent("h0", time.Second, trace.EventCacheHit, "u1", ""),
-		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", "unregistered"),
+		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
+		decisionEvent("h0", time.Second, trace.EventCacheHit, "u1", trace.WordNone),
+		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", trace.WordUnregistered),
 	}
 	ring := ringOf("h0", 3,
 		audit.Record{T: auditT0.Add(time.Second), User: "u1", Reason: audit.ReasonCacheHit,
@@ -130,7 +130,7 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 }
 
 func TestAuditOracleReasonMismatch(t *testing.T) {
-	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", "")}
+	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone)}
 	ring := ringOf("h0", 1,
 		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1"},
@@ -149,58 +149,58 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 		frag string
 	}{
 		{"stale cache hit beyond te",
-			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(5 * time.Minute)},
 			"beyond the revocation bound"},
 		{"cache hit citing expired entry",
-			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(-time.Second)},
 			"already expired"},
 		{"cache hit with no granters",
-			decisionEvent("h0", 0, trace.EventCacheHit, "u0", ""),
+			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true},
 			"cites no granting manager"},
 		{"quorum allow below quorum",
-			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
+			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 				Attempts: 1, Confirmations: 1, Managers: "m0"},
 			"quorum is 2"},
 		{"quorum allow manager-count mismatch",
-			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", "quorum"),
+			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
 				Attempts: 1, Confirmations: 2, Managers: "m0"},
 			"names 1 managers"},
 		{"quorum deny with quorum still reachable",
-			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
 				Set: 3, Queried: 3, Denials: 1},
 			"still reachable"},
 		// Every manager asked denied — but 1 of 1 asked, with two of M=3
 		// never heard from that could both grant: judged against M.
 		{"quorum deny judged against M, not against the managers asked",
-			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
 				Set: 3, Queried: 1, Denials: 1},
 			"cites 1 denials of 3 managers (1 queried)"},
 		{"quorum deny citing more denials than managers asked",
-			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
 				Set: 3, Queried: 1, Denials: 2},
 			"cites 2 denials of 3 managers (1 queried)"},
 		{"quorum deny without the manager set's size",
-			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "revoked"),
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
 				Queried: 2, Denials: 2},
 			"queried 2 of 0 managers"},
 		{"default allow before exhausting R",
-			decisionEvent("h0", 0, trace.EventAccessDefault, "u0", ""),
+			decisionEvent("h0", 0, trace.EventAccessDefault, "u0", trace.WordNone),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonDefaultAllow, Allowed: true,
 				Attempts: 1},
 			"only 1 of 3 attempts"},
 		{"outcome contradicts reason",
-			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", "unreachable"),
+			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordUnreachable),
 			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonUnreachableDeny,
 				Allowed: true, Attempts: 3},
 			"implies allowed=false"},

@@ -310,7 +310,7 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 }
 
 // reasonForEvent maps a decision event to the audit reason its type and
-// note imply. ok is false for non-decision events.
+// word imply. ok is false for non-decision events.
 func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	switch e.Type {
 	case trace.EventCacheHit:
@@ -318,22 +318,22 @@ func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	case trace.EventAccessAllowed:
 		return audit.ReasonQuorumAllow, true
 	case trace.EventAccessDefault:
-		if e.Note == "resolve-failed" {
+		if e.Word == trace.WordResolveFailed {
 			return audit.ReasonResolveAllow, true
 		}
 		return audit.ReasonDefaultAllow, true
 	case trace.EventAccessDenied:
-		switch e.Note {
-		case "revoked":
+		switch e.Word {
+		case trace.WordRevoked:
 			return audit.ReasonQuorumDeny, true
-		case "unreachable":
+		case trace.WordUnreachable:
 			return audit.ReasonUnreachableDeny, true
-		case "resolve-failed":
+		case trace.WordResolveFailed:
 			return audit.ReasonResolveDeny, true
-		case "unregistered":
+		case trace.WordUnregistered:
 			return audit.ReasonUnregisteredDeny, true
 		}
-		// Unknown note: still a decision; the reason check degrades to
+		// Unknown word: still a decision; the reason check degrades to
 		// outcome-class agreement.
 		return 0, true
 	}
@@ -420,7 +420,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 	}
 	if want != 0 && r.Reason != want {
 		o.fail(e.Time, "node %s: audit record says %s but trace event %s/%q implies %s",
-			r.Node, r.Reason, e.Type, e.Note, want)
+			r.Node, r.Reason, e.Type, e.Note(), want)
 		return
 	}
 	if r.Allowed != r.Reason.Allowed() {

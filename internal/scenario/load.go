@@ -136,22 +136,32 @@ func humanCount(n int) string {
 
 // sampler draws user ranks for one run.
 type sampler struct {
-	zipf *rand.Zipf
+	zipf  *rand.Zipf
+	users []wire.UserID // AuthorizedUsers: the top ranks' ids, already made
 }
 
-func (p Population) sampler(rng *rand.Rand) *sampler {
+func (p Population) sampler(rng *rand.Rand, users []wire.UserID) *sampler {
 	p = p.withDefaults()
-	return &sampler{zipf: rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Users-1))}
+	return &sampler{zipf: rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Users-1)), users: users}
 }
 
-// draw returns the next user by popularity rank (rank 0 most popular).
+// draw returns the next user by popularity rank (rank 0 most popular): a
+// seeded user's id as AuthorizedUsers made it, any other formatted in one
+// allocation.
 func (s *sampler) draw() wire.UserID {
-	return userID(int(s.zipf.Uint64()))
+	rank := int(s.zipf.Uint64())
+	if rank < len(s.users) {
+		return s.users[rank]
+	}
+	return userID(rank)
 }
 
 // userID names the user at a popularity rank; the top Population.Authorized
 // ranks are the seeded (granted) users.
-func userID(rank int) wire.UserID { return wire.UserID("u" + strconv.Itoa(rank)) }
+func userID(rank int) wire.UserID {
+	var b [24]byte
+	return wire.UserID(strconv.AppendInt(append(b[:0], 'u'), int64(rank), 10))
+}
 
 // AuthorizedUsers materializes the seeded user list.
 func (p Population) AuthorizedUsers() []wire.UserID {

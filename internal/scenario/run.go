@@ -191,7 +191,7 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 		start: hr.W.Sched.Now(),
 		res:   &Result{Name: sc.Name, Seed: seed, Telemetry: reg},
 	}
-	r.smp = pop.sampler(r.rng)
+	r.smp = pop.sampler(r.rng, users)
 	r.probeHist = reg.Histogram("wanac_probe_revocation_lag_seconds",
 		"Black-box prober: revocation lag observed at each probe sweep (right-censored while hosts still confirm).",
 		telemetry.DefBuckets)

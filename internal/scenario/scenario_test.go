@@ -2,8 +2,10 @@ package scenario
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -415,4 +417,33 @@ func TestMatrixSendAllocationBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
 		t.Errorf("%d sends + deliveries across global9 allocate %.1f objects, budget is 0", len(nodes), allocs)
 	}
+}
+
+// TestSamplerUserIDs: a drawn rank is named "u<rank>" whichever way the id is
+// made. A seeded rank's id is the one AuthorizedUsers made and costs nothing;
+// any other rank's is formatted in one allocation.
+func TestSamplerUserIDs(t *testing.T) {
+	for _, rank := range []int{0, 7, 63, 64, 99, 100, 12345, 1999999} {
+		if got, want := userID(rank), wire.UserID("u"+strconv.Itoa(rank)); got != want {
+			t.Errorf("userID(%d) = %q, want %q", rank, got, want)
+		}
+	}
+	pop := Population{Users: 10000, ZipfS: 1.2, Authorized: 64}
+	users := pop.AuthorizedUsers()
+	a, b := pop.sampler(rand.New(rand.NewSource(1)), users), pop.sampler(rand.New(rand.NewSource(1)), users)
+	for range 2000 {
+		rank := int(b.zipf.Uint64())
+		if got, want := a.draw(), wire.UserID("u"+strconv.Itoa(rank)); got != want {
+			t.Fatalf("draw = %q, want rank %d's id %q", got, rank, want)
+		}
+	}
+	var id wire.UserID
+	if allocs := testing.AllocsPerRun(100, func() { id = userID(12345) }); allocs != 1 {
+		t.Errorf("userID of an unseeded rank allocates %.0f objects, want 1", allocs)
+	}
+	seeded := &sampler{zipf: rand.NewZipf(rand.New(rand.NewSource(1)), 1.2, 1, 63), users: users}
+	if allocs := testing.AllocsPerRun(100, func() { id = seeded.draw() }); allocs != 0 {
+		t.Errorf("drawing a seeded rank allocates %.0f objects, want 0", allocs)
+	}
+	_ = id
 }

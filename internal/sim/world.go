@@ -484,12 +484,7 @@ func (w *World) FlightDump() *flight.Dump {
 	}
 	for e := range w.Tracer.All() {
 		if d := logs[e.Node]; d != nil && e.Type != trace.EventCacheHit {
-			kind := flight.KindProtocol
-			if e.Type == trace.EventUpdateQuorum || e.Type == trace.EventAccessAllowed {
-				kind = flight.KindQuorum
-			}
-			add(d, flight.Record{T: e.Time, Node: string(e.Node), Kind: kind, Type: e.Type.String(), Trace: e.Trace,
-				App: string(e.App), User: string(e.User), Origin: string(e.Seq.Origin), Counter: e.Seq.Counter, Note: e.Note})
+			add(d, flight.EventRecord(e))
 		}
 	}
 	dumps := []*flight.Dump{w.netFlight.Dump()}

@@ -9,6 +9,7 @@ import (
 	"io"
 	"iter"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -103,19 +104,90 @@ func (t EventType) String() string {
 	return fmt.Sprintf("event-%d", uint8(t))
 }
 
-// Event is one protocol occurrence.
+// Word is the word an event's note names: a decision's reason, a query's
+// verdict, an update's op. Its String is the word as the note renders it.
+type Word uint8
+
+// Words the protocol nodes emit.
+const (
+	WordNone Word = iota
+	WordQuorum
+	WordRevoked
+	WordUnreachable
+	WordUnregistered
+	WordResolveFailed
+	WordGranted
+	WordDenied
+	WordFrozen
+	WordUnknownApp
+	WordForced
+	WordAdd
+	WordRevoke
+	WordInvalidOp
+	numWords // one past the last defined word; keep last
+)
+
+var wordNames = [numWords]string{
+	WordQuorum:        "quorum",
+	WordRevoked:       "revoked",
+	WordUnreachable:   "unreachable",
+	WordUnregistered:  "unregistered",
+	WordResolveFailed: "resolve-failed",
+	WordGranted:       "granted",
+	WordDenied:        "denied",
+	WordFrozen:        "frozen",
+	WordUnknownApp:    "unknown-app",
+	WordForced:        "forced",
+	WordAdd:           "add",
+	WordRevoke:        "revoke",
+	WordInvalidOp:     "invalid",
+}
+
+// String returns the word, "" for WordNone.
+func (w Word) String() string {
+	if w < numWords {
+		return wordNames[w]
+	}
+	return fmt.Sprintf("word-%d", uint8(w))
+}
+
+// OpWord is the word for an update op, rendered as op.String is.
+func OpWord(op wire.Op) Word {
+	switch op {
+	case wire.OpAdd:
+		return WordAdd
+	case wire.OpRevoke:
+		return WordRevoke
+	}
+	return WordInvalidOp
+}
+
+// Pair packs the two counts of a query-sent event (round, managers asked)
+// into one Num.
+func Pair(a, b int) int64 { return int64(a)<<32 | int64(uint32(b)) }
+
+// Event is one protocol occurrence. Its detail — Word, Peer and Num — is
+// typed, so emitting one copies fixed-size fields and formats nothing; Note
+// renders it as text where text is read.
 type Event struct {
 	Time time.Time
 	Node wire.NodeID
 	Type EventType
+	Word Word
 	App  wire.AppID
 	User wire.UserID
 	// Seq identifies the update an update-issued/-applied/-quorum event
 	// refers to, letting offline checkers (internal/harness) verify
 	// per-origin application order and correlate quorum times with
 	// revocations. Zero for event types that do not concern an update.
-	Seq  wire.UpdateSeq
-	Note string
+	Seq wire.UpdateSeq
+	// Peer is the other node an event names: the querying host of a
+	// query-served or -shed, the origin an update-applied came from.
+	Peer wire.NodeID
+	// Num is the event's one number: a duration for check-backoff,
+	// query-shed and te-adapted, a Pair for query-sent, a count otherwise.
+	// Update events carry none.
+	Num int64
 	// Trace is the causal check identifier (the first query round's nonce,
 	// carried on the wire since the telemetry PR) for events that occur
 	// inside a check's lifecycle: query-sent/-timeout/-served, grant-cached,
@@ -123,6 +195,43 @@ type Event struct {
 	// (cache sweeps, admin updates, freezes). The flight recorder uses it to
 	// align drifting node clocks by matching query-sent/query-served pairs.
 	Trace uint64
+}
+
+// Note renders the event's detail as the text its type's note reads: "round=2
+// managers=3", "host=h0 granted", "revoke from m1", "" for none.
+func (e Event) Note() string { return Note(e.Type, e.Word, e.Peer, e.Num) }
+
+// Note renders the detail of an event of type t; Event.Note and flight dumps
+// read it. It is the one place an event's detail becomes text.
+func Note(t EventType, w Word, peer wire.NodeID, num int64) string {
+	itoa := func(n int64) string { return strconv.FormatInt(n, 10) }
+	switch t {
+	case EventQuerySent:
+		return "round=" + itoa(num>>32) + " managers=" + itoa(int64(int32(num)))
+	case EventQueryTimeout:
+		return "round=" + itoa(num)
+	case EventGrantCached:
+		return "confirmations=" + itoa(num)
+	case EventSynced:
+		return "entries=" + itoa(num)
+	case EventCheckBackoff:
+		return "delay=" + time.Duration(num).String()
+	case EventTeAdapted:
+		return "te=" + time.Duration(num).String()
+	case EventQueryShed:
+		return "host=" + string(peer) + " retry=" + time.Duration(num).String()
+	case EventQueryServed:
+		return "host=" + string(peer) + " " + w.String()
+	case EventAccessDefault:
+		if w == WordNone {
+			return "attempts=" + itoa(num)
+		}
+	case EventUpdateApplied:
+		if peer != "" {
+			return w.String() + " from " + string(peer)
+		}
+	}
+	return w.String()
 }
 
 // String renders a single trace line.
@@ -141,8 +250,8 @@ func (e Event) String() string {
 	if e.Trace != 0 {
 		fmt.Fprintf(&b, " trace=%016x", e.Trace)
 	}
-	if e.Note != "" {
-		fmt.Fprintf(&b, " %s", e.Note)
+	if note := e.Note(); note != "" {
+		fmt.Fprintf(&b, " %s", note)
 	}
 	return b.String()
 }
@@ -164,23 +273,27 @@ func (Nop) Emit(Event) {}
 // (64 KiB of 64-byte records).
 const chunkEvents = 1024
 
-// record is how a Collector keeps an Event, in 64 bytes of its 128: the time
-// as an epoch offset; Node, App and Seq.Origin as name indices, 0 for "".
+// record is how a Collector keeps an Event, in 56 bytes of its 136: the time
+// as an epoch offset; Node, App, Seq.Origin and Peer as name indices, 0 for
+// ""; Num in Seq.Counter's bytes when num is set (no update event carries a
+// number).
 type record struct {
-	t                 int64
-	user              wire.UserID
-	note              string
-	trace, counter    uint64
-	node, app, origin uint16
-	typ               EventType
+	t                       int64
+	user                    wire.UserID
+	trace, counter          uint64
+	node, app, origin, peer uint16
+	typ                     EventType
+	word                    Word
+	num                     bool
 }
 
 // Collector retains every event in memory and counts them by type. It is
 // safe for concurrent use (the live runtime emits from several goroutines).
 //
 // Events are kept as packed records in fixed-size chunks, so recording one
-// never copies the millions a run holds. Node, App and Seq.Origin share a
-// table of 65,535 names; an event naming one a full table lacks is kept aside.
+// never copies the millions a run holds. Node, App, Seq.Origin and Peer share
+// a table of 65,535 names; an event naming one a full table lacks, or
+// carrying both a Num and a Seq.Counter, is kept aside.
 type Collector struct {
 	mu     sync.Mutex
 	chunks [][]record  // oldest first; only the last may have room
@@ -210,9 +323,13 @@ func (c *Collector) Emit(e Event) {
 	if c.names == nil {
 		c.names, c.index = []string{""}, make(map[string]uint16)
 	}
-	r := record{t: c.epoch.Offset(e.Time), user: e.User, note: e.Note, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type,
-		node: c.name(string(e.Node)), app: c.name(string(e.App)), origin: c.name(string(e.Seq.Origin))}
-	if r.node == 0 && e.Node != "" || r.app == 0 && e.App != "" || r.origin == 0 && e.Seq.Origin != "" {
+	r := record{t: c.epoch.Offset(e.Time), user: e.User, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type, word: e.Word,
+		node: c.name(string(e.Node)), app: c.name(string(e.App)), origin: c.name(string(e.Seq.Origin)), peer: c.name(string(e.Peer))}
+	if e.Num != 0 {
+		r.counter, r.num = uint64(e.Num), true
+	}
+	if r.node == 0 && e.Node != "" || r.app == 0 && e.App != "" || r.origin == 0 && e.Seq.Origin != "" ||
+		r.peer == 0 && e.Peer != "" || r.num && e.Seq.Counter != 0 {
 		if c.spill == nil {
 			c.spill = make(map[int]Event)
 		}
@@ -250,9 +367,12 @@ func (c *Collector) all(yield func(*Event) bool) {
 	var e Event
 	for k, chunk := range c.chunks {
 		for j, r := range chunk {
-			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names[r.node]), Type: r.typ,
-				App: wire.AppID(c.names[r.app]), User: r.user, Note: r.note, Trace: r.trace,
+			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names[r.node]), Type: r.typ, Word: r.word,
+				App: wire.AppID(c.names[r.app]), User: r.user, Peer: wire.NodeID(c.names[r.peer]), Trace: r.trace,
 				Seq: wire.UpdateSeq{Origin: wire.NodeID(c.names[r.origin]), Counter: r.counter}}
+			if r.num {
+				e.Num, e.Seq.Counter = int64(r.counter), 0
+			}
 			if c.spill != nil {
 				if spilled, ok := c.spill[k*chunkEvents+j]; ok {
 					e = spilled

@@ -63,7 +63,7 @@ func TestEventTypeString(t *testing.T) {
 func TestEventString(t *testing.T) {
 	e := Event{
 		Time: time.Date(2000, 1, 1, 12, 30, 45, 0, time.UTC),
-		Node: "h0", Type: EventAccessDenied, App: "stocks", User: "alice", Note: "revoked",
+		Node: "h0", Type: EventAccessDenied, App: "stocks", User: "alice", Word: WordRevoked,
 	}
 	s := e.String()
 	for _, frag := range []string{"12:30:45", "h0", "access-denied", "app=stocks", "user=alice", "revoked"} {
@@ -74,6 +74,58 @@ func TestEventString(t *testing.T) {
 	bare := Event{Node: "m1", Type: EventFrozen}.String()
 	if strings.Contains(bare, "app=") || strings.Contains(bare, "user=") {
 		t.Errorf("bare event string has empty fields: %q", bare)
+	}
+}
+
+// TestNoteRendering pins the text every note format renders to, as the
+// protocol nodes formatted it when they emitted it; transcripts, flight dumps
+// and the process log depend on it byte for byte.
+func TestNoteRendering(t *testing.T) {
+	for _, row := range []struct {
+		e    Event
+		want string
+	}{
+		{Event{Type: EventQuerySent, Num: Pair(2, 3)}, "round=2 managers=3"},
+		{Event{Type: EventQuerySent, Num: Pair(1, 1)}, "round=1 managers=1"},
+		{Event{Type: EventQueryTimeout, Num: 4}, "round=4"},
+		{Event{Type: EventCheckBackoff, Num: int64(1500 * time.Millisecond)}, "delay=1.5s"},
+		{Event{Type: EventCheckBackoff}, "delay=0s"},
+		{Event{Type: EventQueryShed, Peer: "h3", Num: int64(250 * time.Millisecond)}, "host=h3 retry=250ms"},
+		{Event{Type: EventQueryServed, Peer: "h0", Word: WordGranted}, "host=h0 granted"},
+		{Event{Type: EventQueryServed, Peer: "h0", Word: WordDenied}, "host=h0 denied"},
+		{Event{Type: EventQueryServed, Peer: "h1", Word: WordFrozen}, "host=h1 frozen"},
+		{Event{Type: EventQueryServed, Peer: "h2", Word: WordUnknownApp}, "host=h2 unknown-app"},
+		{Event{Type: EventTeAdapted, Num: int64(2 * time.Second)}, "te=2s"},
+		{Event{Type: EventSynced, Num: 12}, "entries=12"},
+		{Event{Type: EventSynced}, "entries=0"},
+		{Event{Type: EventAccessDefault, Num: 3}, "attempts=3"},
+		{Event{Type: EventGrantCached, Num: 2}, "confirmations=2"},
+		{Event{Type: EventAccessAllowed, Word: WordQuorum}, "quorum"},
+		{Event{Type: EventAccessDenied, Word: WordRevoked}, "revoked"},
+		{Event{Type: EventAccessDenied, Word: WordUnreachable}, "unreachable"},
+		{Event{Type: EventAccessDenied, Word: WordUnregistered}, "unregistered"},
+		{Event{Type: EventAccessDenied, Word: WordResolveFailed}, "resolve-failed"},
+		{Event{Type: EventAccessDefault, Word: WordResolveFailed}, "resolve-failed"},
+		{Event{Type: EventUpdateIssued, Word: OpWord(wire.OpRevoke)}, "revoke"},
+		{Event{Type: EventUpdateQuorum, Word: OpWord(wire.OpAdd)}, "add"},
+		{Event{Type: EventUpdateIssued, Word: OpWord(0)}, "invalid"},
+		{Event{Type: EventUpdateApplied, Word: OpWord(wire.OpRevoke), Peer: "m1"}, "revoke from m1"},
+		{Event{Type: EventUpdateApplied, Word: OpWord(wire.OpAdd), Peer: "m0"}, "add from m0"},
+		{Event{Type: EventUpdateApplied, Word: WordForced}, "forced"},
+		{Event{Type: EventCacheHit}, ""},
+		{Event{Type: EventCacheExpired}, ""},
+		{Event{Type: EventRevokeApplied}, ""},
+		{Event{Type: EventFrozen}, ""},
+		{Event{Type: EventUnfrozen}, ""},
+	} {
+		if got := row.e.Note(); got != row.want {
+			t.Errorf("%s %+v renders %q, want %q", row.e.Type, row.e, got, row.want)
+		}
+	}
+	for w := WordQuorum; w < numWords; w++ {
+		if w.String() == "" {
+			t.Errorf("Word(%d) has no text", w)
+		}
 	}
 }
 
@@ -159,14 +211,21 @@ func TestCollectorRoundTrip(t *testing.T) {
 	at := time.Date(2026, 10, 17, 4, 21, 0, 123456789, loc)
 	in := []Event{
 		{Type: EventFrozen}, // zero time, empty ids, zero Seq
-		{Time: at, Node: "h0", Type: EventAccessAllowed, App: "stocks", User: "alice", Note: "quorum", Trace: 1<<64 - 1},
+		{Time: at, Node: "h0", Type: EventAccessAllowed, App: "stocks", User: "alice", Word: WordQuorum, Trace: 1<<64 - 1},
 		{Time: at.AddDate(124, 0, 0), Node: "m1", Type: EventUpdateIssued, User: "bob",
 			Seq: wire.UpdateSeq{Origin: "m1", Counter: 1<<64 - 1}},
 		{Time: at.AddDate(-125, 0, 0).Add(-1), Node: "m2", Type: EventUpdateApplied, App: "stocks",
 			Seq: wire.UpdateSeq{Origin: "m1", Counter: 7}},
 		{Time: at.Add(-time.Nanosecond), Node: "h0", Type: EventCacheHit, App: "news", User: "alice", Trace: 42},
-		{Time: time.Now().In(loc), Node: "h1", Type: EventType(255), Note: "monotonic"},
+		{Time: time.Now().In(loc), Node: "h1", Type: EventType(255), Word: Word(255), Peer: "h0", Num: math.MinInt64},
 		{Time: time.Time{}.In(loc), Node: "h1", Type: EventQuerySent, Seq: wire.UpdateSeq{Counter: 3}},
+		// Detail: a peer, a word, a number in Seq.Counter's place, the
+		// update-applied peer beside a Seq, and a number beside a Seq.
+		{Time: at, Node: "m0", Type: EventQueryShed, App: "stocks", User: "alice", Peer: "h0", Num: int64(time.Second), Trace: 9},
+		{Time: at, Node: "m0", Type: EventQueryServed, Peer: "h1", Word: WordGranted, Trace: 9},
+		{Time: at, Node: "h0", Type: EventQuerySent, Num: Pair(7, 2), Trace: 9},
+		{Time: at, Node: "m2", Type: EventUpdateApplied, Word: WordRevoke, Peer: "m1", Seq: wire.UpdateSeq{Origin: "m1", Counter: 8}},
+		{Time: at, Node: "m2", Type: EventSynced, Num: -1, Seq: wire.UpdateSeq{Origin: "m1", Counter: 8}},
 	}
 	c := NewCollector()
 	for _, e := range in {
@@ -187,15 +246,15 @@ func TestCollectorRoundTrip(t *testing.T) {
 	roundTrip(t, c, mixed, time.UTC)
 }
 
-// TestCollectorBytesPerEvent: the log keeps an event in at most 64 bytes
-// (its strings are the caller's).
+// TestCollectorBytesPerEvent: the log keeps an event in at most 56 bytes
+// (its strings are the caller's; its detail is fixed-size).
 func TestCollectorBytesPerEvent(t *testing.T) {
-	if got := unsafe.Sizeof(record{}); got > 64 {
-		t.Fatalf("record is %d bytes, budget 64", got)
+	if got := unsafe.Sizeof(record{}); got > 56 {
+		t.Fatalf("record is %d bytes, budget 56", got)
 	}
 }
 
-// TestCollectorNameTableFull: once Node, App and Seq.Origin have used all
+// TestCollectorNameTableFull: once Node, App, Seq.Origin and Peer have used all
 // 65,535 indices, an event naming a new string is kept whole, never under
 // another name's index; known names still pack, no side map exists until one
 // is needed, and Reset empties the table.
@@ -217,8 +276,10 @@ func TestCollectorNameTableFull(t *testing.T) {
 	emit(Event{Node: "n4", Type: EventUpdateIssued, Seq: wire.UpdateSeq{Origin: "origin", Counter: 1}})
 	emit(Event{Node: "late", Type: EventCacheHit, App: "n5"})
 	emit(Event{Node: "n6", Type: EventCacheHit, App: "app"})
-	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 3 {
-		t.Fatalf("full table: %d names, %d events spilled, want 65,536 and 3", len(c.names), len(c.spill))
+	emit(Event{Node: "n7", Type: EventQueryServed, Peer: "h9", Word: WordGranted})
+	emit(Event{Node: "n8", Type: EventQueryServed, Peer: "n9", Word: WordDenied})
+	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 4 {
+		t.Fatalf("full table: %d names, %d events spilled, want 65,536 and 4", len(c.names), len(c.spill))
 	}
 	roundTrip(t, c, in, nil)
 	c.Reset()
@@ -236,10 +297,16 @@ func TestCollectorRoundTripConcurrent(t *testing.T) {
 	t0 := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	event := func(w, i int) Event {
 		n := uint64(w*each + i)
-		return Event{Time: t0.Add(time.Duration(n) * time.Millisecond), Node: wire.NodeID("n" + strconv.Itoa(w)),
+		e := Event{Time: t0.Add(time.Duration(n) * time.Millisecond), Node: wire.NodeID("n" + strconv.Itoa(w)),
 			Type: EventType(n%uint64(numEventTypes) + 1), App: wire.AppID("a" + strconv.Itoa(i%7)),
-			User: wire.UserID("u" + strconv.Itoa(i%13)), Note: strconv.Itoa(i),
-			Seq: wire.UpdateSeq{Origin: wire.NodeID("m" + strconv.Itoa(i%3)), Counter: n}, Trace: n}
+			User: wire.UserID("u" + strconv.Itoa(i%13)), Trace: n,
+			Word: Word(i % int(numWords)), Peer: wire.NodeID("h" + strconv.Itoa(i%5))}
+		if i%2 == 0 {
+			e.Seq = wire.UpdateSeq{Origin: wire.NodeID("m" + strconv.Itoa(i%3)), Counter: n}
+		} else {
+			e.Num = int64(i) - each/2
+		}
+		return e
 	}
 	check := func(e *Event) {
 		w, i := int(e.Trace)/each, int(e.Trace)%each

@@ -23,6 +23,14 @@ echo "== core counters are derived"
 mirrors=$(grep -n '\.Inc()' internal/core/*.go | grep -v _test.go || true)
 [ -z "$mirrors" ] || { echo "counter bumped beside a count:"; echo "$mirrors"; exit 1; }
 
+echo "== core formats no trace text"
+# A protocol event carries typed detail (trace.Event's Word, Peer and Num);
+# trace.Note renders it where text is read. A note built when the event is
+# emitted ("delay=" + d.String(), op + " from " + origin) allocates every
+# time the event is emitted.
+notes=$(grep -nE '"[ a-z-]*[a-z]=" *\+|" from " *\+' internal/core/*.go | grep -v _test.go || true)
+[ -z "$notes" ] || { echo "trace note formatted in internal/core:"; echo "$notes"; exit 1; }
+
 echo "== stale command references"
 # Every ./cmd/<name> that Go source or the tree's documentation names must be
 # a command that exists, so a deleted command's "render with: go run
