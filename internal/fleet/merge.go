@@ -41,7 +41,6 @@ type series struct {
 	name   string
 	labels []telemetry.Label // exposition order, le kept numeric-sortable
 	value  float64
-	n      int // nodes folded in (for min/max/avg policies)
 }
 
 // merged is a fleet-wide rollup of N parsed expositions.
@@ -95,11 +94,9 @@ func (m *merged) add(src *telemetry.Metrics) error {
 				name:   s.Name,
 				labels: append([]telemetry.Label(nil), s.Labels...),
 				value:  s.Value,
-				n:      1,
 			}
 			continue
 		}
-		cur.n++
 		if m.types[fam] == "gauge" {
 			switch gaugePolicy[fam] {
 			case foldMax:

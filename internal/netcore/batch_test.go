@@ -135,30 +135,79 @@ func TestFlushSplitsAtFrameLimit(t *testing.T) {
 	}
 }
 
+// TestEnqueueDropsUnsendableAtOnce: EnqueueMessage sizes a message once and
+// drops one that cannot be encoded, or would not fit a frame alone, right
+// there — counted in Drops and in no lane — so the writer encodes only what
+// it can send. A valid message after them arrives as exactly the frame
+// EncodeStreamFrame builds for it.
+func TestEnqueueDropsUnsendableAtOnce(t *testing.T) {
+	cfg := backoffConfig(16)
+	cfg.Framing = &Framing{From: "src", Stream: true, Limit: 256}
+	ctr := &Counters{}
+	fs := &fakeSender{}
+	p := newPeer("x", cfg, ctr, func() (Sender, error) { return fs, nil })
+	defer func() { p.beginClose(time.Now()); p.Wait() }()
+
+	nested := wire.Batch{Msgs: []wire.Message{wire.Batch{}}}
+	if _, err := wire.Size(nested); !errors.Is(err, wire.ErrNestedBatch) {
+		t.Fatalf("wire.Size(nested batch) err = %v, want ErrNestedBatch", err)
+	}
+	for i, bad := range []wire.Message{
+		wire.Invoke{App: "a", User: "u", Payload: make([]byte, cfg.Framing.Limit)},
+		nested,
+	} {
+		p.EnqueueMessage(bad)
+		if got, want := ctr.Drops.Load(), uint64(i+1); got != want {
+			t.Errorf("after %T: drops = %d, want %d", bad, got, want)
+		}
+		if enq := ctr.LaneEnqueued[wire.LaneBulk].Load() + ctr.LaneEnqueued[wire.LaneHigh].Load(); enq != 0 {
+			t.Errorf("after %T: lane enqueued = %d, want 0", bad, enq)
+		}
+	}
+
+	valid := wire.Message(wire.Query{App: "a", User: "u", Right: wire.RightUse, Nonce: 1})
+	p.EnqueueMessage(valid)
+	waitFor(t, func() bool { return fs.count() == 1 })
+	want, err := EncodeStreamFrame("src", valid, cfg.Framing.Limit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.mu.Lock()
+	got := fs.frames[0]
+	fs.mu.Unlock()
+	if !bytes.Equal(got, want) {
+		t.Errorf("frame = %x, want EncodeStreamFrame's %x", got, want)
+	}
+	if got := ctr.Drops.Load(); got != 2 {
+		t.Errorf("drops = %d, want 2", got)
+	}
+}
+
 // TestEnqueueCompactsDrainedPrefix drives the queue's prefix-reclaim path:
 // with the writer parked in backoff, overflow drops advance qhead until the
 // drained prefix dominates the array and is compacted away — without losing
 // or reordering the surviving entries.
 func TestEnqueueCompactsDrainedPrefix(t *testing.T) {
-	cfg := Config{QueueDepth: 64, BackoffMin: time.Minute, BackoffMax: time.Minute}.withDefaults()
+	cfg := Config{QueueDepth: 64, BackoffMin: time.Minute, BackoffMax: time.Minute,
+		Framing: testFraming()}.withDefaults()
 	ctr := &Counters{}
 	fs := &fakeSender{}
 	p := newPeer("x", cfg, ctr, func() (Sender, error) { return nil, errors.New("refused") })
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	p.Enqueue(frame(0)) // sacrificial: parks the writer in backoff
+	p.EnqueueMessage(tagged(0)) // sacrificial: parks the writer in backoff
 	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
 
-	// 127 more frames against a 64-deep queue: 63 overflow drops advance
+	// 127 more messages against a 64-deep queue: 63 overflow drops advance
 	// qhead one per drop; the 63rd crosses the compaction threshold
 	// (qhead > 32 and drained prefix >= half the array).
-	for b := byte(1); b <= 127; b++ {
-		p.Enqueue(frame(b))
+	for n := 1; n <= 127; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	p.mu.Lock()
 	bulk := &p.lanes[wire.LaneBulk]
 	qhead, qlen := bulk.qhead, len(bulk.q)
-	first, last := bulk.q[bulk.qhead].frame[0], bulk.q[len(bulk.q)-1].frame[0]
+	first, last := bulk.q[bulk.qhead].msg, bulk.q[len(bulk.q)-1].msg
 	p.mu.Unlock()
 	if qhead != 0 {
 		t.Errorf("qhead = %d, want 0 (drained prefix compacted)", qhead)
@@ -166,8 +215,8 @@ func TestEnqueueCompactsDrainedPrefix(t *testing.T) {
 	if qlen != 64 {
 		t.Errorf("len(q) = %d, want 64 (backing array shrunk to live entries)", qlen)
 	}
-	if first != 64 || last != 127 {
-		t.Errorf("live range = [%d..%d], want [64..127]", first, last)
+	if first != tagged(64) || last != tagged(127) {
+		t.Errorf("live range = [%v..%v], want [64..127]", first, last)
 	}
 	if got := ctr.Drops.Load(); got != 64 {
 		t.Errorf("drops = %d, want 64 (1 sacrificial + 63 overflow)", got)
@@ -176,11 +225,9 @@ func TestEnqueueCompactsDrainedPrefix(t *testing.T) {
 	// Release the peer: the survivors must arrive intact and in order.
 	p.SetDial(func() (Sender, error) { return fs, nil }, false)
 	waitFor(t, func() bool { return fs.count() == 64 })
-	fs.mu.Lock()
-	ok := fs.frames[0][0] == 64 && fs.frames[63][0] == 127
-	fs.mu.Unlock()
-	if !ok {
-		t.Error("compaction reordered or corrupted surviving frames")
+	if got := fs.tags(); got[0] != 64 || got[63] != 127 {
+		t.Errorf("delivered [%d..%d], want [64..127]: compaction reordered or corrupted survivors",
+			got[0], got[63])
 	}
 	if got := ctr.Drops.Load(); got != 64 {
 		t.Errorf("drops after delivery = %d, want 64 (no double-count)", got)
@@ -249,19 +296,16 @@ func (s *partialSender) WriteBatch(frames net.Buffers) (int, error) {
 
 func (s *partialSender) Close() error { return nil }
 
-func (s *partialSender) bytes() []byte {
+func (s *partialSender) tags() []int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []byte
-	for _, f := range s.frames {
-		out = append(out, f[0])
-	}
-	return out
+	return tagsOf(s.frames)
 }
 
 // TestPartialBatchRetriesOnFreshConnection: a mid-batch write failure
 // delivers the unwritten remainder on one fresh connection — already-written
 // frames are never re-sent, nothing is dropped, and every counter is exact.
+// The framing fits one message per frame, so the flush writes five frames.
 func TestPartialBatchRetriesOnFreshConnection(t *testing.T) {
 	ctr := &Counters{}
 	s1 := &partialSender{failAfter: 2}
@@ -279,22 +323,23 @@ func TestPartialBatchRetriesOnFreshConnection(t *testing.T) {
 		mu.Unlock()
 		return next()
 	}
-	cfg := Config{QueueDepth: 16, BackoffMin: time.Minute, BackoffMax: time.Minute}.withDefaults()
+	cfg := Config{QueueDepth: 16, BackoffMin: time.Minute, BackoffMax: time.Minute,
+		Framing: testFraming()}.withDefaults()
 	p := newPeer("x", cfg, ctr, dial)
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	p.Enqueue(frame(0)) // sacrificial
+	p.EnqueueMessage(tagged(0)) // sacrificial
 	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
-	for b := byte(1); b <= 5; b++ {
-		p.Enqueue(frame(b))
+	for n := 1; n <= 5; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	p.ClearBackoff()
-	waitFor(t, func() bool { return len(s2.bytes()) == 3 })
+	waitFor(t, func() bool { return len(s2.tags()) == 3 })
 
-	if got := s1.bytes(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := s1.tags(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("first connection got %v, want [1 2]", got)
 	}
-	if got := s2.bytes(); got[0] != 3 || got[1] != 4 || got[2] != 5 {
+	if got := s2.tags(); !reflect.DeepEqual(got, []int{3, 4, 5}) {
 		t.Errorf("retry connection got %v, want [3 4 5] (no re-send, no loss)", got)
 	}
 	checks := []struct {
@@ -302,11 +347,11 @@ func TestPartialBatchRetriesOnFreshConnection(t *testing.T) {
 		got  uint64
 		want uint64
 	}{
-		{"drops", ctr.Drops.Load(), 1}, // the sacrificial frame only
+		{"drops", ctr.Drops.Load(), 1}, // the sacrificial message only
 		{"dials", ctr.Dials.Load(), 3},
 		{"dial_failures", ctr.DialFailures.Load(), 1},
 		{"reconnects", ctr.Reconnects.Load(), 1},
-		{"bytes_out", ctr.BytesOut.Load(), 5},
+		{"bytes_out", ctr.BytesOut.Load(), uint64(5 * cfg.Framing.Limit)},
 		{"batches_out", ctr.BatchesOut.Load(), 2}, // 2 frames + 3 frames
 		{"batch_frames_sum", ctr.BatchFramesSum.Load(), 5},
 	}
@@ -320,7 +365,7 @@ func TestPartialBatchRetriesOnFreshConnection(t *testing.T) {
 // TestPartialBatchDropsRemainderExactlyOnce: when the retry connection also
 // cannot be established, the unwritten remainder is dropped exactly once —
 // delivered + dropped equals enqueued, with no double-count and no loss of
-// accounting.
+// accounting. As above, each message is its own frame.
 func TestPartialBatchDropsRemainderExactlyOnce(t *testing.T) {
 	ctr := &Counters{}
 	s1 := &partialSender{failAfter: 2}
@@ -337,30 +382,31 @@ func TestPartialBatchDropsRemainderExactlyOnce(t *testing.T) {
 		mu.Unlock()
 		return next()
 	}
-	cfg := Config{QueueDepth: 16, BackoffMin: time.Minute, BackoffMax: time.Minute}.withDefaults()
+	cfg := Config{QueueDepth: 16, BackoffMin: time.Minute, BackoffMax: time.Minute,
+		Framing: testFraming()}.withDefaults()
 	p := newPeer("x", cfg, ctr, dial)
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	p.Enqueue(frame(0)) // sacrificial
+	p.EnqueueMessage(tagged(0)) // sacrificial
 	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
-	for b := byte(1); b <= 5; b++ {
-		p.Enqueue(frame(b))
+	for n := 1; n <= 5; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	p.ClearBackoff()
 	// 2 delivered on s1, retry dial refused, remaining 3 dropped once.
 	waitFor(t, func() bool { return ctr.Drops.Load() == 4 })
 
-	if got := s1.bytes(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := s1.tags(); !reflect.DeepEqual(got, []int{1, 2}) {
 		t.Errorf("delivered %v, want [1 2]", got)
 	}
 	if got := ctr.DialFailures.Load(); got != 2 {
 		t.Errorf("dial_failures = %d, want 2", got)
 	}
-	if got := ctr.BytesOut.Load(); got != 2 {
-		t.Errorf("bytes_out = %d, want 2 (only the delivered frames)", got)
+	if got, want := ctr.BytesOut.Load(), uint64(2*cfg.Framing.Limit); got != want {
+		t.Errorf("bytes_out = %d, want %d (only the delivered frames)", got, want)
 	}
 	// Conservation: 6 enqueued = 2 delivered + 4 dropped, each exactly once.
-	if delivered, dropped := uint64(len(s1.bytes())), ctr.Drops.Load(); delivered+dropped != 6 {
+	if delivered, dropped := uint64(len(s1.tags())), ctr.Drops.Load(); delivered+dropped != 6 {
 		t.Errorf("delivered %d + dropped %d != 6 enqueued", delivered, dropped)
 	}
 }

@@ -37,11 +37,12 @@ var (
 )
 
 func churnConfig() netcore.Config {
-	return netcore.BuildConfig(
+	cfg := netcore.BuildConfig(
 		netcore.WithBackoff(10*time.Millisecond, 150*time.Millisecond),
 		netcore.WithDialTimeout(250*time.Millisecond),
-		netcore.WithDrainTimeout(100*time.Millisecond),
 	)
+	cfg.DrainTimeout = 100 * time.Millisecond
+	return cfg
 }
 
 // tagCollector records deliveries and flags any message not tagged for this

@@ -9,35 +9,72 @@ import (
 	"wanac/internal/wire"
 )
 
-// Frame layout, shared by both live transports:
+// Frame layout, shared by both live transports and written only by
+// appendFrame:
 //
 //	payload := uvarint(len(id)) ++ id ++ wire.Marshal(msg)
 //
-// Datagram transports (udpnet) put one payload in each datagram. Stream
-// transports (tcpnet) prefix each payload with a big-endian u32 length. The
-// MaxFrame bound applies to the payload in both directions: an oversized
-// outbound message is refused at encode time (and counted as a drop by the
-// caller) instead of being written to a peer that would reject it.
+// where msg is one message or a wire.Batch of several. Datagram transports
+// (udpnet) put one payload in each datagram. Stream transports (tcpnet)
+// prefix each payload with a big-endian u32 length. The MaxFrame bound
+// applies to the payload in both directions: an oversized outbound message
+// is refused before it is queued (and counted as a drop) instead of being
+// written to a peer that would reject it.
+
+// appendFrame appends one frame carrying msgs from sender from to dst: a
+// plain frame for one message, a wire.Batch frame for several, behind the
+// u32 payload length when stream is set. On error dst is returned
+// unchanged.
+func appendFrame(dst []byte, from wire.NodeID, msgs []wire.Message, stream bool) ([]byte, error) {
+	start := len(dst)
+	if stream {
+		dst = append(dst, 0, 0, 0, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(from)))
+	dst = append(dst, from...)
+	var err error
+	if len(msgs) == 1 {
+		dst, err = wire.AppendMarshal(dst, msgs[0])
+	} else {
+		dst, err = wire.AppendBatch(dst, msgs)
+	}
+	if err != nil {
+		return dst[:start], err
+	}
+	if stream {
+		binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	}
+	return dst, nil
+}
 
 // EncodeFrame builds a datagram payload. It fails if the payload would
 // exceed maxFrame. The buffer is presized exactly from wire.Size, so the
 // encode never reallocates mid-append regardless of message size.
 func EncodeFrame(from wire.NodeID, msg wire.Message, maxFrame int) ([]byte, error) {
+	return encodeFrame(from, msg, maxFrame, false)
+}
+
+// EncodeStreamFrame builds a length-prefixed stream frame. It fails if the
+// payload would exceed maxFrame. The buffer is presized exactly from
+// wire.Size, so the encode never reallocates mid-append.
+func EncodeStreamFrame(from wire.NodeID, msg wire.Message, maxFrame int) ([]byte, error) {
+	return encodeFrame(from, msg, maxFrame, true)
+}
+
+func encodeFrame(from wire.NodeID, msg wire.Message, maxFrame int, stream bool) ([]byte, error) {
 	size, err := wire.Size(msg)
 	if err != nil {
 		return nil, err
 	}
-	total := FrameOverhead(from) + size
-	if total > maxFrame {
-		return nil, fmt.Errorf("netcore: frame too large (%d > %d bytes)", total, maxFrame)
+	payload := FrameOverhead(from) + size
+	if payload > maxFrame {
+		return nil, fmt.Errorf("netcore: frame too large (%d > %d bytes)", payload, maxFrame)
 	}
-	buf := binary.AppendUvarint(make([]byte, 0, total), uint64(len(from)))
-	buf = append(buf, from...)
-	buf, err = wire.AppendMarshal(buf, msg)
-	if err != nil {
-		return nil, err
+	n := payload
+	if stream {
+		n += 4
 	}
-	return buf, nil
+	return appendFrame(make([]byte, 0, n), from, []wire.Message{msg}, stream)
 }
 
 // FrameDecoder parses the payloads arriving on one connection or socket. It
@@ -82,33 +119,8 @@ func (d *FrameDecoder) sender(b []byte) wire.NodeID {
 	return id
 }
 
-// EncodeStreamFrame builds a length-prefixed stream frame. It fails if the
-// payload would exceed maxFrame. The buffer is presized exactly from
-// wire.Size, so the encode never reallocates mid-append.
-func EncodeStreamFrame(from wire.NodeID, msg wire.Message, maxFrame int) ([]byte, error) {
-	size, err := wire.Size(msg)
-	if err != nil {
-		return nil, err
-	}
-	payload := FrameOverhead(from) + size
-	if payload > maxFrame {
-		return nil, fmt.Errorf("netcore: frame too large (%d > %d bytes)", payload, maxFrame)
-	}
-	buf := make([]byte, 4, 4+payload)
-	buf = binary.AppendUvarint(buf, uint64(len(from)))
-	buf = append(buf, from...)
-	buf, err = wire.AppendMarshal(buf, msg)
-	if err != nil {
-		return nil, err
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	return buf, nil
-}
-
 // FrameOverhead returns the per-frame header cost for frames from id: the
-// uvarint-prefixed sender id every payload starts with. Transports use it
-// to pre-validate a message's encoded size against their frame limit
-// before queuing it un-encoded.
+// uvarint-prefixed sender id every payload starts with.
 func FrameOverhead(id wire.NodeID) int { return uvarintLen(uint64(len(id))) + len(id) }
 
 // PackedSize returns the bytes one payload of length n occupies inside a

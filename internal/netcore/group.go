@@ -25,8 +25,12 @@ type Group struct {
 }
 
 // NewGroup creates a peer group for the named node. The config is completed
-// with defaults; retrieve the effective values via Config.
+// with defaults; retrieve the effective values via Config. It panics when
+// cfg.Framing is nil: a transport that cannot frame cannot send.
 func NewGroup(name string, cfg Config) *Group {
+	if cfg.Framing == nil {
+		panic("netcore: config needs a Framing")
+	}
 	g := &Group{
 		name:  name,
 		cfg:   cfg.withDefaults(),

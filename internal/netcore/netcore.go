@@ -4,7 +4,7 @@
 //
 //   - per-peer bounded outbound queues drained by dedicated writer
 //     goroutines, so a protocol-side Send never blocks, dials, or waits on a
-//     slow peer's socket (overflow drops the oldest frame and counts it);
+//     slow peer's socket (overflow drops the oldest message and counts it);
 //   - automatic reconnect with exponential backoff plus jitter and a
 //     per-peer health state machine (connecting / up / backoff);
 //   - shared frame encoding/decoding with the frame-size bound enforced on
@@ -46,11 +46,11 @@ const DefaultMaxFrame = 1 << 20
 // messages to matter under load.
 const DefaultMaxBatch = 64
 
-// Framing tells the peer writer how to build frames itself, which is what
-// enables coalescing: messages enqueued un-encoded (Peer.EnqueueMessage)
-// are batched into wire.Batch frames at flush time, encoded directly into
-// the writer's reusable buffer. A transport sets Framing on its Config
-// before NewGroup; without it only pre-encoded Enqueue frames can be sent.
+// Framing tells the peer writer how to build frames: messages enqueued
+// un-encoded (Peer.EnqueueMessage) are sized against Limit at once and
+// batched into wire.Batch frames at flush time, encoded directly into the
+// writer's reusable buffer. A transport sets Framing on its Config before
+// NewGroup, which requires it.
 type Framing struct {
 	// From is the local node id stamped on every outbound frame.
 	From wire.NodeID
@@ -66,7 +66,7 @@ type Framing struct {
 // withDefaults fills every field a deployment does not set.
 type Config struct {
 	// QueueDepth bounds each peer's outbound queue. When the queue is full
-	// the oldest frame is dropped (and counted) — under backpressure the
+	// the oldest message is dropped (and counted) — under backpressure the
 	// freshest protocol traffic is the most useful, since the protocol's own
 	// retry machinery regenerates anything older.
 	QueueDepth int
@@ -88,16 +88,16 @@ type Config struct {
 	// no frame for this long (the protocol's heartbeats and retries keep
 	// healthy links chatty). Zero disables the idle check.
 	ReadIdleTimeout time.Duration
-	// DrainTimeout bounds how long Close keeps draining queued frames before
-	// dropping the remainder.
+	// DrainTimeout bounds how long Close keeps draining queued messages
+	// before dropping the remainder.
 	DrainTimeout time.Duration
 	// MaxFrame bounds frame size in both directions.
 	MaxFrame int
 	// MaxBatch bounds how many queued messages one writer flush coalesces
 	// (and therefore how many sub-messages one wire.Batch frame carries).
 	MaxBatch int
-	// Framing, when set by the transport, lets the writer goroutine encode
-	// and coalesce messages itself; see the Framing type.
+	// Framing tells the writer goroutine how to size, encode and coalesce
+	// messages; see the Framing type. NewGroup panics without it.
 	Framing *Framing
 	// StatsInterval, when positive, publishes a TransportStats snapshot to
 	// StatsSink every interval (defaulting to the process log when no sink
@@ -174,15 +174,6 @@ func WithBackoff(min, max time.Duration) Option {
 // WithDialTimeout bounds one connection attempt.
 func WithDialTimeout(d time.Duration) Option { return func(c *Config) { c.DialTimeout = d } }
 
-// WithWriteTimeout bounds one frame write on a stream connection.
-func WithWriteTimeout(d time.Duration) Option { return func(c *Config) { c.WriteTimeout = d } }
-
-// WithDrainTimeout bounds how long Close drains queued frames.
-func WithDrainTimeout(d time.Duration) Option { return func(c *Config) { c.DrainTimeout = d } }
-
-// WithMaxFrame bounds frame size in both directions.
-func WithMaxFrame(n int) Option { return func(c *Config) { c.MaxFrame = n } }
-
 // WithMaxBatch bounds how many queued messages one writer flush coalesces
 // into a single wire write. 1 disables coalescing.
 func WithMaxBatch(n int) Option { return func(c *Config) { c.MaxBatch = n } }
@@ -237,12 +228,12 @@ func (s State) String() string {
 // atomics so read loops, writer goroutines, and Stats snapshots never
 // contend.
 type Counters struct {
-	// Sends counts Send calls (whether or not the frame was ultimately
+	// Sends counts Send calls (whether or not the message was ultimately
 	// delivered).
 	Sends atomic.Uint64
-	// Drops counts frames dropped anywhere on the outbound path: unknown
-	// peer, encode failure, queue overflow, undeliverable after dial
-	// failure, or discarded by Close's drain deadline.
+	// Drops counts messages dropped anywhere on the outbound path: unknown
+	// peer, unencodable or oversized, queue overflow, undeliverable after
+	// dial failure, or discarded by Close's drain deadline.
 	Drops atomic.Uint64
 	// LaneEnqueued, LaneDelivered, and LaneDrops account every queued entry
 	// per priority lane (indexed by wire.Lane). The writer maintains the
@@ -250,8 +241,8 @@ type Counters struct {
 	//
 	//	LaneDelivered + LaneDrops == LaneEnqueued (once quiesced)
 	//
-	// LaneDrops sums to Drops minus unknown-peer drops, which are counted
-	// before a lane is ever assigned.
+	// LaneDrops sums to Drops minus unknown-peer, unencodable and oversized
+	// drops, which are counted before a message is queued in a lane.
 	LaneEnqueued, LaneDelivered, LaneDrops [2]atomic.Uint64
 	// Dials counts connection attempts.
 	Dials atomic.Uint64
@@ -293,8 +284,8 @@ func (c *Counters) observeBatch(frames int) {
 type TransportStats struct {
 	// Sends counts Send calls.
 	Sends uint64 `json:"sends"`
-	// Drops counts frames dropped on the outbound path (overflow, unknown
-	// peer, dial failure, drain deadline).
+	// Drops counts messages dropped on the outbound path (unknown peer,
+	// unencodable or oversized, overflow, dial failure, drain deadline).
 	Drops uint64 `json:"drops"`
 	// Dials counts connection attempts; DialFailures the failed ones.
 	Dials        uint64 `json:"dials"`
@@ -317,7 +308,7 @@ type TransportStats struct {
 	LaneEnqueued  [2]uint64 `json:"lane_enqueued"`
 	LaneDelivered [2]uint64 `json:"lane_delivered"`
 	LaneDrops     [2]uint64 `json:"lane_drops"`
-	// QueueDepth is the current total of frames queued across peers.
+	// QueueDepth is the current total of messages queued across peers.
 	QueueDepth int `json:"queue_depth"`
 	// LaneDepths is the current per-lane split of QueueDepth.
 	LaneDepths [2]int `json:"lane_depths"`

@@ -68,6 +68,12 @@ func (s *fakeSender) count() int {
 	return len(s.frames)
 }
 
+func (s *fakeSender) tags() []int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return tagsOf(s.frames)
+}
+
 func (s *fakeSender) setFailNext() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -80,10 +86,39 @@ func testConfig() Config {
 		BackoffMin:   5 * time.Millisecond,
 		BackoffMax:   20 * time.Millisecond,
 		DrainTimeout: 200 * time.Millisecond,
+		Framing:      testFraming(),
 	}.withDefaults()
 }
 
-func frame(b byte) []byte { return []byte{b} }
+// tagged is test message n (n < 128, so every one encodes to the same
+// length): a bulk-lane Query whose nonce names it on arrival.
+func tagged(n int) wire.Message { return wire.Query{Nonce: uint64(n)} }
+
+// testFraming frames datagrams with room for exactly one tagged message, so
+// every message a test peer delivers is its own frame of Limit bytes.
+func testFraming() *Framing {
+	size, err := wire.Size(tagged(0))
+	if err != nil {
+		panic(err)
+	}
+	return &Framing{From: "src", Limit: FrameOverhead("src") + size}
+}
+
+// tagsOf reads back the tag of each single-message frame in order; a frame
+// that is not one tagged message reads as -1.
+func tagsOf(frames [][]byte) []int {
+	var d FrameDecoder
+	out := make([]int, len(frames))
+	for i, f := range frames {
+		out[i] = -1
+		if _, msgs, err := d.Decode(f); err == nil && len(msgs) == 1 {
+			if q, ok := msgs[0].(wire.Query); ok {
+				out[i] = int(q.Nonce)
+			}
+		}
+	}
+	return out
+}
 
 // TestFrameRoundTrip covers the shared stream and datagram framing.
 func TestFrameRoundTrip(t *testing.T) {
@@ -179,7 +214,7 @@ func TestFrameEnforcesOutboundBound(t *testing.T) {
 
 // TestQueueOverflowDropsOldest pins the exact overflow accounting: with the
 // writer stuck dialing and QueueDepth=2, five sends keep the two newest
-// frames and count two drops (the first frame is already held by the
+// messages and count two drops (the first message is already held by the
 // writer).
 func TestQueueOverflowDropsOldest(t *testing.T) {
 	ctr := &Counters{}
@@ -194,10 +229,10 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	p := newPeer("x", testConfig(), ctr, dial)
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	p.Enqueue(frame(1))
-	<-entered // writer holds frame 1 and is blocked in dial
-	for b := byte(2); b <= 5; b++ {
-		p.Enqueue(frame(b))
+	p.EnqueueMessage(tagged(1))
+	<-entered // writer holds message 1 and is blocked in dial
+	for n := 2; n <= 5; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	if got := ctr.Drops.Load(); got != 2 {
 		t.Fatalf("drops after overflow = %d, want 2", got)
@@ -205,14 +240,8 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	close(release)
 	waitFor(t, func() bool { return fs.count() == 3 })
 
-	fs.mu.Lock()
-	var got []byte
-	for _, f := range fs.frames {
-		got = append(got, f[0])
-	}
-	fs.mu.Unlock()
-	if got[0] != 1 || got[1] != 4 || got[2] != 5 {
-		t.Errorf("delivered frames = %v, want [1 4 5] (oldest dropped first)", got)
+	if got := fs.tags(); !reflect.DeepEqual(got, []int{1, 4, 5}) {
+		t.Errorf("delivered messages = %v, want [1 4 5] (oldest dropped first)", got)
 	}
 	if d := ctr.Dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1", d)
@@ -220,14 +249,14 @@ func TestQueueOverflowDropsOldest(t *testing.T) {
 	if f := ctr.DialFailures.Load(); f != 0 {
 		t.Errorf("dial failures = %d, want 0", f)
 	}
-	if b := ctr.BytesOut.Load(); b != 3 {
-		t.Errorf("bytes out = %d, want 3", b)
+	if b, want := ctr.BytesOut.Load(), uint64(3*testFraming().Limit); b != want {
+		t.Errorf("bytes out = %d, want %d", b, want)
 	}
 }
 
 // TestScriptedFailureCounters runs a scripted connect/fail/reconnect
 // scenario and checks every counter exactly: dial ok, write failure forcing
-// a redial that fails (dropping the frame), then a backed-off successful
+// a redial that fails (dropping the message), then a backed-off successful
 // redial counting one reconnect.
 func TestScriptedFailureCounters(t *testing.T) {
 	ctr := &Counters{}
@@ -248,21 +277,21 @@ func TestScriptedFailureCounters(t *testing.T) {
 	p := newPeer("x", testConfig(), ctr, dial)
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	// Frame A: dial #1 succeeds, write lands on s1.
-	p.Enqueue(frame('A'))
+	// Message 1: dial #1 succeeds, write lands on s1.
+	p.EnqueueMessage(tagged(1))
 	waitFor(t, func() bool { return s1.count() == 1 })
 
-	// Frame B: s1's write fails, dial #2 is refused, B is dropped and the
+	// Message 2: s1's write fails, dial #2 is refused, 2 is dropped and the
 	// peer enters backoff.
 	s1.setFailNext()
-	p.Enqueue(frame('B'))
+	p.EnqueueMessage(tagged(2))
 	waitFor(t, func() bool { return ctr.DialFailures.Load() == 1 })
 	if got := p.State(); got != StateBackoff {
 		t.Errorf("state after refused dial = %v, want backoff", got)
 	}
 
-	// Frame C: after the backoff expires, dial #3 succeeds — one reconnect.
-	p.Enqueue(frame('C'))
+	// Message 3: after the backoff expires, dial #3 succeeds — one reconnect.
+	p.EnqueueMessage(tagged(3))
 	waitFor(t, func() bool { return s2.count() == 1 })
 
 	checks := []struct {
@@ -274,7 +303,7 @@ func TestScriptedFailureCounters(t *testing.T) {
 		{"dial_failures", ctr.DialFailures.Load(), 1},
 		{"drops", ctr.Drops.Load(), 1},
 		{"reconnects", ctr.Reconnects.Load(), 1},
-		{"bytes_out", ctr.BytesOut.Load(), 2},
+		{"bytes_out", ctr.BytesOut.Load(), uint64(2 * testFraming().Limit)},
 	}
 	for _, c := range checks {
 		if c.got != c.want {
@@ -303,7 +332,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 		20 * time.Millisecond, 20 * time.Millisecond, // capped
 	}
 	for i, w := range want {
-		p.Enqueue(frame(byte(i)))
+		p.EnqueueMessage(tagged(i))
 		n := uint64(i + 1)
 		waitFor(t, func() bool { return ctr.DialFailures.Load() == n })
 		p.mu.Lock()
@@ -319,7 +348,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 }
 
 // TestAdoptAndDiscard: a reply-only peer (nil dial) uses an adopted sender,
-// and drops frames once it is discarded.
+// and drops messages once it is discarded.
 func TestAdoptAndDiscard(t *testing.T) {
 	ctr := &Counters{}
 	p := newPeer("x", testConfig(), ctr, nil)
@@ -336,34 +365,34 @@ func TestAdoptAndDiscard(t *testing.T) {
 	if p.Adopt(other) {
 		t.Error("second adopt accepted while a sender is live")
 	}
-	p.Enqueue(frame(1))
+	p.EnqueueMessage(tagged(1))
 	waitFor(t, func() bool { return fs.count() == 1 })
 
 	p.Discard(fs)
 	if !fs.closed {
 		t.Error("discarded sender not closed")
 	}
-	p.Enqueue(frame(2))
+	p.EnqueueMessage(tagged(2))
 	waitFor(t, func() bool { return ctr.Drops.Load() == 1 })
 	if fs.count() != 1 {
-		t.Error("frame written to discarded sender")
+		t.Error("message written to discarded sender")
 	}
 }
 
-// TestCloseDrainsQueue: frames queued before Close are flushed within the
+// TestCloseDrainsQueue: messages queued before Close are flushed within the
 // drain deadline.
 func TestCloseDrainsQueue(t *testing.T) {
 	ctr := &Counters{}
 	fs := &fakeSender{}
-	p := newPeer("x", Config{QueueDepth: 16}.withDefaults(), ctr,
+	p := newPeer("x", Config{QueueDepth: 16, Framing: testFraming()}.withDefaults(), ctr,
 		func() (Sender, error) { return fs, nil })
-	for b := byte(1); b <= 5; b++ {
-		p.Enqueue(frame(b))
+	for n := 1; n <= 5; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	p.beginClose(time.Now().Add(time.Second))
 	p.Wait()
-	if fs.count() != 5 {
-		t.Errorf("delivered %d frames, want 5", fs.count())
+	if got := fs.tags(); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
+		t.Errorf("delivered %v, want [1 2 3 4 5]", got)
 	}
 	if d := ctr.Drops.Load(); d != 0 {
 		t.Errorf("drops = %d, want 0", d)
@@ -374,13 +403,13 @@ func TestCloseDrainsQueue(t *testing.T) {
 }
 
 // TestCloseDropsUndeliverable: when the peer is unreachable, Close gives up
-// at the drain deadline and counts every queued frame as dropped.
+// at the drain deadline and counts every queued message as dropped.
 func TestCloseDropsUndeliverable(t *testing.T) {
 	ctr := &Counters{}
 	p := newPeer("x", testConfig(), ctr,
 		func() (Sender, error) { return nil, errors.New("refused") })
-	for b := byte(1); b <= 4; b++ {
-		p.Enqueue(frame(b))
+	for n := 1; n <= 4; n++ {
+		p.EnqueueMessage(tagged(n))
 	}
 	start := time.Now()
 	p.beginClose(time.Now().Add(50 * time.Millisecond))
@@ -401,31 +430,32 @@ func TestSetDialDropsCurrent(t *testing.T) {
 	p := newPeer("x", testConfig(), ctr, func() (Sender, error) { return oldS, nil })
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
-	p.Enqueue(frame(1))
+	p.EnqueueMessage(tagged(1))
 	waitFor(t, func() bool { return oldS.count() == 1 })
 
 	p.SetDial(func() (Sender, error) { return newS, nil }, true)
 	if !oldS.closed {
 		t.Error("stale sender not closed on re-point")
 	}
-	p.Enqueue(frame(2))
+	p.EnqueueMessage(tagged(2))
 	waitFor(t, func() bool { return newS.count() == 1 })
 	if oldS.count() != 1 {
-		t.Error("frame written to stale sender after re-point")
+		t.Error("message written to stale sender after re-point")
 	}
 }
 
 // TestGroupStats aggregates queue depth and peer states.
 func TestGroupStats(t *testing.T) {
-	g := NewGroup("test", Config{QueueDepth: 8, BackoffMin: time.Minute, BackoffMax: time.Minute})
+	g := NewGroup("test", Config{QueueDepth: 8, BackoffMin: time.Minute, BackoffMax: time.Minute,
+		Framing: testFraming()})
 	defer g.Close()
 
 	up := g.Ensure("up", nil)
 	up.Adopt(&fakeSender{})
 	g.Ensure("connecting", nil)
 	down := g.Ensure("down", func() (Sender, error) { return nil, errors.New("refused") })
-	down.Enqueue(frame(1)) // forces a dial failure -> backoff
-	// The state turns backoff before the failed frame is counted dropped:
+	down.EnqueueMessage(tagged(1)) // forces a dial failure -> backoff
+	// The state turns backoff before the failed message is counted dropped:
 	// wait for both, or the counters can be read in between.
 	waitFor(t, func() bool { st := g.Stats(); return st.PeersBackoff == 1 && st.Drops == 1 })
 
@@ -438,9 +468,9 @@ func TestGroupStats(t *testing.T) {
 		t.Errorf("counters = %+v", st)
 	}
 
-	// Queue depth: enqueue to the backed-off peer; the frames sit waiting.
-	down.Enqueue(frame(2))
-	down.Enqueue(frame(3))
+	// Queue depth: enqueue to the backed-off peer; the messages sit waiting.
+	down.EnqueueMessage(tagged(2))
+	down.EnqueueMessage(tagged(3))
 	if st := g.Stats(); st.QueueDepth != 2 {
 		t.Errorf("queue depth = %d, want 2", st.QueueDepth)
 	}
@@ -449,14 +479,16 @@ func TestGroupStats(t *testing.T) {
 // TestStatsSinkPublishes: the periodic publisher delivers snapshots.
 func TestStatsSinkPublishes(t *testing.T) {
 	got := make(chan TransportStats, 4)
-	g := NewGroup("test", BuildConfig(
+	cfg := BuildConfig(
 		WithStatsInterval(5*time.Millisecond),
 		WithStatsSink(func(st TransportStats) {
 			select {
 			case got <- st:
 			default:
 			}
-		})))
+		}))
+	cfg.Framing = testFraming()
+	g := NewGroup("test", cfg)
 	select {
 	case <-got:
 	case <-time.After(5 * time.Second):
@@ -471,7 +503,7 @@ func TestEnqueueAfterCloseDrops(t *testing.T) {
 	p := newPeer("x", testConfig(), ctr, nil)
 	p.beginClose(time.Now())
 	p.Wait()
-	p.Enqueue(frame(1))
+	p.EnqueueMessage(tagged(1))
 	if d := ctr.Drops.Load(); d != 1 {
 		t.Errorf("drops = %d, want 1", d)
 	}
@@ -483,15 +515,11 @@ func TestBuildConfigOptions(t *testing.T) {
 		WithQueueDepth(7),
 		WithBackoff(time.Millisecond, time.Second),
 		WithDialTimeout(123*time.Millisecond),
-		WithWriteTimeout(time.Minute),
-		WithDrainTimeout(time.Hour),
-		WithMaxFrame(9999),
 		WithStatsInterval(time.Second),
 	)
 	if cfg.QueueDepth != 7 || cfg.BackoffMin != time.Millisecond ||
 		cfg.BackoffMax != time.Second || cfg.DialTimeout != 123*time.Millisecond ||
-		cfg.WriteTimeout != time.Minute || cfg.DrainTimeout != time.Hour ||
-		cfg.MaxFrame != 9999 || cfg.StatsInterval != time.Second {
+		cfg.StatsInterval != time.Second {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	def := BuildConfig()

@@ -1,7 +1,6 @@
 package netcore
 
 import (
-	"encoding/binary"
 	"math/rand/v2"
 	"net"
 	"sync"
@@ -34,26 +33,24 @@ type Sender interface {
 // reachable only through adopted inbound connections.
 type DialFunc func() (Sender, error)
 
-// queued is one outbound queue entry: either a pre-encoded frame (legacy
-// Enqueue path) or an un-encoded message the writer encodes — and coalesces
-// with its queue neighbors — at flush time (EnqueueMessage path). lane is
-// the priority class the entry was queued under, kept on the entry so the
-// drained batch (which interleaves lanes, high first) can still account
-// drops and deliveries to the right lane.
+// queued is one outbound queue entry: a message the writer encodes — and
+// coalesces with its queue neighbors — at flush time. size is its exact
+// wire.Size, taken once by EnqueueMessage. lane is the priority class the
+// entry was queued under, kept on the entry so the drained batch (which
+// interleaves lanes, high first) can still account drops and deliveries to
+// the right lane.
 type queued struct {
-	frame []byte
-	msg   wire.Message
-	lane  wire.Lane
+	msg  wire.Message
+	size int
+	lane wire.Lane
 }
 
-// piece is one wire frame produced by a flush: either a pre-encoded frame
-// or an (off, n) range of the writer's encode buffer (offsets, not
-// subslices, because the buffer may be reallocated by a later frame in the
-// same flush). msgs is how many protocol messages the piece carries per
-// lane, so a dropped piece counts every coalesced message exactly once in
-// its own lane.
+// piece is one wire frame produced by a flush: an (off, n) range of the
+// writer's encode buffer (offsets, not subslices, because the buffer may be
+// reallocated by a later frame in the same flush). msgs is how many
+// protocol messages the piece carries per lane, so a dropped piece counts
+// every coalesced message exactly once in its own lane.
 type piece struct {
-	frame  []byte
 	off, n int
 	msgs   [2]int // indexed by wire.Lane
 }
@@ -71,16 +68,17 @@ type laneQueue struct {
 // depth returns the number of live entries.
 func (l *laneQueue) depth() int { return len(l.q) - l.qhead }
 
-// Peer owns one remote node's outbound path: a bounded drop-oldest frame
-// queue, a dedicated writer goroutine that drains it, and the reconnect
-// state machine. Enqueue never blocks; all encoding, dialing, backoff
-// waiting, and socket writing happens on the writer goroutine.
+// Peer owns one remote node's outbound path: a bounded drop-oldest message
+// queue per lane, a dedicated writer goroutine that drains them, and the
+// reconnect state machine. EnqueueMessage never blocks; all encoding,
+// dialing, backoff waiting, and socket writing happens on the writer
+// goroutine.
 type Peer struct {
 	id  wire.NodeID
 	cfg Config
 	ctr *Counters
 
-	// wake nudges the writer: new frame, adopted sender, redirect, close.
+	// wake nudges the writer: new message, adopted sender, redirect, close.
 	wake chan struct{}
 	// done closes when the writer goroutine has exited.
 	done chan struct{}
@@ -88,14 +86,12 @@ type Peer struct {
 	// Writer-goroutine-owned scratch, reused across flushes so the steady
 	// state allocates nothing: the drained batch, the shared encode buffer,
 	// the per-flush frame list, the net.Buffers rebuilt per write attempt,
-	// the current coalescing run, and the pre-built uvarint(len(id)) ++ id
-	// prefix every frame starts with.
-	batch    []queued
-	fbuf     []byte
-	pieces   []piece
-	bufs     net.Buffers
-	mrun     []wire.Message
-	idPrefix []byte
+	// and the current coalescing run.
+	batch  []queued
+	fbuf   []byte
+	pieces []piece
+	bufs   net.Buffers
+	mrun   []wire.Message
 
 	mu sync.Mutex
 	// lanes are the per-class outbound queues, indexed by wire.Lane. The
@@ -129,10 +125,6 @@ func newPeer(id wire.NodeID, cfg Config, ctr *Counters, dial DialFunc) *Peer {
 		dial:  dial,
 		state: StateConnecting,
 	}
-	if f := cfg.Framing; f != nil {
-		p.idPrefix = binary.AppendUvarint(nil, uint64(len(f.From)))
-		p.idPrefix = append(p.idPrefix, f.From...)
-	}
 	go p.run()
 	return p
 }
@@ -149,35 +141,23 @@ func (p *Peer) notify(old, now State) {
 	}
 }
 
-// Enqueue queues a pre-encoded frame for the writer goroutine, dropping the
-// oldest queued entry in the bulk lane when it is full. It never blocks.
-// Pre-encoded frames cannot be classified without decoding, so they ride
-// the bulk lane; lane-aware callers use EnqueueMessage.
-func (p *Peer) Enqueue(frame []byte) { p.enqueue(queued{frame: frame, lane: wire.LaneBulk}) }
-
 // EnqueueMessage queues an un-encoded message in its priority lane
-// (wire.LaneOf). The writer goroutine encodes it at flush time, coalescing
-// it with other messages drained in the same flush into a single wire.Batch
-// frame — so the encode cost, the frame header, and the write syscall are
-// all off the caller's goroutine and amortized across the batch. Requires
-// cfg.Framing.
+// (wire.LaneOf), dropping the oldest entry of that lane when it is full. It
+// never blocks. The message is sized here, once: one that cannot be encoded
+// or would not fit cfg.Framing.Limit alone is dropped at once, counted in
+// Drops but in no lane. The writer goroutine encodes the rest at flush
+// time, coalescing a message with others drained in the same flush into a
+// single wire.Batch frame — so the encode cost, the frame header, and the
+// write syscall are all off the caller's goroutine and amortized across
+// the batch.
 func (p *Peer) EnqueueMessage(msg wire.Message) {
-	p.enqueue(queued{msg: msg, lane: wire.LaneOf(msg)})
-}
-
-// dropLane counts n messages dropped from one lane, keeping the per-lane
-// conservation invariant (delivered + dropped == enqueued) and the
-// aggregate Drops counter in lockstep.
-func (p *Peer) dropLane(lane wire.Lane, n uint64) {
-	if n == 0 {
+	f := p.cfg.Framing
+	size, err := wire.Size(msg)
+	if err != nil || FrameOverhead(f.From)+size > f.Limit {
+		p.ctr.Drops.Add(1)
 		return
 	}
-	p.ctr.LaneDrops[lane].Add(n)
-	p.ctr.Drops.Add(n)
-}
-
-func (p *Peer) enqueue(ent queued) {
-	lane := ent.lane
+	lane := wire.LaneOf(msg)
 	p.ctr.LaneEnqueued[lane].Add(1)
 	p.mu.Lock()
 	if p.closed {
@@ -202,9 +182,20 @@ func (p *Peer) enqueue(ent queued) {
 		lq.q = lq.q[:n]
 		lq.qhead = 0
 	}
-	lq.q = append(lq.q, ent)
+	lq.q = append(lq.q, queued{msg: msg, size: size, lane: lane})
 	p.mu.Unlock()
 	p.nudge()
+}
+
+// dropLane counts n messages dropped from one lane, keeping the per-lane
+// conservation invariant (delivered + dropped == enqueued) and the
+// aggregate Drops counter in lockstep.
+func (p *Peer) dropLane(lane wire.Lane, n uint64) {
+	if n == 0 {
+		return
+	}
+	p.ctr.LaneDrops[lane].Add(n)
+	p.ctr.Drops.Add(n)
 }
 
 // Adopt hands the peer an inbound connection to use for replies. It is
@@ -293,7 +284,7 @@ func (p *Peer) ClearBackoff() {
 	p.nudge()
 }
 
-// beginClose stops accepting frames and lets the writer drain what is
+// beginClose stops accepting messages and lets the writer drain what is
 // queued until deadline. Wait blocks until the writer has exited.
 func (p *Peer) beginClose(deadline time.Time) {
 	p.mu.Lock()
@@ -498,95 +489,50 @@ func (p *Peer) flush(batch []queued) {
 	}
 }
 
-// encodeBatch turns the drained entries into wire frames. Pre-encoded
-// frames pass through untouched. Runs of messages are partitioned by exact
-// wire.Size precomputation into groups that fit cfg.Framing.Limit, then
-// each group is encoded zero-copy into the writer's reusable buffer — one
-// message becomes a plain frame, two or more become a single wire.Batch
-// frame. Messages that cannot be sized or fit are dropped and counted here.
+// encodeBatch turns the drained entries into wire frames. The batch is
+// partitioned, by the sizes taken at enqueue, into runs that fit
+// cfg.Framing.Limit, and each run is encoded zero-copy into the writer's
+// reusable buffer — one message becomes a plain frame, two or more a single
+// wire.Batch frame.
 func (p *Peer) encodeBatch(batch []queued) []piece {
 	pieces := p.pieces[:0]
 	fbuf := p.fbuf[:0]
 	f := p.cfg.Framing
-	i := 0
-	for i < len(batch) {
-		if batch[i].frame != nil {
-			fr := batch[i].frame
-			var msgs [2]int
-			msgs[batch[i].lane] = 1
-			pieces = append(pieces, piece{frame: fr, n: len(fr), msgs: msgs})
-			i++
-			continue
-		}
-		if f == nil {
-			// Message entries need framing metadata the transport did not
-			// provide; drop defensively (transports always set Framing).
-			p.dropLane(batch[i].lane, 1)
-			i++
-			continue
-		}
+	hdr := FrameOverhead(f.From)
+	for i := 0; i < len(batch); {
 		// Collect the longest run of consecutive messages that fits one
-		// frame. A message that is already a wire.Batch travels alone — the
-		// codec (correctly) refuses nested batches. Runs may span the
-		// high/bulk boundary: priority was already applied by the drain
-		// order, so coalescing across it only saves a frame header.
+		// frame; every message fits alone (EnqueueMessage checked). A
+		// message that is already a wire.Batch travels alone — the codec
+		// (correctly) refuses nested batches. Runs may span the high/bulk
+		// boundary: priority was already applied by the drain order, so
+		// coalescing across it only saves a frame header.
 		run := p.runScratch()
 		var runLanes [2]int
 		sum := 0
-		for i < len(batch) && batch[i].frame == nil {
-			m := batch[i].msg
-			if _, isBatch := m.(wire.Batch); isBatch && len(run) > 0 {
+		for i < len(batch) {
+			ent := batch[i]
+			_, isBatch := ent.msg.(wire.Batch)
+			if len(run) > 0 && (isBatch || hdr+1+uvarintLen(uint64(len(run)+1))+sum+ent.size > f.Limit) {
 				break
 			}
-			sz, err := wire.Size(m)
-			if err != nil {
-				p.dropLane(batch[i].lane, 1)
-				i++
-				continue
-			}
-			if len(p.idPrefix)+sz > f.Limit {
-				p.dropLane(batch[i].lane, 1)
-				i++
-				continue
-			}
-			if n := len(run) + 1; n >= 2 {
-				if len(p.idPrefix)+1+uvarintLen(uint64(n))+sum+sz > f.Limit {
-					break
-				}
-			}
-			run = append(run, m)
-			runLanes[batch[i].lane]++
-			sum += sz
+			run = append(run, ent.msg)
+			runLanes[ent.lane]++
+			sum += ent.size
 			i++
-			if _, isBatch := m.(wire.Batch); isBatch {
+			if isBatch {
 				break
 			}
 		}
 		p.mrun = run
-		if len(run) == 0 {
-			continue
-		}
 		start := len(fbuf)
-		if f.Stream {
-			fbuf = append(fbuf, 0, 0, 0, 0)
-		}
-		pstart := len(fbuf)
-		fbuf = append(fbuf, p.idPrefix...)
 		var err error
-		if len(run) == 1 {
-			fbuf, err = wire.AppendMarshal(fbuf, run[0])
-		} else {
-			fbuf, err = wire.AppendBatch(fbuf, run)
-		}
-		if err != nil {
+		if fbuf, err = appendFrame(fbuf, f.From, run, f.Stream); err != nil {
+			// wire.Size accepted every message in the run, so the codec
+			// cannot refuse one; drop the run rather than write it.
 			for ln, n := range runLanes {
 				p.dropLane(wire.Lane(ln), uint64(n))
 			}
-			fbuf = fbuf[:start]
 			continue
-		}
-		if f.Stream {
-			binary.BigEndian.PutUint32(fbuf[start:start+4], uint32(len(fbuf)-pstart))
 		}
 		pieces = append(pieces, piece{off: start, n: len(fbuf) - start, msgs: runLanes})
 	}
@@ -603,12 +549,7 @@ func (p *Peer) runScratch() []wire.Message {
 
 // pieceBytes materializes a piece's frame bytes. Valid only until the next
 // encodeBatch call reuses the buffer.
-func (p *Peer) pieceBytes(pc piece) []byte {
-	if pc.frame != nil {
-		return pc.frame
-	}
-	return p.fbuf[pc.off : pc.off+pc.n]
-}
+func (p *Peer) pieceBytes(pc piece) []byte { return p.fbuf[pc.off : pc.off+pc.n] }
 
 // buffers rebuilds the net.Buffers for a write attempt. Rebuilt fresh each
 // time because Sender.WriteBatch consumes and mutates the slice it is

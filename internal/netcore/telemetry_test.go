@@ -19,9 +19,9 @@ func TestStatsPeerStates(t *testing.T) {
 	g.Ensure("m1", func() (Sender, error) { return nil, fmt.Errorf("refused") })
 
 	p := g.Get("m0")
-	p.Enqueue(frame('A'))
+	p.EnqueueMessage(tagged(1))
 	waitFor(t, func() bool { return s.count() == 1 })
-	g.Get("m1").Enqueue(frame('B'))
+	g.Get("m1").EnqueueMessage(tagged(2))
 	waitFor(t, func() bool { return g.Stats().PeersBackoff >= 1 })
 
 	st := g.Stats()
@@ -54,7 +54,7 @@ func TestRegisterTransport(t *testing.T) {
 	s := &fakeSender{}
 	g.Ensure("m0", func() (Sender, error) { return s, nil })
 	g.Counters().Sends.Add(3)
-	g.Get("m0").Enqueue(frame('A'))
+	g.Get("m0").EnqueueMessage(tagged(1))
 	waitFor(t, func() bool { return s.count() == 1 })
 
 	reg := telemetry.NewRegistry()

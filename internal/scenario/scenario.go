@@ -98,12 +98,6 @@ func (s *Scenario) WithAdminChurn(every time.Duration) *Scenario { s.AdminEvery 
 // WithCacheLimit bounds host caches.
 func (s *Scenario) WithCacheLimit(n int) *Scenario { s.CacheLimit = n; return s }
 
-// WithLoss sets ambient message loss.
-func (s *Scenario) WithLoss(p float64) *Scenario { s.Loss = p; return s }
-
-// WithSeed sets the default seed.
-func (s *Scenario) WithSeed(seed int64) *Scenario { s.Seed = seed; return s }
-
 // WithBreak injects deliberate protocol bugs.
 func (s *Scenario) WithBreak(b harness.Options) *Scenario { s.Break = b; return s }
 

@@ -54,15 +54,6 @@ func (t Topology) Hosts() int {
 	return n
 }
 
-// RegionNames lists the region names in declaration order.
-func (t Topology) RegionNames() []string {
-	names := make([]string, len(t.Regions))
-	for i, r := range t.Regions {
-		names[i] = r.Name
-	}
-	return names
-}
-
 // regionByNode is the placement as a table: every node's region. Matrix
 // resolves latency classes from it once per run, not once per message.
 func (t Topology) regionByNode() map[wire.NodeID]string {

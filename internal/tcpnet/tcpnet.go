@@ -139,13 +139,6 @@ func (n *Node) SetTimer(d time.Duration, fn func()) core.TimerHandle {
 func (n *Node) Send(to wire.NodeID, msg wire.Message) {
 	ctr := n.group.Counters()
 	ctr.Sends.Add(1)
-	// Pre-validate with the exact size so callers still see oversized and
-	// unmarshalable messages dropped at send time, not at flush time.
-	size, err := wire.Size(msg)
-	if err != nil || netcore.FrameOverhead(n.id)+size > n.cfg.MaxFrame {
-		ctr.Drops.Add(1)
-		return
-	}
 	p := n.peer(to)
 	if p == nil {
 		ctr.Drops.Add(1)

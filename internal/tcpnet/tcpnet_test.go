@@ -38,11 +38,12 @@ func (c *collector) last() wire.Envelope {
 
 // fastConfig keeps retry/drain waits short so tests close quickly.
 func fastConfig() netcore.Config {
-	return netcore.BuildConfig(
+	cfg := netcore.BuildConfig(
 		netcore.WithBackoff(10*time.Millisecond, 100*time.Millisecond),
 		netcore.WithDialTimeout(500*time.Millisecond),
-		netcore.WithDrainTimeout(100*time.Millisecond),
 	)
+	cfg.DrainTimeout = 100 * time.Millisecond
+	return cfg
 }
 
 func listen(t *testing.T, id wire.NodeID) *Node {

@@ -149,14 +149,6 @@ func (n *Node) SetTimer(d time.Duration, fn func()) core.TimerHandle {
 func (n *Node) Send(to wire.NodeID, msg wire.Message) {
 	ctr := n.group.Counters()
 	ctr.Sends.Add(1)
-	// Pre-validate with the exact size so callers still see oversized and
-	// unmarshalable messages dropped at send time; the writer goroutine
-	// encodes (and coalesces) at flush time.
-	size, err := wire.Size(msg)
-	if err != nil || netcore.FrameOverhead(n.id)+size > n.group.Config().Framing.Limit {
-		ctr.Drops.Add(1)
-		return
-	}
 	p := n.group.Get(to)
 	if p == nil {
 		// First message to this peer: only now is a DialFunc worth building.

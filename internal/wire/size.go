@@ -93,9 +93,8 @@ func Size(msg Message) (int, error) {
 }
 
 // BatchSize returns the exact frame length of a Batch holding msgs, without
-// boxing a Batch value (see AppendBatch). The transport writer uses it to
-// partition a queue drain into frames that fit the transport's limit before
-// encoding anything.
+// boxing a Batch value (see AppendBatch). Size uses it for a Batch; the
+// transport writer instead sums the sizes it took at enqueue.
 func BatchSize(msgs []Message) (int, error) {
 	n := 1 + uvarintSize(uint64(len(msgs)))
 	for _, sub := range msgs {

@@ -31,6 +31,18 @@ echo "== core formats no trace text"
 notes=$(grep -nE '"[ a-z-]*[a-z]=" *\+|" from " *\+' internal/core/*.go | grep -v _test.go || true)
 [ -z "$notes" ] || { echo "trace note formatted in internal/core:"; echo "$notes"; exit 1; }
 
+echo "== netcore encodes frames in one place"
+# Peer.EnqueueMessage sizes each message once and appendFrame writes every
+# outbound frame. A transport that sizes a message itself, or a netcore
+# encoder outside appendFrame, is a second copy of the frame layout or of
+# the drop rule, free to drift from the first.
+sized=$(grep -n 'wire\.Size(' internal/tcpnet/*.go internal/udpnet/*.go | grep -v _test.go || true)
+[ -z "$sized" ] || { echo "message sized outside netcore:"; echo "$sized"; exit 1; }
+encoders=$(awk '/^func appendFrame\(/ { inside = 1 }
+	!inside && /wire\.Append(Marshal|Batch)\(/ { print FILENAME ":" FNR ": " $0 }
+	/^}/ { inside = 0 }' $(ls internal/netcore/*.go | grep -v _test.go))
+[ -z "$encoders" ] || { echo "frame encoded outside appendFrame:"; echo "$encoders"; exit 1; }
+
 echo "== stale command references"
 # Every ./cmd/<name> that Go source or the tree's documentation names must be
 # a command that exists, so a deleted command's "render with: go run
