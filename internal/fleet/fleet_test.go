@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -388,4 +389,106 @@ func ExampleMonitor_Dashboard() {
 	// Not runnable against live nodes in an example; shown for shape.
 	fmt.Println("wanac fleet — HEALTHY — 3/3 targets up")
 	// Output: wanac fleet — HEALTHY — 3/3 targets up
+}
+
+// textTarget serves a fixed exposition on /metrics.
+func textTarget(t *testing.T, name, body string) Target {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, body)
+	}))
+	t.Cleanup(srv.Close)
+	return Target{Name: name, Addr: strings.TrimPrefix(srv.URL, "http://")}
+}
+
+// rollupNodeA and rollupNodeB are two fixed node expositions: an escaped
+// label value, labelled and unlabelled series of one family, histogram
+// label sets whose le bounds sort differently as text and as numbers, a
+// max-folded gauge and a family the monitor exports itself.
+const rollupNodeA = `# HELP wanac_fleet_targets A node-side family named like the monitor's own.
+# TYPE wanac_fleet_targets gauge
+wanac_fleet_targets 7
+# HELP wanac_host_checks_total Checks.
+# TYPE wanac_host_checks_total counter
+wanac_host_checks_total 4
+wanac_host_checks_total{outcome="allowed",app="q\"uo\\te\nd"} 5
+wanac_host_checks_total{outcome="denied",app="b"} 1
+# HELP wanac_manager_effective_te_seconds Effective Te.
+# TYPE wanac_manager_effective_te_seconds gauge
+wanac_manager_effective_te_seconds 30
+# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{lane="high",le="2.5"} 1
+lat_seconds_bucket{lane="high",le="10"} 2
+lat_seconds_bucket{lane="high",le="+Inf"} 3
+lat_seconds_sum{lane="high"} 14.5
+lat_seconds_count{lane="high"} 3
+lat_seconds_bucket{lane="bulk",le="2.5"} 0
+lat_seconds_bucket{lane="bulk",le="10"} 1
+lat_seconds_bucket{lane="bulk",le="+Inf"} 1
+lat_seconds_sum{lane="bulk"} 4
+lat_seconds_count{lane="bulk"} 1
+`
+
+const rollupNodeB = `# TYPE wanac_host_checks_total counter
+wanac_host_checks_total{outcome="allowed",app="q\"uo\\te\nd"} 2
+wanac_host_checks_total{outcome="allowed",app="a"} 3
+wanac_host_checks_total 1
+# TYPE wanac_manager_effective_te_seconds gauge
+wanac_manager_effective_te_seconds 120
+# TYPE lat_seconds histogram
+lat_seconds_bucket{lane="bulk",le="2.5"} 2
+lat_seconds_bucket{lane="bulk",le="10"} 2
+lat_seconds_bucket{lane="bulk",le="+Inf"} 3
+lat_seconds_sum{lane="bulk"} 31
+lat_seconds_count{lane="bulk"} 3
+`
+
+// TestRollupText pins the re-exported rollup byte for byte: families by
+// name, series by name then label set (labels compared by name), bucket
+// bounds in numeric order, sums folded and the colliding family left to
+// the monitor's own registry.
+func TestRollupText(t *testing.T) {
+	m := New(Config{Targets: []Target{
+		textTarget(t, "a", rollupNodeA),
+		textTarget(t, "b", rollupNodeB),
+	}})
+	scrape(t, m)
+
+	var own, all bytes.Buffer
+	if err := m.reg.WritePrometheus(&own); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteMetrics(&all); err != nil {
+		t.Fatal(err)
+	}
+	rollup, ok := strings.CutPrefix(all.String(), own.String())
+	if !ok {
+		t.Fatalf("exposition does not start with the monitor's own families:\n%s", all.String())
+	}
+	const want = `# HELP lat_seconds Latency.
+# TYPE lat_seconds histogram
+lat_seconds_bucket{lane="bulk",le="2.5"} 2
+lat_seconds_bucket{lane="bulk",le="10"} 3
+lat_seconds_bucket{lane="bulk",le="+Inf"} 4
+lat_seconds_bucket{lane="high",le="2.5"} 1
+lat_seconds_bucket{lane="high",le="10"} 2
+lat_seconds_bucket{lane="high",le="+Inf"} 3
+lat_seconds_count{lane="bulk"} 4
+lat_seconds_count{lane="high"} 3
+lat_seconds_sum{lane="bulk"} 35
+lat_seconds_sum{lane="high"} 14.5
+# HELP wanac_host_checks_total Checks.
+# TYPE wanac_host_checks_total counter
+wanac_host_checks_total 5
+wanac_host_checks_total{outcome="allowed",app="a"} 3
+wanac_host_checks_total{outcome="denied",app="b"} 1
+wanac_host_checks_total{outcome="allowed",app="q\"uo\\te\nd"} 7
+# HELP wanac_manager_effective_te_seconds Effective Te.
+# TYPE wanac_manager_effective_te_seconds gauge
+wanac_manager_effective_te_seconds 120
+`
+	if rollup != want {
+		t.Errorf("rollup text:\n%s\nwant:\n%s", rollup, want)
+	}
 }
