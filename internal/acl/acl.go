@@ -614,26 +614,6 @@ func (c *Cache) Remove(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	return true
 }
 
-// RemoveUser flushes every cached right of user on app (Figure 2's
-// "ACL_cache(A) -= U" removes the user's entry wholesale).
-func (c *Cache) RemoveUser(app wire.AppID, user wire.UserID) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	a := c.apps[app]
-	if a == nil {
-		return 0
-	}
-	n := 0
-	for _, users := range a.users {
-		if _, ok := users[user]; ok {
-			delete(users, user)
-			n++
-		}
-	}
-	c.n -= n
-	return n
-}
-
 // PurgeExpired removes all entries expired at now and returns how many were
 // dropped. The paper suggests a periodic check "to eliminate entries of
 // users who have not accessed the application recently, which can save

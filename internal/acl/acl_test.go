@@ -258,24 +258,6 @@ func TestCacheRemove(t *testing.T) {
 	}
 }
 
-func TestCacheRemoveUser(t *testing.T) {
-	c := NewCache()
-	c.Put("app", "alice", wire.RightUse, time.Time{}, "m1")
-	c.Put("app", "alice", wire.RightManage, time.Time{}, "m1")
-	c.Put("app", "bob", wire.RightUse, time.Time{}, "m1")
-	c.Put("other", "alice", wire.RightUse, time.Time{}, "m1")
-
-	if n := c.RemoveUser("app", "alice"); n != 2 {
-		t.Errorf("RemoveUser = %d, want 2", n)
-	}
-	if _, ok := c.Lookup("app", "bob", wire.RightUse, now()); !ok {
-		t.Error("unrelated user flushed")
-	}
-	if _, ok := c.Lookup("other", "alice", wire.RightUse, now()); !ok {
-		t.Error("same user on other app flushed")
-	}
-}
-
 func TestCachePurgeExpired(t *testing.T) {
 	c := NewCache()
 	c.Put("app", "a", wire.RightUse, now().Add(time.Second), "m1")

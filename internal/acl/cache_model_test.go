@@ -156,19 +156,6 @@ func TestCacheAgainstModel(t *testing.T) {
 				if got := c.Remove(k.app, k.user, k.right); got != want {
 					t.Fatalf("seed %d step %d: %s = %v, model %v", seed, step, op, got, want)
 				}
-			case n < 85:
-				k := pick()
-				op = fmt.Sprintf("RemoveUser(%s, %s)", k.app, k.user)
-				want := 0
-				for _, r := range rights {
-					if _, ok := mc.m[cacheKey{k.app, k.user, r}]; ok {
-						delete(mc.m, cacheKey{k.app, k.user, r})
-						want++
-					}
-				}
-				if got := c.RemoveUser(k.app, k.user); got != want {
-					t.Fatalf("seed %d step %d: %s = %d, model %d", seed, step, op, got, want)
-				}
 			case n < 92:
 				now = now.Add(time.Duration(rng.Intn(4)) * time.Second)
 				op = fmt.Sprintf("PurgeExpired(%v)", now.Sub(base))

@@ -2,9 +2,8 @@
 // "an authentication method is available to ensure that a message sent by a
 // user U has indeed been sent by this user". The paper suggests any public
 // key cryptosystem such as RSA; this implementation provides Ed25519
-// signatures (public-key, the modern stdlib equivalent) and HMAC-SHA256
-// (shared-secret, for deployments with pre-provisioned keys), both behind
-// the same Signer/Verifier interfaces.
+// signatures (public-key, the modern stdlib equivalent) behind the
+// Signer/Verifier interfaces.
 //
 // Seal and Open wrap wire messages in authenticated envelopes. The access
 // control layer rejects user-originated traffic whose seal does not verify
@@ -14,9 +13,6 @@ package auth
 
 import (
 	"crypto/ed25519"
-	"crypto/hmac"
-	"crypto/sha256"
-	"crypto/subtle"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -37,12 +33,11 @@ type Signer interface {
 	Verifier() Verifier
 }
 
-// Verifier checks signatures produced by the matching Signer.
+// Verifier checks signatures produced by the matching Signer. A keyring
+// holds one per user; ParseEd25519Verifier rebuilds one from a public key.
 type Verifier interface {
 	// Verify reports whether sig is a valid signature over data.
 	Verify(data, sig []byte) bool
-	// Scheme names the signature scheme ("ed25519" or "hmac-sha256").
-	Scheme() string
 }
 
 // Sentinel errors returned by Open and Keyring methods.
@@ -93,48 +88,6 @@ func (v ed25519Verifier) Verify(data, sig []byte) bool {
 	}
 	return ed25519.Verify(v.pub, data, sig)
 }
-
-func (ed25519Verifier) Scheme() string { return "ed25519" }
-
-// HMACSigner authenticates with a shared secret using HMAC-SHA256.
-type HMACSigner struct {
-	key []byte
-}
-
-var _ Signer = (*HMACSigner)(nil)
-
-// NewHMAC returns a signer over a copy of key. Keys shorter than 16 bytes
-// are rejected to prevent trivially guessable secrets.
-func NewHMAC(key []byte) (*HMACSigner, error) {
-	if len(key) < 16 {
-		return nil, errors.New("auth: hmac key must be at least 16 bytes")
-	}
-	k := make([]byte, len(key))
-	copy(k, key)
-	return &HMACSigner{key: k}, nil
-}
-
-// Sign implements Signer.
-func (s *HMACSigner) Sign(data []byte) ([]byte, error) {
-	m := hmac.New(sha256.New, s.key)
-	m.Write(data)
-	return m.Sum(nil), nil
-}
-
-// Verifier implements Signer.
-func (s *HMACSigner) Verifier() Verifier { return hmacVerifier{key: s.key} }
-
-type hmacVerifier struct {
-	key []byte
-}
-
-func (v hmacVerifier) Verify(data, sig []byte) bool {
-	m := hmac.New(sha256.New, v.key)
-	m.Write(data)
-	return subtle.ConstantTimeCompare(m.Sum(nil), sig) == 1
-}
-
-func (hmacVerifier) Scheme() string { return "hmac-sha256" }
 
 // Keyring maps user identities to verifiers. It is safe for concurrent use.
 type Keyring struct {

@@ -1,24 +1,16 @@
-// Package baseline implements the alternative access-control designs the
-// paper positions itself against, so the evaluation can compare them on the
-// same simulated network:
+// Package baseline implements the design the paper measures itself
+// against, so the evaluation can compare them on the same simulated
+// network: eventual consistency (§4.2, Samarati et al. [23]). Every replica
+// holds the full ACL; updates spread by last-writer-wins gossip; checks are
+// always local (perfect availability) but revocation has NO time bound
+// under partitions. Types: ECManager, ECHost.
 //
-//   - Eventual consistency (§4.2, Samarati et al. [23]): every replica holds
-//     the full ACL; updates spread by last-writer-wins gossip; checks are
-//     always local (perfect availability) but revocation has NO time bound
-//     under partitions. Types: ECManager, ECHost.
+// The paper's other §3 alternatives, full replication (option 1) and
+// local-only updates (option 3), are argued away in its prose and back no
+// number here. A centralized design is the degenerate M=1 case of the main
+// protocol, built with core.NewManager/NewHost directly.
 //
-//   - Full replication (§3, option 1): managers push every update to every
-//     application host with persistent retransmission; checks are local.
-//     Types: FullRepManager, FullRepHost.
-//
-//   - Local-only updates (§3, option 3): an update is recorded only at the
-//     issuing manager; a check must consult every manager and combine what
-//     they know. Types: LocalManager, LocalHost.
-//
-//   - Centralized: the degenerate M=1 case of the main protocol; built with
-//     core.NewManager/NewHost directly, no extra types needed.
-//
-// All node types implement the same simnet handler shape as the core nodes
+// Both node types implement the same simnet handler shape as the core nodes
 // and run under the same Env abstraction.
 package baseline
 
@@ -39,7 +31,7 @@ type opKey struct {
 
 // lwwState is a compacted operation log: the latest operation per key,
 // ordered by Issued timestamp with (origin, counter) as tie-breaker. It is
-// the replica state of the eventual-consistency and local-only baselines.
+// the replica state of the eventual-consistency baseline.
 type lwwState struct {
 	ops map[opKey]wire.Update
 }
@@ -200,294 +192,5 @@ func (h *ECHost) HandleMessage(from wire.NodeID, msg wire.Message) {
 	case wire.Invoke:
 		allowed := h.Check(m.App, m.User, wire.RightUse)
 		h.env.Send(from, wire.InvokeReply{App: m.App, ReqID: m.ReqID, Allowed: allowed})
-	}
-}
-
-// FullRepConfig configures the full-replication manager.
-type FullRepConfig struct {
-	// Targets is every node (hosts and peer managers) that must receive
-	// each update.
-	Targets []wire.NodeID
-	// Retry is the retransmission interval.
-	Retry time.Duration
-	// MaxRetries caps retransmission (0 = forever).
-	MaxRetries int
-}
-
-// FullRepManager pushes every update to every host (§3 option 1):
-// distributing "this information to all the hosts can be costly", which the
-// message counters quantify.
-type FullRepManager struct {
-	id      wire.NodeID
-	env     core.Env
-	cfg     FullRepConfig
-	state   *lwwState
-	counter uint64
-	pending map[wire.UpdateSeq]*frPending
-}
-
-type frPending struct {
-	upd     wire.Update
-	waiting map[wire.NodeID]struct{}
-	retries int
-	done    func(completed bool)
-}
-
-// NewFullRepManager creates a full-replication manager.
-func NewFullRepManager(id wire.NodeID, env core.Env, cfg FullRepConfig) *FullRepManager {
-	if cfg.Retry == 0 {
-		cfg.Retry = core.DefaultUpdateRetry
-	}
-	return &FullRepManager{
-		id: id, env: env, cfg: cfg,
-		state:   newLWWState(),
-		pending: make(map[wire.UpdateSeq]*frPending),
-	}
-}
-
-// Submit applies the operation locally and pushes it to every target. done
-// (optional) fires when every target has acknowledged — the point at which
-// the update has fully "taken effect throughout the system" (§2.3's
-// blocking semantics) — or when retransmission gives up (completed=false).
-func (m *FullRepManager) Submit(op wire.AdminOp, done func(completed bool)) {
-	m.counter++
-	upd := wire.Update{
-		Seq:    wire.UpdateSeq{Origin: m.id, Counter: m.counter},
-		Op:     op.Op,
-		App:    op.App,
-		User:   op.User,
-		Right:  op.Right,
-		Issued: m.env.Now(),
-	}
-	m.state.merge(upd)
-	p := &frPending{
-		upd:     upd,
-		waiting: make(map[wire.NodeID]struct{}, len(m.cfg.Targets)),
-		done:    done,
-	}
-	for _, t := range m.cfg.Targets {
-		p.waiting[t] = struct{}{}
-	}
-	m.pending[upd.Seq] = p
-	if len(p.waiting) == 0 {
-		m.complete(upd.Seq, true)
-		return
-	}
-	m.transmit(p)
-}
-
-func (m *FullRepManager) transmit(p *frPending) {
-	for t := range p.waiting {
-		m.env.Send(t, p.upd)
-	}
-	seq := p.upd.Seq
-	m.env.SetTimer(m.cfg.Retry, func() {
-		q, ok := m.pending[seq]
-		if !ok {
-			return
-		}
-		q.retries++
-		if m.cfg.MaxRetries > 0 && q.retries >= m.cfg.MaxRetries {
-			m.complete(seq, false)
-			return
-		}
-		m.transmit(q)
-	})
-}
-
-func (m *FullRepManager) complete(seq wire.UpdateSeq, completed bool) {
-	p, ok := m.pending[seq]
-	if !ok {
-		return
-	}
-	delete(m.pending, seq)
-	if p.done != nil {
-		p.done(completed)
-	}
-}
-
-// Has reports the local view.
-func (m *FullRepManager) Has(app wire.AppID, user wire.UserID, right wire.Right) bool {
-	return m.state.has(app, user, right)
-}
-
-// pendingCount reports outstanding (not fully acknowledged) updates.
-func (m *FullRepManager) pendingCount() int { return len(m.pending) }
-
-// HandleMessage processes acks (and peer updates, so several FullRep
-// managers can coexist).
-func (m *FullRepManager) HandleMessage(from wire.NodeID, msg wire.Message) {
-	switch mm := msg.(type) {
-	case wire.UpdateAck:
-		p, ok := m.pending[mm.Seq]
-		if !ok {
-			return
-		}
-		delete(p.waiting, from)
-		if len(p.waiting) == 0 {
-			m.complete(mm.Seq, true)
-		}
-	case wire.Update:
-		m.state.merge(mm)
-		m.env.Send(from, wire.UpdateAck{Seq: mm.Seq})
-	}
-}
-
-// FullRepHost holds the fully replicated ACL and decides locally.
-type FullRepHost struct {
-	id    wire.NodeID
-	env   core.Env
-	state *lwwState
-}
-
-// NewFullRepHost creates a host replica.
-func NewFullRepHost(id wire.NodeID, env core.Env) *FullRepHost {
-	return &FullRepHost{id: id, env: env, state: newLWWState()}
-}
-
-// Check is local.
-func (h *FullRepHost) Check(app wire.AppID, user wire.UserID, right wire.Right) bool {
-	return h.state.has(app, user, right)
-}
-
-// HandleMessage applies pushed updates and acks them.
-func (h *FullRepHost) HandleMessage(from wire.NodeID, msg wire.Message) {
-	switch m := msg.(type) {
-	case wire.Update:
-		h.state.merge(m)
-		h.env.Send(from, wire.UpdateAck{Seq: m.Seq})
-	case wire.Invoke:
-		allowed := h.Check(m.App, m.User, wire.RightUse)
-		h.env.Send(from, wire.InvokeReply{App: m.App, ReqID: m.ReqID, Allowed: allowed})
-	}
-}
-
-// LocalManager records updates only locally (§3 option 3). Queries return
-// whatever this manager knows, including the op timestamp so the host can
-// combine answers.
-type LocalManager struct {
-	id      wire.NodeID
-	env     core.Env
-	state   *lwwState
-	counter uint64
-}
-
-// NewLocalManager creates a local-only manager.
-func NewLocalManager(id wire.NodeID, env core.Env) *LocalManager {
-	return &LocalManager{id: id, env: env, state: newLWWState()}
-}
-
-// Submit records the operation at this manager only.
-func (m *LocalManager) Submit(op wire.AdminOp) {
-	m.counter++
-	m.state.merge(wire.Update{
-		Seq:    wire.UpdateSeq{Origin: m.id, Counter: m.counter},
-		Op:     op.Op,
-		App:    op.App,
-		User:   op.User,
-		Right:  op.Right,
-		Issued: m.env.Now(),
-	})
-}
-
-// Has reports the local view.
-func (m *LocalManager) Has(app wire.AppID, user wire.UserID, right wire.Right) bool {
-	return m.state.has(app, user, right)
-}
-
-// HandleMessage answers queries with the locally known op for the key,
-// encoded as a Gossip with zero or one entries (the host combines them).
-func (m *LocalManager) HandleMessage(from wire.NodeID, msg wire.Message) {
-	q, ok := msg.(wire.Query)
-	if !ok {
-		return
-	}
-	resp := wire.Gossip{}
-	if op, ok := m.state.ops[opKey{q.App, q.User, q.Right}]; ok {
-		// Smuggle the query nonce back in the counter-less slot: the host
-		// correlates by key instead, so no nonce is needed here.
-		resp.Ops = []wire.Update{op}
-	}
-	m.env.Send(from, resp)
-}
-
-// LocalHost checks rights by consulting every manager and combining their
-// answers by op recency: the design the paper rejects because "checking
-// access would in general involve communicating with all managers".
-type LocalHost struct {
-	id       wire.NodeID
-	env      core.Env
-	managers []wire.NodeID
-	timeout  time.Duration
-	pending  *localCheck
-}
-
-type localCheck struct {
-	key       opKey
-	best      wire.Update
-	haveBest  bool
-	responses int
-	cb        func(allowed bool)
-	timer     core.TimerHandle
-}
-
-// NewLocalHost creates a host for the local-only baseline.
-func NewLocalHost(id wire.NodeID, env core.Env, managers []wire.NodeID, timeout time.Duration) *LocalHost {
-	if timeout == 0 {
-		timeout = core.DefaultQueryTimeout
-	}
-	return &LocalHost{id: id, env: env, managers: managers, timeout: timeout}
-}
-
-// Check queries all managers and, at the timeout, decides from the most
-// recent operation reported (missing answers simply do not contribute —
-// which is why this baseline can both deny legitimate users and honor stale
-// grants when the issuing manager is unreachable). One check at a time.
-func (h *LocalHost) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func(allowed bool)) {
-	if h.pending != nil {
-		cb(false)
-		return
-	}
-	c := &localCheck{key: opKey{app, user, right}, cb: cb}
-	h.pending = c
-	q := wire.Query{App: app, User: user, Right: right}
-	for _, m := range h.managers {
-		h.env.Send(m, q)
-	}
-	c.timer = h.env.SetTimer(h.timeout, func() { h.decide() })
-}
-
-func (h *LocalHost) decide() {
-	c := h.pending
-	if c == nil {
-		return
-	}
-	h.pending = nil
-	c.cb(c.haveBest && c.best.Op == wire.OpAdd)
-}
-
-// HandleMessage collects manager answers; once every manager has answered
-// the decision is taken early.
-func (h *LocalHost) HandleMessage(_ wire.NodeID, msg wire.Message) {
-	g, ok := msg.(wire.Gossip)
-	if !ok || h.pending == nil {
-		return
-	}
-	c := h.pending
-	c.responses++
-	for _, op := range g.Ops {
-		if (opKey{op.App, op.User, op.Right}) != c.key {
-			continue
-		}
-		if !c.haveBest || newer(op, c.best) {
-			c.best = op
-			c.haveBest = true
-		}
-	}
-	if c.responses >= len(h.managers) {
-		if c.timer != nil {
-			c.timer.Stop()
-		}
-		h.decide()
 	}
 }

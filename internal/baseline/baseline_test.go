@@ -131,160 +131,6 @@ func TestLWWTieBreak(t *testing.T) {
 	}
 }
 
-func TestFullReplicationCompletion(t *testing.T) {
-	net, sched := newNet()
-	hosts := []wire.NodeID{"h0", "h1", "h2"}
-	mgr := NewFullRepManager("m0", sim.NewEnv("m0", net), FullRepConfig{
-		Targets: hosts, Retry: time.Second,
-	})
-	net.Attach("m0", mgr)
-	var hs []*FullRepHost
-	for _, id := range hosts {
-		h := NewFullRepHost(id, sim.NewEnv(id, net))
-		net.Attach(id, h)
-		hs = append(hs, h)
-	}
-
-	var completed, result bool
-	mgr.Submit(addOp("alice"), func(ok bool) { completed, result = true, ok })
-	sched.RunFor(time.Second)
-	if !completed || !result {
-		t.Fatalf("completion = %v/%v", completed, result)
-	}
-	for i, h := range hs {
-		if !h.Check(app, "alice", wire.RightUse) {
-			t.Errorf("host %d missing update", i)
-		}
-	}
-}
-
-func TestFullReplicationBlockedByPartition(t *testing.T) {
-	net, sched := newNet()
-	mgr := NewFullRepManager("m0", sim.NewEnv("m0", net), FullRepConfig{
-		Targets: []wire.NodeID{"h0", "h1"}, Retry: time.Second,
-	})
-	h0 := NewFullRepHost("h0", sim.NewEnv("h0", net))
-	h1 := NewFullRepHost("h1", sim.NewEnv("h1", net))
-	net.Attach("m0", mgr)
-	net.Attach("h0", h0)
-	net.Attach("h1", h1)
-	net.SetLink("m0", "h1", false)
-
-	var completed bool
-	mgr.Submit(revokeOp("alice"), func(bool) { completed = true })
-	sched.RunFor(30 * time.Second)
-	if completed {
-		t.Fatal("update completed despite unreachable host")
-	}
-	if !h0.Check(app, "alice", wire.RightUse) == false {
-		// h0 has only the revoke (never had the grant): must deny.
-		t.Log("h0 correctly denies")
-	}
-
-	net.Heal()
-	sched.RunFor(5 * time.Second)
-	if !completed {
-		t.Fatal("persistent retransmission did not complete after heal")
-	}
-}
-
-func TestFullReplicationGivesUpAfterMaxRetries(t *testing.T) {
-	net, sched := newNet()
-	mgr := NewFullRepManager("m0", sim.NewEnv("m0", net), FullRepConfig{
-		Targets: []wire.NodeID{"h0"}, Retry: time.Second, MaxRetries: 3,
-	})
-	net.Attach("m0", mgr) // h0 never attached: permanently unreachable
-
-	var completed, result bool
-	mgr.Submit(addOp("alice"), func(ok bool) { completed, result = true, ok })
-	sched.RunFor(time.Minute)
-	if !completed || result {
-		t.Fatalf("completion = %v/%v, want gave-up (true/false)", completed, result)
-	}
-}
-
-func TestLocalOnlyCheckConsultsAllManagers(t *testing.T) {
-	net, sched := newNet()
-	m0 := NewLocalManager("m0", sim.NewEnv("m0", net))
-	m1 := NewLocalManager("m1", sim.NewEnv("m1", net))
-	net.Attach("m0", m0)
-	net.Attach("m1", m1)
-	host := NewLocalHost("h0", sim.NewEnv("h0", net), []wire.NodeID{"m0", "m1"}, time.Second)
-	net.Attach("h0", host)
-
-	// Grant recorded only at m0 (that is the whole point of option 3).
-	m0.Submit(addOp("alice"))
-	sched.RunFor(10 * time.Millisecond)
-	if m1.Has(app, "alice", wire.RightUse) {
-		t.Fatal("local-only update leaked to m1")
-	}
-
-	var allowed, done bool
-	host.Check(app, "alice", wire.RightUse, func(a bool) { allowed, done = a, true })
-	sched.RunFor(2 * time.Second)
-	if !done || !allowed {
-		t.Fatalf("check = %v/%v, want allowed via m0", done, allowed)
-	}
-
-	// A later revoke recorded only at m1 must override m0's grant.
-	sched.RunFor(time.Second)
-	m1.Submit(revokeOp("alice"))
-	var allowed2, done2 bool
-	host.Check(app, "alice", wire.RightUse, func(a bool) { allowed2, done2 = a, true })
-	sched.RunFor(2 * time.Second)
-	if !done2 || allowed2 {
-		t.Fatalf("check = %v/%v, want denied via m1's newer revoke", done2, allowed2)
-	}
-}
-
-// TestLocalOnlyStaleGrantWhenRevokerUnreachable shows why option 3 is
-// rejected: if the manager holding the newest revoke is unreachable, the
-// host combines only stale information and honors the revoked grant.
-func TestLocalOnlyStaleGrantWhenRevokerUnreachable(t *testing.T) {
-	net, sched := newNet()
-	m0 := NewLocalManager("m0", sim.NewEnv("m0", net))
-	m1 := NewLocalManager("m1", sim.NewEnv("m1", net))
-	net.Attach("m0", m0)
-	net.Attach("m1", m1)
-	host := NewLocalHost("h0", sim.NewEnv("h0", net), []wire.NodeID{"m0", "m1"}, time.Second)
-	net.Attach("h0", host)
-
-	m0.Submit(addOp("alice"))
-	sched.RunFor(time.Second)
-	m1.Submit(revokeOp("alice"))
-	net.SetLink("h0", "m1", false) // the revoker becomes unreachable
-
-	var allowed, done bool
-	host.Check(app, "alice", wire.RightUse, func(a bool) { allowed, done = a, true })
-	sched.RunFor(2 * time.Second)
-	if !done {
-		t.Fatal("check did not resolve")
-	}
-	if !allowed {
-		t.Fatal("expected stale allow: revoker unreachable, grant visible")
-	}
-}
-
-func TestLocalHostOneCheckAtATime(t *testing.T) {
-	net, sched := newNet()
-	m0 := NewLocalManager("m0", sim.NewEnv("m0", net))
-	net.Attach("m0", m0)
-	host := NewLocalHost("h0", sim.NewEnv("h0", net), []wire.NodeID{"m0"}, time.Second)
-	net.Attach("h0", host)
-
-	first, second := false, false
-	var secondAllowed bool
-	host.Check(app, "u", wire.RightUse, func(bool) { first = true })
-	host.Check(app, "u", wire.RightUse, func(a bool) { second, secondAllowed = true, a })
-	if !second || secondAllowed {
-		t.Fatal("overlapping check should fail fast")
-	}
-	sched.RunFor(2 * time.Second)
-	if !first {
-		t.Fatal("first check never resolved")
-	}
-}
-
 func TestECInvokeReply(t *testing.T) {
 	net, sched := newNet()
 	mgr := NewECManager("m0", sim.NewEnv("m0", net), ECConfig{Peers: []wire.NodeID{"h0"}})
@@ -318,68 +164,8 @@ func TestECInvokeReply(t *testing.T) {
 var (
 	_ simnet.Handler = (*ECManager)(nil)
 	_ simnet.Handler = (*ECHost)(nil)
-	_ simnet.Handler = (*FullRepManager)(nil)
-	_ simnet.Handler = (*FullRepHost)(nil)
-	_ simnet.Handler = (*LocalManager)(nil)
-	_ simnet.Handler = (*LocalHost)(nil)
 	_ core.Env       = (*sim.Env)(nil)
 )
-
-func TestFullRepManagerHasAndPeers(t *testing.T) {
-	net, sched := newNet()
-	m0 := NewFullRepManager("m0", sim.NewEnv("m0", net), FullRepConfig{
-		Targets: []wire.NodeID{"m1"}, Retry: time.Second,
-	})
-	m1 := NewFullRepManager("m1", sim.NewEnv("m1", net), FullRepConfig{Retry: time.Second})
-	net.Attach("m0", m0)
-	net.Attach("m1", m1)
-
-	var completed bool
-	m0.Submit(addOp("alice"), func(bool) { completed = true })
-	sched.RunFor(2 * time.Second)
-	if !completed {
-		t.Fatal("peer manager did not ack")
-	}
-	if !m0.Has(app, "alice", wire.RightUse) || !m1.Has(app, "alice", wire.RightUse) {
-		t.Error("peer replication failed")
-	}
-	// Unknown messages are ignored without panic.
-	m1.HandleMessage("x", wire.Heartbeat{})
-	// Stale acks are ignored.
-	m0.HandleMessage("m1", wire.UpdateAck{Seq: wire.UpdateSeq{Origin: "m0", Counter: 99}})
-}
-
-func TestFullRepSubmitNoTargets(t *testing.T) {
-	net, _ := newNet()
-	m := NewFullRepManager("m0", sim.NewEnv("m0", net), FullRepConfig{})
-	done, ok := false, false
-	m.Submit(addOp("u"), func(completed bool) { done, ok = true, completed })
-	if !done || !ok {
-		t.Fatal("empty-target submit should complete immediately")
-	}
-	if m.pendingCount() != 0 {
-		t.Error("pending map not empty")
-	}
-}
-
-func TestLocalHostDefaultTimeout(t *testing.T) {
-	net, _ := newNet()
-	h := NewLocalHost("h0", sim.NewEnv("h0", net), []wire.NodeID{"m0"}, 0)
-	if h.timeout != core.DefaultQueryTimeout {
-		t.Errorf("timeout = %v", h.timeout)
-	}
-}
-
-func TestLocalManagerIgnoresNonQuery(t *testing.T) {
-	net, sched := newNet()
-	m := NewLocalManager("m0", sim.NewEnv("m0", net))
-	net.Attach("m0", m)
-	m.HandleMessage("x", wire.Heartbeat{}) // must not panic or reply
-	sched.RunFor(time.Second)
-	if st := net.Stats(); st.Sent != 0 {
-		t.Errorf("sent = %d", st.Sent)
-	}
-}
 
 func TestLWWSnapshotSorted(t *testing.T) {
 	s := newLWWState()

@@ -187,19 +187,14 @@ type RateLimitConfig struct {
 // directly cuts re-verification traffic — the paper's O(C/Te) overhead knob
 // (§4.1) turned automatically. The widened bound never exceeds Max, so
 // deployments state their worst-case revocation latency up front; when the
-// shedding stops, Te decays back to the configured base.
+// shedding stops, Te decays back to the configured base. Each interval
+// with any shed query doubles the effective Te; each quiet one halves it.
 type AdaptiveTeConfig struct {
 	// Max caps the effective Te. Zero disables the controller. Must be at
 	// least the configured Te.
 	Max time.Duration
-	// Step is the multiplicative widen/decay factor per interval (> 1).
-	// Zero means 2.
-	Step float64
 	// Interval is the controller's evaluation period. Zero means 1s.
 	Interval time.Duration
-	// ShedThreshold is the number of shed queries per interval that
-	// triggers widening. Zero means 1 (any shedding widens).
-	ShedThreshold uint64
 }
 
 // DefaultMaxRetryAfter clamps the Retry-After advertised in Busy replies so
@@ -231,11 +226,8 @@ func (o OverloadConfig) validate() error {
 		return fmt.Errorf("%w: host rate limit needs burst >= 1", ErrConfig)
 	}
 	a := o.AdaptiveTe
-	if a.Max < 0 || a.Interval < 0 || a.Step < 0 {
+	if a.Max < 0 || a.Interval < 0 {
 		return fmt.Errorf("%w: negative adaptive-Te parameter", ErrConfig)
-	}
-	if a.Step != 0 && a.Step <= 1 {
-		return fmt.Errorf("%w: adaptive-Te step must exceed 1", ErrConfig)
 	}
 	if o.MaxRetryAfter < 0 {
 		return fmt.Errorf("%w: negative MaxRetryAfter", ErrConfig)

@@ -702,38 +702,21 @@ func (m *Manager) scheduleAdapt(app wire.AppID, ma *mgrApp) {
 	})
 }
 
-// onAdaptTick evaluates one controller interval: shedding at or above the
-// threshold widens the effective Te by Step (capped at Max); a quiet
-// interval decays it by Step back toward the configured base. Widening
-// stretches grant expiry — hosts re-verify less often, which sheds load at
-// the source — while Max keeps the worst-case revocation latency stated.
+// onAdaptTick evaluates one controller interval: any shed query doubles
+// the effective Te (capped at Max); a quiet interval halves it back toward
+// the configured base. Widening stretches grant expiry — hosts re-verify
+// less often, which sheds load at the source — while Max keeps the
+// worst-case revocation latency stated.
 func (m *Manager) onAdaptTick(app wire.AppID) {
 	ma, ok := m.apps[app]
 	if !ok {
 		return
 	}
-	cfg := ma.cfg.Overload.AdaptiveTe
-	step := cfg.Step
-	if step == 0 {
-		step = 2
-	}
-	threshold := cfg.ShedThreshold
-	if threshold == 0 {
-		threshold = 1
-	}
 	prev := ma.effTe
-	if ma.shedWindow >= threshold {
-		next := time.Duration(float64(ma.effTe) * step)
-		if next > cfg.Max {
-			next = cfg.Max
-		}
-		ma.setEffTe(next)
+	if ma.shedWindow > 0 {
+		ma.setEffTe(min(ma.effTe*2, ma.cfg.Overload.AdaptiveTe.Max))
 	} else if ma.effTe > ma.cfg.Te {
-		next := time.Duration(float64(ma.effTe) / step)
-		if next < ma.cfg.Te {
-			next = ma.cfg.Te
-		}
-		ma.setEffTe(next)
+		ma.setEffTe(max(ma.effTe/2, ma.cfg.Te))
 	}
 	if ma.effTe != prev {
 		if ma.effTe > prev {

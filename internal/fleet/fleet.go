@@ -70,9 +70,9 @@ type Monitor struct {
 	ownFams map[string]bool
 
 	mu       sync.Mutex
-	last     *merged   // latest fleet rollup (nil before first scrape)
-	lastAt   time.Time // when the latest scrape finished
-	up       int       // targets scraped successfully in the latest round
+	last     *telemetry.Metrics // latest fleet rollup (nil before first scrape)
+	lastAt   time.Time          // when the latest scrape finished
+	up       int                // targets scraped successfully in the latest round
 	scrapes  uint64
 	perr     map[string]string // target name → latest scrape error ("" = ok)
 	jsonlErr error
@@ -109,7 +109,7 @@ func New(cfg Config) *Monitor {
 }
 
 // latest returns the current rollup under the lock (may be nil).
-func (m *Monitor) latest() *merged {
+func (m *Monitor) latest() *telemetry.Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.last
@@ -130,7 +130,7 @@ func (m *Monitor) specs() []slo.Spec {
 			if mg == nil {
 				return telemetry.HistogramSnapshot{}
 			}
-			snap, err := mg.histogram(family)
+			snap, err := mg.HistogramFrom(family)
 			if err != nil {
 				return telemetry.HistogramSnapshot{}
 			}
@@ -154,17 +154,13 @@ func (m *Monitor) specs() []slo.Spec {
 			if mg == nil {
 				return 0, 0
 			}
-			outcome := func(want string) func(*series) bool {
-				return func(s *series) bool { return s.label("outcome") == want }
+			checks := func(outcome string) float64 {
+				return sum(mg, "wanac_host_checks_total", "outcome", outcome)
 			}
-			ok := mg.sum("wanac_host_checks_total", outcome("cache_hit")) +
-				mg.sum("wanac_host_checks_total", outcome("allowed")) +
-				mg.sum("wanac_host_checks_total", outcome("denied"))
-			bad := mg.sum("wanac_host_checks_total", outcome("default_allowed")) +
-				mg.sum("wanac_host_query_timeouts_total", nil) +
-				mg.sum("wanac_manager_queries_total", func(s *series) bool {
-					return s.label("result") == "shed"
-				})
+			ok := checks("cache_hit") + checks("allowed") + checks("denied")
+			bad := checks("default_allowed") +
+				sum(mg, "wanac_host_query_timeouts_total", "", "") +
+				sum(mg, "wanac_manager_queries_total", "result", "shed")
 			return ok, ok + bad
 		}),
 	}
@@ -195,9 +191,8 @@ func (m *Monitor) specs() []slo.Spec {
 				if mg == nil {
 					return 0, 0
 				}
-				match := func(s *series) bool { return s.label("lane") == lane }
-				admitted := mg.sum("wanac_transport_lane_enqueued_total", match)
-				dropped := mg.sum("wanac_transport_lane_drops_total", match)
+				admitted := sum(mg, "wanac_transport_lane_enqueued_total", "lane", lane)
+				dropped := sum(mg, "wanac_transport_lane_drops_total", "lane", lane)
 				return admitted, admitted + dropped
 			}),
 		})
@@ -250,13 +245,17 @@ func (m *Monitor) register() {
 // but does not abort the round; the returned error is non-nil only when
 // no target could be scraped at all.
 func (m *Monitor) ScrapeOnce(ctx context.Context) error {
-	mg := newMerged()
+	roll, at := newRollup()
 	up := 0
 	errs := make(map[string]string, len(m.cfg.Targets))
 	scrapes := m.reg.CounterVec("wanac_fleet_scrapes_total",
 		"Scrape attempts by target and outcome.", "target", "outcome")
 	for _, t := range m.cfg.Targets {
-		if err := m.scrapeTarget(ctx, t, mg); err != nil {
+		parsed, err := m.scrapeTarget(ctx, t)
+		if err == nil {
+			err = fold(roll, at, parsed)
+		}
+		if err != nil {
 			errs[t.Name] = err.Error()
 			scrapes.With(t.Name, "error").Inc()
 			continue
@@ -271,7 +270,7 @@ func (m *Monitor) ScrapeOnce(ctx context.Context) error {
 	m.up = up
 	m.perr = errs
 	if up > 0 {
-		m.last = mg
+		m.last = roll
 	}
 	m.lastAt = m.now()
 	m.mu.Unlock()
@@ -284,26 +283,25 @@ func (m *Monitor) ScrapeOnce(ctx context.Context) error {
 	return nil
 }
 
-// scrapeTarget fetches and strictly parses one node's exposition into
-// the rollup.
-func (m *Monitor) scrapeTarget(ctx context.Context, t Target, mg *merged) error {
+// scrapeTarget fetches and strictly parses one node's exposition.
+func (m *Monitor) scrapeTarget(ctx context.Context, t Target) (*telemetry.Metrics, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+t.Addr+"/metrics", nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: status %s", t.Name, resp.Status)
+		return nil, fmt.Errorf("%s: status %s", t.Name, resp.Status)
 	}
 	parsed, err := telemetry.ParseMetrics(resp.Body)
 	if err != nil {
-		return fmt.Errorf("%s: %w", t.Name, err)
+		return nil, fmt.Errorf("%s: %w", t.Name, err)
 	}
-	return mg.add(parsed)
+	return parsed, nil
 }
 
 // Run scrapes on the configured interval until ctx is done. The first
@@ -461,7 +459,7 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 	if mg == nil {
 		return nil
 	}
-	return mg.write(w, m.ownFams)
+	return mg.Write(w, m.ownFams)
 }
 
 // Dashboard renders the fleet's state as a fixed-width text block: one

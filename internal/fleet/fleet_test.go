@@ -120,7 +120,7 @@ func TestGaugeFoldPolicies(t *testing.T) {
 		{"wanac_process_start_time_seconds", 1000},
 		{"wanac_host_cache_entries", 12},
 	} {
-		if got := mg.sum(tc.series, nil); got != tc.want {
+		if got := sum(mg, tc.series, "", ""); got != tc.want {
 			t.Errorf("%s folded to %g, want %g", tc.series, got, tc.want)
 		}
 	}
@@ -248,7 +248,7 @@ func TestScrapeFailureDegrades(t *testing.T) {
 	if _, ok := detail["target:dead"]; !ok {
 		t.Fatalf("health detail does not name the dead target: %v", detail)
 	}
-	if got := m.latest().sum("wanac_host_checks_seen_total", nil); got != 3 {
+	if got := sum(m.latest(), "wanac_host_checks_seen_total", "", ""); got != 3 {
 		t.Fatalf("live target's families not merged: got %g", got)
 	}
 
@@ -319,9 +319,7 @@ func TestMergedLabeledSeries(t *testing.T) {
 	scrape(t, m)
 	mg := m.latest()
 	byLane := func(lane string) float64 {
-		return mg.sum("wanac_transport_lane_drops_total", func(s *series) bool {
-			return s.label("lane") == lane
-		})
+		return sum(mg, "wanac_transport_lane_drops_total", "lane", lane)
 	}
 	if got := byLane("bulk"); got != 10 {
 		t.Errorf("bulk drops = %g, want 10", got)
@@ -335,7 +333,7 @@ func TestMergedLabeledSeries(t *testing.T) {
 // another gauge poisons the merge with a clear error instead of folding
 // nonsense.
 func TestTypeConflictRejected(t *testing.T) {
-	mg := newMerged()
+	roll, at := newRollup()
 	one, err := telemetry.ParseMetrics(strings.NewReader(
 		"# TYPE wanac_thing counter\nwanac_thing 1\n"))
 	if err != nil {
@@ -346,10 +344,10 @@ func TestTypeConflictRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mg.add(one); err != nil {
+	if err := fold(roll, at, one); err != nil {
 		t.Fatal(err)
 	}
-	if err := mg.add(two); err == nil {
+	if err := fold(roll, at, two); err == nil {
 		t.Fatal("conflicting family types merged without error")
 	}
 }
@@ -490,5 +488,25 @@ wanac_manager_effective_te_seconds 120
 `
 	if rollup != want {
 		t.Errorf("rollup text:\n%s\nwant:\n%s", rollup, want)
+	}
+}
+
+// TestNonCumulativeHistogramUnreadable: a bucket series that falls as le
+// rises is not a histogram exposition, so the latency indicator reads the
+// empty snapshot, as it does for a family it cannot read at all, rather
+// than differencing the fall into a bucket of 2^64-3 observations.
+func TestNonCumulativeHistogramUnreadable(t *testing.T) {
+	m := New(Config{Targets: []Target{textTarget(t, "h0", `# TYPE wanac_host_check_latency_seconds histogram
+wanac_host_check_latency_seconds_bucket{le="0.1"} 5
+wanac_host_check_latency_seconds_bucket{le="1"} 2
+wanac_host_check_latency_seconds_bucket{le="+Inf"} 5
+wanac_host_check_latency_seconds_sum 1.5
+wanac_host_check_latency_seconds_count 5
+`)}})
+	scrape(t, m)
+	for _, st := range m.engine.Status() {
+		if st.Name == "check-latency" && (st.Good != 0 || st.Total != 0) {
+			t.Fatalf("check-latency read good=%g total=%g from a non-cumulative histogram, want the empty snapshot", st.Good, st.Total)
+		}
 	}
 }

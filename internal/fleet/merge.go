@@ -2,10 +2,8 @@ package fleet
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"wanac/internal/telemetry"
@@ -36,28 +34,6 @@ var gaugePolicy = map[string]gaugeFold{
 	"wanac_host_cache_hit_ratio": foldMin,
 }
 
-// series is one merged sample line.
-type series struct {
-	name   string
-	labels []telemetry.Label // exposition order, le kept numeric-sortable
-	value  float64
-}
-
-// merged is a fleet-wide rollup of N parsed expositions.
-type merged struct {
-	types  map[string]string
-	help   map[string]string
-	series map[string]*series
-}
-
-func newMerged() *merged {
-	return &merged{
-		types:  make(map[string]string),
-		help:   make(map[string]string),
-		series: make(map[string]*series),
-	}
-}
-
 // seriesKey canonicalizes a sample identity: series name plus label
 // pairs sorted by label name.
 func seriesKey(name string, labels []telemetry.Label) string {
@@ -72,239 +48,65 @@ func seriesKey(name string, labels []telemetry.Label) string {
 	return name + "\x01" + strings.Join(pairs, "\x02")
 }
 
-// add folds one node's parsed exposition into the rollup.
-func (m *merged) add(src *telemetry.Metrics) error {
+// newRollup returns an empty fleet rollup and the index fold keeps over it.
+func newRollup() (roll *telemetry.Metrics, at map[string]int) {
+	return &telemetry.Metrics{Types: make(map[string]string), Help: make(map[string]string)},
+		make(map[string]int)
+}
+
+// fold adds one node's parsed exposition to the rollup in place: a series
+// the rollup already has (at maps its seriesKey to its index in
+// roll.Samples) takes the node's value by its family's fold, a new one is
+// appended. A family whose type differs from the rollup's is an error, and
+// then nothing is folded.
+func fold(roll *telemetry.Metrics, at map[string]int, src *telemetry.Metrics) error {
 	for name, typ := range src.Types {
-		if prev, ok := m.types[name]; ok && prev != typ {
+		if prev, ok := roll.Types[name]; ok && prev != typ {
 			return fmt.Errorf("fleet: family %s is %s on one node, %s on another", name, prev, typ)
 		}
-		m.types[name] = typ
+	}
+	for name, typ := range src.Types {
+		roll.Types[name] = typ
 	}
 	for name, help := range src.Help {
-		if _, ok := m.help[name]; !ok {
-			m.help[name] = help
+		if _, ok := roll.Help[name]; !ok {
+			roll.Help[name] = help
 		}
 	}
 	for _, s := range src.Samples {
-		fam := src.Family(s.Name)
 		key := seriesKey(s.Name, s.Labels)
-		cur, ok := m.series[key]
+		i, ok := at[key]
 		if !ok {
-			m.series[key] = &series{
-				name:   s.Name,
-				labels: append([]telemetry.Label(nil), s.Labels...),
-				value:  s.Value,
-			}
+			at[key] = len(roll.Samples)
+			roll.Samples = append(roll.Samples, s)
 			continue
 		}
-		if m.types[fam] == "gauge" {
-			switch gaugePolicy[fam] {
-			case foldMax:
-				cur.value = math.Max(cur.value, s.Value)
-			case foldMin:
-				cur.value = math.Min(cur.value, s.Value)
-			default:
-				cur.value += s.Value
-			}
-			continue
+		cur := &roll.Samples[i]
+		// Counters, histogram buckets/sums/counts and untyped series sum;
+		// gauges fold by their family's policy.
+		fam := src.Family(s.Name)
+		switch {
+		case roll.Types[fam] != "gauge":
+			cur.Value += s.Value
+		case gaugePolicy[fam] == foldMax:
+			cur.Value = math.Max(cur.Value, s.Value)
+		case gaugePolicy[fam] == foldMin:
+			cur.Value = math.Min(cur.Value, s.Value)
+		default:
+			cur.Value += s.Value
 		}
-		// Counters, histogram buckets/sums/counts, untyped: sum.
-		cur.value += s.Value
 	}
 	return nil
 }
 
-// sum adds the values of every series with the given name that matches
-// the filter (nil matches all).
-func (m *merged) sum(name string, match func(s *series) bool) float64 {
+// sum adds the values of the rollup's series called name whose label has
+// the given value; an empty label matches every series.
+func sum(roll *telemetry.Metrics, name, label, value string) float64 {
 	total := 0.0
-	for _, s := range m.series {
-		if s.name != name {
-			continue
+	for _, s := range roll.Samples {
+		if v, _ := s.Label(label); s.Name == name && (label == "" || v == value) {
+			total += s.Value
 		}
-		if match != nil && !match(s) {
-			continue
-		}
-		total += s.value
 	}
 	return total
-}
-
-// label returns a series' label value ("" when absent).
-func (s *series) label(name string) string {
-	for _, l := range s.labels {
-		if l.Name == name {
-			return l.Value
-		}
-	}
-	return ""
-}
-
-// histogram reconstructs the fleet-wide snapshot of one histogram
-// family, folding every label set (nodes and family labels alike):
-// cumulative bucket values are summed per le bound, then differenced.
-func (m *merged) histogram(family string) (telemetry.HistogramSnapshot, error) {
-	if t := m.types[family]; t != "histogram" {
-		return telemetry.HistogramSnapshot{}, fmt.Errorf("fleet: %q is %q, not a histogram", family, t)
-	}
-	byLe := make(map[float64]float64)
-	var snap telemetry.HistogramSnapshot
-	for _, s := range m.series {
-		switch s.name {
-		case family + "_bucket":
-			le, err := strconv.ParseFloat(strings.Replace(s.label("le"), "+Inf", "Inf", 1), 64)
-			if err != nil {
-				return telemetry.HistogramSnapshot{}, fmt.Errorf("fleet: bad le on %s: %v", s.name, err)
-			}
-			byLe[le] += s.value
-		case family + "_sum":
-			snap.Sum += s.value
-		}
-	}
-	if len(byLe) == 0 {
-		return telemetry.HistogramSnapshot{}, fmt.Errorf("fleet: no %s_bucket series", family)
-	}
-	les := make([]float64, 0, len(byLe))
-	for le := range byLe {
-		les = append(les, le)
-	}
-	sort.Float64s(les)
-	if !math.IsInf(les[len(les)-1], +1) {
-		return telemetry.HistogramSnapshot{}, fmt.Errorf("fleet: %s has no +Inf bucket", family)
-	}
-	prev := 0.0
-	for _, le := range les {
-		if !math.IsInf(le, +1) {
-			snap.Upper = append(snap.Upper, le)
-		}
-		snap.Counts = append(snap.Counts, uint64(byLe[le]-prev))
-		prev = byLe[le]
-	}
-	snap.Count = uint64(byLe[les[len(les)-1]])
-	return snap, nil
-}
-
-// write renders the rollup in Prometheus text format, skipping families
-// in the exclude set (the monitor's own registry wins name collisions).
-// Families are sorted by name, series within a family by name then
-// labels, with histogram le bounds in numeric order.
-func (m *merged) write(w io.Writer, exclude map[string]bool) error {
-	fams := make([]string, 0, len(m.types))
-	for name := range m.types {
-		if !exclude[name] {
-			fams = append(fams, name)
-		}
-	}
-	sort.Strings(fams)
-
-	byFam := make(map[string][]*series, len(fams))
-	for _, s := range m.series {
-		byFam[m.family(s.name)] = append(byFam[m.family(s.name)], s)
-	}
-	for _, name := range fams {
-		ss := byFam[name]
-		sort.Slice(ss, func(i, j int) bool {
-			a, b := ss[i], ss[j]
-			if a.name != b.name {
-				return a.name < b.name
-			}
-			if la, lb := a.label("le"), b.label("le"); la != lb {
-				// Bucket series compare by non-le labels first, bound last.
-				if ka, kb := stripLe(a), stripLe(b); ka != kb {
-					return ka < kb
-				}
-				return leValue(la) < leValue(lb)
-			}
-			return seriesKey(a.name, a.labels) < seriesKey(b.name, b.labels)
-		})
-		if help, ok := m.help[name]; ok {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", name, help); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", name, m.types[name]); err != nil {
-			return err
-		}
-		for _, s := range ss {
-			if err := writeSeries(w, s); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// family maps a series name to its declared family (mirrors
-// telemetry.Metrics.Family over the merged type table).
-func (m *merged) family(seriesName string) string {
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if base := strings.TrimSuffix(seriesName, suf); base != seriesName {
-			if t := m.types[base]; t == "histogram" || t == "summary" {
-				return base
-			}
-		}
-	}
-	return seriesName
-}
-
-func stripLe(s *series) string {
-	rest := make([]telemetry.Label, 0, len(s.labels))
-	for _, l := range s.labels {
-		if l.Name != "le" {
-			rest = append(rest, l)
-		}
-	}
-	return seriesKey(s.name, rest)
-}
-
-func leValue(s string) float64 {
-	if s == "+Inf" {
-		return math.Inf(+1)
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return math.Inf(+1)
-	}
-	return v
-}
-
-func writeSeries(w io.Writer, s *series) error {
-	var b strings.Builder
-	b.WriteString(s.name)
-	if len(s.labels) > 0 {
-		b.WriteByte('{')
-		for i, l := range s.labels {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(l.Name)
-			b.WriteString(`="`)
-			b.WriteString(escapeLabel(l.Value))
-			b.WriteByte('"')
-		}
-		b.WriteByte('}')
-	}
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(s.value))
-	b.WriteByte('\n')
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-func escapeLabel(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	s = strings.ReplaceAll(s, "\n", `\n`)
-	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
-func formatFloat(v float64) string {
-	switch {
-	case math.IsInf(v, +1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

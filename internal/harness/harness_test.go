@@ -25,10 +25,10 @@ func runSweep(t *testing.T, first, n int64, opt Options, minimizeBudget int) *Su
 			if err == nil && rerun.Failed() {
 				rerun.Scenario = minimized
 				rerun.WriteFlightArtifact()
-				t.Errorf("%s", FormatFailure(rerun))
+				t.Errorf("%s", FormatFailure(rerun, opt))
 			} else {
 				res.WriteFlightArtifact()
-				t.Errorf("%s", FormatFailure(res))
+				t.Errorf("%s", FormatFailure(res, opt))
 			}
 		}
 	})
@@ -53,7 +53,7 @@ func TestHarnessQuick(t *testing.T) {
 		}
 		if res.Failed() {
 			res.WriteFlightArtifact()
-			t.Errorf("%s", FormatFailure(res))
+			t.Errorf("%s", FormatFailure(res, opt))
 		}
 		return
 	}

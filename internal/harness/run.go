@@ -157,18 +157,31 @@ func (r *Runner) exec(e Event, agent wire.NodeID) {
 	}
 }
 
-// FormatFailure renders the replay artifact for a failed run: the seed, the
-// violations, and the (possibly minimized) schedule.
-func FormatFailure(res *Result) string {
+// FormatFailure renders the replay artifact for a failed run under opt: the
+// seed, the violations, the replay command, and the (possibly minimized)
+// schedule.
+func FormatFailure(res *Result, opt Options) string {
 	s := fmt.Sprintf("harness failure: %d violation(s) at seed %d\n", len(res.Violations), res.Scenario.Seed)
 	for _, v := range res.Violations {
 		s += "  " + v.String() + "\n"
 	}
-	s += "replay: go test ./internal/harness -run TestHarness -harness.seed=" +
-		fmt.Sprint(res.Scenario.Seed) + "\n"
+	s += "replay: " + replayCommand(res.Scenario.Seed, opt) + "\n"
 	if res.FlightPath != "" {
 		s += "flight dump: " + res.FlightPath + " (render with: go run ./cmd/acaudit -timeline " + res.FlightPath + ")\n"
 	}
 	s += res.Scenario.String()
 	return s
+}
+
+// replayCommand is the command that reruns seed under opt: the replay line
+// of FormatFailure and of acsim check's failures[].replay.
+func replayCommand(seed int64, opt Options) string {
+	cmd := "go test ./internal/harness -run TestHarness -harness.seed=" + strconv.FormatInt(seed, 10)
+	if opt.InflateTe {
+		cmd += " -harness.inflate-te"
+	}
+	if opt.DropRevokeNotices {
+		cmd += " -harness.drop-notices"
+	}
+	return cmd
 }

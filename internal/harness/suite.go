@@ -1,7 +1,5 @@
 package harness
 
-import "strconv"
-
 // SeedFailure is one failing seed in a suite run, with the minimized replay
 // schedule rendered as text.
 type SeedFailure struct {
@@ -70,17 +68,10 @@ func RunSeeds(firstSeed, n int64, opt Options, minimizeBudget int, progress func
 			agg.Violations += o.Violations
 		}
 		if res.Failed() {
-			replay := "go test ./internal/harness -run TestHarness -harness.seed=" + strconv.FormatInt(seed, 10)
-			if opt.InflateTe {
-				replay += " -harness.inflate-te"
-			}
-			if opt.DropRevokeNotices {
-				replay += " -harness.drop-notices"
-			}
 			fail := SeedFailure{
 				Seed:       seed,
 				Violations: res.Violations,
-				Replay:     replay,
+				Replay:     replayCommand(seed, opt),
 			}
 			dumpRes := res
 			if minimizeBudget > 0 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"wanac/internal/netcore"
 	"wanac/internal/tcpnet"
 	"wanac/internal/udpnet"
 )
@@ -13,8 +14,8 @@ import (
 // carries a monotonic reading, its wall part never goes back across
 // concurrent callers, and it is the system clock's.
 func TestLiveNodeClock(t *testing.T) {
-	tn, err := tcpnet.Listen("t", "127.0.0.1:0")
-	un, err2 := udpnet.Listen("u", "127.0.0.1:0")
+	tn, err := tcpnet.ListenConfig("t", "127.0.0.1:0", netcore.BuildConfig())
+	un, err2 := udpnet.ListenConfig("u", "127.0.0.1:0", netcore.BuildConfig())
 	if err != nil || err2 != nil {
 		t.Fatal(err, err2)
 	}

@@ -125,43 +125,6 @@ func Curve(m int, pi float64) ([]Point, error) {
 	return out, nil
 }
 
-// MinCForSecurity returns the smallest check quorum C whose PS(C) reaches
-// target, or an error if even C=M falls short (impossible only for
-// target > 1, since PS(M)=1).
-func MinCForSecurity(m int, pi, target float64) (int, error) {
-	if err := validate(m, 1, pi); err != nil {
-		return 0, err
-	}
-	for c := 1; c <= m; c++ {
-		ps, err := PS(m, c, pi)
-		if err != nil {
-			return 0, err
-		}
-		if ps >= target {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: no C in [1,%d] reaches PS >= %v", ErrParams, m, target)
-}
-
-// MaxCForAvailability returns the largest check quorum C whose PA(C)
-// reaches target, or an error if even C=1 falls short.
-func MaxCForAvailability(m int, pi, target float64) (int, error) {
-	if err := validate(m, 1, pi); err != nil {
-		return 0, err
-	}
-	for c := m; c >= 1; c-- {
-		pa, err := PA(m, c, pi)
-		if err != nil {
-			return 0, err
-		}
-		if pa >= target {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("%w: no C in [1,%d] reaches PA >= %v", ErrParams, m, target)
-}
-
 // BestC returns the check quorum maximizing min(PA, PS) — the balanced
 // choice the paper observes lies near M/2 — breaking ties toward smaller C
 // (cheaper checks, §4.1 overhead is O(C/Te)).

@@ -215,32 +215,6 @@ func TestQuorumIntersection(t *testing.T) {
 	}
 }
 
-func TestMinCForSecurity(t *testing.T) {
-	c, err := MinCForSecurity(10, 0.1, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 4 { // Table 1: PS(4)=0.99167 is the first >= 0.99
-		t.Errorf("MinCForSecurity = %d, want 4", c)
-	}
-	if _, err := MinCForSecurity(10, 0.1, 1.1); err == nil {
-		t.Error("impossible target accepted")
-	}
-}
-
-func TestMaxCForAvailability(t *testing.T) {
-	c, err := MaxCForAvailability(10, 0.1, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != 6 { // Table 1: PA(6)=0.99837, PA(7)=0.98720
-		t.Errorf("MaxCForAvailability = %d, want 6", c)
-	}
-	if _, err := MaxCForAvailability(10, 1.0, 0.5); err == nil {
-		t.Error("impossible target accepted")
-	}
-}
-
 func TestBestCNearMidpoint(t *testing.T) {
 	for _, pi := range []float64{0.05, 0.1, 0.2, 0.3} {
 		best, err := BestC(10, pi)

@@ -37,9 +37,6 @@ type Config struct {
 	Duplicate float64
 	// Seed makes every run reproducible. Zero means seed 1.
 	Seed int64
-	// CountBytes additionally accounts wire-encoded message sizes (one
-	// Marshal per send), enabling bandwidth measurements at some CPU cost.
-	CountBytes bool
 }
 
 // Counters aggregates network activity for the message-cost experiments
@@ -50,10 +47,6 @@ type Counters struct {
 	Dropped    uint64 // lost, link down, or destination crashed/absent
 	Duplicated uint64
 	ByKind     map[string]uint64 // sent, keyed by wire.Message.Kind()
-	// BytesSent and BytesByKind are populated only with Config.CountBytes;
-	// sizes are the compact binary encoding (wire.Marshal).
-	BytesSent   uint64
-	BytesByKind map[string]uint64
 }
 
 type linkKey struct{ from, to wire.NodeID }
@@ -138,10 +131,7 @@ func New(sched *Scheduler, cfg Config) *Network {
 }
 
 func newCounters() Counters {
-	return Counters{
-		ByKind:      make(map[string]uint64),
-		BytesByKind: make(map[string]uint64),
-	}
+	return Counters{ByKind: make(map[string]uint64)}
 }
 
 // Scheduler returns the scheduler driving this network.
@@ -341,15 +331,6 @@ func (n *Network) Heal() {
 func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
 	n.counters.Sent++
 	n.counters.ByKind[msg.Kind()]++
-	if n.cfg.CountBytes {
-		// wire.Size walks the frame layout without encoding, so byte
-		// accounting costs no allocation per message (it used to pay a full
-		// Marshal here just for len()).
-		if sz, err := wire.Size(msg); err == nil {
-			n.counters.BytesSent += uint64(sz)
-			n.counters.BytesByKind[msg.Kind()] += uint64(sz)
-		}
-	}
 	if nd, ok := n.nodes[from]; ok && nd.crashed {
 		n.counters.Dropped++
 		return
@@ -409,10 +390,6 @@ func (n *Network) Stats() Counters {
 	out.ByKind = make(map[string]uint64, len(n.counters.ByKind))
 	for k, v := range n.counters.ByKind {
 		out.ByKind[k] = v
-	}
-	out.BytesByKind = make(map[string]uint64, len(n.counters.BytesByKind))
-	for k, v := range n.counters.BytesByKind {
-		out.BytesByKind[k] = v
 	}
 	return out
 }

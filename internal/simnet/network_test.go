@@ -459,43 +459,12 @@ func TestAttachReplacesAndClearsCrash(t *testing.T) {
 	}
 }
 
-func TestByteAccounting(t *testing.T) {
-	net, s := newTestNet(Config{CountBytes: true})
-	net.Attach("a", &recorder{})
-	net.Attach("b", &recorder{})
-	net.Send("a", "b", wire.Query{App: "stocks", User: "alice", Right: wire.RightUse, Nonce: 1})
-	net.Send("a", "b", wire.Heartbeat{Nonce: 2})
-	s.Run(0)
-	st := net.Stats()
-	if st.BytesSent == 0 {
-		t.Fatal("no bytes counted")
-	}
-	if st.BytesByKind["query"] <= st.BytesByKind["heartbeat"] {
-		t.Errorf("query (%d B) should outweigh heartbeat (%d B)",
-			st.BytesByKind["query"], st.BytesByKind["heartbeat"])
-	}
-	if st.BytesSent != st.BytesByKind["query"]+st.BytesByKind["heartbeat"] {
-		t.Error("byte totals inconsistent")
-	}
-
-	// Off by default: no byte accounting, no Marshal cost.
-	net2, s2 := newTestNet(Config{})
-	net2.Attach("a", &recorder{})
-	net2.Attach("b", &recorder{})
-	net2.Send("a", "b", wire.Heartbeat{})
-	s2.Run(0)
-	if net2.Stats().BytesSent != 0 {
-		t.Error("bytes counted without CountBytes")
-	}
-}
-
 // TestSendAllocationBudget pins the steady-state allocation cost of
-// Network.Send + delivery. With byte counting on, Send used to Marshal
-// every message just for len(); with pooled delivery events and wire.Size
-// the whole send/deliver cycle is allocation-free once warm. Budget: 0.
+// Network.Send + delivery: with pooled delivery events the whole
+// send/deliver cycle is allocation-free once warm. Budget: 0.
 func TestSendAllocationBudget(t *testing.T) {
 	sched := NewScheduler()
-	n := New(sched, Config{CountBytes: true})
+	n := New(sched, Config{})
 	n.Attach("a", HandlerFunc(func(wire.NodeID, wire.Message) {}))
 	n.Attach("b", HandlerFunc(func(wire.NodeID, wire.Message) {}))
 	var msg wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 7}
@@ -510,45 +479,5 @@ func TestSendAllocationBudget(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("Send+deliver allocates %.1f objects/op, budget is 0", allocs)
-	}
-}
-
-// TestCountBytesMatchesMarshal keeps the Size-based byte accounting honest
-// against the real encoding.
-func TestCountBytesMatchesMarshal(t *testing.T) {
-	sched := NewScheduler()
-	n := New(sched, Config{CountBytes: true})
-	n.Attach("a", HandlerFunc(func(wire.NodeID, wire.Message) {}))
-	n.Attach("b", HandlerFunc(func(wire.NodeID, wire.Message) {}))
-	msgs := []wire.Message{
-		wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 7},
-		wire.Response{App: "app", User: "u", Right: wire.RightUse, Nonce: 7, Granted: true, Expire: time.Minute},
-		wire.Invoke{App: "app", User: "u", ReqID: 9, Payload: []byte("payload")},
-	}
-	var want uint64
-	for _, m := range msgs {
-		frame, err := wire.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += uint64(len(frame))
-		n.Send("a", "b", m)
-	}
-	if got := n.Stats().BytesSent; got != want {
-		t.Errorf("BytesSent = %d, want %d (Marshal total)", got, want)
-	}
-}
-
-func BenchmarkSendCountBytes(b *testing.B) {
-	sched := NewScheduler()
-	n := New(sched, Config{CountBytes: true})
-	n.Attach("a", HandlerFunc(func(wire.NodeID, wire.Message) {}))
-	n.Attach("b", HandlerFunc(func(wire.NodeID, wire.Message) {}))
-	var msg wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send("a", "b", msg)
-		sched.Run(0)
 	}
 }

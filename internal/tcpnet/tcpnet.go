@@ -60,14 +60,9 @@ type Node struct {
 
 var _ core.Env = (*Node)(nil)
 
-// Listen starts a node listening on addr ("127.0.0.1:0" picks a free port)
-// with default transport tuning.
-func Listen(id wire.NodeID, addr string) (*Node, error) {
-	return ListenConfig(id, addr, netcore.BuildConfig())
-}
-
-// ListenConfig starts a node with explicit transport tuning (queue depth,
-// backoff, deadlines — see netcore.Config).
+// ListenConfig starts a node listening on addr ("127.0.0.1:0" picks a free
+// port) with the given transport tuning (queue depth, backoff, deadlines —
+// see netcore.Config; netcore.BuildConfig gives the defaults).
 func ListenConfig(id wire.NodeID, addr string, cfg netcore.Config) (*Node, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -121,8 +121,9 @@ func unescapeLabel(s string) string {
 // label sets (cumulative counts add), then differenced back to
 // per-bucket counts; _count and _sum series are summed likewise. It is
 // the read-side inverse of the writer's cumulative rendering, used by
-// fleet rollups. Returns an error when the family has no bucket samples
-// or the bucket counts are not monotonically non-decreasing.
+// fleet rollups (acmon's latency indicators). Returns an error when the
+// family has no bucket samples or the bucket counts are not monotonically
+// non-decreasing.
 func (m *Metrics) HistogramFrom(familyName string) (HistogramSnapshot, error) {
 	if t := m.Types[familyName]; t != "histogram" {
 		return HistogramSnapshot{}, fmt.Errorf("telemetry: %q is %q, not a histogram", familyName, t)

@@ -141,6 +141,90 @@ func writeSample(w *bufio.Writer, name string, labels, values []string, extraKey
 	w.WriteByte('\n')
 }
 
+// Write renders a parsed exposition back in text format, leaving out the
+// families in skip: families in name order, each with its # HELP (when
+// known) and # TYPE lines, then its samples ordered by series name, by
+// label set (labels compared by name, "le" aside) and by numeric "le"
+// bound, so a histogram's buckets read in bound order. Help text is written
+// as parsed. acmon re-exports its fleet rollup this way.
+func (m *Metrics) Write(w io.Writer, skip map[string]bool) error {
+	fams := make([]string, 0, len(m.Types))
+	for name := range m.Types {
+		if !skip[name] {
+			fams = append(fams, name)
+		}
+	}
+	sort.Strings(fams)
+	byFam := make(map[string][]Sample, len(fams))
+	for _, s := range m.Samples {
+		fam := m.Family(s.Name)
+		byFam[fam] = append(byFam[fam], s)
+	}
+	bw := bufio.NewWriter(w)
+	for _, name := range fams {
+		ss := byFam[name]
+		sort.Slice(ss, func(i, j int) bool {
+			a, b := ss[i], ss[j]
+			if a.Name != b.Name {
+				return a.Name < b.Name
+			}
+			if ka, kb := labelKey(a.Labels), labelKey(b.Labels); ka != kb {
+				return ka < kb
+			}
+			return leBound(a) < leBound(b)
+		})
+		if help, ok := m.Help[name]; ok {
+			fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
+		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", name, m.Types[name])
+		for _, s := range ss {
+			bw.WriteString(s.Name)
+			for i, l := range s.Labels {
+				if i == 0 {
+					bw.WriteByte('{')
+				} else {
+					bw.WriteByte(',')
+				}
+				bw.WriteString(l.Name)
+				bw.WriteString(`="`)
+				bw.WriteString(escapeLabel(l.Value))
+				bw.WriteByte('"')
+			}
+			if len(s.Labels) > 0 {
+				bw.WriteByte('}')
+			}
+			bw.WriteByte(' ')
+			bw.WriteString(formatFloat(s.Value))
+			bw.WriteByte('\n')
+		}
+	}
+	return bw.Flush()
+}
+
+// labelKey orders label sets for Write: name=value pairs sorted by label
+// name, "le" left out.
+func labelKey(labels []Label) string {
+	pairs := make([]string, 0, len(labels))
+	for _, l := range labels {
+		if l.Name != "le" {
+			pairs = append(pairs, l.Name+"\x00"+l.Value)
+		}
+	}
+	sort.Strings(pairs)
+	return strings.Join(pairs, "\x02")
+}
+
+// leBound is a sample's "le" bound, +Inf when it has none or it does not
+// parse.
+func leBound(s Sample) float64 {
+	le, _ := s.Label("le")
+	v, err := parseValue(le)
+	if err != nil {
+		return math.Inf(+1)
+	}
+	return v
+}
+
 func formatFloat(v float64) string {
 	switch {
 	case math.IsInf(v, +1):

@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"iter"
 	"math"
 	"strconv"
@@ -420,24 +419,4 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.chunks, c.n, c.epoch, c.names, c.index, c.spill = nil, 0, ring.Epoch{}, nil, nil, nil
 	c.counts = [len(c.counts)]int{}
-}
-
-// Writer is a Tracer that streams each event as one line to an io.Writer
-// (log files, stderr). Writes are serialized; write errors are dropped —
-// tracing must never take the protocol down.
-type Writer struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-var _ Tracer = (*Writer)(nil)
-
-// NewWriter returns a line-streaming tracer.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// Emit implements Tracer.
-func (t *Writer) Emit(e Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	fmt.Fprintln(t.w, e.String())
 }

@@ -368,46 +368,3 @@ func TestCollectorConcurrent(t *testing.T) {
 		t.Errorf("Count = %d", c.Count(EventCacheHit))
 	}
 }
-
-func TestWriterTracer(t *testing.T) {
-	var buf strings.Builder
-	w := NewWriter(&buf)
-	w.Emit(Event{Node: "h0", Type: EventCacheHit, App: "a"})
-	w.Emit(Event{Node: "m1", Type: EventFrozen})
-	out := buf.String()
-	if !strings.Contains(out, "cache-hit") || !strings.Contains(out, "frozen") {
-		t.Errorf("writer output = %q", out)
-	}
-	if strings.Count(out, "\n") != 2 {
-		t.Errorf("want one line per event, got %q", out)
-	}
-}
-
-func TestWriterTracerConcurrent(t *testing.T) {
-	var buf strings.Builder
-	w := NewWriter(&safeBuilder{b: &buf})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			w.Emit(Event{Type: EventQuerySent})
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		w.Emit(Event{Type: EventCacheHit})
-	}
-	<-done
-}
-
-// safeBuilder makes strings.Builder usable from the Writer's serialized
-// writes without racing the test's final read.
-type safeBuilder struct {
-	mu sync.Mutex
-	b  *strings.Builder
-}
-
-func (s *safeBuilder) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}

@@ -54,15 +54,10 @@ type Node struct {
 
 var _ core.Env = (*Node)(nil)
 
-// Listen binds a UDP socket ("127.0.0.1:0" picks a free port) with default
-// transport tuning.
-func Listen(id wire.NodeID, addr string) (*Node, error) {
-	return ListenConfig(id, addr, netcore.BuildConfig())
-}
-
-// ListenConfig binds a UDP socket with explicit transport tuning (queue
-// depth, stats publishing — see netcore.Config; dial and stream deadlines
-// do not apply to datagrams).
+// ListenConfig binds a UDP socket ("127.0.0.1:0" picks a free port) with the
+// given transport tuning (queue depth, stats publishing — see
+// netcore.Config, whose defaults netcore.BuildConfig gives; dial and stream
+// deadlines do not apply to datagrams).
 func ListenConfig(id wire.NodeID, addr string, cfg netcore.Config) (*Node, error) {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {

@@ -30,7 +30,7 @@ func (c *collector) count() int {
 
 func listen(t *testing.T, id wire.NodeID) *Node {
 	t.Helper()
-	n, err := Listen(id, "127.0.0.1:0")
+	n, err := ListenConfig(id, "127.0.0.1:0", netcore.BuildConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

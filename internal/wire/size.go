@@ -7,10 +7,10 @@ import (
 )
 
 // Size returns the exact length of the frame Marshal would produce for msg,
-// without encoding anything. It exists for byte accounting on hot paths —
-// the simulated network's Config.CountBytes used to pay one Marshal (and
-// its buffer allocation) per message just to take len() of the result. Size
-// walks the same field layout as AppendMarshal and allocates nothing;
+// without encoding anything. netcore sizes each outbound message with it
+// once, to reserve its frame and to drop what cannot be sent, without
+// paying a Marshal (and its buffer allocation) per message. Size walks the
+// same field layout as AppendMarshal and allocates nothing;
 // TestSizeMatchesMarshal pins the two against each other for every message
 // kind so they cannot drift apart.
 func Size(msg Message) (int, error) {

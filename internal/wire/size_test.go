@@ -71,9 +71,9 @@ func TestAppendMarshalReusesBuffer(t *testing.T) {
 	}
 }
 
-// TestSizeAllocationBudget pins Size to zero allocations: it exists so the
-// network's CountBytes accounting costs no per-message garbage, and any
-// regression here silently reintroduces that cost.
+// TestSizeAllocationBudget pins Size to zero allocations: netcore sizes
+// every outbound message with it, so any regression here puts garbage on
+// each send.
 func TestSizeAllocationBudget(t *testing.T) {
 	msgs := []Message{
 		Query{App: "stocks", User: "alice", Right: RightUse, Nonce: 42},
