@@ -8,9 +8,10 @@ package wanac
 // invokes its callback directly and builds its one ring record in place, so
 // it allocates nothing with any combination of observers — the ring writes
 // checks are made of, the two halves of a cold check: a manager serving a query
-// and a host taking a round to quorum, the events a node emits while shedding
-// load, a simulated revocation and re-grant and the same split by stage, and
-// what a world costs to build before it has recorded anything.
+// and a host taking a round to quorum, a whole cold check over loopback TCP
+// (11 objects), the events a node emits while shedding load, a simulated
+// revocation and re-grant and the same split by stage, and what a world costs
+// to build before it has recorded anything.
 //
 // A ring allocates its slots as records arrive, a dozen allocations on the
 // way to its capacity and none after. AllocsPerRun reports whole objects per
@@ -18,6 +19,7 @@ package wanac
 // steady state's.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -393,6 +395,74 @@ func TestSimColdCheckAllocationBudget(t *testing.T) {
 	}
 	if cold < 500 {
 		t.Errorf("%d quorum allows, want >= 500 (checks not cold)", cold)
+	}
+}
+
+// TestTCPColdCheckAllocationBudget pins a cold check over loopback TCP end
+// to end: 3 managers and 1 host, each behind its own transport from Listen,
+// no observers, one check at C = 2 per run for a distinct seeded user whose
+// grant has expired. Every user is checked once first, so the host's cache
+// and each manager's vouch lists already hold a record to reuse. The 11
+// objects are the 4 decoded messages boxed, the 2 Responses and the Query
+// boxed for Send, and the 4 user ids the decoders copy.
+func TestTCPColdCheckAllocationBudget(t *testing.T) {
+	const users, budget = 4096, 11
+	listen := func(id NodeID) Transport {
+		tr, err := Listen("tcp", id, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
+	}
+	ids := []NodeID{"m0", "m1", "m2"}
+	seeded := make([]UserID, users)
+	for i := range seeded {
+		seeded[i] = UserID(fmt.Sprintf("u%04d", i))
+	}
+	hostNode := listen("h0")
+	for _, id := range ids {
+		tr := listen(id)
+		m := NewManager(id, tr, nil, nil)
+		if err := m.AddApp("app", ManagerAppConfig{Peers: ids, CheckQuorum: 2, Te: time.Millisecond}); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range seeded {
+			m.Seed("app", u, RightUse)
+		}
+		tr.SetHandler(m)
+		if err := hostNode.AddPeer(id, tr.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	host := NewHost("h0", hostNode, nil, nil)
+	if err := host.RegisterApp("app", HostAppConfig{
+		Managers: ids,
+		Policy:   Policy{CheckQuorum: 2, Te: time.Millisecond, QueryTimeout: time.Minute, MaxAttempts: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	hostNode.SetHandler(host)
+	done := make(chan Decision, 1)
+	cb := func(d Decision) { done <- d }
+	cold, next := 0, 0
+	check := func() {
+		host.Check("app", seeded[next%users], RightUse, cb)
+		next++
+		if d := <-done; d.Allowed && !d.CacheHit && d.Confirmations == 2 {
+			cold++
+		}
+	}
+	for range users {
+		check()
+	}
+	cold = 0
+	allocs := testing.AllocsPerRun(3000, check)
+	if cold != 3001 {
+		t.Fatalf("%d of 3001 checks were quorum allows, want all (checks not cold)", cold)
+	}
+	if allocs != budget {
+		t.Errorf("cold TCP check allocates %.3f objects/op, want exactly %d", allocs, budget)
 	}
 }
 
