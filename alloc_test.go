@@ -9,7 +9,7 @@ package wanac
 // it allocates nothing with any combination of observers — the ring writes
 // checks are made of, the two halves of a cold check: a manager serving a query
 // and a host taking a round to quorum, a whole cold check over loopback TCP
-// (11 objects), the events a node emits while shedding load, a simulated
+// (9 objects), the events a node emits while shedding load, a simulated
 // revocation and re-grant and the same split by stage, and what a world costs
 // to build before it has recorded anything.
 //
@@ -27,6 +27,7 @@ import (
 	"wanac/internal/audit"
 	"wanac/internal/core"
 	"wanac/internal/flight"
+	"wanac/internal/netcore"
 	"wanac/internal/sim"
 	"wanac/internal/simnet"
 	"wanac/internal/telemetry"
@@ -402,11 +403,12 @@ func TestSimColdCheckAllocationBudget(t *testing.T) {
 // to end: 3 managers and 1 host, each behind its own transport from Listen,
 // no observers, one check at C = 2 per run for a distinct seeded user whose
 // grant has expired. Every user is checked once first, so the host's cache
-// and each manager's vouch lists already hold a record to reuse. The 11
+// and each manager's vouch lists already hold a record to reuse. The 9
 // objects are the 4 decoded messages boxed, the 2 Responses and the Query
-// boxed for Send, and the 4 user ids the decoders copy.
+// boxed for Send, and the user ids of the 2 Queries, which the managers'
+// decoders copy; a Response's user id is lent from its frame.
 func TestTCPColdCheckAllocationBudget(t *testing.T) {
-	const users, budget = 4096, 11
+	const users, budget = 4096, 9
 	listen := func(id NodeID) Transport {
 		tr, err := Listen("tcp", id, "127.0.0.1:0")
 		if err != nil {
@@ -463,6 +465,112 @@ func TestTCPColdCheckAllocationBudget(t *testing.T) {
 	}
 	if allocs != budget {
 		t.Errorf("cold TCP check allocates %.3f objects/op, want exactly %d", allocs, budget)
+	}
+}
+
+// TestLentResponseUser feeds a host, wired as acnode wires one (the
+// telemetry bridge over a flight tee, plus an audit ring), Responses decoded
+// by a transport's netcore.FrameDecoder, and overwrites each frame once
+// HandleMessage returns, as the transport's next read does. A Response's user
+// id is a view of its frame, so nothing the host keeps may be it: the
+// decision, the cache entry and the audit and flight records still name the
+// user the check asked about. A reply to a stale or forged round then costs
+// its box alone, so an attacker's choice of user ids allocates nothing at
+// the host.
+func TestLentResponseUser(t *testing.T) {
+	env := &stubEnv{now: time.Unix(1000, 0)}
+	fl := flight.NewRecorder("h0", 256, env.Now)
+	aud := audit.NewRecorder("h0", 256, nil)
+	reg := telemetry.NewRegistry()
+	h := core.NewHost("h0", env, telemetry.InstrumentTracer(reg, flight.Tee(fl, nil)), nil)
+	if err := h.RegisterApp("app", core.HostAppConfig{
+		Managers: []wire.NodeID{"m0", "m1", "m2"},
+		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	core.InstrumentHost(reg, aud, h)
+
+	var dec netcore.FrameDecoder
+	buf := make([]byte, 0, 256)
+	deliver := func(frame []byte) {
+		buf = append(buf[:0], frame...)
+		from, msgs, err := dec.Decode(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			h.HandleMessage(from, m)
+		}
+		for i := range buf {
+			buf[i] = ^buf[i]
+		}
+	}
+	encode := func(from wire.NodeID, m wire.Message) []byte {
+		frame, err := netcore.EncodeFrame(from, m, netcore.DefaultMaxFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+
+	const user = "alice"
+	var got []core.Decision
+	h.Check("app", user, wire.RightUse, func(d core.Decision) { got = append(got, d) })
+	q := env.query
+	for _, from := range []wire.NodeID{"m0", "m1"} {
+		deliver(encode(from, wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce,
+			Granted: true, Expire: time.Minute, Trace: q.Trace}))
+	}
+	h.Check("app", user, wire.RightUse, func(d core.Decision) { got = append(got, d) })
+	if len(got) != 2 || !got[0].Allowed || got[0].Confirmations != 2 || !got[1].CacheHit {
+		t.Fatalf("decisions = %+v, want a quorum allow by 2, then a cache hit", got)
+	}
+	if es := h.CacheSnapshot(); len(es) != 1 || es[0].User != user || h.CacheGranters("app", user, wire.RightUse) != 2 {
+		t.Errorf("cache = %+v, want one entry for %s vouched for by 2", es, user)
+	}
+	decisions := 0
+	for _, r := range aud.Snapshot() {
+		if r.User != user {
+			t.Errorf("audit record names user %q, want %q", r.User, user)
+		}
+		if r.Kind == audit.KindDecision {
+			decisions++
+		}
+	}
+	if decisions != 2 {
+		t.Errorf("%d audit decision records, want 2", decisions)
+	}
+	recs := fl.Snapshot()
+	if len(recs) == 0 {
+		t.Error("no flight records")
+	}
+	for _, r := range recs {
+		if r.User != user {
+			t.Errorf("flight record %s names user %q, want %q", r.Type, r.User, user)
+		}
+	}
+
+	// Replies to a stale round (a nonce nothing waits on) and to a pending
+	// round under a forged user id, each id new to the host.
+	h.Check("app", "bob", wire.RightUse, func(d core.Decision) { t.Errorf("bob decided: %+v", d) })
+	pending := env.query.Nonce
+	var frames [][]byte
+	for i := range 1001 {
+		nonce := pending
+		if i%2 == 0 {
+			nonce = q.Nonce
+		}
+		frames = append(frames, encode("m0", wire.Response{App: "app", User: wire.UserID(fmt.Sprintf("forged%04d", i)),
+			Right: wire.RightUse, Nonce: nonce, Granted: true, Expire: time.Minute}))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		deliver(frames[next])
+		next++
+	})
+	if allocs != 1 {
+		t.Errorf("a stale or forged Response allocates %.3f objects, want exactly 1 (its box)", allocs)
 	}
 }
 

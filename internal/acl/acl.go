@@ -167,7 +167,8 @@ func (s *Store) Revoke(app wire.AppID, user wire.UserID, r wire.Right) bool {
 }
 
 // Withdraw is Revoke returning the vouches that went with the right, sorted
-// by host id: the hosts the revocation is to be forwarded to.
+// by host id: the hosts the revocation is to be forwarded to. user must be
+// the caller's own string, never a view of a frame (see Vouch).
 func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouched []Vouch, changed bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -193,7 +194,7 @@ func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouche
 	}
 	slices.SortFunc(vouched, func(a, b Vouch) int { return cmp.Compare(a.Host, b.Host) })
 	if !rec.rights.Empty() {
-		users[user] = rec
+		users[user] = rec // stores user as the key: it must be owned
 		return vouched, true
 	}
 	delete(users, user)
@@ -208,6 +209,11 @@ func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouche
 // deadline. A host already listed for r has its deadline replaced; a new
 // host takes over the first record of r whose deadline has passed at now,
 // so a user's list is bounded by the hosts that can still hold the right.
+//
+// user must be the caller's own string, never a view of a frame: assigning
+// to a key already in a map stores the new string as the key, so a lent id
+// would become the store's key and alias the frame for as long as the user
+// holds a right.
 func (s *Store) Vouch(app wire.AppID, user wire.UserID, r wire.Right, host wire.NodeID, deadline, now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,7 +252,7 @@ func (s *Store) Vouch(app wire.AppID, user wire.UserID, r wire.Right, host wire.
 		s.pool[tail].next = i
 	} else {
 		rec.head = i
-		users[user] = rec
+		users[user] = rec // stores user as the key: it must be owned
 	}
 	return true
 }

@@ -81,9 +81,10 @@ func encodeFrame(from wire.NodeID, msg wire.Message, maxFrame int, stream bool) 
 // remembers what a steady stream repeats — the last few sender ids (one UDP
 // socket hears every peer), the application ids the messages name — and
 // returns those strings again instead of allocating them per payload.
-// Decoded messages never alias data, so callers may reuse the buffer at
-// once; the slice holding them is the decoder's, reused by its next call.
-// The zero value is ready; not safe for concurrent use.
+// Decoded messages alias data only in a Response's User, which is lent (see
+// Handler): callers dispatch the messages before they reuse the buffer. The
+// slice holding them is the decoder's, reused by its next call. The zero
+// value is ready; not safe for concurrent use.
 type FrameDecoder struct {
 	from [4]wire.NodeID
 	next uint8
@@ -92,6 +93,8 @@ type FrameDecoder struct {
 
 // Decode parses one payload into its sender and the protocol messages it
 // carries, in send order: a coalesced wire.Batch's, or a plain frame's one.
+// A Response's User is a view of data, valid until data is overwritten: a
+// transport dispatches the messages (Handler) before its next read.
 func (d *FrameDecoder) Decode(data []byte) (wire.NodeID, []wire.Message, error) {
 	idLen, n := binary.Uvarint(data)
 	if n <= 0 || idLen > uint64(len(data)-n) {
@@ -158,7 +161,8 @@ func SplitDatagram(data []byte, dst [][]byte) ([][]byte, error) {
 }
 
 // ReadStreamFrame reads one length-prefixed frame, rejecting sizes outside
-// (0, maxFrame].
+// (0, maxFrame]. The frame's buffer is the call's own, so a Response's User
+// stays valid.
 func ReadStreamFrame(r io.Reader, maxFrame int) (wire.NodeID, []wire.Message, error) {
 	return NewFrameReader(r, maxFrame).Next()
 }
@@ -180,7 +184,8 @@ func NewFrameReader(r io.Reader, maxFrame int) *FrameReader {
 }
 
 // Next reads and decodes the next frame (FrameDecoder.Decode), rejecting
-// sizes outside (0, maxFrame].
+// sizes outside (0, maxFrame]. A Response's User is a view of the reader's
+// buffer, valid until the next call to Next: dispatch it (Handler) first.
 func (f *FrameReader) Next() (wire.NodeID, []wire.Message, error) {
 	if _, err := io.ReadFull(f.r, f.buf[:4]); err != nil {
 		return "", nil, err

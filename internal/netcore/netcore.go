@@ -31,6 +31,12 @@ import (
 // Handler receives messages from the network. Both live transports dispatch
 // inbound traffic through this interface (it has the same shape as the
 // simulator's handler, so protocol nodes plug into either unchanged).
+//
+// A Response's User is lent: it is a view of the frame it was decoded from,
+// valid only until HandleMessage returns, after which the transport reads
+// its next frame into the same bytes. A handler may compare it; to keep it,
+// it copies it (strings.Clone). Every other field of every message is the
+// handler's to keep.
 type Handler interface {
 	HandleMessage(from wire.NodeID, msg wire.Message)
 }

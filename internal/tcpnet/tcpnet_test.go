@@ -377,8 +377,8 @@ func closedByPeer(c net.Conn, wait time.Duration) bool {
 
 // TestMaxSizeFramesReuseReadBuffer: a connection pays for its largest frame
 // once. N frames of exactly MaxFrame bytes cost their N decoded payloads
-// (decode copies; it never aliases the read buffer) plus one read buffer —
-// not a second MaxFrame allocation per frame.
+// (an Invoke's payload is a copy, never a view of the read buffer) plus one
+// read buffer — not a second MaxFrame allocation per frame.
 func TestMaxSizeFramesReuseReadBuffer(t *testing.T) {
 	const frames = 16
 	n := listen(t, "m0")

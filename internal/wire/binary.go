@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 )
 
 // Compact binary codec. Frames are self-describing: a one-byte type tag
@@ -80,16 +81,22 @@ func boolByte(v bool) byte {
 }
 
 type decoder struct {
-	buf  []byte
-	err  error
-	apps *Decoder
+	buf []byte
+	err error
+	dc  *Decoder // nil for the package-level Unmarshal, which copies everything
 }
 
 // Decoder decodes the frames of one connection. A node talks about a
 // handful of applications, so the Decoder keeps the last few application
 // ids it decoded and hands the same string back when a frame names one
-// again, instead of allocating it per message. The zero value is ready;
-// not safe for concurrent use.
+// again, instead of allocating it per message.
+//
+// A Response's User is lent, not copied: it is a view of the frame, valid
+// until the frame's bytes are reused — in a transport, until the handler's
+// HandleMessage returns. The host that reads it only compares it with the
+// key of the round it sent (§3.2), so a reply to a stale or forged round
+// costs no copy. Every other string and byte slice is a copy. The zero value
+// is ready; not safe for concurrent use.
 type Decoder struct {
 	apps [4]AppID
 	next uint8
@@ -101,7 +108,7 @@ type Decoder struct {
 // when the frame is being decoded by a Decoder.
 func (d *decoder) app() AppID {
 	b := d.raw()
-	t := d.apps
+	t := d.dc
 	if t == nil {
 		return AppID(b)
 	}
@@ -174,6 +181,17 @@ func (d *decoder) raw() []byte {
 }
 
 func (d *decoder) string() string { return string(d.raw()) }
+
+// lent decodes a length-prefixed string as a view of the frame when the
+// frame is being decoded by a Decoder, and as a copy otherwise. Only a
+// Response's User is decoded this way (see Decoder).
+func (d *decoder) lent() string {
+	b := d.raw()
+	if d.dc == nil || len(b) == 0 {
+		return string(b)
+	}
+	return unsafe.String(&b[0], len(b))
+}
 
 func (d *decoder) bytes() []byte {
 	b := d.raw()
@@ -376,13 +394,13 @@ func AppendBatch(buf []byte, msgs []Message) ([]byte, error) {
 }
 
 // Unmarshal decodes a frame produced by Marshal. The message never aliases
-// data: every string and byte slice in it is a copy.
+// data: every string and byte slice in it is a copy, a Response's User too.
 func Unmarshal(data []byte) (Message, error) {
 	return (*Decoder)(nil).Unmarshal(data)
 }
 
-// Unmarshal is the package-level Unmarshal through dc's intern table (none
-// when dc is nil).
+// Unmarshal is the package-level Unmarshal through dc's intern table. With
+// a non-nil dc a Response's User is lent from data (see Decoder).
 func (dc *Decoder) Unmarshal(data []byte) (Message, error) {
 	msg, msgs, err := dc.frame(data, nil)
 	if err == nil && msg == nil {
@@ -393,7 +411,8 @@ func (dc *Decoder) Unmarshal(data []byte) (Message, error) {
 
 // Messages decodes a frame into the messages it carries, in order: a
 // Batch's, or a plain frame's one. The slice is dc's until its next call;
-// the messages in it are the caller's.
+// the messages in it are the caller's, but a Response's User is lent from
+// data (see Decoder).
 func (dc *Decoder) Messages(data []byte) ([]Message, error) {
 	if dc.msgs == nil {
 		dc.msgs = dc.one[:0]
@@ -409,7 +428,7 @@ func (dc *Decoder) Messages(data []byte) ([]Message, error) {
 // frame decodes one frame: a plain message, or a Batch's messages appended
 // to msgs (and a nil message).
 func (dc *Decoder) frame(data []byte, msgs []Message) (Message, []Message, error) {
-	d := &decoder{buf: data, apps: dc}
+	d := &decoder{buf: data, dc: dc}
 	tag := d.byte()
 	if d.err != nil {
 		return nil, nil, d.err
@@ -480,7 +499,7 @@ func decodeMessage(d *decoder, tag byte) (Message, error) {
 	case tagResponse:
 		msg = Response{
 			App:     d.app(),
-			User:    UserID(d.string()),
+			User:    UserID(d.lent()),
 			Right:   Right(d.byte()),
 			Nonce:   d.uint(),
 			Granted: d.bool(),

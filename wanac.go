@@ -170,7 +170,9 @@ type Transport interface {
 }
 
 type (
-	// TransportHandler receives inbound messages (a Host or Manager).
+	// TransportHandler receives inbound messages (a Host or Manager). A
+	// Response's User is valid only until HandleMessage returns: it is a
+	// view of the frame the transport decoded it from.
 	TransportHandler = netcore.Handler
 	// TransportStats is a snapshot of transport counters, queue depth, and
 	// peer health.
