@@ -187,10 +187,10 @@ func (d *decoder) string() string { return string(d.raw()) }
 // Response's User is decoded this way (see Decoder).
 func (d *decoder) lent() string {
 	b := d.raw()
-	if d.dc == nil || len(b) == 0 {
+	if d.dc == nil {
 		return string(b)
 	}
-	return unsafe.String(&b[0], len(b))
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 func (d *decoder) bytes() []byte {

@@ -47,16 +47,16 @@ echo "== only a Response's user id is lent"
 # wire.Decoder decodes a Response's User as a view of the frame (decoder.lent
 # in binary.go), valid until the handler returns; the host only compares it
 # with its round's own key. Every other field is a copy, so nothing a node
-# keeps aliases a frame. unsafe elsewhere in internal/wire, a second
-# unsafe.String or a second lent field would hand a handler a view it has not
-# agreed to give back.
+# keeps aliases a frame. unsafe elsewhere in internal/wire, unsafe used
+# outside decoder.lent, or a second lent field would hand a handler a view it
+# has not agreed to give back.
 wiresrc=$(ls internal/wire/*.go | grep -v _test.go)
 unsafes=$(grep -n '"unsafe"' $wiresrc | grep -v '^internal/wire/binary.go:' || true)
 [ -z "$unsafes" ] || { echo "unsafe imported in internal/wire outside binary.go:"; echo "$unsafes"; exit 1; }
 views=$(awk '/^func \(d \*decoder\) lent\(/ { inside = 1 }
-	!inside && /unsafe\.String\(/ { print FILENAME ":" FNR ": " $0 }
+	!inside && /unsafe\./ { print FILENAME ":" FNR ": " $0 }
 	/^}/ { inside = 0 }' $wiresrc)
-[ -z "$views" ] || { echo "unsafe.String outside decoder.lent:"; echo "$views"; exit 1; }
+[ -z "$views" ] || { echo "unsafe used outside decoder.lent:"; echo "$views"; exit 1; }
 lent=$(awk '/^\tcase tag[A-Za-z]+:/ { c = $2 }
 	/d\.lent\(\)/ { n++; if (c != "tagResponse:") print FILENAME ":" FNR ": " $0 }
 	END { if (n != 1) print "decoder.lent called " n + 0 " times, want once" }' $wiresrc)
