@@ -24,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
 	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/netcore"
@@ -131,10 +130,9 @@ func TestCacheHitCheckAllocationBudgetWithFlight(t *testing.T) {
 }
 
 // TestCacheHitCheckAllocationBudgetWithAudit re-runs the cached-check
-// budget with the audit recorder attached. The decision record is built in
-// its ring slot from evidence already in hand, so provenance —
-// like flight recording — rides the hot path for free and the budget stays
-// 0.
+// budget with the node journal taking decisions. The decision record is
+// built in its slot from evidence already in hand, so provenance — like
+// protocol recording — rides the hot path for free and the budget stays 0.
 func TestCacheHitCheckAllocationBudgetWithAudit(t *testing.T) {
 	w, err := sim.Build(sim.Config{
 		Managers: 3, Hosts: 1,
@@ -157,28 +155,27 @@ func TestCacheHitCheckAllocationBudgetWithAudit(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("audited cached check allocates %.1f objects/op, budget is 0", allocs)
 	}
-	if rec := w.Audits[sim.HostID(0)]; rec == nil || rec.Total() < 500 {
-		t.Error("audit recorder not attached or not recording on the cached path")
+	if rec := w.Journals[0]; rec.Node() != string(sim.HostID(0)) || rec.Decisions() < 500 {
+		t.Error("journal not attached or not recording on the cached path")
 	}
 }
 
-// TestRingRecordAllocationBudget pins the ring writes checks are built from
-// at zero on their own: a flight-recorded trace event, a general audit
-// record, and the in-slot cache-hit audit record that is a hit's one record.
+// TestRingRecordAllocationBudget pins the journal writes checks are built
+// from at zero on their own: a trace event, a general decision record, and
+// the in-slot cache-hit record that is a hit's one record.
 func TestRingRecordAllocationBudget(t *testing.T) {
 	now := time.Unix(1000, 0)
-	fl := flight.NewRecorder("h0", 64, nil)
+	j := flight.NewRecorder("h0", 64, nil)
 	ev := trace.Event{Time: now, Node: "h0", Type: trace.EventCacheHit, App: "app", User: "u", Trace: 7}
-	aud := audit.NewRecorder("h0", 64, nil)
-	rec := audit.Record{Kind: audit.KindDecision, T: now, App: "app", User: "u", Right: "use",
-		Reason: audit.ReasonCacheHit, Allowed: true, Granters: 2}
+	rec := flight.Record{Kind: flight.KindDecision, T: now, App: "app", User: "u", Right: "use",
+		Reason: flight.ReasonCacheHit, Allowed: true, Granters: 2}
 	for _, c := range []struct {
 		name string
 		fn   func()
 	}{
-		{"flight.RecordEvent", func() { fl.RecordEvent(ev) }},
-		{"audit.Record", func() { aud.Record(rec) }},
-		{"audit.RecordCacheHit", func() { aud.RecordCacheHit(now, 7, "app", "u", "use", 2, now) }},
+		{"RecordEvent", func() { j.RecordEvent(ev) }},
+		{"Record", func() { j.Record(rec) }},
+		{"RecordCacheHit", func() { j.RecordCacheHit(now, 7, "app", "u", "use", 2, now) }},
 	} {
 		if allocs := testing.AllocsPerRun(1000, c.fn); allocs > 0 {
 			t.Errorf("%s allocates %.1f objects/op, budget is 0", c.name, allocs)
@@ -188,7 +185,7 @@ func TestRingRecordAllocationBudget(t *testing.T) {
 
 // TestWorldBuildByteBudget pins what a world costs before it has recorded
 // anything: the live workloads' shape (3 managers, 2 hosts) with every node's
-// flight and audit ring on at 8192 records. Rings allocated up front made
+// journal on with windows of 8192 records. Rings allocated up front made
 // this 19 MB, which every one of a sweep's worlds paid whether its nodes
 // recorded a hundred records or ten thousand.
 func TestWorldBuildByteBudget(t *testing.T) {
@@ -244,8 +241,8 @@ func (e *stubEnv) SetTimer(d time.Duration, fn func()) core.TimerHandle {
 
 // TestEventEmissionAllocationBudget pins what emitting a protocol event costs
 // on the two paths a node walks while shedding load, under each observer
-// set a deployment runs: acnode's (the telemetry bridge over a flight tee,
-// plus an audit ring) and the simulator's warm trace.Collector. A shed query
+// set a deployment runs: acnode's (the telemetry bridge over a journal tee,
+// the journal taking decisions too) and the simulator's warm trace.Collector. A shed query
 // allocates exactly its Busy reply, boxed for Send. A host's backoff cycle —
 // a Busy reply that parks its check, then the timer that resumes it with a
 // new round — allocates exactly the round's boxed Query, so the backoff
@@ -273,7 +270,7 @@ func TestEventEmissionAllocationBudget(t *testing.T) {
 			}
 			var q wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
 			if obs.aud {
-				core.InstrumentManager(telemetry.NewRegistry(), audit.NewRecorder("m0", 64, nil), m)
+				core.InstrumentManager(telemetry.NewRegistry(), flight.NewRecorder("m0", 64, nil), m)
 			}
 			m.HandleMessage("h0", q) // the bucket's one token; the clock never refills it
 			shed := testing.AllocsPerRun(500, func() { m.HandleMessage("h0", q) })
@@ -293,7 +290,7 @@ func TestEventEmissionAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 			if obs.aud {
-				core.InstrumentHost(telemetry.NewRegistry(), audit.NewRecorder("h0", 64, nil), h)
+				core.InstrumentHost(telemetry.NewRegistry(), flight.NewRecorder("h0", 64, nil), h)
 			}
 			h.Check("app", "u", wire.RightUse, func(core.Decision) { t.Error("a parked check was decided") })
 			cycle := func() {
@@ -312,21 +309,22 @@ func TestEventEmissionAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestManagerQueryAllocationBudget pins a served query — trace events into
-// a flight ring and a response audit record attached, the host already in
-// the user's record — at the one object it cannot avoid: the Response boxed
-// for Send. The verdict, the grant bookkeeping, the served note and the
-// audit record allocate nothing.
+// TestManagerQueryAllocationBudget pins a served query — trace events and a
+// response record into a journal, the host already in the user's record —
+// at the one object it cannot avoid: the Response boxed for Send. The
+// verdict, the grant bookkeeping, the served note and the response record
+// allocate nothing.
 func TestManagerQueryAllocationBudget(t *testing.T) {
 	env := &stubEnv{now: time.Unix(1000, 0)}
-	m := core.NewManager("m0", env, flight.Tee(flight.NewRecorder("m0", 64, nil), nil), nil)
+	j := flight.NewRecorder("m0", 64, nil)
+	m := core.NewManager("m0", env, flight.Tee(j, nil), nil)
 	if err := m.AddApp("app", core.ManagerAppConfig{
 		Peers: []wire.NodeID{"m0", "m1", "m2"}, CheckQuorum: 2, Te: time.Minute,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	m.Seed("app", "u", wire.RightUse)
-	m.SetAudit(audit.NewRecorder("m0", 64, nil))
+	m.SetAudit(j)
 	var q wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
 	m.HandleMessage("h0", q)
 	allocs := testing.AllocsPerRun(500, func() { m.HandleMessage("h0", q) })
@@ -469,27 +467,26 @@ func TestTCPColdCheckAllocationBudget(t *testing.T) {
 }
 
 // TestLentResponseUser feeds a host, wired as acnode wires one (the
-// telemetry bridge over a flight tee, plus an audit ring), Responses decoded
-// by a transport's netcore.FrameDecoder, and overwrites each frame once
-// HandleMessage returns, as the transport's next read does. A Response's user
+// telemetry bridge over a journal tee, the journal taking decisions too),
+// Responses decoded by a transport's netcore.FrameDecoder, and overwrites
+// each frame once HandleMessage returns, as the transport's next read does. A Response's user
 // id is a view of its frame, so nothing the host keeps may be it: the
-// decision, the cache entry and the audit and flight records still name the
-// user the check asked about. A reply to a stale or forged round then costs
+// decision, the cache entry and the journal's records still name the user
+// the check asked about. A reply to a stale or forged round then costs
 // its box alone, so an attacker's choice of user ids allocates nothing at
 // the host.
 func TestLentResponseUser(t *testing.T) {
 	env := &stubEnv{now: time.Unix(1000, 0)}
-	fl := flight.NewRecorder("h0", 256, env.Now)
-	aud := audit.NewRecorder("h0", 256, nil)
+	j := flight.NewRecorder("h0", 256, env.Now)
 	reg := telemetry.NewRegistry()
-	h := core.NewHost("h0", env, telemetry.InstrumentTracer(reg, flight.Tee(fl, nil)), nil)
+	h := core.NewHost("h0", env, telemetry.InstrumentTracer(reg, flight.Tee(j, nil)), nil)
 	if err := h.RegisterApp("app", core.HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1", "m2"},
 		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	core.InstrumentHost(reg, aud, h)
+	core.InstrumentHost(reg, j, h)
 
 	var dec netcore.FrameDecoder
 	buf := make([]byte, 0, 256)
@@ -530,25 +527,16 @@ func TestLentResponseUser(t *testing.T) {
 		t.Errorf("cache = %+v, want one entry for %s vouched for by 2", es, user)
 	}
 	decisions := 0
-	for _, r := range aud.Snapshot() {
+	for _, r := range j.Snapshot() {
 		if r.User != user {
-			t.Errorf("audit record names user %q, want %q", r.User, user)
+			t.Errorf("%s record %s names user %q, want %q", r.Kind, r.Type, r.User, user)
 		}
-		if r.Kind == audit.KindDecision {
+		if r.Kind == flight.KindDecision {
 			decisions++
 		}
 	}
-	if decisions != 2 {
-		t.Errorf("%d audit decision records, want 2", decisions)
-	}
-	recs := fl.Snapshot()
-	if len(recs) == 0 {
-		t.Error("no flight records")
-	}
-	for _, r := range recs {
-		if r.User != user {
-			t.Errorf("flight record %s names user %q, want %q", r.Type, r.User, user)
-		}
+	if decisions != 2 || j.Total() == 2 {
+		t.Errorf("%d decision records of %d in the journal, want 2 and protocol records", decisions, j.Total())
 	}
 
 	// Replies to a stale round (a nonce nothing waits on) and to a pending
@@ -858,14 +846,15 @@ func (n *queueNet) drain(around func(kind string, deliver func())) {
 
 func coldRoundBudget(t *testing.T, env *stubEnv) {
 	t.Helper()
-	h := core.NewHost("h0", env, flight.Tee(flight.NewRecorder("h0", 64, nil), nil), nil)
+	j := flight.NewRecorder("h0", 64, nil)
+	h := core.NewHost("h0", env, flight.Tee(j, nil), nil)
 	if err := h.RegisterApp("app", core.HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1", "m2"},
 		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h.SetAudit(audit.NewRecorder("h0", 64, nil))
+	h.SetAudit(j)
 	allowed := 0
 	cb := func(d core.Decision) {
 		if d.Allowed && !d.CacheHit {

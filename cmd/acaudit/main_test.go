@@ -1,10 +1,10 @@
 package main
 
-// Golden tests: a deterministic simulated deployment produces the three
-// canonical decisions the ISSUE's acceptance demands — a cache-hit allow,
-// a quorum deny, and a partition-era default allow — its audit and flight
-// artifacts are written to disk, and acaudit must reconstruct each
-// decision's evidence chain from the files alone.
+// Golden tests: a deterministic simulated deployment produces three
+// canonical decisions — a cache-hit allow, a quorum deny, and a
+// partition-era default allow — its merged journal is written to disk, and
+// acaudit must reconstruct each decision's evidence chain from the file
+// alone.
 
 import (
 	"io"
@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
 	"wanac/internal/clitest"
 	"wanac/internal/core"
 	"wanac/internal/flight"
@@ -24,10 +23,9 @@ import (
 	"wanac/internal/wire"
 )
 
-// buildArtifacts runs the deterministic scenario and dumps every node's
-// audit ring and the merged flight dump to dir, returning the file paths in
-// sniffable (mixed) order.
-func buildArtifacts(t *testing.T, dir string) []string {
+// buildArtifacts runs the deterministic scenario and writes its merged
+// journal to dir, returning the file's path.
+func buildArtifacts(t *testing.T, dir string) string {
 	t.Helper()
 	w, err := sim.Build(sim.Config{
 		App:      "app",
@@ -65,40 +63,31 @@ func buildArtifacts(t *testing.T, dir string) []string {
 		t.Fatalf("default check = %+v, %v", d, ok)
 	}
 
-	var paths []string
-	writeTo := func(name string, emit func(w io.Writer) error) {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := emit(f); err != nil {
-			t.Fatalf("write %s: %v", name, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		paths = append(paths, path)
+	path := filepath.Join(dir, "journal.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, rec := range w.AuditRings() {
-		writeTo(rec.Node()+"-audit.jsonl", rec.WriteDump)
+	if err := w.FlightDump().Write(f); err != nil {
+		t.Fatal(err)
 	}
-	writeTo("flight.jsonl", w.FlightDump().Write)
-	return paths
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestExplainGolden pins the full causal explanations for the three
-// acceptance decisions, reconstructed purely from dump files.
+// canonical decisions, reconstructed purely from the dump file.
 func TestExplainGolden(t *testing.T) {
-	paths := buildArtifacts(t, t.TempDir())
+	paths := []string{buildArtifacts(t, t.TempDir())}
 	for _, c := range []struct {
 		golden string
-		filter audit.Filter
+		filter flight.Filter
 	}{
-		{"explain_cache_hit.golden", audit.Filter{User: "alice", Last: 1}},
-		{"explain_quorum_deny.golden", audit.Filter{User: "bob"}},
-		{"explain_default_allow.golden", audit.Filter{User: "carol"}},
+		{"explain_cache_hit.golden", flight.Filter{User: "alice", Last: 1}},
+		{"explain_quorum_deny.golden", flight.Filter{User: "bob"}},
+		{"explain_default_allow.golden", flight.Filter{User: "carol"}},
 	} {
 		var b strings.Builder
 		if err := run(&b, c.filter, options{}, paths); err != nil {
@@ -108,61 +97,41 @@ func TestExplainGolden(t *testing.T) {
 	}
 }
 
-// TestRunErrors pins the CLI failure modes: no inputs, inputs without an
-// audit dump, a JSON file of no kind acaudit reads, and a filter nothing
-// matches.
+// TestRunErrors pins the CLI failure modes: no inputs, a JSON file of no
+// kind acaudit reads, and a filter nothing matches — also over dumps that
+// hold no decision at all.
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
-	paths := buildArtifacts(t, dir)
-	var flightOnly, auditOnly []string
-	for _, p := range paths {
-		switch {
-		case strings.Contains(p, "flight"):
-			flightOnly = append(flightOnly, p)
-		case strings.Contains(p, "audit"):
-			auditOnly = append(auditOnly, p)
-		}
-	}
+	paths := []string{buildArtifacts(t, dir)}
 	var b strings.Builder
-	if err := run(&b, audit.Filter{}, options{}, nil); err == nil {
+	if err := run(&b, flight.Filter{}, options{}, nil); err == nil {
 		t.Error("no inputs should error")
 	}
-	if err := run(&b, audit.Filter{}, options{}, flightOnly); err == nil ||
-		!strings.Contains(err.Error(), "no audit dumps") {
-		t.Errorf("flight-only input error = %v", err)
-	}
-	// A saved /debug/vars page is JSON, but none of the three kinds.
+	// A saved /debug/vars page is JSON, but no journal.
 	vars := filepath.Join(dir, "vars.json")
 	if err := os.WriteFile(vars, []byte(`{"cmdline":["acnode"],"memstats":{"Alloc":1}}`+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(&b, audit.Filter{}, options{}, append(auditOnly, vars)); err == nil ||
-		!strings.Contains(err.Error(), vars) || !strings.Contains(err.Error(), "not an audit dump, flight dump or audit stream") {
-		t.Errorf("expvar input error = %v, want one naming %s and the kinds read", err, vars)
+	if err := run(&b, flight.Filter{}, options{}, append(paths, vars)); err == nil ||
+		!strings.Contains(err.Error(), vars) || !strings.Contains(err.Error(), "record without node") {
+		t.Errorf("expvar input error = %v, want one naming %s", err, vars)
 	}
-	if err := run(&b, audit.Filter{User: "nobody"}, options{}, auditOnly); err == nil ||
+	if err := run(&b, flight.Filter{User: "nobody"}, options{}, paths); err == nil ||
 		!strings.Contains(err.Error(), "no decisions match") {
 		t.Errorf("unmatched filter error = %v", err)
 	}
-	if err := run(&b, audit.Filter{}, options{timeline: true}, auditOnly); err == nil ||
-		!strings.Contains(err.Error(), "no flight dumps") {
-		t.Errorf("timeline without flight dumps error = %v", err)
+	if err := run(&b, flight.Filter{}, options{}, []string{filepath.Join("testdata", "h0-flight.jsonl")}); err == nil ||
+		!strings.Contains(err.Error(), "no decisions match") {
+		t.Errorf("decision-free input error = %v", err)
 	}
 }
 
-// TestSniffRecordStream feeds a headerless -audit.jsonl record stream (as
-// written by acnode's sink, no dump header) and expects acaudit to wrap it
-// into a usable dump.
+// TestSniffRecordStream feeds a headerless record stream (as written by
+// acnode's -audit.jsonl sink, no dump header) and expects acaudit to read it
+// as a dump.
 func TestSniffRecordStream(t *testing.T) {
 	dir := t.TempDir()
-	paths := buildArtifacts(t, dir)
-	var hostDump string
-	for _, p := range paths {
-		if strings.HasSuffix(p, "h0-audit.jsonl") {
-			hostDump = p
-		}
-	}
-	data, err := os.ReadFile(hostDump)
+	data, err := os.ReadFile(buildArtifacts(t, dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +141,7 @@ func TestSniffRecordStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := run(&b, audit.Filter{User: "carol"}, options{}, []string{stream}); err != nil {
+	if err := run(&b, flight.Filter{User: "carol"}, options{}, []string{stream}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "reason=default_allow") {
@@ -180,14 +149,14 @@ func TestSniffRecordStream(t *testing.T) {
 	}
 }
 
-// renderTimeline runs acaudit -timeline over two single-node flight dumps — a
-// host whose clock runs 3s behind its manager's, and the manager, whose ring
-// has wrapped — and returns its stdout.
+// renderTimeline runs acaudit -timeline over two single-node journal dumps —
+// a host whose clock runs 3s behind its manager's, and the manager, whose
+// journal has wrapped — and returns its stdout.
 func renderTimeline(t *testing.T, o options) string {
 	t.Helper()
 	o.timeline = true
 	var b strings.Builder
-	if err := run(&b, audit.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl"), filepath.Join("testdata", "m0-flight.jsonl")}); err != nil {
+	if err := run(&b, flight.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl"), filepath.Join("testdata", "m0-flight.jsonl")}); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -219,12 +188,12 @@ func TestTimelineHTMLAndMergedOutputs(t *testing.T) {
 	}
 }
 
-// TestHTMLWithoutTimeline: -html alone over flight dumps writes the page,
-// prints nothing and succeeds, though no audit dump is among the inputs.
+// TestHTMLWithoutTimeline: -html alone writes the page, prints nothing and
+// succeeds, though the input holds no decision to explain.
 func TestHTMLWithoutTimeline(t *testing.T) {
 	o := options{html: filepath.Join(t.TempDir(), "tl.html")}
 	var b strings.Builder
-	if err := run(&b, audit.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl")}); err != nil {
+	if err := run(&b, flight.Filter{}, o, []string{filepath.Join("testdata", "h0-flight.jsonl")}); err != nil {
 		t.Fatal(err)
 	}
 	if page, err := os.ReadFile(o.html); err != nil || !strings.Contains(string(page), "<!DOCTYPE html>") || b.Len() != 0 {
@@ -233,80 +202,64 @@ func TestHTMLWithoutTimeline(t *testing.T) {
 }
 
 func TestTimelineRejectsNoInputs(t *testing.T) {
-	if err := run(io.Discard, audit.Filter{}, options{timeline: true}, nil); err == nil {
+	if err := run(io.Discard, flight.Filter{}, options{timeline: true}, nil); err == nil {
 		t.Fatal("want error when no inputs are given")
 	}
 }
 
 // TestExplainLiveAddress points acaudit at a debug-style HTTP endpoint
-// serving /debug/audit and /debug/flight: the decision is explained with the
-// flight history of its check, and the filter still selects.
+// serving /debug/journal: the decision is explained with the protocol
+// history of its check, and the filter still selects.
 func TestExplainLiveAddress(t *testing.T) {
-	rec := audit.NewRecorder("h0", 16, nil)
-	rec.Record(audit.Record{
-		Kind: audit.KindDecision, Trace: 0xa1, App: "stocks", User: "alice", Right: "use",
-		Reason: audit.ReasonCacheHit, Allowed: true, Granters: 2,
+	rec := flight.NewRecorder("h0", 16, nil)
+	rec.Record(flight.Record{
+		Kind: flight.KindDecision, Trace: 0xa1, App: "stocks", User: "alice", Right: "use",
+		Reason: flight.ReasonCacheHit, Allowed: true, Granters: 2,
 	})
-	rec.Record(audit.Record{
-		Kind: audit.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
-		Reason: audit.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2,
+	rec.Record(flight.Record{Kind: flight.KindProtocol, Type: "query-sent", Trace: 0xa2, App: "stocks", User: "bob", Peer: "m0"})
+	rec.Record(flight.Record{
+		Kind: flight.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
+		Reason: flight.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2,
 	})
-	fl := flight.NewRecorder("h0", 16, nil)
-	fl.Record(flight.Record{Kind: flight.KindProtocol, Type: "query-sent", Trace: 0xa2, App: "stocks", User: "bob", Peer: "m0"})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/debug/audit":
-			rec.WriteDump(w)
-		case "/debug/flight":
-			fl.WriteDump(w)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/journal", func(w http.ResponseWriter, r *http.Request) { rec.WriteDump(w) })
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	addr := strings.TrimPrefix(srv.URL, "http://")
 	var b strings.Builder
-	if err := run(&b, audit.Filter{User: "bob"}, options{}, []string{addr}); err != nil {
+	if err := run(&b, flight.Filter{User: "bob"}, options{}, []string{addr}); err != nil {
 		t.Fatal(err)
 	}
 	if out := b.String(); strings.Contains(out, "alice") || !strings.Contains(out, "reason=quorum_deny") ||
 		!strings.Contains(out, "h0 query-sent peer=m0") {
 		t.Errorf("filtered explanation wrong:\n%s", out)
 	}
-	if err := run(io.Discard, audit.Filter{User: "nobody"}, options{}, []string{srv.URL + "/"}); err == nil ||
+	if err := run(io.Discard, flight.Filter{User: "nobody"}, options{}, []string{srv.URL + "/"}); err == nil ||
 		!strings.Contains(err.Error(), "no decisions match") {
 		t.Errorf("unmatched filter error = %v", err)
 	}
 }
 
-// TestLiveFlightFetchErrors: a node answering 404 for /debug/flight explains
-// from its audit dump alone; any other flight failure names the address
-// instead of dropping the node's flight history silently.
+// TestLiveFlightFetchErrors: a node whose /debug/journal cannot be read —
+// not served, failing, or serving something else — is an error naming its
+// address, not a node silently left out.
 func TestLiveFlightFetchErrors(t *testing.T) {
-	rec := audit.NewRecorder("h0", 16, nil)
-	rec.Record(audit.Record{Kind: audit.KindDecision, Trace: 0xa2, App: "stocks", User: "bob", Right: "use",
-		Reason: audit.ReasonQuorumDeny, Queried: 2, Denials: 2, Quorum: 2})
 	for _, c := range []struct {
-		name   string
-		flight http.HandlerFunc
-		errHas string // "" for success
+		name    string
+		journal http.HandlerFunc
+		errHas  string
 	}{
-		{"404", http.NotFound, ""},
+		{"404", http.NotFound, "404"},
 		{"500", func(w http.ResponseWriter, r *http.Request) { http.Error(w, "boom", http.StatusInternalServerError) }, "500"},
-		{"garbage", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "not json\n") }, "not JSON"},
+		{"garbage", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "not json\n") }, "bad dump header"},
 	} {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/audit", func(w http.ResponseWriter, r *http.Request) { rec.WriteDump(w) })
-		mux.Handle("/debug/flight", c.flight)
+		mux.Handle("/debug/journal", c.journal)
 		srv := httptest.NewServer(mux)
 		addr := strings.TrimPrefix(srv.URL, "http://")
-		err := run(io.Discard, audit.Filter{}, options{}, []string{addr})
+		err := run(io.Discard, flight.Filter{}, options{}, []string{addr})
 		srv.Close()
-		if c.errHas == "" {
-			if err != nil {
-				t.Errorf("%s: %v, want the audit-only explanation", c.name, err)
-			}
-		} else if err == nil || !strings.Contains(err.Error(), c.errHas) || !strings.Contains(err.Error(), addr) {
+		if err == nil || !strings.Contains(err.Error(), c.errHas) || !strings.Contains(err.Error(), addr) {
 			t.Errorf("%s: error %v, want one naming %s and %q", c.name, err, addr, c.errHas)
 		}
 	}

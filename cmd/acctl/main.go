@@ -27,9 +27,9 @@ import (
 	"time"
 
 	"wanac"
-	"wanac/internal/audit"
 	"wanac/internal/auth"
 	"wanac/internal/core"
+	"wanac/internal/flight"
 	"wanac/internal/wire"
 )
 
@@ -184,7 +184,7 @@ func runCheck(node wanac.Transport, targets []target, app wire.AppID, user wire.
 	host := core.NewHost(node.ID(), node, nil, nil)
 	// The same provenance path acnode records: the last ring entry is this
 	// check's decision record, printed below as reason + evidence.
-	rec := audit.NewRecorder(string(node.ID()), 4, nil)
+	rec := flight.NewRecorder(string(node.ID()), 4, nil)
 	host.SetAudit(rec)
 	if err := host.RegisterApp(app, core.HostAppConfig{
 		Managers: managers,

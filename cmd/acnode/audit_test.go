@@ -1,41 +1,23 @@
 package main
 
-// Live test for the audit surface: a real two-manager deployment over TCP,
-// the three canonical decisions driven end to end — quorum allow, cache
-// hit, revoke then quorum deny — then /debug/audit pulled and parsed the
-// way acaudit would, and the -audit.jsonl stream
+// Live test for the decision half of the journal: a real two-manager
+// deployment over TCP, the three canonical decisions driven end to end —
+// quorum allow, cache hit, revoke then quorum deny — then /debug/journal
+// pulled and parsed the way acaudit would, and the -audit.jsonl stream
 // re-read after shutdown.
 
 import (
 	"context"
 	"encoding/json"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/wire"
 )
-
-func pullAudit(t *testing.T, addr string) *audit.Dump {
-	t.Helper()
-	resp, err := http.Get("http://" + addr + "/debug/audit")
-	if err != nil {
-		t.Fatalf("GET /debug/audit on %s: %v", addr, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/audit status = %d", resp.StatusCode)
-	}
-	d, err := audit.ReadDump(resp.Body)
-	if err != nil {
-		t.Fatalf("audit dump from %s does not parse: %v", addr, err)
-	}
-	return d
-}
 
 func TestDebugAuditEndpoint(t *testing.T) {
 	if testing.Short() {
@@ -43,7 +25,7 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	}
 	auditPath := filepath.Join(t.TempDir(), "h0-audit.jsonl")
 	c := startCluster(t, func(cfg *nodeConfig) {
-		cfg.auditRing = 256
+		cfg.journalRing = 256
 		if cfg.id == "h0" {
 			cfg.auditPath = auditPath
 		}
@@ -92,23 +74,27 @@ func TestDebugAuditEndpoint(t *testing.T) {
 		time.Sleep(100 * time.Millisecond)
 	}
 
-	// The host ring must explain all decisions with the right reasons and
-	// evidence.
-	hd := pullAudit(t, c.debugAddr("h0"))
+	// The host journal must explain all decisions with the right reasons
+	// and evidence.
+	hd := pullJournal(t, c.debugAddr("h0"))
 	if len(hd.Header.Nodes) != 1 || hd.Header.Nodes[0] != "h0" {
 		t.Fatalf("h0 dump nodes = %v, want [h0]", hd.Header.Nodes)
 	}
-	if hd.Header.Decisions < 3 {
-		t.Fatalf("h0 accepted %d decision records, want >= 3", hd.Header.Decisions)
-	}
-	byReason := map[audit.Reason][]audit.Record{}
+	byReason := map[flight.Reason][]flight.Record{}
+	decisions := 0
 	for _, r := range hd.Records {
-		if r.Kind != audit.KindDecision {
-			t.Fatalf("host ring holds a non-decision record: %+v", r)
+		switch r.Kind {
+		case flight.KindResponse:
+			t.Fatalf("host journal holds a response record: %+v", r)
+		case flight.KindDecision:
+			decisions++
+			byReason[r.Reason] = append(byReason[r.Reason], r)
 		}
-		byReason[r.Reason] = append(byReason[r.Reason], r)
 	}
-	qa := byReason[audit.ReasonQuorumAllow]
+	if decisions < 3 || hd.Header.Dropped != 0 {
+		t.Fatalf("h0 lists %d decision records (%d records dropped), want >= 3 and none", decisions, hd.Header.Dropped)
+	}
+	qa := byReason[flight.ReasonQuorumAllow]
 	if len(qa) != 1 {
 		t.Fatalf("quorum-allow records = %+v", qa)
 	}
@@ -116,27 +102,27 @@ func TestDebugAuditEndpoint(t *testing.T) {
 		qa[0].Trace == 0 || qa[0].Expire <= 0 {
 		t.Fatalf("quorum-allow evidence = %+v", qa[0])
 	}
-	ch := byReason[audit.ReasonCacheHit]
+	ch := byReason[flight.ReasonCacheHit]
 	if len(ch) == 0 || ch[0].Granters != 2 || ch[0].Expiry.IsZero() {
 		t.Fatalf("cache-hit records = %+v", ch)
 	}
-	qd := byReason[audit.ReasonQuorumDeny]
+	qd := byReason[flight.ReasonQuorumDeny]
 	if len(qd) == 0 || qd[0].Denials < 1 || qd[0].Queried < qd[0].Denials {
 		t.Fatalf("quorum-deny records = %+v", qd)
 	}
 
 	// m0 must hold matching response records: a grant echoing the check's
 	// trace ID, and a deny citing the revoke operation it rests on.
-	md := pullAudit(t, c.debugAddr("m0"))
+	md := pullJournal(t, c.debugAddr("m0"))
 	grantSeen, denyCites := false, false
 	for _, r := range md.Records {
-		if r.Kind != audit.KindResponse || r.Peer != "h0" {
+		if r.Kind != flight.KindResponse || r.Peer != "h0" {
 			continue
 		}
-		if r.Reason == audit.ReasonQueryGranted && r.Trace == qa[0].Trace {
+		if r.Reason == flight.ReasonQueryGranted && r.Trace == qa[0].Trace {
 			grantSeen = true
 		}
-		if r.Reason == audit.ReasonQueryDenied && r.Origin == "m0" && r.Counter >= 1 {
+		if r.Reason == flight.ReasonQueryDenied && r.Origin == "m0" && r.Counter >= 1 {
 			denyCites = true
 		}
 	}
@@ -149,9 +135,9 @@ func TestDebugAuditEndpoint(t *testing.T) {
 
 	// Explain must reconstruct the quorum allow causally from the merged
 	// live dumps, naming both managers.
-	merged := audit.Merge(hd, md, pullAudit(t, c.debugAddr("m1")))
+	merged := flight.Merge(hd, md, pullJournal(t, c.debugAddr("m1")))
 	var out strings.Builder
-	n := audit.Explain(&out, merged, nil, audit.Filter{Trace: qa[0].Trace})
+	n := flight.Explain(&out, merged, flight.Filter{Trace: qa[0].Trace})
 	if n != 1 {
 		t.Fatalf("explained %d decisions for the quorum trace, want 1", n)
 	}
@@ -161,21 +147,21 @@ func TestDebugAuditEndpoint(t *testing.T) {
 		}
 	}
 
-	// The -audit.jsonl stream survives shutdown and replays every record.
+	// The -audit.jsonl stream survives shutdown and replays every decision.
 	c.close()
 	data, err := os.ReadFile(auditPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	if uint64(len(lines)) != hd.Header.Decisions {
-		t.Fatalf("audit.jsonl has %d lines, ring accepted %d", len(lines), hd.Header.Decisions)
+	if len(lines) != decisions {
+		t.Fatalf("audit.jsonl has %d lines, the journal lists %d decisions", len(lines), decisions)
 	}
-	var first audit.Record
+	var first flight.Record
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("audit.jsonl line 0: %v", err)
 	}
-	if first.Reason != audit.ReasonQuorumAllow || first.Node != "h0" {
+	if first.Reason != flight.ReasonQuorumAllow || first.Node != "h0" {
 		t.Fatalf("first streamed record = %+v", first)
 	}
 }

@@ -1,8 +1,8 @@
 package main
 
-// Live test for the always-on flight recorder surface: a real
-// deployment over TCP, one check driven end to end, then /debug/flight
-// pulled from both sides and parsed the way acaudit would.
+// Live test for the always-on journal surface: a real deployment over TCP,
+// one check driven end to end, then /debug/journal pulled from both sides and
+// parsed the way acaudit would.
 
 import (
 	"context"
@@ -14,19 +14,19 @@ import (
 	"wanac/internal/wire"
 )
 
-func pullFlight(t *testing.T, addr string) *flight.Dump {
+func pullJournal(t *testing.T, addr string) *flight.Dump {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/debug/flight")
+	resp, err := http.Get("http://" + addr + "/debug/journal")
 	if err != nil {
-		t.Fatalf("GET /debug/flight on %s: %v", addr, err)
+		t.Fatalf("GET /debug/journal on %s: %v", addr, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/flight status = %d", resp.StatusCode)
+		t.Fatalf("/debug/journal status = %d", resp.StatusCode)
 	}
 	d, err := flight.ReadDump(resp.Body)
 	if err != nil {
-		t.Fatalf("flight dump from %s does not parse: %v", addr, err)
+		t.Fatalf("journal dump from %s does not parse: %v", addr, err)
 	}
 	return d
 }
@@ -35,7 +35,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets")
 	}
-	c := startCluster(t, func(cfg *nodeConfig) { cfg.flightRing = 512 })
+	c := startCluster(t, func(cfg *nodeConfig) { cfg.journalRing = 512 })
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
 	d, err := c.host().host.CheckContext(ctx, "stocks", "alice", wire.RightUse)
@@ -46,9 +46,10 @@ func TestDebugFlightEndpoint(t *testing.T) {
 		t.Fatalf("decision = %+v, want allowed", d)
 	}
 
-	// The host ring must hold the check's protocol story under the node's
-	// own name, including transport peer-up records from connecting out.
-	hd := pullFlight(t, c.debugAddr("h0"))
+	// The host journal must hold the check's protocol story and its
+	// decision under the node's own name, including transport peer-up
+	// records from connecting out.
+	hd := pullJournal(t, c.debugAddr("h0"))
 	if len(hd.Header.Nodes) != 1 || hd.Header.Nodes[0] != "h0" {
 		t.Fatalf("h0 dump nodes = %v, want [h0]", hd.Header.Nodes)
 	}
@@ -74,10 +75,17 @@ func TestDebugFlightEndpoint(t *testing.T) {
 	if trace == 0 {
 		t.Error("h0 query-sent records carry no trace ID")
 	}
+	decided := false
+	for _, r := range hd.Records {
+		decided = decided || r.Kind == flight.KindDecision && r.Trace == trace && r.Reason == flight.ReasonQuorumAllow
+	}
+	if !decided {
+		t.Errorf("h0 journal has no quorum-allow decision with trace %016x", trace)
+	}
 
 	// The manager that served the round must hold a query-served record
 	// with the same trace ID — the anchor acaudit -timeline aligns clocks on.
-	md := pullFlight(t, c.debugAddr("m0"))
+	md := pullJournal(t, c.debugAddr("m0"))
 	served := false
 	for _, r := range md.Records {
 		if r.Type == "query-served" && r.Trace == trace {
@@ -90,8 +98,20 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 	// A second pull must see at least as many records (ring is append-only
 	// until overwrite) and still parse — the endpoint is re-entrant.
-	hd2 := pullFlight(t, c.debugAddr("h0"))
+	hd2 := pullJournal(t, c.debugAddr("h0"))
 	if len(hd2.Records) < len(hd.Records) {
 		t.Errorf("second pull shrank: %d -> %d records", len(hd.Records), len(hd2.Records))
+	}
+
+	// The journal is the one dump a node serves.
+	for _, gone := range []string{"/debug/flight", "/debug/audit"} {
+		resp, err := http.Get("http://" + c.debugAddr("h0") + gone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s = %d, want 404", gone, resp.StatusCode)
+		}
 	}
 }

@@ -16,37 +16,37 @@
 // Then drive it with acctl (grant/revoke/check/invoke). With -debug.addr
 // set, the node serves an operational endpoint:
 //
-//	/debug/vars   expvar JSON including wanac.transport / wanac.host /
-//	              wanac.manager counter snapshots
-//	/debug/pprof  the standard pprof profiles
-//	/debug/check  (hosts) run an access check: ?app=stocks&user=alice&right=use
-//	/debug/flight the node's flight recording as versioned JSONL
-//	/debug/audit  the node's audit ring as versioned JSONL: one structured
-//	              record per access decision (hosts) or query verdict
-//	              (managers), carrying the evidence behind the outcome
-//	/metrics      Prometheus text exposition: check latency histograms by
-//	              outcome, quorum/freeze gauges, transport health
-//	/health       readiness probe: 200 when the transport reaches a peer
-//	              and (managers) no app is syncing and admission control
-//	              is not shedding most queries, else 503 with reasons
+//	/debug/vars    expvar JSON including wanac.transport / wanac.host /
+//	               wanac.manager counter snapshots
+//	/debug/pprof   the standard pprof profiles
+//	/debug/check   (hosts) run an access check: ?app=stocks&user=alice&right=use
+//	/debug/journal the node's journal as versioned JSONL: its protocol
+//	               history, and one structured record per access decision
+//	               (hosts) or query verdict (managers), carrying the evidence
+//	               behind the outcome
+//	/metrics       Prometheus text exposition: check latency histograms by
+//	               outcome, quorum/freeze gauges, transport health
+//	/health        readiness probe: 200 when the transport reaches a peer
+//	               and (managers) no app is syncing and admission control
+//	               is not shedding most queries, else 503 with reasons
 //
 // Point acaudit at one or more nodes' -debug.addr to explain their decisions
-// ("why was this allowed?") from both dumps, or with -timeline to render
-// their flight recordings as one clock-aligned timeline.
+// ("why was this allowed?") from their journals, or with -timeline to render
+// them as one clock-aligned timeline.
 //
-// Every node keeps an always-on flight recorder: a bounded in-memory ring
-// of protocol events and transport health transitions, dumped on demand
-// (/debug/flight) or automatically when the node panics.
-// An always-on audit ring rides alongside it (sized with -audit.ring);
-// with -audit.jsonl set, every audit record is additionally streamed to
-// the given file as it is accepted, surviving the bounded ring.
+// Every node keeps an always-on journal: two bounded in-memory windows, one
+// of protocol events and transport health transitions and one of decision
+// and verdict records (each sized with -journal.ring), dumped on demand
+// (/debug/journal). With -audit.jsonl set, every decision and verdict record
+// is additionally streamed to the given file as it is accepted, surviving
+// the bounded window.
 // Logging is structured (log/slog) and tunable with -log.level and
 // -log.format; protocol state changes log at info, the events of
 // individual checks at debug.
 //
-// A check's flight events and audit records carry its trace ID on the host
-// and on every manager it queried, so acaudit joins them across nodes into
-// the check's full lifecycle.
+// A check's records carry its trace ID on the host and on every manager it
+// queried, so acaudit joins them across nodes into the check's full
+// lifecycle.
 package main
 
 import (
@@ -68,7 +68,6 @@ import (
 	"time"
 
 	"wanac"
-	"wanac/internal/audit"
 	"wanac/internal/auth"
 	"wanac/internal/core"
 	"wanac/internal/flight"
@@ -98,10 +97,8 @@ func main() {
 	flag.StringVar(&cfg.keyringPath, "keyring", "", "keyring.json from ackeygen: require sealed, signed user traffic")
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
 	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
-	flag.IntVar(&cfg.flightRing, "flight.ring", defaultFlightRing, fmt.Sprintf("flight ring capacity: protocol-history records kept per node (%d B each, allocated as records arrive, not up front); a cached check writes none (its record is the audit record), a cold one a few; render with acaudit -timeline", flight.SlotBytes))
-	flag.StringVar(&cfg.flightDump, "flight.dump", "", "write the flight recording here on panic (default: acnode-flight-<id>.jsonl in the temp dir)")
-	flag.IntVar(&cfg.auditRing, "audit.ring", defaultAuditRing, fmt.Sprintf("audit ring capacity: decision-provenance records kept per node (%d B each, allocated as records arrive, not up front)", audit.SlotBytes))
-	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every audit record to this JSONL file (in addition to the bounded ring)")
+	flag.IntVar(&cfg.journalRing, "journal.ring", defaultJournalRing, fmt.Sprintf("journal window size: protocol records (%d B each) and decision records (%d B each) kept per node, allocated as records arrive, not up front; a cached check writes one decision, a cold one a decision and a few protocol records; explain or render with acaudit", flight.ProtocolSlotBytes, flight.DecisionSlotBytes))
+	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every decision and verdict record to this JSONL file (in addition to the bounded window)")
 	flag.StringVar(&cfg.logLevel, "log.level", "info", "log level: debug | info | warn | error")
 	flag.StringVar(&cfg.logFormat, "log.format", "text", "log format: text | json")
 	flag.Parse()
@@ -115,16 +112,14 @@ func main() {
 	}
 }
 
-// defaultFlightRing holds the last 4096 protocol events, flight.SlotBytes
-// each beside the strings they share with the node. A cached check adds
-// none, so however many hits a host serves the ring keeps its last ~1000
-// cold checks, revocations and transport changes; on a manager applying a
-// few updates a minute it is hours.
-const defaultFlightRing = 4096
-
-// defaultAuditRing holds the provenance of the last 4096 access decisions
-// (one record per check) at a comparable cost.
-const defaultAuditRing = 4096
+// defaultJournalRing sizes each journal window: the last 4096 protocol
+// events and the provenance of the last 4096 decisions, each record
+// flight.ProtocolSlotBytes or flight.DecisionSlotBytes beside the strings it
+// shares with the node. A cached check adds no protocol record, so however
+// many hits a host serves the protocol window keeps its last ~1000 cold
+// checks, revocations and transport changes; on a manager applying a few
+// updates a minute it is hours.
+const defaultJournalRing = 4096
 
 type nodeConfig struct {
 	id, listen, role, app, peers  string
@@ -134,9 +129,7 @@ type nodeConfig struct {
 	defaultAllow                  bool
 	stateFile, trans, keyringPath string
 	debugAddr                     string
-	flightRing                    int
-	flightDump                    string
-	auditRing                     int
+	journalRing                   int
 	auditPath                     string
 	logLevel, logFormat           string
 }
@@ -162,26 +155,25 @@ func setupLogging(level, format string) error {
 }
 
 // runtime is a started node: the transport, the protocol role on top of
-// it, and the operational surface (registry, debug server, audit stream).
+// it, and the operational surface (registry, debug server, decision stream).
 // Tests boot nodes through startNode and drive them directly; main wires
 // the same thing to the signal handler.
 type runtime struct {
-	node   wanac.Transport
-	host   *core.Host
-	mgr    *core.Manager
-	reg    *telemetry.Registry
-	flight *flight.Recorder
-	audit  *audit.Recorder
+	node    wanac.Transport
+	host    *core.Host
+	mgr     *core.Manager
+	reg     *telemetry.Registry
+	journal *flight.Recorder
 
 	saveState func()
 	stopDebug func()
 	debugAddr string // the address the debug server bound, when it runs
 	auditFile *os.File
 	auditBuf  *bufio.Writer
-	auditW    *audit.Writer
+	auditW    *flight.Writer
 }
 
-// Close releases everything startNode acquired: debug server, audit
+// Close releases everything startNode acquired: debug server, decision
 // stream (flushed), transport. State saving is the caller's decision
 // (main saves on clean shutdown only).
 func (rt *runtime) Close() {
@@ -190,8 +182,8 @@ func (rt *runtime) Close() {
 	}
 	if rt.auditFile != nil {
 		// Detach the sink before flushing so late decisions can't race the
-		// buffer; the ring itself keeps accepting until the node is gone.
-		rt.audit.SetSink(nil)
+		// buffer; the journal itself keeps accepting until the node is gone.
+		rt.journal.SetSink(nil)
 		if rt.auditW.Errors() > 0 {
 			slog.Error("audit: records failed to encode", "count", rt.auditW.Errors())
 		}
@@ -209,9 +201,6 @@ func run(cfg nodeConfig) error {
 		return err
 	}
 	defer rt.Close()
-	// A crashing node writes its flight recording before dying, so the
-	// last moments of protocol history survive the process.
-	defer dumpFlightOnPanic(rt.flight, cfg)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -221,31 +210,6 @@ func run(cfg nodeConfig) error {
 	}
 	slog.Info("shutting down", "node", cfg.id)
 	return nil
-}
-
-// dumpFlightOnPanic writes the flight ring to disk when the calling
-// goroutine is unwinding from a panic, then re-panics so the crash still
-// reports normally.
-func dumpFlightOnPanic(rec *flight.Recorder, cfg nodeConfig) {
-	p := recover()
-	if p == nil {
-		return
-	}
-	path := cfg.flightDump
-	if path == "" {
-		path = filepath.Join(os.TempDir(), "acnode-flight-"+cfg.id+".jsonl")
-	}
-	if f, err := os.Create(path); err == nil {
-		if err := rec.WriteDump(f); err != nil {
-			slog.Error("panic flight dump failed", "err", err)
-		} else {
-			slog.Error("panic: flight recording saved", "path", path)
-		}
-		f.Close()
-	} else {
-		slog.Error("panic flight dump failed", "err", err)
-	}
-	panic(p)
 }
 
 func startNode(cfg nodeConfig) (*runtime, error) {
@@ -271,20 +235,14 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		return nil, err
 	}
 
-	// The flight recorder runs unconditionally: a bounded ring of protocol
-	// and transport history whose cost does not depend on uptime, dumped
-	// via /debug/flight or on panic.
-	if cfg.flightRing <= 0 {
-		cfg.flightRing = defaultFlightRing
+	// The journal runs unconditionally: bounded windows of protocol and
+	// transport history and of decision provenance — every access decision
+	// (hosts) and query verdict (managers) — whose cost does not depend on
+	// uptime, served via /debug/journal.
+	if cfg.journalRing <= 0 {
+		cfg.journalRing = defaultJournalRing
 	}
-	rec := flight.NewRecorder(cfg.id, cfg.flightRing, nil)
-	// The audit ring is equally always-on: every access decision (hosts)
-	// and query verdict (managers) leaves a provenance record, served via
-	// /debug/audit and joined by acaudit.
-	if cfg.auditRing <= 0 {
-		cfg.auditRing = defaultAuditRing
-	}
-	auditRec := audit.NewRecorder(cfg.id, cfg.auditRing, nil)
+	rec := flight.NewRecorder(cfg.id, cfg.journalRing, nil)
 
 	var opts []wanac.Option
 	if cfg.statsEvery > 0 {
@@ -297,7 +255,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{node: node, reg: telemetry.NewRegistry(), flight: rec, audit: auditRec}
+	rt := &runtime{node: node, reg: telemetry.NewRegistry(), journal: rec}
 	telemetry.RegisterBuildInfo(rt.reg)
 	fail := func(err error) (*runtime, error) {
 		rt.Close()
@@ -316,7 +274,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 
 	// Telemetry: the transport's counters and peer health re-exported on
 	// the registry, and protocol events counted by type and teed into the
-	// flight ring.
+	// journal.
 	netcore.RegisterTransport(rt.reg, node.Stats)
 	tracer := telemetry.InstrumentTracer(rt.reg, flight.Tee(rec, logTracer{}))
 	if cfg.auditPath != "" {
@@ -326,8 +284,8 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		}
 		rt.auditFile = f
 		rt.auditBuf = bufio.NewWriter(f)
-		rt.auditW = audit.NewWriter(rt.auditBuf)
-		auditRec.SetSink(rt.auditW)
+		rt.auditW = flight.NewWriter(rt.auditBuf)
+		rec.SetSink(rt.auditW)
 		slog.Info("streaming audit records", "node", cfg.id, "path", cfg.auditPath)
 	}
 
@@ -349,7 +307,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		for _, u := range splitUsers(cfg.use) {
 			mgr.Seed(wire.AppID(cfg.app), u, wire.RightUse)
 		}
-		core.InstrumentManager(rt.reg, auditRec, mgr)
+		core.InstrumentManager(rt.reg, rec, mgr)
 		if cfg.stateFile != "" {
 			if f, err := os.Open(cfg.stateFile); err == nil {
 				loadErr := mgr.LoadState(f)
@@ -401,7 +359,7 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 		}); err != nil {
 			return fail(err)
 		}
-		core.InstrumentHost(rt.reg, auditRec, rt.host)
+		core.InstrumentHost(rt.reg, rec, rt.host)
 		node.SetHandler(rt.host)
 	default:
 		return fail(fmt.Errorf("unknown role %q", cfg.role))
@@ -455,16 +413,10 @@ func startDebugServer(addr string, rt *runtime, app wire.AppID) (func(), error) 
 		}
 	})
 	mux.Handle("/health", &healthHandler{rt: rt})
-	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/debug/journal", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/jsonl")
-		if err := rt.flight.WriteDump(w); err != nil {
-			slog.Error("flight dump write failed", "err", err)
-		}
-	})
-	mux.HandleFunc("/debug/audit", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/jsonl")
-		if err := rt.audit.WriteDump(w); err != nil {
-			slog.Error("audit dump write failed", "err", err)
+		if err := rt.journal.WriteDump(w); err != nil {
+			slog.Error("journal dump write failed", "err", err)
 		}
 	})
 	if rt.host != nil {

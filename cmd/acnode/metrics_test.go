@@ -2,7 +2,7 @@ package main
 
 // Live smoke test for the telemetry surface: a two-manager/one-host
 // deployment over real TCP sockets, one access check driven end to end,
-// then the /metrics expositions scraped and the three nodes' flight dumps
+// then the /metrics expositions scraped and the three nodes' journals
 // joined to reconstruct the check round by trace ID. scripts/ci.sh runs
 // this as its metrics gate.
 
@@ -116,19 +116,19 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		}
 	}
 
-	// Reconstruct the check from the three nodes' flight dumps: the host's
+	// Reconstruct the check from the three nodes' journals: the host's
 	// access-allowed record names a trace, and that trace must also appear
 	// in the host's query-sent record and in a query-served record on every
 	// manager that served the round.
 	var trace uint64
-	hd := pullFlight(t, c.debugAddr("h0"))
+	hd := pullJournal(t, c.debugAddr("h0"))
 	for _, r := range hd.Records {
 		if r.Type == "access-allowed" {
 			trace = r.Trace
 		}
 	}
 	if trace == 0 {
-		t.Fatalf("no access-allowed flight record on h0: %+v", hd.Records)
+		t.Fatalf("no access-allowed record on h0: %+v", hd.Records)
 	}
 	has := func(d *flight.Dump, typ string) bool {
 		for _, r := range d.Records {
@@ -139,11 +139,11 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		return false
 	}
 	if !has(hd, "query-sent") {
-		t.Errorf("h0 flight has no query-sent with trace %016x: %+v", trace, hd.Records)
+		t.Errorf("h0 journal has no query-sent with trace %016x: %+v", trace, hd.Records)
 	}
 	for _, id := range []string{"m0", "m1"} {
-		if d := pullFlight(t, c.debugAddr(id)); !has(d, "query-served") {
-			t.Errorf("%s flight has no query-served with trace %016x: %+v", id, trace, d.Records)
+		if d := pullJournal(t, c.debugAddr(id)); !has(d, "query-served") {
+			t.Errorf("%s journal has no query-served with trace %016x: %+v", id, trace, d.Records)
 		}
 	}
 }

@@ -1,4 +1,7 @@
-package audit
+// These tests cover the decision half of the node journal (internal/flight):
+// reasons, decision and response records, their dumps and their
+// explanation. They move into internal/flight with this package's deletion.
+package audit_test
 
 import (
 	"bytes"
@@ -12,7 +15,7 @@ import (
 	"time"
 
 	"wanac/internal/clitest"
-	"wanac/internal/ring"
+	. "wanac/internal/flight"
 )
 
 var t0 = time.Date(2000, 1, 1, 12, 0, 0, 0, time.UTC)
@@ -28,9 +31,9 @@ func fakeClock() func() time.Time {
 
 func TestReasonNamesStable(t *testing.T) {
 	// The names are label values and dump fields: every reason must have
-	// one, they must be unique, and ParseReason must invert String.
+	// one, they must be unique, and UnmarshalText must invert String.
 	seen := map[string]Reason{}
-	for r := Reason(1); r < reasonCount; r++ {
+	for r := Reason(1); r < Reason(NumReasons); r++ {
 		name := r.String()
 		if name == "" || strings.HasPrefix(name, "reason-") {
 			t.Errorf("reason %d has no stable name", r)
@@ -39,13 +42,14 @@ func TestReasonNamesStable(t *testing.T) {
 			t.Errorf("reasons %d and %d share name %q", prev, r, name)
 		}
 		seen[name] = r
-		back, ok := ParseReason(name)
-		if !ok || back != r {
-			t.Errorf("ParseReason(%q) = %v, %v; want %v", name, back, ok, r)
+		var back Reason
+		if err := back.UnmarshalText([]byte(name)); err != nil || back != r {
+			t.Errorf("UnmarshalText(%q) = %v, %v; want %v", name, back, err, r)
 		}
 	}
-	if _, ok := ParseReason("bogus"); ok {
-		t.Error("ParseReason accepted an unknown name")
+	var r Reason
+	if r.UnmarshalText([]byte("bogus")) == nil {
+		t.Error("UnmarshalText accepted an unknown name")
 	}
 }
 
@@ -80,7 +84,7 @@ func TestDecisionReasonsCoverAndImplyOutcomes(t *testing.T) {
 }
 
 func TestReasonJSONRoundTrip(t *testing.T) {
-	for r := Reason(1); r < reasonCount; r++ {
+	for r := Reason(1); r < Reason(NumReasons); r++ {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
@@ -129,8 +133,7 @@ func TestRecorderRingAndDropAccounting(t *testing.T) {
 		}
 	}
 	d := rec.Dump()
-	if d.Header.Audit != ring.DumpVersion || d.Header.Total != 10 ||
-		d.Header.Decisions != 6 || d.Header.Responses != 4 || d.Header.Dropped != 6 {
+	if d.Header.Journal != DumpVersion || d.Header.Dropped != 6 || rec.Dropped() != 6 {
 		t.Fatalf("dump header %+v", d.Header)
 	}
 }
@@ -170,7 +173,7 @@ func TestRecordCacheHitMatchesRecord(t *testing.T) {
 
 type sinkFunc func(Record)
 
-func (f sinkFunc) RecordAudit(r Record) { f(r) }
+func (f sinkFunc) Accept(r Record) { f(r) }
 
 func TestRecordSteadyStateAllocations(t *testing.T) {
 	rec := NewRecorder("h0", 64, fakeClock())
@@ -214,7 +217,7 @@ func TestDumpRoundTripAndMerge(t *testing.T) {
 	}
 
 	m := Merge(a.Dump(), b.Dump(), nil)
-	if len(m.Records) != 2 || m.Header.Total != 2 {
+	if len(m.Records) != 2 || m.Header.Dropped != 0 {
 		t.Fatalf("merge: %+v", m.Header)
 	}
 	if m.Records[0].Node != "h0" || m.Records[1].Node != "m0" {
@@ -227,14 +230,15 @@ func TestDumpRoundTripAndMerge(t *testing.T) {
 	if _, err := ReadDump(strings.NewReader("")); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := ReadDump(strings.NewReader(`{"audit":99}`)); err == nil {
+	if _, err := ReadDump(strings.NewReader(`{"journal":99}`)); err == nil {
 		t.Error("wrong version accepted")
 	}
 }
 
-// TestDumpGolden pins the bytes /debug/audit and harness artifacts serve: a
-// ring that has wrapped (so the header carries dropped), both kinds, and each
-// omitempty field both set and unset, through Record and RecordCacheHit alike.
+// TestDumpGolden pins the bytes /debug/journal and harness artifacts serve of
+// decisions and responses: a decisions window that has wrapped (so the header
+// carries dropped), both kinds, and each omitempty field both set and unset,
+// through Record and RecordCacheHit alike.
 func TestDumpGolden(t *testing.T) {
 	r := NewRecorder("h0", 8, fakeClock())
 	for i := 0; i < 3; i++ { // overwritten: dropped = 3
@@ -264,9 +268,10 @@ func TestDumpGolden(t *testing.T) {
 }
 
 // TestWriterSink streams a manager's records as acnode -audit.jsonl does:
-// the sink sees every record, the ones the ring dropped included, and
-// ReadStream turns the headerless stream into a dump whose header counts each
-// kind. A line without a node is rejected, in a stream as in a dump.
+// the sink sees every decision and response, the ones the window dropped
+// included, but no protocol record, and ReadDump turns the headerless stream
+// into a dump of the nodes it names. A line without a node is rejected, in a
+// stream as in a dump.
 func TestWriterSink(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder("m0", 2, fakeClock())
@@ -274,20 +279,21 @@ func TestWriterSink(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec.Record(Record{Kind: KindResponse, Reason: ReasonQueryGranted, Peer: "h0"})
 	}
+	rec.Record(Record{Kind: KindProtocol, Type: "query-served", Peer: "h0"})
 	rec.Record(Record{Kind: KindDecision, Reason: ReasonCacheHit, Allowed: true})
-	d, err := ReadStream(&buf)
+	d, err := ReadDump(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h := d.Header; len(d.Records) != 6 || d.Records[5].Seq != 5 || h.Total != 6 || h.Responses != 5 || h.Decisions != 1 ||
+	if h := d.Header; len(d.Records) != 6 || d.Records[5].Seq != 6 || d.Records[5].Kind != KindDecision || h.Dropped != 0 ||
 		!slices.Equal(h.Nodes, []string{"m0"}) {
 		t.Fatalf("stream of 6 records read as %d under header %+v", len(d.Records), h)
 	}
 	nodeless := `{"seq":0,"t":"2000-01-01T12:00:00Z","kind":"response","reason":"query_granted"}` + "\n"
-	if _, err := ReadStream(strings.NewReader(nodeless)); err == nil {
+	if _, err := ReadDump(strings.NewReader(nodeless)); err == nil {
 		t.Error("stream record without node accepted")
 	}
-	if _, err := ReadDump(strings.NewReader(`{"audit":1,"nodes":["h0"],"total":1,"decisions":1}` + "\n" + nodeless)); err == nil {
+	if _, err := ReadDump(strings.NewReader(`{"journal":1,"nodes":["h0"]}` + "\n" + nodeless)); err == nil {
 		t.Error("dump record without node accepted")
 	}
 }
@@ -321,7 +327,7 @@ func TestMatchDecisionsFilter(t *testing.T) {
 
 func TestExplainJoinsResponsesByTrace(t *testing.T) {
 	d := &Dump{
-		Header: Header{Audit: ring.DumpVersion},
+		Header: Header{Journal: DumpVersion},
 		Records: []Record{
 			{Kind: KindDecision, Node: "h0", App: "app", User: "u0", Right: "use",
 				T: t0, Trace: 0xabc, Reason: ReasonQuorumAllow, Allowed: true,
@@ -335,7 +341,7 @@ func TestExplainJoinsResponsesByTrace(t *testing.T) {
 		},
 	}
 	var out strings.Builder
-	n := Explain(&out, d, nil, Filter{User: "u0"})
+	n := Explain(&out, d, Filter{User: "u0"})
 	if n != 1 {
 		t.Fatalf("explained %d decisions, want 1", n)
 	}
@@ -390,8 +396,7 @@ func TestOutcomeAndEvidenceWording(t *testing.T) {
 // few wraps long, beside a flat slice of what each call should have recorded:
 // Snapshot, All and the dump must be the slice's tail, stamped with Node, Seq
 // and, where the caller gave no time, the recorder's clock, and the counts
-// must cover every record ever accepted, by kind. The ring itself is
-// internal/ring's to test.
+// must cover every record ever accepted, by kind.
 func TestRecorderAgainstModel(t *testing.T) {
 	const size = 16
 	rng := rand.New(rand.NewSource(1))
@@ -432,8 +437,7 @@ func TestRecorderAgainstModel(t *testing.T) {
 	if !slices.Equal(r.Snapshot(), want) || !slices.Equal(inPlace, want) || !slices.Equal(d.Records, want) {
 		t.Fatalf("after %d records: Snapshot, All or the dump is not the last %d recorded", total, size)
 	}
-	if h := d.Header; h.Total != total || h.Dropped != total-size || h.Decisions != decisions || h.Responses != total-decisions ||
-		r.Total() != total || r.Dropped() != total-size || r.Decisions() != decisions {
+	if h := d.Header; h.Dropped != total-size || r.Total() != total || r.Dropped() != total-size || r.Decisions() != decisions {
 		t.Fatalf("after %d records (%d decisions): Total %d, Dropped %d, Decisions %d, dump header %+v",
 			total, decisions, r.Total(), r.Dropped(), r.Decisions(), h)
 	}
@@ -442,11 +446,11 @@ func TestRecorderAgainstModel(t *testing.T) {
 	}
 }
 
-// TestDumpIsOneObservation: a dump taken while writers run must account for
-// itself — Total minus Dropped is the number of records listed, the last of
-// them is record Total-1, and with only decisions written Decisions is Total.
-// Read under two holds of the lock, a record accepted in between showed up
-// as a drop that never happened.
+// TestDumpIsOneObservation: a dump taken while writers of decisions run must
+// account for itself — Dropped is exactly the sequence number of the first
+// record listed, and the records are consecutive. Read under two holds of
+// the lock, a record accepted in between showed up as a drop that never
+// happened.
 func TestDumpIsOneObservation(t *testing.T) {
 	r := NewRecorder("h0", 256, nil)
 	stop := make(chan struct{})
@@ -472,7 +476,7 @@ func TestDumpIsOneObservation(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		d := r.Dump()
 		h, n := d.Header, uint64(len(d.Records))
-		if h.Total-h.Dropped != n || h.Decisions != h.Total || n > 0 && d.Records[n-1].Seq != h.Total-1 {
+		if n > 0 && (d.Records[0].Seq != h.Dropped || d.Records[n-1].Seq != h.Dropped+n-1) || n == 0 && h.Dropped != 0 {
 			t.Fatalf("dump %d: %d records listed under header %+v", i, n, h)
 		}
 	}

@@ -10,21 +10,21 @@ import (
 	"sort"
 	"strings"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/quorum"
 	"wanac/internal/wire"
 )
 
-// SetAudit installs (or, with nil, removes) the host's audit recorder.
-// Install before traffic flows: records are emitted for decisions made
-// while the recorder is set.
-func (h *Host) SetAudit(rec *audit.Recorder) {
+// SetAudit installs (or, with nil, removes) the journal the host records
+// its decisions in. Install before traffic flows: records are emitted for
+// decisions made while the journal is set.
+func (h *Host) SetAudit(rec *flight.Recorder) {
 	h.publish(func(v *hostView) { v.aud = rec })
 }
 
-// SetAudit installs (or, with nil, removes) the manager's audit recorder;
-// the manager records one response-kind entry per query verdict.
-func (m *Manager) SetAudit(rec *audit.Recorder) {
+// SetAudit installs (or, with nil, removes) the journal the manager records
+// one response-kind entry per query verdict in.
+func (m *Manager) SetAudit(rec *flight.Recorder) {
 	m.mu.Lock()
 	m.aud = rec
 	m.mu.Unlock()
@@ -35,9 +35,9 @@ func (m *Manager) SetAudit(rec *audit.Recorder) {
 // recorder is installed. The quorum-allow path allocates (sorting the
 // granting set into a string) — that path already allocates for the wire
 // exchange; the budget-pinned cache-hit path never reaches here.
-func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reason) {
-	rec := audit.Record{
-		Kind:     audit.KindDecision,
+func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason flight.Reason) {
+	rec := flight.Record{
+		Kind:     flight.KindDecision,
 		T:        h.now,
 		Trace:    c.trace,
 		App:      string(c.key.app),
@@ -56,7 +56,7 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 		rec.Quorum = a.policy.CheckQuorum
 		rec.Set = uint8(len(a.managers)) // at most quorum.MaxManagers
 	}
-	if reason == audit.ReasonQuorumAllow { // only from onResponse, which found the app
+	if reason == flight.ReasonQuorumAllow { // only from onResponse, which found the app
 		rec.Confirmations = c.round.Granted.Len()
 		rec.Managers = a.setName(c.round.Granted)
 		rec.Expire = c.minExpire
@@ -71,9 +71,9 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason audit.Reaso
 // last ACL operation the verdict rests on (zero when no operation ever
 // touched the right). Called with m.mu held, only when a recorder is
 // installed. ma is nil for unknown-app verdicts.
-func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reason audit.Reason) {
-	rec := audit.Record{
-		Kind:   audit.KindResponse,
+func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reason flight.Reason) {
+	rec := flight.Record{
+		Kind:   flight.KindResponse,
 		T:      m.now,
 		Trace:  q.Trace,
 		App:    string(q.App),
@@ -83,7 +83,7 @@ func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reas
 		Peer:   string(from),
 	}
 	if ma != nil {
-		if reason == audit.ReasonQueryGranted {
+		if reason == flight.ReasonQueryGranted {
 			rec.Expire = ma.expire
 		}
 		if op, ok := ma.lastOp[grantKey{user: q.User, right: q.Right}]; ok {

@@ -9,12 +9,12 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
 
-func reasonValue(reg *telemetry.Registry, r audit.Reason) uint64 {
+func reasonValue(reg *telemetry.Registry, r flight.Reason) uint64 {
 	return reg.CounterVec("wanac_host_check_reasons_total", "", "reason").With(r.String()).Value()
 }
 
@@ -22,7 +22,7 @@ func TestHostAuditExactness(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
 	reg := telemetry.NewRegistry()
-	rec := audit.NewRecorder("h0", 64, env.Now)
+	rec := flight.NewRecorder("h0", 64, env.Now)
 	InstrumentHost(reg, rec, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
@@ -63,13 +63,13 @@ func TestHostAuditExactness(t *testing.T) {
 	outcomes := reg.CounterVec("wanac_host_checks_total", "", "outcome")
 	for _, c := range []struct {
 		outcome string
-		reasons []audit.Reason
+		reasons []flight.Reason
 	}{
-		{"cache_hit", []audit.Reason{audit.ReasonCacheHit}},
-		{"allowed", []audit.Reason{audit.ReasonQuorumAllow}},
-		{"default_allowed", []audit.Reason{audit.ReasonDefaultAllow, audit.ReasonResolveAllow}},
-		{"denied", []audit.Reason{audit.ReasonQuorumDeny, audit.ReasonUnreachableDeny,
-			audit.ReasonResolveDeny, audit.ReasonUnregisteredDeny}},
+		{"cache_hit", []flight.Reason{flight.ReasonCacheHit}},
+		{"allowed", []flight.Reason{flight.ReasonQuorumAllow}},
+		{"default_allowed", []flight.Reason{flight.ReasonDefaultAllow, flight.ReasonResolveAllow}},
+		{"denied", []flight.Reason{flight.ReasonQuorumDeny, flight.ReasonUnreachableDeny,
+			flight.ReasonResolveDeny, flight.ReasonUnregisteredDeny}},
 	} {
 		var sum uint64
 		for _, r := range c.reasons {
@@ -79,13 +79,13 @@ func TestHostAuditExactness(t *testing.T) {
 			t.Errorf("reason sum for %s = %d, counter = %d", c.outcome, sum, got)
 		}
 	}
-	if reasonValue(reg, audit.ReasonCacheHit) != 1 ||
-		reasonValue(reg, audit.ReasonQuorumAllow) != 1 ||
-		reasonValue(reg, audit.ReasonDefaultAllow) != 1 ||
-		reasonValue(reg, audit.ReasonUnregisteredDeny) != 1 {
+	if reasonValue(reg, flight.ReasonCacheHit) != 1 ||
+		reasonValue(reg, flight.ReasonQuorumAllow) != 1 ||
+		reasonValue(reg, flight.ReasonDefaultAllow) != 1 ||
+		reasonValue(reg, flight.ReasonUnregisteredDeny) != 1 {
 		t.Errorf("per-reason counts off: cache=%d quorum=%d default=%d unreg=%d",
-			reasonValue(reg, audit.ReasonCacheHit), reasonValue(reg, audit.ReasonQuorumAllow),
-			reasonValue(reg, audit.ReasonDefaultAllow), reasonValue(reg, audit.ReasonUnregisteredDeny))
+			reasonValue(reg, flight.ReasonCacheHit), reasonValue(reg, flight.ReasonQuorumAllow),
+			reasonValue(reg, flight.ReasonDefaultAllow), reasonValue(reg, flight.ReasonUnregisteredDeny))
 	}
 
 	recs := rec.Snapshot()
@@ -93,7 +93,7 @@ func TestHostAuditExactness(t *testing.T) {
 	// 1. Quorum allow: the record cites the granting set, the grant's te,
 	// and the §3.2 delay-adjusted expiry (sentAt + te; no delay here).
 	qa := recs[0]
-	if qa.Reason != audit.ReasonQuorumAllow || !qa.Allowed ||
+	if qa.Reason != flight.ReasonQuorumAllow || !qa.Allowed ||
 		qa.App != "a" || qa.User != "u1" || qa.Right != "use" {
 		t.Fatalf("quorum-allow record = %+v", qa)
 	}
@@ -111,7 +111,7 @@ func TestHostAuditExactness(t *testing.T) {
 	// 2. Cache hit: same entry, one vouching manager, expiry = entry limit,
 	// fresh trace ID distinct from the quorum round's.
 	ch := recs[1]
-	if ch.Reason != audit.ReasonCacheHit || !ch.Allowed || ch.Granters != 1 {
+	if ch.Reason != flight.ReasonCacheHit || !ch.Allowed || ch.Granters != 1 {
 		t.Fatalf("cache-hit record = %+v", ch)
 	}
 	if !ch.Expiry.Equal(qa.Expiry) {
@@ -123,14 +123,14 @@ func TestHostAuditExactness(t *testing.T) {
 
 	// 3. Default allow: both attempts exhausted, Figure 4 fallback.
 	da := recs[2]
-	if da.Reason != audit.ReasonDefaultAllow || !da.Allowed ||
+	if da.Reason != flight.ReasonDefaultAllow || !da.Allowed ||
 		da.User != "u2" || da.Attempts != 2 {
 		t.Fatalf("default-allow record = %+v", da)
 	}
 
 	// 4. Unregistered deny: immediate, no protocol exchange.
 	ud := recs[3]
-	if ud.Reason != audit.ReasonUnregisteredDeny || ud.Allowed ||
+	if ud.Reason != flight.ReasonUnregisteredDeny || ud.Allowed ||
 		ud.App != "ghost" || ud.Attempts != 0 {
 		t.Fatalf("unregistered-deny record = %+v", ud)
 	}
@@ -146,7 +146,7 @@ func TestHostAuditExactness(t *testing.T) {
 func TestHostAuditQuorumDeny(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
-	rec := audit.NewRecorder("h0", 16, env.Now)
+	rec := flight.NewRecorder("h0", 16, env.Now)
 	h.SetAudit(rec)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
@@ -166,7 +166,7 @@ func TestHostAuditQuorumDeny(t *testing.T) {
 		t.Fatalf("got %d records, want 1", len(recs))
 	}
 	qd := recs[0]
-	if qd.Reason != audit.ReasonQuorumDeny || qd.Allowed {
+	if qd.Reason != flight.ReasonQuorumDeny || qd.Allowed {
 		t.Fatalf("record = %+v", qd)
 	}
 	if qd.Denials != 1 || qd.Queried != 2 || qd.Quorum != 2 {
@@ -177,7 +177,7 @@ func TestHostAuditQuorumDeny(t *testing.T) {
 func TestManagerAuditResponses(t *testing.T) {
 	env := newFakeEnv()
 	m := NewManager("m0", env, nil, nil)
-	rec := audit.NewRecorder("m0", 16, env.Now)
+	rec := flight.NewRecorder("m0", 16, env.Now)
 	m.SetAudit(rec)
 	if err := m.AddApp("a", ManagerAppConfig{
 		Peers: []wire.NodeID{"m0", "m1"}, CheckQuorum: 1, Te: time.Minute,
@@ -202,12 +202,12 @@ func TestManagerAuditResponses(t *testing.T) {
 		t.Fatalf("got %d records, want 4: %+v", len(recs), recs)
 	}
 	for _, r := range recs {
-		if r.Kind != audit.KindResponse || r.Peer != "h9" {
+		if r.Kind != flight.KindResponse || r.Peer != "h9" {
 			t.Fatalf("response record = %+v", r)
 		}
 	}
 	granted := recs[0]
-	if granted.Reason != audit.ReasonQueryGranted || granted.Trace != 7 {
+	if granted.Reason != flight.ReasonQueryGranted || granted.Trace != 7 {
 		t.Fatalf("granted record = %+v", granted)
 	}
 	// te = (Te - FreezeTi) * ClockBound per §3.2; with the defaults here
@@ -215,14 +215,14 @@ func TestManagerAuditResponses(t *testing.T) {
 	if granted.Expire <= 0 || granted.Expire > time.Minute {
 		t.Fatalf("granted Expire = %v, want (0, Te]", granted.Expire)
 	}
-	if denied := recs[1]; denied.Reason != audit.ReasonQueryDenied || denied.Trace != 8 {
+	if denied := recs[1]; denied.Reason != flight.ReasonQueryDenied || denied.Trace != 8 {
 		t.Fatalf("denied record = %+v", denied)
 	}
-	if unknown := recs[2]; unknown.Reason != audit.ReasonQueryUnknownApp || unknown.App != "ghost" {
+	if unknown := recs[2]; unknown.Reason != flight.ReasonQueryUnknownApp || unknown.App != "ghost" {
 		t.Fatalf("unknown-app record = %+v", unknown)
 	}
 	after := recs[3]
-	if after.Reason != audit.ReasonQueryDenied || after.Trace != 10 {
+	if after.Reason != flight.ReasonQueryDenied || after.Trace != 10 {
 		t.Fatalf("post-revoke record = %+v", after)
 	}
 	if after.Origin != "m0" || after.Counter != 1 {

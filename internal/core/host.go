@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"wanac/internal/acl"
-	"wanac/internal/audit"
 	"wanac/internal/auth"
+	"wanac/internal/flight"
 	"wanac/internal/quorum"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
@@ -71,7 +71,7 @@ type Host struct {
 }
 
 // hostView is the host's configuration: the app table and the optional
-// audit recorder. It lives only here, as one immutable value behind
+// journal taking decisions. It lives only here, as one immutable value behind
 // Host.view — RegisterApp and SetAudit publish a modified copy under mu —
 // so a check reads a consistent pair with one atomic load and no lock. The
 // hostApps the table points to are shared with the locked paths: policy,
@@ -83,7 +83,7 @@ type hostView struct {
 	// same call sites as the counts (see audit.go). Nil outside
 	// instrumented runs; every hook is nil-guarded so the unused cost is
 	// one branch.
-	aud *audit.Recorder
+	aud *flight.Recorder
 }
 
 // publish installs a modified copy of the view; edit must replace, never
@@ -301,7 +301,7 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	if h.tracing {
 		h.tracer.Emit(trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid})
 	}
-	h.counts.decided[audit.ReasonCacheHit].Add(1)
+	h.counts.decided[flight.ReasonCacheHit].Add(1)
 	if v.aud != nil {
 		v.aud.RecordCacheHit(now, tid, string(app), string(user), right.String(), entry.Granters, entry.Limit)
 	}
@@ -362,13 +362,13 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 	v := h.view.Load()
 	a, ok := v.apps[app]
 	if !ok || !right.Valid() {
-		h.recordDecision(now, now, audit.ReasonUnregisteredDeny)
+		h.recordDecision(now, now, flight.ReasonUnregisteredDeny)
 		h.emit(trace.EventAccessDenied, app, user, trace.WordUnregistered)
 		if v.aud != nil {
-			v.aud.Record(audit.Record{
-				Kind: audit.KindDecision, T: now,
+			v.aud.Record(flight.Record{
+				Kind: flight.KindDecision, T: now,
 				App: string(app), User: string(user), Right: right.String(),
-				Reason: audit.ReasonUnregisteredDeny,
+				Reason: flight.ReasonUnregisteredDeny,
 			})
 		}
 		h.fire(cb, Decision{})
@@ -540,7 +540,7 @@ func (h *Host) onCheckTimer(c *check) {
 		a, ok := h.view.Load().apps[c.key.app]
 		if !ok {
 			h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
-			h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
+			h.finish(c, Decision{}, flight.ReasonUnregisteredDeny)
 			return
 		}
 		h.startRound(a, c)
@@ -614,7 +614,7 @@ func (h *Host) onQueryTimeout(c *check) {
 	a, ok := v.apps[c.key.app]
 	if !ok {
 		h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
-		h.finish(c, Decision{}, audit.ReasonUnregisteredDeny)
+		h.finish(c, Decision{}, flight.ReasonUnregisteredDeny)
 		return
 	}
 	h.counts.queryTimeouts.Add(1)
@@ -635,11 +635,11 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 			h.finish(c, Decision{
 				Allowed: true, DefaultAllowed: true,
 				Attempts: c.attempts, Frozen: c.frozen,
-			}, audit.ReasonDefaultAllow)
+			}, flight.ReasonDefaultAllow)
 			return
 		}
 		h.emitC(trace.EventAccessDenied, c, trace.WordUnreachable, 0)
-		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonUnreachableDeny)
+		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, flight.ReasonUnreachableDeny)
 		return
 	}
 	h.startRound(a, c)
@@ -648,7 +648,7 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 // finish resolves a check, queues its callbacks, and recycles the struct.
 // reason is the audit provenance of the decision; the matching record is
 // emitted before the check's evidence is recycled away.
-func (h *Host) finish(c *check, d Decision, reason audit.Reason) {
+func (h *Host) finish(c *check, d Decision, reason flight.Reason) {
 	v := h.view.Load()
 	now := h.now
 	h.recordDecision(c.born, now, reason)
@@ -741,7 +741,7 @@ func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
 		// cached).
 		h.cache.Remove(c.key.app, c.key.user, c.key.right)
 		h.emitC(trace.EventAccessDenied, c, trace.WordRevoked, 0)
-		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, audit.ReasonQuorumDeny)
+		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, flight.ReasonQuorumDeny)
 	case quorum.Widen:
 		// Same nonce, same timer, no attempt consumed; sentAt stays the
 		// first send, so sentAt + te is only more conservative for the later
@@ -775,7 +775,7 @@ func (h *Host) grant(a *hostApp, c *check) {
 		Confirmations: confirmations,
 		Attempts:      c.attempts,
 		Frozen:        c.frozen,
-	}, audit.ReasonQuorumAllow)
+	}, flight.ReasonQuorumAllow)
 }
 
 func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
@@ -839,7 +839,7 @@ func (h *Host) resolveManagers(a *hostApp, app wire.AppID) {
 			// No managers and no name service: deny all waiting checks.
 			for _, c := range a.waiting {
 				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
-				h.finish(c, Decision{}, audit.ReasonResolveDeny)
+				h.finish(c, Decision{}, flight.ReasonResolveDeny)
 			}
 			a.waiting = nil
 		}
@@ -866,10 +866,10 @@ func (h *Host) onResolveTimeout(a *hostApp, app wire.AppID) {
 			if a.policy.DefaultAllow {
 				h.emitC(trace.EventAccessDefault, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{Allowed: true, DefaultAllowed: true, Attempts: c.attempts},
-					audit.ReasonResolveAllow)
+					flight.ReasonResolveAllow)
 			} else {
 				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
-				h.finish(c, Decision{Attempts: c.attempts}, audit.ReasonResolveDeny)
+				h.finish(c, Decision{Attempts: c.attempts}, flight.ReasonResolveDeny)
 			}
 			continue
 		}

@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
 	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
@@ -57,7 +56,7 @@ func answerRound(h *Host, round []wire.Envelope, granted bool) {
 func TestCacheHitAuditCitesOnlyCurrentVouchers(t *testing.T) {
 	env := newFakeEnv()
 	h := NewHost("h0", env, nil, nil)
-	rec := audit.NewRecorder("h0", 64, env.Now)
+	rec := flight.NewRecorder("h0", 64, env.Now)
 	h.SetAudit(rec)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1", "m2"},
@@ -69,11 +68,11 @@ func TestCacheHitAuditCitesOnlyCurrentVouchers(t *testing.T) {
 		t.Fatal(err)
 	}
 	nop := func(Decision) {}
-	lastHit := func() audit.Record {
+	lastHit := func() flight.Record {
 		t.Helper()
 		recs := rec.Snapshot()
 		r := recs[len(recs)-1]
-		if r.Reason != audit.ReasonCacheHit {
+		if r.Reason != flight.ReasonCacheHit {
 			t.Fatalf("last record is %v, want a cache hit", r.Reason)
 		}
 		return r
@@ -112,7 +111,7 @@ type hotHost struct {
 	h    *Host
 	lenv *lockedEnv
 	reg  *telemetry.Registry
-	aud  *audit.Recorder
+	aud  *flight.Recorder
 }
 
 func newHotHost(t *testing.T, policy Policy) *hotHost {
@@ -126,7 +125,7 @@ func newHotHostOn(t *testing.T, id wire.NodeID, reg *telemetry.Registry, policy 
 	lenv := newLockedEnv()
 	hh := &hotHost{lenv: lenv, reg: reg}
 	hh.h = NewHost(id, lenv, nil, nil)
-	hh.aud = audit.NewRecorder(string(id), 64, lenv.Now)
+	hh.aud = flight.NewRecorder(string(id), 64, lenv.Now)
 	InstrumentHost(hh.reg, hh.aud, hh.h)
 	managers := []wire.NodeID{"m0", "m1", "m2"}
 	if err := hh.h.RegisterApp("a", HostAppConfig{Managers: managers, Policy: policy}); err != nil {
@@ -154,7 +153,7 @@ func (hh *hotHost) answer(t *testing.T, granted bool) {
 // managers denying a refresh. A hit's linearization point is its cache
 // probe, so once the removing call has returned no check that starts
 // afterwards may report a cache hit; and with every caller done, the four
-// views of "how many decisions" — HostStats, the audit ring, the outcome
+// views of "how many decisions" — HostStats, the journal, the outcome
 // counters, the reason counters — agree exactly, although hits are counted
 // outside Host.mu.
 func TestNoCacheHitAfterFlushReturns(t *testing.T) {
@@ -299,7 +298,7 @@ func TestViewPublicationUnderLoad(t *testing.T) {
 	// Every metric derived from the hit count reports every hit.
 	counted := hostCounter(hh.reg, "wanac_host_checks_total", "cache_hit")
 	lat := hostLatency(hh.reg, outcomeCacheHit)
-	if reasons := ReasonCounts(hh.reg)[audit.ReasonCacheHit]; counted != st.CacheHits ||
+	if reasons := ReasonCounts(hh.reg)[flight.ReasonCacheHit]; counted != st.CacheHits ||
 		reasons != counted || lat.Count != counted || lat.Counts[0] != counted || lat.Sum != 0 {
 		t.Errorf("of %d hits: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
 			st.CacheHits, counted, reasons, lat.Count, lat.Counts[0], lat.Sum)
@@ -388,13 +387,13 @@ func TestCacheHitCountersDerived(t *testing.T) {
 		}
 		reasons := ReasonCounts(reg)
 		lat := hostLatency(reg, outcomeCacheHit)
-		if hitCounter.Value() != wantHits || reasons[audit.ReasonCacheHit] != wantHits ||
+		if hitCounter.Value() != wantHits || reasons[flight.ReasonCacheHit] != wantHits ||
 			lat.Count != wantHits || lat.Counts[0] != wantHits || lat.Sum != 0 {
 			t.Errorf("%s: want %d hits counted: checks{cache_hit} %d, reasons{cache_hit} %d, latency{cache_hit} count %d first bucket %d sum %v",
-				phase, wantHits, hitCounter.Value(), reasons[audit.ReasonCacheHit], lat.Count, lat.Counts[0], lat.Sum)
+				phase, wantHits, hitCounter.Value(), reasons[flight.ReasonCacheHit], lat.Count, lat.Counts[0], lat.Sum)
 		}
-		if got := outcomes.With("denied").Value(); got != wantDenied || reasons[audit.ReasonUnregisteredDeny] != wantDenied {
-			t.Errorf("%s: checks{denied} %d, reasons{unregistered_deny} %d, want %d", phase, got, reasons[audit.ReasonUnregisteredDeny], wantDenied)
+		if got := outcomes.With("denied").Value(); got != wantDenied || reasons[flight.ReasonUnregisteredDeny] != wantDenied {
+			t.Errorf("%s: checks{denied} %d, reasons{unregistered_deny} %d, want %d", phase, got, reasons[flight.ReasonUnregisteredDeny], wantDenied)
 		}
 		// The merged views: every outcome's histogram folded into one (the
 		// scenario SLOs), and the family rebuilt from the exposition (the
@@ -446,15 +445,15 @@ func TestCacheHitCountersDerived(t *testing.T) {
 }
 
 // TestCacheHitObservationContract: a cache hit is one trace event and one
-// ring record. A host is wired as each deployment wires it — acnode's
-// bridge over a flight tee over its log tracer (a collector here), bench's
+// journal record. A host is wired as each deployment wires it — acnode's
+// bridge over a journal tee over its log tracer (a collector here), bench's
 // bridge over a tee that ends the chain, the simulator's bridge over the
-// collector its flight dump is read from — with an audit ring and metrics
-// attached; a quorum allow warms the cache, then it makes N hits. They must
-// leave exactly N audit decision records, the flight ring untouched, N
-// cache-hit events and no access-allowed at the end of the chain, and the
-// hit's metric families reading exactly what they read when a hit was two
-// trace events.
+// collector its flight dump is read from — with the journal taking its
+// decisions and metrics attached; a quorum allow warms the cache, then it
+// makes N hits. They must leave exactly N decision records and no other
+// journal record, N cache-hit events and no access-allowed at the end of the
+// chain, and the hit's metric families reading exactly what they read when a
+// hit was two trace events.
 func TestCacheHitObservationContract(t *testing.T) {
 	const hits = 30
 	// The non-zero samples of the hit's families after the warm-up's quorum
@@ -532,12 +531,11 @@ wanac_trace_events_total{type="cache-hit"} 30
 			}); err != nil {
 				t.Fatal(err)
 			}
-			aud := audit.NewRecorder("h0", 64, env.Now)
-			InstrumentHost(reg, aud, h)
+			InstrumentHost(reg, rec, h)
 			h.Check("a", "u", wire.RightUse, func(Decision) {})
 			answerRound(h, lastRound(t, env), true)
 
-			flightBefore, audBefore := rec.Total(), aud.Decisions()
+			totalBefore, decisionsBefore := rec.Total(), rec.Decisions()
 			col.Reset()
 			made := 0
 			for i := 0; i < hits; i++ {
@@ -551,11 +549,8 @@ wanac_trace_events_total{type="cache-hit"} 30
 			if made != hits {
 				t.Fatalf("%d cache hits, want %d", made, hits)
 			}
-			if n := aud.Decisions() - audBefore; n != hits {
-				t.Errorf("%d hits left %d audit decision records", hits, n)
-			}
-			if rec.Total() != flightBefore {
-				t.Errorf("%d hits wrote %d flight records, want none", hits, rec.Total()-flightBefore)
+			if n := rec.Decisions() - decisionsBefore; n != hits || rec.Total()-totalBefore != hits {
+				t.Errorf("%d hits left %d decision records of %d journal records", hits, n, rec.Total()-totalBefore)
 			}
 			if tc.tail && (col.Count(trace.EventCacheHit) != hits || col.Count(trace.EventAccessAllowed) != 0 || len(col.Events()) != hits) {
 				t.Errorf("%d hits reached the collector as %d cache-hit and %d access-allowed of %d events",

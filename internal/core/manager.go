@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"wanac/internal/acl"
-	"wanac/internal/audit"
 	"wanac/internal/auth"
+	"wanac/internal/flight"
 	"wanac/internal/quorum"
 	"wanac/internal/ratelimit"
 	"wanac/internal/telemetry"
@@ -48,7 +48,7 @@ type Manager struct {
 	revocationLag *telemetry.Histogram
 	// aud, when set, records one response-kind audit entry per query
 	// verdict (see audit.go). Nil-guarded.
-	aud *audit.Recorder
+	aud *flight.Recorder
 }
 
 // mgrApp is the per-application dissemination and grant-tracking state.
@@ -595,12 +595,12 @@ func (m *Manager) notePeer(from wire.NodeID) {
 func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	ma, ok := m.apps[q.App]
 	if !ok {
-		m.served(nil, from, q, trace.WordUnknownApp, audit.ReasonQueryUnknownApp)
+		m.served(nil, from, q, trace.WordUnknownApp, flight.ReasonQueryUnknownApp)
 		m.env.Send(from, wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace})
 		return
 	}
 	if ma.syncing || ma.frozen {
-		m.served(ma, from, q, trace.WordFrozen, audit.ReasonQueryFrozen)
+		m.served(ma, from, q, trace.WordFrozen, flight.ReasonQueryFrozen)
 		m.env.Send(from, wire.Response{
 			App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Frozen: true, Trace: q.Trace,
 		})
@@ -622,9 +622,9 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 	}
 	if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
 		resp.Granted, resp.Expire = true, ma.expire
-		m.served(ma, from, q, trace.WordGranted, audit.ReasonQueryGranted)
+		m.served(ma, from, q, trace.WordGranted, flight.ReasonQueryGranted)
 	} else {
-		m.served(ma, from, q, trace.WordDenied, audit.ReasonQueryDenied)
+		m.served(ma, from, q, trace.WordDenied, flight.ReasonQueryDenied)
 	}
 	m.env.Send(from, resp)
 }
@@ -632,7 +632,7 @@ func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
 // served counts a query's verdict and tells the attached observers: the
 // query-served trace event and the response audit record, in that order. ma
 // is nil for unknown-app verdicts.
-func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict trace.Word, reason audit.Reason) {
+func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict trace.Word, reason flight.Reason) {
 	m.counts.verdicts[reason].Add(1)
 	m.emitServed(from, q, verdict)
 	if m.aud != nil {
@@ -659,7 +659,7 @@ func (m *Manager) admitQuery(ma *mgrApp, from wire.NodeID) bool {
 // shedQuery answers an over-budget query with a Busy reply carrying a
 // clamped Retry-After, instead of serving it.
 func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
-	m.counts.verdicts[audit.ReasonQueryShed].Add(1)
+	m.counts.verdicts[flight.ReasonQueryShed].Add(1)
 	ma.shedWindow++
 	now := m.now
 	var retry time.Duration
@@ -686,7 +686,7 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
 		})
 	}
 	if m.aud != nil {
-		m.auditResponse(ma, from, q, audit.ReasonQueryShed)
+		m.auditResponse(ma, from, q, flight.ReasonQueryShed)
 	}
 	m.env.Send(from, wire.Busy{App: q.App, Nonce: q.Nonce, RetryAfter: retry, Trace: q.Trace})
 }

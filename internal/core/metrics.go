@@ -4,7 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 )
 
 // Operational metrics. A node keeps one atomic per count (hostCounts,
@@ -17,7 +17,7 @@ import (
 // (outcomeOf), so the outcome counts are sums over it. A cache hit bumps
 // decided[ReasonCacheHit] without Host.mu; the rest move under it.
 type hostCounts struct {
-	decided       [audit.NumReasons]atomic.Uint64
+	decided       [flight.NumReasons]atomic.Uint64
 	revokeNotices atomic.Uint64
 	queryRounds   atomic.Uint64
 	queryTimeouts atomic.Uint64
@@ -64,7 +64,7 @@ func (h *Host) Stats() HostStats {
 	defer h.mu.Unlock()
 	c := &h.counts
 	var by [outcomeCount]uint64
-	for _, r := range audit.DecisionReasons {
+	for _, r := range flight.DecisionReasons {
 		by[outcomeOf(r)] += c.decided[r].Load()
 	}
 	return HostStats{
@@ -125,7 +125,7 @@ type ManagerStats struct {
 // by response reason; the rest count one ManagerStats field each. All move
 // under Manager.mu.
 type managerCounts struct {
-	verdicts       [audit.NumReasons]atomic.Uint64
+	verdicts       [flight.NumReasons]atomic.Uint64
 	teWidenings    atomic.Uint64
 	updatesIssued  atomic.Uint64
 	updatesApplied atomic.Uint64
@@ -139,9 +139,9 @@ func (m *Manager) Stats() ManagerStats {
 	defer m.mu.Unlock()
 	c := &m.counts
 	st := ManagerStats{
-		QueriesServed:  c.verdicts[audit.ReasonQueryGranted].Load() + c.verdicts[audit.ReasonQueryDenied].Load(),
-		QueriesFrozen:  c.verdicts[audit.ReasonQueryFrozen].Load(),
-		QueriesShed:    c.verdicts[audit.ReasonQueryShed].Load(),
+		QueriesServed:  c.verdicts[flight.ReasonQueryGranted].Load() + c.verdicts[flight.ReasonQueryDenied].Load(),
+		QueriesFrozen:  c.verdicts[flight.ReasonQueryFrozen].Load(),
+		QueriesShed:    c.verdicts[flight.ReasonQueryShed].Load(),
 		TeWidenings:    c.teWidenings.Load(),
 		UpdatesIssued:  c.updatesIssued.Load(),
 		UpdatesApplied: c.updatesApplied.Load(),
@@ -168,7 +168,7 @@ func (m *Manager) Stats() ManagerStats {
 // but a cache hit, which cacheHit counts itself. born is when the check
 // began and now when it finished (for the latency histograms); a zero born
 // records no latency.
-func (h *Host) recordDecision(born, now time.Time, reason audit.Reason) {
+func (h *Host) recordDecision(born, now time.Time, reason flight.Reason) {
 	h.counts.decided[reason].Add(1)
 	observeSince(h.latency[outcomeOf(reason)], born, now)
 }

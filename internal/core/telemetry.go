@@ -18,7 +18,7 @@ package core
 import (
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 )
 
@@ -35,9 +35,9 @@ const (
 var outcomeNames = [outcomeCount]string{"cache_hit", "allowed", "default_allowed", "denied"}
 
 // outcomeOf is the outcome a decision reason implies.
-func outcomeOf(r audit.Reason) int {
+func outcomeOf(r flight.Reason) int {
 	switch {
-	case r == audit.ReasonCacheHit:
+	case r == flight.ReasonCacheHit:
 		return outcomeCacheHit
 	case r.Default():
 		return outcomeDefault
@@ -52,11 +52,11 @@ func outcomeOf(r audit.Reason) int {
 // one handle per decision reason (non-decision slots stay nil). Both
 // InstrumentHost and post-run readers resolve through here, so they
 // always see the same handles.
-func reasonCounters(reg *telemetry.Registry) [audit.NumReasons]*telemetry.Counter {
+func reasonCounters(reg *telemetry.Registry) [flight.NumReasons]*telemetry.Counter {
 	vec := reg.CounterVec("wanac_host_check_reasons_total",
 		"Completed access decisions by audit reason (refines wanac_host_checks_total with per-decision provenance).", "reason")
-	var out [audit.NumReasons]*telemetry.Counter
-	for _, r := range audit.DecisionReasons {
+	var out [flight.NumReasons]*telemetry.Counter
+	for _, r := range flight.DecisionReasons {
 		out[r] = vec.With(r.String())
 	}
 	return out
@@ -64,14 +64,14 @@ func reasonCounters(reg *telemetry.Registry) [audit.NumReasons]*telemetry.Counte
 
 // ReasonCounts reads the per-reason decision counters accumulated in reg,
 // summed across every host instrumented there. The counters read the
-// hosts' decision counts, so — unlike the bounded audit rings — they are
+// hosts' decision counts, so — unlike the bounded journals — they are
 // exact even when rings dropped records. All-zero when no host was
 // instrumented.
-func ReasonCounts(reg *telemetry.Registry) map[audit.Reason]uint64 {
-	out := make(map[audit.Reason]uint64, len(audit.DecisionReasons))
+func ReasonCounts(reg *telemetry.Registry) map[flight.Reason]uint64 {
+	out := make(map[flight.Reason]uint64, len(flight.DecisionReasons))
 	for r, c := range reasonCounters(reg) {
 		if c != nil {
-			out[audit.Reason(r)] = c.Value()
+			out[flight.Reason(r)] = c.Value()
 		}
 	}
 	return out
@@ -81,18 +81,18 @@ func ReasonCounts(reg *telemetry.Registry) map[audit.Reason]uint64 {
 // and the round, timeout, revocation, busy and backoff counters, all
 // derived from h's counts; latency histograms by outcome (shared families,
 // aggregated across hosts); and per-node cache gauges. It installs aud as
-// the audit recorder when it is non-nil (nil leaves the current one in
-// place).
+// the journal taking decisions when it is non-nil (nil leaves the current
+// one in place).
 //
 // Instrument a host once, before it serves: the counters read its lifetime
 // counts, so a second call would count every check twice, while a latency
 // is observed only for checks decided after the call.
-func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) {
+func InstrumentHost(reg *telemetry.Registry, aud *flight.Recorder, h *Host) {
 	c := &h.counts
 	checks := reg.CounterVec("wanac_host_checks_total",
 		"Completed access decisions by outcome.", "outcome")
 	reasons := reasonCounters(reg)
-	for _, r := range audit.DecisionReasons {
+	for _, r := range flight.DecisionReasons {
 		checks.With(outcomeNames[outcomeOf(r)]).Derive(&c.decided[r])
 		reasons[r].Derive(&c.decided[r])
 	}
@@ -114,7 +114,7 @@ func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) {
 	}
 	// A hit takes no time on the host's clock: each one is an observation
 	// of 0, derived from its count rather than observed.
-	lat[outcomeCacheHit].DeriveZeros(&c.decided[audit.ReasonCacheHit])
+	lat[outcomeCacheHit].DeriveZeros(&c.decided[flight.ReasonCacheHit])
 	h.mu.Lock()
 	h.latency = lat
 	h.mu.Unlock()
@@ -139,17 +139,17 @@ func InstrumentHost(reg *telemetry.Registry, aud *audit.Recorder, h *Host) {
 // InstrumentManager wires m into reg: query and update counters derived
 // from m's counts, quorum and revocation-propagation histograms (shared
 // families), and per-node gauges for outstanding work and freeze/sync
-// state. It installs aud as the audit recorder when it is non-nil (nil
-// leaves the current one in place). Like InstrumentHost, call it once,
+// state. It installs aud as the journal taking verdicts when it is non-nil
+// (nil leaves the current one in place). Like InstrumentHost, call it once,
 // before the manager serves.
-func InstrumentManager(reg *telemetry.Registry, aud *audit.Recorder, m *Manager) {
+func InstrumentManager(reg *telemetry.Registry, aud *flight.Recorder, m *Manager) {
 	c := &m.counts
 	queries := reg.CounterVec("wanac_manager_queries_total",
 		"Access-right queries by result: served (grant/deny), frozen (declined), or shed (rejected by admission control).", "result")
-	queries.With("served").Derive(&c.verdicts[audit.ReasonQueryGranted])
-	queries.With("served").Derive(&c.verdicts[audit.ReasonQueryDenied])
-	queries.With("frozen").Derive(&c.verdicts[audit.ReasonQueryFrozen])
-	queries.With("shed").Derive(&c.verdicts[audit.ReasonQueryShed])
+	queries.With("served").Derive(&c.verdicts[flight.ReasonQueryGranted])
+	queries.With("served").Derive(&c.verdicts[flight.ReasonQueryDenied])
+	queries.With("frozen").Derive(&c.verdicts[flight.ReasonQueryFrozen])
+	queries.With("shed").Derive(&c.verdicts[flight.ReasonQueryShed])
 	updates := reg.CounterVec("wanac_manager_updates_total",
 		"ACL update operations by disposition: issued locally, applied from peers, or stale (discarded by last-writer-wins).", "disposition")
 	updates.With("issued").Derive(&c.updatesIssued)

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -151,7 +151,7 @@ func TestHostTelemetryExactness(t *testing.T) {
 
 	// The cache hit's metrics are derived from its one count and read like
 	// any other: per reason, per bucket, and in the exposition.
-	if got := ReasonCounts(reg)[audit.ReasonCacheHit]; got != st.CacheHits {
+	if got := ReasonCounts(reg)[flight.ReasonCacheHit]; got != st.CacheHits {
 		t.Errorf("wanac_host_check_reasons_total{cache_hit} = %d, want %d", got, st.CacheHits)
 	}
 	if s := hostLatency(reg, outcomeCacheHit); s.Counts[0] != 1 {
@@ -175,13 +175,13 @@ func TestHostTelemetryExactness(t *testing.T) {
 }
 
 // TestHostTraceReconstructsCheckRound follows one two-round check through
-// the records it leaves under its trace ID: the trace events (what the
-// flight ring keeps) and the audit decision record.
+// the records it leaves under its trace ID: the trace events (what a
+// journal's protocol window keeps) and the decision record.
 func TestHostTraceReconstructsCheckRound(t *testing.T) {
 	env := newFakeEnv()
 	col := trace.NewCollector()
 	h := NewHost("h0", env, col, nil)
-	rec := audit.NewRecorder("h0", 16, env.Now)
+	rec := flight.NewRecorder("h0", 16, env.Now)
 	InstrumentHost(telemetry.NewRegistry(), rec, h)
 	if err := h.RegisterApp("a", HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1"},
@@ -237,7 +237,7 @@ func TestHostTraceReconstructsCheckRound(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("audit records = %+v, want one decision", recs)
 	}
-	if dec := recs[0]; dec.Trace != q1.Trace || dec.Reason != audit.ReasonQuorumAllow ||
+	if dec := recs[0]; dec.Trace != q1.Trace || dec.Reason != flight.ReasonQuorumAllow ||
 		dec.Attempts != 2 || dec.Managers != "m1" || !dec.T.Equal(decided) {
 		t.Errorf("decision record = %+v", dec)
 	}
@@ -246,7 +246,7 @@ func TestHostTraceReconstructsCheckRound(t *testing.T) {
 	// audit record alike.
 	h.Check("a", "u", wire.RightUse, func(Decision) {})
 	hit := rec.Snapshot()[1]
-	if hit.Reason != audit.ReasonCacheHit || hit.Trace == 0 || hit.Trace == q1.Trace {
+	if hit.Reason != flight.ReasonCacheHit || hit.Trace == 0 || hit.Trace == q1.Trace {
 		t.Fatalf("cache-hit record = %+v, want a fresh non-zero trace", hit)
 	}
 	evs := col.Events()

@@ -23,7 +23,9 @@ package flight
 //     per-node estimate when nothing ties it to the rest.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -235,11 +237,21 @@ func Align(d *Dump) *Alignment {
 	return al
 }
 
-// fit derives a NodeAlign from (local, reference) observation pairs.
+// fit derives a NodeAlign from (local, reference) observation pairs. The
+// pairs arrive in map order; fit sorts them in place and sums them in that
+// order, so the fit, and the timeline built on it, is the same on every run.
 func fit(xs, ys []float64) NodeAlign {
 	n := len(xs)
 	if n == 0 {
 		return NodeAlign{Scale: 1}
+	}
+	pairs := make([][2]float64, n)
+	for i := range pairs {
+		pairs[i] = [2]float64{xs[i], ys[i]}
+	}
+	slices.SortFunc(pairs, func(a, b [2]float64) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	for i, p := range pairs {
+		xs[i], ys[i] = p[0], p[1]
 	}
 	spread := 0.0
 	if n > 1 {

@@ -114,3 +114,19 @@ func TestUpdateAnchorsAlignManagers(t *testing.T) {
 		t.Fatalf("aligned update pair gap = %v, want ~10ms", gap)
 	}
 }
+
+// TestFitIgnoresObservationOrder: Align hands fit its anchor pairs in map
+// order, so the fit must not depend on it, or one dump renders differently
+// from run to run.
+func TestFitIgnoresObservationOrder(t *testing.T) {
+	xs := []float64{0.1, 7.3, 2.9, 11.7, 5.05, 0.7, 9.9}
+	ys := []float64{3.204, 10.42, 6.01, 14.83, 8.151, 3.79, 13.02}
+	want := fit(xs, ys)
+	for shift := 1; shift < len(xs); shift++ {
+		rx := append(append([]float64(nil), xs[shift:]...), xs[:shift]...)
+		ry := append(append([]float64(nil), ys[shift:]...), ys[:shift]...)
+		if got := fit(rx, ry); got != want {
+			t.Fatalf("fit of the pairs rotated by %d = %+v, want %+v", shift, got, want)
+		}
+	}
+}

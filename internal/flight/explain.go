@@ -1,4 +1,4 @@
-package audit
+package flight
 
 import (
 	"fmt"
@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"wanac/internal/flight"
+	"wanac/internal/trace"
 )
 
 // Filter selects the decisions Explain reconstructs. Zero fields match
@@ -158,56 +158,67 @@ func (r *Record) Evidence() string {
 
 // Explain writes a causal explanation for every decision in d selected by
 // f: the decision headline and evidence, the manager responses sharing its
-// trace ID, and — when a flight dump is supplied — the flight-recorder
-// timeline of the same check. Returns how many decisions were explained.
-func Explain(w io.Writer, d *Dump, fl *flight.Dump, f Filter) int {
-	if d == nil {
-		return 0
-	}
+// trace ID, and the timeline records of the same check (asEvent).
+// Returns how many decisions were explained.
+func Explain(w io.Writer, d *Dump, f Filter) int {
 	decisions := MatchDecisions(d.Records, f)
 	for i := range decisions {
 		if i > 0 {
 			fmt.Fprintln(w)
 		}
-		explainOne(w, &decisions[i], d.Records, fl)
+		explainOne(w, &decisions[i], d.Records)
 	}
 	return len(decisions)
 }
 
-func explainOne(w io.Writer, dec *Record, all []Record, fl *flight.Dump) {
+func explainOne(w io.Writer, dec *Record, all []Record) {
 	fmt.Fprintln(w, dec.Headline())
 	fmt.Fprintf(w, "  evidence: %s\n", dec.Evidence())
-	if dec.Trace != 0 {
-		for i := range all {
-			r := &all[i]
-			// Trace IDs are minted per host (the nonce sequence), so a
-			// merged multi-host dump can hold colliding traces; the
-			// response's Peer names the querying host and disambiguates.
-			if r.Kind == KindResponse && r.Trace == dec.Trace &&
-				(r.Peer == "" || dec.Node == "" || r.Peer == dec.Node) {
-				fmt.Fprintf(w, "  manager %s: %s\n", r.Node, r.Evidence())
-			}
-		}
-		if fl != nil {
-			wrote := false
-			for i := range fl.Records {
-				r := &fl.Records[i]
-				if r.Trace != dec.Trace {
-					continue
-				}
-				if !wrote {
-					fmt.Fprintln(w, "  flight:")
-					wrote = true
-				}
-				line := fmt.Sprintf("    %s %s %s", r.T.Format(clockFmt), r.Node, r.Type)
-				if r.Peer != "" {
-					line += " peer=" + r.Peer
-				}
-				if r.Note != "" {
-					line += " " + r.Note
-				}
-				fmt.Fprintln(w, line)
-			}
+	if dec.Trace == 0 {
+		return
+	}
+	for i := range all {
+		r := &all[i]
+		// Trace IDs are minted per host (the nonce sequence), so a merged
+		// multi-host dump can hold colliding traces; the response's Peer
+		// names the querying host and disambiguates.
+		if r.Kind == KindResponse && r.Trace == dec.Trace &&
+			(r.Peer == "" || dec.Node == "" || r.Peer == dec.Node) {
+			fmt.Fprintf(w, "  manager %s: %s\n", r.Node, r.Evidence())
 		}
 	}
+	wrote := false
+	for i := range all {
+		r, ok := all[i].asEvent()
+		if !ok || r.Trace != dec.Trace {
+			continue
+		}
+		if !wrote {
+			fmt.Fprintln(w, "  flight:")
+			wrote = true
+		}
+		line := fmt.Sprintf("    %s %s %s", r.T.Format(clockFmt), r.Node, r.Type)
+		if r.Peer != "" {
+			line += " peer=" + r.Peer
+		}
+		if r.Note != "" {
+			line += " " + r.Note
+		}
+		fmt.Fprintln(w, line)
+	}
+}
+
+// asEvent returns the record as a timeline shows it, and false for a record a
+// timeline leaves out. A cache hit's decision stands in for its cache-hit
+// event, which a journal does not keep (Tee); every other decision and every
+// response has its protocol events beside it and is left out.
+func (r *Record) asEvent() (Record, bool) {
+	switch {
+	case r.Kind == KindDecision && r.Reason == ReasonCacheHit:
+		return Record{Seq: r.Seq, T: r.T, Node: r.Node, Kind: KindProtocol, Type: trace.EventCacheHit.String(),
+			Trace: r.Trace, App: r.App, User: r.User}, true
+	case r.Kind.decided():
+		return Record{}, false
+	}
+	return *r, true
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"wanac/internal/clitest"
-	"wanac/internal/ring"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -184,8 +183,8 @@ func TestDumpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Header.Flight != ring.DumpVersion {
-		t.Fatalf("version = %d, want %d", d.Header.Flight, ring.DumpVersion)
+	if d.Header.Journal != DumpVersion {
+		t.Fatalf("version = %d, want %d", d.Header.Journal, DumpVersion)
 	}
 	if len(d.Header.Nodes) != 1 || d.Header.Nodes[0] != "h0" {
 		t.Fatalf("nodes = %v, want [h0]", d.Header.Nodes)
@@ -204,10 +203,11 @@ func TestDumpRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDumpGolden pins the bytes /debug/flight and harness artifacts serve: a
-// fixed-clock ring that has wrapped (so the header carries dropped), every
-// Kind, and each omitempty field both set and unset, through Record and
-// RecordEvent alike.
+// TestDumpGolden pins the bytes /debug/journal and harness artifacts serve:
+// a fixed-clock protocol window that has wrapped (so the header carries
+// dropped), every Kind, each omitempty field both set and unset, through
+// Record, RecordEvent and RecordCacheHit alike, and the two windows' records
+// listed in Seq order.
 func TestDumpGolden(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0).UTC()
 	r := NewRecorder("h0", 16, fixedClock(base))
@@ -231,6 +231,10 @@ func TestDumpGolden(t *testing.T) {
 	r.RecordEvent(trace.Event{Type: trace.EventTeAdapted, Num: int64(2 * time.Second)})
 	r.RecordEvent(trace.Event{Type: trace.EventRevokeApplied, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Counter: 2}})
 	r.Record(Record{Kind: KindProtocol, Type: "query-sent", Trace: 0x1, User: "dave"})
+	r.RecordCacheHit(at, 0xabd, "stocks", "alice", "use", 2, at.Add(30*time.Second))
+	r.Record(Record{Kind: KindResponse, Trace: 0xabc, App: "stocks", User: "alice", Right: "use",
+		Reason: ReasonQueryGranted, Expire: 30 * time.Second, Peer: "h1", Origin: "m0", Counter: 4})
+	r.Record(Record{Kind: KindProtocol, Type: "frozen"})
 	var buf bytes.Buffer
 	for _, rec := range []*Recorder{r, NewRecorder("m0", 16, nil)} { // one that never wrapped: no dropped
 		if err := rec.WriteDump(&buf); err != nil {
@@ -241,14 +245,14 @@ func TestDumpGolden(t *testing.T) {
 }
 
 func TestReadDumpRejectsFutureVersion(t *testing.T) {
-	in := `{"flight":99,"nodes":["h0"]}` + "\n"
+	in := `{"journal":99,"nodes":["h0"]}` + "\n"
 	if _, err := ReadDump(strings.NewReader(in)); err == nil {
 		t.Fatal("want error for future dump version, got nil")
 	}
 }
 
 func TestReadDumpRejectsRecordWithoutNode(t *testing.T) {
-	in := `{"flight":1,"nodes":["h0"]}` + "\n" + `{"seq":0,"t":"2026-01-01T00:00:00Z","kind":"protocol","type":"query-sent"}` + "\n"
+	in := `{"journal":1,"nodes":["h0"]}` + "\n" + `{"seq":0,"t":"2026-01-01T00:00:00Z","kind":"protocol","type":"query-sent"}` + "\n"
 	if _, err := ReadDump(strings.NewReader(in)); err == nil {
 		t.Fatal("want error for record without node, got nil")
 	}
@@ -261,9 +265,10 @@ func TestMergeSortsNodesAndRecords(t *testing.T) {
 	a.Record(Record{Kind: KindProtocol, Type: "query-served"})
 	b.Record(Record{Kind: KindProtocol, Type: "query-sent"})
 	b.Record(Record{Kind: KindProtocol, Type: "query-timeout"})
-	m := Merge(a.Dump(), b.Dump(), nil)
-	if got, want := strings.Join(m.Header.Nodes, ","), "h0,m1"; got != want {
-		t.Fatalf("merged nodes = %q, want %q", got, want)
+	net := &Dump{Header: Header{Nodes: []string{"net", "h0"}, Dropped: 2}}
+	m := Merge(a.Dump(), b.Dump(), nil, net)
+	if got, want := strings.Join(m.Header.Nodes, ","), "h0,m1,net"; got != want || m.Header.Dropped != 2 {
+		t.Fatalf("merged nodes = %q with %d dropped, want %q with 2", got, m.Header.Dropped, want)
 	}
 	if len(m.Records) != 3 {
 		t.Fatalf("merged records = %d, want 3", len(m.Records))
@@ -292,7 +297,7 @@ func modelRecord(e trace.Event) Record {
 // RecordEvent and the tee, a few wraps long, beside a flat slice of what each
 // should have recorded: the dump must be the slice's tail, every record
 // classified as modelRecord does and stamped with Node, Seq and, where the
-// event had no time, the recorder's clock. The ring itself is internal/ring's
+// event had no time, the recorder's clock. The ring itself is ring_test.go's
 // to test.
 func TestRecorderAgainstModel(t *testing.T) {
 	const size = 16
@@ -371,5 +376,67 @@ func TestDumpIsOneObservation(t *testing.T) {
 		if d.Header.Dropped != first || last-first+1 != uint64(len(d.Records)) {
 			t.Fatalf("dump %d: Dropped = %d with records %d..%d (%d listed)", i, d.Header.Dropped, first, last, len(d.Records))
 		}
+	}
+}
+
+// TestReadRejects covers each rule a reader enforces, and that errors name
+// the line; a headerless stream of records reads as a dump of the nodes it
+// names.
+func TestReadRejects(t *testing.T) {
+	for _, c := range []struct{ in, want string }{
+		{"", "empty dump"},
+		{"not json\n", "bad dump header"},
+		{`{"journal":2}` + "\n", "unsupported dump version 2"},
+		{`{"flight":1,"nodes":["h0"]}` + "\n", "line 1: record without node"},
+		{`{"audit":1,"nodes":["h0"],"total":0,"decisions":0}` + "\n", "line 1: record without node"},
+		{`{"journal":1}` + "\n" + `{"node":"a"}` + "\n\n" + `{"seq":3}` + "\n", "line 4: record without node"},
+		{`{"journal":1}` + "\n" + `{"node":1}` + "\n", "line 2"},
+		{`{"node":"a"}` + "\n" + `{"seq":1}` + "\n", "line 2: record without node"},
+	} {
+		if _, err := ReadDump(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ReadDump(%q) = %v, want an error containing %q", c.in, err, c.want)
+		}
+	}
+	d, err := ReadDump(strings.NewReader(`{"node":"m0","kind":"response"}` + "\n\n" + `{"node":"h0","seq":4,"kind":"decision"}` + "\n"))
+	if err != nil || len(d.Records) != 2 || !slices.Equal(d.Header.Nodes, []string{"h0", "m0"}) || d.Header.Journal != DumpVersion {
+		t.Fatalf("headerless stream read as %+v (%v)", d, err)
+	}
+}
+
+// TestJournalRetention: protocol chatter cannot evict a decision. A
+// decision, then ten windows' worth of transport records: the dump still
+// lists the decision, its header's Dropped is exactly the protocol records
+// overwritten, and the listed Seqs strictly increase — with no gaps when
+// nothing was dropped. A window that never got a record holds no slots.
+func TestJournalRetention(t *testing.T) {
+	const size = 64
+	r := NewRecorder("h0", size, nil)
+	for i := 0; i < size/2; i++ {
+		r.Record(Record{Kind: KindTransport, Type: "up", Peer: "m0"})
+	}
+	if r.decided.buf != nil {
+		t.Fatalf("a journal that recorded no decision holds %d decision slots", len(r.decided.buf))
+	}
+	if d := r.Dump(); d.Header.Dropped != 0 || d.Records[len(d.Records)-1].Seq != size/2-1 {
+		t.Fatalf("before any drop: %d records under %+v", len(d.Records), d.Header)
+	}
+	r.RecordCacheHit(t0, 7, "app", "alice", "use", 2, t0.Add(time.Minute))
+	for i := 0; i < 10*size; i++ {
+		r.Record(Record{Kind: KindTransport, Type: "up", Peer: "m0"})
+	}
+	d := r.Dump()
+	if d.Records[0].Kind != KindDecision || d.Records[0].Trace != 7 || len(d.Records) != size+1 {
+		t.Fatalf("the decision is gone: %d records, the first %+v", len(d.Records), d.Records[0])
+	}
+	if overwritten := uint64(size/2 + 10*size - size); d.Header.Dropped != overwritten || r.Dropped() != overwritten {
+		t.Fatalf("Dropped = %d (recorder %d), want the %d protocol records overwritten", d.Header.Dropped, r.Dropped(), overwritten)
+	}
+	for i := 1; i < len(d.Records); i++ {
+		if d.Records[i].Seq <= d.Records[i-1].Seq {
+			t.Fatalf("Seq %d listed after %d", d.Records[i].Seq, d.Records[i-1].Seq)
+		}
+	}
+	if p := r.protocol; len(p.buf) != size || r.decided.retained() != 1 {
+		t.Fatalf("windows hold %d protocol slots and %d decisions, want %d and 1", len(p.buf), r.decided.retained(), size)
 	}
 }

@@ -28,12 +28,19 @@ type Timeline struct {
 	Dropped uint64
 }
 
-// BuildTimeline aligns the dump's clocks and orders its records.
+// BuildTimeline aligns the dump's clocks and orders the records a timeline
+// shows (asEvent).
 func BuildTimeline(d *Dump) *Timeline {
-	al := Align(d)
+	shown := &Dump{Header: d.Header}
+	for i := range d.Records {
+		if r, ok := d.Records[i].asEvent(); ok {
+			shown.Records = append(shown.Records, r)
+		}
+	}
+	al := Align(shown)
 	tl := &Timeline{Align: al, Dropped: d.Header.Dropped}
-	tl.Entries = make([]Entry, 0, len(d.Records))
-	for _, r := range d.Records {
+	tl.Entries = make([]Entry, 0, len(shown.Records))
+	for _, r := range shown.Records {
 		tl.Entries = append(tl.Entries, Entry{At: al.Adjust(r.Node, r.T), Rec: r})
 	}
 	sort.SliceStable(tl.Entries, func(i, j int) bool {

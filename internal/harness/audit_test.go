@@ -10,7 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
@@ -24,16 +24,16 @@ func decisionEvent(node string, at time.Duration, typ trace.EventType, user stri
 	}
 }
 
-// ringOf builds node's audit recorder as a run that accepted `decisions`
+// ringOf builds node's journal as a run that accepted `decisions`
 // decision records leaves it: a ring of len(recs) slots retaining recs (the
 // newest suffix), the older ones overwritten.
-func ringOf(node string, decisions int, recs ...audit.Record) *audit.Recorder {
-	ring := audit.NewRecorder(node, len(recs), nil)
+func ringOf(node string, decisions int, recs ...flight.Record) *flight.Recorder {
+	ring := flight.NewRecorder(node, len(recs), nil)
 	for i := len(recs); i < decisions; i++ {
-		ring.Record(audit.Record{Kind: audit.KindDecision, T: auditT0})
+		ring.Record(flight.Record{Kind: flight.KindDecision, T: auditT0})
 	}
 	for _, rec := range recs {
-		rec.Kind = audit.KindDecision
+		rec.Kind = flight.KindDecision
 		rec.App = "app"
 		ring.Record(rec)
 	}
@@ -50,7 +50,7 @@ func collected(events []trace.Event) iter.Seq[*trace.Event] {
 	return c.All()
 }
 
-func runAuditOracle(t *testing.T, events []trace.Event, rings ...*audit.Recorder) []Violation {
+func runAuditOracle(t *testing.T, events []trace.Event, rings ...*flight.Recorder) []Violation {
 	t.Helper()
 	o := newOracles(30*time.Second, 0, 0, 2, 3)
 	o.judgeLog(collected(events), rings)
@@ -64,11 +64,11 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", trace.WordRevoked),
 	}
 	ring := ringOf("h0", 3,
-		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
+		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1", Expire: 20 * time.Second},
-		audit.Record{T: auditT0.Add(time.Second), User: "u0", Reason: audit.ReasonCacheHit,
+		flight.Record{T: auditT0.Add(time.Second), User: "u0", Reason: flight.ReasonCacheHit,
 			Allowed: true, Granters: 2, Expiry: auditT0.Add(21 * time.Second)},
-		audit.Record{T: auditT0.Add(2 * time.Second), User: "u1", Reason: audit.ReasonQuorumDeny,
+		flight.Record{T: auditT0.Add(2 * time.Second), User: "u1", Reason: flight.ReasonQuorumDeny,
 			Set: 2, Queried: 2, Denials: 1},
 	)
 	if v := runAuditOracle(t, events, ring); len(v) != 0 {
@@ -95,7 +95,7 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", trace.WordNone),
 	}
 	ring := ringOf("h0", 1,
-		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true, Granters: 1},
+		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true, Granters: 1},
 	)
 	v := runAuditOracle(t, events, ring)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "2 decision events in trace but 1 audit records accepted") {
@@ -120,9 +120,9 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", trace.WordUnregistered),
 	}
 	ring := ringOf("h0", 3,
-		audit.Record{T: auditT0.Add(time.Second), User: "u1", Reason: audit.ReasonCacheHit,
+		flight.Record{T: auditT0.Add(time.Second), User: "u1", Reason: flight.ReasonCacheHit,
 			Allowed: true, Granters: 1, Expiry: auditT0.Add(10 * time.Second)},
-		audit.Record{T: auditT0.Add(2 * time.Second), User: "u2", Reason: audit.ReasonUnregisteredDeny},
+		flight.Record{T: auditT0.Add(2 * time.Second), User: "u2", Reason: flight.ReasonUnregisteredDeny},
 	)
 	if v := runAuditOracle(t, events, ring); len(v) != 0 {
 		t.Fatalf("suffix match failed: %+v", v)
@@ -132,7 +132,7 @@ func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
 func TestAuditOracleReasonMismatch(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone)}
 	ring := ringOf("h0", 1,
-		audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
+		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1"},
 	)
 	v := runAuditOracle(t, events, ring)
@@ -145,63 +145,63 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 	cases := []struct {
 		name string
 		ev   trace.Event
-		rec  audit.Record
+		rec  flight.Record
 		frag string
 	}{
 		{"stale cache hit beyond te",
 			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(5 * time.Minute)},
 			"beyond the revocation bound"},
 		{"cache hit citing expired entry",
 			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true,
 				Granters: 1, Expiry: auditT0.Add(-time.Second)},
 			"already expired"},
 		{"cache hit with no granters",
 			decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonCacheHit, Allowed: true},
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true},
 			"cites no granting manager"},
 		{"quorum allow below quorum",
 			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 				Attempts: 1, Confirmations: 1, Managers: "m0"},
 			"quorum is 2"},
 		{"quorum allow manager-count mismatch",
 			decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumAllow, Allowed: true,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 				Attempts: 1, Confirmations: 2, Managers: "m0"},
 			"names 1 managers"},
 		{"quorum deny with quorum still reachable",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumDeny,
 				Set: 3, Queried: 3, Denials: 1},
 			"still reachable"},
 		// Every manager asked denied — but 1 of 1 asked, with two of M=3
 		// never heard from that could both grant: judged against M.
 		{"quorum deny judged against M, not against the managers asked",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumDeny,
 				Set: 3, Queried: 1, Denials: 1},
 			"cites 1 denials of 3 managers (1 queried)"},
 		{"quorum deny citing more denials than managers asked",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumDeny,
 				Set: 3, Queried: 1, Denials: 2},
 			"cites 2 denials of 3 managers (1 queried)"},
 		{"quorum deny without the manager set's size",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordRevoked),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonQuorumDeny,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumDeny,
 				Queried: 2, Denials: 2},
 			"queried 2 of 0 managers"},
 		{"default allow before exhausting R",
 			decisionEvent("h0", 0, trace.EventAccessDefault, "u0", trace.WordNone),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonDefaultAllow, Allowed: true,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonDefaultAllow, Allowed: true,
 				Attempts: 1},
 			"only 1 of 3 attempts"},
 		{"outcome contradicts reason",
 			decisionEvent("h0", 0, trace.EventAccessDenied, "u0", trace.WordUnreachable),
-			audit.Record{T: auditT0, User: "u0", Reason: audit.ReasonUnreachableDeny,
+			flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonUnreachableDeny,
 				Allowed: true, Attempts: 3},
 			"implies allowed=false"},
 	}

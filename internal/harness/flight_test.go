@@ -54,8 +54,8 @@ func badScenario() Scenario {
 // reconstructed timeline shows the partition, the revocation quorum, the
 // default-allow leak, and the stale allow in causal order across at least
 // three nodes, despite the host clock running 20% slow. The stale allow is a
-// cache hit, which the host's ring does not hold: it is the cache-hit record
-// the dump folds in from the host's audit ring.
+// cache hit, whose one record is its decision in the host's journal: the
+// timeline shows it as the hit.
 func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 	sc := badScenario()
 	opt := Options{InflateTe: true, DropRevokeNotices: true}
@@ -164,8 +164,8 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 
 // TestKnownBadFlightDumpGolden pins the known-bad run's merged dump byte for
 // byte: the drifting host's clock-rate record, the partition on the net
-// pseudo-node, protocol and quorum records read from the trace log, the cache
-// hits folded in from the host's audit ring and the oracle marks.
+// pseudo-node, protocol and quorum records read from the trace log, each
+// node's decisions and responses from its journal, and the oracle marks.
 func TestKnownBadFlightDumpGolden(t *testing.T) {
 	res, err := RunScenario(badScenario(), Options{InflateTe: true, DropRevokeNotices: true})
 	if err != nil {

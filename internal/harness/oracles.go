@@ -6,7 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/quorum"
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -101,8 +101,8 @@ func (s oracles) violations() []Violation {
 
 // judgeLog runs the post-hoc oracles in one pass over the logs where they
 // lie, so nothing may be recording while it runs: events is the full
-// recorded trace (trace.Collector.All), rings one audit recorder per node.
-func (s oracles) judgeLog(events iter.Seq[*trace.Event], rings []*audit.Recorder) {
+// recorded trace (trace.Collector.All), rings one journal per node.
+func (s oracles) judgeLog(events iter.Seq[*trace.Event], rings []*flight.Recorder) {
 	seq, seqDone := s.seq.pass()
 	aud, audDone := s.aud.pass(rings)
 	for e := range events {
@@ -311,27 +311,27 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 
 // reasonForEvent maps a decision event to the audit reason its type and
 // word imply. ok is false for non-decision events.
-func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
+func reasonForEvent(e *trace.Event) (r flight.Reason, ok bool) {
 	switch e.Type {
 	case trace.EventCacheHit:
-		return audit.ReasonCacheHit, true
+		return flight.ReasonCacheHit, true
 	case trace.EventAccessAllowed:
-		return audit.ReasonQuorumAllow, true
+		return flight.ReasonQuorumAllow, true
 	case trace.EventAccessDefault:
 		if e.Word == trace.WordResolveFailed {
-			return audit.ReasonResolveAllow, true
+			return flight.ReasonResolveAllow, true
 		}
-		return audit.ReasonDefaultAllow, true
+		return flight.ReasonDefaultAllow, true
 	case trace.EventAccessDenied:
 		switch e.Word {
 		case trace.WordRevoked:
-			return audit.ReasonQuorumDeny, true
+			return flight.ReasonQuorumDeny, true
 		case trace.WordUnreachable:
-			return audit.ReasonUnreachableDeny, true
+			return flight.ReasonUnreachableDeny, true
 		case trace.WordResolveFailed:
-			return audit.ReasonResolveDeny, true
+			return flight.ReasonResolveDeny, true
 		case trace.WordUnregistered:
-			return audit.ReasonUnregisteredDeny, true
+			return flight.ReasonUnregisteredDeny, true
 		}
 		// Unknown word: still a decision; the reason check degrades to
 		// outcome-class agreement.
@@ -340,10 +340,10 @@ func reasonForEvent(e *trace.Event) (r audit.Reason, ok bool) {
 	return 0, false
 }
 
-// pass is sequencingOracle.pass for rings, one audit recorder per node
-// (per-node drop accounting and ring order are load-bearing). With no rings
-// audit recording was off and the pass judges nothing.
-func (o *auditOracle) pass(rings []*audit.Recorder) (observe func(*trace.Event), done func()) {
+// pass is sequencingOracle.pass for rings, one journal per node (per-node
+// drop accounting and record order are load-bearing). With no rings
+// decision recording was off and the pass judges nothing.
+func (o *auditOracle) pass(rings []*flight.Recorder) (observe func(*trace.Event), done func()) {
 	if len(rings) == 0 {
 		return func(*trace.Event) {}, func() {}
 	}
@@ -358,7 +358,7 @@ func (o *auditOracle) pass(rings []*audit.Recorder) (observe func(*trace.Event),
 	for _, ring := range rings {
 		kept := uint64(0)
 		for r := range ring.All() {
-			if r.Kind == audit.KindDecision {
+			if r.Kind == flight.KindDecision {
 				kept++
 			}
 		}
@@ -394,7 +394,7 @@ func (o *auditOracle) pass(rings []*audit.Recorder) (observe func(*trace.Event),
 				continue
 			}
 			for r := range ring.All() {
-				if r.Kind == audit.KindDecision {
+				if r.Kind == flight.KindDecision {
 					o.judgeRecord(r, &n.evs[0])
 					n.evs = n.evs[1:]
 				}
@@ -409,7 +409,7 @@ func (o *auditOracle) pass(rings []*audit.Recorder) (observe func(*trace.Event),
 
 // judgeRecord checks one record against its paired trace event
 // (completeness) and against its own evidence (consistency).
-func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
+func (o *auditOracle) judgeRecord(r *flight.Record, e *trace.Event) {
 	o.obs++
 	want, _ := reasonForEvent(e)
 	if r.App != string(e.App) || r.User != string(e.User) || !r.T.Equal(e.Time) {
@@ -431,7 +431,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 	// From the record, not quorum.New: malformed evidence is judged, not refused.
 	sys := quorum.System{M: int(r.Set), C: o.quorum}
 	switch r.Reason {
-	case audit.ReasonCacheHit:
+	case flight.ReasonCacheHit:
 		if r.Granters < 1 {
 			o.fail(e.Time, "node %s: cache-hit allow for %s/%s cites no granting manager", r.Node, r.App, r.User)
 		}
@@ -445,7 +445,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 					r.Node, r.App, r.User, residual, o.te)
 			}
 		}
-	case audit.ReasonQuorumAllow:
+	case flight.ReasonQuorumAllow:
 		if o.quorum > 0 && !sys.Allows(quorum.First(r.Confirmations)) {
 			o.fail(e.Time, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
 				r.Node, r.App, r.User, r.Confirmations, o.quorum)
@@ -461,7 +461,7 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 		if r.Attempts < 1 {
 			o.fail(e.Time, "node %s: quorum allow with no query attempts", r.Node)
 		}
-	case audit.ReasonQuorumDeny:
+	case flight.ReasonQuorumDeny:
 		// Judged against M, not against how many were asked: one denial
 		// of one asked proves nothing while C of the rest could grant.
 		if r.Queried < 1 || int(r.Set) < r.Queried {
@@ -470,12 +470,12 @@ func (o *auditOracle) judgeRecord(r *audit.Record, e *trace.Event) {
 			o.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
 				r.Node, r.App, r.User, r.Denials, r.Set, r.Queried, o.quorum)
 		}
-	case audit.ReasonDefaultAllow, audit.ReasonUnreachableDeny, audit.ReasonResolveAllow:
+	case flight.ReasonDefaultAllow, flight.ReasonUnreachableDeny, flight.ReasonResolveAllow:
 		if o.maxAttempts > 0 && r.Attempts < o.maxAttempts {
 			o.fail(e.Time, "node %s: %s for %s/%s after only %d of %d attempts",
 				r.Node, r.Reason, r.App, r.User, r.Attempts, o.maxAttempts)
 		}
-	case audit.ReasonResolveDeny:
+	case flight.ReasonResolveDeny:
 		// Attempts == 0 is legal only for the degenerate no-name-service
 		// deny; a resolve-timeout deny must have exhausted R.
 		if o.maxAttempts > 0 && r.Attempts != 0 && r.Attempts < o.maxAttempts {

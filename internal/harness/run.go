@@ -68,9 +68,9 @@ func worldConfig(sc Scenario) sim.Config {
 		},
 		// Every harness world flies with flight recording on, so a failing
 		// seed explains itself: the dump's window keeps a full scenario's
-		// records per node at harness scale. The audit ring rides along at
-		// the same scale so the audit-completeness oracle sees every
-		// decision's provenance.
+		// records per node at harness scale. Each node's journal keeps its
+		// decisions at the same scale so the audit-completeness oracle sees
+		// every decision's provenance.
 		FlightRing: flightRing,
 		AuditRing:  auditRing,
 	}
@@ -79,7 +79,7 @@ func worldConfig(sc Scenario) sim.Config {
 // flightRing is the flight dump's per-node window for harness runs.
 const flightRing = 8192
 
-// auditRing is the per-node audit ring size for harness runs.
+// auditRing is the per-node decisions window for harness runs.
 const auditRing = 8192
 
 func userID(i int) wire.UserID { return wire.UserID(fmt.Sprintf("u%d", i)) }

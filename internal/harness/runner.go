@@ -216,7 +216,7 @@ func (r *Runner) Run(horizon time.Duration, start func()) Outcome {
 	w := r.W
 	w.RunFor(horizon + Settle)
 
-	r.oracles.judgeLog(w.Tracer.All(), w.AuditRings())
+	r.oracles.judgeLog(w.Tracer.All(), w.Journals)
 	for _, m := range w.Managers {
 		r.sampleTe(m)
 	}

@@ -7,8 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"wanac/internal/audit"
 	"wanac/internal/core"
+	"wanac/internal/flight"
 	"wanac/internal/harness"
 	"wanac/internal/sim"
 	"wanac/internal/simnet"
@@ -19,8 +19,8 @@ import (
 const (
 	// flightRing is the flight dump's window: the records it keeps per node.
 	flightRing = 4096
-	// auditRing sizes each node's audit recorder so the audit-completeness
-	// oracle rarely sees drops.
+	// auditRing sizes each node's decisions window so the
+	// audit-completeness oracle rarely sees drops.
 	auditRing = 8192
 	// minRate floors the arrival rate so the sampler never divides by zero.
 	minRate = 0.05
@@ -63,7 +63,7 @@ type Result struct {
 	SLO []SLOReport
 	// Audit aggregates decision provenance: exact per-reason decision
 	// counts (read from the wanac_host_check_reasons_total counter family,
-	// so immune to ring drops) plus the audit rings' record/drop totals.
+	// so immune to ring drops) plus the journals' record/drop totals.
 	Audit AuditTotals
 	// Telemetry is the registry every node of the run was instrumented
 	// against, exactly as a live deployment would be. Its metrics read the
@@ -76,9 +76,9 @@ type AuditTotals struct {
 	// Reasons counts completed decisions by audit reason (keyed by the
 	// reason's stable name, e.g. "cache_hit"), summed across hosts.
 	Reasons map[string]uint64
-	// Records counts audit records accepted across every node ring
-	// (decisions and manager responses); Dropped counts those the bounded
-	// rings overwrote before the end-of-run dump.
+	// Records counts decision records accepted across every node's
+	// journal (decisions and manager responses); Dropped counts those the
+	// bounded windows overwrote before the end-of-run dump.
 	Records uint64
 	Dropped uint64
 }
@@ -87,7 +87,7 @@ type AuditTotals struct {
 // nonzero decision reasons in canonical order, then ring accounting.
 func (a AuditTotals) Summary() string {
 	var parts []string
-	for _, reason := range audit.DecisionReasons {
+	for _, reason := range flight.DecisionReasons {
 		if n := a.Reasons[reason.String()]; n > 0 {
 			parts = append(parts, fmt.Sprintf("%s=%d", reason, n))
 		}
@@ -339,7 +339,7 @@ func (r *runtime) gatherOverload() {
 
 // gatherAudit folds the run's decision provenance into the result: exact
 // per-reason counts from the telemetry counters plus record/drop totals
-// from the per-node audit rings (called once, after the run).
+// from the per-node journals (called once, after the run).
 func (r *runtime) gatherAudit(reg *telemetry.Registry) {
 	a := &r.res.Audit
 	a.Reasons = make(map[string]uint64)
@@ -348,7 +348,7 @@ func (r *runtime) gatherAudit(reg *telemetry.Registry) {
 			a.Reasons[reason.String()] = n
 		}
 	}
-	for _, rec := range r.W.Audits {
+	for _, rec := range r.W.Journals {
 		a.Records += rec.Total()
 		a.Dropped += rec.Dropped()
 	}

@@ -66,8 +66,8 @@ func TestFlightDisabled(t *testing.T) {
 // TestFlightDumpWindowGolden pins a dump whose window is smaller than what
 // most nodes recorded: the last FlightRing records per node, numbered per
 // node from Seq 0, with dropped counting the rest. The drifting host h1
-// records little, so its build-time clock-rate record stays its Seq 0; a
-// cache hit is folded in from h0's audit ring.
+// records little, so its build-time clock-rate record stays its Seq 0; each
+// node's decisions and responses follow from its journal.
 func TestFlightDumpWindowGolden(t *testing.T) {
 	const window = 5
 	w, err := Build(Config{

@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"wanac/internal/audit"
+	"wanac/internal/flight"
 	"wanac/internal/telemetry"
 	"wanac/internal/wire"
 )
@@ -107,7 +107,7 @@ func itoa(v uint64) string {
 
 // TestSimTraceJoinsAcrossNodes drives one multi-round check through the
 // simulated network and reconstructs its lifecycle from the merged flight
-// dump and the audit rings: the host's query rounds and decision and both
+// dump and the journals: the host's query rounds and decision and both
 // managers' verdicts share one trace ID, even though round 1 and round 2
 // used distinct nonces.
 func TestSimTraceJoinsAcrossNodes(t *testing.T) {
@@ -168,22 +168,22 @@ func TestSimTraceJoinsAcrossNodes(t *testing.T) {
 		t.Errorf("decision at %v, first query at %v: want the check to take time", decided, born)
 	}
 
-	// The audit rings join on the same trace: the host's decision cites
+	// The journals join on the same trace: the host's decision cites
 	// the rounds it took, and each manager's verdict names the host.
 	var decisions int
 	verdicts := map[string]bool{}
-	for _, rec := range w.AuditRings() {
+	for _, rec := range w.Journals {
 		for _, r := range rec.Snapshot() {
 			if r.Trace != trace {
 				continue
 			}
 			switch r.Kind {
-			case audit.KindDecision:
+			case flight.KindDecision:
 				decisions++
 				if r.Node != "h0" || r.Attempts != d.Attempts {
 					t.Errorf("decision record = %+v, want h0 after %d attempts", r, d.Attempts)
 				}
-			case audit.KindResponse:
+			case flight.KindResponse:
 				verdicts[r.Node] = r.Peer == "h0"
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wanac/internal/acl"
-	"wanac/internal/audit"
 	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/nameservice"
@@ -69,18 +68,17 @@ type Config struct {
 	// only consistent while the scheduler is idle — the same constraint as
 	// Net.Stats.
 	Telemetry *telemetry.Registry
-	// FlightRing, when > 0, turns on World.FlightDump and is its window:
-	// the dump keeps each node's last FlightRing records, read from the
-	// trace log, and a "net" pseudo-node recorder of that size captures
-	// topology injections on the scheduler's clock. Ignored under NoTrace
-	// (flight records are built from trace events).
+	// FlightRing, when > 0, turns on World.FlightDump and is its protocol
+	// window: the dump keeps each node's last FlightRing protocol records,
+	// read from the trace log, and a "net" pseudo-node journal with windows
+	// of that size captures topology injections on the scheduler's clock.
+	// Ignored under NoTrace (protocol records are built from trace events).
 	FlightRing int
-	// AuditRing, when > 0, attaches a decision-provenance audit ring
-	// holding that many records to every node (internal/audit): hosts
-	// record one entry per decision, managers one per query verdict,
-	// each stamped by the node's own clock. Independent of NoTrace —
-	// audit records are emitted directly, not derived from trace events.
-	// See World.Audits and World.AuditRings.
+	// AuditRing, when > 0, attaches a journal whose decisions window holds
+	// that many records to every node (internal/flight): hosts record one
+	// entry per decision, managers one per query verdict, each stamped by
+	// the node's own clock. Independent of NoTrace — decision records are
+	// emitted directly, not derived from trace events. See World.Journals.
 	AuditRing int
 }
 
@@ -96,9 +94,12 @@ type World struct {
 	// AppCalls counts invocations that reached the wrapped application, per
 	// host index (used by the component-wrapper experiment).
 	AppCalls []int
-	// Audits holds each node's audit recorder when Config.AuditRing is
-	// set; nil otherwise.
-	Audits map[wire.NodeID]*audit.Recorder
+	// Journals holds each node's journal, ordered by node id, when
+	// Config.AuditRing is set; nil otherwise. A node's journal keeps its
+	// decision records only: its protocol records are read from the trace
+	// log. The harness audit oracle reads each journal where it lies
+	// (flight.Recorder.All); drop accounting and record order are per node.
+	Journals []*flight.Recorder
 
 	// netFlight records the network's injections when Config.FlightRing is
 	// set (nil otherwise): they are not trace events.
@@ -177,18 +178,15 @@ func Build(cfg Config) (*World, error) {
 		}
 	}
 
-	// Audit recording: one per-node provenance ring, stamped by the node's
-	// own clock, emitted at the decision sites themselves (independent of
-	// the trace chain above).
-	newAudit := func(id wire.NodeID, now func() time.Time) *audit.Recorder {
+	// Decision recording: one journal per node, stamped by the node's own
+	// clock, written at the decision sites themselves (independent of the
+	// trace chain above).
+	newJournal := func(id wire.NodeID, now func() time.Time) *flight.Recorder {
 		if cfg.AuditRing <= 0 {
 			return nil
 		}
-		rec := audit.NewRecorder(string(id), cfg.AuditRing, now)
-		if w.Audits == nil {
-			w.Audits = make(map[wire.NodeID]*audit.Recorder)
-		}
-		w.Audits[id] = rec
+		rec := flight.NewRecorder(string(id), cfg.AuditRing, now)
+		w.Journals = append(w.Journals, rec)
 		return rec
 	}
 
@@ -218,7 +216,7 @@ func Build(cfg Config) (*World, error) {
 		for _, u := range cfg.Users {
 			mgr.Seed(cfg.App, u, wire.RightUse)
 		}
-		if rec := newAudit(managerIDs[i], env.Now); cfg.Telemetry != nil {
+		if rec := newJournal(managerIDs[i], env.Now); cfg.Telemetry != nil {
 			core.InstrumentManager(cfg.Telemetry, rec, mgr)
 		} else if rec != nil {
 			mgr.SetAudit(rec)
@@ -270,7 +268,7 @@ func Build(cfg Config) (*World, error) {
 		if err := host.RegisterApp(cfg.App, hCfg); err != nil {
 			return nil, fmt.Errorf("host %d: %w", i, err)
 		}
-		if rec := newAudit(id, env.Now); cfg.Telemetry != nil {
+		if rec := newJournal(id, env.Now); cfg.Telemetry != nil {
 			core.InstrumentHost(cfg.Telemetry, rec, host)
 		} else if rec != nil {
 			host.SetAudit(rec)
@@ -278,6 +276,7 @@ func Build(cfg Config) (*World, error) {
 		net.Attach(id, host)
 		w.Hosts = append(w.Hosts, host)
 	}
+	sort.Slice(w.Journals, func(i, j int) bool { return w.Journals[i].Node() < w.Journals[j].Node() })
 	return w, nil
 }
 
@@ -453,17 +452,16 @@ func (w *World) PartitionManagerPair(a, b int) {
 // Heal restores all links.
 func (w *World) Heal() { w.Net.Heal() }
 
-// FlightDump merges every node's flight records (hosts, managers, and the
-// "net" pseudo-node) into one dump, ready for flight.BuildTimeline or acaudit
+// FlightDump merges every node's journal (hosts, managers, and the "net"
+// pseudo-node) into one dump, ready for flight.BuildTimeline or acaudit
 // -timeline. Nil when flight recording is off.
 //
-// A node's records are read from the trace log: its events but cache hits,
-// after a drifting host's clock-rate record, numbered from Seq 0. The dump
-// keeps the last Config.FlightRing and counts the rest as dropped. A cache
-// hit's record is its audit record: so that a failing run's timeline still
-// shows every allow — a stale one above all — each host's retained cache_hit
-// audit records are folded in as one cache-hit record each, on the host's
-// clock, numbered on from the node's last Seq.
+// A node's protocol records are read from the trace log: its events but
+// cache hits, after a drifting host's clock-rate record, numbered from Seq
+// 0. The dump keeps the last Config.FlightRing of them and counts the rest
+// as dropped. The node journal's decisions and responses follow, numbered on
+// from the node's last Seq, and its drops are counted too; a cache hit's
+// record is its decision record.
 func (w *World) FlightDump() *flight.Dump {
 	if w.netFlight == nil {
 		return nil
@@ -492,31 +490,14 @@ func (w *World) FlightDump() *flight.Dump {
 		drop := max(len(d.Records)-w.Cfg.FlightRing, 0)
 		d.Header = flight.Header{Nodes: []string{string(id)}, Dropped: uint64(drop)}
 		d.Records = d.Records[drop:]
-		if aud := w.Audits[id]; aud != nil {
-			for a := range aud.All() {
-				if a.Reason == audit.ReasonCacheHit {
-					add(d, flight.Record{T: a.T, Node: a.Node, Kind: flight.KindProtocol,
-						Type: trace.EventCacheHit.String(), Trace: a.Trace, App: a.App, User: a.User})
-				}
-			}
-		}
 		dumps = append(dumps, d)
 	}
+	for _, j := range w.Journals {
+		d := logs[wire.NodeID(j.Node())]
+		d.Header.Dropped += j.Dropped()
+		for r := range j.All() {
+			add(d, *r)
+		}
+	}
 	return flight.Merge(dumps...)
-}
-
-// AuditRings returns every node's audit recorder, ordered by node id — the
-// shape the harness audit oracle consumes: it reads each ring where it lies
-// (audit.Recorder.All), and drop accounting and ring order are per node. Nil
-// when audit recording is off.
-func (w *World) AuditRings() []*audit.Recorder {
-	if w.Audits == nil {
-		return nil
-	}
-	rings := make([]*audit.Recorder, 0, len(w.Audits))
-	for _, rec := range w.Audits {
-		rings = append(rings, rec)
-	}
-	sort.Slice(rings, func(i, j int) bool { return rings[i].Node() < rings[j].Node() })
-	return rings
 }

@@ -1,12 +1,13 @@
-package ring
+package trace
 
 import (
 	"math"
 	"time"
 )
 
-// Epoch turns the times a ring's records carry into offsets from the first
-// one it is handed, so a slot stores 8 bytes where a time.Time takes 24. An
+// Epoch turns the times a Collector's or a flight journal's records carry
+// into offsets from the first one it is handed, so a record stores 8 bytes
+// where a time.Time takes 24. An
 // offset is the wall-clock difference in nanoseconds, and Time gives back
 // the wall reading it stands for exactly, in the epoch's Location, within
 // ±292 years of the epoch; a monotonic reading is not kept. (acl's tables

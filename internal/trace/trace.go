@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"wanac/internal/ring"
 	"wanac/internal/wire"
 )
 
@@ -71,7 +70,7 @@ const (
 )
 
 // eventNames is indexed by EventType: String runs once per recorded event
-// (flight ring, telemetry bridge), so it is an array load, not a map probe.
+// (flight journal, telemetry bridge), so it is an array load, not a map probe.
 // trace_test.go fails on a defined type left without a name.
 var eventNames = [numEventTypes]string{
 	EventAccessAllowed: "access-allowed",
@@ -298,7 +297,7 @@ type Collector struct {
 	chunks [][]record  // oldest first; only the last may have room
 	n      int         // events held
 	counts [1 << 8]int // emitted per EventType
-	epoch  ring.Epoch  // what record.t counts from
+	epoch  Epoch       // what record.t counts from
 	names  []string    // name table: names[0] is ""
 	index  map[string]uint16
 	spill  map[int]Event // events, by position, with a name the table lacks; nil until one is
@@ -388,7 +387,7 @@ func (c *Collector) all(yield func(*Event) bool) {
 // pass over a finished run costs no memory. Each event is unpacked into one
 // Event that All reuses, so the pointer is good only until the loop body
 // returns; a pass that keeps an event copies it. Times come back as instants
-// (ring.Epoch): in the Location of the first non-zero time emitted, without a
+// (Epoch): in the Location of the first non-zero time emitted, without a
 // monotonic reading, and clamped beyond ±292 years of it; a zero time comes
 // back as time.Time{}. All holds the collector's lock while the loop runs:
 // the body must not call back into the collector.
@@ -417,6 +416,6 @@ func (c *Collector) Events() []Event {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chunks, c.n, c.epoch, c.names, c.index, c.spill = nil, 0, ring.Epoch{}, nil, nil, nil
+	c.chunks, c.n, c.epoch, c.names, c.index, c.spill = nil, 0, Epoch{}, nil, nil, nil
 	c.counts = [len(c.counts)]int{}
 }

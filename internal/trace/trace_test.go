@@ -368,3 +368,21 @@ func TestCollectorConcurrent(t *testing.T) {
 		t.Errorf("Count = %d", c.Count(EventCacheHit))
 	}
 }
+
+// TestEpochEdges: the zero time is Never and back; a time with a monotonic
+// reading comes back as its wall reading; and times past ±292 years of the
+// epoch clamp, in order, short of Never, instead of wrapping.
+func TestEpochEdges(t *testing.T) {
+	var e Epoch
+	if e.Offset(time.Time{}) != Never || !e.Time(Never).IsZero() {
+		t.Fatal("the zero time does not round-trip through Never")
+	}
+	now := time.Now()
+	if got := e.Time(e.Offset(now)); got != now.Round(0) {
+		t.Fatalf("%v came back as %v, want its wall reading", now, got)
+	}
+	past, future := e.Offset(now.AddDate(-500, 0, 0)), e.Offset(now.AddDate(500, 0, 0))
+	if !(past < 0 && 0 < future && future < Never) || e.Time(future).IsZero() {
+		t.Fatalf("500 years either side read %d and %d", past, future)
+	}
+}

@@ -87,6 +87,17 @@ for ref in $(grep -hoE '(^|[ `(])-[a-z]+\.[a-z-]+' README.md DESIGN.md EXPERIMEN
 done
 [ "$stale" = 0 ]
 
+echo "== stale endpoint references"
+# Likewise every /debug/<name> endpoint the documents or Go help text outside
+# tests name must be registered on acnode's debug mux, so a replaced endpoint
+# (/debug/flight and /debug/audit became /debug/journal) cannot outlive it.
+served=$(grep -oE 'mux\.Handle(Func)?\("/debug/[a-z]+' cmd/acnode/main.go | grep -oE '/debug/[a-z]+' | sort -u)
+for ref in $( { grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=bench '/debug/[a-z]+' .
+	grep -hoE '/debug/[a-z]+' README.md DESIGN.md .claude/skills/verify/SKILL.md; } | sort -u); do
+	grep -qxF "$ref" <<<"$served" || { echo "stale endpoint reference: $ref"; stale=1; }
+done
+[ "$stale" = 0 ]
+
 echo "== full suite (race)"
 go test -race "$@" ./...
 
@@ -100,12 +111,12 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # republished and a scraper reads; a hit's one event and one record through
 # each deployment's observer chain; real timeouts racing the grants that
 # finish their checks, whose structs and timers the next checks reuse;
-# ACL_cache and the manager's store against their map models; audit, flight
-# and trace records read back exactly while writers race the readers; the
-# virtual clock under Set/Advance/Now.
+# ACL_cache and the manager's store against their map models; journal and
+# trace records of every kind read back exactly while writers race the
+# readers; the virtual clock under Set/Advance/Now.
 go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
 go test -race -count=5 -run 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
+go test -race -count=5 -run 'TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/flight ./internal/trace
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
