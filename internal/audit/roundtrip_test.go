@@ -1,4 +1,4 @@
-package audit
+package audit_test
 
 import (
 	"math"
@@ -9,7 +9,15 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wanac/internal/audit"
+	. "wanac/internal/flight"
 )
+
+// These tests hold the decisions window to its contract through the names
+// bench/ builds its nodes with (audit.NewRecorder, audit.Record,
+// audit.KindDecision, audit.ReasonCacheHit): what a node that only decides
+// and answers writes is what it reads back.
 
 // clocks are the kinds of time a recorder is handed: a simulated UTC clock,
 // the same instants in the local zone, and the wall clock with its monotonic
@@ -25,13 +33,12 @@ var clocks = []struct {
 
 // counts are the values a count is drawn from: zero, the largest a host's
 // 64 managers allow, and out of domain both ways.
-var counts = []int{0, 1, 64, 255, 256, 300, -1, -300, math.MaxInt32 + 1, math.MinInt64}
+var counts = []int{0, 1, 64, 255, 256, 300, -1, -300, math.MaxInt16 + 1, math.MaxInt32 + 1, math.MinInt64}
 
-func clamp(n, lo, hi int) int { return min(max(n, lo), hi) }
-
-// randomRecord draws a record covering every field, times from at (zero
-// about a third of the time), as the caller hands it to the recorder.
-func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) Record {
+// randomRecord draws a decision or response covering every field it keeps,
+// times from at (zero about a third of the time), as the caller hands it to
+// the recorder.
+func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) audit.Record {
 	str := func() string {
 		if rng.Intn(3) == 0 {
 			return ""
@@ -45,8 +52,8 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) Record {
 		return at(time.Duration(rng.Int63n(int64(200*365*24*time.Hour))) - 100*365*24*time.Hour)
 	}
 	count := func() int { return counts[rng.Intn(len(counts))] }
-	return Record{
-		T: when(), Kind: Kind(1 + rng.Intn(2)), Trace: rng.Uint64(),
+	return audit.Record{
+		T: when(), Kind: audit.KindDecision + Kind(rng.Intn(2)), Trace: rng.Uint64(),
 		App: str(), User: str(), Right: str(),
 		Reason: Reason(1 + rng.Intn(NumReasons-1)), Allowed: rng.Intn(2) == 0,
 		Set: uint8(rng.Intn(256)), Attempts: count(), Queried: count(), Quorum: count(),
@@ -54,6 +61,10 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) Record {
 		Expire: time.Duration(rng.Int63() - rng.Int63()), Expiry: when(), Backoffs: count(), Frozen: rng.Intn(2) == 0,
 		Peer: str(), Origin: str(), Counter: rng.Uint64(),
 	}
+}
+
+func isHit(rec Record) bool {
+	return rec.Kind == audit.KindDecision && rec.Reason == audit.ReasonCacheHit
 }
 
 // write hands rec to r: through RecordCacheHit when it is a cache hit's
@@ -66,8 +77,6 @@ func write(r *Recorder, rec Record) {
 	}
 }
 
-func isHit(rec Record) bool { return rec.Reason == ReasonCacheHit && rec.Kind == KindDecision }
-
 // model is what a recorder must give back for rec, written by write, as
 // record seq of node: stamped, a cache hit's evidence only, counts
 // saturated. A zero T stays zero: it reads back as the recorder's clock.
@@ -78,10 +87,10 @@ func model(rec Record, node string, seq uint64) Record {
 	}
 	rec.Node, rec.Seq = node, seq
 	for _, n := range []*int{&rec.Queried, &rec.Quorum, &rec.Confirmations, &rec.Denials, &rec.Granters} {
-		*n = clamp(*n, 0, math.MaxUint8)
+		*n = min(max(*n, 0), math.MaxUint8)
 	}
 	for _, n := range []*int{&rec.Attempts, &rec.Backoffs} {
-		*n = clamp(*n, math.MinInt32, math.MaxInt32)
+		*n = min(max(*n, math.MinInt16), math.MaxInt16)
 	}
 	return rec
 }
@@ -113,23 +122,22 @@ func sameAll(t *testing.T, via string, got, want []Record) {
 	}
 }
 
-// TestAuditRecordRoundTrip: whatever a recorder is handed, through Record or
-// RecordCacheHit, reads back from All, Snapshot, the dump and a sink as it
-// was given — stamped with Node and Seq, a zero T with the recorder's clock,
-// a count outside its slot's range saturated, never wrapped — for each kind
-// of clock, over slots that held other records.
+// TestAuditRecordRoundTrip: whatever decisions and responses a recorder is
+// handed, through Record or RecordCacheHit, read back from All, Snapshot,
+// the dump and a sink as they were given — stamped with Node and Seq, a zero
+// T with the recorder's clock, a count outside its slot's range saturated,
+// never wrapped — for each kind of clock, over slots that held other
+// records.
 func TestAuditRecordRoundTrip(t *testing.T) {
 	for i, clock := range clocks {
 		rng := rand.New(rand.NewSource(int64(i + 1)))
 		var last time.Time
-		now := func() time.Time {
+		r := audit.NewRecorder("h"+strconv.Itoa(i), 128, func() time.Time {
 			last = clock.at(time.Duration(rng.Intn(1000)) * time.Millisecond)
 			return last
-		}
-		r := NewRecorder("h"+strconv.Itoa(i), 128, now)
-		var sunk []Record
+		})
+		var sunk, want []Record
 		r.SetSink(sinkFunc(func(rec Record) { sunk = append(sunk, rec) }))
-		var want []Record
 		for seq := uint64(0); seq < 500; seq++ {
 			rec := randomRecord(rng, clock.at)
 			write(r, rec)
@@ -150,9 +158,9 @@ func TestAuditRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAuditRecordRoundTripConcurrent: writers race All, Dump and a sink.
-// Every record read — by each pass, and by the sink in Seq order — must be
-// one a writer wrote, as it wrote it.
+// TestAuditRecordRoundTripConcurrent: writers of decisions and responses
+// race All, Dump and a sink. Every record read — by each pass, and by the
+// sink in Seq order — must be one a writer wrote, as it wrote it.
 func TestAuditRecordRoundTripConcurrent(t *testing.T) {
 	const writers, each = 4, 400
 	clock := clocks[2].at // the clock a live node runs on
@@ -171,7 +179,7 @@ func TestAuditRecordRoundTripConcurrent(t *testing.T) {
 			}
 		}
 	}
-	r := NewRecorder("h0", 256, nil)
+	r := audit.NewRecorder("h0", 256, nil)
 	check := func(via string, rec *Record, seq uint64) {
 		want := byTrace[rec.Trace]
 		want.Seq = seq
@@ -222,11 +230,14 @@ func TestAuditRecordRoundTripConcurrent(t *testing.T) {
 	if sunk != writers*each || r.Total() != writers*each {
 		t.Fatalf("sink saw %d records, recorder accepted %d; want %d", sunk, r.Total(), writers*each)
 	}
+	if r.Dropped() != writers*each-256 {
+		t.Fatalf("dropped %d, want the %d decisions and responses overwritten", r.Dropped(), writers*each-256)
+	}
 }
 
-// TestAuditBytesPerRecord: a full ring of the 65 536 records a harness
-// world keeps must cost at most 168 bytes of live heap per record; the
-// strings are the caller's.
+// TestAuditBytesPerRecord: a full decisions window of the 65 536 records a
+// harness world keeps must cost at most 168 bytes of live heap per record,
+// the protocol window holding none; the strings are the caller's.
 func TestAuditBytesPerRecord(t *testing.T) {
 	const budget, size = 168, 1 << 16
 	users := make([]string, size)
@@ -235,14 +246,14 @@ func TestAuditBytesPerRecord(t *testing.T) {
 	}
 	expiry := t0.Add(time.Minute)
 	prev := liveHeap()
-	r := NewRecorder("h0", size, nil)
+	r := audit.NewRecorder("h0", size, nil)
 	for _, u := range users {
 		r.RecordCacheHit(t0, 1, "app", u, "use", 2, expiry)
 	}
 	if per := float64(liveHeap()-prev) / size; per > budget {
 		t.Errorf("%.1f B of live heap per retained record, want <= %d", per, budget)
 	} else {
-		t.Logf("%.1f B per retained record (slot %d B)", per, SlotBytes)
+		t.Logf("%.1f B per retained record (slot %d B)", per, DecisionSlotBytes)
 	}
 	runtime.KeepAlive(r)
 	runtime.KeepAlive(users)

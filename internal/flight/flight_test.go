@@ -3,6 +3,7 @@ package flight
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -265,10 +266,9 @@ func TestMergeSortsNodesAndRecords(t *testing.T) {
 	a.Record(Record{Kind: KindProtocol, Type: "query-served"})
 	b.Record(Record{Kind: KindProtocol, Type: "query-sent"})
 	b.Record(Record{Kind: KindProtocol, Type: "query-timeout"})
-	net := &Dump{Header: Header{Nodes: []string{"net", "h0"}, Dropped: 2}}
-	m := Merge(a.Dump(), b.Dump(), nil, net)
-	if got, want := strings.Join(m.Header.Nodes, ","), "h0,m1,net"; got != want || m.Header.Dropped != 2 {
-		t.Fatalf("merged nodes = %q with %d dropped, want %q with 2", got, m.Header.Dropped, want)
+	m := Merge(a.Dump(), b.Dump(), nil)
+	if got, want := strings.Join(m.Header.Nodes, ","), "h0,m1"; got != want {
+		t.Fatalf("merged nodes = %q, want %q", got, want)
 	}
 	if len(m.Records) != 3 {
 		t.Fatalf("merged records = %d, want 3", len(m.Records))
@@ -278,6 +278,41 @@ func TestMergeSortsNodesAndRecords(t *testing.T) {
 	}
 	if m.Records[0].Seq != 0 || m.Records[1].Seq != 1 {
 		t.Fatalf("per-node seq order lost: %d then %d", m.Records[0].Seq, m.Records[1].Seq)
+	}
+}
+
+// TestDumpCodecRoundTrip: a dump built by hand, of both windows' kinds,
+// reads back as written, blank lines after it skipped.
+func TestDumpCodecRoundTrip(t *testing.T) {
+	at := time.Unix(1000, 0).UTC()
+	d := &Dump{Header: Header{Journal: DumpVersion, Nodes: []string{"a"}, Dropped: 3}, Records: []Record{
+		{Seq: 3, T: at, Node: "a", Kind: KindProtocol, Type: "query-sent", Trace: 9, Note: "x"},
+		{Seq: 4, T: at, Node: "a", Kind: KindDecision, Trace: 9, Reason: ReasonQueryGranted, Allowed: true, Confirmations: 2, Managers: "m0,m1"},
+	}}
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("\n\n")
+	back, err := ReadDump(&buf)
+	if err != nil || !reflect.DeepEqual(back.Header, d.Header) || !reflect.DeepEqual(back.Records, d.Records) {
+		t.Fatalf("read back %+v (%v), want %+v", back, err, d)
+	}
+}
+
+// TestMergeAndNodes: Merge skips nil dumps, sums their drops, takes the
+// sorted union of their nodes and orders records by node, then Seq, keeping
+// the input order of records with the same key.
+func TestMergeAndNodes(t *testing.T) {
+	a := &Dump{Header: Header{Nodes: []string{"b", "a"}, Dropped: 1}, Records: []Record{{Node: "b", Seq: 1}, {Node: "a", Seq: 2}, {Node: "a", Seq: 1, Note: "first"}}}
+	b := &Dump{Header: Header{Nodes: []string{"b"}, Dropped: 2}, Records: []Record{{Node: "b"}, {Node: "a", Seq: 1, Note: "second"}}}
+	m := Merge(a, nil, b)
+	want := []Record{{Node: "a", Seq: 1, Note: "first"}, {Node: "a", Seq: 1, Note: "second"}, {Node: "a", Seq: 2}, {Node: "b"}, {Node: "b", Seq: 1}}
+	if !reflect.DeepEqual(m.Records, want) || m.Header.Journal != DumpVersion || m.Header.Dropped != 3 || !slices.Equal(m.Header.Nodes, []string{"a", "b"}) {
+		t.Fatalf("merged %+v, want records %v under nodes a,b with 3 dropped", m, want)
+	}
+	if got := nodes(nodes(nil, []string{"m1", "h0"}), []string{"h0", "m0"}); !slices.Equal(got, []string{"h0", "m0", "m1"}) {
+		t.Fatalf("nodes = %v", got)
 	}
 }
 

@@ -116,7 +116,7 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # readers; the virtual clock under Set/Advance/Now.
 go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
 go test -race -count=5 -run 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-go test -race -count=5 -run 'TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/flight ./internal/trace
+go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
