@@ -96,7 +96,6 @@ func main() {
 	flag.StringVar(&cfg.trans, "transport", "tcp", "tcp | udp (udp matches the paper's unreliable network most literally)")
 	flag.StringVar(&cfg.keyringPath, "keyring", "", "keyring.json from ackeygen: require sealed, signed user traffic")
 	flag.StringVar(&cfg.debugAddr, "debug.addr", "", "serve expvar+pprof+/metrics (and /debug/check on hosts) on this address")
-	flag.DurationVar(&cfg.statsEvery, "stats", 0, "log transport stats at this interval (0 = off)")
 	flag.IntVar(&cfg.journalRing, "journal.ring", defaultJournalRing, fmt.Sprintf("journal window size: protocol records (%d B each) and decision records (%d B each) kept per node, allocated as records arrive, not up front; a cached check writes one decision, a cold one a decision and a few protocol records; explain or render with acaudit", flight.ProtocolSlotBytes, flight.DecisionSlotBytes))
 	flag.StringVar(&cfg.auditPath, "audit.jsonl", "", "stream every decision and verdict record to this JSONL file (in addition to the bounded window)")
 	flag.StringVar(&cfg.logLevel, "log.level", "info", "log level: debug | info | warn | error")
@@ -124,7 +123,7 @@ const defaultJournalRing = 4096
 type nodeConfig struct {
 	id, listen, role, app, peers  string
 	c, r                          int
-	te, ti, timeout, statsEvery   time.Duration
+	te, ti, timeout               time.Duration
 	manage, use                   string
 	defaultAllow                  bool
 	stateFile, trans, keyringPath string
@@ -244,14 +243,10 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 	}
 	rec := flight.NewRecorder(cfg.id, cfg.journalRing, nil)
 
-	var opts []wanac.Option
-	if cfg.statsEvery > 0 {
-		opts = append(opts, wanac.WithStatsInterval(cfg.statsEvery))
-	}
-	opts = append(opts, wanac.WithPeerStateSink(func(peer wire.NodeID, state string) {
-		rec.Record(flight.Record{Kind: flight.KindTransport, Type: state, Peer: string(peer)})
-	}))
-	node, err := wanac.Listen(cfg.trans, wire.NodeID(cfg.id), cfg.listen, opts...)
+	node, err := wanac.Listen(cfg.trans, wire.NodeID(cfg.id), cfg.listen,
+		wanac.WithPeerStateSink(func(peer wire.NodeID, state string) {
+			rec.Record(flight.Record{Kind: flight.KindTransport, Type: state, Peer: string(peer)})
+		}))
 	if err != nil {
 		return nil, err
 	}
@@ -518,10 +513,10 @@ func splitUsers(s string) []wire.UserID {
 }
 
 // logTracer prints protocol events to the process log as structured
-// records, so a node's event stream is filterable and machine-joinable
-// with the transport's stats lines. State changes log at Info; the events
-// of a single check — a cached one emits one — log at Debug, and an event
-// whose level is disabled costs one Enabled call and no allocation.
+// records, so a node's event stream is filterable and machine-joinable.
+// State changes log at Info; the events of a single check — a cached one
+// emits one — log at Debug, and an event whose level is disabled costs one
+// Enabled call and no allocation.
 type logTracer struct{}
 
 func (logTracer) Emit(e trace.Event) {

@@ -1,19 +1,21 @@
 // Package fleet aggregates a deployment's health: it scrapes each
 // node's /metrics exposition, merges the families fleet-wide (counters
 // and histogram buckets sum; gauges fold by per-family policy), and
-// evaluates the same SLO specs the scenario suite checks in simulation
-// — check latency, check availability, revocation propagation against
-// the configured Te, per-lane queue drops — with multi-window burn-rate
-// alerting and error-budget accounting (internal/slo).
+// evaluates SLOs over the rollup with multi-window burn-rate alerting and
+// error-budget accounting (internal/slo). Check latency and check
+// availability come from slo.CheckSpecs, the one definition the scenario
+// suite also evaluates, so the two cannot disagree; revocation
+// propagation against the configured Te and per-lane queue drops are the
+// fleet's own.
 //
-// The Monitor re-exports the fleet rollup plus its own meta-metrics and
+// The Monitor re-exports the fleet rollup through telemetry's one
+// exposition writer, (*Metrics).Write, plus its own meta-metrics and
 // alert states on /metrics, answers /health with ready/degraded, keeps
 // an append-only JSONL stream of health snapshots, and renders a
 // terminal dashboard. cmd/acmon is the thin CLI on top.
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -24,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"wanac/internal/core"
 	"wanac/internal/slo"
 	"wanac/internal/telemetry"
 )
@@ -65,9 +66,6 @@ type Monitor struct {
 	client *http.Client
 	engine *slo.Engine
 	reg    *telemetry.Registry
-	// ownFams are the families the monitor's own registry exports; the
-	// re-exported rollup skips these (own-registry wins collisions).
-	ownFams map[string]bool
 
 	mu       sync.Mutex
 	last     *telemetry.Metrics // latest fleet rollup (nil before first scrape)
@@ -115,68 +113,32 @@ func (m *Monitor) latest() *telemetry.Metrics {
 	return m.last
 }
 
-// specs builds the fleet SLO set. Indicators read the latest merged
-// rollup, so cumulative reads survive node restarts only as well as the
-// underlying counters do — the slo engine rebaselines on regression.
+// source is the SLO indicators' view of the latest rollup: nil before
+// the first scrape.
+func (m *Monitor) source() slo.Source {
+	if mg := m.latest(); mg != nil {
+		return mg
+	}
+	return nil
+}
+
+// specs builds the fleet SLO set: the shared check SLOs (slo.CheckSpecs)
+// plus revocation propagation and per-lane drops. Indicators read the
+// latest merged rollup, so cumulative reads survive node restarts only as
+// well as the underlying counters do — the slo engine rebaselines on
+// regression.
 func (m *Monitor) specs() []slo.Spec {
-	qt := m.cfg.QueryTimeout
-	if qt == 0 {
-		qt = core.DefaultQueryTimeout
-	}
-
-	histSnap := func(family string) func() telemetry.HistogramSnapshot {
-		return func() telemetry.HistogramSnapshot {
-			mg := m.latest()
-			if mg == nil {
-				return telemetry.HistogramSnapshot{}
-			}
-			snap, err := mg.HistogramFrom(family)
-			if err != nil {
-				return telemetry.HistogramSnapshot{}
-			}
-			return snap
-		}
-	}
-
-	checkLatency := slo.Spec{
-		Name:      "check-latency",
-		Help:      "Checks decided within the query timeout, fleet-wide.",
-		Objective: 0.99,
-		Indicator: slo.Latency(qt.Seconds(), histSnap("wanac_host_check_latency_seconds")),
-	}
-
-	availability := slo.Spec{
-		Name:      "check-availability",
-		Help:      "Checks answered by the protocol: ok/(ok+timeout+shed), fleet-wide.",
-		Objective: 0.99,
-		Indicator: slo.Ratio(func() (float64, float64) {
-			mg := m.latest()
-			if mg == nil {
-				return 0, 0
-			}
-			checks := func(outcome string) float64 {
-				return sum(mg, "wanac_host_checks_total", "outcome", outcome)
-			}
-			ok := checks("cache_hit") + checks("allowed") + checks("denied")
-			bad := checks("default_allowed") +
-				sum(mg, "wanac_host_query_timeouts_total", "", "") +
-				sum(mg, "wanac_manager_queries_total", "result", "shed")
-			return ok, ok + bad
-		}),
-	}
-
-	specs := []slo.Spec{checkLatency, availability}
+	specs := slo.CheckSpecs(slo.Spec{}, m.cfg.QueryTimeout, m.source)
 
 	if m.cfg.Te > 0 {
 		specs = append(specs, slo.Spec{
 			Name: "revocation-propagation",
-			Help: "Revocations fully propagated within the configured Te.",
 			// Te is the paper's hard bound; spending more than 1% of
 			// revocations past it means the deployment no longer delivers
 			// the guarantee operators planned policy around.
 			Objective: 0.99,
 			Indicator: slo.Latency(m.cfg.Te.Seconds(),
-				histSnap("wanac_manager_revocation_propagation_seconds")),
+				slo.HistogramOf(m.source, "wanac_manager_revocation_propagation_seconds")),
 		})
 	}
 
@@ -184,15 +146,14 @@ func (m *Monitor) specs() []slo.Spec {
 		lane := lane
 		specs = append(specs, slo.Spec{
 			Name:      "lane-drops-" + lane,
-			Help:      "Transport arrivals admitted on the " + lane + " lane, fleet-wide.",
 			Objective: 0.95,
 			Indicator: slo.Ratio(func() (float64, float64) {
 				mg := m.latest()
 				if mg == nil {
 					return 0, 0
 				}
-				admitted := sum(mg, "wanac_transport_lane_enqueued_total", "lane", lane)
-				dropped := sum(mg, "wanac_transport_lane_drops_total", "lane", lane)
+				admitted := mg.Sum("wanac_transport_lane_enqueued_total", "lane", lane)
+				dropped := mg.Sum("wanac_transport_lane_drops_total", "lane", lane)
 				return admitted, admitted + dropped
 			}),
 		})
@@ -201,8 +162,7 @@ func (m *Monitor) specs() []slo.Spec {
 }
 
 // register populates the monitor's own registry: build info, the SLO
-// families, and the scrape meta-metrics. The family set is recorded so
-// the re-export can give these precedence over same-named node families.
+// families, and the scrape meta-metrics.
 func (m *Monitor) register() {
 	telemetry.RegisterBuildInfo(m.reg)
 	m.engine.Register(m.reg)
@@ -219,23 +179,6 @@ func (m *Monitor) register() {
 	for _, t := range m.cfg.Targets {
 		scrapes.With(t.Name, "ok")
 		scrapes.With(t.Name, "error")
-	}
-
-	// Record the monitor's families by rendering and re-parsing its own
-	// exposition: the same strict parser the scraper uses, so the
-	// exclusion set can never drift from what the registry actually
-	// writes.
-	var b bytes.Buffer
-	if err := m.reg.WritePrometheus(&b); err != nil {
-		panic(fmt.Sprintf("fleet: render own registry: %v", err))
-	}
-	own, err := telemetry.ParseMetrics(&b)
-	if err != nil {
-		panic(fmt.Sprintf("fleet: parse own registry: %v", err))
-	}
-	m.ownFams = make(map[string]bool, len(own.Types))
-	for name := range own.Types {
-		m.ownFams[name] = true
 	}
 }
 
@@ -264,6 +207,7 @@ func (m *Monitor) ScrapeOnce(ctx context.Context) error {
 		scrapes.With(t.Name, "ok").Inc()
 		up++
 	}
+	sortRollup(roll)
 
 	m.mu.Lock()
 	m.scrapes++
@@ -326,28 +270,14 @@ type healthSnapshot struct {
 	TargetsUp int               `json:"targets_up"`
 	Healthy   bool              `json:"healthy"`
 	Errors    map[string]string `json:"scrape_errors,omitempty"`
-	SLO       []sloSnapshot     `json:"slo"`
-}
-
-type sloSnapshot struct {
-	Name           string  `json:"name"`
-	Objective      float64 `json:"objective"`
-	SLI            float64 `json:"sli"`
-	FastBurn       float64 `json:"fast_burn"`
-	SlowBurn       float64 `json:"slow_burn"`
-	BudgetConsumed float64 `json:"budget_consumed"`
-	Firing         bool    `json:"firing"`
-	Fired          int     `json:"fired"`
+	SLO       []slo.Status      `json:"slo"`
 }
 
 func (m *Monitor) writeJSONL(statuses []slo.Status) {
 	if m.cfg.JSONL == nil {
 		return
 	}
-	snap := healthSnapshot{
-		Targets: len(m.cfg.Targets),
-		SLO:     make([]sloSnapshot, 0, len(statuses)),
-	}
+	snap := healthSnapshot{Targets: len(m.cfg.Targets), SLO: statuses}
 	m.mu.Lock()
 	snap.Time = m.lastAt
 	snap.TargetsUp = m.up
@@ -362,19 +292,7 @@ func (m *Monitor) writeJSONL(statuses []slo.Status) {
 	m.mu.Unlock()
 	firing := false
 	for _, st := range statuses {
-		if st.Firing {
-			firing = true
-		}
-		snap.SLO = append(snap.SLO, sloSnapshot{
-			Name:           st.Name,
-			Objective:      st.Objective,
-			SLI:            st.SLI,
-			FastBurn:       st.FastBurn,
-			SlowBurn:       st.SlowBurn,
-			BudgetConsumed: st.BudgetConsumed,
-			Firing:         st.Firing,
-			Fired:          st.Fired,
-		})
+		firing = firing || st.Firing
 	}
 	snap.Healthy = snap.TargetsUp == snap.Targets && !firing
 	line, err := json.Marshal(snap)
@@ -452,14 +370,15 @@ func (m *Monitor) Handler() http.Handler {
 // itself exports (own wins, so e.g. the monitor's build info is not
 // summed with the nodes').
 func (m *Monitor) WriteMetrics(w io.Writer) error {
-	if err := m.reg.WritePrometheus(w); err != nil {
+	own := m.reg.Gather()
+	if err := own.Write(w, nil); err != nil {
 		return err
 	}
 	mg := m.latest()
 	if mg == nil {
 		return nil
 	}
-	return mg.Write(w, m.ownFams)
+	return mg.Write(w, own.Types)
 }
 
 // Dashboard renders the fleet's state as a fixed-width text block: one

@@ -120,7 +120,7 @@ func TestGaugeFoldPolicies(t *testing.T) {
 		{"wanac_process_start_time_seconds", 1000},
 		{"wanac_host_cache_entries", 12},
 	} {
-		if got := sum(mg, tc.series, "", ""); got != tc.want {
+		if got := mg.Sum(tc.series, "", ""); got != tc.want {
 			t.Errorf("%s folded to %g, want %g", tc.series, got, tc.want)
 		}
 	}
@@ -248,7 +248,7 @@ func TestScrapeFailureDegrades(t *testing.T) {
 	if _, ok := detail["target:dead"]; !ok {
 		t.Fatalf("health detail does not name the dead target: %v", detail)
 	}
-	if got := sum(m.latest(), "wanac_host_checks_seen_total", "", ""); got != 3 {
+	if got := m.latest().Sum("wanac_host_checks_seen_total", "", ""); got != 3 {
 		t.Fatalf("live target's families not merged: got %g", got)
 	}
 
@@ -319,7 +319,7 @@ func TestMergedLabeledSeries(t *testing.T) {
 	scrape(t, m)
 	mg := m.latest()
 	byLane := func(lane string) float64 {
-		return sum(mg, "wanac_transport_lane_drops_total", "lane", lane)
+		return mg.Sum("wanac_transport_lane_drops_total", "lane", lane)
 	}
 	if got := byLane("bulk"); got != 10 {
 		t.Errorf("bulk drops = %g, want 10", got)

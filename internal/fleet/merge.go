@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wanac/internal/telemetry"
@@ -34,20 +35,6 @@ var gaugePolicy = map[string]gaugeFold{
 	"wanac_host_cache_hit_ratio": foldMin,
 }
 
-// seriesKey canonicalizes a sample identity: series name plus label
-// pairs sorted by label name.
-func seriesKey(name string, labels []telemetry.Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	pairs := make([]string, len(labels))
-	for i, l := range labels {
-		pairs[i] = l.Name + "\x00" + l.Value
-	}
-	sort.Strings(pairs)
-	return name + "\x01" + strings.Join(pairs, "\x02")
-}
-
 // newRollup returns an empty fleet rollup and the index fold keeps over it.
 func newRollup() (roll *telemetry.Metrics, at map[string]int) {
 	return &telemetry.Metrics{Types: make(map[string]string), Help: make(map[string]string)},
@@ -55,7 +42,7 @@ func newRollup() (roll *telemetry.Metrics, at map[string]int) {
 }
 
 // fold adds one node's parsed exposition to the rollup in place: a series
-// the rollup already has (at maps its seriesKey to its index in
+// the rollup already has (at maps its name and labelKey to its index in
 // roll.Samples) takes the node's value by its family's fold, a new one is
 // appended. A family whose type differs from the rollup's is an error, and
 // then nothing is folded.
@@ -74,7 +61,7 @@ func fold(roll *telemetry.Metrics, at map[string]int, src *telemetry.Metrics) er
 		}
 	}
 	for _, s := range src.Samples {
-		key := seriesKey(s.Name, s.Labels)
+		key := s.Name + "\x01" + labelKey(s.Labels, "")
 		i, ok := at[key]
 		if !ok {
 			at[key] = len(roll.Samples)
@@ -99,14 +86,44 @@ func fold(roll *telemetry.Metrics, at map[string]int, src *telemetry.Metrics) er
 	return nil
 }
 
-// sum adds the values of the rollup's series called name whose label has
-// the given value; an empty label matches every series.
-func sum(roll *telemetry.Metrics, name, label, value string) float64 {
-	total := 0.0
-	for _, s := range roll.Samples {
-		if v, _ := s.Label(label); s.Name == name && (label == "" || v == value) {
-			total += s.Value
+// sortRollup puts the rollup's samples in exposition order, the order
+// Metrics.Write prints them in: by series name, by label set (labels
+// compared by name, "le" aside) and by numeric "le" bound, so a
+// histogram's buckets read in bound order.
+func sortRollup(roll *telemetry.Metrics) {
+	ss := roll.Samples
+	sort.Slice(ss, func(i, j int) bool {
+		a, b := ss[i], ss[j]
+		if a.Name != b.Name {
+			return a.Name < b.Name
+		}
+		if ka, kb := labelKey(a.Labels, "le"), labelKey(b.Labels, "le"); ka != kb {
+			return ka < kb
+		}
+		return leBound(a) < leBound(b)
+	})
+}
+
+// labelKey canonicalizes a label set: name=value pairs sorted by label
+// name, the label called skip left out.
+func labelKey(labels []telemetry.Label, skip string) string {
+	pairs := make([]string, 0, len(labels))
+	for _, l := range labels {
+		if l.Name != skip {
+			pairs = append(pairs, l.Name+"\x00"+l.Value)
 		}
 	}
-	return total
+	sort.Strings(pairs)
+	return strings.Join(pairs, "\x02")
+}
+
+// leBound is a sample's "le" bound, +Inf when it has none or it does not
+// parse.
+func leBound(s telemetry.Sample) float64 {
+	le, _ := s.Label("le")
+	v, err := strconv.ParseFloat(le, 64)
+	if err != nil {
+		return math.Inf(+1)
+	}
+	return v
 }

@@ -8,44 +8,26 @@ import (
 )
 
 // Group is the peer set of one transport node: it creates peers on demand,
-// aggregates their stats with the shared counters, runs the optional
-// periodic stats publisher, and closes every peer (draining queues) on
-// shutdown.
+// aggregates their stats with the shared counters, and closes every peer
+// (draining queues) on shutdown.
 type Group struct {
-	name string
-	cfg  Config
-	ctr  Counters
+	cfg Config
+	ctr Counters
 
 	mu     sync.Mutex
 	peers  map[wire.NodeID]*Peer
 	closed bool
-
-	statsStop chan struct{}
-	statsDone chan struct{}
 }
 
-// NewGroup creates a peer group for the named node. The config is completed
-// with defaults; retrieve the effective values via Config. It panics when
+// NewGroup creates a peer group for one transport node, named by the first
+// argument, which the group does not keep. The config is completed with
+// defaults; retrieve the effective values via Config. It panics when
 // cfg.Framing is nil: a transport that cannot frame cannot send.
-func NewGroup(name string, cfg Config) *Group {
+func NewGroup(_ string, cfg Config) *Group {
 	if cfg.Framing == nil {
 		panic("netcore: config needs a Framing")
 	}
-	g := &Group{
-		name:  name,
-		cfg:   cfg.withDefaults(),
-		peers: make(map[wire.NodeID]*Peer),
-	}
-	if g.cfg.StatsInterval > 0 {
-		sink := g.cfg.StatsSink
-		if sink == nil {
-			sink = logSink(name)
-		}
-		g.statsStop = make(chan struct{})
-		g.statsDone = make(chan struct{})
-		go g.statsLoop(sink)
-	}
-	return g
+	return &Group{cfg: cfg.withDefaults(), peers: make(map[wire.NodeID]*Peer)}
 }
 
 // Config returns the group's effective (default-completed) configuration.
@@ -107,9 +89,8 @@ func (g *Group) Stats() TransportStats {
 	return st
 }
 
-// Close stops the stats publisher and closes every peer, giving their
-// writers until the drain timeout to flush queued frames, and waits for
-// them to exit.
+// Close closes every peer, giving their writers until the drain timeout to
+// flush queued frames, and waits for them to exit.
 func (g *Group) Close() {
 	g.mu.Lock()
 	if g.closed {
@@ -123,29 +104,11 @@ func (g *Group) Close() {
 	}
 	g.mu.Unlock()
 
-	if g.statsStop != nil {
-		close(g.statsStop)
-		<-g.statsDone
-	}
 	deadline := time.Now().Add(g.cfg.DrainTimeout)
 	for _, p := range peers {
 		p.beginClose(deadline)
 	}
 	for _, p := range peers {
 		p.Wait()
-	}
-}
-
-func (g *Group) statsLoop(sink func(TransportStats)) {
-	defer close(g.statsDone)
-	t := time.NewTicker(g.cfg.StatsInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			sink(g.Stats())
-		case <-g.statsStop:
-			return
-		}
 	}
 }

@@ -20,7 +20,6 @@
 package netcore
 
 import (
-	"log/slog"
 	"net"
 	"sync/atomic"
 	"time"
@@ -105,12 +104,6 @@ type Config struct {
 	// Framing tells the writer goroutine how to size, encode and coalesce
 	// messages; see the Framing type. NewGroup panics without it.
 	Framing *Framing
-	// StatsInterval, when positive, publishes a TransportStats snapshot to
-	// StatsSink every interval (defaulting to the process log when no sink
-	// is set).
-	StatsInterval time.Duration
-	// StatsSink receives periodic snapshots when StatsInterval is set.
-	StatsSink func(TransportStats)
 	// StateSink, when set, is invoked on every actual peer health
 	// transition (connecting/up/backoff) — never on no-op calls — outside
 	// any transport lock. The flight recorder subscribes here so transport
@@ -183,12 +176,6 @@ func WithDialTimeout(d time.Duration) Option { return func(c *Config) { c.DialTi
 // WithMaxBatch bounds how many queued messages one writer flush coalesces
 // into a single wire write. 1 disables coalescing.
 func WithMaxBatch(n int) Option { return func(c *Config) { c.MaxBatch = n } }
-
-// WithStatsInterval publishes TransportStats snapshots every d.
-func WithStatsInterval(d time.Duration) Option { return func(c *Config) { c.StatsInterval = d } }
-
-// WithStatsSink directs periodic snapshots to fn instead of the process log.
-func WithStatsSink(fn func(TransportStats)) Option { return func(c *Config) { c.StatsSink = fn } }
 
 // WithStateSink invokes fn on every peer health transition.
 func WithStateSink(fn func(peer wire.NodeID, state State)) Option {
@@ -355,26 +342,5 @@ func (c *Counters) snapshot() TransportStats {
 		BatchesOut:     c.BatchesOut.Load(),
 		BatchFramesSum: c.BatchFramesSum.Load(),
 		BatchFrames:    frames,
-	}
-}
-
-// logSink is the default StatsSink: one structured line on the process
-// logger (slog), the same place acnode's tracer writes, so transport stats
-// are machine-joinable with the rest of a node's log stream.
-func logSink(name string) func(TransportStats) {
-	return func(st TransportStats) {
-		slog.Info("transport stats",
-			"transport", name,
-			"sends", st.Sends,
-			"drops", st.Drops,
-			"dials", st.Dials,
-			"dial_failures", st.DialFailures,
-			"reconnects", st.Reconnects,
-			"bytes_in", st.BytesIn,
-			"bytes_out", st.BytesOut,
-			"queued", st.QueueDepth,
-			"peers_up", st.PeersUp,
-			"peers_connecting", st.PeersConnecting,
-			"peers_backoff", st.PeersBackoff)
 	}
 }

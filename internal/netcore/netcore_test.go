@@ -476,27 +476,6 @@ func TestGroupStats(t *testing.T) {
 	}
 }
 
-// TestStatsSinkPublishes: the periodic publisher delivers snapshots.
-func TestStatsSinkPublishes(t *testing.T) {
-	got := make(chan TransportStats, 4)
-	cfg := BuildConfig(
-		WithStatsInterval(5*time.Millisecond),
-		WithStatsSink(func(st TransportStats) {
-			select {
-			case got <- st:
-			default:
-			}
-		}))
-	cfg.Framing = testFraming()
-	g := NewGroup("test", cfg)
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no stats published")
-	}
-	g.Close()
-}
-
 // TestEnqueueAfterCloseDrops: sends after Close are counted, not queued.
 func TestEnqueueAfterCloseDrops(t *testing.T) {
 	ctr := &Counters{}
@@ -515,11 +494,9 @@ func TestBuildConfigOptions(t *testing.T) {
 		WithQueueDepth(7),
 		WithBackoff(time.Millisecond, time.Second),
 		WithDialTimeout(123*time.Millisecond),
-		WithStatsInterval(time.Second),
 	)
 	if cfg.QueueDepth != 7 || cfg.BackoffMin != time.Millisecond ||
-		cfg.BackoffMax != time.Second || cfg.DialTimeout != 123*time.Millisecond ||
-		cfg.StatsInterval != time.Second {
+		cfg.BackoffMax != time.Second || cfg.DialTimeout != 123*time.Millisecond {
 		t.Errorf("options not applied: %+v", cfg)
 	}
 	def := BuildConfig()

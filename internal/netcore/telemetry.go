@@ -11,7 +11,8 @@ import (
 // gauges, and every peer's individual state as a
 // wanac_transport_peer_state{peer,state} snapshot set. All families read
 // through the same stats snapshot function that backs the expvar
-// payload, so /metrics and /debug/vars agree by construction.
+// payload, so /metrics and /debug/vars agree by construction; they are
+// the only two places a node publishes its transport numbers.
 //
 // stats is typically Transport.Stats (tcpnet/udpnet) or Group.Stats.
 func RegisterTransport(reg *telemetry.Registry, stats func() TransportStats) {

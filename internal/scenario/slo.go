@@ -3,7 +3,6 @@ package scenario
 import (
 	"time"
 
-	"wanac/internal/core"
 	"wanac/internal/harness"
 	"wanac/internal/sim"
 	"wanac/internal/slo"
@@ -13,9 +12,9 @@ import (
 
 // Scenario SLO evaluation: every run carries a telemetry registry
 // (Result.Telemetry) and an slo.Engine sampled on the sim clock, so the
-// catalog doubles as an SLO regression suite — the same specs acmon
-// evaluates against a live fleet, with windows scaled from operations time
-// (5m/1h) to scenario time.
+// catalog doubles as an SLO regression suite. Its check SLOs are the ones
+// acmon evaluates against a live fleet, built by the one slo.CheckSpecs,
+// with windows scaled from operations time (5m/1h) to scenario time.
 const (
 	// sloSampleEvery is the engine sampling cadence on the sim clock.
 	sloSampleEvery = 5 * time.Second
@@ -48,11 +47,11 @@ type SLOAlert struct {
 	Firing bool
 }
 
-// sloSpecs builds the scenario SLO set against the run's registry. The
-// indicators resolve metric handles once here; get-or-create
-// registration returns the same families the instrumented nodes write.
+// sloSpecs builds the scenario SLO set against the run's registry: the
+// shared check SLOs (slo.CheckSpecs), read from the registry's families
+// in place, plus the prober's revocation lag and, under the
+// finite-capacity model, the per-lane queue drops.
 func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
-	p := r.sc.policy()
 	base := slo.Spec{
 		Window:     sloSlowWindow,
 		FastWindow: sloFastWindow,
@@ -60,61 +59,7 @@ func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
 		FastBurn:   sloFastBurn,
 		SlowBurn:   sloSlowBurn,
 	}
-
-	// check-latency: fraction of decided checks under the query timeout
-	// (bucket-clamped), across all outcomes.
-	latVec := reg.HistogramVec("wanac_host_check_latency_seconds",
-		"Latency from Check to decision, by outcome.", telemetry.DefBuckets, "outcome")
-	outcomes := []string{"cache_hit", "allowed", "default_allowed", "denied"}
-	lats := make([]*telemetry.Histogram, len(outcomes))
-	for i, o := range outcomes {
-		lats[i] = latVec.With(o)
-	}
-	latSnap := func() telemetry.HistogramSnapshot {
-		merged := lats[0].Snapshot()
-		for _, h := range lats[1:] {
-			m, err := telemetry.MergeHistograms(merged, h.Snapshot())
-			if err != nil {
-				panic(err) // same family ⇒ same layout
-			}
-			merged = m
-		}
-		return merged
-	}
-	qt := p.QueryTimeout
-	if qt == 0 {
-		qt = core.DefaultQueryTimeout // policy defaults apply at RegisterApp
-	}
-	checkLatency := base
-	checkLatency.Name = "check-latency"
-	checkLatency.Help = "Checks decided within the query timeout."
-	checkLatency.Objective = 0.99
-	checkLatency.Indicator = slo.Latency(qt.Seconds(), latSnap)
-
-	// check-availability: ok / (ok + timeout + shed). A check that falls
-	// back to default-allow exhausted its rounds, so it counts with the
-	// timeouts; shed manager queries count as bad even though the host may
-	// recover on retry — a conservative, operator-facing composite.
-	checks := reg.CounterVec("wanac_host_checks_total",
-		"Completed access decisions by outcome.", "outcome")
-	okCtrs := []*telemetry.Counter{checks.With("cache_hit"), checks.With("allowed"), checks.With("denied")}
-	defaulted := checks.With("default_allowed")
-	timeouts := reg.Counter("wanac_host_query_timeouts_total",
-		"Query rounds that timed out without reaching a decision.")
-	shed := reg.CounterVec("wanac_manager_queries_total",
-		"Access-right queries by result: served (grant/deny), frozen (declined), or shed (rejected by admission control).", "result").With("shed")
-	availability := base
-	availability.Name = "check-availability"
-	availability.Help = "Checks answered by the protocol: ok/(ok+timeout+shed)."
-	availability.Objective = 0.99
-	availability.Indicator = slo.Ratio(func() (float64, float64) {
-		var ok uint64
-		for _, c := range okCtrs {
-			ok += c.Value()
-		}
-		bad := defaulted.Value() + timeouts.Value() + shed.Value()
-		return float64(ok), float64(ok + bad)
-	})
+	specs := slo.CheckSpecs(base, r.sc.policy().QueryTimeout, func() slo.Source { return reg })
 
 	// revocation-lag: the black-box prober's view. measureLag feeds one
 	// observation per probe sweep (the lag so far, right-censored while
@@ -125,11 +70,9 @@ func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
 	// sweeps past it.
 	revocationLag := base
 	revocationLag.Name = "revocation-lag"
-	revocationLag.Help = "Prober sweeps observing revocation lag within Te/10."
 	revocationLag.Objective = 0.9
 	revocationLag.Indicator = slo.Latency(r.sc.te().Seconds()/10, r.probeHist.Snapshot)
-
-	specs := []slo.Spec{checkLatency, availability, revocationLag}
+	specs = append(specs, revocationLag)
 
 	// lane-drops: admitted fraction of arrivals per manager queue lane,
 	// only meaningful under the finite-capacity model.
@@ -138,7 +81,6 @@ func (r *runtime) sloSpecs(reg *telemetry.Registry) []slo.Spec {
 			lane := lane
 			sp := base
 			sp.Name = "lane-drops-" + lane.String()
-			sp.Help = "Manager-queue arrivals admitted on the " + lane.String() + " lane."
 			sp.Objective = 0.95
 			sp.Indicator = slo.Ratio(func() (float64, float64) {
 				var admitted, dropped uint64

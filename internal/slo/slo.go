@@ -5,10 +5,10 @@
 // (SLIs) sampled from metric snapshots, with multi-window burn-rate
 // alerting in the style of the SRE workbook.
 //
-// The package is dependency-free beyond internal/telemetry and is driven
-// by an explicit clock, so the same engine runs identically under the
-// simnet virtual clock (scenario runs) and wall time (acmon against a
-// live fleet).
+// The package depends only on internal/telemetry and, for the default
+// query timeout, internal/core. It is driven by an explicit clock, so the
+// same engine runs identically under the simnet virtual clock (scenario
+// runs) and wall time (acmon against a live fleet).
 //
 // Terminology:
 //
@@ -30,6 +30,7 @@ import (
 	"sync"
 	"time"
 
+	"wanac/internal/core"
 	"wanac/internal/telemetry"
 )
 
@@ -63,14 +64,77 @@ func Latency(threshold float64, snap func() telemetry.HistogramSnapshot) Indicat
 	}}
 }
 
+// A Source is what the shared check SLOs read: a *telemetry.Registry
+// answers from its families in place (a scenario run), a
+// *telemetry.Metrics from a scrape (acmon's fleet rollup).
+type Source interface {
+	// Sum adds the values of a counter family's series whose label has
+	// the given value; an empty label matches every series.
+	Sum(family, label, value string) float64
+	// HistogramFrom merges every series of a histogram family.
+	HistogramFrom(family string) (telemetry.HistogramSnapshot, error)
+}
+
+// HistogramOf reads family from the source src returns as one snapshot,
+// the empty snapshot when src returns nil or cannot read the family.
+func HistogramOf(src func() Source, family string) func() telemetry.HistogramSnapshot {
+	return func() telemetry.HistogramSnapshot {
+		s := src()
+		if s == nil {
+			return telemetry.HistogramSnapshot{}
+		}
+		snap, err := s.HistogramFrom(family)
+		if err != nil {
+			return telemetry.HistogramSnapshot{}
+		}
+		return snap
+	}
+}
+
+// CheckSpecs builds the two check SLOs a simulated run and a live fleet
+// are both judged by, with base's windows and burn thresholds, over what
+// src returns (nil reads as no events):
+//
+//   - check-latency: the fraction of decided checks, across all outcomes,
+//     decided within the query timeout (bucket-clamped). A zero
+//     queryTimeout means core.DefaultQueryTimeout, as at RegisterApp.
+//   - check-availability: ok / (ok + timeout + shed). A check that falls
+//     back to default-allow exhausted its rounds, so it counts with the
+//     timeouts; shed manager queries count as bad even though the host
+//     may recover on retry — a conservative, operator-facing composite.
+func CheckSpecs(base Spec, queryTimeout time.Duration, src func() Source) []Spec {
+	if queryTimeout == 0 {
+		queryTimeout = core.DefaultQueryTimeout
+	}
+	latency := base
+	latency.Name = "check-latency"
+	latency.Objective = 0.99
+	latency.Indicator = Latency(queryTimeout.Seconds(), HistogramOf(src, "wanac_host_check_latency_seconds"))
+
+	availability := base
+	availability.Name = "check-availability"
+	availability.Objective = 0.99
+	availability.Indicator = Ratio(func() (float64, float64) {
+		s := src()
+		if s == nil {
+			return 0, 0
+		}
+		checks := func(outcome string) float64 { return s.Sum("wanac_host_checks_total", "outcome", outcome) }
+		ok := checks("cache_hit") + checks("allowed") + checks("denied")
+		bad := checks("default_allowed") +
+			s.Sum("wanac_host_query_timeouts_total", "", "") +
+			s.Sum("wanac_manager_queries_total", "result", "shed")
+		return ok, ok + bad
+	})
+	return []Spec{latency, availability}
+}
+
 // A Spec declares one SLO: the objective fraction of good events over the
 // error-budget window, the indicator that measures it, and the
 // multi-window burn-rate alert policy.
 type Spec struct {
 	// Name identifies the SLO ("check-latency", "revocation-lag", ...).
 	Name string
-	// Help is a one-line operator-facing description.
-	Help string
 	// Objective is the target good fraction in (0,1), e.g. 0.99.
 	Objective float64
 	// Window is the error-budget accounting window. Default 1h.
@@ -118,25 +182,28 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Status is the evaluated state of one SLO at a sample instant.
+// Status is the evaluated state of one SLO at a sample instant. Its JSON
+// form is one entry of acmon's JSONL health snapshot.
 type Status struct {
-	Name      string
-	Objective float64
-	At        time.Time
+	Name      string    `json:"name"`
+	Objective float64   `json:"objective"`
+	At        time.Time `json:"-"`
 	// Good/Total are the cumulative indicator reads at At.
-	Good, Total float64
+	Good  float64 `json:"-"`
+	Total float64 `json:"-"`
 	// SLI is the good fraction over Window (1 when no events).
-	SLI float64
+	SLI float64 `json:"sli"`
 	// FastBurn/SlowBurn are the burn rates over the two alert windows.
-	FastBurn, SlowBurn float64
+	FastBurn float64 `json:"fast_burn"`
+	SlowBurn float64 `json:"slow_burn"`
 	// BudgetConsumed is the fraction of Window's error budget consumed by
 	// the bad events inside Window: burn rate over the budget window. 1.0
 	// means the budget is exactly spent; >1 means the objective is missed.
-	BudgetConsumed float64
+	BudgetConsumed float64 `json:"budget_consumed"`
 	// Firing reports whether the burn-rate alert is currently firing, and
 	// Fired how many times it has transitioned to firing so far.
-	Firing bool
-	Fired  int
+	Firing bool `json:"firing"`
+	Fired  int  `json:"fired"`
 }
 
 // A Transition records one alert edge: Firing true is a rise, false a

@@ -6,8 +6,8 @@ import "fmt"
 // had it absorbed both inputs' observations: per-bucket counts add,
 // totals add, sums add. Both snapshots must share the same bucket layout
 // (identical Upper bounds); merging across layouts would silently
-// misattribute counts, so it is an error instead. Fleet rollups (acmon)
-// and cross-child aggregation (scenario SLOs) are built on this.
+// misattribute counts, so it is an error instead. Registry.HistogramFrom
+// folds func-backed series with it.
 func MergeHistograms(a, b HistogramSnapshot) (HistogramSnapshot, error) {
 	if len(a.Upper) != len(b.Upper) {
 		return HistogramSnapshot{}, fmt.Errorf("telemetry: merging histograms with %d vs %d buckets", len(a.Upper), len(b.Upper))

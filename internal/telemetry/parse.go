@@ -34,8 +34,10 @@ func (s Sample) Label(name string) (string, bool) {
 	return "", false
 }
 
-// Metrics is a fully parsed text exposition: every declared family's
-// type and help, plus every sample line in input order.
+// Metrics is an exposition as data: every declared family's type and help
+// (escaped, as written), plus every sample in exposition order. ParseMetrics
+// builds one from text, Registry.Gather from a registry, and Write renders
+// one as text.
 type Metrics struct {
 	Types   map[string]string
 	Help    map[string]string
@@ -81,7 +83,7 @@ func ParseMetrics(r io.Reader) (*Metrics, error) {
 			}
 			continue
 		}
-		s, err := parseSample(line, m.Types)
+		s, err := parseSample(line, m)
 		if err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineno, err)
 		}
@@ -114,6 +116,19 @@ func unescapeLabel(s string) string {
 		b.WriteByte(s[i])
 	}
 	return b.String()
+}
+
+// Sum adds the values of the series called name whose label has the
+// given value; an empty label matches every series. For a counter or gauge
+// family it is Registry.Sum over a scrape of the registry.
+func (m *Metrics) Sum(name, label, value string) float64 {
+	total := 0.0
+	for _, s := range m.Samples {
+		if v, _ := s.Label(label); s.Name == name && (label == "" || v == value) {
+			total += s.Value
+		}
+	}
+	return total
 }
 
 // HistogramFrom reconstructs a snapshot from one histogram family's

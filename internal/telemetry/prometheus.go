@@ -11,12 +11,19 @@ import (
 )
 
 // WritePrometheus renders every family in Prometheus text exposition
-// format (version 0.0.4): families sorted by name, each with # HELP and
-// # TYPE lines, children sorted by label values, histograms expanded to
-// cumulative _bucket/_sum/_count series. Safe to call concurrently with
-// metric updates; the output is consistent to within in-flight
-// operations.
+// format (version 0.0.4): Gather's families and samples, written by
+// Metrics.Write.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.Gather().Write(w, nil)
+}
+
+// Gather reads every family into one Metrics, the model WritePrometheus
+// renders: families sorted by name, each with its type and its help
+// (escaped, as ParseMetrics stores it); children sorted by label values;
+// a histogram child expanded to cumulative _bucket series, then _sum and
+// _count. Safe to call concurrently with metric updates; the result is
+// consistent to within in-flight operations.
+func (r *Registry) Gather() *Metrics {
 	r.mu.Lock()
 	fams := make([]*family, 0, len(r.fams))
 	for _, f := range r.fams {
@@ -25,56 +32,39 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
-	bw := bufio.NewWriter(w)
+	m := &Metrics{
+		Types: make(map[string]string, len(fams)),
+		Help:  make(map[string]string, len(fams)),
+	}
 	for _, f := range fams {
-		if err := f.write(bw); err != nil {
-			return err
-		}
+		m.Types[f.name] = f.kind.String()
+		m.Help[f.name] = escapeHelp(f.help)
+		f.gather(m)
 	}
-	return bw.Flush()
+	return m
 }
 
-// sample is one rendered series: resolved label values and value.
-type sample struct {
-	values []string
-	v      float64
-	hist   HistogramSnapshot // histogram families only
-}
-
-func (f *family) gather() []sample {
+// gather appends the family's samples to m in exposition order. A
+// collector's samples stand in for the children, as fixed-value series.
+func (f *family) gather(m *Metrics) {
 	f.mu.Lock()
-	collect := f.collect
-	var out []sample
-	if collect == nil {
-		out = make([]sample, 0, len(f.children))
-		for _, c := range f.children {
-			s := sample{values: c.values}
-			switch {
-			case c.histFn != nil:
-				s.hist = c.histFn()
-			case c.hist != nil:
-				s.hist = c.hist.Snapshot()
-			case c.fn != nil:
-				s.v = c.fn()
-			case c.ctr != nil:
-				s.v = float64(c.ctr.Value())
-			case c.gauge != nil:
-				s.v = c.gauge.Value()
-			}
-			out = append(out, s)
-		}
+	kids := make([]*child, 0, len(f.children))
+	for _, c := range f.children {
+		kids = append(kids, c)
 	}
+	collect := f.collect
 	f.mu.Unlock()
 	if collect != nil {
+		kids = kids[:0]
 		collect(func(labelValues []string, v float64) {
 			if len(labelValues) != len(f.labels) {
 				panic(fmt.Sprintf("telemetry: collector for %q emitted %d label values, want %d", f.name, len(labelValues), len(f.labels)))
 			}
-			out = append(out, sample{values: append([]string(nil), labelValues...), v: v})
+			kids = append(kids, &child{values: append([]string(nil), labelValues...), fn: func() float64 { return v }})
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].values, out[j].values
+	sort.Slice(kids, func(i, j int) bool {
+		a, b := kids[i].values, kids[j].values
 		for k := range a {
 			if a[k] != b[k] {
 				return a[k] < b[k]
@@ -82,75 +72,56 @@ func (f *family) gather() []sample {
 		}
 		return false
 	})
-	return out
-}
-
-func (f *family) write(w *bufio.Writer) error {
-	samples := f.gather()
-	fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-	for _, s := range samples {
-		if f.kind == kindHistogram {
-			writeHistogram(w, f.name, f.labels, s.values, s.hist)
-			continue
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, c := range kids {
+		var labels []Label // nil when unlabeled, as ParseMetrics leaves it
+		if len(c.values) > 0 {
+			labels = make([]Label, len(c.values))
 		}
-		writeSample(w, f.name, f.labels, s.values, "", "", s.v)
+		for i, v := range c.values {
+			labels[i] = Label{Name: f.labels[i], Value: v}
+		}
+		switch {
+		case c.histFn != nil:
+			m.appendHistogram(f.name, labels, c.histFn())
+		case c.hist != nil:
+			m.appendHistogram(f.name, labels, c.hist.Snapshot())
+		default:
+			m.Samples = append(m.Samples, Sample{Name: f.name, Labels: labels, Value: c.value()})
+		}
 	}
-	return nil
 }
 
-func writeHistogram(w *bufio.Writer, name string, labels, values []string, h HistogramSnapshot) {
+// appendHistogram expands one histogram series: a cumulative _bucket
+// sample per bound plus +Inf, each with an "le" label after the series'
+// own, then _sum and _count.
+func (m *Metrics) appendHistogram(name string, labels []Label, h HistogramSnapshot) {
 	cum := uint64(0)
+	bucket := func(le string, n uint64) {
+		ls := append(labels[:len(labels):len(labels)], Label{Name: "le", Value: le})
+		m.Samples = append(m.Samples, Sample{Name: name + "_bucket", Labels: ls, Value: float64(n)})
+	}
 	for i, upper := range h.Upper {
 		cum += h.Counts[i]
-		writeSample(w, name+"_bucket", labels, values, "le", formatFloat(upper), float64(cum))
+		bucket(formatFloat(upper), cum)
 	}
-	writeSample(w, name+"_bucket", labels, values, "le", "+Inf", float64(h.Count))
-	writeSample(w, name+"_sum", labels, values, "", "", h.Sum)
-	writeSample(w, name+"_count", labels, values, "", "", float64(h.Count))
+	bucket("+Inf", h.Count)
+	m.Samples = append(m.Samples,
+		Sample{Name: name + "_sum", Labels: labels, Value: h.Sum},
+		Sample{Name: name + "_count", Labels: labels, Value: float64(h.Count)})
 }
 
-// writeSample renders one series line. extraKey/extraVal append a
-// synthetic label (the histogram "le" bound) after the family labels.
-func writeSample(w *bufio.Writer, name string, labels, values []string, extraKey, extraVal string, v float64) {
-	w.WriteString(name)
-	if len(labels) > 0 || extraKey != "" {
-		w.WriteByte('{')
-		for i, l := range labels {
-			if i > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(l)
-			w.WriteString(`="`)
-			w.WriteString(escapeLabel(values[i]))
-			w.WriteByte('"')
-		}
-		if extraKey != "" {
-			if len(labels) > 0 {
-				w.WriteByte(',')
-			}
-			w.WriteString(extraKey)
-			w.WriteString(`="`)
-			w.WriteString(extraVal)
-			w.WriteByte('"')
-		}
-		w.WriteByte('}')
-	}
-	w.WriteByte(' ')
-	w.WriteString(formatFloat(v))
-	w.WriteByte('\n')
-}
-
-// Write renders a parsed exposition back in text format, leaving out the
-// families in skip: families in name order, each with its # HELP (when
-// known) and # TYPE lines, then its samples ordered by series name, by
-// label set (labels compared by name, "le" aside) and by numeric "le"
-// bound, so a histogram's buckets read in bound order. Help text is written
-// as parsed. acmon re-exports its fleet rollup this way.
-func (m *Metrics) Write(w io.Writer, skip map[string]bool) error {
+// Write renders m in text format, leaving out the families named by
+// skip's keys (another Metrics' Types, say): families in name order, each
+// with its # HELP (when known) and # TYPE lines, then its samples in the
+// order m holds them. Help text is written as held, already escaped. It is
+// the one exposition writer: a registry's /metrics (WritePrometheus) and
+// acmon's fleet rollup both come out here.
+func (m *Metrics) Write(w io.Writer, skip map[string]string) error {
 	fams := make([]string, 0, len(m.Types))
 	for name := range m.Types {
-		if !skip[name] {
+		if _, dup := skip[name]; !dup {
 			fams = append(fams, name)
 		}
 	}
@@ -162,22 +133,11 @@ func (m *Metrics) Write(w io.Writer, skip map[string]bool) error {
 	}
 	bw := bufio.NewWriter(w)
 	for _, name := range fams {
-		ss := byFam[name]
-		sort.Slice(ss, func(i, j int) bool {
-			a, b := ss[i], ss[j]
-			if a.Name != b.Name {
-				return a.Name < b.Name
-			}
-			if ka, kb := labelKey(a.Labels), labelKey(b.Labels); ka != kb {
-				return ka < kb
-			}
-			return leBound(a) < leBound(b)
-		})
 		if help, ok := m.Help[name]; ok {
 			fmt.Fprintf(bw, "# HELP %s %s\n", name, help)
 		}
 		fmt.Fprintf(bw, "# TYPE %s %s\n", name, m.Types[name])
-		for _, s := range ss {
+		for _, s := range byFam[name] {
 			bw.WriteString(s.Name)
 			for i, l := range s.Labels {
 				if i == 0 {
@@ -199,30 +159,6 @@ func (m *Metrics) Write(w io.Writer, skip map[string]bool) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// labelKey orders label sets for Write: name=value pairs sorted by label
-// name, "le" left out.
-func labelKey(labels []Label) string {
-	pairs := make([]string, 0, len(labels))
-	for _, l := range labels {
-		if l.Name != "le" {
-			pairs = append(pairs, l.Name+"\x00"+l.Value)
-		}
-	}
-	sort.Strings(pairs)
-	return strings.Join(pairs, "\x02")
-}
-
-// leBound is a sample's "le" bound, +Inf when it has none or it does not
-// parse.
-func leBound(s Sample) float64 {
-	le, _ := s.Label("le")
-	v, err := parseValue(le)
-	if err != nil {
-		return math.Inf(+1)
-	}
-	return v
 }
 
 func formatFloat(v float64) string {
@@ -306,7 +242,7 @@ func parseComment(line string, m *Metrics) error {
 	return nil
 }
 
-func parseSample(line string, types map[string]string) (Sample, error) {
+func parseSample(line string, m *Metrics) (Sample, error) {
 	var out Sample
 	rest := line
 	// Metric name.
@@ -346,14 +282,7 @@ func parseSample(line string, types map[string]string) (Sample, error) {
 	out.Value = v
 	// The sample must belong to a declared family. Histogram samples use
 	// the family name plus a _bucket/_sum/_count suffix.
-	base := name
-	for _, suf := range []string{"_bucket", "_sum", "_count"} {
-		if t, ok := types[strings.TrimSuffix(name, suf)]; ok && (t == "histogram" || t == "summary") && strings.HasSuffix(name, suf) {
-			base = strings.TrimSuffix(name, suf)
-			break
-		}
-	}
-	if _, ok := types[base]; !ok {
+	if _, ok := m.Types[m.Family(name)]; !ok {
 		return out, fmt.Errorf("sample %q has no preceding # TYPE declaration", name)
 	}
 	return out, nil

@@ -24,6 +24,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,6 +90,20 @@ type child struct {
 	fn     func() float64 // func-backed counter or gauge
 	hist   *Histogram
 	histFn func() HistogramSnapshot // func-backed histogram
+}
+
+// value reads a counter or gauge child: its function when one is
+// installed, else its counter or gauge.
+func (c *child) value() float64 {
+	switch {
+	case c.fn != nil:
+		return c.fn()
+	case c.ctr != nil:
+		return float64(c.ctr.Value())
+	case c.gauge != nil:
+		return c.gauge.Value()
+	}
+	return 0
 }
 
 func validName(s string) bool {
@@ -442,15 +457,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		Upper:  h.upper,
 		Counts: make([]uint64, len(h.counts)),
 	}
+	h.addTo(&s)
+	return s
+}
+
+// addTo adds h's observations to s, which has h's bucket layout.
+func (h *Histogram) addTo(s *HistogramSnapshot) {
 	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
-	s.Counts[h.bucket(0)] += h.zeros.sum()
-	for _, n := range s.Counts {
+		n := h.counts[i].Load()
+		s.Counts[i] += n
 		s.Count += n
 	}
-	s.Sum = math.Float64frombits(h.sum.Load())
-	return s
+	z := h.zeros.sum()
+	s.Counts[h.bucket(0)] += z
+	s.Count += z
+	s.Sum += math.Float64frombits(h.sum.Load())
 }
 
 // Quantile estimates the q-th quantile (0 < q <= 1) by linear
@@ -528,6 +549,82 @@ func (r *Registry) HistogramFunc(name, help string, buckets []float64, fn func()
 	f.mu.Lock()
 	c.histFn = fn
 	f.mu.Unlock()
+}
+
+// In-place reads -------------------------------------------------------
+
+// lookup returns the named family, nil when none is registered.
+func (r *Registry) lookup(name string) *family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.fams[name]
+}
+
+// Sum adds the values of a counter or gauge family's series whose label
+// has the given value; an empty label matches every series. It reads the
+// family in place, as Metrics.Sum reads a scrape of it, without rendering
+// anything or allocating: 0 for an unknown family or label.
+func (r *Registry) Sum(name, label, value string) float64 {
+	f := r.lookup(name)
+	if f == nil || f.kind == kindHistogram {
+		return 0
+	}
+	k := slices.Index(f.labels, label)
+	if label != "" && k < 0 {
+		return 0
+	}
+	total := 0.0
+	f.mu.Lock()
+	collect := f.collect // a collector's samples replace the children
+	for _, c := range f.children {
+		if collect == nil && (k < 0 || c.values[k] == value) {
+			total += c.value()
+		}
+	}
+	f.mu.Unlock()
+	if collect != nil {
+		return sumCollected(collect, k, value)
+	}
+	return total
+}
+
+// sumCollected is Sum over a collector's samples, apart so that only a
+// collector-backed family pays for the closure it hands the collector.
+func sumCollected(collect func(emit func([]string, float64)), k int, value string) float64 {
+	total := 0.0
+	collect(func(values []string, v float64) {
+		if k < 0 || values[k] == value {
+			total += v
+		}
+	})
+	return total
+}
+
+// HistogramFrom merges every series of a histogram family into one
+// snapshot, read in place: the bucket counts Metrics.HistogramFrom
+// rebuilds from a scrape of the family. Children are visited in map
+// order, so Sum may differ from a scrape's in its last bits.
+func (r *Registry) HistogramFrom(name string) (HistogramSnapshot, error) {
+	f := r.lookup(name)
+	if f == nil || f.kind != kindHistogram {
+		return HistogramSnapshot{}, fmt.Errorf("telemetry: no histogram family %q", name)
+	}
+	snap := HistogramSnapshot{Upper: f.buckets, Counts: make([]uint64, len(f.buckets)+1)}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for _, c := range f.children {
+		switch {
+		case c.histFn != nil:
+			merged, err := MergeHistograms(snap, c.histFn())
+			if err != nil {
+				return HistogramSnapshot{}, fmt.Errorf("telemetry: %s: %w", name, err)
+			}
+			snap = merged
+		case c.hist != nil:
+			c.hist.addTo(&snap)
+		}
+	}
+	return snap, nil
 }
 
 // Bucket helpers -------------------------------------------------------

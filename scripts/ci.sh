@@ -62,6 +62,20 @@ lent=$(awk '/^\tcase tag[A-Za-z]+:/ { c = $2 }
 	END { if (n != 1) print "decoder.lent called " n + 0 " times, want once" }' $wiresrc)
 [ -z "$lent" ] || { echo "a field other than a Response's User is lent:"; echo "$lent"; exit 1; }
 
+echo "== one exposition writer"
+# Registry.Gather builds a telemetry.Metrics and (*Metrics).Write is the only
+# code that prints # HELP and # TYPE lines, for a node's /metrics and acmon's
+# rollup alike. The check SLOs are built once, by slo.CheckSpecs: a scenario
+# or the fleet naming one of the families those read is a second definition.
+gosrc=$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print)
+writers=$(awk '/^func \(m \*Metrics\) Write\(/ { inside = 1 }
+	!inside && /["`]# (HELP|TYPE) / { print FILENAME ":" FNR ": " $0 }
+	/^}/ { inside = 0 }' $gosrc)
+[ -z "$writers" ] || { echo "exposition header written outside (*Metrics).Write:"; echo "$writers"; exit 1; }
+checkfams=$(grep -nE 'wanac_(host_checks_total|host_check_latency_seconds|host_query_timeouts_total|manager_queries_total)' \
+	$(ls internal/scenario/*.go internal/fleet/*.go | grep -v _test.go) || true)
+[ -z "$checkfams" ] || { echo "check SLO family named outside slo.CheckSpecs:"; echo "$checkfams"; exit 1; }
+
 echo "== stale command references"
 # Every ./cmd/<name> that Go source or the tree's documentation names must be
 # a command that exists, so a deleted command's "render with: go run

@@ -246,17 +246,6 @@ func WithBackoff(min, max time.Duration) Option {
 // WithDialTimeout bounds each connection attempt (default 1s).
 func WithDialTimeout(d time.Duration) Option { return transportOpt(netcore.WithDialTimeout(d)) }
 
-// WithStatsInterval enables periodic publication of TransportStats (to the
-// log, or to a WithStatsSink function). Zero, the default, disables it.
-func WithStatsInterval(d time.Duration) Option {
-	return transportOpt(netcore.WithStatsInterval(d))
-}
-
-// WithStatsSink directs periodic stats snapshots to fn instead of the log.
-func WithStatsSink(fn func(TransportStats)) Option {
-	return transportOpt(netcore.WithStatsSink(fn))
-}
-
 // WithPeerStateSink invokes fn on every peer health transition with the new
 // state name ("connecting", "up", "backoff"). acnode feeds these into its
 // flight recorder so transport flaps appear on failure timelines; the
