@@ -95,18 +95,23 @@ func (f *family) gather(m *Metrics) {
 
 // appendHistogram expands one histogram series: a cumulative _bucket
 // sample per bound plus +Inf, each with an "le" label after the series'
-// own, then _sum and _count.
+// own, then _sum and _count. The bucket label sets share one allocation.
 func (m *Metrics) appendHistogram(name string, labels []Label, h HistogramSnapshot) {
+	n := len(labels) + 1
+	sets := make([]Label, n*(len(h.Upper)+1))
+	bucket := name + "_bucket"
 	cum := uint64(0)
-	bucket := func(le string, n uint64) {
-		ls := append(labels[:len(labels):len(labels)], Label{Name: "le", Value: le})
-		m.Samples = append(m.Samples, Sample{Name: name + "_bucket", Labels: ls, Value: float64(n)})
+	for i := 0; i <= len(h.Upper); i++ {
+		le, count := "+Inf", h.Count
+		if i < len(h.Upper) {
+			cum += h.Counts[i]
+			le, count = formatFloat(h.Upper[i]), cum
+		}
+		ls := sets[i*n : (i+1)*n : (i+1)*n]
+		copy(ls, labels)
+		ls[n-1] = Label{Name: "le", Value: le}
+		m.Samples = append(m.Samples, Sample{Name: bucket, Labels: ls, Value: float64(count)})
 	}
-	for i, upper := range h.Upper {
-		cum += h.Counts[i]
-		bucket(formatFloat(upper), cum)
-	}
-	bucket("+Inf", h.Count)
 	m.Samples = append(m.Samples,
 		Sample{Name: name + "_sum", Labels: labels, Value: h.Sum},
 		Sample{Name: name + "_count", Labels: labels, Value: float64(h.Count)})
