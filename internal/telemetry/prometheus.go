@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,15 +64,7 @@ func (f *family) gather(m *Metrics) {
 			kids = append(kids, &child{values: append([]string(nil), labelValues...), fn: func() float64 { return v }})
 		})
 	}
-	sort.Slice(kids, func(i, j int) bool {
-		a, b := kids[i].values, kids[j].values
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	sort.Slice(kids, func(i, j int) bool { return slices.Compare(kids[i].values, kids[j].values) < 0 })
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for _, c := range kids {
