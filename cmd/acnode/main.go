@@ -16,8 +16,7 @@
 // Then drive it with acctl (grant/revoke/check/invoke). With -debug.addr
 // set, the node serves an operational endpoint:
 //
-//	/debug/vars    expvar JSON including wanac.transport / wanac.host /
-//	               wanac.manager counter snapshots
+//	/debug/vars    the Go runtime's expvar JSON (memstats, cmdline)
 //	/debug/pprof   the standard pprof profiles
 //	/debug/check   (hosts) run an access check: ?app=stocks&user=alice&right=use
 //	/debug/journal the node's journal as versioned JSONL: its protocol
@@ -113,11 +112,11 @@ func main() {
 
 // defaultJournalRing sizes each journal window: the last 4096 protocol
 // events and the provenance of the last 4096 decisions, each record
-// flight.ProtocolSlotBytes or flight.DecisionSlotBytes beside the strings it
-// shares with the node. A cached check adds no protocol record, so however
-// many hits a host serves the protocol window keeps its last ~1000 cold
-// checks, revocations and transport changes; on a manager applying a few
-// updates a minute it is hours.
+// flight.ProtocolSlotBytes or flight.DecisionSlotBytes beside the user id it
+// shares with the node and the journal's table of names. A cached check adds
+// no protocol record, so however many hits a host serves the protocol window
+// keeps its last ~1000 cold checks, revocations and transport changes; on a
+// manager applying a few updates a minute it is hours.
 const defaultJournalRing = 4096
 
 type nodeConfig struct {
@@ -370,29 +369,17 @@ func startNode(cfg nodeConfig) (*runtime, error) {
 	return rt, nil
 }
 
-// startDebugServer serves the operational endpoint: expvar (with the
-// transport and protocol counters published), the pprof profiles, the
-// Prometheus /metrics exposition, and — on hosts — a live /debug/check.
-// The /metrics families and the /debug/vars snapshots read the same
-// underlying counters (the transport stats function is shared, and the
-// protocol registry counters are derived from the node's counts that its
-// Stats reads), so the two views agree by construction. The address
-// it bound (addr may name port 0) is left in rt.debugAddr.
+// startDebugServer serves the operational endpoint: the runtime's expvar,
+// the pprof profiles, the Prometheus /metrics exposition (every transport,
+// host and manager counter, each as its own family), and — on hosts — a
+// live /debug/check. The address it bound (addr may name port 0) is left
+// in rt.debugAddr.
 func startDebugServer(addr string, rt *runtime, app wire.AppID) (func(), error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("debug listen: %w", err)
 	}
 	rt.debugAddr = l.Addr().String()
-	publishOnce("wanac.transport", expvar.Func(func() any { return rt.node.Stats() }))
-	if rt.host != nil {
-		host := rt.host
-		publishOnce("wanac.host", expvar.Func(func() any { return host.Stats() }))
-	}
-	if rt.mgr != nil {
-		mgr := rt.mgr
-		publishOnce("wanac.manager", expvar.Func(func() any { return mgr.Stats() }))
-	}
 
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -433,16 +420,6 @@ func startDebugServer(addr string, rt *runtime, app wire.AppID) (func(), error) 
 		defer cancel()
 		srv.Shutdown(ctx)
 	}, nil
-}
-
-// publishOnce publishes an expvar unless the name is already taken —
-// expvar is process-global and Publish panics on duplicates, which
-// matters when tests boot several nodes in one process. In that case the
-// first node wins; production runs one node per process.
-func publishOnce(name string, v expvar.Var) {
-	if expvar.Get(name) == nil {
-		expvar.Publish(name, v)
-	}
 }
 
 // serveCheck runs a blocking access check with the request's context: the

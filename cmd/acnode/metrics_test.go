@@ -105,8 +105,7 @@ func TestMetricsEndpointSmoke(t *testing.T) {
 		t.Errorf("manager exposition missing served query:\n%s", mgrOut)
 	}
 
-	// /debug/vars must be served alongside /metrics (same counters, two
-	// views).
+	// /debug/vars (the runtime's expvar) must be served alongside /metrics.
 	if resp, err := http.Get("http://" + c.debugAddr("h0") + "/debug/vars"); err != nil {
 		t.Errorf("/debug/vars: %v", err)
 	} else {

@@ -12,6 +12,7 @@ import (
 
 	"wanac/internal/audit"
 	. "wanac/internal/flight"
+	"wanac/internal/wire"
 )
 
 // These tests hold the decisions window to its contract through the names
@@ -52,9 +53,15 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) audit.Record
 		return at(time.Duration(rng.Int63n(int64(200*365*24*time.Hour))) - 100*365*24*time.Hour)
 	}
 	count := func() int { return counts[rng.Intn(len(counts))] }
+	right := func() string {
+		if rng.Intn(2) == 0 {
+			return []string{"use", "manage"}[rng.Intn(2)]
+		}
+		return str()
+	}
 	return audit.Record{
 		T: when(), Kind: audit.KindDecision + Kind(rng.Intn(2)), Trace: rng.Uint64(),
-		App: str(), User: str(), Right: str(),
+		App: str(), User: str(), Right: right(),
 		Reason: Reason(1 + rng.Intn(NumReasons-1)), Allowed: rng.Intn(2) == 0,
 		Set: uint8(rng.Intn(256)), Attempts: count(), Queried: count(), Quorum: count(),
 		Confirmations: count(), Denials: count(), Granters: count(), Managers: str(),
@@ -63,15 +70,29 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) audit.Record
 	}
 }
 
+// hitRight is the right of a cache hit's record that names a wire.Right:
+// such a record is the one RecordCacheHit writes.
+func hitRight(rec Record) (wire.Right, bool) {
+	if rec.Kind == audit.KindDecision && rec.Reason == audit.ReasonCacheHit {
+		for _, right := range []wire.Right{wire.RightUse, wire.RightManage} {
+			if rec.Right == right.String() {
+				return right, true
+			}
+		}
+	}
+	return 0, false
+}
+
 func isHit(rec Record) bool {
-	return rec.Kind == audit.KindDecision && rec.Reason == audit.ReasonCacheHit
+	_, ok := hitRight(rec)
+	return ok
 }
 
 // write hands rec to r: through RecordCacheHit when it is a cache hit's
 // record, through Record otherwise.
 func write(r *Recorder, rec Record) {
-	if isHit(rec) {
-		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, rec.Right, rec.Granters, rec.Expiry)
+	if right, ok := hitRight(rec); ok {
+		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, rec.Expiry)
 	} else {
 		r.Record(rec)
 	}
@@ -236,10 +257,10 @@ func TestAuditRecordRoundTripConcurrent(t *testing.T) {
 }
 
 // TestAuditBytesPerRecord: a full decisions window of the 65 536 records a
-// harness world keeps must cost at most 168 bytes of live heap per record,
-// the protocol window holding none; the strings are the caller's.
+// harness world keeps must cost at most 96 bytes of live heap per record,
+// the protocol window holding none; the user ids are the caller's.
 func TestAuditBytesPerRecord(t *testing.T) {
-	const budget, size = 168, 1 << 16
+	const budget, size = 96, 1 << 16
 	users := make([]string, size)
 	for i := range users {
 		users[i] = "u" + strconv.Itoa(i)
@@ -248,7 +269,7 @@ func TestAuditBytesPerRecord(t *testing.T) {
 	prev := liveHeap()
 	r := audit.NewRecorder("h0", size, nil)
 	for _, u := range users {
-		r.RecordCacheHit(t0, 1, "app", u, "use", 2, expiry)
+		r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, expiry)
 	}
 	if per := float64(liveHeap()-prev) / size; per > budget {
 		t.Errorf("%.1f B of live heap per retained record, want <= %d", per, budget)

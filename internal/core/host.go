@@ -303,7 +303,7 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	}
 	h.counts.decided[flight.ReasonCacheHit].Add(1)
 	if v.aud != nil {
-		v.aud.RecordCacheHit(now, tid, string(app), string(user), right.String(), entry.Granters, entry.Limit)
+		v.aud.RecordCacheHit(now, tid, string(app), string(user), right, entry.Granters, entry.Limit)
 	}
 	// Refresh-ahead: if the entry is close to expiring, re-verify in the
 	// background so the next post-expiry access does not pay a manager

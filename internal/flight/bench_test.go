@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"wanac/internal/trace"
+	"wanac/internal/wire"
 )
 
 // benchRing is the window the benchmarks write into: acnode's default.
@@ -24,7 +25,7 @@ func fullRecorder(write func(r *Recorder)) *Recorder {
 // per-check hot path.
 func BenchmarkRecordCacheHit(b *testing.B) {
 	expiry := t0.Add(time.Minute)
-	write := func(r *Recorder) { r.RecordCacheHit(t0, 7, "app", "u0", "use", 2, expiry) }
+	write := func(r *Recorder) { r.RecordCacheHit(t0, 7, "app", "u0", wire.RightUse, 2, expiry) }
 	r := fullRecorder(write)
 	b.ReportAllocs()
 	for b.Loop() {

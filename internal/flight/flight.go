@@ -20,9 +20,10 @@
 // (pinned by exactness tests in internal/core).
 //
 // The journal is designed to ride hot paths for free: recording is one
-// mutex acquisition and one write of a slot, no heap allocation (all string
-// fields are header copies of strings that already exist) beyond the few
-// that grow a young window to its capacity. The end-to-end cached-check
+// mutex acquisition and one write of a slot, no heap allocation (a slot
+// keeps the user id as a header copy and every other name as an index into
+// the journal's name table) beyond the few that grow a young window to its
+// capacity or the table by a new name. The end-to-end cached-check
 // allocation budget (0 allocs/op, see alloc_test.go at the repo root) holds
 // with a journal attached.
 package flight
@@ -90,8 +91,7 @@ func (k *Kind) UnmarshalText(b []byte) error { return unname(kindNames[:], b, k,
 
 // Record is one journal entry. Field types are deliberately plain (strings,
 // ints) so a dump round-trips through JSON without importing the wire
-// package; recording one costs no allocation because every string is a
-// header copy.
+// package.
 //
 // The fields up to Note describe every kind. The rest is the evidence of a
 // decision or response, populated per reason: cache hits carry Granters and
@@ -171,47 +171,94 @@ type Recorder struct {
 	decisions uint64 // accepted records with Kind == KindDecision
 	protocol  ring[protocolSlot]
 	decided   ring[decisionSlot]
-	epoch     trace.Epoch       // T and Expiry offsets count from the first stamped T
-	types     []string          // the Types of protocol-window records not built from an event
-	typeIndex map[string]uint16 // types[i-1] → i
+	epoch     trace.Epoch     // T and Expiry offsets count from the first stamped T
+	names     trace.Names     // the names the slots index
+	memos     [numFields]memo // each name field's last name
+	rights    [3]uint16       // by wire.Right: the index of its name, 0 until a hit names it
 	sink      Sink
 }
 
+// A field is one of a record's name fields, each with its own memo.
+type field uint8
+
+const (
+	fieldType field = iota
+	fieldApp
+	fieldRight
+	fieldManagers
+	fieldPeer
+	fieldOrigin
+	numFields
+)
+
+// memo is a name field's last name and its index. Consecutive records
+// mostly repeat a field's name (a node serves few apps, one right, the same
+// few peers), so a memo resolves most names without probing the table; one
+// memo per field, because the fields of one record name different things.
+type memo struct {
+	name string
+	i    uint16
+}
+
+// recordNames are a record's names other than its user. A record naming one
+// the name table cannot hold (trace.Names) keeps them beside its slot, in its
+// window's spill (ring.keep), until the slot is overwritten: a peer choosing
+// names pins at most the full table and a spill entry per slot.
+type recordNames struct{ typ, app, right, managers, peer, origin string }
+
 // protocolSlot is a protocol-window record as the ring keeps it: Node is the
-// recorder's and T an epoch offset. An event's slot keeps its detail (event
-// is its type, which names the record's Type): Peer in peer, Word in word
-// and, when num is set, Num in counter's bytes; its Note is rendered from
-// them on the way out unless note holds it already. Any other record's Type
-// is types[typ-1].
+// recorder's, T an epoch offset, and the names but User indices into the
+// journal's name table (in the window's spill if spilled). An event's slot
+// keeps its detail (event is its type, which names the record's Type): Peer
+// in peer, Word in word and, when num is set, Num in counter's bytes; its
+// Note is rendered from them on the way out unless note holds it already.
 type protocolSlot struct {
-	t                             int64
-	seq, trace, counter           uint64
-	app, user, origin, peer, note string
-	typ                           uint16
-	kind                          Kind
-	event                         trace.EventType
-	word                          trace.Word
-	num                           bool
+	t                      int64
+	seq, trace, counter    uint64
+	user, note             string
+	typ, app, origin, peer uint16
+	kind                   Kind
+	event                  trace.EventType
+	word                   trace.Word
+	num, spilled           bool
 }
 
 // decisionSlot is a decisions-window record as the ring keeps it: the times
-// are epoch offsets (trace.Never: a zero Expiry), and the counts are
-// narrowed, saturating rather than wrapping, so a count out of its domain
-// stays out of it.
+// are epoch offsets (trace.Never: a zero Expiry), the names but User indices
+// into the journal's name table (in the window's spill if the spilled flag
+// is set), Allowed and Frozen flags, and the counts narrowed, saturating
+// rather than wrapping, so a count out of its domain stays out of it.
 type decisionSlot struct {
 	t, expiry                                              int64
 	seq, trace, counter                                    uint64
 	expire                                                 time.Duration
-	app, user, right, managers, peer, origin               string
+	user                                                   string
+	app, right, managers, peer, origin                     uint16
 	attempts, backoffs                                     int16
 	kind                                                   Kind
 	reason                                                 Reason
-	allowed, frozen                                        bool
+	flags                                                  uint8
 	set, queried, quorum, confirmations, denials, granters uint8
 }
 
+// The flags of a decision slot: a byte for three bools keeps the slot at 88
+// bytes, not 96.
+const (
+	flagAllowed uint8 = 1 << iota
+	flagFrozen
+	flagSpilled
+)
+
+// flag returns f if b, else 0.
+func flag(b bool, f uint8) uint8 {
+	if b {
+		return f
+	}
+	return 0
+}
+
 // ProtocolSlotBytes and DecisionSlotBytes are what one retained record costs
-// its window, its strings aside.
+// its window, its user id, its note and the name table aside.
 const (
 	ProtocolSlotBytes = int(unsafe.Sizeof(protocolSlot{}))
 	DecisionSlotBytes = int(unsafe.Sizeof(decisionSlot{}))
@@ -253,12 +300,50 @@ func (r *Recorder) stamp(t time.Time) int64 {
 	return r.epoch.Offset(t)
 }
 
+// name returns s, a name of field f, as its index in the name table,
+// clearing *fits if the table cannot hold s. Must be called with r.mu held.
+func (r *Recorder) name(f field, s string, fits *bool) uint16 {
+	if m := &r.memos[f]; s == m.name {
+		return m.i
+	}
+	return r.intern(f, s, fits)
+}
+
+// intern is name past the memo, which it sets to s if the table holds s.
+// Must be called with r.mu held.
+func (r *Recorder) intern(f field, s string, fits *bool) uint16 {
+	i, ok := r.names.Index(s)
+	if ok {
+		r.memos[f] = memo{s, i}
+	}
+	*fits = *fits && ok
+	return i
+}
+
+// rightName is name for a right given by value: the index of its name once
+// one hit has named it. Must be called with r.mu held.
+func (r *Recorder) rightName(right wire.Right, fits *bool) uint16 {
+	if int(right) < len(r.rights) && r.rights[right] != 0 {
+		return r.rights[right]
+	}
+	return r.internRight(right, fits)
+}
+
+// internRight is rightName past its array. Must be called with r.mu held.
+func (r *Recorder) internRight(right wire.Right, fits *bool) uint16 {
+	i := r.intern(fieldRight, right.String(), fits)
+	if int(right) < len(r.rights) {
+		r.rights[right] = i
+	}
+	return i
+}
+
 // commitProtocol stamps and accepts the record built in s. Must be called
 // with r.mu held.
 func (r *Recorder) commitProtocol(s *protocolSlot, t time.Time) {
 	s.t, s.seq = r.stamp(t), r.seq
 	r.seq++
-	r.protocol.commit()
+	r.protocol.commit(s.spilled)
 }
 
 // commitDecision stamps the record built in s with its times — t, or the
@@ -267,12 +352,12 @@ func (r *Recorder) commitProtocol(s *protocolSlot, t time.Time) {
 func (r *Recorder) commitDecision(s *decisionSlot, t, expiry time.Time) {
 	s.t, s.expiry, s.seq = r.stamp(t), r.epoch.Offset(expiry), r.seq
 	r.seq++
-	r.decided.commit()
+	r.decided.commit(s.flags&flagSpilled != 0)
 	if s.kind == KindDecision {
 		r.decisions++
 	}
 	if r.sink != nil {
-		r.sink.Accept(r.unpackDecision(s))
+		r.sink.Accept(r.unpackDecision(r.decided.next - 1))
 	}
 }
 
@@ -281,53 +366,35 @@ func (r *Recorder) commitDecision(s *decisionSlot, t, expiry time.Time) {
 // other kind in the protocol window. The oldest record of the window is
 // overwritten once it is full, in place, so steady-state recording allocates
 // nothing.
-//
-// A record's Type is kept as an index into the journal's table of the types
-// it was handed; a type beyond the table's 65,535 reads back in front of the
-// record's Note.
 func (r *Recorder) Record(rec Record) {
 	r.mu.Lock()
+	fits := true
 	if rec.Kind.decided() {
 		s := r.decided.slot()
-		s.kind, s.trace = rec.Kind, rec.Trace
-		s.app, s.user, s.right = rec.App, rec.User, rec.Right
-		s.reason, s.allowed, s.set = rec.Reason, rec.Allowed, rec.Set
+		s.kind, s.trace, s.user = rec.Kind, rec.Trace, rec.User
+		s.app, s.right = r.name(fieldApp, rec.App, &fits), r.name(fieldRight, rec.Right, &fits)
+		s.managers, s.peer = r.name(fieldManagers, rec.Managers, &fits), r.name(fieldPeer, rec.Peer, &fits)
+		s.origin, s.counter = r.name(fieldOrigin, rec.Origin, &fits), rec.Counter
+		s.reason, s.flags, s.set = rec.Reason, flag(rec.Allowed, flagAllowed)|flag(rec.Frozen, flagFrozen), rec.Set
 		s.attempts, s.queried, s.quorum = sat16(rec.Attempts), sat8(rec.Queried), sat8(rec.Quorum)
 		s.confirmations, s.denials, s.granters = sat8(rec.Confirmations), sat8(rec.Denials), sat8(rec.Granters)
-		s.managers, s.expire, s.backoffs, s.frozen = rec.Managers, rec.Expire, sat16(rec.Backoffs), rec.Frozen
-		s.peer, s.origin, s.counter = rec.Peer, rec.Origin, rec.Counter
+		s.expire, s.backoffs = rec.Expire, sat16(rec.Backoffs)
+		if !fits {
+			s.flags |= flagSpilled
+			r.decided.keep(recordNames{app: rec.App, right: rec.Right, managers: rec.Managers, peer: rec.Peer, origin: rec.Origin})
+		}
 		r.commitDecision(s, rec.T, rec.Expiry)
 	} else {
 		s := r.protocol.slot()
-		s.kind, s.trace, s.app, s.user = rec.Kind, rec.Trace, rec.App, rec.User
-		s.origin, s.counter, s.peer, s.note = rec.Origin, rec.Counter, rec.Peer, rec.Note
-		s.typ, s.event = r.typeOf(rec.Type), 0
-		if s.typ == 0 && rec.Type != "" {
-			s.note = rec.Type + " " + rec.Note
+		s.kind, s.trace, s.user, s.counter, s.note, s.event = rec.Kind, rec.Trace, rec.User, rec.Counter, rec.Note, 0
+		s.typ, s.app = r.name(fieldType, rec.Type, &fits), r.name(fieldApp, rec.App, &fits)
+		s.origin, s.peer = r.name(fieldOrigin, rec.Origin, &fits), r.name(fieldPeer, rec.Peer, &fits)
+		if s.spilled = !fits; s.spilled {
+			r.protocol.keep(recordNames{typ: rec.Type, app: rec.App, peer: rec.Peer, origin: rec.Origin})
 		}
 		r.commitProtocol(s, rec.T)
 	}
 	r.mu.Unlock()
-}
-
-// typeOf returns typ's index in the type table, adding it if there is room;
-// 0 for "" or a full table. Must be called with r.mu held.
-func (r *Recorder) typeOf(typ string) uint16 {
-	if typ == "" {
-		return 0
-	}
-	if i, ok := r.typeIndex[typ]; ok {
-		return i
-	}
-	if len(r.types) == math.MaxUint16 {
-		return 0
-	}
-	if r.typeIndex == nil {
-		r.typeIndex = make(map[string]uint16)
-	}
-	r.types = append(r.types, typ)
-	r.typeIndex[typ] = uint16(len(r.types))
-	return uint16(len(r.types))
 }
 
 // RecordEvent records a protocol trace event, classifying quorum decisions
@@ -336,15 +403,20 @@ func (r *Recorder) typeOf(typ string) uint16 {
 func (r *Recorder) RecordEvent(e trace.Event) {
 	r.mu.Lock()
 	s := r.protocol.slot()
+	fits := true
 	s.kind, s.typ, s.event, s.word, s.trace = eventKind(e.Type), 0, e.Type, e.Word, e.Trace
-	s.app, s.user, s.origin, s.counter = string(e.App), string(e.User), string(e.Seq.Origin), e.Seq.Counter
-	s.peer, s.note, s.num = string(e.Peer), "", e.Num != 0
+	s.app, s.user = r.name(fieldApp, string(e.App), &fits), string(e.User)
+	s.origin, s.counter = r.name(fieldOrigin, string(e.Seq.Origin), &fits), e.Seq.Counter
+	s.peer, s.note, s.num = r.name(fieldPeer, string(e.Peer), &fits), "", e.Num != 0
 	if s.num {
 		if e.Seq.Counter == 0 {
 			s.counter = uint64(e.Num)
 		} else { // no room for both: keep the counter and the note as text
 			s.note, s.num = e.Note(), false
 		}
+	}
+	if s.spilled = !fits; s.spilled {
+		r.protocol.keep(recordNames{app: string(e.App), peer: string(e.Peer), origin: string(e.Seq.Origin)})
 	}
 	r.commitProtocol(s, e.Time)
 	r.mu.Unlock()
@@ -353,47 +425,62 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 // RecordCacheHit appends the decision record of a cache hit — the one
 // record on the per-check hot path — built in its slot rather than
 // constructed by the caller and copied in: t is the decision time, granters
-// and expiry the cached entry's evidence.
-func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user, right string, granters int, expiry time.Time) {
+// and expiry the cached entry's evidence. The right is taken by value and
+// the app resolved through its memo, so that a hit seldom probes a map.
+func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, right wire.Right, granters int, expiry time.Time) {
 	r.mu.Lock()
 	s := r.decided.slot()
 	*s = decisionSlot{}
-	s.kind, s.trace = KindDecision, trace
-	s.app, s.user, s.right = app, user, right
-	s.reason, s.allowed, s.granters = ReasonCacheHit, true, sat8(granters)
+	fits := true
+	s.kind, s.trace, s.user = KindDecision, trace, user
+	s.app, s.right = r.name(fieldApp, app, &fits), r.rightName(right, &fits)
+	s.reason, s.flags, s.granters = ReasonCacheHit, flagAllowed, sat8(granters)
+	if !fits {
+		s.flags |= flagSpilled
+		r.decided.keep(recordNames{app: app, right: right.String()})
+	}
 	r.commitDecision(s, t, expiry)
 	r.mu.Unlock()
 }
 
-// unpackProtocol rebuilds a protocol-window record from its slot. Must be
-// called with r.mu held.
-func (r *Recorder) unpackProtocol(s *protocolSlot) Record {
-	rec := Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Trace: s.trace,
-		App: s.app, User: s.user, Origin: s.origin, Counter: s.counter, Peer: s.peer, Note: s.note}
-	switch {
-	case s.event != 0:
+// unpackProtocol rebuilds retained protocol-window record i from its slot.
+// Must be called with r.mu held.
+func (r *Recorder) unpackProtocol(i uint64) Record {
+	s := r.protocol.at(i)
+	n := recordNames{typ: r.names.Name(s.typ), app: r.names.Name(s.app), peer: r.names.Name(s.peer),
+		origin: r.names.Name(s.origin)}
+	if s.spilled {
+		n = *r.protocol.kept(i)
+	}
+	rec := Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: n.typ, Trace: s.trace,
+		App: n.app, User: s.user, Origin: n.origin, Counter: s.counter, Peer: n.peer, Note: s.note}
+	if s.event != 0 {
 		rec.Type, rec.Peer = s.event.String(), ""
 		if rec.Note == "" {
 			var num int64
 			if s.num {
 				num, rec.Counter = int64(s.counter), 0
 			}
-			rec.Note = trace.Note(s.event, s.word, wire.NodeID(s.peer), num)
+			rec.Note = trace.Note(s.event, s.word, wire.NodeID(n.peer), num)
 		}
-	case s.typ != 0:
-		rec.Type = r.types[s.typ-1]
 	}
 	return rec
 }
 
-// unpackDecision rebuilds a decisions-window record from its slot. Must be
-// called with r.mu held.
-func (r *Recorder) unpackDecision(s *decisionSlot) Record {
-	return Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Trace: s.trace, App: s.app, User: s.user,
-		Right: s.right, Reason: s.reason, Allowed: s.allowed, Set: s.set, Attempts: int(s.attempts), Queried: int(s.queried),
-		Quorum: int(s.quorum), Confirmations: int(s.confirmations), Denials: int(s.denials), Granters: int(s.granters),
-		Managers: s.managers, Expire: s.expire, Expiry: r.epoch.Time(s.expiry), Backoffs: int(s.backoffs), Frozen: s.frozen,
-		Peer: s.peer, Origin: s.origin, Counter: s.counter}
+// unpackDecision rebuilds retained decisions-window record i from its slot.
+// Must be called with r.mu held.
+func (r *Recorder) unpackDecision(i uint64) Record {
+	s := r.decided.at(i)
+	n := recordNames{app: r.names.Name(s.app), right: r.names.Name(s.right), managers: r.names.Name(s.managers),
+		peer: r.names.Name(s.peer), origin: r.names.Name(s.origin)}
+	if s.flags&flagSpilled != 0 {
+		n = *r.decided.kept(i)
+	}
+	return Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Trace: s.trace, App: n.app, User: s.user,
+		Right: n.right, Reason: s.reason, Allowed: s.flags&flagAllowed != 0, Set: s.set, Attempts: int(s.attempts),
+		Queried: int(s.queried), Quorum: int(s.quorum), Confirmations: int(s.confirmations), Denials: int(s.denials),
+		Granters: int(s.granters), Managers: n.managers, Expire: s.expire, Expiry: r.epoch.Time(s.expiry),
+		Backoffs: int(s.backoffs), Frozen: s.flags&flagFrozen != 0, Peer: n.peer, Origin: n.origin, Counter: s.counter}
 }
 
 // each yields the retained records of both windows, merged in Seq order,
@@ -405,10 +492,10 @@ func (r *Recorder) each(yield func(*Record) bool) {
 	d, dEnd := r.decided.oldest(), r.decided.next
 	for p < pEnd || d < dEnd {
 		if d == dEnd || p < pEnd && r.protocol.at(p).seq < r.decided.at(d).seq {
-			rec = r.unpackProtocol(r.protocol.at(p))
+			rec = r.unpackProtocol(p)
 			p++
 		} else {
-			rec = r.unpackDecision(r.decided.at(d))
+			rec = r.unpackDecision(d)
 			d++
 		}
 		if !yield(&rec) {

@@ -49,7 +49,7 @@ func TestRingAgainstModel(t *testing.T) {
 			s := r.slot()
 			*s = ringRec{Node: "n", Seq: r.next, Note: strconv.Itoa(k % 7)}
 			model = append(model, *s)
-			r.commit()
+			r.commit(false)
 			if len(r.buf) > max(minSlots, 2*k) || len(r.buf) > size || len(r.buf) < min(k, size) {
 				t.Fatalf("size %d after %d records: ring holds %d slots", size, k, len(r.buf))
 			}
@@ -60,7 +60,7 @@ func TestRingAgainstModel(t *testing.T) {
 		check()
 		if a := testing.AllocsPerRun(100, func() {
 			*r.slot() = ringRec{Node: "n", Note: "x"}
-			r.commit()
+			r.commit(false)
 		}); a != 0 {
 			t.Errorf("size %d: a full ring's write allocates %.1f times, want 0", size, a)
 		}

@@ -7,9 +7,11 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wanac/internal/trace"
 	"wanac/internal/wire"
@@ -52,9 +54,15 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) Record {
 		return at(time.Duration(rng.Int63n(int64(200*365*24*time.Hour))) - 100*365*24*time.Hour)
 	}
 	count := func() int { return counts[rng.Intn(len(counts))] }
+	right := func() string {
+		if rng.Intn(2) == 0 {
+			return []string{"use", "manage"}[rng.Intn(2)]
+		}
+		return str()
+	}
 	return Record{
 		T: when(), Kind: Kind(1 + rng.Intn(int(KindResponse))), Type: str(), Trace: rng.Uint64(),
-		App: str(), User: str(), Right: str(), Origin: str(), Counter: rng.Uint64(), Peer: str(), Note: str(),
+		App: str(), User: str(), Right: right(), Origin: str(), Counter: rng.Uint64(), Peer: str(), Note: str(),
 		Reason: Reason(1 + rng.Intn(NumReasons-1)), Allowed: rng.Intn(2) == 0,
 		Set: uint8(rng.Intn(256)), Attempts: count(), Queried: count(), Quorum: count(),
 		Confirmations: count(), Denials: count(), Granters: count(), Managers: str(),
@@ -79,7 +87,23 @@ func event(rec Record) (trace.Event, bool) {
 	return e, rec.Kind == KindProtocol && rec.Peer == ""
 }
 
-func isHit(rec Record) bool { return rec.Kind == KindDecision && rec.Reason == ReasonCacheHit }
+// hitRight is the right of a cache hit's record that names a wire.Right:
+// such a record is the one RecordCacheHit writes.
+func hitRight(rec Record) (wire.Right, bool) {
+	if rec.Kind == KindDecision && rec.Reason == ReasonCacheHit {
+		for _, right := range []wire.Right{wire.RightUse, wire.RightManage} {
+			if rec.Right == right.String() {
+				return right, true
+			}
+		}
+	}
+	return 0, false
+}
+
+func isHit(rec Record) bool {
+	_, ok := hitRight(rec)
+	return ok
+}
 
 // write hands rec to r: through RecordEvent when a trace event can carry
 // it, through RecordCacheHit when it is a cache hit's record, through Record
@@ -87,8 +111,8 @@ func isHit(rec Record) bool { return rec.Kind == KindDecision && rec.Reason == R
 func write(r *Recorder, rec Record) {
 	if e, ok := event(rec); ok {
 		r.RecordEvent(e)
-	} else if isHit(rec) {
-		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, rec.Right, rec.Granters, rec.Expiry)
+	} else if right, ok := hitRight(rec); ok {
+		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, rec.Expiry)
 	} else {
 		r.Record(rec)
 	}
@@ -138,7 +162,7 @@ func retainedTail(want []Record, size int) []Record {
 }
 
 // same reports how got differs from want, or "": times must be Equal and in
-// the same Location, everything else reflect.DeepEqual.
+// the same Location, everything else equal.
 func same(got, want Record) string {
 	for _, p := range [][2]time.Time{{got.T, want.T}, {got.Expiry, want.Expiry}} {
 		if !p[0].Equal(p[1]) || p[0].Location() != p[1].Location() {
@@ -146,7 +170,7 @@ func same(got, want Record) string {
 		}
 	}
 	got.T, got.Expiry, want.T, want.Expiry = time.Time{}, time.Time{}, time.Time{}, time.Time{}
-	if !reflect.DeepEqual(got, want) {
+	if got != want {
 		return "fields differ"
 	}
 	return ""
@@ -170,37 +194,55 @@ func sameAll(t *testing.T, via string, got, want []Record) {
 // given: stamped with Node and Seq, a zero T with the journal's clock, a
 // count outside its slot's range saturated, never wrapped, and each window
 // keeping its own last records. It holds for each kind of clock, over slots
-// that held other records.
+// that held other records, and with a name table already full of other
+// names, half of a record's names found there and half spilled.
 func TestFlightRecordRoundTrip(t *testing.T) {
 	for i, clock := range clocks {
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		var last time.Time
-		r := NewRecorder("n"+strconv.Itoa(i), 128, func() time.Time {
-			last = clock.at(time.Duration(rng.Intn(1000)) * time.Millisecond)
-			return last
-		})
-		var sunk, want, decided []Record
-		r.SetSink(sinkFunc(func(rec Record) { sunk = append(sunk, rec) }))
-		for seq := uint64(0); seq < 1000; seq++ {
-			rec := randomRecord(rng, clock.at)
-			write(r, rec)
-			if rec = model(rec, r.Node(), seq); rec.T.IsZero() {
-				rec.T = last
-			}
-			if want = append(want, rec); rec.Kind.decided() {
-				decided = append(decided, rec)
-			}
+		for _, full := range []bool{false, true} {
+			roundTrip(t, i, clock.name, clock.at, full)
 		}
-		sameAll(t, clock.name+" sink", sunk, decided)
-		want = retainedTail(want, 128)
-		var all []Record
-		for rec := range r.All() {
-			all = append(all, *rec)
-		}
-		sameAll(t, clock.name+" All", all, want)
-		sameAll(t, clock.name+" Snapshot", r.Snapshot(), want)
-		sameAll(t, clock.name+" Dump", r.Dump().Records, want)
 	}
+}
+
+func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Time, full bool) {
+	rng := rand.New(rand.NewSource(int64(i + 1)))
+	var last time.Time
+	r := NewRecorder("n"+strconv.Itoa(i), 128, func() time.Time {
+		last = at(time.Duration(rng.Intn(1000)) * time.Millisecond)
+		return last
+	})
+	if full {
+		name += " full"
+		for j := range 50 {
+			r.names.Index("s" + strconv.Itoa(j))
+		}
+		for j := 0; ; j++ {
+			if _, ok := r.names.Index("other" + strconv.Itoa(j)); !ok {
+				break
+			}
+		}
+	}
+	var sunk, want, decided []Record
+	r.SetSink(sinkFunc(func(rec Record) { sunk = append(sunk, rec) }))
+	for seq := uint64(0); seq < 1000; seq++ {
+		rec := randomRecord(rng, at)
+		write(r, rec)
+		if rec = model(rec, r.Node(), seq); rec.T.IsZero() {
+			rec.T = last
+		}
+		if want = append(want, rec); rec.Kind.decided() {
+			decided = append(decided, rec)
+		}
+	}
+	sameAll(t, name+" sink", sunk, decided)
+	want = retainedTail(want, 128)
+	var all []Record
+	for rec := range r.All() {
+		all = append(all, *rec)
+	}
+	sameAll(t, name+" All", all, want)
+	sameAll(t, name+" Snapshot", r.Snapshot(), want)
+	sameAll(t, name+" Dump", r.Dump().Records, want)
 }
 
 // TestFlightRecordRoundTripConcurrent: writers of all seven kinds race All,
@@ -287,16 +329,16 @@ type sinkFunc func(Record)
 func (f sinkFunc) Accept(r Record) { f(r) }
 
 // TestFlightBytesPerRecord: full windows of 65 536 records each must cost at
-// most 136 bytes of live heap per protocol record and 168 per decision; the
-// strings are the caller's.
+// most 88 bytes of live heap per protocol record and 96 per decision; the
+// user ids are the caller's, and every other name is an index.
 func TestFlightBytesPerRecord(t *testing.T) {
 	const size = 1 << 16
 	users := make([]string, size)
 	for i := range users {
 		users[i] = "u" + strconv.Itoa(i)
 	}
-	if ProtocolSlotBytes > 128 || DecisionSlotBytes > 160 {
-		t.Errorf("slots are %d B and %d B, budgets 128 and 160", ProtocolSlotBytes, DecisionSlotBytes)
+	if ProtocolSlotBytes > 80 || DecisionSlotBytes > 88 {
+		t.Errorf("slots are %d B and %d B, budgets 80 and 88", ProtocolSlotBytes, DecisionSlotBytes)
 	}
 	expiry := t0.Add(time.Minute)
 	prev := liveHeap()
@@ -306,10 +348,10 @@ func TestFlightBytesPerRecord(t *testing.T) {
 		budget float64
 		write  func(user string)
 	}{
-		{"protocol", 136, func(u string) {
+		{"protocol", 88, func(u string) {
 			r.Record(Record{T: t0, Kind: KindProtocol, Type: "query-sent", Trace: 1, App: "app", User: u})
 		}},
-		{"decision", 168, func(u string) { r.RecordCacheHit(t0, 1, "app", u, "use", 2, expiry) }},
+		{"decision", 96, func(u string) { r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, expiry) }},
 	} {
 		for _, u := range users {
 			window.write(u)
@@ -324,6 +366,137 @@ func TestFlightBytesPerRecord(t *testing.T) {
 	}
 	runtime.KeepAlive(r)
 	runtime.KeepAlive(users)
+}
+
+// TestJournalNamesBounded: a manager journals the App and the querying host
+// of every query, names its peers choose. Writers racing a reader hand it
+// 200,000 responses, each naming a new app and a new host, some longer than
+// the name table takes: every record read back — by the reader while they
+// race, by the sink, and from All and Dump after — is the one written; a
+// slot keeps spilled names only while its record needs them; and the
+// journal's live heap stays within the full table and a spill entry per
+// slot.
+func TestJournalNamesBounded(t *testing.T) {
+	const size, writers, each = 4096, 4, 50_000
+	// name is one of n's names, as long as the table takes or, over, a byte
+	// longer.
+	name := func(prefix string, n uint64, over bool) string {
+		id := prefix + strconv.FormatUint(n, 10)
+		if over {
+			return strings.Repeat("x", trace.MaxNameLen+1-len(id)) + id
+		}
+		return strings.Repeat("x", trace.MaxNameLen-len(id)) + id
+	}
+	// A third of the queries come from h0 for stocks, which the table
+	// holds; the rest name a new app and a new host each.
+	response := func(n uint64) Record {
+		rec := Record{T: t0.Add(time.Duration(n) * time.Microsecond), Node: "m0", Kind: KindResponse, Trace: n,
+			App: "stocks", User: "u0", Right: "use", Reason: ReasonQueryGranted, Peer: "h0", Origin: "m1",
+			Counter: n, Expire: time.Minute}
+		if n%3 != 0 {
+			rec.App, rec.Peer = name("app", n, n%5 == 0), name("h", n, n%7 == 0)
+		}
+		return rec
+	}
+	check := func(via string, rec *Record) {
+		want := response(rec.Trace)
+		want.Seq = rec.Seq
+		if diff := same(*rec, want); diff != "" {
+			t.Errorf("%s: record %d: %s\n got %+v\nwant %+v", via, rec.Seq, diff, *rec, want)
+		}
+	}
+	prev := liveHeap()
+	r := NewRecorder("m0", size, nil)
+	var sunk int
+	r.SetSink(sinkFunc(func(rec Record) {
+		check("sink", &rec)
+		sunk++
+	}))
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				r.Record(response(uint64(w*each + i)))
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	// A pass holds the journal's lock while it checks a window: a few
+	// passes, each after the writers have had the lock, are the race.
+	for range 8 {
+		runtime.Gosched()
+		for rec := range r.All() {
+			check("All", rec)
+		}
+	}
+	<-done
+	var retained int
+	for rec := range r.All() {
+		check("All", rec)
+		retained++
+	}
+	for _, rec := range r.Dump().Records {
+		check("Dump", &rec)
+	}
+	if sunk != writers*each || retained != size {
+		t.Fatalf("sink saw %d records, All %d; want %d and %d", sunk, retained, writers*each, size)
+	}
+	// A slot keeps names beside it only while its record needs them: a
+	// record the table holds has overwritten a spilled one's names.
+	r.mu.Lock()
+	spilled := 0
+	for i := r.decided.oldest(); i < r.decided.next; i++ {
+		if s, kept := r.decided.at(i), *r.decided.kept(i); s.flags&flagSpilled != 0 {
+			spilled++
+		} else if kept != (recordNames{}) {
+			t.Errorf("record %d needs no spill, but its slot keeps %+v", s.seq, kept)
+		}
+	}
+	if spilled == 0 || spilled == size {
+		t.Errorf("%d of %d retained records spilled, want some but not all", spilled, size)
+	}
+	r.mu.Unlock()
+	// The bound: a full table (each name's bytes, its table entry and its map
+	// slot), and for each slot the slot, its spill entry and the two names
+	// it pins, each in an allocation of at most MaxNameLen+16 bytes.
+	const (
+		table = trace.MaxNames * (trace.MaxNameLen + 80)
+		slot  = DecisionSlotBytes + int(unsafe.Sizeof(recordNames{})) + 2*(trace.MaxNameLen+16)
+		bound = table + size*slot
+	)
+	if heap := liveHeap() - prev; heap > int64(bound) {
+		t.Errorf("journal holds %d B of live heap, bound %d", heap, bound)
+	} else {
+		t.Logf("journal holds %d B of live heap, bound %d", heap, bound)
+	}
+	runtime.KeepAlive(r)
+}
+
+// TestSlotStrings: a decision slot keeps one string, the user id, and a
+// protocol slot two, the user id and the note; every other name is an index
+// into the journal's name table, so a field added as a string fails here
+// before it re-grows a slot.
+func TestSlotStrings(t *testing.T) {
+	for _, slot := range []struct {
+		typ  reflect.Type
+		want int
+	}{{reflect.TypeFor[decisionSlot](), 1}, {reflect.TypeFor[protocolSlot](), 2}} {
+		var strs []string
+		for i := range slot.typ.NumField() {
+			if f := slot.typ.Field(i); f.Type.Kind() == reflect.String {
+				strs = append(strs, f.Name)
+			}
+		}
+		if len(strs) != slot.want {
+			t.Errorf("%v keeps strings %v, want %d", slot.typ, strs, slot.want)
+		}
+	}
 }
 
 // liveHeap returns the bytes a full collection finds live.

@@ -7,7 +7,6 @@ package trace
 import (
 	"fmt"
 	"iter"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -290,16 +289,15 @@ type record struct {
 //
 // Events are kept as packed records in fixed-size chunks, so recording one
 // never copies the millions a run holds. Node, App, Seq.Origin and Peer share
-// a table of 65,535 names; an event naming one a full table lacks, or
-// carrying both a Num and a Seq.Counter, is kept aside.
+// one Names table; an event naming one the table cannot hold, or carrying
+// both a Num and a Seq.Counter, is kept aside.
 type Collector struct {
 	mu     sync.Mutex
 	chunks [][]record  // oldest first; only the last may have room
 	n      int         // events held
 	counts [1 << 8]int // emitted per EventType
 	epoch  Epoch       // what record.t counts from
-	names  []string    // name table: names[0] is ""
-	index  map[string]uint16
+	names  Names
 	spill  map[int]Event // events, by position, with a name the table lacks; nil until one is
 }
 
@@ -318,16 +316,16 @@ func (c *Collector) Emit(e Event) {
 		c.chunks = append(c.chunks, make([]record, 0, chunkEvents))
 		last++
 	}
-	if c.names == nil {
-		c.names, c.index = []string{""}, make(map[string]uint16)
-	}
-	r := record{t: c.epoch.Offset(e.Time), user: e.User, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type, word: e.Word,
-		node: c.name(string(e.Node)), app: c.name(string(e.App)), origin: c.name(string(e.Seq.Origin)), peer: c.name(string(e.Peer))}
+	r := record{t: c.epoch.Offset(e.Time), user: e.User, trace: e.Trace, counter: e.Seq.Counter, typ: e.Type, word: e.Word}
+	var node, app, origin, peer bool
+	r.node, node = c.names.Index(string(e.Node))
+	r.app, app = c.names.Index(string(e.App))
+	r.origin, origin = c.names.Index(string(e.Seq.Origin))
+	r.peer, peer = c.names.Index(string(e.Peer))
 	if e.Num != 0 {
 		r.counter, r.num = uint64(e.Num), true
 	}
-	if r.node == 0 && e.Node != "" || r.app == 0 && e.App != "" || r.origin == 0 && e.Seq.Origin != "" ||
-		r.peer == 0 && e.Peer != "" || r.num && e.Seq.Counter != 0 {
+	if !node || !app || !origin || !peer || r.num && e.Seq.Counter != 0 {
 		if c.spill == nil {
 			c.spill = make(map[int]Event)
 		}
@@ -335,21 +333,6 @@ func (c *Collector) Emit(e Event) {
 	}
 	c.chunks[last] = append(c.chunks[last], r)
 	c.n++
-}
-
-// name returns s's index in the name table, adding it if new; 0 when s is ""
-// or new to a full table.
-func (c *Collector) name(s string) uint16 {
-	if s == "" {
-		return 0
-	}
-	i, ok := c.index[s]
-	if !ok && len(c.names) <= math.MaxUint16 {
-		i = uint16(len(c.names))
-		c.names = append(c.names, s)
-		c.index[s] = i
-	}
-	return i
 }
 
 // Count returns how many events of type t were emitted.
@@ -365,9 +348,9 @@ func (c *Collector) all(yield func(*Event) bool) {
 	var e Event
 	for k, chunk := range c.chunks {
 		for j, r := range chunk {
-			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names[r.node]), Type: r.typ, Word: r.word,
-				App: wire.AppID(c.names[r.app]), User: r.user, Peer: wire.NodeID(c.names[r.peer]), Trace: r.trace,
-				Seq: wire.UpdateSeq{Origin: wire.NodeID(c.names[r.origin]), Counter: r.counter}}
+			e = Event{Time: c.epoch.Time(r.t), Node: wire.NodeID(c.names.Name(r.node)), Type: r.typ, Word: r.word,
+				App: wire.AppID(c.names.Name(r.app)), User: r.user, Peer: wire.NodeID(c.names.Name(r.peer)),
+				Trace: r.trace, Seq: wire.UpdateSeq{Origin: wire.NodeID(c.names.Name(r.origin)), Counter: r.counter}}
 			if r.num {
 				e.Num, e.Seq.Counter = int64(r.counter), 0
 			}
@@ -416,6 +399,6 @@ func (c *Collector) Events() []Event {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.chunks, c.n, c.epoch, c.names, c.index, c.spill = nil, 0, Epoch{}, nil, nil, nil
+	c.chunks, c.n, c.epoch, c.names, c.spill = nil, 0, Epoch{}, Names{}, nil
 	c.counts = [len(c.counts)]int{}
 }

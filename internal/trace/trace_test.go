@@ -268,8 +268,8 @@ func TestCollectorNameTableFull(t *testing.T) {
 	for i := range math.MaxUint16 {
 		emit(Event{Node: wire.NodeID("n" + strconv.Itoa(i)), Type: EventQuerySent, Trace: uint64(i)})
 	}
-	if len(c.names) != math.MaxUint16+1 || c.spill != nil {
-		t.Fatalf("after 65,535 names: table %d, spill map %v (want none yet)", len(c.names), c.spill)
+	if len(c.names.names) != math.MaxUint16+1 || c.spill != nil {
+		t.Fatalf("after 65,535 names: table %d, spill map %v (want none yet)", len(c.names.names), c.spill)
 	}
 	emit(Event{Node: "n1", Type: EventCacheHit, App: "n0"})
 	emit(Event{Node: "n2", Type: EventCacheHit, App: "n3", User: "u"})
@@ -278,15 +278,42 @@ func TestCollectorNameTableFull(t *testing.T) {
 	emit(Event{Node: "n6", Type: EventCacheHit, App: "app"})
 	emit(Event{Node: "n7", Type: EventQueryServed, Peer: "h9", Word: WordGranted})
 	emit(Event{Node: "n8", Type: EventQueryServed, Peer: "n9", Word: WordDenied})
-	if len(c.names) != math.MaxUint16+1 || len(c.spill) != 4 {
-		t.Fatalf("full table: %d names, %d events spilled, want 65,536 and 4", len(c.names), len(c.spill))
+	if len(c.names.names) != math.MaxUint16+1 || len(c.spill) != 4 {
+		t.Fatalf("full table: %d names, %d events spilled, want 65,536 and 4", len(c.names.names), len(c.spill))
 	}
 	roundTrip(t, c, in, nil)
 	c.Reset()
 	c.Emit(Event{Node: "late", Type: EventCacheHit})
-	if c.spill != nil || len(c.names) != 2 || c.Events()[0].Node != "late" {
-		t.Fatalf("after Reset: %d names, %d spilled", len(c.names), len(c.spill))
+	if c.spill != nil || len(c.names.names) != 2 || c.Events()[0].Node != "late" {
+		t.Fatalf("after Reset: %d names, %d spilled", len(c.names.names), len(c.spill))
 	}
+}
+
+// TestNamesLengthBound: a table holds names up to MaxNameLen bytes, each
+// under one index; a longer one gets none, and the trace log keeps an event
+// naming it whole.
+func TestNamesLengthBound(t *testing.T) {
+	var n Names
+	longest, over := strings.Repeat("x", MaxNameLen), strings.Repeat("y", MaxNameLen+1)
+	if i, ok := n.Index(""); i != 0 || !ok {
+		t.Fatalf(`Index("") = %d, %v; want 0, true`, i, ok)
+	}
+	i, ok := n.Index(longest)
+	if j, _ := n.Index(longest); !ok || i == 0 || j != i || n.Name(i) != longest {
+		t.Fatalf("the longest name: index %d (%v), then %d, named %q", i, ok, j, n.Name(i))
+	}
+	if i, ok := n.Index(over); i != 0 || ok {
+		t.Fatalf("a name over the bound: Index = %d, %v; want 0, false", i, ok)
+	}
+	c := NewCollector()
+	in := []Event{{Node: wire.NodeID(over), Type: EventQuerySent, App: "app"}, {Node: "n0", Type: EventCacheHit, App: "app"}}
+	for _, e := range in {
+		c.Emit(e)
+	}
+	if len(c.spill) != 1 {
+		t.Fatalf("%d events kept aside, want the one naming %d bytes", len(c.spill), len(over))
+	}
+	roundTrip(t, c, in, nil)
 }
 
 // TestCollectorRoundTripConcurrent: emitters race a reader; every event the

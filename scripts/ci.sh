@@ -127,10 +127,11 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # finish their checks, whose structs and timers the next checks reuse;
 # ACL_cache and the manager's store against their map models; journal and
 # trace records of every kind read back exactly while writers race the
-# readers; the virtual clock under Set/Advance/Now.
+# readers, also when peers name more than the journal's name table holds;
+# the virtual clock under Set/Advance/Now.
 go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
 go test -race -count=5 -run 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
+go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
 go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
