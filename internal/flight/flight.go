@@ -171,34 +171,24 @@ type Recorder struct {
 	decisions uint64 // accepted records with Kind == KindDecision
 	protocol  ring[protocolSlot]
 	decided   ring[decisionSlot]
-	epoch     trace.Epoch     // T and Expiry offsets count from the first stamped T
-	names     trace.Names     // the names the slots index
-	memos     [numFields]memo // each name field's last name
-	rights    [3]uint16       // by wire.Right: the index of its name, 0 until a hit names it
+	epoch     trace.Epoch // T and Expiry offsets count from the first stamped T
+	names     trace.Names // the names the slots index
+	memos     memos       // each name field's last name
+	rights    [3]uint16   // by wire.Right: the index of its name, 0 until a hit names it
 	sink      Sink
 }
 
-// A field is one of a record's name fields, each with its own memo.
-type field uint8
-
-const (
-	fieldType field = iota
-	fieldApp
-	fieldRight
-	fieldManagers
-	fieldPeer
-	fieldOrigin
-	numFields
-)
-
 // memo is a name field's last name and its index. Consecutive records
 // mostly repeat a field's name (a node serves few apps, one right, the same
-// few peers), so a memo resolves most names without probing the table; one
-// memo per field, because the fields of one record name different things.
+// few peers), so a memo resolves most names without probing the table.
 type memo struct {
 	name string
 	i    uint16
 }
+
+// memos are a record's name fields' memos: one per field, because the fields
+// of one record name different things.
+type memos struct{ typ, app, right, managers, peer, origin memo }
 
 // recordNames are a record's names other than its user. A record naming one
 // the name table cannot hold (trace.Names) keeps them beside its slot, in its
@@ -300,21 +290,26 @@ func (r *Recorder) stamp(t time.Time) int64 {
 	return r.epoch.Offset(t)
 }
 
-// name returns s, a name of field f, as its index in the name table,
-// clearing *fits if the table cannot hold s. Must be called with r.mu held.
-func (r *Recorder) name(f field, s string, fits *bool) uint16 {
-	if m := &r.memos[f]; s == m.name {
+// name returns s, a name of the field whose memo is m, as its index in the
+// name table, clearing *fits if the table cannot hold s. Must be called with
+// r.mu held.
+func (r *Recorder) name(m *memo, s string, fits *bool) uint16 {
+	if unsafe.StringData(s) == unsafe.StringData(m.name) && len(s) == len(m.name) {
 		return m.i
 	}
-	return r.intern(f, s, fits)
+	return r.intern(m, s, fits)
 }
 
-// intern is name past the memo, which it sets to s if the table holds s.
-// Must be called with r.mu held.
-func (r *Recorder) intern(f field, s string, fits *bool) uint16 {
+// intern is name past the memo's header compare: s may still be the memo's
+// name held in other bytes (a name decoded from each message is). Otherwise
+// it sets the memo to s if the table holds s. Must be called with r.mu held.
+func (r *Recorder) intern(m *memo, s string, fits *bool) uint16 {
+	if s == m.name {
+		return m.i
+	}
 	i, ok := r.names.Index(s)
 	if ok {
-		r.memos[f] = memo{s, i}
+		*m = memo{s, i}
 	}
 	*fits = *fits && ok
 	return i
@@ -331,7 +326,7 @@ func (r *Recorder) rightName(right wire.Right, fits *bool) uint16 {
 
 // internRight is rightName past its array. Must be called with r.mu held.
 func (r *Recorder) internRight(right wire.Right, fits *bool) uint16 {
-	i := r.intern(fieldRight, right.String(), fits)
+	i := r.intern(&r.memos.right, right.String(), fits)
 	if int(right) < len(r.rights) {
 		r.rights[right] = i
 	}
@@ -372,9 +367,9 @@ func (r *Recorder) Record(rec Record) {
 	if rec.Kind.decided() {
 		s := r.decided.slot()
 		s.kind, s.trace, s.user = rec.Kind, rec.Trace, rec.User
-		s.app, s.right = r.name(fieldApp, rec.App, &fits), r.name(fieldRight, rec.Right, &fits)
-		s.managers, s.peer = r.name(fieldManagers, rec.Managers, &fits), r.name(fieldPeer, rec.Peer, &fits)
-		s.origin, s.counter = r.name(fieldOrigin, rec.Origin, &fits), rec.Counter
+		s.app, s.right = r.name(&r.memos.app, rec.App, &fits), r.name(&r.memos.right, rec.Right, &fits)
+		s.managers, s.peer = r.name(&r.memos.managers, rec.Managers, &fits), r.name(&r.memos.peer, rec.Peer, &fits)
+		s.origin, s.counter = r.name(&r.memos.origin, rec.Origin, &fits), rec.Counter
 		s.reason, s.flags, s.set = rec.Reason, flag(rec.Allowed, flagAllowed)|flag(rec.Frozen, flagFrozen), rec.Set
 		s.attempts, s.queried, s.quorum = sat16(rec.Attempts), sat8(rec.Queried), sat8(rec.Quorum)
 		s.confirmations, s.denials, s.granters = sat8(rec.Confirmations), sat8(rec.Denials), sat8(rec.Granters)
@@ -387,8 +382,8 @@ func (r *Recorder) Record(rec Record) {
 	} else {
 		s := r.protocol.slot()
 		s.kind, s.trace, s.user, s.counter, s.note, s.event = rec.Kind, rec.Trace, rec.User, rec.Counter, rec.Note, 0
-		s.typ, s.app = r.name(fieldType, rec.Type, &fits), r.name(fieldApp, rec.App, &fits)
-		s.origin, s.peer = r.name(fieldOrigin, rec.Origin, &fits), r.name(fieldPeer, rec.Peer, &fits)
+		s.typ, s.app = r.name(&r.memos.typ, rec.Type, &fits), r.name(&r.memos.app, rec.App, &fits)
+		s.origin, s.peer = r.name(&r.memos.origin, rec.Origin, &fits), r.name(&r.memos.peer, rec.Peer, &fits)
 		if s.spilled = !fits; s.spilled {
 			r.protocol.keep(recordNames{typ: rec.Type, app: rec.App, peer: rec.Peer, origin: rec.Origin})
 		}
@@ -405,9 +400,9 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 	s := r.protocol.slot()
 	fits := true
 	s.kind, s.typ, s.event, s.word, s.trace = eventKind(e.Type), 0, e.Type, e.Word, e.Trace
-	s.app, s.user = r.name(fieldApp, string(e.App), &fits), string(e.User)
-	s.origin, s.counter = r.name(fieldOrigin, string(e.Seq.Origin), &fits), e.Seq.Counter
-	s.peer, s.note, s.num = r.name(fieldPeer, string(e.Peer), &fits), "", e.Num != 0
+	s.app, s.user = r.name(&r.memos.app, string(e.App), &fits), string(e.User)
+	s.origin, s.counter = r.name(&r.memos.origin, string(e.Seq.Origin), &fits), e.Seq.Counter
+	s.peer, s.note, s.num = r.name(&r.memos.peer, string(e.Peer), &fits), "", e.Num != 0
 	if s.num {
 		if e.Seq.Counter == 0 {
 			s.counter = uint64(e.Num)
@@ -433,7 +428,7 @@ func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, r
 	*s = decisionSlot{}
 	fits := true
 	s.kind, s.trace, s.user = KindDecision, trace, user
-	s.app, s.right = r.name(fieldApp, app, &fits), r.rightName(right, &fits)
+	s.app, s.right = r.name(&r.memos.app, app, &fits), r.rightName(right, &fits)
 	s.reason, s.flags, s.granters = ReasonCacheHit, flagAllowed, sat8(granters)
 	if !fits {
 		s.flags |= flagSpilled
