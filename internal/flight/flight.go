@@ -291,8 +291,9 @@ func (r *Recorder) stamp(t time.Time) int64 {
 }
 
 // name returns s, a name of the field whose memo is m, as its index in the
-// name table, clearing *fits if the table cannot hold s. Must be called with
-// r.mu held.
+// name table, clearing *fits if the table cannot hold s. A memo matches by
+// the string's header, so s must not be a view of bytes that change: the
+// table and the memo keep it. Must be called with r.mu held.
 func (r *Recorder) name(m *memo, s string, fits *bool) uint16 {
 	if unsafe.StringData(s) == unsafe.StringData(m.name) && len(s) == len(m.name) {
 		return m.i
