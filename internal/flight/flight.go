@@ -23,9 +23,9 @@
 // mutex acquisition and one write of a slot, no heap allocation (a slot
 // keeps the user id as a header copy and every other name as an index into
 // the journal's name table) beyond the few that grow a young window to its
-// capacity or the table by a new name. The end-to-end cached-check
-// allocation budget (0 allocs/op, see alloc_test.go at the repo root) holds
-// with a journal attached.
+// capacity, add a new name to the table or tidy it. The end-to-end
+// cached-check allocation budget (0 allocs/op, see alloc_test.go at the repo
+// root) holds with a journal attached.
 package flight
 
 import (
@@ -172,28 +172,28 @@ type Recorder struct {
 	protocol  ring[protocolSlot]
 	decided   ring[decisionSlot]
 	epoch     trace.Epoch // T and Expiry offsets count from the first stamped T
-	names     trace.Names // the names the slots index
-	memos     memos       // each name field's last name
-	rights    [3]uint16   // by wire.Right: the index of its name, 0 until a hit names it
+	names     trace.Names // the names the slots index; see tidy
+	refused   int         // names the table refused since tidy last ran
+	tidyAt    int         // tidy runs once the table's names and refused reach it
+	hitApp    memo        // the last cache hit's app
+	hitRight  memo        // the last cache hit's right
 	sink      Sink
 }
 
-// memo is a name field's last name and its index. Consecutive records
-// mostly repeat a field's name (a node serves few apps, one right, the same
-// few peers), so a memo resolves most names without probing the table.
+// memo is a name and its index. A host's hits repeat an app and a right, so
+// a cache hit resolves them by its memos and seldom hashes a name.
 type memo struct {
 	name string
 	i    uint16
 }
 
-// memos are a record's name fields' memos: one per field, because the fields
-// of one record name different things.
-type memos struct{ typ, app, right, managers, peer, origin memo }
+// minTidy is how many names the table takes before its first tidy, and at
+// least how many between two.
+const minTidy = 64
 
 // recordNames are a record's names other than its user. A record naming one
-// the name table cannot hold (trace.Names) keeps them beside its slot, in its
-// window's spill (ring.keep), until the slot is overwritten: a peer choosing
-// names pins at most the full table and a spill entry per slot.
+// a full name table cannot hold (trace.Names) keeps them beside its slot, in
+// its window's spill (ring.keep), until the slot is overwritten.
 type recordNames struct{ typ, app, right, managers, peer, origin string }
 
 // protocolSlot is a protocol-window record as the ring keeps it: Node is the
@@ -264,7 +264,8 @@ func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
 	}
-	return &Recorder{node: node, now: now, protocol: newRing[protocolSlot](size), decided: newRing[decisionSlot](size)}
+	return &Recorder{node: node, now: now, protocol: newRing[protocolSlot](size), decided: newRing[decisionSlot](size),
+		tidyAt: minTidy}
 }
 
 // Node returns the recorder's node name.
@@ -290,25 +291,32 @@ func (r *Recorder) stamp(t time.Time) int64 {
 	return r.epoch.Offset(t)
 }
 
-// name returns s, a name of the field whose memo is m, as its index in the
-// name table, clearing *fits if the table cannot hold s. A memo matches by
-// the string's header, so s must not be a view of bytes that change: the
-// table and the memo keep it. Must be called with r.mu held.
-func (r *Recorder) name(m *memo, s string, fits *bool) uint16 {
-	if unsafe.StringData(s) == unsafe.StringData(m.name) && len(s) == len(m.name) {
-		return m.i
+// index returns s as its index in the name table, clearing *fits if the
+// table cannot hold s. Must be called with r.mu held.
+func (r *Recorder) index(s string, fits *bool) uint16 {
+	i, ok := r.names.Index(s)
+	if !ok {
+		r.refused++
+		*fits = false
 	}
-	return r.intern(m, s, fits)
+	return i
 }
 
-// intern is name past the memo's header compare: s may still be the memo's
-// name held in other bytes (a name decoded from each message is). Otherwise
-// it sets the memo to s if the table holds s. Must be called with r.mu held.
-func (r *Recorder) intern(m *memo, s string, fits *bool) uint16 {
+// memoIndex is index through memo m: s, if it is m's name, without hashing
+// it. Must be called with r.mu held.
+func (r *Recorder) memoIndex(m *memo, s string, fits *bool) uint16 {
 	if s == m.name {
 		return m.i
 	}
-	i, ok := r.names.Index(s)
+	return r.remember(m, s, fits)
+}
+
+// remember is memoIndex past its memo, kept apart so that the memo's
+// compare inlines: it sets m to s if the table holds s. Must be called with
+// r.mu held.
+func (r *Recorder) remember(m *memo, s string, fits *bool) uint16 {
+	ok := true
+	i := r.index(s, &ok)
 	if ok {
 		*m = memo{s, i}
 	}
@@ -316,22 +324,48 @@ func (r *Recorder) intern(m *memo, s string, fits *bool) uint16 {
 	return i
 }
 
-// rightName is name for a right given by value: the index of its name once
-// one hit has named it. Must be called with r.mu held.
-func (r *Recorder) rightName(right wire.Right, fits *bool) uint16 {
-	if int(right) < len(r.rights) && r.rights[right] != 0 {
-		return r.rights[right]
-	}
-	return r.internRight(right, fits)
-}
+// untidy reports whether the name table is due a tidy. Must be called with
+// r.mu held.
+func (r *Recorder) untidy() bool { return r.names.Len()+r.refused >= r.tidyAt }
 
-// internRight is rightName past its array. Must be called with r.mu held.
-func (r *Recorder) internRight(right wire.Right, fits *bool) uint16 {
-	i := r.intern(&r.memos.right, right.String(), fits)
-	if int(right) < len(r.rights) {
-		r.rights[right] = i
+// tidy keeps in the name table only the names a retained record names,
+// under new indices. It runs between records once the table has taken (or
+// refused) as many names since it last ran as it then kept, and at least
+// minTidy (untidy). So a node naming a new peer per record — a manager its
+// querying hosts, a host its granting sets — keeps at most twice the names
+// its windows name, plus minTidy, where a table only adding names would keep
+// every name it was ever handed; and a tidy's cost, a pass over the
+// windows, is spread over the names that brought it on. Must be called with
+// r.mu held.
+func (r *Recorder) tidy() {
+	old := r.names
+	r.names = trace.Names{}
+	renamed := make([]uint16, old.Len()+1)
+	rename := func(i *uint16) {
+		if *i != 0 {
+			if renamed[*i] == 0 {
+				renamed[*i], _ = r.names.Index(old.Name(*i))
+			}
+			*i = renamed[*i]
+		}
 	}
-	return i
+	for k := range r.protocol.buf {
+		s := &r.protocol.buf[k]
+		rename(&s.typ)
+		rename(&s.app)
+		rename(&s.origin)
+		rename(&s.peer)
+	}
+	for k := range r.decided.buf {
+		s := &r.decided.buf[k]
+		rename(&s.app)
+		rename(&s.right)
+		rename(&s.managers)
+		rename(&s.peer)
+		rename(&s.origin)
+	}
+	r.hitApp, r.hitRight = memo{}, memo{}
+	r.refused, r.tidyAt = 0, r.names.Len()+max(r.names.Len(), minTidy)
 }
 
 // commitProtocol stamps and accepts the record built in s. Must be called
@@ -340,6 +374,9 @@ func (r *Recorder) commitProtocol(s *protocolSlot, t time.Time) {
 	s.t, s.seq = r.stamp(t), r.seq
 	r.seq++
 	r.protocol.commit(s.spilled)
+	if r.untidy() {
+		r.tidy()
+	}
 }
 
 // commitDecision stamps the record built in s with its times — t, or the
@@ -355,6 +392,9 @@ func (r *Recorder) commitDecision(s *decisionSlot, t, expiry time.Time) {
 	if r.sink != nil {
 		r.sink.Accept(r.unpackDecision(r.decided.next - 1))
 	}
+	if r.untidy() {
+		r.tidy()
+	}
 }
 
 // Record appends rec, assigning Seq and Node, and stamping the local clock
@@ -368,9 +408,9 @@ func (r *Recorder) Record(rec Record) {
 	if rec.Kind.decided() {
 		s := r.decided.slot()
 		s.kind, s.trace, s.user = rec.Kind, rec.Trace, rec.User
-		s.app, s.right = r.name(&r.memos.app, rec.App, &fits), r.name(&r.memos.right, rec.Right, &fits)
-		s.managers, s.peer = r.name(&r.memos.managers, rec.Managers, &fits), r.name(&r.memos.peer, rec.Peer, &fits)
-		s.origin, s.counter = r.name(&r.memos.origin, rec.Origin, &fits), rec.Counter
+		s.app, s.right = r.index(rec.App, &fits), r.index(rec.Right, &fits)
+		s.managers, s.peer = r.index(rec.Managers, &fits), r.index(rec.Peer, &fits)
+		s.origin, s.counter = r.index(rec.Origin, &fits), rec.Counter
 		s.reason, s.flags, s.set = rec.Reason, flag(rec.Allowed, flagAllowed)|flag(rec.Frozen, flagFrozen), rec.Set
 		s.attempts, s.queried, s.quorum = sat16(rec.Attempts), sat8(rec.Queried), sat8(rec.Quorum)
 		s.confirmations, s.denials, s.granters = sat8(rec.Confirmations), sat8(rec.Denials), sat8(rec.Granters)
@@ -383,8 +423,8 @@ func (r *Recorder) Record(rec Record) {
 	} else {
 		s := r.protocol.slot()
 		s.kind, s.trace, s.user, s.counter, s.note, s.event = rec.Kind, rec.Trace, rec.User, rec.Counter, rec.Note, 0
-		s.typ, s.app = r.name(&r.memos.typ, rec.Type, &fits), r.name(&r.memos.app, rec.App, &fits)
-		s.origin, s.peer = r.name(&r.memos.origin, rec.Origin, &fits), r.name(&r.memos.peer, rec.Peer, &fits)
+		s.typ, s.app = r.index(rec.Type, &fits), r.index(rec.App, &fits)
+		s.origin, s.peer = r.index(rec.Origin, &fits), r.index(rec.Peer, &fits)
 		if s.spilled = !fits; s.spilled {
 			r.protocol.keep(recordNames{typ: rec.Type, app: rec.App, peer: rec.Peer, origin: rec.Origin})
 		}
@@ -401,9 +441,9 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 	s := r.protocol.slot()
 	fits := true
 	s.kind, s.typ, s.event, s.word, s.trace = eventKind(e.Type), 0, e.Type, e.Word, e.Trace
-	s.app, s.user = r.name(&r.memos.app, string(e.App), &fits), string(e.User)
-	s.origin, s.counter = r.name(&r.memos.origin, string(e.Seq.Origin), &fits), e.Seq.Counter
-	s.peer, s.note, s.num = r.name(&r.memos.peer, string(e.Peer), &fits), "", e.Num != 0
+	s.app, s.user = r.index(string(e.App), &fits), string(e.User)
+	s.origin, s.counter = r.index(string(e.Seq.Origin), &fits), e.Seq.Counter
+	s.peer, s.note, s.num = r.index(string(e.Peer), &fits), "", e.Num != 0
 	if s.num {
 		if e.Seq.Counter == 0 {
 			s.counter = uint64(e.Num)
@@ -421,15 +461,16 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 // RecordCacheHit appends the decision record of a cache hit — the one
 // record on the per-check hot path — built in its slot rather than
 // constructed by the caller and copied in: t is the decision time, granters
-// and expiry the cached entry's evidence. The right is taken by value and
-// the app resolved through its memo, so that a hit seldom probes a map.
+// and expiry the cached entry's evidence. The right is taken by value, and
+// it and the app are resolved through their memos, so that a hit seldom
+// hashes a name.
 func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, right wire.Right, granters int, expiry time.Time) {
 	r.mu.Lock()
 	s := r.decided.slot()
 	*s = decisionSlot{}
 	fits := true
 	s.kind, s.trace, s.user = KindDecision, trace, user
-	s.app, s.right = r.name(&r.memos.app, app, &fits), r.rightName(right, &fits)
+	s.app, s.right = r.memoIndex(&r.hitApp, app, &fits), r.memoIndex(&r.hitRight, right.String(), &fits)
 	s.reason, s.flags, s.granters = ReasonCacheHit, flagAllowed, sat8(granters)
 	if !fits {
 		s.flags |= flagSpilled

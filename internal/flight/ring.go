@@ -7,9 +7,9 @@ package flight
 // nothing.
 //
 // Beside its slots a ring keeps a spill: the names of the records whose
-// names the journal's table cannot hold (keep), an entry per slot, made at
-// the first such record and cleared as its slot is taken by one that keeps
-// none.
+// names the journal's table cannot hold (keep), an entry per allocated slot,
+// made at the first such record, grown with the slots and cleared as its
+// slot is taken by one that keeps none.
 //
 // A ring is not synchronised: the Recorder guards both of its windows with
 // the one lock that also covers what it does beside the write (stamping,
@@ -18,7 +18,7 @@ type ring[T any] struct {
 	size  int           // capacity: the ring grows to this many slots, then wraps
 	buf   []T           // len(buf) slots allocated so far, at most size
 	next  uint64        // records ever committed to this ring
-	spill []recordNames // record i's names at i%size; nil until keep
+	spill []recordNames // record i's names beside its slot; nil until keep
 }
 
 // minSlots is how many slots a ring's first record allocates (fewer if the
@@ -62,6 +62,11 @@ func (r *ring[T]) grow() {
 	buf := make([]T, n)
 	copy(buf, r.buf)
 	r.buf = buf
+	if r.spill != nil {
+		spill := make([]recordNames, n)
+		copy(spill, r.spill)
+		r.spill = spill
+	}
 }
 
 // commit accepts the record built in the last slot. Unless the record kept
@@ -69,7 +74,7 @@ func (r *ring[T]) grow() {
 // slot.
 func (r *ring[T]) commit(kept bool) {
 	if !kept && r.spill != nil {
-		r.spill[r.next%uint64(r.size)] = recordNames{}
+		r.spill[r.next%uint64(len(r.buf))] = recordNames{}
 	}
 	r.next++
 }
@@ -85,16 +90,14 @@ func (r *ring[T]) oldest() uint64 { return r.next - r.retained() }
 // at returns the slot of retained record i: read it, do not write it.
 func (r *ring[T]) at(i uint64) *T { return &r.buf[i%uint64(len(r.buf))] }
 
-// keep puts n beside the slot the next record goes in; a ring keeps nothing
-// until its first call. Record i's names go at i%size: below capacity record
-// i is in slot i, and from capacity on in slot i%size, so the spill follows
-// the slots through growth without moving.
+// keep puts n beside the slot the next record goes in, which slot returned;
+// a ring keeps nothing until its first call.
 func (r *ring[T]) keep(n recordNames) {
 	if r.spill == nil {
-		r.spill = make([]recordNames, r.size)
+		r.spill = make([]recordNames, len(r.buf))
 	}
-	r.spill[r.next%uint64(r.size)] = n
+	r.spill[r.next%uint64(len(r.buf))] = n
 }
 
 // kept returns what retained record i keeps beside its slot.
-func (r *ring[T]) kept(i uint64) *recordNames { return &r.spill[i%uint64(r.size)] }
+func (r *ring[T]) kept(i uint64) *recordNames { return &r.spill[i%uint64(len(r.buf))] }

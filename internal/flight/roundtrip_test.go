@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -195,7 +196,7 @@ func sameAll(t *testing.T, via string, got, want []Record) {
 // count outside its slot's range saturated, never wrapped, and each window
 // keeping its own last records. It holds for each kind of clock, over slots
 // that held other records, and with a name table already full of other
-// names, half of a record's names found there and half spilled.
+// names, half of a record's names found there and half spilled (fillNames).
 func TestFlightRecordRoundTrip(t *testing.T) {
 	for i, clock := range clocks {
 		for _, full := range []bool{false, true} {
@@ -216,11 +217,7 @@ func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Tim
 		for j := range 50 {
 			r.names.Index("s" + strconv.Itoa(j))
 		}
-		for j := 0; ; j++ {
-			if _, ok := r.names.Index("other" + strconv.Itoa(j)); !ok {
-				break
-			}
-		}
+		fillNames(r, 0)
 	}
 	var sunk, want, decided []Record
 	r.SetSink(sinkFunc(func(rec Record) { sunk = append(sunk, rec) }))
@@ -368,33 +365,76 @@ func TestFlightBytesPerRecord(t *testing.T) {
 	runtime.KeepAlive(users)
 }
 
+// fillNames adds names to r's table until it is left short of full and
+// holds off its tidy: the state between two tidies of a journal whose
+// windows name more than half of trace.MaxNames names, which only a window
+// far larger than acnode's default can.
+func fillNames(r *Recorder, left int) {
+	for j := 0; r.names.Len() < trace.MaxNames-left; j++ {
+		r.names.Index("other" + strconv.Itoa(j))
+	}
+	r.tidyAt = math.MaxInt
+}
+
+// perName is at most what a name of n bytes costs a journal's table: its
+// allocation, rounded up to its size class, a slice element with append's
+// slack, and its share of the slots.
+func perName(n int) int { return n + n/8 + 16 + 2*16 + 8 }
+
+// windowNames returns how many names the records of r's decisions window
+// name, and how many of them spilled. A slot that did not spill must keep
+// nothing beside it. Must be called with r.mu held.
+func windowNames(t *testing.T, r *Recorder) (names, spilled int) {
+	seen := make(map[uint16]bool)
+	for i := r.decided.oldest(); i < r.decided.next; i++ {
+		s := r.decided.at(i)
+		if s.flags&flagSpilled != 0 {
+			spilled++
+		} else if r.decided.spill != nil && *r.decided.kept(i) != (recordNames{}) {
+			t.Errorf("record %d needs no spill, but its slot keeps %+v", s.seq, *r.decided.kept(i))
+		}
+		for _, n := range []uint16{s.app, s.right, s.managers, s.peer, s.origin} {
+			seen[n] = n != 0
+		}
+	}
+	for _, ok := range seen {
+		if ok {
+			names++
+		}
+	}
+	return names, spilled
+}
+
 // TestJournalNamesBounded: a manager journals the App and the querying host
 // of every query, names its peers choose. Writers racing a reader hand it
-// 200,000 responses, each naming a new app and a new host, some longer than
-// the name table takes: every record read back — by the reader while they
-// race, by the sink, and from All and Dump after — is the one written; a
-// slot keeps spilled names only while its record needs them; and the
-// journal's live heap stays within the full table and a spill entry per
-// slot.
+// 200,000 responses, a third from h0 for stocks and the rest each naming a
+// new app and a new host, a fifth of those 200 bytes long. Every record read
+// back — by the reader while they race, by the sink, and from All and Dump
+// after — is the one written, and the journal's live heap stays within its
+// bound: its slots and at most twice the names they name, none spilled; or,
+// with a full table (fillNames), the table and for each slot a spill entry,
+// kept only while its record needs it, and the names it pins.
 func TestJournalNamesBounded(t *testing.T) {
-	const size, writers, each = 4096, 4, 50_000
-	// name is one of n's names, as long as the table takes or, over, a byte
-	// longer.
-	name := func(prefix string, n uint64, over bool) string {
-		id := prefix + strconv.FormatUint(n, 10)
-		if over {
-			return strings.Repeat("x", trace.MaxNameLen+1-len(id)) + id
-		}
-		return strings.Repeat("x", trace.MaxNameLen-len(id)) + id
+	for _, full := range []bool{false, true} {
+		journalNamesBounded(t, full)
 	}
-	// A third of the queries come from h0 for stocks, which the table
-	// holds; the rest name a new app and a new host each.
+}
+
+func journalNamesBounded(t *testing.T, full bool) {
+	const size, writers, each = 4096, 4, 50_000
+	long := strings.Repeat("x", 200)
+	name := func(prefix string, n uint64) string {
+		if n%5 == 0 {
+			return long + prefix + strconv.FormatUint(n, 10)
+		}
+		return prefix + strconv.FormatUint(n, 10)
+	}
 	response := func(n uint64) Record {
 		rec := Record{T: t0.Add(time.Duration(n) * time.Microsecond), Node: "m0", Kind: KindResponse, Trace: n,
 			App: "stocks", User: "u0", Right: "use", Reason: ReasonQueryGranted, Peer: "h0", Origin: "m1",
 			Counter: n, Expire: time.Minute}
 		if n%3 != 0 {
-			rec.App, rec.Peer = name("app", n, n%5 == 0), name("h", n, n%7 == 0)
+			rec.App, rec.Peer = name("app", n), name("h", n)
 		}
 		return rec
 	}
@@ -402,11 +442,14 @@ func TestJournalNamesBounded(t *testing.T) {
 		want := response(rec.Trace)
 		want.Seq = rec.Seq
 		if diff := same(*rec, want); diff != "" {
-			t.Errorf("%s: record %d: %s\n got %+v\nwant %+v", via, rec.Seq, diff, *rec, want)
+			t.Errorf("full %v: %s: record %d: %s\n got %+v\nwant %+v", full, via, rec.Seq, diff, *rec, want)
 		}
 	}
 	prev := liveHeap()
 	r := NewRecorder("m0", size, nil)
+	if full {
+		fillNames(r, 2000)
+	}
 	var sunk int
 	r.SetSink(sinkFunc(func(rec Record) {
 		check("sink", &rec)
@@ -445,37 +488,106 @@ func TestJournalNamesBounded(t *testing.T) {
 		check("Dump", &rec)
 	}
 	if sunk != writers*each || retained != size {
-		t.Fatalf("sink saw %d records, All %d; want %d and %d", sunk, retained, writers*each, size)
+		t.Fatalf("full %v: sink saw %d records, All %d; want %d and %d", full, sunk, retained, writers*each, size)
 	}
-	// A slot keeps names beside it only while its record needs them: a
-	// record the table holds has overwritten a spilled one's names.
 	r.mu.Lock()
-	spilled := 0
-	for i := r.decided.oldest(); i < r.decided.next; i++ {
-		if s, kept := r.decided.at(i), *r.decided.kept(i); s.flags&flagSpilled != 0 {
-			spilled++
-		} else if kept != (recordNames{}) {
-			t.Errorf("record %d needs no spill, but its slot keeps %+v", s.seq, kept)
-		}
-	}
-	if spilled == 0 || spilled == size {
-		t.Errorf("%d of %d retained records spilled, want some but not all", spilled, size)
-	}
+	names, spilled := windowNames(t, r)
+	table := r.names.Len()
 	r.mu.Unlock()
-	// The bound: a full table (each name's bytes, its table entry and its map
-	// slot), and for each slot the slot, its spill entry and the two names
-	// it pins, each in an allocation of at most MaxNameLen+16 bytes.
-	const (
-		table = trace.MaxNames * (trace.MaxNameLen + 80)
-		slot  = DecisionSlotBytes + int(unsafe.Sizeof(recordNames{})) + 2*(trace.MaxNameLen+16)
-		bound = table + size*slot
-	)
+	bound := size * (DecisionSlotBytes + 2*2*perName(len(long)+8))
+	if full {
+		if spilled == 0 || spilled == size {
+			t.Errorf("%d of %d retained records spilled, want some but not all", spilled, size)
+		}
+		bound = (trace.MaxNames-2000)*perName(len("other65535")) + 2000*perName(len(long)+8) +
+			size*(DecisionSlotBytes+int(unsafe.Sizeof(recordNames{}))+2*perName(len(long)+8))
+	} else if spilled != 0 || table > 2*names+minTidy {
+		t.Errorf("%d records spilled; the table holds %d names for the %d its window names", spilled, table, names)
+	}
 	if heap := liveHeap() - prev; heap > int64(bound) {
-		t.Errorf("journal holds %d B of live heap, bound %d", heap, bound)
+		t.Errorf("full %v: journal holds %d B of live heap, bound %d", full, heap, bound)
 	} else {
-		t.Logf("journal holds %d B of live heap, bound %d", heap, bound)
+		t.Logf("full %v: journal holds %d B of live heap (%d names for the %d its window names), bound %d",
+			full, heap, table, names, bound)
 	}
 	runtime.KeepAlive(r)
+}
+
+// TestJournalNamesFollowWindow: a journal's name table keeps the names its
+// windows name, not every name it was ever handed. In a world of 20
+// managers, a manager answers 100,000 queries, each from a host it has not
+// heard from before, and a host records 100,000 quorum allows, each granted
+// by a different 10 of the managers: more hosts and more granting sets than
+// a table has indices. Neither journal spills a record, each table holds at
+// most twice the names its window names (plus minTidy), every retained
+// record reads back as written, and one costs at most its slot and twice
+// its new name's share of the table.
+func TestJournalNamesFollowWindow(t *testing.T) {
+	const size, n = 4096, 100_000
+	managers := make([]string, 20)
+	for i := range managers {
+		managers[i] = fmt.Sprintf("manager-%02d.wan.example.net:7000", i)
+	}
+	// granted is the k-th granting set: the managers in the bits of the
+	// k-th 20-bit mask with 10 set bits (Gosper's hack).
+	mask := uint32(1)<<10 - 1
+	granted := func() string {
+		var set []string
+		for i := range managers {
+			if mask&(1<<i) != 0 {
+				set = append(set, managers[i])
+			}
+		}
+		c := mask & -mask
+		next := mask + c
+		mask = ((next^mask)>>2)/c | next
+		return strings.Join(set, ",")
+	}
+	for _, node := range []struct {
+		name   string
+		record func(i int) Record
+	}{
+		{"manager", func(i int) Record {
+			return Record{T: t0, Kind: KindResponse, Trace: uint64(i), App: "stocks", User: "u0", Right: "use",
+				Reason: ReasonQueryGranted, Peer: fmt.Sprintf("host-%06d.wan.example.net:7001", i), Origin: managers[3],
+				Counter: uint64(i), Expire: time.Minute}
+		}},
+		{"host", func(i int) Record {
+			return Record{T: t0, Kind: KindDecision, Trace: uint64(i), App: "stocks", User: "u0", Right: "use",
+				Reason: ReasonQuorumAllow, Allowed: true, Set: 20, Attempts: 1, Queried: 10, Quorum: 10,
+				Confirmations: 10, Managers: granted(), Expire: time.Minute, Expiry: t0.Add(time.Minute)}
+		}},
+	} {
+		last, longest := make([]Record, 0, size), 0
+		prev := liveHeap()
+		r := NewRecorder(node.name, size, nil)
+		for i := range n {
+			rec := node.record(i)
+			r.Record(rec)
+			if i >= n-size {
+				rec.Node, rec.Seq = node.name, uint64(i)
+				last = append(last, rec)
+			}
+			longest = max(longest, len(rec.Peer), len(rec.Managers))
+		}
+		heap := liveHeap() - prev
+		sameAll(t, node.name, r.Snapshot(), last)
+		r.mu.Lock()
+		names, spilled := windowNames(t, r)
+		table := r.names.Len()
+		r.mu.Unlock()
+		if spilled != 0 || table > 2*names+minTidy {
+			t.Errorf("%s: %d records spilled; the table holds %d names for the %d its window names",
+				node.name, spilled, table, names)
+		}
+		if per, bound := float64(heap)/size, DecisionSlotBytes+2*perName(longest); per > float64(bound) {
+			t.Errorf("%s: %.1f B of live heap per retained record, bound %d", node.name, per, bound)
+		} else {
+			t.Logf("%s: %.1f B of live heap per retained record (%d names for the %d its window names), bound %d",
+				node.name, per, table, names, bound)
+		}
+		runtime.KeepAlive(r)
+	}
 }
 
 // TestSlotStrings: a decision slot keeps one string, the user id, and a

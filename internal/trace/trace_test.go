@@ -289,29 +289,41 @@ func TestCollectorNameTableFull(t *testing.T) {
 	}
 }
 
-// TestNamesLengthBound: a table holds names up to MaxNameLen bytes, each
-// under one index; a longer one gets none, and the trace log keeps an event
-// naming it whole.
-func TestNamesLengthBound(t *testing.T) {
+// TestNamesIndex: a table gives "" index 0 and every other name, of any
+// length, one index of its own, which stays its own as the table grows.
+func TestNamesIndex(t *testing.T) {
 	var n Names
-	longest, over := strings.Repeat("x", MaxNameLen), strings.Repeat("y", MaxNameLen+1)
-	if i, ok := n.Index(""); i != 0 || !ok {
-		t.Fatalf(`Index("") = %d, %v; want 0, true`, i, ok)
+	if i, ok := n.Index(""); i != 0 || !ok || n.Len() != 0 {
+		t.Fatalf(`Index("") = %d, %v with %d names; want 0, true and none`, i, ok, n.Len())
 	}
-	i, ok := n.Index(longest)
-	if j, _ := n.Index(longest); !ok || i == 0 || j != i || n.Name(i) != longest {
-		t.Fatalf("the longest name: index %d (%v), then %d, named %q", i, ok, j, n.Name(i))
+	long := strings.Repeat("x", 1000)
+	index := make(map[string]uint16)
+	for j := range 5000 {
+		s := strconv.Itoa(j)
+		if j%100 == 0 {
+			s = long + s
+		}
+		i, ok := n.Index(s)
+		if _, dup := index[s]; dup || !ok || i == 0 || n.Name(i) != s {
+			t.Fatalf("name %d: index %d (%v), named %.20q", j, i, ok, n.Name(i))
+		}
+		index[s] = i
 	}
-	if i, ok := n.Index(over); i != 0 || ok {
-		t.Fatalf("a name over the bound: Index = %d, %v; want 0, false", i, ok)
+	for s, i := range index {
+		if j, ok := n.Index(s); j != i || !ok {
+			t.Fatalf("%.20q: index %d (%v), want %d", s, j, ok, i)
+		}
+	}
+	if n.Len() != len(index) {
+		t.Fatalf("table holds %d names, want %d", n.Len(), len(index))
 	}
 	c := NewCollector()
-	in := []Event{{Node: wire.NodeID(over), Type: EventQuerySent, App: "app"}, {Node: "n0", Type: EventCacheHit, App: "app"}}
+	in := []Event{{Node: wire.NodeID(long), Type: EventQuerySent, App: "app"}, {Node: "n0", Type: EventCacheHit, App: "app"}}
 	for _, e := range in {
 		c.Emit(e)
 	}
-	if len(c.spill) != 1 {
-		t.Fatalf("%d events kept aside, want the one naming %d bytes", len(c.spill), len(over))
+	if c.spill != nil {
+		t.Fatalf("%d events kept aside, want none", len(c.spill))
 	}
 	roundTrip(t, c, in, nil)
 }
