@@ -176,15 +176,21 @@ type Recorder struct {
 	refused   int         // names the table refused since tidy last ran
 	tidyAt    int         // tidy runs once the table's names and refused reach it
 	hitApp    memo        // the last cache hit's app
-	hitRight  memo        // the last cache hit's right
+	hitRight  rightMemo   // the last cache hit's right
 	sink      Sink
 }
 
-// memo is a name and its index. A host's hits repeat an app and a right, so
-// a cache hit resolves them by its memos and seldom hashes a name.
+// memo is an app and the index of its name (appIndex).
 type memo struct {
 	name string
 	i    uint16
+}
+
+// rightMemo is a right and the index of its name (rightIndex); i is 0 until
+// a hit sets it, since no right's name is "".
+type rightMemo struct {
+	right wire.Right
+	i     uint16
 }
 
 // minTidy is how many names the table takes before its first tidy, and at
@@ -302,25 +308,44 @@ func (r *Recorder) index(s string, fits *bool) uint16 {
 	return i
 }
 
-// memoIndex is index through memo m: s, if it is m's name, without hashing
-// it. Must be called with r.mu held.
-func (r *Recorder) memoIndex(m *memo, s string, fits *bool) uint16 {
-	if s == m.name {
+// appIndex and rightIndex are index for a cache hit's app and right,
+// through the memos of the last hit's: a host's hits repeat an app and a
+// right, so a hit seldom hashes a name. m is &r.hitApp, passed in because
+// the compare then inlines; so does a memo's miss being a call of its own.
+// Must be called with r.mu held.
+func (r *Recorder) appIndex(m *memo, app string, fits *bool) uint16 {
+	if app == m.name {
 		return m.i
 	}
-	return r.remember(m, s, fits)
+	return r.rememberApp(m, app, fits)
 }
 
-// remember is memoIndex past its memo, kept apart so that the memo's
-// compare inlines: it sets m to s if the table holds s. Must be called with
-// r.mu held.
-func (r *Recorder) remember(m *memo, s string, fits *bool) uint16 {
-	ok := true
-	i := r.index(s, &ok)
-	if ok {
-		*m = memo{s, i}
+func (r *Recorder) rightIndex(right wire.Right, fits *bool) uint16 {
+	if right == r.hitRight.right && r.hitRight.i != 0 {
+		return r.hitRight.i
 	}
-	*fits = *fits && ok
+	return r.rememberRight(right, fits)
+}
+
+// rememberApp and rememberRight are the memos' misses: each looks its name up
+// and sets its memo if the table holds it. Not inlined: inlined, each would
+// take its caller over the inlining budget. Must be called with r.mu held.
+//
+//go:noinline
+func (r *Recorder) rememberApp(m *memo, app string, fits *bool) uint16 {
+	i := r.index(app, fits)
+	if i != 0 {
+		*m = memo{app, i}
+	}
+	return i
+}
+
+//go:noinline
+func (r *Recorder) rememberRight(right wire.Right, fits *bool) uint16 {
+	i := r.index(right.String(), fits)
+	if i != 0 {
+		r.hitRight = rightMemo{right, i}
+	}
 	return i
 }
 
@@ -364,7 +389,7 @@ func (r *Recorder) tidy() {
 		rename(&s.peer)
 		rename(&s.origin)
 	}
-	r.hitApp, r.hitRight = memo{}, memo{}
+	r.hitApp, r.hitRight = memo{}, rightMemo{}
 	r.refused, r.tidyAt = 0, r.names.Len()+max(r.names.Len(), minTidy)
 }
 
@@ -470,7 +495,7 @@ func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, r
 	*s = decisionSlot{}
 	fits := true
 	s.kind, s.trace, s.user = KindDecision, trace, user
-	s.app, s.right = r.memoIndex(&r.hitApp, app, &fits), r.memoIndex(&r.hitRight, right.String(), &fits)
+	s.app, s.right = r.appIndex(&r.hitApp, app, &fits), r.rightIndex(right, &fits)
 	s.reason, s.flags, s.granters = ReasonCacheHit, flagAllowed, sat8(granters)
 	if !fits {
 		s.flags |= flagSpilled
