@@ -17,8 +17,8 @@ const MaxNames = math.MaxUint16
 // holding it guards it.
 //
 // The table finds a name by its hash in slots, an open-addressed array of
-// indices, rather than in a map: a name costs its slice element and two to
-// four bytes of slots, where a go1.24 map[string]uint16 of a few thousand
+// indices, rather than in a map: a name costs its slice element and four to
+// eight bytes of slots, where a go1.24 map[string]uint16 of a few thousand
 // names holds about 100 B a name, and more as names come and go. A journal
 // keeping a name per record of a window of distinct peers would spend more
 // on the map than its record saves.
