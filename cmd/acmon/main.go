@@ -99,18 +99,9 @@ func run(targets string, te, timeout, every time.Duration, listen, jsonl string,
 		return nil
 	}
 
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		m.ScrapeOnce(ctx)
-		draw(m.Dashboard(), plain)
-		select {
-		case <-ctx.Done():
-			fmt.Println()
-			return nil
-		case <-tick.C:
-		}
-	}
+	_ = m.Run(ctx, func() { draw(m.Dashboard(), plain) }) // ctx.Err(): a signal ended the loop
+	fmt.Println()
+	return nil
 }
 
 // draw renders one dashboard frame: in-place (clear screen + home) by

@@ -139,10 +139,6 @@ func (s *Store) Grant(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.grantLocked(app, user, r)
-}
-
-func (s *Store) grantLocked(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	users := s.apps[app]
 	if users == nil {
 		users = make(map[wire.UserID]userRec)
@@ -264,27 +260,6 @@ func (s *Store) Has(app wire.AppID, user wire.UserID, r wire.Right) bool {
 	return s.apps[app][user].rights.Has(r)
 }
 
-// Rights returns the rights user holds on app.
-func (s *Store) Rights(app wire.AppID, user wire.UserID) RightSet {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.apps[app][user].rights
-}
-
-// Users returns the users holding right r on app, sorted for determinism.
-func (s *Store) Users(app wire.AppID, r wire.Right) []wire.UserID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []wire.UserID
-	for u, rec := range s.apps[app] {
-		if rec.rights.Has(r) {
-			out = append(out, u)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Entries returns every (app,user,right) grant, sorted, for state sync and
 // snapshots. If app is non-empty only that application's entries are
 // returned.
@@ -310,31 +285,6 @@ func (s *Store) Entries(app wire.AppID) []wire.ACLEntry {
 		return cmp.Or(cmp.Compare(a.App, b.App), cmp.Compare(a.User, b.User), cmp.Compare(a.Right, b.Right))
 	})
 	return out
-}
-
-// Replace overwrites the store contents with the given entries (manager
-// recovery sync, §3.4); nothing is vouched afterwards.
-func (s *Store) Replace(entries []wire.ACLEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.apps = make(map[wire.AppID]map[wire.UserID]userRec, len(entries))
-	s.pool, s.free = make([]vnode, 1), 0
-	for _, e := range entries {
-		if e.Right.Valid() {
-			s.grantLocked(e.App, e.User, e.Right)
-		}
-	}
-}
-
-// Len returns the total number of (app,user) pairs with at least one right.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, users := range s.apps {
-		n += len(users)
-	}
-	return n
 }
 
 // cacheKey identifies a cached grant.
@@ -551,16 +501,10 @@ const (
 	Expired
 )
 
-// Lookup returns the entry for (app,user,r) if present and not expired at
-// now. Expired entries are removed as a side effect, mirroring Figure 3's
-// "else ACL_cache(A) -= U".
-func (c *Cache) Lookup(app wire.AppID, user wire.UserID, r wire.Right, now time.Time) (Entry, bool) {
-	e, st := c.LookupStatus(app, user, r, now)
-	return e, st == Hit
-}
-
-// LookupStatus is Lookup with a three-way outcome, letting callers
-// distinguish a cold miss from an expiration (the protocol traces these
+// LookupStatus returns the entry for (app,user,r) and whether it was a hit:
+// present and not expired at now. An expired entry is removed as a side
+// effect, mirroring Figure 3's "else ACL_cache(A) -= U"; Miss and Expired
+// let callers tell a cold miss from an expiration (the protocol traces these
 // differently).
 func (c *Cache) LookupStatus(app wire.AppID, user wire.UserID, r wire.Right, now time.Time) (Entry, LookupStatus) {
 	if !r.Valid() {

@@ -2,6 +2,7 @@ package acl
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,8 +90,8 @@ func TestStoreGrantRevoke(t *testing.T) {
 	if s.Revoke("ghost", "nobody", wire.RightManage) {
 		t.Error("revoking on absent app reported change")
 	}
-	if s.Len() != 0 {
-		t.Errorf("Len() = %d after full revoke", s.Len())
+	if got := s.Entries(""); len(got) != 0 {
+		t.Errorf("Entries = %v after full revoke", got)
 	}
 }
 
@@ -106,16 +107,17 @@ func TestStoreUsers(t *testing.T) {
 	s.Grant("app", "carol", wire.RightUse)
 	s.Grant("app", "alice", wire.RightUse)
 	s.Grant("app", "bob", wire.RightManage)
-	got := s.Users("app", wire.RightUse)
-	if len(got) != 2 || got[0] != "alice" || got[1] != "carol" {
-		t.Errorf("Users(use) = %v", got)
+	want := []wire.ACLEntry{
+		{App: "app", User: "alice", Right: wire.RightUse},
+		{App: "app", User: "bob", Right: wire.RightManage},
+		{App: "app", User: "carol", Right: wire.RightUse},
 	}
-	if got := s.Users("app", wire.RightManage); len(got) != 1 || got[0] != "bob" {
-		t.Errorf("Users(manage) = %v", got)
+	if got := s.Entries("app"); !slices.Equal(got, want) {
+		t.Errorf("Entries = %v, want %v sorted by user", got, want)
 	}
 }
 
-func TestStoreEntriesAndReplace(t *testing.T) {
+func TestStoreEntries(t *testing.T) {
 	s := NewStore()
 	s.Grant("a", "u1", wire.RightUse)
 	s.Grant("a", "u1", wire.RightManage)
@@ -129,29 +131,13 @@ func TestStoreEntriesAndReplace(t *testing.T) {
 	if len(onlyA) != 2 || onlyA[0].App != "a" {
 		t.Fatalf("Entries(a) = %v", onlyA)
 	}
-
-	s2 := NewStore()
-	s2.Grant("stale", "x", wire.RightUse)
-	s2.Replace(all)
-	if s2.Has("stale", "x", wire.RightUse) {
-		t.Error("Replace kept stale entry")
-	}
-	if !s2.Has("a", "u1", wire.RightManage) || !s2.Has("b", "u2", wire.RightUse) {
-		t.Error("Replace lost entries")
-	}
-	// Replace skips invalid rights.
-	s2.Replace([]wire.ACLEntry{{App: "a", User: "u", Right: wire.Right(9)}})
-	if s2.Len() != 0 {
-		t.Error("Replace admitted invalid right")
-	}
 }
 
 func TestStoreRights(t *testing.T) {
 	s := NewStore()
 	s.Grant("a", "u", wire.RightUse)
-	rs := s.Rights("a", "u")
-	if !rs.Has(wire.RightUse) || rs.Has(wire.RightManage) {
-		t.Errorf("Rights = %v", rs.Rights())
+	if got := s.Entries("a"); len(got) != 1 || got[0] != (wire.ACLEntry{App: "a", User: "u", Right: wire.RightUse}) {
+		t.Errorf("Entries = %v, want u's use right alone", got)
 	}
 }
 
@@ -201,22 +187,28 @@ func TestStoreModelQuick(t *testing.T) {
 
 func now() time.Time { return time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC) }
 
+// lookup reads LookupStatus as a hit or not.
+func lookup(c *Cache, app wire.AppID, user wire.UserID, r wire.Right, at time.Time) (Entry, bool) {
+	e, st := c.LookupStatus(app, user, r, at)
+	return e, st == Hit
+}
+
 func TestCachePutLookup(t *testing.T) {
 	c := NewCache()
 	limit := now().Add(time.Minute)
 	c.Put("app", "alice", wire.RightUse, limit, "m1")
 
-	e, ok := c.Lookup("app", "alice", wire.RightUse, now())
+	e, ok := lookup(c, "app", "alice", wire.RightUse, now())
 	if !ok {
 		t.Fatal("Lookup missed fresh entry")
 	}
 	if !e.Limit.Equal(limit) {
 		t.Errorf("Limit = %v, want %v", e.Limit, limit)
 	}
-	if _, ok := c.Lookup("app", "bob", wire.RightUse, now()); ok {
+	if _, ok := lookup(c, "app", "bob", wire.RightUse, now()); ok {
 		t.Error("Lookup hit for unknown user")
 	}
-	if _, ok := c.Lookup("app", "alice", wire.RightManage, now()); ok {
+	if _, ok := lookup(c, "app", "alice", wire.RightManage, now()); ok {
 		t.Error("Lookup hit for right not cached")
 	}
 }
@@ -226,12 +218,12 @@ func TestCacheExpiry(t *testing.T) {
 	limit := now().Add(time.Minute)
 	c.Put("app", "alice", wire.RightUse, limit, "m1")
 
-	if _, ok := c.Lookup("app", "alice", wire.RightUse, limit.Add(-time.Nanosecond)); !ok {
+	if _, ok := lookup(c, "app", "alice", wire.RightUse, limit.Add(-time.Nanosecond)); !ok {
 		t.Error("entry expired before its limit")
 	}
 	// Exactly at the limit the entry is expired (Figure 3: allow only while
 	// Time() < limit) and gets removed as a side effect.
-	if _, ok := c.Lookup("app", "alice", wire.RightUse, limit); ok {
+	if _, ok := lookup(c, "app", "alice", wire.RightUse, limit); ok {
 		t.Error("entry still valid at limit")
 	}
 	if c.Len() != 0 {
@@ -242,7 +234,7 @@ func TestCacheExpiry(t *testing.T) {
 func TestCacheZeroLimitNeverExpires(t *testing.T) {
 	c := NewCache()
 	c.Put("app", "alice", wire.RightUse, time.Time{}, "m1")
-	if _, ok := c.Lookup("app", "alice", wire.RightUse, now().Add(100*365*24*time.Hour)); !ok {
+	if _, ok := lookup(c, "app", "alice", wire.RightUse, now().Add(100*365*24*time.Hour)); !ok {
 		t.Error("zero-limit entry expired")
 	}
 }
@@ -346,7 +338,7 @@ func TestCacheConcurrency(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		c.Lookup("app", "u", wire.RightUse, now())
+		lookup(c, "app", "u", wire.RightUse, now())
 		c.PurgeExpired(now())
 	}
 	<-done
@@ -379,13 +371,13 @@ func TestCacheMaxEntriesEviction(t *testing.T) {
 		t.Fatalf("Len = %d, want 2", c.Len())
 	}
 	// "a" had the earliest limit: evicted.
-	if _, ok := c.Lookup("app", "a", wire.RightUse, now()); ok {
+	if _, ok := lookup(c, "app", "a", wire.RightUse, now()); ok {
 		t.Error("earliest-expiring entry survived eviction")
 	}
-	if _, ok := c.Lookup("app", "b", wire.RightUse, now()); !ok {
+	if _, ok := lookup(c, "app", "b", wire.RightUse, now()); !ok {
 		t.Error("latest entry evicted")
 	}
-	if _, ok := c.Lookup("app", "c", wire.RightUse, now()); !ok {
+	if _, ok := lookup(c, "app", "c", wire.RightUse, now()); !ok {
 		t.Error("middle entry evicted")
 	}
 }
@@ -395,10 +387,10 @@ func TestCacheEvictionPrefersExpiringOverPermanent(t *testing.T) {
 	c.SetMaxEntries(1)
 	c.Put("app", "perm", wire.RightUse, time.Time{}, "m") // never expires
 	c.Put("app", "temp", wire.RightUse, now().Add(time.Hour), "m")
-	if _, ok := c.Lookup("app", "perm", wire.RightUse, now()); !ok {
+	if _, ok := lookup(c, "app", "perm", wire.RightUse, now()); !ok {
 		t.Error("permanent entry evicted before expiring one")
 	}
-	if _, ok := c.Lookup("app", "temp", wire.RightUse, now()); ok {
+	if _, ok := lookup(c, "app", "temp", wire.RightUse, now()); ok {
 		t.Error("expiring entry survived over permanent")
 	}
 }
@@ -414,7 +406,7 @@ func TestCacheShrinkOnSetMaxEntries(t *testing.T) {
 	}
 	// Survivors are the three latest-expiring entries.
 	for _, u := range []wire.UserID{"h", "i", "j"} {
-		if _, ok := c.Lookup("app", u, wire.RightUse, now()); !ok {
+		if _, ok := lookup(c, "app", u, wire.RightUse, now()); !ok {
 			t.Errorf("entry %q should have survived", u)
 		}
 	}
@@ -461,7 +453,7 @@ func BenchmarkCacheLookupHit(b *testing.B) {
 	at := now()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := c.Lookup("app", "u500", wire.RightUse, at); !ok {
+		if _, ok := lookup(c, "app", "u500", wire.RightUse, at); !ok {
 			b.Fatal("missing")
 		}
 	}

@@ -259,7 +259,7 @@ func TestCachePutInvalidRightIsNoOp(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	if _, ok := c.Lookup("app", "alice", wire.RightUse, time.Unix(1000, 0)); !ok {
+	if _, ok := lookup(c, "app", "alice", wire.RightUse, time.Unix(1000, 0)); !ok {
 		t.Error("an invalid right's Put evicted the valid grant")
 	}
 }

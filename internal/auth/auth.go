@@ -101,7 +101,7 @@ func NewKeyring() *Keyring {
 }
 
 // Register associates a verifier with a user. Registering an already-known
-// user fails with ErrDuplicate; use Replace for key rotation.
+// user fails with ErrDuplicate.
 func (k *Keyring) Register(user wire.UserID, v Verifier) error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
@@ -110,21 +110,6 @@ func (k *Keyring) Register(user wire.UserID, v Verifier) error {
 	}
 	k.users[user] = v
 	return nil
-}
-
-// Replace installs a new verifier for a user, succeeding whether or not the
-// user was known (key rotation and first registration).
-func (k *Keyring) Replace(user wire.UserID, v Verifier) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.users[user] = v
-}
-
-// Remove forgets a user's verifier (e.g., a compromised identity).
-func (k *Keyring) Remove(user wire.UserID) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	delete(k.users, user)
 }
 
 // Lookup returns the verifier registered for user.

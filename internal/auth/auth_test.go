@@ -85,17 +85,6 @@ func TestKeyring(t *testing.T) {
 		t.Errorf("bad signature err = %v", err)
 	}
 
-	// Key rotation.
-	s2 := newEdSigner(t)
-	k.Replace("alice", s2.Verifier())
-	if err := k.Verify("alice", data, sig); !errors.Is(err, ErrBadSignature) {
-		t.Error("old key still valid after Replace")
-	}
-
-	k.Remove("alice")
-	if k.Len() != 0 {
-		t.Errorf("Len() after Remove = %d", k.Len())
-	}
 }
 
 func TestSealOpen(t *testing.T) {

@@ -135,11 +135,6 @@ func (m *ECManager) Submit(op wire.AdminOp) {
 	m.gossipNow()
 }
 
-// Has reports the local view.
-func (m *ECManager) Has(app wire.AppID, user wire.UserID, right wire.Right) bool {
-	return m.state.has(app, user, right)
-}
-
 func (m *ECManager) gossipNow() {
 	msg := wire.Gossip{Ops: m.state.snapshot()}
 	for _, p := range m.cfg.Peers {

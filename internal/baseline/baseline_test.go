@@ -100,7 +100,7 @@ func TestECLastWriterWins(t *testing.T) {
 	m1.Submit(revokeOp("alice"))
 	sched.RunFor(5 * time.Second)
 
-	if m0.Has(app, "alice", wire.RightUse) || m1.Has(app, "alice", wire.RightUse) {
+	if m0.state.has(app, "alice", wire.RightUse) || m1.state.has(app, "alice", wire.RightUse) {
 		t.Error("managers disagree with LWW outcome")
 	}
 	if host.Check(app, "alice", wire.RightUse) {

@@ -71,7 +71,7 @@ func TestHostPurgeExpired(t *testing.T) {
 	}
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "short", 30*time.Second)
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "long", 5*time.Minute)
-	if n := h.CacheLen(); n != 2 {
+	if n := len(h.CacheSnapshot()); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 	if n := h.PurgeExpired(); n != 0 {
@@ -82,7 +82,7 @@ func TestHostPurgeExpired(t *testing.T) {
 	if n := h.PurgeExpired(); n != 1 {
 		t.Fatalf("purged %d entries, want 1", n)
 	}
-	if n := h.CacheLen(); n != 1 {
+	if n := len(h.CacheSnapshot()); n != 1 {
 		t.Fatalf("cache holds %d entries after purge, want 1", n)
 	}
 	now := h.LocalNow()
@@ -118,7 +118,7 @@ func TestHostCacheLimitEvictionOrder(t *testing.T) {
 
 	// Imposing the limit trims to the two entries expiring last.
 	h.SetCacheLimit(2)
-	if n := h.CacheLen(); n != 2 {
+	if n := len(h.CacheSnapshot()); n != 2 {
 		t.Fatalf("cache holds %d entries after SetCacheLimit(2), want 2", n)
 	}
 	if g := h.CacheGranters("a", "soonest", wire.RightUse); g != 0 {
@@ -132,7 +132,7 @@ func TestHostCacheLimitEvictionOrder(t *testing.T) {
 
 	// A new grant expiring last pushes out the now-earliest entry ("mid").
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "newest", 10*time.Minute)
-	if n := h.CacheLen(); n != 2 {
+	if n := len(h.CacheSnapshot()); n != 2 {
 		t.Fatalf("cache grew past its limit: %d", n)
 	}
 	if g := h.CacheGranters("a", "mid", wire.RightUse); g != 0 {
@@ -208,7 +208,7 @@ func TestHostCacheGrantersConcurrentChecks(t *testing.T) {
 					if n := h.PurgeExpired(); n != 0 {
 						errs <- fmt.Sprintf("purged %d fresh entries", n)
 					}
-					if n := h.CacheLen(); n != users {
+					if n := len(h.CacheSnapshot()); n != users {
 						errs <- fmt.Sprintf("cache len %d, want %d", n, users)
 					}
 				}

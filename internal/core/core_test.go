@@ -230,7 +230,7 @@ func TestHostIgnoresStaleResponse(t *testing.T) {
 	if len(decisions) != 0 {
 		t.Fatalf("stale response decided the check: %+v", decisions)
 	}
-	if h.CacheLen() != 0 {
+	if len(h.CacheSnapshot()) != 0 {
 		t.Fatal("stale response cached")
 	}
 
@@ -417,7 +417,7 @@ func TestManagerEntriesSorted(t *testing.T) {
 	}
 	m.Seed("a", "zoe", wire.RightUse)
 	m.Seed("a", "amy", wire.RightUse)
-	entries := m.Entries("a")
+	entries := m.store.Entries("a")
 	if !sort.SliceIsSorted(entries, func(i, j int) bool { return entries[i].User < entries[j].User }) {
 		t.Errorf("entries unsorted: %v", entries)
 	}

@@ -949,9 +949,6 @@ func (h *Host) PurgeExpired() int {
 // evicted first (§3.2's memory-saving motivation).
 func (h *Host) SetCacheLimit(n int) { h.cache.SetMaxEntries(n) }
 
-// CacheLen reports the number of cached entries (for tests and metrics).
-func (h *Host) CacheLen() int { return h.cache.Len() }
-
 // CacheSnapshot returns the cached entries with their expiration limits
 // (export hook for invariant checkers: the harness's cache-hygiene oracle
 // asserts no entry survives a purge past its limit).

@@ -233,15 +233,6 @@ func (m *Manager) Has(app wire.AppID, user wire.UserID, right wire.Right) bool {
 	return m.store.Has(app, user, right)
 }
 
-// Frozen reports whether the freeze strategy currently withholds responses
-// for app.
-func (m *Manager) Frozen(app wire.AppID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ma, ok := m.apps[app]
-	return ok && ma.frozen
-}
-
 // setEffTe installs the controller's effective Te and derives the
 // expiration period handed to hosts from it: Te scaled by the clock bound b
 // (§3.2). Under the freeze strategy the budget Te is split between the
@@ -1040,21 +1031,6 @@ func (m *Manager) onSyncResponse(resp wire.SyncResponse) {
 	for origin := range ma.buffer {
 		m.drainBuffer(ma, origin)
 	}
-}
-
-// Entries exposes the local ACL view (for tools and tests).
-func (m *Manager) Entries(app wire.AppID) []wire.ACLEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.store.Entries(app)
-}
-
-// Syncing reports whether the manager is still recovering state for app.
-func (m *Manager) Syncing(app wire.AppID) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ma, ok := m.apps[app]
-	return ok && ma.syncing
 }
 
 // SetPeers replaces Managers(A) for app, supporting the infrequent,

@@ -126,7 +126,7 @@ func TestHostBusyBackoffAndRetry(t *testing.T) {
 	// The round is cancelled: a straggling response for the old nonce is
 	// discarded, not cached.
 	h.HandleMessage("m0", wire.Response{App: "a", User: "u", Right: wire.RightUse, Nonce: nonce, Granted: true})
-	if len(decisions) != 0 || h.CacheLen() != 0 {
+	if len(decisions) != 0 || len(h.CacheSnapshot()) != 0 {
 		t.Fatal("response for a cancelled round was honored")
 	}
 

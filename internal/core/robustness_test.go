@@ -157,7 +157,7 @@ func TestManagerSurvivesRandomMessagesWhileRecovering(t *testing.T) {
 	// A well-formed sync response ends recovery whether or not the storm
 	// already delivered one.
 	m.HandleMessage("m1", wire.SyncResponse{App: "a"})
-	if m.Syncing("a") {
+	if m.Stats().SyncingApps != 0 {
 		t.Fatal("manager stuck in recovery")
 	}
 }

@@ -192,7 +192,7 @@ func TestCheckRoundRule(t *testing.T) {
 			for _, e := range first { // grants for the dead nonce: discarded (§3.2)
 				rh.h.HandleMessage(e.To, grants.response(e.Msg.(wire.Query), time.Minute))
 			}
-			if len(rh.decisions) != 0 || rh.h.CacheLen() != 0 {
+			if len(rh.decisions) != 0 || len(rh.h.CacheSnapshot()) != 0 {
 				rh.t.Fatalf("late answers decided the check: %+v", rh.decisions)
 			}
 			rh.exchange(all(denies))
@@ -213,7 +213,7 @@ func TestCheckRoundRule(t *testing.T) {
 				}
 				if granters := rh.h.CacheGranters("a", "u", wire.RightUse); want.Allowed && granters != c {
 					t.Errorf("cached entry has %d granters, want %d", granters, c)
-				} else if !want.Allowed && rh.h.CacheLen() != 0 {
+				} else if !want.Allowed && len(rh.h.CacheSnapshot()) != 0 {
 					t.Error("a denied check left a cache entry")
 				}
 			})
@@ -371,8 +371,8 @@ func TestCheckRoundProperty(t *testing.T) {
 		if d.Attempts != len(rh.asked) {
 			t.Fatalf("seed %d: Attempts = %d over %d nonces", seed, d.Attempts, len(rh.asked))
 		}
-		if d.Allowed == (rh.h.CacheLen() == 0) {
-			t.Fatalf("seed %d: decision %+v with %d cache entries", seed, d, rh.h.CacheLen())
+		if d.Allowed == (len(rh.h.CacheSnapshot()) == 0) {
+			t.Fatalf("seed %d: decision %+v with %d cache entries", seed, d, len(rh.h.CacheSnapshot()))
 		}
 	}
 }

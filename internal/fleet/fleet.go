@@ -248,13 +248,14 @@ func (m *Monitor) scrapeTarget(ctx context.Context, t Target) (*telemetry.Metric
 	return parsed, nil
 }
 
-// Run scrapes on the configured interval until ctx is done. The first
-// scrape happens immediately.
-func (m *Monitor) Run(ctx context.Context) error {
+// Run scrapes on the configured interval until ctx is done, calling after
+// once each scrape is in. The first scrape happens immediately.
+func (m *Monitor) Run(ctx context.Context, after func()) error {
 	tick := time.NewTicker(m.cfg.Every)
 	defer tick.Stop()
 	for {
 		m.ScrapeOnce(ctx) // partial rounds already surface via metrics/health
+		after()
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

@@ -359,7 +359,7 @@ func TestRunLoopScrapes(t *testing.T) {
 	m := New(Config{Targets: []Target{n.target("h0")}, Every: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
-	if err := m.Run(ctx); err != context.DeadlineExceeded {
+	if err := m.Run(ctx, func() {}); err != context.DeadlineExceeded {
 		t.Fatalf("Run = %v, want context.DeadlineExceeded", err)
 	}
 	m.mu.Lock()

@@ -74,12 +74,6 @@ var DecisionReasons = []Reason{
 // String returns the reason's stable name.
 func (r Reason) String() string { return name(reasonNames[:], r, "reason") }
 
-// Decision reports whether r is a host-side decision reason (as opposed to
-// a manager-side query verdict).
-func (r Reason) Decision() bool {
-	return r >= ReasonCacheHit && r <= ReasonUnregisteredDeny
-}
-
 // Allowed reports the outcome the reason statically implies. Only
 // meaningful for decision reasons.
 func (r Reason) Allowed() bool {

@@ -14,7 +14,6 @@ import (
 
 // Server answers ResolveRequest messages from hosts.
 type Server struct {
-	id  wire.NodeID
 	env core.Env
 
 	mu   sync.Mutex
@@ -26,13 +25,10 @@ type record struct {
 	ttl      time.Duration
 }
 
-// New creates a name server node.
-func New(id wire.NodeID, env core.Env) *Server {
-	return &Server{id: id, env: env, apps: make(map[wire.AppID]record)}
+// New creates a name server node that sends through env.
+func New(env core.Env) *Server {
+	return &Server{env: env, apps: make(map[wire.AppID]record)}
 }
-
-// ID returns the server's node id.
-func (s *Server) ID() wire.NodeID { return s.id }
 
 // SetManagers installs (or replaces) the manager set for app. ttl controls
 // how long hosts may cache the set; zero means forever.
@@ -42,23 +38,6 @@ func (s *Server) SetManagers(app wire.AppID, managers []wire.NodeID, ttl time.Du
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.apps[app] = record{managers: cp, ttl: ttl}
-}
-
-// Remove forgets the manager set for app.
-func (s *Server) Remove(app wire.AppID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.apps, app)
-}
-
-// Managers returns the currently registered set for app.
-func (s *Server) Managers(app wire.AppID) []wire.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec := s.apps[app]
-	out := make([]wire.NodeID, len(rec.managers))
-	copy(out, rec.managers)
-	return out
 }
 
 // HandleMessage implements the network handler.

@@ -23,24 +23,23 @@ func (e *fakeEnv) Send(to wire.NodeID, msg wire.Message) {
 
 func (e *fakeEnv) SetTimer(time.Duration, func()) core.TimerHandle { return nil }
 
+// resolve asks s for app's manager set, as a host does.
+func resolve(s *Server, env *fakeEnv, app wire.AppID) []wire.NodeID {
+	s.HandleMessage("h0", wire.ResolveRequest{App: app})
+	return env.sent[len(env.sent)-1].Msg.(wire.ResolveResponse).Managers
+}
+
 func TestSetResolveRemove(t *testing.T) {
 	env := &fakeEnv{}
-	s := New("ns", env)
-	if s.ID() != "ns" {
-		t.Errorf("ID = %q", s.ID())
-	}
-
+	s := New(env)
 	s.SetManagers("app", []wire.NodeID{"m0", "m1"}, time.Hour)
-	if got := s.Managers("app"); len(got) != 2 || got[0] != "m0" {
-		t.Errorf("Managers = %v", got)
-	}
 
 	s.HandleMessage("h0", wire.ResolveRequest{App: "app", Nonce: 7})
 	if len(env.sent) != 1 {
 		t.Fatalf("sent %d messages", len(env.sent))
 	}
 	resp, ok := env.sent[0].Msg.(wire.ResolveResponse)
-	if !ok || resp.Nonce != 7 || len(resp.Managers) != 2 || resp.TTL != time.Hour {
+	if !ok || resp.Nonce != 7 || len(resp.Managers) != 2 || resp.Managers[0] != "m0" || resp.TTL != time.Hour {
 		t.Errorf("response = %#v", env.sent[0].Msg)
 	}
 	if env.sent[0].To != "h0" {
@@ -61,26 +60,26 @@ func TestSetResolveRemove(t *testing.T) {
 		t.Error("non-resolve message produced a reply")
 	}
 
-	s.Remove("app")
-	if got := s.Managers("app"); len(got) != 0 {
-		t.Errorf("Managers after Remove = %v", got)
+	s.SetManagers("app", nil, 0)
+	if got := resolve(s, env, "app"); len(got) != 0 {
+		t.Errorf("Managers after removal = %v", got)
 	}
 }
 
 // TestManagerSetIsolation: the caller's slice is copied both in and out.
 func TestManagerSetIsolation(t *testing.T) {
 	env := &fakeEnv{}
-	s := New("ns", env)
+	s := New(env)
 	in := []wire.NodeID{"m0"}
 	s.SetManagers("app", in, 0)
 	in[0] = "evil"
-	if got := s.Managers("app"); got[0] != "m0" {
+	if got := resolve(s, env, "app"); got[0] != "m0" {
 		t.Error("SetManagers aliased the caller's slice")
 	}
-	out := s.Managers("app")
+	out := resolve(s, env, "app")
 	out[0] = "evil"
-	if got := s.Managers("app"); got[0] != "m0" {
-		t.Error("Managers exposed internal state")
+	if got := resolve(s, env, "app"); got[0] != "m0" {
+		t.Error("a response exposed internal state")
 	}
 }
 

@@ -33,7 +33,7 @@ func backoffConfig(depth int) Config {
 func parkPeer(t *testing.T, p *Peer, ctr *Counters) {
 	t.Helper()
 	p.EnqueueMessage(wire.Heartbeat{Nonce: 9999})
-	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
+	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && peerState(p) == StateBackoff })
 }
 
 // TestFlushCoalescesIntoBatchFrame: messages drained in one flush travel as
@@ -196,7 +196,7 @@ func TestEnqueueCompactsDrainedPrefix(t *testing.T) {
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
 	p.EnqueueMessage(tagged(0)) // sacrificial: parks the writer in backoff
-	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
+	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && peerState(p) == StateBackoff })
 
 	// 127 more messages against a 64-deep queue: 63 overflow drops advance
 	// qhead one per drop; the 63rd crosses the compaction threshold
@@ -329,7 +329,7 @@ func TestPartialBatchRetriesOnFreshConnection(t *testing.T) {
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
 	p.EnqueueMessage(tagged(0)) // sacrificial
-	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
+	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && peerState(p) == StateBackoff })
 	for n := 1; n <= 5; n++ {
 		p.EnqueueMessage(tagged(n))
 	}
@@ -388,7 +388,7 @@ func TestPartialBatchDropsRemainderExactlyOnce(t *testing.T) {
 	defer func() { p.beginClose(time.Now()); p.Wait() }()
 
 	p.EnqueueMessage(tagged(0)) // sacrificial
-	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && p.State() == StateBackoff })
+	waitFor(t, func() bool { return ctr.Drops.Load() == 1 && peerState(p) == StateBackoff })
 	for n := 1; n <= 5; n++ {
 		p.EnqueueMessage(tagged(n))
 	}

@@ -12,6 +12,13 @@ import (
 	"wanac/internal/wire"
 )
 
+// peerState reads p's health state under its lock.
+func peerState(p *Peer) State {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -286,7 +293,7 @@ func TestScriptedFailureCounters(t *testing.T) {
 	s1.setFailNext()
 	p.EnqueueMessage(tagged(2))
 	waitFor(t, func() bool { return ctr.DialFailures.Load() == 1 })
-	if got := p.State(); got != StateBackoff {
+	if got := peerState(p); got != StateBackoff {
 		t.Errorf("state after refused dial = %v, want backoff", got)
 	}
 
@@ -310,7 +317,7 @@ func TestScriptedFailureCounters(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
-	if got := p.State(); got != StateUp {
+	if got := peerState(p); got != StateUp {
 		t.Errorf("final state = %v, want up", got)
 	}
 	if !s1.closed {
@@ -358,7 +365,7 @@ func TestAdoptAndDiscard(t *testing.T) {
 	if !p.Adopt(fs) {
 		t.Fatal("adopt refused")
 	}
-	if got := p.State(); got != StateUp {
+	if got := peerState(p); got != StateUp {
 		t.Errorf("state after adopt = %v, want up", got)
 	}
 	other := &fakeSender{}

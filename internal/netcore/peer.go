@@ -55,9 +55,6 @@ type piece struct {
 	msgs   [2]int // indexed by wire.Lane
 }
 
-// total returns the piece's message count across both lanes.
-func (pc piece) total() int { return pc.msgs[wire.LaneBulk] + pc.msgs[wire.LaneHigh] }
-
 // laneQueue is one priority class's bounded drop-oldest queue; qhead indexes
 // the oldest live entry (the prefix before it has been drained or dropped).
 type laneQueue struct {
@@ -128,9 +125,6 @@ func newPeer(id wire.NodeID, cfg Config, ctr *Counters, dial DialFunc) *Peer {
 	go p.run()
 	return p
 }
-
-// ID returns the peer's node id.
-func (p *Peer) ID() wire.NodeID { return p.id }
 
 // notify reports a health transition to the configured sink. Callers pass
 // the state observed before and after a mutation and call it after
@@ -308,13 +302,6 @@ func (p *Peer) status() (depths [2]int, state State) {
 		depths[ln] = p.lanes[ln].depth()
 	}
 	return depths, p.state
-}
-
-// State returns the peer's current health state.
-func (p *Peer) State() State {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
 }
 
 // nudge wakes the writer goroutine without blocking.

@@ -95,12 +95,6 @@ func (b *Bucket) RetryAfter(now time.Time) time.Duration {
 	return d
 }
 
-// Tokens returns the balance as of now, for telemetry.
-func (b *Bucket) Tokens(now time.Time) float64 {
-	b.refill(now)
-	return b.tokens
-}
-
 // Keyed maintains one bucket per key, creating buckets on first use and
 // evicting entries idle longer than the configured window so a long-running
 // manager's memory stays proportional to its active host set, not its
@@ -146,13 +140,6 @@ func (k *Keyed) RetryAfter(key string, now time.Time) time.Duration {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.entry(key, now).b.RetryAfter(now)
-}
-
-// Len returns the number of live buckets, for telemetry and eviction tests.
-func (k *Keyed) Len() int {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return len(k.buckets)
 }
 
 func (k *Keyed) entry(key string, now time.Time) *keyedEntry {

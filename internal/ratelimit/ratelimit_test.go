@@ -97,8 +97,8 @@ func TestBurstThenIdle(t *testing.T) {
 func TestClockBackwards(t *testing.T) {
 	b := NewBucket(10, 2)
 	b.Allow(t0)
-	if got := b.Tokens(t0.Add(-time.Minute)); got != 1 {
-		t.Errorf("tokens after backwards step = %v, want 1", got)
+	if b.refill(t0.Add(-time.Minute)); b.tokens != 1 {
+		t.Errorf("tokens after backwards step = %v, want 1", b.tokens)
 	}
 	if !b.Allow(t0.Add(100 * time.Millisecond)) {
 		t.Error("forward progress after backwards step denied")
@@ -155,8 +155,8 @@ func TestKeyedEviction(t *testing.T) {
 		t.Fatal("h1 admitted beyond its never-refilling burst")
 	}
 	k.Allow("h2", t0.Add(90*time.Second)) // traffic past the window triggers the sweep
-	if k.Len() != 1 {
-		t.Fatalf("live buckets = %d, want 1 (h1 evicted)", k.Len())
+	if len(k.buckets) != 1 {
+		t.Fatalf("live buckets = %d, want 1 (h1 evicted)", len(k.buckets))
 	}
 	if !k.Allow("h1", t0.Add(91*time.Second)) {
 		t.Fatal("re-created h1 denied its fresh burst")

@@ -72,10 +72,6 @@ func (t Topology) regionByNode() map[wire.NodeID]string {
 	return out
 }
 
-// RegionOf maps a node to its region name ("" for unknown nodes, e.g. the
-// harness agent, which the matrix prices at its default).
-func (t Topology) RegionOf(id wire.NodeID) string { return t.regionByNode()[id] }
-
 // ManagersIn returns the manager node ids placed in the named region.
 func (t Topology) ManagersIn(region string) []wire.NodeID {
 	var out []wire.NodeID

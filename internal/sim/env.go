@@ -45,9 +45,6 @@ func NewDriftingEnv(id wire.NodeID, net *simnet.Network, rate float64) *Env {
 	}
 }
 
-// ID returns the node id this environment sends as.
-func (e *Env) ID() wire.NodeID { return e.id }
-
 // Now implements core.Env with the node's local (possibly drifted) clock.
 func (e *Env) Now() time.Time { return e.clock.Now() }
 

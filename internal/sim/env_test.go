@@ -14,8 +14,8 @@ func TestEnvBasics(t *testing.T) {
 	sched := simnet.NewScheduler()
 	net := simnet.New(sched, simnet.Config{})
 	e := NewEnv("n1", net)
-	if e.ID() != "n1" {
-		t.Errorf("ID = %q", e.ID())
+	if e.id != "n1" {
+		t.Errorf("id = %q", e.id)
 	}
 	if !e.Now().Equal(vclock.Epoch) {
 		t.Errorf("Now = %v", e.Now())

@@ -203,9 +203,6 @@ func (p Proportion) Merge(q Proportion) Proportion {
 	return NewProportion(p.Successes+q.Successes, p.Trials+q.Trials)
 }
 
-// Contains reports whether the interval covers v.
-func (p Proportion) Contains(v float64) bool { return v >= p.Lo && v <= p.Hi }
-
 // String renders "0.9917 [0.9903, 0.9929]".
 func (p Proportion) String() string {
 	return fmt.Sprintf("%.4f [%.4f, %.4f]", p.P, p.Lo, p.Hi)

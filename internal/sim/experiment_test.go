@@ -161,8 +161,8 @@ func TestProportion(t *testing.T) {
 	if p.Lo >= p.P || p.Hi <= p.P {
 		t.Errorf("interval [%v,%v] does not straddle %v", p.Lo, p.Hi, p.P)
 	}
-	if !p.Contains(0.9) || p.Contains(0.5) {
-		t.Error("Contains misbehaves")
+	if p.Lo > 0.9 || p.Hi < 0.9 || p.Lo <= 0.5 {
+		t.Errorf("interval [%v,%v] should cover 0.9 and exclude 0.5", p.Lo, p.Hi)
 	}
 	if !strings.Contains(p.String(), "0.9000") {
 		t.Errorf("String() = %q", p.String())

@@ -657,12 +657,12 @@ func TestSyncRetryUntilPeerReachable(t *testing.T) {
 	w.PartitionManagerPair(0, 1)
 	w.Managers[1].Recover()
 	w.RunFor(10 * time.Second)
-	if !w.Managers[1].Syncing(w.Cfg.App) {
+	if w.Managers[1].Stats().SyncingApps == 0 {
 		t.Fatal("sync completed through a cut link")
 	}
 	w.Heal()
 	w.RunFor(10 * time.Second) // next SyncRetry tick reaches the peer
-	if w.Managers[1].Syncing(w.Cfg.App) {
+	if w.Managers[1].Stats().SyncingApps != 0 {
 		t.Fatal("sync retry did not complete after heal")
 	}
 	if !w.Managers[1].Has(w.Cfg.App, "alice", wire.RightUse) {

@@ -41,7 +41,7 @@ func TestManagerSetReconfiguration(t *testing.T) {
 	m0 := newMgr(0, oldSet)
 	m1 := newMgr(1, oldSet)
 
-	ns := nameservice.New("ns", NewEnv("ns", net))
+	ns := nameservice.New(NewEnv("ns", net))
 	ns.SetManagers(app, oldSet, 10*time.Second)
 	net.Attach("ns", ns)
 
@@ -211,7 +211,7 @@ func TestHostSetManagers(t *testing.T) {
 // seeds and requires bit-identical outcomes: the foundation for every
 // reproducible experiment in this repository.
 func TestDeterministicScenario(t *testing.T) {
-	run := func() (string, uint64) {
+	run := func() (string, int) {
 		users := []wire.UserID{"u0", "u1", "u2"}
 		w, err := Build(Config{
 			Managers: 4, Hosts: 3,
@@ -249,11 +249,11 @@ func TestDeterministicScenario(t *testing.T) {
 		})
 		w.RunFor(15 * time.Minute)
 		st := w.Net.Stats()
-		return fmt.Sprintf("allowed=%d %s", allowed, st), w.Sched.Steps()
+		return fmt.Sprintf("allowed=%d %s", allowed, st), len(w.Tracer.Events())
 	}
-	out1, steps1 := run()
-	out2, steps2 := run()
-	if out1 != out2 || steps1 != steps2 {
-		t.Errorf("non-deterministic runs:\n  %s steps=%d\n  %s steps=%d", out1, steps1, out2, steps2)
+	out1, events1 := run()
+	out2, events2 := run()
+	if out1 != out2 || events1 != events2 {
+		t.Errorf("non-deterministic runs:\n  %s events=%d\n  %s events=%d", out1, events1, out2, events2)
 	}
 }

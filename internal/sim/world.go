@@ -57,10 +57,10 @@ type Config struct {
 	Net simnet.Config
 	// Application, when non-nil, is installed on every host.
 	Application core.Application
-	// NoTrace builds the world with a no-op tracer: no events are recorded
-	// and nodes skip building event detail strings. Monte Carlo trials set it
-	// — they only inspect decisions and replies, and tracing is pure overhead
-	// on their hot path. World.Tracer is nil when NoTrace is set.
+	// NoTrace builds the world with a no-op tracer: nodes build and record
+	// no events. Monte Carlo trials set it — they only inspect decisions and
+	// replies, and tracing is pure overhead on their hot path. World.Tracer
+	// is nil when NoTrace is set.
 	NoTrace bool
 	// Telemetry, when non-nil, instruments every node against this registry
 	// with the same metric families the live acnode binary exports, plus
@@ -230,7 +230,7 @@ func Build(cfg Config) (*World, error) {
 
 	if cfg.UseNameService {
 		env := NewEnv(NameID, net)
-		w.Name = nameservice.New(NameID, env)
+		w.Name = nameservice.New(env)
 		w.Name.SetManagers(cfg.App, managerIDs, cfg.NameServiceTTL)
 		net.Attach(NameID, w.Name)
 	}
@@ -384,25 +384,6 @@ func (w *World) Revoke(mgr int, user wire.UserID, deadline time.Duration) (wire.
 	return w.SubmitSync(mgr, wire.AdminOp{
 		Op: wire.OpRevoke, App: w.Cfg.App, User: user, Right: wire.RightUse,
 	}, deadline)
-}
-
-// InvokeSync delivers a user Invoke to host i from a synthetic user-agent
-// node and steps until the reply arrives or the deadline passes.
-func (w *World) InvokeSync(host int, user wire.UserID, payload []byte, deadline time.Duration) (wire.InvokeReply, bool) {
-	agent := wire.NodeID("agent-" + string(user))
-	var (
-		reply wire.InvokeReply
-		done  bool
-	)
-	w.Net.Attach(agent, simnet.HandlerFunc(func(_ wire.NodeID, msg wire.Message) {
-		if r, ok := msg.(wire.InvokeReply); ok {
-			reply = r
-			done = true
-		}
-	}))
-	w.Net.Send(agent, HostID(host), wire.Invoke{App: w.Cfg.App, User: user, Payload: payload})
-	w.stepUntil(&done, deadline)
-	return reply, done
 }
 
 // stepUntil steps the scheduler until *done or the simulated deadline.

@@ -91,7 +91,7 @@ func TestRevokeNoticeFlushesCache(t *testing.T) {
 	if d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout); !ok || !d.Allowed {
 		t.Fatalf("initial check failed: %+v", d)
 	}
-	if w.Hosts[0].CacheLen() == 0 {
+	if len(w.Hosts[0].CacheSnapshot()) == 0 {
 		t.Fatal("nothing cached")
 	}
 
@@ -378,11 +378,11 @@ func TestManagerRecoverySync(t *testing.T) {
 	w.RunFor(time.Second)
 	w.Net.Recover(ManagerID(2))
 	w.Managers[2].Recover()
-	if !w.Managers[2].Syncing(w.Cfg.App) {
+	if w.Managers[2].Stats().SyncingApps == 0 {
 		t.Fatal("recovering manager not in syncing state")
 	}
 	w.RunFor(5 * time.Second)
-	if w.Managers[2].Syncing(w.Cfg.App) {
+	if w.Managers[2].Stats().SyncingApps != 0 {
 		t.Fatal("manager still syncing after recovery window")
 	}
 	if !w.Managers[2].Has(w.Cfg.App, "bob", wire.RightUse) {
@@ -427,11 +427,11 @@ func TestHostRecoveryClearsCache(t *testing.T) {
 	if d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout); !ok || !d.Allowed {
 		t.Fatal("initial check failed")
 	}
-	if w.Hosts[0].CacheLen() == 0 {
+	if len(w.Hosts[0].CacheSnapshot()) == 0 {
 		t.Fatal("nothing cached")
 	}
 	w.Hosts[0].Reset() // §3.4: recovery initializes ACL_cache to null
-	if w.Hosts[0].CacheLen() != 0 {
+	if len(w.Hosts[0].CacheSnapshot()) != 0 {
 		t.Error("cache survived recovery")
 	}
 	// The normal algorithm refills it.
@@ -460,11 +460,11 @@ func TestFreezeStrategy(t *testing.T) {
 	w.PartitionManagerPair(0, 2)
 	w.PartitionManagerPair(1, 2)
 	w.RunFor(ti + 3*time.Second)
-	if !w.Managers[0].Frozen(w.Cfg.App) || !w.Managers[1].Frozen(w.Cfg.App) {
+	if w.Managers[0].Stats().FrozenApps == 0 || w.Managers[1].Stats().FrozenApps == 0 {
 		t.Fatal("managers 0/1 did not freeze after Ti")
 	}
 	// Manager 2 also cannot see its peers: frozen too.
-	if !w.Managers[2].Frozen(w.Cfg.App) {
+	if w.Managers[2].Stats().FrozenApps == 0 {
 		t.Error("isolated manager did not freeze")
 	}
 
@@ -481,7 +481,7 @@ func TestFreezeStrategy(t *testing.T) {
 	// Heal: managers unfreeze and availability returns.
 	w.Heal()
 	w.RunFor(5 * time.Second)
-	if w.Managers[0].Frozen(w.Cfg.App) {
+	if w.Managers[0].Stats().FrozenApps != 0 {
 		t.Fatal("manager 0 still frozen after heal")
 	}
 	if d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout); !ok || !d.Allowed {
@@ -558,6 +558,25 @@ func TestNameServiceUnreachableDenies(t *testing.T) {
 	}
 }
 
+// invokeSync delivers a user Invoke to host i from a synthetic user-agent
+// node and steps until the reply arrives or the deadline passes.
+func invokeSync(w *World, host int, user wire.UserID, payload []byte, deadline time.Duration) (wire.InvokeReply, bool) {
+	agent := wire.NodeID("agent-" + string(user))
+	var (
+		reply wire.InvokeReply
+		done  bool
+	)
+	w.Net.Attach(agent, simnet.HandlerFunc(func(_ wire.NodeID, msg wire.Message) {
+		if r, ok := msg.(wire.InvokeReply); ok {
+			reply = r
+			done = true
+		}
+	}))
+	w.Net.Send(agent, HostID(host), wire.Invoke{App: w.Cfg.App, User: user, Payload: payload})
+	w.stepUntil(&done, deadline)
+	return reply, done
+}
+
 // TestComponentWrapper reproduces Figure 1's claim: the application behind
 // the wrapper sees only authorized traffic.
 func TestComponentWrapper(t *testing.T) {
@@ -566,7 +585,7 @@ func TestComponentWrapper(t *testing.T) {
 		Policy: basePolicy(1), Te: time.Minute,
 		Users: []wire.UserID{"alice"},
 	})
-	reply, ok := w.InvokeSync(0, "alice", []byte("ping"), testTimeout)
+	reply, ok := invokeSync(w, 0, "alice", []byte("ping"), testTimeout)
 	if !ok || !reply.Allowed {
 		t.Fatalf("authorized invoke failed: %+v ok=%v", reply, ok)
 	}
@@ -577,7 +596,7 @@ func TestComponentWrapper(t *testing.T) {
 		t.Errorf("application served %d calls, want 1", w.AppCalls[0])
 	}
 
-	reply, ok = w.InvokeSync(0, "mallory", []byte("pwn"), testTimeout)
+	reply, ok = invokeSync(w, 0, "mallory", []byte("pwn"), testTimeout)
 	if !ok {
 		t.Fatal("unauthorized invoke did not resolve")
 	}

@@ -137,18 +137,11 @@ func newCounters() Counters {
 // Scheduler returns the scheduler driving this network.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
 
-// Rand exposes the network's deterministic random stream so harness code can
-// derive reproducible randomness without a second seed.
-func (n *Network) Rand() *rand.Rand { return n.rng }
-
 // Attach registers a handler under id, replacing any previous registration
 // and clearing a crashed flag.
 func (n *Network) Attach(id wire.NodeID, h Handler) {
 	n.nodes[id] = &node{handler: h}
 }
-
-// Detach removes a node entirely; future messages to it are dropped.
-func (n *Network) Detach(id wire.NodeID) { delete(n.nodes, id) }
 
 // Crash marks a node failed: messages to it are dropped until Recover. The
 // paper assumes crash (not Byzantine) failures for managers (§2.1).
@@ -166,12 +159,6 @@ func (n *Network) Recover(id wire.NodeID) {
 		nd.crashed = false
 		n.observe(NetEvent{Type: "recover", A: id})
 	}
-}
-
-// Crashed reports whether id is currently crashed.
-func (n *Network) Crashed(id wire.NodeID) bool {
-	nd, ok := n.nodes[id]
-	return ok && nd.crashed
 }
 
 // SetLink cuts or restores both directions of the link between a and b.
@@ -215,10 +202,6 @@ func linkEventType(up bool) string {
 	}
 	return "link-cut"
 }
-
-// Linked reports whether messages can currently flow from one node to the
-// other (ignoring loss probability and crashes).
-func (n *Network) Linked(from, to wire.NodeID) bool { return !n.cut[linkKey{from, to}] }
 
 // SetLinkLoss overrides the drop probability for one direction of a link.
 // Pass a negative value to remove the override.
@@ -373,15 +356,6 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 	}
 	n.counters.Delivered++
 	nd.handler.HandleMessage(from, msg)
-}
-
-// Multicast sends msg to each destination independently (§2.2: the network
-// provides multicast; like IP multicast it is unreliable and per-receiver
-// independent).
-func (n *Network) Multicast(from wire.NodeID, to []wire.NodeID, msg wire.Message) {
-	for _, dst := range to {
-		n.Send(from, dst, msg)
-	}
 }
 
 // Stats returns a copy of the counters.

@@ -95,7 +95,7 @@ func TestPartitionSharedNodeNoSelfLink(t *testing.T) {
 			t.Fatalf("self-link event emitted: %+v", ev)
 		}
 	}
-	if !net.Linked("b", "b") {
+	if net.cut[linkKey{"b", "b"}] {
 		t.Fatal("shared node's self-link was severed")
 	}
 	net.Send("b", "b", wire.Heartbeat{Nonce: 1})

@@ -163,12 +163,6 @@ func (t *Timer) Reset(d time.Duration) bool {
 	return pending
 }
 
-// Stopped reports whether Stop was called before the timer fired.
-func (t *Timer) Stopped() bool { return t != nil && t.stopped }
-
-// Fired reports whether the callback has run.
-func (t *Timer) Fired() bool { return t != nil && t.fired }
-
 // maxFreeEvents bounds the pooled-event free list so a burst does not pin
 // memory forever.
 const maxFreeEvents = 1024
@@ -182,7 +176,6 @@ type Scheduler struct {
 	clock   *vclock.Virtual
 	queue   eventHeap
 	seq     uint64
-	steps   uint64
 	stopped int      // dead (cancelled, undrained) entries in queue
 	free    []*event // recycled delivery and service-completion events
 }
@@ -204,17 +197,8 @@ func (s *Scheduler) Now() time.Time { return s.clock.Now() }
 // compacts the heap whenever dead entries outnumber live ones.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// Steps returns the number of events executed so far.
-func (s *Scheduler) Steps() uint64 { return s.steps }
-
 // nanos converts an instant to the event key: nanoseconds since the epoch.
 func nanos(t time.Time) int64 { return int64(t.Sub(vclock.Epoch)) }
-
-// At schedules fn at absolute time t (clamped to now if in the past) and
-// returns a cancellable handle.
-func (s *Scheduler) At(t time.Time, fn func()) *Timer {
-	return s.at(max(nanos(t), nanos(s.Now())), fn)
-}
 
 // After schedules fn to run d from now.
 func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
@@ -333,7 +317,6 @@ func (s *Scheduler) Step() bool {
 	}
 	e := s.queue.pop()
 	s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
-	s.steps++
 	if e.net != nil {
 		n, from, to, msg, cs := e.net, e.from, e.to, e.msg, e.cs
 		s.recycle(e)

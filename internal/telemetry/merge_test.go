@@ -9,9 +9,8 @@ import (
 
 // TestMergeHistogramsProperty: for random bucket layouts and random
 // observation sets split across two histograms, the merged snapshot's
-// quantiles equal the quantiles of one histogram that absorbed every
-// observation — bucketed quantiles depend only on bucket counts, and
-// merging sums bucket counts.
+// count, sum and bucket counts equal those of one histogram that absorbed
+// every observation.
 func TestMergeHistogramsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 200; trial++ {
@@ -52,11 +51,6 @@ func TestMergeHistogramsProperty(t *testing.T) {
 				t.Fatalf("trial %d: bucket %d count %d, want %d", trial, i, merged.Counts[i], want.Counts[i])
 			}
 		}
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.95, 0.99, 1.0} {
-			if got, want := merged.Quantile(q), want.Quantile(q); got != want {
-				t.Fatalf("trial %d: merged q%v = %v, concatenated q%v = %v", trial, q, got, q, want)
-			}
-		}
 	}
 }
 
@@ -84,36 +78,6 @@ func TestHistogramOverflowObservations(t *testing.T) {
 	}
 	if s.Count != 2 || s.Sum != 505 {
 		t.Fatalf("count=%d sum=%v, want 2/505", s.Count, s.Sum)
-	}
-	// Overflow-resident quantiles clamp to the largest finite bound: the
-	// histogram cannot resolve beyond its top bucket.
-	if q := s.Quantile(0.99); q != 1 {
-		t.Fatalf("q99 of all-overflow histogram = %v, want clamp to top bound 1", q)
-	}
-}
-
-func TestHistogramEmptyQuantiles(t *testing.T) {
-	s := newHistogram([]float64{0.1, 1}).Snapshot()
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := s.Quantile(q); got != 0 {
-			t.Fatalf("empty histogram q%v = %v, want 0", q, got)
-		}
-	}
-}
-
-func TestHistogramQuantileMonotonic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		h := newHistogram(ExpBuckets(0.001, 2, 10))
-		n := rng.Intn(100)
-		for i := 0; i < n; i++ {
-			h.Observe(rng.ExpFloat64() * 0.1)
-		}
-		s := h.Snapshot()
-		p50, p95, p99 := s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)
-		if !(p50 <= p95 && p95 <= p99) {
-			t.Fatalf("trial %d: quantiles not monotonic: p50=%v p95=%v p99=%v", trial, p50, p95, p99)
-		}
 	}
 }
 

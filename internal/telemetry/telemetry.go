@@ -313,17 +313,6 @@ type Gauge struct {
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adjusts the value by d (d may be negative).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -472,44 +461,6 @@ func (h *Histogram) addTo(s *HistogramSnapshot) {
 	s.Counts[h.bucket(0)] += z
 	s.Count += z
 	s.Sum += math.Float64frombits(h.sum.Load())
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) by linear
-// interpolation within the bucket containing the target rank, matching
-// the estimate a Prometheus histogram_quantile() would produce. Samples
-// in the overflow bucket clamp to the largest finite bound. Returns 0
-// for an empty histogram.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := q * float64(s.Count)
-	cum := 0.0
-	for i, n := range s.Counts {
-		lower := 0.0
-		if i > 0 {
-			lower = s.Upper[i-1]
-		}
-		next := cum + float64(n)
-		if next >= rank {
-			if i == len(s.Upper) { // overflow bucket
-				if len(s.Upper) == 0 {
-					return 0
-				}
-				return s.Upper[len(s.Upper)-1]
-			}
-			upper := s.Upper[i]
-			if n == 0 {
-				return upper
-			}
-			return lower + (upper-lower)*(rank-cum)/float64(n)
-		}
-		cum = next
-	}
-	if len(s.Upper) == 0 {
-		return 0
-	}
-	return s.Upper[len(s.Upper)-1]
 }
 
 // HistogramVec is a histogram family with labels. All children share the

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -26,9 +27,8 @@ func TestCounterAndGauge(t *testing.T) {
 
 	g := reg.Gauge("wanac_test_gauge", "help")
 	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	if got := g.Value(); got != 2.5 {
+		t.Fatalf("gauge = %v, want 2.5", got)
 	}
 
 	v := reg.CounterVec("wanac_test_labeled_total", "help", "outcome")
@@ -87,28 +87,13 @@ func TestHistogram(t *testing.T) {
 	if math.Abs(s.Sum-102.6) > 1e-9 {
 		t.Fatalf("sum = %v, want 102.6", s.Sum)
 	}
-	// p50: rank 2.5 falls in the first bucket (cum 2 < 2.5 is false? cum
-	// of bucket 0 is 2, rank 2.5 > 2 so second bucket), interpolated in
-	// (0.1, 1].
-	if q := s.Quantile(0.5); q < 0.1 || q > 1 {
-		t.Fatalf("p50 = %v, want within (0.1, 1]", q)
-	}
-	// p99 lands in the overflow bucket and clamps to the top bound.
-	if q := s.Quantile(0.99); q != 10 {
-		t.Fatalf("p99 = %v, want clamp to 10", q)
-	}
-	sum := h.Snapshot()
-	if sum.Count != 5 || sum.Quantile(0.5) != s.Quantile(0.5) || sum.Quantile(0.99) != 10 {
+	if sum := h.Snapshot(); sum.Count != 5 || !slices.Equal(sum.Counts, s.Counts) {
 		t.Fatalf("second snapshot mismatch: %+v", sum)
-	}
-
-	if q := (HistogramSnapshot{}).Quantile(0.5); q != 0 {
-		t.Fatalf("empty quantile = %v, want 0", q)
 	}
 }
 
 // TestDerivedCounts: a counter and a histogram that derive part of their
-// value from external atomics read — through Value, Snapshot, Quantile,
+// value from external atomics read — through Value, Snapshot,
 // MergeHistograms and the exposition — exactly as twins that were bumped
 // once per event do.
 func TestDerivedCounts(t *testing.T) {
@@ -160,11 +145,6 @@ func TestDerivedCounts(t *testing.T) {
 	for i := range want.Counts {
 		if s.Counts[i] != want.Counts[i] {
 			t.Errorf("bucket[%d] = %d, want %d", i, s.Counts[i], want.Counts[i])
-		}
-	}
-	for _, q := range []float64{0.50, 0.95, 0.99} {
-		if s.Quantile(q) != want.Quantile(q) {
-			t.Errorf("p%v = %v, want %v", 100*q, s.Quantile(q), want.Quantile(q))
 		}
 	}
 	m, err := MergeHistograms(s, s)
@@ -304,14 +284,14 @@ func TestConcurrentUpdatesWhileScraping(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			g := v.With(string(rune('a' + i)))
-			for {
+			for n := 0; ; n++ {
 				select {
 				case <-stop:
 					return
 				default:
 					c.Inc()
 					h.Observe(0.01)
-					g.Add(1)
+					g.Set(float64(n))
 				}
 			}
 		}(i)
@@ -337,7 +317,6 @@ func TestHotPathAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		c.Inc()
 		g.Set(1)
-		g.Add(0.5)
 		h.Observe(0.003)
 	}); n != 0 {
 		t.Fatalf("hot path allocates %v/op, want 0", n)

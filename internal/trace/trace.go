@@ -1,7 +1,9 @@
 // Package trace records structured protocol events. Nodes emit events
-// through a Tracer; the simulator installs a collecting tracer for
-// experiments (message accounting, revocation-latency measurement) while
-// production deployments default to the no-op tracer.
+// through a Tracer. The simulator installs a collecting tracer for
+// experiments (message accounting, revocation-latency measurement); acnode
+// counts events by type and tees them into the node journal and the process
+// log (telemetry.InstrumentTracer over flight.Tee). A node given no tracer
+// uses the no-op tracer and builds no events.
 package trace
 
 import (

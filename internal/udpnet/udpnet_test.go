@@ -217,7 +217,7 @@ func TestProtocolOverUDP(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("revoke timed out")
 	}
-	waitFor(t, func() bool { return host.CacheLen() == 0 })
+	waitFor(t, func() bool { return len(host.CacheSnapshot()) == 0 })
 }
 
 type handlerFunc func(from wire.NodeID, msg wire.Message)

@@ -52,9 +52,6 @@ func (d *Drifting) Now() time.Time {
 	return d.origin.Add(time.Duration(float64(elapsed) * d.rate))
 }
 
-// Rate returns the configured clock rate.
-func (d *Drifting) Rate() float64 { return d.rate }
-
 // Virtual is a manually advanced clock for deterministic discrete-event
 // simulation. It is safe for concurrent use without a lock — the simulator
 // reads it several times per event from the one goroutine that drives it —

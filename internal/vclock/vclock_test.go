@@ -79,8 +79,8 @@ func TestDriftingSlowClock(t *testing.T) {
 	if elapsed != 5*time.Second {
 		t.Errorf("drifted elapsed = %v, want 5s", elapsed)
 	}
-	if d.Rate() != 0.5 {
-		t.Errorf("Rate() = %v, want 0.5", d.Rate())
+	if d.rate != 0.5 {
+		t.Errorf("rate = %v, want 0.5", d.rate)
 	}
 }
 

@@ -219,24 +219,6 @@ func TestUnmarshalRandomGarbage(t *testing.T) {
 	}
 }
 
-func TestUpdateSeqLess(t *testing.T) {
-	cases := []struct {
-		a, b UpdateSeq
-		want bool
-	}{
-		{UpdateSeq{"m1", 1}, UpdateSeq{"m1", 2}, true},
-		{UpdateSeq{"m1", 2}, UpdateSeq{"m1", 1}, false},
-		{UpdateSeq{"m1", 1}, UpdateSeq{"m2", 1}, true},
-		{UpdateSeq{"m2", 1}, UpdateSeq{"m1", 1}, false},
-		{UpdateSeq{"m1", 1}, UpdateSeq{"m1", 1}, false},
-	}
-	for _, c := range cases {
-		if got := c.a.Less(c.b); got != c.want {
-			t.Errorf("(%v).Less(%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestRightString(t *testing.T) {
 	cases := []struct {
 		r    Right

@@ -144,14 +144,6 @@ type UpdateSeq struct {
 	Counter uint64
 }
 
-// Less orders sequences by counter then origin, for deterministic iteration.
-func (s UpdateSeq) Less(o UpdateSeq) bool {
-	if s.Counter != o.Counter {
-		return s.Counter < o.Counter
-	}
-	return s.Origin < o.Origin
-}
-
 // Update disseminates an access-control operation between managers (§3.1,
 // §3.3). The issuing manager retransmits persistently until every peer
 // acknowledges; the operation is guaranteed once an update quorum of

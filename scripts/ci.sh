@@ -8,6 +8,20 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# lane FLAGS PATTERN PKG... runs go test FLAGS -run PATTERN PKG... after
+# checking with go test -list that each |-separated name in PATTERN is a
+# test in PKG...: a renamed or deleted test would otherwise leave its lane
+# running nothing, and passing.
+lane() {
+	local flags=$1 pattern=$2 listed name
+	shift 2
+	listed=$(go test -list "^($pattern)\$" "$@")
+	for name in ${pattern//|/ }; do
+		grep -qx "$name" <<<"$listed" || { echo "lane pattern names no test: $name in $*"; exit 1; }
+	done
+	go test $flags -run "$pattern" "$@"
+}
+
 echo "== go build"
 go build ./...
 
@@ -129,20 +143,20 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # trace records of every kind read back exactly while writers race the
 # readers, also when peers name more than the journal's name table holds;
 # the virtual clock under Set/Advance/Now.
-go test -race -count=5 -run 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
-go test -race -count=5 -run 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-go test -race -count=5 -run 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
-go test -race -count=3 -run TestVirtualConcurrentMonotone ./internal/vclock
+lane '-race -count=5' 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
+lane '-race -count=5' 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
+lane '-race -count=5' 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
+lane '-race -count=3' TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
 # /metrics and /health hammered from several goroutines while a live node
 # serves checks; every exposition must parse strictly mid-load.
-go test -race -count=2 -run TestConcurrentScrapeRace ./cmd/acnode
+lane '-race -count=2' TestConcurrentScrapeRace ./cmd/acnode
 
 echo "== acmon e2e (repeated, no race detector)"
 # The one tier-1 test known to have raced (quiescence asserted after one of
 # two managers had exported): twenty runs at the tier-1 interleaving.
-go test -count=20 -run TestAcmonEndToEnd ./cmd/acnode
+lane -count=20 TestAcmonEndToEnd ./cmd/acnode
 
 echo "== bench module (vet + self-check)"
 # bench/ is a nested module (wanac/bench, replace wanac => ../) the ./...
