@@ -175,7 +175,7 @@ func TestRingRecordAllocationBudget(t *testing.T) {
 	}{
 		{"RecordEvent", func() { j.RecordEvent(ev) }},
 		{"Record", func() { j.Record(rec) }},
-		{"RecordCacheHit", func() { j.RecordCacheHit(now, 7, "app", "u", wire.RightUse, 2, now) }},
+		{"RecordCacheHit", func() { j.RecordCacheHit(now, 7, "app", "u", wire.RightUse, 2, time.Minute) }},
 	} {
 		if allocs := testing.AllocsPerRun(1000, c.fn); allocs > 0 {
 			t.Errorf("%s allocates %.1f objects/op, budget is 0", c.name, allocs)

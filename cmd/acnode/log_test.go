@@ -50,11 +50,12 @@ func captureLog(t *testing.T, level slog.Level) *lockedBuffer {
 	return buf
 }
 
-func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live sockets")
-	}
-	buf := captureLog(t, slog.LevelInfo)
+// warmHost starts a manager and a host logging at level, with alice's use
+// right cached on the host, and returns the host with the log emptied of
+// its start-up lines.
+func warmHost(t *testing.T, level slog.Level) (*core.Host, *lockedBuffer) {
+	t.Helper()
+	buf := captureLog(t, level)
 	m0 := freeAddr(t)
 	var runtimes []*runtime
 	for _, n := range []struct{ id, listen, role string }{
@@ -69,7 +70,7 @@ func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("start %s: %v", n.id, err)
 		}
-		defer rt.Close()
+		t.Cleanup(rt.Close)
 		runtimes = append(runtimes, rt)
 	}
 	host := runtimes[1].host
@@ -79,7 +80,14 @@ func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
 		t.Fatalf("warm-up check = %+v, %v", d, err)
 	}
 	buf.take() // start-up lines
+	return host, buf
+}
 
+func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live sockets")
+	}
+	host, buf := warmHost(t, slog.LevelInfo)
 	hits := 0
 	count := func(d core.Decision) {
 		if d.CacheHit {
@@ -97,6 +105,38 @@ func TestWarmCheckLogsNothingAtInfo(t *testing.T) {
 	}
 	if out := buf.take(); out != "" {
 		t.Errorf("warm checks at -log.level=info wrote to the log:\n%s", out)
+	}
+}
+
+// TestCacheHitLogsAtDebug: at -log.level=debug acnode's tracer chain keeps
+// cache hits, so each of N hits reaches the log once; below Debug the chain
+// drops them, so a host builds no hit event.
+func TestCacheHitLogsAtDebug(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live sockets")
+	}
+	host, buf := warmHost(t, slog.LevelDebug)
+	const n = 50
+	hits := 0
+	for i := 0; i < n; i++ {
+		host.Check("stocks", "alice", wire.RightUse, func(d core.Decision) {
+			if d.CacheHit {
+				hits++
+			}
+		})
+	}
+	if hits != n {
+		t.Fatalf("%d of %d checks hit the cache", hits, n)
+	}
+	if got := strings.Count(buf.take(), "type=cache-hit"); got != n {
+		t.Errorf("%d hits at -log.level=debug logged %d cache-hit lines, want %d", n, got, n)
+	}
+	if trace.Drops(logTracer{}, trace.EventCacheHit) {
+		t.Error("logTracer drops cache hits at debug")
+	}
+	captureLog(t, slog.LevelInfo)
+	if !trace.Drops(logTracer{}, trace.EventCacheHit) || trace.Drops(logTracer{}, trace.EventRevokeApplied) {
+		t.Error("at info logTracer must drop cache hits and keep revoke-applied")
 	}
 }
 

@@ -493,17 +493,30 @@ func splitUsers(s string) []wire.UserID {
 // records, so a node's event stream is filterable and machine-joinable.
 // State changes log at Info; the events of a single check — a cached one
 // emits one — log at Debug, and an event whose level is disabled costs one
-// Enabled call and no allocation.
+// Enabled call and no allocation. A type whose level is disabled when a node
+// is built is dropped (Drops), so below Debug a cache hit builds no event:
+// the log level is set once, at start.
 type logTracer struct{}
 
-func (logTracer) Emit(e trace.Event) {
-	level := slog.LevelDebug
-	switch e.Type {
+// level is the log level events of type t are written at.
+func (logTracer) level(t trace.EventType) slog.Level {
+	switch t {
 	case trace.EventUpdateIssued, trace.EventUpdateApplied, trace.EventUpdateQuorum,
 		trace.EventRevokeApplied, trace.EventFrozen, trace.EventUnfrozen,
 		trace.EventSynced, trace.EventTeAdapted:
-		level = slog.LevelInfo
+		return slog.LevelInfo
 	}
+	return slog.LevelDebug
+}
+
+// Drops implements trace.Dropper: a type is dropped while its level is
+// disabled.
+func (l logTracer) Drops(t trace.EventType) bool {
+	return !slog.Default().Enabled(context.Background(), l.level(t))
+}
+
+func (l logTracer) Emit(e trace.Event) {
+	level := l.level(e.Type)
 	ctx := context.Background()
 	logger := slog.Default()
 	if !logger.Enabled(ctx, level) {

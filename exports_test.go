@@ -71,6 +71,7 @@ var testOnlyMethods = map[string]string{
 // outside _test.go files are in the nested bench module, each with its
 // reason.
 var benchOnlyMethods = map[string]string{
+	"acl.Cache.LookupStatus":  "bench/isolated.go's acl.cache.lookup_hit_ns row; a host probes its app's Table",
 	"core.Host.CacheGranters": "bench/sim.go's revocation-flush check",
 	"sim.World.Grant":         "bench/sim.go's revocation cycles",
 	"simnet.Scheduler.Run":    "bench/isolated.go's scheduler rows",

@@ -327,22 +327,25 @@ type cached struct {
 // name: one bit each in cached.granters.
 const maxGranters = 64
 
-// appCache is one application's ACL_cache: a user table per right, and the
-// managers whose positions in granters the entries' bits stand for. The
-// tables and the granter table are kept for the life of the cache once an
-// application has an entry (a host caches for the few applications it
-// registered), so refilling an emptied table allocates nothing.
-type appCache struct {
+// Table is one application's ACL_cache within a Cache: a user table per
+// right, and the managers whose positions in granters the entries' bits
+// stand for. A table is kept for the life of its cache once the application
+// has one (a host caches for the few applications it registered) — Clear
+// and the 65th granter empty it in place — so refilling it allocates
+// nothing, and a host holds its registered applications' tables
+// (Cache.Table) to probe one without looking the application up.
+type Table struct {
+	c        *Cache
 	users    [2]map[wire.UserID]cached // indexed by right: RightUse, RightManage
 	granters []wire.NodeID
 }
 
 // table returns the user table for a valid right r.
-func (a *appCache) table(r wire.Right) map[wire.UserID]cached { return a.users[r-1] }
+func (a *Table) table(r wire.Right) map[wire.UserID]cached { return a.users[r-1] }
 
 // bits maps granters to their bits, adding new managers to the granter
 // table. It reports false, leaving mask incomplete, when the table is full.
-func (a *appCache) bits(granters []wire.NodeID) (mask uint64, ok bool) {
+func (a *Table) bits(granters []wire.NodeID) (mask uint64, ok bool) {
 	for _, g := range granters {
 		i := slices.Index(a.granters, g)
 		if i < 0 {
@@ -357,6 +360,16 @@ func (a *appCache) bits(granters []wire.NodeID) (mask uint64, ok bool) {
 	return mask, true
 }
 
+// empty drops the table's entries and granters, keeping its storage. Must be
+// called with a.c.mu held.
+func (a *Table) empty() {
+	for _, users := range a.users {
+		a.c.n -= len(users)
+		clear(users)
+	}
+	a.granters = a.granters[:0]
+}
+
 // Cache is an application host's ACL_cache: the subset of access rights the
 // host has learned from managers, each with an expiration timestamp and the
 // managers that confirmed it. Per application it keeps one user table per
@@ -365,7 +378,7 @@ func (a *appCache) bits(granters []wire.NodeID) (mask uint64, ok bool) {
 // concurrent use.
 type Cache struct {
 	mu   sync.Mutex
-	apps map[wire.AppID]*appCache
+	apps map[wire.AppID]*Table
 	n    int // entries across every table
 	// maxEntries bounds memory (§3.2 motivates eviction "to save memory and
 	// processing overhead"); 0 means unbounded. When full, the entry with
@@ -377,7 +390,24 @@ type Cache struct {
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{apps: make(map[wire.AppID]*appCache)}
+	return &Cache{apps: make(map[wire.AppID]*Table)}
+}
+
+// Table returns app's table, making it if app has none.
+func (c *Cache) Table(app wire.AppID) *Table {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.appTable(app)
+}
+
+// appTable is Table with c.mu held.
+func (c *Cache) appTable(app wire.AppID) *Table {
+	a := c.apps[app]
+	if a == nil {
+		a = &Table{c: c}
+		c.apps[app] = a
+	}
+	return a
 }
 
 // each calls fn for every entry; fn may delete the entry it is given.
@@ -419,18 +449,10 @@ func (c *Cache) Put(app wire.AppID, user wire.UserID, r wire.Right, limit time.T
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	a := c.apps[app]
-	if a == nil {
-		a = &appCache{}
-		c.apps[app] = a
-	}
+	a := c.appTable(app)
 	mask, ok := a.bits(granters)
 	if !ok {
-		for _, users := range a.users {
-			c.n -= len(users)
-			clear(users)
-		}
-		a.granters = a.granters[:0]
+		a.empty()
 		mask, _ = a.bits(granters)
 	}
 	users := a.table(r)
@@ -529,6 +551,39 @@ func (c *Cache) LookupStatus(app wire.AppID, user wire.UserID, r wire.Right, now
 	return Entry{App: app, User: user, Right: r, Limit: c.epoch.time(v.limit), Granters: bits.OnesCount64(v.granters)}, Hit
 }
 
+// Forever is the time left of an entry that never expires.
+const Forever time.Duration = never
+
+// Lookup is LookupStatus in one table, for a check that reads only what a
+// hit's evidence needs: the entry's time left at now (Forever if it never
+// expires) and how many managers vouch for it, read under the cache's lock
+// in the one probe, with no Entry or time.Time built.
+func (a *Table) Lookup(user wire.UserID, r wire.Right, now time.Time) (left time.Duration, granters int, st LookupStatus) {
+	if !r.Valid() {
+		return 0, 0, Miss
+	}
+	c := a.c
+	c.mu.Lock()
+	users := a.table(r)
+	v, ok := users[user]
+	at := c.epoch.since(now)
+	switch {
+	case !ok:
+		st = Miss
+	case v.limit <= at:
+		delete(users, user)
+		c.n--
+		st = Expired
+	default:
+		st, left, granters = Hit, Forever, bits.OnesCount64(v.granters)
+		if v.limit != never {
+			left = time.Duration(v.limit - at)
+		}
+	}
+	c.mu.Unlock()
+	return left, granters, st
+}
+
 // Granters returns how many distinct managers currently vouch for the entry.
 func (c *Cache) Granters(app wire.AppID, user wire.UserID, r wire.Right) int {
 	if !r.Valid() {
@@ -583,12 +638,14 @@ func (c *Cache) PurgeExpired(now time.Time) int {
 }
 
 // Clear empties the cache (host recovery, §3.4: "ACL_cache(A) can simply be
-// initialized to null").
+// initialized to null"). It empties every table in place, so a handle from
+// Table stays the application's table.
 func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.apps = make(map[wire.AppID]*appCache)
-	c.n = 0
+	for _, a := range c.apps {
+		a.empty()
+	}
 }
 
 // Len returns the number of cached entries (including ones that have

@@ -85,7 +85,9 @@ func (mc *modelCache) snapshot() []Entry {
 
 // TestCacheAgainstModel drives Cache and modelCache through the same seeded
 // random operations — Puts with repeated and new limits and overlapping
-// granter sets, lookups as time advances, removals, purges, bound changes —
+// granter sets, lookups as time advances (by LookupStatus, and by Lookup in
+// a table handle taken before the first Put), removals, purges, bound
+// changes, clears —
 // and requires the same answer from every operation and the same snapshot,
 // eviction victims and granter counts included, after every step. Each app
 // draws on six managers, so the 65-granter rule never fires here. The
@@ -103,6 +105,10 @@ func TestCacheAgainstModel(t *testing.T) {
 		base := []time.Time{time.Unix(1000, 0).UTC(), time.Unix(1000, 0), time.Now()}[seed%3]
 		rng := rand.New(rand.NewSource(seed))
 		c, mc := NewCache(), &modelCache{m: make(map[cacheKey]modelEntry)}
+		tables := map[wire.AppID]*Table{}
+		for _, app := range apps {
+			tables[app] = c.Table(app)
+		}
 		now := base
 		var first time.Time
 		pick := func() cacheKey {
@@ -136,8 +142,6 @@ func TestCacheAgainstModel(t *testing.T) {
 			case n < 70:
 				k := pick()
 				now = now.Add(time.Duration(rng.Intn(3)) * time.Second)
-				op = fmt.Sprintf("LookupStatus(%v) at %v", k, now.Sub(base))
-				got, st := c.LookupStatus(k.app, k.user, k.right, now)
 				want, wst := Entry{}, Miss
 				if e, ok := mc.m[k]; ok && expired(e.limit, now) {
 					delete(mc.m, k)
@@ -145,8 +149,26 @@ func TestCacheAgainstModel(t *testing.T) {
 				} else if ok {
 					want, wst = Entry{App: k.app, User: k.user, Right: k.right, Limit: e.limit, Granters: len(e.granters)}, Hit
 				}
-				if !sameEntry(got, want) || st != wst {
-					t.Fatalf("seed %d step %d: %s = %+v, %d; model %+v, %d", seed, step, op, got, st, want, wst)
+				if rng.Intn(2) == 0 {
+					op = fmt.Sprintf("LookupStatus(%v) at %v", k, now.Sub(base))
+					got, st := c.LookupStatus(k.app, k.user, k.right, now)
+					if !sameEntry(got, want) || st != wst {
+						t.Fatalf("seed %d step %d: %s = %+v, %d; model %+v, %d", seed, step, op, got, st, want, wst)
+					}
+					break
+				}
+				op = fmt.Sprintf("Table(%s).Lookup(%v) at %v", k.app, k, now.Sub(base))
+				wantLeft := time.Duration(0)
+				if wst == Hit {
+					wantLeft = Forever
+					if !want.Limit.IsZero() {
+						wantLeft = want.Limit.Sub(now)
+					}
+				}
+				left, granters, st := tables[k.app].Lookup(k.user, k.right, now)
+				if left != wantLeft || granters != want.Granters || st != wst {
+					t.Fatalf("seed %d step %d: %s = %v, %d, %d; model %v, %d, %d", seed, step, op, left, granters, st,
+						wantLeft, want.Granters, wst)
 				}
 			case n < 80:
 				k := pick()
@@ -169,11 +191,15 @@ func TestCacheAgainstModel(t *testing.T) {
 				if got := c.PurgeExpired(now); got != want {
 					t.Fatalf("seed %d step %d: %s = %d, model %d", seed, step, op, got, want)
 				}
-			default:
+			case n < 98:
 				mc.max = []int{0, 1, 3, 6, 12}[rng.Intn(5)]
 				op = fmt.Sprintf("SetMaxEntries(%d)", mc.max)
 				c.SetMaxEntries(mc.max)
 				mc.evict()
+			default:
+				op = "Clear()"
+				c.Clear()
+				clear(mc.m)
 			}
 			want := mc.snapshot()
 			if got := c.Snapshot(); !slices.EqualFunc(got, want, sameEntry) {

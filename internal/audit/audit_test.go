@@ -154,7 +154,7 @@ func TestRecordCacheHitMatchesRecord(t *testing.T) {
 	fill(inSlot)
 	viaRecord.Record(Record{Kind: KindDecision, T: t0, Trace: 7, App: "app", User: "u0", Right: "use",
 		Reason: ReasonCacheHit, Allowed: true, Granters: 2, Expiry: expiry})
-	inSlot.RecordCacheHit(t0, 7, "app", "u0", wire.RightUse, 2, expiry)
+	inSlot.RecordCacheHit(t0, 7, "app", "u0", wire.RightUse, 2, expiry.Sub(t0))
 	want, got := viaRecord.Snapshot()[0], inSlot.Snapshot()[0]
 	if got != want {
 		t.Errorf("in-slot record = %+v\nwant            %+v", got, want)
@@ -243,7 +243,7 @@ func TestDumpGolden(t *testing.T) {
 	r.Record(Record{Kind: KindDecision, Trace: 0xabc, App: "stocks", User: "alice", Right: "use",
 		Reason: ReasonQuorumAllow, Allowed: true, Set: 3, Attempts: 2, Queried: 3, Quorum: 2, Confirmations: 2,
 		Managers: "m0,m1", Expire: 30 * time.Second, Expiry: t0.Add(30 * time.Second), Backoffs: 1, Frozen: true})
-	r.RecordCacheHit(t0.Add(time.Second), 0xabd, "stocks", "alice", wire.RightUse, 2, t0.Add(30*time.Second))
+	r.RecordCacheHit(t0.Add(time.Second), 0xabd, "stocks", "alice", wire.RightUse, 2, 29*time.Second)
 	r.Record(Record{Kind: KindDecision, Trace: 0xabe, App: "stocks", User: "bob", Right: "use",
 		Reason: ReasonQuorumDeny, Set: 3, Queried: 2, Quorum: 2, Denials: 2})
 	r.Record(Record{Kind: KindDecision, Trace: 0xabf, App: "stocks", User: "carol", Right: "manage",
@@ -416,7 +416,7 @@ func TestRecorderAgainstModel(t *testing.T) {
 		case 2:
 			rec = Record{T: now, Kind: KindDecision, Trace: rng.Uint64(), App: "app", User: user, Right: "use",
 				Reason: ReasonCacheHit, Allowed: true, Granters: 1 + rng.Intn(3), Expiry: now.Add(time.Minute)}
-			r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, wire.RightUse, rec.Granters, rec.Expiry)
+			r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, wire.RightUse, rec.Granters, time.Minute)
 		}
 		if rec.Kind == KindDecision {
 			decisions++
@@ -437,7 +437,7 @@ func TestRecorderAgainstModel(t *testing.T) {
 		t.Fatalf("after %d records (%d decisions): Total %d, Dropped %d, Decisions %d, dump header %+v",
 			total, decisions, r.Total(), r.Dropped(), r.Decisions(), h)
 	}
-	if a := testing.AllocsPerRun(100, func() { r.RecordCacheHit(t0, 1, "app", "u", wire.RightUse, 2, t0) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { r.RecordCacheHit(t0, 1, "app", "u", wire.RightUse, 2, 0) }); a != 0 {
 		t.Errorf("RecordCacheHit allocates %.1f times per op, want 0", a)
 	}
 }
@@ -460,7 +460,7 @@ func TestDumpIsOneObservation(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					r.RecordCacheHit(t0, 1, "app", "u", wire.RightUse, 2, t0)
+					r.RecordCacheHit(t0, 1, "app", "u", wire.RightUse, 2, 0)
 				}
 			}
 		}()

@@ -70,10 +70,11 @@ func randomRecord(rng *rand.Rand, at func(time.Duration) time.Time) audit.Record
 	}
 }
 
-// hitRight is the right of a cache hit's record that names a wire.Right:
-// such a record is the one RecordCacheHit writes.
+// hitRight is the right of a cache hit's record that names a wire.Right and
+// whose Expiry its T gives a time left for (hitLeft): such a record is the
+// one RecordCacheHit writes.
 func hitRight(rec Record) (wire.Right, bool) {
-	if rec.Kind == audit.KindDecision && rec.Reason == audit.ReasonCacheHit {
+	if _, ok := hitLeft(rec); ok && rec.Kind == audit.KindDecision && rec.Reason == audit.ReasonCacheHit {
 		for _, right := range []wire.Right{wire.RightUse, wire.RightManage} {
 			if rec.Right == right.String() {
 				return right, true
@@ -81,6 +82,19 @@ func hitRight(rec Record) (wire.Right, bool) {
 		}
 	}
 	return 0, false
+}
+
+// hitLeft is the time left RecordCacheHit takes for rec: its Expiry less its
+// T as wall readings, math.MaxInt64 for a zero Expiry. A record with an
+// Expiry but a zero T, which the journal's clock stamps, has none.
+func hitLeft(rec Record) (time.Duration, bool) {
+	switch {
+	case rec.Expiry.IsZero():
+		return math.MaxInt64, true
+	case rec.T.IsZero():
+		return 0, false
+	}
+	return rec.Expiry.Round(0).Sub(rec.T.Round(0)), true
 }
 
 func isHit(rec Record) bool {
@@ -92,7 +106,8 @@ func isHit(rec Record) bool {
 // record, through Record otherwise.
 func write(r *Recorder, rec Record) {
 	if right, ok := hitRight(rec); ok {
-		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, rec.Expiry)
+		left, _ := hitLeft(rec)
+		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, left)
 	} else {
 		r.Record(rec)
 	}
@@ -265,11 +280,10 @@ func TestAuditBytesPerRecord(t *testing.T) {
 	for i := range users {
 		users[i] = "u" + strconv.Itoa(i)
 	}
-	expiry := t0.Add(time.Minute)
 	prev := liveHeap()
 	r := audit.NewRecorder("h0", size, nil)
 	for _, u := range users {
-		r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, expiry)
+		r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, time.Minute)
 	}
 	if per := float64(liveHeap()-prev) / size; per > budget {
 		t.Errorf("%.1f B of live heap per retained record, want <= %d", per, budget)

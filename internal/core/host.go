@@ -31,11 +31,12 @@ import (
 // cacheHit). Decision callbacks run outside the host lock, so they may call
 // back into the host.
 type Host struct {
-	id      wire.NodeID
-	env     Env
-	tracer  trace.Tracer
-	tracing bool          // false when tracer is trace.Nop: skip building events
-	keyring *auth.Keyring // nil: trust claimed identities (simulation)
+	id        wire.NodeID
+	env       Env
+	tracer    trace.Tracer
+	tracing   bool          // false when tracer is trace.Nop: skip building events
+	hitEvents bool          // false when tracer drops cache hits: build no hit event
+	keyring   *auth.Keyring // nil: trust claimed identities (simulation)
 
 	// What a cache hit reads, none of it guarded by mu: the published
 	// configuration, the cache (its own mutex is the hit's linearization
@@ -106,6 +107,8 @@ type hostApp struct {
 	policy      Policy
 	nameService wire.NodeID
 	app         Application
+	// cache is the app's ACL_cache, the one table a hit probes.
+	cache *acl.Table
 
 	// managers is Managers(A); a manager's index in it is its position in
 	// the app's rounds and in the sets setName memoises by.
@@ -178,14 +181,15 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 	}
 	_, nop := tracer.(trace.Nop)
 	h := &Host{
-		id:      id,
-		env:     env,
-		tracer:  tracer,
-		tracing: !nop,
-		keyring: keyring,
-		cache:   acl.NewCache(),
-		pending: make(map[uint64]*check),
-		byKey:   make(map[checkKey]*check),
+		id:        id,
+		env:       env,
+		tracer:    tracer,
+		tracing:   !nop,
+		hitEvents: !trace.Drops(tracer, trace.EventCacheHit),
+		keyring:   keyring,
+		cache:     acl.NewCache(),
+		pending:   make(map[uint64]*check),
+		byKey:     make(map[checkKey]*check),
 	}
 	h.view.Store(&hostView{})
 	return h
@@ -213,6 +217,7 @@ func (h *Host) RegisterApp(app wire.AppID, cfg HostAppConfig) error {
 		policy:      cfg.Policy,
 		nameService: cfg.NameService,
 		app:         cfg.App,
+		cache:       h.cache.Table(app),
 	}
 	a.setManagers(cfg.Managers, sys)
 	var dup error
@@ -270,12 +275,13 @@ func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func
 // case the paper's O(C/Te) overhead argument rests on — and the only place
 // a cache hit is emitted. It runs without Host.mu: it reads the clock once
 // (now, shared by every emission), loads the published view once, probes the
-// cache once, tells each attached observer once — one cache-hit trace event,
-// which is the hit's decision event, one audit record, one count the hit's
-// metrics are derived from — and invokes cb directly. The probe under the
-// cache's own mutex is the hit's linearization point, so a revocation,
-// reset or explicit denial that has removed the entry and returned is seen
-// by every check that starts afterwards.
+// app's table once for the entry's time left and granters, tells each
+// attached observer once — one count the hit's metrics are derived from, one
+// audit record, and a cache-hit trace event, the hit's decision event, only
+// if the tracer keeps one (h.hitEvents) — and invokes cb directly. The probe
+// under the cache's own mutex is the hit's linearization point, so a
+// revocation, reset or explicit denial that has removed the entry and
+// returned is seen by every check that starts afterwards.
 //
 // Anything else is left to checkLocked, which takes the returned status
 // instead of probing again: Miss or Expired (the expired entry is already
@@ -286,7 +292,7 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	if a == nil || !right.Valid() {
 		return 0
 	}
-	entry, st := h.cache.LookupStatus(app, user, right, now)
+	left, granters, st := a.cache.Lookup(user, right, now)
 	if st != acl.Hit {
 		return st
 	}
@@ -298,19 +304,19 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	if v.aud != nil {
 		tid = h.nonce.Add(1)
 	}
-	if h.tracing {
+	if h.hitEvents {
 		h.tracer.Emit(trace.Event{Time: now, Node: h.id, Type: trace.EventCacheHit, App: app, User: user, Trace: tid})
 	}
 	h.counts.decided[flight.ReasonCacheHit].Add(1)
 	if v.aud != nil {
-		v.aud.RecordCacheHit(now, tid, string(app), string(user), right, entry.Granters, entry.Limit)
+		v.aud.RecordCacheHit(now, tid, string(app), string(user), right, granters, left)
 	}
 	// Refresh-ahead: if the entry is close to expiring, re-verify in the
 	// background so the next post-expiry access does not pay a manager
 	// round trip. The refresh is an ordinary check (coalesced via byKey)
 	// whose grant, if any, replaces the entry with a fresh limit; a
 	// revoked right simply fails to refresh, so the Te bound holds.
-	if ra := a.policy.RefreshAhead; ra > 0 && !entry.Limit.IsZero() && entry.Limit.Sub(now) <= ra {
+	if ra := a.policy.RefreshAhead; ra > 0 && left <= ra && left != acl.Forever {
 		h.withLock(func() {
 			key := checkKey{app, user, right}
 			if _, inflight := h.byKey[key]; !inflight && h.managersUsable(a, now) {

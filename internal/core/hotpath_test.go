@@ -444,16 +444,26 @@ func TestCacheHitCountersDerived(t *testing.T) {
 	}
 }
 
-// TestCacheHitObservationContract: a cache hit is one trace event and one
-// journal record. A host is wired as each deployment wires it — acnode's
-// bridge over a journal tee over its log tracer (a collector here), bench's
-// bridge over a tee that ends the chain, the simulator's bridge over the
-// collector its flight dump is read from — with the journal taking its
-// decisions and metrics attached; a quorum allow warms the cache, then it
-// makes N hits. They must leave exactly N decision records and no other
-// journal record, N cache-hit events and no access-allowed at the end of the
-// chain, and the hit's metric families reading exactly what they read when a
-// hit was two trace events.
+// sinks are what a tracer chain under test ends in or feeds: a journal, a
+// registry and a collector.
+type sinks struct {
+	rec *flight.Recorder
+	reg *telemetry.Registry
+	col *trace.Collector
+}
+
+// TestCacheHitObservationContract: a cache hit is one journal record and,
+// for a chain that keeps it, one trace event. A host is wired as each
+// deployment wires it — acnode's bridge over a journal tee over its log
+// tracer (a collector here), bench's bridge over a tee that ends the chain,
+// the simulator's bridge over the collector its flight dump is read from,
+// and its bridge over trace.Nop when it keeps no trace — with the journal
+// taking its decisions and metrics attached; a quorum allow warms the cache,
+// then it makes N hits. They must leave exactly N decision records and no
+// other journal record, N cache-hit events and no access-allowed at the end
+// of a chain that ends in the collector, and the hit's metric families
+// reading exactly what they read when a hit was two trace events, the
+// cache-hit trace-event row included although the bridge counts no hits.
 func TestCacheHitObservationContract(t *testing.T) {
 	const hits = 30
 	// The non-zero samples of the hit's families after the warm-up's quorum
@@ -507,11 +517,6 @@ wanac_host_checks_total{outcome="allowed"} 1
 wanac_host_checks_total{outcome="cache_hit"} 30
 wanac_trace_events_total{type="cache-hit"} 30
 `
-	type sinks struct {
-		rec *flight.Recorder
-		reg *telemetry.Registry
-		col *trace.Collector
-	}
 	for _, tc := range []struct {
 		name  string
 		chain func(sinks) trace.Tracer
@@ -520,6 +525,7 @@ wanac_trace_events_total{type="cache-hit"} 30
 		{"acnode", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, s.col)) }, true},
 		{"bench", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }, false},
 		{"sim", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, s.col) }, true},
+		{"sim-notrace", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, trace.Nop{}) }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := newFakeEnv()
@@ -573,5 +579,142 @@ wanac_trace_events_total{type="cache-hit"} 30
 				t.Errorf("the hit's families read\n%s\nwant\n%s", got.String(), want)
 			}
 		})
+	}
+}
+
+// emitCounter counts the events a host hands its tracer, which it wraps,
+// and drops what the tracer drops.
+type emitCounter struct {
+	inner trace.Tracer
+	hits  int
+}
+
+func (c *emitCounter) Drops(t trace.EventType) bool { return trace.Drops(c.inner, t) }
+
+func (c *emitCounter) Emit(e trace.Event) {
+	if e.Type == trace.EventCacheHit {
+		c.hits++
+	}
+	c.inner.Emit(e)
+}
+
+// TestCacheHitEmission: a host builds a cache hit's event only for a chain
+// that keeps it. For N hits a chain that drops hits — trace.Nop, a journal
+// tee ending the chain or ending in Nop, the event bridge over either —
+// receives no Emit, and one that keeps them — anything ending in a
+// collector — receives exactly N, which reach the collector.
+func TestCacheHitEmission(t *testing.T) {
+	const hits = 20
+	for _, tc := range []struct {
+		name  string
+		chain func(sinks) trace.Tracer
+		keeps bool
+	}{
+		{"nop", func(sinks) trace.Tracer { return trace.Nop{} }, false},
+		{"tee", func(s sinks) trace.Tracer { return flight.Tee(s.rec, nil) }, false},
+		{"tee-nop", func(s sinks) trace.Tracer { return flight.Tee(s.rec, trace.Nop{}) }, false},
+		{"bridge-nop", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, trace.Nop{}) }, false},
+		{"bridge-tee", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, nil)) }, false},
+		{"collector", func(s sinks) trace.Tracer { return s.col }, true},
+		{"tee-collector", func(s sinks) trace.Tracer { return flight.Tee(s.rec, s.col) }, true},
+		{"bridge-collector", func(s sinks) trace.Tracer { return telemetry.InstrumentTracer(s.reg, s.col) }, true},
+		{"bridge-tee-collector", func(s sinks) trace.Tracer {
+			return telemetry.InstrumentTracer(s.reg, flight.Tee(s.rec, s.col))
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv()
+			col := trace.NewCollector()
+			c := &emitCounter{inner: tc.chain(sinks{flight.NewRecorder("h0", 64, env.Now), telemetry.NewRegistry(), col})}
+			h := NewHost("h0", env, c, nil)
+			if err := h.RegisterApp("a", HostAppConfig{
+				Managers: []wire.NodeID{"m0", "m1", "m2"},
+				Policy:   Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			h.Check("a", "u", wire.RightUse, func(Decision) {})
+			answerRound(h, lastRound(t, env), true)
+			for i := 0; i < hits; i++ {
+				h.Check("a", "u", wire.RightUse, func(Decision) {})
+			}
+			if st := h.Stats(); st.CacheHits != hits {
+				t.Fatalf("%d cache hits, want %d", st.CacheHits, hits)
+			}
+			want := 0
+			if tc.keeps {
+				want = hits
+			}
+			if c.hits != want || col.Count(trace.EventCacheHit) != want {
+				t.Errorf("%d hits: the chain received %d cache-hit events and its collector kept %d, want %d",
+					hits, c.hits, col.Count(trace.EventCacheHit), want)
+			}
+		})
+	}
+}
+
+// TestResetKeepsTableHandles: a host probes the table its app's RegisterApp
+// took from the cache, and Reset empties that table in place. While callers
+// hammer a warm key, each of several cycles resets the host and re-grants
+// the key: no check that starts after Reset returns may be served a hit
+// until the re-grant, and after it the key hits again through the same
+// handle.
+func TestResetKeepsTableHandles(t *testing.T) {
+	hh := newHotHost(t, Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2, Te: time.Minute})
+	h := hh.h
+	// phase is even while the key may hit and odd from a Reset's return
+	// until its re-grant begins; hits counts the hits of checks started and
+	// decided in the current even phase. A hit decided in the odd phase it
+	// started in probed the table after Reset returned and before the
+	// re-grant could put the entry back.
+	var phase, hits atomic.Uint64
+	var stop atomic.Bool
+	const callers, cycles = 4, 5
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				p := phase.Load()
+				h.Check("a", "u", wire.RightUse, func(d Decision) {
+					switch {
+					case !d.CacheHit || phase.Load() != p:
+					case p%2 == 1:
+						t.Error("cache hit for a check started after Reset returned, before the re-grant")
+					default:
+						hits.Add(1)
+					}
+				})
+			}
+		}()
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				stop.Store(true)
+				wg.Wait()
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	for cycle := 0; cycle < cycles; cycle++ {
+		waitFor("hits", func() bool { return hits.Load() >= 500 })
+		rounds := h.Stats().QueryRounds
+		h.Reset()
+		phase.Add(1)
+		hits.Store(0)
+		// A check that misses after the reset starts a round, onto which
+		// the later ones coalesce.
+		waitFor("a round after the reset", func() bool { return h.Stats().QueryRounds > rounds })
+		phase.Add(1)
+		hh.answer(t, true)
+	}
+	waitFor("hits after the last re-grant", func() bool { return hits.Load() >= 500 })
+	stop.Store(true)
+	wg.Wait()
+	if st := h.Stats(); st.CacheLen != 1 {
+		t.Errorf("cache holds %d entries after the last re-grant, want 1", st.CacheLen)
 	}
 }

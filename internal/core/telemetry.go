@@ -80,9 +80,10 @@ func ReasonCounts(reg *telemetry.Registry) map[flight.Reason]uint64 {
 // InstrumentHost wires h into reg: check counters by outcome and by reason
 // and the round, timeout, revocation, busy and backoff counters, all
 // derived from h's counts; latency histograms by outcome (shared families,
-// aggregated across hosts); and per-node cache gauges. It installs aud as
-// the journal taking decisions when it is non-nil (nil leaves the current
-// one in place).
+// aggregated across hosts); and per-node cache gauges. When h's tracer is
+// an event bridge (telemetry.InstrumentTracer), the bridge's cache-hit row
+// is derived from h's hit count too. It installs aud as the journal taking
+// decisions when it is non-nil (nil leaves the current one in place).
 //
 // Instrument a host once, before it serves: the counters read its lifetime
 // counts, so a second call would count every check twice, while a latency
@@ -113,8 +114,10 @@ func InstrumentHost(reg *telemetry.Registry, aud *flight.Recorder, h *Host) {
 		lat[i] = latency.With(name)
 	}
 	// A hit takes no time on the host's clock: each one is an observation
-	// of 0, derived from its count rather than observed.
+	// of 0, derived from its count rather than observed. Its trace-event row
+	// is the same count: the event bridge counts no hits.
 	lat[outcomeCacheHit].DeriveZeros(&c.decided[flight.ReasonCacheHit])
+	telemetry.DeriveCacheHits(h.tracer, &c.decided[flight.ReasonCacheHit])
 	h.mu.Lock()
 	h.latency = lat
 	h.mu.Unlock()

@@ -404,11 +404,10 @@ func (r *Recorder) commitProtocol(s *protocolSlot, t time.Time) {
 	}
 }
 
-// commitDecision stamps the record built in s with its times — t, or the
-// clock if t is zero, then expiry — accepts it, counts it, and feeds the
-// sink. Must be called with r.mu held.
-func (r *Recorder) commitDecision(s *decisionSlot, t, expiry time.Time) {
-	s.t, s.expiry, s.seq = r.stamp(t), r.epoch.Offset(expiry), r.seq
+// commitDecision accepts the record built and stamped in s, counts it, and
+// feeds the sink. Must be called with r.mu held.
+func (r *Recorder) commitDecision(s *decisionSlot) {
+	s.seq = r.seq
 	r.seq++
 	r.decided.commit(s.flags&flagSpilled != 0)
 	if s.kind == KindDecision {
@@ -444,7 +443,9 @@ func (r *Recorder) Record(rec Record) {
 			s.flags |= flagSpilled
 			r.decided.keep(recordNames{app: rec.App, right: rec.Right, managers: rec.Managers, peer: rec.Peer, origin: rec.Origin})
 		}
-		r.commitDecision(s, rec.T, rec.Expiry)
+		s.t = r.stamp(rec.T)
+		s.expiry = r.epoch.Offset(rec.Expiry)
+		r.commitDecision(s)
 	} else {
 		s := r.protocol.slot()
 		s.kind, s.trace, s.user, s.counter, s.note, s.event = rec.Kind, rec.Trace, rec.User, rec.Counter, rec.Note, 0
@@ -486,10 +487,11 @@ func (r *Recorder) RecordEvent(e trace.Event) {
 // RecordCacheHit appends the decision record of a cache hit — the one
 // record on the per-check hot path — built in its slot rather than
 // constructed by the caller and copied in: t is the decision time, granters
-// and expiry the cached entry's evidence. The right is taken by value, and
-// it and the app are resolved through their memos, so that a hit seldom
-// hashes a name.
-func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, right wire.Right, granters int, expiry time.Time) {
+// the cached entry's evidence and left its time left at t (math.MaxInt64:
+// it never expires), so the record's Expiry is t+left and no time.Time is
+// built for it. The right is taken by value, and it and the app are resolved
+// through their memos, so that a hit seldom hashes a name.
+func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, right wire.Right, granters int, left time.Duration) {
 	r.mu.Lock()
 	s := r.decided.slot()
 	*s = decisionSlot{}
@@ -501,8 +503,22 @@ func (r *Recorder) RecordCacheHit(t time.Time, trace uint64, app, user string, r
 		s.flags |= flagSpilled
 		r.decided.keep(recordNames{app: app, right: right.String()})
 	}
-	r.commitDecision(s, t, expiry)
+	s.t = r.stamp(t)
+	s.expiry = after(s.t, left)
+	r.commitDecision(s)
 	r.mu.Unlock()
+}
+
+// after is the offset left past offset t: trace.Never for math.MaxInt64,
+// saturating short of it otherwise.
+func after(t int64, left time.Duration) int64 {
+	switch {
+	case left == math.MaxInt64:
+		return trace.Never
+	case t > 0 && int64(left) > trace.Never-1-t:
+		return trace.Never - 1
+	}
+	return t + int64(left)
 }
 
 // unpackProtocol rebuilds retained protocol-window record i from its slot.
@@ -647,6 +663,12 @@ func Tee(rec *Recorder, next trace.Tracer) trace.Tracer {
 		t.next = next
 	}
 	return t
+}
+
+// Drops implements trace.Dropper: Tee records every type but a cache hit,
+// and drops a hit when next does.
+func (t teeTracer) Drops(typ trace.EventType) bool {
+	return typ == trace.EventCacheHit && (t.next == nil || trace.Drops(t.next, typ))
 }
 
 // Emit implements trace.Tracer.

@@ -232,7 +232,7 @@ func TestDumpGolden(t *testing.T) {
 	r.RecordEvent(trace.Event{Type: trace.EventTeAdapted, Num: int64(2 * time.Second)})
 	r.RecordEvent(trace.Event{Type: trace.EventRevokeApplied, App: "stocks", User: "bob", Seq: wire.UpdateSeq{Counter: 2}})
 	r.Record(Record{Kind: KindProtocol, Type: "query-sent", Trace: 0x1, User: "dave"})
-	r.RecordCacheHit(at, 0xabd, "stocks", "alice", wire.RightUse, 2, at.Add(30*time.Second))
+	r.RecordCacheHit(at, 0xabd, "stocks", "alice", wire.RightUse, 2, 30*time.Second)
 	r.Record(Record{Kind: KindResponse, Trace: 0xabc, App: "stocks", User: "alice", Right: "use",
 		Reason: ReasonQueryGranted, Expire: 30 * time.Second, Peer: "h1", Origin: "m0", Counter: 4})
 	r.Record(Record{Kind: KindProtocol, Type: "frozen"})
@@ -455,7 +455,7 @@ func TestJournalRetention(t *testing.T) {
 	if d := r.Dump(); d.Header.Dropped != 0 || d.Records[len(d.Records)-1].Seq != size/2-1 {
 		t.Fatalf("before any drop: %d records under %+v", len(d.Records), d.Header)
 	}
-	r.RecordCacheHit(t0, 7, "app", "alice", wire.RightUse, 2, t0.Add(time.Minute))
+	r.RecordCacheHit(t0, 7, "app", "alice", wire.RightUse, 2, time.Minute)
 	for i := 0; i < 10*size; i++ {
 		r.Record(Record{Kind: KindTransport, Type: "up", Peer: "m0"})
 	}

@@ -88,10 +88,11 @@ func event(rec Record) (trace.Event, bool) {
 	return e, rec.Kind == KindProtocol && rec.Peer == ""
 }
 
-// hitRight is the right of a cache hit's record that names a wire.Right:
-// such a record is the one RecordCacheHit writes.
+// hitRight is the right of a cache hit's record that names a wire.Right and
+// whose Expiry its T gives a time left for (hitLeft): such a record is the
+// one RecordCacheHit writes.
 func hitRight(rec Record) (wire.Right, bool) {
-	if rec.Kind == KindDecision && rec.Reason == ReasonCacheHit {
+	if _, ok := hitLeft(rec); ok && rec.Kind == KindDecision && rec.Reason == ReasonCacheHit {
 		for _, right := range []wire.Right{wire.RightUse, wire.RightManage} {
 			if rec.Right == right.String() {
 				return right, true
@@ -99,6 +100,19 @@ func hitRight(rec Record) (wire.Right, bool) {
 		}
 	}
 	return 0, false
+}
+
+// hitLeft is the time left RecordCacheHit takes for rec: its Expiry less its
+// T as wall readings, math.MaxInt64 for a zero Expiry. A record with an
+// Expiry but a zero T, which the journal's clock stamps, has none.
+func hitLeft(rec Record) (time.Duration, bool) {
+	switch {
+	case rec.Expiry.IsZero():
+		return math.MaxInt64, true
+	case rec.T.IsZero():
+		return 0, false
+	}
+	return rec.Expiry.Round(0).Sub(rec.T.Round(0)), true
 }
 
 func isHit(rec Record) bool {
@@ -113,7 +127,8 @@ func write(r *Recorder, rec Record) {
 	if e, ok := event(rec); ok {
 		r.RecordEvent(e)
 	} else if right, ok := hitRight(rec); ok {
-		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, rec.Expiry)
+		left, _ := hitLeft(rec)
+		r.RecordCacheHit(rec.T, rec.Trace, rec.App, rec.User, right, rec.Granters, left)
 	} else {
 		r.Record(rec)
 	}
@@ -337,7 +352,6 @@ func TestFlightBytesPerRecord(t *testing.T) {
 	if ProtocolSlotBytes > 80 || DecisionSlotBytes > 88 {
 		t.Errorf("slots are %d B and %d B, budgets 80 and 88", ProtocolSlotBytes, DecisionSlotBytes)
 	}
-	expiry := t0.Add(time.Minute)
 	prev := liveHeap()
 	r := NewRecorder("h0", size, nil)
 	for _, window := range []struct {
@@ -348,7 +362,7 @@ func TestFlightBytesPerRecord(t *testing.T) {
 		{"protocol", 88, func(u string) {
 			r.Record(Record{T: t0, Kind: KindProtocol, Type: "query-sent", Trace: 1, App: "app", User: u})
 		}},
-		{"decision", 96, func(u string) { r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, expiry) }},
+		{"decision", 96, func(u string) { r.RecordCacheHit(t0, 1, "app", u, wire.RightUse, 2, time.Minute) }},
 	} {
 		for _, u := range users {
 			window.write(u)

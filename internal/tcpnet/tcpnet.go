@@ -25,11 +25,6 @@ import (
 	"wanac/internal/wire"
 )
 
-// maxFrame bounds frame size (1 MiB) in both directions, stopping a
-// misbehaving peer from exhausting memory and an oversized outbound message
-// from wedging a connection.
-const maxFrame = netcore.DefaultMaxFrame
-
 // readBufSize is each connection's read buffer: room for a coalesced flush
 // of small frames in one read; larger frames bypass it.
 const readBufSize = 16 << 10

@@ -385,15 +385,15 @@ func TestMaxSizeFramesReuseReadBuffer(t *testing.T) {
 	var got collector
 	n.SetHandler(&got)
 	msg := wire.Invoke{App: "a", User: "u", ReqID: 1}
-	small, err := netcore.EncodeStreamFrame("hx", msg, maxFrame)
+	small, err := netcore.EncodeStreamFrame("hx", msg, netcore.DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Growing the payload from 0 to k bytes adds k plus two more length-prefix bytes.
-	msg.Payload = make([]byte, maxFrame-(len(small)-4)-2)
-	frame, err := netcore.EncodeStreamFrame("hx", msg, maxFrame)
-	if err != nil || len(frame)-4 != maxFrame {
-		t.Fatalf("frame payload is %d bytes (err %v), want exactly %d", len(frame)-4, err, maxFrame)
+	msg.Payload = make([]byte, netcore.DefaultMaxFrame-(len(small)-4)-2)
+	frame, err := netcore.EncodeStreamFrame("hx", msg, netcore.DefaultMaxFrame)
+	if err != nil || len(frame)-4 != netcore.DefaultMaxFrame {
+		t.Fatalf("frame payload is %d bytes (err %v), want exactly %d", len(frame)-4, err, netcore.DefaultMaxFrame)
 	}
 	c := dialRaw(t, n)
 	before := totalAlloc()
@@ -404,7 +404,7 @@ func TestMaxSizeFramesReuseReadBuffer(t *testing.T) {
 	}
 	waitFor(t, func() bool { return got.count() == frames })
 	spent := totalAlloc() - before
-	if limit := uint64(frames*maxFrame) * 3 / 2; spent > limit {
+	if limit := uint64(frames*netcore.DefaultMaxFrame) * 3 / 2; spent > limit {
 		t.Errorf("%d max-size frames allocated %d MiB, want < %d MiB (payload copies + one buffer)",
 			frames, spent>>20, limit>>20)
 	}
@@ -426,7 +426,7 @@ func TestStalledMaxFrameHeaderCostsOneConnection(t *testing.T) {
 	n.SetHandler(&got)
 
 	stalled, healthy := dialRaw(t, n), dialRaw(t, n)
-	ping, err := netcore.EncodeStreamFrame("h1", wire.Heartbeat{Nonce: 1}, maxFrame)
+	ping, err := netcore.EncodeStreamFrame("h1", wire.Heartbeat{Nonce: 1}, netcore.DefaultMaxFrame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +454,8 @@ func TestStalledMaxFrameHeaderCostsOneConnection(t *testing.T) {
 	if !closedByPeer(stalled, 5*time.Second) {
 		t.Error("stalled connection still open after ReadIdleTimeout")
 	}
-	if spent := totalAlloc() - before; spent > 2*maxFrame {
-		t.Errorf("a stalled MaxFrame header cost %d KiB, want one growth (< %d KiB)", spent>>10, 2*maxFrame>>10)
+	if spent := totalAlloc() - before; spent > 2*netcore.DefaultMaxFrame {
+		t.Errorf("a stalled MaxFrame header cost %d KiB, want one growth (< %d KiB)", spent>>10, 2*netcore.DefaultMaxFrame>>10)
 	}
 	served := got.count()
 	waitFor(t, func() bool { return got.count() > served })

@@ -334,9 +334,22 @@ func TestEventBridge(t *testing.T) {
 	if got := col.Count(trace.EventCacheHit); got != 3 {
 		t.Fatalf("inner tracer saw %d cache hits, want 3", got)
 	}
+	// The bridge counts no hits: a host derives the cache-hit row from its
+	// own hit count (DeriveCacheHits).
 	v := reg.CounterVec("wanac_trace_events_total", "", "type")
-	if got := v.With(trace.EventCacheHit.String()).Value(); got != 3 {
-		t.Fatalf("bridge counted %d cache hits, want 3", got)
+	if got := v.With(trace.EventCacheHit.String()).Value(); got != 0 {
+		t.Fatalf("bridge counted %d cache hits, want 0", got)
+	}
+	var hits atomic.Uint64
+	hits.Store(5)
+	DeriveCacheHits(tr, &hits)
+	DeriveCacheHits(col, &hits) // not a bridge: nothing to derive
+	if got := v.With(trace.EventCacheHit.String()).Value(); got != 5 {
+		t.Fatalf("cache-hit row reads %d, want the derived 5", got)
+	}
+	if !trace.Drops(InstrumentTracer(reg, trace.Nop{}), trace.EventCacheHit) || trace.Drops(tr, trace.EventCacheHit) ||
+		trace.Drops(InstrumentTracer(reg, trace.Nop{}), trace.EventAccessAllowed) {
+		t.Fatal("a bridge must drop cache hits exactly when its inner tracer does, and count every other type")
 	}
 	if got := v.With(trace.EventAccessAllowed.String()).Value(); got != 1 {
 		t.Fatalf("bridge counted %d allowed, want 1", got)

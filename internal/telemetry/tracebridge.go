@@ -11,6 +11,11 @@ import (
 // the collector tracer used for experiments and the log tracer used by
 // acnode both feed wanac_trace_events_total{type=...}. A cache hit is one
 // cache-hit event, so {type="access-allowed"} counts quorum allows only.
+//
+// The bridge does not count cache-hit events: the host that makes the hits
+// derives the cache-hit row from its own hit count (DeriveCacheHits), so the
+// row cannot disagree with wanac_host_checks_total{outcome="cache_hit"}, and
+// a hit builds an event only when something past the bridge keeps it.
 type eventBridge struct {
 	inner trace.Tracer
 	vec   CounterVec
@@ -21,7 +26,8 @@ type eventBridge struct {
 }
 
 // InstrumentTracer returns a tracer that forwards every event to inner
-// after counting it in reg as wanac_trace_events_total{type=...}.
+// after counting it in reg as wanac_trace_events_total{type=...}; a cache
+// hit is forwarded uncounted.
 func InstrumentTracer(reg *Registry, inner trace.Tracer) trace.Tracer {
 	return &eventBridge{
 		inner: inner,
@@ -29,16 +35,33 @@ func InstrumentTracer(reg *Registry, inner trace.Tracer) trace.Tracer {
 	}
 }
 
+// DeriveCacheHits makes hits, a host's count of cache hits, the cache-hit
+// row of wanac_trace_events_total when tr, the host's tracer, is a bridge
+// from InstrumentTracer; otherwise it does nothing.
+func DeriveCacheHits(tr trace.Tracer, hits *atomic.Uint64) {
+	if b, ok := tr.(*eventBridge); ok {
+		b.vec.With(trace.EventCacheHit.String()).Derive(hits)
+	}
+}
+
+// Drops implements trace.Dropper: the bridge counts every type but a cache
+// hit, and drops a hit when inner does.
+func (b *eventBridge) Drops(t trace.EventType) bool {
+	return t == trace.EventCacheHit && trace.Drops(b.inner, t)
+}
+
 // Emit implements trace.Tracer.
 func (b *eventBridge) Emit(e trace.Event) {
-	if i := int(e.Type); i < len(b.cache) {
+	switch i := int(e.Type); {
+	case e.Type == trace.EventCacheHit: // the host's count (DeriveCacheHits)
+	case i < len(b.cache):
 		c := b.cache[i].Load()
 		if c == nil {
 			c = b.vec.With(e.Type.String())
 			b.cache[i].Store(c)
 		}
 		c.Inc()
-	} else {
+	default:
 		b.vec.With(e.Type.String()).Inc()
 	}
 	b.inner.Emit(e)

@@ -4,6 +4,13 @@
 // counts events by type and tees them into the node journal and the process
 // log (telemetry.InstrumentTracer over flight.Tee). A node given no tracer
 // uses the no-op tracer and builds no events.
+//
+// A cache hit's event reaches only a chain that keeps it: the Collector, or
+// acnode's process log when it logs at Debug. The journal keeps the hit as
+// its decision record instead, and the telemetry bridge reads hits from the
+// host's count, so Nop, flight.Tee with nothing after it that keeps hits and
+// the bridge over either drop the event (Dropper), and a host builds none
+// for them.
 package trace
 
 import (
@@ -260,6 +267,20 @@ type Tracer interface {
 	Emit(e Event)
 }
 
+// Dropper is implemented by a tracer that discards some event types unseen.
+// A node asks once, when it is built, so that it builds no event its tracer
+// would drop.
+type Dropper interface {
+	Drops(t EventType) bool
+}
+
+// Drops reports whether tr discards every event of type t: what tr says if
+// it is a Dropper, false otherwise.
+func Drops(tr Tracer, t EventType) bool {
+	d, ok := tr.(Dropper)
+	return ok && d.Drops(t)
+}
+
 // Nop discards all events.
 type Nop struct{}
 
@@ -267,6 +288,9 @@ var _ Tracer = Nop{}
 
 // Emit implements Tracer.
 func (Nop) Emit(Event) {}
+
+// Drops implements Dropper: Nop drops every type.
+func (Nop) Drops(EventType) bool { return true }
 
 // chunkEvents is how many events one storage chunk of a Collector holds
 // (64 KiB of 64-byte records).

@@ -135,7 +135,8 @@ echo "== live transports (race, repeated)"
 go test -race -count=2 ./internal/netcore ./internal/tcpnet ./internal/udpnet
 
 echo "== cache-hit path and lock-free paths (race, repeated)"
-# Callers hammer a warm key off Host.mu while entries are flushed, views are
+# Callers hammer a warm key off Host.mu while entries are flushed, the host
+# is reset and re-granted through the table handles its apps hold, views are
 # republished and a scraper reads; a hit's one event and one record through
 # each deployment's observer chain; real timeouts racing the grants that
 # finish their checks, whose structs and timers the next checks reuse;
@@ -143,7 +144,7 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # trace records of every kind read back exactly while writers race the
 # readers, also when peers name more than the journal's name table holds;
 # the virtual clock under Set/Advance/Now.
-lane '-race -count=5' 'TestNoCacheHitAfterFlushReturns|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
+lane '-race -count=5' 'TestNoCacheHitAfterFlushReturns|TestResetKeepsTableHandles|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers' ./internal/core
 lane '-race -count=5' 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
 lane '-race -count=5' 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
 lane '-race -count=3' TestVirtualConcurrentMonotone ./internal/vclock
