@@ -37,9 +37,9 @@ import (
 func TestCacheHitCheckAllocationBudget(t *testing.T) {
 	w, err := sim.Build(sim.Config{
 		Managers: 3, Hosts: 1,
-		Policy:  core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2},
-		Users:   []wire.UserID{"u"},
-		NoTrace: true,
+		Policy: core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2},
+		Users:  []wire.UserID{"u"},
+		Tracer: trace.Nop{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestCacheHitCheckAllocationBudgetWithAudit(t *testing.T) {
 		Managers: 3, Hosts: 1,
 		Policy:    core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 2},
 		Users:     []wire.UserID{"u"},
-		NoTrace:   true,
+		Tracer:    trace.Nop{},
 		AuditRing: 1024,
 	})
 	if err != nil {
@@ -369,7 +369,7 @@ func TestSimColdCheckAllocationBudget(t *testing.T) {
 		Policy:          core.Policy{CheckQuorum: 2, Te: time.Second, QueryTimeout: time.Second, MaxAttempts: 2},
 		Te:              time.Second,
 		Users:           []wire.UserID{"u"},
-		NoTrace:         true,
+		Tracer:          trace.Nop{},
 		ManagerCapacity: simnet.Capacity{ServiceTime: time.Millisecond},
 	})
 	if err != nil {
@@ -580,7 +580,7 @@ func TestSimRevocationAllocationBudget(t *testing.T) {
 		Policy:          core.Policy{CheckQuorum: quorum, Te: time.Second, QueryTimeout: time.Second, MaxAttempts: 2},
 		Te:              time.Second,
 		Users:           []wire.UserID{"u"},
-		NoTrace:         true,
+		Tracer:          trace.Nop{},
 		ManagerCapacity: simnet.Capacity{ServiceTime: time.Millisecond},
 	})
 	if err != nil {

@@ -112,18 +112,28 @@ func TestDebugAuditEndpoint(t *testing.T) {
 	}
 
 	// m0 must hold matching response records: a grant echoing the check's
-	// trace ID, and a deny citing the revoke operation it rests on.
-	md := pullJournal(t, c.debugAddr("m0"))
+	// trace ID, and a deny citing the revoke operation it rests on. With
+	// C = 2 of 2, m1's deny alone decides the post-revoke round, so m0 may
+	// record its own deny after the host has decided: poll m0's journal
+	// until the deny is there.
+	var md *flight.Dump
 	grantSeen, denyCites := false, false
-	for _, r := range md.Records {
-		if r.Kind != flight.KindResponse || r.Peer != "h0" {
-			continue
+	for deadline := time.Now().Add(10 * time.Second); !denyCites && time.Now().Before(deadline); {
+		if md != nil {
+			time.Sleep(50 * time.Millisecond)
 		}
-		if r.Reason == flight.ReasonQueryGranted && r.Trace == qa[0].Trace {
-			grantSeen = true
-		}
-		if r.Reason == flight.ReasonQueryDenied && r.Origin == "m0" && r.Counter >= 1 {
-			denyCites = true
+		md = pullJournal(t, c.debugAddr("m0"))
+		grantSeen, denyCites = false, false
+		for _, r := range md.Records {
+			if r.Kind != flight.KindResponse || r.Peer != "h0" {
+				continue
+			}
+			if r.Reason == flight.ReasonQueryGranted && r.Trace == qa[0].Trace {
+				grantSeen = true
+			}
+			if r.Reason == flight.ReasonQueryDenied && r.Origin == "m0" && r.Counter >= 1 {
+				denyCites = true
+			}
 		}
 	}
 	if !grantSeen {

@@ -1,11 +1,11 @@
 package harness
 
-// Unit tests for the audit-completeness oracle against synthetic traces
-// and dumps (the end-to-end pass over real runs is exercised by the
-// harness and scenario tests, which attach it to every execution).
+// Unit tests for the audit-completeness oracle against hand-built streams
+// of decision events and journal records (the end-to-end judging of real
+// runs is exercised by the harness and scenario tests, which attach it to
+// every execution).
 
 import (
-	"iter"
 	"strings"
 	"testing"
 	"time"
@@ -24,36 +24,53 @@ func decisionEvent(node string, at time.Duration, typ trace.EventType, user stri
 	}
 }
 
-// ringOf builds node's journal as a run that accepted `decisions`
-// decision records leaves it: a ring of len(recs) slots retaining recs (the
-// newest suffix), the older ones overwritten.
-func ringOf(node string, decisions int, recs ...flight.Record) *flight.Recorder {
-	ring := flight.NewRecorder(node, len(recs), nil)
-	for i := len(recs); i < decisions; i++ {
-		ring.Record(flight.Record{Kind: flight.KindDecision, T: auditT0})
-	}
-	for _, rec := range recs {
-		rec.Kind = flight.KindDecision
-		rec.App = "app"
-		ring.Record(rec)
-	}
-	return ring
+// record is a decision record of app "app" that node's journal accepts.
+func record(node string, rec flight.Record) flight.Record {
+	rec.Node, rec.Kind, rec.App = node, flight.KindDecision, "app"
+	return rec
 }
 
-// collected is the trace a run that emitted events leaves behind, as the
-// oracles read it.
-func collected(events []trace.Event) iter.Seq[*trace.Event] {
-	c := trace.NewCollector()
-	for _, e := range events {
-		c.Emit(e)
-	}
-	return c.All()
-}
-
-func runAuditOracle(t *testing.T, events []trace.Event, rings ...*flight.Recorder) []Violation {
+// feed hands the oracles a hand-built run: journals for the named nodes,
+// whose windows keep one record each, then every step in order — a
+// trace.Event the judge takes as a node emits it, or a flight.Record its
+// node's journal accepts — then the end of the run.
+func feed(t *testing.T, o oracles, journals []string, steps ...any) {
 	t.Helper()
-	o := newOracles(30*time.Second, 0, 0, 2, 3)
-	o.judgeLog(collected(events), rings)
+	byNode := make(map[string]*flight.Recorder)
+	var recs []*flight.Recorder
+	for _, node := range journals {
+		byNode[node] = flight.NewRecorder(node, 1, nil)
+		recs = append(recs, byNode[node])
+	}
+	o.aud.watchJournals(recs)
+	for _, s := range steps {
+		switch s := s.(type) {
+		case trace.Event:
+			o.Emit(s)
+		case flight.Record:
+			byNode[s.Node].Record(s)
+		default:
+			t.Fatalf("step %T is neither an event nor a record", s)
+		}
+	}
+	o.finish()
+}
+
+func newTestOracles() oracles { return newOracles(30*time.Second, 0, 0, 2, 3) }
+
+// runAuditOracle feeds the h0 journal's records, then the events, and
+// returns the audit oracle's violations.
+func runAuditOracle(t *testing.T, events []trace.Event, recs ...flight.Record) []Violation {
+	t.Helper()
+	o := newTestOracles()
+	var steps []any
+	for _, r := range recs {
+		steps = append(steps, record("h0", r))
+	}
+	for _, e := range events {
+		steps = append(steps, e)
+	}
+	feed(t, o, []string{"h0"}, steps...)
 	return o.aud.viol
 }
 
@@ -63,7 +80,7 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", trace.WordNone),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u1", trace.WordRevoked),
 	}
-	ring := ringOf("h0", 3,
+	v := runAuditOracle(t, events,
 		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1", Expire: 20 * time.Second},
 		flight.Record{T: auditT0.Add(time.Second), User: "u0", Reason: flight.ReasonCacheHit,
@@ -71,18 +88,17 @@ func TestAuditOracleCleanMatch(t *testing.T) {
 		flight.Record{T: auditT0.Add(2 * time.Second), User: "u1", Reason: flight.ReasonQuorumDeny,
 			Set: 2, Queried: 2, Denials: 1},
 	)
-	if v := runAuditOracle(t, events, ring); len(v) != 0 {
+	if len(v) != 0 {
 		t.Fatalf("clean trace flagged: %+v", v)
 	}
 }
 
 func TestAuditOracleSkipsWhenRecordingOff(t *testing.T) {
-	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone)}
-	oracles := newOracles(30*time.Second, 0, 0, 2, 3)
-	oracles.judgeLog(collected(events), nil)
+	oracles := newTestOracles()
+	feed(t, oracles, nil, decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone))
 	o := oracles.aud
 	if len(o.viol) != 0 {
-		t.Fatalf("no dumps should mean no jurisdiction, got %+v", o.viol)
+		t.Fatalf("no journals should mean no jurisdiction, got %+v", o.viol)
 	}
 	if o.obs != 0 {
 		t.Fatalf("observed %d with recording off", o.obs)
@@ -94,48 +110,88 @@ func TestAuditOracleMissingRecords(t *testing.T) {
 		decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone),
 		decisionEvent("h0", time.Second, trace.EventCacheHit, "u0", trace.WordNone),
 	}
-	ring := ringOf("h0", 1,
+	v := runAuditOracle(t, events,
 		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true, Granters: 1},
 	)
-	v := runAuditOracle(t, events, ring)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "2 decision events in trace but 1 audit records accepted") {
 		t.Fatalf("violations = %+v", v)
 	}
 }
 
+// TestAuditOracleRecordWithoutDecision: a journal that accepts a decision
+// record no event announced is as incomplete as a decision with no record.
+func TestAuditOracleRecordWithoutDecision(t *testing.T) {
+	v := runAuditOracle(t, nil,
+		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonCacheHit, Allowed: true, Granters: 1},
+	)
+	if len(v) != 1 || !strings.Contains(v[0].Detail, "0 decision events in trace but 1 audit records accepted") {
+		t.Fatalf("violations = %+v", v)
+	}
+}
+
 func TestAuditOracleNoRingForDecidingNode(t *testing.T) {
-	events := []trace.Event{decisionEvent("h7", 0, trace.EventCacheHit, "u0", trace.WordNone)}
-	v := runAuditOracle(t, events, ringOf("h0", 0))
+	o := newTestOracles()
+	feed(t, o, []string{"h0"}, decisionEvent("h7", 0, trace.EventCacheHit, "u0", trace.WordNone))
+	v := o.aud.viol
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "h7 made 1 decisions but has no audit ring") {
 		t.Fatalf("violations = %+v", v)
 	}
 }
 
-func TestAuditOracleRingDropsSuffixMatch(t *testing.T) {
-	// Three decisions, ring kept only the newest two: the retained suffix
-	// must line up against the LAST two events, not the first.
+// TestAuditOracleSeesRecordsTheWindowDrops: the journal's window keeps one
+// record, but its sink hands the oracle all three as they are accepted, so
+// each is judged against its own event.
+func TestAuditOracleSeesRecordsTheWindowDrops(t *testing.T) {
 	events := []trace.Event{
 		decisionEvent("h0", 0, trace.EventAccessAllowed, "u0", trace.WordQuorum),
 		decisionEvent("h0", time.Second, trace.EventCacheHit, "u1", trace.WordNone),
 		decisionEvent("h0", 2*time.Second, trace.EventAccessDenied, "u2", trace.WordUnregistered),
 	}
-	ring := ringOf("h0", 3,
-		flight.Record{T: auditT0.Add(time.Second), User: "u1", Reason: flight.ReasonCacheHit,
-			Allowed: true, Granters: 1, Expiry: auditT0.Add(10 * time.Second)},
-		flight.Record{T: auditT0.Add(2 * time.Second), User: "u2", Reason: flight.ReasonUnregisteredDeny},
-	)
-	if v := runAuditOracle(t, events, ring); len(v) != 0 {
-		t.Fatalf("suffix match failed: %+v", v)
+	o := newTestOracles()
+	feed(t, o, []string{"h0"},
+		record("h0", flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
+			Attempts: 1, Confirmations: 2, Managers: "m0,m1"}),
+		record("h0", flight.Record{T: auditT0.Add(time.Second), User: "u1", Reason: flight.ReasonCacheHit,
+			Allowed: true, Granters: 1, Expiry: auditT0.Add(10 * time.Second)}),
+		record("h0", flight.Record{T: auditT0.Add(2 * time.Second), User: "u2", Reason: flight.ReasonUnregisteredDeny}),
+		events[0], events[1], events[2])
+	if v := o.aud.viol; len(v) != 0 {
+		t.Fatalf("records the window dropped misjudged: %+v", v)
+	}
+	if o.aud.obs != 3 {
+		t.Fatalf("judged %d records, want all 3", o.aud.obs)
+	}
+}
+
+// TestAuditOraclePairsEitherOrder: a node's decision event may come before
+// or after its record; the oracle pairs them first in, first out either
+// way, and holds nothing once both streams have caught up.
+func TestAuditOraclePairsEitherOrder(t *testing.T) {
+	ev := func(at time.Duration, user string) trace.Event {
+		return decisionEvent("h0", at, trace.EventAccessDenied, user, trace.WordUnregistered)
+	}
+	rec := func(at time.Duration, user string) flight.Record {
+		return record("h0", flight.Record{T: auditT0.Add(at), User: user, Reason: flight.ReasonUnregisteredDeny})
+	}
+	o := newTestOracles()
+	feed(t, o, []string{"h0"},
+		ev(0, "u0"), rec(0, "u0"), // event first
+		rec(time.Second, "u1"), ev(time.Second, "u1"), // record first
+		ev(2*time.Second, "u2"), ev(3*time.Second, "u3"), rec(2*time.Second, "u2"), rec(3*time.Second, "u3"))
+	if v := o.aud.viol; len(v) != 0 {
+		t.Fatalf("pairs misjudged: %+v", v)
+	}
+	if o.aud.obs != 4 || o.aud.held() != 0 {
+		t.Fatalf("judged %d pairs holding %d, want 4 holding 0", o.aud.obs, o.aud.held())
 	}
 }
 
 func TestAuditOracleReasonMismatch(t *testing.T) {
 	events := []trace.Event{decisionEvent("h0", 0, trace.EventCacheHit, "u0", trace.WordNone)}
-	ring := ringOf("h0", 1,
+	v := runAuditOracle(t, events,
 		flight.Record{T: auditT0, User: "u0", Reason: flight.ReasonQuorumAllow, Allowed: true,
 			Attempts: 1, Confirmations: 2, Managers: "m0,m1"},
 	)
-	v := runAuditOracle(t, events, ring)
 	if len(v) != 1 || !strings.Contains(v[0].Detail, "implies cache_hit") {
 		t.Fatalf("violations = %+v", v)
 	}
@@ -207,7 +263,7 @@ func TestAuditOracleEvidenceConsistency(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v := runAuditOracle(t, []trace.Event{c.ev}, ringOf("h0", 1, c.rec))
+			v := runAuditOracle(t, []trace.Event{c.ev}, c.rec)
 			if len(v) == 0 {
 				t.Fatalf("inconsistent evidence not flagged")
 			}

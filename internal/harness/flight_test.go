@@ -66,7 +66,7 @@ func TestFlightDumpExplainsKnownBadSeed(t *testing.T) {
 	if !res.Failed() {
 		t.Fatal("known-bad scenario did not trip any oracle")
 	}
-	if res.Flight == nil {
+	if res.FlightDump() == nil {
 		t.Fatal("failed run did not capture a flight dump")
 	}
 
@@ -171,11 +171,11 @@ func TestKnownBadFlightDumpGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Flight == nil {
+	if res.FlightDump() == nil {
 		t.Fatal("known-bad run captured no flight dump")
 	}
 	var b strings.Builder
-	if err := res.Flight.Write(&b); err != nil {
+	if err := res.FlightDump().Write(&b); err != nil {
 		t.Fatal(err)
 	}
 	clitest.CheckGolden(t, "known_bad_flight.golden", b.String())

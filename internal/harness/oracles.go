@@ -2,7 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"iter"
+	"slices"
+	"sort"
 	"strings"
 	"time"
 
@@ -99,18 +100,23 @@ func (s oracles) violations() []Violation {
 	return out
 }
 
-// judgeLog runs the post-hoc oracles in one pass over the logs where they
-// lie, so nothing may be recording while it runs: events is the full
-// recorded trace (trace.Collector.All), rings one journal per node.
-func (s oracles) judgeLog(events iter.Seq[*trace.Event], rings []*flight.Recorder) {
-	seq, seqDone := s.seq.pass()
-	aud, audDone := s.aud.pass(rings)
-	for e := range events {
-		seq(e)
-		aud(e)
+// Emit implements trace.Tracer: the oracles are the judge a run's world
+// hands every event as a node emits it. The sequencing oracle takes the
+// update events; the audit oracle takes the decision events and pairs them
+// with the records its journal sinks take (watchJournals).
+func (s oracles) Emit(e trace.Event) {
+	switch e.Type {
+	case trace.EventUpdateIssued, trace.EventUpdateApplied, trace.EventUpdateQuorum:
+		s.seq.observe(&e)
+	default:
+		s.aud.observe(&e)
 	}
-	seqDone()
-	audDone()
+}
+
+// finish judges what only the end of a run can show.
+func (s oracles) finish() {
+	s.seq.finish()
+	s.aud.finish()
 }
 
 // revocationOracle checks the paper's central guarantee (§3.2-3.3): once a
@@ -176,70 +182,148 @@ func (o *cacheOracle) sweep(at time.Time, host, retained, expired int) {
 	}
 }
 
-// sequencingOracle checks manager update ordering from the recorded trace
+// sequencingOracle checks manager update ordering as the updates go
 // (§3.3's FIFO per-origin dissemination): every manager applies each
 // origin's updates in strictly increasing counter order, each origin issues
 // strictly increasing counters, and no update reaches quorum before it was
 // issued. Valid as long as the scenario never crash-recovers a manager
 // (recovery resyncs state and may legitimately replay counters).
+//
+// It keeps the last counter per origin and per (manager, origin), the
+// updates issued whose quorum it has not seen, the quorums whose issue it
+// has not seen, and per origin the counters whose quorum it judged, as
+// spans: one, plus one per update still short of its quorum.
 type sequencingOracle struct {
 	oracleState
+	lastIssued  map[wire.NodeID]uint64
+	lastApplied map[applyKey]uint64
+	issuedAt    map[wire.UpdateSeq]time.Time // issued, quorum not seen yet
+	early       []earlyQuorum                // quorum seen, issue not seen yet, by quorum
+	quorate     map[wire.NodeID]*spans       // per origin, counters whose quorum was seen
+}
+
+// earlyQuorum is an update whose quorum came before its issue.
+type earlyQuorum struct {
+	seq wire.UpdateSeq
+	at  time.Time
+}
+
+type applyKey struct {
+	node   wire.NodeID
+	origin wire.NodeID
 }
 
 func newSequencingOracle() *sequencingOracle {
-	return &sequencingOracle{oracleState: oracleState{name: OracleSequencing}}
+	return &sequencingOracle{
+		oracleState: oracleState{name: OracleSequencing},
+		lastIssued:  make(map[wire.NodeID]uint64),
+		lastApplied: make(map[applyKey]uint64),
+		issuedAt:    make(map[wire.UpdateSeq]time.Time),
+		quorate:     make(map[wire.NodeID]*spans),
+	}
 }
 
-// pass returns the oracle's pass over the trace: observe takes each event,
-// oldest first, and done judges what they showed.
-func (o *sequencingOracle) pass() (observe func(*trace.Event), done func()) {
-	type applyKey struct {
-		node   wire.NodeID
-		origin wire.NodeID
+// observe judges one update event. An update is judged once, at its first
+// quorum event and its first issue event, whichever comes second.
+func (o *sequencingOracle) observe(e *trace.Event) {
+	switch e.Type {
+	case trace.EventUpdateIssued:
+		o.obs++
+		if prev, ok := o.lastIssued[e.Seq.Origin]; ok && e.Seq.Counter <= prev {
+			o.fail(e.Time, "origin %s issued counter %d after %d", e.Seq.Origin, e.Seq.Counter, prev)
+		}
+		o.lastIssued[e.Seq.Origin] = e.Seq.Counter
+		if i := slices.IndexFunc(o.early, func(q earlyQuorum) bool { return q.seq == e.Seq }); i >= 0 {
+			o.judgeQuorum(e.Seq, o.early[i].at, e.Time)
+			o.early = slices.Delete(o.early, i, i+1)
+		} else if _, ok := o.issuedAt[e.Seq]; !ok && !o.quorateOf(e.Seq.Origin).has(e.Seq.Counter) {
+			o.issuedAt[e.Seq] = e.Time
+		}
+	case trace.EventUpdateApplied:
+		o.obs++
+		k := applyKey{node: e.Node, origin: e.Seq.Origin}
+		if prev, ok := o.lastApplied[k]; ok && e.Seq.Counter <= prev {
+			o.fail(e.Time, "manager %s applied %s/%d after %s/%d",
+				e.Node, e.Seq.Origin, e.Seq.Counter, e.Seq.Origin, prev)
+		}
+		o.lastApplied[k] = e.Seq.Counter
+	case trace.EventUpdateQuorum:
+		q := o.quorateOf(e.Seq.Origin)
+		if q.has(e.Seq.Counter) {
+			return // judged, or waiting for its issue, already
+		}
+		q.add(e.Seq.Counter)
+		o.obs++
+		if it, ok := o.issuedAt[e.Seq]; ok {
+			delete(o.issuedAt, e.Seq)
+			o.judgeQuorum(e.Seq, e.Time, it)
+			return
+		}
+		o.early = append(o.early, earlyQuorum{e.Seq, e.Time})
 	}
-	lastApplied := make(map[applyKey]uint64)
-	lastIssued := make(map[wire.NodeID]uint64)
-	issuedAt, quorumAt := make(map[wire.UpdateSeq]time.Time), make(map[wire.UpdateSeq]time.Time)
+}
 
-	observe = func(e *trace.Event) {
-		switch e.Type {
-		case trace.EventUpdateIssued:
-			o.obs++
-			if prev, ok := lastIssued[e.Seq.Origin]; ok && e.Seq.Counter <= prev {
-				o.fail(e.Time, "origin %s issued counter %d after %d", e.Seq.Origin, e.Seq.Counter, prev)
-			}
-			lastIssued[e.Seq.Origin] = e.Seq.Counter
-			if _, ok := issuedAt[e.Seq]; !ok {
-				issuedAt[e.Seq] = e.Time
-			}
-		case trace.EventUpdateApplied:
-			o.obs++
-			k := applyKey{node: e.Node, origin: e.Seq.Origin}
-			if prev, ok := lastApplied[k]; ok && e.Seq.Counter <= prev {
-				o.fail(e.Time, "manager %s applied %s/%d after %s/%d",
-					e.Node, e.Seq.Origin, e.Seq.Counter, e.Seq.Origin, prev)
-			}
-			lastApplied[k] = e.Seq.Counter
-		case trace.EventUpdateQuorum:
-			if _, ok := quorumAt[e.Seq]; !ok {
-				quorumAt[e.Seq] = e.Time
-			}
-		}
+// quorateOf returns origin's quorate counters.
+func (o *sequencingOracle) quorateOf(origin wire.NodeID) *spans {
+	q := o.quorate[origin]
+	if q == nil {
+		q = &spans{}
+		o.quorate[origin] = q
 	}
-	return observe, func() {
-		for seq, qt := range quorumAt {
-			o.obs++
-			it, ok := issuedAt[seq]
-			if !ok {
-				o.fail(qt, "update %s/%d reached quorum but was never issued", seq.Origin, seq.Counter)
-				continue
-			}
-			if qt.Before(it) {
-				o.fail(qt, "update %s/%d reached quorum at %s before issue at %s",
-					seq.Origin, seq.Counter, qt.Format("15:04:05.000"), it.Format("15:04:05.000"))
-			}
-		}
+	return q
+}
+
+func (o *sequencingOracle) judgeQuorum(seq wire.UpdateSeq, qt, it time.Time) {
+	if qt.Before(it) {
+		o.fail(qt, "update %s/%d reached quorum at %s before issue at %s",
+			seq.Origin, seq.Counter, qt.Format("15:04:05.000"), it.Format("15:04:05.000"))
 	}
+}
+
+// finish reports the quorums never issued, in the order they were reached.
+func (o *sequencingOracle) finish() {
+	for _, q := range o.early {
+		o.fail(q.at, "update %s/%d reached quorum but was never issued", q.seq.Origin, q.seq.Counter)
+	}
+	o.early = nil
+}
+
+// spans is a set of counters as sorted, disjoint, non-adjacent closed
+// intervals. The quorums one origin reaches, nearly in counter order, take
+// one span, plus one for each update between them that has not reached its
+// quorum.
+type spans []span
+
+type span struct{ lo, hi uint64 }
+
+// find returns the index of the first span ending at or after n.
+func (s spans) find(n uint64) int {
+	return sort.Search(len(s), func(i int) bool { return s[i].hi >= n })
+}
+
+func (s spans) has(n uint64) bool {
+	i := s.find(n)
+	return i < len(s) && s[i].lo <= n
+}
+
+// add puts n, which s does not hold, in s.
+func (s *spans) add(n uint64) {
+	v := *s
+	i := v.find(n)
+	left := i > 0 && v[i-1].hi+1 == n
+	right := i < len(v) && v[i].lo-1 == n
+	switch {
+	case left && right:
+		v[i-1].hi = v[i].hi
+		v = slices.Delete(v, i, i+1)
+	case left:
+		v[i-1].hi = n
+	case right:
+		v[i].lo = n
+	default:
+		v = slices.Insert(v, i, span{n, n})
+	}
+	*s = v
 }
 
 // availabilityOracle checks liveness (§2.3): after the network heals, a host
@@ -280,24 +364,46 @@ func (o *availabilityOracle) judge(pr *probe, at time.Time) {
 }
 
 // auditOracle checks decision provenance (internal/audit), two ways at
-// once. Completeness: every decision event in the trace has exactly one
-// audit record — matched per host, in order, on (time, app, user) and on
-// the reason the event's note implies; when a bounded ring dropped
-// records, the retained suffix must still line up and the ring's accepted
-// total must equal the trace's decision count. Consistency: each record's
-// evidence must support its own reason under the scenario's parameters —
-// a cache hit must cite at least one granting manager and an entry
-// expiring within the revocation bound te (a stale-allow leak surfaces
-// here as a record citing an expired-but-within-Te grant whose residual
-// lifetime exceeds te), a quorum allow must cite C confirmations and a
-// granted te within the bound, a quorum deny must cite enough denials to
-// make C grants impossible, and a default-rule fallback must cite the
+// once, as the run goes. Completeness: every decision event has exactly one
+// audit record — its node's journal hands the oracle each record it accepts
+// (watchJournals), and the two streams are paired per node, first in, first
+// out, on (time, app, user) and on the reason the event's note implies; at
+// the end a node's decision events and records must be as many. Consistency:
+// each record's evidence must support its own reason under the scenario's
+// parameters — a cache hit must cite at least one granting manager and an
+// entry expiring within the revocation bound te (a stale-allow leak
+// surfaces here as a record citing an expired-but-within-Te grant whose
+// residual lifetime exceeds te), a quorum allow must cite C confirmations
+// and a granted te within the bound, a quorum deny must cite enough denials
+// to make C grants impossible, and a default-rule fallback must cite the
 // attempts that exhausted R (Figure 4).
+//
+// It keeps, per node, what one stream has that the other has not yet
+// matched, and the node's violations: they are reported node by node, the
+// journals in their order, then the nodes that decided with no journal.
 type auditOracle struct {
 	oracleState
 	te          time.Duration // max legal residual grant lifetime
 	quorum      int           // the policy's check quorum C
 	maxAttempts int           // the policy's attempt budget R
+
+	nodes map[wire.NodeID]*auditNode // nil: no journals, nothing judged
+	order []*auditNode               // journals in order, then nodes without one
+}
+
+// auditNode is one node's half-paired streams.
+type auditNode struct {
+	id          wire.NodeID
+	journal     *flight.Recorder     // nil: the node has none
+	events      queue[trace.Event]   // decision events awaiting their record
+	records     queue[flight.Record] // decision records awaiting their event
+	seen        uint64               // decision events so far
+	first, last time.Time            // the first and last decision event's time
+	viol        []Violation
+}
+
+func (n *auditNode) fail(at time.Time, format string, args ...any) {
+	n.viol = append(n.viol, Violation{Oracle: OracleAudit, At: at, Detail: fmt.Sprintf(format, args...)})
 }
 
 func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
@@ -307,6 +413,122 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 		quorum:      quorum,
 		maxAttempts: maxAttempts,
 	}
+}
+
+// watchJournals puts the oracle on every journal's record stream. With no
+// journals decision recording is off and the oracle judges nothing.
+func (o *auditOracle) watchJournals(journals []*flight.Recorder) {
+	for _, j := range journals {
+		n := o.node(wire.NodeID(j.Node()))
+		n.journal = j
+		j.SetSink(auditSink{o, n})
+	}
+}
+
+// node returns id's streams, adding them in order.
+func (o *auditOracle) node(id wire.NodeID) *auditNode {
+	if n := o.nodes[id]; n != nil {
+		return n
+	}
+	if o.nodes == nil {
+		o.nodes = make(map[wire.NodeID]*auditNode)
+	}
+	n := &auditNode{id: id}
+	o.nodes[id] = n
+	o.order = append(o.order, n)
+	return n
+}
+
+// auditSink is the oracle's sink on one node's journal.
+type auditSink struct {
+	o *auditOracle
+	n *auditNode
+}
+
+// Accept implements flight.Sink.
+func (s auditSink) Accept(r flight.Record) {
+	if r.Kind != flight.KindDecision {
+		return
+	}
+	n := s.n
+	if e, ok := n.events.pop(); ok {
+		s.o.judgeRecord(n, &r, e)
+		return
+	}
+	n.records.push(r)
+}
+
+// observe takes one event; decision events are paired with records.
+func (o *auditOracle) observe(e *trace.Event) {
+	if o.nodes == nil {
+		return
+	}
+	if _, ok := reasonForEvent(e); !ok {
+		return
+	}
+	n := o.node(e.Node)
+	if n.seen == 0 {
+		n.first = e.Time
+	}
+	n.seen++
+	n.last = e.Time
+	if n.journal == nil {
+		return
+	}
+	if r, ok := n.records.pop(); ok {
+		o.judgeRecord(n, r, e)
+		return
+	}
+	n.events.push(*e)
+}
+
+// finish counts each node's decision events against the decision records
+// its journal accepted, and gathers the violations.
+func (o *auditOracle) finish() {
+	for _, n := range o.order {
+		switch {
+		case n.journal == nil:
+			o.obs++
+			n.fail(n.first, "node %s made %d decisions but has no audit ring", n.id, n.seen)
+		case n.seen != n.journal.Decisions():
+			o.obs++
+			n.fail(n.last, "node %s: %d decision events in trace but %d audit records accepted",
+				n.id, n.seen, n.journal.Decisions())
+		}
+		o.viol = append(o.viol, n.viol...)
+	}
+}
+
+// held counts the events and records the oracle keeps unpaired.
+func (o *auditOracle) held() int {
+	h := 0
+	for _, n := range o.order {
+		h += n.events.len() + n.records.len()
+	}
+	return h
+}
+
+// queue is a first-in, first-out queue whose storage is reused once it
+// empties: the two streams of a node seldom differ by more than one.
+type queue[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *queue[T]) len() int { return len(q.items) - q.head }
+
+func (q *queue[T]) push(v T) { q.items = append(q.items, v) }
+
+// pop returns the oldest item, good until the next push.
+func (q *queue[T]) pop() (*T, bool) {
+	if q.head == len(q.items) {
+		return nil, false
+	}
+	v := &q.items[q.head]
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v, true
 }
 
 // reasonForEvent maps a decision event to the audit reason its type and
@@ -340,91 +562,24 @@ func reasonForEvent(e *trace.Event) (r flight.Reason, ok bool) {
 	return 0, false
 }
 
-// pass is sequencingOracle.pass for rings, one journal per node (per-node
-// drop accounting and record order are load-bearing). With no rings
-// decision recording was off and the pass judges nothing.
-func (o *auditOracle) pass(rings []*flight.Recorder) (observe func(*trace.Event), done func()) {
-	if len(rings) == 0 {
-		return func(*trace.Event) {}, func() {}
-	}
-	// A ring retains the newest suffix of its node's decisions: count it
-	// first, so the pass keeps, by value, only the events it pairs with.
-	type node struct {
-		skip, seen uint64        // decision events before the suffix; seen
-		last       time.Time     // the last one's time
-		evs        []trace.Event // the suffix's events
-	}
-	byNode := make(map[wire.NodeID]*node, len(rings))
-	for _, ring := range rings {
-		kept := uint64(0)
-		for r := range ring.All() {
-			if r.Kind == flight.KindDecision {
-				kept++
-			}
-		}
-		byNode[wire.NodeID(ring.Node())] = &node{skip: ring.Decisions() - kept, evs: make([]trace.Event, 0, kept)}
-	}
-	var orphans []wire.NodeID // nodes with decisions but no ring, first seen first
-	observe = func(e *trace.Event) {
-		if _, ok := reasonForEvent(e); !ok {
-			return
-		}
-		n := byNode[e.Node]
-		if n == nil {
-			n = &node{}
-			byNode[e.Node] = n
-			orphans = append(orphans, e.Node)
-		}
-		n.last = e.Time
-		if n.seen++; n.seen > n.skip {
-			n.evs = append(n.evs, *e)
-		}
-	}
-	return observe, func() {
-		for _, ring := range rings {
-			n, decisions := byNode[wire.NodeID(ring.Node())], ring.Decisions()
-			if n.seen == 0 && decisions == 0 {
-				continue
-			}
-			// Exact count: the ring's accepted total survives drops.
-			if decisions != n.seen {
-				o.obs++
-				o.fail(n.last, "node %s: %d decision events in trace but %d audit records accepted",
-					ring.Node(), n.seen, decisions)
-				continue
-			}
-			for r := range ring.All() {
-				if r.Kind == flight.KindDecision {
-					o.judgeRecord(r, &n.evs[0])
-					n.evs = n.evs[1:]
-				}
-			}
-		}
-		for _, id := range orphans {
-			o.obs++
-			o.fail(byNode[id].evs[0].Time, "node %s made %d decisions but has no audit ring", id, byNode[id].seen)
-		}
-	}
-}
-
 // judgeRecord checks one record against its paired trace event
 // (completeness) and against its own evidence (consistency).
-func (o *auditOracle) judgeRecord(r *flight.Record, e *trace.Event) {
+func (o *auditOracle) judgeRecord(n *auditNode, r *flight.Record, e *trace.Event) {
 	o.obs++
 	want, _ := reasonForEvent(e)
 	if r.App != string(e.App) || r.User != string(e.User) || !r.T.Equal(e.Time) {
-		o.fail(e.Time, "node %s: audit record (app=%s user=%s t=%s) does not match decision event (app=%s user=%s t=%s)",
+		n.fail(e.Time, "node %s: audit record (app=%s user=%s t=%s) does not match decision event (app=%s user=%s t=%s)",
 			r.Node, r.App, r.User, r.T.Format("15:04:05.000"),
 			e.App, e.User, e.Time.Format("15:04:05.000"))
 		return
 	}
 	if want != 0 && r.Reason != want {
-		o.fail(e.Time, "node %s: audit record says %s but trace event %s/%q implies %s",
+		n.fail(e.Time, "node %s: audit record says %s but trace event %s/%q implies %s",
 			r.Node, r.Reason, e.Type, e.Note(), want)
 		return
 	}
 	if r.Allowed != r.Reason.Allowed() {
-		o.fail(e.Time, "node %s: reason %s implies allowed=%v but record says %v",
+		n.fail(e.Time, "node %s: reason %s implies allowed=%v but record says %v",
 			r.Node, r.Reason, r.Reason.Allowed(), r.Allowed)
 		return
 	}
@@ -433,53 +588,53 @@ func (o *auditOracle) judgeRecord(r *flight.Record, e *trace.Event) {
 	switch r.Reason {
 	case flight.ReasonCacheHit:
 		if r.Granters < 1 {
-			o.fail(e.Time, "node %s: cache-hit allow for %s/%s cites no granting manager", r.Node, r.App, r.User)
+			n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites no granting manager", r.Node, r.App, r.User)
 		}
 		if !r.Expiry.IsZero() {
 			residual := r.Expiry.Sub(r.T)
 			if residual <= 0 {
-				o.fail(e.Time, "node %s: cache-hit allow for %s/%s cites an entry already expired %s earlier",
+				n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites an entry already expired %s earlier",
 					r.Node, r.App, r.User, -residual)
 			} else if o.te > 0 && residual > o.te {
-				o.fail(e.Time, "node %s: cache-hit allow for %s/%s cites a grant expiring %s after the decision, beyond the revocation bound te=%s (stale or inflated grant)",
+				n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites a grant expiring %s after the decision, beyond the revocation bound te=%s (stale or inflated grant)",
 					r.Node, r.App, r.User, residual, o.te)
 			}
 		}
 	case flight.ReasonQuorumAllow:
 		if o.quorum > 0 && !sys.Allows(quorum.First(r.Confirmations)) {
-			o.fail(e.Time, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
+			n.fail(e.Time, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
 				r.Node, r.App, r.User, r.Confirmations, o.quorum)
 		}
-		if n := countNames(r.Managers); n != r.Confirmations {
-			o.fail(e.Time, "node %s: quorum allow cites %d confirmations but names %d managers (%q)",
-				r.Node, r.Confirmations, n, r.Managers)
+		if named := countNames(r.Managers); named != r.Confirmations {
+			n.fail(e.Time, "node %s: quorum allow cites %d confirmations but names %d managers (%q)",
+				r.Node, r.Confirmations, named, r.Managers)
 		}
 		if o.te > 0 && r.Expire > o.te {
-			o.fail(e.Time, "node %s: quorum allow for %s/%s cites granted te=%s beyond the revocation bound te=%s (inflated grant)",
+			n.fail(e.Time, "node %s: quorum allow for %s/%s cites granted te=%s beyond the revocation bound te=%s (inflated grant)",
 				r.Node, r.App, r.User, r.Expire, o.te)
 		}
 		if r.Attempts < 1 {
-			o.fail(e.Time, "node %s: quorum allow with no query attempts", r.Node)
+			n.fail(e.Time, "node %s: quorum allow with no query attempts", r.Node)
 		}
 	case flight.ReasonQuorumDeny:
 		// Judged against M, not against how many were asked: one denial
 		// of one asked proves nothing while C of the rest could grant.
 		if r.Queried < 1 || int(r.Set) < r.Queried {
-			o.fail(e.Time, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
+			n.fail(e.Time, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
 		} else if r.Denials > r.Queried || !sys.Denies(quorum.First(r.Denials)) {
-			o.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
+			n.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
 				r.Node, r.App, r.User, r.Denials, r.Set, r.Queried, o.quorum)
 		}
 	case flight.ReasonDefaultAllow, flight.ReasonUnreachableDeny, flight.ReasonResolveAllow:
 		if o.maxAttempts > 0 && r.Attempts < o.maxAttempts {
-			o.fail(e.Time, "node %s: %s for %s/%s after only %d of %d attempts",
+			n.fail(e.Time, "node %s: %s for %s/%s after only %d of %d attempts",
 				r.Node, r.Reason, r.App, r.User, r.Attempts, o.maxAttempts)
 		}
 	case flight.ReasonResolveDeny:
 		// Attempts == 0 is legal only for the degenerate no-name-service
 		// deny; a resolve-timeout deny must have exhausted R.
 		if o.maxAttempts > 0 && r.Attempts != 0 && r.Attempts < o.maxAttempts {
-			o.fail(e.Time, "node %s: resolve deny for %s/%s after only %d of %d attempts",
+			n.fail(e.Time, "node %s: resolve deny for %s/%s after only %d of %d attempts",
 				r.Node, r.App, r.User, r.Attempts, o.maxAttempts)
 		}
 	}

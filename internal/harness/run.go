@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wanac/internal/core"
+	"wanac/internal/flight"
 	"wanac/internal/sim"
 	"wanac/internal/simnet"
 	"wanac/internal/wire"
@@ -66,17 +67,15 @@ func worldConfig(sc Scenario) sim.Config {
 			Duplicate: p.Duplicate,
 			Seed:      sc.Seed,
 		},
-		// Every harness world flies with flight recording on, so a failing
-		// seed explains itself: the dump's window keeps a full scenario's
-		// records per node at harness scale. Each node's journal keeps its
-		// decisions at the same scale so the audit-completeness oracle sees
-		// every decision's provenance.
-		FlightRing: flightRing,
-		AuditRing:  auditRing,
+		// Each node's journal keeps its decisions at harness scale: a
+		// failing seed's flight dump shows every decision's provenance.
+		AuditRing: auditRing,
 	}
 }
 
-// flightRing is the flight dump's per-node window for harness runs.
+// flightRing is the flight dump's per-node window for harness runs: the
+// replay that makes a failing seed's dump keeps a full scenario's records
+// per node at harness scale, so the seed explains itself.
 const flightRing = 8192
 
 // auditRing is the per-node decisions window for harness runs.
@@ -88,14 +87,24 @@ func userID(i int) wire.UserID { return wire.UserID(fmt.Sprintf("u%d", i)) }
 // oracles saw. The execution is a pure function of (scenario, options):
 // replaying the same pair reproduces the identical result.
 func RunScenario(sc Scenario, opt Options) (*Result, error) {
+	res, _, err := runScenario(sc, opt, 0)
+	return res, err
+}
+
+// runScenario is RunScenario, returning its runner too, with the world
+// keeping its trace log for a flight dump of ring records per node when
+// ring > 0.
+func runScenario(sc Scenario, opt Options, ring int) (*Result, *Runner, error) {
 	p := sc.Params
 	users := make([]wire.UserID, p.Users)
 	for i := range users {
 		users[i] = userID(i)
 	}
-	r, err := NewRunner("seed"+strconv.FormatInt(sc.Seed, 10), worldConfig(sc), opt, p.CacheLimit, users)
+	cfg := worldConfig(sc)
+	cfg.FlightRing = ring
+	r, err := NewRunner("seed"+strconv.FormatInt(sc.Seed, 10), cfg, opt, p.CacheLimit, users)
 	if err != nil {
-		return nil, fmt.Errorf("harness: build world for seed %d: %w", sc.Seed, err)
+		return nil, nil, fmt.Errorf("harness: build world for seed %d: %w", sc.Seed, err)
 	}
 	res := &Result{Scenario: sc}
 
@@ -110,8 +119,17 @@ func RunScenario(sc Scenario, opt Options) (*Result, error) {
 	for _, e := range sc.Events {
 		r.W.Sched.After(e.At, func() { r.exec(e, agent) })
 	}
-	res.Outcome = r.Run(p.Horizon, nil)
-	return res, nil
+	var replay func() *flight.Dump
+	if ring == 0 {
+		replay = func() *flight.Dump {
+			if res, _, err := runScenario(sc, opt, flightRing); err == nil {
+				return res.FlightDump()
+			}
+			return nil
+		}
+	}
+	res.Outcome = r.Run(p.Horizon, nil, replay)
+	return res, r, nil
 }
 
 // exec dispatches one scheduled event. It runs inside a scheduler callback.

@@ -66,22 +66,32 @@ type Outcome struct {
 	// Violations are all invariant breaches, grouped by oracle in report
 	// order, detection order within each.
 	Violations []Violation
-	// Flight is the merged multi-node flight dump captured when an oracle
-	// fired (nil on clean runs): every node's recent protocol, quorum, and
-	// injection history, with one mark record per violation. Write it out
-	// with WriteFlightArtifact and render it with acaudit -timeline.
-	Flight *flight.Dump
 	// FlightPath is where WriteFlightArtifact stored the dump ("" until
 	// written).
 	FlightPath string
 	// Net are the simulated network's delivery counters.
 	Net simnet.Counters
 
-	label string // names the run's flight artifact
+	label  string              // names the run's flight artifact
+	dump   *flight.Dump        // see FlightDump
+	replay func() *flight.Dump // see Runner.Run
 }
 
 // Failed reports whether any oracle fired.
 func (o *Outcome) Failed() bool { return len(o.Violations) > 0 }
+
+// FlightDump returns the merged multi-node flight dump of a failed run, nil
+// for a clean one: every node's recent protocol, quorum, and injection
+// history, with one mark record per violation. Write it out with
+// WriteFlightArtifact and render it with acaudit -timeline. A run judged
+// online keeps no trace log, so the first call replays it with the log kept:
+// the simulator is deterministic, and the replay is the same run.
+func (o *Outcome) FlightDump() *flight.Dump {
+	if o.dump == nil && o.replay != nil && o.Failed() {
+		o.dump, o.replay = o.replay(), nil
+	}
+	return o.dump
+}
 
 // WriteFlightArtifact persists a failed run's flight dump as
 // wanac-flight-<label>.jsonl, the label given to NewRunner, so reruns
@@ -89,7 +99,8 @@ func (o *Outcome) Failed() bool { return len(o.Violations) > 0 }
 // set (created if needed), else the system temp directory. The path is
 // recorded in FlightPath; a run without a dump is a no-op.
 func (o *Outcome) WriteFlightArtifact() (string, error) {
-	if o.Flight == nil {
+	dump := o.FlightDump()
+	if dump == nil {
 		return "", nil
 	}
 	dir := os.Getenv("WANAC_ARTIFACTS")
@@ -103,7 +114,7 @@ func (o *Outcome) WriteFlightArtifact() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if err := o.Flight.Write(f); err != nil {
+	if err := dump.Write(f); err != nil {
 		f.Close()
 		return "", err
 	}
@@ -114,12 +125,13 @@ func (o *Outcome) WriteFlightArtifact() (string, error) {
 	return path, nil
 }
 
-// Runner replays one driver's schedule against a sim.World and judges it:
-// it keeps the model of the latest admin state per user that the oracles
-// judge against, maintained from quorum callbacks, and owns the five
-// oracles. Two drivers script it — the seeded generator (RunScenario) and
-// the scenario catalog (internal/scenario). Everything they schedule runs
-// inside scheduler callbacks, so only async node APIs may be used on W.
+// Runner replays one driver's schedule against a sim.World and judges it
+// as it runs: it keeps the model of the latest admin state per user that
+// the oracles judge against, maintained from quorum callbacks, and owns the
+// five oracles, which are the world's tracer and its journals' sink. Two
+// drivers script it — the seeded generator (RunScenario) and the scenario
+// catalog (internal/scenario). Everything they schedule runs inside
+// scheduler callbacks, so only async node APIs may be used on W.
 type Runner struct {
 	// W is the world under test.
 	W *sim.World
@@ -156,15 +168,25 @@ type Runner struct {
 // NewRunner builds the world cfg describes with opt's bugs injected and
 // every host cache bounded to cacheLimit entries (0 = unbounded). cfg.Users
 // start granted; users are the candidates for post-heal availability probes,
-// first eligible first. label names the run's flight artifact.
+// first eligible first. label names the run's flight artifact. The oracles
+// take the nodes' events (cfg.Tracer) and their journals' records as the
+// run emits them, so the world keeps a trace log only when cfg.FlightRing
+// asks for a flight dump.
 func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users []wire.UserID) (*Runner, error) {
 	if opt.InflateTe {
 		cfg.Te *= 10
 	}
+	p := cfg.Policy
+	// With the adaptive-Te controller on, managers may legally widen grant
+	// expiry up to AdaptiveTe.Max: that cap, not the base Te, is the bound
+	// the run is held to.
+	judge := newOracles(max(p.Te, cfg.Overload.AdaptiveTe.Max), p.QueryTimeout, cacheLimit, p.CheckQuorum, p.MaxAttempts)
+	cfg.Tracer = judge
 	w, err := sim.Build(cfg)
 	if err != nil {
 		return nil, err
 	}
+	judge.aud.watchJournals(w.Journals)
 	if opt.DropRevokeNotices {
 		w.Net.Filter = func(_, _ wire.NodeID, msg wire.Message) bool {
 			_, isNotice := msg.(wire.RevokeNotice)
@@ -180,7 +202,6 @@ func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users 
 	if retry == 0 {
 		retry = core.DefaultUpdateRetry
 	}
-	p := cfg.Policy
 	r := &Runner{
 		W:          w,
 		users:      users,
@@ -190,11 +211,8 @@ func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users 
 		lastReset:  make([]time.Time, cfg.Hosts),
 		probeDelay: 3 * retry,
 		start:      w.Sched.Now(),
-		// With the adaptive-Te controller on, managers may legally widen
-		// grant expiry up to AdaptiveTe.Max: that cap, not the base Te, is
-		// the bound the run is held to.
-		oracles: newOracles(max(p.Te, cfg.Overload.AdaptiveTe.Max), p.QueryTimeout, cacheLimit, p.CheckQuorum, p.MaxAttempts),
-		out:     Outcome{label: label},
+		oracles:    judge,
+		out:        Outcome{label: label},
 	}
 	for _, u := range cfg.Users {
 		r.grantedAt[u] = r.start
@@ -204,9 +222,13 @@ func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users 
 
 // Run schedules a cache sweep every 15 s through horizon plus Settle, calls
 // start (the driver's last setup step; may be nil), runs the world to the
-// end and judges it. Equal-time events run in scheduling order, so a driver
-// schedules its own setup before calling Run.
-func (r *Runner) Run(horizon time.Duration, start func()) Outcome {
+// end and judges what only the end shows. Equal-time events run in
+// scheduling order, so a driver schedules its own setup before calling Run.
+//
+// A failed run whose world kept its trace log makes its flight dump now.
+// Otherwise replay, when not nil, makes it on demand (Outcome.FlightDump):
+// it reruns the driver with cfg.FlightRing set and returns that run's dump.
+func (r *Runner) Run(horizon time.Duration, start func(), replay func() *flight.Dump) Outcome {
 	for at := 15 * time.Second; at <= horizon+Settle; at += 15 * time.Second {
 		r.W.Sched.After(at, r.sweepCaches)
 	}
@@ -216,7 +238,7 @@ func (r *Runner) Run(horizon time.Duration, start func()) Outcome {
 	w := r.W
 	w.RunFor(horizon + Settle)
 
-	r.oracles.judgeLog(w.Tracer.All(), w.Journals)
+	r.oracles.finish()
 	for _, m := range w.Managers {
 		r.sampleTe(m)
 	}
@@ -224,8 +246,11 @@ func (r *Runner) Run(horizon time.Duration, start func()) Outcome {
 	out.Oracles = r.oracles.reports()
 	out.Violations = r.oracles.violations()
 	out.Net = w.Net.Stats()
-	if out.Failed() {
-		out.Flight = markedFlightDump(w, out.Violations)
+	switch {
+	case out.Failed() && w.Tracer != nil:
+		out.dump = markedFlightDump(w, out.Violations)
+	case out.Failed():
+		out.replay = replay
 	}
 	return out
 }

@@ -79,10 +79,10 @@ func RunSeeds(firstSeed, n int64, opt Options, minimizeBudget int, progress func
 				for _, e := range minimized.Events {
 					fail.MinimizedEvents = append(fail.MinimizedEvents, e.String())
 				}
-				// Re-run the minimized schedule so the embedded flight dump
-				// records exactly the counterexample the report ships, not the
-				// noisier original.
-				if minRes, err := RunScenario(minimized, opt); err == nil && minRes.Failed() && minRes.Flight != nil {
+				// Re-run the minimized schedule, keeping its log, so the
+				// embedded flight dump records exactly the counterexample the
+				// report ships, not the noisier original.
+				if minRes, _, err := runScenario(minimized, opt, flightRing); err == nil && minRes.FlightDump() != nil {
 					dumpRes = minRes
 				}
 			}

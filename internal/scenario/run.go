@@ -17,10 +17,11 @@ import (
 )
 
 const (
-	// flightRing is the flight dump's window: the records it keeps per node.
+	// flightRing is the flight dump's window: the records it keeps per node
+	// in the replay that makes a failed run's dump.
 	flightRing = 4096
-	// auditRing sizes each node's decisions window so the
-	// audit-completeness oracle rarely sees drops.
+	// auditRing sizes each node's decisions window: what the transcript's
+	// record and drop counts read, and what a failed run's dump shows.
 	auditRing = 8192
 	// minRate floors the arrival rate so the sampler never divides by zero.
 	minRate = 0.05
@@ -152,6 +153,17 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 	if seed == 0 {
 		seed = sc.Seed
 	}
+	r, err := run(sc, seed, 0)
+	if err != nil {
+		return nil, err
+	}
+	return r.res, nil
+}
+
+// run is Run for a valid scenario and a seed, returning its runtime, with
+// the world keeping its trace log for a flight dump of ring records per node
+// when ring > 0.
+func run(sc *Scenario, seed int64, ring int) (*runtime, error) {
 	pop := sc.Population.withDefaults()
 	users := pop.AuthorizedUsers()
 	matrix := sc.Topology.Matrix()
@@ -173,7 +185,7 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 		Overload:        sc.Overload,
 		ManagerCapacity: sc.Capacity,
 		Telemetry:       reg,
-		FlightRing:      flightRing,
+		FlightRing:      ring,
 		AuditRing:       auditRing,
 	}, sc.Break, sc.CacheLimit, users)
 	if err != nil {
@@ -205,14 +217,23 @@ func Run(sc *Scenario, seed int64) (*Result, error) {
 			hr.W.Sched.After(at, func() { r.churnOnce() })
 		}
 	}
+	var replay func() *flight.Dump
+	if ring == 0 {
+		replay = func() *flight.Dump {
+			if rr, err := run(sc, seed, flightRing); err == nil {
+				return rr.res.FlightDump()
+			}
+			return nil
+		}
+	}
 	res := r.res
-	res.Outcome = r.Run(sc.Duration, r.nextArrival)
+	res.Outcome = r.Run(sc.Duration, r.nextArrival, replay)
 	res.RevocationLagP99 = p99(res.RevocationLags)
 	res.SubmitLagP99 = p99(res.SubmitLags)
 	r.gatherOverload()
 	r.gatherAudit(reg)
 	r.gatherSLO(engine)
-	return res, nil
+	return r, nil
 }
 
 func (r *runtime) now() time.Time { return r.W.Sched.Now() }

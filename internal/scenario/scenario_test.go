@@ -213,7 +213,7 @@ func TestStaleAllowDemo(t *testing.T) {
 	if staleGrant == 0 {
 		t.Fatalf("no audit record cited a grant beyond the revocation bound; got %+v", res.Violations)
 	}
-	if res.Flight == nil {
+	if res.FlightDump() == nil {
 		t.Fatal("failed run produced no flight dump")
 	}
 	path, err := res.WriteFlightArtifact()

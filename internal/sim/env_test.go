@@ -6,6 +6,7 @@ import (
 
 	"wanac/internal/core"
 	"wanac/internal/simnet"
+	"wanac/internal/trace"
 	"wanac/internal/vclock"
 	"wanac/internal/wire"
 )
@@ -61,7 +62,7 @@ func TestDriftingEnvTimerReset(t *testing.T) {
 		Managers: 3, Hosts: 1,
 		Policy:         core.Policy{CheckQuorum: 2, QueryTimeout: time.Second, MaxAttempts: 3},
 		HostClockRates: []float64{0.5},
-		NoTrace:        true,
+		Tracer:         trace.Nop{},
 	})
 	if err != nil {
 		t.Fatal(err)

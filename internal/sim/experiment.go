@@ -10,6 +10,7 @@ import (
 
 	"wanac/internal/core"
 	"wanac/internal/quorum"
+	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
 
@@ -64,7 +65,7 @@ func trialConfig(p TrialParams, hosts int) Config {
 		Users:            []wire.UserID{"u"},
 		MaxUpdateRetries: 1, // the partition pattern is static per trial
 		UpdateRetry:      trialQueryTimeout,
-		NoTrace:          true, // trials inspect decisions, not traces
+		Tracer:           trace.Nop{}, // trials inspect decisions, not traces
 	}
 }
 

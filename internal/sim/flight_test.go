@@ -9,6 +9,7 @@ import (
 	"wanac/internal/clitest"
 	"wanac/internal/core"
 	"wanac/internal/flight"
+	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
 
@@ -46,12 +47,12 @@ func TestFlightDumpMergesAllNodes(t *testing.T) {
 	}
 }
 
-// TestFlightDisabled checks there is no flight dump under NoTrace or when
-// FlightRing is zero.
+// TestFlightDisabled checks there is no flight dump under a no-op tracer or
+// when FlightRing is zero.
 func TestFlightDisabled(t *testing.T) {
 	for _, cfg := range []Config{
 		{Managers: 1, Policy: core.Policy{CheckQuorum: 1}},
-		{Managers: 1, Policy: core.Policy{CheckQuorum: 1}, NoTrace: true, FlightRing: 64},
+		{Managers: 1, Policy: core.Policy{CheckQuorum: 1}, Tracer: trace.Nop{}, FlightRing: 64},
 	} {
 		w, err := Build(cfg)
 		if err != nil {

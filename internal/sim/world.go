@@ -57,11 +57,13 @@ type Config struct {
 	Net simnet.Config
 	// Application, when non-nil, is installed on every host.
 	Application core.Application
-	// NoTrace builds the world with a no-op tracer: nodes build and record
-	// no events. Monte Carlo trials set it — they only inspect decisions and
-	// replies, and tracing is pure overhead on their hot path. World.Tracer
-	// is nil when NoTrace is set.
-	NoTrace bool
+	// Tracer receives every node's protocol events. nil means a
+	// trace.Collector that keeps them all, World.Tracer; any other tracer
+	// takes them instead, and World.Tracer is nil unless FlightRing is set.
+	// trace.Nop{} builds nodes that build and record no events: Monte Carlo
+	// trials set it — they only inspect decisions and replies, and tracing
+	// is pure overhead on their hot path.
+	Tracer trace.Tracer
 	// Telemetry, when non-nil, instruments every node against this registry
 	// with the same metric families the live acnode binary exports, plus
 	// simnet delivery counters. Reading the registry (WritePrometheus) is
@@ -72,21 +74,24 @@ type Config struct {
 	// window: the dump keeps each node's last FlightRing protocol records,
 	// read from the trace log, and a "net" pseudo-node journal with windows
 	// of that size captures topology injections on the scheduler's clock.
-	// Ignored under NoTrace (protocol records are built from trace events).
+	// The log is World.Tracer, a Collector that records beside Tracer when
+	// one is given. Ignored under trace.Nop{}.
 	FlightRing int
 	// AuditRing, when > 0, attaches a journal whose decisions window holds
 	// that many records to every node (internal/flight): hosts record one
 	// entry per decision, managers one per query verdict, each stamped by
-	// the node's own clock. Independent of NoTrace — decision records are
+	// the node's own clock. Independent of Tracer — decision records are
 	// emitted directly, not derived from trace events. See World.Journals.
 	AuditRing int
 }
 
 // World is a fully wired simulated deployment.
 type World struct {
-	Cfg      Config
-	Sched    *simnet.Scheduler
-	Net      *simnet.Network
+	Cfg   Config
+	Sched *simnet.Scheduler
+	Net   *simnet.Network
+	// Tracer is the trace log: every event the nodes emitted, kept unless
+	// Config.Tracer took them instead (see Config.Tracer); nil then.
 	Tracer   *trace.Collector
 	Managers []*core.Manager
 	Hosts    []*core.Host
@@ -97,8 +102,8 @@ type World struct {
 	// Journals holds each node's journal, ordered by node id, when
 	// Config.AuditRing is set; nil otherwise. A node's journal keeps its
 	// decision records only: its protocol records are read from the trace
-	// log. The harness audit oracle reads each journal where it lies
-	// (flight.Recorder.All); drop accounting and record order are per node.
+	// log. The harness audit oracle takes each journal's records as it
+	// accepts them (flight.Recorder.SetSink).
 	Journals []*flight.Recorder
 
 	// netFlight records the network's injections when Config.FlightRing is
@@ -137,13 +142,11 @@ func Build(cfg Config) (*World, error) {
 
 	sched := simnet.NewScheduler()
 	net := simnet.New(sched, cfg.Net)
-	var (
-		collector *trace.Collector
-		tracer    trace.Tracer = trace.Nop{}
-	)
-	if !cfg.NoTrace {
+	var collector *trace.Collector
+	tracer := cfg.Tracer
+	if _, nop := tracer.(trace.Nop); tracer == nil || cfg.FlightRing > 0 && !nop {
 		collector = trace.NewCollector()
-		tracer = collector
+		tracer = tee(tracer, collector)
 	}
 	if cfg.Telemetry != nil {
 		tracer = telemetry.InstrumentTracer(cfg.Telemetry, tracer)
@@ -160,7 +163,7 @@ func Build(cfg Config) (*World, error) {
 	// Flight recording: FlightDump reads the nodes' records from the trace
 	// log; the network's injection observer feeds a "net" pseudo-node ring
 	// on the scheduler clock.
-	if cfg.FlightRing > 0 && !cfg.NoTrace {
+	if cfg.FlightRing > 0 && collector != nil {
 		w.netFlight = flight.NewRecorder("net", cfg.FlightRing, sched.Now)
 		w.clockRates = make(map[wire.NodeID]flight.Record)
 		net.Observer = func(ev simnet.NetEvent) {
@@ -278,6 +281,26 @@ func Build(cfg Config) (*World, error) {
 	}
 	sort.Slice(w.Journals, func(i, j int) bool { return w.Journals[i].Node() < w.Journals[j].Node() })
 	return w, nil
+}
+
+// tee returns a tracer handing each event to first, if not nil, then to
+// log.
+func tee(first trace.Tracer, log *trace.Collector) trace.Tracer {
+	if first == nil {
+		return log
+	}
+	return teeTracer{first, log}
+}
+
+type teeTracer struct {
+	first trace.Tracer
+	log   *trace.Collector
+}
+
+// Emit implements trace.Tracer.
+func (t teeTracer) Emit(e trace.Event) {
+	t.first.Emit(e)
+	t.log.Emit(e)
 }
 
 // registerNetCounters exposes the simulated network's delivery counters as
