@@ -8,10 +8,12 @@ package wanac
 // invokes its callback directly and builds its one ring record in place, so
 // it allocates nothing with any combination of observers — the ring writes
 // checks are made of, the two halves of a cold check: a manager serving a query
-// and a host taking a round to quorum, a whole cold check over loopback TCP
-// (9 objects), the events a node emits while shedding load, a simulated
-// revocation and re-grant and the same split by stage, and what a world costs
-// to build before it has recorded anything.
+// and a host taking a round to quorum, each on an Env that boxes what it sends
+// (1 object) and on one with core.CheckSender (none), a whole cold check over
+// loopback TCP (9 objects) and in the simulator (none), the events a node
+// emits while shedding load, a simulated shed query, a simulated revocation
+// and re-grant and the same split by stage, and what a world costs to build
+// before it has recorded anything.
 //
 // A ring allocates its slots as records arrive, a dozen allocations on the
 // way to its capacity and none after. AllocsPerRun reports whole objects per
@@ -213,7 +215,8 @@ func TestWorldBuildByteBudget(t *testing.T) {
 // stubEnv is the smallest core.Env: a settable clock, a Send that keeps the
 // last query, timers that fire only when the test calls fire with the last
 // one's callback — or, with afterFunc, real time.AfterFunc timers that tests
-// make too long to fire.
+// make too long to fire. Its nodes box every message they send, as on the
+// live transports.
 type stubEnv struct {
 	now       time.Time
 	query     wire.Query
@@ -239,13 +242,22 @@ func (e *stubEnv) SetTimer(d time.Duration, fn func()) core.TimerHandle {
 	return stubTimer{}
 }
 
+// typedEnv is stubEnv with core.CheckSender, as the simulator's Env has it:
+// a check's messages are lent to the Env, so its nodes box none of them.
+type typedEnv struct{ *stubEnv }
+
+func (e typedEnv) SendQuery(_ wire.NodeID, q *wire.Query) { e.query = *q }
+func (typedEnv) SendResponse(wire.NodeID, *wire.Response) {}
+func (typedEnv) SendBusy(wire.NodeID, *wire.Busy)         {}
+
 // TestEventEmissionAllocationBudget pins what emitting a protocol event costs
 // on the two paths a node walks while shedding load, under each observer
 // set a deployment runs: acnode's (the telemetry bridge over a journal tee,
 // the journal taking decisions too) and the simulator's warm trace.Collector. A shed query
-// allocates exactly its Busy reply, boxed for Send. A host's backoff cycle —
-// a Busy reply that parks its check, then the timer that resumes it with a
-// new round — allocates exactly the round's boxed Query, so the backoff
+// allocates its Busy reply, boxed for Send, and nothing on an Env with
+// core.CheckSender. A host's backoff cycle — a Busy reply that parks its
+// check, then the timer that resumes it with a new round — allocates the
+// round's Query, boxed for Send, and nothing on a typed Env, so the backoff
 // allocates nothing. An event's detail is a peer, a word and a number, so
 // emitting one formats no text.
 func TestEventEmissionAllocationBudget(t *testing.T) {
@@ -260,79 +272,120 @@ func TestEventEmissionAllocationBudget(t *testing.T) {
 		{"collector", func(string, *stubEnv) trace.Tracer { return trace.NewCollector() }, false},
 	} {
 		t.Run(obs.name, func(t *testing.T) {
-			env := &stubEnv{now: time.Unix(1000, 0)}
-			m := core.NewManager("m0", env, obs.tracer("m0", env), nil)
-			if err := m.AddApp("app", core.ManagerAppConfig{
-				Peers: []wire.NodeID{"m0"}, CheckQuorum: 1, Te: time.Minute,
-				Overload: core.OverloadConfig{RateLimit: core.RateLimitConfig{AppRPS: 1, AppBurst: 1}},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var q wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
-			if obs.aud {
-				core.InstrumentManager(telemetry.NewRegistry(), flight.NewRecorder("m0", 64, nil), m)
-			}
-			m.HandleMessage("h0", q) // the bucket's one token; the clock never refills it
-			shed := testing.AllocsPerRun(500, func() { m.HandleMessage("h0", q) })
-			if st := m.Stats(); st.QueriesShed < 500 {
-				t.Fatalf("QueriesShed = %d, want >= 500", st.QueriesShed)
-			}
-			if shed != 1 {
-				t.Errorf("shed query allocates %.1f objects/op, want exactly 1 (the boxed Busy)", shed)
-			}
-
-			env = &stubEnv{now: time.Unix(1000, 0)}
-			h := core.NewHost("h0", env, obs.tracer("h0", env), nil)
-			if err := h.RegisterApp("app", core.HostAppConfig{
-				Managers: []wire.NodeID{"m0", "m1", "m2"},
-				Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if obs.aud {
-				core.InstrumentHost(telemetry.NewRegistry(), flight.NewRecorder("h0", 64, nil), h)
-			}
-			h.Check("app", "u", wire.RightUse, func(core.Decision) { t.Error("a parked check was decided") })
-			cycle := func() {
-				h.HandleMessage("m0", wire.Busy{App: "app", Nonce: env.query.Nonce, RetryAfter: time.Second})
-				env.fire()
-			}
-			cycle()
-			allocs := testing.AllocsPerRun(500, cycle)
-			if st := h.Stats(); st.Backoffs < 500 {
-				t.Fatalf("Backoffs = %d, want >= 500", st.Backoffs)
-			}
-			if allocs != 1 {
-				t.Errorf("backoff cycle allocates %.1f objects/op, want exactly 1 (the new round's boxed Query)", allocs)
+			for _, typed := range []bool{false, true} {
+				emissionBudget(t, obs.tracer, obs.aud, typed)
 			}
 		})
 	}
 }
 
+// emissionBudget is one of TestEventEmissionAllocationBudget's observer
+// sets, on a boxing or a typed Env.
+func emissionBudget(t *testing.T, tracer func(node string, env *stubEnv) trace.Tracer, aud, typed bool) {
+	name, want, what := "boxed", 1.0, "the boxed "
+	if typed {
+		name, want, what = "typed", 0, "nothing, not "
+	}
+	t.Run(name, func(t *testing.T) {
+		stub := &stubEnv{now: time.Unix(1000, 0)}
+		env := stubOrTyped(stub, typed)
+		m := core.NewManager("m0", env, tracer("m0", stub), nil)
+		if err := m.AddApp("app", core.ManagerAppConfig{
+			Peers: []wire.NodeID{"m0"}, CheckQuorum: 1, Te: time.Minute,
+			Overload: core.OverloadConfig{RateLimit: core.RateLimitConfig{AppRPS: 1, AppBurst: 1}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		q := wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
+		var boxed wire.Message = q
+		query := func() { m.HandleMessage("h0", boxed) }
+		if typed {
+			query = func() { m.HandleQuery("h0", &q) }
+		}
+		if aud {
+			core.InstrumentManager(telemetry.NewRegistry(), flight.NewRecorder("m0", 64, nil), m)
+		}
+		query() // the bucket's one token; the clock never refills it
+		shed := testing.AllocsPerRun(500, query)
+		if st := m.Stats(); st.QueriesShed < 500 {
+			t.Fatalf("QueriesShed = %d, want >= 500", st.QueriesShed)
+		}
+		if shed != want {
+			t.Errorf("shed query allocates %.1f objects/op, want exactly %.0f (%sBusy)", shed, want, what)
+		}
+
+		stub = &stubEnv{now: time.Unix(1000, 0)}
+		h := core.NewHost("h0", stubOrTyped(stub, typed), tracer("h0", stub), nil)
+		if err := h.RegisterApp("app", core.HostAppConfig{
+			Managers: []wire.NodeID{"m0", "m1", "m2"},
+			Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if aud {
+			core.InstrumentHost(telemetry.NewRegistry(), flight.NewRecorder("h0", 64, nil), h)
+		}
+		h.Check("app", "u", wire.RightUse, func(core.Decision) { t.Error("a parked check was decided") })
+		cycle := func() {
+			b := wire.Busy{App: "app", Nonce: stub.query.Nonce, RetryAfter: time.Second}
+			if typed {
+				h.HandleBusy("m0", &b)
+			} else {
+				h.HandleMessage("m0", b)
+			}
+			stub.fire()
+		}
+		cycle()
+		allocs := testing.AllocsPerRun(500, cycle)
+		if st := h.Stats(); st.Backoffs < 500 {
+			t.Fatalf("Backoffs = %d, want >= 500", st.Backoffs)
+		}
+		if allocs != want {
+			t.Errorf("backoff cycle allocates %.1f objects/op, want exactly %.0f (%snew round's Query)", allocs, want, what)
+		}
+	})
+}
+
+// stubOrTyped is stub, as typedEnv when typed.
+func stubOrTyped(stub *stubEnv, typed bool) core.Env {
+	if typed {
+		return typedEnv{stub}
+	}
+	return stub
+}
+
 // TestManagerQueryAllocationBudget pins a served query — trace events and a
 // response record into a journal, the host already in the user's record —
-// at the one object it cannot avoid: the Response boxed for Send. The
-// verdict, the grant bookkeeping, the served note and the response record
-// allocate nothing.
+// at the one object a boxing Env cannot avoid: the Response boxed for Send.
+// On an Env with core.CheckSender it allocates nothing. The verdict, the
+// grant bookkeeping, the served note and the response record allocate
+// nothing.
 func TestManagerQueryAllocationBudget(t *testing.T) {
-	env := &stubEnv{now: time.Unix(1000, 0)}
-	j := flight.NewRecorder("m0", 64, nil)
-	m := core.NewManager("m0", env, flight.Tee(j, nil), nil)
-	if err := m.AddApp("app", core.ManagerAppConfig{
-		Peers: []wire.NodeID{"m0", "m1", "m2"}, CheckQuorum: 2, Te: time.Minute,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	m.Seed("app", "u", wire.RightUse)
-	m.SetAudit(j)
-	var q wire.Message = wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
-	m.HandleMessage("h0", q)
-	allocs := testing.AllocsPerRun(500, func() { m.HandleMessage("h0", q) })
-	if allocs > 1 {
-		t.Errorf("served query allocates %.1f objects/op, budget is 1 (the boxed Response)", allocs)
-	}
-	if st := m.Stats(); st.QueriesServed < 500 {
-		t.Errorf("QueriesServed = %d, want >= 500", st.QueriesServed)
+	for _, typed := range []bool{false, true} {
+		stub := &stubEnv{now: time.Unix(1000, 0)}
+		j := flight.NewRecorder("m0", 64, nil)
+		m := core.NewManager("m0", stubOrTyped(stub, typed), flight.Tee(j, nil), nil)
+		if err := m.AddApp("app", core.ManagerAppConfig{
+			Peers: []wire.NodeID{"m0", "m1", "m2"}, CheckQuorum: 2, Te: time.Minute,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.Seed("app", "u", wire.RightUse)
+		m.SetAudit(j)
+		q := wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
+		var boxed wire.Message = q
+		query, want := func() { m.HandleMessage("h0", boxed) }, 1.0
+		if typed {
+			query, want = func() { m.HandleQuery("h0", &q) }, 0
+		}
+		query()
+		allocs := testing.AllocsPerRun(500, query)
+		if allocs != want {
+			t.Errorf("typed=%v: served query allocates %.1f objects/op, want exactly %.0f", typed, allocs, want)
+		}
+		if st := m.Stats(); st.QueriesServed < 500 {
+			t.Errorf("QueriesServed = %d, want >= 500", st.QueriesServed)
+		}
 	}
 }
 
@@ -347,22 +400,30 @@ func TestManagerQueryAllocationBudget(t *testing.T) {
 // handles cannot be re-armed, each round takes a fresh SetTimer handle that
 // costs nothing.
 func TestColdCheckAllocationBudget(t *testing.T) {
-	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0)})
+	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0)}, false)
 }
 
 // TestColdCheckAllocationBudgetResetTimer is the same budget on the live
 // transports' timers: a check re-arms its one *time.Timer with Reset, so a
 // round sets no new timer. The timers are an hour long and never fire.
 func TestColdCheckAllocationBudgetResetTimer(t *testing.T) {
-	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0), afterFunc: true})
+	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0), afterFunc: true}, false)
+}
+
+// TestColdCheckAllocationBudgetTyped is the same round on an Env with
+// core.CheckSender, the Responses handed to HandleResponse as the simulator
+// hands them: nothing is boxed, so the round allocates nothing.
+func TestColdCheckAllocationBudgetTyped(t *testing.T) {
+	coldRoundBudget(t, &stubEnv{now: time.Unix(1000, 0)}, true)
 }
 
 // TestSimColdCheckAllocationBudget pins a cold check in the simulator, where
 // the catalog and every oracle verdict run: a 3-manager, 1-host world whose
 // managers serve through the capacity model, one check at C = 2 per run,
-// each finding its grant expired. The three objects are the messages boxed
-// for sending — the Query and two Responses. The round's timer is re-armed,
-// and deliveries and service completions are pooled events.
+// each finding its grant expired. It allocates nothing: the Query and the
+// two Responses ride the network's pooled deliveries and capacity queues by
+// value, the round's timer is re-armed, and deliveries and service
+// completions are pooled events.
 func TestSimColdCheckAllocationBudget(t *testing.T) {
 	w, err := sim.Build(sim.Config{
 		Managers: 3, Hosts: 1,
@@ -389,13 +450,53 @@ func TestSimColdCheckAllocationBudget(t *testing.T) {
 	check()
 	check()
 	cold = 0
-	if allocs := testing.AllocsPerRun(500, check); allocs > 3 {
-		t.Errorf("simulated cold check allocates %.1f objects/op, budget is 3 (the boxed Query and Responses)", allocs)
+	if allocs := testing.AllocsPerRun(500, check); allocs != 0 {
+		t.Errorf("simulated cold check allocates %.1f objects/op, want exactly 0", allocs)
 	}
 	if cold < 500 {
 		t.Errorf("%d quorum allows, want >= 500 (checks not cold)", cold)
 	}
 }
+
+// TestSimShedAllocationBudget pins a simulated shed query: a manager behind
+// the capacity model, its one token spent, answers each Query from a host
+// with a Busy, and both ride the network by value to typed handlers, so a
+// shed allocates nothing.
+func TestSimShedAllocationBudget(t *testing.T) {
+	sched := simnet.NewScheduler()
+	net := simnet.New(sched, simnet.Config{Seed: 1})
+	m := core.NewManager("m0", sim.NewEnv("m0", net), trace.Nop{}, nil)
+	if err := m.AddApp("app", core.ManagerAppConfig{
+		Peers: []wire.NodeID{"m0"}, CheckQuorum: 1, Te: time.Minute,
+		Overload: core.OverloadConfig{RateLimit: core.RateLimitConfig{AppRPS: 1e-9, AppBurst: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	net.Attach("m0", m)
+	net.SetCapacity("m0", simnet.Capacity{ServiceTime: time.Millisecond})
+	host := &busyCounter{}
+	net.Attach("h0", host)
+	q := wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
+	query := func() {
+		net.SendQuery("h0", "m0", &q)
+		sched.Run(0)
+	}
+	query() // the bucket's one token
+	query()
+	allocs := testing.AllocsPerRun(500, query)
+	if st := m.Stats(); st.QueriesShed < 501 || host.busy < 501 {
+		t.Fatalf("%d queries shed and %d Busy replies delivered, want >= 501 each", st.QueriesShed, host.busy)
+	}
+	if allocs != 0 {
+		t.Errorf("simulated shed query allocates %.1f objects/op, want exactly 0", allocs)
+	}
+}
+
+// busyCounter is a simulated host that counts the Busy replies it is lent.
+type busyCounter struct{ busy int }
+
+func (c *busyCounter) HandleMessage(wire.NodeID, wire.Message) {}
+func (c *busyCounter) HandleBusy(wire.NodeID, *wire.Busy)      { c.busy++ }
 
 // TestTCPColdCheckAllocationBudget pins a cold check over loopback TCP end
 // to end: 3 managers and 1 host, each behind its own transport from Listen,
@@ -559,6 +660,89 @@ func TestLentResponseUser(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("a stale or forged Response allocates %.3f objects, want exactly 1 (its box)", allocs)
+	}
+}
+
+// TestLentCheckMessages hands a manager a Query and a host two Responses
+// through the typed handlers, the simulator's delivery, and overwrites each
+// struct once its handler returns, as the network's next use of a pooled
+// event does. Nothing a node keeps may point into them: the decision, the
+// host's cache, the manager's grant bookkeeping (which a revocation's notice
+// reads) and both journals still name the user and host the check was about.
+func TestLentCheckMessages(t *testing.T) {
+	const user, forged = "alice", "mallory"
+	net := &queueNet{now: time.Unix(1000, 0)}
+	hj, mj := flight.NewRecorder("h0", 256, nil), flight.NewRecorder("m0", 256, nil)
+	h := core.NewHost("h0", net.env("h0"), flight.Tee(hj, nil), nil)
+	if err := h.RegisterApp("app", core.HostAppConfig{
+		Managers: []wire.NodeID{"m0", "m1", "m2"},
+		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	h.SetAudit(hj)
+	m := core.NewManager("m0", net.env("m0"), flight.Tee(mj, nil), nil)
+	if err := m.AddApp("app", core.ManagerAppConfig{Peers: []wire.NodeID{"m0"}, CheckQuorum: 1, Te: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+	m.SetAudit(mj)
+	m.Seed("app", user, wire.RightUse)
+	m.Seed("app", "admin", wire.RightManage)
+
+	// take removes the first queued message to to.
+	take := func(to wire.NodeID) wire.Message {
+		for i, q := range net.queue {
+			if q.to == to {
+				net.queue = append(net.queue[:i], net.queue[i+1:]...)
+				return q.msg
+			}
+		}
+		t.Fatalf("nothing queued to %s", to)
+		return nil
+	}
+	var got []core.Decision
+	h.Check("app", user, wire.RightUse, func(d core.Decision) { got = append(got, d) })
+	lentQ := new(wire.Query)
+	*lentQ = take("m0").(wire.Query)
+	m.HandleQuery("h0", lentQ)
+	*lentQ = wire.Query{App: "app", User: forged, Right: wire.RightUse, Nonce: lentQ.Nonce + 1, Trace: 7}
+	resp := take("h0").(wire.Response)
+	for _, from := range []wire.NodeID{"m0", "m1"} {
+		lentR := new(wire.Response)
+		*lentR = resp
+		h.HandleResponse(from, lentR)
+		*lentR = wire.Response{App: "app", User: forged, Right: wire.RightUse, Nonce: resp.Nonce}
+	}
+	if len(got) != 1 || !got[0].Allowed || got[0].Confirmations != 2 {
+		t.Fatalf("decisions = %+v, want one quorum allow by 2", got)
+	}
+	if es := h.CacheSnapshot(); len(es) != 1 || es[0].User != user || h.CacheGranters("app", user, wire.RightUse) != 2 {
+		t.Errorf("cache = %+v, want one entry for %s vouched for by 2", es, user)
+	}
+
+	// The manager's vouch for h0 is what its revocation notifies.
+	m.Submit(wire.AdminOp{Op: wire.OpRevoke, App: "app", User: user, Right: wire.RightUse, Issuer: "admin"}, nil)
+	notice, ok := take("h0").(wire.RevokeNotice)
+	if !ok || notice.User != user {
+		t.Errorf("revocation sent h0 %+v, want a RevokeNotice for %s", notice, user)
+	}
+	kinds := map[flight.Kind]int{}
+	for _, j := range []*flight.Recorder{hj, mj} {
+		for _, r := range j.Snapshot() {
+			if r.Kind != flight.KindDecision && r.Kind != flight.KindResponse {
+				continue
+			}
+			kinds[r.Kind]++
+			if r.User != user {
+				t.Errorf("%s record %s names user %q, want %q", r.Kind, r.Type, r.User, user)
+			}
+			if r.Kind == flight.KindResponse && r.Peer != "h0" {
+				t.Errorf("response record names host %q, want h0", r.Peer)
+			}
+		}
+	}
+	if kinds[flight.KindDecision] != 1 || kinds[flight.KindResponse] != 1 {
+		t.Errorf("journals hold %v, want one decision and one response record", kinds)
 	}
 }
 
@@ -844,10 +1028,10 @@ func (n *queueNet) drain(around func(kind string, deliver func())) {
 	n.queue = n.queue[:0]
 }
 
-func coldRoundBudget(t *testing.T, env *stubEnv) {
+func coldRoundBudget(t *testing.T, env *stubEnv, typed bool) {
 	t.Helper()
 	j := flight.NewRecorder("h0", 64, nil)
-	h := core.NewHost("h0", env, flight.Tee(j, nil), nil)
+	h := core.NewHost("h0", stubOrTyped(env, typed), flight.Tee(j, nil), nil)
 	if err := h.RegisterApp("app", core.HostAppConfig{
 		Managers: []wire.NodeID{"m0", "m1", "m2"},
 		Policy:   core.Policy{CheckQuorum: 2, Te: time.Minute, QueryTimeout: time.Hour, MaxAttempts: 2},
@@ -866,15 +1050,24 @@ func coldRoundBudget(t *testing.T, env *stubEnv) {
 		h.Check("app", "u", wire.RightUse, cb)
 		q := env.query
 		resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Granted: true, Expire: time.Minute, Trace: q.Trace}
-		h.HandleMessage("m0", resp)
-		h.HandleMessage("m1", resp)
+		for _, from := range []wire.NodeID{"m0", "m1"} {
+			if typed {
+				h.HandleResponse(from, &resp)
+			} else {
+				h.HandleMessage(from, resp)
+			}
+		}
 	}
 	round()
 	round()
 	allowed = 0
 	allocs := testing.AllocsPerRun(500, round)
-	if allocs > 1 {
-		t.Errorf("cold round allocates %.1f objects/op, budget is 1 (the boxed Query)", allocs)
+	want, what := 1.0, "the boxed Query"
+	if typed {
+		want, what = 0, "nothing boxed"
+	}
+	if allocs != want {
+		t.Errorf("cold round allocates %.1f objects/op, want exactly %.0f (%s)", allocs, want, what)
 	}
 	if allowed < 500 {
 		t.Errorf("%d quorum allows, want >= 500 (rounds not cold)", allowed)

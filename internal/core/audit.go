@@ -71,7 +71,7 @@ func (h *Host) auditFinish(v *hostView, c *check, d Decision, reason flight.Reas
 // last ACL operation the verdict rests on (zero when no operation ever
 // touched the right). Called with m.mu held, only when a recorder is
 // installed. ma is nil for unknown-app verdicts.
-func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q wire.Query, reason flight.Reason) {
+func (m *Manager) auditResponse(ma *mgrApp, from wire.NodeID, q *wire.Query, reason flight.Reason) {
 	rec := flight.Record{
 		Kind:   flight.KindResponse,
 		T:      m.now,

@@ -44,6 +44,17 @@ type Env interface {
 	SetTimer(d time.Duration, fn func()) TimerHandle
 }
 
+// CheckSender is an optional upgrade of Env for the three messages of a
+// check (Figure 2): an Env that has it carries a Query, Response or Busy to
+// its peer without boxing it in a wire.Message. The message is lent
+// for the call; the Env copies what it keeps. NewHost and NewManager detect
+// the upgrade once, and Send stays what every Env must offer.
+type CheckSender interface {
+	SendQuery(to wire.NodeID, q *wire.Query)
+	SendResponse(to wire.NodeID, r *wire.Response)
+	SendBusy(to wire.NodeID, b *wire.Busy)
+}
+
 // Application is the wrapped application component of Figure 1: it sees
 // only messages the access control layer has admitted, and never needs to
 // perform its own access checks.

@@ -66,6 +66,10 @@ type Host struct {
 	// granters is grant's scratch for handing a check's confirming set to
 	// the cache in one Put.
 	granters []wire.NodeID
+	// query is the round ask is sending, built in place so that typed, the
+	// env's CheckSender (nil when it has none), is lent it without a box.
+	query wire.Query
+	typed CheckSender
 	// latency holds the decision latency histograms by outcome, nil until
 	// InstrumentHost (the cache hit's is derived from its count).
 	latency [outcomeCount]*telemetry.Histogram
@@ -180,9 +184,11 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 		tracer = trace.Nop{}
 	}
 	_, nop := tracer.(trace.Nop)
+	typed, _ := env.(CheckSender)
 	h := &Host{
 		id:        id,
 		env:       env,
+		typed:     typed,
 		tracer:    tracer,
 		tracing:   !nop,
 		hitEvents: !trace.Drops(tracer, trace.EventCacheHit),
@@ -439,7 +445,7 @@ func backoffJitter(seed uint64, d time.Duration) time.Duration {
 // onBusy handles a manager's load-shed reply: cancel the current round and
 // retry after a jittered fraction of the advertised Retry-After, extending
 // the app's busy window so new checks defer instead of piling on.
-func (h *Host) onBusy(from wire.NodeID, m wire.Busy) {
+func (h *Host) onBusy(from wire.NodeID, m *wire.Busy) {
 	c, ok := h.pending[m.Nonce]
 	if !ok || c.key.app != m.App {
 		return
@@ -597,16 +603,24 @@ func (h *Host) startRound(a *hostApp, c *check) {
 // from position start, that the round has not asked yet; its trace event cites
 // how many the round has then asked in all.
 func (h *Host) ask(a *hostApp, c *check, start, count int) {
-	// Boxed once for the sends.
-	var q wire.Message = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
+	h.query = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
+	var boxed wire.Message // Send's box, made once for the round's sends
 	m := len(a.managers)
 	for i := 0; i < m && count > 0; i++ {
 		p := (start + i) % m
-		if !c.round.Asked.Has(p) {
-			c.round.Asked = c.round.Asked.With(p)
-			h.env.Send(a.managers[p], q)
-			count--
+		if c.round.Asked.Has(p) {
+			continue
 		}
+		c.round.Asked = c.round.Asked.With(p)
+		count--
+		if h.typed != nil {
+			h.typed.SendQuery(a.managers[p], &h.query)
+			continue
+		}
+		if boxed == nil {
+			boxed = h.query
+		}
+		h.env.Send(a.managers[p], boxed)
 	}
 	if h.tracing {
 		h.emitC(trace.EventQuerySent, c, 0, trace.Pair(c.attempts, c.round.Asked.Len()))
@@ -687,13 +701,15 @@ func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
 	case wire.Sealed:
 		h.onSealed(from, m)
 		return
+	case wire.Response:
+		h.HandleResponse(from, &m)
+		return
+	case wire.Busy:
+		h.HandleBusy(from, &m)
+		return
 	}
 	h.withLock(func() {
 		switch m := msg.(type) {
-		case wire.Response:
-			h.onResponse(from, m)
-		case wire.Busy:
-			h.onBusy(from, m)
 		case wire.RevokeNotice:
 			h.onRevokeNotice(from, m)
 		case wire.ResolveResponse:
@@ -702,7 +718,21 @@ func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
 	})
 }
 
-func (h *Host) onResponse(from wire.NodeID, m wire.Response) {
+// HandleResponse counts a manager's answer towards its round's quorum;
+// HandleMessage hands it a boxed one. r is lent for the call: nothing the
+// host keeps points into it, and its User is only compared with the round's
+// own key.
+func (h *Host) HandleResponse(from wire.NodeID, r *wire.Response) {
+	h.withLock(func() { h.onResponse(from, r) })
+}
+
+// HandleBusy backs the answering round off; HandleMessage hands it a boxed
+// one. b is lent for the call.
+func (h *Host) HandleBusy(from wire.NodeID, b *wire.Busy) {
+	h.withLock(func() { h.onBusy(from, b) })
+}
+
+func (h *Host) onResponse(from wire.NodeID, m *wire.Response) {
 	c, ok := h.pending[m.Nonce]
 	if !ok {
 		// Stale: the round timed out before this response arrived; §3.2

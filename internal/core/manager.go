@@ -39,6 +39,12 @@ type Manager struct {
 	outstanding map[wire.UpdateSeq]*outUpdate
 	notices     map[noticeKey]*outNotice
 	fires       []func()
+	// resp and busy are the answer to the query being handled, built in
+	// place so that typed, the env's CheckSender (nil when it has none), is
+	// lent them without a box.
+	resp  wire.Response
+	busy  wire.Busy
+	typed CheckSender
 	// freezing is set once any app's heartbeat loop is armed (FreezeTi):
 	// only that loop reads lastSeen, so only then does notePeer maintain it.
 	freezing bool
@@ -149,9 +155,11 @@ func NewManager(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyr
 		tracer = trace.Nop{}
 	}
 	_, nop := tracer.(trace.Nop)
+	typed, _ := env.(CheckSender)
 	return &Manager{
 		id:          id,
 		env:         env,
+		typed:       typed,
 		tracer:      tracer,
 		tracing:     !nop,
 		keyring:     keyring,
@@ -524,13 +532,15 @@ func (m *Manager) onNoticeRetry(key noticeKey, seq wire.UpdateSeq) {
 
 // HandleMessage dispatches network traffic.
 func (m *Manager) HandleMessage(from wire.NodeID, msg wire.Message) {
+	if q, ok := msg.(wire.Query); ok {
+		m.HandleQuery(from, &q)
+		return
+	}
 	m.withLock(func() {
 		// Any direct traffic from a peer proves reachability for the freeze
 		// strategy's accessibility tracking.
 		m.notePeer(from)
 		switch mm := msg.(type) {
-		case wire.Query:
-			m.onQuery(from, mm)
 		case wire.Update:
 			m.onUpdate(from, mm)
 		case wire.UpdateAck:
@@ -554,6 +564,15 @@ func (m *Manager) HandleMessage(from wire.NodeID, msg wire.Message) {
 		case wire.Sealed:
 			m.onSealed(from, mm)
 		}
+	})
+}
+
+// HandleQuery answers a check's Query; HandleMessage hands it a boxed one.
+// q is lent for the call: nothing the manager keeps points into it.
+func (m *Manager) HandleQuery(from wire.NodeID, q *wire.Query) {
+	m.withLock(func() {
+		m.notePeer(from)
+		m.onQuery(from, q)
 	})
 }
 
@@ -583,47 +602,47 @@ func (m *Manager) notePeer(from wire.NodeID) {
 
 // onQuery answers an access-right check. While recovering or frozen the
 // manager declines (§3.3: "no responses are sent to application hosts").
-func (m *Manager) onQuery(from wire.NodeID, q wire.Query) {
+func (m *Manager) onQuery(from wire.NodeID, q *wire.Query) {
+	m.resp = wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace}
 	ma, ok := m.apps[q.App]
-	if !ok {
+	switch {
+	case !ok:
 		m.served(nil, from, q, trace.WordUnknownApp, flight.ReasonQueryUnknownApp)
-		m.env.Send(from, wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace})
-		return
-	}
-	if ma.syncing || ma.frozen {
+	case ma.syncing || ma.frozen:
+		m.resp.Frozen = true
 		m.served(ma, from, q, trace.WordFrozen, flight.ReasonQueryFrozen)
-		m.env.Send(from, wire.Response{
-			App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Frozen: true, Trace: q.Trace,
-		})
-		return
-	}
-	if !m.admitQuery(ma, from) {
+	case !m.admitQuery(ma, from):
 		m.shedQuery(ma, from, q)
 		return
+	default:
+		// The verdict and the grant's bookkeeping are one probe of the
+		// store: a granted query is tracked so a future revocation can be
+		// forwarded (§3.1). The deadline is when the host's cached copy must
+		// have expired in real time: te/b covers the slowest legal host
+		// clock, counted from m.now — read after the query arrived, so after
+		// the host stamped it.
+		var deadline time.Time
+		if ma.hold > 0 {
+			deadline = m.now.Add(ma.hold)
+		}
+		if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
+			m.resp.Granted, m.resp.Expire = true, ma.expire
+			m.served(ma, from, q, trace.WordGranted, flight.ReasonQueryGranted)
+		} else {
+			m.served(ma, from, q, trace.WordDenied, flight.ReasonQueryDenied)
+		}
 	}
-	resp := wire.Response{App: q.App, User: q.User, Right: q.Right, Nonce: q.Nonce, Trace: q.Trace}
-	// The verdict and the grant's bookkeeping are one probe of the store:
-	// a granted query is tracked so a future revocation can be forwarded
-	// (§3.1). The deadline is when the host's cached copy must have expired
-	// in real time: te/b covers the slowest legal host clock, counted from
-	// m.now — read after the query arrived, so after the host stamped it.
-	var deadline time.Time
-	if ma.hold > 0 {
-		deadline = m.now.Add(ma.hold)
-	}
-	if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
-		resp.Granted, resp.Expire = true, ma.expire
-		m.served(ma, from, q, trace.WordGranted, flight.ReasonQueryGranted)
+	if m.typed != nil {
+		m.typed.SendResponse(from, &m.resp)
 	} else {
-		m.served(ma, from, q, trace.WordDenied, flight.ReasonQueryDenied)
+		m.env.Send(from, m.resp)
 	}
-	m.env.Send(from, resp)
 }
 
 // served counts a query's verdict and tells the attached observers: the
 // query-served trace event and the response audit record, in that order. ma
 // is nil for unknown-app verdicts.
-func (m *Manager) served(ma *mgrApp, from wire.NodeID, q wire.Query, verdict trace.Word, reason flight.Reason) {
+func (m *Manager) served(ma *mgrApp, from wire.NodeID, q *wire.Query, verdict trace.Word, reason flight.Reason) {
 	m.counts.verdicts[reason].Add(1)
 	m.emitServed(from, q, verdict)
 	if m.aud != nil {
@@ -649,7 +668,7 @@ func (m *Manager) admitQuery(ma *mgrApp, from wire.NodeID) bool {
 
 // shedQuery answers an over-budget query with a Busy reply carrying a
 // clamped Retry-After, instead of serving it.
-func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
+func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q *wire.Query) {
 	m.counts.verdicts[flight.ReasonQueryShed].Add(1)
 	ma.shedWindow++
 	now := m.now
@@ -679,7 +698,12 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q wire.Query) {
 	if m.aud != nil {
 		m.auditResponse(ma, from, q, flight.ReasonQueryShed)
 	}
-	m.env.Send(from, wire.Busy{App: q.App, Nonce: q.Nonce, RetryAfter: retry, Trace: q.Trace})
+	m.busy = wire.Busy{App: q.App, Nonce: q.Nonce, RetryAfter: retry, Trace: q.Trace}
+	if m.typed != nil {
+		m.typed.SendBusy(from, &m.busy)
+	} else {
+		m.env.Send(from, m.busy)
+	}
 }
 
 // scheduleAdapt arms the adaptive-Te controller tick for one app.
@@ -1075,7 +1099,7 @@ func (ma *mgrApp) setPeers(self wire.NodeID, cfg ManagerAppConfig, sys quorum.Sy
 // ID: the manager-side half of the query-sent/query-served anchor pairs the
 // flight analyzer uses to align drifting host clocks. Guarded by tracing so
 // untraced Monte Carlo worlds pay nothing on the query hot path.
-func (m *Manager) emitServed(from wire.NodeID, q wire.Query, verdict trace.Word) {
+func (m *Manager) emitServed(from wire.NodeID, q *wire.Query, verdict trace.Word) {
 	if !m.tracing {
 		return
 	}

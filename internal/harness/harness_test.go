@@ -20,7 +20,7 @@ func runSweep(t *testing.T, first, n int64, opt Options, minimizeBudget int) *Su
 	t.Helper()
 	report := RunSeeds(first, n, opt, minimizeBudget, func(seed int64, res *Result) {
 		if res != nil && res.Failed() {
-			minimized := Minimize(Generate(seed), opt, minimizeBudget)
+			minimized := Minimize(Generate(seed), opt, res.Violations, minimizeBudget)
 			rerun, err := RunScenario(minimized, opt)
 			if err == nil && rerun.Failed() {
 				rerun.Scenario = minimized
@@ -164,7 +164,7 @@ func TestOracleCatchesInjectedBug(t *testing.T) {
 
 	// Minimization must shrink the schedule while preserving the failure.
 	full := Generate(seed)
-	minimized := Minimize(full, opt, 60)
+	minimized := Minimize(full, opt, caught.Violations, 60)
 	if len(minimized.Events) >= len(full.Events) {
 		t.Errorf("minimization did not shrink: %d -> %d events", len(full.Events), len(minimized.Events))
 	}
@@ -187,10 +187,34 @@ func hasViolation(res *Result, oracle string) bool {
 	return false
 }
 
+// TestRunSeedsRunsAFailingScenarioOnce: a failing seed costs RunSeeds its
+// own run, the minimizer's trials and the minimized replay for the flight
+// dump. The minimizer takes the failure signature from the seed's run
+// instead of running the full scenario again, though it charges that run to
+// its budget: with the budget spent, the seed costs budget + 1 runs.
+func TestRunSeedsRunsAFailingScenarioOnce(t *testing.T) {
+	t.Setenv("WANAC_ARTIFACTS", t.TempDir())
+	const budget = 8
+	opt := Options{InflateTe: true, DropRevokeNotices: true}
+	before := scenarioRuns.Load()
+	report := RunSeeds(1, 1, opt, budget, nil)
+	runs := scenarioRuns.Load() - before
+	if len(report.Failures) != 1 {
+		t.Fatalf("seed 1 reported %d failures under the injected bugs, want 1", len(report.Failures))
+	}
+	if runs != budget+1 {
+		t.Errorf("a failing seed took %d scenario runs at minimize budget %d, want %d", runs, budget, budget+1)
+	}
+}
+
 // TestMinimizeNonFailing: a clean scenario passes through untouched.
 func TestMinimizeNonFailing(t *testing.T) {
 	sc := Generate(3)
-	out := Minimize(sc, Options{}, 5)
+	res, err := RunScenario(sc, Options{})
+	if err != nil || res.Failed() {
+		t.Fatalf("seed 3 is not clean: %v %v", err, res.Violations)
+	}
+	out := Minimize(sc, Options{}, res.Violations, 5)
 	if len(out.Events) != len(sc.Events) {
 		t.Fatalf("minimize altered a passing scenario: %d -> %d events", len(sc.Events), len(out.Events))
 	}

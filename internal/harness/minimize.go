@@ -10,11 +10,23 @@ package harness
 // bug, not a smaller reproduction. Because each trial replays the
 // deterministic simulator, the predicate is exact, not a probability.
 //
-// budget caps the number of scenario re-executions (each trial simulates
-// the full virtual horizon); when it runs out the best reduction so far is
-// returned. A non-failing input is returned unchanged.
-func Minimize(sc Scenario, opt Options, budget int) Scenario {
-	var want map[string]bool
+// failed is what the oracles reported on the full scenario, which the
+// caller has already run (RunSeeds has its Result): the failure signature
+// every reduction must preserve. budget caps the number of scenario
+// executions (each trial simulates the full virtual horizon), that first
+// run included, so the trials, and the schedule returned, are those of a
+// search that ran the full scenario itself; when it runs out the best
+// reduction so far is returned. A scenario without violations is returned
+// unchanged.
+func Minimize(sc Scenario, opt Options, failed []Violation, budget int) Scenario {
+	if len(failed) == 0 || budget <= 0 {
+		return sc
+	}
+	budget-- // the full scenario's run
+	want := make(map[string]bool)
+	for _, v := range failed {
+		want[v.Oracle] = true
+	}
 	fails := func(events []Event) bool {
 		if budget <= 0 {
 			return false
@@ -30,21 +42,12 @@ func Minimize(sc Scenario, opt Options, budget int) Scenario {
 		for _, v := range res.Violations {
 			got[v.Oracle] = true
 		}
-		if want == nil {
-			// First run (the full scenario) establishes the failure
-			// signature every reduction must preserve.
-			want = got
-			return true
-		}
 		for name := range want {
 			if !got[name] {
 				return false
 			}
 		}
 		return true
-	}
-	if !fails(sc.Events) {
-		return sc
 	}
 
 	events := sc.Events

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"wanac/internal/core"
@@ -91,10 +92,15 @@ func RunScenario(sc Scenario, opt Options) (*Result, error) {
 	return res, err
 }
 
+// scenarioRuns counts runScenario's executions, the unit of a suite's cost;
+// tests read it.
+var scenarioRuns atomic.Int64
+
 // runScenario is RunScenario, returning its runner too, with the world
 // keeping its trace log for a flight dump of ring records per node when
 // ring > 0.
 func runScenario(sc Scenario, opt Options, ring int) (*Result, *Runner, error) {
+	scenarioRuns.Add(1)
 	p := sc.Params
 	users := make([]wire.UserID, p.Users)
 	for i := range users {

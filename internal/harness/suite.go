@@ -75,7 +75,7 @@ func RunSeeds(firstSeed, n int64, opt Options, minimizeBudget int, progress func
 			}
 			dumpRes := res
 			if minimizeBudget > 0 {
-				minimized := Minimize(sc, opt, minimizeBudget)
+				minimized := Minimize(sc, opt, res.Violations, minimizeBudget)
 				for _, e := range minimized.Events {
 					fail.MinimizedEvents = append(fail.MinimizedEvents, e.String())
 				}

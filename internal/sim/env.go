@@ -24,7 +24,10 @@ type Env struct {
 	rate  float64
 }
 
-var _ core.Env = (*Env)(nil)
+var (
+	_ core.Env         = (*Env)(nil)
+	_ core.CheckSender = (*Env)(nil)
+)
 
 // NewEnv creates a node environment with a perfect local clock.
 func NewEnv(id wire.NodeID, net *simnet.Network) *Env {
@@ -50,6 +53,16 @@ func (e *Env) Now() time.Time { return e.clock.Now() }
 
 // Send implements core.Env.
 func (e *Env) Send(to wire.NodeID, msg wire.Message) { e.net.Send(e.id, to, msg) }
+
+// SendQuery implements core.CheckSender: the network carries a check's
+// messages without a box.
+func (e *Env) SendQuery(to wire.NodeID, q *wire.Query) { e.net.SendQuery(e.id, to, q) }
+
+// SendResponse implements core.CheckSender.
+func (e *Env) SendResponse(to wire.NodeID, r *wire.Response) { e.net.SendResponse(e.id, to, r) }
+
+// SendBusy implements core.CheckSender.
+func (e *Env) SendBusy(to wire.NodeID, b *wire.Busy) { e.net.SendBusy(e.id, to, b) }
 
 // SetTimer implements core.Env. The duration is interpreted on the node's
 // local clock: a slow clock measures durations slowly, so the timer fires

@@ -140,23 +140,37 @@ func (n *Network) CapacityStats(id wire.NodeID) (CapacityStats, bool) {
 // reused world's servers would stay busy forever).
 func (n *Network) ResetCapacities() {
 	for id, nd := range n.nodes {
-		if nd.cap != nil {
-			nd.cap = &capacity{cfg: nd.cap.cfg, id: id, nd: nd}
+		if cs := nd.cap; cs != nil {
+			n.held.give(cs.serving.msg)
+			n.giveQueued(cs, wire.LaneBulk)
+			n.giveQueued(cs, wire.LaneHigh)
+			nd.cap = &capacity{cfg: cs.cfg, id: id, nd: nd}
 		}
 	}
+}
+
+// giveQueued empties one of cs's lanes, giving back the messages it held.
+func (n *Network) giveQueued(cs *capacity, lane wire.Lane) {
+	for _, m := range cs.lanes[lane][cs.heads[lane]:] {
+		n.held.give(m.msg)
+	}
+	clear(cs.lanes[lane])
+	cs.lanes[lane] = cs.lanes[lane][:0]
+	cs.heads[lane] = 0
 }
 
 // capEnqueue admits a delivered message into the node's inbound queue and
 // kicks the server if idle. Called from deliver, so network latency, loss,
 // and link state have already been applied.
 func (n *Network) capEnqueue(cs *capacity, from wire.NodeID, msg wire.Message) {
-	lane := wire.LaneOf(msg)
+	lane := wire.LaneOf(msg) // a lent check message is bulk, as its value is
 	if cs.cfg.FIFO {
 		lane = wire.LaneBulk
 	}
 	if b := cs.bound(lane); b > 0 && cs.depth(lane) >= b {
 		cs.stats.Dropped[lane]++
 		n.counters.Dropped++
+		n.held.give(msg)
 		return
 	}
 	cs.lanes[lane] = append(cs.lanes[lane], capMsg{from: from, msg: msg})
@@ -193,21 +207,19 @@ func (n *Network) served(cs *capacity) {
 	cur, ok := n.nodes[cs.id]
 	if !ok || cur != nd || nd.cap != cs || nd.crashed {
 		n.counters.Dropped++
+		n.held.give(m.msg)
 		if nd.cap == cs {
 			for _, lane := range [2]wire.Lane{wire.LaneBulk, wire.LaneHigh} {
-				for d := cs.depth(lane); d > 0; d-- {
-					cs.stats.Dropped[lane]++
-					n.counters.Dropped++
-				}
-				cs.lanes[lane] = cs.lanes[lane][:0]
-				cs.heads[lane] = 0
+				cs.stats.Dropped[lane] += uint64(cs.depth(lane))
+				n.counters.Dropped += uint64(cs.depth(lane))
+				n.giveQueued(cs, lane)
 			}
 		}
 		return
 	}
 	cs.stats.Served++
 	n.counters.Delivered++
-	nd.handler.HandleMessage(m.from, m.msg)
+	n.handle(nd, m.from, m.msg)
 	if cs.depth(wire.LaneBulk)+cs.depth(wire.LaneHigh) > 0 && !cs.busy {
 		n.capServe(cs)
 	}

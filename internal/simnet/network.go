@@ -14,6 +14,26 @@ type Handler interface {
 	HandleMessage(from wire.NodeID, msg wire.Message)
 }
 
+// QueryHandler, ResponseHandler and BusyHandler are optional upgrades of a
+// Handler for the three messages of a check, which the network carries
+// without a box (see Network.SendQuery). Attach detects them once; a
+// handler without one is handed the message boxed. The pointer is lent: the
+// network reuses what it points to once the call returns, so the handler
+// copies what it keeps.
+type QueryHandler interface {
+	HandleQuery(from wire.NodeID, q *wire.Query)
+}
+
+// ResponseHandler is a Handler's upgrade for a Response (see QueryHandler).
+type ResponseHandler interface {
+	HandleResponse(from wire.NodeID, r *wire.Response)
+}
+
+// BusyHandler is a Handler's upgrade for a Busy (see QueryHandler).
+type BusyHandler interface {
+	HandleBusy(from wire.NodeID, b *wire.Busy)
+}
+
 // HandlerFunc adapts a function to the Handler interface.
 type HandlerFunc func(from wire.NodeID, msg wire.Message)
 
@@ -49,11 +69,73 @@ type Counters struct {
 	ByKind     map[string]uint64 // sent, keyed by wire.Message.Kind()
 }
 
+// kindCount is one slot of the network's sent counts by kind.
+type kindCount struct {
+	name string
+	sent uint64
+}
+
+// kindSlots is the number of message types kindSlot numbers.
+const kindSlots = 20
+
+// kindSlot numbers the message types wire defines, a check's lent ones with
+// their values, so a send is counted in an array slot instead of by hashing
+// its kind's name; -1 for any other type.
+func kindSlot(msg wire.Message) int {
+	switch msg.(type) {
+	case wire.Query, *wire.Query:
+		return 0
+	case wire.Response, *wire.Response:
+		return 1
+	case wire.Busy, *wire.Busy:
+		return 2
+	case wire.RevokeNotice:
+		return 3
+	case wire.RevokeAck:
+		return 4
+	case wire.Update:
+		return 5
+	case wire.UpdateAck:
+		return 6
+	case wire.SyncRequest:
+		return 7
+	case wire.SyncResponse:
+		return 8
+	case wire.Heartbeat:
+		return 9
+	case wire.HeartbeatAck:
+		return 10
+	case wire.Invoke:
+		return 11
+	case wire.InvokeReply:
+		return 12
+	case wire.AdminOp:
+		return 13
+	case wire.AdminReply:
+		return 14
+	case wire.ResolveRequest:
+		return 15
+	case wire.ResolveResponse:
+		return 16
+	case wire.Sealed:
+		return 17
+	case wire.Gossip:
+		return 18
+	case wire.Batch:
+		return 19
+	}
+	return -1
+}
+
 type linkKey struct{ from, to wire.NodeID }
 
 type node struct {
 	handler Handler
-	crashed bool
+	// The handler's typed upgrades, nil where it has none.
+	query    QueryHandler
+	response ResponseHandler
+	busy     BusyHandler
+	crashed  bool
 	// cap, when non-nil, is the node's finite-capacity model: deliveries
 	// queue behind a fixed-rate server instead of being handled inline.
 	cap *capacity
@@ -72,7 +154,13 @@ type Network struct {
 	// linkLatency holds per-directed-link latency overrides (gray failures:
 	// slow-but-not-dead links, congestion bursts) installed at runtime.
 	linkLatency map[linkKey]LatencyModel
-	counters    Counters
+	// counters holds every count but ByKind, which Stats builds from kinds
+	// and otherKinds.
+	counters   Counters
+	kinds      [kindSlots]kindCount
+	otherKinds map[string]uint64
+	// held is the check messages the network carries, and keeps for reuse.
+	held held
 	// Filter, when non-nil, is consulted for every send; returning false
 	// drops the message. Tests use it for targeted fault injection (e.g.
 	// drop only Update messages between two managers).
@@ -126,12 +214,7 @@ func New(sched *Scheduler, cfg Config) *Network {
 		cut:         make(map[linkKey]bool),
 		linkLoss:    make(map[linkKey]float64),
 		linkLatency: make(map[linkKey]LatencyModel),
-		counters:    newCounters(),
 	}
-}
-
-func newCounters() Counters {
-	return Counters{ByKind: make(map[string]uint64)}
 }
 
 // Scheduler returns the scheduler driving this network.
@@ -140,7 +223,11 @@ func (n *Network) Scheduler() *Scheduler { return n.sched }
 // Attach registers a handler under id, replacing any previous registration
 // and clearing a crashed flag.
 func (n *Network) Attach(id wire.NodeID, h Handler) {
-	n.nodes[id] = &node{handler: h}
+	nd := &node{handler: h}
+	nd.query, _ = h.(QueryHandler)
+	nd.response, _ = h.(ResponseHandler)
+	nd.busy, _ = h.(BusyHandler)
+	n.nodes[id] = nd
 }
 
 // Crash marks a node failed: messages to it are dropped until Recover. The
@@ -311,14 +398,29 @@ func (n *Network) Heal() {
 // Send transmits msg from one node to another with the configured latency,
 // loss, and duplication. It never blocks; delivery happens via the
 // scheduler. Sends from a crashed node are suppressed.
-func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
+func (n *Network) Send(from, to wire.NodeID, msg wire.Message) { n.send(from, to, msg) }
+
+// SendQuery is Send for a check's Query without a box: the network copies
+// *q into a Query of its own, which it lends to a QueryHandler and takes
+// back when the delivery ends. Counts, faults and random draws are Send's.
+func (n *Network) SendQuery(from, to wire.NodeID, q *wire.Query) { n.send(from, to, q) }
+
+// SendResponse is SendQuery for a Response.
+func (n *Network) SendResponse(from, to wire.NodeID, r *wire.Response) { n.send(from, to, r) }
+
+// SendBusy is SendQuery for a Busy.
+func (n *Network) SendBusy(from, to wire.NodeID, b *wire.Busy) { n.send(from, to, b) }
+
+// send is every send's one body. msg is a message, or a check's message
+// lent by pointer, which each delivery copies into the network's own.
+func (n *Network) send(from, to wire.NodeID, msg wire.Message) {
 	n.counters.Sent++
-	n.counters.ByKind[msg.Kind()]++
+	n.count(msg)
 	if nd, ok := n.nodes[from]; ok && nd.crashed {
 		n.counters.Dropped++
 		return
 	}
-	if n.Filter != nil && !n.Filter(from, to, msg) {
+	if n.Filter != nil && !n.Filter(from, to, boxed(msg)) {
 		n.counters.Dropped++
 		return
 	}
@@ -334,11 +436,29 @@ func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
 		n.counters.Dropped++
 		return
 	}
-	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, n.held.take(msg))
 	if n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate {
 		n.counters.Duplicated++
-		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, n.held.take(msg))
 	}
+}
+
+// count adds msg to its kind's count: a numbered kind's slot, named by its
+// first message, or else the map of kinds by name.
+func (n *Network) count(msg wire.Message) {
+	i := kindSlot(msg)
+	if i < 0 {
+		if n.otherKinds == nil {
+			n.otherKinds = make(map[string]uint64)
+		}
+		n.otherKinds[msg.Kind()]++
+		return
+	}
+	c := &n.kinds[i]
+	if c.sent == 0 {
+		c.name = msg.Kind()
+	}
+	c.sent++
 }
 
 // deliver hands a due message to its destination (called by the scheduler).
@@ -346,6 +466,7 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 	nd, ok := n.nodes[to]
 	if !ok || nd.crashed {
 		n.counters.Dropped++
+		n.held.give(msg)
 		return
 	}
 	if nd.cap != nil {
@@ -355,14 +476,48 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 		return
 	}
 	n.counters.Delivered++
-	nd.handler.HandleMessage(from, msg)
+	n.handle(nd, from, msg)
+}
+
+// handle hands msg to the node's handler, a check's message lent to the
+// handler's upgrade for it or boxed, and takes the network's own back.
+func (n *Network) handle(nd *node, from wire.NodeID, msg wire.Message) {
+	switch m := msg.(type) {
+	case *wire.Query:
+		if nd.query != nil {
+			nd.query.HandleQuery(from, m)
+		} else {
+			nd.handler.HandleMessage(from, *m)
+		}
+	case *wire.Response:
+		if nd.response != nil {
+			nd.response.HandleResponse(from, m)
+		} else {
+			nd.handler.HandleMessage(from, *m)
+		}
+	case *wire.Busy:
+		if nd.busy != nil {
+			nd.busy.HandleBusy(from, m)
+		} else {
+			nd.handler.HandleMessage(from, *m)
+		}
+	default:
+		nd.handler.HandleMessage(from, msg)
+		return
+	}
+	n.held.give(msg)
 }
 
 // Stats returns a copy of the counters.
 func (n *Network) Stats() Counters {
 	out := n.counters
-	out.ByKind = make(map[string]uint64, len(n.counters.ByKind))
-	for k, v := range n.counters.ByKind {
+	out.ByKind = make(map[string]uint64, len(n.kinds)+len(n.otherKinds))
+	for _, c := range n.kinds {
+		if c.sent > 0 {
+			out.ByKind[c.name] = c.sent
+		}
+	}
+	for k, v := range n.otherKinds {
 		out.ByKind[k] = v
 	}
 	return out
@@ -370,7 +525,9 @@ func (n *Network) Stats() Counters {
 
 // ResetStats zeroes the counters (used between experiment phases).
 func (n *Network) ResetStats() {
-	n.counters = newCounters()
+	n.counters = Counters{}
+	n.kinds = [kindSlots]kindCount{}
+	n.otherKinds = nil
 }
 
 // String summarizes counters for logs.

@@ -23,8 +23,9 @@ import (
 // firings as its owner wants. Deliveries and service completions carry their
 // payload in typed fields instead of a closure so the scheduler can recycle
 // them through a free list — they are the dominant event volume in a
-// simulation, and pooling them makes Network.Send and a capacity-modelled
-// node's service allocation-free in steady state.
+// simulation, and pooling them, with the check messages the network keeps
+// for reuse (held), makes a send and a capacity-modelled node's service
+// allocation-free in steady state.
 type event struct {
 	// at is when the event is due, in nanoseconds since vclock.Epoch. Every
 	// simulated instant is Epoch plus whole nanoseconds, no monotonic
@@ -286,6 +287,7 @@ func (s *Scheduler) DiscardPending() {
 	for i, e := range s.queue {
 		s.queue[i] = nil
 		if e.net != nil {
+			e.net.held.give(e.msg)
 			s.recycle(e)
 		} else {
 			e.stopped = true

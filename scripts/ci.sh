@@ -76,6 +76,23 @@ lent=$(awk '/^\tcase tag[A-Za-z]+:/ { c = $2 }
 	END { if (n != 1) print "decoder.lent called " n + 0 " times, want once" }' $wiresrc)
 [ -z "$lent" ] || { echo "a field other than a Response's User is lent:"; echo "$lent"; exit 1; }
 
+echo "== a check's simulated messages are lent"
+# The simulator hands HandleQuery, HandleResponse and HandleBusy a pointer
+# to a message the network reuses once the handler returns (simnet's
+# QueryHandler). The compiler's escape analysis must find that the pointer
+# does not escape: "leaking param content" passes, since the strings it
+# refers to are immutable and copying them keeps nothing of the message;
+# "leaking param", the pointer itself kept, fails.
+escapes=$(go build -gcflags=-m ./internal/core 2>&1)
+for fn in 'Manager) HandleQuery' 'Host) HandleResponse' 'Host) HandleBusy'; do
+	decl=$(grep -nE "^func \([a-z]+ \*$fn\(" internal/core/*.go | grep -v _test.go || true)
+	[ "$(wc -l <<<"$decl")" = 1 ] && [ -n "$decl" ] || { echo "want one declaration of $fn in internal/core"; exit 1; }
+	at=$(cut -d: -f1,2 <<<"$decl")
+	param=$(sed -E 's/.*, ([a-z]+) \*wire\.[A-Za-z]+\) \{$/\1/' <<<"$decl")
+	grep -qE "^$at:[0-9]+: ($param does not escape|leaking param content: $param)\$" <<<"$escapes" ||
+		{ echo "$fn: its lent $param escapes:"; grep -E "^$at:" <<<"$escapes"; exit 1; }
+done
+
 echo "== one exposition writer"
 # Registry.Gather builds a telemetry.Metrics and (*Metrics).Write is the only
 # code that prints # HELP and # TYPE lines, for a node's /metrics and acmon's
