@@ -158,21 +158,24 @@ func (s *Store) Grant(app wire.AppID, user wire.UserID, r wire.Right) bool {
 // "an attempt to remove a non-existent access right ... is equivalent to a
 // no-op"). It reports whether the store changed.
 func (s *Store) Revoke(app wire.AppID, user wire.UserID, r wire.Right) bool {
-	_, changed := s.Withdraw(app, user, r)
+	_, changed := s.Withdraw(app, user, r, nil)
 	return changed
 }
 
-// Withdraw is Revoke returning the vouches that went with the right, sorted
-// by host id: the hosts the revocation is to be forwarded to. user must be
-// the caller's own string, never a view of a frame (see Vouch).
-func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouched []Vouch, changed bool) {
+// Withdraw is Revoke appending to vouched the vouches that went with the
+// right, sorted by host id: the hosts the revocation is to be forwarded to.
+// A caller that passes its last result back, emptied, withdraws without
+// allocating. user must be the caller's own string, never a view of a frame
+// (see Vouch).
+func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right, vouched []Vouch) ([]Vouch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	users := s.apps[app]
 	rec, ok := users[user]
 	if !ok || !rec.rights.Has(r) {
-		return nil, false
+		return vouched, false
 	}
+	start := len(vouched)
 	rec.rights = rec.rights.Without(r)
 	// Unlink and free r's nodes. Only held rights have nodes, so a user
 	// left with no rights is left with no nodes.
@@ -188,7 +191,7 @@ func (s *Store) Withdraw(app wire.AppID, user wire.UserID, r wire.Right) (vouche
 		*n = vnode{next: s.free}
 		s.free = i
 	}
-	slices.SortFunc(vouched, func(a, b Vouch) int { return cmp.Compare(a.Host, b.Host) })
+	slices.SortFunc(vouched[start:], func(a, b Vouch) int { return cmp.Compare(a.Host, b.Host) })
 	if !rec.rights.Empty() {
 		users[user] = rec // stores user as the key: it must be owned
 		return vouched, true
@@ -656,8 +659,22 @@ func (c *Cache) Len() int {
 	return c.n
 }
 
-// Snapshot returns all entries sorted, for debugging and tests.
-func (c *Cache) Snapshot() []Entry {
+// Census reports how many entries the cache holds and how many of them are
+// past their limit at now, without copying them.
+func (c *Cache) Census(now time.Time) (entries, stale int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.each(func(_ cacheKey, v cached, _ map[wire.UserID]cached) {
+		entries++
+		if (Entry{Limit: c.epoch.time(v.limit)}).Expired(now) {
+			stale++
+		}
+	})
+	return entries, stale
+}
+
+// snapshot returns all entries sorted, for tests.
+func (c *Cache) snapshot() []Entry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]Entry, 0, c.n)

@@ -295,7 +295,7 @@ func TestCachePutNewLimitStartsNewGranterSet(t *testing.T) {
 	if got := c.Granters("app", "alice", wire.RightUse); got != 3 {
 		t.Errorf("Granters = %d, want 3", got)
 	}
-	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Granters != 3 {
+	if snap := c.snapshot(); len(snap) != 1 || snap[0].Granters != 3 {
 		t.Errorf("Snapshot = %+v", snap)
 	}
 }
@@ -304,12 +304,12 @@ func TestCacheClearAndSnapshot(t *testing.T) {
 	c := NewCache()
 	c.Put("b", "u", wire.RightUse, time.Time{}, "m")
 	c.Put("a", "u", wire.RightUse, time.Time{}, "m")
-	snap := c.Snapshot()
+	snap := c.snapshot()
 	if len(snap) != 2 || snap[0].App != "a" || snap[1].App != "b" {
 		t.Errorf("Snapshot = %v", snap)
 	}
 	c.Clear()
-	if c.Len() != 0 || len(c.Snapshot()) != 0 {
+	if c.Len() != 0 || len(c.snapshot()) != 0 {
 		t.Error("Clear left entries")
 	}
 }
@@ -496,7 +496,7 @@ func TestStoreVouchForgetsExpiredHosts(t *testing.T) {
 	if n := s.vouches("app", "u"); n > live+1 {
 		t.Errorf("record holds %d vouches after 1000 hosts, want <= %d (the live set) + 1", n, live)
 	}
-	vouched, _ := s.Withdraw("app", "u", wire.RightUse)
+	vouched, _ := s.Withdraw("app", "u", wire.RightUse, nil)
 	var unexpired []wire.NodeID
 	for _, v := range vouched {
 		if v.Right != wire.RightUse {
@@ -514,10 +514,10 @@ func TestStoreVouchForgetsExpiredHosts(t *testing.T) {
 			t.Fatalf("unexpired[%d] = %s, want %s (sorted by host id)", i, h, want)
 		}
 	}
-	if again, changed := s.Withdraw("app", "u", wire.RightUse); s.Has("app", "u", wire.RightUse) || changed || len(again) != 0 {
+	if again, changed := s.Withdraw("app", "u", wire.RightUse, nil); s.Has("app", "u", wire.RightUse) || changed || len(again) != 0 {
 		t.Error("right or vouches survive Withdraw")
 	}
-	if got, _ := s.Withdraw("app", "u", wire.RightManage); len(got) != 1 || got[0].Host != "admin-host" {
+	if got, _ := s.Withdraw("app", "u", wire.RightManage, vouched[:0]); len(got) != 1 || got[0].Host != "admin-host" {
 		t.Errorf("Withdraw(manage) = %v, want the admin-host vouch", got)
 	}
 	// The user is gone; its records serve the next user vouched for.

@@ -202,7 +202,7 @@ func TestCacheAgainstModel(t *testing.T) {
 				clear(mc.m)
 			}
 			want := mc.snapshot()
-			if got := c.Snapshot(); !slices.EqualFunc(got, want, sameEntry) {
+			if got := c.snapshot(); !slices.EqualFunc(got, want, sameEntry) {
 				t.Fatalf("seed %d step %d: after %s\n snapshot %+v\n    model %+v", seed, step, op, got, want)
 			}
 			if c.Len() != len(want) {
@@ -250,7 +250,7 @@ func TestCacheSixtyFifthGranterEmptiesApp(t *testing.T) {
 		{App: "a", User: "w", Right: wire.RightManage, Limit: limit, Granters: 2},
 		{App: "b", User: "u0", Right: wire.RightManage, Limit: limit, Granters: 2},
 	}
-	if got := c.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got := c.snapshot(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after the 65th granter: %+v, want %+v", got, want)
 	}
 	if c.Len() != 2 {

@@ -87,7 +87,7 @@ func TestStoreAgainstModel(t *testing.T) {
 				if n < 82 {
 					op = fmt.Sprintf("Withdraw(%v) at %v", k, rel(now))
 					var got []Vouch
-					got, changed = s.Withdraw(k.app, k.user, k.right)
+					got, changed = s.Withdraw(k.app, k.user, k.right, nil)
 					if err := checkWithdrawn(got, m.vouched[k], k.right, now); err != nil {
 						t.Fatalf("seed %d step %d: %s: %v", seed, step, op, err)
 					}

@@ -132,17 +132,17 @@ func TestPurgeLoop(t *testing.T) {
 	h.HandleMessage("m0", wire.Response{
 		App: "a", User: "u", Right: wire.RightUse, Nonce: nonce, Granted: true, Expire: 10 * time.Second,
 	})
-	if len(h.CacheSnapshot()) != 1 {
+	if h.cache.Len() != 1 {
 		t.Fatal("nothing cached")
 	}
 
 	loop := h.StartPurgeLoop(5 * time.Second)
 	env.advance(6 * time.Second) // first purge: entry still fresh
-	if len(h.CacheSnapshot()) != 1 {
+	if h.cache.Len() != 1 {
 		t.Fatal("purge removed a fresh entry")
 	}
 	env.advance(6 * time.Second) // second purge: entry expired at t=10s
-	if len(h.CacheSnapshot()) != 0 {
+	if h.cache.Len() != 0 {
 		t.Fatal("purge loop did not remove the expired entry")
 	}
 
@@ -189,7 +189,7 @@ func TestHostIgnoresResponseFromNonManager(t *testing.T) {
 	if fired {
 		t.Fatal("non-manager response decided the check")
 	}
-	if len(h.CacheSnapshot()) != 0 {
+	if h.cache.Len() != 0 {
 		t.Fatal("non-manager grant cached")
 	}
 }
@@ -206,15 +206,15 @@ func TestHostIgnoresRevokeNoticeFromNonManager(t *testing.T) {
 	h.Check("a", "u", wire.RightUse, func(Decision) {})
 	nonce := env.lastQueryNonce(t)
 	h.HandleMessage("m0", wire.Response{App: "a", User: "u", Right: wire.RightUse, Nonce: nonce, Granted: true})
-	if len(h.CacheSnapshot()) != 1 {
+	if h.cache.Len() != 1 {
 		t.Fatal("nothing cached")
 	}
 	h.HandleMessage("evil", wire.RevokeNotice{App: "a", User: "u", Right: wire.RightUse})
-	if len(h.CacheSnapshot()) != 1 {
+	if h.cache.Len() != 1 {
 		t.Fatal("non-manager revoke notice flushed the cache")
 	}
 	h.HandleMessage("m0", wire.RevokeNotice{App: "a", User: "u", Right: wire.RightUse})
-	if len(h.CacheSnapshot()) != 0 {
+	if h.cache.Len() != 0 {
 		t.Fatal("legitimate revoke notice ignored")
 	}
 }
@@ -272,7 +272,7 @@ func TestSetCacheLimit(t *testing.T) {
 		})
 		env.advance(time.Second) // stagger limits so eviction is deterministic
 	}
-	if len(h.CacheSnapshot()) != 2 {
-		t.Errorf("CacheLen = %d, want 2 (bounded)", len(h.CacheSnapshot()))
+	if h.cache.Len() != 2 {
+		t.Errorf("CacheLen = %d, want 2 (bounded)", h.cache.Len())
 	}
 }

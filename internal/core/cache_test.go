@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"wanac/internal/acl"
 
 	"wanac/internal/wire"
 )
@@ -71,7 +72,7 @@ func TestHostPurgeExpired(t *testing.T) {
 	}
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "short", 30*time.Second)
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "long", 5*time.Minute)
-	if n := len(h.CacheSnapshot()); n != 2 {
+	if n := h.cache.Len(); n != 2 {
 		t.Fatalf("cache holds %d entries, want 2", n)
 	}
 	if n := h.PurgeExpired(); n != 0 {
@@ -79,20 +80,21 @@ func TestHostPurgeExpired(t *testing.T) {
 	}
 
 	env.advance(time.Minute) // past "short", well before "long"
+	if entries, expired := h.CacheCensus(); entries != 2 || expired != 1 {
+		t.Fatalf("census before the purge = (%d, %d), want (2, 1)", entries, expired)
+	}
 	if n := h.PurgeExpired(); n != 1 {
 		t.Fatalf("purged %d entries, want 1", n)
 	}
-	if n := len(h.CacheSnapshot()); n != 1 {
+	if n := h.cache.Len(); n != 1 {
 		t.Fatalf("cache holds %d entries after purge, want 1", n)
 	}
-	now := h.LocalNow()
-	for _, e := range h.CacheSnapshot() {
-		if e.Expired(now) {
-			t.Fatalf("expired entry survived the purge: %+v", e)
-		}
-		if e.User != "long" {
-			t.Fatalf("wrong entry survived: %+v", e)
-		}
+	now := h.env.Now()
+	if _, expired := h.CacheCensus(); expired != 0 {
+		t.Fatalf("%d expired entries survived the purge", expired)
+	}
+	if e, st := h.cache.LookupStatus("a", "long", wire.RightUse, now); st != acl.Hit {
+		t.Fatalf("wrong entry survived: long's is %+v (status %d)", e, st)
 	}
 	// Idempotent: a second purge finds nothing.
 	if n := h.PurgeExpired(); n != 0 {
@@ -118,7 +120,7 @@ func TestHostCacheLimitEvictionOrder(t *testing.T) {
 
 	// Imposing the limit trims to the two entries expiring last.
 	h.SetCacheLimit(2)
-	if n := len(h.CacheSnapshot()); n != 2 {
+	if n := h.cache.Len(); n != 2 {
 		t.Fatalf("cache holds %d entries after SetCacheLimit(2), want 2", n)
 	}
 	if g := h.CacheGranters("a", "soonest", wire.RightUse); g != 0 {
@@ -132,7 +134,7 @@ func TestHostCacheLimitEvictionOrder(t *testing.T) {
 
 	// A new grant expiring last pushes out the now-earliest entry ("mid").
 	grantIntoCache(t, env, h, []wire.NodeID{"m0"}, "newest", 10*time.Minute)
-	if n := len(h.CacheSnapshot()); n != 2 {
+	if n := h.cache.Len(); n != 2 {
 		t.Fatalf("cache grew past its limit: %d", n)
 	}
 	if g := h.CacheGranters("a", "mid", wire.RightUse); g != 0 {
@@ -208,7 +210,7 @@ func TestHostCacheGrantersConcurrentChecks(t *testing.T) {
 					if n := h.PurgeExpired(); n != 0 {
 						errs <- fmt.Sprintf("purged %d fresh entries", n)
 					}
-					if n := len(h.CacheSnapshot()); n != users {
+					if n := h.cache.Len(); n != users {
 						errs <- fmt.Sprintf("cache len %d, want %d", n, users)
 					}
 				}

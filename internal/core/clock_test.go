@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"wanac/internal/acl"
 
 	"wanac/internal/vclock"
 	"wanac/internal/wire"
@@ -103,11 +104,11 @@ func TestOneClockReadingPerEntry(t *testing.T) {
 	}
 
 	expire := time.Duration(float64(te) * b)
-	snap := h.CacheSnapshot()
-	if len(snap) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(snap))
+	e, st := h.cache.LookupStatus(app, "u", wire.RightUse, h.env.Now())
+	if n := h.cache.Len(); n != 1 || st != acl.Hit {
+		t.Fatalf("cache holds %d entries, u's %+v (status %d), want 1 hit", n, e, st)
 	}
-	limit := snap[0].Limit
+	limit := e.Limit
 	if latest := hostEnv.firstSend.Add(expire); limit.After(latest) {
 		t.Errorf("cached limit %v is later than the reading before the first Send + te = %v", limit, latest)
 	}

@@ -230,7 +230,7 @@ func TestHostIgnoresStaleResponse(t *testing.T) {
 	if len(decisions) != 0 {
 		t.Fatalf("stale response decided the check: %+v", decisions)
 	}
-	if len(h.CacheSnapshot()) != 0 {
+	if h.cache.Len() != 0 {
 		t.Fatal("stale response cached")
 	}
 

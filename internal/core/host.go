@@ -32,7 +32,7 @@ import (
 // back into the host.
 type Host struct {
 	id        wire.NodeID
-	env       Env
+	env       link
 	tracer    trace.Tracer
 	tracing   bool          // false when tracer is trace.Nop: skip building events
 	hitEvents bool          // false when tracer drops cache hits: build no hit event
@@ -59,17 +59,17 @@ type Host struct {
 	// invoke after it is released.
 	fires []firing
 	// freeChecks recycles finished check structs (with their callback
-	// slices, timer handles and timer callbacks) so steady-state query rounds
-	// allocate nothing. A struct is allocated only when the list is empty, so
-	// the list never holds more than the most checks ever in flight at once.
+	// slices and timers) so steady-state query rounds allocate nothing. A
+	// struct is allocated only when the list is empty, so the list never
+	// holds more than the most checks ever in flight at once.
 	freeChecks []*check
 	// granters is grant's scratch for handing a check's confirming set to
 	// the cache in one Put.
 	granters []wire.NodeID
-	// query is the round ask is sending, built in place so that typed, the
-	// env's CheckSender (nil when it has none), is lent it without a box.
+	// query and ack are the round ask is sending and the RevokeAck being
+	// sent, built in place to be lent (see LentSender).
 	query wire.Query
-	typed CheckSender
+	ack   wire.RevokeAck
 	// latency holds the decision latency histograms by outcome, nil until
 	// InstrumentHost (the cache hit's is derived from its count).
 	latency [outcomeCount]*telemetry.Histogram
@@ -163,17 +163,14 @@ type check struct {
 	frozen    bool
 	sentAt    time.Time
 	minExpire time.Duration
+	// callbacks starts in first, so a check with one caller needs no slice
+	// of its own; both outlive a recycled struct.
 	callbacks []func(Decision)
+	first     [1]func(Decision)
 
-	// The check's one timer, armed for a round's timeout or a busy backoff
-	// (see arm). timer and onTimer, the callback it runs, outlive a recycled
-	// struct; armed says whether a firing is awaited, and stale counts
-	// firings that Stop came too late to prevent, which onCheckTimer
-	// discards so none can reach the struct's next round.
-	timer   TimerHandle
-	onTimer func()
-	armed   bool
-	stale   int
+	// timer is the check's one timer, armed for a round's timeout or a busy
+	// backoff, running onCheckTimer; it outlives a recycled struct.
+	timer timer
 }
 
 // NewHost creates a host node. keyring may be nil, in which case claimed
@@ -184,11 +181,9 @@ func NewHost(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyring
 		tracer = trace.Nop{}
 	}
 	_, nop := tracer.(trace.Nop)
-	typed, _ := env.(CheckSender)
 	h := &Host{
 		id:        id,
-		env:       env,
-		typed:     typed,
+		env:       newLink(env),
 		tracer:    tracer,
 		tracing:   !nop,
 		hitEvents: !trace.Drops(tracer, trace.EventCacheHit),
@@ -274,7 +269,9 @@ func (h *Host) Check(app wire.AppID, user wire.UserID, right wire.Right, cb func
 	// The miss keeps the reading the probe used: one clock read per check,
 	// and a sentAt no later than the first Send (§3.2's conservative side).
 	h.mu.Lock()
-	h.locked(now, func() { h.checkLocked(app, user, right, st, cb) })
+	h.now = now
+	h.checkLocked(app, user, right, st, cb)
+	h.unlock()
 }
 
 // cacheHit is the whole of a check that ACL_cache can decide — the common
@@ -323,35 +320,30 @@ func (h *Host) cacheHit(app wire.AppID, user wire.UserID, right wire.Right, now 
 	// whose grant, if any, replaces the entry with a fresh limit; a
 	// revoked right simply fails to refresh, so the Te bound holds.
 	if ra := a.policy.RefreshAhead; ra > 0 && left <= ra && left != acl.Forever {
-		h.withLock(func() {
-			key := checkKey{app, user, right}
-			if _, inflight := h.byKey[key]; !inflight && h.managersUsable(a, now) {
-				c := h.newCheck(key)
-				c.born = now
-				h.byKey[key] = c
-				h.startRound(a, c)
-			}
-		})
+		h.lock()
+		key := checkKey{app, user, right}
+		if _, inflight := h.byKey[key]; !inflight && h.managersUsable(a, now) {
+			c := h.newCheck(key)
+			c.born = now
+			h.byKey[key] = c
+			h.startRound(a, c)
+		}
+		h.unlock()
 	}
 	cb(Decision{Allowed: true, CacheHit: true})
 	return acl.Hit
 }
 
-// withLock is an entry into the locked half of the node from the network
-// or a timer: it reads the clock once, after the lock is acquired, and runs
-// fn under the lock with that reading as h.now.
-func (h *Host) withLock(fn func()) {
+// lock enters the locked half of the node from the network or a timer: it
+// takes h.mu, then reads the clock once as the entry's h.now.
+func (h *Host) lock() {
 	h.mu.Lock()
-	h.locked(h.env.Now(), fn)
+	h.now = h.env.Now()
 }
 
-// locked runs fn with h.mu held and now as the entry's clock reading, then
-// releases the lock and fires the callbacks fn queued. They are copied out
-// (to the stack, for the usual few) so the queue keeps its buffer from one
-// entry to the next.
-func (h *Host) locked(now time.Time, fn func()) {
-	h.now = now
-	fn()
+// unlock ends the entry: it releases h.mu and fires the queued callbacks,
+// copied out (to the stack, for the usual few) so the queue keeps its buffer.
+func (h *Host) unlock() {
 	var buf [4]firing
 	fires := append(buf[:0], h.fires...)
 	clear(h.fires)
@@ -424,7 +416,7 @@ func (h *Host) deferCheck(a *hostApp, c *check, delay time.Duration) {
 	if h.tracing {
 		h.emitC(trace.EventCheckBackoff, c, 0, int64(delay))
 	}
-	h.arm(c, delay)
+	c.timer.arm(h.env.Env, delay)
 }
 
 // backoffJitter maps seed to a deterministic delay in [d/2, d): hosts that
@@ -471,7 +463,7 @@ func (h *Host) onBusy(from wire.NodeID, m *wire.Busy) {
 	// backoff retry does not consume one of the policy's R attempts — the
 	// manager explicitly asked to be tried later, which is not a failure of
 	// reachability (Figure 4's R counts unanswered rounds).
-	h.disarm(c)
+	c.timer.disarm()
 	delete(h.pending, c.nonce)
 	if c.attempts > 0 {
 		c.attempts--
@@ -480,71 +472,42 @@ func (h *Host) onBusy(from wire.NodeID, m *wire.Busy) {
 }
 
 // newCheck takes a check struct from the free list (retaining its callback
-// slice and its timer) or allocates a fresh one, building the timer callback
+// slice and its timer) or allocates a fresh one, binding the timer callback
 // it keeps for life. checkLocked and finish are the paired
 // producers/consumers of the list.
 func (h *Host) newCheck(key checkKey) *check {
-	if n := len(h.freeChecks); n > 0 {
-		c := h.freeChecks[n-1]
-		h.freeChecks[n-1] = nil
-		h.freeChecks = h.freeChecks[:n-1]
+	if c := popFree(&h.freeChecks); c != nil {
 		c.key = key
 		return c
 	}
 	c := &check{key: key}
-	fired := func() { h.onCheckTimer(c) }
-	c.onTimer = func() { h.withLock(fired) }
+	c.callbacks = c.first[:0]
+	c.timer.fn = func() {
+		h.lock()
+		h.onCheckTimer(c)
+		h.unlock()
+	}
 	return c
 }
 
 // recycleCheck resets a finished check and returns it to the free list.
 // Callers must ensure no references escape: finish clears the callbacks and
 // pending/byKey entries and disarms the timer, and a firing it was too late
-// to stop is counted in stale, which the reset keeps, so a recycled struct
-// can never be reached by old state.
+// to stop is counted in the timer's stale count, which the reset keeps, so a
+// recycled struct can never be reached by old state.
 func (h *Host) recycleCheck(c *check) {
 	clear(c.callbacks)
-	*c = check{callbacks: c.callbacks[:0], timer: c.timer, onTimer: c.onTimer, stale: c.stale}
+	*c = check{callbacks: c.callbacks[:0], timer: c.timer}
 	h.freeChecks = append(h.freeChecks, c)
-}
-
-// resetter is a TimerHandle that can be re-armed in place, as the
-// *time.Timer of the live transports can.
-type resetter interface {
-	Reset(d time.Duration) bool
-}
-
-// arm schedules the check's one callback after d: by Reset when its handle
-// has it, otherwise by SetTimer.
-func (h *Host) arm(c *check, d time.Duration) {
-	h.disarm(c)
-	if r, ok := c.timer.(resetter); ok {
-		r.Reset(d)
-	} else {
-		c.timer = h.env.SetTimer(d, c.onTimer)
-	}
-	c.armed = true
-}
-
-// disarm cancels the check's awaited firing. When Stop reports the timer
-// already fired, its callback is under way (on a live node, waiting for
-// Host.mu), so the firing is counted for onCheckTimer to discard.
-func (h *Host) disarm(c *check) {
-	if c.armed && !c.timer.Stop() {
-		c.stale++
-	}
-	c.armed = false
 }
 
 // onCheckTimer is every firing of a check's timer: a round's timeout while
 // the check's round is pending, else the end of its busy backoff while it is
 // still the live check for its key.
 func (h *Host) onCheckTimer(c *check) {
-	if c.stale > 0 {
-		c.stale--
+	if !c.timer.fired() {
 		return
 	}
-	c.armed = false
 	switch {
 	case h.pending[c.nonce] == c:
 		h.onQueryTimeout(c)
@@ -596,7 +559,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 	}
 	h.counts.queryRounds.Add(1)
 	h.ask(a, c, start, count)
-	h.arm(c, a.policy.QueryTimeout)
+	c.timer.arm(h.env.Env, a.policy.QueryTimeout)
 }
 
 // ask sends the round's query to the first count managers, in rotation order
@@ -604,7 +567,7 @@ func (h *Host) startRound(a *hostApp, c *check) {
 // how many the round has then asked in all.
 func (h *Host) ask(a *hostApp, c *check, start, count int) {
 	h.query = wire.Query{App: c.key.app, User: c.key.user, Right: c.key.right, Nonce: c.nonce, Trace: c.trace}
-	var boxed wire.Message // Send's box, made once for the round's sends
+	var msg wire.Message // made once for the round's sends
 	m := len(a.managers)
 	for i := 0; i < m && count > 0; i++ {
 		p := (start + i) % m
@@ -613,14 +576,10 @@ func (h *Host) ask(a *hostApp, c *check, start, count int) {
 		}
 		c.round.Asked = c.round.Asked.With(p)
 		count--
-		if h.typed != nil {
-			h.typed.SendQuery(a.managers[p], &h.query)
-			continue
+		if msg == nil {
+			msg = outbound(h.env, &h.query)
 		}
-		if boxed == nil {
-			boxed = h.query
-		}
-		h.env.Send(a.managers[p], boxed)
+		h.env.send(a.managers[p], msg)
 	}
 	if h.tracing {
 		h.emitC(trace.EventQuerySent, c, 0, trace.Pair(c.attempts, c.round.Asked.Len()))
@@ -675,7 +634,7 @@ func (h *Host) finish(c *check, d Decision, reason flight.Reason) {
 	if v.aud != nil {
 		h.auditFinish(v, c, d, reason)
 	}
-	h.disarm(c)
+	c.timer.disarm()
 	delete(h.pending, c.nonce)
 	delete(h.byKey, c.key)
 	for _, cb := range c.callbacks {
@@ -686,6 +645,7 @@ func (h *Host) finish(c *check, d Decision, reason flight.Reason) {
 
 // HandleMessage implements the network handler: the "when ... from network"
 // clauses of Figures 2 and 3 plus name-service and sealed-traffic handling.
+// A value of a kind managers lend is handed to HandleLent by pointer.
 func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
 	// Application traffic is a Check with a reply attached: like Check it
 	// enters unlocked, so an Invoke the cache can decide never takes h.mu.
@@ -702,34 +662,31 @@ func (h *Host) HandleMessage(from wire.NodeID, msg wire.Message) {
 		h.onSealed(from, m)
 		return
 	case wire.Response:
-		h.HandleResponse(from, &m)
-		return
+		msg = &m
 	case wire.Busy:
-		h.HandleBusy(from, &m)
-		return
+		msg = &m
+	case wire.RevokeNotice:
+		msg = &m
 	}
-	h.withLock(func() {
-		switch m := msg.(type) {
-		case wire.RevokeNotice:
-			h.onRevokeNotice(from, m)
-		case wire.ResolveResponse:
-			h.onResolveResponse(from, m)
-		}
-	})
+	h.HandleLent(from, msg)
 }
 
-// HandleResponse counts a manager's answer towards its round's quorum;
-// HandleMessage hands it a boxed one. r is lent for the call: nothing the
-// host keeps points into it, and its User is only compared with the round's
-// own key.
-func (h *Host) HandleResponse(from wire.NodeID, r *wire.Response) {
-	h.withLock(func() { h.onResponse(from, r) })
-}
-
-// HandleBusy backs the answering round off; HandleMessage hands it a boxed
-// one. b is lent for the call.
-func (h *Host) HandleBusy(from wire.NodeID, b *wire.Busy) {
-	h.withLock(func() { h.onBusy(from, b) })
+// HandleLent is the host's one locked dispatch: a kind managers lend comes
+// by pointer, lent for the call, and nothing the host keeps points into it
+// (a Response's User is only compared with the round's own key).
+func (h *Host) HandleLent(from wire.NodeID, msg wire.Message) {
+	h.lock()
+	switch m := msg.(type) {
+	case *wire.Response:
+		h.onResponse(from, m)
+	case *wire.Busy:
+		h.onBusy(from, m)
+	case *wire.RevokeNotice:
+		h.onRevokeNotice(from, m)
+	case wire.ResolveResponse:
+		h.onResolveResponse(from, m)
+	}
+	h.unlock()
 }
 
 func (h *Host) onResponse(from wire.NodeID, m *wire.Response) {
@@ -814,7 +771,7 @@ func (h *Host) grant(a *hostApp, c *check) {
 	}, flight.ReasonQuorumAllow)
 }
 
-func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
+func (h *Host) onRevokeNotice(from wire.NodeID, m *wire.RevokeNotice) {
 	// Only managers of the application may flush cache entries; otherwise
 	// any node could deny service by spraying RevokeNotices.
 	v := h.view.Load()
@@ -830,7 +787,8 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m wire.RevokeNotice) {
 	// Ack regardless: the manager needs to stop retransmitting even if the
 	// entry was already gone (§3.1: removal of a non-existent right is a
 	// no-op).
-	h.env.Send(from, wire.RevokeAck{App: m.App, User: m.User, Seq: m.Seq})
+	h.ack = wire.RevokeAck{App: m.App, User: m.User, Seq: m.Seq}
+	h.env.send(from, outbound(h.env, &h.ack))
 }
 
 func (h *Host) onInvoke(from wire.NodeID, m wire.Invoke) {
@@ -885,7 +843,9 @@ func (h *Host) resolveManagers(a *hostApp, app wire.AppID) {
 	a.resolveNonce = h.nonce.Add(1)
 	h.env.Send(a.nameService, wire.ResolveRequest{App: app, Nonce: a.resolveNonce})
 	a.resolveTimer = h.env.SetTimer(a.policy.QueryTimeout, func() {
-		h.withLock(func() { h.onResolveTimeout(a, app) })
+		h.lock()
+		h.onResolveTimeout(a, app)
+		h.unlock()
 	})
 }
 
@@ -985,15 +945,10 @@ func (h *Host) PurgeExpired() int {
 // evicted first (§3.2's memory-saving motivation).
 func (h *Host) SetCacheLimit(n int) { h.cache.SetMaxEntries(n) }
 
-// CacheSnapshot returns the cached entries with their expiration limits
-// (export hook for invariant checkers: the harness's cache-hygiene oracle
-// asserts no entry survives a purge past its limit).
-func (h *Host) CacheSnapshot() []acl.Entry { return h.cache.Snapshot() }
-
-// LocalNow returns the host's local clock reading. Local clocks may drift
-// within the bound b (§3.2); expiration limits in CacheSnapshot are in this
-// clock's frame, so oracles must compare against LocalNow, not global time.
-func (h *Host) LocalNow() time.Time { return h.env.Now() }
+// CacheCensus counts the cached entries and those past their limit on the
+// host's own clock, drifting within b (§3.2), the limits' frame: the
+// harness's cache-hygiene oracle finds none survives a purge.
+func (h *Host) CacheCensus() (entries, expired int) { return h.cache.Census(h.env.Now()) }
 
 // CacheGranters reports how many managers vouch for a cached entry.
 func (h *Host) CacheGranters(app wire.AppID, user wire.UserID, right wire.Right) int {
@@ -1012,7 +967,7 @@ func (h *Host) Reset() {
 	// and so are busy-deferred checks whose round was cancelled (they hold
 	// a backoff timer but no pending entry).
 	for _, c := range h.byKey {
-		h.disarm(c)
+		c.timer.disarm()
 	}
 	h.pending = make(map[uint64]*check)
 	h.byKey = make(map[checkKey]*check)

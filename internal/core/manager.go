@@ -24,7 +24,7 @@ import (
 // optionally applies the freeze strategy, and resynchronizes after a crash.
 type Manager struct {
 	id      wire.NodeID
-	env     Env
+	env     link
 	tracer  trace.Tracer
 	tracing bool          // false when tracer is trace.Nop: skip per-query events
 	keyring *auth.Keyring // nil: trust AdminOp issuers (simulation)
@@ -38,13 +38,19 @@ type Manager struct {
 	apps        map[wire.AppID]*mgrApp
 	outstanding map[wire.UpdateSeq]*outUpdate
 	notices     map[noticeKey]*outNotice
-	fires       []func()
-	// resp and busy are the answer to the query being handled, built in
-	// place so that typed, the env's CheckSender (nil when it has none), is
-	// lent them without a box.
-	resp  wire.Response
-	busy  wire.Busy
-	typed CheckSender
+	// freeUpdates and freeNotices recycle finished records with their
+	// timers, as Host.freeChecks does checks.
+	freeUpdates []*outUpdate
+	freeNotices []*outNotice
+	fires       []reply
+	// resp, busy and ack are the answer to the query or Update being
+	// handled, built in place to be lent (see LentSender).
+	resp wire.Response
+	busy wire.Busy
+	ack  wire.UpdateAck
+	// vouched is applyLocked's scratch for the vouches a revocation
+	// withdraws.
+	vouched []acl.Vouch
 	// freezing is set once any app's heartbeat loop is armed (FreezeTi):
 	// only that loop reads lastSeen, so only then does notePeer maintain it.
 	freezing bool
@@ -85,12 +91,12 @@ type mgrApp struct {
 	// removed.
 	lastOp map[grantKey]wire.Update
 	// Freeze strategy state.
-	lastSeen map[wire.NodeID]time.Time
-	frozen   bool
-	hbTimer  TimerHandle
+	lastSeen  map[wire.NodeID]time.Time
+	frozen    bool
+	heartbeat timer
 	// Recovery state.
-	syncing   bool
-	syncTimer TimerHandle
+	syncing bool
+	sync    timer
 	// Overload-protection state (nil buckets: that limit disabled).
 	appBucket   *ratelimit.Bucket
 	hostBuckets *ratelimit.Keyed
@@ -102,7 +108,7 @@ type mgrApp struct {
 	// how long a grant is then tracked: te on the slowest legal host clock.
 	expire, hold time.Duration
 	shedWindow   uint64 // sheds in the current controller interval
-	adaptTimer   TimerHandle
+	adapt        timer
 }
 
 type grantKey struct {
@@ -115,7 +121,8 @@ type noticeKey struct {
 	host wire.NodeID
 }
 
-// outUpdate tracks persistent dissemination of one update.
+// outUpdate tracks persistent dissemination of one update. Its timer runs
+// onUpdateRetry.
 type outUpdate struct {
 	upd wire.Update
 	// sys and members are the app's at issue, so SetPeers cannot move the
@@ -125,7 +132,7 @@ type outUpdate struct {
 	acked      quorum.Set
 	quorumDone bool
 	retries    int
-	timer      TimerHandle
+	timer      timer
 	// issuedAt feeds the update-quorum latency histogram.
 	issuedAt time.Time
 	// Exactly one of replyCb / replyTo is used for quorum notification.
@@ -134,17 +141,22 @@ type outUpdate struct {
 	reqID   uint64
 }
 
-// outNotice tracks retransmission of one revocation notice to one host.
+// outNotice tracks retransmission of one revocation notice to one host. Its
+// timer runs onNoticeRetry.
 type outNotice struct {
-	app      wire.AppID
-	user     wire.UserID
-	right    wire.Right
+	msg      wire.RevokeNotice
 	host     wire.NodeID
 	deadline time.Time // zero: no expiry backstop (basic protocol)
 	retries  int
-	timer    TimerHandle
+	timer    timer
 	// created feeds the revocation-propagation latency histogram.
 	created time.Time
+}
+
+// reply is one admin-op callback queued to run after the lock is released.
+type reply struct {
+	cb func(wire.AdminReply)
+	r  wire.AdminReply
 }
 
 // NewManager creates a manager node. keyring may be nil, in which case
@@ -155,11 +167,9 @@ func NewManager(id wire.NodeID, env Env, tracer trace.Tracer, keyring *auth.Keyr
 		tracer = trace.Nop{}
 	}
 	_, nop := tracer.(trace.Nop)
-	typed, _ := env.(CheckSender)
 	return &Manager{
 		id:          id,
-		env:         env,
-		typed:       typed,
+		env:         newLink(env),
 		tracer:      tracer,
 		tracing:     !nop,
 		keyring:     keyring,
@@ -190,14 +200,39 @@ func (m *Manager) AddApp(app wire.AppID, cfg ManagerAppConfig) error {
 	now := m.env.Now()
 	ma.setPeers(m.id, cfg, sys, now)
 	ma.reset(now)
+	m.bind(&ma.heartbeat, func() { m.onHeartbeatTick(app, ma) })
+	m.bind(&ma.adapt, func() { m.onAdaptTick(app, ma) })
+	m.bind(&ma.sync, func() {
+		if ma.syncing {
+			m.startSync(app, ma)
+		}
+	})
 	m.apps[app] = ma
-	if cfg.FreezeTi > 0 && len(ma.peers) > 0 {
-		m.scheduleHeartbeat(app, ma)
-	}
-	if cfg.Overload.AdaptiveTe.Max > 0 {
-		m.scheduleAdapt(app, ma)
-	}
+	m.startTicks(ma)
 	return nil
+}
+
+// bind makes t's callback an entry into the node that runs fire for each
+// awaited firing.
+func (m *Manager) bind(t *timer, fire func()) {
+	t.fn = func() {
+		m.lock()
+		if t.fired() {
+			fire()
+		}
+		m.unlock()
+	}
+}
+
+// startTicks arms the app's heartbeat and adaptive-Te loops where its
+// configuration runs them.
+func (m *Manager) startTicks(ma *mgrApp) {
+	if ma.cfg.FreezeTi > 0 && len(ma.peers) > 0 {
+		m.scheduleHeartbeat(ma)
+	}
+	if ma.cfg.Overload.AdaptiveTe.Max > 0 {
+		m.scheduleAdapt(ma)
+	}
 }
 
 // reset empties the app's sequencing, buffers and last-writer-wins frontier,
@@ -273,24 +308,27 @@ func (ma *mgrApp) effectiveTe() time.Duration {
 // update quorum has acknowledged (or retransmission gave up). cb runs
 // outside the manager lock.
 func (m *Manager) Submit(op wire.AdminOp, cb func(wire.AdminReply)) {
-	m.withLock(func() { m.submitLocked(op, cb, "", 0) })
+	m.lock()
+	m.submitLocked(op, cb, "", 0)
+	m.unlock()
 }
 
-// withLock is an entry into the node: it runs fn under the manager lock
-// with m.now freshly read, then runs the replies fn queued after releasing
-// it. The replies are copied out (to the stack, for the usual few) so the
-// queue keeps its buffer from one entry to the next.
-func (m *Manager) withLock(fn func()) {
+// lock is an entry into the node: it takes the lock and reads m.now.
+func (m *Manager) lock() {
 	m.mu.Lock()
 	m.now = m.env.Now()
-	fn()
-	var buf [4]func()
+}
+
+// unlock ends the entry: it releases the lock and runs the queued replies,
+// copied out (to the stack, for the usual few) so the queue keeps its buffer.
+func (m *Manager) unlock() {
+	var buf [4]reply
 	fires := append(buf[:0], m.fires...)
 	clear(m.fires)
 	m.fires = m.fires[:0]
 	m.mu.Unlock()
 	for _, f := range fires {
-		f()
+		f.cb(f.r)
 	}
 }
 
@@ -301,7 +339,7 @@ func (m *Manager) reply(cb func(wire.AdminReply), to wire.NodeID, r wire.AdminRe
 		m.env.Send(to, r)
 	}
 	if cb != nil {
-		m.fires = append(m.fires, func() { cb(r) })
+		m.fires = append(m.fires, reply{cb, r})
 	}
 }
 
@@ -358,16 +396,9 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 	m.emitUpd(trace.EventUpdateIssued, &upd, trace.OpWord(upd.Op), "")
 
 	self, _ := slices.BinarySearch(ma.members, m.id)
-	out := &outUpdate{
-		upd:      upd,
-		sys:      ma.sys,
-		members:  ma.members,
-		acked:    quorum.Set(0).With(self),
-		replyCb:  cb,
-		replyTo:  replyTo,
-		reqID:    reqID,
-		issuedAt: m.now,
-	}
+	out := m.newUpdate()
+	out.upd, out.sys, out.members, out.acked = upd, ma.sys, ma.members, quorum.Set(0).With(self)
+	out.replyCb, out.replyTo, out.reqID, out.issuedAt = cb, replyTo, reqID, m.now
 	m.outstanding[upd.Seq] = out
 
 	m.reply(nil, replyTo, wire.AdminReply{ReqID: reqID, Accepted: true})
@@ -385,17 +416,34 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 		}
 		app := op.App
 		m.env.SetTimer(op.ValidFor, func() {
-			m.withLock(func() {
-				// Authorized at grant time: issue directly even if the
-				// original issuer has since lost the manage right.
-				cur, ok := m.apps[app]
-				if !ok || cur.syncing {
-					return
-				}
+			m.lock()
+			defer m.unlock()
+			// Authorized at grant time: issue directly even if the original
+			// issuer has since lost the manage right.
+			if cur, ok := m.apps[app]; ok && !cur.syncing {
 				m.issueLocked(cur, revoke, nil, "", 0)
-			})
+			}
 		})
 	}
+}
+
+// newUpdate takes an update record from the free list or makes one,
+// binding its timer's callback for life.
+func (m *Manager) newUpdate() *outUpdate {
+	out := popFree(&m.freeUpdates)
+	if out == nil {
+		out = &outUpdate{}
+		m.bind(&out.timer, func() { m.onUpdateRetry(out) })
+	}
+	return out
+}
+
+// finishUpdate forgets out, whose timer is disarmed or has fired, and
+// recycles it with its timer.
+func (m *Manager) finishUpdate(out *outUpdate) {
+	delete(m.outstanding, out.upd.Seq)
+	*out = outUpdate{timer: out.timer}
+	m.freeUpdates = append(m.freeUpdates, out)
 }
 
 // transmitUpdate sends the update to all unacked peers and arms the
@@ -404,22 +452,16 @@ func (m *Manager) transmitUpdate(ma *mgrApp, out *outUpdate) {
 	if out.done() {
 		return
 	}
+	msg := outbound(m.env, &out.upd)
 	for i, p := range out.members {
 		if !out.acked.Has(i) {
-			m.env.Send(p, out.upd)
+			m.env.send(p, msg)
 		}
 	}
-	seq := out.upd.Seq
-	out.timer = m.env.SetTimer(ma.cfg.UpdateRetry, func() {
-		m.withLock(func() { m.onUpdateRetry(seq) })
-	})
+	out.timer.arm(m.env.Env, ma.cfg.UpdateRetry)
 }
 
-func (m *Manager) onUpdateRetry(seq wire.UpdateSeq) {
-	out, ok := m.outstanding[seq]
-	if !ok {
-		return
-	}
+func (m *Manager) onUpdateRetry(out *outUpdate) {
 	ma, ok := m.apps[out.upd.App]
 	if !ok {
 		return
@@ -431,7 +473,7 @@ func (m *Manager) onUpdateRetry(seq wire.UpdateSeq) {
 		if !out.quorumDone {
 			m.reply(out.replyCb, out.replyTo, wire.AdminReply{ReqID: out.reqID, Accepted: true, Err: "update quorum not reached"})
 		}
-		delete(m.outstanding, seq)
+		m.finishUpdate(out)
 		return
 	}
 	m.transmitUpdate(ma, out)
@@ -478,102 +520,119 @@ func (m *Manager) applyLocked(app wire.AppID, ma *mgrApp, upd wire.Update) bool 
 	case wire.OpAdd:
 		m.store.Grant(app, upd.User, upd.Right)
 	case wire.OpRevoke:
-		vouched, _ := m.store.Withdraw(app, upd.User, upd.Right)
-		m.forwardRevocation(app, ma, upd, vouched)
+		m.vouched, _ = m.store.Withdraw(app, upd.User, upd.Right, m.vouched[:0])
+		m.forwardRevocation(ma, upd)
 	}
 	return true
 }
 
-// forwardRevocation notifies the hosts the revoked right was vouched to, in
-// host-id order.
-func (m *Manager) forwardRevocation(app wire.AppID, ma *mgrApp, upd wire.Update, vouched []acl.Vouch) {
-	for _, v := range vouched {
+// forwardRevocation notifies the hosts the revoked right was vouched to
+// (m.vouched), in host-id order.
+func (m *Manager) forwardRevocation(ma *mgrApp, upd wire.Update) {
+	for _, v := range m.vouched {
 		if !v.Deadline.IsZero() && !m.now.Before(v.Deadline) {
 			continue // cached copy already expired; no notice needed
 		}
-		n := &outNotice{
-			app: app, user: upd.User, right: upd.Right,
-			host: v.Host, deadline: v.Deadline, created: m.now,
-		}
-		key := noticeKey{seq: upd.Seq, host: v.Host}
-		m.notices[key] = n
-		m.transmitNotice(ma, key, n, upd.Seq)
+		n := m.newNotice()
+		n.msg = wire.RevokeNotice{App: upd.App, User: upd.User, Right: upd.Right, Seq: upd.Seq}
+		n.host, n.deadline, n.created = v.Host, v.Deadline, m.now
+		m.notices[n.key()] = n
+		m.transmitNotice(ma, n)
 	}
 }
 
-func (m *Manager) transmitNotice(ma *mgrApp, key noticeKey, n *outNotice, seq wire.UpdateSeq) {
-	m.env.Send(n.host, wire.RevokeNotice{App: n.app, User: n.user, Right: n.right, Seq: seq})
-	n.timer = m.env.SetTimer(ma.cfg.UpdateRetry, func() {
-		m.withLock(func() { m.onNoticeRetry(key, seq) })
-	})
+// newNotice is newUpdate for a notice record.
+func (m *Manager) newNotice() *outNotice {
+	n := popFree(&m.freeNotices)
+	if n == nil {
+		n = &outNotice{}
+		m.bind(&n.timer, func() { m.onNoticeRetry(n) })
+	}
+	return n
 }
 
-func (m *Manager) onNoticeRetry(key noticeKey, seq wire.UpdateSeq) {
-	n, ok := m.notices[key]
-	if !ok {
-		return
-	}
-	ma, ok := m.apps[n.app]
+// finishNotice is finishUpdate for a notice record.
+func (m *Manager) finishNotice(n *outNotice) {
+	delete(m.notices, n.key())
+	*n = outNotice{timer: n.timer}
+	m.freeNotices = append(m.freeNotices, n)
+}
+
+func (n *outNotice) key() noticeKey { return noticeKey{seq: n.msg.Seq, host: n.host} }
+
+func (m *Manager) transmitNotice(ma *mgrApp, n *outNotice) {
+	m.env.send(n.host, outbound(m.env, &n.msg))
+	n.timer.arm(m.env.Env, ma.cfg.UpdateRetry)
+}
+
+func (m *Manager) onNoticeRetry(n *outNotice) {
+	ma, ok := m.apps[n.msg.App]
 	if !ok {
 		return
 	}
 	n.retries++
 	// §3.4: stop resending once the grant would have expired on its own.
 	if !n.deadline.IsZero() && !m.now.Before(n.deadline) {
-		delete(m.notices, key)
+		m.finishNotice(n)
 		return
 	}
 	if ma.cfg.MaxUpdateRetries > 0 && n.retries >= ma.cfg.MaxUpdateRetries {
-		delete(m.notices, key)
+		m.finishNotice(n)
 		return
 	}
-	m.transmitNotice(ma, key, n, seq)
+	m.transmitNotice(ma, n)
 }
 
-// HandleMessage dispatches network traffic.
+// HandleMessage dispatches network traffic: a value of a kind nodes lend is
+// handed to HandleLent by pointer, anything else as it is.
 func (m *Manager) HandleMessage(from wire.NodeID, msg wire.Message) {
-	if q, ok := msg.(wire.Query); ok {
-		m.HandleQuery(from, &q)
-		return
+	switch mm := msg.(type) {
+	case wire.Query:
+		msg = &mm
+	case wire.Update:
+		msg = &mm
+	case wire.UpdateAck:
+		msg = &mm
+	case wire.RevokeAck:
+		msg = &mm
 	}
-	m.withLock(func() {
-		// Any direct traffic from a peer proves reachability for the freeze
-		// strategy's accessibility tracking.
-		m.notePeer(from)
-		switch mm := msg.(type) {
-		case wire.Update:
-			m.onUpdate(from, mm)
-		case wire.UpdateAck:
-			m.onUpdateAck(from, mm)
-		case wire.RevokeAck:
-			m.onRevokeAck(mm)
-		case wire.SyncRequest:
-			m.onSyncRequest(from, mm)
-		case wire.SyncResponse:
-			m.onSyncResponse(mm)
-		case wire.Heartbeat:
-			m.env.Send(from, wire.HeartbeatAck{Nonce: mm.Nonce})
-		case wire.HeartbeatAck:
-			// notePeer above already refreshed lastSeen.
-		case wire.AdminOp:
-			if m.keyring != nil {
-				m.env.Send(from, wire.AdminReply{ReqID: mm.ReqID, Err: "unauthenticated admin op"})
-				return
-			}
-			m.submitLocked(mm, nil, from, mm.ReqID)
-		case wire.Sealed:
-			m.onSealed(from, mm)
-		}
-	})
+	m.HandleLent(from, msg)
 }
 
-// HandleQuery answers a check's Query; HandleMessage hands it a boxed one.
-// q is lent for the call: nothing the manager keeps points into it.
-func (m *Manager) HandleQuery(from wire.NodeID, q *wire.Query) {
-	m.withLock(func() {
-		m.notePeer(from)
-		m.onQuery(from, q)
-	})
+// HandleLent is the manager's one dispatch: a kind nodes lend comes by
+// pointer, lent for the call, and nothing the manager keeps points into it.
+func (m *Manager) HandleLent(from wire.NodeID, msg wire.Message) {
+	m.lock()
+	defer m.unlock()
+	// Any direct traffic from a peer proves reachability for the freeze
+	// strategy's accessibility tracking.
+	m.notePeer(from)
+	switch mm := msg.(type) {
+	case *wire.Query:
+		m.onQuery(from, mm)
+	case *wire.Update:
+		m.onUpdate(mm)
+	case *wire.UpdateAck:
+		m.onUpdateAck(from, mm)
+	case *wire.RevokeAck:
+		m.onRevokeAck(mm)
+	case wire.SyncRequest:
+		m.onSyncRequest(from, mm)
+	case wire.SyncResponse:
+		m.onSyncResponse(mm)
+	case wire.Heartbeat:
+		m.env.Send(from, wire.HeartbeatAck{Nonce: mm.Nonce})
+	case wire.HeartbeatAck:
+		// notePeer above already refreshed lastSeen.
+	case wire.AdminOp:
+		if m.keyring != nil {
+			m.env.Send(from, wire.AdminReply{ReqID: mm.ReqID, Err: "unauthenticated admin op"})
+			return
+		}
+		m.submitLocked(mm, nil, from, mm.ReqID)
+	case wire.Sealed:
+		m.onSealed(from, mm)
+	}
 }
 
 func (m *Manager) onSealed(from wire.NodeID, sealed wire.Sealed) {
@@ -632,11 +691,7 @@ func (m *Manager) onQuery(from wire.NodeID, q *wire.Query) {
 			m.served(ma, from, q, trace.WordDenied, flight.ReasonQueryDenied)
 		}
 	}
-	if m.typed != nil {
-		m.typed.SendResponse(from, &m.resp)
-	} else {
-		m.env.Send(from, m.resp)
-	}
+	m.env.send(from, outbound(m.env, &m.resp))
 }
 
 // served counts a query's verdict and tells the attached observers: the
@@ -699,22 +754,16 @@ func (m *Manager) shedQuery(ma *mgrApp, from wire.NodeID, q *wire.Query) {
 		m.auditResponse(ma, from, q, flight.ReasonQueryShed)
 	}
 	m.busy = wire.Busy{App: q.App, Nonce: q.Nonce, RetryAfter: retry, Trace: q.Trace}
-	if m.typed != nil {
-		m.typed.SendBusy(from, &m.busy)
-	} else {
-		m.env.Send(from, m.busy)
-	}
+	m.env.send(from, outbound(m.env, &m.busy))
 }
 
 // scheduleAdapt arms the adaptive-Te controller tick for one app.
-func (m *Manager) scheduleAdapt(app wire.AppID, ma *mgrApp) {
+func (m *Manager) scheduleAdapt(ma *mgrApp) {
 	interval := ma.cfg.Overload.AdaptiveTe.Interval
 	if interval <= 0 {
 		interval = time.Second
 	}
-	ma.adaptTimer = m.env.SetTimer(interval, func() {
-		m.withLock(func() { m.onAdaptTick(app) })
-	})
+	ma.adapt.arm(m.env.Env, interval)
 }
 
 // onAdaptTick evaluates one controller interval: any shed query doubles
@@ -722,11 +771,7 @@ func (m *Manager) scheduleAdapt(app wire.AppID, ma *mgrApp) {
 // the configured base. Widening stretches grant expiry — hosts re-verify
 // less often, which sheds load at the source — while Max keeps the
 // worst-case revocation latency stated.
-func (m *Manager) onAdaptTick(app wire.AppID) {
-	ma, ok := m.apps[app]
-	if !ok {
-		return
-	}
+func (m *Manager) onAdaptTick(app wire.AppID, ma *mgrApp) {
 	prev := ma.effTe
 	if ma.shedWindow > 0 {
 		ma.setEffTe(min(ma.effTe*2, ma.cfg.Overload.AdaptiveTe.Max))
@@ -740,31 +785,32 @@ func (m *Manager) onAdaptTick(app wire.AppID) {
 		m.emit(trace.EventTeAdapted, app, int64(ma.effTe))
 	}
 	ma.shedWindow = 0
-	m.scheduleAdapt(app, ma)
+	m.scheduleAdapt(ma)
 }
 
 // onUpdate applies peer updates in per-origin counter order, buffering
 // gaps; acks are sent only for applied updates so that the update quorum
 // reflects managers that actually know the operation.
-func (m *Manager) onUpdate(_ wire.NodeID, upd wire.Update) {
+func (m *Manager) onUpdate(upd *wire.Update) {
 	ma, ok := m.apps[upd.App]
 	if !ok || !slices.Contains(ma.peers, upd.Seq.Origin) {
 		return
 	}
 	if ma.syncing {
-		m.bufferUpdate(ma, upd)
+		m.bufferUpdate(ma, *upd)
 		return
 	}
 	origin := upd.Seq.Origin
 	switch {
 	case upd.Seq.Counter <= ma.applied[origin]:
 		// Duplicate (retransmission after a lost ack): re-ack.
-		m.env.Send(origin, wire.UpdateAck{Seq: upd.Seq})
+		m.ack = wire.UpdateAck{Seq: upd.Seq}
+		m.env.send(origin, outbound(m.env, &m.ack))
 	case upd.Seq.Counter == ma.applied[origin]+1:
-		m.applyInOrder(ma, upd)
+		m.applyInOrder(ma, *upd)
 		m.drainBuffer(ma, origin)
 	default:
-		m.bufferUpdate(ma, upd)
+		m.bufferUpdate(ma, *upd)
 	}
 }
 
@@ -791,7 +837,8 @@ func (m *Manager) applyInOrder(ma *mgrApp, upd wire.Update) {
 		delete(ma.forced, upd.Seq)
 	}
 	ma.applied[origin] = upd.Seq.Counter
-	m.env.Send(origin, wire.UpdateAck{Seq: upd.Seq})
+	m.ack = wire.UpdateAck{Seq: upd.Seq}
+	m.env.send(origin, outbound(m.env, &m.ack))
 }
 
 func (m *Manager) drainBuffer(ma *mgrApp, origin wire.NodeID) {
@@ -810,7 +857,7 @@ func (m *Manager) drainBuffer(ma *mgrApp, origin wire.NodeID) {
 	}
 }
 
-func (m *Manager) onUpdateAck(from wire.NodeID, ack wire.UpdateAck) {
+func (m *Manager) onUpdateAck(from wire.NodeID, ack *wire.UpdateAck) {
 	out, ok := m.outstanding[ack.Seq]
 	if !ok {
 		return
@@ -822,23 +869,19 @@ func (m *Manager) onUpdateAck(from wire.NodeID, ack wire.UpdateAck) {
 	out.acked = out.acked.With(i)
 	m.checkUpdateQuorum(out)
 	if out.done() {
-		if out.timer != nil {
-			out.timer.Stop()
-		}
-		delete(m.outstanding, ack.Seq)
+		out.timer.disarm()
+		m.finishUpdate(out)
 	}
 }
 
-func (m *Manager) onRevokeAck(ack wire.RevokeAck) {
+func (m *Manager) onRevokeAck(ack *wire.RevokeAck) {
 	// Notices are keyed by (seq, host); the ack does not carry the host id
 	// explicitly, so search the small notice table.
 	for k, n := range m.notices {
-		if k.seq == ack.Seq && n.app == ack.App && n.user == ack.User {
-			if n.timer != nil {
-				n.timer.Stop()
-			}
+		if k.seq == ack.Seq && n.msg.App == ack.App && n.msg.User == ack.User {
+			n.timer.disarm()
 			observeSince(m.revocationLag, n.created, m.now)
-			delete(m.notices, k)
+			m.finishNotice(n)
 		}
 	}
 }
@@ -848,36 +891,29 @@ func (m *Manager) onRevokeAck(ack wire.RevokeAck) {
 // reach (§3.3). The update takes effect immediately; when the original
 // eventually arrives through the network it is acknowledged without being
 // applied twice.
-func (m *Manager) ForceApply(upd wire.Update) (err error) {
-	m.withLock(func() {
-		ma, ok := m.apps[upd.App]
-		if !ok {
-			err = fmt.Errorf("%w: unknown app %s", ErrConfig, upd.App)
-			return
-		}
-		if upd.Seq.Counter <= ma.applied[upd.Seq.Origin] || ma.forced[upd.Seq] {
-			return // already known
-		}
-		m.applyLocked(upd.App, ma, upd)
-		ma.forced[upd.Seq] = true
-		m.emitUpd(trace.EventUpdateApplied, &upd, trace.WordForced, "")
-	})
-	return err
+func (m *Manager) ForceApply(upd wire.Update) error {
+	m.lock()
+	defer m.unlock()
+	ma, ok := m.apps[upd.App]
+	if !ok {
+		return fmt.Errorf("%w: unknown app %s", ErrConfig, upd.App)
+	}
+	if upd.Seq.Counter <= ma.applied[upd.Seq.Origin] || ma.forced[upd.Seq] {
+		return nil // already known
+	}
+	m.applyLocked(upd.App, ma, upd)
+	ma.forced[upd.Seq] = true
+	m.emitUpd(trace.EventUpdateApplied, &upd, trace.WordForced, "")
+	return nil
 }
 
 // scheduleHeartbeat arms the freeze-strategy probe loop for one app.
-func (m *Manager) scheduleHeartbeat(app wire.AppID, ma *mgrApp) {
+func (m *Manager) scheduleHeartbeat(ma *mgrApp) {
 	m.freezing = true
-	ma.hbTimer = m.env.SetTimer(ma.cfg.HeartbeatEvery, func() {
-		m.withLock(func() { m.onHeartbeatTick(app) })
-	})
+	ma.heartbeat.arm(m.env.Env, ma.cfg.HeartbeatEvery)
 }
 
-func (m *Manager) onHeartbeatTick(app wire.AppID) {
-	ma, ok := m.apps[app]
-	if !ok {
-		return
-	}
+func (m *Manager) onHeartbeatTick(app wire.AppID, ma *mgrApp) {
 	for _, p := range ma.peers {
 		m.env.Send(p, wire.Heartbeat{})
 	}
@@ -895,7 +931,7 @@ func (m *Manager) onHeartbeatTick(app wire.AppID) {
 		ma.frozen = false
 		m.emit(trace.EventUnfrozen, app, 0)
 	}
-	m.scheduleHeartbeat(app, ma)
+	m.scheduleHeartbeat(ma)
 }
 
 // Recover models a manager restart after a crash: all volatile state is
@@ -904,19 +940,17 @@ func (m *Manager) onHeartbeatTick(app wire.AppID) {
 // Single-manager deployments have no peer to sync from and resume
 // immediately with whatever was seeded.
 func (m *Manager) Recover() {
-	m.withLock(func() {
-		m.store = acl.NewStore()
-		m.outstanding = make(map[wire.UpdateSeq]*outUpdate)
-		m.dropNotices()
-		for app, ma := range m.apps {
-			ma.reset(m.now)
-			if len(ma.peers) == 0 {
-				continue
-			}
+	m.lock()
+	defer m.unlock()
+	m.store = acl.NewStore()
+	m.dropRecords()
+	for app, ma := range m.apps {
+		ma.reset(m.now)
+		if len(ma.peers) > 0 {
 			ma.syncing = true
 			m.startSync(app, ma)
 		}
-	})
+	}
 }
 
 // ResetVolatile returns the manager to its post-AddApp state: the ACL store
@@ -931,47 +965,32 @@ func (m *Manager) ResetVolatile() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.store = acl.NewStore()
-	for _, out := range m.outstanding {
-		if out.timer != nil {
-			out.timer.Stop()
-		}
-	}
-	m.outstanding = make(map[wire.UpdateSeq]*outUpdate)
-	m.dropNotices()
+	m.dropRecords()
 	m.fires = nil
 	now := m.env.Now()
-	for app, ma := range m.apps {
+	for _, ma := range m.apps {
 		ma.reset(now)
 		ma.frozen = false
 		ma.syncing = false
-		if ma.syncTimer != nil {
-			ma.syncTimer.Stop()
-			ma.syncTimer = nil
+		// sim.World.ResetTrial discarded their firings: none is stale.
+		for _, t := range []*timer{&ma.sync, &ma.heartbeat, &ma.adapt} {
+			t.disarm()
+			t.stale = 0
 		}
-		if ma.hbTimer != nil {
-			ma.hbTimer.Stop()
-			ma.hbTimer = nil
-		}
-		if ma.adaptTimer != nil {
-			ma.adaptTimer.Stop()
-			ma.adaptTimer = nil
-		}
-		if ma.cfg.FreezeTi > 0 && len(ma.peers) > 0 {
-			m.scheduleHeartbeat(app, ma)
-		}
-		if ma.cfg.Overload.AdaptiveTe.Max > 0 {
-			m.scheduleAdapt(app, ma)
-		}
+		m.startTicks(ma)
 	}
 }
 
-// dropNotices cancels the retransmission of every revocation notice.
-func (m *Manager) dropNotices() {
-	for _, n := range m.notices {
-		if n.timer != nil {
-			n.timer.Stop()
-		}
+// dropRecords cancels every update's and notice's retransmission and drops
+// the records unrecycled: a late firing finds its own counting it stale.
+func (m *Manager) dropRecords() {
+	for _, out := range m.outstanding {
+		out.timer.disarm()
 	}
+	for _, n := range m.notices {
+		n.timer.disarm()
+	}
+	m.outstanding = make(map[wire.UpdateSeq]*outUpdate)
 	m.notices = make(map[noticeKey]*outNotice)
 }
 
@@ -979,15 +998,7 @@ func (m *Manager) startSync(app wire.AppID, ma *mgrApp) {
 	for _, p := range ma.peers {
 		m.env.Send(p, wire.SyncRequest{App: app})
 	}
-	ma.syncTimer = m.env.SetTimer(ma.cfg.SyncRetry, func() {
-		m.withLock(func() {
-			cur, ok := m.apps[app]
-			if !ok || !cur.syncing {
-				return
-			}
-			m.startSync(app, cur)
-		})
-	})
+	ma.sync.arm(m.env.Env, ma.cfg.SyncRetry)
 }
 
 func (m *Manager) onSyncRequest(from wire.NodeID, req wire.SyncRequest) {
@@ -1017,9 +1028,7 @@ func (m *Manager) onSyncResponse(resp wire.SyncResponse) {
 		return
 	}
 	ma.syncing = false
-	if ma.syncTimer != nil {
-		ma.syncTimer.Stop()
-	}
+	ma.sync.disarm()
 	// Install the snapshot for this app only: drop our (empty) entries for
 	// the app and graft the peer's.
 	for _, e := range m.store.Entries(resp.App) {

@@ -55,7 +55,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Sequence numbers continue instead of restarting from 1: a new update
 	// must carry counter 4.
 	var got wire.UpdateSeq
-	env2 := m2.env.(*fakeEnv)
+	env2 := m2.env.Env.(*fakeEnv)
 	_ = env2
 	m2.Submit(wire.AdminOp{Op: wire.OpAdd, App: "a", User: "carol", Right: wire.RightUse, Issuer: "root"}, nil)
 	m2.mu.Lock()

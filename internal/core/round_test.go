@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"wanac/internal/acl"
 
 	"wanac/internal/quorum"
 	"wanac/internal/wire"
@@ -192,7 +193,7 @@ func TestCheckRoundRule(t *testing.T) {
 			for _, e := range first { // grants for the dead nonce: discarded (§3.2)
 				rh.h.HandleMessage(e.To, grants.response(e.Msg.(wire.Query), time.Minute))
 			}
-			if len(rh.decisions) != 0 || len(rh.h.CacheSnapshot()) != 0 {
+			if len(rh.decisions) != 0 || rh.h.cache.Len() != 0 {
 				rh.t.Fatalf("late answers decided the check: %+v", rh.decisions)
 			}
 			rh.exchange(all(denies))
@@ -213,7 +214,7 @@ func TestCheckRoundRule(t *testing.T) {
 				}
 				if granters := rh.h.CacheGranters("a", "u", wire.RightUse); want.Allowed && granters != c {
 					t.Errorf("cached entry has %d granters, want %d", granters, c)
-				} else if !want.Allowed && len(rh.h.CacheSnapshot()) != 0 {
+				} else if !want.Allowed && rh.h.cache.Len() != 0 {
 					t.Error("a denied check left a cache entry")
 				}
 			})
@@ -350,12 +351,12 @@ func TestCheckRoundProperty(t *testing.T) {
 				if len(rh.decisions) != 1 || !rh.decisions[0].Allowed || rh.decisions[0].Confirmations != c {
 					t.Fatalf("seed %d (M=%d C=%d): %d grants heard, decisions %+v, want allowed by %d", seed, m, c, granted, rh.decisions, c)
 				}
-				entries := rh.h.CacheSnapshot()
-				if len(entries) != 1 || entries[0].Granters != c {
-					t.Fatalf("seed %d: cache after the allow = %+v, want one entry with %d granters", seed, entries, c)
+				e, st := rh.h.cache.LookupStatus("a", "u", wire.RightUse, rh.h.env.Now())
+				if n := rh.h.cache.Len(); n != 1 || st != acl.Hit || e.Granters != c {
+					t.Fatalf("seed %d: cache after the allow holds %d entries, %+v (status %d), want one with %d granters", seed, n, e, st, c)
 				}
-				if latest := rh.firstSend[nonce].Add(minTe); entries[0].Limit.After(latest) {
-					t.Fatalf("seed %d: limit %v is later than first send + min te = %v", seed, entries[0].Limit, latest)
+				if latest := rh.firstSend[nonce].Add(minTe); e.Limit.After(latest) {
+					t.Fatalf("seed %d: limit %v is later than first send + min te = %v", seed, e.Limit, latest)
 				}
 			case denied > m-c:
 				if len(rh.decisions) != 1 || rh.decisions[0].Allowed {
@@ -371,8 +372,8 @@ func TestCheckRoundProperty(t *testing.T) {
 		if d.Attempts != len(rh.asked) {
 			t.Fatalf("seed %d: Attempts = %d over %d nonces", seed, d.Attempts, len(rh.asked))
 		}
-		if d.Allowed == (len(rh.h.CacheSnapshot()) == 0) {
-			t.Fatalf("seed %d: decision %+v with %d cache entries", seed, d, len(rh.h.CacheSnapshot()))
+		if d.Allowed == (rh.h.cache.Len() == 0) {
+			t.Fatalf("seed %d: decision %+v with %d cache entries", seed, d, rh.h.cache.Len())
 		}
 	}
 }

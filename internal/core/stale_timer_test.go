@@ -1,17 +1,18 @@
 package core
 
-// A check owns one timer for its whole life, recycled lives included (see
-// Host.arm). On a live node a timer can fire while Host.mu is held by the
-// response that finishes its check: Stop then returns false, and the
-// callback runs later, once it gets the lock — by which time the struct may
-// be serving another check. These tests deliver such a firing late and
-// require the next check's round neither to time out early nor to lose its
-// own timeout.
+// A check, an update's record and a revocation notice's record each own one
+// timer for their whole life, recycled lives included (see timer in
+// env.go). On a live node a timer can fire while the node's lock is held by
+// the message that finishes its job: Stop then returns false, and the
+// callback runs later, once it gets the lock — by which time the record may
+// be serving another job. These tests deliver such firings late and require
+// the next job neither to act early nor to lose its own timer.
 
 import (
 	"math/rand"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -229,5 +230,123 @@ func TestStaleTimerFiringRealTimers(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatalf("check %d undecided after 5s", i)
 		}
+	}
+}
+
+// sendLog is a live-style Env that keeps every message a node sends with
+// the wall-clock time it was sent, and counts the timer callbacks under way.
+type sendLog struct {
+	mu      sync.Mutex
+	sends   []timedSend
+	running atomic.Int64
+}
+
+type timedSend struct {
+	at  time.Time
+	to  wire.NodeID
+	msg wire.Message
+}
+
+func (e *sendLog) Now() time.Time { return time.Now() }
+
+func (e *sendLog) Send(to wire.NodeID, msg wire.Message) {
+	e.mu.Lock()
+	e.sends = append(e.sends, timedSend{time.Now(), to, msg})
+	e.mu.Unlock()
+}
+
+func (e *sendLog) SetTimer(d time.Duration, fn func()) TimerHandle {
+	return time.AfterFunc(d, func() {
+		e.running.Add(1)
+		defer e.running.Add(-1)
+		fn()
+	})
+}
+
+// TestStaleRecordFiringRealTimers races a manager's retransmission timers
+// against the acks that finish their records. Each round vouches a new user
+// to a new host, revokes it, and acks the Update from the peer and the
+// RevokeNotice from the host within a quarter of the retry period either
+// side of it, so some timers fire while an ack holds the manager's lock;
+// the next round's update and notice reuse the records. Every message that
+// goes to the same peer or host for the same update must come at least a
+// retry period after the previous one: a stale firing that acted on a
+// recycled record would retransmit its new update or notice early. The race
+// is rare per round; scripts/ci.sh repeats this under -race.
+func TestStaleRecordFiringRealTimers(t *testing.T) {
+	const retry = 2 * time.Millisecond
+	env := &sendLog{}
+	m := NewManager("m0", env, nil, nil)
+	if err := m.AddApp("a", ManagerAppConfig{
+		Peers: []wire.NodeID{"m0", "m1"}, CheckQuorum: 1, Te: time.Minute, UpdateRetry: retry,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	m.Seed("a", "admin", wire.RightManage)
+	rng := rand.New(rand.NewSource(1))
+	var acks sync.WaitGroup
+	defer acks.Wait()
+	for i := 0; i < 150; i++ {
+		user, host := wire.UserID("u"+strconv.Itoa(i)), wire.NodeID("h"+strconv.Itoa(i))
+		m.Seed("a", user, wire.RightUse)
+		m.HandleMessage(host, wire.Query{App: "a", User: user, Right: wire.RightUse, Nonce: uint64(i)})
+		reached := make(chan wire.AdminReply, 1)
+		m.Submit(wire.AdminOp{Op: wire.OpRevoke, App: "a", User: user, Right: wire.RightUse, Issuer: "admin"}, func(r wire.AdminReply) {
+			if r.QuorumReached {
+				reached <- r
+			}
+		})
+		seq := wire.UpdateSeq{Origin: "m0", Counter: uint64(i + 1)}
+		acked := make(chan struct{})
+		acks.Add(1)
+		time.AfterFunc(retry*3/4+time.Duration(rng.Int63n(int64(retry/2))), func() {
+			defer acks.Done()
+			m.HandleMessage("m1", wire.UpdateAck{Seq: seq})
+			m.HandleMessage(host, wire.RevokeAck{App: "a", User: user, Seq: seq})
+			close(acked)
+		})
+		select {
+		case <-acked:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: acks undelivered after 5s", i)
+		}
+		select {
+		case <-reached:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: update quorum not reached after 5s", i)
+		}
+	}
+	// Let any firing Stop was too late for run its course.
+	for deadline := time.Now().Add(5 * time.Second); env.running.Load() > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("timer callbacks still running after 5s")
+		}
+	}
+
+	env.mu.Lock()
+	defer env.mu.Unlock()
+	type key struct {
+		to  wire.NodeID
+		seq wire.UpdateSeq
+	}
+	last := map[key]time.Time{}
+	notices, updates := 0, 0
+	for _, s := range env.sends {
+		var k key
+		switch msg := s.msg.(type) {
+		case wire.Update:
+			k, updates = key{s.to, msg.Seq}, updates+1
+		case wire.RevokeNotice:
+			k, notices = key{s.to, msg.Seq}, notices+1
+		default:
+			continue
+		}
+		if prev, ok := last[k]; ok && s.at.Sub(prev) < retry {
+			t.Errorf("%s to %s for %v sent %v after the previous one, before the %v retry period", s.msg.Kind(), s.to, k.seq, s.at.Sub(prev), retry)
+		}
+		last[k] = s.at
+	}
+	if updates < 150 || notices < 150 {
+		t.Errorf("%d Updates and %d RevokeNotices sent, want at least 150 each", updates, notices)
 	}
 }

@@ -458,8 +458,8 @@ func (r *Runner) probeOnce(pr *probe) {
 func (r *Runner) sweepCaches() {
 	now := r.now()
 	for i := range r.W.Hosts {
-		_, retained, expired := r.W.CacheObservation(i)
-		r.oracles.cache.sweep(now, i, len(retained), len(expired))
+		retained, expired := r.W.CacheObservation(i)
+		r.oracles.cache.sweep(now, i, retained, expired)
 	}
 	capTe := r.W.Cfg.Overload.AdaptiveTe.Max
 	for _, m := range r.W.Managers {

@@ -24,10 +24,7 @@ type Env struct {
 	rate  float64
 }
 
-var (
-	_ core.Env         = (*Env)(nil)
-	_ core.CheckSender = (*Env)(nil)
-)
+var _ core.LentSender = (*Env)(nil)
 
 // NewEnv creates a node environment with a perfect local clock.
 func NewEnv(id wire.NodeID, net *simnet.Network) *Env {
@@ -54,15 +51,9 @@ func (e *Env) Now() time.Time { return e.clock.Now() }
 // Send implements core.Env.
 func (e *Env) Send(to wire.NodeID, msg wire.Message) { e.net.Send(e.id, to, msg) }
 
-// SendQuery implements core.CheckSender: the network carries a check's
-// messages without a box.
-func (e *Env) SendQuery(to wire.NodeID, q *wire.Query) { e.net.SendQuery(e.id, to, q) }
-
-// SendResponse implements core.CheckSender.
-func (e *Env) SendResponse(to wire.NodeID, r *wire.Response) { e.net.SendResponse(e.id, to, r) }
-
-// SendBusy implements core.CheckSender.
-func (e *Env) SendBusy(to wire.NodeID, b *wire.Busy) { e.net.SendBusy(e.id, to, b) }
+// SendLent implements core.LentSender: the network copies the lent message
+// into one of its own before it returns.
+func (e *Env) SendLent(to wire.NodeID, msg wire.Message) { e.net.Lend(e.id, to, msg) }
 
 // SetTimer implements core.Env. The duration is interpreted on the node's
 // local clock: a slow clock measures durations slowly, so the timer fires

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"time"
 
-	"wanac/internal/acl"
 	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/nameservice"
@@ -423,21 +422,14 @@ func (w *World) stepUntil(done *bool, deadline time.Duration) {
 	}
 }
 
-// CacheObservation purges host i's expired cache entries and reports what
-// remains: the number purged, the entries retained, and any retained entry
-// already past its limit on the host's local clock (which must be none —
-// the harness's cache-hygiene oracle flags violations).
-func (w *World) CacheObservation(host int) (purged int, retained []acl.Entry, expired []acl.Entry) {
+// CacheObservation purges host i's expired cache entries and counts what
+// remains: the entries retained, and those already past their limit on the
+// host's local clock (which must be none — the harness's cache-hygiene
+// oracle flags violations).
+func (w *World) CacheObservation(host int) (retained, expired int) {
 	h := w.Hosts[host]
-	purged = h.PurgeExpired()
-	now := h.LocalNow()
-	retained = h.CacheSnapshot()
-	for _, e := range retained {
-		if e.Expired(now) {
-			expired = append(expired, e)
-		}
-	}
-	return purged, retained, expired
+	h.PurgeExpired()
+	return h.CacheCensus()
 }
 
 // PartitionHostFromManagers cuts the links between host i and the given

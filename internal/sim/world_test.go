@@ -91,7 +91,7 @@ func TestRevokeNoticeFlushesCache(t *testing.T) {
 	if d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout); !ok || !d.Allowed {
 		t.Fatalf("initial check failed: %+v", d)
 	}
-	if len(w.Hosts[0].CacheSnapshot()) == 0 {
+	if w.Hosts[0].Stats().CacheLen == 0 {
 		t.Fatal("nothing cached")
 	}
 
@@ -427,11 +427,11 @@ func TestHostRecoveryClearsCache(t *testing.T) {
 	if d, ok := w.CheckSync(0, "alice", wire.RightUse, testTimeout); !ok || !d.Allowed {
 		t.Fatal("initial check failed")
 	}
-	if len(w.Hosts[0].CacheSnapshot()) == 0 {
+	if w.Hosts[0].Stats().CacheLen == 0 {
 		t.Fatal("nothing cached")
 	}
 	w.Hosts[0].Reset() // §3.4: recovery initializes ACL_cache to null
-	if len(w.Hosts[0].CacheSnapshot()) != 0 {
+	if w.Hosts[0].Stats().CacheLen != 0 {
 		t.Error("cache survived recovery")
 	}
 	// The normal algorithm refills it.

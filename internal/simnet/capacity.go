@@ -163,7 +163,7 @@ func (n *Network) giveQueued(cs *capacity, lane wire.Lane) {
 // kicks the server if idle. Called from deliver, so network latency, loss,
 // and link state have already been applied.
 func (n *Network) capEnqueue(cs *capacity, from wire.NodeID, msg wire.Message) {
-	lane := wire.LaneOf(msg) // a lent check message is bulk, as its value is
+	lane := wire.LaneOf(msg) // a lent copy takes its value's lane
 	if cs.cfg.FIFO {
 		lane = wire.LaneBulk
 	}

@@ -1,53 +1,61 @@
 package simnet
 
-import "wanac/internal/wire"
+import (
+	"reflect"
 
-// held is where the network keeps the check messages it carries: a send
-// copies a lent Query, Response or Busy into one taken from here, the
-// delivery lends it to the handler, and it comes back when the delivery
-// ends, delivered or dropped. Once the lists have grown to the traffic in
-// flight, carrying a check's messages allocates nothing. Every other
-// message travels in the box it was sent in.
-type held struct {
-	queries   []*wire.Query
-	responses []*wire.Response
-	busies    []*wire.Busy
-}
+	"wanac/internal/wire"
+)
+
+// held is the network's copies of lent messages, a free list per kind slot:
+// Lend copies the sender's message into one taken from here, the delivery
+// lends it to the handler, and it comes back when the delivery ends,
+// delivered or dropped. Once warm, carrying a lent message allocates nothing.
+type held [kindSlots][]wire.Message
 
 // maxHeld bounds each list, as maxFreeEvents bounds the event pool.
 const maxHeld = 1024
 
-// take returns what a delivery of msg carries: the network's own copy of a
-// lent check message, or msg itself.
+// take returns a copy of *msg in one of the network's own, or nil unless
+// msg points to a kind nodes lend: each has only values and strings, so the
+// copy shares nothing its sender may reuse. It only reads msg.
 func (h *held) take(msg wire.Message) wire.Message {
+	free := &h[max(kindSlot(msg), 0)]
 	switch m := msg.(type) {
 	case *wire.Query:
-		return pop(&h.queries, m)
+		return pop(free, m)
 	case *wire.Response:
-		return pop(&h.responses, m)
+		return pop(free, m)
 	case *wire.Busy:
-		return pop(&h.busies, m)
+		return pop(free, m)
+	case *wire.RevokeNotice:
+		return pop(free, m)
+	case *wire.RevokeAck:
+		return pop(free, m)
+	case *wire.Update:
+		return pop(free, m)
+	case *wire.UpdateAck:
+		return pop(free, m)
 	}
-	return msg
+	return nil
 }
 
-// give takes back a check message take returned, once its delivery ends.
+// give takes back a copy take returned, cleared so it keeps no strings
+// alive and a handler that kept it sees a zero message; a value is ignored.
 func (h *held) give(msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.Query:
-		push(&h.queries, m)
-	case *wire.Response:
-		push(&h.responses, m)
-	case *wire.Busy:
-		push(&h.busies, m)
+	if i := kindSlot(msg); lent(msg) && len(h[i]) < maxHeld {
+		reflect.ValueOf(msg).Elem().SetZero()
+		h[i] = append(h[i], msg)
 	}
 }
 
 // pop returns a copy of *v in a reused or new T.
-func pop[T any](free *[]*T, v *T) *T {
-	var p *T
+func pop[T any, P interface {
+	*T
+	wire.Message
+}](free *[]wire.Message, v P) wire.Message {
+	var p P
 	if n := len(*free); n > 0 {
-		p = (*free)[n-1]
+		p = (*free)[n-1].(P)
 		(*free)[n-1] = nil
 		*free = (*free)[:n-1]
 	} else {
@@ -57,24 +65,17 @@ func pop[T any](free *[]*T, v *T) *T {
 	return p
 }
 
-// push keeps p for reuse, cleared so it holds no strings alive.
-func push[T any](free *[]*T, p *T) {
-	var zero T
-	*p = zero
-	if len(*free) < maxHeld {
-		*free = append(*free, p)
-	}
+// lent reports whether msg is a pointer to a kind nodes lend: kindSlot
+// numbers no other pointer.
+func lent(msg wire.Message) bool {
+	return kindSlot(msg) >= 0 && reflect.TypeOf(msg).Kind() == reflect.Pointer
 }
 
-// boxed is msg as a Filter sees it: a lent check message copied into a box.
+// boxed is msg as a Filter, or a handler without LentHandler, sees it: a
+// lent message's value copied into a box.
 func boxed(msg wire.Message) wire.Message {
-	switch m := msg.(type) {
-	case *wire.Query:
-		return *m
-	case *wire.Response:
-		return *m
-	case *wire.Busy:
-		return *m
+	if !lent(msg) {
+		return msg
 	}
-	return msg
+	return reflect.ValueOf(msg).Elem().Interface().(wire.Message)
 }

@@ -14,24 +14,12 @@ type Handler interface {
 	HandleMessage(from wire.NodeID, msg wire.Message)
 }
 
-// QueryHandler, ResponseHandler and BusyHandler are optional upgrades of a
-// Handler for the three messages of a check, which the network carries
-// without a box (see Network.SendQuery). Attach detects them once; a
-// handler without one is handed the message boxed. The pointer is lent: the
-// network reuses what it points to once the call returns, so the handler
-// copies what it keeps.
-type QueryHandler interface {
-	HandleQuery(from wire.NodeID, q *wire.Query)
-}
-
-// ResponseHandler is a Handler's upgrade for a Response (see QueryHandler).
-type ResponseHandler interface {
-	HandleResponse(from wire.NodeID, r *wire.Response)
-}
-
-// BusyHandler is a Handler's upgrade for a Busy (see QueryHandler).
-type BusyHandler interface {
-	HandleBusy(from wire.NodeID, b *wire.Busy)
+// LentHandler is an optional upgrade of a Handler, detected once by Attach:
+// it is handed each message sent by Lend as a pointer to the network's own
+// copy, which the network reuses once the call returns, so the handler
+// copies what it keeps. A handler without it is handed the message boxed.
+type LentHandler interface {
+	HandleLent(from wire.NodeID, msg wire.Message)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
@@ -78,9 +66,9 @@ type kindCount struct {
 // kindSlots is the number of message types kindSlot numbers.
 const kindSlots = 20
 
-// kindSlot numbers the message types wire defines, a check's lent ones with
-// their values, so a send is counted in an array slot instead of by hashing
-// its kind's name; -1 for any other type.
+// kindSlot numbers the message types wire defines, so a send is counted in
+// an array slot instead of by hashing its kind's name; a pointer to a kind
+// nodes lend (see held) counts with its value. -1 for any other type.
 func kindSlot(msg wire.Message) int {
 	switch msg.(type) {
 	case wire.Query, *wire.Query:
@@ -89,13 +77,13 @@ func kindSlot(msg wire.Message) int {
 		return 1
 	case wire.Busy, *wire.Busy:
 		return 2
-	case wire.RevokeNotice:
+	case wire.RevokeNotice, *wire.RevokeNotice:
 		return 3
-	case wire.RevokeAck:
+	case wire.RevokeAck, *wire.RevokeAck:
 		return 4
-	case wire.Update:
+	case wire.Update, *wire.Update:
 		return 5
-	case wire.UpdateAck:
+	case wire.UpdateAck, *wire.UpdateAck:
 		return 6
 	case wire.SyncRequest:
 		return 7
@@ -131,11 +119,8 @@ type linkKey struct{ from, to wire.NodeID }
 
 type node struct {
 	handler Handler
-	// The handler's typed upgrades, nil where it has none.
-	query    QueryHandler
-	response ResponseHandler
-	busy     BusyHandler
-	crashed  bool
+	lent    LentHandler // the handler's upgrade, nil where it has none
+	crashed bool
 	// cap, when non-nil, is the node's finite-capacity model: deliveries
 	// queue behind a fixed-rate server instead of being handled inline.
 	cap *capacity
@@ -159,7 +144,7 @@ type Network struct {
 	counters   Counters
 	kinds      [kindSlots]kindCount
 	otherKinds map[string]uint64
-	// held is the check messages the network carries, and keeps for reuse.
+	// held keeps the network's copies of lent messages for reuse.
 	held held
 	// Filter, when non-nil, is consulted for every send; returning false
 	// drops the message. Tests use it for targeted fault injection (e.g.
@@ -224,9 +209,7 @@ func (n *Network) Scheduler() *Scheduler { return n.sched }
 // and clearing a crashed flag.
 func (n *Network) Attach(id wire.NodeID, h Handler) {
 	nd := &node{handler: h}
-	nd.query, _ = h.(QueryHandler)
-	nd.response, _ = h.(ResponseHandler)
-	nd.busy, _ = h.(BusyHandler)
+	nd.lent, _ = h.(LentHandler)
 	n.nodes[id] = nd
 }
 
@@ -269,17 +252,14 @@ func (n *Network) SetOneWay(from, to wire.NodeID, up bool) {
 // (so repeated Partition calls do not flood the observer).
 func (n *Network) setOneWay(from, to wire.NodeID, up bool) bool {
 	k := linkKey{from, to}
-	if up {
-		if !n.cut[k] {
-			return false
-		}
-		delete(n.cut, k)
-		return true
-	}
-	if n.cut[k] {
+	if n.cut[k] != up {
 		return false
 	}
-	n.cut[k] = true
+	if up {
+		delete(n.cut, k)
+	} else {
+		n.cut[k] = true
+	}
 	return true
 }
 
@@ -346,12 +326,9 @@ func (n *Network) Partition(groups ...[]wire.NodeID) {
 		for j := i + 1; j < len(groups); j++ {
 			for _, a := range groups[i] {
 				for _, b := range groups[j] {
-					if a == b {
-						// Overlapping groups: a node is never partitioned
-						// from itself.
-						continue
+					if a != b {
+						n.SetLink(a, b, false)
 					}
-					n.SetLink(a, b, false)
 				}
 			}
 		}
@@ -363,26 +340,18 @@ func (n *Network) Partition(groups ...[]wire.NodeID) {
 // send arrives — the gray-failure shape of asymmetric routing loss. Like
 // Partition, repeated calls emit one NetEvent per actually changed
 // direction and self-links are skipped.
-func (n *Network) PartitionOneWay(from, to []wire.NodeID) {
-	for _, a := range from {
-		for _, b := range to {
-			if a == b {
-				continue
-			}
-			n.SetOneWay(a, b, false)
-		}
-	}
-}
+func (n *Network) PartitionOneWay(from, to []wire.NodeID) { n.setOneWays(from, to, false) }
 
 // RestoreOneWay undoes PartitionOneWay for the same groups, restoring only
 // the from→to direction of each link.
-func (n *Network) RestoreOneWay(from, to []wire.NodeID) {
+func (n *Network) RestoreOneWay(from, to []wire.NodeID) { n.setOneWays(from, to, true) }
+
+func (n *Network) setOneWays(from, to []wire.NodeID, up bool) {
 	for _, a := range from {
 		for _, b := range to {
-			if a == b {
-				continue
+			if a != b {
+				n.SetOneWay(a, b, up)
 			}
-			n.SetOneWay(a, b, true)
 		}
 	}
 }
@@ -395,52 +364,57 @@ func (n *Network) Heal() {
 	n.cut = make(map[linkKey]bool)
 }
 
+// Lend is Send for a message lent for the call: a pointer to a Query,
+// Response, Busy, Update, UpdateAck, RevokeNotice or RevokeAck, which its
+// sender may reuse once Lend returns. Send carries the network's copy of
+// it (see held), so counts, faults and random draws are the same.
+func (n *Network) Lend(from, to wire.NodeID, msg wire.Message) {
+	c := n.held.take(msg)
+	if c == nil {
+		panic("simnet: Lend takes a pointer to a wire message")
+	}
+	n.Send(from, to, c)
+}
+
 // Send transmits msg from one node to another with the configured latency,
 // loss, and duplication. It never blocks; delivery happens via the
-// scheduler. Sends from a crashed node are suppressed.
-func (n *Network) Send(from, to wire.NodeID, msg wire.Message) { n.send(from, to, msg) }
-
-// SendQuery is Send for a check's Query without a box: the network copies
-// *q into a Query of its own, which it lends to a QueryHandler and takes
-// back when the delivery ends. Counts, faults and random draws are Send's.
-func (n *Network) SendQuery(from, to wire.NodeID, q *wire.Query) { n.send(from, to, q) }
-
-// SendResponse is SendQuery for a Response.
-func (n *Network) SendResponse(from, to wire.NodeID, r *wire.Response) { n.send(from, to, r) }
-
-// SendBusy is SendQuery for a Busy.
-func (n *Network) SendBusy(from, to wire.NodeID, b *wire.Busy) { n.send(from, to, b) }
-
-// send is every send's one body. msg is a message, or a check's message
-// lent by pointer, which each delivery copies into the network's own.
-func (n *Network) send(from, to wire.NodeID, msg wire.Message) {
+// scheduler. Sends from a crashed node are suppressed. A drop gives back
+// the network's copy of a lent message, and a duplicate copies it again.
+func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
 	n.counters.Sent++
 	n.count(msg)
-	if nd, ok := n.nodes[from]; ok && nd.crashed {
+	if !n.admit(from, to, msg) {
 		n.counters.Dropped++
+		n.held.give(msg)
 		return
+	}
+	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+	if n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate {
+		n.counters.Duplicated++
+		if c := n.held.take(msg); c != nil {
+			msg = c
+		}
+		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+	}
+}
+
+// admit reports whether a send survives the sender's crash, the Filter,
+// the link and its loss draw.
+func (n *Network) admit(from, to wire.NodeID, msg wire.Message) bool {
+	if nd, ok := n.nodes[from]; ok && nd.crashed {
+		return false
 	}
 	if n.Filter != nil && !n.Filter(from, to, boxed(msg)) {
-		n.counters.Dropped++
-		return
+		return false
 	}
 	if n.cut[linkKey{from, to}] {
-		n.counters.Dropped++
-		return
+		return false
 	}
 	loss := n.cfg.Loss
 	if p, ok := n.linkLoss[linkKey{from, to}]; ok {
 		loss = p
 	}
-	if loss > 0 && n.rng.Float64() < loss {
-		n.counters.Dropped++
-		return
-	}
-	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, n.held.take(msg))
-	if n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate {
-		n.counters.Duplicated++
-		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, n.held.take(msg))
-	}
+	return loss <= 0 || n.rng.Float64() >= loss
 }
 
 // count adds msg to its kind's count: a numbered kind's slot, named by its
@@ -479,31 +453,13 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 	n.handle(nd, from, msg)
 }
 
-// handle hands msg to the node's handler, a check's message lent to the
-// handler's upgrade for it or boxed, and takes the network's own back.
+// handle hands msg to the node's handler, the network's copy of a lent
+// message lent to its upgrade or boxed, and takes the copy back.
 func (n *Network) handle(nd *node, from wire.NodeID, msg wire.Message) {
-	switch m := msg.(type) {
-	case *wire.Query:
-		if nd.query != nil {
-			nd.query.HandleQuery(from, m)
-		} else {
-			nd.handler.HandleMessage(from, *m)
-		}
-	case *wire.Response:
-		if nd.response != nil {
-			nd.response.HandleResponse(from, m)
-		} else {
-			nd.handler.HandleMessage(from, *m)
-		}
-	case *wire.Busy:
-		if nd.busy != nil {
-			nd.busy.HandleBusy(from, m)
-		} else {
-			nd.handler.HandleMessage(from, *m)
-		}
-	default:
-		nd.handler.HandleMessage(from, msg)
-		return
+	if nd.lent != nil && lent(msg) {
+		nd.lent.HandleLent(from, msg)
+	} else {
+		nd.handler.HandleMessage(from, boxed(msg))
 	}
 	n.held.give(msg)
 }

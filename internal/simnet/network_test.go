@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -444,8 +445,8 @@ func TestAttachReplacesAndClearsCrash(t *testing.T) {
 
 // TestSendAllocationBudget pins the steady-state allocation cost of
 // Network.Send + delivery: with pooled delivery events the whole
-// send/deliver cycle is allocation-free once warm, and so is a SendQuery to
-// a QueryHandler, which is lent the network's reused copy. Budget: 0.
+// send/deliver cycle is allocation-free once warm, and so is a Lend to a
+// LentHandler, which is lent the network's reused copy. Budget: 0.
 func TestSendAllocationBudget(t *testing.T) {
 	sched := NewScheduler()
 	n := New(sched, Config{})
@@ -464,42 +465,38 @@ func TestSendAllocationBudget(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("Send+deliver allocates %.1f objects/op, budget is 0", allocs)
 	}
-	q, b := msg.(wire.Query), &queryCounter{}
+	q, u, b := msg.(wire.Query), wire.Update{App: "app", User: "u"}, &lentCounter{}
 	n.Attach("b", b)
 	allocs = testing.AllocsPerRun(200, func() {
-		n.SendQuery("a", "b", &q)
+		n.Lend("a", "b", &q)
+		n.Lend("a", "b", &u)
 		sched.Run(0)
 	})
-	if allocs > 0 || b.n < 200 {
-		t.Errorf("SendQuery+deliver allocates %.1f objects/op over %d deliveries, budget is 0", allocs, b.n)
+	if allocs > 0 || b.n < 400 {
+		t.Errorf("Lend+deliver allocates %.1f objects/op over %d deliveries, budget is 0", allocs, b.n)
 	}
 }
 
-// checkRecorder has every typed upgrade: it records what it was lent, by
+// lentRecorder has the lent upgrade: it records what it was lent, by
 // value, and the pointers.
-type checkRecorder struct {
+type lentRecorder struct {
 	recorder
-	lent []any
+	lent []wire.Message
 	got  []wire.Message
 }
 
-func (r *checkRecorder) HandleQuery(_ wire.NodeID, q *wire.Query) {
-	r.lent, r.got = append(r.lent, q), append(r.got, *q)
-}
-func (r *checkRecorder) HandleResponse(_ wire.NodeID, m *wire.Response) {
-	r.lent, r.got = append(r.lent, m), append(r.got, *m)
-}
-func (r *checkRecorder) HandleBusy(_ wire.NodeID, b *wire.Busy) {
-	r.lent, r.got = append(r.lent, b), append(r.got, *b)
+func (r *lentRecorder) HandleLent(_ wire.NodeID, msg wire.Message) {
+	r.lent, r.got = append(r.lent, msg), append(r.got, boxed(msg))
 }
 
-// TestCheckMessagesLent sends a check's three messages by pointer: the
-// network copies each at the send, so the sender may reuse its struct at
-// once; lends its own copy to a handler with the upgrade and boxes it for
-// one without; shows Filter a box; and counts them by kind as Send does.
+// TestCheckMessagesLent lends a check's three messages and a revocation's
+// Update and RevokeNotice: the network copies each at the send, so the
+// sender may reuse its struct at once; lends its own copy to a handler with
+// the upgrade and boxes it for one without; shows Filter a box; and counts
+// them by kind as Send does.
 func TestCheckMessagesLent(t *testing.T) {
 	net, s := newTestNet(Config{})
-	typed, plain := &checkRecorder{}, &recorder{}
+	typed, plain := &lentRecorder{}, &recorder{}
 	net.Attach("h", typed)
 	net.Attach("p", plain)
 	var filtered []wire.Message
@@ -510,67 +507,88 @@ func TestCheckMessagesLent(t *testing.T) {
 	q := wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1}
 	r := wire.Response{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Granted: true}
 	b := wire.Busy{App: "app", Nonce: 1, RetryAfter: time.Second}
-	want := []wire.Message{q, r, b}
+	u := wire.Update{App: "app", User: "u", Op: wire.OpRevoke, Seq: wire.UpdateSeq{Origin: "m", Counter: 1}}
+	rn := wire.RevokeNotice{App: "app", User: "u", Right: wire.RightUse, Seq: u.Seq}
+	want := []wire.Message{q, r, b, u, rn}
 	for _, to := range []wire.NodeID{"h", "p"} {
-		sq, sr, sb := q, r, b
-		net.SendQuery("m", to, &sq)
-		net.SendResponse("m", to, &sr)
-		net.SendBusy("m", to, &sb)
-		sq, sr, sb = wire.Query{}, wire.Response{}, wire.Busy{}
+		sq, sr, sb, su, srn := q, r, b, u, rn
+		for _, m := range []wire.Message{&sq, &sr, &sb, &su, &srn} {
+			net.Lend("m", to, m)
+		}
+		sq, sr, sb, su, srn = wire.Query{}, wire.Response{}, wire.Busy{}, wire.Update{}, wire.RevokeNotice{}
 	}
 	s.Run(0)
 	for name, got := range map[string][]wire.Message{"typed handler": typed.got, "plain handler": plain.got} {
-		if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s got %+v, want %+v", name, got, want)
 		}
 	}
 	if len(typed.recorder.got) != 0 {
 		t.Errorf("typed handler was handed %d boxed messages", len(typed.recorder.got))
 	}
-	if len(filtered) != 6 || filtered[0] != want[0] || filtered[4] != want[1] {
+	if len(filtered) != 10 || !reflect.DeepEqual(filtered[:5], want) {
 		t.Errorf("Filter saw %+v", filtered)
 	}
 	st := net.Stats()
-	for _, kind := range []string{"query", "response", "busy"} {
+	for _, kind := range []string{"query", "response", "busy", u.Kind(), rn.Kind()} {
 		if st.ByKind[kind] != 2 {
 			t.Errorf("ByKind[%s] = %d, want 2 (%v)", kind, st.ByKind[kind], st.ByKind)
 		}
 	}
-	// The handler is lent the network's copy, not the sender's, and the
-	// network clears it for reuse once the handler returns.
-	net.SendQuery("m", "h", &q)
+	// The handler is lent the network's copy, not the sender's, which the
+	// network clears once the handler returns.
+	net.Lend("m", "h", &q)
 	s.Run(0)
-	if p := typed.lent[3].(*wire.Query); p == &q || typed.got[3] != q || *p != (wire.Query{}) {
-		t.Errorf("handler lent %p, got %+v, holding %+v after; sender's Query is %p", p, typed.got[3], *p, &q)
+	if p := typed.lent[5].(*wire.Query); p == &q || typed.got[5] != q || *p != (wire.Query{}) {
+		t.Errorf("handler lent %p, got %+v; sender's Query is %p", p, typed.got[5], &q)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Lend of a message value did not panic")
+		}
+	}()
+	net.Lend("m", "h", q)
 }
 
-// queryCounter counts the Queries it is lent.
-type queryCounter struct{ n int }
+// lentCounter counts the messages it is lent.
+type lentCounter struct{ n int }
 
-func (c *queryCounter) HandleMessage(wire.NodeID, wire.Message) {}
-func (c *queryCounter) HandleQuery(wire.NodeID, *wire.Query)    { c.n++ }
+func (c *lentCounter) HandleMessage(wire.NodeID, wire.Message) {}
+func (c *lentCounter) HandleLent(wire.NodeID, wire.Message)    { c.n++ }
 
 // TestKindSlots: every message type wire defines counts in a slot of its
-// own, a lent check message in its value's slot and lane.
+// own. Exactly the kinds nodes lend (a check's Query, Response and Busy, an
+// update's Update and UpdateAck, a revocation's RevokeNotice and RevokeAck)
+// are lent, a copy of each counting in its value's slot and lane.
 func TestKindSlots(t *testing.T) {
 	seen := map[int]string{}
-	for _, msg := range []wire.Message{
-		wire.Query{}, wire.Response{}, wire.Busy{}, wire.RevokeNotice{}, wire.RevokeAck{},
-		wire.Update{}, wire.UpdateAck{}, wire.SyncRequest{}, wire.SyncResponse{}, wire.Heartbeat{},
-		wire.HeartbeatAck{}, wire.Invoke{}, wire.InvokeReply{}, wire.AdminOp{}, wire.AdminReply{},
-		wire.ResolveRequest{}, wire.ResolveResponse{}, wire.Sealed{}, wire.Gossip{}, wire.Batch{},
-	} {
-		i := kindSlot(msg)
-		if i < 0 || i >= kindSlots || seen[i] != "" {
-			t.Errorf("%s has slot %d (taken by %q)", msg.Kind(), i, seen[i])
-		}
-		seen[i] = msg.Kind()
+	lendable := map[string]bool{}
+	for _, m := range []wire.Message{wire.Query{}, wire.Response{}, wire.Busy{},
+		wire.Update{}, wire.UpdateAck{}, wire.RevokeNotice{}, wire.RevokeAck{}} {
+		lendable[m.Kind()] = true
 	}
-	for _, pair := range [][2]wire.Message{{wire.Query{}, &wire.Query{}}, {wire.Response{}, &wire.Response{}}, {wire.Busy{}, &wire.Busy{}}} {
-		v, p := pair[0], pair[1]
-		if kindSlot(p) != kindSlot(v) || p.Kind() != v.Kind() || wire.LaneOf(p) != wire.LaneOf(v) {
-			t.Errorf("lent %s counts or queues apart from its value", v.Kind())
+	for _, p := range []wire.Message{
+		&wire.Query{}, &wire.Response{}, &wire.Busy{}, &wire.RevokeNotice{}, &wire.RevokeAck{},
+		&wire.Update{}, &wire.UpdateAck{}, &wire.SyncRequest{}, &wire.SyncResponse{}, &wire.Heartbeat{},
+		&wire.HeartbeatAck{}, &wire.Invoke{}, &wire.InvokeReply{}, &wire.AdminOp{}, &wire.AdminReply{},
+		&wire.ResolveRequest{}, &wire.ResolveResponse{}, &wire.Sealed{}, &wire.Gossip{}, &wire.Batch{},
+	} {
+		v := reflect.ValueOf(p).Elem().Interface().(wire.Message)
+		i := kindSlot(v)
+		if i < 0 || i >= kindSlots || seen[i] != "" {
+			t.Errorf("%s has slot %d (taken by %q)", v.Kind(), i, seen[i])
+		}
+		seen[i] = v.Kind()
+		var h held
+		c := h.take(p)
+		switch {
+		case lent(v) || h.take(v) != nil:
+			t.Errorf("a %s value is taken as lent", v.Kind())
+		case !lendable[v.Kind()] && (c != nil || lent(p) || kindSlot(p) >= 0):
+			t.Errorf("a %T, which nodes do not lend, is lent", p)
+		case lendable[v.Kind()] && (c == nil || c == p || reflect.TypeOf(c) != reflect.TypeOf(p) ||
+			!lent(p) || kindSlot(p) != i || wire.LaneOf(p) != wire.LaneOf(v)):
+			t.Errorf("take(%T) = %T, want a copy of its own counted and queued with its value", p, c)
 		}
 	}
 }

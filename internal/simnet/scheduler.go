@@ -23,9 +23,9 @@ import (
 // firings as its owner wants. Deliveries and service completions carry their
 // payload in typed fields instead of a closure so the scheduler can recycle
 // them through a free list — they are the dominant event volume in a
-// simulation, and pooling them, with the check messages the network keeps
-// for reuse (held), makes a send and a capacity-modelled node's service
-// allocation-free in steady state.
+// simulation, and pooling them, with the copies of lent messages the
+// network keeps for reuse (held), makes a send and a capacity-modelled
+// node's service allocation-free in steady state.
 type event struct {
 	// at is when the event is due, in nanoseconds since vclock.Epoch. Every
 	// simulated instant is Epoch plus whole nanoseconds, no monotonic

@@ -319,7 +319,7 @@ func TestProtocolOverTCP(t *testing.T) {
 		t.Fatal("revoke timed out")
 	}
 
-	waitFor(t, func() bool { return len(host.CacheSnapshot()) == 0 })
+	waitFor(t, func() bool { return host.Stats().CacheLen == 0 })
 
 	host.Check(app, "alice", wire.RightUse, func(d core.Decision) { decCh <- d })
 	select {

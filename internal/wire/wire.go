@@ -360,12 +360,15 @@ func (l Lane) String() string {
 // LaneOf returns the transport priority class for a message. Revocation,
 // update, admin, sync, and accessibility traffic rides the high lane;
 // everything else — including Busy replies, whose volume under shedding is
-// proportional to the overload itself — stays in the bulk lane.
+// proportional to the overload itself — stays in the bulk lane. A pointer to
+// one of the kinds nodes lend (see simnet.Network.Lend) rides its value's
+// lane.
 func LaneOf(msg Message) Lane {
 	switch msg.(type) {
 	case RevokeNotice, RevokeAck, Update, UpdateAck,
 		AdminOp, AdminReply, SyncRequest, SyncResponse,
-		Heartbeat, HeartbeatAck:
+		Heartbeat, HeartbeatAck,
+		*RevokeNotice, *RevokeAck, *Update, *UpdateAck:
 		return LaneHigh
 	default:
 		return LaneBulk
