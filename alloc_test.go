@@ -13,8 +13,8 @@ package wanac
 // loopback TCP (9 objects) and in the simulator (none), what a fresh host's
 // first cold checks pay for their structs, the events a node emits while
 // shedding load, a simulated shed query, a simulated revocation and re-grant
-// (none) and the same split by stage on a boxing Env, and what a world costs
-// to build before it has recorded anything.
+// (none) and the same split by stage on a boxing Env, what a world costs
+// to build before it has recorded anything, and a whole catalog pass.
 //
 // A ring allocates its slots as records arrive, a dozen allocations on the
 // way to its capacity and none after. AllocsPerRun reports whole objects per
@@ -500,6 +500,21 @@ func TestColdCheckWarmUpAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestCatalogPassAllocationBudget pins one pass of BenchmarkCatalogPass's
+// four scenarios at seed 1, the work behind sim-catalog's allocs_per_op: the
+// worlds, their oracles and journals, and what each simulated decision still
+// allocates. The budget is the measured count plus 0.5 % for the runtime's
+// own caches, which vary by a few objects from run to run.
+func TestCatalogPassAllocationBudget(t *testing.T) {
+	const measured = 25422
+	scs := catalogPassScenarios(t)
+	allocs := testing.AllocsPerRun(1, func() { runCatalogPass(t, scs) })
+	t.Logf("a catalog pass allocates %.0f objects", allocs)
+	if allocs > measured*1.005 {
+		t.Errorf("a catalog pass allocates %.0f objects, budget %d + 0.5 %%", allocs, measured)
+	}
+}
+
 // TestSimShedAllocationBudget pins a simulated shed query: a manager behind
 // the capacity model, its one token spent, answers each Query from a host
 // with a Busy, and both ride the network by value to typed handlers, so a
@@ -520,7 +535,7 @@ func TestSimShedAllocationBudget(t *testing.T) {
 	net.Attach("h0", host)
 	q := wire.Query{App: "app", User: "u", Right: wire.RightUse, Nonce: 1, Trace: 1}
 	query := func() {
-		net.Lend("h0", "m0", &q)
+		net.Node("h0").Lend("m0", &q)
 		sched.Run(0)
 	}
 	query() // the bucket's one token

@@ -616,25 +616,36 @@ func BenchmarkHarnessSeeds(b *testing.B) {
 // BenchmarkCatalogPass is one pass of the benchmark's sim-catalog workload:
 // its four catalog scenarios, at one seed, under all five oracles.
 func BenchmarkCatalogPass(b *testing.B) {
+	scs := catalogPassScenarios(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runCatalogPass(b, scs)
+	}
+}
+
+// catalogPassScenarios returns the four scenarios sim-catalog runs.
+func catalogPassScenarios(tb testing.TB) []*scenario.Scenario {
 	var scs []*scenario.Scenario
 	for _, name := range []string{"steady-baseline", "zipf-flood", "overload-100x", "revoke-under-partition"} {
 		sc, err := scenario.Lookup(name)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		scs = append(scs, sc)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, sc := range scs {
-			res, err := scenario.Run(sc, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Failed() {
-				b.Fatalf("%s: %v", sc.Name, res.Violations)
-			}
+	return scs
+}
+
+// runCatalogPass runs each scenario once at seed 1, failing on a violation.
+func runCatalogPass(tb testing.TB, scs []*scenario.Scenario) {
+	for _, sc := range scs {
+		res, err := scenario.Run(sc, 1)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Failed() {
+			tb.Fatalf("%s: %v", sc.Name, res.Violations)
 		}
 	}
 }

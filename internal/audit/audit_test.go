@@ -169,7 +169,7 @@ func TestRecordCacheHitMatchesRecord(t *testing.T) {
 
 type sinkFunc func(Record)
 
-func (f sinkFunc) Accept(r Record) { f(r) }
+func (f sinkFunc) Accept(r *Record) { f(*r) }
 
 func TestRecordSteadyStateAllocations(t *testing.T) {
 	rec := NewRecorder("h0", 64, fakeClock())

@@ -377,6 +377,41 @@ func TestManagerSubmitAuthorization(t *testing.T) {
 	}
 }
 
+// TestSingleManagerUpdatesFinish submits 100 operations to an app whose only
+// manager is the issuer: each reaches its quorum and is fully acked at issue,
+// so none stays outstanding and every one reuses the same update record.
+func TestSingleManagerUpdatesFinish(t *testing.T) {
+	m := NewManager("m0", newFakeEnv(), nil, nil)
+	if err := m.AddApp("a", ManagerAppConfig{Peers: []wire.NodeID{"m0"}, CheckQuorum: 1}); err != nil {
+		t.Fatal(err)
+	}
+	m.Seed("a", "root", wire.RightManage)
+	reached := 0
+	var rec *outUpdate
+	for i := 0; i < 100; i++ {
+		op := wire.OpAdd
+		if i%2 == 1 {
+			op = wire.OpRevoke
+		}
+		m.Submit(wire.AdminOp{Op: op, App: "a", User: "u", Right: wire.RightUse, Issuer: "root"}, func(r wire.AdminReply) {
+			if r.QuorumReached {
+				reached++
+			}
+		})
+		if len(m.outstanding) != 0 || len(m.freeUpdates) != 1 {
+			t.Fatalf("after %d submits: %d outstanding, %d free records; want 0 and 1", i+1, len(m.outstanding), len(m.freeUpdates))
+		}
+		if rec == nil {
+			rec = m.freeUpdates[0]
+		} else if m.freeUpdates[0] != rec {
+			t.Fatalf("submit %d used a new update record", i+1)
+		}
+	}
+	if reached != 100 {
+		t.Fatalf("%d of 100 submits reached their quorum", reached)
+	}
+}
+
 func TestManagerQueryGrantDeny(t *testing.T) {
 	env := newFakeEnv()
 	m := NewManager("m0", env, nil, nil)

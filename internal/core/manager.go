@@ -404,6 +404,9 @@ func (m *Manager) issueLocked(ma *mgrApp, op wire.AdminOp, cb func(wire.AdminRep
 	m.reply(nil, replyTo, wire.AdminReply{ReqID: reqID, Accepted: true})
 	m.transmitUpdate(ma, out)
 	m.checkUpdateQuorum(out)
+	if out.done() { // this manager is the app's only member: no ack will come
+		m.finishUpdate(out)
+	}
 
 	// Temporal authorization (§4.2): an Add with a validity period turns
 	// into a scheduled Revoke issued by this manager when the period ends.

@@ -152,9 +152,10 @@ type Record struct {
 
 // Sink receives every decision and response a Recorder accepts, in Seq
 // order. Sinks run under the recorder lock: they must not block or call back
-// in.
+// in. The record is lent for the call: it is the recorder's one unpacked
+// record, which the next record overwrites, so a sink copies what it keeps.
 type Sink interface {
-	Accept(Record)
+	Accept(*Record)
 }
 
 // Recorder is a node's journal. All methods are safe for concurrent use;
@@ -178,6 +179,7 @@ type Recorder struct {
 	hitApp    memo        // the last cache hit's app
 	hitRight  rightMemo   // the last cache hit's right
 	sink      Sink
+	lent      Record // the record the sink is lent
 }
 
 // memo is an app and the index of its name (appIndex).
@@ -374,21 +376,19 @@ func (r *Recorder) tidy() {
 			*i = renamed[*i]
 		}
 	}
-	for k := range r.protocol.buf {
-		s := &r.protocol.buf[k]
+	r.protocol.each(func(s *protocolSlot) {
 		rename(&s.typ)
 		rename(&s.app)
 		rename(&s.origin)
 		rename(&s.peer)
-	}
-	for k := range r.decided.buf {
-		s := &r.decided.buf[k]
+	})
+	r.decided.each(func(s *decisionSlot) {
 		rename(&s.app)
 		rename(&s.right)
 		rename(&s.managers)
 		rename(&s.peer)
 		rename(&s.origin)
-	}
+	})
 	r.hitApp, r.hitRight = memo{}, rightMemo{}
 	r.refused, r.tidyAt = 0, r.names.Len()+max(r.names.Len(), minTidy)
 }
@@ -414,7 +414,8 @@ func (r *Recorder) commitDecision(s *decisionSlot) {
 		r.decisions++
 	}
 	if r.sink != nil {
-		r.sink.Accept(r.unpackDecision(r.decided.next - 1))
+		r.unpackDecision(r.decided.next-1, &r.lent)
+		r.sink.Accept(&r.lent)
 	}
 	if r.untidy() {
 		r.tidy()
@@ -521,16 +522,16 @@ func after(t int64, left time.Duration) int64 {
 	return t + int64(left)
 }
 
-// unpackProtocol rebuilds retained protocol-window record i from its slot.
-// Must be called with r.mu held.
-func (r *Recorder) unpackProtocol(i uint64) Record {
+// unpackProtocol rebuilds retained protocol-window record i from its slot
+// into *rec. Must be called with r.mu held.
+func (r *Recorder) unpackProtocol(i uint64, rec *Record) {
 	s := r.protocol.at(i)
 	n := recordNames{typ: r.names.Name(s.typ), app: r.names.Name(s.app), peer: r.names.Name(s.peer),
 		origin: r.names.Name(s.origin)}
 	if s.spilled {
-		n = *r.protocol.kept(i)
+		n = r.protocol.kept(i)
 	}
-	rec := Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: n.typ, Trace: s.trace,
+	*rec = Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Type: n.typ, Trace: s.trace,
 		App: n.app, User: s.user, Origin: n.origin, Counter: s.counter, Peer: n.peer, Note: s.note}
 	if s.event != 0 {
 		rec.Type, rec.Peer = s.event.String(), ""
@@ -542,23 +543,26 @@ func (r *Recorder) unpackProtocol(i uint64) Record {
 			rec.Note = trace.Note(s.event, s.word, wire.NodeID(n.peer), num)
 		}
 	}
-	return rec
 }
 
-// unpackDecision rebuilds retained decisions-window record i from its slot.
+// unpackDecision rebuilds retained decisions-window record i from its slot
+// into *rec, every field of it: the sink's record is unpacked once a
+// decision, and a composite literal would be built aside and copied in.
 // Must be called with r.mu held.
-func (r *Recorder) unpackDecision(i uint64) Record {
+func (r *Recorder) unpackDecision(i uint64, rec *Record) {
 	s := r.decided.at(i)
 	n := recordNames{app: r.names.Name(s.app), right: r.names.Name(s.right), managers: r.names.Name(s.managers),
 		peer: r.names.Name(s.peer), origin: r.names.Name(s.origin)}
 	if s.flags&flagSpilled != 0 {
-		n = *r.decided.kept(i)
+		n = r.decided.kept(i)
 	}
-	return Record{Seq: s.seq, T: r.epoch.Time(s.t), Node: r.node, Kind: s.kind, Trace: s.trace, App: n.app, User: s.user,
-		Right: n.right, Reason: s.reason, Allowed: s.flags&flagAllowed != 0, Set: s.set, Attempts: int(s.attempts),
-		Queried: int(s.queried), Quorum: int(s.quorum), Confirmations: int(s.confirmations), Denials: int(s.denials),
-		Granters: int(s.granters), Managers: n.managers, Expire: s.expire, Expiry: r.epoch.Time(s.expiry),
-		Backoffs: int(s.backoffs), Frozen: s.flags&flagFrozen != 0, Peer: n.peer, Origin: n.origin, Counter: s.counter}
+	rec.Seq, rec.T, rec.Node, rec.Kind, rec.Type, rec.Trace = s.seq, r.epoch.Time(s.t), r.node, s.kind, "", s.trace
+	rec.App, rec.User, rec.Right, rec.Origin, rec.Counter = n.app, s.user, n.right, n.origin, s.counter
+	rec.Peer, rec.Note, rec.Reason, rec.Allowed = n.peer, "", s.reason, s.flags&flagAllowed != 0
+	rec.Set, rec.Attempts, rec.Queried, rec.Quorum = s.set, int(s.attempts), int(s.queried), int(s.quorum)
+	rec.Confirmations, rec.Denials, rec.Granters = int(s.confirmations), int(s.denials), int(s.granters)
+	rec.Managers, rec.Expire, rec.Expiry = n.managers, s.expire, r.epoch.Time(s.expiry)
+	rec.Backoffs, rec.Frozen = int(s.backoffs), s.flags&flagFrozen != 0
 }
 
 // each yields the retained records of both windows, merged in Seq order,
@@ -570,10 +574,10 @@ func (r *Recorder) each(yield func(*Record) bool) {
 	d, dEnd := r.decided.oldest(), r.decided.next
 	for p < pEnd || d < dEnd {
 		if d == dEnd || p < pEnd && r.protocol.at(p).seq < r.decided.at(d).seq {
-			rec = r.unpackProtocol(p)
+			r.unpackProtocol(p, &rec)
 			p++
 		} else {
-			rec = r.unpackDecision(d)
+			r.unpackDecision(d, &rec)
 			d++
 		}
 		if !yield(&rec) {
@@ -688,6 +692,7 @@ type Writer struct {
 	mu   sync.Mutex
 	enc  *json.Encoder
 	errs int
+	rec  Record // a copy of the lent record to encode, which escapes
 }
 
 // NewWriter returns a line-streaming sink. The caller owns w's lifecycle.
@@ -696,9 +701,10 @@ func NewWriter(w io.Writer) *Writer {
 }
 
 // Accept implements Sink.
-func (w *Writer) Accept(rec Record) {
+func (w *Writer) Accept(rec *Record) {
 	w.mu.Lock()
-	if err := w.enc.Encode(rec); err != nil {
+	w.rec = *rec
+	if err := w.enc.Encode(&w.rec); err != nil {
 		w.errs++
 	}
 	w.mu.Unlock()

@@ -449,8 +449,8 @@ func TestJournalRetention(t *testing.T) {
 	for i := 0; i < size/2; i++ {
 		r.Record(Record{Kind: KindTransport, Type: "up", Peer: "m0"})
 	}
-	if r.decided.buf != nil {
-		t.Fatalf("a journal that recorded no decision holds %d decision slots", len(r.decided.buf))
+	if r.decided.slots != 0 {
+		t.Fatalf("a journal that recorded no decision holds %d decision slots", r.decided.slots)
 	}
 	if d := r.Dump(); d.Header.Dropped != 0 || d.Records[len(d.Records)-1].Seq != size/2-1 {
 		t.Fatalf("before any drop: %d records under %+v", len(d.Records), d.Header)
@@ -471,7 +471,7 @@ func TestJournalRetention(t *testing.T) {
 			t.Fatalf("Seq %d listed after %d", d.Records[i].Seq, d.Records[i-1].Seq)
 		}
 	}
-	if p := r.protocol; len(p.buf) != size || r.decided.retained() != 1 {
-		t.Fatalf("windows hold %d protocol slots and %d decisions, want %d and 1", len(p.buf), r.decided.retained(), size)
+	if p := r.protocol; p.slots != size || r.decided.retained() != 1 {
+		t.Fatalf("windows hold %d protocol slots and %d decisions, want %d and 1", p.slots, r.decided.retained(), size)
 	}
 }

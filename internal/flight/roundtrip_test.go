@@ -257,6 +257,40 @@ func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Tim
 	sameAll(t, name+" Dump", r.Dump().Records, want)
 }
 
+// TestUnpackDecisionSetsEveryField: the sink's record is reused, so a
+// decision unpacked into one whose every field is set must read as one
+// unpacked into a zero Record.
+func TestUnpackDecisionSetsEveryField(t *testing.T) {
+	r := NewRecorder("h0", 4, nil)
+	r.Record(Record{T: t0, Kind: KindDecision, App: "a", User: "u", Right: "use"})
+	var stale Record
+	v := reflect.ValueOf(&stale).Elem()
+	for i := range v.NumField() {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.String:
+			f.SetString("stale")
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(7)
+		case reflect.Uint8, reflect.Uint64:
+			f.SetUint(7)
+		case reflect.Struct: // a time.Time
+			f.Set(reflect.ValueOf(t0.Add(time.Hour)))
+		default:
+			t.Fatalf("Record.%s is a %s: teach this test to set it", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var fresh Record
+	r.mu.Lock()
+	r.unpackDecision(0, &stale)
+	r.unpackDecision(0, &fresh)
+	r.mu.Unlock()
+	if !reflect.DeepEqual(stale, fresh) {
+		t.Fatalf("unpacking over a used record leaves some of it:\n got %+v\nwant %+v", stale, fresh)
+	}
+}
+
 // TestFlightRecordRoundTripConcurrent: writers of all seven kinds race All,
 // Dump and a sink. Every record read — by each pass, and by the sink — must
 // be one a writer wrote, as it wrote it, each read's records in strictly
@@ -338,7 +372,7 @@ func TestFlightRecordRoundTripConcurrent(t *testing.T) {
 
 type sinkFunc func(Record)
 
-func (f sinkFunc) Accept(r Record) { f(r) }
+func (f sinkFunc) Accept(r *Record) { f(*r) }
 
 // TestFlightBytesPerRecord: full windows of 65 536 records each must cost at
 // most 88 bytes of live heap per protocol record and 96 per decision; the
@@ -404,8 +438,8 @@ func windowNames(t *testing.T, r *Recorder) (names, spilled int) {
 		s := r.decided.at(i)
 		if s.flags&flagSpilled != 0 {
 			spilled++
-		} else if r.decided.spill != nil && *r.decided.kept(i) != (recordNames{}) {
-			t.Errorf("record %d needs no spill, but its slot keeps %+v", s.seq, *r.decided.kept(i))
+		} else if r.decided.kept(i) != (recordNames{}) {
+			t.Errorf("record %d needs no spill, but its slot keeps %+v", s.seq, r.decided.kept(i))
 		}
 		for _, n := range []uint16{s.app, s.right, s.managers, s.peer, s.origin} {
 			seen[n] = n != 0

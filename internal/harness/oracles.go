@@ -446,16 +446,16 @@ type auditSink struct {
 }
 
 // Accept implements flight.Sink.
-func (s auditSink) Accept(r flight.Record) {
+func (s auditSink) Accept(r *flight.Record) {
 	if r.Kind != flight.KindDecision {
 		return
 	}
 	n := s.n
 	if e, ok := n.events.pop(); ok {
-		s.o.judgeRecord(n, &r, e)
+		s.o.judgeRecord(n, r, e)
 		return
 	}
-	n.records.push(r)
+	n.records.push(*r)
 }
 
 // observe takes one event; decision events are paired with records.

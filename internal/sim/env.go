@@ -18,7 +18,7 @@ import (
 // Env adapts the simulator to core.Env for one node, optionally applying a
 // clock-rate factor to model drifting local clocks (the paper's b bound).
 type Env struct {
-	id    wire.NodeID
+	node  *simnet.Node
 	net   *simnet.Network
 	clock vclock.Clock
 	rate  float64
@@ -28,7 +28,7 @@ var _ core.LentSender = (*Env)(nil)
 
 // NewEnv creates a node environment with a perfect local clock.
 func NewEnv(id wire.NodeID, net *simnet.Network) *Env {
-	return &Env{id: id, net: net, clock: net.Scheduler().Clock(), rate: 1}
+	return &Env{node: net.Node(id), net: net, clock: net.Scheduler().Clock(), rate: 1}
 }
 
 // NewDriftingEnv creates a node environment whose local clock runs at the
@@ -38,7 +38,7 @@ func NewDriftingEnv(id wire.NodeID, net *simnet.Network, rate float64) *Env {
 		rate = 1
 	}
 	return &Env{
-		id:    id,
+		node:  net.Node(id),
 		net:   net,
 		clock: vclock.NewDrifting(net.Scheduler().Clock(), rate),
 		rate:  rate,
@@ -49,11 +49,11 @@ func NewDriftingEnv(id wire.NodeID, net *simnet.Network, rate float64) *Env {
 func (e *Env) Now() time.Time { return e.clock.Now() }
 
 // Send implements core.Env.
-func (e *Env) Send(to wire.NodeID, msg wire.Message) { e.net.Send(e.id, to, msg) }
+func (e *Env) Send(to wire.NodeID, msg wire.Message) { e.node.Send(to, msg) }
 
 // SendLent implements core.LentSender: the network copies the lent message
 // into one of its own before it returns.
-func (e *Env) SendLent(to wire.NodeID, msg wire.Message) { e.net.Lend(e.id, to, msg) }
+func (e *Env) SendLent(to wire.NodeID, msg wire.Message) { e.node.Lend(to, msg) }
 
 // SetTimer implements core.Env. The duration is interpreted on the node's
 // local clock: a slow clock measures durations slowly, so the timer fires

@@ -15,8 +15,8 @@ func TestEnvBasics(t *testing.T) {
 	sched := simnet.NewScheduler()
 	net := simnet.New(sched, simnet.Config{})
 	e := NewEnv("n1", net)
-	if e.id != "n1" {
-		t.Errorf("id = %q", e.id)
+	if e.node != net.Node("n1") {
+		t.Error("the env does not hold n1's handle")
 	}
 	if !e.Now().Equal(vclock.Epoch) {
 		t.Errorf("Now = %v", e.Now())

@@ -60,9 +60,8 @@ type capMsg struct {
 // head index, compacted when the drained prefix dominates.
 type capacity struct {
 	cfg Capacity
-	// id and nd are the node the server was installed on.
-	id      wire.NodeID
-	nd      *node
+	// nd is the node the server was installed on.
+	nd      *Node
 	lanes   [2][]capMsg
 	heads   [2]int
 	busy    bool
@@ -108,22 +107,22 @@ func (c *capacity) pop() (capMsg, bool) {
 // finite-capacity model for a node. Installing resets any previous
 // capacity state and statistics. The node must already be attached.
 func (n *Network) SetCapacity(id wire.NodeID, c Capacity) {
-	nd, ok := n.nodes[id]
-	if !ok {
+	nd := n.attached(id)
+	if nd == nil {
 		return
 	}
 	if c.ServiceTime <= 0 {
 		nd.cap = nil
 		return
 	}
-	nd.cap = &capacity{cfg: c, id: id, nd: nd}
+	nd.cap = &capacity{cfg: c, nd: nd}
 }
 
 // CapacityStats returns a snapshot of a node's capacity counters; ok is
 // false when the node has no capacity model installed.
 func (n *Network) CapacityStats(id wire.NodeID) (CapacityStats, bool) {
-	nd, ok := n.nodes[id]
-	if !ok || nd.cap == nil {
+	nd := n.nodes[id]
+	if nd == nil || nd.cap == nil {
 		return CapacityStats{}, false
 	}
 	st := nd.cap.stats
@@ -139,12 +138,12 @@ func (n *Network) CapacityStats(id wire.NodeID) (CapacityStats, bool) {
 // silently cancels in-flight service completions — without this reset a
 // reused world's servers would stay busy forever).
 func (n *Network) ResetCapacities() {
-	for id, nd := range n.nodes {
+	for _, nd := range n.nodes {
 		if cs := nd.cap; cs != nil {
 			n.held.give(cs.serving.msg)
 			n.giveQueued(cs, wire.LaneBulk)
 			n.giveQueued(cs, wire.LaneHigh)
-			nd.cap = &capacity{cfg: cs.cfg, id: id, nd: nd}
+			nd.cap = &capacity{cfg: cs.cfg, nd: nd}
 		}
 	}
 }
@@ -202,10 +201,9 @@ func (n *Network) served(cs *capacity) {
 	cs.serving = capMsg{}
 	cs.busy = false
 	// The world may have moved on mid-service: the node crashed, was
-	// replaced, or its capacity model was reinstalled. The serving message
-	// is lost; a crashed node's backlog is flushed too.
-	cur, ok := n.nodes[cs.id]
-	if !ok || cur != nd || nd.cap != cs || nd.crashed {
+	// re-attached, or its capacity model was reinstalled. The serving
+	// message is lost; a crashed node's backlog is flushed too.
+	if nd.cap != cs || nd.crashed {
 		n.counters.Dropped++
 		n.held.give(m.msg)
 		if nd.cap == cs {

@@ -42,10 +42,29 @@ func (h *held) take(msg wire.Message) wire.Message {
 // give takes back a copy take returned, cleared so it keeps no strings
 // alive and a handler that kept it sees a zero message; a value is ignored.
 func (h *held) give(msg wire.Message) {
-	if i := kindSlot(msg); lent(msg) && len(h[i]) < maxHeld {
-		reflect.ValueOf(msg).Elem().SetZero()
-		h[i] = append(h[i], msg)
+	i := kindSlot(msg)
+	if i < 0 || len(h[i]) >= maxHeld {
+		return
 	}
+	switch m := msg.(type) {
+	case *wire.Query:
+		*m = wire.Query{}
+	case *wire.Response:
+		*m = wire.Response{}
+	case *wire.Busy:
+		*m = wire.Busy{}
+	case *wire.RevokeNotice:
+		*m = wire.RevokeNotice{}
+	case *wire.RevokeAck:
+		*m = wire.RevokeAck{}
+	case *wire.Update:
+		*m = wire.Update{}
+	case *wire.UpdateAck:
+		*m = wire.UpdateAck{}
+	default:
+		return
+	}
+	h[i] = append(h[i], msg)
 }
 
 // pop returns a copy of *v in a reused or new T.
@@ -65,10 +84,13 @@ func pop[T any, P interface {
 	return p
 }
 
-// lent reports whether msg is a pointer to a kind nodes lend: kindSlot
-// numbers no other pointer.
+// lent reports whether msg is a pointer to a kind nodes lend.
 func lent(msg wire.Message) bool {
-	return kindSlot(msg) >= 0 && reflect.TypeOf(msg).Kind() == reflect.Pointer
+	switch msg.(type) {
+	case *wire.Query, *wire.Response, *wire.Busy, *wire.RevokeNotice, *wire.RevokeAck, *wire.Update, *wire.UpdateAck:
+		return true
+	}
+	return false
 }
 
 // boxed is msg as a Filter, or a handler without LentHandler, sees it: a

@@ -103,28 +103,17 @@ func (l LogNormal) Sample(rng *rand.Rand) time.Duration {
 	return d
 }
 
-// LinkLatencyModel samples per-message delays that depend on which directed
-// link carries the message, so a network can model geography: different
-// region pairs get different distributions, and A→B need not match B→A
-// (asymmetric routing). Like LatencyModel, implementations must be
-// deterministic given the rng stream.
-type LinkLatencyModel interface {
-	SampleLink(from, to wire.NodeID, rng *rand.Rand) time.Duration
-}
-
-// Matrix is a per-directed-link latency model: every node belongs to a
-// class (e.g. its geographic region), and each ordered class pair selects
-// its own delay model, so the matrix is asymmetric by construction: eu→us
-// and us→eu are independent entries. A node's class is resolved once, when
-// the matrix is built: pricing a message — it happens on every simulated
-// send — is two small-map reads and an index.
+// Matrix is a per-directed-link latency model, so a network can model
+// geography: every node belongs to a class (e.g. its geographic region), and
+// each ordered class pair selects its own delay model, so the matrix is
+// asymmetric by construction: eu→us and us→eu are independent entries. A
+// network resolves each node's class once, with its handle (Network.Node):
+// pricing a message, which every simulated send does, is an index.
 type Matrix struct {
 	class map[wire.NodeID]int // node → row/column in links; absent nodes share 0
 	links []LatencyModel      // width×width, row = source class; no nil entries
 	width int
 }
-
-var _ LinkLatencyModel = (*Matrix)(nil)
 
 // NewMatrix builds a matrix from each node's class name and a function
 // giving the (non-nil) model of each ordered class pair, called once per
@@ -151,14 +140,12 @@ func NewMatrix(class map[wire.NodeID]string, model func(from, to string) Latency
 
 // Link returns the model the matrix uses for messages from → to. The zero
 // Matrix prices every link at Fixed(10ms), the network's own default.
-func (m *Matrix) Link(from, to wire.NodeID) LatencyModel {
+func (m *Matrix) Link(from, to wire.NodeID) LatencyModel { return m.model(m.class[from], m.class[to]) }
+
+// model returns the model of the ordered pair of classes from → to.
+func (m *Matrix) model(from, to int) LatencyModel {
 	if m.width == 0 {
 		return Fixed{D: 10 * time.Millisecond}
 	}
-	return m.links[m.class[from]*m.width+m.class[to]]
-}
-
-// SampleLink implements LinkLatencyModel.
-func (m *Matrix) SampleLink(from, to wire.NodeID, rng *rand.Rand) time.Duration {
-	return m.Link(from, to).Sample(rng)
+	return m.links[from*m.width+to]
 }

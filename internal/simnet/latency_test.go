@@ -62,8 +62,8 @@ func TestLatencyModelDeterminism(t *testing.T) {
 		links := [][2]wire.NodeID{{"h-us", "m-eu"}, {"m-eu", "h-us"}, {"h-us", "m-us"}}
 		for i := 0; i < 500; i++ {
 			l := links[i%len(links)]
-			da := m.SampleLink(l[0], l[1], a)
-			db := m.SampleLink(l[0], l[1], b)
+			da := m.Link(l[0], l[1]).Sample(a)
+			db := m.Link(l[0], l[1]).Sample(b)
 			if da != db {
 				t.Fatalf("sample %d on %v diverged: %v vs %v", i, l, da, db)
 			}
@@ -120,13 +120,13 @@ func TestMatrixDirectionality(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if d := m.SampleLink(tc.from, tc.to, rng); d != tc.want {
-				t.Fatalf("SampleLink(%s,%s) = %v, want %v", tc.from, tc.to, d, tc.want)
+			if d := m.Link(tc.from, tc.to).Sample(rng); d != tc.want {
+				t.Fatalf("Link(%s,%s).Sample = %v, want %v", tc.from, tc.to, d, tc.want)
 			}
 		})
 	}
-	ab := m.SampleLink("h-us", "m-eu", rng)
-	ba := m.SampleLink("m-eu", "h-us", rng)
+	ab := m.Link("h-us", "m-eu").Sample(rng)
+	ba := m.Link("m-eu", "h-us").Sample(rng)
 	if ab == ba {
 		t.Fatalf("matrix symmetric: %v both directions", ab)
 	}
@@ -137,7 +137,7 @@ func TestMatrixDirectionality(t *testing.T) {
 func TestMatrixNilDefaults(t *testing.T) {
 	m := &Matrix{}
 	rng := rand.New(rand.NewSource(1))
-	if d := m.SampleLink("a", "b", rng); d != 10*time.Millisecond {
+	if d := m.Link("a", "b").Sample(rng); d != 10*time.Millisecond {
 		t.Fatalf("zero-value matrix sample = %v, want 10ms", d)
 	}
 	if mod := m.Link("a", "b"); mod == nil {

@@ -33,11 +33,10 @@ func (f HandlerFunc) HandleMessage(from wire.NodeID, msg wire.Message) { f(from,
 type Config struct {
 	// Latency is the default one-way delay model. Nil means Fixed(10ms).
 	Latency LatencyModel
-	// LinkLatency, when non-nil, samples delays per directed link (e.g. a
-	// region RTT matrix, see Matrix) instead of the uniform Latency model.
-	// Per-link overrides installed with SetLinkLatency take precedence over
-	// both.
-	LinkLatency LinkLatencyModel
+	// LinkLatency, when non-nil, samples delays per directed link from a
+	// region RTT matrix instead of the uniform Latency model. Per-link
+	// overrides installed with SetLinkLatency take precedence over both.
+	LinkLatency *Matrix
 	// Loss is the default per-message drop probability in [0,1].
 	Loss float64
 	// Duplicate is the probability a delivered message is delivered twice,
@@ -115,10 +114,19 @@ func kindSlot(msg wire.Message) int {
 	return -1
 }
 
-type linkKey struct{ from, to wire.NodeID }
+// linkKey is a directed link between two nodes, by their Node.index.
+type linkKey struct{ from, to int }
 
-type node struct {
-	handler Handler
+// Node is a network's handle on one node id, made the first time the network
+// meets the id and the same for the network's life: a re-Attach updates it
+// in place. A sender holding its handle, and a delivery carrying its
+// destination's, look no name up.
+type Node struct {
+	net     *Network
+	id      wire.NodeID
+	index   int         // the order the network first met the id in
+	class   int         // row and column in the LinkLatency matrix
+	handler Handler     // nil until the id is attached
 	lent    LentHandler // the handler's upgrade, nil where it has none
 	crashed bool
 	// cap, when non-nil, is the node's finite-capacity model: deliveries
@@ -133,7 +141,7 @@ type Network struct {
 	sched    *Scheduler
 	rng      *rand.Rand
 	cfg      Config
-	nodes    map[wire.NodeID]*node
+	nodes    map[wire.NodeID]*Node
 	cut      map[linkKey]bool    // severed links (directional entries)
 	linkLoss map[linkKey]float64 // per-link loss overrides
 	// linkLatency holds per-directed-link latency overrides (gray failures:
@@ -195,7 +203,7 @@ func New(sched *Scheduler, cfg Config) *Network {
 		sched:       sched,
 		rng:         rand.New(rand.NewSource(seed)),
 		cfg:         cfg,
-		nodes:       make(map[wire.NodeID]*node),
+		nodes:       make(map[wire.NodeID]*Node),
 		cut:         make(map[linkKey]bool),
 		linkLoss:    make(map[linkKey]float64),
 		linkLatency: make(map[linkKey]LatencyModel),
@@ -205,18 +213,39 @@ func New(sched *Scheduler, cfg Config) *Network {
 // Scheduler returns the scheduler driving this network.
 func (n *Network) Scheduler() *Scheduler { return n.sched }
 
-// Attach registers a handler under id, replacing any previous registration
-// and clearing a crashed flag.
-func (n *Network) Attach(id wire.NodeID, h Handler) {
-	nd := &node{handler: h}
-	nd.lent, _ = h.(LentHandler)
+// Node returns id's handle, making it if the network has not met id yet.
+func (n *Network) Node(id wire.NodeID) *Node {
+	if nd, ok := n.nodes[id]; ok {
+		return nd
+	}
+	nd := &Node{net: n, id: id, index: len(n.nodes)}
+	if m := n.cfg.LinkLatency; m != nil {
+		nd.class = m.class[id]
+	}
 	n.nodes[id] = nd
+	return nd
+}
+
+// attached returns id's handle if a handler is attached under id, else nil.
+func (n *Network) attached(id wire.NodeID) *Node {
+	if nd := n.nodes[id]; nd != nil && nd.handler != nil {
+		return nd
+	}
+	return nil
+}
+
+// Attach registers a handler under id, replacing any previous registration,
+// its capacity model and a crashed flag.
+func (n *Network) Attach(id wire.NodeID, h Handler) {
+	nd := n.Node(id)
+	nd.handler, nd.crashed, nd.cap = h, false, nil
+	nd.lent, _ = h.(LentHandler)
 }
 
 // Crash marks a node failed: messages to it are dropped until Recover. The
 // paper assumes crash (not Byzantine) failures for managers (§2.1).
 func (n *Network) Crash(id wire.NodeID) {
-	if nd, ok := n.nodes[id]; ok && !nd.crashed {
+	if nd := n.attached(id); nd != nil && !nd.crashed {
 		nd.crashed = true
 		n.observe(NetEvent{Type: "crash", A: id})
 	}
@@ -225,10 +254,15 @@ func (n *Network) Crash(id wire.NodeID) {
 // Recover clears the crashed flag. Node-level state reset (empty ACL cache,
 // manager sync) is the node's own responsibility (§3.4).
 func (n *Network) Recover(id wire.NodeID) {
-	if nd, ok := n.nodes[id]; ok && nd.crashed {
+	if nd := n.attached(id); nd != nil && nd.crashed {
 		nd.crashed = false
 		n.observe(NetEvent{Type: "recover", A: id})
 	}
+}
+
+// link returns the directed link from → to.
+func (n *Network) link(from, to wire.NodeID) linkKey {
+	return linkKey{n.Node(from).index, n.Node(to).index}
 }
 
 // SetLink cuts or restores both directions of the link between a and b.
@@ -251,7 +285,7 @@ func (n *Network) SetOneWay(from, to wire.NodeID, up bool) {
 // setOneWay applies the cut-set change and reports whether anything changed
 // (so repeated Partition calls do not flood the observer).
 func (n *Network) setOneWay(from, to wire.NodeID, up bool) bool {
-	k := linkKey{from, to}
+	k := n.link(from, to)
 	if n.cut[k] != up {
 		return false
 	}
@@ -273,7 +307,7 @@ func linkEventType(up bool) string {
 // SetLinkLoss overrides the drop probability for one direction of a link.
 // Pass a negative value to remove the override.
 func (n *Network) SetLinkLoss(from, to wire.NodeID, p float64) {
-	k := linkKey{from, to}
+	k := n.link(from, to)
 	if p < 0 {
 		delete(n.linkLoss, k)
 		return
@@ -287,7 +321,7 @@ func (n *Network) SetLinkLoss(from, to wire.NodeID, p float64) {
 // LinkLatency matrix or default model. Changes are reported to the
 // observer so gray failures appear on flight-recorder timelines.
 func (n *Network) SetLinkLatency(from, to wire.NodeID, m LatencyModel) {
-	k := linkKey{from, to}
+	k := n.link(from, to)
 	if m == nil {
 		if _, ok := n.linkLatency[k]; ok {
 			delete(n.linkLatency, k)
@@ -305,12 +339,12 @@ func (n *Network) SetLinkLatency(from, to wire.NodeID, m LatencyModel) {
 // sampleLatency draws the one-way delay for a message on the directed link
 // from → to: a runtime override if installed, else the configured per-link
 // matrix, else the uniform default model.
-func (n *Network) sampleLatency(from, to wire.NodeID) time.Duration {
-	if m, ok := n.linkLatency[linkKey{from, to}]; ok {
+func (n *Network) sampleLatency(from, to *Node) time.Duration {
+	if m, ok := n.linkLatency[linkKey{from.index, to.index}]; ok {
 		return m.Sample(n.rng)
 	}
-	if n.cfg.LinkLatency != nil {
-		return n.cfg.LinkLatency.SampleLink(from, to, n.rng)
+	if m := n.cfg.LinkLatency; m != nil {
+		return m.model(from.class, to.class).Sample(n.rng)
 	}
 	return n.cfg.Latency.Sample(n.rng)
 }
@@ -364,54 +398,62 @@ func (n *Network) Heal() {
 	n.cut = make(map[linkKey]bool)
 }
 
+// Send is Node(from).Send(to, msg).
+func (n *Network) Send(from, to wire.NodeID, msg wire.Message) { n.Node(from).Send(to, msg) }
+
 // Lend is Send for a message lent for the call: a pointer to a Query,
 // Response, Busy, Update, UpdateAck, RevokeNotice or RevokeAck, which its
 // sender may reuse once Lend returns. Send carries the network's copy of
 // it (see held), so counts, faults and random draws are the same.
-func (n *Network) Lend(from, to wire.NodeID, msg wire.Message) {
-	c := n.held.take(msg)
+func (nd *Node) Lend(to wire.NodeID, msg wire.Message) {
+	c := nd.net.held.take(msg)
 	if c == nil {
 		panic("simnet: Lend takes a pointer to a wire message")
 	}
-	n.Send(from, to, c)
+	nd.Send(to, c)
 }
 
-// Send transmits msg from one node to another with the configured latency,
+// Send transmits msg from the node to another with the configured latency,
 // loss, and duplication. It never blocks; delivery happens via the
 // scheduler. Sends from a crashed node are suppressed. A drop gives back
 // the network's copy of a lent message, and a duplicate copies it again.
-func (n *Network) Send(from, to wire.NodeID, msg wire.Message) {
+// The destination's handle is resolved here, so a message sent to an id
+// that is attached only before its delivery still arrives.
+func (nd *Node) Send(to wire.NodeID, msg wire.Message) {
+	n := nd.net
+	dst := n.Node(to)
 	n.counters.Sent++
 	n.count(msg)
-	if !n.admit(from, to, msg) {
+	if !n.admit(nd, dst, msg) {
 		n.counters.Dropped++
 		n.held.give(msg)
 		return
 	}
-	n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+	n.sched.scheduleDelivery(n.sampleLatency(nd, dst), n, nd.id, dst, msg)
 	if n.cfg.Duplicate > 0 && n.rng.Float64() < n.cfg.Duplicate {
 		n.counters.Duplicated++
 		if c := n.held.take(msg); c != nil {
 			msg = c
 		}
-		n.sched.scheduleDelivery(n.sampleLatency(from, to), n, from, to, msg)
+		n.sched.scheduleDelivery(n.sampleLatency(nd, dst), n, nd.id, dst, msg)
 	}
 }
 
 // admit reports whether a send survives the sender's crash, the Filter,
 // the link and its loss draw.
-func (n *Network) admit(from, to wire.NodeID, msg wire.Message) bool {
-	if nd, ok := n.nodes[from]; ok && nd.crashed {
+func (n *Network) admit(from, to *Node, msg wire.Message) bool {
+	if from.crashed {
 		return false
 	}
-	if n.Filter != nil && !n.Filter(from, to, boxed(msg)) {
+	if n.Filter != nil && !n.Filter(from.id, to.id, boxed(msg)) {
 		return false
 	}
-	if n.cut[linkKey{from, to}] {
+	k := linkKey{from.index, to.index}
+	if n.cut[k] {
 		return false
 	}
 	loss := n.cfg.Loss
-	if p, ok := n.linkLoss[linkKey{from, to}]; ok {
+	if p, ok := n.linkLoss[k]; ok {
 		loss = p
 	}
 	return loss <= 0 || n.rng.Float64() >= loss
@@ -436,9 +478,8 @@ func (n *Network) count(msg wire.Message) {
 }
 
 // deliver hands a due message to its destination (called by the scheduler).
-func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
-	nd, ok := n.nodes[to]
-	if !ok || nd.crashed {
+func (n *Network) deliver(from wire.NodeID, nd *Node, msg wire.Message) {
+	if nd.handler == nil || nd.crashed {
 		n.counters.Dropped++
 		n.held.give(msg)
 		return
@@ -455,7 +496,7 @@ func (n *Network) deliver(from, to wire.NodeID, msg wire.Message) {
 
 // handle hands msg to the node's handler, the network's copy of a lent
 // message lent to its upgrade or boxed, and takes the copy back.
-func (n *Network) handle(nd *node, from wire.NodeID, msg wire.Message) {
+func (n *Network) handle(nd *Node, from wire.NodeID, msg wire.Message) {
 	if nd.lent != nil && lent(msg) {
 		nd.lent.HandleLent(from, msg)
 	} else {

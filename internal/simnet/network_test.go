@@ -67,7 +67,7 @@ func TestLinkCut(t *testing.T) {
 	net.Attach("a", &recorder{})
 	net.Attach("b", b)
 	net.SetLink("a", "b", false)
-	if !net.cut[linkKey{"a", "b"}] || !net.cut[linkKey{"b", "a"}] {
+	if !net.cut[net.link("a", "b")] || !net.cut[net.link("b", "a")] {
 		t.Error("link up after cut")
 	}
 	net.Send("a", "b", wire.Heartbeat{})
@@ -137,7 +137,7 @@ func TestThreeWayPartition(t *testing.T) {
 	net.Partition([]wire.NodeID{"a"}, []wire.NodeID{"b"}, []wire.NodeID{"c"})
 	pairs := [][2]wire.NodeID{{"a", "b"}, {"a", "c"}, {"b", "c"}}
 	for _, p := range pairs {
-		if !net.cut[linkKey{p[0], p[1]}] || !net.cut[linkKey{p[1], p[0]}] {
+		if !net.cut[net.link(p[0], p[1])] || !net.cut[net.link(p[1], p[0])] {
 			t.Errorf("link %v survived 3-way partition", p)
 		}
 	}
@@ -443,6 +443,48 @@ func TestAttachReplacesAndClearsCrash(t *testing.T) {
 	}
 }
 
+// TestDeliveryFollowsAttachment: a send resolves its destination's handle,
+// but whether and where the message lands is decided at delivery, so a
+// node re-attached while a message is in flight gets it at its new handler,
+// one crashed in that window drops it (and Dropped counts it), and an id
+// first attached while the message is in flight still receives it. Each
+// case sends by value and lends a Query.
+func TestDeliveryFollowsAttachment(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before bool // b is attached before the send
+		window func(net *Network, b *recorder)
+		want   int // messages b's handler gets
+	}{
+		{"re-attached", true, func(net *Network, b *recorder) { net.Attach("b", b) }, 2},
+		{"crashed", true, func(net *Network, _ *recorder) { net.Crash("b") }, 0},
+		{"attached late", false, func(net *Network, b *recorder) { net.Attach("b", b) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, s := newTestNet(Config{Latency: Fixed{D: 10 * time.Millisecond}})
+			old, b := &recorder{}, &recorder{}
+			net.Attach("a", &recorder{})
+			if tc.before {
+				net.Attach("b", old)
+			}
+			q := wire.Query{App: "app", User: "u", Nonce: 1}
+			net.Send("a", "b", wire.Heartbeat{Nonce: 1})
+			net.Node("a").Lend("b", &q)
+			s.After(5*time.Millisecond, func() { tc.window(net, b) })
+			s.Run(0)
+			if len(old.got) != 0 || len(b.got) != tc.want {
+				t.Fatalf("the first handler got %d messages and the second %d, want 0 and %d", len(old.got), len(b.got), tc.want)
+			}
+			if tc.want > 0 && (b.got[0] != wire.Heartbeat{Nonce: 1} || b.got[1] != q) {
+				t.Fatalf("delivered %v", b.got)
+			}
+			if st := net.Stats(); st.Delivered != uint64(tc.want) || st.Dropped != uint64(2-tc.want) {
+				t.Fatalf("stats %v", st)
+			}
+		})
+	}
+}
+
 // TestSendAllocationBudget pins the steady-state allocation cost of
 // Network.Send + delivery: with pooled delivery events the whole
 // send/deliver cycle is allocation-free once warm, and so is a Lend to a
@@ -468,8 +510,8 @@ func TestSendAllocationBudget(t *testing.T) {
 	q, u, b := msg.(wire.Query), wire.Update{App: "app", User: "u"}, &lentCounter{}
 	n.Attach("b", b)
 	allocs = testing.AllocsPerRun(200, func() {
-		n.Lend("a", "b", &q)
-		n.Lend("a", "b", &u)
+		n.Node("a").Lend("b", &q)
+		n.Node("a").Lend("b", &u)
 		sched.Run(0)
 	})
 	if allocs > 0 || b.n < 400 {
@@ -513,7 +555,7 @@ func TestCheckMessagesLent(t *testing.T) {
 	for _, to := range []wire.NodeID{"h", "p"} {
 		sq, sr, sb, su, srn := q, r, b, u, rn
 		for _, m := range []wire.Message{&sq, &sr, &sb, &su, &srn} {
-			net.Lend("m", to, m)
+			net.Node("m").Lend(to, m)
 		}
 		sq, sr, sb, su, srn = wire.Query{}, wire.Response{}, wire.Busy{}, wire.Update{}, wire.RevokeNotice{}
 	}
@@ -537,7 +579,7 @@ func TestCheckMessagesLent(t *testing.T) {
 	}
 	// The handler is lent the network's copy, not the sender's, which the
 	// network clears once the handler returns.
-	net.Lend("m", "h", &q)
+	net.Node("m").Lend("h", &q)
 	s.Run(0)
 	if p := typed.lent[5].(*wire.Query); p == &q || typed.got[5] != q || *p != (wire.Query{}) {
 		t.Errorf("handler lent %p, got %+v; sender's Query is %p", p, typed.got[5], &q)
@@ -547,7 +589,7 @@ func TestCheckMessagesLent(t *testing.T) {
 			t.Error("Lend of a message value did not panic")
 		}
 	}()
-	net.Lend("m", "h", q)
+	net.Node("m").Lend("h", q)
 }
 
 // lentCounter counts the messages it is lent.

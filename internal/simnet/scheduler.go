@@ -27,9 +27,8 @@ import (
 // network keeps for reuse (held), makes a send and a capacity-modelled
 // node's service allocation-free in steady state.
 type event struct {
-	// at is when the event is due, in nanoseconds since vclock.Epoch. Every
-	// simulated instant is Epoch plus whole nanoseconds, no monotonic
-	// reading, so these integers order as the time.Time values would.
+	// at is when the event is due, in the clock's own unit: nanoseconds
+	// since vclock.Epoch (Virtual.Nanos), so no step builds a time.Time.
 	at  int64
 	seq uint64 // tie-breaker: FIFO among events at the same instant
 	// pos is the event's heap index plus one, 0 while it is not queued.
@@ -38,10 +37,11 @@ type event struct {
 
 	// Pooled payload, set (net non-nil) for a message delivery, or with cs
 	// set for the completion of cs's service of the message it holds.
-	net      *Network
-	from, to wire.NodeID
-	msg      wire.Message
-	cs       *capacity
+	net  *Network
+	from wire.NodeID
+	to   *Node
+	msg  wire.Message
+	cs   *capacity
 
 	// Timer state, used only by callback events returned from At/After.
 	sched   *Scheduler
@@ -154,7 +154,7 @@ func (t *Timer) Reset(d time.Duration) bool {
 	}
 	e.stopped, e.fired = false, false
 	s.seq++
-	e.at, e.seq = nanos(s.Now())+int64(max(d, 0)), s.seq
+	e.at, e.seq = s.clock.Nanos()+int64(max(d, 0)), s.seq
 	if e.pos > 0 {
 		s.queue.up(e.pos - 1)
 		s.queue.down(e.pos - 1)
@@ -198,12 +198,9 @@ func (s *Scheduler) Now() time.Time { return s.clock.Now() }
 // compacts the heap whenever dead entries outnumber live ones.
 func (s *Scheduler) Pending() int { return len(s.queue) }
 
-// nanos converts an instant to the event key: nanoseconds since the epoch.
-func nanos(t time.Time) int64 { return int64(t.Sub(vclock.Epoch)) }
-
 // After schedules fn to run d from now.
 func (s *Scheduler) After(d time.Duration, fn func()) *Timer {
-	return s.at(nanos(s.Now())+int64(max(d, 0)), fn)
+	return s.at(s.clock.Nanos()+int64(max(d, 0)), fn)
 }
 
 func (s *Scheduler) at(ns int64, fn func()) *Timer {
@@ -225,14 +222,14 @@ func (s *Scheduler) pooled(d time.Duration) *event {
 		e = &event{}
 	}
 	s.seq++
-	e.at, e.seq = nanos(s.Now())+int64(max(d, 0)), s.seq
+	e.at, e.seq = s.clock.Nanos()+int64(max(d, 0)), s.seq
 	s.queue.push(e)
 	return e
 }
 
 // scheduleDelivery enqueues a pooled message delivery d from now (the
 // Network fast path: no closure, no Timer, reused event).
-func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from, to wire.NodeID, msg wire.Message) {
+func (s *Scheduler) scheduleDelivery(d time.Duration, n *Network, from wire.NodeID, to *Node, msg wire.Message) {
 	e := s.pooled(d)
 	e.net, e.from, e.to, e.msg = n, from, to, msg
 }
@@ -318,7 +315,7 @@ func (s *Scheduler) Step() bool {
 		return false
 	}
 	e := s.queue.pop()
-	s.clock.Set(vclock.Epoch.Add(time.Duration(e.at)))
+	s.clock.SetNanos(e.at)
 	if e.net != nil {
 		n, from, to, msg, cs := e.net, e.from, e.to, e.msg, e.cs
 		s.recycle(e)
@@ -351,7 +348,7 @@ func (s *Scheduler) Run(maxSteps uint64) bool {
 // RunUntil executes all events with timestamps <= t, then advances the
 // clock to t.
 func (s *Scheduler) RunUntil(t time.Time) {
-	for ns := nanos(t); ; {
+	for ns := int64(t.Sub(vclock.Epoch)); ; {
 		if e := s.head(); e == nil || e.at > ns {
 			break
 		}

@@ -433,7 +433,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 				}
 				h.t = s.After(when, func() { fire(h.id, depth) })
 			default:
-				s.scheduleDelivery(d, n, "src", "dst", wire.Heartbeat{Nonce: id})
+				s.scheduleDelivery(d, n, "src", n.Node("dst"), wire.Heartbeat{Nonce: id})
 			}
 			if h.t != nil {
 				timers = append(timers, h)

@@ -70,7 +70,11 @@ var Epoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 func NewVirtual() *Virtual { return &Virtual{} }
 
 // Now returns the current virtual time.
-func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.ns.Load())) }
+func (v *Virtual) Now() time.Time { return Epoch.Add(time.Duration(v.Nanos())) }
+
+// Nanos returns the current virtual time in nanoseconds since Epoch: Now
+// without building a time.Time.
+func (v *Virtual) Nanos() int64 { return v.ns.Load() }
 
 // Advance moves the clock forward by d. Negative d is ignored: virtual time
 // never goes backwards.
@@ -81,8 +85,10 @@ func (v *Virtual) Advance(d time.Duration) {
 }
 
 // Set jumps the clock to t if t is not before the current time.
-func (v *Virtual) Set(t time.Time) {
-	ns := int64(t.Sub(Epoch))
+func (v *Virtual) Set(t time.Time) { v.SetNanos(int64(t.Sub(Epoch))) }
+
+// SetNanos is Set for the instant ns nanoseconds after Epoch.
+func (v *Virtual) SetNanos(ns int64) {
 	for {
 		cur := v.ns.Load()
 		if ns <= cur || v.ns.CompareAndSwap(cur, ns) {

@@ -183,9 +183,10 @@ func TestVirtualConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestVirtualConcurrentMonotone hammers one clock with Set and Advance from
-// several goroutines while readers watch it: every reader must see a
-// non-decreasing sequence, and no Advance may be lost. Run under -race.
+// TestVirtualConcurrentMonotone hammers one clock with Set, SetNanos and
+// Advance from several goroutines while readers watch it through Now and
+// Nanos: every reader must see a non-decreasing sequence, and no Advance may
+// be lost. Run under -race.
 func TestVirtualConcurrentMonotone(t *testing.T) {
 	const writers, readers, steps = 4, 4, 2000
 	v := NewVirtual()
@@ -198,11 +199,12 @@ func TestVirtualConcurrentMonotone(t *testing.T) {
 			prev := v.Now()
 			for {
 				now := v.Now()
-				if now.Before(prev) {
-					t.Errorf("clock went backwards: %v after %v", now, prev)
+				ns := v.Nanos()
+				if now.Before(prev) || ns < int64(now.Sub(Epoch)) {
+					t.Errorf("clock went backwards: %v after %v, then %d ns", now, prev, ns)
 					return
 				}
-				prev = now
+				prev = Epoch.Add(time.Duration(ns))
 				select {
 				case <-stop:
 					return
@@ -216,12 +218,15 @@ func TestVirtualConcurrentMonotone(t *testing.T) {
 		go func(w int) {
 			defer writing.Done()
 			for i := 0; i < steps; i++ {
-				if (i+w)%2 == 0 {
+				// A Set or SetNanos is often behind the clock by now: it
+				// must be ignored, never pull the clock back.
+				switch {
+				case (i+w)%2 == 0:
 					v.Advance(time.Microsecond)
-				} else {
-					// Often behind the clock by now: must be ignored, never
-					// pull it back.
+				case i%4 < 2:
 					v.Set(Epoch.Add(time.Duration(i) * time.Microsecond))
+				default:
+					v.SetNanos(int64(i) * int64(time.Microsecond))
 				}
 			}
 		}(w)
@@ -229,7 +234,8 @@ func TestVirtualConcurrentMonotone(t *testing.T) {
 	writing.Wait()
 	close(stop)
 	reading.Wait()
-	// Each writer advanced steps/2 times, and a Set only ever adds.
+	// Each writer advanced steps/2 times, and a Set or SetNanos only ever
+	// adds.
 	if min := Epoch.Add(writers * steps / 2 * time.Microsecond); v.Now().Before(min) {
 		t.Errorf("Now() = %v, want at least %v: an Advance was lost", v.Now(), min)
 	}

@@ -85,13 +85,16 @@ echo "== lent messages are not kept"
 # below is handed does not escape: "leaking param content" passes, since the
 # strings it refers to are immutable and copying them keeps nothing of the
 # message; "leaking param", the pointer itself kept, fails. Every kind rides
-# the same methods, so a new lent kind needs no entry here.
-escapes=$(go build -gcflags=-m ./internal/core ./internal/sim 2>&1)
-for fn in 'Host) HandleLent' 'Manager) HandleLent' 'Env) SendLent'; do
-	decl=$(grep -nE "^func \([a-z]+ \*$fn\(" internal/core/*.go internal/sim/*.go | grep -v _test.go || true)
-	[ "$(wc -l <<<"$decl")" = 1 ] && [ -n "$decl" ] || { echo "want one declaration of $fn in internal/core or internal/sim"; exit 1; }
+# the same methods, so a new lent kind needs no entry here. A journal lends
+# its sink the one record it unpacks each decision into, so the oracle's sink
+# and the audit stream's writer are held to the same contract.
+lentdirs="internal/core internal/sim internal/flight internal/harness"
+escapes=$(go build -gcflags=-m $(sed 's|internal/|./internal/|g' <<<"$lentdirs") 2>&1)
+for fn in 'Host) HandleLent' 'Manager) HandleLent' 'Env) SendLent' 'auditSink) Accept' 'Writer) Accept'; do
+	decl=$(for d in $lentdirs; do grep -nE "^func \([a-z]+ \*?$fn\(" $d/*.go; done | grep -v _test.go || true)
+	[ "$(wc -l <<<"$decl")" = 1 ] && [ -n "$decl" ] || { echo "want one declaration of $fn in $lentdirs"; exit 1; }
 	at=$(cut -d: -f1,2 <<<"$decl")
-	param=$(sed -E 's/.*, ([a-z]+) wire\.Message\) \{.*$/\1/' <<<"$decl")
+	param=$(sed -E 's/.*[(,] ?([a-z]+) (wire\.Message|\*(flight\.)?Record)\) \{.*$/\1/' <<<"$decl")
 	grep -qE "^$at:[0-9]+: ($param does not escape|leaking param content: $param)\$" <<<"$escapes" ||
 		{ echo "$fn: its lent $param escapes:"; grep -E "^$at:" <<<"$escapes"; exit 1; }
 done
