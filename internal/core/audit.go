@@ -12,8 +12,35 @@ import (
 
 	"wanac/internal/flight"
 	"wanac/internal/quorum"
+	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
+
+// decisionEvent is the trace event a reason is told by: its type, its word,
+// and whether its number is the check's attempts.
+type decisionEvent struct {
+	typ      trace.EventType
+	word     trace.Word
+	attempts bool
+}
+
+// decisionEvents is the one place a host decision or a manager verdict names
+// its event: Host.finish and Manager.served emit what their reason indexes
+// here. A cache hit's event is built on its own path (Host.cacheHit), and a
+// shed query's (Manager.shedQuery) carries its Retry-After.
+var decisionEvents = [flight.NumReasons]decisionEvent{
+	flight.ReasonQuorumAllow:      {typ: trace.EventAccessAllowed, word: trace.WordQuorum},
+	flight.ReasonDefaultAllow:     {typ: trace.EventAccessDefault, attempts: true},
+	flight.ReasonResolveAllow:     {typ: trace.EventAccessDefault, word: trace.WordResolveFailed},
+	flight.ReasonQuorumDeny:       {typ: trace.EventAccessDenied, word: trace.WordRevoked},
+	flight.ReasonUnreachableDeny:  {typ: trace.EventAccessDenied, word: trace.WordUnreachable},
+	flight.ReasonResolveDeny:      {typ: trace.EventAccessDenied, word: trace.WordResolveFailed},
+	flight.ReasonUnregisteredDeny: {typ: trace.EventAccessDenied, word: trace.WordUnregistered},
+	flight.ReasonQueryGranted:     {typ: trace.EventQueryServed, word: trace.WordGranted},
+	flight.ReasonQueryDenied:      {typ: trace.EventQueryServed, word: trace.WordDenied},
+	flight.ReasonQueryFrozen:      {typ: trace.EventQueryServed, word: trace.WordFrozen},
+	flight.ReasonQueryUnknownApp:  {typ: trace.EventQueryServed, word: trace.WordUnknownApp},
+}
 
 // SetAudit installs (or, with nil, removes) the journal the host records
 // its decisions in. Install before traffic flows: records are emitted for

@@ -1,9 +1,10 @@
 package core
 
 // Audit-exactness tests: scripted scenarios asserting that the audit
-// recorder, HostStats, and the reason-labeled telemetry counters agree
-// record for record — the invariant documented in audit.go and metrics.go.
-// Evidence fields are pinned exactly so acaudit explanations can be trusted.
+// recorder, HostStats, the reason-labeled telemetry counters and the
+// decision trace events agree record for record — the invariant documented
+// in audit.go and metrics.go. Evidence fields are pinned exactly so acaudit
+// explanations can be trusted.
 
 import (
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"wanac/internal/flight"
 	"wanac/internal/telemetry"
+	"wanac/internal/trace"
 	"wanac/internal/wire"
 )
 
@@ -18,9 +20,18 @@ func reasonValue(reg *telemetry.Registry, r flight.Reason) uint64 {
 	return reg.CounterVec("wanac_host_check_reasons_total", "", "reason").With(r.String()).Value()
 }
 
+// decisionEventOf is the event a decision record's reason is told by.
+func decisionEventOf(r flight.Reason) decisionEvent {
+	if r == flight.ReasonCacheHit {
+		return decisionEvent{typ: trace.EventCacheHit}
+	}
+	return decisionEvents[r]
+}
+
 func TestHostAuditExactness(t *testing.T) {
 	env := newFakeEnv()
-	h := NewHost("h0", env, nil, nil)
+	col := trace.NewCollector()
+	h := NewHost("h0", env, col, nil)
 	reg := telemetry.NewRegistry()
 	rec := flight.NewRecorder("h0", 64, env.Now)
 	InstrumentHost(reg, rec, h)
@@ -139,6 +150,43 @@ func TestHostAuditExactness(t *testing.T) {
 	for _, r := range recs {
 		if r.Allowed != r.Reason.Allowed() {
 			t.Errorf("record %+v: Allowed contradicts reason", r)
+		}
+	}
+
+	// Each record has exactly one decision event, at its time, for its app,
+	// user and trace, of the type and word its reason names (a default
+	// allow's note cites its attempts), and no decision event is without
+	// its record. Every decision but a cache hit tells its event from
+	// decisionEvents.
+	isDecision := make(map[trace.EventType]bool)
+	for _, r := range flight.DecisionReasons {
+		if r != flight.ReasonCacheHit && decisionEvents[r].typ == 0 {
+			t.Errorf("decision reason %s has no entry in decisionEvents", r)
+		}
+		isDecision[decisionEventOf(r).typ] = true
+	}
+	var events []trace.Event
+	for _, e := range col.Events() {
+		if isDecision[e.Type] {
+			events = append(events, e)
+		}
+	}
+	if len(events) != len(recs) {
+		t.Fatalf("%d decision events for %d records: %v", len(events), len(recs), events)
+	}
+	for _, r := range recs {
+		want, n := decisionEventOf(r.Reason), 0
+		for _, e := range events {
+			if !e.Time.Equal(r.T) || string(e.App) != r.App || string(e.User) != r.User || e.Trace != r.Trace {
+				continue
+			}
+			n++
+			if e.Type != want.typ || e.Word != want.word || r.Reason == flight.ReasonDefaultAllow && e.Note() != "attempts=2" {
+				t.Errorf("record %s: event %s %q, want %s %q", r.Reason, e.Type, e.Note(), want.typ, want.word)
+			}
+		}
+		if n != 1 {
+			t.Errorf("record %s for %s/%s: %d decision events", r.Reason, r.App, r.User, n)
 		}
 	}
 }

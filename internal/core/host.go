@@ -363,23 +363,9 @@ func (h *Host) fire(cb func(Decision), d Decision) {
 // starts a query round.
 func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, st acl.LookupStatus, cb func(Decision)) {
 	now := h.now
-	v := h.view.Load()
-	a, ok := v.apps[app]
-	if !ok || !right.Valid() {
-		h.recordDecision(now, now, flight.ReasonUnregisteredDeny)
-		h.emit(trace.EventAccessDenied, app, user, trace.WordUnregistered)
-		if v.aud != nil {
-			v.aud.Record(flight.Record{
-				Kind: flight.KindDecision, T: now,
-				App: string(app), User: string(user), Right: right.String(),
-				Reason: flight.ReasonUnregisteredDeny,
-			})
-		}
-		h.fire(cb, Decision{})
-		return
-	}
+	a, registered := h.view.Load().apps[app]
 	if st == acl.Expired {
-		h.emit(trace.EventCacheExpired, app, user, 0)
+		h.emit(trace.EventCacheExpired, app, user)
 	}
 
 	key := checkKey{app, user, right}
@@ -390,6 +376,12 @@ func (h *Host) checkLocked(app wire.AppID, user wire.UserID, right wire.Right, s
 	c := h.newCheck(key)
 	c.born = now
 	c.callbacks = append(c.callbacks, cb)
+	if !registered || !right.Valid() {
+		// Apps are only ever added, so no check of this key was in flight:
+		// the deny finishes a check of its own.
+		h.finish(c, Decision{}, flight.ReasonUnregisteredDeny)
+		return
+	}
 	h.byKey[key] = c
 
 	if h.managersUsable(a, now) {
@@ -514,7 +506,6 @@ func (h *Host) onCheckTimer(c *check) {
 	case h.byKey[c.key] == c:
 		a, ok := h.view.Load().apps[c.key.app]
 		if !ok {
-			h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
 			h.finish(c, Decision{}, flight.ReasonUnregisteredDeny)
 			return
 		}
@@ -592,7 +583,6 @@ func (h *Host) onQueryTimeout(c *check) {
 	v := h.view.Load()
 	a, ok := v.apps[c.key.app]
 	if !ok {
-		h.emitC(trace.EventAccessDenied, c, trace.WordUnregistered, 0)
 		h.finish(c, Decision{}, flight.ReasonUnregisteredDeny)
 		return
 	}
@@ -608,16 +598,12 @@ func (h *Host) onQueryTimeout(c *check) {
 func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 	if a.policy.MaxAttempts > 0 && c.attempts >= a.policy.MaxAttempts {
 		if a.policy.DefaultAllow {
-			if h.tracing {
-				h.emitC(trace.EventAccessDefault, c, 0, int64(c.attempts))
-			}
 			h.finish(c, Decision{
 				Allowed: true, DefaultAllowed: true,
 				Attempts: c.attempts, Frozen: c.frozen,
 			}, flight.ReasonDefaultAllow)
 			return
 		}
-		h.emitC(trace.EventAccessDenied, c, trace.WordUnreachable, 0)
 		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, flight.ReasonUnreachableDeny)
 		return
 	}
@@ -625,11 +611,21 @@ func (h *Host) retryOrGiveUp(a *hostApp, c *check) {
 }
 
 // finish resolves a check, queues its callbacks, and recycles the struct.
-// reason is the audit provenance of the decision; the matching record is
-// emitted before the check's evidence is recycled away.
+// reason is the decision's provenance, the one thing a decision site names:
+// finish tells the decision event decisionEvents holds for it, counts the
+// decision and records it, in that order, before the check's evidence is
+// recycled away.
 func (h *Host) finish(c *check, d Decision, reason flight.Reason) {
 	v := h.view.Load()
 	now := h.now
+	if h.tracing {
+		ev := decisionEvents[reason]
+		var num int64
+		if ev.attempts {
+			num = int64(c.attempts)
+		}
+		h.emitC(ev.typ, c, ev.word, num)
+	}
 	h.recordDecision(c.born, now, reason)
 	if v.aud != nil {
 		h.auditFinish(v, c, d, reason)
@@ -733,7 +729,6 @@ func (h *Host) onResponse(from wire.NodeID, m *wire.Response) {
 		// (matters for refresh-ahead checks, where a valid entry is still
 		// cached).
 		h.cache.Remove(c.key.app, c.key.user, c.key.right)
-		h.emitC(trace.EventAccessDenied, c, trace.WordRevoked, 0)
 		h.finish(c, Decision{Attempts: c.attempts, Frozen: c.frozen}, flight.ReasonQuorumDeny)
 	case quorum.Widen:
 		// Same nonce, same timer, no attempt consumed; sentAt stays the
@@ -762,7 +757,6 @@ func (h *Host) grant(a *hostApp, c *check) {
 	if h.tracing {
 		h.emitC(trace.EventGrantCached, c, 0, int64(confirmations))
 	}
-	h.emitC(trace.EventAccessAllowed, c, trace.WordQuorum, 0)
 	h.finish(c, Decision{
 		Allowed:       true,
 		Confirmations: confirmations,
@@ -782,7 +776,7 @@ func (h *Host) onRevokeNotice(from wire.NodeID, m *wire.RevokeNotice) {
 	removed := h.cache.Remove(m.App, m.User, m.Right)
 	if removed {
 		h.counts.revokeNotices.Add(1)
-		h.emit(trace.EventRevokeApplied, m.App, m.User, 0)
+		h.emit(trace.EventRevokeApplied, m.App, m.User)
 	}
 	// Ack regardless: the manager needs to stop retransmitting even if the
 	// entry was already gone (§3.1: removal of a non-existent right is a
@@ -832,7 +826,6 @@ func (h *Host) resolveManagers(a *hostApp, app wire.AppID) {
 		if a.nameService == "" {
 			// No managers and no name service: deny all waiting checks.
 			for _, c := range a.waiting {
-				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{}, flight.ReasonResolveDeny)
 			}
 			a.waiting = nil
@@ -860,11 +853,9 @@ func (h *Host) onResolveTimeout(a *hostApp, app wire.AppID) {
 		c.attempts++
 		if a.policy.MaxAttempts > 0 && c.attempts >= a.policy.MaxAttempts {
 			if a.policy.DefaultAllow {
-				h.emitC(trace.EventAccessDefault, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{Allowed: true, DefaultAllowed: true, Attempts: c.attempts},
 					flight.ReasonResolveAllow)
 			} else {
-				h.emitC(trace.EventAccessDenied, c, trace.WordResolveFailed, 0)
 				h.finish(c, Decision{Attempts: c.attempts}, flight.ReasonResolveDeny)
 			}
 			continue
@@ -982,10 +973,9 @@ func (h *Host) Reset() {
 	}
 }
 
-// emit emits an event outside a check's lifecycle: a denial before one
-// starts, an expiry, a flush.
-func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID, w trace.Word) {
-	h.tracer.Emit(trace.Event{Time: h.now, Node: h.id, Type: t, App: app, User: user, Word: w})
+// emit emits an event outside a check's lifecycle: an expiry, a flush.
+func (h *Host) emit(t trace.EventType, app wire.AppID, user wire.UserID) {
+	h.tracer.Emit(trace.Event{Time: h.now, Node: h.id, Type: t, App: app, User: user})
 }
 
 // emitC emits an event of check c's lifecycle with its detail: it carries

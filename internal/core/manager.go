@@ -669,10 +669,10 @@ func (m *Manager) onQuery(from wire.NodeID, q *wire.Query) {
 	ma, ok := m.apps[q.App]
 	switch {
 	case !ok:
-		m.served(nil, from, q, trace.WordUnknownApp, flight.ReasonQueryUnknownApp)
+		m.served(nil, from, q, flight.ReasonQueryUnknownApp)
 	case ma.syncing || ma.frozen:
 		m.resp.Frozen = true
-		m.served(ma, from, q, trace.WordFrozen, flight.ReasonQueryFrozen)
+		m.served(ma, from, q, flight.ReasonQueryFrozen)
 	case !m.admitQuery(ma, from):
 		m.shedQuery(ma, from, q)
 		return
@@ -689,20 +689,21 @@ func (m *Manager) onQuery(from wire.NodeID, q *wire.Query) {
 		}
 		if m.store.Vouch(q.App, q.User, q.Right, from, deadline, m.now) {
 			m.resp.Granted, m.resp.Expire = true, ma.expire
-			m.served(ma, from, q, trace.WordGranted, flight.ReasonQueryGranted)
+			m.served(ma, from, q, flight.ReasonQueryGranted)
 		} else {
-			m.served(ma, from, q, trace.WordDenied, flight.ReasonQueryDenied)
+			m.served(ma, from, q, flight.ReasonQueryDenied)
 		}
 	}
 	m.env.send(from, outbound(m.env, &m.resp))
 }
 
 // served counts a query's verdict and tells the attached observers: the
-// query-served trace event and the response audit record, in that order. ma
-// is nil for unknown-app verdicts.
-func (m *Manager) served(ma *mgrApp, from wire.NodeID, q *wire.Query, verdict trace.Word, reason flight.Reason) {
+// query-served trace event decisionEvents holds for reason and the response
+// audit record, in that order. ma is nil for unknown-app
+// verdicts.
+func (m *Manager) served(ma *mgrApp, from wire.NodeID, q *wire.Query, reason flight.Reason) {
 	m.counts.verdicts[reason].Add(1)
-	m.emitServed(from, q, verdict)
+	m.emitServed(from, q, reason)
 	if m.aud != nil {
 		m.auditResponse(ma, from, q, reason)
 	}
@@ -1111,13 +1112,14 @@ func (ma *mgrApp) setPeers(self wire.NodeID, cfg ManagerAppConfig, sys quorum.Sy
 // ID: the manager-side half of the query-sent/query-served anchor pairs the
 // flight analyzer uses to align drifting host clocks. Guarded by tracing so
 // untraced Monte Carlo worlds pay nothing on the query hot path.
-func (m *Manager) emitServed(from wire.NodeID, q *wire.Query, verdict trace.Word) {
+func (m *Manager) emitServed(from wire.NodeID, q *wire.Query, reason flight.Reason) {
 	if !m.tracing {
 		return
 	}
+	ev := decisionEvents[reason]
 	m.tracer.Emit(trace.Event{
-		Time: m.now, Node: m.id, Type: trace.EventQueryServed,
-		App: q.App, User: q.User, Trace: q.Trace, Word: verdict, Peer: from,
+		Time: m.now, Node: m.id, Type: ev.typ,
+		App: q.App, User: q.User, Trace: q.Trace, Word: ev.word, Peer: from,
 	})
 }
 

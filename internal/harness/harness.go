@@ -15,7 +15,9 @@
 //   - cache hygiene: hosts never retain cache entries past expiry across a
 //     purge, and never exceed a configured cache bound (§3.2);
 //   - eventual availability: once the network heals, checks for authorized
-//     users succeed again within a bounded settling window (§2.3, Figure 4).
+//     users succeed again within a bounded settling window (§2.3, Figure 4);
+//   - audit completeness: every host decision has its journal record, and
+//     each record's evidence supports its reason (Figure 4's rules).
 //
 // Every run is reproducible from its seed: the same seed generates the same
 // scenario and, because the simulator is a single-threaded discrete-event

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"wanac/internal/core"
 	"wanac/internal/flight"
 	"wanac/internal/quorum"
 	"wanac/internal/trace"
@@ -101,22 +102,26 @@ func (s oracles) violations() []Violation {
 }
 
 // Emit implements trace.Tracer: the oracles are the judge a run's world
-// hands every event as a node emits it. The sequencing oracle takes the
-// update events; the audit oracle takes the decision events and pairs them
-// with the records its journal sinks take (watchJournals).
+// hands every event as a node emits it. Only the sequencing oracle reads
+// events, the update events; the audit oracle reads its journals' records
+// (watchJournals).
 func (s oracles) Emit(e trace.Event) {
-	switch e.Type {
-	case trace.EventUpdateIssued, trace.EventUpdateApplied, trace.EventUpdateQuorum:
+	if !s.Drops(e.Type) {
 		s.seq.observe(&e)
-	default:
-		s.aud.observe(&e)
 	}
 }
 
-// finish judges what only the end of a run can show.
-func (s oracles) finish() {
+// Drops implements trace.Dropper: the judge keeps the update events alone,
+// so a judged world's hosts build no cache-hit event.
+func (oracles) Drops(t trace.EventType) bool {
+	return t != trace.EventUpdateIssued && t != trace.EventUpdateApplied && t != trace.EventUpdateQuorum
+}
+
+// finish judges what only the end of a run can show: end is its last
+// instant and hosts are its world's.
+func (s oracles) finish(hosts []*core.Host, end time.Time) {
 	s.seq.finish()
-	s.aud.finish()
+	s.aud.finish(hosts, end)
 }
 
 // revocationOracle checks the paper's central guarantee (§3.2-3.3): once a
@@ -363,43 +368,35 @@ func (o *availabilityOracle) judge(pr *probe, at time.Time) {
 		pr.host, pr.user, availWindow)
 }
 
-// auditOracle checks decision provenance (internal/audit), two ways at
-// once, as the run goes. Completeness: every decision event has exactly one
-// audit record — its node's journal hands the oracle each record it accepts
-// (watchJournals), and the two streams are paired per node, first in, first
-// out, on (time, app, user) and on the reason the event's note implies; at
-// the end a node's decision events and records must be as many. Consistency:
-// each record's evidence must support its own reason under the scenario's
-// parameters — a cache hit must cite at least one granting manager and an
-// entry expiring within the revocation bound te (a stale-allow leak
-// surfaces here as a record citing an expired-but-within-Te grant whose
-// residual lifetime exceeds te), a quorum allow must cite C confirmations
-// and a granted te within the bound, a quorum deny must cite enough denials
-// to make C grants impossible, and a default-rule fallback must cite the
-// attempts that exhausted R (Figure 4).
+// auditOracle checks decision provenance (internal/audit) as the run goes:
+// each node's journal hands it every decision record it accepts
+// (watchJournals), and each record's evidence must support its own reason
+// under the scenario's parameters — a cache hit must cite at least one
+// granting manager and an entry expiring within the revocation bound te (a
+// stale-allow leak surfaces here as a record citing an
+// expired-but-within-Te grant whose residual lifetime exceeds te), a quorum
+// allow must cite C confirmations and a granted te within the bound, a
+// quorum deny must cite enough denials to make C grants impossible, and a
+// default-rule fallback must cite the attempts that exhausted R (Figure 4).
+// The decision's trace event is told from the record's reason
+// (core.Host.finish), so the two cannot disagree; completeness is a count:
+// at the end, each host's journal must have accepted as many decisions as
+// the host made.
 //
-// It keeps, per node, what one stream has that the other has not yet
-// matched, and the node's violations: they are reported node by node, the
-// journals in their order, then the nodes that decided with no journal.
+// It keeps each node's violations, reported node by node in journal order.
 type auditOracle struct {
 	oracleState
 	te          time.Duration // max legal residual grant lifetime
 	quorum      int           // the policy's check quorum C
 	maxAttempts int           // the policy's attempt budget R
 
-	nodes map[wire.NodeID]*auditNode // nil: no journals, nothing judged
-	order []*auditNode               // journals in order, then nodes without one
+	nodes []*auditNode // one per journal, in order
 }
 
-// auditNode is one node's half-paired streams.
+// auditNode is one node's journal and its violations.
 type auditNode struct {
-	id          wire.NodeID
-	journal     *flight.Recorder     // nil: the node has none
-	events      queue[trace.Event]   // decision events awaiting their record
-	records     queue[flight.Record] // decision records awaiting their event
-	seen        uint64               // decision events so far
-	first, last time.Time            // the first and last decision event's time
-	viol        []Violation
+	journal *flight.Recorder
+	viol    []Violation
 }
 
 func (n *auditNode) fail(at time.Time, format string, args ...any) {
@@ -415,28 +412,13 @@ func newAuditOracle(te time.Duration, quorum, maxAttempts int) *auditOracle {
 	}
 }
 
-// watchJournals puts the oracle on every journal's record stream. With no
-// journals decision recording is off and the oracle judges nothing.
+// watchJournals puts the oracle on every journal's record stream.
 func (o *auditOracle) watchJournals(journals []*flight.Recorder) {
 	for _, j := range journals {
-		n := o.node(wire.NodeID(j.Node()))
-		n.journal = j
+		n := &auditNode{journal: j}
+		o.nodes = append(o.nodes, n)
 		j.SetSink(auditSink{o, n})
 	}
-}
-
-// node returns id's streams, adding them in order.
-func (o *auditOracle) node(id wire.NodeID) *auditNode {
-	if n := o.nodes[id]; n != nil {
-		return n
-	}
-	if o.nodes == nil {
-		o.nodes = make(map[wire.NodeID]*auditNode)
-	}
-	n := &auditNode{id: id}
-	o.nodes[id] = n
-	o.order = append(o.order, n)
-	return n
 }
 
 // auditSink is the oracle's sink on one node's journal.
@@ -447,139 +429,33 @@ type auditSink struct {
 
 // Accept implements flight.Sink.
 func (s auditSink) Accept(r *flight.Record) {
-	if r.Kind != flight.KindDecision {
-		return
+	if r.Kind == flight.KindDecision {
+		s.o.judgeRecord(s.n, r)
 	}
-	n := s.n
-	if e, ok := n.events.pop(); ok {
-		s.o.judgeRecord(n, r, e)
-		return
-	}
-	n.records.push(*r)
 }
 
-// observe takes one event; decision events are paired with records.
-func (o *auditOracle) observe(e *trace.Event) {
-	if o.nodes == nil {
-		return
+// finish counts each host's decisions against the decision records its
+// journal accepted, at the run's end, and gathers the violations.
+func (o *auditOracle) finish(hosts []*core.Host, end time.Time) {
+	checks := make(map[string]uint64, len(hosts))
+	for _, h := range hosts {
+		checks[string(h.ID())] = h.Stats().Checks
 	}
-	if _, ok := reasonForEvent(e); !ok {
-		return
-	}
-	n := o.node(e.Node)
-	if n.seen == 0 {
-		n.first = e.Time
-	}
-	n.seen++
-	n.last = e.Time
-	if n.journal == nil {
-		return
-	}
-	if r, ok := n.records.pop(); ok {
-		o.judgeRecord(n, r, e)
-		return
-	}
-	n.events.push(*e)
-}
-
-// finish counts each node's decision events against the decision records
-// its journal accepted, and gathers the violations.
-func (o *auditOracle) finish() {
-	for _, n := range o.order {
-		switch {
-		case n.journal == nil:
+	for _, n := range o.nodes {
+		j := n.journal
+		if made, ok := checks[j.Node()]; ok && made != j.Decisions() {
 			o.obs++
-			n.fail(n.first, "node %s made %d decisions but has no audit ring", n.id, n.seen)
-		case n.seen != n.journal.Decisions():
-			o.obs++
-			n.fail(n.last, "node %s: %d decision events in trace but %d audit records accepted",
-				n.id, n.seen, n.journal.Decisions())
+			n.fail(end, "node %s made %d decisions but its journal accepted %d", j.Node(), made, j.Decisions())
 		}
 		o.viol = append(o.viol, n.viol...)
 	}
 }
 
-// held counts the events and records the oracle keeps unpaired.
-func (o *auditOracle) held() int {
-	h := 0
-	for _, n := range o.order {
-		h += n.events.len() + n.records.len()
-	}
-	return h
-}
-
-// queue is a first-in, first-out queue whose storage is reused once it
-// empties: the two streams of a node seldom differ by more than one.
-type queue[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *queue[T]) len() int { return len(q.items) - q.head }
-
-func (q *queue[T]) push(v T) { q.items = append(q.items, v) }
-
-// pop returns the oldest item, good until the next push.
-func (q *queue[T]) pop() (*T, bool) {
-	if q.head == len(q.items) {
-		return nil, false
-	}
-	v := &q.items[q.head]
-	if q.head++; q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return v, true
-}
-
-// reasonForEvent maps a decision event to the audit reason its type and
-// word imply. ok is false for non-decision events.
-func reasonForEvent(e *trace.Event) (r flight.Reason, ok bool) {
-	switch e.Type {
-	case trace.EventCacheHit:
-		return flight.ReasonCacheHit, true
-	case trace.EventAccessAllowed:
-		return flight.ReasonQuorumAllow, true
-	case trace.EventAccessDefault:
-		if e.Word == trace.WordResolveFailed {
-			return flight.ReasonResolveAllow, true
-		}
-		return flight.ReasonDefaultAllow, true
-	case trace.EventAccessDenied:
-		switch e.Word {
-		case trace.WordRevoked:
-			return flight.ReasonQuorumDeny, true
-		case trace.WordUnreachable:
-			return flight.ReasonUnreachableDeny, true
-		case trace.WordResolveFailed:
-			return flight.ReasonResolveDeny, true
-		case trace.WordUnregistered:
-			return flight.ReasonUnregisteredDeny, true
-		}
-		// Unknown word: still a decision; the reason check degrades to
-		// outcome-class agreement.
-		return 0, true
-	}
-	return 0, false
-}
-
-// judgeRecord checks one record against its paired trace event
-// (completeness) and against its own evidence (consistency).
-func (o *auditOracle) judgeRecord(n *auditNode, r *flight.Record, e *trace.Event) {
+// judgeRecord checks one decision record against its own evidence.
+func (o *auditOracle) judgeRecord(n *auditNode, r *flight.Record) {
 	o.obs++
-	want, _ := reasonForEvent(e)
-	if r.App != string(e.App) || r.User != string(e.User) || !r.T.Equal(e.Time) {
-		n.fail(e.Time, "node %s: audit record (app=%s user=%s t=%s) does not match decision event (app=%s user=%s t=%s)",
-			r.Node, r.App, r.User, r.T.Format("15:04:05.000"),
-			e.App, e.User, e.Time.Format("15:04:05.000"))
-		return
-	}
-	if want != 0 && r.Reason != want {
-		n.fail(e.Time, "node %s: audit record says %s but trace event %s/%q implies %s",
-			r.Node, r.Reason, e.Type, e.Note(), want)
-		return
-	}
 	if r.Allowed != r.Reason.Allowed() {
-		n.fail(e.Time, "node %s: reason %s implies allowed=%v but record says %v",
+		n.fail(r.T, "node %s: reason %s implies allowed=%v but record says %v",
 			r.Node, r.Reason, r.Reason.Allowed(), r.Allowed)
 		return
 	}
@@ -588,53 +464,53 @@ func (o *auditOracle) judgeRecord(n *auditNode, r *flight.Record, e *trace.Event
 	switch r.Reason {
 	case flight.ReasonCacheHit:
 		if r.Granters < 1 {
-			n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites no granting manager", r.Node, r.App, r.User)
+			n.fail(r.T, "node %s: cache-hit allow for %s/%s cites no granting manager", r.Node, r.App, r.User)
 		}
 		if !r.Expiry.IsZero() {
 			residual := r.Expiry.Sub(r.T)
 			if residual <= 0 {
-				n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites an entry already expired %s earlier",
+				n.fail(r.T, "node %s: cache-hit allow for %s/%s cites an entry already expired %s earlier",
 					r.Node, r.App, r.User, -residual)
 			} else if o.te > 0 && residual > o.te {
-				n.fail(e.Time, "node %s: cache-hit allow for %s/%s cites a grant expiring %s after the decision, beyond the revocation bound te=%s (stale or inflated grant)",
+				n.fail(r.T, "node %s: cache-hit allow for %s/%s cites a grant expiring %s after the decision, beyond the revocation bound te=%s (stale or inflated grant)",
 					r.Node, r.App, r.User, residual, o.te)
 			}
 		}
 	case flight.ReasonQuorumAllow:
 		if o.quorum > 0 && !sys.Allows(quorum.First(r.Confirmations)) {
-			n.fail(e.Time, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
+			n.fail(r.T, "node %s: quorum allow for %s/%s cites %d confirmations, quorum is %d",
 				r.Node, r.App, r.User, r.Confirmations, o.quorum)
 		}
 		if named := countNames(r.Managers); named != r.Confirmations {
-			n.fail(e.Time, "node %s: quorum allow cites %d confirmations but names %d managers (%q)",
+			n.fail(r.T, "node %s: quorum allow cites %d confirmations but names %d managers (%q)",
 				r.Node, r.Confirmations, named, r.Managers)
 		}
 		if o.te > 0 && r.Expire > o.te {
-			n.fail(e.Time, "node %s: quorum allow for %s/%s cites granted te=%s beyond the revocation bound te=%s (inflated grant)",
+			n.fail(r.T, "node %s: quorum allow for %s/%s cites granted te=%s beyond the revocation bound te=%s (inflated grant)",
 				r.Node, r.App, r.User, r.Expire, o.te)
 		}
 		if r.Attempts < 1 {
-			n.fail(e.Time, "node %s: quorum allow with no query attempts", r.Node)
+			n.fail(r.T, "node %s: quorum allow with no query attempts", r.Node)
 		}
 	case flight.ReasonQuorumDeny:
 		// Judged against M, not against how many were asked: one denial
 		// of one asked proves nothing while C of the rest could grant.
 		if r.Queried < 1 || int(r.Set) < r.Queried {
-			n.fail(e.Time, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
+			n.fail(r.T, "node %s: quorum deny for %s/%s queried %d of %d managers", r.Node, r.App, r.User, r.Queried, r.Set)
 		} else if r.Denials > r.Queried || !sys.Denies(quorum.First(r.Denials)) {
-			n.fail(e.Time, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
+			n.fail(r.T, "node %s: quorum deny for %s/%s cites %d denials of %d managers (%d queried) — quorum %d was still reachable",
 				r.Node, r.App, r.User, r.Denials, r.Set, r.Queried, o.quorum)
 		}
 	case flight.ReasonDefaultAllow, flight.ReasonUnreachableDeny, flight.ReasonResolveAllow:
 		if o.maxAttempts > 0 && r.Attempts < o.maxAttempts {
-			n.fail(e.Time, "node %s: %s for %s/%s after only %d of %d attempts",
+			n.fail(r.T, "node %s: %s for %s/%s after only %d of %d attempts",
 				r.Node, r.Reason, r.App, r.User, r.Attempts, o.maxAttempts)
 		}
 	case flight.ReasonResolveDeny:
 		// Attempts == 0 is legal only for the degenerate no-name-service
 		// deny; a resolve-timeout deny must have exhausted R.
 		if o.maxAttempts > 0 && r.Attempts != 0 && r.Attempts < o.maxAttempts {
-			n.fail(e.Time, "node %s: resolve deny for %s/%s after only %d of %d attempts",
+			n.fail(r.T, "node %s: resolve deny for %s/%s after only %d of %d attempts",
 				r.Node, r.App, r.User, r.Attempts, o.maxAttempts)
 		}
 	}

@@ -68,9 +68,6 @@ func worldConfig(sc Scenario) sim.Config {
 			Duplicate: p.Duplicate,
 			Seed:      sc.Seed,
 		},
-		// Each node's journal keeps its decisions at harness scale: a
-		// failing seed's flight dump shows every decision's provenance.
-		AuditRing: auditRing,
 	}
 }
 
@@ -78,9 +75,6 @@ func worldConfig(sc Scenario) sim.Config {
 // replay that makes a failing seed's dump keeps a full scenario's records
 // per node at harness scale, so the seed explains itself.
 const flightRing = 8192
-
-// auditRing is the per-node decisions window for harness runs.
-const auditRing = 8192
 
 func userID(i int) wire.UserID { return wire.UserID(fmt.Sprintf("u%d", i)) }
 

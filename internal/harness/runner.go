@@ -176,6 +176,10 @@ func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users 
 	if opt.InflateTe {
 		cfg.Te *= 10
 	}
+	// Every node has a journal for the audit oracle to judge. Its decisions
+	// window keeps a harness run's every decision for a failing seed's flight
+	// dump, and is what a catalog transcript's record and drop counts read.
+	cfg.AuditRing = 8192
 	p := cfg.Policy
 	// With the adaptive-Te controller on, managers may legally widen grant
 	// expiry up to AdaptiveTe.Max: that cap, not the base Te, is the bound
@@ -238,7 +242,7 @@ func (r *Runner) Run(horizon time.Duration, start func(), replay func() *flight.
 	w := r.W
 	w.RunFor(horizon + Settle)
 
-	r.oracles.finish()
+	r.oracles.finish(w.Hosts, r.now())
 	for _, m := range w.Managers {
 		r.sampleTe(m)
 	}

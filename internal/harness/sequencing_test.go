@@ -28,15 +28,15 @@ func quorate(at time.Duration, origin string, counter uint64) trace.Event {
 	return updateEvent(origin, at, trace.EventUpdateQuorum, origin, counter)
 }
 
-// runSequencingOracle feeds the events and returns the oracle at the end.
+// runSequencingOracle hands the judge the events as a run's world would,
+// then ends the run, and returns the oracle.
 func runSequencingOracle(t *testing.T, events ...trace.Event) *sequencingOracle {
 	t.Helper()
 	o := newTestOracles()
-	steps := make([]any, len(events))
-	for i, e := range events {
-		steps[i] = e
+	for _, e := range events {
+		o.Emit(e)
 	}
-	feed(t, o, nil, steps...)
+	o.finish(nil, auditT0)
 	return o.seq
 }
 

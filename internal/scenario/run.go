@@ -20,9 +20,6 @@ const (
 	// flightRing is the flight dump's window: the records it keeps per node
 	// in the replay that makes a failed run's dump.
 	flightRing = 4096
-	// auditRing sizes each node's decisions window: what the transcript's
-	// record and drop counts read, and what a failed run's dump shows.
-	auditRing = 8192
 	// minRate floors the arrival rate so the sampler never divides by zero.
 	minRate = 0.05
 	// maxGap bounds one arrival draw so rate ramps (flash crowds) are
@@ -186,7 +183,6 @@ func run(sc *Scenario, seed int64, ring int) (*runtime, error) {
 		ManagerCapacity: sc.Capacity,
 		Telemetry:       reg,
 		FlightRing:      ring,
-		AuditRing:       auditRing,
 	}, sc.Break, sc.CacheLimit, users)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: build world: %w", sc.Name, err)

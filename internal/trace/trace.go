@@ -7,10 +7,10 @@
 //
 // A cache hit's event reaches only a chain that keeps it: the Collector, or
 // acnode's process log when it logs at Debug. The journal keeps the hit as
-// its decision record instead, and the telemetry bridge reads hits from the
-// host's count, so Nop, flight.Tee with nothing after it that keeps hits and
-// the bridge over either drop the event (Dropper), and a host builds none
-// for them.
+// its decision record instead, the telemetry bridge reads hits from the
+// host's count, and the harness's judge reads update events alone, so Nop,
+// flight.Tee with nothing after it that keeps hits, the judge and the bridge
+// over any of them drop the event (Dropper), and a host builds none for them.
 package trace
 
 import (
