@@ -504,14 +504,24 @@ func TestColdCheckWarmUpAllocationBudget(t *testing.T) {
 // four scenarios at seed 1, the work behind sim-catalog's allocs_per_op: the
 // worlds, their oracles and journals, and what each simulated decision still
 // allocates. The budget is the measured count plus 0.5 % for the runtime's
-// own caches, which vary by a few objects from run to run.
+// own caches, which vary by a few objects from run to run. The pass's bytes
+// are bounded too: its worlds dump nothing, so their journals keep no
+// window, and one that did would take some 7 MB more.
 func TestCatalogPassAllocationBudget(t *testing.T) {
-	const measured = 25422
+	const measured, byteBudget = 24857, 3_000_000
 	scs := catalogPassScenarios(t)
 	allocs := testing.AllocsPerRun(1, func() { runCatalogPass(t, scs) })
 	t.Logf("a catalog pass allocates %.0f objects", allocs)
 	if allocs > measured*1.005 {
 		t.Errorf("a catalog pass allocates %.0f objects, budget %d + 0.5 %%", allocs, measured)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runCatalogPass(t, scs)
+	runtime.ReadMemStats(&after)
+	t.Logf("a catalog pass allocates %d bytes", after.TotalAlloc-before.TotalAlloc)
+	if n := after.TotalAlloc - before.TotalAlloc; n > byteBudget {
+		t.Errorf("a catalog pass allocates %d bytes, budget %d", n, byteBudget)
 	}
 }
 

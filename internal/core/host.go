@@ -163,10 +163,11 @@ type check struct {
 	frozen    bool
 	sentAt    time.Time
 	minExpire time.Duration
-	// callbacks starts in first, so a check with one caller needs no slice
-	// of its own; both outlive a recycled struct.
+	// callbacks starts in first, so a check with one caller, or with a
+	// second coalesced onto it, needs no slice of its own; both outlive a
+	// recycled struct.
 	callbacks []func(Decision)
-	first     [1]func(Decision)
+	first     [2]func(Decision)
 
 	// timer is the check's one timer, armed for a round's timeout or a busy
 	// backoff, running onCheckTimer; it outlives a recycled struct.

@@ -9,9 +9,11 @@
 //
 // A journal keeps two windows under one lock and one sequence: the protocol
 // window and the decisions window, so protocol chatter cannot evict a
-// decision. When something goes wrong (an oracle violation in the harness, or
-// an operator request on a live node) the journal is dumped as versioned
-// JSONL (dump.go). acaudit explains decisions from it (explain.go) and, with
+// decision. They exist only where a dump is made: a journal no one dumps,
+// whose sink judges each record as written, has windows of size 0 (ring).
+// When something goes wrong (an oracle violation in the harness, or an
+// operator request on a live node) the journal is dumped as versioned JSONL
+// (dump.go). acaudit explains decisions from it (explain.go) and, with
 // -timeline, merges dumps from several nodes, aligns their — possibly
 // drifting — clocks and renders a causal timeline (align.go, timeline.go).
 //
@@ -266,8 +268,9 @@ func sat8(n int) uint8  { return uint8(min(max(n, 0), math.MaxUint8)) }
 func sat16(n int) int16 { return int16(min(max(n, math.MinInt16), math.MaxInt16)) }
 
 // NewRecorder returns a journal for the named node whose windows each hold
-// the last size records (at least one). now supplies the node's local clock;
-// nil means time.Now.
+// the last size records; of size 0 it holds none, and still stamps,
+// sequences and counts each record and feeds its sink. now supplies the
+// node's local clock; nil means time.Now.
 func NewRecorder(node string, size int, now func() time.Time) *Recorder {
 	if now == nil {
 		now = time.Now
@@ -545,10 +548,10 @@ func (r *Recorder) unpackProtocol(i uint64, rec *Record) {
 	}
 }
 
-// unpackDecision rebuilds retained decisions-window record i from its slot
-// into *rec, every field of it: the sink's record is unpacked once a
-// decision, and a composite literal would be built aside and copied in.
-// Must be called with r.mu held.
+// unpackDecision rebuilds decisions-window record i (retained, or the last
+// committed) from its slot into *rec, every field of it: the sink's record
+// is unpacked once a decision, and a composite literal would be built aside
+// and copied in. Must be called with r.mu held.
 func (r *Recorder) unpackDecision(i uint64, rec *Record) {
 	s := r.decided.at(i)
 	n := recordNames{app: r.names.Name(s.app), right: r.names.Name(s.right), managers: r.names.Name(s.managers),

@@ -6,11 +6,12 @@ import "math/bits"
 // journal's two windows. Its memory follows its use: it starts empty, grows
 // by chunks as records arrive, and wraps once it reaches its capacity, so a
 // window that records little holds little and one that records nothing holds
-// nothing. A chunk is never copied or moved: a slot keeps its address until
-// its record is overwritten, and the slots a window has but does not use are
-// fewer than one chunk. The chunks double from minChunk to maxChunk, so that
-// a small window takes few allocations and a large one wastes little; then
-// each holds maxChunk slots.
+// nothing; one no dump will read has capacity 0, building each record in one
+// slot and retaining none. A chunk is never copied or moved: a slot keeps
+// its address until its record is overwritten, and the slots a window has but
+// does not use are fewer than one chunk. The chunks double from minChunk to
+// maxChunk, so that a small window takes few allocations and a large one
+// wastes little; then each holds maxChunk slots.
 //
 // Beside its slots each chunk keeps a spill: the names of the records whose
 // names the journal's table cannot hold (keep), an entry per slot, made at
@@ -21,8 +22,8 @@ import "math/bits"
 // the one lock that also covers what it does beside the write (stamping,
 // sequencing, counting, a sink), so that a record costs a single lock hold.
 type ring[T any] struct {
-	size   int        // capacity: the ring grows to this many slots, then wraps
-	slots  int        // slots allocated so far, at most size
+	size   int        // capacity: the records the ring retains, 0 or more
+	slots  int        // slots allocated so far, at most max(size, 1)
 	chunks []chunk[T] // the slots, in order of record index
 	next   uint64     // records ever committed to this ring
 	w      int        // the chunk the next record goes in
@@ -48,9 +49,9 @@ const (
 )
 
 // newRing returns an empty ring holding the last size records; a size below
-// one holds one.
+// one holds none.
 func newRing[T any](size int) ring[T] {
-	return ring[T]{size: max(size, 1), w: -1}
+	return ring[T]{size: max(size, 0), w: -1}
 }
 
 // slot returns the slot the next record goes in, still holding the record it
@@ -74,17 +75,17 @@ func (r *ring[T]) slot() *T {
 func (r *ring[T]) advance() {
 	r.w++
 	if r.w == len(r.chunks) {
-		if r.slots == r.size {
+		if room := max(r.size, 1); r.slots == room { // a ring of capacity 0 still builds in a slot
 			r.w = 0
 		} else {
 			if r.chunks == nil { // one allocation for every chunk's header
 				n := 1
-				for chunkStart(n) < r.size {
+				for chunkStart(n) < room {
 					n++
 				}
 				r.chunks = make([]chunk[T], 0, n)
 			}
-			n := min(chunkStart(r.w+1), r.size) - r.slots
+			n := min(chunkStart(r.w+1), room) - r.slots
 			r.chunks = append(r.chunks, chunk[T]{slots: make([]T, n)})
 			r.slots += n
 		}
@@ -116,16 +117,19 @@ func (r *ring[T]) commit(kept bool) {
 
 // retained returns how many records the ring holds; next minus retained
 // were overwritten.
-func (r *ring[T]) retained() uint64 { return min(r.next, uint64(r.slots)) }
+func (r *ring[T]) retained() uint64 { return Retained(r.next, r.size) }
+
+// Retained returns how many of total records a window of capacity holds.
+func Retained(total uint64, capacity int) uint64 { return min(total, uint64(max(capacity, 0))) }
 
 // oldest returns the index of the oldest retained record: the retained
 // records are at(oldest()) to at(next-1).
 func (r *ring[T]) oldest() uint64 { return r.next - r.retained() }
 
-// locate returns the chunk and the slot in it of retained record i. Until
-// the ring wraps, record i is in slot i; after, in slot i mod size.
+// locate returns the chunk and the slot of retained or last record i: slot i
+// until the ring wraps, i mod size after, and capacity 0's one slot always.
 func (r *ring[T]) locate(i uint64) (*chunk[T], int) {
-	j := i % uint64(r.size)
+	j := i % uint64(r.slots)
 	switch {
 	case j < minChunk:
 		return &r.chunks[0], int(j)
@@ -136,7 +140,7 @@ func (r *ring[T]) locate(i uint64) (*chunk[T], int) {
 	return &r.chunks[j>>maxChunkLog+maxChunkLog-minChunkLog], int(j % maxChunk)
 }
 
-// at returns the slot of retained record i: read it, do not write it.
+// at returns the slot of record i (see locate): read it, do not write it.
 func (r *ring[T]) at(i uint64) *T {
 	c, k := r.locate(i)
 	return &c.slots[k]

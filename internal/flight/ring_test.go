@@ -20,12 +20,13 @@ type ringRec struct {
 // third record keeps names beside its slot, and each retained record must
 // keep exactly its own. On the way a ring may hold at most its capacity, at
 // least what it retains, and fewer than one chunk's slots unused; once it is
-// full no write allocates. A capacity below one is one.
+// full no write allocates. A capacity below one retains nothing, and builds
+// each record in its one slot.
 func TestRingAgainstModel(t *testing.T) {
-	if r := newRing[ringRec](0); r.size != 1 {
-		t.Fatalf("newRing(0) holds %d records, want 1", r.size)
+	if r := newRing[ringRec](-1); r.size != 0 {
+		t.Fatalf("newRing(-1) holds %d records, want 0", r.size)
 	}
-	for _, size := range []int{1, 16, 63, 64, 65, 129, 1500, 4096} {
+	for _, size := range []int{0, 1, 16, 63, 64, 65, 129, 1500, 4096} {
 		r := newRing[ringRec](size)
 		var model []ringRec
 		var addr []*ringRec
@@ -61,7 +62,7 @@ func TestRingAgainstModel(t *testing.T) {
 			}
 			r.commit(kept)
 			last := len(r.chunks[len(r.chunks)-1].slots)
-			if r.slots > size || uint64(r.slots) < r.retained() || r.slots-int(r.retained()) >= last {
+			if r.slots > max(size, 1) || uint64(r.slots) < r.retained() || size > 0 && r.slots-int(r.retained()) >= last {
 				t.Fatalf("size %d after %d records: ring holds %d slots for %d records, its last chunk %d", size, k, r.slots, r.retained(), last)
 			}
 			if k%max(1, size/4) == 0 {

@@ -212,18 +212,23 @@ func sameAll(t *testing.T, via string, got, want []Record) {
 // keeping its own last records. It holds for each kind of clock, over slots
 // that held other records, and with a name table already full of other
 // names, half of a record's names found there and half spilled (fillNames).
+// A journal of windows of size 0 keeps none of them and still hands its sink
+// every decision and response as it was given.
 func TestFlightRecordRoundTrip(t *testing.T) {
 	for i, clock := range clocks {
 		for _, full := range []bool{false, true} {
-			roundTrip(t, i, clock.name, clock.at, full)
+			for _, size := range []int{128, 0} {
+				roundTrip(t, i, clock.name, clock.at, full, size)
+			}
 		}
 	}
 }
 
-func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Time, full bool) {
+func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Time, full bool, size int) {
 	rng := rand.New(rand.NewSource(int64(i + 1)))
 	var last time.Time
-	r := NewRecorder("n"+strconv.Itoa(i), 128, func() time.Time {
+	name += " size " + strconv.Itoa(size)
+	r := NewRecorder("n"+strconv.Itoa(i), size, func() time.Time {
 		last = at(time.Duration(rng.Intn(1000)) * time.Millisecond)
 		return last
 	})
@@ -247,7 +252,7 @@ func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Tim
 		}
 	}
 	sameAll(t, name+" sink", sunk, decided)
-	want = retainedTail(want, 128)
+	want = retainedTail(want, size)
 	var all []Record
 	for rec := range r.All() {
 		all = append(all, *rec)
@@ -259,9 +264,14 @@ func roundTrip(t *testing.T, i int, name string, at func(time.Duration) time.Tim
 
 // TestUnpackDecisionSetsEveryField: the sink's record is reused, so a
 // decision unpacked into one whose every field is set must read as one
-// unpacked into a zero Record.
+// unpacked into a zero Record, in a window of any size, 0 included.
 func TestUnpackDecisionSetsEveryField(t *testing.T) {
-	r := NewRecorder("h0", 4, nil)
+	for _, size := range []int{4, 0} {
+		unpackOverStale(t, NewRecorder("h0", size, nil))
+	}
+}
+
+func unpackOverStale(t *testing.T, r *Recorder) {
 	r.Record(Record{T: t0, Kind: KindDecision, App: "a", User: "u", Right: "use"})
 	var stale Record
 	v := reflect.ValueOf(&stale).Elem()
@@ -295,13 +305,52 @@ func TestUnpackDecisionSetsEveryField(t *testing.T) {
 // Dump and a sink. Every record read — by each pass, and by the sink — must
 // be one a writer wrote, as it wrote it, each read's records in strictly
 // increasing Seq order.
-func TestFlightRecordRoundTripConcurrent(t *testing.T) {
+func TestFlightRecordRoundTripConcurrent(t *testing.T) { roundTripConcurrent(t, 256) }
+
+// TestZeroWindowJournal: a journal of windows of size 0, which the
+// simulator gives every node of a world it will not dump, builds each record
+// in one slot its writers share under the lock. Racing writers of all seven
+// kinds, its sink still gets every decision and response as written, while
+// it counts every record, yields none from All or Dump, and drops all it
+// accepted; once its names are in its table a record allocates nothing.
+func TestZeroWindowJournal(t *testing.T) {
+	r, decisions := roundTripConcurrent(t, 0)
+	if d := r.Dump(); len(d.Records) != 0 || d.Header.Dropped != r.Total() || r.Dropped() != r.Total() {
+		t.Errorf("dump of %d records dropping %d, Dropped %d; want none, dropping all %d", len(d.Records),
+			d.Header.Dropped, r.Dropped(), r.Total())
+	}
+	if r.Decisions() != decisions {
+		t.Errorf("Decisions = %d, want %d", r.Decisions(), decisions)
+	}
+	var sunk int
+	r.SetSink(sinkFunc(func(Record) { sunk++ }))
+	ev := trace.Event{Time: t0, Type: trace.EventQuerySent, App: "app", User: "u", Peer: "m0", Trace: 7}
+	rec := Record{Kind: KindDecision, T: t0, App: "app", User: "u", Right: "use", Reason: ReasonQuorumAllow,
+		Allowed: true, Confirmations: 2, Managers: "m0,m1"}
+	for name, fn := range map[string]func(){
+		"RecordEvent":    func() { r.RecordEvent(ev) },
+		"Record":         func() { r.Record(rec) },
+		"RecordCacheHit": func() { r.RecordCacheHit(t0, 7, "app", "u", wire.RightUse, 2, time.Minute) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, fn); allocs > 0 {
+			t.Errorf("%s into a zero window allocates %.1f objects/op, want 0", name, allocs)
+		}
+	}
+	if sunk != 2*1001 {
+		t.Errorf("sink got %d records, want %d", sunk, 2*1001)
+	}
+}
+
+// roundTripConcurrent runs TestFlightRecordRoundTripConcurrent against a
+// journal of windows of size, which it returns with how many decision
+// records it was handed.
+func roundTripConcurrent(t *testing.T, size int) (*Recorder, uint64) {
 	const writers, each = 4, 400
 	clock := clocks[2].at // the clock a live node runs on
 	rng := rand.New(rand.NewSource(1))
 	byTrace := make(map[uint64]Record)
 	recs := make([][]Record, writers)
-	decided := 0
+	var decided, decisions uint64
 	for w := range recs {
 		for len(recs[w]) < each {
 			rec := randomRecord(rng, clock)
@@ -314,10 +363,13 @@ func TestFlightRecordRoundTripConcurrent(t *testing.T) {
 				if rec.Kind.decided() {
 					decided++
 				}
+				if byTrace[rec.Trace].Kind == KindDecision {
+					decisions++
+				}
 			}
 		}
 	}
-	r := NewRecorder("n0", 256, nil)
+	r := NewRecorder("n0", size, nil)
 	check := func(via string, rec *Record, after *uint64) {
 		want := byTrace[rec.Trace]
 		want.Seq = rec.Seq
@@ -356,18 +408,24 @@ func TestFlightRecordRoundTripConcurrent(t *testing.T) {
 			reading = false
 		default:
 		}
-		var after uint64
+		var after, n uint64
 		for rec := range r.All() {
 			check("All", rec, &after)
+			n++
 		}
 		after = 0
 		for _, rec := range r.Dump().Records {
 			check("Dump", &rec, &after)
+			n++
+		}
+		if n > 4*uint64(size) {
+			t.Fatalf("All and Dump read %d records from two windows of %d", n, size)
 		}
 	}
-	if sunk != uint64(decided) || r.Total() != writers*each {
+	if sunk != decided || r.Total() != writers*each {
 		t.Fatalf("sink saw %d records, journal accepted %d; want %d and %d", sunk, r.Total(), decided, writers*each)
 	}
+	return r, decisions
 }
 
 type sinkFunc func(Record)

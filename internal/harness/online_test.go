@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wanac/internal/flight"
+	"wanac/internal/trace"
 )
 
 // TestCleanRunKeepsNoLog: a run is judged as it goes, so a clean one keeps
@@ -31,6 +32,8 @@ func TestCleanRunKeepsNoLog(t *testing.T) {
 // TestReplayedDumpMatchesRetainedRun: a failed run's flight dump comes from
 // a replay with the trace log kept; it must be the dump of the same run
 // built with the log on, byte for byte, with the same violations marked.
+// The judged run's journals keep no record; the replay's log keeps no cache
+// hit, which its dump reads from the hit's decision record.
 func TestReplayedDumpMatchesRetainedRun(t *testing.T) {
 	opt := Options{InflateTe: true, DropRevokeNotices: true}
 	for _, seed := range []int64{1, 2, 3} {
@@ -45,9 +48,21 @@ func TestReplayedDumpMatchesRetainedRun(t *testing.T) {
 		if r.W.Tracer != nil {
 			t.Fatalf("seed %d: the judged run kept a trace log", seed)
 		}
-		kept, _, err := runScenario(sc, opt, flightRing)
+		for _, j := range r.W.Journals {
+			if j.Dropped() != j.Total() {
+				t.Errorf("seed %d: judged %s's journal kept %d records", seed, j.Node(), j.Total()-j.Dropped())
+			}
+		}
+		kept, kr, err := runScenario(sc, opt, flightRing)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var hits uint64
+		for _, h := range kr.W.Hosts {
+			hits += h.Stats().CacheHits
+		}
+		if n := kr.W.Tracer.Count(trace.EventCacheHit); hits == 0 || n != 0 {
+			t.Errorf("seed %d: the replay's log kept %d of its hosts' %d cache hits, want none of some", seed, n, hits)
 		}
 		if !reflect.DeepEqual(res.Violations, kept.Violations) || !reflect.DeepEqual(res.Oracles, kept.Oracles) {
 			t.Fatalf("seed %d: the run with its log kept judged differently:\n%v\nvs\n%v", seed, res.Violations, kept.Violations)

@@ -176,9 +176,9 @@ func NewRunner(label string, cfg sim.Config, opt Options, cacheLimit int, users 
 	if opt.InflateTe {
 		cfg.Te *= 10
 	}
-	// Every node has a journal for the audit oracle to judge. Its decisions
-	// window keeps a harness run's every decision for a failing seed's flight
-	// dump, and is what a catalog transcript's record and drop counts read.
+	// Every node has a journal for the audit oracle to judge as it writes.
+	// Only a world that dumps keeps a window: a failing seed's replay, whose
+	// window holds a harness run's every decision (sim.Config.AuditRing).
 	cfg.AuditRing = 8192
 	p := cfg.Policy
 	// With the adaptive-Te controller on, managers may legally widen grant

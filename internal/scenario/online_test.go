@@ -58,6 +58,39 @@ func TestReplayedDumpMatchesRetainedRun(t *testing.T) {
 	}
 }
 
+// TestRingDropsAreTheReplaysDrops: a judged world's journals keep no
+// window, so the transcript's ring drops are counted against the window a
+// replay for a flight dump keeps. For overload-100x at seed 1 they are the
+// 221 its golden prints, and exactly what the replay's journals drop.
+func TestRingDropsAreTheReplaysDrops(t *testing.T) {
+	sc, err := Lookup("overload-100x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	judged, err := run(sc, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := run(sc, 1, flightRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range judged.W.Journals {
+		if j.Dropped() != j.Total() {
+			t.Errorf("judged %s's journal kept %d of its %d records", j.Node(), j.Total()-j.Dropped(), j.Total())
+		}
+	}
+	var dropped, records uint64
+	for _, j := range replay.W.Journals {
+		dropped += j.Dropped()
+		records += j.Total()
+	}
+	if a := judged.res.Audit; a.Dropped != 221 || a.Dropped != dropped || a.Records != records {
+		t.Errorf("judged run: %d records, %d ring drops; replay's journals: %d, %d; want 221 drops",
+			a.Records, a.Dropped, records, dropped)
+	}
+}
+
 func dumpText(t *testing.T, d *flight.Dump) string {
 	t.Helper()
 	if d == nil {

@@ -75,8 +75,8 @@ type AuditTotals struct {
 	// reason's stable name, e.g. "cache_hit"), summed across hosts.
 	Reasons map[string]uint64
 	// Records counts decision records accepted across every node's
-	// journal (decisions and manager responses); Dropped counts those the
-	// bounded windows overwrote before the end-of-run dump.
+	// journal (decisions and manager responses); Dropped counts those a
+	// flight dump's windows of sim.Config.AuditRing records overwrite.
 	Records uint64
 	Dropped uint64
 }
@@ -356,7 +356,8 @@ func (r *runtime) gatherOverload() {
 
 // gatherAudit folds the run's decision provenance into the result: exact
 // per-reason counts from the telemetry counters plus record/drop totals
-// from the per-node journals (called once, after the run).
+// from the per-node journals (called once, after the run), the drops by the
+// rule a window retains by: a judged world's journals keep none.
 func (r *runtime) gatherAudit(reg *telemetry.Registry) {
 	a := &r.res.Audit
 	a.Reasons = make(map[string]uint64)
@@ -367,7 +368,7 @@ func (r *runtime) gatherAudit(reg *telemetry.Registry) {
 	}
 	for _, rec := range r.W.Journals {
 		a.Records += rec.Total()
-		a.Dropped += rec.Dropped()
+		a.Dropped += rec.Total() - flight.Retained(rec.Total(), r.W.Cfg.AuditRing)
 	}
 }
 

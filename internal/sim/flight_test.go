@@ -64,6 +64,43 @@ func TestFlightDisabled(t *testing.T) {
 	}
 }
 
+// TestWindowsOnlyWhereADumpIsMade: a world's journals keep their records
+// only if it makes a FlightDump, and otherwise count them and keep none.
+// Its trace log keeps every event when it is the world's only tracer, and
+// every event but a cache hit beside one of the caller's, which still gets
+// the hit.
+func TestWindowsOnlyWhereADumpIsMade(t *testing.T) {
+	for _, c := range []struct {
+		tracer     *trace.Collector
+		flightRing int
+		kept       int
+	}{
+		{nil, 0, 0},
+		{nil, 64, 2},
+		{trace.NewCollector(), 64, 2},
+	} {
+		cfg := Config{Managers: 1, Hosts: 1, Policy: basePolicy(1), Te: time.Minute, Users: []wire.UserID{"alice"},
+			FlightRing: c.flightRing, AuditRing: 64}
+		logHits := 1
+		if c.tracer != nil {
+			cfg.Tracer, logHits = c.tracer, 0
+		}
+		w := build(t, cfg)
+		w.CheckSync(0, "alice", wire.RightUse, time.Minute)
+		w.CheckSync(0, "alice", wire.RightUse, time.Minute) // a cache hit
+		h := w.Journals[0]
+		if h.Node() != "h0" || h.Decisions() != 2 || len(h.Snapshot()) != c.kept || h.Dropped() != h.Total()-uint64(c.kept) {
+			t.Errorf("FlightRing %d: h0's journal kept %d of %d records, want %d", c.flightRing, len(h.Snapshot()), h.Total(), c.kept)
+		}
+		if c.tracer != nil && c.tracer.Count(trace.EventCacheHit) != 1 {
+			t.Errorf("the caller's tracer got %d cache hits, want 1", c.tracer.Count(trace.EventCacheHit))
+		}
+		if n := w.Tracer.Count(trace.EventCacheHit); n != logHits {
+			t.Errorf("tracer %v, FlightRing %d: the log kept %d cache hits, want %d", c.tracer != nil, c.flightRing, n, logHits)
+		}
+	}
+}
+
 // TestFlightDumpWindowGolden pins a dump whose window is smaller than what
 // most nodes recorded: the last FlightRing records per node, numbered per
 // node from Seq 0, with dropped counting the rest. The drifting host h1

@@ -76,11 +76,12 @@ type Config struct {
 	// The log is World.Tracer, a Collector that records beside Tracer when
 	// one is given. Ignored under trace.Nop{}.
 	FlightRing int
-	// AuditRing, when > 0, attaches a journal whose decisions window holds
-	// that many records to every node (internal/flight): hosts record one
-	// entry per decision, managers one per query verdict, each stamped by
-	// the node's own clock. Independent of Tracer — decision records are
-	// emitted directly, not derived from trace events. See World.Journals.
+	// AuditRing, when > 0, attaches a journal to every node
+	// (internal/flight): hosts record one entry per decision, managers one
+	// per query verdict, each stamped by the node's own clock. Independent
+	// of Tracer — decision records are emitted directly, not derived from
+	// trace events. Only a world that makes a FlightDump keeps a window,
+	// AuditRing records long. See World.Journals.
 	AuditRing int
 }
 
@@ -99,10 +100,11 @@ type World struct {
 	// host index (used by the component-wrapper experiment).
 	AppCalls []int
 	// Journals holds each node's journal, ordered by node id, when
-	// Config.AuditRing is set; nil otherwise. A node's journal keeps its
+	// Config.AuditRing is set; nil otherwise. A node's journal takes its
 	// decision records only: its protocol records are read from the trace
 	// log. The harness audit oracle takes each journal's records as it
-	// accepts them (flight.Recorder.SetSink).
+	// accepts them (flight.Recorder.SetSink); a journal of a world that
+	// makes no FlightDump counts them and keeps none.
 	Journals []*flight.Recorder
 
 	// netFlight records the network's injections when Config.FlightRing is
@@ -160,9 +162,11 @@ func Build(cfg Config) (*World, error) {
 	}
 
 	// Flight recording: FlightDump reads the nodes' records from the trace
-	// log; the network's injection observer feeds a "net" pseudo-node ring
-	// on the scheduler clock.
+	// log and their journals' windows; the network's injection observer
+	// feeds a "net" pseudo-node ring on the scheduler clock.
+	window := 0
 	if cfg.FlightRing > 0 && collector != nil {
+		window = cfg.AuditRing
 		w.netFlight = flight.NewRecorder("net", cfg.FlightRing, sched.Now)
 		w.clockRates = make(map[wire.NodeID]flight.Record)
 		net.Observer = func(ev simnet.NetEvent) {
@@ -187,7 +191,7 @@ func Build(cfg Config) (*World, error) {
 		if cfg.AuditRing <= 0 {
 			return nil
 		}
-		rec := flight.NewRecorder(string(id), cfg.AuditRing, now)
+		rec := flight.NewRecorder(string(id), window, now)
 		w.Journals = append(w.Journals, rec)
 		return rec
 	}
@@ -282,8 +286,8 @@ func Build(cfg Config) (*World, error) {
 	return w, nil
 }
 
-// tee returns a tracer handing each event to first, if not nil, then to
-// log.
+// tee returns a tracer handing each event to first, if not nil, then to log
+// but a cache hit, which FlightDump reads from the hit's decision record.
 func tee(first trace.Tracer, log *trace.Collector) trace.Tracer {
 	if first == nil {
 		return log
@@ -299,7 +303,14 @@ type teeTracer struct {
 // Emit implements trace.Tracer.
 func (t teeTracer) Emit(e trace.Event) {
 	t.first.Emit(e)
-	t.log.Emit(e)
+	if e.Type != trace.EventCacheHit {
+		t.log.Emit(e)
+	}
+}
+
+// Drops implements trace.Dropper: the tee drops a cache hit when first does.
+func (t teeTracer) Drops(typ trace.EventType) bool {
+	return typ == trace.EventCacheHit && trace.Drops(t.first, typ)
 }
 
 // registerNetCounters exposes the simulated network's delivery counters as

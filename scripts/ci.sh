@@ -167,11 +167,12 @@ echo "== cache-hit path and lock-free paths (race, repeated)"
 # and notice records, which the next revocation reuses;
 # ACL_cache and the manager's store against their map models; journal and
 # trace records of every kind read back exactly while writers race the
-# readers, also when peers name more than the journal's name table holds;
+# readers, also when peers name more than the journal's name table holds,
+# and through the one slot a journal with no window builds them in;
 # the virtual clock under Set/Advance/Now.
 lane '-race -count=5' 'TestNoCacheHitAfterFlushReturns|TestResetKeepsTableHandles|TestViewPublicationUnderLoad|TestCacheHitCountersDerived|TestHostCacheGrantersConcurrentChecks|TestCacheHitObservationContract|TestStaleTimerFiringRealTimers|TestStaleRecordFiringRealTimers' ./internal/core
 lane '-race -count=5' 'TestCacheAgainstModel|TestStoreAgainstModel|TestCacheSixtyFifthGranterEmptiesApp' ./internal/acl
-lane '-race -count=5' 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
+lane '-race -count=5' 'TestAuditRecordRoundTripConcurrent|TestFlightRecordRoundTripConcurrent|TestZeroWindowJournal|TestJournalNamesBounded|TestCollectorRoundTripConcurrent' ./internal/audit ./internal/flight ./internal/trace
 lane '-race -count=3' TestVirtualConcurrentMonotone ./internal/vclock
 
 echo "== scrape under load (race, repeated)"
